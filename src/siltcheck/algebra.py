@@ -143,6 +143,7 @@ class Algebra:
         self.path_info = path_info  # list of (source, target, arrows) for path algebras
         self._rmul = {}
         self._lmul = {}
+        self._proj = {}  # idempotent position -> projective module
         if validate:
             self.validate()
 

@@ -204,10 +204,9 @@ def _is_soft_failure(check) -> bool:
 
 def _verdict_code(reports: list) -> tuple[str, int]:
     failed = [c for r in reports for c in r.checks if not c.passed]
-    undecided = any("goodification" in r.notes for r in reports)
     if any(not _is_soft_failure(c) for c in failed):
         return "fail", 1
-    if failed or undecided:
+    if failed:
         return "inconclusive", 2
     return "pass", 0
 

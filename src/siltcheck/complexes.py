@@ -169,14 +169,11 @@ class Complex:
         return f"Complex({dims})"
 
 
-_proj_cache: dict = {}
-
-
 def projective_cache(A: Algebra, v: int) -> Module:
-    key = (id(A), v)
-    if key not in _proj_cache:
-        _proj_cache[key] = projective_module(A, v)
-    return _proj_cache[key]
+    """The indecomposable projective at idempotent v, built once per algebra."""
+    if v not in A._proj:
+        A._proj[v] = projective_module(A, v)
+    return A._proj[v]
 
 
 def zero_complex(A: Algebra) -> Complex:

@@ -31,6 +31,17 @@ def _scale(field, c, u):
     return tuple(field.mul(c, a) for a in u)
 
 
+def _basis_items(X) -> list:
+    """(degree, index) of every basis element of a dg-algebra or dg-module."""
+    return [(n, i) for n in X.degrees() for i in range(X.dim(n))]
+
+
+def _sample(items: list) -> list:
+    """All items at desk scale; a stride sample of about 16 above 24 items."""
+    step = 1 if len(items) <= 24 else max(1, len(items) // 16)
+    return items[::step]
+
+
 class DgAlgebra:
     """Graded algebra with square-zero degree +1 differential.
 
@@ -126,7 +137,7 @@ class DgAlgebra:
                 if self.product(n, v, 0, self.unit) != v:
                     raise AssertionError(f"right unit fails in degree {n}")
         # graded Leibniz on all basis pairs
-        items = [(n, i) for n in self.degrees() for i in range(self.dim(n))]
+        items = _basis_items(self)
         for m, i in items:
             a = self.basis_vector(m, i)
             da = self.apply_diff(m, a)
@@ -139,8 +150,7 @@ class DgAlgebra:
                 if tuple(lhs) != tuple(rhs):
                     raise AssertionError(f"graded Leibniz fails on degrees ({m}, {n})")
         # associativity on basis triples (strided sample above desk scale)
-        step = 1 if len(items) <= 24 else max(1, len(items) // 16)
-        picked = items[::step]
+        picked = _sample(items)
         for m, i in picked:
             a = self.basis_vector(m, i)
             for n, j in picked:
@@ -244,72 +254,47 @@ class DgModule:
                 else:
                     if self.act(0, B.unit, n, x) != x:
                         raise AssertionError(f"unit action fails in degree {n}")
-        if self.side == "right":
-            self._validate_right()
-        else:
-            self._validate_left()
+        self._validate_action()
 
-    def _strides(self):
-        B = self.algebra
-        mitems = [(n, i) for n in self.degrees() for i in range(self.dim(n))]
-        aitems = [(n, j) for n in B.degrees() for j in range(B.dim(n))]
-        mstep = 1 if len(mitems) <= 24 else max(1, len(mitems) // 16)
-        astep = 1 if len(aitems) <= 24 else max(1, len(aitems) // 16)
-        return mitems, aitems, mitems[::mstep], aitems[::astep]
+    def _validate_action(self):
+        """Graded Leibniz on all basis pairs, associativity on sampled triples.
 
-    def _validate_right(self):
+        Products are written in their order as elements: x*a for a right
+        module, a*x for a left one.  The Koszul sign comes from the degree of
+        the first factor either way.
+        """
         B = self.algebra
         f = B.field
-        mitems, aitems, mpick, apick = self._strides()
-        for m, i in mitems:
-            x = self.basis_vector(m, i)
-            dx = self.apply_diff(m, x)
+        right = self.side == "right"
+        first, second = (self, B) if right else (B, self)
+        second_items = _basis_items(second)
+        for m, i in _basis_items(first):
+            u = first.basis_vector(m, i)
+            du = first.apply_diff(m, u)
             sign = f.one if m % 2 == 0 else f.neg(f.one)
-            for n, j in aitems:
-                a = B.basis_vector(n, j)
-                lhs = self.apply_diff(m + n, self.act(m, x, n, a))
-                rhs = _add(f, self.act(m + 1, dx, n, a),
-                           _scale(f, sign, self.act(m, x, n + 1, B.apply_diff(n, a))))
+            for n, j in second_items:
+                v = second.basis_vector(n, j)
+                lhs = self.apply_diff(m + n, self.act(m, u, n, v))
+                rhs = _add(f, self.act(m + 1, du, n, v),
+                           _scale(f, sign, self.act(m, u, n + 1, second.apply_diff(n, v))))
                 if tuple(lhs) != tuple(rhs):
                     raise AssertionError(f"module Leibniz fails on degrees ({m}, {n})")
-        for m, i in mpick:
-            x = self.basis_vector(m, i)
-            for n, j in apick:
-                a = B.basis_vector(n, j)
-                xa = self.act(m, x, n, a)
-                for p, k in apick:
-                    b = B.basis_vector(p, k)
-                    if self.act(m + n, xa, p, b) != \
-                            self.act(m, x, n + p, B.product(n, a, p, b)):
+        # (uv)w = u(vw) on triples x, a, b (right) or a, b, x (left)
+        factors = (self, B, B) if right else (B, B, self)
+        picks = [_sample(_basis_items(X)) for X in factors]
+        mul_uv = self.act if right else B.product
+        mul_vw = B.product if right else self.act
+        for m, i in picks[0]:
+            u = factors[0].basis_vector(m, i)
+            for n, j in picks[1]:
+                v = factors[1].basis_vector(n, j)
+                uv = mul_uv(m, u, n, v)
+                for p, k in picks[2]:
+                    w = factors[2].basis_vector(p, k)
+                    if self.act(m + n, uv, p, w) != \
+                            self.act(m, u, n + p, mul_vw(n, v, p, w)):
                         raise AssertionError(
                             f"action associativity fails on ({m}, {n}, {p})")
-
-    def _validate_left(self):
-        B = self.algebra
-        f = B.field
-        mitems, aitems, mpick, apick = self._strides()
-        for m, i in aitems:
-            a = B.basis_vector(m, i)
-            da = B.apply_diff(m, a)
-            sign = f.one if m % 2 == 0 else f.neg(f.one)
-            for n, j in mitems:
-                x = self.basis_vector(n, j)
-                lhs = self.apply_diff(m + n, self.act(m, a, n, x))
-                rhs = _add(f, self.act(m + 1, da, n, x),
-                           _scale(f, sign, self.act(m, a, n + 1, self.apply_diff(n, x))))
-                if tuple(lhs) != tuple(rhs):
-                    raise AssertionError(f"module Leibniz fails on degrees ({m}, {n})")
-        for m, i in apick:
-            a = B.basis_vector(m, i)
-            for p, k in apick:
-                b = B.basis_vector(p, k)
-                ab = B.product(m, a, p, b)
-                for n, j in mpick:
-                    x = self.basis_vector(n, j)
-                    if self.act(m + p, ab, n, x) != \
-                            self.act(m, a, p + n, self.act(p, b, n, x)):
-                        raise AssertionError(
-                            f"action associativity fails on ({m}, {p}, {n})")
 
 
 # -- dg-end and hom modules ------------------------------------------------
@@ -530,6 +515,43 @@ def h0_module(M: DgModule, E: Algebra) -> Module:
 # -- truncation, opposite, side swap, restriction --------------------------
 
 
+def _truncation(X, field):
+    """The non-positive truncation of a dg-algebra or right dg-module X.
+
+    Degree 0 becomes ker d^0 and positive degrees die.  Returns the degree
+    dims, the per-degree inclusion matrices into X, the truncated
+    differentials, and restrict(vec, n), the coordinates in the truncation
+    of a degree-n element of X that lies in it.
+    """
+    ker_rows = [tuple(r) for r in X.diff(0).row_kernel_rows()]
+    kmat = Matrix(field, len(ker_rows), X.dim(0), ker_rows)
+    dims = {n: X.dim(n) for n in X.degrees() if n < 0}
+    if ker_rows:
+        dims[0] = len(ker_rows)
+    embed = {n: Matrix.identity(field, X.dim(n)) for n in X.degrees() if n < 0}
+    embed[0] = kmat
+
+    def restrict(vec, n):
+        if n < 0:
+            return tuple(vec)
+        if n == 0:
+            sol = kmat.solve_left_rows(vec)
+            if sol is None:
+                raise AssertionError("element is not a degree-0 cocycle")
+            return sol
+        if any(c != field.zero for c in vec):
+            raise AssertionError("positive-degree element in truncation")
+        return ()
+
+    diffs = {}
+    for n in sorted(dims):
+        if n + 1 > 0 or not dims.get(n + 1):
+            continue
+        rows = [restrict(X.apply_diff(n, embed[n].rows[i]), n + 1) for i in range(dims[n])]
+        diffs[n] = Matrix(field, dims[n], dims[n + 1], rows)
+    return dims, embed, diffs, restrict
+
+
 def smart_truncate(B: DgAlgebra) -> DgAlgebra:
     """Non-positive truncation: degree 0 becomes ker d^0, positive degrees die.
 
@@ -538,30 +560,7 @@ def smart_truncate(B: DgAlgebra) -> DgAlgebra:
     isomorphisms for n <= 0.
     """
     f = B.field
-    ker_rows = [tuple(r) for r in B.diff(0).row_kernel_rows()]
-    kmat = Matrix(f, len(ker_rows), B.dim(0), ker_rows)
-    dims = {n: B.dim(n) for n in B.degrees() if n < 0}
-    if ker_rows:
-        dims[0] = len(ker_rows)
-    embed = {}
-    for n in B.degrees():
-        if n < 0:
-            embed[n] = Matrix.identity(f, B.dim(n))
-    embed[0] = kmat
-
-    def restrict(vec, n):
-        """Coordinates of a degree-n element of B lying in the truncation."""
-        if n < 0:
-            return tuple(vec)
-        if n == 0:
-            sol = kmat.solve_left_rows(vec)
-            if sol is None:
-                raise AssertionError("element is not a degree-0 cocycle")
-            return sol
-        if any(c != f.zero for c in vec):
-            raise AssertionError("positive-degree element in truncation")
-        return ()
-
+    dims, embed, diffs, restrict = _truncation(B, f)
     mult = {}
     for m in sorted(dims):
         for n in sorted(dims):
@@ -580,12 +579,6 @@ def smart_truncate(B: DgAlgebra) -> DgAlgebra:
                 table.append(row)
             if dims.get(m + n):
                 mult[(m, n)] = table
-    diffs = {}
-    for n in sorted(dims):
-        if n + 1 > 0 or not dims.get(n + 1):
-            continue
-        rows = [restrict(B.apply_diff(n, embed[n].rows[i]), n + 1) for i in range(dims[n])]
-        diffs[n] = Matrix(f, dims[n], dims[n + 1], rows)
     unit = restrict(B.unit, 0)
     C = DgAlgebra(f, dims, mult, diffs, unit)
     C.embed = embed
@@ -674,27 +667,7 @@ def smart_truncate_module(M: DgModule) -> DgModule:
         raise ValueError("smart_truncate_module expects a right module")
     if not M.algebra.is_nonpositive():
         raise ValueError("base dg-algebra must be non-positive")
-    f = M.algebra.field
-    ker_rows = [tuple(r) for r in M.diff(0).row_kernel_rows()]
-    kmat = Matrix(f, len(ker_rows), M.dim(0), ker_rows)
-    dims = {n: M.dim(n) for n in M.degrees() if n < 0}
-    if ker_rows:
-        dims[0] = len(ker_rows)
-    embed = {n: Matrix.identity(f, M.dim(n)) for n in M.degrees() if n < 0}
-    embed[0] = kmat
-
-    def restrict(vec, n):
-        if n < 0:
-            return tuple(vec)
-        if n == 0:
-            sol = kmat.solve_left_rows(vec)
-            if sol is None:
-                raise AssertionError("element is not a degree-0 cocycle")
-            return sol
-        if any(c != f.zero for c in vec):
-            raise AssertionError("positive-degree element in truncation")
-        return ()
-
+    dims, embed, diffs, restrict = _truncation(M, M.algebra.field)
     action = {}
     for m in sorted(dims):
         for n in M.algebra.degrees():
@@ -709,12 +682,6 @@ def smart_truncate_module(M: DgModule) -> DgModule:
                     row.append(restrict(M.act(m, x, n, a), m + n))
                 table.append(row)
             action[(m, n)] = table
-    diffs = {}
-    for n in sorted(dims):
-        if n + 1 > 0 or not dims.get(n + 1):
-            continue
-        rows = [restrict(M.apply_diff(n, embed[n].rows[i]), n + 1) for i in range(dims[n])]
-        diffs[n] = Matrix(f, dims[n], dims[n + 1], rows)
     out = DgModule(M.algebra, "right", dims, action, diffs)
     out.embed = embed
     out.ambient_module = M

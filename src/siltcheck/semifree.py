@@ -1,4 +1,4 @@
-"""Windowed semifree resolutions and derived tensor/Hom over a dg-algebra.
+"""Windowed semifree resolutions, derived tensor/Hom, and maps out of them.
 
 A semifree module is free over its non-positive base on a filtered list of
 generators; the differential of each generator only involves strictly earlier
@@ -8,6 +8,13 @@ adjoining fresh free generators, which over a non-positive base cannot disturb
 any higher degree.  A cutoff bounds how far down the construction digs; the
 derived functors pick their cutoff from the requested window with one spare
 degree so that cohomology at the window edge is already exact.
+
+Freeness also makes maps out of a semifree module easy to write down: a map
+is its list of values on the generators.  SemifreeHom is the hom complex out
+of a semifree module into a dg-module in those coordinates, and derived Hom
+over the base is its cohomology.  lift_generators builds a degree-0 map one
+generator at a time in filtration order, each value solving the chain-map
+condition against the values already chosen.
 """
 
 from __future__ import annotations
@@ -265,6 +272,138 @@ def semifree_resolve(M: DgModule, cutoff: int, cap: int = 4096) -> SemifreeModul
     return P
 
 
+# -- maps out of a semifree module -------------------------------------------
+
+
+class SemifreeHom:
+    """Base-linear maps from a semifree module into a dg-module.
+
+    A degree-m element assigns to the k-th generator (degree g) a value in
+    N^{m+g}; freeness extends this to the whole module.  The differential is
+    phi -> d_N . phi - (-1)^m phi . d_P, the same convention as the hom
+    complex of two complexes of modules.
+    """
+
+    def __init__(self, P: SemifreeModule, N: DgModule):
+        self.P = P
+        self.N = N
+        self.field = N.algebra.field
+        self._diffs: dict = {}
+        self._sq: dict = {}
+
+    def layout(self, m: int) -> list:
+        return [(k, t) for k, g in enumerate(self.P.gens)
+                for t in range(self.N.dim(m + g))]
+
+    def dim(self, m: int) -> int:
+        return sum(self.N.dim(m + g) for g in self.P.gens)
+
+    def assemble(self, m: int, values: dict) -> tuple:
+        """Coordinate vector of the element with the given generator values."""
+        f = self.field
+        out = []
+        for k, g in enumerate(self.P.gens):
+            d = self.N.dim(m + g)
+            v = values.get(k)
+            if v is None:
+                out.extend([f.zero] * d)
+            else:
+                if len(v) != d:
+                    raise ValueError("generator value has the wrong length")
+                out.extend(v)
+        return tuple(out)
+
+    def diff(self, m: int) -> Matrix:
+        if m in self._diffs:
+            return self._diffs[m]
+        P, N = self.P, self.N
+        C = P.algebra
+        f = self.field
+        src = self.layout(m)
+        tgt = self.layout(m + 1)
+        pos = {kt: t for t, kt in enumerate(tgt)}
+        sign = f.one if m % 2 == 0 else f.neg(f.one)
+        nsign = f.neg(sign)
+        rows = []
+        for (k, t) in src:
+            g = P.gens[k]
+            row = [f.zero] * len(tgt)
+            dN = N.diff(m + g)
+            if dN.nrows:
+                for c2, c in enumerate(dN.rows[t]):
+                    if c != f.zero:
+                        row[pos[(k, c2)]] = f.add(row[pos[(k, c2)]], c)
+            # the value on each later generator picks up phi(d gen)
+            for k3, gd in enumerate(P.gen_diffs):
+                for (k2, b2), coeff in gd.items():
+                    if k2 != k:
+                        continue
+                    cdeg = P.gens[k3] + 1 - g
+                    cvec = C.basis_vector(cdeg, b2)
+                    xvec = tuple(f.one if s == t else f.zero
+                                 for s in range(N.dim(m + g)))
+                    img = N.act(m + g, xvec, cdeg, cvec)
+                    for c2, c in enumerate(img):
+                        if c != f.zero:
+                            row[pos[(k3, c2)]] = f.add(
+                                row[pos[(k3, c2)]], f.mul(nsign, f.mul(coeff, c)))
+            rows.append(row)
+        d = Matrix(f, len(src), len(tgt), rows)
+        self._diffs[m] = d
+        return d
+
+    def subquotient(self, m: int):
+        if m not in self._sq:
+            self._sq[m] = subquotient_from_maps(self.diff(m - 1), self.diff(m),
+                                                self.field, self.dim(m))
+        return self._sq[m]
+
+    def h_dim(self, m: int) -> int:
+        return len(self.subquotient(m).reps)
+
+
+def lift_generators(P: SemifreeModule, target, solve) -> list | None:
+    """Values of a degree-0 map out of P, chosen generator by generator.
+
+    Generators are taken in filtration order.  For the k-th one (degree g),
+    the values already chosen determine the image of its differential,
+    rhs = sum of coeff * act(target value of k2, base element) over the
+    terms of gen_diffs[k], a vector in target degree g + 1; solve(k, g, rhs)
+    returns the generator's value in target degree g, or None when there is
+    none.  target is any module with dim and act (a dg-module or another
+    semifree module).  Returns None as soon as one generator has no value.
+    """
+    C = P.algebra
+    f = C.field
+    vals: list = []
+    for k, g in enumerate(P.gens):
+        rhs = [f.zero] * target.dim(g + 1)
+        for (k2, b2), coeff in P.gen_diffs[k].items():
+            g2 = P.gens[k2]
+            cvec = C.basis_vector(g + 1 - g2, b2)
+            img = target.act(g2, vals[k2], g + 1 - g2, cvec)
+            rhs = [f.add(x, f.mul(coeff, y)) for x, y in zip(rhs, img)]
+        sol = solve(k, g, tuple(rhs))
+        if sol is None:
+            return None
+        vals.append(tuple(sol))
+    return vals
+
+
+def lift_to_resolution(P: SemifreeModule, Q: SemifreeModule, targets) -> list | None:
+    """A strict map P -> Q whose k-th generator augments to targets[k].
+
+    Each generator value solves augmentation = targets[k] and differential =
+    the lifted differential of the generator at once; None when no strict
+    solution exists.
+    """
+    def solve(k, g, rhs):
+        system = Q.aug_matrix(g).hstack(Q.diff_matrix(g))
+        return system.solve_left_rows(tuple(targets[k]) + rhs)
+
+    return lift_generators(P, Q, solve)
+
+
 # -- derived functors -------------------------------------------------------
 
 
@@ -362,46 +501,4 @@ def derived_hom_over_B(M: DgModule, N: DgModule, n: int, window: DegreeWindow,
     if not N.dims:
         return 0
     cutoff = N.lo - (window.hi + 1) - extra_margin
-    P = semifree_resolve(M, cutoff, cap=cap)
-    if not P.gens:
-        return 0
-    C = M.algebra
-    f = C.field
-
-    def hlayout(m):
-        return [(k, t) for k, g in enumerate(P.gens) for t in range(N.dim(m + g))]
-
-    def hdiff(m):
-        src = hlayout(m)
-        tgt = hlayout(m + 1)
-        pos = {}
-        for t, kt in enumerate(tgt):
-            pos[kt] = t
-        sign = f.one if m % 2 == 0 else f.neg(f.one)
-        nsign = f.neg(sign)
-        rows = []
-        for (k, t) in src:
-            g = P.gens[k]
-            row = [f.zero] * len(tgt)
-            dN = N.diff(m + g)
-            for c2, c in enumerate(dN.rows[t] if dN.nrows else ()):
-                if c != f.zero:
-                    row[pos[(k, c2)]] = f.add(row[pos[(k, c2)]], c)
-            # f(d of a later generator) lands in this generator's slot
-            for k3, gd in enumerate(P.gen_diffs):
-                for (k2, b2), coeff in gd.items():
-                    if k2 != k:
-                        continue
-                    cdeg = P.gens[k3] + 1 - g
-                    cvec = C.basis_vector(cdeg, b2)
-                    xvec = tuple(f.one if s == t else f.zero for s in range(N.dim(m + g)))
-                    img = N.act(m + g, xvec, cdeg, cvec)
-                    for c2, c in enumerate(img):
-                        if c != f.zero:
-                            row[pos[(k3, c2)]] = f.add(row[pos[(k3, c2)]],
-                                                       f.mul(nsign, f.mul(coeff, c)))
-            rows.append(row)
-        return Matrix(f, len(src), len(tgt), rows)
-
-    sq = subquotient_from_maps(hdiff(n - 1), hdiff(n), f, len(hlayout(n)))
-    return len(sq.reps)
+    return SemifreeHom(semifree_resolve(M, cutoff, cap=cap), N).h_dim(n)

@@ -229,18 +229,26 @@ def coresolve_A(U: Complex, max_steps: int = 8) -> Coresolution | None:
 # -- presilting and tilting tests -------------------------------------------
 
 
+def _self_extension(U: Complex, lo: int, hi: int) -> tuple | None:
+    """The first (shift, dim) with lo <= shift <= hi, shift nonzero and
+    Hom(U, U[shift]) nonzero, or None when there is none."""
+    cache = {}
+    for i in range(lo, hi + 1):
+        if i == 0:
+            continue
+        d = derived_hom_dim(U, U, i, cache)
+        if d:
+            return (i, d)
+    return None
+
+
 def presilting_witness(U: Complex):
     """None when U has no positive self-extensions, else the offending (shift, dim)."""
     if not U.is_projective_complex():
         raise ValueError("presilting test needs a complex of projectives")
     if U.is_empty():
         return None
-    cache = {}
-    for i in range(1, U.hi - U.lo + 1):
-        d = derived_hom_dim(U, U, i, cache)
-        if d:
-            return (i, d)
-    return None
+    return _self_extension(U, 1, U.hi - U.lo)
 
 
 def is_presilting(U: Complex) -> bool:
@@ -269,14 +277,9 @@ def is_tilting(U: Complex, max_steps: int = 8) -> TiltingCheck:
     if U.is_empty():
         return TiltingCheck(False, True, True, None)
     mf = all(U.h_dim(n) == 0 for n in range(U.lo, U.hi + 1) if n != 0)
-    width = U.hi - U.lo
-    cache = {}
-    for i in range(-width, width + 1):
-        if i == 0:
-            continue
-        d = derived_hom_dim(U, U, i, cache)
-        if d:
-            return TiltingCheck(False, mf, False, (i, d))
+    w = _self_extension(U, U.lo - U.hi, U.hi - U.lo)
+    if w is not None:
+        return TiltingCheck(False, mf, False, w)
     if coresolve_A(U, max_steps) is None:
         return TiltingCheck(False, mf, True, None)
     return TiltingCheck(True, mf, False, None)
@@ -337,20 +340,10 @@ def silting_report(U: Complex, max_steps: int = 8) -> SiltingReport:
     """One-stop summary; n and the multiplicities appear iff the coresolution does."""
     pw = presilting_witness(U)
     if U.is_empty():
-        width, mf = 0, True
+        mf, two_sided = True, None
     else:
-        width = U.hi - U.lo
         mf = all(U.h_dim(n) == 0 for n in range(U.lo, U.hi + 1) if n != 0)
-    two_sided = None
-    cache = {}
-    if not U.is_empty():
-        for i in range(-width, width + 1):
-            if i == 0:
-                continue
-            d = derived_hom_dim(U, U, i, cache)
-            if d:
-                two_sided = (i, d)
-                break
+        two_sided = _self_extension(U, U.lo - U.hi, U.hi - U.lo)
     cor = coresolve_A(U, max_steps)
     return SiltingReport(
         presilting=pw is None,

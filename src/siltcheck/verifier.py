@@ -34,10 +34,11 @@ from .complexes import (ChainMap, Complex, ResolutionCapError,
 from .dg import (DgModule, dg_end, dg_hom_module, evaluation_left_module,
                  h0_algebra, opposite_dg, restrict_scalars, side_swap,
                  smart_truncate)
-from .linalg import Matrix, RowSpace, subquotient_from_maps
-from .semifree import (DegreeWindow, SemifreeModule, derived_tensor,
+from .linalg import Matrix, RowSpace
+from .semifree import (DegreeWindow, SemifreeHom, SemifreeModule,
+                       derived_tensor, lift_generators, lift_to_resolution,
                        semifree_resolve)
-from .silting import (goodify, is_tilting, presilting_witness, radical_rows,
+from .silting import (is_tilting, presilting_witness, radical_rows,
                       silting_report)
 
 
@@ -156,123 +157,7 @@ class SiltingContext:
         return self._cor
 
 
-# -- hom complexes out of a semifree resolution ------------------------------
-
-
-class SemifreeHom:
-    """Base-linear maps from a semifree resolution into a dg-module.
-
-    A degree-m element assigns to the k-th generator (degree g) a value in
-    N^{m+g}; freeness extends this to the whole module.  The differential is
-    phi -> d_N . phi - (-1)^m phi . d_P, the same convention as the hom
-    complex of two complexes of modules.
-    """
-
-    def __init__(self, P: SemifreeModule, N: DgModule):
-        self.P = P
-        self.N = N
-        self.field = N.algebra.field
-        self._diffs: dict = {}
-        self._sq: dict = {}
-
-    def layout(self, m: int) -> list:
-        return [(k, t) for k, g in enumerate(self.P.gens)
-                for t in range(self.N.dim(m + g))]
-
-    def dim(self, m: int) -> int:
-        return sum(self.N.dim(m + g) for g in self.P.gens)
-
-    def assemble(self, m: int, values: dict) -> tuple:
-        """Coordinate vector of the element with the given generator values."""
-        f = self.field
-        out = []
-        for k, g in enumerate(self.P.gens):
-            d = self.N.dim(m + g)
-            v = values.get(k)
-            if v is None:
-                out.extend([f.zero] * d)
-            else:
-                if len(v) != d:
-                    raise ValueError("generator value has the wrong length")
-                out.extend(v)
-        return tuple(out)
-
-    def diff(self, m: int) -> Matrix:
-        if m in self._diffs:
-            return self._diffs[m]
-        P, N = self.P, self.N
-        C = P.algebra
-        f = self.field
-        src = self.layout(m)
-        tgt = self.layout(m + 1)
-        pos = {kt: t for t, kt in enumerate(tgt)}
-        sign = f.one if m % 2 == 0 else f.neg(f.one)
-        nsign = f.neg(sign)
-        rows = []
-        for (k, t) in src:
-            g = P.gens[k]
-            row = [f.zero] * len(tgt)
-            dN = N.diff(m + g)
-            if dN.nrows:
-                for c2, c in enumerate(dN.rows[t]):
-                    if c != f.zero:
-                        row[pos[(k, c2)]] = f.add(row[pos[(k, c2)]], c)
-            # the value on each later generator picks up phi(d gen)
-            for k3, gd in enumerate(P.gen_diffs):
-                for (k2, b2), coeff in gd.items():
-                    if k2 != k:
-                        continue
-                    cdeg = P.gens[k3] + 1 - g
-                    cvec = C.basis_vector(cdeg, b2)
-                    xvec = tuple(f.one if s == t else f.zero
-                                 for s in range(N.dim(m + g)))
-                    img = N.act(m + g, xvec, cdeg, cvec)
-                    for c2, c in enumerate(img):
-                        if c != f.zero:
-                            row[pos[(k3, c2)]] = f.add(
-                                row[pos[(k3, c2)]], f.mul(nsign, f.mul(coeff, c)))
-            rows.append(row)
-        d = Matrix(f, len(src), len(tgt), rows)
-        self._diffs[m] = d
-        return d
-
-    def subquotient(self, m: int):
-        if m not in self._sq:
-            self._sq[m] = subquotient_from_maps(self.diff(m - 1), self.diff(m),
-                                                self.field, self.dim(m))
-        return self._sq[m]
-
-    def h_dim(self, m: int) -> int:
-        return len(self.subquotient(m).reps)
-
-
-def _strict_lift(P: SemifreeModule, targets: dict, aug_rows=None) -> list | None:
-    """Generator values of a degree-0 chain self-lift with prescribed images.
-
-    targets[k] is the required augmentation value of the k-th generator (in
-    the target of P's augmentation, or of aug_rows when given).  Solves, per
-    generator in filtration order, for a value whose augmentation matches and
-    whose differential equals the lift of the generator's differential.
-    Returns None when some generator admits no strict solution.
-    """
-    C = P.algebra
-    f = C.field
-    vals: list = []
-    for k, g in enumerate(P.gens):
-        dmat = P.diff_matrix(g)
-        rhs = [f.zero] * dmat.ncols
-        for (k2, b2), coeff in P.gen_diffs[k].items():
-            g2 = P.gens[k2]
-            cvec = C.basis_vector(g + 1 - g2, b2)
-            img = P.act(g2, vals[k2], g + 1 - g2, cvec)
-            rhs = [f.add(x, f.mul(coeff, y)) for x, y in zip(rhs, img)]
-        amat = P.aug_matrix(g) if aug_rows is None else aug_rows(g)
-        sysm = amat.hstack(dmat)
-        sol = sysm.solve_left_rows(tuple(targets[k]) + tuple(rhs))
-        if sol is None:
-            return None
-        vals.append(tuple(sol))
-    return vals
+# -- maps out of resolutions -------------------------------------------------
 
 
 def _evaluation_chain_map(T: Complex, gh, gen_values, X: Complex) -> ChainMap:
@@ -303,6 +188,41 @@ def _evaluation_chain_map(T: Complex, gh, gen_values, X: Complex) -> ChainMap:
             rows.extend(blockmat.rows)
         mats[n] = Matrix(f, tdim, xdim, rows)
     return ChainMap(T, X, mats)
+
+
+def _postcomposed_augmentations(P: SemifreeModule, MX: DgModule, MXp: DgModule,
+                                n: int, comps: dict) -> dict | None:
+    """Generator values of P's augmentation into Hom(U, X) followed by a map X -> X'.
+
+    comps are the components of a degree-n element of Hom(X, X'); the k-th
+    value is the coordinate vector in Hom(U, X') of the composite, or the
+    whole result is None when some composite leaves the hom basis.
+    """
+    vals = {}
+    for k, g in enumerate(P.gens):
+        composite = {}
+        for i, m0 in MX.gh.component_maps(g, P.gen_augs[k]).items():
+            rc = comps.get(i + g)
+            if rc is None:
+                continue
+            mm = m0 @ rc
+            if not mm.is_zero():
+                composite[i] = mm
+        coords = MXp.gh.coords_of(g + n, composite)
+        if coords is None:
+            return None
+        vals[k] = coords
+    return vals
+
+
+def _cohomology_table(T: Complex, X: Complex, eps: ChainMap,
+                      win: DegreeWindow) -> tuple[dict, bool]:
+    """[dim H^n T, dim H^n X, rank H^n eps] per window degree, and whether
+    eps is a cohomology isomorphism at every one of them."""
+    table = {}
+    for n in range(win.lo, win.hi + 1):
+        table[n] = [T.h_dim(n), X.h_dim(n), eps.induced(n).rank()]
+    return table, all(ht == hx == rk for ht, hx, rk in table.values())
 
 
 # -- individual checks -------------------------------------------------------
@@ -398,14 +318,7 @@ def verify_counit(U: Complex, X: Complex, window, ctx: SiltingContext | None = N
         eps = _evaluation_chain_map(T, MX.gh, T.resolution.gen_augs, X)
     else:
         eps = ChainMap(T, X, {}, validate=False)
-    table = {}
-    ok = True
-    for n in range(win.lo, win.hi + 1):
-        ht, hx = T.h_dim(n), X.h_dim(n)
-        rk = eps.induced(n).rank()
-        table[n] = [ht, hx, rk]
-        if not (ht == hx == rk):
-            ok = False
+    table, ok = _cohomology_table(T, X, eps, win)
     checks = [CheckRecord("evaluation map induces cohomology isomorphisms", ok,
                           {"h_dims": table})]
     return VerificationReport("counit", subject, checks,
@@ -442,24 +355,10 @@ def verify_fully_faithful(U: Complex, X: Complex, Xp: Complex, degrees,
         rows = []
         expressible = True
         for rep in sq.reps:
-            repcomps = gh.component_maps(n, rep)
-            vals = {}
-            for k, g in enumerate(P.gens):
-                comps = MX.gh.component_maps(g, P.gen_augs[k])
-                comp2 = {}
-                for i, m0 in comps.items():
-                    rc = repcomps.get(i + g)
-                    if rc is None:
-                        continue
-                    mm = m0 @ rc
-                    if not mm.is_zero():
-                        comp2[i] = mm
-                coords = MXp.gh.coords_of(g + n, comp2)
-                if coords is None:
-                    expressible = False
-                    break
-                vals[k] = coords
-            if not expressible:
+            vals = _postcomposed_augmentations(P, MX, MXp, n,
+                                               gh.component_maps(n, rep))
+            if vals is None:
+                expressible = False
                 break
             rows.append(shq.reduce(sh.assemble(n, vals)))
         rank = Matrix(f, len(rows), shq.dim, rows).rank() if rows else 0
@@ -509,7 +408,7 @@ def verify_delta(U: Complex, window, ctx: SiltingContext | None = None,
     lifts = {}
     lift_ok = True
     for a in range(A.dim):
-        vs = _strict_lift(Q, mult_values(A.basis_vector(a)))
+        vs = lift_to_resolution(Q, Q, mult_values(A.basis_vector(a)))
         if vs is None:
             lift_ok = False
             break
@@ -611,7 +510,14 @@ def verify_corollary_roundtrip(U: Complex, X: Module, i: int, window,
     T = derived_tensor(Y, ctx.Uc, win, extra_margin=extra_margin)
 
     if hasattr(T, "resolution"):
-        iota = _class_lift(T.resolution, M, sq0)
+        def solve(k, g, rhs):
+            # degree-0 generators go to cocycle lifts of their classes; lower
+            # ones solve the chain-map condition inside the hom module itself
+            if g == 0:
+                return sq0.lift(T.resolution.gen_augs[k])
+            return M.diff(g).solve_left_rows(rhs)
+
+        iota = lift_generators(T.resolution, M, solve)
         lift_ok = iota is not None
         checks.append(CheckRecord("class identification lifts to the hom module",
                                   lift_ok, {}))
@@ -620,43 +526,10 @@ def verify_corollary_roundtrip(U: Complex, X: Module, i: int, window,
         eps = _evaluation_chain_map(T, M.gh, iota, Xi_c)
     else:
         eps = ChainMap(T, Xi_c, {}, validate=False)
-    table2 = {}
-    ok = True
-    for n in range(win.lo, win.hi + 1):
-        ht, hx = T.h_dim(n), Xi_c.h_dim(n)
-        rk = eps.induced(n).rank()
-        table2[n] = [ht, hx, rk]
-        if not (ht == hx == rk):
-            ok = False
+    table2, ok = _cohomology_table(T, Xi_c, eps, win)
     checks.append(CheckRecord("tensor of the concentrated module returns the probe",
                               ok, {"h_dims": table2, "shift": -i}))
     return VerificationReport("concentration-roundtrip", subject, checks, notes)
-
-
-def _class_lift(P: SemifreeModule, M: DgModule, sq0) -> list | None:
-    """Chain map from the resolution of H^0 into the hom module itself.
-
-    Degree-0 generators go to cocycle lifts of their classes; lower
-    generators solve the chain-map condition against what is already chosen.
-    """
-    C = P.algebra
-    f = C.field
-    vals: list = []
-    for k, g in enumerate(P.gens):
-        if g == 0:
-            vals.append(tuple(sq0.lift(P.gen_augs[k])))
-            continue
-        rhs = [f.zero] * M.dim(g + 1)
-        for (k2, b2), coeff in P.gen_diffs[k].items():
-            g2 = P.gens[k2]
-            cvec = C.basis_vector(g + 1 - g2, b2)
-            img = M.act(g2, vals[k2], g + 1 - g2, cvec)
-            rhs = [f.add(x, f.mul(coeff, y)) for x, y in zip(rhs, img)]
-        sol = M.diff(g).solve_left_rows(tuple(rhs))
-        if sol is None:
-            return None
-        vals.append(tuple(sol))
-    return vals
 
 
 # -- naturality and functoriality probes -------------------------------------
@@ -697,7 +570,6 @@ def naturality_probe(U: Complex, X: Complex, Xp: Complex, window,
     """
     win = _window(window)
     ctx = ctx or SiltingContext(U)
-    f = ctx.A.field
     gh = hom_complex(X, Xp)
     sq = gh.subquotient(0)
     if not sq.reps:
@@ -706,7 +578,6 @@ def naturality_probe(U: Complex, X: Complex, Xp: Complex, window,
                                   {"vacuous": True})
     grep = sq.reps[0]
     g = gh.chain_map_from_cocycle(grep)
-    gcomps = gh.component_maps(0, grep)
 
     MX = ctx.hom_module(X)
     MXp = ctx.hom_module(Xp)
@@ -721,23 +592,12 @@ def naturality_probe(U: Complex, X: Complex, Xp: Complex, window,
     epsXp = _evaluation_chain_map(TXp, MXp.gh, Pp.gen_augs, Xp)
 
     # strict lift of postcomposition with g to a map of resolutions
-    targets = {}
-    for k, gg in enumerate(P.gens):
-        comps = MX.gh.component_maps(gg, P.gen_augs[k])
-        comp2 = {}
-        for i, m0 in comps.items():
-            rc = gcomps.get(i + gg)
-            if rc is None:
-                continue
-            mm = m0 @ rc
-            if not mm.is_zero():
-                comp2[i] = mm
-        coords = MXp.gh.coords_of(gg, comp2)
-        if coords is None:
-            return VerificationReport("naturality", "probe pair",
-                                      [CheckRecord("hom-side image expressible", False, {})])
-        targets[k] = coords
-    lam = _map_lift(P, Pp, targets)
+    targets = _postcomposed_augmentations(P, MX, MXp, 0,
+                                          gh.component_maps(0, grep))
+    if targets is None:
+        return VerificationReport("naturality", "probe pair",
+                                  [CheckRecord("hom-side image expressible", False, {})])
+    lam = lift_to_resolution(P, Pp, targets)
     if lam is None:
         return VerificationReport("naturality", "probe pair",
                                   [CheckRecord("strict lift between resolutions exists",
@@ -753,27 +613,6 @@ def naturality_probe(U: Complex, X: Complex, Xp: Complex, window,
     checks = [CheckRecord("counit square commutes on cohomology", ok,
                           {"window": [win.lo, win.hi]})]
     return VerificationReport("naturality", "probe pair", checks)
-
-
-def _map_lift(P: SemifreeModule, Pp: SemifreeModule, targets: dict) -> list | None:
-    """Generator values in the second resolution lifting the given hom images."""
-    C = P.algebra
-    f = C.field
-    vals: list = []
-    for k, g in enumerate(P.gens):
-        dmat = Pp.diff_matrix(g)
-        rhs = [f.zero] * dmat.ncols
-        for (k2, b2), coeff in P.gen_diffs[k].items():
-            g2 = P.gens[k2]
-            cvec = C.basis_vector(g + 1 - g2, b2)
-            img = Pp.act(g2, vals[k2], g + 1 - g2, cvec)
-            rhs = [f.add(x, f.mul(coeff, y)) for x, y in zip(rhs, img)]
-        sysm = Pp.aug_matrix(g).hstack(dmat)
-        sol = sysm.solve_left_rows(tuple(targets[k]) + tuple(rhs))
-        if sol is None:
-            return None
-        vals.append(tuple(sol))
-    return vals
 
 
 def _tensor_of_lift(TX: Complex, TXp: Complex, P: SemifreeModule,
@@ -1083,17 +922,13 @@ def verify_all(U: Complex, window=(-4, 4), pair_degrees=(-2, 2), max_steps: int 
                                    "inconclusive": srep.inconclusive})]
     if not srep.presilting or srep.n is None:
         return _scoped(reports)
-    V = U if srep.good else goodify(U, max_steps)
-    if V is None:
-        reports[0].notes["goodification"] = "did not terminate within max_steps"
-        return _scoped(reports)
-    ctx = SiltingContext(V, max_steps)
-    reports.append(verify_weak_nonpositive(V, ctx))
-    reports.append(verify_E_iso(V, ctx))
-    reports.append(verify_delta(V, win, ctx, extra_margin))
+    ctx = SiltingContext(U, max_steps)
+    reports.append(verify_weak_nonpositive(U, ctx))
+    reports.append(verify_E_iso(U, ctx))
+    reports.append(verify_delta(U, win, ctx, extra_margin))
 
     cplx = probe_complexes(ctx.A, cap)
-    cplx["silting"] = V
+    cplx["silting"] = U
     if probe_names is not None:
         keep = set(probe_names)
         unknown = keep - set(cplx)
@@ -1102,14 +937,14 @@ def verify_all(U: Complex, window=(-4, 4), pair_degrees=(-2, 2), max_steps: int 
                              f"available: {sorted(cplx)}")
         cplx = {k: v for k, v in cplx.items() if k in keep}
     for name in sorted(cplx):
-        reports.append(verify_counit(V, cplx[name], win, ctx, extra_margin,
+        reports.append(verify_counit(U, cplx[name], win, ctx, extra_margin,
                                      subject=name))
     if with_pairs:
         names = sorted(cplx)
         degs = list(range(pr.lo, pr.hi + 1))
         for n1 in names:
             for n2 in names:
-                reports.append(verify_fully_faithful(V, cplx[n1], cplx[n2], degs,
+                reports.append(verify_fully_faithful(U, cplx[n1], cplx[n2], degs,
                                                      ctx, extra_margin,
                                                      subject=f"{n1}->{n2}"))
     if ctx.coresolution is None:
@@ -1123,7 +958,7 @@ def verify_all(U: Complex, window=(-4, 4), pair_degrees=(-2, 2), max_steps: int 
     cls_checks = []
     classified = {}
     for name in sorted(mods):
-        c = classify_Xi(V, mods[name], ctx)
+        c = classify_Xi(U, mods[name], ctx)
         classified[name] = c
         seen = mods[name].dim == 0 or any(c.dims.values())
         cls_checks.append(CheckRecord(f"probe {name} detected within the degree bound",
@@ -1135,11 +970,11 @@ def verify_all(U: Complex, window=(-4, 4), pair_degrees=(-2, 2), max_steps: int 
     for name in sorted(mods):
         c = classified[name]
         if c.index is not None and mods[name].dim:
-            reports.append(verify_corollary_roundtrip(V, mods[name], c.index, win,
+            reports.append(verify_corollary_roundtrip(U, mods[name], c.index, win,
                                                       ctx, extra_margin, subject=name))
-    reports.append(functoriality_probe(V, win, ctx, extra_margin))
+    reports.append(functoriality_probe(U, win, ctx, extra_margin))
     if "free" in cplx:
-        reports.append(naturality_probe(V, cplx["free"], V, win, ctx, extra_margin))
+        reports.append(naturality_probe(U, cplx["free"], U, win, ctx, extra_margin))
     return _scoped(reports)
 
 

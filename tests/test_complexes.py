@@ -6,7 +6,9 @@ expected dimensions are either structural identities or cross-checked against
 independent module-level computations in the same test.
 """
 
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -38,6 +40,7 @@ from siltcheck.complexes import (
     is_quasi_iso,
     module_complex,
     proj_replacement,
+    projective_cache,
     projective_complex,
     summand_projection_maps,
     tensor_complex,
@@ -154,6 +157,17 @@ def test_triangle_maps_commute(A2):
     # inclusion then projection is zero
     for n in C.degrees():
         assert (tri.incl.mat(n) @ tri.proj.mat(n)).is_zero()
+
+
+def test_projective_cache_does_not_keep_algebras_alive():
+    refs = []
+    for _ in range(200):
+        A = path_algebra(Quiver(["1", "2"], [("a", "1", "2")]), F101)
+        assert projective_cache(A, 0) is projective_cache(A, 0)
+        refs.append(weakref.ref(A))
+    del A
+    gc.collect()
+    assert [r for r in refs if r() is not None] == []
 
 
 # -- hom complexes ---------------------------------------------------------
