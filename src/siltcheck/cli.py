@@ -13,10 +13,12 @@ import argparse
 import json
 import sys
 
+from .complexes import ResolutionCapError
 from .instances import (Instance, InstanceError, encode_complex,
                         instance_text, load_instance, serialize_instance)
-from .silting import goodify, silting_equivalent, silting_report
-from .verifier import verify_all, verify_tilting_theorem
+from .semifree import SemifreeCapError
+from .silting import SiltingReport, goodify, silting_equivalent, silting_report
+from .verifier import SiltingContext, verify_all, verify_tilting_theorem
 
 SCHEMA = 1
 
@@ -87,9 +89,7 @@ def _emit(payload: dict, output):
     sys.stdout.write(text)
 
 
-def _check_payload(inst: Instance, name: str, eff: dict) -> tuple[dict, int]:
-    U = _pick_complex(inst, name)
-    srep = silting_report(U, eff["max_steps"])
+def _check_payload(name: str, srep: SiltingReport) -> tuple[dict, int]:
     if srep.presilting_witness is not None:
         verdict, code = "fail", 1
     elif srep.n is None:
@@ -115,7 +115,8 @@ def _check_payload(inst: Instance, name: str, eff: dict) -> tuple[dict, int]:
 
 def cmd_check(inst: Instance, args) -> int:
     eff = _effective(inst, args)
-    payload, code = _check_payload(inst, args.object, eff)
+    srep = silting_report(_pick_complex(inst, args.object), eff["max_steps"])
+    payload, code = _check_payload(args.object, srep)
     payload.update({"schema": SCHEMA, "command": "check",
                     "instance": inst.name, "effective": _echo(eff)})
     _emit(payload, args.output)
@@ -162,8 +163,7 @@ def cmd_goodify(inst: Instance, args) -> int:
     return 0
 
 
-def _verification_reports(inst: Instance, name: str, eff: dict) -> list:
-    U = _pick_complex(inst, name)
+def _verification_reports(inst: Instance, ctx: SiltingContext, eff: dict) -> list:
     if eff["probes"] is not None:
         A = inst.algebra
         known = {"free", "silting"}
@@ -175,14 +175,13 @@ def _verification_reports(inst: Instance, name: str, eff: dict) -> list:
         if unknown:
             raise UsageError(f"unknown probes {sorted(unknown)}; "
                              f"available: {sorted(known)}")
-    reports = verify_all(U, window=eff["window"],
+    reports = verify_all(ctx.U, window=eff["window"],
                          pair_degrees=eff["pair_degrees"],
                          max_steps=eff["max_steps"],
                          extra_margin=eff["extra_margin"],
-                         cap=eff["cap"], probe_names=eff["probes"])
-    srep = silting_report(U, eff["max_steps"])
-    if srep.presilting and srep.module_form:
-        summands = getattr(U, "summands", [U])
+                         cap=eff["cap"], ctx=ctx, probe_names=eff["probes"])
+    if ctx.report.presilting and ctx.report.module_form:
+        summands = getattr(ctx.U, "summands", [ctx.U])
         mods = [s.cohomology(0) for s in summands]
         mods = [m for m in mods if m.dim > 0]
         if mods:
@@ -213,7 +212,8 @@ def _verdict_code(reports: list) -> tuple[str, int]:
 
 def cmd_verify(inst: Instance, args) -> int:
     eff = _effective(inst, args)
-    reports = _verification_reports(inst, args.object, eff)
+    ctx = SiltingContext(_pick_complex(inst, args.object), eff["max_steps"])
+    reports = _verification_reports(inst, ctx, eff)
     verdict, code = _verdict_code(reports)
     payload = {"schema": SCHEMA, "command": "verify",
                "instance": inst.name, "object": args.object,
@@ -225,12 +225,13 @@ def cmd_verify(inst: Instance, args) -> int:
 
 def cmd_report(inst: Instance, args) -> int:
     eff = _effective(inst, args)
-    check_payload, check_code = _check_payload(inst, args.object, eff)
+    ctx = SiltingContext(_pick_complex(inst, args.object), eff["max_steps"])
+    check_payload, check_code = _check_payload(args.object, ctx.report)
     payload = {"schema": SCHEMA, "command": "report",
                "instance": inst.name, "object": args.object,
                "effective": _echo(eff), "check": check_payload}
     if check_code == 0:
-        reports = _verification_reports(inst, args.object, eff)
+        reports = _verification_reports(inst, ctx, eff)
         verdict, verify_code = _verdict_code(reports)
         payload["verification"] = [r.as_dict() for r in reports]
         payload["verdict"] = verdict
@@ -285,6 +286,9 @@ def main(argv=None) -> int:
     except (InstanceError, UsageError) as e:
         sys.stderr.write(f"siltcheck: {e}\n")
         return 3
+    except (ResolutionCapError, SemifreeCapError) as e:
+        sys.stderr.write(f"siltcheck: {e}\n")
+        return 2
 
 
 if __name__ == "__main__":

@@ -485,15 +485,10 @@ def hom_complex(X: Complex, Y: Complex) -> GradedHom:
     return GradedHom(X, Y)
 
 
-def derived_hom_dim(X: Complex, Y: Complex, n: int, _cache: dict | None = None) -> int:
+def derived_hom_dim(X: Complex, Y: Complex, n: int) -> int:
     """dim Hom_{D(A)}(X, Y[n]) for X a complex with projective witness."""
     if not X.is_projective_complex():
         raise ValueError("derived hom needs a complex of projectives; run proj_replacement")
-    if _cache is not None:
-        key = (id(X), id(Y))
-        if key not in _cache:
-            _cache[key] = hom_complex(X, Y)
-        return _cache[key].h_dim(n)
     return hom_complex(X, Y).h_dim(n)
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .linalg import Matrix, QuotientSpace, RowSpace
-from .complexes import (ChainMap, Complex, cone, derived_hom_dim,
+from .complexes import (ChainMap, Complex, GradedHom, cone,
                         direct_sum_complexes, hom_complex, is_acyclic,
                         projective_complex, summand_projection_maps,
                         zero_complex)
@@ -229,14 +229,13 @@ def coresolve_A(U: Complex, max_steps: int = 8) -> Coresolution | None:
 # -- presilting and tilting tests -------------------------------------------
 
 
-def _self_extension(U: Complex, lo: int, hi: int) -> tuple | None:
+def _self_extension(gh: GradedHom, lo: int, hi: int) -> tuple | None:
     """The first (shift, dim) with lo <= shift <= hi, shift nonzero and
-    Hom(U, U[shift]) nonzero, or None when there is none."""
-    cache = {}
+    H^shift of gh = Hom(U, U) nonzero, or None when there is none."""
     for i in range(lo, hi + 1):
         if i == 0:
             continue
-        d = derived_hom_dim(U, U, i, cache)
+        d = gh.h_dim(i)
         if d:
             return (i, d)
     return None
@@ -248,7 +247,7 @@ def presilting_witness(U: Complex):
         raise ValueError("presilting test needs a complex of projectives")
     if U.is_empty():
         return None
-    return _self_extension(U, 1, U.hi - U.lo)
+    return _self_extension(hom_complex(U, U), 1, U.hi - U.lo)
 
 
 def is_presilting(U: Complex) -> bool:
@@ -277,7 +276,7 @@ def is_tilting(U: Complex, max_steps: int = 8) -> TiltingCheck:
     if U.is_empty():
         return TiltingCheck(False, True, True, None)
     mf = all(U.h_dim(n) == 0 for n in range(U.lo, U.hi + 1) if n != 0)
-    w = _self_extension(U, U.lo - U.hi, U.hi - U.lo)
+    w = _self_extension(hom_complex(U, U), U.lo - U.hi, U.hi - U.lo)
     if w is not None:
         return TiltingCheck(False, mf, False, w)
     if coresolve_A(U, max_steps) is None:
@@ -300,11 +299,8 @@ def silting_equivalent(U: Complex, V: Complex, max_steps: int = 8) -> bool:
         if coresolve_A(W, max_steps) is None:
             raise ValueError("precondition failed: coresolution did not terminate")
     hi = max(U.hi - V.lo, V.hi - U.lo)
-    cache = {}
-    for i in range(1, hi + 1):
-        if derived_hom_dim(U, V, i, cache) or derived_hom_dim(V, U, i, cache):
-            return False
-    return True
+    uv, vu = hom_complex(U, V), hom_complex(V, U)
+    return not any(uv.h_dim(i) or vu.h_dim(i) for i in range(1, hi + 1))
 
 
 def goodify(U: Complex, max_steps: int = 8) -> Complex | None:
@@ -337,13 +333,17 @@ class SiltingReport:
 
 
 def silting_report(U: Complex, max_steps: int = 8) -> SiltingReport:
-    """One-stop summary; n and the multiplicities appear iff the coresolution does."""
-    pw = presilting_witness(U)
+    """One-stop summary; n and the multiplicities appear iff the coresolution
+    does.  Both self-extension scans read the one hom complex Hom(U, U)."""
+    if not U.is_projective_complex():
+        raise ValueError("presilting test needs a complex of projectives")
     if U.is_empty():
-        mf, two_sided = True, None
+        mf, pw, two_sided = True, None, None
     else:
+        gh = hom_complex(U, U)
+        pw = _self_extension(gh, 1, U.hi - U.lo)
+        two_sided = _self_extension(gh, U.lo - U.hi, U.hi - U.lo)
         mf = all(U.h_dim(n) == 0 for n in range(U.lo, U.hi + 1) if n != 0)
-        two_sided = _self_extension(U, U.lo - U.hi, U.hi - U.lo)
     cor = coresolve_A(U, max_steps)
     return SiltingReport(
         presilting=pw is None,

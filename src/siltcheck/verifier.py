@@ -23,23 +23,23 @@ Serialising them with sorted keys gives byte-identical output across runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .algebra import (Algebra, Module, hom_space, opposite_algebra, simple_module,
                       tensor_over)
 from .complexes import (ChainMap, Complex, ResolutionCapError,
-                        bimodule_complex_from_bimodule, derived_hom_dim,
+                        bimodule_complex_from_bimodule,
                         direct_sum_complexes, hom_complex, module_complex,
                         proj_replacement, projective_cache, projective_complex,
                         tensor_complex)
-from .dg import (DgModule, dg_end, dg_hom_module, evaluation_left_module,
-                 h0_algebra, opposite_dg, restrict_scalars, side_swap,
-                 smart_truncate)
+from .dg import (DgAlgebra, DgModule, dg_end, dg_hom_module,
+                 evaluation_left_module, h0_algebra, opposite_dg,
+                 restrict_scalars, side_swap, smart_truncate)
 from .linalg import Matrix, RowSpace
 from .semifree import (DegreeWindow, SemifreeHom, SemifreeModule,
                        derived_tensor, lift_generators, lift_to_resolution,
                        semifree_resolve)
-from .silting import (is_tilting, presilting_witness, radical_rows,
-                      silting_report)
+from .silting import SiltingReport, is_tilting, radical_rows, silting_report
 
 
 # -- reports ----------------------------------------------------------------
@@ -98,12 +98,15 @@ def _window(w) -> DegreeWindow:
 
 
 class SiltingContext:
-    """Everything the checks share for one silting complex.
+    """The one silting analysis of a complex U that every check shares.
 
-    B is the dg-endomorphism algebra of U, C its non-positive truncation, and
-    Uc is U turned into a left C-module through evaluation.  Hom modules into
-    probe complexes and the coresolution are cached, since several checks
-    revisit them.
+    report is the silting report of U, B the dg-endomorphism algebra of U, C
+    its non-positive truncation, and Uc is U turned into a left C-module
+    through evaluation.  Each is built on first use and then kept, so a
+    complex that fails the report's gate never builds B.  Hom modules into
+    probe complexes, their resolutions and their tensors are cached under
+    the objects they come from, since several checks revisit them; a key
+    keeps its object alive, so a cached entry can never answer for another.
     """
 
     def __init__(self, U: Complex, max_steps: int = 8):
@@ -112,49 +115,45 @@ class SiltingContext:
         self.U = U
         self.A = U.algebra
         self.max_steps = max_steps
-        self.B = dg_end(U)
-        self.C = smart_truncate(self.B)
-        self.Uc = restrict_scalars(evaluation_left_module(self.B, U), self.C)
         self._hom_modules: dict = {}
-        self._module_cx: dict = {}
         self._tensors: dict = {}
         self._resolutions: dict = {}
-        self.hom_cache: dict = {}
-        self._cor = False
+
+    @cached_property
+    def report(self) -> SiltingReport:
+        return silting_report(self.U, self.max_steps)
+
+    @cached_property
+    def B(self) -> DgAlgebra:
+        return dg_end(self.U)
+
+    @cached_property
+    def C(self) -> DgAlgebra:
+        return smart_truncate(self.B)
+
+    @cached_property
+    def Uc(self) -> DgModule:
+        return restrict_scalars(evaluation_left_module(self.B, self.U), self.C)
 
     def hom_module(self, X: Complex) -> DgModule:
         """Hom(U, X) as a right module over the truncation C."""
-        key = id(X)
-        if key not in self._hom_modules:
-            self._hom_modules[key] = restrict_scalars(
+        if X not in self._hom_modules:
+            self._hom_modules[X] = restrict_scalars(
                 dg_hom_module(self.U, X, self.B), self.C)
-        return self._hom_modules[key]
-
-    def module_cx(self, X: Module, degree: int = 0) -> Complex:
-        key = (id(X), degree)
-        if key not in self._module_cx:
-            self._module_cx[key] = module_complex(X, degree)
-        return self._module_cx[key]
+        return self._hom_modules[X]
 
     def tensor(self, M: DgModule, win: DegreeWindow, extra_margin: int) -> Complex:
-        key = (id(M), win.lo, win.hi, extra_margin)
+        key = (M, win.lo, win.hi, extra_margin)
         if key not in self._tensors:
             self._tensors[key] = derived_tensor(M, self.Uc, win,
                                                 extra_margin=extra_margin)
         return self._tensors[key]
 
     def resolve(self, M: DgModule, cutoff: int) -> SemifreeModule:
-        key = (id(M), cutoff)
+        key = (M, cutoff)
         if key not in self._resolutions:
             self._resolutions[key] = semifree_resolve(M, cutoff)
         return self._resolutions[key]
-
-    @property
-    def coresolution(self):
-        if self._cor is False:
-            from .silting import coresolve_A
-            self._cor = coresolve_A(self.U, self.max_steps)
-        return self._cor
 
 
 # -- maps out of resolutions -------------------------------------------------
@@ -170,8 +169,6 @@ def _evaluation_chain_map(T: Complex, gh, gen_values, X: Complex) -> ChainMap:
     ChainMap constructor re-checks.
     """
     f = X.algebra.field
-    if not hasattr(T, "resolution"):
-        return ChainMap(T, X, {}, validate=False)
     P = T.resolution
     mats = {}
     for n, blocks in T.block_layout.items():
@@ -232,7 +229,7 @@ def verify_weak_nonpositive(U: Complex, ctx: SiltingContext | None = None) -> Ve
     """No self-extensions in positive shifts, as cohomology of the dg-end."""
     ctx = ctx or SiltingContext(U)
     B = ctx.B
-    w = presilting_witness(U)
+    w = ctx.report.presilting_witness
     table = {n: B.h_dim(n) for n in B.degrees() if B.h_dim(n)}
     pos_ok = all(n <= 0 for n in table)
     checks = [
@@ -451,12 +448,11 @@ class XiClassification:
 
 def classify_Xi(U: Complex, X: Module, ctx: SiltingContext | None = None) -> XiClassification:
     ctx = ctx or SiltingContext(U)
-    cor = ctx.coresolution
-    if cor is None:
+    n = ctx.report.n
+    if n is None:
         raise ValueError("coresolution did not terminate; cannot fix the degree range")
-    n = cor.n
-    Xc = ctx.module_cx(X)
-    dims = {j: derived_hom_dim(ctx.U, Xc, j, ctx.hom_cache) for j in range(0, n + 1)}
+    gh = hom_complex(ctx.U, module_complex(X))
+    dims = {j: gh.h_dim(j) for j in range(0, n + 1)}
     if X.dim == 0:
         return XiClassification(0, dims, True, n)
     support = [j for j, d in dims.items() if d]
@@ -489,7 +485,7 @@ def verify_corollary_roundtrip(U: Complex, X: Module, i: int, window,
     if cls.index != i:
         return VerificationReport("concentration-roundtrip", subject, checks, notes)
 
-    Xi_c = ctx.module_cx(X, degree=-i)
+    Xi_c = module_complex(X, degree=-i)
     M = restrict_scalars(dg_hom_module(ctx.U, Xi_c, ctx.B), ctx.C)
     purity = all(M.h_dim(nn) == 0 for nn in M.degrees() if nn != 0)
     checks.append(CheckRecord("hom module has one-point cohomology", purity,
@@ -898,7 +894,7 @@ _SCOPE_NOTE = ("checked on the finite probe set; every probe is compact, so "
 
 def verify_all(U: Complex, window=(-4, 4), pair_degrees=(-2, 2), max_steps: int = 8,
                extra_margin: int = 0, cap: int = 16,
-               with_pairs: bool = True, probe_names=None) -> list:
+               ctx: SiltingContext | None = None, probe_names=None) -> list:
     """Run every check on one silting complex with the standard probe set.
 
     Probes are the vertex simples, the indecomposable projectives, the free
@@ -906,11 +902,13 @@ def verify_all(U: Complex, window=(-4, 4), pair_degrees=(-2, 2), max_steps: int 
     orthogonal-complement clause of the general statement is vacuous here,
     since each instance is finite and carried by its probes; every report
     notes its window and margins so reruns with larger margins are directly
-    comparable.
+    comparable.  A given ctx must be the context of U; its report, built
+    with its own max_steps, is the first report's source.
     """
     win = _window(window)
     pr = _window(pair_degrees)
-    srep = silting_report(U, max_steps)
+    ctx = ctx or SiltingContext(U, max_steps)
+    srep = ctx.report
     base = [
         CheckRecord("no positive self-extensions", srep.presilting,
                     {"witness": list(srep.presilting_witness) if srep.presilting_witness else None}),
@@ -918,11 +916,10 @@ def verify_all(U: Complex, window=(-4, 4), pair_degrees=(-2, 2), max_steps: int 
                     {"steps": srep.n, "multiplicities": srep.multiplicities}),
     ]
     reports = [VerificationReport("silting", "input complex", base,
-                                  {"max_steps": max_steps,
+                                  {"max_steps": ctx.max_steps,
                                    "inconclusive": srep.inconclusive})]
     if not srep.presilting or srep.n is None:
         return _scoped(reports)
-    ctx = SiltingContext(U, max_steps)
     reports.append(verify_weak_nonpositive(U, ctx))
     reports.append(verify_E_iso(U, ctx))
     reports.append(verify_delta(U, win, ctx, extra_margin))
@@ -939,19 +936,13 @@ def verify_all(U: Complex, window=(-4, 4), pair_degrees=(-2, 2), max_steps: int 
     for name in sorted(cplx):
         reports.append(verify_counit(U, cplx[name], win, ctx, extra_margin,
                                      subject=name))
-    if with_pairs:
-        names = sorted(cplx)
-        degs = list(range(pr.lo, pr.hi + 1))
-        for n1 in names:
-            for n2 in names:
-                reports.append(verify_fully_faithful(U, cplx[n1], cplx[n2], degs,
-                                                     ctx, extra_margin,
-                                                     subject=f"{n1}->{n2}"))
-    if ctx.coresolution is None:
-        reports.append(VerificationReport(
-            "semiorthogonal-classification", "module probes",
-            [CheckRecord("coresolution terminates", False, {})]))
-        return _scoped(reports)
+    names = sorted(cplx)
+    degs = list(range(pr.lo, pr.hi + 1))
+    for n1 in names:
+        for n2 in names:
+            reports.append(verify_fully_faithful(U, cplx[n1], cplx[n2], degs,
+                                                 ctx, extra_margin,
+                                                 subject=f"{n1}->{n2}"))
     mods = probe_modules(ctx.A)
     if probe_names is not None:
         mods = {k: v for k, v in mods.items() if k in set(probe_names)}
@@ -966,7 +957,7 @@ def verify_all(U: Complex, window=(-4, 4), pair_degrees=(-2, 2), max_steps: int 
                                       {"class": c.index, "hom_dims": c.dims,
                                        "degenerate": c.degenerate}))
     reports.append(VerificationReport("semiorthogonal-classification", "module probes",
-                                      cls_checks, {"degree_bound": ctx.coresolution.n}))
+                                      cls_checks, {"degree_bound": srep.n}))
     for name in sorted(mods):
         c = classified[name]
         if c.index is not None and mods[name].dim:

@@ -310,3 +310,81 @@ def test_exit_codes_stay_in_contract(tmp_path, capsys):
         run_cli(capsys, "check", str(broken), "A")[0],
     }
     assert seen == {0, 1, 2, 3}
+
+
+# -- caps and the one analysis per run ----------------------------------------
+
+
+@pytest.mark.parametrize("command", ["verify", "report"])
+def test_resolution_cap_exits_2_with_a_one_line_diagnostic(capsys, command):
+    # the simple probe of the dual numbers has no finite projective resolution
+    code, out, err = run_cli(capsys, command, FIX_DUAL, "A")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("siltcheck: ") and err.count("\n") == 1
+    assert "cap 16" in err
+
+
+def test_semifree_cap_exits_2(capsys, monkeypatch):
+    import siltcheck.cli
+    from siltcheck.semifree import SemifreeCapError
+
+    def capped(*args, **kwargs):
+        raise SemifreeCapError("resolution exceeded 7 generators")
+
+    monkeypatch.setattr(siltcheck.cli, "verify_all", capped)
+    code, out, err = run_cli(capsys, "verify", FIX_K, "A")
+    assert (code, out) == (2, "")
+    assert err == "siltcheck: resolution exceeded 7 generators\n"
+
+
+def _count_calls_on_loaded_complexes(monkeypatch):
+    """Wrap silting_report, coresolve_A and dg_end in every siltcheck module
+    that binds them; return per-name call counts on a loaded complex."""
+    import types
+
+    import siltcheck
+    import siltcheck.cli
+    from siltcheck import dg, silting
+
+    loaded = []
+    calls = {}
+    load = siltcheck.cli.load_instance
+
+    def loading(path):
+        inst = load(path)
+        loaded.append(inst)
+        return inst
+
+    monkeypatch.setattr(siltcheck.cli, "load_instance", loading)
+    namespaces = [siltcheck] + [m for m in vars(siltcheck).values()
+                                if isinstance(m, types.ModuleType)]
+    for fn in (silting.silting_report, silting.coresolve_A, dg.dg_end):
+        def counted(U, *args, _fn=fn, **kwargs):
+            key = (_fn.__name__, U)
+            calls[key] = calls.get(key, 0) + 1
+            return _fn(U, *args, **kwargs)
+        for ns in namespaces:
+            for attr, value in list(vars(ns).items()):
+                if value is fn:
+                    monkeypatch.setattr(ns, attr, counted)
+
+    def on(name):
+        (inst,) = loaded
+        U = inst.complexes[name]
+        return {fn: calls.get((fn, U), 0)
+                for fn in ("silting_report", "coresolve_A", "dg_end")}
+    return on
+
+
+@pytest.mark.parametrize("command,name", [("verify", "U-tilt"),
+                                          ("report", "U-silt2")])
+def test_one_run_analyses_the_input_complex_once(capsys, monkeypatch,
+                                                 command, name):
+    on = _count_calls_on_loaded_complexes(monkeypatch)
+    code, _, _ = run_cli(capsys, command, FIX_A2, name)
+    assert code == 0
+    counts = on(name)
+    assert counts["silting_report"] == 1
+    assert counts["coresolve_A"] == 1
+    assert counts["dg_end"] <= 2

@@ -3,8 +3,9 @@
 ``golden_cli.json`` maps "<instance> <complex> <command>" to the exit code
 and the sha256 of stdout of ``siltcheck <command> instances/<instance>.json
 <complex>`` with default flags, for every complex in every instance file
-under the commands check, goodify and verify.  Any change to a report byte
-or a verdict shows up here as a digest or exit-code mismatch.
+under the commands check, goodify, verify and report.  Any change to a
+report byte or a verdict shows up here as a digest or exit-code mismatch.
+A run stopped by a cap exits 2 with empty stdout.
 """
 
 import contextlib
@@ -20,13 +21,7 @@ from siltcheck.cli import main
 INSTANCE_DIR = pathlib.Path(__file__).resolve().parent.parent / "instances"
 GOLDEN = json.loads((pathlib.Path(__file__).resolve().parent
                      / "golden_cli.json").read_text(encoding="utf-8"))
-COMMANDS = ("check", "goodify", "verify")
-
-# Cases with no recorded digest, each with the reason.
-EXCLUDED = {
-    "fix_dual A verify": "ends in an uncaught ResolutionCapError traceback "
-                         "from the probe resolutions instead of exit 2",
-}
+COMMANDS = ("check", "goodify", "verify", "report")
 
 
 def _all_cases():
@@ -38,8 +33,7 @@ def _all_cases():
 
 
 def test_golden_cases_cover_every_instance_complex_and_command():
-    assert sorted(GOLDEN) == sorted(set(_all_cases()) - set(EXCLUDED))
-    assert set(EXCLUDED) <= set(_all_cases())
+    assert sorted(GOLDEN) == sorted(_all_cases())
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN))
