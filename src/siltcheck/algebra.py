@@ -751,6 +751,11 @@ class EndData:
                     continue
                 comp = big_mats[y] @ big_mats[x]
                 key = (by[0], bx[1])
+                if key not in span_of_block:
+                    # no hom basis in that block: only a zero composite fits
+                    if comp.is_zero():
+                        continue
+                    raise AssertionError("End(T) not closed under composition")
                 idxs, span = span_of_block[key]
                 sol = span.solve_left_rows(tuple(v for r in comp.rows for v in r))
                 if sol is None:

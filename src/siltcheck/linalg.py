@@ -16,9 +16,13 @@ from typing import Iterable, Sequence
 
 
 class Matrix:
-    """Immutable dense matrix over an exact field."""
+    """Immutable dense matrix over an exact field.
 
-    __slots__ = ("field", "nrows", "ncols", "rows")
+    _left caches the elimination behind solve_left_rows: filled by the first
+    solve, replayed by every later one, and not part of equality or hashing.
+    """
+
+    __slots__ = ("field", "nrows", "ncols", "rows", "_left")
 
     def __init__(self, field, nrows: int, ncols: int, rows):
         rows = tuple(tuple(r) for r in rows)
@@ -28,6 +32,7 @@ class Matrix:
         self.nrows = nrows
         self.ncols = ncols
         self.rows = rows
+        self._left = None
 
     # -- constructors ------------------------------------------------------
 
@@ -177,8 +182,13 @@ class Matrix:
 
     # -- elimination -------------------------------------------------------
 
-    def rref(self) -> tuple["Matrix", tuple[int, ...]]:
-        """Reduced row echelon form and the pivot column indices."""
+    def rref(self, ops: list | None = None) -> tuple["Matrix", tuple[int, ...]]:
+        """Reduced row echelon form and the pivot column indices.
+
+        If ops is a list, one entry (selected row, inverse of the pivot,
+        [(row, multiplier) eliminated]) is appended per pivot, so the same
+        row operations can be replayed on another column.
+        """
         f = self.field
         zero = f.zero
         rows = [list(r) for r in self.rows]
@@ -195,10 +205,14 @@ class Matrix:
             rows[prow], rows[sel] = rows[sel], rows[prow]
             inv = f.inv(rows[prow][col])
             rows[prow] = [f.mul(inv, x) for x in rows[prow]]
+            elims = []
             for i in range(len(rows)):
                 if i != prow and rows[i][col] != zero:
                     c = rows[i][col]
                     rows[i] = [f.sub(a, f.mul(c, b)) for a, b in zip(rows[i], rows[prow])]
+                    elims.append((i, c))
+            if ops is not None:
+                ops.append((sel, inv, elims))
             pivots.append(col)
             prow += 1
             if prow == len(rows):
@@ -248,12 +262,34 @@ class Matrix:
         return Matrix(f, self.ncols, B.ncols, xrows)
 
     def solve_left_rows(self, v: Sequence) -> tuple | None:
-        """x with x @ self = v, or None."""
-        col = Matrix(self.field, len(v), 1, [(a,) for a in v])
-        sol = self.transpose().solve_matrix(col)
-        if sol is None:
+        """x with x @ self = v, or None.  Free variables are set to 0.
+
+        The row operations of rref(selfᵀ) are recorded on the first call and
+        replayed on v by every call; the pivots of selfᵀ never depend on v, so
+        the answer is the one the RREF of [selfᵀ | v] gives.
+        """
+        if len(v) != self.ncols:
+            raise ValueError("solve_left_rows: length mismatch")
+        if self._left is None:
+            ops: list = []
+            _, pivots = self.transpose().rref(ops)
+            self._left = (ops, pivots)
+        ops, pivots = self._left
+        f = self.field
+        zero, mul, sub = f.zero, f.mul, f.sub
+        w = list(v)
+        for prow, (sel, inv, elims) in enumerate(ops):
+            w[prow], w[sel] = w[sel], w[prow]
+            a = w[prow] = mul(inv, w[prow])
+            if a != zero:
+                for i, c in elims:
+                    w[i] = sub(w[i], mul(c, a))
+        if any(x != zero for x in w[len(pivots):]):
             return None
-        return tuple(r[0] for r in sol.rows)
+        x = [zero] * self.nrows
+        for prow, pcol in enumerate(pivots):
+            x[pcol] = w[prow]
+        return tuple(x)
 
 
 # -- row-space bookkeeping -------------------------------------------------

@@ -53,7 +53,9 @@ class SemifreeModule:
     gens[k] is the degree of the k-th generator (non-increasing along the
     list); gen_diffs[k] maps free-basis positions (k2, b2) to coefficients,
     with k2 < k and gens[k2] = gens[k] + 1 - (degree of basis b2) > gens[k];
-    gen_augs[k] is the augmentation value in target^{gens[k]}.
+    gen_augs[k] is the augmentation value in target^{gens[k]}.  Generators
+    are only ever added through add_generator, which drops the per-degree
+    matrices kept by diff_matrix, aug_matrix and lift_system.
     """
 
     def __init__(self, algebra: DgAlgebra, target: DgModule, cutoff: int):
@@ -63,6 +65,19 @@ class SemifreeModule:
         self.gens: list[int] = []
         self.gen_diffs: list[dict] = []
         self.gen_augs: list[tuple] = []
+        self._matrices: dict = {}
+
+    def add_generator(self, degree: int, diff: dict, aug: tuple):
+        self.gens.append(degree)
+        self.gen_diffs.append(diff)
+        self.gen_augs.append(aug)
+        self._matrices.clear()
+
+    def _memo(self, kind: str, n: int, build) -> Matrix:
+        key = (kind, n)
+        if key not in self._matrices:
+            self._matrices[key] = build(n)
+        return self._matrices[key]
 
     def layout(self, n: int) -> list:
         return [(k, b) for k, g in enumerate(self.gens)
@@ -96,6 +111,16 @@ class SemifreeModule:
         return tuple(out)
 
     def diff_matrix(self, n: int) -> Matrix:
+        return self._memo("diff", n, self._diff_matrix)
+
+    def aug_matrix(self, n: int) -> Matrix:
+        return self._memo("aug", n, self._aug_matrix)
+
+    def lift_system(self, n: int) -> Matrix:
+        """[aug | diff] in degree n: x solves it for (augmentation, boundary)."""
+        return self._memo("lift", n, self._lift_system)
+
+    def _diff_matrix(self, n: int) -> Matrix:
         C = self.algebra
         f = C.field
         src = self.layout(n)
@@ -125,7 +150,7 @@ class SemifreeModule:
             rows.append(row)
         return Matrix(f, len(src), len(tgt), rows)
 
-    def aug_matrix(self, n: int) -> Matrix:
+    def _aug_matrix(self, n: int) -> Matrix:
         M = self.target
         f = self.algebra.field
         src = self.layout(n)
@@ -135,6 +160,9 @@ class SemifreeModule:
             rows.append(M.act(g, self.gen_augs[k], n - g,
                               self.algebra.basis_vector(n - g, b)))
         return Matrix(f, len(src), M.dim(n), rows)
+
+    def _lift_system(self, n: int) -> Matrix:
+        return self.aug_matrix(n).hstack(self.diff_matrix(n))
 
     def cone_dim(self, n: int) -> int:
         return self.dim(n + 1) + self.target.dim(n)
@@ -227,9 +255,7 @@ def semifree_resolve(M: DgModule, cutoff: int, cap: int = 4096) -> SemifreeModul
     f = C.field
     P = SemifreeModule(C, M, cutoff)
     if _is_regular(M):
-        P.gens = [0]
-        P.gen_diffs = [{}]
-        P.gen_augs = [tuple(C.unit)]
+        P.add_generator(0, {}, tuple(C.unit))
         return P
     for n in range(M.hi, cutoff - 1, -1):
         sq = P.cone_subquotient(n)
@@ -264,9 +290,8 @@ def semifree_resolve(M: DgModule, cutoff: int, cap: int = 4096) -> SemifreeModul
             q = tuple(rep[:split])
             x = tuple(rep[split:])
             layout_up = P.layout(n + 1)
-            P.gens.append(n)
-            P.gen_diffs.append({layout_up[t]: c for t, c in enumerate(q) if c != f.zero})
-            P.gen_augs.append(tuple(f.neg(c) for c in x))
+            P.add_generator(n, {layout_up[t]: c for t, c in enumerate(q) if c != f.zero},
+                            tuple(f.neg(c) for c in x))
             for row in orbits[r]:
                 killed.add(row)
     return P
@@ -398,8 +423,7 @@ def lift_to_resolution(P: SemifreeModule, Q: SemifreeModule, targets) -> list | 
     solution exists.
     """
     def solve(k, g, rhs):
-        system = Q.aug_matrix(g).hstack(Q.diff_matrix(g))
-        return system.solve_left_rows(tuple(targets[k]) + rhs)
+        return Q.lift_system(g).solve_left_rows(tuple(targets[k]) + rhs)
 
     return lift_generators(P, Q, solve)
 

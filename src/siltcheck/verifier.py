@@ -104,9 +104,10 @@ class SiltingContext:
     its non-positive truncation, and Uc is U turned into a left C-module
     through evaluation.  Each is built on first use and then kept, so a
     complex that fails the report's gate never builds B.  Hom modules into
-    probe complexes, their resolutions and their tensors are cached under
-    the objects they come from, since several checks revisit them; a key
-    keeps its object alive, so a cached entry can never answer for another.
+    probe complexes, their resolutions and their tensors, and the
+    classification of module probes, are cached under the objects they come
+    from, since several checks revisit them; a key keeps its object alive,
+    so a cached entry can never answer for another.
     """
 
     def __init__(self, U: Complex, max_steps: int = 8):
@@ -118,6 +119,7 @@ class SiltingContext:
         self._hom_modules: dict = {}
         self._tensors: dict = {}
         self._resolutions: dict = {}
+        self._classifications: dict = {}
 
     @cached_property
     def report(self) -> SiltingReport:
@@ -448,15 +450,20 @@ class XiClassification:
 
 def classify_Xi(U: Complex, X: Module, ctx: SiltingContext | None = None) -> XiClassification:
     ctx = ctx or SiltingContext(U)
+    if X in ctx._classifications:
+        return ctx._classifications[X]
     n = ctx.report.n
     if n is None:
         raise ValueError("coresolution did not terminate; cannot fix the degree range")
     gh = hom_complex(ctx.U, module_complex(X))
     dims = {j: gh.h_dim(j) for j in range(0, n + 1)}
     if X.dim == 0:
-        return XiClassification(0, dims, True, n)
-    support = [j for j, d in dims.items() if d]
-    return XiClassification(support[0] if len(support) == 1 else None, dims, False, n)
+        cls = XiClassification(0, dims, True, n)
+    else:
+        support = [j for j, d in dims.items() if d]
+        cls = XiClassification(support[0] if len(support) == 1 else None, dims, False, n)
+    ctx._classifications[X] = cls
+    return cls
 
 
 def verify_corollary_roundtrip(U: Complex, X: Module, i: int, window,

@@ -24,6 +24,8 @@ from siltcheck.algebra import (
     simple_module,
     tensor_over,
 )
+from siltcheck.complexes import (direct_sum_complexes, projective_cache,
+                                 projective_complex)
 from siltcheck.fields import PrimeField, RationalField
 from siltcheck.linalg import Matrix
 
@@ -203,6 +205,24 @@ def test_endomorphism_algebra_of_projective_generator():
     assert E.multiply(f, p1) == f
     assert E.multiply(p1, f) == (0, 0, 0)
     assert E.multiply(f, f) == (0, 0, 0)
+
+
+def test_endomorphism_algebra_skips_zero_composites_into_empty_blocks():
+    # T = P0 + P2 + S0 over kA_3 (0 -> 1 -> 2), the degree-0 cohomology of
+    # P0 + P2 + (P1 -> P0): Hom(P2, S0) = 0, so the composite P2 -> P0 -> S0
+    # lands in a block with no hom basis and must be recognised as zero
+    A = path_algebra(Quiver(["0", "1", "2"], [("a", "0", "1"), ("b", "1", "2")]),
+                     PrimeField(101))
+    (f,) = hom_space(projective_cache(A, 1), projective_cache(A, 0))
+    U = direct_sum_complexes([projective_complex(A, {0: [0]}),
+                              projective_complex(A, {0: [2]}),
+                              projective_complex(A, {-1: [1], 0: [0]}, {-1: f.mat})])
+    mods = [s.cohomology(0) for s in U.summands]
+    homs = [[len(hom_space(x, y)) for y in mods] for x in mods]
+    assert homs == [[1, 0, 1], [1, 1, 0], [0, 0, 1]]
+    E = endomorphism_algebra(A, mods).algebra
+    assert E.dim == 5 and len(E.idempotents) == 3
+    E.validate()
 
 
 def test_tensor_unit_and_projective():

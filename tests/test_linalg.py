@@ -176,3 +176,75 @@ def test_subquotient_zero_quotient():
     sq = Subquotient(F101, 2, [(1, 0), (0, 1)], [(1, 0), (1, 1)])
     assert sq.dim == 0
     assert sq.reduce([1, 1]) == ()
+
+
+# -- factored left solves ----------------------------------------------------
+
+
+def _system_strategy(field, entries):
+    """(M, [(v, consistent?)]): M of shape 0..4 x 0..4, often rank-deficient
+    as a product through 0..3 inner columns, with right-hand sides drawn both
+    from the row space (y @ M) and at random."""
+    def build(shape):
+        r, c, k, low_rank = shape
+
+        def rows(n, m):
+            return st.lists(st.lists(entries, min_size=m, max_size=m),
+                            min_size=n, max_size=n).map(
+                lambda rs: Matrix.from_rows(field, rs, m))
+        if low_rank:
+            mats = st.tuples(rows(r, k), rows(k, c)).map(lambda lr: lr[0] @ lr[1])
+        else:
+            mats = rows(r, c)
+        ys = st.lists(st.lists(entries, min_size=r, max_size=r), min_size=1, max_size=3)
+        vs = st.lists(st.lists(entries, min_size=c, max_size=c), min_size=1, max_size=3)
+        return st.tuples(mats, ys, vs)
+    return st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 3),
+                     st.booleans()).flatmap(build)
+
+
+def _check_left_solves(field, M, ys, vs):
+    rhs = [(Matrix.from_rows(field, [y], M.nrows) @ M).rows[0] for y in ys]
+    rhs += [tuple(field.coerce(a) for a in v) for v in vs]
+    rank = M.rank()
+    for _ in range(2):      # the second pass replays the recorded elimination
+        for v in rhs:
+            x = M.solve_left_rows(v)
+            col = Matrix(field, len(v), 1, [(a,) for a in v])
+            oracle = M.transpose().solve_matrix(col)
+            in_span = M.vstack(Matrix(field, 1, M.ncols, [v])).rank() == rank
+            assert (x is None) == (not in_span) == (oracle is None)
+            if x is not None:
+                assert x == tuple(r[0] for r in oracle.rows)
+                assert Matrix(field, 1, M.nrows, [x]) @ M == Matrix(field, 1, M.ncols, [v])
+
+
+@settings(max_examples=80, deadline=None)
+@given(_system_strategy(F101, st.integers(-3, 3)))
+def test_factored_left_solve_matches_column_rref_prime(system):
+    _check_left_solves(F101, *system)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_system_strategy(Q, st.fractions(min_value=-3, max_value=3, max_denominator=3)))
+def test_factored_left_solve_matches_column_rref_rational(system):
+    _check_left_solves(Q, *system)
+
+
+def test_second_left_solve_eliminates_nothing(monkeypatch):
+    M = Matrix.from_rows(F101, [[1, 2, 3], [2, 4, 6], [0, 1, 1]])
+    calls = []
+    rref = Matrix.rref
+
+    def counting(self, *args, **kwargs):
+        calls.append(self)
+        return rref(self, *args, **kwargs)
+
+    monkeypatch.setattr(Matrix, "rref", counting)
+    assert M.solve_left_rows((1, 3, 4)) == (1, 0, 1)
+    assert len(calls) == 1
+    assert M.solve_left_rows((0, 0, 1)) is None
+    assert M.solve_left_rows((2, 5, 7)) == (2, 0, 1)
+    assert len(calls) == 1
+    # the cached factor is not part of the matrix's value
+    assert M == Matrix.from_rows(F101, M.rows) and hash(M) == hash(Matrix.from_rows(F101, M.rows))

@@ -6,6 +6,9 @@ derived functors are pinned against the complex-level route computed
 independently over the path algebra.
 """
 
+import pathlib
+from collections import Counter
+
 import pytest
 
 from siltcheck.algebra import Quiver, path_algebra, simple_module
@@ -17,15 +20,18 @@ from siltcheck.complexes import (
 )
 from siltcheck.dg import DgModule, dg_end, dg_hom_module, evaluation_left_module
 from siltcheck.fields import PrimeField
+from siltcheck.instances import load_instance
 from siltcheck.linalg import Matrix
 from siltcheck.semifree import (
     DegreeWindow,
     SemifreeCapError,
+    SemifreeModule,
     derived_hom_over_B,
     derived_tensor,
     regular_dg_module,
     semifree_resolve,
 )
+from siltcheck.verifier import verify_delta
 
 F101 = PrimeField(101)
 
@@ -189,3 +195,53 @@ def test_hom_degree_must_sit_in_window(silt):
     M = regular_dg_module(B)
     with pytest.raises(ValueError):
         derived_hom_over_B(M, M, 5, DegreeWindow(-2, 2))
+
+
+def test_per_degree_matrices_follow_added_generators(hom_to_simple, monkeypatch):
+    # before every generator semifree_resolve adds, fill the memo in every
+    # degree; after the add, each matrix must be a fresh module's
+    degrees = range(-8, 2)
+    add = SemifreeModule.add_generator
+    checked = []
+
+    def adding(self, degree, diff, aug):
+        for n in degrees:
+            self.diff_matrix(n), self.aug_matrix(n), self.lift_system(n)
+        add(self, degree, diff, aug)
+        fresh = SemifreeModule(self.algebra, self.target, self.cutoff)
+        for k in range(len(self.gens)):
+            add(fresh, self.gens[k], self.gen_diffs[k], self.gen_augs[k])
+        for n in degrees:
+            assert self.diff_matrix(n) == fresh.diff_matrix(n)
+            assert self.aug_matrix(n) == fresh.aug_matrix(n)
+            assert self.lift_system(n) == fresh.lift_system(n)
+        checked.append(degree)
+
+    monkeypatch.setattr(SemifreeModule, "add_generator", adding)
+    P = semifree_resolve(hom_to_simple, -6)
+    assert checked == P.gens and len(checked) > 2
+
+
+def test_delta_builds_each_lift_system_once(monkeypatch):
+    inst = load_instance(pathlib.Path(__file__).resolve().parent.parent
+                         / "instances" / "fix_a2.json")
+    build = SemifreeModule._lift_system
+    built, used = Counter(), Counter()
+
+    def building(self, n):
+        built[(self, n)] += 1
+        return build(self, n)
+
+    lift_system = SemifreeModule.lift_system
+
+    def using(self, n):
+        used[(self, n)] += 1
+        return lift_system(self, n)
+
+    monkeypatch.setattr(SemifreeModule, "_lift_system", building)
+    monkeypatch.setattr(SemifreeModule, "lift_system", using)
+    report = verify_delta(inst.complexes["U-tilt"], (-2, 2))
+    assert report.passed
+    assert built and set(built.values()) == {1}
+    # every basis element of A lifts through the same per-degree systems
+    assert sum(used.values()) > len(used) == len(built)
