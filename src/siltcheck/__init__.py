@@ -23,7 +23,7 @@ from .instances import (Instance, InstanceError, dump_instance, load_instance,
                         parse_instance, serialize_instance)
 from .linalg import Matrix, RowSpace
 from .semifree import DegreeWindow, derived_tensor, semifree_resolve
-from .silting import (coresolve_A, goodify, is_tilting, presilting_witness,
+from .silting import (coresolve_A, goodify, presilting_witness,
                       silting_equivalent, silting_report)
 from .verifier import (SiltingContext, classify_Xi, verify_all,
                        verify_corollary_roundtrip, verify_counit, verify_delta,
@@ -38,7 +38,7 @@ __all__ = [
     "RationalField", "ResolutionCapError", "RowSpace", "SiltingContext",
     "classify_Xi", "cone", "coresolve_A", "derived_tensor", "dg_end",
     "direct_sum_complexes", "dump_instance", "field_from_json", "goodify",
-    "h0_algebra", "hom_complex", "hom_space", "is_acyclic", "is_tilting",
+    "h0_algebra", "hom_complex", "hom_space", "is_acyclic",
     "load_instance", "module_complex", "parse_instance", "path_algebra",
     "presilting_witness", "proj_replacement", "projective_cache",
     "projective_complex", "semifree_resolve", "serialize_instance",

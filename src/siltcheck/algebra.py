@@ -623,62 +623,7 @@ def regular_module(A: Algebra) -> Module:
     return Module(A, A.dim, [A.right_mult_matrix(j) for j in range(A.dim)], validate=False)
 
 
-def opposite_algebra(A: Algebra) -> Algebra:
-    mult = {}
-    for (i, j), v in A.mult.items():
-        mult[(j, i)] = v
-    pinfo = None
-    if A.path_info is not None:
-        pinfo = [(t, s, tuple(reversed(arr))) for (s, t, arr) in A.path_info]
-    return Algebra(A.field, A.labels, mult, A.unit, A.idempotents,
-                   generators=A.generators, path_info=pinfo)
-
-
-# -- endomorphism algebras and bimodules -----------------------------------
-
-
-class Bimodule:
-    """Left-E right-A bimodule on row vectors.
-
-    Left action matrices follow the row convention: (e . t) = t @ L_e, so the
-    left-module law reads L_{e e'} = L_{e'} @ L_e when E multiplies in function
-    order (e e' means "apply e' first").
-    """
-
-    def __init__(self, left_algebra: Algebra, right_algebra: Algebra, dim: int,
-                 left_action: Sequence[Matrix], right_action: Sequence[Matrix],
-                 validate: bool = True):
-        self.left_algebra = left_algebra
-        self.right_algebra = right_algebra
-        self.dim = dim
-        self.left_action = tuple(left_action)
-        self.right_action = tuple(right_action)
-        if validate:
-            self.validate()
-
-    def validate(self):
-        E, A = self.left_algebra, self.right_algebra
-        f = E.field
-        ident = Matrix.identity(f, self.dim)
-        lu = Matrix.zero(f, self.dim, self.dim)
-        for i, c in enumerate(E.unit):
-            if c != f.zero:
-                lu = lu + self.left_action[i].scale(c)
-        if lu != ident:
-            raise AssertionError("left unit fails")
-        Module(A, self.dim, self.right_action)  # validates the right structure
-        for i in range(E.dim):
-            for j in range(E.dim):
-                lhs = self.left_action[j] @ self.left_action[i]
-                rhs = Matrix.zero(f, self.dim, self.dim)
-                for k, c in E.basis_product(i, j):
-                    rhs = rhs + self.left_action[k].scale(c)
-                if lhs != rhs:
-                    raise AssertionError("left action incompatible with multiplication")
-        for e in range(E.dim):
-            for a in range(A.dim):
-                if self.left_action[e] @ self.right_action[a] != self.right_action[a] @ self.left_action[e]:
-                    raise AssertionError("left and right actions do not commute")
+# -- endomorphism algebras ---------------------------------------------------
 
 
 class EndData:
@@ -688,7 +633,6 @@ class EndData:
     then x"), basis adapted so each diagonal block starts with the identity of
     that summand; those identities are the idempotent set.
     big_mats[i]: the i-th basis endomorphism of T as a matrix on T's rows.
-    bimodule: T as a left-End(T) right-A bimodule.
     """
 
     def __init__(self, A: Algebra, summands: Sequence[Module]):
@@ -769,56 +713,7 @@ class EndData:
         self.algebra = Algebra(f, labels, mult, unit, idem_positions)
         self.big_mats = big_mats
         self.blocks = blocks
-        self.bimodule = Bimodule(self.algebra, A, n, big_mats, self.T.action)
 
 
 def endomorphism_algebra(A: Algebra, summands: Sequence[Module]) -> EndData:
     return EndData(A, summands)
-
-
-def tensor_over(M: Module, T: Bimodule):
-    """M tensor_E T for M a right E-module: a right A-module plus projection data.
-
-    Returns (module over A, quotient) where quotient maps pre-quotient
-    coordinates (i of M, j of T, flattened i*dimT + j) to quotient coordinates.
-    """
-    E = T.left_algebra
-    A = T.right_algebra
-    if M.algebra.dim != E.dim:
-        raise ValueError("tensor_over: M must be a module over the bimodule's left algebra")
-    f = E.field
-    m, t = M.dim, T.dim
-    width = m * t
-    rows = []
-    for e in range(E.dim):
-        RM = M.action[e]
-        LT = T.left_action[e]
-        for i in range(m):
-            for j in range(t):
-                row = [f.zero] * width
-                # (m_i . e) (x) t_j  -  m_i (x) (e . t_j)
-                for i2 in range(m):
-                    c = RM.rows[i][i2]
-                    if c != f.zero:
-                        row[i2 * t + j] = f.add(row[i2 * t + j], c)
-                for j2 in range(t):
-                    c = LT.rows[j][j2]
-                    if c != f.zero:
-                        row[i * t + j2] = f.sub(row[i * t + j2], c)
-                rows.append(row)
-    quot = QuotientSpace(f, width, rows)
-    action = []
-    for a in range(A.dim):
-        RT = T.right_action[a]
-        mats = []
-        for pos in quot.free_positions:
-            i, j = divmod(pos, t)
-            vec = [f.zero] * width
-            for j2 in range(t):
-                c = RT.rows[j][j2]
-                if c != f.zero:
-                    vec[i * t + j2] = c
-            mats.append(quot.project(vec))
-        action.append(Matrix(f, quot.dim, quot.dim, mats))
-    module = Module(A, quot.dim, action, validate=False)
-    return module, quot

@@ -4,7 +4,8 @@ Every command reads an instance file, picks one named complex, and prints a
 JSON report with sorted keys so reruns are byte-identical.  Exit codes: 0 all
 checks passed, 1 a check failed with a witness, 2 the run hit a cap or step
 bound before reaching a verdict, 3 the instance file or arguments were
-malformed.
+malformed or the input is unsupported (a field whose characteristic is too
+small for an exact radical).
 """
 
 from __future__ import annotations
@@ -17,8 +18,9 @@ from .complexes import ResolutionCapError
 from .instances import (Instance, InstanceError, encode_complex,
                         instance_text, load_instance, serialize_instance)
 from .semifree import SemifreeCapError
-from .silting import SiltingReport, goodify, silting_equivalent, silting_report
-from .verifier import SiltingContext, verify_all, verify_tilting_theorem
+from .silting import (SiltingReport, SmallCharacteristicError, goodify,
+                      silting_equivalent, silting_report)
+from .verifier import SiltingContext, verify_all
 
 SCHEMA = 1
 
@@ -136,7 +138,7 @@ def cmd_goodify(inst: Instance, args) -> int:
         payload["witness"] = list(srep.presilting_witness)
         _emit(payload, None)
         return 2
-    V = goodify(U, eff["max_steps"])
+    V = goodify(U, eff["max_steps"], srep)
     if V is None:
         payload["verdict"] = "inconclusive"
         payload["failed_step"] = "coresolution"
@@ -149,10 +151,11 @@ def cmd_goodify(inst: Instance, args) -> int:
     payload["verdict"] = "pass"
     payload["good_object"] = out_name
     payload["already_good"] = srep.good
+    vrep = silting_report(V, eff["max_steps"])
     payload["checks"] = {
-        "output_presilting": silting_report(V, eff["max_steps"]).presilting,
-        "silting_equivalent_to_input": silting_equivalent(U, V,
-                                                          eff["max_steps"]),
+        "output_presilting": vrep.presilting,
+        "silting_equivalent_to_input": silting_equivalent(U, V, eff["max_steps"],
+                                                          (srep, vrep)),
     }
     payload["goodified"] = serialize_instance(out_inst)
     if args.output:
@@ -175,24 +178,15 @@ def _verification_reports(inst: Instance, ctx: SiltingContext, eff: dict) -> lis
         if unknown:
             raise UsageError(f"unknown probes {sorted(unknown)}; "
                              f"available: {sorted(known)}")
-    reports = verify_all(ctx.U, window=eff["window"],
-                         pair_degrees=eff["pair_degrees"],
-                         max_steps=eff["max_steps"],
-                         extra_margin=eff["extra_margin"],
-                         cap=eff["cap"], ctx=ctx, probe_names=eff["probes"])
-    if ctx.report.presilting and ctx.report.module_form:
-        summands = getattr(ctx.U, "summands", [ctx.U])
-        mods = [s.cohomology(0) for s in summands]
-        mods = [m for m in mods if m.dim > 0]
-        if mods:
-            reports.append(verify_tilting_theorem(inst.algebra, mods,
-                                                  cap=eff["cap"],
-                                                  max_steps=eff["max_steps"]))
-    return reports
+    return verify_all(ctx.U, window=eff["window"],
+                      pair_degrees=eff["pair_degrees"],
+                      max_steps=eff["max_steps"],
+                      extra_margin=eff["extra_margin"],
+                      cap=eff["cap"], ctx=ctx, probe_names=eff["probes"])
 
 
 # these checks fail when a bound is hit, not when a counterexample is found
-_SOFT_CHECKS = {"coresolution terminates", "projective resolution terminates"}
+_SOFT_CHECKS = {"coresolution terminates"}
 
 
 def _is_soft_failure(check) -> bool:
@@ -283,7 +277,7 @@ def main(argv=None) -> int:
     try:
         inst = load_instance(args.instance)
         return args.fn(inst, args)
-    except (InstanceError, UsageError) as e:
+    except (InstanceError, UsageError, SmallCharacteristicError) as e:
         sys.stderr.write(f"siltcheck: {e}\n")
         return 3
     except (ResolutionCapError, SemifreeCapError) as e:

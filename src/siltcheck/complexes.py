@@ -2,8 +2,7 @@
 
 Shifts, mapping cones, cohomology with its induced action, chain maps and
 their induced maps on cohomology, the graded hom complex, projective
-replacement, quasi-isomorphism testing, and the total tensor of a complex of
-modules with a complex of bimodules.
+replacement and quasi-isomorphism testing.
 
 Sign conventions, fixed once and asserted by constructor validation:
 * shift: X[k]^n = X^{n+k}, differential scaled by (-1)^k;
@@ -19,14 +18,12 @@ from typing import Sequence
 
 from .algebra import (
     Algebra,
-    Bimodule,
     Module,
     ModuleMap,
     direct_sum_modules,
     hom_coordinates,
     hom_space,
     projective_module,
-    tensor_over,
     zero_module,
 )
 from .linalg import Matrix, RowSpace, subquotient_from_maps
@@ -575,140 +572,3 @@ def proj_replacement(X: Complex, cap: int = 16) -> tuple[Complex, ChainMap]:
         n -= 1
     P = Complex(A, p_terms, p_diffs, p_types)
     return P, ChainMap(P, X, eps)
-
-
-# -- total tensor with a complex of bimodules ------------------------------
-
-
-class BimoduleComplex:
-    """Bounded complex of left-E right-A bimodules with two-sided-linear differentials."""
-
-    def __init__(self, left_algebra: Algebra, right_algebra: Algebra,
-                 terms: dict, diffs: dict, validate: bool = True):
-        self.left_algebra = left_algebra
-        self.right_algebra = right_algebra
-        self.terms = {n: t for n, t in terms.items() if t.dim > 0}
-        degrees = sorted(self.terms)
-        self.lo = degrees[0] if degrees else 0
-        self.hi = degrees[-1] if degrees else -1
-        self.diffs = {n: d for n, d in diffs.items() if not d.is_zero()}
-        if validate:
-            self.validate()
-
-    def term(self, n: int) -> Bimodule:
-        t = self.terms.get(n)
-        if t is not None:
-            return t
-        f = self.left_algebra.field
-        z = [Matrix.zero(f, 0, 0)]
-        return Bimodule(self.left_algebra, self.right_algebra, 0,
-                        z * self.left_algebra.dim, z * self.right_algebra.dim, validate=False)
-
-    def dim(self, n: int) -> int:
-        return self.term(n).dim
-
-    def diff(self, n: int) -> Matrix:
-        d = self.diffs.get(n)
-        if d is not None:
-            return d
-        return Matrix.zero(self.left_algebra.field, self.dim(n), self.dim(n + 1))
-
-    def validate(self):
-        E = self.left_algebra
-        A = self.right_algebra
-        for n in sorted(self.terms):
-            d = self.diff(n)
-            if d.is_zero():
-                continue
-            src, tgt = self.term(n), self.term(n + 1)
-            for e in range(E.dim):
-                if src.left_action[e] @ d != d @ tgt.left_action[e]:
-                    raise AssertionError(f"bimodule differential not left-linear at degree {n}")
-            for a in range(A.dim):
-                if src.right_action[a] @ d != d @ tgt.right_action[a]:
-                    raise AssertionError(f"bimodule differential not right-linear at degree {n}")
-            if not (d @ self.diff(n + 1)).is_zero():
-                raise AssertionError(f"bimodule differential does not square to zero at {n}")
-
-
-def bimodule_complex_from_bimodule(T: Bimodule, degree: int = 0) -> BimoduleComplex:
-    return BimoduleComplex(T.left_algebra, T.right_algebra, {degree: T}, {}, validate=False)
-
-
-def tensor_complex(M: Complex, U: BimoduleComplex) -> Complex:
-    """Total tensor over E of a complex of right E-modules with a bimodule complex.
-
-    Degree n is the direct sum over i of M^i tensor_E U^{n-i}; the differential
-    is d(m (x) u) = dm (x) u + (-1)^i m (x) du, pushed through the balanced-
-    tensor quotients.  The result is a complex of right modules over U's right
-    algebra.
-    """
-    E = U.left_algebra
-    A = U.right_algebra
-    if M.algebra.dim != E.dim:
-        raise ValueError("tensor_complex: M must be over the bimodule complex's left algebra")
-    f = E.field
-    if M.is_empty() or not U.terms:
-        return Complex(A, {}, {}, validate=False)
-    lo, hi = M.lo + U.lo, M.hi + U.hi
-
-    pieces = {}   # (n, i) -> (module, quotient)
-    layout = {}   # n -> list of i
-    for n in range(lo, hi + 1):
-        layout[n] = []
-        for i in M.degrees():
-            if M.term(i).dim == 0 or U.dim(n - i) == 0:
-                continue
-            pieces[(n, i)] = tensor_over(M.term(i), U.term(n - i))
-            layout[n].append(i)
-
-    terms = {}
-    for n, idxs in layout.items():
-        mods = [pieces[(n, i)][0] for i in idxs]
-        if mods and sum(m.dim for m in mods):
-            terms[n] = direct_sum_modules(A, mods) if len(mods) > 1 else mods[0]
-
-    diffs = {}
-    for n in range(lo, hi + 1):
-        src_idxs = layout.get(n, [])
-        tgt_idxs = layout.get(n + 1, [])
-        if not src_idxs or not tgt_idxs:
-            continue
-        row_dims = [pieces[(n, i)][0].dim for i in src_idxs]
-        col_dims = [pieces[(n + 1, i)][0].dim for i in tgt_idxs]
-        blocks = [[None] * len(tgt_idxs) for _ in src_idxs]
-        for bi, i in enumerate(src_idxs):
-            src_mod, src_q = pieces[(n, i)]
-            tdim = U.dim(n - i)
-            sign = f.one if i % 2 == 0 else f.neg(f.one)
-            dm = M.diff(i)
-            du = U.diff(n - i)
-            for bj, j in enumerate(tgt_idxs):
-                if j == i + 1 and not dm.is_zero():
-                    tgt_mod, tgt_q = pieces[(n + 1, i + 1)]
-                    t2 = U.dim(n - i)
-                    rows = []
-                    for pos in src_q.free_positions:
-                        a, b = divmod(pos, tdim)
-                        vec = [f.zero] * (M.term(i + 1).dim * t2)
-                        for a2 in range(M.term(i + 1).dim):
-                            c = dm.rows[a][a2]
-                            if c != f.zero:
-                                vec[a2 * t2 + b] = c
-                        rows.append(tgt_q.project(vec))
-                    blocks[bi][bj] = Matrix(f, src_mod.dim, tgt_mod.dim, rows)
-                elif j == i and not du.is_zero():
-                    tgt_mod, tgt_q = pieces[(n + 1, i)]
-                    t2 = U.dim(n + 1 - i)
-                    rows = []
-                    for pos in src_q.free_positions:
-                        a, b = divmod(pos, tdim)
-                        vec = [f.zero] * (M.term(i).dim * t2)
-                        for b2 in range(t2):
-                            c = du.rows[b][b2]
-                            if c != f.zero:
-                                vec[a * t2 + b2] = f.mul(sign, c)
-                        rows.append(tgt_q.project(vec))
-                    blocks[bi][bj] = Matrix(f, src_mod.dim, tgt_mod.dim, rows)
-        diffs[n] = block_matrix(f, blocks, row_dims, col_dims)
-    return Complex(A, terms, diffs)

@@ -34,17 +34,23 @@ from .complexes import (ChainMap, Complex, GradedHom, cone,
 from .dg import DgAlgebra, dg_end, h0_algebra
 
 
+class SmallCharacteristicError(ValueError):
+    """The field's characteristic is too small for an exact radical."""
+
+
 def radical_rows(E) -> list[tuple]:
     """Basis rows of the Jacobson radical of a finite-dimensional algebra.
 
     Uses the trace form of the left regular representation, which computes the
-    radical exactly in characteristic 0 or in characteristic p > dim E.
+    radical exactly in characteristic 0 or in characteristic p > dim E; in
+    smaller characteristic it raises SmallCharacteristicError.
     """
     f = E.field
     p = getattr(f, "p", None)
     if p is not None and p <= E.dim:
-        raise ValueError(
-            "radical computation needs characteristic 0 or larger than the algebra dimension")
+        raise SmallCharacteristicError(
+            f"radical computation needs characteristic 0 or larger than the "
+            f"algebra dimension {E.dim}, not {p}")
     lm = [E.left_mult_matrix(i) for i in range(E.dim)]
     rows = []
     for i in range(E.dim):
@@ -107,7 +113,8 @@ def _minimal_approximation(X: Complex, U: Complex, B: DgAlgebra, E, rad,
                            summands):
     """Minimal left approximation X -> (sum of copies of summands of U).
 
-    Returns (target, chain map, multiplicities, summand index per generator).
+    Returns (target, chain map, multiplicities); the multiplicities list the
+    summands in the order the target holds them.
     """
     f = E.field
     A = X.algebra
@@ -115,7 +122,7 @@ def _minimal_approximation(X: Complex, U: Complex, B: DgAlgebra, E, rad,
     m = len(sq.reps)
     if m == 0:
         Z = zero_complex(A)
-        return Z, ChainMap(X, Z, {}, validate=False), {}, []
+        return Z, ChainMap(X, Z, {}, validate=False), {}
 
     rel = []
     for rv in rad:
@@ -142,7 +149,7 @@ def _minimal_approximation(X: Complex, U: Complex, B: DgAlgebra, E, rad,
             for i in range(len(emats)):
                 covered.add(quo.project(emats[i].apply_row(w)))
 
-    parts, mult, use, gen_mats = [], {}, [], []
+    parts, mult, gen_mats = [], {}, []
     for s, w in gens:
         comps = gh.component_maps(0, sq.lift(w))
         part = summands[s]
@@ -156,7 +163,6 @@ def _minimal_approximation(X: Complex, U: Complex, B: DgAlgebra, E, rad,
         parts.append(part)
         gen_mats.append(mats)
         mult[s] = mult.get(s, 0) + 1
-        use.append(s)
 
     target = direct_sum_complexes(parts)
     fmats = {}
@@ -172,7 +178,7 @@ def _minimal_approximation(X: Complex, U: Complex, B: DgAlgebra, E, rad,
         for b in blocks[1:]:
             acc = acc.hstack(b)
         fmats[n] = acc
-    return target, ChainMap(X, target, fmats), mult, use
+    return target, ChainMap(X, target, fmats), mult
 
 
 @dataclass
@@ -181,7 +187,6 @@ class Coresolution:
     triangles: list
     targets: list
     multiplicities: list
-    summand_uses: list
     n: int
 
 
@@ -212,21 +217,20 @@ def coresolve_A(U: Complex, max_steps: int = 8) -> Coresolution | None:
     rad = radical_rows(E)
 
     X = projective_complex(A, {0: list(range(len(A.idempotents)))})
-    triangles, targets, mults, uses = [], [], [], []
+    triangles, targets, mults = [], [], []
     while not is_acyclic(X):
         if len(triangles) >= max_steps:
             return None
-        target, fmap, mult, use = _minimal_approximation(X, U, B, E, rad, summands)
+        target, fmap, mult = _minimal_approximation(X, U, B, E, rad, summands)
         C, tri = cone(fmap)
         triangles.append(tri)
         targets.append(target)
         mults.append(mult)
-        uses.append(use)
         X = C
-    return Coresolution(triangles, targets, mults, uses, len(triangles) - 1)
+    return Coresolution(triangles, targets, mults, len(triangles) - 1)
 
 
-# -- presilting and tilting tests -------------------------------------------
+# -- presilting tests ------------------------------------------------------
 
 
 def _self_extension(gh: GradedHom, lo: int, hi: int) -> tuple | None:
@@ -254,66 +258,43 @@ def is_presilting(U: Complex) -> bool:
     return presilting_witness(U) is None
 
 
-@dataclass
-class TiltingCheck:
-    tilting: bool
-    module_form: bool
-    inconclusive: bool
-    witness: tuple | None
-
-    def __bool__(self) -> bool:
-        return self.tilting
-
-
-def is_tilting(U: Complex, max_steps: int = 8) -> TiltingCheck:
-    """Two-sided self-extension vanishing plus a terminating coresolution.
-
-    module_form records whether the cohomology of U sits in degree 0 alone.
-    An undecided coresolution makes the check inconclusive, never a pass.
-    """
-    if not U.is_projective_complex():
-        raise ValueError("tilting test needs a complex of projectives")
-    if U.is_empty():
-        return TiltingCheck(False, True, True, None)
-    mf = all(U.h_dim(n) == 0 for n in range(U.lo, U.hi + 1) if n != 0)
-    w = _self_extension(hom_complex(U, U), U.lo - U.hi, U.hi - U.lo)
-    if w is not None:
-        return TiltingCheck(False, mf, False, w)
-    if coresolve_A(U, max_steps) is None:
-        return TiltingCheck(False, mf, True, None)
-    return TiltingCheck(True, mf, False, None)
-
-
-def silting_equivalent(U: Complex, V: Complex, max_steps: int = 8) -> bool:
+def silting_equivalent(U: Complex, V: Complex, max_steps: int = 8,
+                       reports: tuple | None = None) -> bool:
     """Mutual vanishing of positive-shift homs between two presilting complexes.
 
     Both inputs must be presilting with terminating coresolutions; anything
-    else raises.  The verdict rests on the mutual-vanishing order comparison,
-    which is the criterion this package commits to for equivalence classes.
+    else raises.  reports, when given, are the silting reports of U and V,
+    already built.  The verdict rests on the mutual-vanishing order
+    comparison, which is the criterion this package commits to for
+    equivalence classes.
     """
-    for W in (U, V):
-        w = presilting_witness(W)
+    for rep in reports or (silting_report(U, max_steps), silting_report(V, max_steps)):
+        w = rep.presilting_witness
         if w is not None:
             raise ValueError(
                 f"precondition failed: input is not presilting (shift {w[0]}, dim {w[1]})")
-        if coresolve_A(W, max_steps) is None:
+        if rep.n is None:
             raise ValueError("precondition failed: coresolution did not terminate")
     hi = max(U.hi - V.lo, V.hi - U.lo)
     uv, vu = hom_complex(U, V), hom_complex(V, U)
     return not any(uv.h_dim(i) or vu.h_dim(i) for i in range(1, hi + 1))
 
 
-def goodify(U: Complex, max_steps: int = 8) -> Complex | None:
+def goodify(U: Complex, max_steps: int = 8,
+            report: SiltingReport | None = None) -> Complex | None:
     """Direct sum of the coresolution targets, flattened to summands of U.
 
-    None when the coresolution is undecided at the step cap.
+    Each target is read off its step's multiplicities in the silting report,
+    which list the summands in the order the target holds them.  report,
+    when given, is U's silting report, already built.  None when the
+    coresolution is undecided at the step cap.
     """
-    cor = coresolve_A(U, max_steps)
-    if cor is None:
+    report = report or silting_report(U, max_steps)
+    if report.n is None:
         return None
     summands, _ = _summand_data(U)
-    parts = [summands[s] for use in cor.summand_uses for s in use]
-    return direct_sum_complexes(parts)
+    return direct_sum_complexes([summands[s] for mult in report.multiplicities
+                                 for s, k in mult.items() for _ in range(k)])
 
 
 # -- report -----------------------------------------------------------------

@@ -7,8 +7,9 @@ positive degrees, the hom functor into U and the tensor functor back are
 mutually inverse on a probe set, right multiplication identifies A with the
 derived endomorphisms of U over the truncated algebra, and modules whose
 image under the hom functor sits in a single cohomological degree survive the
-roundtrip unchanged.  The ordinary Ext/Tor specialisation for a tilting
-module is checked separately on the module level.
+roundtrip unchanged.  When U is a tilting complex with cohomology in degree
+0 alone, the same results are read once more as the classical tilting
+theorem for that module.
 
 Every check works inside a stated degree window.  Semifree resolutions are
 truncated one degree deeper than the window requires, so cohomology at the
@@ -25,21 +26,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .algebra import (Algebra, Module, hom_space, opposite_algebra, simple_module,
-                      tensor_over)
-from .complexes import (ChainMap, Complex, ResolutionCapError,
-                        bimodule_complex_from_bimodule,
-                        direct_sum_complexes, hom_complex, module_complex,
-                        proj_replacement, projective_cache, projective_complex,
-                        tensor_complex)
+from .algebra import Algebra, Module, direct_sum_modules, hom_space, simple_module
+from .complexes import (ChainMap, Complex, direct_sum_complexes, hom_complex,
+                        module_complex, proj_replacement, projective_cache,
+                        projective_complex)
 from .dg import (DgAlgebra, DgModule, dg_end, dg_hom_module,
                  evaluation_left_module, h0_algebra, opposite_dg,
                  restrict_scalars, side_swap, smart_truncate)
-from .linalg import Matrix, RowSpace
+from .linalg import Matrix
 from .semifree import (DegreeWindow, SemifreeHom, SemifreeModule,
                        derived_tensor, lift_generators, lift_to_resolution,
                        semifree_resolve)
-from .silting import SiltingReport, is_tilting, radical_rows, silting_report
+from .silting import SiltingReport, radical_rows, silting_report
 
 
 # -- reports ----------------------------------------------------------------
@@ -685,210 +683,85 @@ def probe_complexes(A: Algebra, cap: int = 16) -> dict:
 # -- ordinary tilting theorem ------------------------------------------------
 
 
-def _endo_lift(P: Complex, E0: Matrix, phi: Matrix) -> dict | None:
-    """Chain endomorphism of a projective resolution lifting a module endomorphism."""
-    f = P.algebra.field
-    mats: dict = {}
-    prev = None
-    for n in range(0, P.lo - 1, -1):
-        pn = P.term(n)
-        if pn.dim == 0:
-            mats[n] = Matrix.zero(f, 0, 0)
-            prev = mats[n]
-            continue
-        if n == 0:
-            cmat, target = E0, E0 @ phi
-        else:
-            cmat = P.diff(n)
-            target = P.diff(n) @ prev
-        basis = hom_space(pn, pn)
-        rows = [tuple(x for r in (b.mat @ cmat).rows for x in r) for b in basis]
-        span = Matrix(f, len(rows), pn.dim * cmat.ncols, rows)
-        sol = span.solve_left_rows(tuple(x for r in target.rows for x in r))
-        if sol is None:
-            return None
-        F = Matrix.zero(f, pn.dim, pn.dim)
-        for c, b in zip(sol, basis):
-            if c != f.zero:
-                F = F + b.mat.scale(c)
-        mats[n] = F
-        prev = F
-    return mats
+def _canonical_sequence(ctx: SiltingContext, X: Module) -> tuple[Module, Module]:
+    """The torsion part tX and the torsion-free quotient X/tX of a module X.
 
-
-def _ext_module(gh, i: int, E: Algebra, lifts: list) -> Module:
-    """Ext^i as a right module over the endomorphism algebra, by precomposition."""
-    f = E.field
-    sq = gh.subquotient(i)
-    h = len(sq.reps)
-    action = []
-    for t in range(E.dim):
-        lmats = lifts[t]
-        rows = []
-        for rep in sq.reps:
-            comps = gh.component_maps(i, rep)
-            comp2 = {}
-            for s, m0 in comps.items():
-                lm = lmats.get(s)
-                if lm is None or lm.nrows == 0:
-                    continue
-                mm = lm @ m0
-                if not mm.is_zero():
-                    comp2[s] = mm
-            coords = gh.coords_of(i, comp2)
-            rows.append(sq.reduce(coords))
-        action.append(Matrix(f, h, h, rows))
-    Y = Module(E, h, action)
-    Y.sq = sq
-    return Y
-
-
-def _find_iso(M: Module, N: Module) -> Matrix | None:
-    """An invertible module map, or None; deterministic coefficient search."""
-    if M.dim != N.dim:
-        return None
-    f = M.algebra.field
-    if M.dim == 0:
-        return Matrix.zero(f, 0, 0)
-    maps = hom_space(M, N)
-    for h in maps:
-        if h.mat.rank() == M.dim:
-            return h.mat
-    # geometric coefficient patterns; enough probes to dodge the vanishing
-    # locus of the determinant whenever an isomorphism exists at these sizes
-    x = f.one
-    for _ in range(32):
-        x = f.add(x, f.one)
-        combo = Matrix.zero(f, M.dim, N.dim)
-        c = f.one
-        for h in maps:
-            combo = combo + h.mat.scale(c)
-            c = f.mul(c, x)
-        if combo.rank() == M.dim:
-            return combo
-    return None
-
-
-def verify_tilting_theorem(A: Algebra, summands, cap: int = 16, bound: int = 8,
-                           probes: dict | None = None,
-                           max_steps: int = 8) -> VerificationReport:
-    """Module-level equivalence through Ext and Tor for a tilting module.
-
-    The direct sum of the summands is resolved by projectives; the resolved
-    complex must be tilting.  Every probe module must concentrate in a single
-    Ext degree i, its Ext module over the endomorphism algebra must
-    concentrate in the same Tor degree, and Tor_i of Ext^i must return the
-    probe, witnessed by an explicit invertible comparison map.  Caps on
-    resolution length turn into an inconclusive verdict.
+    tX is the sum of the images of Z^0(U) under the classes of H^0 Hom(U, X).
+    Homotopic maps differ by maps through d^0, which vanish on Z^0, so the
+    image does not depend on the representatives.  X/tX is the cokernel of
+    (Z^0 U)^h -> X and tX the kernel of X -> X/tX, both as cohomology of
+    two-term complexes.
     """
-    from .algebra import endomorphism_algebra
+    U, A = ctx.U, ctx.A
     f = A.field
-    notes: dict = {"resolution_cap": cap, "homological_bound": bound}
-    checks: list = []
-    try:
-        resolved = [proj_replacement(module_complex(S), cap) for S in summands]
-    except ResolutionCapError as e:
-        checks.append(CheckRecord("projective resolution terminates", False,
-                                  {"error": str(e)}))
-        notes["verdict"] = "inconclusive/not tilting"
-        notes["inconclusive"] = True
-        return VerificationReport("tilting-theorem", "module", checks, notes)
-    U_T = direct_sum_complexes([P for P, _ in resolved])
-    tck = is_tilting(U_T, max_steps)
-    checks.append(CheckRecord("resolved module is tilting", bool(tck),
-                              {"module_form": tck.module_form,
-                               "witness": list(tck.witness) if tck.witness else None,
-                               "inconclusive": tck.inconclusive}))
-    if not tck:
-        notes["verdict"] = "inconclusive/not tilting" if tck.inconclusive else "not tilting"
-        notes["inconclusive"] = tck.inconclusive
-        return VerificationReport("tilting-theorem", "module", checks, notes)
-    notes["verdict"] = "tilting"
-    notes["inconclusive"] = False
+    Z = Complex(A, {0: U.term(0), 1: U.term(1)}, {0: U.diff(0)},
+                validate=False).cohomology(0)
+    gh = hom_complex(U, module_complex(X))
+    classes = gh.subquotient(0).reps
+    rows = []
+    for rep in classes:
+        phi = gh.component_maps(0, rep).get(0, Matrix.zero(f, U.term(0).dim, X.dim))
+        rows.extend(phi.apply_row(z) for z in Z.sq.reps)
+    Q = Complex(A, {-1: direct_sum_modules(A, [Z] * len(classes)), 0: X},
+                {-1: Matrix(f, len(rows), X.dim, rows)}).cohomology(0)
+    proj = Matrix(f, X.dim, Q.dim,
+                  [Q.sq.reduce(e) for e in Matrix.identity(f, X.dim).rows])
+    tX = Complex(A, {0: X, 1: Q}, {0: proj}).cohomology(0)
+    return tX, Q
 
-    ED = endomorphism_algebra(A, list(summands))
-    E = ED.algebra
-    checks.append(CheckRecord("endomorphism algebra sits in degree 0", True,
-                              {"dim": E.dim, "idempotents": len(E.idempotents)}))
 
-    # the base algebra is exactly what commutes with the endomorphism action
-    Eop = opposite_algebra(E)
-    T = ED.T
-    T_over_Eop = Module(Eop, T.dim, ED.bimodule.left_action)
-    cen = hom_space(T_over_Eop, T_over_Eop)
-    span = RowSpace(f, T.dim * T.dim)
-    for a in range(A.dim):
-        span.add([x for r in T.action[a].rows for x in r])
-    faithful = span.dim == A.dim
-    covered = all(not span.add([x for r in h.mat.rows for x in r]) for h in cen)
+def verify_tilting_theorem(U: Complex, probes: dict, delta: VerificationReport,
+                           window, ctx: SiltingContext | None = None,
+                           extra_margin: int = 0) -> VerificationReport:
+    """The classical tilting theorem, read off the derived battery.
+
+    When U is a tilting complex whose cohomology T sits in degree 0, the
+    derived equivalence is Brenner and Butler's: End(T) sits in degree 0, the
+    base algebra is the double centralizer of T, and a module X with
+    Ext^j(T, X) = 0 for every j but one, i, comes back from Ext^i(T, X)
+    through Tor_i.  Each of these is a result the battery already holds: the
+    tilting flag of the silting report, the cohomology of the dg-end, the
+    derived double-centralizer report delta, and, per module probe, its
+    classification and roundtrip.  probes maps each module probe's name to
+    (module, classification, roundtrip report, or None when the probe does
+    not concentrate).  A probe in neither class is held to what the theorem
+    does promise, its canonical sequence 0 -> tX -> X -> X/tX -> 0: tX must
+    return in degree 0 and X/tX in degree 1.
+    """
+    win = _window(window)
+    ctx = ctx or SiltingContext(U)
+    srep = ctx.report
+    tilting = srep.tilting and srep.module_form
+    checks = [CheckRecord("complex is tilting with cohomology in degree 0", tilting,
+                          {"tilting": srep.tilting, "module_form": srep.module_form})]
+    notes = {"verdict": "tilting" if tilting else "not tilting",
+             "window": [win.lo, win.hi], "extra_margin": extra_margin}
+    if not tilting:
+        return VerificationReport("tilting-theorem", "module", checks, notes)
+    B = ctx.B
+    h_table = {n: B.h_dim(n) for n in B.degrees() if B.h_dim(n)}
+    checks.append(CheckRecord("endomorphism algebra sits in degree 0",
+                              set(h_table) <= {0}, {"h_table": h_table}))
     checks.append(CheckRecord("base algebra equals the double centralizer",
-                              faithful and covered and len(cen) == A.dim,
-                              {"centralizer_dim": len(cen), "algebra_dim": A.dim}))
-
-    eps0 = Matrix.block_diag(f, [eps.mat(0) for _, eps in resolved])
-    lifts = []
-    lift_fail = False
-    for t in range(E.dim):
-        lm = _endo_lift(U_T, eps0, ED.big_mats[t])
-        if lm is None:
-            lift_fail = True
-            break
-        lifts.append(lm)
-    checks.append(CheckRecord("endomorphisms lift to the resolution", not lift_fail, {}))
-    if lift_fail:
-        return VerificationReport("tilting-theorem", "module", checks, notes)
-
-    Tbc = bimodule_complex_from_bimodule(ED.bimodule)
-    probes = probes if probes is not None else probe_modules(A)
+                              delta.passed, dict(delta.checks[0].details)))
     for name in sorted(probes):
-        X = probes[name]
-        gh = hom_complex(U_T, module_complex(X))
-        ext_dims = {j: gh.h_dim(j) for j in range(bound + 1)}
-        support = [j for j, d in ext_dims.items() if d]
-        details: dict = {"ext_dims": {j: d for j, d in ext_dims.items() if d}}
-        if X.dim == 0 or len(support) != 1:
-            ok = X.dim == 0
-            details["class"] = None
-            checks.append(CheckRecord(f"probe {name} concentrates and returns", ok, details))
-            continue
-        i = support[0]
-        details["class"] = i
-        Y = _ext_module(gh, i, E, lifts)
-        try:
-            PY, _ = proj_replacement(module_complex(Y), cap)
-        except ResolutionCapError as e:
-            details["error"] = str(e)
-            checks.append(CheckRecord(f"probe {name} concentrates and returns",
-                                      False, details))
-            notes["inconclusive"] = True
-            continue
-        TorC = tensor_complex(PY, Tbc)
-        tor_dims = {j: TorC.h_dim(-j) for j in range(bound + 1)}
-        details["tor_dims"] = {j: d for j, d in tor_dims.items() if d}
-        tor_ok = all(d == 0 for j, d in tor_dims.items() if j != i) and tor_dims[i] > 0
-        Z = TorC.cohomology(-i)
-        dv_ok = Z.dimension_vector() == X.dimension_vector()
-        details["dimension_vector"] = list(X.dimension_vector())
-        iso = _find_iso(Z, X)
-        details["iso_found"] = iso is not None
-        ok = tor_ok and dv_ok and iso is not None
-        if i == 0:
-            # canonical check: evaluation of hom classes covers the probe
-            W, quot = tensor_over(Y, ED.bimodule)
-            stacked = []
-            for rep in Y.sq.reps:
-                phi0 = gh.component_maps(0, rep).get(0,
-                                                     Matrix.zero(f, U_T.term(0).dim, X.dim))
-                F = eps0.solve_matrix(phi0)
-                if F is None:
-                    ok = False
-                    break
-                stacked.extend(F.rows)
-            if stacked:
-                ev_rank = Matrix(f, len(stacked), X.dim, stacked).rank()
-                details["evaluation_rank"] = ev_rank
-                ok = ok and ev_rank == X.dim and W.dim == X.dim
-        checks.append(CheckRecord(f"probe {name} concentrates and returns", ok, details))
+        X, cls, roundtrip = probes[name]
+        details: dict = {"class": cls.index,
+                         "ext_dims": {j: d for j, d in cls.dims.items() if d}}
+        if cls.index is not None:
+            ok = X.dim == 0 or roundtrip.passed
+        else:
+            ok = True
+            for label, part, i in zip(("torsion", "torsion_free"),
+                                      _canonical_sequence(ctx, X), (0, 1)):
+                back = part.dim > 0 and verify_corollary_roundtrip(
+                    U, part, i, win, ctx, extra_margin,
+                    subject=f"{name} {label}").passed
+                details[label] = {"dimension_vector": list(part.dimension_vector()),
+                                  "class": classify_Xi(U, part, ctx).index,
+                                  "returns": back}
+                ok = ok and back
+        checks.append(CheckRecord(f"probe {name} returns", ok, details))
     return VerificationReport("tilting-theorem", "module", checks, notes)
 
 
@@ -910,7 +783,8 @@ def verify_all(U: Complex, window=(-4, 4), pair_degrees=(-2, 2), max_steps: int 
     since each instance is finite and carried by its probes; every report
     notes its window and margins so reruns with larger margins are directly
     comparable.  A given ctx must be the context of U; its report, built
-    with its own max_steps, is the first report's source.
+    with its own max_steps, is the first report's source.  A tilting U with
+    cohomology in degree 0 alone ends with the tilting-theorem report.
     """
     win = _window(window)
     pr = _window(pair_degrees)
@@ -929,7 +803,8 @@ def verify_all(U: Complex, window=(-4, 4), pair_degrees=(-2, 2), max_steps: int 
         return _scoped(reports)
     reports.append(verify_weak_nonpositive(U, ctx))
     reports.append(verify_E_iso(U, ctx))
-    reports.append(verify_delta(U, win, ctx, extra_margin))
+    delta = verify_delta(U, win, ctx, extra_margin)
+    reports.append(delta)
 
     cplx = probe_complexes(ctx.A, cap)
     cplx["silting"] = U
@@ -965,14 +840,20 @@ def verify_all(U: Complex, window=(-4, 4), pair_degrees=(-2, 2), max_steps: int 
                                        "degenerate": c.degenerate}))
     reports.append(VerificationReport("semiorthogonal-classification", "module probes",
                                       cls_checks, {"degree_bound": srep.n}))
+    roundtrips = {}
     for name in sorted(mods):
         c = classified[name]
         if c.index is not None and mods[name].dim:
-            reports.append(verify_corollary_roundtrip(U, mods[name], c.index, win,
-                                                      ctx, extra_margin, subject=name))
+            roundtrips[name] = verify_corollary_roundtrip(U, mods[name], c.index, win,
+                                                          ctx, extra_margin, subject=name)
+            reports.append(roundtrips[name])
     reports.append(functoriality_probe(U, win, ctx, extra_margin))
     if "free" in cplx:
         reports.append(naturality_probe(U, cplx["free"], U, win, ctx, extra_margin))
+    if srep.tilting and srep.module_form:
+        probes = {name: (mods[name], classified[name], roundtrips.get(name))
+                  for name in mods}
+        reports.append(verify_tilting_theorem(U, probes, delta, win, ctx, extra_margin))
     return _scoped(reports)
 
 

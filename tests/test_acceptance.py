@@ -9,6 +9,7 @@ module-level oracles in oracles.py or brute-force enumeration in conftest.py;
 time limits are asserted so performance regressions fail loudly.
 """
 
+import pathlib
 import random
 import time
 
@@ -17,6 +18,7 @@ import pytest
 from conftest import random_two_term
 from oracles import hom_dim
 from siltcheck.algebra import simple_module
+from siltcheck.cli import main
 from siltcheck.complexes import (ChainMap, ResolutionCapError, cone,
                                  hom_complex, is_acyclic, module_complex,
                                  proj_replacement, projective_complex,
@@ -26,10 +28,12 @@ from siltcheck.silting import (coresolve_A, goodify, presilting_witness,
                                radical_rows, silting_equivalent,
                                silting_report)
 from siltcheck.verifier import (SiltingContext, classify_Xi, probe_complexes,
-                                verify_corollary_roundtrip, verify_counit,
-                                verify_delta, verify_fully_faithful,
-                                verify_tilting_theorem)
+                                verify_all, verify_corollary_roundtrip,
+                                verify_counit, verify_delta,
+                                verify_fully_faithful)
 
+INSTANCE_DIR = pathlib.Path(__file__).resolve().parent.parent / "instances"
+FIX_DUAL = INSTANCE_DIR / "fix_dual.json"
 WINDOW = (-3, 3)
 PAIR_DEGREES = list(range(-2, 3))
 
@@ -250,18 +254,18 @@ def test_module_tilting_pipeline(A2, U_tilt, tilt_summands, indecs):
         assert c.index == expected
         assert verify_corollary_roundtrip(U_tilt, X, c.index, WINDOW, ctx,
                                           subject=name).passed
-    # the packaged check agrees: Ext and Tor transport every probe module
-    rep = verify_tilting_theorem(A2, tilt_summands)
+    # the battery reads the same results as the classical tilting theorem
+    rep = verify_all(U_tilt, window=WINDOW, ctx=ctx)[-1]
+    assert rep.kind == "tilting-theorem"
     assert rep.passed
     assert rep.notes["verdict"] == "tilting"
     by_name = {c.name: c for c in rep.checks}
     assert by_name["base algebra equals the double centralizer"].passed
     for probe in ("proj0", "proj1", "simple0", "simple1"):
-        c = by_name[f"probe {probe} concentrates and returns"]
+        c = by_name[f"probe {probe} returns"]
         assert c.passed
         assert c.details["class"] in (0, 1)
-        assert c.details["iso_found"] is True
-        assert list(c.details["tor_dims"]) == [c.details["class"]]
+        assert list(c.details["ext_dims"]) == [c.details["class"]]
     assert time.perf_counter() - start < 20.0
 
 
@@ -298,16 +302,16 @@ def test_windowed_results_are_stable_under_margin_enlargement(request, uname):
     assert time.perf_counter() - start < 60.0
 
 
-def test_tilting_pipeline_is_stable_under_cap_enlargement(A2, tilt_summands,
-                                                          indecs, U_tilt):
+def test_tilting_pipeline_is_stable_under_cap_enlargement(indecs, U_tilt):
     start = time.perf_counter()
-    base = _stable_details(verify_tilting_theorem(A2, tilt_summands, cap=16))
-    for extra in (1, 2, 3):
-        got = _stable_details(verify_tilting_theorem(A2, tilt_summands,
-                                                     cap=16 + extra))
-        assert got == base
-    # roundtrips keep their tables when the tensor margin grows
     ctx = SiltingContext(U_tilt)
+    base = _stable_details(verify_all(U_tilt, WINDOW, ctx=ctx, cap=16)[-1])
+    for extra in (1, 2, 3):
+        for enlarged in ({"cap": 16 + extra}, {"extra_margin": extra}):
+            rep = verify_all(U_tilt, WINDOW, ctx=ctx, **enlarged)[-1]
+            assert rep.kind == "tilting-theorem"
+            assert _stable_details(rep) == base
+    # roundtrips keep their tables when the tensor margin grows
     for name in sorted(indecs):
         c = classify_Xi(U_tilt, indecs[name], ctx)
         base_rt = _stable_details(verify_corollary_roundtrip(
@@ -333,14 +337,12 @@ def test_wrong_orientation_fails_with_a_concrete_witness(U_bad, indecs):
     assert srep.presilting_witness == w
 
 
-def test_infinite_resolution_is_rejected_not_silently_passed(dual_numbers):
+def test_infinite_resolution_is_rejected_not_silently_passed(dual_numbers, capsys):
     k = simple_module(dual_numbers, 0)
     # the resolution itself blows the cap
     with pytest.raises(ResolutionCapError):
         proj_replacement(module_complex(k), 16)
-    rep = verify_tilting_theorem(dual_numbers, [k], cap=16)
-    assert rep.notes["verdict"] == "inconclusive/not tilting"
-    assert rep.notes["inconclusive"] is True
-    assert not rep.passed
-    failed = [c for c in rep.checks if not c.passed]
-    assert failed and "cap" in failed[0].details["error"]
+    # and the command line reports the cap as inconclusive, never as a verdict
+    assert main(["verify", str(FIX_DUAL), "A"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "cap 16" in err

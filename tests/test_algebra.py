@@ -17,12 +17,10 @@ from siltcheck.algebra import (
     endomorphism_algebra,
     hom_coordinates,
     hom_space,
-    opposite_algebra,
     path_algebra,
     projective_module,
     regular_module,
     simple_module,
-    tensor_over,
 )
 from siltcheck.complexes import (direct_sum_complexes, projective_cache,
                                  projective_complex)
@@ -175,17 +173,7 @@ def test_module_validation_catches_bad_action():
         Module(A, 1, [Matrix.identity(Q, 1), Matrix.identity(Q, 1)])
 
 
-def test_opposite_algebra_involutive():
-    A = two_vertex_algebra(F101)
-    op = opposite_algebra(A)
-    opop = opposite_algebra(op)
-    assert opop.mult == A.mult
-    # sources and targets flip: paths out of vertex 1 become paths into it
-    P1op = projective_module(op, 0)
-    assert P1op.dim == 1
-
-
-# -- endomorphism algebras and tensor --------------------------------------
+# -- endomorphism algebras ------------------------------------------------
 
 
 def test_endomorphism_algebra_of_projective_generator():
@@ -223,23 +211,6 @@ def test_endomorphism_algebra_skips_zero_composites_into_empty_blocks():
     E = endomorphism_algebra(A, mods).algebra
     assert E.dim == 5 and len(E.idempotents) == 3
     E.validate()
-
-
-def test_tensor_unit_and_projective():
-    A = two_vertex_algebra()
-    P1, P2 = projective_module(A, 0), projective_module(A, 1)
-    end = endomorphism_algebra(A, [P1, P2])
-    E, T = end.algebra, end.bimodule
-    regE = regular_module(E)
-    ET, _ = tensor_over(regE, T)
-    assert ET.dim == T.dim == 3
-    assert ET.dimension_vector() == (1, 2)
-    Pe0 = projective_module(E, 0)
-    assert Pe0.dim == 2
-    M, _ = tensor_over(Pe0, T)
-    assert M.dim == 2
-    assert M.dimension_vector() == (1, 1)
-    assert len(hom_space(M, P1)) == 1 and len(hom_space(P1, M)) == 1
 
 
 def test_direct_sum_offsets():

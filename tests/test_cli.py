@@ -6,9 +6,13 @@ import pathlib
 
 import pytest
 
-from siltcheck.cli import main
-from siltcheck.instances import (InstanceError, instance_text, load_instance,
-                                 parse_instance)
+from siltcheck.algebra import Quiver, hom_space, path_algebra
+from siltcheck.cli import _SOFT_CHECKS, main
+from siltcheck.complexes import (direct_sum_complexes, projective_cache,
+                                 projective_complex)
+from siltcheck.fields import PrimeField
+from siltcheck.instances import (Instance, InstanceError, dump_instance,
+                                 instance_text, load_instance, parse_instance)
 
 INSTANCE_DIR = pathlib.Path(__file__).resolve().parent.parent / "instances"
 FIXTURE_FILES = sorted(INSTANCE_DIR.glob("*.json"))
@@ -244,6 +248,33 @@ def test_verify_module_form_adds_the_tilting_theorem(capsys):
     assert tt["notes"]["verdict"] == "tilting"
 
 
+def test_verify_passes_a_tilting_module_with_a_probe_in_neither_class(tmp_path,
+                                                                      capsys):
+    # T = P0 + P2 + S0 over kA_3 (0 -> 1 -> 2), with S0 resolved as P1 -> P0.
+    # P1 is neither generated by T nor free of maps from it; the theorem
+    # promises its canonical sequence 0 -> S2 -> P1 -> S1 -> 0, whose ends
+    # return in degrees 0 and 1
+    F = PrimeField(101)
+    quiver = Quiver(["0", "1", "2"], [("a", "0", "1"), ("b", "1", "2")])
+    A = path_algebra(quiver, F)
+    (f,) = hom_space(projective_cache(A, 1), projective_cache(A, 0))
+    T = direct_sum_complexes([projective_complex(A, {0: [0]}),
+                              projective_complex(A, {0: [2]}),
+                              projective_complex(A, {-1: [1], 0: [0]}, {-1: f.mat})])
+    path = tmp_path / "a3.json"
+    dump_instance(Instance("a3-mixed", F, quiver, [], A, {"T": T}, {}, {},
+                           {"window": [-1, 1], "pair_degrees": [-1, 1]}), path)
+    code, payload, _ = run_json(capsys, "verify", str(path), "T")
+    assert code == 0
+    (tt,) = [r for r in payload["reports"] if r["kind"] == "tilting-theorem"]
+    (probe,) = [c for c in tt["checks"] if c["name"] == "probe proj1 returns"]
+    assert probe["passed"]
+    assert probe["details"] == {
+        "class": None, "ext_dims": {"0": 1, "1": 1},
+        "torsion": {"dimension_vector": [0, 0, 1], "class": 0, "returns": True},
+        "torsion_free": {"dimension_vector": [0, 1, 0], "class": 1, "returns": True}}
+
+
 def test_verify_failure_and_report_aggregation(capsys):
     code, payload, _ = run_json(capsys, "verify", FIX_A2,
                                 "silt2-wrong-orientation")
@@ -312,6 +343,39 @@ def test_exit_codes_stay_in_contract(tmp_path, capsys):
     assert seen == {0, 1, 2, 3}
 
 
+def _carries_a_witness(command: str, payload: dict) -> bool:
+    """Whether a report holds a failed check that no bound explains."""
+    if command == "report":
+        if payload["verification"] is None:
+            return _carries_a_witness("check", payload["check"])
+        reports = payload["verification"]
+    elif command == "check":
+        return payload["witness"] is not None
+    else:
+        reports = payload["reports"]
+    return any(not c["passed"] and c["name"] not in _SOFT_CHECKS
+               and not c["details"].get("inconclusive")
+               for r in reports for c in r["checks"])
+
+
+@pytest.mark.parametrize("prime", [2, 3, 5])
+def test_small_characteristic_keeps_the_exit_code_contract(tmp_path, capsys, prime):
+    data = a2_data()
+    data["field"] = {"prime": prime}
+    path = tmp_path / f"fix_a2_f{prime}.json"
+    path.write_text(json.dumps(data))
+    for name in sorted(data["complexes"]):
+        for command in ("check", "verify", "report"):
+            code, out, err = run_cli(capsys, command, str(path), name)
+            assert code in (0, 1, 2, 3), (name, command)
+            if code == 1:
+                assert _carries_a_witness(command, json.loads(out)), (name, command)
+            if code == 3:
+                # unsupported input: a one-line diagnostic, no report
+                assert out == "" and err.startswith("siltcheck: ")
+                assert err.count("\n") == 1
+
+
 # -- caps and the one analysis per run ----------------------------------------
 
 
@@ -338,14 +402,21 @@ def test_semifree_cap_exits_2(capsys, monkeypatch):
     assert err == "siltcheck: resolution exceeded 7 generators\n"
 
 
-def _count_calls_on_loaded_complexes(monkeypatch):
-    """Wrap silting_report, coresolve_A and dg_end in every siltcheck module
-    that binds them; return per-name call counts on a loaded complex."""
+COUNTED = ("silting_report", "coresolve_A", "dg_end", "proj_replacement")
+
+
+def _count_calls(monkeypatch):
+    """Wrap the COUNTED functions in every siltcheck module that binds them.
+
+    Returns on(name), the per-function call counts on the loaded complex of
+    that name, and calls, the counts keyed by (function, complex) for every
+    complex the run touched.
+    """
     import types
 
     import siltcheck
     import siltcheck.cli
-    from siltcheck import dg, silting
+    from siltcheck import complexes, dg, silting
 
     loaded = []
     calls = {}
@@ -359,7 +430,8 @@ def _count_calls_on_loaded_complexes(monkeypatch):
     monkeypatch.setattr(siltcheck.cli, "load_instance", loading)
     namespaces = [siltcheck] + [m for m in vars(siltcheck).values()
                                 if isinstance(m, types.ModuleType)]
-    for fn in (silting.silting_report, silting.coresolve_A, dg.dg_end):
+    for fn in (silting.silting_report, silting.coresolve_A, dg.dg_end,
+               complexes.proj_replacement):
         def counted(U, *args, _fn=fn, **kwargs):
             key = (_fn.__name__, U)
             calls[key] = calls.get(key, 0) + 1
@@ -372,19 +444,42 @@ def _count_calls_on_loaded_complexes(monkeypatch):
     def on(name):
         (inst,) = loaded
         U = inst.complexes[name]
-        return {fn: calls.get((fn, U), 0)
-                for fn in ("silting_report", "coresolve_A", "dg_end")}
-    return on
+        return {fn: calls.get((fn, U), 0) for fn in COUNTED}
+    return on, calls
+
+
+def _totals(calls) -> dict:
+    out = dict.fromkeys(COUNTED, 0)
+    for (fn, _), n in calls.items():
+        out[fn] += n
+    return out
 
 
 @pytest.mark.parametrize("command,name", [("verify", "U-tilt"),
-                                          ("report", "U-silt2")])
+                                          ("report", "U-silt2"),
+                                          ("goodify", "U-tilt")])
 def test_one_run_analyses_the_input_complex_once(capsys, monkeypatch,
                                                  command, name):
-    on = _count_calls_on_loaded_complexes(monkeypatch)
+    on, calls = _count_calls(monkeypatch)
     code, _, _ = run_cli(capsys, command, FIX_A2, name)
     assert code == 0
     counts = on(name)
     assert counts["silting_report"] == 1
     assert counts["coresolve_A"] == 1
     assert counts["dg_end"] <= 2
+    # nor is any other complex, such as goodify's output, analysed twice
+    assert all(n == 1 for (fn, _), n in calls.items()
+               if fn in ("silting_report", "coresolve_A"))
+
+
+def test_verify_of_a_tilting_module_resolves_only_the_simple_probes(capsys,
+                                                                     monkeypatch):
+    # the tilting-theorem report reads the battery, so the run coresolves
+    # the input alone and resolves nothing but the two simple probes
+    _, calls = _count_calls(monkeypatch)
+    code, _, _ = run_cli(capsys, "verify", FIX_A2, "U-tilt")
+    assert code == 0
+    totals = _totals(calls)
+    assert totals["coresolve_A"] == 1
+    assert totals["proj_replacement"] == 2
+    assert totals["dg_end"] <= 2

@@ -13,11 +13,8 @@ import weakref
 import pytest
 
 from siltcheck.algebra import (
-    Bimodule,
     Module,
     Quiver,
-    direct_sum_modules,
-    endomorphism_algebra,
     hom_space,
     path_algebra,
     projective_module,
@@ -25,12 +22,10 @@ from siltcheck.algebra import (
     simple_module,
 )
 from siltcheck.complexes import (
-    BimoduleComplex,
     ChainMap,
     Complex,
     GradedHom,
     ResolutionCapError,
-    bimodule_complex_from_bimodule,
     cone,
     derived_hom_dim,
     direct_sum_complexes,
@@ -43,7 +38,6 @@ from siltcheck.complexes import (
     projective_cache,
     projective_complex,
     summand_projection_maps,
-    tensor_complex,
     zero_complex,
 )
 from siltcheck.fields import PrimeField
@@ -328,7 +322,7 @@ def test_support_bound(A2):
         assert derived_hom_dim(U, U, -i) == 0
 
 
-# -- direct sums and tensor ------------------------------------------------
+# -- direct sums -----------------------------------------------------------
 
 
 def test_summand_projections(A2):
@@ -346,40 +340,3 @@ def test_summand_projections(A2):
         for p in projs:
             acc = acc + p.mat(n)
         assert acc == Matrix.identity(F101, X.term(n).dim)
-
-
-def test_tensor_with_field_coefficients():
-    # E = k: the balanced tensor is the plain k-tensor, so the Euler
-    # characteristic is multiplicative
-    K = path_algebra(Quiver(["v"], []), F101)
-    A = path_algebra(Quiver(["1", "2"], [("a", "1", "2")]), F101)
-    kk = regular_module(K)
-    # bimodule complex: P1 -> P1 with zero differential, left action trivial
-    P1 = projective_module(A, 0)
-    T = Bimodule(K, A, P1.dim, [Matrix.identity(F101, P1.dim)], P1.action)
-    U = BimoduleComplex(K, A, {0: T, 1: T}, {})
-    chi_u = P1.dim - P1.dim  # degree 0 minus degree 1
-    rng = random.Random(41)
-    for _ in range(5):
-        dims = [rng.randint(0, 2) for _ in range(3)]
-        if not any(dims):
-            continue
-        terms = {i: direct_sum_modules(K, [kk] * d) for i, d in enumerate(dims) if d}
-        M = Complex(K, terms, {})
-        R = tensor_complex(M, U)
-        chi_m = sum((-1) ** (i % 2) * d for i, d in enumerate(dims))
-        assert R.total_dim() == sum(dims) * 2 * P1.dim
-        assert R.euler_char() == chi_m * chi_u
-
-
-def test_tensor_unit_law(A2):
-    # E (x)_E T is T componentwise
-    P1, P2 = projectives(A2)
-    end = endomorphism_algebra(A2, [P1, P2])
-    E = end.algebra
-    U = bimodule_complex_from_bimodule(end.bimodule)
-    M = module_complex(regular_module(E))
-    R = tensor_complex(M, U)
-    assert R.term(0).dim == end.bimodule.dim
-    assert R.h_dim(0) == end.bimodule.dim
-    assert R.term(0).dimension_vector() == end.T.dimension_vector()

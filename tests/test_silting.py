@@ -10,7 +10,7 @@ from siltcheck.complexes import (derived_hom_dim, direct_sum_complexes,
 from siltcheck.dg import dg_end
 from siltcheck.silting import (cone_les_dims_ok, coresolve_A,
                                coresolution_les_ok, goodify, hom_les_dims_ok,
-                               is_presilting, is_tilting, presilting_witness,
+                               is_presilting, presilting_witness,
                                radical_rows, silting_equivalent,
                                silting_report)
 
@@ -95,12 +95,13 @@ def test_two_term_report(silt2):
 
 
 def test_tilting_check_two_sided(tilt, silt2):
-    tc = is_tilting(silt2)
-    assert not tc and not tc.inconclusive
-    assert tc.witness == (-1, 1)
-    assert not tc.module_form
-    tc2 = is_tilting(tilt)
-    assert tc2 and tc2.module_form and tc2.witness is None
+    # silt2 is silting, but its self-extension in shift -1 keeps it from tilting
+    r = silting_report(silt2)
+    assert r.presilting and not r.tilting and not r.inconclusive
+    assert derived_hom_dim(silt2, silt2, -1) == 1
+    assert not r.module_form
+    r2 = silting_report(tilt)
+    assert r2.tilting and r2.module_form
 
 
 def test_wrong_orientation_fails_with_witness(wrong):

@@ -11,7 +11,10 @@ import pytest
 
 from oracles import ext1_dim, hom_dim
 from siltcheck.algebra import endomorphism_algebra, simple_module
-from siltcheck.complexes import derived_hom_dim, module_complex, zero_complex
+from siltcheck.complexes import (ResolutionCapError, derived_hom_dim,
+                                 direct_sum_complexes, module_complex,
+                                 proj_replacement, projective_complex,
+                                 zero_complex)
 from siltcheck.semifree import DegreeWindow, semifree_resolve
 from siltcheck.silting import radical_rows
 from siltcheck.verifier import (SemifreeHom, SiltingContext, classify_Xi,
@@ -202,14 +205,18 @@ def test_roundtrip_rejects_a_wrong_concentration_degree(U_tilt, ctx_tilt, indecs
     assert rep.checks[0].details["classified"] == 0
 
 
-def test_tilting_theorem_certifies_module_and_probes(A2, tilt_summands, indecs):
-    rep = verify_tilting_theorem(A2, tilt_summands)
+def test_tilting_theorem_certifies_module_and_probes(U_tilt, ctx_tilt, A2, tilt_summands,
+                                                    indecs):
+    rep = verify_all(U_tilt, window=WIN, ctx=ctx_tilt)[-1]
+    assert rep.kind == "tilting-theorem"
     assert rep.passed
     assert rep.notes["verdict"] == "tilting"
     checks = {c.name: c for c in rep.checks}
     assert checks["base algebra equals the double centralizer"].details == {
-        "centralizer_dim": A2.dim, "algebra_dim": A2.dim}
-    assert checks["endomorphism algebra sits in degree 0"].details["dim"] == 3
+        "span_rank": A2.dim, "algebra_dim": A2.dim, "h0_dim": A2.dim}
+    end_dim = sum(hom_dim(S, T) for S in tilt_summands for T in tilt_summands)
+    assert checks["endomorphism algebra sits in degree 0"].details == {
+        "h_table": {0: end_dim}}
 
     S2 = simple_module(A2, 1)
     targets = {"proj0": indecs["P1"], "proj1": indecs["P2"],
@@ -217,29 +224,35 @@ def test_tilting_theorem_certifies_module_and_probes(A2, tilt_summands, indecs):
     for name, X in targets.items():
         hom = sum(hom_dim(S, X) for S in tilt_summands)
         ext = sum(ext1_dim(S, X) for S in tilt_summands)
-        det = checks[f"probe {name} concentrates and returns"].details
+        det = checks[f"probe {name} returns"].details
         expected_class = 0 if ext == 0 else 1
         assert det["class"] == expected_class, name
         assert det["ext_dims"] == {expected_class: hom or ext}
-        assert det["dimension_vector"] == list(X.dimension_vector())
-        assert det["iso_found"]
 
 
-def test_tilting_theorem_flags_a_genuine_failure(A2, indecs):
+def test_tilting_theorem_flags_a_genuine_failure(A2, indecs, P2c, s1res, U_silt2,
+                                                 ctx_silt2):
+    # P2 + S1 is not even presilting: the battery stops at the silting gate
     assert ext1_dim(indecs["S1"], indecs["P2"]) == 1
-    rep = verify_tilting_theorem(A2, [indecs["P2"], indecs["S1"]])
+    reps = verify_all(direct_sum_complexes([P2c, s1res]), window=WIN)
+    assert [r.kind for r in reps] == ["silting"]
+    assert not reps[0].passed
+    assert reps[0].checks[0].details["witness"] == [1, 1]
+    # a silting complex that is not tilting fails the theorem's own gate
+    delta = verify_delta(U_silt2, WIN, ctx_silt2)
+    rep = verify_tilting_theorem(U_silt2, {}, delta, WIN, ctx_silt2)
     assert not rep.passed
     assert rep.notes["verdict"] == "not tilting"
-    assert rep.notes["inconclusive"] is False
+    assert rep.checks[0].details == {"tilting": False, "module_form": False}
 
 
 def test_unresolvable_module_is_inconclusive_never_silent(dual_numbers):
     S = simple_module(dual_numbers, 0)
-    rep = verify_tilting_theorem(dual_numbers, [S], cap=8)
-    assert not rep.passed
-    assert rep.notes["verdict"] == "inconclusive/not tilting"
-    assert rep.notes["inconclusive"] is True
-    assert "cap" in rep.checks[0].details["error"]
+    with pytest.raises(ResolutionCapError, match="cap 8"):
+        proj_replacement(module_complex(S), 8)
+    # the battery meets the same cap on its simple probe and stops there
+    with pytest.raises(ResolutionCapError):
+        verify_all(projective_complex(dual_numbers, {0: [0]}), window=WIN, cap=8)
 
 
 def test_wrong_orientation_fails_with_a_concrete_witness(U_bad, indecs):
