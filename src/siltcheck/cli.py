@@ -15,12 +15,12 @@ import json
 import sys
 
 from .complexes import ResolutionCapError
-from .instances import (Instance, InstanceError, encode_complex,
-                        instance_text, load_instance, serialize_instance)
+from .instances import (Instance, InstanceError, instance_text,
+                        load_instance, serialize_instance)
 from .semifree import SemifreeCapError
 from .silting import (SiltingReport, SmallCharacteristicError, goodify,
                       silting_equivalent, silting_report)
-from .verifier import SiltingContext, verify_all
+from .verifier import SiltingContext, UnknownProbeError, verify_all
 
 SCHEMA = 1
 
@@ -166,18 +166,7 @@ def cmd_goodify(inst: Instance, args) -> int:
     return 0
 
 
-def _verification_reports(inst: Instance, ctx: SiltingContext, eff: dict) -> list:
-    if eff["probes"] is not None:
-        A = inst.algebra
-        known = {"free", "silting"}
-        for v in range(len(A.idempotents)):
-            known.add(f"proj{v}")
-            if A.path_info is not None:
-                known.add(f"simple{v}")
-        unknown = set(eff["probes"]) - known
-        if unknown:
-            raise UsageError(f"unknown probes {sorted(unknown)}; "
-                             f"available: {sorted(known)}")
+def _verification_reports(ctx: SiltingContext, eff: dict) -> list:
     return verify_all(ctx.U, window=eff["window"],
                       pair_degrees=eff["pair_degrees"],
                       max_steps=eff["max_steps"],
@@ -207,7 +196,7 @@ def _verdict_code(reports: list) -> tuple[str, int]:
 def cmd_verify(inst: Instance, args) -> int:
     eff = _effective(inst, args)
     ctx = SiltingContext(_pick_complex(inst, args.object), eff["max_steps"])
-    reports = _verification_reports(inst, ctx, eff)
+    reports = _verification_reports(ctx, eff)
     verdict, code = _verdict_code(reports)
     payload = {"schema": SCHEMA, "command": "verify",
                "instance": inst.name, "object": args.object,
@@ -225,7 +214,7 @@ def cmd_report(inst: Instance, args) -> int:
                "instance": inst.name, "object": args.object,
                "effective": _echo(eff), "check": check_payload}
     if check_code == 0:
-        reports = _verification_reports(inst, ctx, eff)
+        reports = _verification_reports(ctx, eff)
         verdict, verify_code = _verdict_code(reports)
         payload["verification"] = [r.as_dict() for r in reports]
         payload["verdict"] = verdict
@@ -277,7 +266,8 @@ def main(argv=None) -> int:
     try:
         inst = load_instance(args.instance)
         return args.fn(inst, args)
-    except (InstanceError, UsageError, SmallCharacteristicError) as e:
+    except (InstanceError, UsageError, UnknownProbeError,
+            SmallCharacteristicError) as e:
         sys.stderr.write(f"siltcheck: {e}\n")
         return 3
     except (ResolutionCapError, SemifreeCapError) as e:

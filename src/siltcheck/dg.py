@@ -15,7 +15,7 @@ the constructor re-checks on every basis pair.
 from __future__ import annotations
 
 from .algebra import Algebra, Module
-from .complexes import Complex, GradedHom, hom_complex
+from .complexes import Complex, hom_complex, summand_projection_maps
 from .linalg import Matrix, RowSpace, Subquotient, subquotient_from_maps
 
 
@@ -42,28 +42,21 @@ def _sample(items: list) -> list:
     return items[::step]
 
 
-class DgAlgebra:
-    """Graded algebra with square-zero degree +1 differential.
+class _Graded:
+    """Degreewise dimensions and a degree +1 differential, with cohomology.
 
-    dims: degree -> basis size; mult[(m, n)][i][j]: coordinates of the product
-    of the i-th degree-m and j-th degree-n basis elements; diff[n]: matrix of
-    d: B^n -> B^{n+1} in row convention; unit: coordinates in degree 0.
+    dims: degree -> basis size (zero entries dropped); diff[n]: matrix of
+    d: X^n -> X^{n+1} in row convention (zero matrices dropped).
     """
 
-    def __init__(self, field, dims: dict, mult: dict, diff: dict, unit,
-                 labels: dict | None = None, validate: bool = True):
+    def __init__(self, field, dims: dict, diff: dict):
         self.field = field
         self.dims = {n: d for n, d in dims.items() if d > 0}
         degrees = sorted(self.dims)
         self.lo = degrees[0] if degrees else 0
         self.hi = degrees[-1] if degrees else -1
-        self.mult = mult
         self.diffs = {n: m for n, m in diff.items() if not m.is_zero()}
-        self.unit = tuple(unit)
-        self.labels = labels or {}
         self._sq = {}
-        if validate:
-            self.validate()
 
     def dim(self, n: int) -> int:
         return self.dims.get(n, 0)
@@ -76,6 +69,45 @@ class DgAlgebra:
         if d is not None:
             return d
         return Matrix.zero(self.field, self.dim(n), self.dim(n + 1))
+
+    def apply_diff(self, n: int, u):
+        return self.diff(n).apply_row(u)
+
+    def basis_vector(self, n: int, i: int):
+        f = self.field
+        return tuple(f.one if k == i else f.zero for k in range(self.dim(n)))
+
+    def subquotient(self, n: int) -> Subquotient:
+        if n not in self._sq:
+            self._sq[n] = subquotient_from_maps(self.diff(n - 1), self.diff(n),
+                                                self.field, self.dim(n))
+        return self._sq[n]
+
+    def h_dim(self, n: int) -> int:
+        return len(self.subquotient(n).reps)
+
+    def h_table(self) -> dict:
+        return {n: self.h_dim(n) for n in self.degrees() if self.h_dim(n)}
+
+    def dim_table(self) -> dict:
+        return dict(self.dims)
+
+
+class DgAlgebra(_Graded):
+    """Graded algebra with square-zero degree +1 differential.
+
+    mult[(m, n)][i][j]: coordinates of the product of the i-th degree-m and
+    j-th degree-n basis elements; unit: coordinates in degree 0.
+    """
+
+    def __init__(self, field, dims: dict, mult: dict, diff: dict, unit,
+                 labels: dict | None = None, validate: bool = True):
+        super().__init__(field, dims, diff)
+        self.mult = mult
+        self.unit = tuple(unit)
+        self.labels = labels or {}
+        if validate:
+            self.validate()
 
     def product(self, m: int, u, n: int, v):
         """Coordinates of (deg-m element u) * (deg-n element v) in degree m+n."""
@@ -92,28 +124,6 @@ class DgAlgebra:
                     continue
                 out = _add(f, out, _scale(f, f.mul(a, b), table[i][j]))
         return out
-
-    def basis_vector(self, n: int, i: int):
-        f = self.field
-        return tuple(f.one if k == i else f.zero for k in range(self.dim(n)))
-
-    def apply_diff(self, n: int, u):
-        return self.diff(n).apply_row(u)
-
-    def subquotient(self, n: int) -> Subquotient:
-        if n not in self._sq:
-            self._sq[n] = subquotient_from_maps(self.diff(n - 1), self.diff(n),
-                                                self.field, self.dim(n))
-        return self._sq[n]
-
-    def h_dim(self, n: int) -> int:
-        return len(self.subquotient(n).reps)
-
-    def h_table(self) -> dict:
-        return {n: self.h_dim(n) for n in self.degrees() if self.h_dim(n)}
-
-    def dim_table(self) -> dict:
-        return dict(self.dims)
 
     def is_nonpositive(self) -> bool:
         return self.hi <= 0
@@ -164,7 +174,7 @@ class DgAlgebra:
                             f"associativity fails on degrees ({m}, {n}, {p})")
 
 
-class DgModule:
+class DgModule(_Graded):
     """Graded module over a DgAlgebra, right or left.
 
     For side "right", action[(m, n)][i][j] holds the coordinates of
@@ -177,36 +187,12 @@ class DgModule:
                  diff: dict, validate: bool = True):
         if side not in ("right", "left"):
             raise ValueError("side must be 'right' or 'left'")
+        super().__init__(algebra.field, dims, diff)
         self.algebra = algebra
         self.side = side
-        self.dims = {n: d for n, d in dims.items() if d > 0}
-        degrees = sorted(self.dims)
-        self.lo = degrees[0] if degrees else 0
-        self.hi = degrees[-1] if degrees else -1
         self.action = action
-        self.diffs = {n: m for n, m in diff.items() if not m.is_zero()}
-        self._sq = {}
         if validate:
             self.validate()
-
-    def dim(self, n: int) -> int:
-        return self.dims.get(n, 0)
-
-    def degrees(self):
-        return range(self.lo, self.hi + 1)
-
-    def diff(self, n: int) -> Matrix:
-        d = self.diffs.get(n)
-        if d is not None:
-            return d
-        return Matrix.zero(self.algebra.field, self.dim(n), self.dim(n + 1))
-
-    def apply_diff(self, n: int, u):
-        return self.diff(n).apply_row(u)
-
-    def basis_vector(self, n: int, i: int):
-        f = self.algebra.field
-        return tuple(f.one if k == i else f.zero for k in range(self.dim(n)))
 
     def act(self, m: int, x, n: int, a):
         """Right: x*a for x in M^m, a in B^n.  Left: a*x for a in B^m, x in M^n."""
@@ -223,21 +209,6 @@ class DgModule:
                     continue
                 out = _add(f, out, _scale(f, f.mul(c, e), table[i][j]))
         return out
-
-    def subquotient(self, n: int) -> Subquotient:
-        if n not in self._sq:
-            self._sq[n] = subquotient_from_maps(self.diff(n - 1), self.diff(n),
-                                                self.algebra.field, self.dim(n))
-        return self._sq[n]
-
-    def h_dim(self, n: int) -> int:
-        return len(self.subquotient(n).reps)
-
-    def h_table(self) -> dict:
-        return {n: self.h_dim(n) for n in self.degrees() if self.h_dim(n)}
-
-    def dim_table(self) -> dict:
-        return dict(self.dims)
 
     def validate(self):
         B = self.algebra
@@ -300,35 +271,44 @@ class DgModule:
 # -- dg-end and hom modules ------------------------------------------------
 
 
+def _composition_tables(gh, ghB) -> dict:
+    """Products of hom-complex bases: [(m, n)][i][j] holds the coordinates in
+    gh of x . b, "apply b, then x", for the i-th basis element x of gh^m and
+    the j-th basis element b of ghB^n, where ghB = Hom(U, U)."""
+    f = gh.field
+    tables = {}
+    for m in range(gh.lo, gh.hi + 1):
+        for n in range(ghB.lo, ghB.hi + 1):
+            if not gh.dim(m) or not ghB.dim(n) or not gh.dim(m + n):
+                continue
+            table = []
+            for (sx, hx) in gh.basis[m]:
+                row = []
+                for (sb, hb) in ghB.basis[n]:
+                    if sx != n + sb:
+                        row.append(_zero(f, gh.dim(m + n)))
+                        continue
+                    coords = gh.coords_of(m + n, {sb: hb.mat @ hx.mat})
+                    if coords is None:
+                        raise AssertionError("composite escaped the hom basis")
+                    row.append(coords)
+                table.append(row)
+            tables[(m, n)] = table
+    return tables
+
+
 def dg_end(U: Complex) -> DgAlgebra:
     """The endomorphism dg-algebra of a complex of projectives.
 
-    Carries .gh (the underlying hom complex of U with itself) and .complex.
+    Carries .gh (the underlying hom complex of U with itself) and .complex;
+    end_h0 keeps its H^0 algebra on it.
     """
     if not U.is_projective_complex():
         raise ValueError("dg_end needs a complex of projectives")
     gh = hom_complex(U, U)
     f = U.algebra.field
     dims = {n: gh.dim(n) for n in range(gh.lo, gh.hi + 1)}
-    mult = {}
-    for m in range(gh.lo, gh.hi + 1):
-        for n in range(gh.lo, gh.hi + 1):
-            if not dims.get(m) or not dims.get(n) or not dims.get(m + n):
-                continue
-            table = []
-            for (sa, ha) in gh.basis[m]:
-                row = []
-                for (sb, hb) in gh.basis[n]:
-                    if sa != n + sb:
-                        row.append(_zero(f, dims[m + n]))
-                        continue
-                    comp = hb.mat @ ha.mat  # apply b first, then a
-                    coords = gh.coords_of(m + n, {sb: comp})
-                    if coords is None:
-                        raise AssertionError("composite escaped the hom basis")
-                    row.append(coords)
-                table.append(row)
-            mult[(m, n)] = table
+    mult = _composition_tables(gh, gh)
     diffs = {n: gh.diff(n) for n in range(gh.lo, gh.hi + 1)}
     ident = {i: Matrix.identity(f, U.term(i).dim) for i in U.degrees() if U.term(i).dim}
     unit = gh.coords_of(0, ident)
@@ -337,6 +317,7 @@ def dg_end(U: Complex) -> DgAlgebra:
     B = DgAlgebra(f, dims, mult, diffs, unit)
     B.gh = gh
     B.complex = U
+    B._h0 = None
     return B
 
 
@@ -347,31 +328,10 @@ def dg_hom_module(U: Complex, X: Complex, B: DgAlgebra | None = None) -> DgModul
     """
     if B is None:
         B = dg_end(U)
-    ghB = B.gh
     gh = hom_complex(U, X)
-    f = U.algebra.field
     dims = {n: gh.dim(n) for n in range(gh.lo, gh.hi + 1)}
-    action = {}
-    for m in range(gh.lo, gh.hi + 1):
-        for n in ghB.basis:
-            if not dims.get(m) or not ghB.dim(n) or not dims.get(m + n):
-                continue
-            table = []
-            for (sx, hx) in gh.basis[m]:
-                row = []
-                for (sb, hb) in ghB.basis[n]:
-                    if sx != n + sb:
-                        row.append(_zero(f, dims[m + n]))
-                        continue
-                    comp = hb.mat @ hx.mat
-                    coords = gh.coords_of(m + n, {sb: comp})
-                    if coords is None:
-                        raise AssertionError("composite escaped the hom basis")
-                    row.append(coords)
-                table.append(row)
-            action[(m, n)] = table
     diffs = {n: gh.diff(n) for n in range(gh.lo, gh.hi + 1)}
-    M = DgModule(B, "right", dims, action, diffs)
+    M = DgModule(B, "right", dims, _composition_tables(gh, B.gh), diffs)
     M.gh = gh
     return M
 
@@ -495,6 +455,27 @@ def h0_algebra(B: DgAlgebra, idempotent_cocycles=None) -> Algebra:
     return alg
 
 
+def end_h0(B: DgAlgebra) -> Algebra:
+    """H^0 of B = dg_end(U) as an ordinary algebra, built once per B.
+
+    The idempotents are the classes of the summand projections of U when U
+    carries direct-sum data, the unit class alone otherwise.
+    """
+    if B._h0 is None:
+        U = B.complex
+        idem = None
+        if hasattr(U, "summands"):
+            idem = []
+            for pm in summand_projection_maps(U):
+                v = B.gh.coords_of(0, {n: pm.mat(n) for n in U.degrees()
+                                       if not pm.mat(n).is_zero()})
+                if v is None:
+                    raise AssertionError("summand projection escaped the hom basis")
+                idem.append(v)
+        B._h0 = h0_algebra(B, idem)
+    return B._h0
+
+
 def h0_module(M: DgModule, E: Algebra) -> Module:
     """H^0 of a right dg-module as an ordinary module over h0_algebra output E."""
     f = M.algebra.field
@@ -515,43 +496,6 @@ def h0_module(M: DgModule, E: Algebra) -> Module:
 # -- truncation, opposite, side swap, restriction --------------------------
 
 
-def _truncation(X, field):
-    """The non-positive truncation of a dg-algebra or right dg-module X.
-
-    Degree 0 becomes ker d^0 and positive degrees die.  Returns the degree
-    dims, the per-degree inclusion matrices into X, the truncated
-    differentials, and restrict(vec, n), the coordinates in the truncation
-    of a degree-n element of X that lies in it.
-    """
-    ker_rows = [tuple(r) for r in X.diff(0).row_kernel_rows()]
-    kmat = Matrix(field, len(ker_rows), X.dim(0), ker_rows)
-    dims = {n: X.dim(n) for n in X.degrees() if n < 0}
-    if ker_rows:
-        dims[0] = len(ker_rows)
-    embed = {n: Matrix.identity(field, X.dim(n)) for n in X.degrees() if n < 0}
-    embed[0] = kmat
-
-    def restrict(vec, n):
-        if n < 0:
-            return tuple(vec)
-        if n == 0:
-            sol = kmat.solve_left_rows(vec)
-            if sol is None:
-                raise AssertionError("element is not a degree-0 cocycle")
-            return sol
-        if any(c != field.zero for c in vec):
-            raise AssertionError("positive-degree element in truncation")
-        return ()
-
-    diffs = {}
-    for n in sorted(dims):
-        if n + 1 > 0 or not dims.get(n + 1):
-            continue
-        rows = [restrict(X.apply_diff(n, embed[n].rows[i]), n + 1) for i in range(dims[n])]
-        diffs[n] = Matrix(field, dims[n], dims[n + 1], rows)
-    return dims, embed, diffs, restrict
-
-
 def smart_truncate(B: DgAlgebra) -> DgAlgebra:
     """Non-positive truncation: degree 0 becomes ker d^0, positive degrees die.
 
@@ -560,7 +504,33 @@ def smart_truncate(B: DgAlgebra) -> DgAlgebra:
     isomorphisms for n <= 0.
     """
     f = B.field
-    dims, embed, diffs, restrict = _truncation(B, f)
+    ker_rows = [tuple(r) for r in B.diff(0).row_kernel_rows()]
+    kmat = Matrix(f, len(ker_rows), B.dim(0), ker_rows)
+    dims = {n: B.dim(n) for n in B.degrees() if n < 0}
+    if ker_rows:
+        dims[0] = len(ker_rows)
+    embed = {n: Matrix.identity(f, B.dim(n)) for n in B.degrees() if n < 0}
+    embed[0] = kmat
+
+    def restrict(vec, n):
+        """Coordinates in the truncation of a degree-n element of B lying in it."""
+        if n < 0:
+            return tuple(vec)
+        if n == 0:
+            sol = kmat.solve_left_rows(vec)
+            if sol is None:
+                raise AssertionError("element is not a degree-0 cocycle")
+            return sol
+        if any(c != f.zero for c in vec):
+            raise AssertionError("positive-degree element in truncation")
+        return ()
+
+    diffs = {}
+    for n in sorted(dims):
+        if n + 1 > 0 or not dims.get(n + 1):
+            continue
+        rows = [restrict(B.apply_diff(n, embed[n].rows[i]), n + 1) for i in range(dims[n])]
+        diffs[n] = Matrix(f, dims[n], dims[n + 1], rows)
     mult = {}
     for m in sorted(dims):
         for n in sorted(dims):
@@ -620,35 +590,19 @@ def side_swap(M: DgModule, Bop: DgAlgebra) -> DgModule:
 
 def restrict_scalars(M: DgModule, C: DgAlgebra) -> DgModule:
     """Restrict a dg-module, right or left, along the truncation inclusion C -> B."""
-    f = M.algebra.field
+    def basis(X, n):
+        if X is C:
+            return C.embed[n].rows
+        return [M.basis_vector(n, i) for i in range(M.dim(n))]
+
+    # the factors in their order as elements: x*a for right, a*x for left
+    first, second = (M, C) if M.side == "right" else (C, M)
     action = {}
-    if M.side == "right":
-        for m in M.degrees():
-            for n in C.degrees():
-                if not M.dim(m) or not C.dim(n) or not M.dim(m + n):
-                    continue
-                table = []
-                for i in range(M.dim(m)):
-                    x = M.basis_vector(m, i)
-                    row = []
-                    for j in range(C.dim(n)):
-                        a = C.embed[n].rows[j]
-                        row.append(M.act(m, x, n, a))
-                    table.append(row)
-                action[(m, n)] = table
-    else:
-        for m in C.degrees():
-            for n in M.degrees():
-                if not C.dim(m) or not M.dim(n) or not M.dim(m + n):
-                    continue
-                table = []
-                for i in range(C.dim(m)):
-                    a = C.embed[m].rows[i]
-                    row = []
-                    for j in range(M.dim(n)):
-                        row.append(M.act(m, a, n, M.basis_vector(n, j)))
-                    table.append(row)
-                action[(m, n)] = table
+    for m in first.degrees():
+        for n in second.degrees():
+            if first.dim(m) and second.dim(n) and M.dim(m + n):
+                action[(m, n)] = [[M.act(m, u, n, v) for v in basis(second, n)]
+                                  for u in basis(first, m)]
     out = DgModule(C, M.side, dict(M.dims), action, dict(M.diffs))
     out.ambient_module = M
     if hasattr(M, "complex"):
@@ -657,32 +611,3 @@ def restrict_scalars(M: DgModule, C: DgAlgebra) -> DgModule:
         out.gh = M.gh
     return out
 
-
-def smart_truncate_module(M: DgModule) -> DgModule:
-    """Non-positive truncation of a right dg-module over a non-positive dg-algebra.
-
-    Degree 0 becomes ker d^0, positive degrees die; carries .embed matrices.
-    """
-    if M.side != "right":
-        raise ValueError("smart_truncate_module expects a right module")
-    if not M.algebra.is_nonpositive():
-        raise ValueError("base dg-algebra must be non-positive")
-    dims, embed, diffs, restrict = _truncation(M, M.algebra.field)
-    action = {}
-    for m in sorted(dims):
-        for n in M.algebra.degrees():
-            if m + n > 0 or not dims.get(m) or not M.algebra.dim(n) or not dims.get(m + n):
-                continue
-            table = []
-            for i in range(dims[m]):
-                x = embed[m].rows[i]
-                row = []
-                for j in range(M.algebra.dim(n)):
-                    a = M.algebra.basis_vector(n, j)
-                    row.append(restrict(M.act(m, x, n, a), m + n))
-                table.append(row)
-            action[(m, n)] = table
-    out = DgModule(M.algebra, "right", dims, action, diffs)
-    out.embed = embed
-    out.ambient_module = M
-    return out

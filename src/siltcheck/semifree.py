@@ -7,7 +7,10 @@ degree the surviving cocycle classes of the augmentation cone are killed by
 adjoining fresh free generators, which over a non-positive base cannot disturb
 any higher degree.  A cutoff bounds how far down the construction digs; the
 derived functors pick their cutoff from the requested window with one spare
-degree so that cohomology at the window edge is already exact.
+degree so that cohomology at the window edge is already exact.  Since each
+degree's generators depend only on those above it, one resolution answers
+for every cutoff: to_cutoff reads a shallower one off its generators and
+continues the same construction for a deeper one.
 
 Freeness also makes maps out of a semifree module easy to write down: a map
 is its list of values on the generators.  SemifreeHom is the hom complex out
@@ -55,10 +58,12 @@ class SemifreeModule:
     with k2 < k and gens[k2] = gens[k] + 1 - (degree of basis b2) > gens[k];
     gen_augs[k] is the augmentation value in target^{gens[k]}.  Generators
     are only ever added through add_generator, which drops the per-degree
-    matrices kept by diff_matrix, aug_matrix and lift_system.
+    matrices kept by diff_matrix, aug_matrix and lift_system.  cutoff is the
+    lowest degree the construction has reached, or None for the regular
+    module, which resolves itself in every degree.
     """
 
-    def __init__(self, algebra: DgAlgebra, target: DgModule, cutoff: int):
+    def __init__(self, algebra: DgAlgebra, target: DgModule, cutoff: int | None):
         self.algebra = algebra
         self.target = target
         self.cutoff = cutoff
@@ -72,6 +77,21 @@ class SemifreeModule:
         self.gen_diffs.append(diff)
         self.gen_augs.append(aug)
         self._matrices.clear()
+
+    def to_cutoff(self, cutoff: int) -> "SemifreeModule":
+        """What semifree_resolve(self.target, cutoff) returns, built from self.
+
+        A new module holding the generators of degree >= cutoff; below
+        self.cutoff the construction carries on down to the new cutoff.
+        self is left as it is, so modules built on it stay valid.
+        """
+        if self.cutoff is None:
+            return self
+        Q = SemifreeModule(self.algebra, self.target, cutoff)
+        for k, g in enumerate(self.gens):
+            if g >= cutoff:
+                Q.add_generator(g, self.gen_diffs[k], self.gen_augs[k])
+        return _kill_cone(Q, self.cutoff - 1)
 
     def _memo(self, kind: str, n: int, build) -> Matrix:
         key = (kind, n)
@@ -252,12 +272,19 @@ def semifree_resolve(M: DgModule, cutoff: int, cap: int = 4096) -> SemifreeModul
     C = M.algebra
     if not C.is_nonpositive():
         raise ValueError("base dg-algebra has a positive-degree component")
-    f = C.field
-    P = SemifreeModule(C, M, cutoff)
     if _is_regular(M):
+        P = SemifreeModule(C, M, None)
         P.add_generator(0, {}, tuple(C.unit))
         return P
-    for n in range(M.hi, cutoff - 1, -1):
+    return _kill_cone(SemifreeModule(C, M, cutoff), M.hi, cap)
+
+
+def _kill_cone(P: SemifreeModule, top: int, cap: int = 4096) -> SemifreeModule:
+    """Add generators to P from degree top (or the top of its target) down to
+    P.cutoff, each degree killing the cone's cohomology there; returns P."""
+    M, C = P.target, P.algebra
+    f = C.field
+    for n in range(min(top, M.hi), P.cutoff - 1, -1):
         sq = P.cone_subquotient(n)
         if not sq.reps:
             continue
@@ -429,6 +456,19 @@ def lift_to_resolution(P: SemifreeModule, Q: SemifreeModule, targets) -> list | 
 
 
 # -- derived functors -------------------------------------------------------
+#
+# Each functor resolves one degree deeper than its window needs, so that
+# cohomology at the window edge is already exact.
+
+
+def hom_cutoff(N: DgModule, window: DegreeWindow, extra_margin: int = 0) -> int:
+    """Resolution cutoff for Hom over the base into N inside the window."""
+    return N.lo - (window.hi + 1) - extra_margin
+
+
+def tensor_cutoff(U: DgModule, window: DegreeWindow, extra_margin: int = 0) -> int:
+    """Resolution cutoff for tensoring with U inside the window."""
+    return (window.lo - 1) - U.hi - extra_margin
 
 
 def derived_tensor(M: DgModule, U: DgModule, window: DegreeWindow,
@@ -436,21 +476,25 @@ def derived_tensor(M: DgModule, U: DgModule, window: DegreeWindow,
     """P (x)_B U for a semifree resolution P of M, exact inside the window.
 
     U must be a left dg-module carrying .complex (terms over the base ring A);
-    the cutoff is (window.lo - 1) - u_hi - extra_margin, one degree deeper than
-    the window needs so edge cohomology is exact.  The result carries
-    .resolution and per-degree .block_layout mapping generators to offsets.
+    the cutoff is tensor_cutoff.  See resolution_tensor for the result.
     """
     if M.side != "right" or U.side != "left":
         raise ValueError("derived_tensor needs a right module and a left module")
+    if not U.dims:
+        return zero_complex(U.complex.algebra)
+    P = semifree_resolve(M, tensor_cutoff(U, window, extra_margin), cap=cap)
+    return resolution_tensor(P, U)
+
+
+def resolution_tensor(P: SemifreeModule, U: DgModule) -> Complex:
+    """P (x)_B U for a semifree module P and a left dg-module U with .complex.
+
+    The result carries .resolution = P and per-degree .block_layout mapping
+    generators to offsets; with no generators or no U it is the zero complex.
+    """
     A = U.complex.algebra
     f = A.field
-    u_degs = [n for n in U.degrees() if U.dim(n)]
-    if not u_degs:
-        return zero_complex(A)
-    u_hi = max(u_degs)
-    cutoff = (window.lo - 1) - u_hi - extra_margin
-    P = semifree_resolve(M, cutoff, cap=cap)
-    if not P.gens:
+    if not U.dims or not P.gens:
         return zero_complex(A)
 
     def blocks(n):
@@ -461,8 +505,8 @@ def derived_tensor(M: DgModule, U: DgModule, window: DegreeWindow,
                 out.append((k, n - g, d))
         return out
 
-    lo = min(P.gens) + min(u_degs)
-    hi = max(P.gens) + u_hi
+    lo = min(P.gens) + U.lo
+    hi = max(P.gens) + U.hi
     terms, layouts = {}, {}
     for n in range(lo, hi + 1):
         bl = blocks(n)
@@ -499,7 +543,7 @@ def derived_tensor(M: DgModule, U: DgModule, window: DegreeWindow,
                 if k2 not in offs:
                     continue
                 cdeg = g + 1 - P.gens[k2]
-                cvec = M.algebra.basis_vector(cdeg, b2)
+                cvec = P.algebra.basis_vector(cdeg, b2)
                 for r in range(d):
                     uvec = tuple(f.one if s == r else f.zero for s in range(d))
                     img = U.act(cdeg, cvec, j, uvec)
@@ -524,5 +568,5 @@ def derived_hom_over_B(M: DgModule, N: DgModule, n: int, window: DegreeWindow,
         raise ValueError("derived_hom_over_B needs right modules")
     if not N.dims:
         return 0
-    cutoff = N.lo - (window.hi + 1) - extra_margin
-    return SemifreeHom(semifree_resolve(M, cutoff, cap=cap), N).h_dim(n)
+    return SemifreeHom(semifree_resolve(M, hom_cutoff(N, window, extra_margin),
+                                        cap=cap), N).h_dim(n)

@@ -29,9 +29,8 @@ from dataclasses import dataclass
 from .linalg import Matrix, QuotientSpace, RowSpace
 from .complexes import (ChainMap, Complex, GradedHom, cone,
                         direct_sum_complexes, hom_complex, is_acyclic,
-                        projective_complex, summand_projection_maps,
-                        zero_complex)
-from .dg import DgAlgebra, dg_end, h0_algebra
+                        projective_complex, zero_complex)
+from .dg import DgAlgebra, dg_end, end_h0
 
 
 class SmallCharacteristicError(ValueError):
@@ -65,11 +64,9 @@ def radical_rows(E) -> list[tuple]:
     return Matrix(f, E.dim, E.dim, rows).row_kernel_rows()
 
 
-def _summand_data(U: Complex):
+def _summands(U: Complex) -> list:
     summands = getattr(U, "summands", None)
-    if summands is None:
-        return [U], None
-    return list(summands), summand_projection_maps(U)
+    return [U] if summands is None else list(summands)
 
 
 def _slice_bounds(U: Complex, part: Complex, s: int, n: int):
@@ -190,30 +187,22 @@ class Coresolution:
     n: int
 
 
-def coresolve_A(U: Complex, max_steps: int = 8) -> Coresolution | None:
+def coresolve_A(U: Complex, max_steps: int = 8,
+                B: DgAlgebra | None = None) -> Coresolution | None:
     """Coresolve the regular complex by summands of U; None if the step cap hits.
 
     A None return is inconclusive, not a refutation: the cap may simply be too
     small, or the decomposition of U too coarse for minimal multiplicities.
+    B, when given, is dg_end(U), already built.
     """
     if not U.is_projective_complex():
         raise ValueError("coresolution needs a complex of projectives")
     if U.is_empty():
         return None
     A = U.algebra
-    B = dg_end(U)
-    summands, projections = _summand_data(U)
-    idem = None
-    if projections is not None:
-        idem = []
-        for pm in projections:
-            comps = {n: pm.mat(n) for n in U.degrees()
-                     if U.term(n).dim and not pm.mat(n).is_zero()}
-            v = B.gh.coords_of(0, comps)
-            if v is None:
-                raise AssertionError("summand projection escaped the hom basis")
-            idem.append(v)
-    E = h0_algebra(B, idem)
+    B = dg_end(U) if B is None else B
+    summands = _summands(U)
+    E = end_h0(B)
     rad = radical_rows(E)
 
     X = projective_complex(A, {0: list(range(len(A.idempotents)))})
@@ -292,7 +281,7 @@ def goodify(U: Complex, max_steps: int = 8,
     report = report or silting_report(U, max_steps)
     if report.n is None:
         return None
-    summands, _ = _summand_data(U)
+    summands = _summands(U)
     return direct_sum_complexes([summands[s] for mult in report.multiplicities
                                  for s, k in mult.items() for _ in range(k)])
 
@@ -313,19 +302,28 @@ class SiltingReport:
     equivalence_criterion: str
 
 
-def silting_report(U: Complex, max_steps: int = 8) -> SiltingReport:
+def silting_report(U: Complex, max_steps: int = 8,
+                   B: DgAlgebra | None = None) -> SiltingReport:
     """One-stop summary; n and the multiplicities appear iff the coresolution
-    does.  Both self-extension scans read the one hom complex Hom(U, U)."""
+    does.  The self-extension scans and the coresolution share the one
+    dg-end B of U, built here unless given.  Once a positive self-extension
+    has decided the verdict, a field too small for the coresolution's radical
+    leaves n unset instead of failing the report."""
     if not U.is_projective_complex():
         raise ValueError("presilting test needs a complex of projectives")
     if U.is_empty():
-        mf, pw, two_sided = True, None, None
+        mf, pw, two_sided, cor = True, None, None, None
     else:
-        gh = hom_complex(U, U)
-        pw = _self_extension(gh, 1, U.hi - U.lo)
-        two_sided = _self_extension(gh, U.lo - U.hi, U.hi - U.lo)
+        B = dg_end(U) if B is None else B
+        pw = _self_extension(B.gh, 1, U.hi - U.lo)
+        two_sided = _self_extension(B.gh, U.lo - U.hi, U.hi - U.lo)
         mf = all(U.h_dim(n) == 0 for n in range(U.lo, U.hi + 1) if n != 0)
-    cor = coresolve_A(U, max_steps)
+        try:
+            cor = coresolve_A(U, max_steps, B)
+        except SmallCharacteristicError:
+            if pw is None:
+                raise
+            cor = None
     return SiltingReport(
         presilting=pw is None,
         presilting_witness=pw,

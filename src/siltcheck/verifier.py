@@ -30,13 +30,14 @@ from .algebra import Algebra, Module, direct_sum_modules, hom_space, simple_modu
 from .complexes import (ChainMap, Complex, direct_sum_complexes, hom_complex,
                         module_complex, proj_replacement, projective_cache,
                         projective_complex)
-from .dg import (DgAlgebra, DgModule, dg_end, dg_hom_module,
-                 evaluation_left_module, h0_algebra, opposite_dg,
-                 restrict_scalars, side_swap, smart_truncate)
+from .dg import (DgAlgebra, DgModule, dg_end, dg_hom_module, end_h0,
+                 evaluation_left_module, opposite_dg, restrict_scalars,
+                 side_swap, smart_truncate)
 from .linalg import Matrix
 from .semifree import (DegreeWindow, SemifreeHom, SemifreeModule,
-                       derived_tensor, lift_generators, lift_to_resolution,
-                       semifree_resolve)
+                       derived_tensor, hom_cutoff, lift_generators,
+                       lift_to_resolution, resolution_tensor, semifree_resolve,
+                       tensor_cutoff)
 from .silting import SiltingReport, radical_rows, silting_report
 
 
@@ -98,14 +99,13 @@ def _window(w) -> DegreeWindow:
 class SiltingContext:
     """The one silting analysis of a complex U that every check shares.
 
-    report is the silting report of U, B the dg-endomorphism algebra of U, C
-    its non-positive truncation, and Uc is U turned into a left C-module
-    through evaluation.  Each is built on first use and then kept, so a
-    complex that fails the report's gate never builds B.  Hom modules into
-    probe complexes, their resolutions and their tensors, and the
-    classification of module probes, are cached under the objects they come
-    from, since several checks revisit them; a key keeps its object alive,
-    so a cached entry can never answer for another.
+    B is the dg-endomorphism algebra of U, report the silting report of U
+    built on that same B, C the non-positive truncation of B, and Uc is U
+    turned into a left C-module through evaluation.  Each is built on first
+    use and then kept.  Hom modules into probe complexes, resolutions,
+    tensors and the classification of module probes are cached under the
+    objects they come from, since several checks revisit them; a key keeps
+    its object alive, so a cached entry can never answer for another.
     """
 
     def __init__(self, U: Complex, max_steps: int = 8):
@@ -121,7 +121,7 @@ class SiltingContext:
 
     @cached_property
     def report(self) -> SiltingReport:
-        return silting_report(self.U, self.max_steps)
+        return silting_report(self.U, self.max_steps, self.B)
 
     @cached_property
     def B(self) -> DgAlgebra:
@@ -143,17 +143,23 @@ class SiltingContext:
         return self._hom_modules[X]
 
     def tensor(self, M: DgModule, win: DegreeWindow, extra_margin: int) -> Complex:
-        key = (M, win.lo, win.hi, extra_margin)
-        if key not in self._tensors:
-            self._tensors[key] = derived_tensor(M, self.Uc, win,
-                                                extra_margin=extra_margin)
-        return self._tensors[key]
+        """derived_tensor(M, Uc, win, extra_margin) over the resolution of resolve."""
+        P = self.resolve(M, tensor_cutoff(self.Uc, win, extra_margin))
+        if P not in self._tensors:
+            self._tensors[P] = resolution_tensor(P, self.Uc)
+        return self._tensors[P]
 
     def resolve(self, M: DgModule, cutoff: int) -> SemifreeModule:
-        key = (M, cutoff)
-        if key not in self._resolutions:
-            self._resolutions[key] = semifree_resolve(M, cutoff)
-        return self._resolutions[key]
+        """semifree_resolve(M, cutoff), built at most once per module and degree.
+
+        Every module handed out is kept and never changed afterwards; a new
+        cutoff is served from the deepest resolution of M built so far.
+        """
+        built = self._resolutions.setdefault(M, {})
+        if cutoff not in built:
+            built[cutoff] = (built[min(built)].to_cutoff(cutoff) if built
+                             else semifree_resolve(M, cutoff))
+        return built[cutoff]
 
 
 # -- maps out of resolutions -------------------------------------------------
@@ -228,9 +234,8 @@ def _cohomology_table(T: Complex, X: Complex, eps: ChainMap,
 def verify_weak_nonpositive(U: Complex, ctx: SiltingContext | None = None) -> VerificationReport:
     """No self-extensions in positive shifts, as cohomology of the dg-end."""
     ctx = ctx or SiltingContext(U)
-    B = ctx.B
     w = ctx.report.presilting_witness
-    table = {n: B.h_dim(n) for n in B.degrees() if B.h_dim(n)}
+    table = ctx.B.h_table()
     pos_ok = all(n <= 0 for n in table)
     checks = [
         CheckRecord("no positive self-extensions", w is None,
@@ -252,14 +257,7 @@ def verify_E_iso(U: Complex, ctx: SiltingContext | None = None) -> VerificationR
     ctx = ctx or SiltingContext(U)
     B = ctx.B
     f = B.field
-    idem = None
-    if hasattr(U, "summands"):
-        from .complexes import summand_projection_maps
-        idem = []
-        for pm in summand_projection_maps(U):
-            idem.append(B.gh.coords_of(0, {n: pm.mat(n) for n in U.degrees()
-                                           if not pm.mat(n).is_zero()}))
-    E = h0_algebra(B, idem)
+    E = end_h0(B)
     checks = [CheckRecord("H^0 dimension matches homotopy classes of endomorphisms",
                           E.dim == B.h_dim(0), {"dim": E.dim})]
 
@@ -339,8 +337,7 @@ def verify_fully_faithful(U: Complex, X: Complex, Xp: Complex, degrees,
     MX = ctx.hom_module(X)
     MXp = ctx.hom_module(Xp)
     gh = hom_complex(X, Xp)
-    cutoff = (MXp.lo if MXp.dims else 0) - (win.hi + 1) - extra_margin
-    P = ctx.resolve(MX, cutoff)
+    P = ctx.resolve(MX, hom_cutoff(MXp, win, extra_margin))
     sh = SemifreeHom(P, MXp)
     table = {}
     ok = True
@@ -384,8 +381,7 @@ def verify_delta(U: Complex, window, ctx: SiltingContext | None = None,
     f = A.field
     Cop = opposite_dg(ctx.C)
     MU = side_swap(ctx.Uc, Cop)
-    cutoff = MU.lo - (win.hi + 1) - extra_margin
-    Q = semifree_resolve(MU, cutoff)
+    Q = ctx.resolve(MU, hom_cutoff(MU, win, extra_margin))
     sh = SemifreeHom(Q, MU)
     sq0 = sh.subquotient(0)
 
@@ -508,6 +504,8 @@ def verify_corollary_roundtrip(U: Complex, X: Module, i: int, window,
                           for j in range(C.dim(0))])
         action[(0, 0)] = table
     Y = DgModule(C, "right", {0: h}, action, {})
+    # Y is new on every call, so no later check could reuse its tensor and
+    # the context does not keep it
     T = derived_tensor(Y, ctx.Uc, win, extra_margin=extra_margin)
 
     if hasattr(T, "resolution"):
@@ -738,8 +736,7 @@ def verify_tilting_theorem(U: Complex, probes: dict, delta: VerificationReport,
              "window": [win.lo, win.hi], "extra_margin": extra_margin}
     if not tilting:
         return VerificationReport("tilting-theorem", "module", checks, notes)
-    B = ctx.B
-    h_table = {n: B.h_dim(n) for n in B.degrees() if B.h_dim(n)}
+    h_table = ctx.B.h_table()
     checks.append(CheckRecord("endomorphism algebra sits in degree 0",
                               set(h_table) <= {0}, {"h_table": h_table}))
     checks.append(CheckRecord("base algebra equals the double centralizer",
@@ -768,6 +765,10 @@ def verify_tilting_theorem(U: Complex, probes: dict, delta: VerificationReport,
 # -- full battery ------------------------------------------------------------
 
 
+class UnknownProbeError(ValueError):
+    """A requested probe name is not in the standard probe set."""
+
+
 _SCOPE_NOTE = ("checked on the finite probe set; every probe is compact, so "
                "orthogonal-complement side conditions hold vacuously here")
 
@@ -778,7 +779,8 @@ def verify_all(U: Complex, window=(-4, 4), pair_degrees=(-2, 2), max_steps: int 
     """Run every check on one silting complex with the standard probe set.
 
     Probes are the vertex simples, the indecomposable projectives, the free
-    module and U itself; pass probe_names to restrict to a subset.  The
+    module and U itself; pass probe_names to restrict to a subset, where an
+    unknown name raises UnknownProbeError before any analysis.  The
     orthogonal-complement clause of the general statement is vacuous here,
     since each instance is finite and carried by its probes; every report
     notes its window and margins so reruns with larger margins are directly
@@ -789,6 +791,14 @@ def verify_all(U: Complex, window=(-4, 4), pair_degrees=(-2, 2), max_steps: int 
     win = _window(window)
     pr = _window(pair_degrees)
     ctx = ctx or SiltingContext(U, max_steps)
+    mods = probe_modules(ctx.A)
+    if probe_names is not None:
+        known = set(mods) | {"free", "silting"}
+        unknown = set(probe_names) - known
+        if unknown:
+            raise UnknownProbeError(f"unknown probes {sorted(unknown)}; "
+                                    f"available: {sorted(known)}")
+        mods = {k: v for k, v in mods.items() if k in probe_names}
     srep = ctx.report
     base = [
         CheckRecord("no positive self-extensions", srep.presilting,
@@ -809,12 +819,7 @@ def verify_all(U: Complex, window=(-4, 4), pair_degrees=(-2, 2), max_steps: int 
     cplx = probe_complexes(ctx.A, cap)
     cplx["silting"] = U
     if probe_names is not None:
-        keep = set(probe_names)
-        unknown = keep - set(cplx)
-        if unknown:
-            raise ValueError(f"unknown probe names: {sorted(unknown)}; "
-                             f"available: {sorted(cplx)}")
-        cplx = {k: v for k, v in cplx.items() if k in keep}
+        cplx = {k: v for k, v in cplx.items() if k in probe_names}
     for name in sorted(cplx):
         reports.append(verify_counit(U, cplx[name], win, ctx, extra_margin,
                                      subject=name))
@@ -825,9 +830,6 @@ def verify_all(U: Complex, window=(-4, 4), pair_degrees=(-2, 2), max_steps: int 
             reports.append(verify_fully_faithful(U, cplx[n1], cplx[n2], degs,
                                                  ctx, extra_margin,
                                                  subject=f"{n1}->{n2}"))
-    mods = probe_modules(ctx.A)
-    if probe_names is not None:
-        mods = {k: v for k, v in mods.items() if k in set(probe_names)}
     cls_checks = []
     classified = {}
     for name in sorted(mods):

@@ -3,6 +3,7 @@
 import copy
 import json
 import pathlib
+from collections import Counter
 
 import pytest
 
@@ -309,6 +310,14 @@ def test_verify_output_is_byte_identical_across_runs(tmp_path, capsys):
     assert out1 == json.dumps(json.loads(out1), indent=2, sort_keys=True) + "\n"
 
 
+@pytest.mark.parametrize("command", ["verify", "report"])
+def test_unknown_probe_exits_3_with_a_one_line_diagnostic(capsys, command):
+    code, out, err = run_cli(capsys, command, FIX_A2, "U-tilt", "--probes", "nosuch")
+    assert (code, out) == (3, "")
+    assert err.startswith("siltcheck: unknown probes ['nosuch']")
+    assert err.count("\n") == 1
+
+
 def test_probe_filter_limits_the_battery(capsys):
     code, payload, _ = run_json(capsys, "verify", FIX_K, "A",
                                 "--probes=free,simple0")
@@ -374,6 +383,14 @@ def test_small_characteristic_keeps_the_exit_code_contract(tmp_path, capsys, pri
                 # unsupported input: a one-line diagnostic, no report
                 assert out == "" and err.startswith("siltcheck: ")
                 assert err.count("\n") == 1
+            if name == "silt2-wrong-orientation":
+                # the presilting witness decides before any radical is needed
+                payload = json.loads(out)
+                witness = {"check": lambda: payload["witness"],
+                           "report": lambda: payload["check"]["witness"],
+                           "verify": lambda: payload["reports"][0]["checks"][0]
+                           ["details"]["witness"]}[command]()
+                assert (code, witness) == (1, [1, 1]), command
 
 
 # -- caps and the one analysis per run ----------------------------------------
@@ -402,7 +419,21 @@ def test_semifree_cap_exits_2(capsys, monkeypatch):
     assert err == "siltcheck: resolution exceeded 7 generators\n"
 
 
-COUNTED = ("silting_report", "coresolve_A", "dg_end", "proj_replacement")
+COUNTED = ("silting_report", "coresolve_A", "dg_end", "h0_algebra",
+           "proj_replacement")
+
+
+def _rebind(monkeypatch, fn, wrapper):
+    """Point every siltcheck namespace that binds fn at wrapper."""
+    import types
+
+    import siltcheck
+
+    for ns in [siltcheck] + [m for m in vars(siltcheck).values()
+                             if isinstance(m, types.ModuleType)]:
+        for attr, value in list(vars(ns).items()):
+            if value is fn:
+                monkeypatch.setattr(ns, attr, wrapper)
 
 
 def _count_calls(monkeypatch):
@@ -410,11 +441,9 @@ def _count_calls(monkeypatch):
 
     Returns on(name), the per-function call counts on the loaded complex of
     that name, and calls, the counts keyed by (function, complex) for every
-    complex the run touched.
+    complex the run touched; h0_algebra counts against the complex of the
+    dg-end it reads.
     """
-    import types
-
-    import siltcheck
     import siltcheck.cli
     from siltcheck import complexes, dg, silting
 
@@ -428,18 +457,14 @@ def _count_calls(monkeypatch):
         return inst
 
     monkeypatch.setattr(siltcheck.cli, "load_instance", loading)
-    namespaces = [siltcheck] + [m for m in vars(siltcheck).values()
-                                if isinstance(m, types.ModuleType)]
     for fn in (silting.silting_report, silting.coresolve_A, dg.dg_end,
-               complexes.proj_replacement):
+               dg.h0_algebra, complexes.proj_replacement):
         def counted(U, *args, _fn=fn, **kwargs):
-            key = (_fn.__name__, U)
+            key = (_fn.__name__,
+                   U.complex if _fn.__name__ == "h0_algebra" else U)
             calls[key] = calls.get(key, 0) + 1
             return _fn(U, *args, **kwargs)
-        for ns in namespaces:
-            for attr, value in list(vars(ns).items()):
-                if value is fn:
-                    monkeypatch.setattr(ns, attr, counted)
+        _rebind(monkeypatch, fn, counted)
 
     def on(name):
         (inst,) = loaded
@@ -466,7 +491,8 @@ def test_one_run_analyses_the_input_complex_once(capsys, monkeypatch,
     counts = on(name)
     assert counts["silting_report"] == 1
     assert counts["coresolve_A"] == 1
-    assert counts["dg_end"] <= 2
+    assert counts["dg_end"] == 1
+    assert counts["h0_algebra"] == 1
     # nor is any other complex, such as goodify's output, analysed twice
     assert all(n == 1 for (fn, _), n in calls.items()
                if fn in ("silting_report", "coresolve_A"))
@@ -482,4 +508,33 @@ def test_verify_of_a_tilting_module_resolves_only_the_simple_probes(capsys,
     totals = _totals(calls)
     assert totals["coresolve_A"] == 1
     assert totals["proj_replacement"] == 2
-    assert totals["dg_end"] <= 2
+    assert totals["dg_end"] == 1
+
+
+def test_verify_resolves_each_module_degree_once(capsys, monkeypatch):
+    # every cutoff of a module is served from one resolution, so no cone
+    # pass repeats; Hom(U, U) is built only for the dg-end, the hom module
+    # of the silting probe and its fully-faithful pair
+    from siltcheck import complexes
+    from siltcheck.semifree import SemifreeModule
+
+    _, calls = _count_calls(monkeypatch)
+    passes, homs = Counter(), Counter()
+    cone_subquotient = SemifreeModule.cone_subquotient
+    hom_complex = complexes.hom_complex
+
+    def counting(self, n):
+        passes[(self.target, n)] += 1
+        return cone_subquotient(self, n)
+
+    def counted_hom(X, Y):
+        homs[(X, Y)] += 1
+        return hom_complex(X, Y)
+
+    monkeypatch.setattr(SemifreeModule, "cone_subquotient", counting)
+    _rebind(monkeypatch, hom_complex, counted_hom)
+    code, _, _ = run_cli(capsys, "verify", FIX_A2, "U-tilt")
+    assert code == 0
+    (U,) = [X for fn, X in calls if fn == "dg_end"]
+    assert homs[(U, U)] <= 3
+    assert passes and set(passes.values()) == {1}

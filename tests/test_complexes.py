@@ -24,7 +24,6 @@ from siltcheck.algebra import (
 from siltcheck.complexes import (
     ChainMap,
     Complex,
-    GradedHom,
     ResolutionCapError,
     cone,
     derived_hom_dim,
@@ -38,7 +37,6 @@ from siltcheck.complexes import (
     projective_cache,
     projective_complex,
     summand_projection_maps,
-    zero_complex,
 )
 from siltcheck.fields import PrimeField
 from siltcheck.linalg import Matrix

@@ -9,7 +9,7 @@ complexes suites.
 
 import pytest
 
-from siltcheck.algebra import Quiver, path_algebra, projective_module, simple_module
+from siltcheck.algebra import Quiver, path_algebra, simple_module
 from siltcheck.complexes import (
     cone,
     derived_hom_dim,
@@ -31,7 +31,6 @@ from siltcheck.dg import (
     restrict_scalars,
     side_swap,
     smart_truncate,
-    smart_truncate_module,
 )
 from siltcheck.fields import PrimeField
 from siltcheck.linalg import Matrix
@@ -231,24 +230,6 @@ def test_restriction_and_module_truncation(A2, simple_resolution):
     assert M.h_table() == {}
     R = restrict_scalars(M, C)
     assert R.dim_table() == M.dim_table()
-    Rt = smart_truncate_module(R)
-    assert Rt.dim_table() == {}
-    assert Rt.h_table() == {}
-
-
-def test_module_truncation_keeps_nonpositive_cohomology(two_term_silting):
-    B = dg_end(two_term_silting)
-    M = dg_hom_module(two_term_silting, two_term_silting, B)
-    Mt = smart_truncate_module(M)
-    assert Mt.dim_table() == M.dim_table()
-    assert Mt.h_table() == M.h_table()
-
-
-def test_module_truncation_needs_nonpositive_base(simple_resolution):
-    B = dg_end(simple_resolution)
-    M = dg_hom_module(simple_resolution, simple_resolution, B)
-    with pytest.raises(ValueError):
-        smart_truncate_module(M)
 
 
 # -- cohomology-level modules ----------------------------------------------
