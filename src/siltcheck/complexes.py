@@ -155,9 +155,6 @@ class Complex:
     def h_table(self) -> dict:
         return {n: self.h_dim(n) for n in self.degrees() if self.h_dim(n) > 0}
 
-    def total_dim(self) -> int:
-        return sum(m.dim for m in self.terms.values())
-
     def euler_char(self) -> int:
         return sum((-1) ** (n % 2) * m.dim for n, m in self.terms.items())
 

@@ -46,7 +46,9 @@ class _Graded:
     """Degreewise dimensions and a degree +1 differential, with cohomology.
 
     dims: degree -> basis size (zero entries dropped); diff[n]: matrix of
-    d: X^n -> X^{n+1} in row convention (zero matrices dropped).
+    d: X^n -> X^{n+1} in row convention (zero matrices dropped).  cell(i, n)
+    is the degree-n part of the cell of the i-th idempotent of the base
+    algebra: e.B of an algebra B, M.e of a right module M, e.M of a left one.
     """
 
     def __init__(self, field, dims: dict, diff: dict):
@@ -57,6 +59,7 @@ class _Graded:
         self.hi = degrees[-1] if degrees else -1
         self.diffs = {n: m for n, m in diff.items() if not m.is_zero()}
         self._sq = {}
+        self._cells = {}
 
     def dim(self, n: int) -> int:
         return self.dims.get(n, 0)
@@ -89,6 +92,19 @@ class _Graded:
     def h_table(self) -> dict:
         return {n: self.h_dim(n) for n in self.degrees() if self.h_dim(n)}
 
+    def cell(self, i: int, n: int) -> RowSpace:
+        """Echelon basis of the i-th cell in degree n, built once.
+
+        Its coords() turn an element of the cell into coordinates in that
+        basis; for the unit idempotent the basis is the standard one.
+        """
+        if (i, n) not in self._cells:
+            space = RowSpace(self.field, self.dim(n))
+            for b in range(self.dim(n)):
+                space.add(self._times_idempotent(i, n, self.basis_vector(n, b)))
+            self._cells[(i, n)] = space
+        return self._cells[(i, n)]
+
     def dim_table(self) -> dict:
         return dict(self.dims)
 
@@ -98,14 +114,20 @@ class DgAlgebra(_Graded):
 
     mult[(m, n)][i][j]: coordinates of the product of the i-th degree-m and
     j-th degree-n basis elements; unit: coordinates in degree 0.
+    idempotents: orthogonal degree-0 cocycle idempotents summing to the unit,
+    the unit alone when not given; their cells e.B are the building blocks
+    of semifree resolutions over the algebra.
     """
 
     def __init__(self, field, dims: dict, mult: dict, diff: dict, unit,
-                 labels: dict | None = None, validate: bool = True):
+                 labels: dict | None = None, validate: bool = True,
+                 idempotents=None):
         super().__init__(field, dims, diff)
         self.mult = mult
         self.unit = tuple(unit)
         self.labels = labels or {}
+        self.idempotents = ([tuple(e) for e in idempotents] if idempotents is not None
+                            else [self.unit])
         if validate:
             self.validate()
 
@@ -127,6 +149,9 @@ class DgAlgebra(_Graded):
 
     def is_nonpositive(self) -> bool:
         return self.hi <= 0
+
+    def _times_idempotent(self, i: int, n: int, x):
+        return self.product(0, self.idempotents[i], n, x)
 
     def validate(self):
         f = self.field
@@ -209,6 +234,10 @@ class DgModule(_Graded):
                     continue
                 out = _add(f, out, _scale(f, f.mul(c, e), table[i][j]))
         return out
+
+    def _times_idempotent(self, i: int, n: int, x):
+        e = self.algebra.idempotents[i]
+        return self.act(n, x, 0, e) if self.side == "right" else self.act(0, e, n, x)
 
     def validate(self):
         B = self.algebra
@@ -297,11 +326,28 @@ def _composition_tables(gh, ghB) -> dict:
     return tables
 
 
+def _summand_idempotents(U: Complex, gh) -> list | None:
+    """Coordinates in gh = Hom(U, U) of the summand projections of U, or None
+    when U carries no direct-sum data."""
+    if not hasattr(U, "summands"):
+        return None
+    idem = []
+    for pm in summand_projection_maps(U):
+        v = gh.coords_of(0, {n: pm.mat(n) for n in U.degrees()
+                             if not pm.mat(n).is_zero()})
+        if v is None:
+            raise AssertionError("summand projection escaped the hom basis")
+        idem.append(v)
+    return idem
+
+
 def dg_end(U: Complex) -> DgAlgebra:
     """The endomorphism dg-algebra of a complex of projectives.
 
-    Carries .gh (the underlying hom complex of U with itself) and .complex;
-    end_h0 keeps its H^0 algebra on it.
+    Its idempotents are the summand projections of U when U carries
+    direct-sum data.  Carries .gh (the underlying hom complex of U with
+    itself) and .complex; end_h0 keeps its H^0 algebra on it, and
+    silting.end_radical the radical of that algebra.
     """
     if not U.is_projective_complex():
         raise ValueError("dg_end needs a complex of projectives")
@@ -314,10 +360,12 @@ def dg_end(U: Complex) -> DgAlgebra:
     unit = gh.coords_of(0, ident)
     if unit is None:
         raise AssertionError("identity escaped the hom basis")
-    B = DgAlgebra(f, dims, mult, diffs, unit)
+    B = DgAlgebra(f, dims, mult, diffs, unit,
+                  idempotents=_summand_idempotents(U, gh))
     B.gh = gh
     B.complex = U
     B._h0 = None
+    B._radical = None
     return B
 
 
@@ -458,21 +506,12 @@ def h0_algebra(B: DgAlgebra, idempotent_cocycles=None) -> Algebra:
 def end_h0(B: DgAlgebra) -> Algebra:
     """H^0 of B = dg_end(U) as an ordinary algebra, built once per B.
 
-    The idempotents are the classes of the summand projections of U when U
-    carries direct-sum data, the unit class alone otherwise.
+    The idempotents are the classes of B's idempotents: of the summand
+    projections of U when U carries direct-sum data, the unit class alone
+    otherwise.
     """
     if B._h0 is None:
-        U = B.complex
-        idem = None
-        if hasattr(U, "summands"):
-            idem = []
-            for pm in summand_projection_maps(U):
-                v = B.gh.coords_of(0, {n: pm.mat(n) for n in U.degrees()
-                                       if not pm.mat(n).is_zero()})
-                if v is None:
-                    raise AssertionError("summand projection escaped the hom basis")
-                idem.append(v)
-        B._h0 = h0_algebra(B, idem)
+        B._h0 = h0_algebra(B, B.idempotents)
     return B._h0
 
 
@@ -550,7 +589,8 @@ def smart_truncate(B: DgAlgebra) -> DgAlgebra:
             if dims.get(m + n):
                 mult[(m, n)] = table
     unit = restrict(B.unit, 0)
-    C = DgAlgebra(f, dims, mult, diffs, unit)
+    C = DgAlgebra(f, dims, mult, diffs, unit,
+                  idempotents=[restrict(e, 0) for e in B.idempotents])
     C.embed = embed
     C.ambient = B
     return C
@@ -565,7 +605,8 @@ def opposite_dg(B: DgAlgebra) -> DgAlgebra:
         out = [[_scale(f, sign, table[i][j]) for i in range(B.dim(m))]
                for j in range(B.dim(n))]
         mult[(n, m)] = out
-    op = DgAlgebra(f, dict(B.dims), mult, dict(B.diffs), B.unit)
+    op = DgAlgebra(f, dict(B.dims), mult, dict(B.diffs), B.unit,
+                   idempotents=B.idempotents)
     if hasattr(B, "embed"):
         op.embed = B.embed
     if hasattr(B, "ambient"):

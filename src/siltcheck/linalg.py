@@ -322,6 +322,14 @@ class RowSpace:
         zero = self.field.zero
         return all(x == zero for x in self.residue(v))
 
+    def coords(self, v: Sequence) -> tuple:
+        """Coordinates in the echelon rows of a vector lying in the span.
+
+        The rows are fully reduced with unit pivots, so these are the
+        vector's entries at the pivots.
+        """
+        return tuple(v[p] for p in self.pivots)
+
     def add(self, v: Sequence) -> bool:
         """Insert v's residue; returns True if the span grew.
 
@@ -417,12 +425,6 @@ class QuotientSpace:
     def project(self, v: Sequence) -> tuple:
         res = self._space.residue(v)
         return tuple(res[j] for j in self.free_positions)
-
-    def include(self, coords: Sequence) -> tuple:
-        out = [self.field.zero] * self.width
-        for c, j in zip(coords, self.free_positions):
-            out[j] = c
-        return tuple(out)
 
 
 def subquotient_from_maps(din: Matrix | None, dout: Matrix | None, field, width: int) -> Subquotient:

@@ -1,30 +1,37 @@
 """Windowed semifree resolutions, derived tensor/Hom, and maps out of them.
 
-A semifree module is free over its non-positive base on a filtered list of
-generators; the differential of each generator only involves strictly earlier
-generators of strictly higher degree.  Resolutions are built top-down: at each
-degree the surviving cocycle classes of the augmentation cone are killed by
-adjoining fresh free generators, which over a non-positive base cannot disturb
-any higher degree.  A cutoff bounds how far down the construction digs; the
-derived functors pick their cutoff from the requested window with one spare
-degree so that cohomology at the window edge is already exact.  Since each
-degree's generators depend only on those above it, one resolution answers
-for every cutoff: to_cutoff reads a shallower one off its generators and
-continues the same construction for a deeper one.
+A semifree module over a non-positive base C is built from cells: each
+generator is a cell e.C, for e one of C.idempotents (the summand projections
+of U when C comes from the dg-end of a direct sum U, the unit otherwise), and
+the differential of each generator only involves strictly earlier generators
+of strictly higher degree.  Resolutions are built top-down: at each degree
+every surviving cocycle class of the augmentation cone is split into its
+components under the idempotents, and each component not yet killed is
+killed by adjoining a fresh cell, which over a non-positive base cannot
+disturb any higher degree.  Over a base concentrated in degree 0 the cells
+are projective covers, so a module of finite projective dimension stops
+gaining generators once the cutoff passes its bottom.  A cutoff bounds how
+far down the construction digs; the derived functors pick their cutoff from
+the requested window with one spare degree so that cohomology at the window
+edge is already exact.  Since each degree's generators depend only on those
+above it, one resolution answers for every cutoff: to_cutoff reads a
+shallower one off its generators and continues the same construction for a
+deeper one.
 
-Freeness also makes maps out of a semifree module easy to write down: a map
-is its list of values on the generators.  SemifreeHom is the hom complex out
-of a semifree module into a dg-module in those coordinates, and derived Hom
-over the base is its cohomology.  lift_generators builds a degree-0 map one
-generator at a time in filtration order, each value solving the chain-map
-condition against the values already chosen.
+Maps out of a semifree module are easy to write down: a map is its list of
+values on the generators, the value on a cell e.C lying in N.e.
+SemifreeHom is the hom complex out of a semifree module into a dg-module in
+those coordinates, and derived Hom over the base is its cohomology.
+lift_generators builds a degree-0 map one generator at a time in filtration
+order, each value solving the chain-map condition against the values
+already chosen.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import direct_sum_modules
+from .algebra import Module, direct_sum_modules
 from .complexes import Complex, zero_complex
 from .dg import DgAlgebra, DgModule
 from .linalg import Matrix, RowSpace, subquotient_from_maps
@@ -51,29 +58,35 @@ class DegreeWindow:
 
 
 class SemifreeModule:
-    """Free right dg-module over a non-positive base, with augmentation.
+    """Semifree right dg-module over a non-positive base C, with augmentation.
 
-    gens[k] is the degree of the k-th generator (non-increasing along the
-    list); gen_diffs[k] maps free-basis positions (k2, b2) to coefficients,
-    with k2 < k and gens[k2] = gens[k] + 1 - (degree of basis b2) > gens[k];
-    gen_augs[k] is the augmentation value in target^{gens[k]}.  Generators
-    are only ever added through add_generator, which drops the per-degree
-    matrices kept by diff_matrix, aug_matrix and lift_system.  cutoff is the
-    lowest degree the construction has reached, or None for the regular
-    module, which resolves itself in every degree.
+    Generator k is a cell e.C: gens[k] is its degree (non-increasing along
+    the list) and cells[k] the index of e among C.idempotents, so in degree
+    n it contributes the echelon basis of C.cell(cells[k], n - gens[k]).
+    gen_diffs[k] maps positions (k2, b2) of that basis in degree gens[k] + 1
+    to coefficients, with k2 < k and gens[k2] > gens[k]; gen_dcomps[k] holds
+    the same differential as k2 -> its component in C^{gens[k] + 1 - gens[k2]},
+    in the standard basis of C.  gen_augs[k] is the augmentation value in
+    target^{gens[k]}.e.  Generators are only ever added through
+    add_generator, which drops the per-degree layouts and matrices.  cutoff
+    is the lowest degree the construction has reached.
     """
 
-    def __init__(self, algebra: DgAlgebra, target: DgModule, cutoff: int | None):
+    def __init__(self, algebra: DgAlgebra, target: DgModule, cutoff: int):
         self.algebra = algebra
         self.target = target
         self.cutoff = cutoff
         self.gens: list[int] = []
+        self.cells: list[int] = []
         self.gen_diffs: list[dict] = []
+        self.gen_dcomps: list[dict] = []
         self.gen_augs: list[tuple] = []
         self._matrices: dict = {}
 
-    def add_generator(self, degree: int, diff: dict, aug: tuple):
+    def add_generator(self, degree: int, diff: dict, aug: tuple, cell: int):
+        self.gen_dcomps.append(self.components(degree + 1, diff.items()))
         self.gens.append(degree)
+        self.cells.append(cell)
         self.gen_diffs.append(diff)
         self.gen_augs.append(aug)
         self._matrices.clear()
@@ -85,50 +98,69 @@ class SemifreeModule:
         self.cutoff the construction carries on down to the new cutoff.
         self is left as it is, so modules built on it stay valid.
         """
-        if self.cutoff is None:
-            return self
         Q = SemifreeModule(self.algebra, self.target, cutoff)
         for k, g in enumerate(self.gens):
             if g >= cutoff:
-                Q.add_generator(g, self.gen_diffs[k], self.gen_augs[k])
+                Q.add_generator(g, self.gen_diffs[k], self.gen_augs[k], self.cells[k])
         return _kill_cone(Q, self.cutoff - 1)
 
-    def _memo(self, kind: str, n: int, build) -> Matrix:
+    def _memo(self, kind: str, n: int, build):
         key = (kind, n)
         if key not in self._matrices:
             self._matrices[key] = build(n)
         return self._matrices[key]
 
+    def blocks(self, n: int) -> list:
+        """(k, the cell basis of generator k in degree n) for every generator."""
+        return self._memo("blocks", n, self._blocks)
+
+    def _blocks(self, n: int) -> list:
+        C = self.algebra
+        return [(k, C.cell(e, n - g)) for k, (g, e) in enumerate(zip(self.gens, self.cells))]
+
     def layout(self, n: int) -> list:
-        return [(k, b) for k, g in enumerate(self.gens)
-                for b in range(self.algebra.dim(n - g))]
+        return [(k, b) for k, cell in self.blocks(n) for b in range(cell.dim)]
 
     def dim(self, n: int) -> int:
-        return sum(self.algebra.dim(n - g) for g in self.gens)
+        return sum(cell.dim for _, cell in self.blocks(n))
 
     def support(self):
         if not self.gens:
             return range(0)
         return range(min(self.gens) + self.algebra.lo, max(self.gens) + 1)
 
+    def components(self, n: int, entries) -> dict:
+        """k -> the component at generator k, an element of C^{n - gens[k]} in
+        the standard basis, of the degree-n element with the given
+        ((k, b), coefficient) entries."""
+        C = self.algebra
+        f = C.field
+        out = {}
+        for (k, b), c in entries:
+            if c == f.zero:
+                continue
+            d = n - self.gens[k]
+            acc = out.get(k, (f.zero,) * C.dim(d))
+            out[k] = tuple(f.add(a, f.mul(c, r))
+                           for a, r in zip(acc, C.cell(self.cells[k], d).rows[b]))
+        return out
+
+    def element(self, n: int, comps: dict) -> tuple:
+        """Coordinates of the degree-n element with the given components,
+        each lying in its generator's cell."""
+        f = self.algebra.field
+        out = []
+        for k, cell in self.blocks(n):
+            v = comps.get(k)
+            out.extend(cell.coords(v) if v is not None else (f.zero,) * cell.dim)
+        return tuple(out)
+
     def act(self, n: int, vec, cdeg: int, cvec):
         """Right action of a degree-cdeg base element on a degree-n element."""
         C = self.algebra
-        f = C.field
-        src = self.layout(n)
-        tgt = self.layout(n + cdeg)
-        pos = {kb: t for t, kb in enumerate(tgt)}
-        out = [f.zero] * len(tgt)
-        for (k, b), coeff in zip(src, vec):
-            if coeff == f.zero:
-                continue
-            prod = C.product(n - self.gens[k], C.basis_vector(n - self.gens[k], b),
-                             cdeg, cvec)
-            for b2, c2 in enumerate(prod):
-                if c2 != f.zero:
-                    t = pos[(k, b2)]
-                    out[t] = f.add(out[t], f.mul(coeff, c2))
-        return tuple(out)
+        comps = self.components(n, zip(self.layout(n), vec))
+        return self.element(n + cdeg, {
+            k: C.product(n - self.gens[k], v, cdeg, cvec) for k, v in comps.items()})
 
     def diff_matrix(self, n: int) -> Matrix:
         return self._memo("diff", n, self._diff_matrix)
@@ -143,43 +175,25 @@ class SemifreeModule:
     def _diff_matrix(self, n: int) -> Matrix:
         C = self.algebra
         f = C.field
-        src = self.layout(n)
-        tgt = self.layout(n + 1)
-        pos = {kb: t for t, kb in enumerate(tgt)}
         rows = []
-        for (k, b) in src:
+        for k, cell in self.blocks(n):
             g = self.gens[k]
-            row = [f.zero] * len(tgt)
             bdeg = n - g
-            bvec = C.basis_vector(bdeg, b)
-            # d(gen) acted by the base coefficient
-            for (k2, b2), coeff in self.gen_diffs[k].items():
-                g2 = self.gens[k2]
-                prod = C.product(g + 1 - g2, C.basis_vector(g + 1 - g2, b2), bdeg, bvec)
-                for b3, c3 in enumerate(prod):
-                    if c3 != f.zero:
-                        t = pos[(k2, b3)]
-                        row[t] = f.add(row[t], f.mul(coeff, c3))
             # sign from moving d past the generator
-            dcb = C.diff(bdeg).row(b) if C.dim(bdeg) else ()
             sign = f.one if g % 2 == 0 else f.neg(f.one)
-            for b3, c3 in enumerate(dcb):
-                if c3 != f.zero:
-                    t = pos[(k, b3)]
-                    row[t] = f.add(row[t], f.mul(sign, c3))
-            rows.append(row)
-        return Matrix(f, len(src), len(tgt), rows)
+            for beta in cell.rows:
+                # d(gen) acted on by the base coefficient
+                comps = {k2: C.product(g + 1 - self.gens[k2], delta, bdeg, beta)
+                         for k2, delta in self.gen_dcomps[k].items()}
+                comps[k] = tuple(f.mul(sign, c) for c in C.apply_diff(bdeg, beta))
+                rows.append(self.element(n + 1, comps))
+        return Matrix(f, len(rows), self.dim(n + 1), rows)
 
     def _aug_matrix(self, n: int) -> Matrix:
         M = self.target
-        f = self.algebra.field
-        src = self.layout(n)
-        rows = []
-        for (k, b) in src:
-            g = self.gens[k]
-            rows.append(M.act(g, self.gen_augs[k], n - g,
-                              self.algebra.basis_vector(n - g, b)))
-        return Matrix(f, len(src), M.dim(n), rows)
+        rows = [M.act(self.gens[k], self.gen_augs[k], n - self.gens[k], beta)
+                for k, cell in self.blocks(n) for beta in cell.rows]
+        return Matrix(self.algebra.field, len(rows), M.dim(n), rows)
 
     def _lift_system(self, n: int) -> Matrix:
         return self.aug_matrix(n).hstack(self.diff_matrix(n))
@@ -243,26 +257,6 @@ def regular_dg_module(B: DgAlgebra) -> DgModule:
     return DgModule(B, "right", dict(B.dims), action, dict(B.diffs), validate=False)
 
 
-def _is_regular(M: DgModule) -> bool:
-    B = M.algebra
-    if M.side != "right" or M.dims != B.dims:
-        return False
-    for n in B.degrees():
-        if M.diff(n).rows != B.diff(n).rows:
-            return False
-    for m in B.degrees():
-        for n in B.degrees():
-            if not B.dim(m) or not B.dim(n) or not B.dim(m + n):
-                continue
-            for i in range(B.dim(m)):
-                x = B.basis_vector(m, i)
-                for j in range(B.dim(n)):
-                    a = B.basis_vector(n, j)
-                    if tuple(M.act(m, x, n, a)) != tuple(B.product(m, x, n, a)):
-                        return False
-    return True
-
-
 def semifree_resolve(M: DgModule, cutoff: int, cap: int = 4096) -> SemifreeModule:
     """Kill the augmentation cone's cohomology from the top of M down to the cutoff.
 
@@ -272,16 +266,18 @@ def semifree_resolve(M: DgModule, cutoff: int, cap: int = 4096) -> SemifreeModul
     C = M.algebra
     if not C.is_nonpositive():
         raise ValueError("base dg-algebra has a positive-degree component")
-    if _is_regular(M):
-        P = SemifreeModule(C, M, None)
-        P.add_generator(0, {}, tuple(C.unit))
-        return P
     return _kill_cone(SemifreeModule(C, M, cutoff), M.hi, cap)
 
 
 def _kill_cone(P: SemifreeModule, top: int, cap: int = 4096) -> SemifreeModule:
-    """Add generators to P from degree top (or the top of its target) down to
-    P.cutoff, each degree killing the cone's cohomology there; returns P."""
+    """Add cells to P from degree top (or the top of its target) down to
+    P.cutoff, each degree killing the cone's cohomology there; returns P.
+
+    A cone class (q, x) is the sum of its components (q.e, x.e) over the
+    idempotents e of the base C.  A degree-n cell e.C with differential q.e
+    and augmentation -x.e kills that component together with its orbit
+    under C^0.
+    """
     M, C = P.target, P.algebra
     f = C.field
     for n in range(min(top, M.hi), P.cutoff - 1, -1):
@@ -290,38 +286,55 @@ def _kill_cone(P: SemifreeModule, top: int, cap: int = 4096) -> SemifreeModule:
             continue
         width = len(sq.reps)
         split = P.dim(n + 1)
-        orbits = []
+        comps = []
         for rep in sq.reps:
             q = tuple(rep[:split])
             x = tuple(rep[split:])
-            rows = []
-            for b0 in range(C.dim(0)):
-                cvec = C.basis_vector(0, b0)
-                qc = P.act(n + 1, q, 0, cvec)
-                xc = M.act(n, x, 0, cvec)
-                rows.append(sq.reduce(tuple(qc) + tuple(xc)))
-            orbits.append(rows)
-        # classes with a large action orbit first: one free generator then
-        # kills everything in its span, keeping the cover near minimal
-        ranks = [Matrix(f, len(rows), width, rows).rank() for rows in orbits]
-        order = sorted(range(width), key=lambda r: (-ranks[r], r))
+            for i, e in enumerate(C.idempotents):
+                orbit = [sq.reduce(P.act(n + 1, q, 0, c) + M.act(n, x, 0, c))
+                         for c in C.cell(i, 0).rows]
+                comps.append((i, P.act(n + 1, q, 0, e), M.act(n, x, 0, e), orbit))
+        # components with a large action orbit first: one cell then kills
+        # everything in its span, keeping the cover near minimal
+        ranks = [Matrix(f, len(orbit), width, orbit).rank() for *_, orbit in comps]
+        order = sorted(range(len(comps)), key=lambda t: (-ranks[t], t))
         killed = RowSpace(f, width)
-        for r in order:
-            cls = tuple(f.one if t == r else f.zero for t in range(width))
-            if killed.contains(cls):
+        layout_up = P.layout(n + 1)
+        for t in order:
+            i, qe, xe, orbit = comps[t]
+            if killed.contains(sq.reduce(qe + xe)):
                 continue
             if len(P.gens) >= cap:
                 raise SemifreeCapError(
                     f"semifree resolution exceeded {cap} generators at degree {n}")
-            rep = sq.reps[r]
-            q = tuple(rep[:split])
-            x = tuple(rep[split:])
-            layout_up = P.layout(n + 1)
-            P.add_generator(n, {layout_up[t]: c for t, c in enumerate(q) if c != f.zero},
-                            tuple(f.neg(c) for c in x))
-            for row in orbits[r]:
+            P.add_generator(n, {layout_up[s]: c for s, c in enumerate(qe) if c != f.zero},
+                            tuple(f.neg(c) for c in xe), i)
+            for row in orbit:
                 killed.add(row)
     return P
+
+
+def block_offsets(blocks) -> tuple[dict, int]:
+    """k -> (start, cell) for blocks (k, cell) laid out in order, and the width."""
+    offsets, width = {}, 0
+    for k, cell in blocks:
+        offsets[k] = (width, cell)
+        width += cell.dim
+    return offsets, width
+
+
+def block_row(f, offsets: dict, width: int, images) -> list:
+    """The row summing s * (cell coordinates of v) into the block of k, over
+    the images (k, s, v); an image whose k has no block adds nothing."""
+    row = [f.zero] * width
+    for k, s, v in images:
+        if k not in offsets:
+            continue
+        off, cell = offsets[k]
+        for t, c in enumerate(cell.coords(v)):
+            if c != f.zero:
+                row[off + t] = f.add(row[off + t], f.mul(s, c))
+    return row
 
 
 # -- maps out of a semifree module -------------------------------------------
@@ -330,8 +343,9 @@ def _kill_cone(P: SemifreeModule, top: int, cap: int = 4096) -> SemifreeModule:
 class SemifreeHom:
     """Base-linear maps from a semifree module into a dg-module.
 
-    A degree-m element assigns to the k-th generator (degree g) a value in
-    N^{m+g}; freeness extends this to the whole module.  The differential is
+    A degree-m element assigns to the k-th generator (degree g, a cell e.C)
+    a value in N^{m+g}.e, in the echelon basis of N.cell; freeness extends
+    this to the whole module.  The differential is
     phi -> d_N . phi - (-1)^m phi . d_P, the same convention as the hom
     complex of two complexes of modules.
     """
@@ -343,64 +357,53 @@ class SemifreeHom:
         self._diffs: dict = {}
         self._sq: dict = {}
 
-    def layout(self, m: int) -> list:
-        return [(k, t) for k, g in enumerate(self.P.gens)
-                for t in range(self.N.dim(m + g))]
+    def blocks(self, m: int) -> list:
+        """(k, the basis of N^{m+g}.e holding generator k's values)."""
+        return [(k, self.N.cell(e, m + g))
+                for k, (g, e) in enumerate(zip(self.P.gens, self.P.cells))]
 
     def dim(self, m: int) -> int:
-        return sum(self.N.dim(m + g) for g in self.P.gens)
+        return sum(cell.dim for _, cell in self.blocks(m))
 
     def assemble(self, m: int, values: dict) -> tuple:
-        """Coordinate vector of the element with the given generator values."""
+        """Coordinates of the element with the given generator values.
+
+        Each value is a vector of N^{m+g} lying in N^{m+g}.e.
+        """
         f = self.field
         out = []
-        for k, g in enumerate(self.P.gens):
-            d = self.N.dim(m + g)
+        for k, cell in self.blocks(m):
             v = values.get(k)
             if v is None:
-                out.extend([f.zero] * d)
+                out.extend([f.zero] * cell.dim)
             else:
-                if len(v) != d:
+                if len(v) != self.N.dim(m + self.P.gens[k]):
                     raise ValueError("generator value has the wrong length")
-                out.extend(v)
+                out.extend(cell.coords(v))
         return tuple(out)
 
     def diff(self, m: int) -> Matrix:
         if m in self._diffs:
             return self._diffs[m]
         P, N = self.P, self.N
-        C = P.algebra
         f = self.field
-        src = self.layout(m)
-        tgt = self.layout(m + 1)
-        pos = {kt: t for t, kt in enumerate(tgt)}
-        sign = f.one if m % 2 == 0 else f.neg(f.one)
-        nsign = f.neg(sign)
+        nsign = f.one if m % 2 else f.neg(f.one)
+        # the value on each later generator k3 picks up phi(d gen k3), which
+        # meets generator k through the component of d gen k3 at k
+        meets = {}
+        for k3, dcomps in enumerate(P.gen_dcomps):
+            for k, delta in dcomps.items():
+                meets.setdefault(k, []).append((k3, delta))
+        offsets, width = block_offsets(self.blocks(m + 1))
         rows = []
-        for (k, t) in src:
+        for k, cell in self.blocks(m):
             g = P.gens[k]
-            row = [f.zero] * len(tgt)
-            dN = N.diff(m + g)
-            if dN.nrows:
-                for c2, c in enumerate(dN.rows[t]):
-                    if c != f.zero:
-                        row[pos[(k, c2)]] = f.add(row[pos[(k, c2)]], c)
-            # the value on each later generator picks up phi(d gen)
-            for k3, gd in enumerate(P.gen_diffs):
-                for (k2, b2), coeff in gd.items():
-                    if k2 != k:
-                        continue
-                    cdeg = P.gens[k3] + 1 - g
-                    cvec = C.basis_vector(cdeg, b2)
-                    xvec = tuple(f.one if s == t else f.zero
-                                 for s in range(N.dim(m + g)))
-                    img = N.act(m + g, xvec, cdeg, cvec)
-                    for c2, c in enumerate(img):
-                        if c != f.zero:
-                            row[pos[(k3, c2)]] = f.add(
-                                row[pos[(k3, c2)]], f.mul(nsign, f.mul(coeff, c)))
-            rows.append(row)
-        d = Matrix(f, len(src), len(tgt), rows)
+            for v in cell.rows:
+                images = [(k, f.one, N.apply_diff(m + g, v))]
+                images += [(k3, nsign, N.act(m + g, v, P.gens[k3] + 1 - g, delta))
+                           for k3, delta in meets.get(k, ())]
+                rows.append(block_row(f, offsets, width, images))
+        d = Matrix(f, len(rows), width, rows)
         self._diffs[m] = d
         return d
 
@@ -419,26 +422,27 @@ def lift_generators(P: SemifreeModule, target, solve) -> list | None:
 
     Generators are taken in filtration order.  For the k-th one (degree g),
     the values already chosen determine the image of its differential,
-    rhs = sum of coeff * act(target value of k2, base element) over the
-    terms of gen_diffs[k], a vector in target degree g + 1; solve(k, g, rhs)
-    returns the generator's value in target degree g, or None when there is
-    none.  target is any module with dim and act (a dg-module or another
-    semifree module).  Returns None as soon as one generator has no value.
+    rhs = the sum of act(target value of k2, component of d gen k at k2)
+    over gen_dcomps[k], a vector in target degree g + 1; solve(k, g, rhs)
+    returns a value in target degree g, or None when there is none.  The
+    generator is a cell e.C, so its value is that solution times e, which
+    still solves the system because rhs and the augmentation target already
+    lie in target.e.  target is any module with dim and act (a dg-module or
+    another semifree module).  Returns None as soon as one generator has no
+    value.
     """
     C = P.algebra
     f = C.field
     vals: list = []
     for k, g in enumerate(P.gens):
-        rhs = [f.zero] * target.dim(g + 1)
-        for (k2, b2), coeff in P.gen_diffs[k].items():
-            g2 = P.gens[k2]
-            cvec = C.basis_vector(g + 1 - g2, b2)
-            img = target.act(g2, vals[k2], g + 1 - g2, cvec)
-            rhs = [f.add(x, f.mul(coeff, y)) for x, y in zip(rhs, img)]
-        sol = solve(k, g, tuple(rhs))
+        rhs = (f.zero,) * target.dim(g + 1)
+        for k2, delta in P.gen_dcomps[k].items():
+            img = target.act(P.gens[k2], vals[k2], g + 1 - P.gens[k2], delta)
+            rhs = tuple(f.add(x, y) for x, y in zip(rhs, img))
+        sol = solve(k, g, rhs)
         if sol is None:
             return None
-        vals.append(tuple(sol))
+        vals.append(tuple(target.act(g, sol, 0, C.idempotents[P.cells[k]])))
     return vals
 
 
@@ -489,70 +493,54 @@ def derived_tensor(M: DgModule, U: DgModule, window: DegreeWindow,
 def resolution_tensor(P: SemifreeModule, U: DgModule) -> Complex:
     """P (x)_B U for a semifree module P and a left dg-module U with .complex.
 
-    The result carries .resolution = P and per-degree .block_layout mapping
-    generators to offsets; with no generators or no U it is the zero complex.
+    The cell e.B of a generator of degree g contributes e.U^j to degree g + j,
+    an A-submodule of the term U^j.  The result carries .resolution = P and
+    per-degree .block_layout, the list of (generator, j, echelon basis of
+    e.U^j in the coordinates of U^j) in block order; with no generators or
+    no U it is the zero complex.
     """
     A = U.complex.algebra
     f = A.field
     if not U.dims or not P.gens:
         return zero_complex(A)
+    submodules = {}
 
-    def blocks(n):
-        out = []
-        for k, g in enumerate(P.gens):
-            d = U.dim(n - g)
-            if d:
-                out.append((k, n - g, d))
-        return out
+    def submodule(e, j):
+        if (e, j) not in submodules:
+            cell = U.cell(e, j)
+            action = [Matrix(f, cell.dim, cell.dim,
+                             [cell.coords(a.apply_row(u)) for u in cell.rows])
+                      for a in U.complex.term(j).action]
+            submodules[(e, j)] = Module(A, cell.dim, action, validate=False)
+        return submodules[(e, j)]
 
     lo = min(P.gens) + U.lo
     hi = max(P.gens) + U.hi
     terms, layouts = {}, {}
     for n in range(lo, hi + 1):
-        bl = blocks(n)
+        bl = [(k, n - g, U.cell(e, n - g)) for k, (g, e) in enumerate(zip(P.gens, P.cells))
+              if U.cell(e, n - g).dim]
         if not bl:
             continue
-        terms[n] = direct_sum_modules(A, [U.complex.term(j) for _, j, _ in bl])
+        terms[n] = direct_sum_modules(A, [submodule(P.cells[k], j) for k, j, _ in bl])
         layouts[n] = bl
     diffs = {}
     for n in sorted(terms):
         if n + 1 not in terms:
             continue
-        src, tgt = layouts[n], layouts[n + 1]
-        offs = {}
-        acc = 0
-        for k, j, d in tgt:
-            offs[k] = acc
-            acc += d
-        rows = [[f.zero] * acc for _ in range(sum(d for _, _, d in src))]
-        base = 0
-        for k, j, d in src:
+        offsets, width = block_offsets((k, cell) for k, _, cell in layouts[n + 1])
+        rows = []
+        for k, j, cell in layouts[n]:
             g = P.gens[k]
             sign = f.one if g % 2 == 0 else f.neg(f.one)
-            # generator kept, U differential applied
-            if k in offs and U.dim(j + 1):
-                dmat = U.diff(j)
-                for r in range(d):
-                    for ccol in range(dmat.ncols):
-                        c = dmat.rows[r][ccol]
-                        if c != f.zero:
-                            rows[base + r][offs[k] + ccol] = f.add(
-                                rows[base + r][offs[k] + ccol], f.mul(sign, c))
-            # generator differential, base element pushed into U
-            for (k2, b2), coeff in P.gen_diffs[k].items():
-                if k2 not in offs:
-                    continue
-                cdeg = g + 1 - P.gens[k2]
-                cvec = P.algebra.basis_vector(cdeg, b2)
-                for r in range(d):
-                    uvec = tuple(f.one if s == r else f.zero for s in range(d))
-                    img = U.act(cdeg, cvec, j, uvec)
-                    for ccol, c in enumerate(img):
-                        if c != f.zero:
-                            rows[base + r][offs[k2] + ccol] = f.add(
-                                rows[base + r][offs[k2] + ccol], f.mul(coeff, c))
-            base += d
-        diffs[n] = Matrix(f, len(rows), acc, rows)
+            for u in cell.rows:
+                # generator kept, U differential applied; then the generator
+                # differential, its base components pushed into U
+                images = [(k, sign, U.apply_diff(j, u))]
+                images += [(k2, f.one, U.act(g + 1 - P.gens[k2], delta, j, u))
+                           for k2, delta in P.gen_dcomps[k].items()]
+                rows.append(block_row(f, offsets, width, images))
+        diffs[n] = Matrix(f, len(rows), width, rows)
     out = Complex(A, terms, diffs)
     out.resolution = P
     out.block_layout = layouts

@@ -64,6 +64,14 @@ def radical_rows(E) -> list[tuple]:
     return Matrix(f, E.dim, E.dim, rows).row_kernel_rows()
 
 
+def end_radical(B: DgAlgebra) -> list[tuple]:
+    """radical_rows(end_h0(B)) for B = dg_end(U), kept on B beside its H^0
+    algebra.  A field too small for the radical raises on every call."""
+    if B._radical is None:
+        B._radical = radical_rows(end_h0(B))
+    return B._radical
+
+
 def _summands(U: Complex) -> list:
     summands = getattr(U, "summands", None)
     return [U] if summands is None else list(summands)
@@ -203,7 +211,7 @@ def coresolve_A(U: Complex, max_steps: int = 8,
     B = dg_end(U) if B is None else B
     summands = _summands(U)
     E = end_h0(B)
-    rad = radical_rows(E)
+    rad = end_radical(B)
 
     X = projective_complex(A, {0: list(range(len(A.idempotents)))})
     triangles, targets, mults = [], [], []

@@ -35,10 +35,10 @@ from .dg import (DgAlgebra, DgModule, dg_end, dg_hom_module, end_h0,
                  side_swap, smart_truncate)
 from .linalg import Matrix
 from .semifree import (DegreeWindow, SemifreeHom, SemifreeModule,
-                       derived_tensor, hom_cutoff, lift_generators,
-                       lift_to_resolution, resolution_tensor, semifree_resolve,
-                       tensor_cutoff)
-from .silting import SiltingReport, radical_rows, silting_report
+                       block_offsets, block_row, derived_tensor, hom_cutoff,
+                       lift_generators, lift_to_resolution, resolution_tensor,
+                       semifree_resolve, tensor_cutoff)
+from .silting import SiltingReport, end_radical, silting_report
 
 
 # -- reports ----------------------------------------------------------------
@@ -169,10 +169,10 @@ def _evaluation_chain_map(T: Complex, gh, gen_values, X: Complex) -> ChainMap:
     """The map (resolution (x)_C U) -> X evaluating each generator's hom value.
 
     gen_values[k] are coordinates in the hom complex gh = Hom(U, X) at the
-    generator's degree; the block of the k-th generator in degree n is the
-    component U^{n-g} -> X^n of that hom element.  Strictness of the
-    resolution's augmentation makes this an honest chain map, which the
-    ChainMap constructor re-checks.
+    generator's degree; on the block e.U^{n-g} of the k-th generator in
+    degree n the map is the component U^{n-g} -> X^n of that hom element.
+    Strictness of the resolution's augmentation makes this an honest chain
+    map, which the ChainMap constructor re-checks.
     """
     f = X.algebra.field
     P = T.resolution
@@ -183,12 +183,12 @@ def _evaluation_chain_map(T: Complex, gh, gen_values, X: Complex) -> ChainMap:
         if tdim == 0:
             continue
         rows = []
-        for (k, j, d) in blocks:
-            comps = gh.component_maps(P.gens[k], gen_values[k])
-            blockmat = comps.get(j)
+        for (k, j, cell) in blocks:
+            blockmat = gh.component_maps(P.gens[k], gen_values[k]).get(j)
             if blockmat is None or xdim == 0:
-                blockmat = Matrix.zero(f, d, xdim)
-            rows.extend(blockmat.rows)
+                rows.extend([f.zero] * xdim for _ in cell.rows)
+            else:
+                rows.extend(blockmat.apply_row(u) for u in cell.rows)
         mats[n] = Matrix(f, tdim, xdim, rows)
     return ChainMap(T, X, mats)
 
@@ -288,7 +288,7 @@ def verify_E_iso(U: Complex, ctx: SiltingContext | None = None) -> VerificationR
         H0 = U.cohomology(0)
         end_dim = len(hom_space(H0, H0))
         try:
-            rad_e = len(radical_rows(E))
+            rad_e = len(end_radical(B))
         except ValueError:
             rad_e = None
         checks.append(CheckRecord(
@@ -616,39 +616,28 @@ def naturality_probe(U: Complex, X: Complex, Xp: Complex, window,
 
 def _tensor_of_lift(TX: Complex, TXp: Complex, P: SemifreeModule,
                     Pp: SemifreeModule, lam: list, Uc: DgModule) -> ChainMap:
-    """The lifted map tensored with the identity of U, block by block."""
+    """The lifted map tensored with the identity of U, block by block.
+
+    On the block of the k-th generator of P, u goes to the sum over the
+    generators k2 of Pp of (component of lam[k] at k2) * u, in the block of k2.
+    """
     f = Uc.algebra.field
-    C = P.algebra
     mats = {}
     for n, blocks in TX.block_layout.items():
         tdim = TX.term(n).dim
         pdim = TXp.term(n).dim
         if tdim == 0:
             continue
-        tgt_blocks = TXp.block_layout.get(n, [])
-        offs = {}
-        acc = 0
-        for k2, j2, d2 in tgt_blocks:
-            offs[k2] = acc
-            acc += d2
-        rows = [[f.zero] * pdim for _ in range(tdim)]
-        base = 0
-        for (k, j, d) in blocks:
+        offsets, _ = block_offsets((k2, cell2)
+                                   for k2, _, cell2 in TXp.block_layout.get(n, []))
+        rows = []
+        for (k, j, cell) in blocks:
             g = P.gens[k]
-            layout = Pp.layout(g)
-            for (k2, b2), coeff in zip(layout, lam[k]):
-                if coeff == f.zero or k2 not in offs:
-                    continue
-                cdeg = g - Pp.gens[k2]
-                cvec = C.basis_vector(cdeg, b2)
-                for r in range(d):
-                    uvec = tuple(f.one if s == r else f.zero for s in range(d))
-                    img = Uc.act(cdeg, cvec, j, uvec)
-                    for ccol, c in enumerate(img):
-                        if c != f.zero:
-                            rows[base + r][offs[k2] + ccol] = f.add(
-                                rows[base + r][offs[k2] + ccol], f.mul(coeff, c))
-            base += d
+            comps = Pp.components(g, zip(Pp.layout(g), lam[k]))
+            rows.extend(block_row(f, offsets, pdim,
+                                  [(k2, f.one, Uc.act(g - Pp.gens[k2], delta, j, u))
+                                   for k2, delta in comps.items() if k2 in offsets])
+                        for u in cell.rows)
         mats[n] = Matrix(f, tdim, pdim, rows)
     return ChainMap(TX, TXp, mats)
 
@@ -666,15 +655,21 @@ def probe_modules(A: Algebra) -> dict:
     return out
 
 
-def probe_complexes(A: Algebra, cap: int = 16) -> dict:
-    """Projective-complex witnesses for the standard probes, plus the free module."""
+def probe_complexes(A: Algebra, cap: int = 16, names=None) -> dict:
+    """Projective-complex witnesses for the standard probes, plus the free module.
+
+    With names given, only the probes named there are built.
+    """
     out = {}
     for name, M in sorted(probe_modules(A).items()):
+        if names is not None and name not in names:
+            continue
         if name.startswith("proj"):
             out[name] = projective_complex(A, {0: [int(name[4:])]})
         else:
             out[name] = proj_replacement(module_complex(M), cap)[0]
-    out["free"] = projective_complex(A, {0: list(range(len(A.idempotents)))})
+    if names is None or "free" in names:
+        out["free"] = projective_complex(A, {0: list(range(len(A.idempotents)))})
     return out
 
 
@@ -816,10 +811,9 @@ def verify_all(U: Complex, window=(-4, 4), pair_degrees=(-2, 2), max_steps: int 
     delta = verify_delta(U, win, ctx, extra_margin)
     reports.append(delta)
 
-    cplx = probe_complexes(ctx.A, cap)
-    cplx["silting"] = U
-    if probe_names is not None:
-        cplx = {k: v for k, v in cplx.items() if k in probe_names}
+    cplx = probe_complexes(ctx.A, cap, probe_names)
+    if probe_names is None or "silting" in probe_names:
+        cplx["silting"] = U
     for name in sorted(cplx):
         reports.append(verify_counit(U, cplx[name], win, ctx, extra_margin,
                                      subject=name))

@@ -318,6 +318,18 @@ def test_unknown_probe_exits_3_with_a_one_line_diagnostic(capsys, command):
     assert err.count("\n") == 1
 
 
+def test_unselected_probes_are_not_built(capsys, monkeypatch):
+    # the simple probe of the dual numbers would hit its replacement cap
+    code, payload, _ = run_json(capsys, "verify", FIX_DUAL, "A", "--probes", "free")
+    assert code == 0
+    assert [r["subject"] for r in payload["reports"]
+            if r["kind"] == "counit"] == ["free"]
+    _, calls = _count_calls(monkeypatch)
+    code, _, _ = run_cli(capsys, "verify", FIX_A2, "U-tilt", "--probes", "free")
+    assert code == 0
+    assert _totals(calls)["proj_replacement"] == 0
+
+
 def test_probe_filter_limits_the_battery(capsys):
     code, payload, _ = run_json(capsys, "verify", FIX_K, "A",
                                 "--probes=free,simple0")
@@ -538,3 +550,20 @@ def test_verify_resolves_each_module_degree_once(capsys, monkeypatch):
     (U,) = [X for fn, X in calls if fn == "dg_end"]
     assert homs[(U, U)] <= 3
     assert passes and set(passes.values()) == {1}
+
+
+def test_verify_computes_the_radical_once(capsys, monkeypatch):
+    # the coresolution and the H^0 check share the radical kept on the dg-end
+    from siltcheck import silting
+
+    calls = []
+    radical_rows = silting.radical_rows
+
+    def counted(E):
+        calls.append(E)
+        return radical_rows(E)
+
+    _rebind(monkeypatch, radical_rows, counted)
+    code, _, _ = run_cli(capsys, "verify", FIX_A2, "U-tilt")
+    assert code == 0
+    assert len(calls) == 1

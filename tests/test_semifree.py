@@ -31,9 +31,10 @@ from siltcheck.semifree import (
     regular_dg_module,
     semifree_resolve,
 )
-from siltcheck.verifier import verify_delta
+from siltcheck.verifier import SiltingContext, verify_all, verify_delta
 
 F101 = PrimeField(101)
+INSTANCES = pathlib.Path(__file__).resolve().parent.parent / "instances"
 
 
 @pytest.fixture(scope="module")
@@ -56,6 +57,14 @@ def hom_to_simple(A2, silt):
     return dg_hom_module(U, X, B)
 
 
+@pytest.fixture(scope="module")
+def dual_hom_to_simple():
+    # the simple module of the dual numbers: its minimal resolution is infinite
+    inst = load_instance(INSTANCES / "fix_dual.json")
+    U = inst.complexes["A"]
+    return dg_hom_module(U, module_complex(inst.modules["k"]), dg_end(U))
+
+
 def test_window_invariant():
     w = DegreeWindow(-3, 3)
     assert 0 in w and -3 in w and 4 not in w
@@ -64,24 +73,37 @@ def test_window_invariant():
         DegreeWindow(1, 0)
 
 
-def test_regular_module_resolves_to_one_generator(silt):
-    U, B = silt
-    M = regular_dg_module(B)
-    P = semifree_resolve(M, -5)
-    assert P.gens == [0]
-    assert P.gen_diffs == [{}]
+def _resolves_by_one_cell_per_idempotent(M, cutoff):
+    """M is free on the idempotents of its base: one degree-0 cell each,
+    an augmentation that is an isomorphism, and an acyclic cone."""
+    B = M.algebra
+    P = semifree_resolve(M, cutoff)
+    assert P.gens == [0] * len(B.idempotents)
+    assert sorted(P.cells) == list(range(len(B.idempotents)))
+    assert P.gen_diffs == [{}] * len(B.idempotents)
     for n in B.degrees():
         aug = P.aug_matrix(n)
-        assert aug.rows == Matrix.identity(F101, B.dim(n)).rows
+        assert aug.nrows == aug.ncols == M.dim(n) == aug.rank()
     for n in P.cone_support():
         assert P.cone_h_dim(n) == 0
+    return P
+
+
+def test_regular_module_resolves_to_one_generator(silt):
+    # one cell per summand idempotent of U; without summand data the unit is
+    # the one idempotent, and the local dual numbers take one free generator
+    U, B = silt
+    assert len(B.idempotents) == 2
+    _resolves_by_one_cell_per_idempotent(regular_dg_module(B), -5)
+    V = load_instance(INSTANCES / "fix_dual.json").complexes["A"]
+    BV = dg_end(V)
+    assert BV.idempotents == [BV.unit]
+    _resolves_by_one_cell_per_idempotent(regular_dg_module(BV), -5)
 
 
 def test_self_hom_module_detected_as_regular(silt):
     U, B = silt
-    M = dg_hom_module(U, U, B)
-    P = semifree_resolve(M, -4)
-    assert P.gens == [0]
+    _resolves_by_one_cell_per_idempotent(dg_hom_module(U, U, B), -4)
 
 
 def test_zero_module_resolves_to_nothing(silt):
@@ -184,9 +206,9 @@ def test_positive_base_is_rejected(A2):
         semifree_resolve(M, -2)
 
 
-def test_generator_cap_is_an_error(hom_to_simple):
+def test_generator_cap_is_an_error(dual_hom_to_simple):
     with pytest.raises(SemifreeCapError) as exc:
-        semifree_resolve(hom_to_simple, -6, cap=2)
+        semifree_resolve(dual_hom_to_simple, -6, cap=2)
     assert "generators at degree" in str(exc.value)
 
 
@@ -197,20 +219,22 @@ def test_hom_degree_must_sit_in_window(silt):
         derived_hom_over_B(M, M, 5, DegreeWindow(-2, 2))
 
 
-def test_per_degree_matrices_follow_added_generators(hom_to_simple, monkeypatch):
+def test_per_degree_matrices_follow_added_generators(dual_hom_to_simple,
+                                                     monkeypatch):
     # before every generator semifree_resolve adds, fill the memo in every
     # degree; after the add, each matrix must be a fresh module's
     degrees = range(-8, 2)
     add = SemifreeModule.add_generator
     checked = []
 
-    def adding(self, degree, diff, aug):
+    def adding(self, degree, diff, aug, cell):
         for n in degrees:
             self.diff_matrix(n), self.aug_matrix(n), self.lift_system(n)
-        add(self, degree, diff, aug)
+        add(self, degree, diff, aug, cell)
         fresh = SemifreeModule(self.algebra, self.target, self.cutoff)
         for k in range(len(self.gens)):
-            add(fresh, self.gens[k], self.gen_diffs[k], self.gen_augs[k])
+            add(fresh, self.gens[k], self.gen_diffs[k], self.gen_augs[k],
+                self.cells[k])
         for n in degrees:
             assert self.diff_matrix(n) == fresh.diff_matrix(n)
             assert self.aug_matrix(n) == fresh.aug_matrix(n)
@@ -218,13 +242,12 @@ def test_per_degree_matrices_follow_added_generators(hom_to_simple, monkeypatch)
         checked.append(degree)
 
     monkeypatch.setattr(SemifreeModule, "add_generator", adding)
-    P = semifree_resolve(hom_to_simple, -6)
+    P = semifree_resolve(dual_hom_to_simple, -6)
     assert checked == P.gens and len(checked) > 2
 
 
 def test_delta_builds_each_lift_system_once(monkeypatch):
-    inst = load_instance(pathlib.Path(__file__).resolve().parent.parent
-                         / "instances" / "fix_a2.json")
+    inst = load_instance(INSTANCES / "fix_a2.json")
     build = SemifreeModule._lift_system
     built, used = Counter(), Counter()
 
@@ -245,3 +268,27 @@ def test_delta_builds_each_lift_system_once(monkeypatch):
     assert built and set(built.values()) == {1}
     # every basis element of A lifts through the same per-degree systems
     assert sum(used.values()) > len(used) == len(built)
+
+
+def _resolution_sizes(U, w):
+    """Generators of each module's deepest resolution in verify_all at +-w."""
+    ctx = SiltingContext(U)
+    assert all(r.passed for r in verify_all(U, (-w, w), (-1, 1), ctx=ctx))
+    return [len(built[min(built)].gens) for built in ctx._resolutions.values()]
+
+
+def test_resolutions_are_minimal():
+    # over kA_3 with U the sum of its projectives, cells are projective
+    # covers: a projective probe takes one cell, and no resolution grows
+    # with the window once it reaches the bottom of its module
+    A3 = path_algebra(Quiver(["0", "1", "2"], [("a", "0", "1"), ("b", "1", "2")]),
+                      F101)
+    U = direct_sum_complexes([projective_complex(A3, {0: [v]}) for v in range(3)])
+    ctx = SiltingContext(U)
+    for v in range(3):
+        P = ctx.resolve(ctx.hom_module(projective_complex(A3, {0: [v]})), -4)
+        assert P.gens == [0]
+    narrow = _resolution_sizes(U, 0)
+    wide = _resolution_sizes(U, 3)
+    assert wide == narrow
+    assert max(wide) == 3
