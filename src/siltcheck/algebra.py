@@ -544,16 +544,6 @@ def hom_space(M: Module, N: Module) -> list[ModuleMap]:
     return maps
 
 
-def hom_coordinates(basis: list[ModuleMap], mat: Matrix) -> tuple | None:
-    """Coordinates of a map in a hom_space basis (None if outside the span)."""
-    if not basis:
-        return () if mat.is_zero() else None
-    f = mat.field
-    flat_rows = [tuple(x for r in b.mat.rows for x in r) for b in basis]
-    span = Matrix(f, len(flat_rows), mat.nrows * mat.ncols, flat_rows)
-    return span.solve_left_rows(tuple(x for r in mat.rows for x in r))
-
-
 def projective_module(A: Algebra, idem_pos: int) -> Module:
     """e_i A for the idem_pos-th idempotent, with its generator recorded.
 

@@ -178,15 +178,9 @@ def _verification_reports(ctx: SiltingContext, eff: dict) -> list:
 _SOFT_CHECKS = {"coresolution terminates"}
 
 
-def _is_soft_failure(check) -> bool:
-    if check.name in _SOFT_CHECKS:
-        return True
-    return bool(check.details.get("inconclusive"))
-
-
 def _verdict_code(reports: list) -> tuple[str, int]:
     failed = [c for r in reports for c in r.checks if not c.passed]
-    if any(not _is_soft_failure(c) for c in failed):
+    if any(c.name not in _SOFT_CHECKS for c in failed):
         return "fail", 1
     if failed:
         return "inconclusive", 2

@@ -21,7 +21,6 @@ from .algebra import (
     Module,
     ModuleMap,
     direct_sum_modules,
-    hom_coordinates,
     hom_space,
     projective_module,
     zero_module,
@@ -387,6 +386,7 @@ class GradedHom:
             self.offsets[n] = offs
         self._diffs = {}
         self._cohom = {}
+        self._spans = {}     # (n, source degree) -> flattened basis maps
 
     def dim(self, n: int) -> int:
         return len(self.basis.get(n, ()))
@@ -395,38 +395,18 @@ class GradedHom:
         if n in self._diffs:
             return self._diffs[n]
         f = self.field
-        src = self.basis.get(n, ())
-        tgt = self.basis.get(n + 1, ())
-        mat_rows = []
         sign = f.one if n % 2 == 0 else f.neg(f.one)
-        for i, h in src:
-            row = [f.zero] * len(tgt)
-            # component at source degree i: h then d_Y
-            comp = h.mat @ self.Y.diff(n + i)
-            self._write(row, n + 1, i, comp)
-            # component at source degree i-1: d_X then h, sign -(-1)^n
-            comp2 = (self.X.diff(i - 1) @ h.mat).scale(f.neg(sign))
-            self._write(row, n + 1, i - 1, comp2)
-            mat_rows.append(row)
-        d = Matrix(f, len(src), len(tgt), mat_rows)
+        rows = []
+        for i, h in self.basis.get(n, ()):
+            # at source degree i: h then d_Y; at i-1: d_X then h, sign -(-1)^n
+            dx_h = (self.X.diff(i - 1) @ h.mat).scale(f.neg(sign))
+            coords = self.coords_of(n + 1, {i: h.mat @ self.Y.diff(n + i), i - 1: dx_h})
+            if coords is None:
+                raise AssertionError("component map escaped its hom-space span")
+            rows.append(coords)
+        d = Matrix(f, len(rows), self.dim(n + 1), rows)
         self._diffs[n] = d
         return d
-
-    def _write(self, row, n: int, i: int, comp: Matrix):
-        """Add the coordinates of a degree-n component map at source degree i."""
-        if comp.nrows == 0 or comp.ncols == 0 or comp.is_zero():
-            return
-        offs = self.offsets.get(n, {})
-        if i not in offs:
-            raise AssertionError("component outside the hom basis support")
-        group = [h for j, h in self.basis[n] if j == i]
-        coords = hom_coordinates(group, comp)
-        if coords is None:
-            raise AssertionError("component map escaped its hom-space span")
-        f = self.field
-        start = offs[i]
-        for k, c in enumerate(coords):
-            row[start + k] = f.add(row[start + k], c)
 
     def subquotient(self, n: int):
         if n not in self._cohom:
@@ -453,19 +433,26 @@ class GradedHom:
         """Coordinates of a family of component maps; None if outside the span."""
         f = self.field
         vec = [f.zero] * self.dim(n)
+        offs = self.offsets.get(n, {})
         for i, mat in comps.items():
             if mat.is_zero():
                 continue
-            offs = self.offsets.get(n, {})
             if i not in offs:
                 return None
-            group = [h for j, h in self.basis[n] if j == i]
-            coords = hom_coordinates(group, mat)
+            coords = self._span(n, i).solve_left_rows(tuple(x for r in mat.rows for x in r))
             if coords is None:
                 return None
-            for k, c in enumerate(coords):
-                vec[offs[i] + k] = c
+            vec[offs[i]:offs[i] + len(coords)] = coords
         return tuple(vec)
+
+    def _span(self, n: int, i: int) -> Matrix:
+        """The degree-n basis maps at source degree i, flattened into rows;
+        built once, so its elimination is too."""
+        if (n, i) not in self._spans:
+            rows = [tuple(x for r in h.mat.rows for x in r) for j, h in self.basis[n] if j == i]
+            self._spans[(n, i)] = Matrix(self.field, len(rows),
+                                         self.X.term(i).dim * self.Y.term(n + i).dim, rows)
+        return self._spans[(n, i)]
 
     def chain_map_from_cocycle(self, coords: Sequence) -> ChainMap:
         """Degree-0 cocycle coordinates -> an honest chain map X -> Y."""

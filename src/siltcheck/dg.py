@@ -13,7 +13,10 @@ The central construction is dg_end of a complex of projectives U: its
 degree-n part is the degree-n piece of the hom complex of U with itself, and
 the product a*b is "apply b, then a", with no auxiliary sign.  That choice
 makes the Leibniz rule hold exactly for the hom-complex differential, which
-the constructor re-checks on every basis pair.
+the constructor re-checks on every basis pair.  dg_end and its non-positive
+smart_truncate both record .maps, each basis element as its component maps
+U -> U, so hom modules and the evaluation module of U are built over either
+one by composing those maps.
 """
 
 from __future__ import annotations
@@ -326,24 +329,25 @@ class DgModule(_Graded):
 # -- dg-end and hom modules ------------------------------------------------
 
 
-def _composition_tables(gh, ghB) -> dict:
+def _composition_tables(gh, maps: dict) -> dict:
     """Products of hom-complex bases: [(m, n)][i][j] holds the coordinates in
     gh of x . b, "apply b, then x", for the i-th basis element x of gh^m and
-    the j-th basis element b of ghB^n, where ghB = Hom(U, U)."""
+    the j-th element b of maps[n], given by its component maps U -> U."""
     f = gh.field
     tables = {}
     for m in range(gh.lo, gh.hi + 1):
-        for n in range(ghB.lo, ghB.hi + 1):
-            if not gh.dim(m) or not ghB.dim(n) or not gh.dim(m + n):
+        for n, elems in maps.items():
+            if not gh.dim(m) or not elems or not gh.dim(m + n):
                 continue
             table = []
             for (sx, hx) in gh.basis[m]:
                 row = []
-                for (sb, hb) in ghB.basis[n]:
-                    if sx != n + sb:
+                for b in elems:
+                    mb = b.get(sx - n)
+                    if mb is None:
                         row.append(_zero(f, gh.dim(m + n)))
                         continue
-                    coords = gh.coords_of(m + n, {sb: hb.mat @ hx.mat})
+                    coords = gh.coords_of(m + n, {sx - n: mb @ hx.mat})
                     if coords is None:
                         raise AssertionError("composite escaped the hom basis")
                     row.append(coords)
@@ -372,7 +376,8 @@ def dg_end(U: Complex) -> DgAlgebra:
 
     Its idempotents are the summand projections of U when U carries
     direct-sum data.  Carries .gh (the underlying hom complex of U with
-    itself) and .complex; end_h0 keeps its H^0 algebra on it, and
+    itself), .complex and .maps, each degree-n basis element as its
+    component maps U -> U; end_h0 keeps its H^0 algebra on it, and
     silting.end_radical the radical of that algebra.
     """
     if not U.is_projective_complex():
@@ -380,61 +385,55 @@ def dg_end(U: Complex) -> DgAlgebra:
     gh = hom_complex(U, U)
     f = U.algebra.field
     dims = {n: gh.dim(n) for n in range(gh.lo, gh.hi + 1)}
-    mult = _composition_tables(gh, gh)
+    maps = {n: [{i: h.mat} for i, h in gh.basis[n]] for n in range(gh.lo, gh.hi + 1)}
     diffs = {n: gh.diff(n) for n in range(gh.lo, gh.hi + 1)}
     ident = {i: Matrix.identity(f, U.term(i).dim) for i in U.degrees() if U.term(i).dim}
     unit = gh.coords_of(0, ident)
     if unit is None:
         raise AssertionError("identity escaped the hom basis")
-    B = DgAlgebra(f, dims, mult, diffs, unit,
+    B = DgAlgebra(f, dims, _composition_tables(gh, maps), diffs, unit,
                   idempotents=_summand_idempotents(U, gh))
     B.gh = gh
     B.complex = U
+    B.maps = maps
     B._h0 = None
     B._radical = None
     return B
 
 
-def dg_hom_module(U: Complex, X: Complex, B: DgAlgebra | None = None) -> DgModule:
-    """Hom complex of U into X as a right dg-module over dg_end(U).
+def dg_hom_module(U: Complex, X: Complex, base: DgAlgebra | None = None) -> DgModule:
+    """Hom complex of U into X as a right dg-module over base: dg_end(U), the
+    default, or its smart_truncate.
 
     The action is composition, f*b = "apply b, then f".  Carries .gh.
     """
-    if B is None:
-        B = dg_end(U)
+    if base is None:
+        base = dg_end(U)
     gh = hom_complex(U, X)
     dims = {n: gh.dim(n) for n in range(gh.lo, gh.hi + 1)}
     diffs = {n: gh.diff(n) for n in range(gh.lo, gh.hi + 1)}
-    M = DgModule(B, "right", dims, _composition_tables(gh, B.gh), diffs)
+    M = DgModule(base, "right", dims, _composition_tables(gh, base.maps), diffs)
     M.gh = gh
     return M
 
 
-def evaluation_left_module(B: DgAlgebra, U: Complex) -> DgModule:
-    """U as a left dg-module over B = dg_end(U), b acting by evaluation b(u)."""
-    gh = B.gh
-    if gh.X is not U:
-        raise ValueError("B must be the dg-end of U")
+def evaluation_left_module(base: DgAlgebra, U: Complex) -> DgModule:
+    """U as a left dg-module over base, dg_end(U) or its smart_truncate, b
+    acting by evaluation b(u)."""
+    if base.complex is not U:
+        raise ValueError("base must be the dg-end of U or its truncation")
     f = U.algebra.field
     dims = {n: U.term(n).dim for n in U.degrees()}
     action = {}
-    for m in gh.basis:
+    for m, elems in base.maps.items():
         for n in U.degrees():
-            if not gh.dim(m) or not dims.get(n) or not dims.get(m + n):
+            if not elems or not dims.get(n) or not dims.get(m + n):
                 continue
-            table = []
-            for (sb, hb) in gh.basis[m]:
-                row = []
-                for j in range(dims[n]):
-                    if sb != n:
-                        row.append(_zero(f, dims[m + n]))
-                        continue
-                    u = tuple(f.one if t == j else f.zero for t in range(dims[n]))
-                    row.append(hb.mat.apply_row(u))
-                table.append(row)
-            action[(m, n)] = table
+            zero = _zero(f, dims[m + n])
+            action[(m, n)] = [b[n].rows if n in b else [zero] * dims[n]
+                              for b in elems]
     diffs = {n: U.diff(n) for n in U.degrees()}
-    M = DgModule(B, "left", dims, action, diffs)
+    M = DgModule(base, "left", dims, action, diffs)
     M.complex = U
     return M
 
@@ -558,14 +557,16 @@ def h0_module(M: DgModule, E: Algebra) -> Module:
     return out
 
 
-# -- truncation, opposite, side swap, restriction --------------------------
+# -- truncation, opposite, side swap ---------------------------------------
 
 
 def smart_truncate(B: DgAlgebra) -> DgAlgebra:
-    """Non-positive truncation: degree 0 becomes ker d^0, positive degrees die.
+    """Non-positive truncation of B = dg_end(U): degree 0 becomes ker d^0,
+    positive degrees die.
 
-    The result carries .embed (per-degree inclusion matrices into B) and
-    .ambient = B; the inclusion is a map of dg-algebras and induces H^n
+    The result carries .embed (per-degree inclusion matrices into B), .maps
+    (each basis element as its component maps U -> U, as on B) and
+    .complex = U; the inclusion is a map of dg-algebras and induces H^n
     isomorphisms for n <= 0.
     """
     f = B.field
@@ -618,7 +619,8 @@ def smart_truncate(B: DgAlgebra) -> DgAlgebra:
     C = DgAlgebra(f, dims, mult, diffs, unit,
                   idempotents=[restrict(e, 0) for e in B.idempotents])
     C.embed = embed
-    C.ambient = B
+    C.maps = {n: [B.gh.component_maps(n, r) for r in embed[n].rows] for n in dims}
+    C.complex = B.complex
     return C
 
 
@@ -631,13 +633,8 @@ def opposite_dg(B: DgAlgebra) -> DgAlgebra:
         out = [[_scale(f, sign, table[i][j]) for i in range(B.dim(m))]
                for j in range(B.dim(n))]
         mult[(n, m)] = out
-    op = DgAlgebra(f, dict(B.dims), mult, dict(B.diffs), B.unit,
-                   idempotents=B.idempotents)
-    if hasattr(B, "embed"):
-        op.embed = B.embed
-    if hasattr(B, "ambient"):
-        op.ambient = B.ambient
-    return op
+    return DgAlgebra(f, dict(B.dims), mult, dict(B.diffs), B.unit,
+                     idempotents=B.idempotents)
 
 
 def side_swap(M: DgModule, Bop: DgAlgebra) -> DgModule:
@@ -653,28 +650,3 @@ def side_swap(M: DgModule, Bop: DgAlgebra) -> DgModule:
                for j in range(M.dim(n))]
         action[(n, m)] = out
     return DgModule(Bop, "right", dict(M.dims), action, dict(M.diffs))
-
-
-def restrict_scalars(M: DgModule, C: DgAlgebra) -> DgModule:
-    """Restrict a dg-module, right or left, along the truncation inclusion C -> B."""
-    def basis(X, n):
-        if X is C:
-            return C.embed[n].rows
-        return [M.basis_vector(n, i) for i in range(M.dim(n))]
-
-    # the factors in their order as elements: x*a for right, a*x for left
-    first, second = (M, C) if M.side == "right" else (C, M)
-    action = {}
-    for m in first.degrees():
-        for n in second.degrees():
-            if first.dim(m) and second.dim(n) and M.dim(m + n):
-                action[(m, n)] = [[M.act(m, u, n, v) for v in basis(second, n)]
-                                  for u in basis(first, m)]
-    out = DgModule(C, M.side, dict(M.dims), action, dict(M.diffs))
-    out.ambient_module = M
-    if hasattr(M, "complex"):
-        out.complex = M.complex
-    if hasattr(M, "gh"):
-        out.gh = M.gh
-    return out
-

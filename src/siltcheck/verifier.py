@@ -31,8 +31,8 @@ from .complexes import (ChainMap, Complex, direct_sum_complexes, hom_complex,
                         module_complex, proj_replacement, projective_cache,
                         projective_complex)
 from .dg import (DgAlgebra, DgModule, dg_end, dg_hom_module, end_h0,
-                 evaluation_left_module, opposite_dg, restrict_scalars,
-                 side_swap, smart_truncate)
+                 evaluation_left_module, opposite_dg, side_swap,
+                 smart_truncate)
 from .linalg import Matrix
 from .semifree import (DegreeWindow, SemifreeHom, SemifreeModule,
                        block_offsets, block_row, derived_tensor, hom_cutoff,
@@ -133,13 +133,12 @@ class SiltingContext:
 
     @cached_property
     def Uc(self) -> DgModule:
-        return restrict_scalars(evaluation_left_module(self.B, self.U), self.C)
+        return evaluation_left_module(self.C, self.U)
 
     def hom_module(self, X: Complex) -> DgModule:
         """Hom(U, X) as a right module over the truncation C."""
         if X not in self._hom_modules:
-            self._hom_modules[X] = restrict_scalars(
-                dg_hom_module(self.U, X, self.B), self.C)
+            self._hom_modules[X] = dg_hom_module(self.U, X, self.C)
         return self._hom_modules[X]
 
     def tensor(self, M: DgModule, win: DegreeWindow, extra_margin: int) -> Complex:
@@ -336,7 +335,7 @@ def verify_fully_faithful(U: Complex, X: Complex, Xp: Complex, degrees,
     f = ctx.A.field
     MX = ctx.hom_module(X)
     MXp = ctx.hom_module(Xp)
-    gh = hom_complex(X, Xp)
+    gh = MXp.gh if X is ctx.U else hom_complex(X, Xp)
     P = ctx.resolve(MX, hom_cutoff(MXp, win, extra_margin))
     sh = SemifreeHom(P, MXp)
     table = {}
@@ -487,7 +486,7 @@ def verify_corollary_roundtrip(U: Complex, X: Module, i: int, window,
         return VerificationReport("concentration-roundtrip", subject, checks, notes)
 
     Xi_c = module_complex(X, degree=-i)
-    M = restrict_scalars(dg_hom_module(ctx.U, Xi_c, ctx.B), ctx.C)
+    M = dg_hom_module(ctx.U, Xi_c, ctx.C)
     purity = all(M.h_dim(nn) == 0 for nn in M.degrees() if nn != 0)
     checks.append(CheckRecord("hom module has one-point cohomology", purity,
                               {"h_table": M.h_table()}))

@@ -15,14 +15,14 @@ from siltcheck.algebra import (
     Quiver,
     direct_sum_modules,
     endomorphism_algebra,
-    hom_coordinates,
     hom_space,
     path_algebra,
     projective_module,
     regular_module,
     simple_module,
 )
-from siltcheck.complexes import (direct_sum_complexes, projective_cache,
+from siltcheck.complexes import (direct_sum_complexes, hom_complex,
+                                 module_complex, projective_cache,
                                  projective_complex)
 from siltcheck.fields import PrimeField, RationalField
 from siltcheck.linalg import Matrix
@@ -149,10 +149,11 @@ def test_hom_composition_and_coordinates():
     (f,) = hom_space(P2, P1)
     (g,) = hom_space(P1, P1)
     comp = f.compose(g)
-    coords = hom_coordinates([f], comp.mat)
+    gh = hom_complex(module_complex(P2), module_complex(P1))
+    coords = gh.coords_of(0, {0: comp.mat})
     assert coords is not None
     recon = Matrix.zero(Q, P2.dim, P1.dim)
-    for c, b in zip(coords, [f]):
+    for c, (_, b) in zip(coords, gh.basis[0]):
         recon = recon + b.mat.scale(c)
     assert recon == comp.mat
 

@@ -375,7 +375,6 @@ def _carries_a_witness(command: str, payload: dict) -> bool:
     else:
         reports = payload["reports"]
     return any(not c["passed"] and c["name"] not in _SOFT_CHECKS
-               and not c["details"].get("inconclusive")
                for r in reports for c in r["checks"])
 
 

@@ -33,7 +33,6 @@ from siltcheck.dg import (
     h0_algebra,
     h0_module,
     opposite_dg,
-    restrict_scalars,
     side_swap,
     smart_truncate,
 )
@@ -226,15 +225,33 @@ def test_evaluation_module_and_side_swap(simple_resolution):
     assert N.h_table() == M.h_table()
 
 
-def test_restriction_and_module_truncation(A2, simple_resolution):
-    B = dg_end(simple_resolution)
-    C = smart_truncate(B)
-    target = projective_complex(A2, {0: [0]})
-    M = dg_hom_module(simple_resolution, target, B)
-    assert M.dim_table() == {0: 1, 1: 1}
-    assert M.h_table() == {}
-    R = restrict_scalars(M, C)
-    assert R.dim_table() == M.dim_table()
+def _embedded(C, X, n, i):
+    """The i-th degree-n basis element of X, carried into B when X is C."""
+    return C.embed[n].rows[i] if X is C else X.basis_vector(n, i)
+
+
+def test_restriction_and_module_truncation(A2, simple_resolution, two_term_silting, wide):
+    # a module built over the truncation C is the one over B restricted along C -> B
+    for name, U in (("resolution", simple_resolution), ("silting", two_term_silting),
+                    ("wide", wide)):
+        B = dg_end(U)
+        C = smart_truncate(B)
+        X = _hom_target(A2, name, U)
+        for over_C, over_B in ((dg_hom_module(U, X, C), dg_hom_module(U, X, B)),
+                               (evaluation_left_module(C, U), evaluation_left_module(B, U))):
+            assert over_C.algebra is C and over_C.dims == over_B.dims
+            first, second = (over_C, C) if over_C.side == "right" else (C, over_C)
+            for m in first.degrees():
+                for i in range(first.dim(m)):
+                    for n in second.degrees():
+                        for j in range(second.dim(n)):
+                            assert over_C.act(m, first.basis_vector(m, i),
+                                              n, second.basis_vector(n, j)) == \
+                                over_B.act(m, _embedded(C, first, m, i),
+                                           n, _embedded(C, second, n, j))
+            if name == "resolution" and over_C.side == "right":
+                assert over_C.dim_table() == {0: 1, 1: 1}
+                assert over_C.h_table() == {}
 
 
 # -- cohomology-level modules ----------------------------------------------
@@ -387,6 +404,10 @@ def wide(A2, simple_resolution):
                                  projective_complex(A2, {0: [0, 1]})])
 
 
+def _hom_target(A2, name, U):
+    return U if name == "silting" else projective_complex(A2, {0: [0]})
+
+
 @pytest.fixture(scope="module")
 def built_objects(A2, simple_resolution, two_term_silting, wide):
     """Outputs of every constructor family, keyed by a readable name."""
@@ -395,14 +416,13 @@ def built_objects(A2, simple_resolution, two_term_silting, wide):
                     ("wide", wide)):
         B = dg_end(U)
         C = smart_truncate(B)
-        hom = dg_hom_module(U, U if name == "silting" else projective_complex(A2, {0: [0]}), B)
         left = evaluation_left_module(B, U)
         out.update({f"dg_end {name}": B,
-                    f"dg_hom_module {name}": hom,
+                    f"dg_hom_module {name}": dg_hom_module(U, _hom_target(A2, name, U), B),
                     f"evaluation_left_module {name}": left,
                     f"side_swap {name}": side_swap(left, opposite_dg(B)),
-                    f"restrict_scalars right {name}": restrict_scalars(hom, C),
-                    f"restrict_scalars left {name}": restrict_scalars(left, C)})
+                    f"hom over C {name}": dg_hom_module(U, _hom_target(A2, name, U), C),
+                    f"evaluation over C {name}": evaluation_left_module(C, U)})
     return out
 
 
@@ -451,8 +471,7 @@ def _corrupt(rng, X):
 @pytest.mark.parametrize("name", [f"{kind} {name}" for name in ("resolution", "silting", "wide")
                                   for kind in ("dg_end", "dg_hom_module",
                                                "evaluation_left_module", "side_swap",
-                                               "restrict_scalars right",
-                                               "restrict_scalars left")])
+                                               "hom over C", "evaluation over C")])
 def test_validator_agrees_with_reference_on_corruptions(built_objects, name):
     X = built_objects[name]
     algebra = isinstance(X, DgAlgebra)

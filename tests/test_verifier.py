@@ -11,10 +11,11 @@ import pytest
 
 from oracles import ext1_dim, hom_dim
 from siltcheck.algebra import endomorphism_algebra, simple_module
-from siltcheck.complexes import (ResolutionCapError, derived_hom_dim,
-                                 direct_sum_complexes, module_complex,
-                                 proj_replacement, projective_complex,
-                                 zero_complex)
+from siltcheck.complexes import (GradedHom, ResolutionCapError,
+                                 derived_hom_dim, direct_sum_complexes,
+                                 module_complex, proj_replacement,
+                                 projective_complex, zero_complex)
+from siltcheck.dg import DgModule
 from siltcheck.semifree import DegreeWindow, semifree_resolve
 from siltcheck.silting import radical_rows
 from siltcheck.verifier import (SemifreeHom, SiltingContext, classify_Xi,
@@ -314,3 +315,35 @@ def test_windowed_hom_agrees_with_independent_oracles(U_silt2, ctx_silt2):
 def test_context_rejects_non_projective_input(indecs):
     with pytest.raises(ValueError):
         SiltingContext(module_complex(indecs["S1"]))
+
+
+def _counting_inits(monkeypatch, cls) -> list:
+    """Every instance of cls constructed from here on, in order."""
+    built = []
+    init = cls.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, "__init__", counting)
+    return built
+
+
+def test_context_builds_each_module_once_over_the_truncation(U_silt2, P1c, monkeypatch):
+    ctx = SiltingContext(U_silt2)
+    built = _counting_inits(monkeypatch, DgModule)
+    MX = ctx.hom_module(P1c)
+    assert built == [MX] and MX.algebra is ctx.C
+    Uc = ctx.Uc
+    assert built == [MX, Uc] and Uc.algebra is ctx.C
+
+
+def test_fully_faithful_out_of_U_reuses_its_hom_module(U_silt2, P1c, monkeypatch):
+    ctx = SiltingContext(U_silt2)
+    ctx.hom_module(U_silt2)
+    ctx.hom_module(P1c)
+    built = _counting_inits(monkeypatch, GradedHom)
+    rep = verify_fully_faithful(U_silt2, U_silt2, P1c, range(-1, 2), ctx)
+    assert rep.passed
+    assert built == []
