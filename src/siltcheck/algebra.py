@@ -144,6 +144,7 @@ class Algebra:
         self._rmul = {}
         self._lmul = {}
         self._proj = {}  # idempotent position -> projective module
+        self._proj_sums = {}  # tuple of idempotent positions -> their direct sum
         if validate:
             self.validate()
 
@@ -430,16 +431,20 @@ class Module:
         for m in self.action:
             if m.nrows != dim or m.ncols != dim:
                 raise ValueError("action matrix has wrong shape")
+        self._homs_from = {}  # vertex -> ProjectiveHoms out of its projective
         if validate:
             self.validate()
 
     def action_of(self, vec: Sequence) -> Matrix:
+        """The action of an algebra element; a basis element's is its own
+        action matrix, not a copy."""
         f = self.algebra.field
-        out = Matrix.zero(f, self.dim, self.dim)
+        out = None
         for i, c in enumerate(vec):
             if c != f.zero:
-                out = out + self.action[i].scale(c)
-        return out
+                term = self.action[i] if c == f.one else self.action[i].scale(c)
+                out = term if out is None else out + term
+        return out if out is not None else Matrix.zero(f, self.dim, self.dim)
 
     def validate(self):
         A = self.algebra
@@ -470,6 +475,13 @@ class Module:
     def dimension_vector(self) -> tuple[int, ...]:
         return tuple(len(self.weight_rows(e)) for e in self.algebra.idempotents)
 
+    def homs_from(self, P: "Module") -> "ProjectiveHoms":
+        """Hom(P, self) for the indecomposable projective P = e_v A, built
+        once per vertex and kept on this module."""
+        if P.vertex not in self._homs_from:
+            self._homs_from[P.vertex] = ProjectiveHoms(P, self)
+        return self._homs_from[P.vertex]
+
     def __repr__(self):
         return f"Module(dim={self.dim} over {self.algebra!r})"
 
@@ -498,10 +510,6 @@ class ModuleMap:
 
     def __repr__(self):
         return f"ModuleMap({self.source.dim} -> {self.target.dim})"
-
-
-def zero_module(algebra: Algebra) -> Module:
-    return Module(algebra, 0, [Matrix.zero(algebra.field, 0, 0)] * algebra.dim, validate=False)
 
 
 def hom_space(M: Module, N: Module) -> list[ModuleMap]:
@@ -542,6 +550,44 @@ def hom_space(M: Module, N: Module) -> list[ModuleMap]:
         mat = Matrix(f, m, n, [flat[i * n:(i + 1) * n] for i in range(m)])
         maps.append(ModuleMap(M, N, mat, validate=False))
     return maps
+
+
+class ProjectiveHoms:
+    """Hom(e_v A, N) read off N.e_v by Yoneda, with no system to solve.
+
+    A map out of P = e_v A is fixed by the image w of e_v, any element of
+    N.e_v, and sends row r of P (ambient_rows[r], an element of A) to w times
+    that element.  space is the echelon basis of N.e_v, acts the action
+    matrix on N of each ambient row, and blocks the basis maps, one per
+    echelon row of space, as P.dim x N.dim matrices.
+    """
+
+    def __init__(self, P: Module, N: Module):
+        f = N.algebra.field
+        self.space = RowSpace(f, N.dim)
+        for row in N.action[N.algebra.idempotents[P.vertex]].rows:
+            self.space.add(row)
+        self.gen = P.gen_coords
+        self.acts = [N.action_of(r) for r in P.ambient_rows]
+        self.blocks = [Matrix(f, P.dim, N.dim, [a.apply_row(n) for a in self.acts])
+                       for n in self.space.rows]
+
+    def coords(self, rows) -> tuple | None:
+        """Coordinates in blocks of the map P -> N with the given rows, or
+        None when those rows are not a module map.
+
+        They are the pivot entries of the image w of e_v.  The map is a
+        module map exactly when each of its rows is w times its ambient row,
+        so rebuilding the rows from w decides membership without elimination.
+        """
+        f = self.space.field
+        w = [f.zero] * self.space.width
+        for c, row in zip(self.gen, rows):
+            if c != f.zero:
+                w = [f.add(a, f.mul(c, b)) for a, b in zip(w, row)]
+        if any(a.apply_row(w) != tuple(row) for a, row in zip(self.acts, rows)):
+            return None
+        return self.space.coords(w)
 
 
 def projective_module(A: Algebra, idem_pos: int) -> Module:

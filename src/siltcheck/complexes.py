@@ -21,9 +21,7 @@ from .algebra import (
     Module,
     ModuleMap,
     direct_sum_modules,
-    hom_space,
     projective_module,
-    zero_module,
 )
 from .linalg import Matrix, RowSpace, subquotient_from_maps
 
@@ -58,9 +56,12 @@ def block_matrix(field, blocks, row_dims: Sequence[int], col_dims: Sequence[int]
 class Complex:
     """Bounded complex of right modules; degree-indexed terms and differentials.
 
-    proj_types, when given, witnesses each nonzero term as a direct sum of the
-    listed indecomposable projectives (by idempotent position); complexes sent
-    into derived-hom computations must carry this witness.
+    proj_types, when given, witnesses each nonzero term as the direct sum of
+    the listed indecomposable projectives (by idempotent position), in the
+    basis of projective_cache: the hom complex reads maps out of each term
+    off that basis, so it requires the witness on its source.  validate
+    checks the witness exactly, each term's action on the algebra generators
+    against the block diagonal of the listed projectives' actions.
     """
 
     def __init__(self, algebra: Algebra, terms: dict, diffs: dict,
@@ -98,7 +99,8 @@ class Complex:
 
     def term(self, n: int) -> Module:
         m = self.terms.get(n)
-        return m if m is not None else zero_module(self.algebra)
+        # the zero module is the empty sum, built once per algebra
+        return m if m is not None else projective_sum(self.algebra, ())
 
     def diff(self, n: int) -> Matrix:
         d = self.diffs.get(n)
@@ -110,6 +112,13 @@ class Complex:
         return self.proj_types is not None
 
     def validate(self):
+        A = self.algebra
+        for n, types in (self.proj_types or {}).items():
+            want = projective_sum(A, types)
+            for g in A.generators:
+                if self.terms[n].action[g] != want.action[g]:
+                    raise ValueError(f"projective witness in degree {n} does not match "
+                                     f"the action of {A.labels[g]}")
         for n in self.degrees():
             d = self.diff(n)
             if d.is_zero():
@@ -169,6 +178,15 @@ def projective_cache(A: Algebra, v: int) -> Module:
     return A._proj[v]
 
 
+def projective_sum(A: Algebra, types: Sequence[int]) -> Module:
+    """The direct sum of the listed indecomposable projectives, in the listed
+    order: the term a projective witness names, built once per algebra."""
+    types = tuple(types)
+    if types not in A._proj_sums:
+        A._proj_sums[types] = direct_sum_modules(A, [projective_cache(A, v) for v in types])
+    return A._proj_sums[types]
+
+
 def zero_complex(A: Algebra) -> Complex:
     return Complex(A, {}, {}, proj_types={}, validate=False)
 
@@ -179,10 +197,7 @@ def module_complex(M: Module, degree: int = 0) -> Complex:
 
 def projective_complex(A: Algebra, types: dict, diffs: dict | None = None) -> Complex:
     """Complex whose degree-n term is the direct sum of the listed projectives."""
-    terms = {}
-    for n, vs in types.items():
-        if vs:
-            terms[n] = direct_sum_modules(A, [projective_cache(A, v) for v in vs])
+    terms = {n: projective_sum(A, vs) for n, vs in types.items() if vs}
     return Complex(A, terms, diffs or {}, proj_types={n: tuple(vs) for n, vs in types.items()})
 
 
@@ -355,15 +370,21 @@ def is_acyclic(X: Complex) -> bool:
 
 
 class GradedHom:
-    """The hom complex of two bounded complexes.
+    """The hom complex out of a complex of projectives into a bounded complex.
 
-    Degree-n elements are families of module maps X^i -> Y^{n+i}; the basis in
-    each degree is ordered lexicographically by (source degree, hom-space
-    index), so coordinates are reproducible.  The differential matrix in
-    degree n implements (df)_i = f_i d_Y - (-1)^n d_X f_{i+1}.
+    Degree-n elements are families of module maps X^i -> Y^{n+i}.  The source
+    must carry its projective witness: a map out of a summand e_v A of X^i is
+    fixed by the image of e_v in Y^{n+i}.e_v (Yoneda), so the degree-n basis
+    is ordered by source degree, then witness summand, then echelon row of
+    Y^{n+i}.e_v, and coordinates are read at the pivots of that image, with
+    no system to solve.  The differential matrix in degree n implements
+    (df)_i = f_i d_Y - (-1)^n d_X f_{i+1}.
     """
 
     def __init__(self, X: Complex, Y: Complex):
+        if not X.is_projective_complex():
+            raise ValueError("hom complex needs a source with projective witness; "
+                             "run proj_replacement")
         self.X = X
         self.Y = Y
         self.field = X.algebra.field
@@ -372,21 +393,36 @@ class GradedHom:
         else:
             self.lo = Y.lo - X.hi
             self.hi = Y.hi - X.lo
-        self.basis = {}      # n -> list of (source degree, ModuleMap)
+        self.basis = {}      # n -> list of (source degree, matrix of the map)
         self.offsets = {}    # n -> {source degree: start index}
         for n in range(self.lo, self.hi + 1):
             entries, offs = [], {}
             for i in X.degrees():
-                if X.term(i).dim == 0 or Y.term(n + i).dim == 0:
+                S, T = X.term(i), Y.term(n + i)
+                if S.dim == 0 or T.dim == 0:
                     continue
                 offs[i] = len(entries)
-                for h in hom_space(X.term(i), Y.term(n + i)):
-                    entries.append((i, h))
+                zero = (self.field.zero,) * T.dim
+                for start, homs in self._summands(i, T):
+                    above = (zero,) * start
+                    below = (zero,) * (S.dim - start - len(homs.acts))
+                    for blk in homs.blocks:
+                        entries.append((i, Matrix(self.field, S.dim, T.dim,
+                                                  above + blk.rows + below)))
             self.basis[n] = entries
             self.offsets[n] = offs
         self._diffs = {}
         self._cohom = {}
-        self._spans = {}     # (n, source degree) -> flattened basis maps
+
+    def _summands(self, i: int, T) -> list:
+        """(first row, Hom(e_v A, T)) for each witness summand of X^i."""
+        A = self.X.algebra
+        out, start = [], 0
+        for v in self.X.proj_types[i]:
+            P = projective_cache(A, v)
+            out.append((start, T.homs_from(P)))
+            start += P.dim
+        return out
 
     def dim(self, n: int) -> int:
         return len(self.basis.get(n, ()))
@@ -399,8 +435,8 @@ class GradedHom:
         rows = []
         for i, h in self.basis.get(n, ()):
             # at source degree i: h then d_Y; at i-1: d_X then h, sign -(-1)^n
-            dx_h = (self.X.diff(i - 1) @ h.mat).scale(f.neg(sign))
-            coords = self.coords_of(n + 1, {i: h.mat @ self.Y.diff(n + i), i - 1: dx_h})
+            dx_h = (self.X.diff(i - 1) @ h).scale(f.neg(sign))
+            coords = self.coords_of(n + 1, {i: h @ self.Y.diff(n + i), i - 1: dx_h})
             if coords is None:
                 raise AssertionError("component map escaped its hom-space span")
             rows.append(coords)
@@ -426,11 +462,12 @@ class GradedHom:
                 continue
             if i not in out:
                 out[i] = Matrix.zero(f, self.X.term(i).dim, self.Y.term(n + i).dim)
-            out[i] = out[i] + h.mat.scale(c)
+            out[i] = out[i] + h.scale(c)
         return out
 
     def coords_of(self, n: int, comps: dict):
-        """Coordinates of a family of component maps; None if outside the span."""
+        """Coordinates of a family of component maps; None if some component
+        is not a module map."""
         f = self.field
         vec = [f.zero] * self.dim(n)
         offs = self.offsets.get(n, {})
@@ -439,20 +476,14 @@ class GradedHom:
                 continue
             if i not in offs:
                 return None
-            coords = self._span(n, i).solve_left_rows(tuple(x for r in mat.rows for x in r))
-            if coords is None:
-                return None
-            vec[offs[i]:offs[i] + len(coords)] = coords
+            pos = offs[i]
+            for start, homs in self._summands(i, self.Y.term(n + i)):
+                coords = homs.coords(mat.rows[start:start + len(homs.acts)])
+                if coords is None:
+                    return None
+                vec[pos:pos + len(coords)] = coords
+                pos += len(coords)
         return tuple(vec)
-
-    def _span(self, n: int, i: int) -> Matrix:
-        """The degree-n basis maps at source degree i, flattened into rows;
-        built once, so its elimination is too."""
-        if (n, i) not in self._spans:
-            rows = [tuple(x for r in h.mat.rows for x in r) for j, h in self.basis[n] if j == i]
-            self._spans[(n, i)] = Matrix(self.field, len(rows),
-                                         self.X.term(i).dim * self.Y.term(n + i).dim, rows)
-        return self._spans[(n, i)]
 
     def chain_map_from_cocycle(self, coords: Sequence) -> ChainMap:
         """Degree-0 cocycle coordinates -> an honest chain map X -> Y."""
@@ -468,8 +499,6 @@ def hom_complex(X: Complex, Y: Complex) -> GradedHom:
 
 def derived_hom_dim(X: Complex, Y: Complex, n: int) -> int:
     """dim Hom_{D(A)}(X, Y[n]) for X a complex with projective witness."""
-    if not X.is_projective_complex():
-        raise ValueError("derived hom needs a complex of projectives; run proj_replacement")
     return hom_complex(X, Y).h_dim(n)
 
 
@@ -536,7 +565,7 @@ def proj_replacement(X: Complex, cap: int = 16) -> tuple[Complex, ChainMap]:
                         for j in range(A.dim):
                             killed.add(sq.reduce(act(j).apply_row(w)))
             summands = [projective_cache(A, pos) for pos, _ in gens]
-            Pn = direct_sum_modules(A, summands)
+            Pn = projective_sum(A, [pos for pos, _ in gens])
             d_rows, e_rows = [], []
             for (pos, w), proj in zip(gens, summands):
                 q, x = w[:pdim], w[pdim:]

@@ -24,7 +24,7 @@ from __future__ import annotations
 from itertools import chain
 
 from .algebra import Algebra, Module
-from .complexes import Complex, hom_complex, summand_projection_maps
+from .complexes import Complex, GradedHom, hom_complex, summand_projection_maps
 from .linalg import Matrix, RowSpace, Subquotient, subquotient_from_maps
 
 
@@ -347,7 +347,7 @@ def _composition_tables(gh, maps: dict) -> dict:
                     if mb is None:
                         row.append(_zero(f, gh.dim(m + n)))
                         continue
-                    coords = gh.coords_of(m + n, {sx - n: mb @ hx.mat})
+                    coords = gh.coords_of(m + n, {sx - n: mb @ hx})
                     if coords is None:
                         raise AssertionError("composite escaped the hom basis")
                     row.append(coords)
@@ -385,7 +385,7 @@ def dg_end(U: Complex) -> DgAlgebra:
     gh = hom_complex(U, U)
     f = U.algebra.field
     dims = {n: gh.dim(n) for n in range(gh.lo, gh.hi + 1)}
-    maps = {n: [{i: h.mat} for i, h in gh.basis[n]] for n in range(gh.lo, gh.hi + 1)}
+    maps = {n: [{i: h} for i, h in gh.basis[n]] for n in range(gh.lo, gh.hi + 1)}
     diffs = {n: gh.diff(n) for n in range(gh.lo, gh.hi + 1)}
     ident = {i: Matrix.identity(f, U.term(i).dim) for i in U.degrees() if U.term(i).dim}
     unit = gh.coords_of(0, ident)
@@ -401,15 +401,14 @@ def dg_end(U: Complex) -> DgAlgebra:
     return B
 
 
-def dg_hom_module(U: Complex, X: Complex, base: DgAlgebra | None = None) -> DgModule:
-    """Hom complex of U into X as a right dg-module over base: dg_end(U), the
-    default, or its smart_truncate.
+def dg_hom_module(gh: GradedHom, base: DgAlgebra | None = None) -> DgModule:
+    """The hom complex gh = Hom(U, X) as a right dg-module over base:
+    dg_end(U), the default, or its smart_truncate.
 
     The action is composition, f*b = "apply b, then f".  Carries .gh.
     """
     if base is None:
-        base = dg_end(U)
-    gh = hom_complex(U, X)
+        base = dg_end(gh.X)
     dims = {n: gh.dim(n) for n in range(gh.lo, gh.hi + 1)}
     diffs = {n: gh.diff(n) for n in range(gh.lo, gh.hi + 1)}
     M = DgModule(base, "right", dims, _composition_tables(gh, base.maps), diffs)

@@ -27,9 +27,9 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .algebra import Algebra, Module, direct_sum_modules, hom_space, simple_module
-from .complexes import (ChainMap, Complex, direct_sum_complexes, hom_complex,
-                        module_complex, proj_replacement, projective_cache,
-                        projective_complex)
+from .complexes import (ChainMap, Complex, GradedHom, direct_sum_complexes,
+                        hom_complex, module_complex, proj_replacement,
+                        projective_cache, projective_complex)
 from .dg import (DgAlgebra, DgModule, dg_end, dg_hom_module, end_h0,
                  evaluation_left_module, opposite_dg, side_swap,
                  smart_truncate)
@@ -102,10 +102,11 @@ class SiltingContext:
     B is the dg-endomorphism algebra of U, report the silting report of U
     built on that same B, C the non-positive truncation of B, and Uc is U
     turned into a left C-module through evaluation.  Each is built on first
-    use and then kept.  Hom modules into probe complexes, resolutions,
-    tensors and the classification of module probes are cached under the
-    objects they come from, since several checks revisit them; a key keeps
-    its object alive, so a cached entry can never answer for another.
+    use and then kept.  Hom complexes, hom modules into probe complexes,
+    resolutions, tensors and the classification of module probes are cached
+    under the objects they come from, since several checks revisit them; a
+    key keeps its object alive, so a cached entry can never answer for
+    another.
     """
 
     def __init__(self, U: Complex, max_steps: int = 8):
@@ -114,6 +115,7 @@ class SiltingContext:
         self.U = U
         self.A = U.algebra
         self.max_steps = max_steps
+        self._homs: dict = {}
         self._hom_modules: dict = {}
         self._tensors: dict = {}
         self._resolutions: dict = {}
@@ -135,10 +137,19 @@ class SiltingContext:
     def Uc(self) -> DgModule:
         return evaluation_left_module(self.C, self.U)
 
+    def hom(self, X: Complex, Y: Complex) -> GradedHom:
+        """The hom complex of X into Y, built once per pair; Hom(U, U) is
+        the one under the dg-end B."""
+        if X is self.U and Y is self.U:
+            return self.B.gh
+        if (X, Y) not in self._homs:
+            self._homs[(X, Y)] = hom_complex(X, Y)
+        return self._homs[(X, Y)]
+
     def hom_module(self, X: Complex) -> DgModule:
         """Hom(U, X) as a right module over the truncation C."""
         if X not in self._hom_modules:
-            self._hom_modules[X] = dg_hom_module(self.U, X, self.C)
+            self._hom_modules[X] = dg_hom_module(self.hom(self.U, X), self.C)
         return self._hom_modules[X]
 
     def tensor(self, M: DgModule, win: DegreeWindow, extra_margin: int) -> Complex:
@@ -335,7 +346,7 @@ def verify_fully_faithful(U: Complex, X: Complex, Xp: Complex, degrees,
     f = ctx.A.field
     MX = ctx.hom_module(X)
     MXp = ctx.hom_module(Xp)
-    gh = MXp.gh if X is ctx.U else hom_complex(X, Xp)
+    gh = ctx.hom(X, Xp)
     P = ctx.resolve(MX, hom_cutoff(MXp, win, extra_margin))
     sh = SemifreeHom(P, MXp)
     table = {}
@@ -486,7 +497,7 @@ def verify_corollary_roundtrip(U: Complex, X: Module, i: int, window,
         return VerificationReport("concentration-roundtrip", subject, checks, notes)
 
     Xi_c = module_complex(X, degree=-i)
-    M = dg_hom_module(ctx.U, Xi_c, ctx.C)
+    M = dg_hom_module(hom_complex(ctx.U, Xi_c), ctx.C)
     purity = all(M.h_dim(nn) == 0 for nn in M.degrees() if nn != 0)
     checks.append(CheckRecord("hom module has one-point cohomology", purity,
                               {"h_table": M.h_table()}))
@@ -568,7 +579,7 @@ def naturality_probe(U: Complex, X: Complex, Xp: Complex, window,
     """
     win = _window(window)
     ctx = ctx or SiltingContext(U)
-    gh = hom_complex(X, Xp)
+    gh = ctx.hom(X, Xp)
     sq = gh.subquotient(0)
     if not sq.reps:
         return VerificationReport("naturality", "probe pair",

@@ -22,8 +22,7 @@ from siltcheck.algebra import (
     simple_module,
 )
 from siltcheck.complexes import (direct_sum_complexes, hom_complex,
-                                 module_complex, projective_cache,
-                                 projective_complex)
+                                 projective_cache, projective_complex)
 from siltcheck.fields import PrimeField, RationalField
 from siltcheck.linalg import Matrix
 
@@ -145,16 +144,17 @@ def test_projectives_and_simples_two_vertex():
 
 def test_hom_composition_and_coordinates():
     A = two_vertex_algebra()
-    P1, P2 = projective_module(A, 0), projective_module(A, 1)
+    X, Y = projective_complex(A, {0: [1]}), projective_complex(A, {0: [0]})
+    P2, P1 = X.term(0), Y.term(0)
     (f,) = hom_space(P2, P1)
     (g,) = hom_space(P1, P1)
     comp = f.compose(g)
-    gh = hom_complex(module_complex(P2), module_complex(P1))
+    gh = hom_complex(X, Y)
     coords = gh.coords_of(0, {0: comp.mat})
     assert coords is not None
     recon = Matrix.zero(Q, P2.dim, P1.dim)
     for c, (_, b) in zip(coords, gh.basis[0]):
-        recon = recon + b.mat.scale(c)
+        recon = recon + b.scale(c)
     assert recon == comp.mat
 
 

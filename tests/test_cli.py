@@ -524,31 +524,41 @@ def test_verify_of_a_tilting_module_resolves_only_the_simple_probes(capsys,
 
 def test_verify_resolves_each_module_degree_once(capsys, monkeypatch):
     # every cutoff of a module is served from one resolution, so no cone
-    # pass repeats; Hom(U, U) is built only for the dg-end, the hom module
-    # of the silting probe and its fully-faithful pair
-    from siltcheck import complexes
+    # pass repeats
     from siltcheck.semifree import SemifreeModule
 
-    _, calls = _count_calls(monkeypatch)
-    passes, homs = Counter(), Counter()
+    passes = Counter()
     cone_subquotient = SemifreeModule.cone_subquotient
-    hom_complex = complexes.hom_complex
 
     def counting(self, n):
         passes[(self.target, n)] += 1
         return cone_subquotient(self, n)
 
+    monkeypatch.setattr(SemifreeModule, "cone_subquotient", counting)
+    code, _, _ = run_cli(capsys, "verify", FIX_A2, "U-tilt")
+    assert code == 0
+    assert passes and set(passes.values()) == {1}
+
+
+def test_verify_builds_each_hom_complex_once(capsys, monkeypatch):
+    # the context owns one hom complex per (source, target) pair, and
+    # Hom(U, U) is the dg-end's own
+    from siltcheck import complexes
+
+    _, calls = _count_calls(monkeypatch)
+    homs = Counter()
+    hom_complex = complexes.hom_complex
+
     def counted_hom(X, Y):
         homs[(X, Y)] += 1
         return hom_complex(X, Y)
 
-    monkeypatch.setattr(SemifreeModule, "cone_subquotient", counting)
     _rebind(monkeypatch, hom_complex, counted_hom)
     code, _, _ = run_cli(capsys, "verify", FIX_A2, "U-tilt")
     assert code == 0
     (U,) = [X for fn, X in calls if fn == "dg_end"]
-    assert homs[(U, U)] <= 3
-    assert passes and set(passes.values()) == {1}
+    assert homs[(U, U)] == 1
+    assert set(homs.values()) == {1}
 
 
 def test_verify_computes_the_radical_once(capsys, monkeypatch):

@@ -11,9 +11,13 @@ import random
 import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import random_two_term
 from siltcheck.algebra import (
     Module,
+    ModuleMap,
     Quiver,
     hom_space,
     path_algebra,
@@ -182,6 +186,93 @@ def test_hom_complex_single_projective(A2):
     assert gh.h_dim(0) == 1
     for n in (-2, -1, 1, 2):
         assert gh.dim(n) == 0
+
+
+def test_hom_complex_needs_a_projective_witness(A2):
+    P1, _ = projectives(A2)
+    with pytest.raises(ValueError, match="projective witness"):
+        hom_complex(module_complex(P1), projective_complex(A2, {0: [0]}))
+
+
+def test_projective_witness_is_checked_against_the_action(A2):
+    # the free module with its two summands listed in the wrong order has the
+    # right dimension but not the listed actions
+    free = projective_complex(A2, {0: [0, 1]})
+    with pytest.raises(ValueError, match="does not match the action"):
+        Complex(A2, dict(free.terms), {}, proj_types={0: (1, 0)})
+    Complex(A2, dict(free.terms), {}, proj_types={0: (0, 1)})
+
+
+_YONEDA_QUIVERS = {
+    "A2": (["1", "2"], [("a", "1", "2")], []),
+    "A3": (["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3")], []),
+    "square": (["1", "2", "3", "4"],
+               [("a", "1", "2"), ("b", "2", "4"), ("c", "1", "3"), ("d", "3", "4")],
+               [[(1, ["a", "b"]), (-1, ["c", "d"])]]),
+}
+_yoneda_algebras: dict = {}
+
+
+def _yoneda_algebra(name):
+    if name not in _yoneda_algebras:
+        verts, arrows, rels = _YONEDA_QUIVERS[name]
+        _yoneda_algebras[name] = path_algebra(Quiver(verts, arrows), F101, rels)
+    return _yoneda_algebras[name]
+
+
+def _flat(mat):
+    return tuple(x for r in mat.rows for x in r)
+
+
+def _is_module_map(S, N, mat):
+    try:
+        ModuleMap(S, N, mat)
+    except AssertionError:
+        return False
+    return True
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(_YONEDA_QUIVERS)), st.integers(0, 2 ** 32 - 1))
+def test_yoneda_basis_matches_hom_space(name, seed):
+    # sum of indecomposable projectives against a module taken from the
+    # cohomology of a random two-term complex, checked against the
+    # commutation-system oracle hom_space
+    A = _yoneda_algebra(name)
+    rng = random.Random(seed)
+    f = A.field
+    nverts = len(A.idempotents)
+    X = projective_complex(A, {0: [rng.randrange(nverts) for _ in range(rng.randint(1, 3))]})
+    N = random_two_term(A, rng).cohomology(rng.choice([-1, 0]))
+    S = X.term(0)
+    gh = hom_complex(X, module_complex(N))
+    basis = [h for _, h in gh.basis.get(0, ())]
+    oracle = [h.mat for h in hom_space(S, N)]
+    assert len(basis) == len(oracle)
+    if not basis:
+        return
+    width = S.dim * N.dim
+    ours = Matrix(f, len(basis), width, [_flat(m) for m in basis])
+    theirs = Matrix(f, len(oracle), width, [_flat(m) for m in oracle])
+    assert ours.rank() == theirs.rank() == ours.vstack(theirs).rank() == len(basis)
+    assert all(_is_module_map(S, N, m) for m in basis)
+    for _ in range(3):
+        coords = tuple(f.coerce(rng.randrange(101)) for _ in basis)
+        comps = gh.component_maps(0, coords)
+        assert gh.coords_of(0, comps) == coords
+    # a module map with one entry moved is a module map only by accident
+    for _ in range(3):
+        comps = gh.component_maps(0, [f.coerce(rng.randrange(101)) for _ in basis])
+        mat = comps.get(0, Matrix.zero(f, S.dim, N.dim))
+        r, c = rng.randrange(S.dim), rng.randrange(N.dim)
+        bumped = Matrix(f, S.dim, N.dim,
+                        [[f.add(x, f.one) if (i, j) == (r, c) else x
+                          for j, x in enumerate(row)] for i, row in enumerate(mat.rows)])
+        got = gh.coords_of(0, {0: bumped})
+        if _is_module_map(S, N, bumped):
+            assert gh.component_maps(0, got).get(0, Matrix.zero(f, S.dim, N.dim)) == bumped
+        else:
+            assert got is None
 
 
 def test_hom_complex_componentwise_dims(A2):

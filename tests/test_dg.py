@@ -18,6 +18,7 @@ from siltcheck.complexes import (
     cone,
     derived_hom_dim,
     direct_sum_complexes,
+    hom_complex,
     identity_chain_map,
     module_complex,
     projective_complex,
@@ -236,8 +237,8 @@ def test_restriction_and_module_truncation(A2, simple_resolution, two_term_silti
                     ("wide", wide)):
         B = dg_end(U)
         C = smart_truncate(B)
-        X = _hom_target(A2, name, U)
-        for over_C, over_B in ((dg_hom_module(U, X, C), dg_hom_module(U, X, B)),
+        gh = hom_complex(U, _hom_target(A2, name, U))
+        for over_C, over_B in ((dg_hom_module(gh, C), dg_hom_module(gh, B)),
                                (evaluation_left_module(C, U), evaluation_left_module(B, U))):
             assert over_C.algebra is C and over_C.dims == over_B.dims
             first, second = (over_C, C) if over_C.side == "right" else (C, over_C)
@@ -260,7 +261,7 @@ def test_restriction_and_module_truncation(A2, simple_resolution, two_term_silti
 def test_h0_module_splits_under_idempotents(two_term_silting):
     B = dg_end(two_term_silting)
     E = h0_algebra(B, idempotent_cocycles(B, two_term_silting))
-    M = dg_hom_module(two_term_silting, two_term_silting, B)
+    M = dg_hom_module(hom_complex(two_term_silting, two_term_silting), B)
     Y = h0_module(M, E)
     assert Y.dim == 2
     for e in E.idempotents:
@@ -276,7 +277,7 @@ def test_h0_algebra_rejects_vanishing_unit(A2):
 
 
 def test_dg_hom_module_builds_own_end(two_term_silting, A2):
-    M = dg_hom_module(two_term_silting, projective_complex(A2, {0: [0]}))
+    M = dg_hom_module(hom_complex(two_term_silting, projective_complex(A2, {0: [0]})))
     assert isinstance(M.algebra, DgAlgebra)
     assert isinstance(M, DgModule)
 
@@ -417,11 +418,12 @@ def built_objects(A2, simple_resolution, two_term_silting, wide):
         B = dg_end(U)
         C = smart_truncate(B)
         left = evaluation_left_module(B, U)
+        gh = hom_complex(U, _hom_target(A2, name, U))
         out.update({f"dg_end {name}": B,
-                    f"dg_hom_module {name}": dg_hom_module(U, _hom_target(A2, name, U), B),
+                    f"dg_hom_module {name}": dg_hom_module(gh, B),
                     f"evaluation_left_module {name}": left,
                     f"side_swap {name}": side_swap(left, opposite_dg(B)),
-                    f"hom over C {name}": dg_hom_module(U, _hom_target(A2, name, U), C),
+                    f"hom over C {name}": dg_hom_module(gh, C),
                     f"evaluation over C {name}": evaluation_left_module(C, U)})
     return out
 

@@ -15,6 +15,7 @@ from siltcheck.algebra import Quiver, path_algebra, simple_module
 from siltcheck.complexes import (
     derived_hom_dim,
     direct_sum_complexes,
+    hom_complex,
     module_complex,
     projective_complex,
 )
@@ -54,7 +55,7 @@ def silt(A2):
 def hom_to_simple(A2, silt):
     U, B = silt
     X = module_complex(simple_module(A2, 0))
-    return dg_hom_module(U, X, B)
+    return dg_hom_module(hom_complex(U, X), B)
 
 
 @pytest.fixture(scope="module")
@@ -62,7 +63,7 @@ def dual_hom_to_simple():
     # the simple module of the dual numbers: its minimal resolution is infinite
     inst = load_instance(INSTANCES / "fix_dual.json")
     U = inst.complexes["A"]
-    return dg_hom_module(U, module_complex(inst.modules["k"]), dg_end(U))
+    return dg_hom_module(hom_complex(U, module_complex(inst.modules["k"])), dg_end(U))
 
 
 def test_window_invariant():
@@ -103,7 +104,7 @@ def test_regular_module_resolves_to_one_generator(silt):
 
 def test_self_hom_module_detected_as_regular(silt):
     U, B = silt
-    _resolves_by_one_cell_per_idempotent(dg_hom_module(U, U, B), -4)
+    _resolves_by_one_cell_per_idempotent(dg_hom_module(hom_complex(U, U), B), -4)
 
 
 def test_zero_module_resolves_to_nothing(silt):
@@ -163,7 +164,7 @@ def test_hom_out_of_free_source_is_base_cohomology(silt, A2):
 
 def test_hom_agrees_with_complex_level_route(silt):
     U, B = silt
-    M = dg_hom_module(U, U, B)
+    M = dg_hom_module(hom_complex(U, U), B)
     w = DegreeWindow(-2, 2)
     for n in range(-2, 3):
         assert derived_hom_over_B(M, M, n, w) == derived_hom_dim(U, U, n)
@@ -177,7 +178,7 @@ def test_tensor_recovers_source_cohomology(silt, hom_to_simple, A2):
     for n in range(-3, 4):
         assert T.h_dim(n) == (1 if n == 0 else 0)
     P1c = projective_complex(A2, {0: [0]})
-    M2 = dg_hom_module(U, P1c, B)
+    M2 = dg_hom_module(hom_complex(U, P1c), B)
     T2 = derived_tensor(M2, Ueval, w)
     for n in range(-3, 4):
         assert T2.h_dim(n) == (2 if n == 0 else 0)
@@ -188,7 +189,7 @@ def test_margin_enlargement_stability(silt, hom_to_simple):
     Ueval = evaluation_left_module(B, U)
     w = DegreeWindow(-2, 2)
     base_t = {n: derived_tensor(hom_to_simple, Ueval, w).h_dim(n) for n in range(-2, 3)}
-    M = dg_hom_module(U, U, B)
+    M = dg_hom_module(hom_complex(U, U), B)
     base_h = {n: derived_hom_over_B(M, M, n, w) for n in range(-2, 3)}
     for extra in (1, 2, 3):
         T = derived_tensor(hom_to_simple, Ueval, w, extra_margin=extra)
@@ -201,7 +202,7 @@ def test_positive_base_is_rejected(A2):
     Q = projective_complex(A2, {-1: [1], 0: [0]},
                            {-1: Matrix(F101, 1, 2, [[F101.zero, F101.one]])})
     B = dg_end(Q)
-    M = dg_hom_module(Q, Q, B)
+    M = dg_hom_module(hom_complex(Q, Q), B)
     with pytest.raises(ValueError):
         semifree_resolve(M, -2)
 
