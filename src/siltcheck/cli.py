@@ -169,7 +169,6 @@ def cmd_goodify(inst: Instance, args) -> int:
 def _verification_reports(ctx: SiltingContext, eff: dict) -> list:
     return verify_all(ctx.U, window=eff["window"],
                       pair_degrees=eff["pair_degrees"],
-                      max_steps=eff["max_steps"],
                       extra_margin=eff["extra_margin"],
                       cap=eff["cap"], ctx=ctx, probe_names=eff["probes"])
 

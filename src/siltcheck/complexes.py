@@ -163,9 +163,6 @@ class Complex:
     def h_table(self) -> dict:
         return {n: self.h_dim(n) for n in self.degrees() if self.h_dim(n) > 0}
 
-    def euler_char(self) -> int:
-        return sum((-1) ** (n % 2) * m.dim for n, m in self.terms.items())
-
     def __repr__(self):
         dims = {n: self.term(n).dim for n in self.degrees()}
         return f"Complex({dims})"
@@ -495,11 +492,6 @@ def hom_complex(X: Complex, Y: Complex) -> GradedHom:
     if X.algebra is not Y.algebra and X.algebra.dim != Y.algebra.dim:
         raise ValueError("complexes over different algebras")
     return GradedHom(X, Y)
-
-
-def derived_hom_dim(X: Complex, Y: Complex, n: int) -> int:
-    """dim Hom_{D(A)}(X, Y[n]) for X a complex with projective witness."""
-    return hom_complex(X, Y).h_dim(n)
 
 
 # -- projective replacement ------------------------------------------------

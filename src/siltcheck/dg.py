@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from itertools import chain
 
-from .algebra import Algebra, Module
+from .algebra import Algebra
 from .complexes import Complex, GradedHom, hom_complex, summand_projection_maps
 from .linalg import Matrix, RowSpace, Subquotient, subquotient_from_maps
 
@@ -194,9 +194,6 @@ class _Graded:
                 space.add(self._times_idempotent(i, n, self.basis_vector(n, b)))
             self._cells[(i, n)] = space
         return self._cells[(i, n)]
-
-    def dim_table(self) -> dict:
-        return dict(self.dims)
 
 
 class DgAlgebra(_Graded):
@@ -401,14 +398,12 @@ def dg_end(U: Complex) -> DgAlgebra:
     return B
 
 
-def dg_hom_module(gh: GradedHom, base: DgAlgebra | None = None) -> DgModule:
+def dg_hom_module(gh: GradedHom, base: DgAlgebra) -> DgModule:
     """The hom complex gh = Hom(U, X) as a right dg-module over base:
-    dg_end(U), the default, or its smart_truncate.
+    dg_end(U) or its smart_truncate.
 
     The action is composition, f*b = "apply b, then f".  Carries .gh.
     """
-    if base is None:
-        base = dg_end(gh.X)
     dims = {n: gh.dim(n) for n in range(gh.lo, gh.hi + 1)}
     diffs = {n: gh.diff(n) for n in range(gh.lo, gh.hi + 1)}
     M = DgModule(base, "right", dims, _composition_tables(gh, base.maps), diffs)
@@ -440,15 +435,14 @@ def evaluation_left_module(base: DgAlgebra, U: Complex) -> DgModule:
 # -- cohomology-level algebra ----------------------------------------------
 
 
-def h0_algebra(B: DgAlgebra, idempotent_cocycles=None) -> Algebra:
+def h0_algebra(B: DgAlgebra) -> Algebra:
     """H^0 of a dg-algebra as an ordinary algebra.
 
-    idempotent_cocycles: optional degree-0 cocycle vectors whose classes form
-    a complete orthogonal idempotent set (for dg_end, take the coordinates of
+    Its idempotents are the classes of B's idempotents (for dg_end, the
     summand projections of the complex); classes that vanish in H^0 are
-    dropped.  Without them the unit class is the only idempotent.  The basis
-    is adapted so each idempotent class is itself a basis element.  The result
-    carries .class_reps (a degree-0 cocycle per basis element) and .sq.
+    dropped.  The basis is adapted so each idempotent class is itself a basis
+    element.  The result carries .class_reps (a degree-0 cocycle per basis
+    element) and .sq.
     """
     f = B.field
     sq = B.subquotient(0)
@@ -462,17 +456,13 @@ def h0_algebra(B: DgAlgebra, idempotent_cocycles=None) -> Algebra:
         v = sq.lift(v_cls)
         return tuple(sq.reduce(B.product(0, u, 0, v)))
 
-    if idempotent_cocycles is None:
-        idem_cls = [unit_cls]
-        kept = [0]
-    else:
-        idem_cls = []
-        kept = []
-        for pos, v in enumerate(idempotent_cocycles):
-            cls = tuple(sq.reduce(tuple(v)))
-            if any(c != f.zero for c in cls):
-                idem_cls.append(cls)
-                kept.append(pos)
+    idem_cls = []
+    kept = []
+    for pos, v in enumerate(B.idempotents):
+        cls = tuple(sq.reduce(v))
+        if any(c != f.zero for c in cls):
+            idem_cls.append(cls)
+            kept.append(pos)
     total = idem_cls[0]
     for e in idem_cls[1:]:
         total = _add(f, total, e)
@@ -535,25 +525,8 @@ def end_h0(B: DgAlgebra) -> Algebra:
     otherwise.
     """
     if B._h0 is None:
-        B._h0 = h0_algebra(B, B.idempotents)
+        B._h0 = h0_algebra(B)
     return B._h0
-
-
-def h0_module(M: DgModule, E: Algebra) -> Module:
-    """H^0 of a right dg-module as an ordinary module over h0_algebra output E."""
-    f = M.algebra.field
-    sq = M.subquotient(0)
-    h = len(sq.reps)
-    action = []
-    for rep in E.class_reps:
-        rows = []
-        for cls_i in range(h):
-            x = sq.lift(tuple(f.one if t == cls_i else f.zero for t in range(h)))
-            rows.append(sq.reduce(M.act(0, x, 0, rep)))
-        action.append(Matrix(f, h, h, rows))
-    out = Module(E, h, action)
-    out.sq = sq
-    return out
 
 
 # -- truncation, opposite, side swap ---------------------------------------

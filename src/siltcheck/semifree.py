@@ -53,9 +53,6 @@ class DegreeWindow:
     def __contains__(self, n: int) -> bool:
         return self.lo <= n <= self.hi
 
-    def widen(self, k: int) -> "DegreeWindow":
-        return DegreeWindow(self.lo - k, self.hi + k)
-
 
 class SemifreeModule:
     """Semifree right dg-module over a non-positive base C, with augmentation.

@@ -195,20 +195,18 @@ class Coresolution:
     n: int
 
 
-def coresolve_A(U: Complex, max_steps: int = 8,
-                B: DgAlgebra | None = None) -> Coresolution | None:
+def coresolve_A(U: Complex, max_steps: int, B: DgAlgebra) -> Coresolution | None:
     """Coresolve the regular complex by summands of U; None if the step cap hits.
 
     A None return is inconclusive, not a refutation: the cap may simply be too
     small, or the decomposition of U too coarse for minimal multiplicities.
-    B, when given, is dg_end(U), already built.
+    B is dg_end(U), already built.
     """
     if not U.is_projective_complex():
         raise ValueError("coresolution needs a complex of projectives")
     if U.is_empty():
         return None
     A = U.algebra
-    B = dg_end(U) if B is None else B
     summands = _summands(U)
     E = end_h0(B)
     rad = end_radical(B)
@@ -249,10 +247,6 @@ def presilting_witness(U: Complex):
     if U.is_empty():
         return None
     return _self_extension(hom_complex(U, U), 1, U.hi - U.lo)
-
-
-def is_presilting(U: Complex) -> bool:
-    return presilting_witness(U) is None
 
 
 def silting_equivalent(U: Complex, V: Complex, max_steps: int = 8,

@@ -11,6 +11,10 @@ roundtrip unchanged.  When U is a tilting complex with cohomology in degree
 0 alone, the same results are read once more as the classical tilting
 theorem for that module.
 
+Every check takes the SiltingContext of U as its first argument and reads
+U, its dg-end and every hom complex out of it, so no object is built twice;
+verify_all is the one place that builds a context from U.
+
 Every check works inside a stated degree window.  Semifree resolutions are
 truncated one degree deeper than the window requires, so cohomology at the
 window edge is already exact; enlarging the margin must not change any
@@ -102,11 +106,11 @@ class SiltingContext:
     B is the dg-endomorphism algebra of U, report the silting report of U
     built on that same B, C the non-positive truncation of B, and Uc is U
     turned into a left C-module through evaluation.  Each is built on first
-    use and then kept.  Hom complexes, hom modules into probe complexes,
-    resolutions, tensors and the classification of module probes are cached
-    under the objects they come from, since several checks revisit them; a
-    key keeps its object alive, so a cached entry can never answer for
-    another.
+    use and then kept.  Module probes as one-degree complexes, hom
+    complexes, hom modules into probe complexes, resolutions, tensors and
+    the classification of module probes are cached under the objects they
+    come from, since several checks revisit them; a key keeps its object
+    alive, so a cached entry can never answer for another.
     """
 
     def __init__(self, U: Complex, max_steps: int = 8):
@@ -115,6 +119,7 @@ class SiltingContext:
         self.U = U
         self.A = U.algebra
         self.max_steps = max_steps
+        self._modules: dict = {}
         self._homs: dict = {}
         self._hom_modules: dict = {}
         self._tensors: dict = {}
@@ -136,6 +141,13 @@ class SiltingContext:
     @cached_property
     def Uc(self) -> DgModule:
         return evaluation_left_module(self.C, self.U)
+
+    def module(self, X: Module, degree: int) -> Complex:
+        """X as a complex concentrated in one degree, built once per module
+        and degree, so Hom(U, X[-degree]) is built once too."""
+        if (X, degree) not in self._modules:
+            self._modules[(X, degree)] = module_complex(X, degree)
+        return self._modules[(X, degree)]
 
     def hom(self, X: Complex, Y: Complex) -> GradedHom:
         """The hom complex of X into Y, built once per pair; Hom(U, U) is
@@ -241,9 +253,8 @@ def _cohomology_table(T: Complex, X: Complex, eps: ChainMap,
 # -- individual checks -------------------------------------------------------
 
 
-def verify_weak_nonpositive(U: Complex, ctx: SiltingContext | None = None) -> VerificationReport:
+def verify_weak_nonpositive(ctx: SiltingContext) -> VerificationReport:
     """No self-extensions in positive shifts, as cohomology of the dg-end."""
-    ctx = ctx or SiltingContext(U)
     w = ctx.report.presilting_witness
     table = ctx.B.h_table()
     pos_ok = all(n <= 0 for n in table)
@@ -256,7 +267,7 @@ def verify_weak_nonpositive(U: Complex, ctx: SiltingContext | None = None) -> Ve
     return VerificationReport("weak-nonpositivity", "silting complex", checks)
 
 
-def verify_E_iso(U: Complex, ctx: SiltingContext | None = None) -> VerificationReport:
+def verify_E_iso(ctx: SiltingContext) -> VerificationReport:
     """H^0 of the dg-end agrees with chain maps modulo homotopy.
 
     Route one multiplies inside the dg-algebra; route two composes honest
@@ -264,8 +275,7 @@ def verify_E_iso(U: Complex, ctx: SiltingContext | None = None) -> VerificationR
     When U resolves a module, the result is also compared structurally with
     the ordinary endomorphism algebra of that module.
     """
-    ctx = ctx or SiltingContext(U)
-    B = ctx.B
+    U, B = ctx.U, ctx.B
     f = B.field
     E = end_h0(B)
     checks = [CheckRecord("H^0 dimension matches homotopy classes of endomorphisms",
@@ -308,15 +318,14 @@ def verify_E_iso(U: Complex, ctx: SiltingContext | None = None) -> VerificationR
                               checks, notes)
 
 
-def verify_counit(U: Complex, X: Complex, window, ctx: SiltingContext | None = None,
-                  extra_margin: int = 0, subject: str = "probe") -> VerificationReport:
+def verify_counit(ctx: SiltingContext, X: Complex, window, extra_margin: int = 0,
+                  subject: str = "probe") -> VerificationReport:
     """Resolve Hom(U, X) over the truncation, tensor back, evaluate onto X.
 
     Passes when the evaluation map induces cohomology isomorphisms at every
     degree of the window.
     """
     win = _window(window)
-    ctx = ctx or SiltingContext(U)
     MX = ctx.hom_module(X)
     T = ctx.tensor(MX, win, extra_margin)
     if hasattr(T, "resolution"):
@@ -330,8 +339,8 @@ def verify_counit(U: Complex, X: Complex, window, ctx: SiltingContext | None = N
                               {"window": [win.lo, win.hi], "extra_margin": extra_margin})
 
 
-def verify_fully_faithful(U: Complex, X: Complex, Xp: Complex, degrees,
-                          ctx: SiltingContext | None = None, extra_margin: int = 0,
+def verify_fully_faithful(ctx: SiltingContext, X: Complex, Xp: Complex, degrees,
+                          extra_margin: int = 0,
                           subject: str = "pair") -> VerificationReport:
     """Morphism spaces before and after the hom functor, degree by degree.
 
@@ -342,7 +351,6 @@ def verify_fully_faithful(U: Complex, X: Complex, Xp: Complex, degrees,
     """
     ns = sorted(degrees)
     win = DegreeWindow(ns[0], ns[-1])
-    ctx = ctx or SiltingContext(U)
     f = ctx.A.field
     MX = ctx.hom_module(X)
     MXp = ctx.hom_module(Xp)
@@ -375,7 +383,7 @@ def verify_fully_faithful(U: Complex, X: Complex, Xp: Complex, degrees,
                               {"degrees": ns, "extra_margin": extra_margin})
 
 
-def verify_delta(U: Complex, window, ctx: SiltingContext | None = None,
+def verify_delta(ctx: SiltingContext, window,
                  extra_margin: int = 0) -> VerificationReport:
     """Right multiplication identifies A with derived endomorphisms of U.
 
@@ -386,7 +394,6 @@ def verify_delta(U: Complex, window, ctx: SiltingContext | None = None,
     exist and compose multiplicatively.
     """
     win = _window(window)
-    ctx = ctx or SiltingContext(U)
     A = ctx.A
     f = A.field
     Cop = opposite_dg(ctx.C)
@@ -452,14 +459,13 @@ class XiClassification:
     degree_bound: int
 
 
-def classify_Xi(U: Complex, X: Module, ctx: SiltingContext | None = None) -> XiClassification:
-    ctx = ctx or SiltingContext(U)
+def classify_Xi(ctx: SiltingContext, X: Module) -> XiClassification:
     if X in ctx._classifications:
         return ctx._classifications[X]
     n = ctx.report.n
     if n is None:
         raise ValueError("coresolution did not terminate; cannot fix the degree range")
-    gh = hom_complex(ctx.U, module_complex(X))
+    gh = ctx.hom(ctx.U, ctx.module(X, 0))
     dims = {j: gh.h_dim(j) for j in range(0, n + 1)}
     if X.dim == 0:
         cls = XiClassification(0, dims, True, n)
@@ -470,8 +476,7 @@ def classify_Xi(U: Complex, X: Module, ctx: SiltingContext | None = None) -> XiC
     return cls
 
 
-def verify_corollary_roundtrip(U: Complex, X: Module, i: int, window,
-                               ctx: SiltingContext | None = None,
+def verify_corollary_roundtrip(ctx: SiltingContext, X: Module, i: int, window,
                                extra_margin: int = 0,
                                subject: str = "module") -> VerificationReport:
     """Modules concentrated by the hom functor come back unchanged.
@@ -483,8 +488,7 @@ def verify_corollary_roundtrip(U: Complex, X: Module, i: int, window,
     identification.
     """
     win = _window(window)
-    ctx = ctx or SiltingContext(U)
-    cls = classify_Xi(U, X, ctx)
+    cls = classify_Xi(ctx, X)
     checks = [CheckRecord("probe concentrates in the expected degree",
                           cls.index == i, {"classified": cls.index, "expected": i,
                                            "hom_dims": cls.dims})]
@@ -496,8 +500,8 @@ def verify_corollary_roundtrip(U: Complex, X: Module, i: int, window,
     if cls.index != i:
         return VerificationReport("concentration-roundtrip", subject, checks, notes)
 
-    Xi_c = module_complex(X, degree=-i)
-    M = dg_hom_module(hom_complex(ctx.U, Xi_c), ctx.C)
+    Xi_c = ctx.module(X, -i)
+    M = dg_hom_module(ctx.hom(ctx.U, Xi_c), ctx.C)
     purity = all(M.h_dim(nn) == 0 for nn in M.degrees() if nn != 0)
     checks.append(CheckRecord("hom module has one-point cohomology", purity,
                               {"h_table": M.h_table()}))
@@ -544,15 +548,14 @@ def verify_corollary_roundtrip(U: Complex, X: Module, i: int, window,
 # -- naturality and functoriality probes -------------------------------------
 
 
-def functoriality_probe(U: Complex, window, ctx: SiltingContext | None = None,
+def functoriality_probe(ctx: SiltingContext, window,
                         extra_margin: int = 0) -> VerificationReport:
     """Finite sums of summands of U pass the counit check.
 
     Exercises additivity of the hom-then-tensor pipeline on objects built
     from U itself.
     """
-    ctx = ctx or SiltingContext(U)
-    parts = list(getattr(U, "summands", [])) or [U]
+    parts = list(getattr(ctx.U, "summands", [])) or [ctx.U]
     sums = []
     if len(parts) == 1:
         sums.append(("double", direct_sum_complexes([parts[0], parts[0]])))
@@ -562,14 +565,13 @@ def functoriality_probe(U: Complex, window, ctx: SiltingContext | None = None,
                 sums.append((f"sum{a}{b}", direct_sum_complexes([parts[a], parts[b]])))
     checks = []
     for name, X in sums:
-        rep = verify_counit(U, X, window, ctx, extra_margin, subject=name)
+        rep = verify_counit(ctx, X, window, extra_margin, subject=name)
         checks.append(CheckRecord(f"counit on {name}", rep.passed,
                                   rep.checks[0].details))
     return VerificationReport("functoriality", "sums from the silting complex", checks)
 
 
-def naturality_probe(U: Complex, X: Complex, Xp: Complex, window,
-                     ctx: SiltingContext | None = None,
+def naturality_probe(ctx: SiltingContext, X: Complex, Xp: Complex, window,
                      extra_margin: int = 0) -> VerificationReport:
     """The counit square of a chosen map g: X -> X' commutes on cohomology.
 
@@ -578,7 +580,6 @@ def naturality_probe(U: Complex, X: Complex, Xp: Complex, window,
     the two ways around the square are compared as matrices on cohomology.
     """
     win = _window(window)
-    ctx = ctx or SiltingContext(U)
     gh = ctx.hom(X, Xp)
     sq = gh.subquotient(0)
     if not sq.reps:
@@ -699,7 +700,7 @@ def _canonical_sequence(ctx: SiltingContext, X: Module) -> tuple[Module, Module]
     f = A.field
     Z = Complex(A, {0: U.term(0), 1: U.term(1)}, {0: U.diff(0)},
                 validate=False).cohomology(0)
-    gh = hom_complex(U, module_complex(X))
+    gh = ctx.hom(U, ctx.module(X, 0))
     classes = gh.subquotient(0).reps
     rows = []
     for rep in classes:
@@ -713,8 +714,8 @@ def _canonical_sequence(ctx: SiltingContext, X: Module) -> tuple[Module, Module]
     return tX, Q
 
 
-def verify_tilting_theorem(U: Complex, probes: dict, delta: VerificationReport,
-                           window, ctx: SiltingContext | None = None,
+def verify_tilting_theorem(ctx: SiltingContext, probes: dict,
+                           delta: VerificationReport, window,
                            extra_margin: int = 0) -> VerificationReport:
     """The classical tilting theorem, read off the derived battery.
 
@@ -732,7 +733,6 @@ def verify_tilting_theorem(U: Complex, probes: dict, delta: VerificationReport,
     return in degree 0 and X/tX in degree 1.
     """
     win = _window(window)
-    ctx = ctx or SiltingContext(U)
     srep = ctx.report
     tilting = srep.tilting and srep.module_form
     checks = [CheckRecord("complex is tilting with cohomology in degree 0", tilting,
@@ -757,10 +757,10 @@ def verify_tilting_theorem(U: Complex, probes: dict, delta: VerificationReport,
             for label, part, i in zip(("torsion", "torsion_free"),
                                       _canonical_sequence(ctx, X), (0, 1)):
                 back = part.dim > 0 and verify_corollary_roundtrip(
-                    U, part, i, win, ctx, extra_margin,
+                    ctx, part, i, win, extra_margin,
                     subject=f"{name} {label}").passed
                 details[label] = {"dimension_vector": list(part.dimension_vector()),
-                                  "class": classify_Xi(U, part, ctx).index,
+                                  "class": classify_Xi(ctx, part).index,
                                   "returns": back}
                 ok = ok and back
         checks.append(CheckRecord(f"probe {name} returns", ok, details))
@@ -816,28 +816,28 @@ def verify_all(U: Complex, window=(-4, 4), pair_degrees=(-2, 2), max_steps: int 
                                    "inconclusive": srep.inconclusive})]
     if not srep.presilting or srep.n is None:
         return _scoped(reports)
-    reports.append(verify_weak_nonpositive(U, ctx))
-    reports.append(verify_E_iso(U, ctx))
-    delta = verify_delta(U, win, ctx, extra_margin)
+    reports.append(verify_weak_nonpositive(ctx))
+    reports.append(verify_E_iso(ctx))
+    delta = verify_delta(ctx, win, extra_margin)
     reports.append(delta)
 
     cplx = probe_complexes(ctx.A, cap, probe_names)
     if probe_names is None or "silting" in probe_names:
-        cplx["silting"] = U
+        cplx["silting"] = ctx.U
     for name in sorted(cplx):
-        reports.append(verify_counit(U, cplx[name], win, ctx, extra_margin,
+        reports.append(verify_counit(ctx, cplx[name], win, extra_margin,
                                      subject=name))
     names = sorted(cplx)
     degs = list(range(pr.lo, pr.hi + 1))
     for n1 in names:
         for n2 in names:
-            reports.append(verify_fully_faithful(U, cplx[n1], cplx[n2], degs,
-                                                 ctx, extra_margin,
+            reports.append(verify_fully_faithful(ctx, cplx[n1], cplx[n2], degs,
+                                                 extra_margin,
                                                  subject=f"{n1}->{n2}"))
     cls_checks = []
     classified = {}
     for name in sorted(mods):
-        c = classify_Xi(U, mods[name], ctx)
+        c = classify_Xi(ctx, mods[name])
         classified[name] = c
         seen = mods[name].dim == 0 or any(c.dims.values())
         cls_checks.append(CheckRecord(f"probe {name} detected within the degree bound",
@@ -850,16 +850,16 @@ def verify_all(U: Complex, window=(-4, 4), pair_degrees=(-2, 2), max_steps: int 
     for name in sorted(mods):
         c = classified[name]
         if c.index is not None and mods[name].dim:
-            roundtrips[name] = verify_corollary_roundtrip(U, mods[name], c.index, win,
-                                                          ctx, extra_margin, subject=name)
+            roundtrips[name] = verify_corollary_roundtrip(ctx, mods[name], c.index, win,
+                                                          extra_margin, subject=name)
             reports.append(roundtrips[name])
-    reports.append(functoriality_probe(U, win, ctx, extra_margin))
+    reports.append(functoriality_probe(ctx, win, extra_margin))
     if "free" in cplx:
-        reports.append(naturality_probe(U, cplx["free"], U, win, ctx, extra_margin))
+        reports.append(naturality_probe(ctx, cplx["free"], ctx.U, win, extra_margin))
     if srep.tilting and srep.module_form:
         probes = {name: (mods[name], classified[name], roundtrips.get(name))
                   for name in mods}
-        reports.append(verify_tilting_theorem(U, probes, delta, win, ctx, extra_margin))
+        reports.append(verify_tilting_theorem(ctx, probes, delta, win, extra_margin))
     return _scoped(reports)
 
 

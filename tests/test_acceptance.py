@@ -57,8 +57,8 @@ def _invariant_suite(X):
         d = X.diff(n)
         assert d.rank() + d.kernel_basis().ncols == d.ncols
         assert d.rank() + len(d.row_kernel_rows()) == d.nrows
-    assert X.euler_char() == sum((-1) ** (n % 2) * X.h_dim(n)
-                                 for n in X.degrees())
+    assert (sum((-1) ** (n % 2) * X.term(n).dim for n in X.degrees())
+            == sum((-1) ** (n % 2) * X.h_dim(n) for n in X.degrees()))
     if not X.is_projective_complex() or X.is_empty():
         return
     # construction validates associativity, units, d^2 = 0 and Leibniz on
@@ -160,7 +160,8 @@ def test_two_term_silting_dg_end_cohomology_profile(U_silt2, indecs, field):
     idem = [B.gh.coords_of(0, {n: pm.mat(n) for n in U_silt2.degrees()
                                if not pm.mat(n).is_zero()})
             for pm in summand_projection_maps(U_silt2)]
-    E = h0_algebra(B, idem)
+    assert idem == B.idempotents
+    E = h0_algebra(B)
     assert E.dim == 2
     assert len(E.idempotents) == 2
     assert radical_rows(E) == []
@@ -179,9 +180,9 @@ def test_two_term_silting_dg_end_cohomology_profile(U_silt2, indecs, field):
 # -- 3: counit, delta and hom tables on the standard probes ------------------
 
 
-def _standard_probes(ctx, U):
+def _standard_probes(ctx):
     probes = probe_complexes(ctx.A)
-    probes["silting"] = U
+    probes["silting"] = ctx.U
     return probes
 
 
@@ -190,18 +191,16 @@ def test_equivalence_battery_on_standard_probes(request, uname):
     start = time.perf_counter()
     U = request.getfixturevalue(uname)
     ctx = SiltingContext(U)
-    assert verify_delta(U, WINDOW, ctx).passed
-    probes = _standard_probes(ctx, U)
+    assert verify_delta(ctx, WINDOW).passed
+    probes = _standard_probes(ctx)
     assert set(probes) == {"proj0", "proj1", "simple0", "simple1", "free",
                            "silting"}
     for name in sorted(probes):
-        assert verify_counit(U, probes[name], WINDOW, ctx,
-                             subject=name).passed
+        assert verify_counit(ctx, probes[name], WINDOW, subject=name).passed
     for n1 in sorted(probes):
         for n2 in sorted(probes):
-            rep = verify_fully_faithful(U, probes[n1], probes[n2],
-                                        PAIR_DEGREES, ctx,
-                                        subject=f"{n1}->{n2}")
+            rep = verify_fully_faithful(ctx, probes[n1], probes[n2],
+                                        PAIR_DEGREES, subject=f"{n1}->{n2}")
             assert rep.passed
     assert time.perf_counter() - start < 60.0
 
@@ -213,7 +212,7 @@ def test_equivalence_battery_on_standard_probes(request, uname):
 def test_goodification_terminates_and_preserves_the_class(request, uname):
     start = time.perf_counter()
     U = request.getfixturevalue(uname)
-    cor = coresolve_A(U)
+    cor = coresolve_A(U, 8, dg_end(U))
     assert cor is not None and cor.n <= 1
     V = goodify(U)
     assert V is not None
@@ -241,7 +240,7 @@ def test_module_tilting_pipeline(A2, U_tilt, tilt_summands, indecs):
     assert {n: B.h_dim(n) for n in B.degrees() if B.h_dim(n)} == {0: want}
     # the base algebra is recovered inside H^0 of the dg-end
     ctx = SiltingContext(U_tilt)
-    rep = verify_delta(U_tilt, WINDOW, ctx)
+    rep = verify_delta(ctx, WINDOW)
     assert rep.passed
     lift = [c for c in rep.checks if "spans" in c.name][0]
     assert lift.details["span_rank"] == lift.details["algebra_dim"] == A2.dim
@@ -249,10 +248,10 @@ def test_module_tilting_pipeline(A2, U_tilt, tilt_summands, indecs):
     for name in sorted(indecs):
         X = indecs[name]
         expected = 0 if sum(hom_dim(T, X) for T in tilt_summands) else 1
-        c = classify_Xi(U_tilt, X, ctx)
+        c = classify_Xi(ctx, X)
         assert not c.degenerate
         assert c.index == expected
-        assert verify_corollary_roundtrip(U_tilt, X, c.index, WINDOW, ctx,
+        assert verify_corollary_roundtrip(ctx, X, c.index, WINDOW,
                                           subject=name).passed
     # the battery reads the same results as the classical tilting theorem
     rep = verify_all(U_tilt, window=WINDOW, ctx=ctx)[-1]
@@ -281,23 +280,23 @@ def test_windowed_results_are_stable_under_margin_enlargement(request, uname):
     start = time.perf_counter()
     U = request.getfixturevalue(uname)
     ctx = SiltingContext(U)
-    probes = _standard_probes(ctx, U)
-    base_delta = _stable_details(verify_delta(U, WINDOW, ctx, 0))
-    base_counit = {n: _stable_details(verify_counit(U, probes[n], WINDOW, ctx, 0))
+    probes = _standard_probes(ctx)
+    base_delta = _stable_details(verify_delta(ctx, WINDOW, 0))
+    base_counit = {n: _stable_details(verify_counit(ctx, probes[n], WINDOW, 0))
                    for n in sorted(probes)}
     base_ff = {(n1, n2): _stable_details(
-                   verify_fully_faithful(U, probes[n1], probes[n2],
-                                         PAIR_DEGREES, ctx, 0))
+                   verify_fully_faithful(ctx, probes[n1], probes[n2],
+                                         PAIR_DEGREES, 0))
                for n1 in sorted(probes) for n2 in sorted(probes)}
     for margin in (1, 2, 3):
-        assert _stable_details(verify_delta(U, WINDOW, ctx, margin)) == base_delta
+        assert _stable_details(verify_delta(ctx, WINDOW, margin)) == base_delta
         for n in sorted(probes):
-            got = _stable_details(verify_counit(U, probes[n], WINDOW, ctx, margin))
+            got = _stable_details(verify_counit(ctx, probes[n], WINDOW, margin))
             assert got == base_counit[n]
         for key, base in base_ff.items():
             n1, n2 = key
             got = _stable_details(verify_fully_faithful(
-                U, probes[n1], probes[n2], PAIR_DEGREES, ctx, margin))
+                ctx, probes[n1], probes[n2], PAIR_DEGREES, margin))
             assert got == base
     assert time.perf_counter() - start < 60.0
 
@@ -313,12 +312,12 @@ def test_tilting_pipeline_is_stable_under_cap_enlargement(indecs, U_tilt):
             assert _stable_details(rep) == base
     # roundtrips keep their tables when the tensor margin grows
     for name in sorted(indecs):
-        c = classify_Xi(U_tilt, indecs[name], ctx)
+        c = classify_Xi(ctx, indecs[name])
         base_rt = _stable_details(verify_corollary_roundtrip(
-            U_tilt, indecs[name], c.index, WINDOW, ctx, 0))
+            ctx, indecs[name], c.index, WINDOW, 0))
         for margin in (1, 2, 3):
             got = _stable_details(verify_corollary_roundtrip(
-                U_tilt, indecs[name], c.index, WINDOW, ctx, margin))
+                ctx, indecs[name], c.index, WINDOW, margin))
             assert got == base_rt
     assert time.perf_counter() - start < 60.0
 

@@ -16,13 +16,11 @@ import pytest
 from siltcheck.algebra import Quiver, path_algebra, simple_module
 from siltcheck.complexes import (
     cone,
-    derived_hom_dim,
     direct_sum_complexes,
     hom_complex,
     identity_chain_map,
     module_complex,
     projective_complex,
-    summand_projection_maps,
 )
 from siltcheck.dg import (
     DgAlgebra,
@@ -32,7 +30,6 @@ from siltcheck.dg import (
     dg_hom_module,
     evaluation_left_module,
     h0_algebra,
-    h0_module,
     opposite_dg,
     side_swap,
     smart_truncate,
@@ -69,29 +66,19 @@ def simple_resolution(A2):
                               {-1: Matrix(F101, 1, 2, [[F101.zero, F101.one]])})
 
 
-def idempotent_cocycles(B, U):
-    out = []
-    for pm in summand_projection_maps(U):
-        comps = {n: pm.mat(n) for n in U.degrees() if U.term(n).dim}
-        coords = B.gh.coords_of(0, comps)
-        assert coords is not None
-        out.append(coords)
-    return out
-
-
 # -- dg-end of basic complexes ---------------------------------------------
 
 
 def test_dg_end_of_regular_complex(A2, regular_split):
     B = dg_end(regular_split)
-    assert B.dim_table() == {0: 3}
+    assert B.dims == {0: 3}
     assert B.h_table() == {0: 3}
     assert B.is_nonpositive()
 
 
 def test_h0_of_regular_end_behaves_like_base(A2, regular_split):
     B = dg_end(regular_split)
-    E = h0_algebra(B, idempotent_cocycles(B, regular_split))
+    E = h0_algebra(B)
     assert E.dim == 3
     assert len(E.idempotents) == 2
     (z_idx,) = [t for t in range(E.dim) if t not in E.idempotents]
@@ -106,21 +93,21 @@ def test_h0_of_regular_end_behaves_like_base(A2, regular_split):
 
 def test_two_term_silting_cohomology_table(two_term_silting):
     B = dg_end(two_term_silting)
-    assert B.dim_table() == {-1: 1, 0: 2}
+    assert B.dims == {-1: 1, 0: 2}
     assert B.h_table() == {-1: 1, 0: 2}
     assert B.is_nonpositive()
 
 
 def test_two_term_silting_h0_is_product_of_fields(two_term_silting):
     B = dg_end(two_term_silting)
-    E = h0_algebra(B, idempotent_cocycles(B, two_term_silting))
+    E = h0_algebra(B)
     assert E.dim == 2
     assert len(E.idempotents) == 2
 
 
 def test_resolution_end_has_positive_part(simple_resolution):
     B = dg_end(simple_resolution)
-    assert B.dim_table() == {0: 2, 1: 1}
+    assert B.dims == {0: 2, 1: 1}
     assert not B.is_nonpositive()
     # the resolved simple has one-dimensional endomorphisms and no self-extensions
     assert B.h_table() == {0: 1}
@@ -130,8 +117,9 @@ def test_two_route_cohomology_agreement(A2, regular_split, two_term_silting,
                                         simple_resolution):
     for U in (regular_split, two_term_silting, simple_resolution):
         B = dg_end(U)
+        gh = hom_complex(U, U)
         for n in range(B.lo - 1, B.hi + 2):
-            assert B.h_dim(n) == derived_hom_dim(U, U, n)
+            assert B.h_dim(n) == gh.h_dim(n)
 
 
 def test_dg_end_requires_projective_witness(A2):
@@ -146,7 +134,7 @@ def test_dg_end_requires_projective_witness(A2):
 def test_smart_truncate_kills_positive_part(simple_resolution):
     B = dg_end(simple_resolution)
     C = smart_truncate(B)
-    assert C.dim_table() == {0: 1}
+    assert C.dims == {0: 1}
     assert C.h_table() == {0: 1}
     assert C.is_nonpositive()
     assert C.embed[0].nrows == 1 and C.embed[0].ncols == 2
@@ -157,7 +145,7 @@ def test_smart_truncate_kills_positive_part(simple_resolution):
 def test_smart_truncate_of_nonpositive_keeps_everything(two_term_silting):
     B = dg_end(two_term_silting)
     C = smart_truncate(B)
-    assert C.dim_table() == B.dim_table()
+    assert C.dims == B.dims
     assert C.h_table() == B.h_table()
 
 
@@ -217,12 +205,12 @@ def test_evaluation_module_and_side_swap(simple_resolution):
     B = dg_end(simple_resolution)
     M = evaluation_left_module(B, simple_resolution)
     assert M.side == "left"
-    assert M.dim_table() == {-1: 1, 0: 2}
+    assert M.dims == {-1: 1, 0: 2}
     assert M.h_table() == {0: 1}
     Bop = opposite_dg(B)
     N = side_swap(M, Bop)
     assert N.side == "right"
-    assert N.dim_table() == M.dim_table()
+    assert N.dims == M.dims
     assert N.h_table() == M.h_table()
 
 
@@ -251,21 +239,11 @@ def test_restriction_and_module_truncation(A2, simple_resolution, two_term_silti
                                 over_B.act(m, _embedded(C, first, m, i),
                                            n, _embedded(C, second, n, j))
             if name == "resolution" and over_C.side == "right":
-                assert over_C.dim_table() == {0: 1, 1: 1}
+                assert over_C.dims == {0: 1, 1: 1}
                 assert over_C.h_table() == {}
 
 
-# -- cohomology-level modules ----------------------------------------------
-
-
-def test_h0_module_splits_under_idempotents(two_term_silting):
-    B = dg_end(two_term_silting)
-    E = h0_algebra(B, idempotent_cocycles(B, two_term_silting))
-    M = dg_hom_module(hom_complex(two_term_silting, two_term_silting), B)
-    Y = h0_module(M, E)
-    assert Y.dim == 2
-    for e in E.idempotents:
-        assert Y.action_of(E.basis_vector(e)).rank() == 1
+# -- cohomology-level algebra ----------------------------------------------
 
 
 def test_h0_algebra_rejects_vanishing_unit(A2):
@@ -274,12 +252,6 @@ def test_h0_algebra_rejects_vanishing_unit(A2):
     B = dg_end(C)
     with pytest.raises(ValueError):
         h0_algebra(B)
-
-
-def test_dg_hom_module_builds_own_end(two_term_silting, A2):
-    M = dg_hom_module(hom_complex(two_term_silting, projective_complex(A2, {0: [0]})))
-    assert isinstance(M.algebra, DgAlgebra)
-    assert isinstance(M, DgModule)
 
 
 # -- the validators against an element-wise reference -----------------------

@@ -5,14 +5,13 @@ import pytest
 from siltcheck.fields import PrimeField
 from siltcheck.linalg import Matrix
 from siltcheck.algebra import Quiver, path_algebra
-from siltcheck.complexes import (derived_hom_dim, direct_sum_complexes,
+from siltcheck.complexes import (direct_sum_complexes, hom_complex,
                                  is_acyclic, projective_complex)
 from siltcheck.dg import dg_end
 from siltcheck.silting import (cone_les_dims_ok, coresolve_A,
                                coresolution_les_ok, goodify, hom_les_dims_ok,
-                               is_presilting, presilting_witness,
-                               radical_rows, silting_equivalent,
-                               silting_report)
+                               presilting_witness, radical_rows,
+                               silting_equivalent, silting_report)
 
 F101 = PrimeField(101)
 
@@ -67,7 +66,7 @@ def test_regular_complex_report(regular):
 
 
 def test_tilting_fixture_coresolution(tilt):
-    cor = coresolve_A(tilt)
+    cor = coresolve_A(tilt, 8, dg_end(tilt))
     assert cor is not None and cor.n == 1
     assert cor.multiplicities == [{0: 2}, {1: 1}]
     assert is_acyclic(cor.triangles[-1].cone)
@@ -91,14 +90,14 @@ def test_two_term_report(silt2):
     assert r.good
     assert not r.tilting and not r.module_form
     assert not r.inconclusive
-    assert coresolution_les_ok(coresolve_A(silt2), silt2)
+    assert coresolution_les_ok(coresolve_A(silt2, 8, dg_end(silt2)), silt2)
 
 
 def test_tilting_check_two_sided(tilt, silt2):
     # silt2 is silting, but its self-extension in shift -1 keeps it from tilting
     r = silting_report(silt2)
     assert r.presilting and not r.tilting and not r.inconclusive
-    assert derived_hom_dim(silt2, silt2, -1) == 1
+    assert hom_complex(silt2, silt2).h_dim(-1) == 1
     assert not r.module_form
     r2 = silting_report(tilt)
     assert r2.tilting and r2.module_form
@@ -106,7 +105,6 @@ def test_tilting_check_two_sided(tilt, silt2):
 
 def test_wrong_orientation_fails_with_witness(wrong):
     assert presilting_witness(wrong) == (1, 1)
-    assert not is_presilting(wrong)
     r = silting_report(wrong, max_steps=4)
     assert not r.presilting and r.presilting_witness == (1, 1)
     assert r.inconclusive and r.n is None and r.multiplicities is None
@@ -122,9 +120,10 @@ def test_step_cap_is_inconclusive_not_false(silt2):
 def test_presilting_matches_dg_end_cohomology(tilt, silt2):
     for U in (tilt, silt2):
         B = dg_end(U)
+        gh = hom_complex(U, U)
         for i in range(1, U.hi - U.lo + 1):
             assert B.h_dim(i) == 0
-            assert derived_hom_dim(U, U, i) == 0
+            assert gh.h_dim(i) == 0
 
 
 def test_equivalence_reflexive_and_additive(parts, tilt, silt2):
@@ -150,7 +149,7 @@ def test_goodify_regular_and_tilt(regular, tilt, parts):
     assert [id(s) for s in g.summands] == [id(P1c), id(P2c)]
     g2 = goodify(tilt)
     assert [id(s) for s in g2.summands] == [id(P1c), id(P1c), id(s1res)]
-    assert is_presilting(g2)
+    assert presilting_witness(g2) is None
     assert silting_equivalent(tilt, g2)
 
 
@@ -177,5 +176,6 @@ def test_radical_rejects_small_characteristic():
     A = path_algebra(Quiver(["1", "2"], [("a", "1", "2")]), F2)
     U = direct_sum_complexes([projective_complex(A, {0: [0]}),
                               projective_complex(A, {0: [1]})])
+    B = dg_end(U)
     with pytest.raises(ValueError):
-        coresolve_A(U)
+        coresolve_A(U, 8, B)

@@ -12,7 +12,7 @@ import pytest
 from oracles import ext1_dim, hom_dim
 from siltcheck.algebra import endomorphism_algebra, simple_module
 from siltcheck.complexes import (GradedHom, ResolutionCapError,
-                                 derived_hom_dim, direct_sum_complexes,
+                                 direct_sum_complexes, hom_complex,
                                  module_complex, proj_replacement,
                                  projective_complex, zero_complex)
 from siltcheck.dg import DgModule
@@ -39,16 +39,16 @@ def ctx_silt2(U_silt2):
     return SiltingContext(U_silt2)
 
 
-def test_dg_end_cohomology_matches_endomorphisms_of_the_module(U_tilt, ctx_tilt, tilt_summands):
-    rep = verify_weak_nonpositive(U_tilt, ctx_tilt)
+def test_dg_end_cohomology_matches_endomorphisms_of_the_module(ctx_tilt, tilt_summands):
+    rep = verify_weak_nonpositive(ctx_tilt)
     assert rep.passed
     end_dim = sum(hom_dim(S, S2) for S in tilt_summands for S2 in tilt_summands)
     assert rep.checks[1].details["h_table"] == {0: end_dim}
     assert end_dim == 3
 
 
-def test_dg_end_cohomology_matches_backward_maps_for_the_shifted_pair(U_silt2, ctx_silt2, indecs):
-    rep = verify_weak_nonpositive(U_silt2, ctx_silt2)
+def test_dg_end_cohomology_matches_backward_maps_for_the_shifted_pair(ctx_silt2, indecs):
+    rep = verify_weak_nonpositive(ctx_silt2)
     assert rep.passed
     # degree -1 classes are module maps from the degree-0 term to the shifted one
     assert rep.checks[1].details["h_table"] == {
@@ -57,8 +57,8 @@ def test_dg_end_cohomology_matches_backward_maps_for_the_shifted_pair(U_silt2, c
     }
 
 
-def test_h0_products_agree_with_chain_map_composition(U_tilt, ctx_tilt, A2, tilt_summands):
-    rep = verify_E_iso(U_tilt, ctx_tilt)
+def test_h0_products_agree_with_chain_map_composition(ctx_tilt, A2, tilt_summands):
+    rep = verify_E_iso(ctx_tilt)
     assert rep.passed
     names = {c.name: c for c in rep.checks}
     assert names["H^0 dimension matches homotopy classes of endomorphisms"].details["dim"] == 3
@@ -68,8 +68,8 @@ def test_h0_products_agree_with_chain_map_composition(U_tilt, ctx_tilt, A2, tilt
     assert rep.notes["idempotents"] == 2
 
 
-def test_h0_of_the_shifted_pair_splits_into_two_idempotent_blocks(U_silt2, ctx_silt2):
-    rep = verify_E_iso(U_silt2, ctx_silt2)
+def test_h0_of_the_shifted_pair_splits_into_two_idempotent_blocks(ctx_silt2):
+    rep = verify_E_iso(ctx_silt2)
     assert rep.passed
     names = {c.name: c for c in rep.checks}
     assert names["H^0 dimension matches homotopy classes of endomorphisms"].details["dim"] == 2
@@ -84,7 +84,7 @@ def test_counit_is_a_quasi_iso_on_every_probe(which, request, A2):
     probes["silting"] = U
     for name in sorted(probes):
         X = probes[name]
-        rep = verify_counit(U, X, WIN, ctx, subject=name)
+        rep = verify_counit(ctx, X, WIN, subject=name)
         assert rep.passed, (name, rep.checks[0].details)
         table = rep.checks[0].details["h_dims"]
         for n in range(WIN[0], WIN[1] + 1):
@@ -94,7 +94,7 @@ def test_counit_is_a_quasi_iso_on_every_probe(which, request, A2):
 
 
 def test_counit_table_for_the_shifted_pair_against_itself(U_silt2, ctx_silt2):
-    rep = verify_counit(U_silt2, U_silt2, WIN, ctx_silt2, subject="self")
+    rep = verify_counit(ctx_silt2, U_silt2, WIN, subject="self")
     assert rep.passed
     table = rep.checks[0].details["h_dims"]
     assert table[-1] == [2, 2, 2]
@@ -102,8 +102,8 @@ def test_counit_table_for_the_shifted_pair_against_itself(U_silt2, ctx_silt2):
     assert all(table[n] == [0, 0, 0] for n in table if n not in (-1, 0))
 
 
-def test_counit_accepts_the_zero_probe(U_tilt, ctx_tilt, A2):
-    rep = verify_counit(U_tilt, zero_complex(A2), WIN, ctx_tilt, subject="zero")
+def test_counit_accepts_the_zero_probe(ctx_tilt, A2):
+    rep = verify_counit(ctx_tilt, zero_complex(A2), WIN, subject="zero")
     assert rep.passed
 
 
@@ -116,22 +116,22 @@ def test_morphism_spaces_agree_over_both_algebras(which, request, A2):
     names = sorted(probes)
     for n1 in names:
         for n2 in names:
-            rep = verify_fully_faithful(U, probes[n1], probes[n2],
-                                        range(-2, 3), ctx, subject=f"{n1}->{n2}")
+            rep = verify_fully_faithful(ctx, probes[n1], probes[n2],
+                                        range(-2, 3), subject=f"{n1}->{n2}")
             assert rep.passed, (n1, n2, rep.checks[0].details)
 
 
-def test_morphism_space_tables_carry_the_expected_dimensions(U_tilt, ctx_tilt, A2, indecs):
+def test_morphism_space_tables_carry_the_expected_dimensions(ctx_tilt, A2, indecs):
     probes = probe_complexes(A2)
-    rep = verify_fully_faithful(U_tilt, probes["free"], probes["free"],
-                                range(-2, 3), ctx_tilt)
+    rep = verify_fully_faithful(ctx_tilt, probes["free"], probes["free"],
+                                range(-2, 3))
     table = rep.checks[0].details["h_dims"]
     assert table[0] == [A2.dim, A2.dim, A2.dim]
     assert all(table[n] == [0, 0, 0] for n in table if n != 0)
 
     S2 = simple_module(A2, 1)
-    rep = verify_fully_faithful(U_tilt, probes["simple0"], probes["simple1"],
-                                range(-2, 3), ctx_tilt)
+    rep = verify_fully_faithful(ctx_tilt, probes["simple0"], probes["simple1"],
+                                range(-2, 3))
     table = rep.checks[0].details["h_dims"]
     e = ext1_dim(indecs["S1"], S2)
     assert e == 1
@@ -141,9 +141,8 @@ def test_morphism_space_tables_carry_the_expected_dimensions(U_tilt, ctx_tilt, A
 
 @pytest.mark.parametrize("which", ["tilt", "silt2"])
 def test_right_multiplication_presents_the_base_algebra(which, request, A2):
-    U = request.getfixturevalue(f"U_{which}")
     ctx = request.getfixturevalue(f"ctx_{which}")
-    rep = verify_delta(U, WIN, ctx)
+    rep = verify_delta(ctx, WIN)
     assert rep.passed
     assert rep.checks[0].details == {"span_rank": A2.dim, "algebra_dim": A2.dim,
                                      "h0_dim": A2.dim}
@@ -151,7 +150,7 @@ def test_right_multiplication_presents_the_base_algebra(which, request, A2):
     assert rep.checks[2].details == {"lifted": True}
 
 
-def test_classification_by_module_hom_and_ext(U_tilt, ctx_tilt, A2, indecs, tilt_summands):
+def test_classification_by_module_hom_and_ext(ctx_tilt, A2, indecs, tilt_summands):
     S2 = simple_module(A2, 1)
     targets = {"proj0": indecs["P1"], "proj1": indecs["P2"],
                "simple0": indecs["S1"], "simple1": S2}
@@ -160,7 +159,7 @@ def test_classification_by_module_hom_and_ext(U_tilt, ctx_tilt, A2, indecs, tilt
     for name, X in sorted(mods.items()):
         hom = sum(hom_dim(S, X) for S in tilt_summands)
         ext = sum(ext1_dim(S, X) for S in tilt_summands)
-        c = classify_Xi(U_tilt, X, ctx_tilt)
+        c = classify_Xi(ctx_tilt, X)
         assert c.dims == {0: hom, 1: ext}, name
         expected = 0 if ext == 0 else (1 if hom == 0 else None)
         assert c.index == expected, name
@@ -169,12 +168,12 @@ def test_classification_by_module_hom_and_ext(U_tilt, ctx_tilt, A2, indecs, tilt
     assert seen == {0, 1}
 
 
-def test_classification_by_vertex_weights_for_the_shifted_pair(U_silt2, ctx_silt2, A2):
+def test_classification_by_vertex_weights_for_the_shifted_pair(ctx_silt2, A2):
     # the two-term complex of shifted projectives sees exactly the vertex weights
     mods = probe_modules(A2)
     for name, X in sorted(mods.items()):
         v1, v2 = X.dimension_vector()
-        c = classify_Xi(U_silt2, X, ctx_silt2)
+        c = classify_Xi(ctx_silt2, X)
         assert c.dims == {0: v2, 1: v1}, name
         expected = 0 if v1 == 0 else (1 if v2 == 0 else None)
         assert c.index == expected, name
@@ -182,17 +181,16 @@ def test_classification_by_vertex_weights_for_the_shifted_pair(U_silt2, ctx_silt
 
 @pytest.mark.parametrize("which", ["tilt", "silt2"])
 def test_concentrated_modules_survive_the_roundtrip(which, request, A2):
-    U = request.getfixturevalue(f"U_{which}")
     ctx = request.getfixturevalue(f"ctx_{which}")
     mods = probe_modules(A2)
     hit = 0
     for name in sorted(mods):
         X = mods[name]
-        c = classify_Xi(U, X, ctx)
+        c = classify_Xi(ctx, X)
         if c.index is None:
             continue
         hit += 1
-        rep = verify_corollary_roundtrip(U, X, c.index, WIN, ctx, subject=name)
+        rep = verify_corollary_roundtrip(ctx, X, c.index, WIN, subject=name)
         assert rep.passed, (name, [(ch.name, ch.details) for ch in rep.checks])
         table = rep.checks[-1].details["h_dims"]
         assert table[-c.index] == [X.dim] * 3
@@ -200,8 +198,8 @@ def test_concentrated_modules_survive_the_roundtrip(which, request, A2):
     assert hit >= 3
 
 
-def test_roundtrip_rejects_a_wrong_concentration_degree(U_tilt, ctx_tilt, indecs):
-    rep = verify_corollary_roundtrip(U_tilt, indecs["P1"], 1, WIN, ctx_tilt)
+def test_roundtrip_rejects_a_wrong_concentration_degree(ctx_tilt, indecs):
+    rep = verify_corollary_roundtrip(ctx_tilt, indecs["P1"], 1, WIN)
     assert not rep.passed
     assert rep.checks[0].details["classified"] == 0
 
@@ -231,7 +229,7 @@ def test_tilting_theorem_certifies_module_and_probes(U_tilt, ctx_tilt, A2, tilt_
         assert det["ext_dims"] == {expected_class: hom or ext}
 
 
-def test_tilting_theorem_flags_a_genuine_failure(A2, indecs, P2c, s1res, U_silt2,
+def test_tilting_theorem_flags_a_genuine_failure(A2, indecs, P2c, s1res,
                                                  ctx_silt2):
     # P2 + S1 is not even presilting: the battery stops at the silting gate
     assert ext1_dim(indecs["S1"], indecs["P2"]) == 1
@@ -240,8 +238,8 @@ def test_tilting_theorem_flags_a_genuine_failure(A2, indecs, P2c, s1res, U_silt2
     assert not reps[0].passed
     assert reps[0].checks[0].details["witness"] == [1, 1]
     # a silting complex that is not tilting fails the theorem's own gate
-    delta = verify_delta(U_silt2, WIN, ctx_silt2)
-    rep = verify_tilting_theorem(U_silt2, {}, delta, WIN, ctx_silt2)
+    delta = verify_delta(ctx_silt2, WIN)
+    rep = verify_tilting_theorem(ctx_silt2, {}, delta, WIN)
     assert not rep.passed
     assert rep.notes["verdict"] == "not tilting"
     assert rep.checks[0].details == {"tilting": False, "module_form": False}
@@ -267,9 +265,9 @@ def test_wrong_orientation_fails_with_a_concrete_witness(U_bad, indecs):
 def test_additivity_and_naturality_probes(which, request, A2):
     U = request.getfixturevalue(f"U_{which}")
     ctx = request.getfixturevalue(f"ctx_{which}")
-    assert functoriality_probe(U, WIN, ctx).passed
+    assert functoriality_probe(ctx, WIN).passed
     probes = probe_complexes(A2)
-    rep = naturality_probe(U, probes["free"], U, WIN, ctx)
+    rep = naturality_probe(ctx, probes["free"], U, WIN)
     assert rep.passed
     assert not rep.notes.get("vacuous")
 
@@ -292,11 +290,11 @@ def test_full_battery_passes_on_both_fixtures(U_tilt, U_silt2):
             for r in reps if not r.passed]
 
 
-def test_counit_tables_ignore_extra_margin(U_tilt, ctx_tilt, A2):
+def test_counit_tables_ignore_extra_margin(ctx_tilt, A2):
     X = probe_complexes(A2)["free"]
-    base = verify_counit(U_tilt, X, WIN, ctx_tilt).checks[0].details
+    base = verify_counit(ctx_tilt, X, WIN).checks[0].details
     for m in (1, 2, 3):
-        rep = verify_counit(U_tilt, X, WIN, ctx_tilt, extra_margin=m)
+        rep = verify_counit(ctx_tilt, X, WIN, extra_margin=m)
         assert rep.checks[0].details == base
 
 
@@ -309,7 +307,7 @@ def test_windowed_hom_agrees_with_independent_oracles(U_silt2, ctx_silt2):
     P = semifree_resolve(M, M.lo - (win.hi + 1))
     sh = SemifreeHom(P, M)
     for n in range(win.lo, win.hi + 1):
-        assert sh.h_dim(n) == derived_hom_dim(U_silt2, U_silt2, n) == ctx_silt2.B.h_dim(n)
+        assert sh.h_dim(n) == hom_complex(U_silt2, U_silt2).h_dim(n) == ctx_silt2.B.h_dim(n)
 
 
 def test_context_rejects_non_projective_input(indecs):
@@ -344,6 +342,6 @@ def test_fully_faithful_out_of_U_reuses_its_hom_module(U_silt2, P1c, monkeypatch
     ctx.hom_module(U_silt2)
     ctx.hom_module(P1c)
     built = _counting_inits(monkeypatch, GradedHom)
-    rep = verify_fully_faithful(U_silt2, U_silt2, P1c, range(-1, 2), ctx)
+    rep = verify_fully_faithful(ctx, U_silt2, P1c, range(-1, 2))
     assert rep.passed
     assert built == []
