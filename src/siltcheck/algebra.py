@@ -567,27 +567,26 @@ class ProjectiveHoms:
         self.space = RowSpace(f, N.dim)
         for row in N.action[N.algebra.idempotents[P.vertex]].rows:
             self.space.add(row)
-        self.gen = P.gen_coords
+        self.gen = Matrix(f, 1, P.dim, [P.gen_coords])
         self.acts = [N.action_of(r) for r in P.ambient_rows]
         self.blocks = [Matrix(f, P.dim, N.dim, [a.apply_row(n) for a in self.acts])
                        for n in self.space.rows]
 
-    def coords(self, rows) -> tuple | None:
-        """Coordinates in blocks of the map P -> N with the given rows, or
-        None when those rows are not a module map.
+    def coords(self, rows: dict) -> tuple | None:
+        """Coordinates in blocks of the map P -> N with the given nonzero
+        rows {row: {column: entry}}, or None when they are not a module map.
 
-        They are the pivot entries of the image w of e_v.  The map is a
+        They are the entries of the image w of e_v at the pivots of space,
+        whose echelon rows are fully reduced with unit pivots.  The map is a
         module map exactly when each of its rows is w times its ambient row,
         so rebuilding the rows from w decides membership without elimination.
         """
         f = self.space.field
-        w = [f.zero] * self.space.width
-        for c, row in zip(self.gen, rows):
-            if c != f.zero:
-                w = [f.add(a, f.mul(c, b)) for a, b in zip(w, row)]
-        if any(a.apply_row(w) != tuple(row) for a, row in zip(self.acts, rows)):
+        w = self.gen @ Matrix.from_entries(f, len(self.acts), self.space.width, rows)
+        if any((w @ a).entries.get(0, {}) != rows.get(r, {}) for r, a in enumerate(self.acts)):
             return None
-        return self.space.coords(w)
+        w = w.entries.get(0, {})
+        return tuple(w.get(p, f.zero) for p in self.space.pivots)
 
 
 def projective_module(A: Algebra, idem_pos: int) -> Module:

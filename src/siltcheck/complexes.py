@@ -32,9 +32,7 @@ class ResolutionCapError(RuntimeError):
 
 def block_matrix(field, blocks, row_dims: Sequence[int], col_dims: Sequence[int]) -> Matrix:
     """Assemble a matrix from a grid of blocks; None means a zero block."""
-    nrows, ncols = sum(row_dims), sum(col_dims)
-    z = field.zero
-    rows = [[z] * ncols for _ in range(nrows)]
+    entries: dict = {}
     r0 = 0
     for bi, rd in enumerate(row_dims):
         c0 = 0
@@ -43,14 +41,12 @@ def block_matrix(field, blocks, row_dims: Sequence[int], col_dims: Sequence[int]
             if blk is not None:
                 if blk.nrows != rd or blk.ncols != cd:
                     raise ValueError("block shape mismatch")
-                for r in range(rd):
-                    br = blk.rows[r]
-                    row = rows[r0 + r]
-                    for c in range(cd):
-                        row[c0 + c] = br[c]
+                for r, nz in blk.entries.items():
+                    row = entries.setdefault(r0 + r, {})
+                    row.update({c0 + c: x for c, x in nz.items()} if c0 else nz)
             c0 += cd
         r0 += rd
-    return Matrix(field, nrows, ncols, rows)
+    return Matrix.from_entries(field, r0, sum(col_dims), entries)
 
 
 class Complex:
@@ -355,12 +351,13 @@ def cone(f: ChainMap) -> tuple[Complex, Triangle]:
 
 
 def is_quasi_iso(f: ChainMap) -> bool:
-    C, _ = cone(f)
-    return all(C.h_dim(n) == 0 for n in C.degrees())
+    return is_acyclic(cone(f)[0])
 
 
 def is_acyclic(X: Complex) -> bool:
-    return all(X.h_dim(n) == 0 for n in X.degrees())
+    """Exactness read off ranks: dim X^n = rk d^{n-1} + rk d^n in every degree."""
+    ranks = {n: d.rank() for n, d in X.diffs.items()}
+    return all(X.term(n).dim == ranks.get(n - 1, 0) + ranks.get(n, 0) for n in X.degrees())
 
 
 # -- graded hom complex ----------------------------------------------------
@@ -399,13 +396,10 @@ class GradedHom:
                 if S.dim == 0 or T.dim == 0:
                     continue
                 offs[i] = len(entries)
-                zero = (self.field.zero,) * T.dim
                 for start, homs in self._summands(i, T):
-                    above = (zero,) * start
-                    below = (zero,) * (S.dim - start - len(homs.acts))
                     for blk in homs.blocks:
-                        entries.append((i, Matrix(self.field, S.dim, T.dim,
-                                                  above + blk.rows + below)))
+                        rows = {start + r: nz for r, nz in blk.entries.items()}
+                        entries.append((i, Matrix.from_entries(self.field, S.dim, T.dim, rows)))
             self.basis[n] = entries
             self.offsets[n] = offs
         self._diffs = {}
@@ -452,14 +446,20 @@ class GradedHom:
 
     def component_maps(self, n: int, coords: Sequence) -> dict:
         """Expand coordinates in degree n into per-source-degree matrices."""
+        sums: dict = {}
+        for c, (i, h) in zip(coords, self.basis.get(n, ())):
+            if not c:
+                continue
+            acc = sums.setdefault(i, {})
+            for r, nz in h.entries.items():
+                row = acc.setdefault(r, {})
+                for j, x in nz.items():
+                    row[j] = row.get(j, 0) + c * x
         f = self.field
         out = {}
-        for c, (i, h) in zip(coords, self.basis.get(n, ())):
-            if c == f.zero:
-                continue
-            if i not in out:
-                out[i] = Matrix.zero(f, self.X.term(i).dim, self.Y.term(n + i).dim)
-            out[i] = out[i] + h.scale(c)
+        for i, acc in sums.items():
+            reduced = {r: red for r, row in acc.items() if (red := f.reduce_entries(row))}
+            out[i] = Matrix.from_entries(f, self.X.term(i).dim, self.Y.term(n + i).dim, reduced)
         return out
 
     def coords_of(self, n: int, comps: dict):
@@ -475,7 +475,9 @@ class GradedHom:
                 return None
             pos = offs[i]
             for start, homs in self._summands(i, self.Y.term(n + i)):
-                coords = homs.coords(mat.rows[start:start + len(homs.acts)])
+                end = start + len(homs.acts)
+                coords = homs.coords({r - start: nz for r, nz in mat.entries.items()
+                                      if start <= r < end})
                 if coords is None:
                     return None
                 vec[pos:pos + len(coords)] = coords

@@ -32,6 +32,11 @@ class PrimeField:
     def neg(self, a):
         return (-a) % self.p
 
+    def reduce_entries(self, row: dict) -> dict:
+        """A sparse row {index: int} reduced mod p, its zero entries dropped."""
+        p = self.p
+        return {j: y for j, x in row.items() if (y := x % p)}
+
     def inv(self, a):
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of zero in prime field")
@@ -85,6 +90,10 @@ class RationalField:
 
     def neg(self, a):
         return -a
+
+    def reduce_entries(self, row: dict) -> dict:
+        """A sparse row {index: Fraction} with its zero entries dropped."""
+        return {j: x for j, x in row.items() if x}
 
     def inv(self, a):
         if a == 0:

@@ -1,8 +1,11 @@
-"""Dense exact linear algebra over a PrimeField or RationalField.
+"""Exact linear algebra over a PrimeField or RationalField, stored sparse.
 
 Everything downstream funnels through this module: ranks, kernels, solves and
-subquotient bookkeeping (cohomology).  Pivoting is deterministic (first nonzero
-entry in row order), so every basis produced here is reproducible run to run.
+subquotient bookkeeping (cohomology).  A Matrix keeps only its nonzero
+entries, so products, sums, stacking and elimination walk nonzeros alone; the
+dense row view stays available for callers that read rows.  Pivoting is
+deterministic (first nonzero entry in row order), so every basis produced
+here is reproducible run to run.
 
 Convention used by callers throughout the package: module elements are ROW
 vectors and linear maps act on the right (x |-> x @ M), so composition of maps
@@ -16,25 +19,54 @@ from typing import Iterable, Sequence
 
 
 class Matrix:
-    """Immutable dense matrix over an exact field.
+    """Immutable matrix over an exact field, stored as its nonzero entries.
+
+    entries maps the index of each nonzero row to a dict {column: entry} of
+    that row's nonzero entries.  Zero rows and zero entries are never stored,
+    entries are canonical field elements (ints in [0, p), or Fractions), and
+    the row dicts are shared between matrices and never mutated, so equality
+    and hashing read the entries alone.  rows is a read-only dense view, a
+    tuple of row tuples: kept when the matrix was built from dense rows,
+    otherwise built on first use.  The kernels add and multiply natively and
+    reduce each finished row once with field.reduce_entries.
 
     _left caches the elimination behind solve_left_rows: filled by the first
     solve, replayed by every later one, and not part of equality or hashing.
     """
 
-    __slots__ = ("field", "nrows", "ncols", "rows", "_left")
+    __slots__ = ("field", "nrows", "ncols", "entries", "_rows", "_left")
 
     def __init__(self, field, nrows: int, ncols: int, rows):
-        rows = tuple(tuple(r) for r in rows)
+        rows = tuple(map(tuple, rows))
         if len(rows) != nrows or any(len(r) != ncols for r in rows):
             raise ValueError(f"shape mismatch: expected {nrows}x{ncols}")
+        entries = {i: {j: x for j, x in enumerate(r) if x}
+                   for i, r in enumerate(rows) if any(r)}
         self.field = field
         self.nrows = nrows
         self.ncols = ncols
-        self.rows = rows
+        self.entries = entries
+        self._rows = rows
         self._left = None
 
     # -- constructors ------------------------------------------------------
+
+    @staticmethod
+    def from_entries(field, nrows: int, ncols: int, entries: dict) -> "Matrix":
+        """The matrix with the given {row: {column: entry}} nonzero entries.
+
+        The caller guarantees the storage invariants of the class docstring:
+        indices in range, no empty row dict, every entry nonzero and
+        canonical.  The dicts are taken over, not copied.
+        """
+        m = object.__new__(Matrix)
+        m.field = field
+        m.nrows = nrows
+        m.ncols = ncols
+        m.entries = entries
+        m._rows = None
+        m._left = None
+        return m
 
     @staticmethod
     def from_rows(field, rows: Sequence[Sequence], ncols: int | None = None) -> "Matrix":
@@ -47,13 +79,30 @@ class Matrix:
 
     @staticmethod
     def zero(field, nrows: int, ncols: int) -> "Matrix":
-        z = field.zero
-        return Matrix(field, nrows, ncols, [(z,) * ncols] * nrows)
+        return Matrix.from_entries(field, nrows, ncols, {})
 
     @staticmethod
     def identity(field, n: int) -> "Matrix":
-        z, o = field.zero, field.one
-        return Matrix(field, n, n, [tuple(o if i == j else z for j in range(n)) for i in range(n)])
+        one = field.one
+        return Matrix.from_entries(field, n, n, {i: {i: one} for i in range(n)})
+
+    @property
+    def rows(self) -> tuple:
+        rows = self._rows
+        if rows is None:
+            blank = (self.field.zero,) * self.ncols
+            out = []
+            for i in range(self.nrows):
+                nz = self.entries.get(i)
+                if nz is None:
+                    out.append(blank)
+                else:
+                    r = list(blank)
+                    for j, x in nz.items():
+                        r[j] = x
+                    out.append(tuple(r))
+            rows = self._rows = tuple(out)
+        return rows
 
     # -- basic algebra -----------------------------------------------------
 
@@ -63,100 +112,125 @@ class Matrix:
             and self.field == other.field
             and self.nrows == other.nrows
             and self.ncols == other.ncols
-            and self.rows == other.rows
+            and self.entries == other.entries
         )
 
     def __hash__(self):
-        return hash((self.field, self.rows, self.ncols))
+        return hash((self.field, self.nrows, self.ncols,
+                     frozenset((i, j, x) for i, nz in self.entries.items()
+                               for j, x in nz.items())))
 
     def __repr__(self):
         return f"Matrix({self.nrows}x{self.ncols} over {self.field!r})"
 
     def is_zero(self) -> bool:
-        z = self.field.zero
-        return all(x == z for r in self.rows for x in r)
+        return not self.entries
+
+    def _plus(self, other: "Matrix", c) -> "Matrix":
+        """self + c * other for c = 1 or -1."""
+        if self.nrows != other.nrows or self.ncols != other.ncols:
+            raise ValueError("shape mismatch")
+        reduce = self.field.reduce_entries
+        out = dict(self.entries)
+        for i, nz in other.entries.items():
+            base = out.get(i)
+            if base is None:
+                out[i] = nz if c == 1 else reduce({j: c * x for j, x in nz.items()})
+                continue
+            acc = dict(base)
+            for j, x in nz.items():
+                acc[j] = acc.get(j, 0) + c * x
+            acc = reduce(acc)
+            if acc:
+                out[i] = acc
+            else:
+                del out[i]
+        return Matrix.from_entries(self.field, self.nrows, self.ncols, out)
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        self._same_shape(other)
-        add = self.field.add
-        return Matrix(
-            self.field, self.nrows, self.ncols,
-            [tuple(add(a, b) for a, b in zip(r, s)) for r, s in zip(self.rows, other.rows)],
-        )
+        return self._plus(other, 1)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        self._same_shape(other)
-        sub = self.field.sub
-        return Matrix(
-            self.field, self.nrows, self.ncols,
-            [tuple(sub(a, b) for a, b in zip(r, s)) for r, s in zip(self.rows, other.rows)],
-        )
+        return self._plus(other, -1)
 
     def __neg__(self) -> "Matrix":
-        neg = self.field.neg
-        return Matrix(self.field, self.nrows, self.ncols, [tuple(neg(a) for a in r) for r in self.rows])
+        return self.scale(-1)
 
     def scale(self, c) -> "Matrix":
-        mul = self.field.mul
-        return Matrix(self.field, self.nrows, self.ncols, [tuple(mul(c, a) for a in r) for r in self.rows])
+        reduce = self.field.reduce_entries
+        out = {}
+        for i, nz in self.entries.items():
+            r = reduce({j: c * x for j, x in nz.items()})
+            if r:
+                out[i] = r
+        return Matrix.from_entries(self.field, self.nrows, self.ncols, out)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise ValueError(f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}")
-        f = self.field
-        add, mul, zero, one = f.add, f.mul, f.zero, f.one
-        orows = other.rows
-        out = []
-        for r in self.rows:
-            # row-times-matrix accumulation; zero entries skip whole rows
-            acc = [zero] * other.ncols
-            for k, a in enumerate(r):
-                if a == zero:
-                    continue
-                if a == one:
-                    for j, b in enumerate(orows[k]):
-                        if b != zero:
-                            acc[j] = add(acc[j], b)
-                else:
-                    for j, b in enumerate(orows[k]):
-                        if b != zero:
-                            acc[j] = add(acc[j], mul(a, b))
-            out.append(tuple(acc))
-        if not out:
-            return Matrix.zero(f, 0, other.ncols)
-        return Matrix(f, self.nrows, other.ncols, out)
+        reduce = self.field.reduce_entries
+        right = other.entries
+        out = {}
+        for i, nz in self.entries.items():
+            if len(nz) == 1:
+                # a row with one nonzero entry a at k picks out a times row k
+                (k, a), = nz.items()
+                r = right.get(k)
+                if r is not None:
+                    out[i] = r if a == 1 else reduce({j: a * b for j, b in r.items()})
+                continue
+            acc = {}
+            for k, a in nz.items():
+                r = right.get(k)
+                if r is not None:
+                    for j, b in r.items():
+                        acc[j] = acc.get(j, 0) + a * b
+            if acc:
+                acc = reduce(acc)
+                if acc:
+                    out[i] = acc
+        return Matrix.from_entries(self.field, self.nrows, other.ncols, out)
 
     def transpose(self) -> "Matrix":
-        if not self.rows:
-            return Matrix(self.field, self.ncols, 0, [()] * self.ncols)
-        return Matrix(self.field, self.ncols, self.nrows, list(zip(*self.rows)))
+        out: dict = {}
+        for i, nz in self.entries.items():
+            for j, x in nz.items():
+                col = out.get(j)
+                if col is None:
+                    out[j] = {i: x}
+                else:
+                    col[i] = x
+        return Matrix.from_entries(self.field, self.ncols, self.nrows, out)
 
     def hstack(self, other: "Matrix") -> "Matrix":
         if self.nrows != other.nrows:
             raise ValueError("hstack: row count mismatch")
-        return Matrix(self.field, self.nrows, self.ncols + other.ncols,
-                      [r + s for r, s in zip(self.rows, other.rows)])
+        nc = self.ncols
+        out = dict(self.entries)
+        for i, nz in other.entries.items():
+            right = {j + nc: x for j, x in nz.items()}
+            left = out.get(i)
+            out[i] = {**left, **right} if left is not None else right
+        return Matrix.from_entries(self.field, self.nrows, nc + other.ncols, out)
 
     def vstack(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.ncols:
             raise ValueError("vstack: column count mismatch")
-        return Matrix(self.field, self.nrows + other.nrows, self.ncols, self.rows + other.rows)
+        nr = self.nrows
+        out = dict(self.entries)
+        out.update((i + nr, nz) for i, nz in other.entries.items())
+        return Matrix.from_entries(self.field, nr + other.nrows, self.ncols, out)
 
     @staticmethod
     def block_diag(field, blocks: Iterable["Matrix"]) -> "Matrix":
-        blocks = list(blocks)
-        nr = sum(b.nrows for b in blocks)
-        nc = sum(b.ncols for b in blocks)
-        z = field.zero
-        out = []
-        coff = 0
+        out = {}
+        r0 = c0 = 0
         for b in blocks:
-            left = coff
-            right = nc - coff - b.ncols
-            for r in b.rows:
-                out.append((z,) * left + r + (z,) * right)
-            coff += b.ncols
-        return Matrix(field, nr, nc, out)
+            for i, nz in b.entries.items():
+                out[r0 + i] = {c0 + j: x for j, x in nz.items()} if c0 else nz
+            r0 += b.nrows
+            c0 += b.ncols
+        return Matrix.from_entries(field, r0, c0, out)
 
     def row(self, i: int):
         return self.rows[i]
@@ -165,20 +239,18 @@ class Matrix:
         """Row-vector action: v |-> v @ self."""
         if len(v) != self.nrows:
             raise ValueError("apply_row: length mismatch")
-        f = self.field
-        add, mul, zero = f.add, f.mul, f.zero
-        out = [zero] * self.ncols
-        for a, r in zip(v, self.rows):
-            if a == zero:
-                continue
-            for j, b in enumerate(r):
-                if b != zero:
-                    out[j] = add(out[j], mul(a, b))
+        ents = self.entries
+        acc = {}
+        for i, a in enumerate(v):
+            if a:
+                nz = ents.get(i)
+                if nz is not None:
+                    for j, b in nz.items():
+                        acc[j] = acc.get(j, 0) + a * b
+        out = [self.field.zero] * self.ncols
+        for j, x in self.field.reduce_entries(acc).items():
+            out[j] = x
         return tuple(out)
-
-    def _same_shape(self, other: "Matrix"):
-        if self.nrows != other.nrows or self.ncols != other.ncols:
-            raise ValueError("shape mismatch")
 
     # -- elimination -------------------------------------------------------
 
@@ -187,37 +259,44 @@ class Matrix:
 
         If ops is a list, one entry (selected row, inverse of the pivot,
         [(row, multiplier) eliminated]) is appended per pivot, so the same
-        row operations can be replayed on another column.
+        row operations can be replayed on another column.  Elimination never
+        adds a column to the union of the rows' supports, so only the columns
+        in it are searched for pivots.
         """
         f = self.field
-        zero = f.zero
-        rows = [list(r) for r in self.rows]
+        reduce = f.reduce_entries
+        n = self.nrows
+        rows = [self.entries.get(i, {}) for i in range(n)]
         pivots = []
         prow = 0
-        for col in range(self.ncols):
+        for col in sorted({j for nz in self.entries.values() for j in nz}):
+            if prow == n:
+                break
             sel = None
-            for i in range(prow, len(rows)):
-                if rows[i][col] != zero:
+            for i in range(prow, n):
+                if col in rows[i]:
                     sel = i
                     break
             if sel is None:
                 continue
             rows[prow], rows[sel] = rows[sel], rows[prow]
             inv = f.inv(rows[prow][col])
-            rows[prow] = [f.mul(inv, x) for x in rows[prow]]
+            piv = rows[prow] = reduce({j: inv * x for j, x in rows[prow].items()})
             elims = []
-            for i in range(len(rows)):
-                if i != prow and rows[i][col] != zero:
-                    c = rows[i][col]
-                    rows[i] = [f.sub(a, f.mul(c, b)) for a, b in zip(rows[i], rows[prow])]
+            for i in range(n):
+                c = rows[i].get(col)
+                if c is not None and i != prow:
+                    acc = dict(rows[i])
+                    for j, x in piv.items():
+                        acc[j] = acc.get(j, 0) - c * x
+                    rows[i] = reduce(acc)
                     elims.append((i, c))
             if ops is not None:
                 ops.append((sel, inv, elims))
             pivots.append(col)
             prow += 1
-            if prow == len(rows):
-                break
-        return Matrix(f, self.nrows, self.ncols, rows), tuple(pivots)
+        out = {i: nz for i, nz in enumerate(rows) if nz}
+        return Matrix.from_entries(f, n, self.ncols, out), tuple(pivots)
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -230,36 +309,35 @@ class Matrix:
         f = self.field
         R, pivots = self.rref()
         pivset = set(pivots)
-        free = [j for j in range(self.ncols) if j not in pivset]
-        cols = []
-        for j in free:
-            vec = [f.zero] * self.ncols
-            vec[j] = f.one
-            for prow, pcol in enumerate(pivots):
-                vec[pcol] = f.neg(R.rows[prow][j])
-            cols.append(vec)
-        ker = Matrix(f, self.ncols, len(cols), list(zip(*cols)) if cols else [()] * self.ncols)
+        free = {j: k for k, j in enumerate(j for j in range(self.ncols) if j not in pivset)}
+        out = {j: {k: f.one} for j, k in free.items()}
+        for prow, pcol in enumerate(pivots):
+            # an RREF pivot row is zero at every other pivot column
+            nz = {free[j]: f.neg(x) for j, x in R.entries[prow].items() if j != pcol}
+            if nz:
+                out[pcol] = nz
+        ker = Matrix.from_entries(f, self.ncols, len(free), out)
         assert len(pivots) + ker.ncols == self.ncols, "rank-nullity violated"
         return ker
 
     def row_kernel_rows(self) -> list[tuple]:
         """Rows v with v @ self = 0 (basis)."""
-        ker = self.transpose().kernel_basis()
-        return [tuple(col) for col in zip(*ker.rows)] if ker.ncols else []
+        return list(self.transpose().kernel_basis().transpose().rows)
 
     def solve_matrix(self, B: "Matrix") -> "Matrix | None":
         """X with self @ X = B, or None if inconsistent.  Free vars set to 0."""
         if B.nrows != self.nrows:
             raise ValueError("solve_matrix: row mismatch")
-        f = self.field
-        aug = self.hstack(B)
-        R, pivots = aug.rref()
-        if any(p >= self.ncols for p in pivots):
+        nc = self.ncols
+        R, pivots = self.hstack(B).rref()
+        if pivots and pivots[-1] >= nc:
             return None
-        xrows = [[f.zero] * B.ncols for _ in range(self.ncols)]
+        out = {}
         for prow, pcol in enumerate(pivots):
-            xrows[pcol] = list(R.rows[prow][self.ncols:])
-        return Matrix(f, self.ncols, B.ncols, xrows)
+            nz = {j - nc: x for j, x in R.entries[prow].items() if j >= nc}
+            if nz:
+                out[pcol] = nz
+        return Matrix.from_entries(self.field, nc, B.ncols, out)
 
     def solve_left_rows(self, v: Sequence) -> tuple | None:
         """x with x @ self = v, or None.  Free variables are set to 0.

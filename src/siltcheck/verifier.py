@@ -669,7 +669,10 @@ def probe_modules(A: Algebra) -> dict:
 def probe_complexes(A: Algebra, cap: int = 16, names=None) -> dict:
     """Projective-complex witnesses for the standard probes, plus the free module.
 
-    With names given, only the probes named there are built.
+    With names given, only the probes named there are built.  A module probe
+    whose replacement is a complex already built (the simple at a sink of a
+    path algebra is projective) is handed that complex object, so every
+    per-complex cache builds each pair once.
     """
     out = {}
     for name, M in sorted(probe_modules(A).items()):
@@ -678,10 +681,17 @@ def probe_complexes(A: Algebra, cap: int = 16, names=None) -> dict:
         if name.startswith("proj"):
             out[name] = projective_complex(A, {0: [int(name[4:])]})
         else:
-            out[name] = proj_replacement(module_complex(M), cap)[0]
+            P = proj_replacement(module_complex(M), cap)[0]
+            out[name] = next((Q for Q in out.values() if _same_complex(P, Q)), P)
     if names is None or "free" in names:
         out["free"] = projective_complex(A, {0: list(range(len(A.idempotents)))})
     return out
+
+
+def _same_complex(P: Complex, Q: Complex) -> bool:
+    """Same projective witness, the same term objects and equal differentials."""
+    return (P.proj_types == Q.proj_types and P.terms.keys() == Q.terms.keys()
+            and all(P.terms[n] is Q.terms[n] for n in P.terms) and P.diffs == Q.diffs)
 
 
 # -- ordinary tilting theorem ------------------------------------------------

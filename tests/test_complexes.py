@@ -7,6 +7,7 @@ independent module-level computations in the same test.
 """
 
 import gc
+import pathlib
 import random
 import weakref
 
@@ -41,7 +42,10 @@ from siltcheck.complexes import (
     projective_complex,
     summand_projection_maps,
 )
+from siltcheck import silting
+from siltcheck.dg import dg_end
 from siltcheck.fields import PrimeField
+from siltcheck.instances import load_instance
 from siltcheck.linalg import Matrix
 
 F101 = PrimeField(101)
@@ -366,6 +370,42 @@ def test_is_quasi_iso_basics(A2):
     X = module_complex(P1)
     assert is_quasi_iso(identity_chain_map(X))
     assert not is_quasi_iso(ChainMap(X, X, {}))
+
+
+def _acyclic_by_cohomology(X):
+    return all(X.h_dim(n) == 0 for n in X.degrees())
+
+
+def test_acyclic_by_ranks_matches_cohomology_on_random_complexes(A2):
+    rng = random.Random(41)
+    seen = set()
+    for _ in range(15):
+        X = random_complex(A2, rng)
+        f = random_chain_map(X, random_complex(A2, rng), rng)
+        for Z in (X, cone(f)[0], cone(identity_chain_map(X))[0]):
+            got = is_acyclic(Z)
+            assert got == _acyclic_by_cohomology(Z)
+            seen.add(got)
+    assert seen == {True, False}
+
+
+def test_acyclic_by_ranks_matches_cohomology_on_coresolution_cones(monkeypatch):
+    # every complex coresolve_A tests on the fix_a2 complexes: the regular
+    # complex and each cone, acyclic or not
+    inst = load_instance(pathlib.Path(__file__).resolve().parent.parent
+                         / "instances" / "fix_a2.json")
+    seen = []
+
+    def checked(X):
+        got = is_acyclic(X)
+        assert got == _acyclic_by_cohomology(X)
+        seen.append(got)
+        return got
+
+    monkeypatch.setattr(silting, "is_acyclic", checked)
+    for U in inst.complexes.values():
+        silting.coresolve_A(U, 8, dg_end(U))
+    assert True in seen and False in seen
 
 
 def test_cone_long_exact_identity(A2):

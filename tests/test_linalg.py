@@ -6,6 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import (dense_add, dense_apply_row, dense_block_diag, dense_kernel,
+                     dense_matmul, dense_rref, dense_scale, dense_solve, dense_sub,
+                     dense_transpose)
 from siltcheck.fields import PrimeField, RationalField, field_from_json
 from siltcheck.linalg import Matrix, RowSpace, Subquotient, subquotient_from_maps
 
@@ -248,3 +251,107 @@ def test_second_left_solve_eliminates_nothing(monkeypatch):
     assert len(calls) == 1
     # the cached factor is not part of the matrix's value
     assert M == Matrix.from_rows(F101, M.rows) and hash(M) == hash(Matrix.from_rows(F101, M.rows))
+
+
+# -- sparse storage against the dense reference ------------------------------
+# Real runs are mostly zeros: zero rows, all-zero matrices, 0 x n and n x 0
+# shapes.  These strategies draw a density per matrix, zero and low densities
+# favoured, and every Matrix operation is checked against the dense reference
+# in oracles.py over F_101, F_2 and Q.
+
+SPARSE_FIELDS = [F101, F2, Q]
+
+
+def _values(field):
+    if field is Q:
+        return st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
+    return st.integers(-300, 300)
+
+
+def _sparse(data, field, nrows, ncols):
+    density = data.draw(st.sampled_from([0, 1, 1, 2, 5, 10]))
+    cell = st.tuples(st.integers(0, 9), _values(field)).map(
+        lambda t: t[1] if t[0] < density else 0)
+    rows = data.draw(st.lists(st.lists(cell, min_size=ncols, max_size=ncols),
+                              min_size=nrows, max_size=nrows))
+    return Matrix.from_rows(field, rows, ncols)
+
+
+def _check_storage(M):
+    """Only nonzero rows and entries are stored, in range and canonical."""
+    p = getattr(M.field, "p", None)
+    for i, nz in M.entries.items():
+        assert 0 <= i < M.nrows and nz
+        for j, x in nz.items():
+            assert 0 <= j < M.ncols
+            if p is None:
+                assert type(x) is Fraction and x != 0
+            else:
+                assert type(x) is int and 0 < x < p
+
+
+def _holds(M, rows, nrows, ncols):
+    """M is the reference matrix rows, stored canonically; the same matrix
+    built from dense rows is equal with an equal hash, and .rows round-trips."""
+    _check_storage(M)
+    assert (M.nrows, M.ncols) == (nrows, ncols)
+    assert M.rows == tuple(tuple(r) for r in rows)
+    D = Matrix(M.field, nrows, ncols, rows)
+    _check_storage(D)
+    assert M == D and hash(M) == hash(D)
+    assert M.is_zero() == all(x == M.field.zero for r in rows for x in r)
+
+
+@pytest.mark.parametrize("field", SPARSE_FIELDS, ids=repr)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_sparse_algebra_matches_dense_reference(field, data):
+    r, k, c = (data.draw(st.integers(0, 5)) for _ in range(3))
+    A, C = _sparse(data, field, r, k), _sparse(data, field, r, k)
+    B, E = _sparse(data, field, k, c), _sparse(data, field, r, c)
+    a, b, cc, e = A.rows, B.rows, C.rows, E.rows
+    s = data.draw(_values(field))
+    _holds(A @ B, dense_matmul(field, a, b, c), r, c)
+    _holds(A + C, dense_add(field, a, cc), r, k)
+    _holds(A - C, dense_sub(field, a, cc), r, k)
+    _holds(-A, dense_scale(field, -1, a), r, k)
+    _holds(A.scale(field.coerce(s)), dense_scale(field, s, a), r, k)
+    _holds(A.transpose(), dense_transpose(a, k), k, r)
+    _holds(A.hstack(E), [list(x) + list(y) for x, y in zip(a, e)], r, k + c)
+    _holds(A.vstack(C), list(a) + list(cc), 2 * r, k)
+    _holds(Matrix.block_diag(field, [A, B, E]),
+           dense_block_diag(field, [(a, k), (b, c), (e, c)]), r + k + r, k + c + c)
+    _holds(Matrix.zero(field, r, c), [[field.zero] * c] * r, r, c)
+    _holds(Matrix.identity(field, k), dense_block_diag(field, [([[field.one]], 1)] * k), k, k)
+    assert (A == C) == (a == cc)
+    v = [field.coerce(x) for x in data.draw(st.lists(_values(field), min_size=r, max_size=r))]
+    assert A.apply_row(v) == tuple(dense_apply_row(field, v, a, k))
+
+
+@pytest.mark.parametrize("field", SPARSE_FIELDS, ids=repr)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_sparse_elimination_matches_dense_reference(field, data):
+    r, c, m = (data.draw(st.integers(0, 5)) for _ in range(3))
+    A = _sparse(data, field, r, c)
+    if data.draw(st.booleans()):       # rank-deficient through m inner columns
+        A = _sparse(data, field, r, m) @ _sparse(data, field, m, c)
+    a = A.rows
+    ops = []
+    R, pivots = A.rref(ops)
+    want, want_pivots, want_ops = dense_rref(field, a, c)
+    _holds(R, want, r, c)
+    assert pivots == want_pivots and ops == want_ops and A.rank() == len(pivots)
+    _holds(A.kernel_basis(), dense_kernel(field, a, c), c, c - len(pivots))
+    for B in (A @ _sparse(data, field, c, 2), _sparse(data, field, r, 2)):
+        X, want = A.solve_matrix(B), dense_solve(field, a, c, B.rows, 2)
+        assert (X is None) == (want is None)
+        if X is not None:
+            _holds(X, want, c, 2)
+    # the left solve replays the op record of rref(Aᵀ) on each right-hand side
+    rhs = [(_sparse(data, field, 1, r) @ A).rows[0], _sparse(data, field, 1, c).rows[0]]
+    for _ in range(2):
+        for v in rhs:
+            x = A.solve_left_rows(v)
+            want = dense_solve(field, dense_transpose(a, c), r, [[y] for y in v], 1)
+            assert x == (None if want is None else tuple(row[0] for row in want))

@@ -10,7 +10,8 @@ import json
 import pytest
 
 from oracles import ext1_dim, hom_dim
-from siltcheck.algebra import endomorphism_algebra, simple_module
+from siltcheck.algebra import (Quiver, endomorphism_algebra, path_algebra,
+                               simple_module)
 from siltcheck.complexes import (GradedHom, ResolutionCapError,
                                  direct_sum_complexes, hom_complex,
                                  module_complex, proj_replacement,
@@ -105,6 +106,17 @@ def test_counit_table_for_the_shifted_pair_against_itself(U_silt2, ctx_silt2):
 def test_counit_accepts_the_zero_probe(ctx_tilt, A2):
     rep = verify_counit(ctx_tilt, zero_complex(A2), WIN, subject="zero")
     assert rep.passed
+
+
+def test_the_simple_at_the_sink_is_the_projective_probe(field):
+    # over kA_3 (0 -> 1 -> 2) the simple at the sink is e_2 A: its replacement
+    # is the very complex of proj2, so per-complex caches see one object
+    A3 = path_algebra(Quiver(["0", "1", "2"], [("a", "0", "1"), ("b", "1", "2")]), field)
+    probes = probe_complexes(A3)
+    assert probes["simple2"] is probes["proj2"]
+    assert probes["simple0"] is not probes["proj0"]
+    assert probes["simple1"] is not probes["proj1"]
+    assert list(probes) == ["proj0", "proj1", "proj2", "simple0", "simple1", "simple2", "free"]
 
 
 @pytest.mark.parametrize("which", ["tilt", "silt2"])
