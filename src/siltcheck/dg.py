@@ -451,10 +451,20 @@ def h0_algebra(B: DgAlgebra) -> Algebra:
     if all(c == f.zero for c in unit_cls):
         raise ValueError("H^0 is degenerate: the unit class vanishes")
 
+    # the product of the a-th and b-th representatives, as a class; every
+    # other product of classes is read off this table bilinearly
+    base = [[sq.reduce(B.product(0, ra, 0, rb)) for rb in sq.reps]
+            for ra in sq.reps]
+
     def mult_classes(u_cls, v_cls):
-        u = sq.lift(u_cls)
-        v = sq.lift(v_cls)
-        return tuple(sq.reduce(B.product(0, u, 0, v)))
+        out = _zero(f, h)
+        for a, x in enumerate(u_cls):
+            if x == f.zero:
+                continue
+            for b, y in enumerate(v_cls):
+                if y != f.zero:
+                    out = _add(f, out, _scale(f, f.mul(x, y), base[a][b]))
+        return tuple(out)
 
     idem_cls = []
     kept = []

@@ -19,7 +19,10 @@ terminates.  The granularity is the direct-sum decomposition carried by U, so
 inputs should be built with direct_sum_complexes from their indecomposable
 pieces; a coarser decomposition can overshoot the multiplicities, and the
 routine then reports an inconclusive result through its step cap rather than
-a wrong one.
+a wrong one.  The same inconclusive result comes at once, with no cone built,
+when the coresolution is stuck: if X is not acyclic and H^i Hom(X, U) = 0 for
+every i <= 0, each later approximation is zero and each cone only shifts X,
+so any step bound would be reached.
 """
 
 from __future__ import annotations
@@ -119,13 +122,17 @@ def _minimal_approximation(X: Complex, U: Complex, B: DgAlgebra, E, rad,
     """Minimal left approximation X -> (sum of copies of summands of U).
 
     Returns (target, chain map, multiplicities); the multiplicities list the
-    summands in the order the target holds them.
+    summands in the order the target holds them.  None when X, not acyclic,
+    is stuck: H^i Hom(X, U) = 0 for every i <= 0, so the approximations of X
+    and of all its shifts X[k] are zero.
     """
     f = E.field
     A = X.algebra
     gh, sq, emats = _hom_class_action(X, U, B, E)
     m = len(sq.reps)
     if m == 0:
+        if all(gh.h_dim(i) == 0 for i in range(gh.lo, 0)):
+            return None
         Z = zero_complex(A)
         return Z, ChainMap(X, Z, {}, validate=False), {}
 
@@ -196,11 +203,14 @@ class Coresolution:
 
 
 def coresolve_A(U: Complex, max_steps: int, B: DgAlgebra) -> Coresolution | None:
-    """Coresolve the regular complex by summands of U; None if the step cap hits.
+    """Coresolve the regular complex by summands of U; None if the step cap
+    hits or the coresolution is stuck.
 
     A None return is inconclusive, not a refutation: the cap may simply be too
     small, or the decomposition of U too coarse for minimal multiplicities.
-    B is dg_end(U), already built.
+    A stuck coresolution (see _minimal_approximation) returns None before the
+    cap, since every step bound would be reached.  B is dg_end(U), already
+    built.
     """
     if not U.is_projective_complex():
         raise ValueError("coresolution needs a complex of projectives")
@@ -216,7 +226,10 @@ def coresolve_A(U: Complex, max_steps: int, B: DgAlgebra) -> Coresolution | None
     while not is_acyclic(X):
         if len(triangles) >= max_steps:
             return None
-        target, fmap, mult = _minimal_approximation(X, U, B, E, rad, summands)
+        approx = _minimal_approximation(X, U, B, E, rad, summands)
+        if approx is None:
+            return None
+        target, fmap, mult = approx
         C, tri = cone(fmap)
         triangles.append(tri)
         targets.append(target)

@@ -5,16 +5,31 @@ oracles in oracles.py before any test uses them, so a broken fixture fails
 loudly at setup rather than silently weakening the suite.
 """
 
+import itertools
+import json
+import pathlib
+
 import pytest
 
 from oracles import ext1_dim, hom_dim
-from siltcheck.algebra import Quiver, path_algebra, simple_module
+from siltcheck.algebra import Quiver, hom_space, path_algebra, simple_module
 from siltcheck.complexes import (direct_sum_complexes, projective_cache,
                                  projective_complex)
 from siltcheck.fields import PrimeField
+from siltcheck.instances import parse_instance
 from siltcheck.linalg import Matrix
 
 F101 = PrimeField(101)
+FIX_A2 = pathlib.Path(__file__).resolve().parent.parent / "instances" / "fix_a2.json"
+
+# The nine indecomposable two-term presilting complexes over kA_3 (0 -> 1 -> 2)
+# as projective types per degree; P_j -> P_i carries the path from i to j.
+A3_INDECOMPOSABLES = {
+    "P0": {0: [0]}, "P1": {0: [1]}, "P2": {0: [2]},
+    "P1toP0": {-1: [1], 0: [0]}, "P2toP0": {-1: [2], 0: [0]},
+    "P2toP1": {-1: [2], 0: [1]},
+    "P0[1]": {-1: [0]}, "P1[1]": {-1: [1]}, "P2[1]": {-1: [2]},
+}
 
 
 @pytest.fixture(scope="session")
@@ -122,7 +137,6 @@ def random_projective_types(A, rng, degrees=(-1, 0), max_copies=2):
 
 def random_two_term(A, rng, max_copies=2):
     """A random two-term complex of projectives with an A-linear differential."""
-    from siltcheck.algebra import hom_space
     from siltcheck.algebra import direct_sum_modules
     types = random_projective_types(A, rng, max_copies=max_copies)
     if len(types) < 2:
@@ -138,3 +152,37 @@ def random_two_term(A, rng, max_copies=2):
             coeff = f.one if c == 1 else f.add(f.one, f.one)
             d = d + b.mat.scale(coeff)
     return projective_complex(A, types, {-1: d})
+
+
+@pytest.fixture(scope="session")
+def coresolution_inputs():
+    """field spec -> {name: complex}: the fix_a2 complexes read over that
+    field ({"prime": p} or "rational") and the 84 sums of three distinct
+    two-term indecomposables over kA_3, built once per field through the
+    public API."""
+    built = {}
+
+    def build(field_spec):
+        key = json.dumps(field_spec)
+        if key in built:
+            return built[key]
+        data = json.loads(FIX_A2.read_text(encoding="utf-8"))
+        data["field"] = field_spec
+        inst = parse_instance(data)
+        out = {f"fix_a2/{k}": U for k, U in inst.complexes.items()}
+        A3 = path_algebra(Quiver(["0", "1", "2"], [("a", "0", "1"), ("b", "1", "2")]),
+                          inst.field)
+        parts = {}
+        for name, types in A3_INDECOMPOSABLES.items():
+            if len(types) == 1:
+                parts[name] = projective_complex(A3, types)
+                continue
+            (basis,) = hom_space(projective_cache(A3, types[-1][0]),
+                                 projective_cache(A3, types[0][0]))
+            parts[name] = projective_complex(A3, types, {-1: basis.mat})
+        for triple in itertools.combinations(A3_INDECOMPOSABLES, 3):
+            out["a3/" + "+".join(triple)] = direct_sum_complexes([parts[x] for x in triple])
+        built[key] = out
+        return out
+
+    return build

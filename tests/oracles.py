@@ -1,12 +1,18 @@
-"""Module-level oracles independent of the dg machinery, and a dense linear
-algebra reference independent of the sparse Matrix storage.
+"""Module-level oracles independent of the dg machinery, a dense linear
+algebra reference independent of the sparse Matrix storage, and reference
+routes for the coresolution loop and the H^0 algebra.
 
 The module oracles are computed with hom_space and dimension vectors only, so
 the numbers frozen into the verifier tests do not come from the code under
 test.
 """
 
-from siltcheck.algebra import Module, hom_space
+from siltcheck import silting
+from siltcheck.algebra import Algebra, Module, hom_space
+from siltcheck.complexes import (ChainMap, cone, is_acyclic, projective_complex,
+                                 zero_complex)
+from siltcheck.dg import end_h0
+from siltcheck.linalg import Matrix, RowSpace
 
 
 def hom_dim(M: Module, N: Module) -> int:
@@ -133,3 +139,89 @@ def _dot(f, u, v):
     for x, y in zip(u, v):
         acc = f.add(acc, f.mul(x, y))
     return acc
+
+
+# -- reference silting routes --------------------------------------------------
+
+
+def reference_coresolutions(U, max_steps: int, B) -> list:
+    """What the coresolution loop with no stuck test returns at every step cap
+    0..max_steps, from one run of that loop to max_steps.
+
+    A stuck X is approximated by zero and the loop goes on through its shifts
+    until the cap.  The loop's state after k steps does not depend on the cap,
+    so at cap k the result is the coresolution when it took at most k steps,
+    and None otherwise.
+    """
+    A = U.algebra
+    summands = silting._summands(U)
+    E = end_h0(B)
+    rad = silting.end_radical(B)
+    X = projective_complex(A, {0: list(range(len(A.idempotents)))})
+    triangles, targets, mults = [], [], []
+    while not is_acyclic(X):
+        if len(triangles) >= max_steps:
+            return [None] * (max_steps + 1)
+        approx = silting._minimal_approximation(X, U, B, E, rad, summands)
+        if approx is None:
+            Z = zero_complex(A)
+            approx = Z, ChainMap(X, Z, {}, validate=False), {}
+        target, fmap, mult = approx
+        C, tri = cone(fmap)
+        triangles.append(tri)
+        targets.append(target)
+        mults.append(mult)
+        X = C
+    steps = len(triangles)
+    cor = silting.Coresolution(triangles, targets, mults, steps - 1)
+    return [cor if k >= steps else None for k in range(max_steps + 1)]
+
+
+def reference_h0_algebra(B) -> Algebra:
+    """dg.h0_algebra with every product of classes taken per call: lift both
+    classes to cocycles, multiply them in B, reduce the product."""
+    f = B.field
+    sq = B.subquotient(0)
+    h = len(sq.reps)
+    unit_cls = tuple(sq.reduce(B.unit))
+
+    def mult_classes(u_cls, v_cls):
+        return tuple(sq.reduce(B.product(0, sq.lift(u_cls), 0, sq.lift(v_cls))))
+
+    idem_cls, kept = [], []
+    for pos, v in enumerate(B.idempotents):
+        cls = tuple(sq.reduce(v))
+        if any(c != f.zero for c in cls):
+            idem_cls.append(cls)
+            kept.append(pos)
+    basis_cls, blocks, idem_positions = [], [], []
+    for j, ej in enumerate(idem_cls):
+        for k, ek in enumerate(idem_cls):
+            piece = RowSpace(f, h)
+            ordered = []
+            if j == k:
+                piece.add(ej)
+                ordered.append(ej)
+                idem_positions.append(len(basis_cls))
+            for rep_i in range(h):
+                u = tuple(f.one if t == rep_i else f.zero for t in range(h))
+                w = mult_classes(mult_classes(ej, u), ek)
+                if piece.add(w):
+                    ordered.append(w)
+            for w in ordered:
+                basis_cls.append(tuple(w))
+                blocks.append((j, k))
+    span = Matrix(f, len(basis_cls), h, basis_cls)
+    labels = [f"p{j}" if t in idem_positions else f"h{j}{k}_{t}"
+              for t, (j, k) in enumerate(blocks)]
+    mult = {}
+    for x in range(h):
+        for y in range(h):
+            coords = span.solve_left_rows(mult_classes(basis_cls[x], basis_cls[y]))
+            sparse = tuple((t, c) for t, c in enumerate(coords) if c != f.zero)
+            if sparse:
+                mult[(x, y)] = sparse
+    alg = Algebra(f, labels, mult, span.solve_left_rows(unit_cls), idem_positions)
+    alg.class_reps = [tuple(sq.lift(cls)) for cls in basis_cls]
+    alg.kept_idempotents = kept
+    return alg

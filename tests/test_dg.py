@@ -13,6 +13,7 @@ import random
 
 import pytest
 
+from oracles import reference_h0_algebra
 from siltcheck.algebra import Quiver, path_algebra, simple_module
 from siltcheck.complexes import (
     cone,
@@ -252,6 +253,21 @@ def test_h0_algebra_rejects_vanishing_unit(A2):
     B = dg_end(C)
     with pytest.raises(ValueError):
         h0_algebra(B)
+
+
+@pytest.mark.parametrize("field_spec", [{"prime": 101}, "rational"],
+                         ids=["F101", "Q"])
+def test_h0_product_table_matches_per_call_products(coresolution_inputs, field_spec):
+    # products read off one table of representative products, against
+    # lifting both classes and multiplying them in B on every call
+    for name, U in coresolution_inputs(field_spec).items():
+        B = dg_end(U)
+        got, want = h0_algebra(B), reference_h0_algebra(B)
+        assert got.labels == want.labels, name
+        assert got.mult == want.mult, name
+        assert got.unit == want.unit, name
+        assert got.class_reps == want.class_reps, name
+        assert got.kept_idempotents == want.kept_idempotents, name
 
 
 # -- the validators against an element-wise reference -----------------------

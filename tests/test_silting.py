@@ -2,6 +2,9 @@
 
 import pytest
 
+import oracles
+from oracles import reference_coresolutions
+from siltcheck import silting
 from siltcheck.fields import PrimeField
 from siltcheck.linalg import Matrix
 from siltcheck.algebra import Quiver, path_algebra
@@ -109,6 +112,48 @@ def test_wrong_orientation_fails_with_witness(wrong):
     assert not r.presilting and r.presilting_witness == (1, 1)
     assert r.inconclusive and r.n is None and r.multiplicities is None
     assert not r.good and not r.tilting
+
+
+def test_early_stop_agrees_with_the_loop_run_to_the_cap(coresolution_inputs, parts):
+    inputs = dict(coresolution_inputs({"prime": 101}))
+    # A[2]: H^0 and H^-1 of Hom(A, U) vanish, H^-2 does not, so two zero
+    # approximations come before the last one and the loop is not stuck
+    P1c, P2c, _ = parts
+    inputs["A[2]"] = direct_sum_complexes([P1c.shift(2), P2c.shift(2)])
+    assert coresolve_A(inputs["A[2]"], 8, dg_end(inputs["A[2]"])).n == 2
+    for name, U in inputs.items():
+        B = dg_end(U)
+        ref = reference_coresolutions(U, 8, B)
+        for k in range(9):
+            got, want = coresolve_A(U, k, B), ref[k]
+            assert (got is None) == (want is None), (name, k)
+            if got is not None:
+                assert got.n == want.n, (name, k)
+                assert got.multiplicities == want.multiplicities, (name, k)
+
+
+def test_stuck_coresolution_builds_no_further_cones(monkeypatch, wrong):
+    B = dg_end(wrong)
+
+    def counted(owner):
+        targets = []
+        original = owner.cone
+
+        def spy(fmap):
+            targets.append(fmap.target.is_empty())
+            return original(fmap)
+
+        monkeypatch.setattr(owner, "cone", spy)
+        return targets
+
+    # run to the cap, the loop approximates by zero from step 3 on
+    ref_targets = counted(oracles)
+    assert reference_coresolutions(wrong, 8, B)[8] is None
+    assert ref_targets == [False, False] + [True] * 6
+    # the stuck test stops there whatever the bound
+    targets = counted(silting)
+    assert coresolve_A(wrong, 10_000, B) is None
+    assert targets == [False, False]
 
 
 def test_step_cap_is_inconclusive_not_false(silt2):
