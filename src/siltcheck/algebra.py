@@ -502,12 +502,6 @@ class ModuleMap:
                         f"matrix does not commute with the action of {source.algebra.labels[g]}"
                     )
 
-    def compose(self, other: "ModuleMap") -> "ModuleMap":
-        """Diagrammatic: self then other."""
-        if other.source is not self.target and other.source.dim != self.target.dim:
-            raise ValueError("composition mismatch")
-        return ModuleMap(self.source, other.target, self.mat @ other.mat, validate=False)
-
     def __repr__(self):
         return f"ModuleMap({self.source.dim} -> {self.target.dim})"
 
@@ -652,103 +646,3 @@ def direct_sum_modules(A: Algebra, mods: Sequence[Module]) -> Module:
         off += m.dim
     M.summand_offsets = offs
     return M
-
-
-def regular_module(A: Algebra) -> Module:
-    return Module(A, A.dim, [A.right_mult_matrix(j) for j in range(A.dim)], validate=False)
-
-
-# -- endomorphism algebras ---------------------------------------------------
-
-
-class EndData:
-    """End_A(T) for T presented as a direct sum of summands.
-
-    algebra: End(T) with multiplication in function order (x*y = "apply y,
-    then x"), basis adapted so each diagonal block starts with the identity of
-    that summand; those identities are the idempotent set.
-    big_mats[i]: the i-th basis endomorphism of T as a matrix on T's rows.
-    """
-
-    def __init__(self, A: Algebra, summands: Sequence[Module]):
-        f = A.field
-        self.summands = list(summands)
-        self.T = direct_sum_modules(A, self.summands)
-        offs = self.T.summand_offsets
-        n = self.T.dim
-
-        def embed(small: Matrix, i: int, j: int) -> Matrix:
-            big = [[f.zero] * n for _ in range(n)]
-            oi, di = offs[i]
-            oj, dj = offs[j]
-            for r in range(di):
-                for c in range(dj):
-                    big[oi + r][oj + c] = small.rows[r][c]
-            return Matrix(f, n, n, big)
-
-        labels, big_mats, blocks = [], [], []
-        idem_positions = []
-        for i in range(len(self.summands)):
-            for j in range(len(self.summands)):
-                homs = hom_space(self.summands[i], self.summands[j])
-                if i == j:
-                    ident = Matrix.identity(f, self.summands[i].dim)
-                    adapted = [ident]
-                    space = RowSpace(f, self.summands[i].dim ** 2 or 1)
-                    space.add([x for r in ident.rows for x in r] or [f.one])
-                    for h in homs:
-                        flat = [x for r in h.mat.rows for x in r] or [f.one]
-                        if space.add(flat):
-                            adapted.append(h.mat)
-                    idem_positions.append(len(labels))
-                    for k, mat in enumerate(adapted):
-                        labels.append(f"p{i}" if k == 0 else f"f{i}{j}_{k}")
-                        big_mats.append(embed(mat, i, j))
-                        blocks.append((i, j))
-                else:
-                    for k, h in enumerate(homs):
-                        labels.append(f"f{i}{j}_{k}")
-                        big_mats.append(embed(h.mat, i, j))
-                        blocks.append((i, j))
-        dim = len(labels)
-        # coordinates: block-restricted flattening, solved against block bases
-        by_block: dict = {}
-        for idx, b in enumerate(blocks):
-            by_block.setdefault(b, []).append(idx)
-        span_of_block = {}
-        for b, idxs in by_block.items():
-            rows = [tuple(x for r in big_mats[i].rows for x in r) for i in idxs]
-            span_of_block[b] = (idxs, Matrix(f, len(rows), n * n, rows))
-
-        mult = {}
-        for x in range(dim):
-            bx = blocks[x]
-            for y in range(dim):
-                by = blocks[y]
-                # function order: x*y applies y first; nonzero iff y's target == x's source
-                if by[1] != bx[0]:
-                    continue
-                comp = big_mats[y] @ big_mats[x]
-                key = (by[0], bx[1])
-                if key not in span_of_block:
-                    # no hom basis in that block: only a zero composite fits
-                    if comp.is_zero():
-                        continue
-                    raise AssertionError("End(T) not closed under composition")
-                idxs, span = span_of_block[key]
-                sol = span.solve_left_rows(tuple(v for r in comp.rows for v in r))
-                if sol is None:
-                    raise AssertionError("End(T) not closed under composition")
-                sparse = tuple((idxs[k], c) for k, c in enumerate(sol) if c != f.zero)
-                if sparse:
-                    mult[(x, y)] = sparse
-        unit = [f.zero] * dim
-        for p in idem_positions:
-            unit[p] = f.one
-        self.algebra = Algebra(f, labels, mult, unit, idem_positions)
-        self.big_mats = big_mats
-        self.blocks = blocks
-
-
-def endomorphism_algebra(A: Algebra, summands: Sequence[Module]) -> EndData:
-    return EndData(A, summands)

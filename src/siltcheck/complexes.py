@@ -2,14 +2,14 @@
 
 Shifts, mapping cones, cohomology with its induced action, chain maps and
 their induced maps on cohomology, the graded hom complex, projective
-replacement and quasi-isomorphism testing.
+replacement and acyclicity testing.
 
 Sign conventions, fixed once and asserted by constructor validation:
 * shift: X[k]^n = X^{n+k}, differential scaled by (-1)^k;
 * cone of f: X -> Y: C^n = X^{n+1} (+) Y^n with d(x, y) = (-x d_X, x f + y d_Y);
 * graded hom differential: (df)_i = f_i d_Y - (-1)^n d_X f_{i+1} in degree n.
-With these choices the canonical triangle maps Y -> C -> X[1] commute on the
-nose and the long exact sequence identities hold without auxiliary signs.
+With these choices the long exact sequence identities of a cone hold without
+auxiliary signs.
 """
 
 from __future__ import annotations
@@ -156,9 +156,6 @@ class Complex:
     def h_dim(self, n: int) -> int:
         return self.cohomology(n).dim
 
-    def h_table(self) -> dict:
-        return {n: self.h_dim(n) for n in self.degrees() if self.h_dim(n) > 0}
-
     def __repr__(self):
         dims = {n: self.term(n).dim for n in self.degrees()}
         return f"Complex({dims})"
@@ -285,10 +282,6 @@ class ChainMap:
                 for n in self.source.degrees()}
         return ChainMap(self.source, other.target, mats, validate=False)
 
-    def shift(self, k: int) -> "ChainMap":
-        return ChainMap(self.source.shift(k), self.target.shift(k),
-                        {n - k: m for n, m in self.mats.items()}, validate=False)
-
     def induced(self, n: int) -> Matrix:
         """Matrix of H^n(source) -> H^n(target) on cohomology class coordinates."""
         HS = self.source.cohomology(n)
@@ -304,17 +297,7 @@ def identity_chain_map(X: Complex) -> ChainMap:
                     validate=False)
 
 
-class Triangle:
-    """X -> Y -> cone -> X[1] with the canonical inclusion and projection."""
-
-    def __init__(self, f: ChainMap, cone: Complex, incl: ChainMap, proj: ChainMap):
-        self.f = f
-        self.cone = cone
-        self.incl = incl
-        self.proj = proj
-
-
-def cone(f: ChainMap) -> tuple[Complex, Triangle]:
+def cone(f: ChainMap) -> Complex:
     X, Y = f.source, f.target
     A = X.algebra
     fld = A.field
@@ -335,23 +318,7 @@ def cone(f: ChainMap) -> tuple[Complex, Triangle]:
     if X.is_projective_complex() and Y.is_projective_complex():
         types = {n: X.proj_types.get(n + 1, ()) + Y.proj_types.get(n, ())
                  for n in range(lo, hi + 1)}
-    C = Complex(A, terms, diffs, types)
-    incl = ChainMap(Y, C, {
-        n: block_matrix(fld, [[None, Matrix.identity(fld, Y.term(n).dim)]],
-                        [Y.term(n).dim], [X.term(n + 1).dim, Y.term(n).dim])
-        for n in Y.degrees()
-    })
-    Xs = X.shift(1)
-    proj = ChainMap(C, Xs, {
-        n: block_matrix(fld, [[Matrix.identity(fld, X.term(n + 1).dim)], [None]],
-                        [X.term(n + 1).dim, Y.term(n).dim], [X.term(n + 1).dim])
-        for n in range(lo, hi + 1)
-    })
-    return C, Triangle(f, C, incl, proj)
-
-
-def is_quasi_iso(f: ChainMap) -> bool:
-    return is_acyclic(cone(f)[0])
+    return Complex(A, terms, diffs, types)
 
 
 def is_acyclic(X: Complex) -> bool:

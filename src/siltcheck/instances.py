@@ -50,9 +50,6 @@ class Instance:
         self.module_specs = module_specs
         self.options = options
 
-    def names(self):
-        return sorted(self.complexes) + sorted(self.modules)
-
 
 def _expect(cond: bool, path: str, message: str):
     if not cond:

@@ -213,14 +213,6 @@ class Matrix:
             out[i] = {**left, **right} if left is not None else right
         return Matrix.from_entries(self.field, self.nrows, nc + other.ncols, out)
 
-    def vstack(self, other: "Matrix") -> "Matrix":
-        if self.ncols != other.ncols:
-            raise ValueError("vstack: column count mismatch")
-        nr = self.nrows
-        out = dict(self.entries)
-        out.update((i + nr, nz) for i, nz in other.entries.items())
-        return Matrix.from_entries(self.field, nr + other.nrows, self.ncols, out)
-
     @staticmethod
     def block_diag(field, blocks: Iterable["Matrix"]) -> "Matrix":
         out = {}
@@ -231,9 +223,6 @@ class Matrix:
             r0 += b.nrows
             c0 += b.ncols
         return Matrix.from_entries(field, r0, c0, out)
-
-    def row(self, i: int):
-        return self.rows[i]
 
     def apply_row(self, v: Sequence):
         """Row-vector action: v |-> v @ self."""
@@ -323,21 +312,6 @@ class Matrix:
     def row_kernel_rows(self) -> list[tuple]:
         """Rows v with v @ self = 0 (basis)."""
         return list(self.transpose().kernel_basis().transpose().rows)
-
-    def solve_matrix(self, B: "Matrix") -> "Matrix | None":
-        """X with self @ X = B, or None if inconsistent.  Free vars set to 0."""
-        if B.nrows != self.nrows:
-            raise ValueError("solve_matrix: row mismatch")
-        nc = self.ncols
-        R, pivots = self.hstack(B).rref()
-        if pivots and pivots[-1] >= nc:
-            return None
-        out = {}
-        for prow, pcol in enumerate(pivots):
-            nz = {j - nc: x for j, x in R.entries[prow].items() if j >= nc}
-            if nz:
-                out[pcol] = nz
-        return Matrix.from_entries(self.field, nc, B.ncols, out)
 
     def solve_left_rows(self, v: Sequence) -> tuple | None:
         """x with x @ self = v, or None.  Free variables are set to 0.

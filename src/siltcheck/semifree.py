@@ -50,9 +50,6 @@ class DegreeWindow:
         if self.lo > self.hi:
             raise ValueError("window must satisfy lo <= hi")
 
-    def __contains__(self, n: int) -> bool:
-        return self.lo <= n <= self.hi
-
 
 class SemifreeModule:
     """Semifree right dg-module over a non-positive base C, with augmentation.
@@ -120,11 +117,6 @@ class SemifreeModule:
 
     def dim(self, n: int) -> int:
         return sum(cell.dim for _, cell in self.blocks(n))
-
-    def support(self):
-        if not self.gens:
-            return range(0)
-        return range(min(self.gens) + self.algebra.lo, max(self.gens) + 1)
 
     def components(self, n: int, entries) -> dict:
         """k -> the component at generator k, an element of C^{n - gens[k]} in
@@ -212,46 +204,11 @@ class SemifreeModule:
         return subquotient_from_maps(self.cone_diff(n - 1), self.cone_diff(n),
                                      self.algebra.field, self.cone_dim(n))
 
-    def cone_h_dim(self, n: int) -> int:
-        return len(self.cone_subquotient(n).reps)
-
-    def cone_support(self):
-        lows = [self.target.lo]
-        highs = [self.target.hi]
-        if self.gens:
-            lows.append(min(self.gens) + self.algebra.lo - 1)
-            highs.append(max(self.gens) - 1)
-        return range(min(lows), max(highs) + 1)
-
     def gen_counts(self) -> dict:
         out = {}
         for g in self.gens:
             out[g] = out.get(g, 0) + 1
         return out
-
-    def as_dg_module(self) -> DgModule:
-        C = self.algebra
-        f = C.field
-        dims = {n: self.dim(n) for n in self.support()}
-        action = {}
-        for m in self.support():
-            for n in C.degrees():
-                if not dims.get(m) or not C.dim(n) or not dims.get(m + n):
-                    continue
-                table = []
-                for t in range(dims[m]):
-                    x = tuple(f.one if s == t else f.zero for s in range(dims[m]))
-                    table.append([self.act(m, x, n, C.basis_vector(n, j))
-                                  for j in range(C.dim(n))])
-                action[(m, n)] = table
-        diffs = {n: self.diff_matrix(n) for n in self.support()}
-        return DgModule(C, "right", dims, action, diffs)
-
-
-def regular_dg_module(B: DgAlgebra) -> DgModule:
-    """B as a right dg-module over itself."""
-    action = {key: [list(row) for row in table] for key, table in B.mult.items()}
-    return DgModule(B, "right", dict(B.dims), action, dict(B.diffs), validate=False)
 
 
 def semifree_resolve(M: DgModule, cutoff: int, cap: int = 4096) -> SemifreeModule:
@@ -542,16 +499,3 @@ def resolution_tensor(P: SemifreeModule, U: DgModule) -> Complex:
     out.resolution = P
     out.block_layout = layouts
     return out
-
-
-def derived_hom_over_B(M: DgModule, N: DgModule, n: int, window: DegreeWindow,
-                       extra_margin: int = 0, cap: int = 4096) -> int:
-    """dim H^n of Hom over the base from a semifree resolution of M into N."""
-    if n not in window:
-        raise ValueError("window/margin inconsistency: degree outside the window")
-    if M.side != "right" or N.side != "right":
-        raise ValueError("derived_hom_over_B needs right modules")
-    if not N.dims:
-        return 0
-    return SemifreeHom(semifree_resolve(M, hom_cutoff(N, window, extra_margin),
-                                        cap=cap), N).h_dim(n)

@@ -2,8 +2,10 @@
 
 A two-sided bounded complex U of projectives is presilting when it admits no
 self-extensions in positive shifts.  The coresolution routine approximates the
-regular complex A step by step from the left using summands of U and records
-the cone triangles; the number of steps minus one is the coresolution degree n.
+regular complex A step by step from the left using summands of U, handing the
+cone of each approximation to the next step, and records the multiplicities of
+the summands each step uses; the number of steps minus one is the coresolution
+degree n.
 Goodification replaces U by the direct sum of the approximation targets, which
 by construction carries enough copies of each summand to coresolve A.
 
@@ -121,8 +123,8 @@ def _minimal_approximation(X: Complex, U: Complex, B: DgAlgebra, E, rad,
                            summands):
     """Minimal left approximation X -> (sum of copies of summands of U).
 
-    Returns (target, chain map, multiplicities); the multiplicities list the
-    summands in the order the target holds them.  None when X, not acyclic,
+    Returns (chain map, multiplicities); the multiplicities list the summands
+    in the order the chain map's target holds them.  None when X, not acyclic,
     is stuck: H^i Hom(X, U) = 0 for every i <= 0, so the approximations of X
     and of all its shifts X[k] are zero.
     """
@@ -133,8 +135,7 @@ def _minimal_approximation(X: Complex, U: Complex, B: DgAlgebra, E, rad,
     if m == 0:
         if all(gh.h_dim(i) == 0 for i in range(gh.lo, 0)):
             return None
-        Z = zero_complex(A)
-        return Z, ChainMap(X, Z, {}, validate=False), {}
+        return ChainMap(X, zero_complex(A), {}, validate=False), {}
 
     rel = []
     for rv in rad:
@@ -190,14 +191,15 @@ def _minimal_approximation(X: Complex, U: Complex, B: DgAlgebra, E, rad,
         for b in blocks[1:]:
             acc = acc.hstack(b)
         fmats[n] = acc
-    return target, ChainMap(X, target, fmats), mult
+    return ChainMap(X, target, fmats), mult
 
 
 @dataclass
 class Coresolution:
-    """Cone triangles A_0 -> U_0 -> A_1 -> ... ending in an acyclic complex."""
-    triangles: list
-    targets: list
+    """A coresolution A = A_0 -> U_0 -> A_1 -> ... -> U_n of the regular
+    complex, where A_{k+1} is the cone of A_k -> U_k and the last cone is
+    acyclic.  multiplicities[k] lists the copies of each summand of U in U_k,
+    in the order U_k holds them."""
     multiplicities: list
     n: int
 
@@ -222,20 +224,17 @@ def coresolve_A(U: Complex, max_steps: int, B: DgAlgebra) -> Coresolution | None
     rad = end_radical(B)
 
     X = projective_complex(A, {0: list(range(len(A.idempotents)))})
-    triangles, targets, mults = [], [], []
+    mults = []
     while not is_acyclic(X):
-        if len(triangles) >= max_steps:
+        if len(mults) >= max_steps:
             return None
         approx = _minimal_approximation(X, U, B, E, rad, summands)
         if approx is None:
             return None
-        target, fmap, mult = approx
-        C, tri = cone(fmap)
-        triangles.append(tri)
-        targets.append(target)
+        fmap, mult = approx
         mults.append(mult)
-        X = C
-    return Coresolution(triangles, targets, mults, len(triangles) - 1)
+        X = cone(fmap)
+    return Coresolution(mults, len(mults) - 1)
 
 
 # -- presilting tests ------------------------------------------------------
@@ -350,74 +349,3 @@ def silting_report(U: Complex, max_steps: int = 8,
         inconclusive=cor is None,
         equivalence_criterion="mutual-presilting",
     )
-
-
-# -- long-exact dimension checks --------------------------------------------
-
-
-def cone_les_dims_ok(tri) -> bool:
-    """dim H^n(cone) = coker + ker of the induced maps, for every degree."""
-    X, Y, Z = tri.f.source, tri.f.target, tri.cone
-    lo = min((w.lo for w in (X, Y, Z) if not w.is_empty()), default=0)
-    hi = max((w.hi for w in (X, Y, Z) if not w.is_empty()), default=-1)
-    rk = {n: tri.f.induced(n).rank() for n in range(lo, hi + 2)}
-    for n in range(lo - 1, hi + 2):
-        coker = Y.h_dim(n) - rk.get(n, 0)
-        ker = X.h_dim(n + 1) - rk.get(n + 1, 0)
-        if Z.h_dim(n) != coker + ker:
-            return False
-    return True
-
-
-def hom_les_dims_ok(tri, U: Complex) -> bool:
-    """Dimension-level exactness of the hom-into-U sequence of a cone triangle.
-
-    Writing rho_n for the map induced on degree-n hom classes by the triangle's
-    base map, checks dim H^n(hom(cone, U)) = dim coker rho_{n-1} + dim ker rho_n.
-    """
-    X, Y, Z = tri.f.source, tri.f.target, tri.cone
-    ghX, ghY, ghZ = (hom_complex(W, U) for W in (X, Y, Z))
-    f = U.algebra.field
-    spans = [g for g in (ghX, ghY, ghZ) if g.hi >= g.lo]
-    if not spans:
-        return True
-    lo = min(g.lo for g in spans)
-    hi = max(g.hi for g in spans)
-
-    def rho_rank_and_ker(n):
-        sqY = ghY.subquotient(n)
-        sqX = ghX.subquotient(n)
-        rows = []
-        for rep in sqY.reps:
-            comps = ghY.component_maps(n, rep)
-            pre = {}
-            for i, mm in comps.items():
-                cm = tri.f.mat(i) @ mm
-                if not cm.is_zero():
-                    pre[i] = cm
-            coords = ghX.coords_of(n, pre)
-            if coords is None:
-                raise AssertionError("precomposition escaped the hom basis")
-            rows.append(sqX.reduce(coords))
-        mat = Matrix(f, len(sqY.reps), len(sqX.reps), rows)
-        r = mat.rank()
-        return r, mat.nrows - r
-
-    data = {n: rho_rank_and_ker(n) for n in range(lo, hi + 1)}
-    for n in range(lo - 1, hi + 2):
-        rk_prev = data.get(n - 1, (0, 0))[0]
-        coker = ghX.h_dim(n - 1) - rk_prev
-        ker = data.get(n, (0, ghY.h_dim(n)))[1]
-        if ghZ.h_dim(n) != coker + ker:
-            return False
-    return True
-
-
-def coresolution_les_ok(cor: Coresolution, U: Complex) -> bool:
-    """Every triangle passes both dimension checks and the endpoint is hom-acyclic."""
-    for tri in cor.triangles:
-        if not cone_les_dims_ok(tri) or not hom_les_dims_ok(tri, U):
-            return False
-    final = cor.triangles[-1].cone
-    ghf = hom_complex(final, U)
-    return all(ghf.h_dim(n) == 0 for n in range(ghf.lo, ghf.hi + 1))

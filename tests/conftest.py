@@ -12,7 +12,8 @@ import pathlib
 import pytest
 
 from oracles import ext1_dim, hom_dim
-from siltcheck.algebra import Quiver, hom_space, path_algebra, simple_module
+from siltcheck.algebra import (Module, Quiver, hom_space, path_algebra,
+                               simple_module)
 from siltcheck.complexes import (direct_sum_complexes, projective_cache,
                                  projective_complex)
 from siltcheck.fields import PrimeField
@@ -121,6 +122,11 @@ def U_bad(A2, P1c, P2c):
 @pytest.fixture(scope="session")
 def U_K(K):
     return projective_complex(K, {0: [0]})
+
+
+def regular_module(A):
+    """A as a right module over itself."""
+    return Module(A, A.dim, [A.right_mult_matrix(j) for j in range(A.dim)], validate=False)
 
 
 def random_projective_types(A, rng, degrees=(-1, 0), max_copies=2):

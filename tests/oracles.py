@@ -1,16 +1,19 @@
 """Module-level oracles independent of the dg machinery, a dense linear
 algebra reference independent of the sparse Matrix storage, and reference
-routes for the coresolution loop and the H^0 algebra.
+routes for the coresolution loop, its long exact sequences and the H^0
+algebra.
 
 The module oracles are computed with hom_space and dimension vectors only, so
 the numbers frozen into the verifier tests do not come from the code under
 test.
 """
 
+from dataclasses import dataclass
+
 from siltcheck import silting
-from siltcheck.algebra import Algebra, Module, hom_space
-from siltcheck.complexes import (ChainMap, cone, is_acyclic, projective_complex,
-                                 zero_complex)
+from siltcheck.algebra import Algebra, Module, direct_sum_modules, hom_space
+from siltcheck.complexes import (ChainMap, cone, hom_complex, is_acyclic,
+                                 projective_complex, zero_complex)
 from siltcheck.dg import end_h0
 from siltcheck.linalg import Matrix, RowSpace
 
@@ -38,6 +41,73 @@ def ext1_dim(M: Module, N: Module) -> int:
 def weight_dims(M: Module) -> tuple:
     """Dimension of M at each vertex: dim Hom(P_v, M) for every projective."""
     return M.dimension_vector()
+
+
+def endomorphism_algebra(A: Algebra, summands) -> Algebra:
+    """End_A(T) for T the direct sum of the summands, from hom_space alone.
+
+    Multiplication is in function order (x*y = "apply y, then x").  The
+    basis is adapted so that each diagonal block starts with the identity of
+    its summand; those identities are the idempotents.
+    """
+    f = A.field
+    T = direct_sum_modules(A, summands)
+    offs = T.summand_offsets
+    n = T.dim
+
+    def embed(small: Matrix, i: int, j: int) -> Matrix:
+        big = [[f.zero] * n for _ in range(n)]
+        oi, di = offs[i]
+        oj, dj = offs[j]
+        for r in range(di):
+            for c in range(dj):
+                big[oi + r][oj + c] = small.rows[r][c]
+        return Matrix(f, n, n, big)
+
+    labels, big_mats, blocks, idem_positions = [], [], [], []
+    for i, Si in enumerate(summands):
+        for j, Sj in enumerate(summands):
+            mats = [h.mat for h in hom_space(Si, Sj)]
+            if i == j:
+                # a basis of the block that starts with the identity
+                space = RowSpace(f, Si.dim ** 2 or 1)
+                mats = [m for m in [Matrix.identity(f, Si.dim)] + mats
+                        if space.add([x for r in m.rows for x in r] or [f.one])]
+                idem_positions.append(len(labels))
+            for k, mat in enumerate(mats):
+                labels.append(f"p{i}" if i == j and k == 0 else f"f{i}{j}_{k}")
+                big_mats.append(embed(mat, i, j))
+                blocks.append((i, j))
+    # coordinates: block-restricted flattening, solved against block bases
+    by_block: dict = {}
+    for idx, b in enumerate(blocks):
+        by_block.setdefault(b, []).append(idx)
+    span_of_block = {}
+    for b, idxs in by_block.items():
+        rows = [tuple(x for r in big_mats[i].rows for x in r) for i in idxs]
+        span_of_block[b] = (idxs, Matrix(f, len(rows), n * n, rows))
+    mult = {}
+    for x, bx in enumerate(blocks):
+        for y, by in enumerate(blocks):
+            # function order: x*y applies y first; nonzero iff y's target == x's source
+            if by[1] != bx[0]:
+                continue
+            comp = big_mats[y] @ big_mats[x]
+            key = (by[0], bx[1])
+            if key not in span_of_block:
+                # no hom basis in that block: only a zero composite fits
+                if comp.is_zero():
+                    continue
+                raise AssertionError("End(T) not closed under composition")
+            idxs, span = span_of_block[key]
+            sol = span.solve_left_rows(tuple(v for r in comp.rows for v in r))
+            if sol is None:
+                raise AssertionError("End(T) not closed under composition")
+            sparse = tuple((idxs[k], c) for k, c in enumerate(sol) if c != f.zero)
+            if sparse:
+                mult[(x, y)] = sparse
+    unit = [f.one if p in idem_positions else f.zero for p in range(len(labels))]
+    return Algebra(f, labels, mult, unit, idem_positions)
 
 
 # -- dense reference for linalg ---------------------------------------------
@@ -144,9 +214,18 @@ def _dot(f, u, v):
 # -- reference silting routes --------------------------------------------------
 
 
+@dataclass
+class ReferenceCoresolution:
+    """The steps of a coresolution: the approximation X -> U_k of each step
+    and its cone, which the next step approximates."""
+    steps: list
+    multiplicities: list
+    n: int
+
+
 def reference_coresolutions(U, max_steps: int, B) -> list:
     """What the coresolution loop with no stuck test returns at every step cap
-    0..max_steps, from one run of that loop to max_steps.
+    0..max_steps, from one run of that loop to max_steps, with its steps.
 
     A stuck X is approximated by zero and the loop goes on through its shifts
     until the cap.  The loop's state after k steps does not depend on the cap,
@@ -158,23 +237,88 @@ def reference_coresolutions(U, max_steps: int, B) -> list:
     E = end_h0(B)
     rad = silting.end_radical(B)
     X = projective_complex(A, {0: list(range(len(A.idempotents)))})
-    triangles, targets, mults = [], [], []
+    steps, mults = [], []
     while not is_acyclic(X):
-        if len(triangles) >= max_steps:
+        if len(steps) >= max_steps:
             return [None] * (max_steps + 1)
         approx = silting._minimal_approximation(X, U, B, E, rad, summands)
         if approx is None:
-            Z = zero_complex(A)
-            approx = Z, ChainMap(X, Z, {}, validate=False), {}
-        target, fmap, mult = approx
-        C, tri = cone(fmap)
-        triangles.append(tri)
-        targets.append(target)
+            approx = ChainMap(X, zero_complex(A), {}, validate=False), {}
+        fmap, mult = approx
+        X = cone(fmap)
+        steps.append((fmap, X))
         mults.append(mult)
-        X = C
-    steps = len(triangles)
-    cor = silting.Coresolution(triangles, targets, mults, steps - 1)
-    return [cor if k >= steps else None for k in range(max_steps + 1)]
+    cor = ReferenceCoresolution(steps, mults, len(steps) - 1)
+    return [cor if k >= len(steps) else None for k in range(max_steps + 1)]
+
+
+# -- long-exact dimension checks ----------------------------------------------
+# Each step of a coresolution is a triangle X -> Y -> C -> X[1], C the cone of
+# f: X -> Y.  Its long exact sequences in cohomology and in homs into U pin the
+# dimensions of C from f alone.
+
+
+def cone_les_dims_ok(f, C) -> bool:
+    """dim H^n(C) = coker + ker of the maps f induces, in every degree."""
+    X, Y = f.source, f.target
+    lo = min((w.lo for w in (X, Y, C) if not w.is_empty()), default=0)
+    hi = max((w.hi for w in (X, Y, C) if not w.is_empty()), default=-1)
+    rk = {n: f.induced(n).rank() for n in range(lo, hi + 2)}
+    for n in range(lo - 1, hi + 2):
+        coker = Y.h_dim(n) - rk.get(n, 0)
+        ker = X.h_dim(n + 1) - rk.get(n + 1, 0)
+        if C.h_dim(n) != coker + ker:
+            return False
+    return True
+
+
+def hom_les_dims_ok(f, C, U) -> bool:
+    """Dimension-level exactness of the hom-into-U sequence of the triangle.
+
+    Writing rho_n for the map f induces on degree-n hom classes, checks
+    dim H^n(hom(C, U)) = dim coker rho_{n-1} + dim ker rho_n.
+    """
+    X, Y = f.source, f.target
+    ghX, ghY, ghZ = (hom_complex(W, U) for W in (X, Y, C))
+    fld = U.algebra.field
+    spans = [g for g in (ghX, ghY, ghZ) if g.hi >= g.lo]
+    if not spans:
+        return True
+    lo = min(g.lo for g in spans)
+    hi = max(g.hi for g in spans)
+
+    def rho_rank_and_ker(n):
+        sqY = ghY.subquotient(n)
+        sqX = ghX.subquotient(n)
+        rows = []
+        for rep in sqY.reps:
+            pre = {}
+            for i, mm in ghY.component_maps(n, rep).items():
+                cm = f.mat(i) @ mm
+                if not cm.is_zero():
+                    pre[i] = cm
+            coords = ghX.coords_of(n, pre)
+            if coords is None:
+                raise AssertionError("precomposition escaped the hom basis")
+            rows.append(sqX.reduce(coords))
+        r = Matrix(fld, len(sqY.reps), len(sqX.reps), rows).rank()
+        return r, len(rows) - r
+
+    data = {n: rho_rank_and_ker(n) for n in range(lo, hi + 1)}
+    for n in range(lo - 1, hi + 2):
+        coker = ghX.h_dim(n - 1) - data.get(n - 1, (0, 0))[0]
+        ker = data.get(n, (0, ghY.h_dim(n)))[1]
+        if ghZ.h_dim(n) != coker + ker:
+            return False
+    return True
+
+
+def coresolution_les_ok(cor: ReferenceCoresolution, U) -> bool:
+    """Every step passes both dimension checks and the endpoint is hom-acyclic."""
+    if not all(cone_les_dims_ok(f, C) and hom_les_dims_ok(f, C, U) for f, C in cor.steps):
+        return False
+    ghf = hom_complex(cor.steps[-1][1], U)
+    return all(ghf.h_dim(n) == 0 for n in range(ghf.lo, ghf.hi + 1))
 
 
 def reference_h0_algebra(B) -> Algebra:

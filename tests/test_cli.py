@@ -51,7 +51,8 @@ def test_parse_serialize_round_trip_is_identity(path):
 def test_parsed_objects_have_expected_shapes():
     inst = load_instance(FIX_A2)
     assert inst.algebra.dim == 3
-    assert inst.complexes["U-tilt"].h_table() == {0: 3}
+    U = inst.complexes["U-tilt"]
+    assert {n: U.h_dim(n) for n in U.degrees() if U.h_dim(n)} == {0: 3}
     assert inst.complexes["U-silt2"].lo == -1
     assert inst.modules["S1"].dim == 1
     assert inst.modules["A"].dim == 3

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_two_term
+from conftest import random_two_term, regular_module
 from siltcheck.algebra import (
     Module,
     ModuleMap,
@@ -23,7 +23,6 @@ from siltcheck.algebra import (
     hom_space,
     path_algebra,
     projective_module,
-    regular_module,
     simple_module,
 )
 from siltcheck.complexes import (
@@ -35,7 +34,6 @@ from siltcheck.complexes import (
     hom_complex,
     identity_chain_map,
     is_acyclic,
-    is_quasi_iso,
     module_complex,
     proj_replacement,
     projective_cache,
@@ -76,7 +74,7 @@ def random_complex(A, rng, max_width=3):
         else:
             c = rng.randint(1, 100)
             g = ChainMap(P2, P1, {0: f.mat.scale(c)})
-            C, _ = cone(g)
+            C = cone(g)
             summands.append(C.shift(k))
     return direct_sum_complexes(summands)
 
@@ -109,15 +107,13 @@ def test_module_complex_cohomology(A2):
 def test_cone_of_identity_contractible(A2):
     P1, _ = projectives(A2)
     X = module_complex(P1)
-    C, tri = cone(identity_chain_map(X))
-    assert is_acyclic(C)
-    assert tri.cone is C
+    assert is_acyclic(cone(identity_chain_map(X)))
 
 
 def test_cone_of_zero_map(A2):
     P1, P2 = projectives(A2)
     X, Y = module_complex(P1), module_complex(P2)
-    C, _ = cone(ChainMap(X, Y, {}))
+    C = cone(ChainMap(X, Y, {}))
     assert C.term(-1).dim == P1.dim and C.term(0).dim == P2.dim
     assert C.h_dim(-1) == P1.dim and C.h_dim(0) == P2.dim
 
@@ -126,7 +122,7 @@ def test_cone_of_inclusion_is_simple(A2):
     P1, P2 = projectives(A2)
     (incl,) = hom_space(P2, P1)
     f = ChainMap(module_complex(P2), module_complex(P1), {0: incl.mat})
-    C, _ = cone(f)
+    C = cone(f)
     assert C.h_dim(-1) == 0
     assert C.h_dim(0) == 1
     assert C.cohomology(0).dimension_vector() == (1, 0)
@@ -143,19 +139,6 @@ def test_shift_round_trip(A2):
     for n in range(X.lo - 1, X.hi + 2):
         for k in (-2, 1, 3):
             assert X.shift(k).h_dim(n - k) == X.h_dim(n)
-
-
-def test_triangle_maps_commute(A2):
-    rng = random.Random(11)
-    X = random_complex(A2, rng)
-    Y = random_complex(A2, rng)
-    f = random_chain_map(X, Y, rng)
-    C, tri = cone(f)
-    tri.incl.validate()
-    tri.proj.validate()
-    # inclusion then projection is zero
-    for n in C.degrees():
-        assert (tri.incl.mat(n) @ tri.proj.mat(n)).is_zero()
 
 
 def test_projective_cache_does_not_keep_algebras_alive():
@@ -257,7 +240,8 @@ def test_yoneda_basis_matches_hom_space(name, seed):
     width = S.dim * N.dim
     ours = Matrix(f, len(basis), width, [_flat(m) for m in basis])
     theirs = Matrix(f, len(oracle), width, [_flat(m) for m in oracle])
-    assert ours.rank() == theirs.rank() == ours.vstack(theirs).rank() == len(basis)
+    both = Matrix(f, 2 * len(basis), width, list(ours.rows) + list(theirs.rows))
+    assert ours.rank() == theirs.rank() == both.rank() == len(basis)
     assert all(_is_module_map(S, N, m) for m in basis)
     for _ in range(3):
         coords = tuple(f.coerce(rng.randrange(101)) for _ in basis)
@@ -307,7 +291,7 @@ def test_ext_groups_vs_module_oracle(A2):
     S2 = module_complex(simple_module(A2, 1))
     P1, P2 = projectives(A2)
     R1, e1 = proj_replacement(S1)
-    assert is_quasi_iso(e1)
+    assert is_acyclic(cone(e1))
     # independent oracle: Ext^1(S1, S2) = coker(Hom(P1,S2) -> Hom(P2,S2))
     # for the resolution 0 -> P2 -> P1 -> S1 -> 0, so its dimension is
     # dim Hom(P2,S2) - dim Hom(P1,S2) = 1 - 0
@@ -338,7 +322,7 @@ def test_proj_replacement_of_simple(A2):
     P, eps = proj_replacement(S1)
     assert P.is_projective_complex()
     assert P.hi == 0 and P.lo == -1
-    assert is_quasi_iso(eps)
+    assert is_acyclic(cone(eps))
     assert P.h_dim(0) == 1 and P.h_dim(-1) == 0
 
 
@@ -357,19 +341,12 @@ def test_proj_replacement_random(A2):
         Xp = Complex(A2, dict(X.terms), dict(X.diffs))
         P, eps = proj_replacement(Xp)
         assert P.is_projective_complex()
-        assert is_quasi_iso(eps)
+        assert is_acyclic(cone(eps))
         assert P.hi <= Xp.hi
 
 
 
-# -- quasi-isomorphisms and long exact sequence ----------------------------
-
-
-def test_is_quasi_iso_basics(A2):
-    P1, _ = projectives(A2)
-    X = module_complex(P1)
-    assert is_quasi_iso(identity_chain_map(X))
-    assert not is_quasi_iso(ChainMap(X, X, {}))
+# -- acyclicity and long exact sequence ------------------------------------
 
 
 def _acyclic_by_cohomology(X):
@@ -382,7 +359,7 @@ def test_acyclic_by_ranks_matches_cohomology_on_random_complexes(A2):
     for _ in range(15):
         X = random_complex(A2, rng)
         f = random_chain_map(X, random_complex(A2, rng), rng)
-        for Z in (X, cone(f)[0], cone(identity_chain_map(X))[0]):
+        for Z in (X, cone(f), cone(identity_chain_map(X))):
             got = is_acyclic(Z)
             assert got == _acyclic_by_cohomology(Z)
             seen.add(got)
@@ -414,7 +391,7 @@ def test_cone_long_exact_identity(A2):
         X = random_complex(A2, rng)
         Y = random_complex(A2, rng)
         f = random_chain_map(X, Y, rng)
-        C, _ = cone(f)
+        C = cone(f)
         for n in range(C.lo - 1, C.hi + 1):
             rn = f.induced(n).rank()
             rn1 = f.induced(n + 1).rank()
@@ -436,7 +413,7 @@ def test_derived_hom_invariance(A2):
     X = random_complex(A2, rng)
     Y = random_complex(A2, rng)
     P1, _ = projectives(A2)
-    contractible, _ = cone(identity_chain_map(module_complex(P1)))
+    contractible = cone(identity_chain_map(module_complex(P1)))
     Y2 = direct_sum_complexes([Y, contractible.shift(rng.randint(-2, 2))])
     gh, gh2 = hom_complex(X, Y), hom_complex(X, Y2)
     for n in range(-4, 5):

@@ -249,7 +249,7 @@ def test_restriction_and_module_truncation(A2, simple_resolution, two_term_silti
 
 def test_h0_algebra_rejects_vanishing_unit(A2):
     X = projective_complex(A2, {0: [0]})
-    C, _ = cone(identity_chain_map(X))
+    C = cone(identity_chain_map(X))
     B = dg_end(C)
     with pytest.raises(ValueError):
         h0_algebra(B)

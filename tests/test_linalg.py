@@ -63,15 +63,14 @@ def test_rank_oracle_mod2():
 
 
 def test_solve_unique_and_inconsistent():
+    # x @ A = (3, 1): x0 = 3, x0 + x1 = 1
     A = Matrix.from_rows(Q, [[1, 1], [0, 1]])
-    B = Matrix.from_rows(Q, [[3], [1]])
-    X = A.solve_matrix(B)
-    assert A @ X == B
-    assert [r[0] for r in X.rows] == [Fraction(2), Fraction(1)]
-    # inconsistent: second equation contradicts the first
-    A2 = Matrix.from_rows(Q, [[1, 1], [2, 2]])
-    B2 = Matrix.from_rows(Q, [[1], [3]])
-    assert A2.solve_matrix(B2) is None
+    x = A.solve_left_rows((3, 1))
+    assert x == (Fraction(3), Fraction(-2))
+    assert Matrix(Q, 1, 2, [x]) @ A == Matrix.from_rows(Q, [[3, 1]])
+    # inconsistent: the second coordinate is twice the first on every row
+    A2 = Matrix.from_rows(Q, [[1, 2], [1, 2]])
+    assert A2.solve_left_rows((1, 3)) is None
 
 
 def test_empty_shapes():
@@ -129,10 +128,10 @@ def test_rref_idempotent_and_solve_roundtrip(M, seed):
     R, pivots = M.rref()
     R2, pivots2 = R.rref()
     assert R == R2 and pivots == pivots2
-    # any column of M is solvable against M
-    col = Matrix(F101, M.nrows, 1, [(r[seed % M.ncols],) for r in M.rows])
-    X = M.solve_matrix(col)
-    assert X is not None and M @ X == col
+    # any row of M is solvable against M
+    row = M.rows[seed % M.nrows]
+    x = M.solve_left_rows(row)
+    assert x is not None and Matrix(F101, 1, M.nrows, [x]) @ M == Matrix(F101, 1, M.ncols, [row])
 
 
 def test_rowspace_and_subquotient():
@@ -213,12 +212,12 @@ def _check_left_solves(field, M, ys, vs):
     for _ in range(2):      # the second pass replays the recorded elimination
         for v in rhs:
             x = M.solve_left_rows(v)
-            col = Matrix(field, len(v), 1, [(a,) for a in v])
-            oracle = M.transpose().solve_matrix(col)
-            in_span = M.vstack(Matrix(field, 1, M.ncols, [v])).rank() == rank
+            oracle = dense_solve(field, dense_transpose(M.rows, M.ncols), M.nrows,
+                                 [[a] for a in v], 1)
+            in_span = Matrix(field, M.nrows + 1, M.ncols, list(M.rows) + [v]).rank() == rank
             assert (x is None) == (not in_span) == (oracle is None)
             if x is not None:
-                assert x == tuple(r[0] for r in oracle.rows)
+                assert x == tuple(r[0] for r in oracle)
                 assert Matrix(field, 1, M.nrows, [x]) @ M == Matrix(field, 1, M.ncols, [v])
 
 
@@ -318,7 +317,6 @@ def test_sparse_algebra_matches_dense_reference(field, data):
     _holds(A.scale(field.coerce(s)), dense_scale(field, s, a), r, k)
     _holds(A.transpose(), dense_transpose(a, k), k, r)
     _holds(A.hstack(E), [list(x) + list(y) for x, y in zip(a, e)], r, k + c)
-    _holds(A.vstack(C), list(a) + list(cc), 2 * r, k)
     _holds(Matrix.block_diag(field, [A, B, E]),
            dense_block_diag(field, [(a, k), (b, c), (e, c)]), r + k + r, k + c + c)
     _holds(Matrix.zero(field, r, c), [[field.zero] * c] * r, r, c)
@@ -343,11 +341,6 @@ def test_sparse_elimination_matches_dense_reference(field, data):
     _holds(R, want, r, c)
     assert pivots == want_pivots and ops == want_ops and A.rank() == len(pivots)
     _holds(A.kernel_basis(), dense_kernel(field, a, c), c, c - len(pivots))
-    for B in (A @ _sparse(data, field, c, 2), _sparse(data, field, r, 2)):
-        X, want = A.solve_matrix(B), dense_solve(field, a, c, B.rows, 2)
-        assert (X is None) == (want is None)
-        if X is not None:
-            _holds(X, want, c, 2)
     # the left solve replays the op record of rref(Aᵀ) on each right-hand side
     rhs = [(_sparse(data, field, 1, r) @ A).rows[0], _sparse(data, field, 1, c).rows[0]]
     for _ in range(2):

@@ -1,6 +1,6 @@
-"""The package namespace lists only names that exist, and no source file
-imports a name it never uses (checked on the syntax tree, so the suite needs
-no linter)."""
+"""The package namespace lists only names that exist, no source file imports
+a name it never uses, and every definition in src/ has a caller in the program
+or the benchmark (checked on the syntax tree, so the suite needs no linter)."""
 
 import ast
 import pathlib
@@ -41,3 +41,82 @@ def test_no_unused_imports():
     found = {str(path.relative_to(ROOT)): _unused_imports(ast.parse(path.read_text()))
              for path in SOURCES}
     assert {path: names for path, names in found.items() if names} == {}
+
+
+# Kept in src/ with no caller there: documented constructors that tests use
+# to build their inputs.
+UNCALLED_BY_DESIGN = {
+    "complexes.Complex.shift": "shifted inputs; the README library example builds one",
+    "linalg.Matrix.from_rows": "a matrix from its rows; tests build inputs with it",
+}
+
+
+def _definitions_and_references(tree: ast.Module, module: str | None) -> tuple:
+    """The definitions of a source module, and every reference in tree.
+
+    Definitions (with module given) are the top-level functions and classes,
+    as "module.name", and the non-dunder methods of top-level classes, as
+    "module.Class.method", each mapped to whether it is a method.  A
+    reference is (name, is an attribute, the definitions it sits inside): a
+    name read, an attribute named, or, outside src/, each dotted part of a
+    string constant (the benchmark tracer names its entry points in strings).
+    """
+    defs, refs = {}, []
+
+    def visit(node, owners):
+        for child in ast.iter_child_nodes(node):
+            inner = owners
+            if module is not None and node is tree and isinstance(
+                    child, (ast.FunctionDef, ast.ClassDef)):
+                inner = (f"{module}.{child.name}",)
+                defs[inner[0]] = False
+            elif (module is not None and isinstance(node, ast.ClassDef) and node in tree.body
+                  and isinstance(child, ast.FunctionDef)
+                  and not (child.name.startswith("__") and child.name.endswith("__"))):
+                inner = owners + (f"{owners[0]}.{child.name}",)
+                defs[inner[1]] = True
+            if isinstance(child, ast.Name):
+                refs.append((child.id, False, owners))
+            elif isinstance(child, ast.Attribute):
+                refs.append((child.attr, True, owners))
+            elif module is None and isinstance(child, ast.Constant) and isinstance(child.value, str):
+                refs.extend((part, True, ()) for part in child.value.split("."))
+            visit(child, inner)
+
+    visit(tree, ())
+    return defs, refs
+
+
+def _uncalled_definitions() -> list:
+    """Definitions in src/siltcheck that neither src/ outside their own body
+    nor perfbench/ refers to, by name: a method counts as called when any
+    attribute carries its name.  Run to a fixed point, so a definition called
+    only from uncalled ones is uncalled too."""
+    defs, refs = {}, []
+    for path in sorted((ROOT / "src" / "siltcheck").glob("*.py")):
+        d, r = _definitions_and_references(ast.parse(path.read_text()), path.stem)
+        defs.update(d)
+        refs += r
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        refs += _definitions_and_references(ast.parse(path.read_text()), None)[1]
+    uncalled = set()
+    while True:
+        calls = {}
+        for name, attr, owners in refs:
+            if not uncalled.intersection(owners):
+                calls.setdefault((name, attr), []).append(owners)
+        newly = set()
+        for qual, is_method in defs.items():
+            if qual in uncalled:
+                continue
+            leaf = qual.rsplit(".", 1)[1]
+            sites = calls.get((leaf, True), []) + ([] if is_method else calls.get((leaf, False), []))
+            if not any(qual not in owners for owners in sites):
+                newly.add(qual)
+        if not newly:
+            return sorted(uncalled)
+        uncalled |= newly
+
+
+def test_every_src_definition_has_a_caller():
+    assert _uncalled_definitions() == sorted(UNCALLED_BY_DESIGN)

@@ -3,7 +3,7 @@
 import pytest
 
 import oracles
-from oracles import reference_coresolutions
+from oracles import coresolution_les_ok, reference_coresolutions
 from siltcheck import silting
 from siltcheck.fields import PrimeField
 from siltcheck.linalg import Matrix
@@ -11,10 +11,8 @@ from siltcheck.algebra import Quiver, path_algebra
 from siltcheck.complexes import (direct_sum_complexes, hom_complex,
                                  is_acyclic, projective_complex)
 from siltcheck.dg import dg_end
-from siltcheck.silting import (cone_les_dims_ok, coresolve_A,
-                               coresolution_les_ok, goodify, hom_les_dims_ok,
-                               presilting_witness, radical_rows,
-                               silting_equivalent, silting_report)
+from siltcheck.silting import (coresolve_A, goodify, presilting_witness,
+                               radical_rows, silting_equivalent, silting_report)
 
 F101 = PrimeField(101)
 
@@ -69,14 +67,14 @@ def test_regular_complex_report(regular):
 
 
 def test_tilting_fixture_coresolution(tilt):
-    cor = coresolve_A(tilt, 8, dg_end(tilt))
+    B = dg_end(tilt)
+    cor = coresolve_A(tilt, 8, B)
     assert cor is not None and cor.n == 1
     assert cor.multiplicities == [{0: 2}, {1: 1}]
-    assert is_acyclic(cor.triangles[-1].cone)
-    for tri in cor.triangles:
-        assert cone_les_dims_ok(tri)
-        assert hom_les_dims_ok(tri, tilt)
-    assert coresolution_les_ok(cor, tilt)
+    ref = reference_coresolutions(tilt, 8, B)[8]
+    assert ref.multiplicities == cor.multiplicities
+    assert is_acyclic(ref.steps[-1][1])
+    assert coresolution_les_ok(ref, tilt)
 
 
 def test_tilting_fixture_report(tilt):
@@ -93,7 +91,7 @@ def test_two_term_report(silt2):
     assert r.good
     assert not r.tilting and not r.module_form
     assert not r.inconclusive
-    assert coresolution_les_ok(coresolve_A(silt2, 8, dg_end(silt2)), silt2)
+    assert coresolution_les_ok(reference_coresolutions(silt2, 8, dg_end(silt2))[8], silt2)
 
 
 def test_tilting_check_two_sided(tilt, silt2):
@@ -130,6 +128,20 @@ def test_early_stop_agrees_with_the_loop_run_to_the_cap(coresolution_inputs, par
             if got is not None:
                 assert got.n == want.n, (name, k)
                 assert got.multiplicities == want.multiplicities, (name, k)
+
+
+@pytest.mark.parametrize("field_spec", [{"prime": 101}, "rational"], ids=["F101", "Q"])
+def test_long_exact_sequences_hold_on_every_terminating_coresolution(
+        coresolution_inputs, field_spec):
+    # the three fix_a2 complexes and the 14 silting sums over kA_3
+    done = []
+    for name, U in coresolution_inputs(field_spec).items():
+        ref = reference_coresolutions(U, 8, dg_end(U))[8]
+        if ref is not None:
+            assert coresolution_les_ok(ref, U), name
+            done.append(name)
+    assert len(done) == 17
+    assert sum(name.startswith("fix_a2/") for name in done) == 3
 
 
 def test_stuck_coresolution_builds_no_further_cones(monkeypatch, wrong):

@@ -9,9 +9,8 @@ import json
 
 import pytest
 
-from oracles import ext1_dim, hom_dim
-from siltcheck.algebra import (Quiver, endomorphism_algebra, path_algebra,
-                               simple_module)
+from oracles import endomorphism_algebra, ext1_dim, hom_dim
+from siltcheck.algebra import Quiver, path_algebra, simple_module
 from siltcheck.complexes import (GradedHom, ResolutionCapError,
                                  direct_sum_complexes, hom_complex,
                                  module_complex, proj_replacement,
@@ -65,7 +64,7 @@ def test_h0_products_agree_with_chain_map_composition(ctx_tilt, A2, tilt_summand
     assert names["H^0 dimension matches homotopy classes of endomorphisms"].details["dim"] == 3
     ED = endomorphism_algebra(A2, tilt_summands)
     assert names["H^0 algebra matches endomorphisms of the zeroth cohomology"].details == {
-        "h0_end_dim": ED.algebra.dim, "radical_dim": len(radical_rows(ED.algebra))}
+        "h0_end_dim": ED.dim, "radical_dim": len(radical_rows(ED))}
     assert rep.notes["idempotents"] == 2
 
 
