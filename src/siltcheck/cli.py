@@ -266,6 +266,10 @@ def main(argv=None) -> int:
     except (ResolutionCapError, SemifreeCapError) as e:
         sys.stderr.write(f"siltcheck: {e}\n")
         return 2
+    except (MemoryError, RecursionError) as e:
+        # the run outgrew the machine before a verdict: inconclusive
+        sys.stderr.write(f"siltcheck: no verdict, the run hit a {type(e).__name__}\n")
+        return 2
 
 
 if __name__ == "__main__":

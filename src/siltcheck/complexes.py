@@ -23,7 +23,7 @@ from .algebra import (
     direct_sum_modules,
     projective_module,
 )
-from .linalg import Matrix, RowSpace, subquotient_from_maps
+from .linalg import Cochains, Matrix, RowSpace, subquotient_from_maps
 
 
 class ResolutionCapError(RuntimeError):
@@ -49,7 +49,7 @@ def block_matrix(field, blocks, row_dims: Sequence[int], col_dims: Sequence[int]
     return Matrix.from_entries(field, r0, sum(col_dims), entries)
 
 
-class Complex:
+class Complex(Cochains):
     """Bounded complex of right modules; degree-indexed terms and differentials.
 
     proj_types, when given, witnesses each nonzero term as the direct sum of
@@ -64,9 +64,7 @@ class Complex:
                  proj_types: dict | None = None, validate: bool = True):
         self.algebra = algebra
         self.terms = {n: m for n, m in terms.items() if m.dim > 0}
-        degrees = sorted(self.terms)
-        self.lo = degrees[0] if degrees else 0
-        self.hi = degrees[-1] if degrees else -1
+        super().__init__(algebra.field, self.terms)
         self.diffs = {}
         for n, d in diffs.items():
             if d.nrows != self.term(n).dim or d.ncols != self.term(n + 1).dim:
@@ -90,19 +88,13 @@ class Complex:
     def is_empty(self) -> bool:
         return not self.terms
 
-    def degrees(self):
-        return range(self.lo, self.hi + 1)
-
     def term(self, n: int) -> Module:
         m = self.terms.get(n)
         # the zero module is the empty sum, built once per algebra
         return m if m is not None else projective_sum(self.algebra, ())
 
-    def diff(self, n: int) -> Matrix:
-        d = self.diffs.get(n)
-        if d is not None:
-            return d
-        return Matrix.zero(self.algebra.field, self.term(n).dim, self.term(n + 1).dim)
+    def dim(self, n: int) -> int:
+        return self.term(n).dim
 
     def is_projective_complex(self) -> bool:
         return self.proj_types is not None
@@ -136,25 +128,15 @@ class Complex:
         return Complex(self.algebra, terms, diffs, types, validate=False)
 
     def cohomology(self, n: int) -> Module:
-        """H^n with its induced action; carries .sq for reduce/lift."""
-        if n in self._cohom:
-            return self._cohom[n]
-        A = self.algebra
-        f = A.field
-        M = self.term(n)
-        sq = subquotient_from_maps(self.diff(n - 1), self.diff(n), f, M.dim)
-        h = len(sq.reps)
-        action = []
-        for j in range(A.dim):
-            rows = [sq.reduce(M.action[j].apply_row(rep)) for rep in sq.reps]
-            action.append(Matrix(f, h, h, rows))
-        H = Module(A, h, action, validate=False)
-        H.sq = sq
-        self._cohom[n] = H
-        return H
-
-    def h_dim(self, n: int) -> int:
-        return self.cohomology(n).dim
+        """H^n as a module with its induced action; carries .sq for reduce/lift."""
+        if n not in self._cohom:
+            sq = self.subquotient(n)
+            action = [Matrix(self.field, sq.dim, sq.dim,
+                             [sq.reduce(a.apply_row(rep)) for rep in sq.reps])
+                      for a in self.term(n).action]
+            H = self._cohom[n] = Module(self.algebra, sq.dim, action, validate=False)
+            H.sq = sq
+        return self._cohom[n]
 
     def __repr__(self):
         dims = {n: self.term(n).dim for n in self.degrees()}
@@ -284,11 +266,10 @@ class ChainMap:
 
     def induced(self, n: int) -> Matrix:
         """Matrix of H^n(source) -> H^n(target) on cohomology class coordinates."""
-        HS = self.source.cohomology(n)
-        HT = self.target.cohomology(n)
+        S, T = self.source.subquotient(n), self.target.subquotient(n)
         m = self.mat(n)
-        rows = [HT.sq.reduce(m.apply_row(rep)) for rep in HS.sq.reps]
-        return Matrix(self.source.algebra.field, HS.dim, HT.dim, rows)
+        rows = [T.reduce(m.apply_row(rep)) for rep in S.reps]
+        return Matrix(self.source.field, S.dim, T.dim, rows)
 
 
 def identity_chain_map(X: Complex) -> ChainMap:
@@ -330,7 +311,7 @@ def is_acyclic(X: Complex) -> bool:
 # -- graded hom complex ----------------------------------------------------
 
 
-class GradedHom:
+class GradedHom(Cochains):
     """The hom complex out of a complex of projectives into a bounded complex.
 
     Degree-n elements are families of module maps X^i -> Y^{n+i}.  The source
@@ -348,15 +329,11 @@ class GradedHom:
                              "run proj_replacement")
         self.X = X
         self.Y = Y
-        self.field = X.algebra.field
-        if X.is_empty() or Y.is_empty():
-            self.lo, self.hi = 0, -1
-        else:
-            self.lo = Y.lo - X.hi
-            self.hi = Y.hi - X.lo
+        super().__init__(X.field, () if X.is_empty() or Y.is_empty()
+                         else (Y.lo - X.hi, Y.hi - X.lo))
         self.basis = {}      # n -> list of (source degree, matrix of the map)
         self.offsets = {}    # n -> {source degree: start index}
-        for n in range(self.lo, self.hi + 1):
+        for n in self.degrees():
             entries, offs = [], {}
             for i in X.degrees():
                 S, T = X.term(i), Y.term(n + i)
@@ -370,7 +347,6 @@ class GradedHom:
             self.basis[n] = entries
             self.offsets[n] = offs
         self._diffs = {}
-        self._cohom = {}
 
     def _summands(self, i: int, T) -> list:
         """(first row, Hom(e_v A, T)) for each witness summand of X^i."""
@@ -401,15 +377,6 @@ class GradedHom:
         d = Matrix(f, len(rows), self.dim(n + 1), rows)
         self._diffs[n] = d
         return d
-
-    def subquotient(self, n: int):
-        if n not in self._cohom:
-            self._cohom[n] = subquotient_from_maps(self.diff(n - 1), self.diff(n),
-                                                   self.field, self.dim(n))
-        return self._cohom[n]
-
-    def h_dim(self, n: int) -> int:
-        return len(self.subquotient(n).reps)
 
     def component_maps(self, n: int, coords: Sequence) -> dict:
         """Expand coordinates in degree n into per-source-degree matrices."""

@@ -25,19 +25,39 @@ from itertools import chain
 
 from .algebra import Algebra
 from .complexes import Complex, GradedHom, hom_complex, summand_projection_maps
-from .linalg import Matrix, RowSpace, Subquotient, subquotient_from_maps
+from .linalg import Cochains, Matrix, RowSpace
 
 
-def _zero(field, n):
-    return (field.zero,) * n
+def table_product(field, table, u, v, width: int) -> tuple:
+    """The sum of u_i v_j table[i][j], a row of the given width: the product
+    of u and v read off a structure table, or zero when table is None.  Adds
+    natively and reduces once, as Matrix.apply_row does."""
+    acc: dict = {}
+    if table is not None:
+        for i, a in enumerate(u):
+            if a:
+                row = table[i]
+                for j, b in enumerate(v):
+                    if b:
+                        c = a * b
+                        for k, x in enumerate(row[j]):
+                            if x:
+                                acc[k] = acc.get(k, 0) + c * x
+    out = [field.zero] * width
+    for k, x in field.reduce_entries(acc).items():
+        out[k] = x
+    return tuple(out)
 
 
-def _add(field, u, v):
-    return tuple(field.add(a, b) for a, b in zip(u, v))
-
-
-def _scale(field, c, u):
-    return tuple(field.mul(c, a) for a in u)
+def _swap_factors(field, tables: dict) -> dict:
+    """tables[(m, n)][i][j] moved to [(n, m)][j][i] with the Koszul sign
+    (-1)^{mn}: the table of the same products with their factors swapped."""
+    out = {}
+    for (m, n), t in tables.items():
+        if (m * n) % 2:
+            t = [[tuple(field.neg(x) for x in p) for p in row] for row in t]
+        out[(n, m)] = [list(col) for col in zip(*t)]
+    return out
 
 
 def _sampled_basis(X) -> dict:
@@ -132,7 +152,7 @@ def _check_associativity(Z, table, factors, xy, yz, message: str):
                     raise AssertionError(message.format(m, n, p))
 
 
-class _Graded:
+class _Graded(Cochains):
     """Degreewise dimensions and a degree +1 differential, with cohomology.
 
     dims: degree -> basis size (zero entries dropped); diff[n]: matrix of
@@ -142,26 +162,13 @@ class _Graded:
     """
 
     def __init__(self, field, dims: dict, diff: dict):
-        self.field = field
         self.dims = {n: d for n, d in dims.items() if d > 0}
-        degrees = sorted(self.dims)
-        self.lo = degrees[0] if degrees else 0
-        self.hi = degrees[-1] if degrees else -1
+        super().__init__(field, self.dims)
         self.diffs = {n: m for n, m in diff.items() if not m.is_zero()}
-        self._sq = {}
         self._cells = {}
 
     def dim(self, n: int) -> int:
         return self.dims.get(n, 0)
-
-    def degrees(self):
-        return range(self.lo, self.hi + 1)
-
-    def diff(self, n: int) -> Matrix:
-        d = self.diffs.get(n)
-        if d is not None:
-            return d
-        return Matrix.zero(self.field, self.dim(n), self.dim(n + 1))
 
     def apply_diff(self, n: int, u):
         return self.diff(n).apply_row(u)
@@ -169,18 +176,6 @@ class _Graded:
     def basis_vector(self, n: int, i: int):
         f = self.field
         return tuple(f.one if k == i else f.zero for k in range(self.dim(n)))
-
-    def subquotient(self, n: int) -> Subquotient:
-        if n not in self._sq:
-            self._sq[n] = subquotient_from_maps(self.diff(n - 1), self.diff(n),
-                                                self.field, self.dim(n))
-        return self._sq[n]
-
-    def h_dim(self, n: int) -> int:
-        return len(self.subquotient(n).reps)
-
-    def h_table(self) -> dict:
-        return {n: self.h_dim(n) for n in self.degrees() if self.h_dim(n)}
 
     def cell(self, i: int, n: int) -> RowSpace:
         """Echelon basis of the i-th cell in degree n, built once.
@@ -218,19 +213,7 @@ class DgAlgebra(_Graded):
 
     def product(self, m: int, u, n: int, v):
         """Coordinates of (deg-m element u) * (deg-n element v) in degree m+n."""
-        f = self.field
-        out = _zero(f, self.dim(m + n))
-        table = self.mult.get((m, n))
-        if table is None:
-            return out
-        for i, a in enumerate(u):
-            if a == f.zero:
-                continue
-            for j, b in enumerate(v):
-                if b == f.zero:
-                    continue
-                out = _add(f, out, _scale(f, f.mul(a, b), table[i][j]))
-        return out
+        return table_product(self.field, self.mult.get((m, n)), u, v, self.dim(m + n))
 
     def is_nonpositive(self) -> bool:
         return self.hi <= 0
@@ -283,19 +266,7 @@ class DgModule(_Graded):
 
     def act(self, m: int, x, n: int, a):
         """Right: x*a for x in M^m, a in B^n.  Left: a*x for a in B^m, x in M^n."""
-        f = self.algebra.field
-        out = _zero(f, self.dim(m + n))
-        table = self.action.get((m, n))
-        if table is None:
-            return out
-        for i, c in enumerate(x):
-            if c == f.zero:
-                continue
-            for j, e in enumerate(a):
-                if e == f.zero:
-                    continue
-                out = _add(f, out, _scale(f, f.mul(c, e), table[i][j]))
-        return out
+        return table_product(self.field, self.action.get((m, n)), x, a, self.dim(m + n))
 
     def _times_idempotent(self, i: int, n: int, x):
         e = self.algebra.idempotents[i]
@@ -332,7 +303,7 @@ def _composition_tables(gh, maps: dict) -> dict:
     the j-th element b of maps[n], given by its component maps U -> U."""
     f = gh.field
     tables = {}
-    for m in range(gh.lo, gh.hi + 1):
+    for m in gh.degrees():
         for n, elems in maps.items():
             if not gh.dim(m) or not elems or not gh.dim(m + n):
                 continue
@@ -342,7 +313,7 @@ def _composition_tables(gh, maps: dict) -> dict:
                 for b in elems:
                     mb = b.get(sx - n)
                     if mb is None:
-                        row.append(_zero(f, gh.dim(m + n)))
+                        row.append((f.zero,) * gh.dim(m + n))
                         continue
                     coords = gh.coords_of(m + n, {sx - n: mb @ hx})
                     if coords is None:
@@ -381,9 +352,9 @@ def dg_end(U: Complex) -> DgAlgebra:
         raise ValueError("dg_end needs a complex of projectives")
     gh = hom_complex(U, U)
     f = U.algebra.field
-    dims = {n: gh.dim(n) for n in range(gh.lo, gh.hi + 1)}
-    maps = {n: [{i: h} for i, h in gh.basis[n]] for n in range(gh.lo, gh.hi + 1)}
-    diffs = {n: gh.diff(n) for n in range(gh.lo, gh.hi + 1)}
+    dims = {n: gh.dim(n) for n in gh.degrees()}
+    maps = {n: [{i: h} for i, h in gh.basis[n]] for n in gh.degrees()}
+    diffs = {n: gh.diff(n) for n in gh.degrees()}
     ident = {i: Matrix.identity(f, U.term(i).dim) for i in U.degrees() if U.term(i).dim}
     unit = gh.coords_of(0, ident)
     if unit is None:
@@ -404,8 +375,8 @@ def dg_hom_module(gh: GradedHom, base: DgAlgebra) -> DgModule:
 
     The action is composition, f*b = "apply b, then f".  Carries .gh.
     """
-    dims = {n: gh.dim(n) for n in range(gh.lo, gh.hi + 1)}
-    diffs = {n: gh.diff(n) for n in range(gh.lo, gh.hi + 1)}
+    dims = {n: gh.dim(n) for n in gh.degrees()}
+    diffs = {n: gh.diff(n) for n in gh.degrees()}
     M = DgModule(base, "right", dims, _composition_tables(gh, base.maps), diffs)
     M.gh = gh
     return M
@@ -423,7 +394,7 @@ def evaluation_left_module(base: DgAlgebra, U: Complex) -> DgModule:
         for n in U.degrees():
             if not elems or not dims.get(n) or not dims.get(m + n):
                 continue
-            zero = _zero(f, dims[m + n])
+            zero = (f.zero,) * dims[m + n]
             action[(m, n)] = [b[n].rows if n in b else [zero] * dims[n]
                               for b in elems]
     diffs = {n: U.diff(n) for n in U.degrees()}
@@ -457,14 +428,7 @@ def h0_algebra(B: DgAlgebra) -> Algebra:
             for ra in sq.reps]
 
     def mult_classes(u_cls, v_cls):
-        out = _zero(f, h)
-        for a, x in enumerate(u_cls):
-            if x == f.zero:
-                continue
-            for b, y in enumerate(v_cls):
-                if y != f.zero:
-                    out = _add(f, out, _scale(f, f.mul(x, y), base[a][b]))
-        return tuple(out)
+        return table_product(f, base, u_cls, v_cls, h)
 
     idem_cls = []
     kept = []
@@ -473,10 +437,8 @@ def h0_algebra(B: DgAlgebra) -> Algebra:
         if any(c != f.zero for c in cls):
             idem_cls.append(cls)
             kept.append(pos)
-    total = idem_cls[0]
-    for e in idem_cls[1:]:
-        total = _add(f, total, e)
-    if tuple(total) != unit_cls:
+    total = Matrix(f, len(idem_cls), h, idem_cls).apply_row((f.one,) * len(idem_cls))
+    if total != unit_cls:
         raise AssertionError("idempotent classes do not sum to the unit class")
 
     # Peirce pieces e_j H e_k, with e_j leading its own diagonal block
@@ -608,27 +570,13 @@ def smart_truncate(B: DgAlgebra) -> DgAlgebra:
 
 def opposite_dg(B: DgAlgebra) -> DgAlgebra:
     """Multiplication reversed with the Koszul sign (-1)^{mn}."""
-    f = B.field
-    mult = {}
-    for (m, n), table in B.mult.items():
-        sign = f.one if (m * n) % 2 == 0 else f.neg(f.one)
-        out = [[_scale(f, sign, table[i][j]) for i in range(B.dim(m))]
-               for j in range(B.dim(n))]
-        mult[(n, m)] = out
-    return DgAlgebra(f, dict(B.dims), mult, dict(B.diffs), B.unit,
-                     idempotents=B.idempotents)
+    return DgAlgebra(B.field, dict(B.dims), _swap_factors(B.field, B.mult), dict(B.diffs),
+                     B.unit, idempotents=B.idempotents)
 
 
 def side_swap(M: DgModule, Bop: DgAlgebra) -> DgModule:
     """Left B-module to right B^op-module via x*a = (-1)^{|a||x|} a*x."""
     if M.side != "left":
         raise ValueError("side_swap expects a left module")
-    f = M.algebra.field
-    action = {}
-    for (m, n), table in M.action.items():
-        # table: (deg-m algebra basis) x (deg-n module basis)
-        sign = f.one if (m * n) % 2 == 0 else f.neg(f.one)
-        out = [[_scale(f, sign, table[i][j]) for i in range(M.algebra.dim(m))]
-               for j in range(M.dim(n))]
-        action[(n, m)] = out
-    return DgModule(Bop, "right", dict(M.dims), action, dict(M.diffs))
+    return DgModule(Bop, "right", dict(M.dims), _swap_factors(M.field, M.action),
+                    dict(M.diffs))

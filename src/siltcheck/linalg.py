@@ -1,7 +1,8 @@
 """Exact linear algebra over a PrimeField or RationalField, stored sparse.
 
 Everything downstream funnels through this module: ranks, kernels, solves and
-subquotient bookkeeping (cohomology).  A Matrix keeps only its nonzero
+subquotient bookkeeping, and the Cochains base that every graded class reads
+its cohomology from.  A Matrix keeps only its nonzero
 entries, so products, sums, stacking and elimination walk nonzeros alone; the
 dense row view stays available for callers that read rows.  Pivoting is
 deterministic (first nonzero entry in row order), so every basis produced
@@ -494,3 +495,43 @@ def subquotient_from_maps(din: Matrix | None, dout: Matrix | None, field, width:
     else:
         bounds = list(din.rows)
     return Subquotient(field, width, cycles, bounds)
+
+
+class Cochains:
+    """A bounded graded space with a degree +1 differential, and its cohomology.
+
+    support holds the degrees that may be nonzero, or only the lowest and the
+    highest of them; lo and hi are those, 0 and -1 when it is empty.  A
+    subclass gives dim(n) and either diffs, degree -> the nonzero matrix of
+    d: C^n -> C^{n+1} in row convention, or its own diff when it builds the
+    differentials lazily.  Each degree's subquotient ker d^n / im d^{n-1} is
+    built on first use and kept.
+    """
+
+    def __init__(self, field, support):
+        self.field = field
+        self.lo = min(support, default=0)
+        self.hi = max(support, default=-1)
+        self._sq: dict = {}
+
+    def degrees(self):
+        return range(self.lo, self.hi + 1)
+
+    def diff(self, n: int) -> Matrix:
+        d = self.diffs.get(n)
+        if d is not None:
+            return d
+        return Matrix.zero(self.field, self.dim(n), self.dim(n + 1))
+
+    def subquotient(self, n: int) -> Subquotient:
+        if n not in self._sq:
+            self._sq[n] = subquotient_from_maps(self.diff(n - 1), self.diff(n),
+                                                self.field, self.dim(n))
+        return self._sq[n]
+
+    def h_dim(self, n: int) -> int:
+        return self.subquotient(n).dim
+
+    def h_table(self) -> dict:
+        """degree -> dim H^n, over the degrees where it is nonzero."""
+        return {n: d for n in self.degrees() if (d := self.h_dim(n))}

@@ -32,9 +32,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import Module, direct_sum_modules
-from .complexes import Complex, zero_complex
+from .complexes import Complex, block_matrix, zero_complex
 from .dg import DgAlgebra, DgModule
-from .linalg import Matrix, RowSpace, subquotient_from_maps
+from .linalg import Cochains, Matrix, RowSpace, subquotient_from_maps
 
 
 class SemifreeCapError(RuntimeError):
@@ -191,14 +191,11 @@ class SemifreeModule:
         return self.dim(n + 1) + self.target.dim(n)
 
     def cone_diff(self, n: int) -> Matrix:
-        f = self.algebra.field
-        dP = self.diff_matrix(n + 1)
-        aug = self.aug_matrix(n + 1)
-        dM = self.target.diff(n)
-        top = dP.scale(f.neg(f.one)).hstack(aug)
-        bottom = Matrix.zero(f, self.target.dim(n), self.dim(n + 2)).hstack(dM)
-        rows = list(top.rows) + list(bottom.rows)
-        return Matrix(f, self.cone_dim(n), self.cone_dim(n + 1), rows)
+        M = self.target
+        return block_matrix(self.algebra.field,
+                            [[-self.diff_matrix(n + 1), self.aug_matrix(n + 1)],
+                             [None, M.diff(n)]],
+                            [self.dim(n + 1), M.dim(n)], [self.dim(n + 2), M.dim(n + 1)])
 
     def cone_subquotient(self, n: int):
         return subquotient_from_maps(self.cone_diff(n - 1), self.cone_diff(n),
@@ -294,22 +291,23 @@ def block_row(f, offsets: dict, width: int, images) -> list:
 # -- maps out of a semifree module -------------------------------------------
 
 
-class SemifreeHom:
+class SemifreeHom(Cochains):
     """Base-linear maps from a semifree module into a dg-module.
 
     A degree-m element assigns to the k-th generator (degree g, a cell e.C)
     a value in N^{m+g}.e, in the echelon basis of N.cell; freeness extends
-    this to the whole module.  The differential is
+    this to the whole module, so every degree lies between N.lo - max(gens)
+    and N.hi - min(gens).  The differential is
     phi -> d_N . phi - (-1)^m phi . d_P, the same convention as the hom
     complex of two complexes of modules.
     """
 
     def __init__(self, P: SemifreeModule, N: DgModule):
+        super().__init__(N.field, (N.lo - max(P.gens), N.hi - min(P.gens))
+                         if P.gens and N.dims else ())
         self.P = P
         self.N = N
-        self.field = N.algebra.field
         self._diffs: dict = {}
-        self._sq: dict = {}
 
     def blocks(self, m: int) -> list:
         """(k, the basis of N^{m+g}.e holding generator k's values)."""
@@ -360,15 +358,6 @@ class SemifreeHom:
         d = Matrix(f, len(rows), width, rows)
         self._diffs[m] = d
         return d
-
-    def subquotient(self, m: int):
-        if m not in self._sq:
-            self._sq[m] = subquotient_from_maps(self.diff(m - 1), self.diff(m),
-                                                self.field, self.dim(m))
-        return self._sq[m]
-
-    def h_dim(self, m: int) -> int:
-        return len(self.subquotient(m).reps)
 
 
 def lift_generators(P: SemifreeModule, target, solve) -> list | None:

@@ -331,7 +331,7 @@ def silting_report(U: Complex, max_steps: int = 8,
         B = dg_end(U) if B is None else B
         pw = _self_extension(B.gh, 1, U.hi - U.lo)
         two_sided = _self_extension(B.gh, U.lo - U.hi, U.hi - U.lo)
-        mf = all(U.h_dim(n) == 0 for n in range(U.lo, U.hi + 1) if n != 0)
+        mf = all(U.h_dim(n) == 0 for n in U.degrees() if n != 0)
         try:
             cor = coresolve_A(U, max_steps, B)
         except SmallCharacteristicError:

@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .algebra import Algebra, Module, direct_sum_modules, hom_space, simple_module
+from .algebra import Algebra, Module, direct_sum_modules, simple_module
 from .complexes import (ChainMap, Complex, GradedHom, direct_sum_complexes,
                         hom_complex, module_complex, proj_replacement,
                         projective_cache, projective_complex)
@@ -305,8 +305,8 @@ def verify_E_iso(ctx: SiltingContext) -> VerificationReport:
 
     notes: dict = {"idempotents": len(E.idempotents)}
     if all(U.h_dim(n) == 0 for n in U.degrees() if n != 0):
-        H0 = U.cohomology(0)
-        end_dim = len(hom_space(H0, H0))
+        # U resolves H^0 U, so End_A(H^0 U) is H^0 Hom(U, H^0 U)
+        end_dim = ctx.hom(U, ctx.module(U.cohomology(0), 0)).h_dim(0)
         try:
             rad_e = len(end_radical(B))
         except ValueError:

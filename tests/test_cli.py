@@ -431,6 +431,20 @@ def test_semifree_cap_exits_2(capsys, monkeypatch):
     assert err == "siltcheck: resolution exceeded 7 generators\n"
 
 
+@pytest.mark.parametrize("error", [MemoryError, RecursionError])
+def test_exhausted_machine_exits_2_without_a_traceback(capsys, monkeypatch, error):
+    import siltcheck.cli
+
+    def exhausted(*args, **kwargs):
+        raise error()
+
+    monkeypatch.setattr(siltcheck.cli, "verify_all", exhausted)
+    code, out, err = run_cli(capsys, "verify", FIX_K, "A")
+    assert (code, out) == (2, "")
+    assert err == f"siltcheck: no verdict, the run hit a {error.__name__}\n"
+    assert "Traceback" not in err
+
+
 COUNTED = ("silting_report", "coresolve_A", "dg_end", "h0_algebra",
            "proj_replacement")
 

@@ -104,6 +104,18 @@ def test_module_complex_cohomology(A2):
     assert H.dimension_vector() == P1.dimension_vector()
 
 
+def test_cohomology_dimensions_and_induced_maps_build_no_module(A2):
+    # h_dim and induced read the subquotient; only cohomology(n) builds H^n
+    rng = random.Random(11)
+    X, Y = random_complex(A2, rng), random_complex(A2, rng)
+    f = random_chain_map(X, Y, rng)
+    for n in range(min(X.lo, Y.lo) - 1, max(X.hi, Y.hi) + 2):
+        assert f.induced(n).nrows == X.h_dim(n)
+        assert f.induced(n).ncols == Y.h_dim(n)
+    assert X._cohom == {} and Y._cohom == {}
+    assert X.cohomology(X.lo).sq is X.subquotient(X.lo)
+
+
 def test_cone_of_identity_contractible(A2):
     P1, _ = projectives(A2)
     X = module_complex(P1)

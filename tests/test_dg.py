@@ -10,8 +10,11 @@ failing case per axiom.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import reference_h0_algebra
 from siltcheck.algebra import Quiver, path_algebra, simple_module
@@ -34,8 +37,9 @@ from siltcheck.dg import (
     opposite_dg,
     side_swap,
     smart_truncate,
+    table_product,
 )
-from siltcheck.fields import PrimeField
+from siltcheck.fields import PrimeField, RationalField
 from siltcheck.linalg import Matrix
 
 F101 = PrimeField(101)
@@ -242,6 +246,32 @@ def test_restriction_and_module_truncation(A2, simple_resolution, two_term_silti
             if name == "resolution" and over_C.side == "right":
                 assert over_C.dims == {0: 1, 1: 1}
                 assert over_C.h_table() == {}
+
+
+# -- the one structure-table product ----------------------------------------
+
+
+@pytest.mark.parametrize("field", [PrimeField(2), F101, RationalField()], ids=repr)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_table_product_is_the_bilinear_sum_of_table_entries(field, data):
+    r, c, w = (data.draw(st.integers(0, 4)) for _ in range(3))
+    values = st.one_of(st.just(field.zero), (
+        st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
+        if isinstance(field, RationalField) else st.integers(0, field.p - 1)))
+
+    def vector(n):
+        return tuple(data.draw(st.lists(values, min_size=n, max_size=n)))
+
+    table = [[vector(w) for _ in range(c)] for _ in range(r)]
+    u, v = vector(r), vector(c)
+    want = [field.zero] * w
+    for i in range(r):
+        for j in range(c):
+            for k in range(w):
+                want[k] = field.add(want[k], field.mul(field.mul(u[i], v[j]), table[i][j][k]))
+    assert table_product(field, table, u, v, w) == tuple(want)
+    assert table_product(field, None, u, v, w) == (field.zero,) * w
 
 
 # -- cohomology-level algebra ----------------------------------------------

@@ -219,6 +219,10 @@ def test_hom_agrees_with_complex_level_route(silt):
     w = DegreeWindow(-2, 2)
     for n in range(-2, 3):
         assert derived_hom(M, M, n, w) == gh.h_dim(n)
+    # the hom out of the resolution is nonzero only inside its degrees()
+    sh = SemifreeHom(semifree_resolve(M, hom_cutoff(M, w)), M)
+    assert [m for m in range(sh.lo - 4, sh.hi + 5) if sh.dim(m)] == \
+        [m for m in sh.degrees() if sh.dim(m)]
 
 
 def test_tensor_recovers_source_cohomology(silt, hom_to_simple, A2):

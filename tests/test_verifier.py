@@ -6,6 +6,7 @@ did not itself produce.
 """
 
 import json
+import sys
 
 import pytest
 
@@ -16,6 +17,7 @@ from siltcheck.complexes import (GradedHom, ResolutionCapError,
                                  module_complex, proj_replacement,
                                  projective_complex, zero_complex)
 from siltcheck.dg import DgModule
+from siltcheck.fields import PrimeField
 from siltcheck.semifree import DegreeWindow, semifree_resolve
 from siltcheck.silting import radical_rows
 from siltcheck.verifier import (SemifreeHom, SiltingContext, classify_Xi,
@@ -356,3 +358,20 @@ def test_fully_faithful_out_of_U_reuses_its_hom_module(U_silt2, P1c, monkeypatch
     rep = verify_fully_faithful(ctx, U_silt2, P1c, range(-1, 2))
     assert rep.passed
     assert built == []
+
+
+def test_verify_all_on_linear_a6_solves_no_commutation_system(monkeypatch):
+    # U resolves H^0 U, so End(H^0 U) is read off the Yoneda hom complex
+    def commutation_system(*args):
+        raise AssertionError("hom_space called")
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("siltcheck") and hasattr(mod, "hom_space"):
+            monkeypatch.setattr(mod, "hom_space", commutation_system)
+    n = 6
+    A = path_algebra(Quiver([str(v) for v in range(n)],
+                            [(f"a{v}", str(v), str(v + 1)) for v in range(n - 1)]),
+                     PrimeField(101))
+    free = direct_sum_complexes([projective_complex(A, {0: [v]}) for v in range(n)])
+    reports = verify_all(free, window=(-1, 1), pair_degrees=(-1, 1))
+    assert all(r.passed for r in reports)
