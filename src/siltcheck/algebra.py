@@ -551,9 +551,10 @@ class ProjectiveHoms:
 
     A map out of P = e_v A is fixed by the image w of e_v, any element of
     N.e_v, and sends row r of P (ambient_rows[r], an element of A) to w times
-    that element.  space is the echelon basis of N.e_v, acts the action
-    matrix on N of each ambient row, and blocks the basis maps, one per
-    echelon row of space, as P.dim x N.dim matrices.
+    that element.  space is the echelon basis of N.e_v, gen the nonzero
+    coordinates (row, entry) of e_v in P, acts the action matrix on N of
+    each ambient row, and blocks the basis maps, one per echelon row of
+    space, as P.dim x N.dim matrices.
     """
 
     def __init__(self, P: Module, N: Module):
@@ -561,7 +562,7 @@ class ProjectiveHoms:
         self.space = RowSpace(f, N.dim)
         for row in N.action[N.algebra.idempotents[P.vertex]].rows:
             self.space.add(row)
-        self.gen = Matrix(f, 1, P.dim, [P.gen_coords])
+        self.gen = [(r, g) for r, g in enumerate(P.gen_coords) if g]
         self.acts = [N.action_of(r) for r in P.ambient_rows]
         self.blocks = [Matrix(f, P.dim, N.dim, [a.apply_row(n) for a in self.acts])
                        for n in self.space.rows]
@@ -576,10 +577,20 @@ class ProjectiveHoms:
         so rebuilding the rows from w decides membership without elimination.
         """
         f = self.space.field
-        w = self.gen @ Matrix.from_entries(f, len(self.acts), self.space.width, rows)
-        if any((w @ a).entries.get(0, {}) != rows.get(r, {}) for r, a in enumerate(self.acts)):
-            return None
-        w = w.entries.get(0, {})
+        reduce = f.reduce_entries
+        acc: dict = {}
+        for r, g in self.gen:
+            for k, x in rows.get(r, {}).items():
+                acc[k] = acc.get(k, 0) + g * x
+        w = reduce(acc)
+        for r, a in enumerate(self.acts):
+            acc = {}
+            ents = a.entries
+            for k, x in w.items():
+                for j, y in ents.get(k, {}).items():
+                    acc[j] = acc.get(j, 0) + x * y
+            if reduce(acc) != rows.get(r, {}):
+                return None
         return tuple(w.get(p, f.zero) for p in self.space.pivots)
 
 

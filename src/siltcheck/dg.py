@@ -1,13 +1,15 @@
 """Finite-dimensional dg-algebras and dg-modules.
 
 Elements are homogeneous: a degree plus a coordinate row in that degree's
-basis.  Multiplication and action tables are dense per degree pair, and every
-constructor validates the graded axioms: d^2 = 0 in every degree, the unit law
-on every basis element and the graded Leibniz rule d(xy) = d(x)y +
-(-1)^{|x|} x d(y) on every basis pair.  Associativity is checked on every
-basis triple while each factor has at most 24 basis elements, and on a stride
-sample of about 16 elements per factor above that.  Each axiom is one matrix
-identity per degree pair or triple between blocks of the structure tables.
+basis.  Multiplication and action tables are stored dense per degree pair,
+and every constructor validates the graded axioms: d^2 = 0 in every degree,
+the unit law on every basis element and the graded Leibniz rule d(xy) =
+d(x)y + (-1)^{|x|} x d(y) on every basis pair.  Associativity is checked on
+every basis triple while each factor has at most 24 basis elements, and on a
+stride sample of about 16 elements per factor above that.  Each axiom is one
+matrix identity per degree pair or triple between blocks of the structure
+tables; a validation reads each block it needs as sparse entries once and
+compares the two sides of every identity as sparse entries.
 
 The central construction is dg_end of a complex of projectives U: its
 degree-n part is the degree-n piece of the hom complex of U with itself, and
@@ -20,8 +22,6 @@ one by composing those maps.
 """
 
 from __future__ import annotations
-
-from itertools import chain
 
 from .algebra import Algebra
 from .complexes import Complex, GradedHom, hom_complex, summand_projection_maps
@@ -71,48 +71,105 @@ def _sampled_basis(X) -> dict:
 
 
 # -- the axioms as matrix identities; a table's missing pairs are zero -----
+#
+# A validation reads each structure table through _sparse_blocks, so every
+# stacked or flattened block, every product and every comparison is sparse:
+# both sides of each identity are matrix products, whose entries are
+# canonical, so comparing their entries decides what comparing rows would.
 
 
-def _stacked(field, table, key, outer, inner, width) -> Matrix:
+def _sparse_blocks(table: dict):
+    """key -> table[key] with each product as its nonzero entries
+    {column: entry}, or None when the table has no such block.  Each block is
+    converted on its first request and kept by the returned function; the
+    zero products, most of them, share one empty dict."""
+    memo, zero = {}, {}
+
+    def block(key):
+        if key not in memo:
+            t = table.get(key)
+            memo[key] = [[{k: x for k, x in enumerate(p) if x} if any(p) else zero
+                          for p in row] for row in t] if t else None
+        return memo[key]
+    return block
+
+
+def _stacked(field, block, key, outer, inner, width) -> Matrix:
     """One row per product table[key][o][q], o in outer and q in inner."""
-    t, zero = table.get(key), (field.zero,) * width
-    return Matrix(field, len(outer) * len(inner), width,
-                  [t[o][q] if t else zero for o in outer for q in inner])
+    t = block(key)
+    rows = (t[o][q] for o in outer for q in inner) if t else ()
+    return Matrix.from_entries(field, len(outer) * len(inner), width,
+                               {r: p for r, p in enumerate(rows) if p})
 
 
-def _flat(field, table, key, outer, inner, width, swap=False) -> Matrix:
+def _flat(field, block, key, outer, inner, width, swap=False) -> Matrix:
     """Row o concatenates table[key][o][q] (table[key][q][o] with swap) over q in inner."""
-    t, zero = table.get(key), (field.zero,) * width
-    pick = (lambda o, q: t[q][o]) if swap else (lambda o, q: t[o][q])
-    return Matrix(field, len(outer), len(inner) * width,
-                  [tuple(chain.from_iterable(pick(o, q) if t else zero for q in inner))
-                   for o in outer])
+    t, out = block(key), {}
+    for r, o in enumerate(outer if t else ()):
+        row = {}
+        for s, p in enumerate([t[q][o] for q in inner] if swap else [t[o][q] for q in inner]):
+            if p:
+                base = s * width
+                for k, x in p.items():
+                    row[base + k] = x
+        if row:
+            out[r] = row
+    return Matrix.from_entries(field, len(outer), len(inner) * width, out)
 
 
-def _per_block(M: Matrix, w: int, run: int = 1) -> tuple:
+def _per_block(M: Matrix, w: int, run: int = 1) -> Matrix:
     """Each row of M holds consecutive width-w blocks, one per basis element;
     the result has one row per block index i and per run of consecutive rows
     of M, holding those rows' i-th blocks side by side."""
-    rows = M.rows
-    return tuple(tuple(chain.from_iterable(r[i * w:(i + 1) * w] for r in rows[g:g + run]))
-                 for i in range(M.ncols // w) for g in range(0, len(rows), run))
+    groups = -(-M.nrows // run)
+    out: dict = {}
+    for r, nz in M.entries.items():
+        g, s = divmod(r, run)
+        for j, x in nz.items():
+            i, k = divmod(j, w)
+            row = out.get(i * groups + g)
+            if row is None:
+                row = out[i * groups + g] = {}
+            row[s * w + k] = x
+    return Matrix.from_entries(M.field, M.ncols // w * groups, run * w, out)
 
 
-def _unit_products(Z, table, n, unit, right: bool) -> tuple:
+def _row_blocks(M: Matrix, w: int) -> Matrix:
+    """Each row of M cut into its consecutive width-w blocks, one row per
+    block, rows in order and a row's blocks in order."""
+    blocks = M.ncols // w
+    out: dict = {}
+    for r, nz in M.entries.items():
+        for j, x in nz.items():
+            b, k = divmod(j, w)
+            row = out.get(r * blocks + b)
+            if row is None:
+                row = out[r * blocks + b] = {}
+            row[k] = x
+    return Matrix.from_entries(M.field, M.nrows * blocks, w, out)
+
+
+def _unit_products(Z, block, n, unit, right: bool) -> dict:
     """unit*e_i, or e_i*unit when right, for each degree-n basis element e_i
-    of Z: one product of the unit row with the flattened table block."""
-    d = Z.dim(n)
-    block = _flat(Z.field, table, (n, 0) if right else (0, n), range(len(unit)), range(d), d,
-                  swap=right)
-    return _per_block(Matrix(Z.field, 1, len(unit), [unit]) @ block, d) if d else ()
+    of Z, as row i of the nonzero entries of one product of the unit row
+    with the flattened table block."""
+    d, f = Z.dim(n), Z.field
+    if not d:
+        return {}
+    u = {k: x for k, x in enumerate(unit) if x}
+    flat = _flat(f, block, (n, 0) if right else (0, n), range(len(unit)), range(d), d,
+                 swap=right)
+    return _per_block(Matrix.from_entries(f, 1, len(unit), {0: u} if u else {}) @ flat,
+                      d).entries
 
 
 def _check_leibniz(Z, table, X, Y, message: str):
     """d(xy) = d(x)y + (-1)^{|x|} x d(y) on every basis pair x of X, y of Y;
-    table holds the products xy in Z.  Per degree pair (m, n), table[m, n]
-    (stacked) @ d_Z[m+n] holds each d(x_i y_j), d_Y[n] @ table[m, n+1]
-    (flattened over x) each x_i d(y_j), and d_X[m] @ table[m+1, n]
-    (flattened over y) each d(x_i)y_j."""
+    table is the _sparse_blocks of the products xy in Z.  Per degree pair
+    (m, n), table[m, n] (stacked) @ d_Z[m+n] holds each d(x_i y_j),
+    d_Y[n] @ table[m, n+1] (flattened over x) each x_i d(y_j), and
+    d_X[m] @ table[m+1, n] (flattened over y) each d(x_i)y_j; the last two
+    are regrouped by index remaps and the sides compared as entries."""
     f = Z.field
     for m in X.degrees():
         I = range(X.dim(m))
@@ -121,20 +178,22 @@ def _check_leibniz(Z, table, X, Y, message: str):
             if not (I and J and w):
                 continue
             d_xy = _stacked(f, table, (m, n), I, J, Z.dim(m + n)) @ Z.diff(m + n)
-            x_dy = Y.diff(n) @ _flat(f, table, (m, n + 1), range(Y.dim(n + 1)), I, w, swap=True)
-            x_dy = Matrix(f, len(I) * len(J), w, _per_block(x_dy, w))
+            x_dy = _per_block(Y.diff(n) @ _flat(f, table, (m, n + 1), range(Y.dim(n + 1)), I,
+                                                w, swap=True), w)
             dx_y = X.diff(m) @ _flat(f, table, (m + 1, n), range(X.dim(m + 1)), J, w)
-            if (d_xy - x_dy if m % 2 == 0 else d_xy + x_dy).rows != \
-                    tuple(r[j * w:(j + 1) * w] for r in dx_y.rows for j in J):
+            if (d_xy - x_dy if m % 2 == 0 else d_xy + x_dy).entries != \
+                    _row_blocks(dx_y, w).entries:
                 raise AssertionError(message.format(m, n))
 
 
 def _check_associativity(Z, table, factors, xy, yz, message: str):
     """(xy)z = x(yz) on the _sampled_basis triples of factors; xy and yz are
-    (table, space) of the inner products, table holds the outer ones in Z.
-    Per degree triple (m, n, p), table_xy[m, n] (stacked) @ table[m+n, p]
-    (flattened) holds each (x_i y_j)z_k, and table_yz[n, p] (stacked) @
-    table[m, n+p] (flattened over x) each x_i(y_j z_k)."""
+    (blocks, space) of the inner products, table the blocks of the outer ones
+    in Z, all from _sparse_blocks.  Per degree triple (m, n, p),
+    table_xy[m, n] (stacked) @ table[m+n, p] (flattened) holds each
+    (x_i y_j)z_k, and table_yz[n, p] (stacked) @ table[m, n+p] (flattened
+    over x) each x_i(y_j z_k), regrouped by _per_block and compared as
+    entries."""
     f = Z.field
     (t_xy, XY), (t_yz, YZ) = xy, yz
     px, py, pz = (_sampled_basis(F) for F in factors)
@@ -148,7 +207,7 @@ def _check_associativity(Z, table, factors, xy, yz, message: str):
                 xy_z = xi_yj @ _flat(f, table, (m + n, p), range(XY.dim(m + n)), K, w)
                 x_yz = (_stacked(f, t_yz, (n, p), J, K, YZ.dim(n + p))
                         @ _flat(f, table, (m, n + p), range(YZ.dim(n + p)), I, w, swap=True))
-                if xy_z.rows != _per_block(x_yz, w, len(K)):
+                if xy_z.entries != _per_block(x_yz, w, len(K)).entries:
                     raise AssertionError(message.format(m, n, p))
 
 
@@ -232,16 +291,17 @@ class DgAlgebra(_Graded):
             raise AssertionError("unit has wrong length")
         if any(c != f.zero for c in self.apply_diff(0, self.unit)):
             raise AssertionError("unit is not a cocycle")
+        mult = _sparse_blocks(self.mult)
         for n in self.degrees():
-            sides = {side: _unit_products(self, self.mult, n, self.unit, side == "right")
+            sides = {side: _unit_products(self, mult, n, self.unit, side == "right")
                      for side in ("left", "right")}
             for i in range(self.dim(n)):
                 for side, products in sides.items():
-                    if products[i] != self.basis_vector(n, i):
+                    if products.get(i) != {i: f.one}:
                         raise AssertionError(f"{side} unit fails in degree {n}")
-        _check_leibniz(self, self.mult, self, self, "graded Leibniz fails on degrees ({}, {})")
-        _check_associativity(self, self.mult, (self, self, self), (self.mult, self),
-                             (self.mult, self), "associativity fails on degrees ({}, {}, {})")
+        _check_leibniz(self, mult, self, self, "graded Leibniz fails on degrees ({}, {})")
+        _check_associativity(self, mult, (self, self, self), (mult, self), (mult, self),
+                             "associativity fails on degrees ({}, {}, {})")
 
 
 class DgModule(_Graded):
@@ -276,21 +336,22 @@ class DgModule(_Graded):
         """The module axioms, with products in their order as elements: x*a
         for a right module, a*x for a left one.  The Koszul sign of Leibniz
         comes from the degree of the first factor either way."""
-        B = self.algebra
+        B, one = self.algebra, self.field.one
         right = self.side == "right"
         for n in self.degrees():
             if not (self.diff(n) @ self.diff(n + 1)).is_zero():
                 raise AssertionError(f"module differential does not square to zero at {n}")
+        action, mult = _sparse_blocks(self.action), _sparse_blocks(B.mult)
         for n in self.degrees():
-            products = _unit_products(self, self.action, n, B.unit, right)
-            if any(products[i] != self.basis_vector(n, i) for i in range(self.dim(n))):
+            products = _unit_products(self, action, n, B.unit, right)
+            if any(products.get(i) != {i: one} for i in range(self.dim(n))):
                 raise AssertionError(f"unit action fails in degree {n}")
         first, second = (self, B) if right else (B, self)
-        _check_leibniz(self, self.action, first, second, "module Leibniz fails on degrees ({}, {})")
+        _check_leibniz(self, action, first, second, "module Leibniz fails on degrees ({}, {})")
         # (uv)w = u(vw) on triples x, a, b (right) or a, b, x (left)
-        factors, xy, yz = (((self, B, B), (self.action, self), (B.mult, B)) if right else
-                           ((B, B, self), (B.mult, B), (self.action, self)))
-        _check_associativity(self, self.action, factors, xy, yz,
+        factors, xy, yz = (((self, B, B), (action, self), (mult, B)) if right else
+                           ((B, B, self), (mult, B), (action, self)))
+        _check_associativity(self, action, factors, xy, yz,
                              "action associativity fails on ({}, {}, {})")
 
 

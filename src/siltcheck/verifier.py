@@ -821,11 +821,17 @@ def verify_all(U: Complex, window=(-4, 4), pair_degrees=(-2, 2), max_steps: int 
                                      subject=name))
     names = sorted(cplx)
     degs = list(range(pr.lo, pr.hi + 1))
+    # probe names may share one complex (simple2 is proj2 over kA_n): each
+    # pair of complexes is checked once and reported under every name pair
+    pairs = {}
     for n1 in names:
         for n2 in names:
-            reports.append(verify_fully_faithful(ctx, cplx[n1], cplx[n2], degs,
-                                                 extra_margin,
-                                                 subject=f"{n1}->{n2}"))
+            key = (cplx[n1], cplx[n2])
+            if key not in pairs:
+                pairs[key] = verify_fully_faithful(ctx, *key, degs, extra_margin)
+            rep = pairs[key]
+            reports.append(VerificationReport(rep.kind, f"{n1}->{n2}", list(rep.checks),
+                                              dict(rep.notes)))
     cls_checks = []
     classified = {}
     for name in sorted(mods):

@@ -11,6 +11,7 @@ failing case per axiom.
 
 import random
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -29,7 +30,12 @@ from siltcheck.complexes import (
 from siltcheck.dg import (
     DgAlgebra,
     DgModule,
+    _flat,
     _Graded,
+    _per_block,
+    _row_blocks,
+    _sparse_blocks,
+    _stacked,
     dg_end,
     dg_hom_module,
     evaluation_left_module,
@@ -507,6 +513,83 @@ def test_validator_agrees_with_reference_on_corruptions(built_objects, name):
         rejected += expected is not None
     assert rejected
 
+
+def test_validators_take_no_dense_detour(built_objects, monkeypatch):
+    """Validation reads every table block as sparse entries: it builds no
+    Matrix from dense rows and reads no dense row view."""
+    def dense(*args):
+        raise RuntimeError("dense Matrix detour in a validator")
+
+    monkeypatch.setattr(Matrix, "__init__", dense)
+    monkeypatch.setattr(Matrix, "rows", property(dense))
+    for X in built_objects.values():
+        X.validate()
+
+
+# -- the sparse reshapes against the dense slicing they replace --------------
+
+
+def _dense_stacked(field, t, outer, inner, width):
+    zero = (field.zero,) * width
+    return tuple(tuple(t[o][q]) if t else zero for o in outer for q in inner)
+
+
+def _dense_flat(field, t, outer, inner, width, swap):
+    zero = (field.zero,) * width
+    pick = (lambda o, q: t[q][o]) if swap else (lambda o, q: t[o][q])
+    return tuple(tuple(chain.from_iterable(pick(o, q) if t else zero for q in inner))
+                 for o in outer)
+
+
+def _dense_per_block(rows, ncols, w, run):
+    return tuple(tuple(chain.from_iterable(r[i * w:(i + 1) * w] for r in rows[g:g + run]))
+                 for i in range(ncols // w) for g in range(0, len(rows), run))
+
+
+def _dense_row_blocks(rows, ncols, w):
+    return tuple(tuple(r[j * w:(j + 1) * w]) for r in rows for j in range(ncols // w))
+
+
+def _entry(field, density):
+    values = (st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
+              if isinstance(field, RationalField) else st.integers(-300, 300))
+    return st.tuples(st.integers(0, 9), values).map(
+        lambda t: field.coerce(t[1]) if t[0] < density else field.zero)
+
+
+@pytest.mark.parametrize("field", [F101, PrimeField(2), RationalField()], ids=repr)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_sparse_reshapes_match_dense_slicing(field, data):
+    """_per_block and _row_blocks regroup the entries of a matrix made of
+    width-w blocks exactly as slicing its dense rows does, and _stacked and
+    _flat read a table block, or a missing one, as the dense rows would."""
+    density = data.draw(st.sampled_from([0, 1, 2, 5, 10]))
+    cell = _entry(field, density)
+    w, blocks = data.draw(st.integers(1, 3)), data.draw(st.integers(0, 3))
+    run, groups = data.draw(st.integers(1, 3)), data.draw(st.integers(0, 3))
+    nrows, ncols = run * groups, w * blocks
+    rows = data.draw(st.lists(st.lists(cell, min_size=ncols, max_size=ncols),
+                              min_size=nrows, max_size=nrows))
+    M = Matrix.from_rows(field, rows, ncols)
+    for got, want in ((_per_block(M, w, run), _dense_per_block(M.rows, ncols, w, run)),
+                      (_row_blocks(M, w), _dense_row_blocks(M.rows, ncols, w))):
+        assert got.nrows == len(want) and got.rows == want
+        assert all(nz and all(nz.values()) for nz in got.entries.values())
+    a, b = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
+    t = data.draw(st.lists(st.lists(st.lists(cell, min_size=w, max_size=w).map(tuple),
+                                    min_size=b, max_size=b), min_size=a, max_size=a))
+    table = {(0, 0): t} if data.draw(st.booleans()) else {}
+    block = _sparse_blocks(table)
+    t = table.get((0, 0))
+    outer = data.draw(st.lists(st.integers(0, a - 1), max_size=3)) if a else []
+    inner = data.draw(st.lists(st.integers(0, b - 1), max_size=3)) if b else []
+    assert (_stacked(field, block, (0, 0), outer, inner, w).rows
+            == _dense_stacked(field, t, outer, inner, w))
+    assert (_flat(field, block, (0, 0), range(a), inner, w).rows
+            == _dense_flat(field, t, range(a), inner, w, False))
+    assert (_flat(field, block, (0, 0), range(b), outer, w, swap=True).rows
+            == _dense_flat(field, t, range(b), outer, w, True))
 
 def _products(dims_x, dims_y, dims_z, products):
     """A structure table with the given {(m, i, n, j): coordinates} and zero

@@ -11,6 +11,7 @@ import sys
 import pytest
 
 from oracles import endomorphism_algebra, ext1_dim, hom_dim
+from siltcheck import verifier
 from siltcheck.algebra import Quiver, path_algebra, simple_module
 from siltcheck.complexes import (GradedHom, ResolutionCapError,
                                  direct_sum_complexes, hom_complex,
@@ -374,4 +375,28 @@ def test_verify_all_on_linear_a6_solves_no_commutation_system(monkeypatch):
                      PrimeField(101))
     free = direct_sum_complexes([projective_complex(A, {0: [v]}) for v in range(n)])
     reports = verify_all(free, window=(-1, 1), pair_degrees=(-1, 1))
+    assert all(r.passed for r in reports)
+
+
+def test_verify_all_checks_each_pair_of_probe_complexes_once(monkeypatch):
+    # over kA_3 simple2 is proj2, so 15 of the 64 name pairs repeat a pair of
+    # complexes; each repeat is reported under its own names, not recomputed
+    A3 = path_algebra(Quiver(["0", "1", "2"], [("a", "0", "1"), ("b", "1", "2")]),
+                      PrimeField(101))
+    free = direct_sum_complexes([projective_complex(A3, {0: [v]}) for v in range(3)])
+    checked = []
+    inner = verifier.verify_fully_faithful
+
+    def counted(ctx, X, Xp, *args, **kwargs):
+        checked.append((X, Xp))
+        return inner(ctx, X, Xp, *args, **kwargs)
+
+    monkeypatch.setattr(verifier, "verify_fully_faithful", counted)
+    reports = verify_all(free, window=(-1, 1), pair_degrees=(-1, 1))
+    pairs = {r.subject: r for r in reports if r.kind == "fully-faithful"}
+    assert len(pairs) == 64 and len(checked) == len(set(checked)) == 49
+    for name, rep in pairs.items():
+        twin = pairs[name.replace("simple2", "proj2")]
+        assert rep.as_dict() == {**twin.as_dict(), "subject": name}
+        assert rep is twin or rep.notes is not twin.notes
     assert all(r.passed for r in reports)
