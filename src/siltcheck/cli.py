@@ -4,8 +4,8 @@ Every command reads an instance file, picks one named complex, and prints a
 JSON report with sorted keys so reruns are byte-identical.  Exit codes: 0 all
 checks passed, 1 a check failed with a witness, 2 the run hit a cap or step
 bound before reaching a verdict, 3 the instance file or arguments were
-malformed or the input is unsupported (a field whose characteristic is too
-small for an exact radical).
+malformed, the --output file cannot be written, or the input is unsupported
+(a field whose characteristic is too small for an exact radical).
 """
 
 from __future__ import annotations
@@ -29,7 +29,8 @@ DEFAULTS = {"window": (-4, 4), "pair_degrees": (-2, 2), "max_steps": 8,
 
 
 class UsageError(Exception):
-    """Bad arguments or object references; maps to exit code 3."""
+    """Bad arguments or object references, or an --output path that cannot be
+    written; maps to exit code 3."""
 
 
 def _parse_window(text: str):
@@ -83,11 +84,18 @@ def _pick_complex(inst: Instance, name: str):
     return inst.complexes[name]
 
 
+def _write(path: str, text: str):
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise UsageError(f"cannot write {path}: {e.strerror or e}") from None
+
+
 def _emit(payload: dict, output):
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(output, text)
     sys.stdout.write(text)
 
 
@@ -159,8 +167,7 @@ def cmd_goodify(inst: Instance, args) -> int:
     }
     payload["goodified"] = serialize_instance(out_inst)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(instance_text(out_inst))
+        _write(args.output, instance_text(out_inst))
         payload["output"] = args.output
     _emit(payload, None)
     return 0

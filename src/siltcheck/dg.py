@@ -1,15 +1,15 @@
 """Finite-dimensional dg-algebras and dg-modules.
 
 Elements are homogeneous: a degree plus a coordinate row in that degree's
-basis.  Multiplication and action tables are stored dense per degree pair,
-and every constructor validates the graded axioms: d^2 = 0 in every degree,
+basis.  Multiplication and action tables are stored sparse per degree pair,
+each product as the dict {column: entry} of its nonzero entries, and every
+constructor validates the graded axioms: d^2 = 0 in every degree,
 the unit law on every basis element and the graded Leibniz rule d(xy) =
 d(x)y + (-1)^{|x|} x d(y) on every basis pair.  Associativity is checked on
 every basis triple while each factor has at most 24 basis elements, and on a
 stride sample of about 16 elements per factor above that.  Each axiom is one
 matrix identity per degree pair or triple between blocks of the structure
-tables; a validation reads each block it needs as sparse entries once and
-compares the two sides of every identity as sparse entries.
+tables, read off the sparse products and compared as sparse entries.
 
 The central construction is dg_end of a complex of projectives U: its
 degree-n part is the degree-n piece of the hom complex of U with itself, and
@@ -28,24 +28,33 @@ from .complexes import Complex, GradedHom, hom_complex, summand_projection_maps
 from .linalg import Cochains, Matrix, RowSpace
 
 
-def table_product(field, table, u, v, width: int) -> tuple:
-    """The sum of u_i v_j table[i][j], a row of the given width: the product
-    of u and v read off a structure table, or zero when table is None.  Adds
-    natively and reduces once, as Matrix.apply_row does."""
+def _products(field, table, u: dict, v: dict) -> dict:
+    """The sum of u_i v_j table[i][j] over the nonzero entries u and v, as
+    its nonzero entries.  Adds natively and reduces once, as Matrix.apply_row
+    does."""
     acc: dict = {}
-    if table is not None:
-        for i, a in enumerate(u):
-            if a:
-                row = table[i]
-                for j, b in enumerate(v):
-                    if b:
-                        c = a * b
-                        for k, x in enumerate(row[j]):
-                            if x:
-                                acc[k] = acc.get(k, 0) + c * x
+    for i, a in u.items():
+        row = table[i]
+        for j, b in v.items():
+            p = row[j]
+            if p:
+                c = a * b
+                for k, x in p.items():
+                    acc[k] = acc.get(k, 0) + c * x
+    return field.reduce_entries(acc)
+
+
+def _nonzero(v) -> dict:
+    return {i: a for i, a in enumerate(v) if a}
+
+
+def table_product(field, table, u, v, width: int) -> tuple:
+    """The product of u and v read off a structure table, a row of the given
+    width, or zero when table is None."""
     out = [field.zero] * width
-    for k, x in field.reduce_entries(acc).items():
-        out[k] = x
+    if table is not None:
+        for k, x in _products(field, table, _nonzero(u), _nonzero(v)).items():
+            out[k] = x
     return tuple(out)
 
 
@@ -55,7 +64,8 @@ def _swap_factors(field, tables: dict) -> dict:
     out = {}
     for (m, n), t in tables.items():
         if (m * n) % 2:
-            t = [[tuple(field.neg(x) for x in p) for p in row] for row in t]
+            t = [[{k: field.neg(x) for k, x in p.items()} if p else p for p in row]
+                 for row in t]
         out[(n, m)] = [list(col) for col in zip(*t)]
     return out
 
@@ -72,39 +82,22 @@ def _sampled_basis(X) -> dict:
 
 # -- the axioms as matrix identities; a table's missing pairs are zero -----
 #
-# A validation reads each structure table through _sparse_blocks, so every
-# stacked or flattened block, every product and every comparison is sparse:
-# both sides of each identity are matrix products, whose entries are
+# Every stacked or flattened block, every product and every comparison is
+# sparse: both sides of each identity are matrix products, whose entries are
 # canonical, so comparing their entries decides what comparing rows would.
 
 
-def _sparse_blocks(table: dict):
-    """key -> table[key] with each product as its nonzero entries
-    {column: entry}, or None when the table has no such block.  Each block is
-    converted on its first request and kept by the returned function; the
-    zero products, most of them, share one empty dict."""
-    memo, zero = {}, {}
-
-    def block(key):
-        if key not in memo:
-            t = table.get(key)
-            memo[key] = [[{k: x for k, x in enumerate(p) if x} if any(p) else zero
-                          for p in row] for row in t] if t else None
-        return memo[key]
-    return block
-
-
-def _stacked(field, block, key, outer, inner, width) -> Matrix:
+def _stacked(field, table, key, outer, inner, width) -> Matrix:
     """One row per product table[key][o][q], o in outer and q in inner."""
-    t = block(key)
+    t = table.get(key)
     rows = (t[o][q] for o in outer for q in inner) if t else ()
     return Matrix.from_entries(field, len(outer) * len(inner), width,
                                {r: p for r, p in enumerate(rows) if p})
 
 
-def _flat(field, block, key, outer, inner, width, swap=False) -> Matrix:
+def _flat(field, table, key, outer, inner, width, swap=False) -> Matrix:
     """Row o concatenates table[key][o][q] (table[key][q][o] with swap) over q in inner."""
-    t, out = block(key), {}
+    t, out = table.get(key), {}
     for r, o in enumerate(outer if t else ()):
         row = {}
         for s, p in enumerate([t[q][o] for q in inner] if swap else [t[o][q] for q in inner]):
@@ -149,15 +142,15 @@ def _row_blocks(M: Matrix, w: int) -> Matrix:
     return Matrix.from_entries(M.field, M.nrows * blocks, w, out)
 
 
-def _unit_products(Z, block, n, unit, right: bool) -> dict:
+def _unit_products(Z, table, n, unit, right: bool) -> dict:
     """unit*e_i, or e_i*unit when right, for each degree-n basis element e_i
     of Z, as row i of the nonzero entries of one product of the unit row
     with the flattened table block."""
     d, f = Z.dim(n), Z.field
     if not d:
         return {}
-    u = {k: x for k, x in enumerate(unit) if x}
-    flat = _flat(f, block, (n, 0) if right else (0, n), range(len(unit)), range(d), d,
+    u = _nonzero(unit)
+    flat = _flat(f, table, (n, 0) if right else (0, n), range(len(unit)), range(d), d,
                  swap=right)
     return _per_block(Matrix.from_entries(f, 1, len(unit), {0: u} if u else {}) @ flat,
                       d).entries
@@ -165,7 +158,7 @@ def _unit_products(Z, block, n, unit, right: bool) -> dict:
 
 def _check_leibniz(Z, table, X, Y, message: str):
     """d(xy) = d(x)y + (-1)^{|x|} x d(y) on every basis pair x of X, y of Y;
-    table is the _sparse_blocks of the products xy in Z.  Per degree pair
+    table holds the products xy in Z.  Per degree pair
     (m, n), table[m, n] (stacked) @ d_Z[m+n] holds each d(x_i y_j),
     d_Y[n] @ table[m, n+1] (flattened over x) each x_i d(y_j), and
     d_X[m] @ table[m+1, n] (flattened over y) each d(x_i)y_j; the last two
@@ -188,8 +181,8 @@ def _check_leibniz(Z, table, X, Y, message: str):
 
 def _check_associativity(Z, table, factors, xy, yz, message: str):
     """(xy)z = x(yz) on the _sampled_basis triples of factors; xy and yz are
-    (blocks, space) of the inner products, table the blocks of the outer ones
-    in Z, all from _sparse_blocks.  Per degree triple (m, n, p),
+    (table, space) of the inner products, table holds the outer ones in Z.
+    Per degree triple (m, n, p),
     table_xy[m, n] (stacked) @ table[m+n, p] (flattened) holds each
     (x_i y_j)z_k, and table_yz[n, p] (stacked) @ table[m, n+p] (flattened
     over x) each x_i(y_j z_k), regrouped by _per_block and compared as
@@ -253,8 +246,9 @@ class _Graded(Cochains):
 class DgAlgebra(_Graded):
     """Graded algebra with square-zero degree +1 differential.
 
-    mult[(m, n)][i][j]: coordinates of the product of the i-th degree-m and
-    j-th degree-n basis elements; unit: coordinates in degree 0.
+    mult[(m, n)][i][j]: the product of the i-th degree-m and j-th degree-n
+    basis elements as its nonzero coordinates {column: entry}, a missing pair
+    (m, n) meaning zero products; unit: coordinates in degree 0.
     idempotents: orthogonal degree-0 cocycle idempotents summing to the unit,
     the unit alone when not given; their cells e.B are the building blocks
     of semifree resolutions over the algebra.
@@ -291,7 +285,7 @@ class DgAlgebra(_Graded):
             raise AssertionError("unit has wrong length")
         if any(c != f.zero for c in self.apply_diff(0, self.unit)):
             raise AssertionError("unit is not a cocycle")
-        mult = _sparse_blocks(self.mult)
+        mult = self.mult
         for n in self.degrees():
             sides = {side: _unit_products(self, mult, n, self.unit, side == "right")
                      for side in ("left", "right")}
@@ -307,10 +301,10 @@ class DgAlgebra(_Graded):
 class DgModule(_Graded):
     """Graded module over a DgAlgebra, right or left.
 
-    For side "right", action[(m, n)][i][j] holds the coordinates of
-    (i-th degree-m module basis) * (j-th degree-n algebra basis); for side
-    "left" the roles are swapped: action[(m, n)][i][j] is (i-th degree-m
-    algebra basis) * (j-th degree-n module basis).
+    For side "right", action[(m, n)][i][j] holds the nonzero coordinates
+    {column: entry} of (i-th degree-m module basis) * (j-th degree-n algebra
+    basis); for side "left" the roles are swapped: action[(m, n)][i][j] is
+    (i-th degree-m algebra basis) * (j-th degree-n module basis).
     """
 
     def __init__(self, algebra: DgAlgebra, side: str, dims: dict, action: dict,
@@ -341,7 +335,7 @@ class DgModule(_Graded):
         for n in self.degrees():
             if not (self.diff(n) @ self.diff(n + 1)).is_zero():
                 raise AssertionError(f"module differential does not square to zero at {n}")
-        action, mult = _sparse_blocks(self.action), _sparse_blocks(B.mult)
+        action, mult = self.action, B.mult
         for n in self.degrees():
             products = _unit_products(self, action, n, B.unit, right)
             if any(products.get(i) != {i: one} for i in range(self.dim(n))):
@@ -359,11 +353,11 @@ class DgModule(_Graded):
 
 
 def _composition_tables(gh, maps: dict) -> dict:
-    """Products of hom-complex bases: [(m, n)][i][j] holds the coordinates in
-    gh of x . b, "apply b, then x", for the i-th basis element x of gh^m and
-    the j-th element b of maps[n], given by its component maps U -> U."""
-    f = gh.field
-    tables = {}
+    """Products of hom-complex bases: [(m, n)][i][j] holds the nonzero
+    coordinates in gh of x . b, "apply b, then x", for the i-th basis element
+    x of gh^m and the j-th element b of maps[n], given by its component maps
+    U -> U."""
+    tables, zero = {}, {}
     for m in gh.degrees():
         for n, elems in maps.items():
             if not gh.dim(m) or not elems or not gh.dim(m + n):
@@ -374,12 +368,12 @@ def _composition_tables(gh, maps: dict) -> dict:
                 for b in elems:
                     mb = b.get(sx - n)
                     if mb is None:
-                        row.append((f.zero,) * gh.dim(m + n))
+                        row.append(zero)
                         continue
                     coords = gh.coords_of(m + n, {sx - n: mb @ hx})
                     if coords is None:
                         raise AssertionError("composite escaped the hom basis")
-                    row.append(coords)
+                    row.append(_nonzero(coords) or zero)
                 table.append(row)
             tables[(m, n)] = table
     return tables
@@ -448,16 +442,15 @@ def evaluation_left_module(base: DgAlgebra, U: Complex) -> DgModule:
     acting by evaluation b(u)."""
     if base.complex is not U:
         raise ValueError("base must be the dg-end of U or its truncation")
-    f = U.algebra.field
     dims = {n: U.term(n).dim for n in U.degrees()}
-    action = {}
+    action, zero = {}, {}
     for m, elems in base.maps.items():
         for n in U.degrees():
             if not elems or not dims.get(n) or not dims.get(m + n):
                 continue
-            zero = (f.zero,) * dims[m + n]
-            action[(m, n)] = [b[n].rows if n in b else [zero] * dims[n]
-                              for b in elems]
+            # b(u_j) = u_j @ b[n], row j of the component of b at degree n
+            action[(m, n)] = [[b[n].entries.get(j, zero) if n in b else zero
+                               for j in range(dims[n])] for b in elems]
     diffs = {n: U.diff(n) for n in U.degrees()}
     M = DgModule(base, "left", dims, action, diffs)
     M.complex = U
@@ -485,7 +478,7 @@ def h0_algebra(B: DgAlgebra) -> Algebra:
 
     # the product of the a-th and b-th representatives, as a class; every
     # other product of classes is read off this table bilinearly
-    base = [[sq.reduce(B.product(0, ra, 0, rb)) for rb in sq.reps]
+    base = [[_nonzero(sq.reduce(B.product(0, ra, 0, rb))) for rb in sq.reps]
             for ra in sq.reps]
 
     def mult_classes(u_cls, v_cls):
@@ -575,56 +568,49 @@ def smart_truncate(B: DgAlgebra) -> DgAlgebra:
     isomorphisms for n <= 0.
     """
     f = B.field
-    ker_rows = [tuple(r) for r in B.diff(0).row_kernel_rows()]
-    kmat = Matrix(f, len(ker_rows), B.dim(0), ker_rows)
+    kmat = B.diff(0).transpose().kernel_basis().transpose()
     dims = {n: B.dim(n) for n in B.degrees() if n < 0}
-    if ker_rows:
-        dims[0] = len(ker_rows)
+    if kmat.nrows:
+        dims[0] = kmat.nrows
     embed = {n: Matrix.identity(f, B.dim(n)) for n in B.degrees() if n < 0}
     embed[0] = kmat
 
-    def restrict(vec, n):
-        """Coordinates in the truncation of a degree-n element of B lying in it."""
-        if n < 0:
-            return tuple(vec)
-        if n == 0:
-            sol = kmat.solve_left_rows(vec)
-            if sol is None:
-                raise AssertionError("element is not a degree-0 cocycle")
-            return sol
-        if any(c != f.zero for c in vec):
-            raise AssertionError("positive-degree element in truncation")
-        return ()
+    def cocycle(vec) -> tuple:
+        """Coordinates in ker d^0 of a degree-0 cocycle of B."""
+        sol = kmat.solve_left_rows(vec)
+        if sol is None:
+            raise AssertionError("element is not a degree-0 cocycle")
+        return sol
 
-    diffs = {}
-    for n in sorted(dims):
-        if n + 1 > 0 or not dims.get(n + 1):
-            continue
-        rows = [restrict(B.apply_diff(n, embed[n].rows[i]), n + 1) for i in range(dims[n])]
-        diffs[n] = Matrix(f, dims[n], dims[n + 1], rows)
-    mult = {}
-    for m in sorted(dims):
-        for n in sorted(dims):
-            if m + n not in dims and m + n != 0:
-                continue
-            if m + n > 0:
-                continue
-            table = []
-            for i in range(dims[m]):
-                a = embed[m].rows[i]
-                row = []
-                for j in range(dims[n]):
-                    b = embed[n].rows[j]
-                    prod = B.product(m, a, n, b)
-                    row.append(restrict(prod, m + n))
-                table.append(row)
-            if dims.get(m + n):
-                mult[(m, n)] = table
-    unit = restrict(B.unit, 0)
-    C = DgAlgebra(f, dims, mult, diffs, unit,
-                  idempotents=[restrict(e, 0) for e in B.idempotents])
+    def restrict(nz: dict, n: int) -> dict:
+        """The nonzero coordinates in the truncation of a degree-n element of
+        B lying in it, from its nonzero coordinates in B."""
+        if n < 0 or not nz:
+            return nz
+        vec = [f.zero] * B.dim(0)
+        for k, x in nz.items():
+            vec[k] = x
+        return _nonzero(cocycle(vec))
+
+    # each basis element as its nonzero coordinates in B
+    basis = {n: [embed[n].entries.get(i, {}) for i in range(d)] for n, d in dims.items()}
+    diffs, mult, zero = {}, {}, {}
+    for n in dims:
+        if dims.get(n + 1):
+            P = embed[n] @ B.diff(n)
+            diffs[n] = Matrix.from_entries(f, dims[n], dims[n + 1], {
+                i: r for i, nz in P.entries.items() if (r := restrict(nz, n + 1))})
+        for m in dims:
+            t = B.mult.get((m, n))
+            if dims.get(m + n) and t is not None:
+                mult[(m, n)] = [[restrict(_products(f, t, a, b), m + n) or zero
+                                 for b in basis[n]] for a in basis[m]]
+    C = DgAlgebra(f, dims, mult, diffs, cocycle(B.unit),
+                  idempotents=[cocycle(e) for e in B.idempotents])
     C.embed = embed
-    C.maps = {n: [B.gh.component_maps(n, r) for r in embed[n].rows] for n in dims}
+    C.maps = {n: B.maps[n] for n in dims if n < 0}
+    if kmat.nrows:
+        C.maps[0] = [B.gh.component_maps(0, r) for r in kmat.rows]
     C.complex = B.complex
     return C
 

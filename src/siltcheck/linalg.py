@@ -10,8 +10,9 @@ here is reproducible run to run.
 
 Convention used by callers throughout the package: module elements are ROW
 vectors and linear maps act on the right (x |-> x @ M), so composition of maps
-is the left-to-right matrix product.  This module itself is convention-neutral;
-it just provides both column-kernel and row-kernel entry points.
+is the left-to-right matrix product.  This module itself is convention-neutral:
+kernel_basis gives the column kernel, and a row kernel is the column kernel of
+the transpose.
 """
 
 from __future__ import annotations
@@ -310,9 +311,15 @@ class Matrix:
         assert len(pivots) + ker.ncols == self.ncols, "rank-nullity violated"
         return ker
 
-    def row_kernel_rows(self) -> list[tuple]:
-        """Rows v with v @ self = 0 (basis)."""
-        return list(self.transpose().kernel_basis().transpose().rows)
+    def left_pivots(self) -> tuple[int, ...]:
+        """Indices of the rows that are independent of the rows before them,
+        in order: the pivots of rref(selfᵀ).  Its row operations are recorded
+        on the first call, for solve_left_rows to replay."""
+        if self._left is None:
+            ops: list = []
+            _, pivots = self.transpose().rref(ops)
+            self._left = (ops, pivots)
+        return self._left[1]
 
     def solve_left_rows(self, v: Sequence) -> tuple | None:
         """x with x @ self = v, or None.  Free variables are set to 0.
@@ -323,11 +330,8 @@ class Matrix:
         """
         if len(v) != self.ncols:
             raise ValueError("solve_left_rows: length mismatch")
-        if self._left is None:
-            ops: list = []
-            _, pivots = self.transpose().rref(ops)
-            self._left = (ops, pivots)
-        ops, pivots = self._left
+        pivots = self.left_pivots()
+        ops = self._left[0]
         f = self.field
         zero, mul, sub = f.zero, f.mul, f.sub
         w = list(v)
@@ -412,29 +416,29 @@ class RowSpace:
 class Subquotient:
     """Z/B for row subspaces B <= Z of an ambient coordinate space.
 
-    Stores cocycle representatives (rows of the ambient space) for a basis of
-    the quotient, and reduces arbitrary elements of Z to quotient coordinates.
+    cycles and boundaries are matrices whose rows span Z and B.  One recorded
+    elimination of [boundaries; cycles] (Matrix.left_pivots) picks, in row
+    order, every row independent of the rows before it: the boundary rows
+    among them are a basis of B, and the cycle rows among them, kept as reps,
+    are cocycle representatives of a basis of the quotient.  reduce replays
+    that elimination on an element of Z and reads its coordinates off the
+    reps.
     """
 
-    def __init__(self, field, width: int, cycle_rows: Sequence[Sequence], boundary_rows: Sequence[Sequence]):
+    def __init__(self, field, width: int, cycles: Matrix, boundaries: Matrix):
         self.field = field
         self.width = width
-        bspace = RowSpace(field, width)
-        for r in boundary_rows:
-            bspace.add(r)
-        self.boundary_dim = bspace.dim
-        combined = RowSpace(field, width)
-        for r in bspace.rows:
-            combined.add(r)
-        reps = []
-        for r in cycle_rows:
-            if combined.add(r):
-                reps.append(tuple(field.coerce(x) for x in r))
-        self.reps = reps
-        self.dim = len(reps)
-        # matrix [boundary basis ; reps] used for coordinate extraction
-        rows = [tuple(r) for r in bspace.rows] + reps
-        self._span = Matrix(field, len(rows), width, rows) if rows else None
+        nb = boundaries.nrows
+        entries = dict(boundaries.entries)
+        entries.update((nb + i, nz) for i, nz in cycles.entries.items())
+        self._span = Matrix.from_entries(field, nb + cycles.nrows, width, entries)
+        pivots = self._span.left_pivots()
+        self._rep_rows = [r for r in pivots if r >= nb]
+        self.boundary_dim = len(pivots) - len(self._rep_rows)
+        self._reps = Matrix.from_entries(field, len(self._rep_rows), width,
+                                         {k: entries[r] for k, r in enumerate(self._rep_rows)})
+        self.reps = list(self._reps.rows)
+        self.dim = len(self.reps)
 
     def reduce(self, v: Sequence) -> tuple:
         """Coordinates of [v] in the representative basis.  v must lie in Z."""
@@ -443,16 +447,10 @@ class Subquotient:
         coeffs = self._span.solve_left_rows(v)
         if coeffs is None:
             raise ValueError("element does not lie in the cycle subspace")
-        return tuple(coeffs[self.boundary_dim:])
+        return tuple(coeffs[r] for r in self._rep_rows)
 
     def lift(self, coords: Sequence) -> tuple:
-        f = self.field
-        out = [f.zero] * self.width
-        for c, rep in zip(coords, self.reps):
-            if c != f.zero:
-                for j, x in enumerate(rep):
-                    out[j] = f.add(out[j], f.mul(c, x))
-        return tuple(out)
+        return self._reps.apply_row(coords)
 
 
 class QuotientSpace:
@@ -487,13 +485,10 @@ def subquotient_from_maps(din: Matrix | None, dout: Matrix | None, field, width:
     dout: matrix mapping OUT of it (or None).
     """
     if dout is None or dout.ncols == 0:
-        cycles = [tuple(field.one if i == j else field.zero for j in range(width)) for i in range(width)]
+        cycles = Matrix.identity(field, width)
     else:
-        cycles = dout.row_kernel_rows()
-    if din is None or din.nrows == 0:
-        bounds = []
-    else:
-        bounds = list(din.rows)
+        cycles = dout.transpose().kernel_basis().transpose()
+    bounds = din if din is not None else Matrix.zero(field, 0, width)
     return Subquotient(field, width, cycles, bounds)
 
 

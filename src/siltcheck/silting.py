@@ -55,18 +55,17 @@ def radical_rows(E) -> list[tuple]:
         raise SmallCharacteristicError(
             f"radical computation needs characteristic 0 or larger than the "
             f"algebra dimension {E.dim}, not {p}")
-    lm = [E.left_mult_matrix(i) for i in range(E.dim)]
-    rows = []
-    for i in range(E.dim):
-        row = []
-        for j in range(E.dim):
-            prod = lm[i] @ lm[j]
-            t = f.zero
-            for r in range(E.dim):
-                t = f.add(t, prod.rows[r][r])
-            row.append(t)
-        rows.append(row)
-    return Matrix(f, E.dim, E.dim, rows).row_kernel_rows()
+    # tr(L_i L_j) = sum of L_i[r][c] L_j[c][r] over the nonzero entries of L_i
+    lm = [E.left_mult_matrix(i).entries for i in range(E.dim)]
+    form = {}
+    for i, li in enumerate(lm):
+        row = f.reduce_entries({j: sum(x * lj[c].get(r, 0) for r, nz in li.items()
+                                       for c, x in nz.items() if c in lj)
+                                for j, lj in enumerate(lm)})
+        if row:
+            form[i] = row
+    # the trace form is symmetric, so its row kernel is its kernel
+    return list(Matrix.from_entries(f, E.dim, E.dim, form).kernel_basis().transpose().rows)
 
 
 def end_radical(B: DgAlgebra) -> list[tuple]:

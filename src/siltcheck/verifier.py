@@ -483,22 +483,19 @@ def verify_corollary_roundtrip(ctx: SiltingContext, X: Module, i: int, window,
         return VerificationReport("concentration-roundtrip", subject, checks, notes)
 
     Xi_c = ctx.module(X, -i)
-    M = dg_hom_module(ctx.hom(ctx.U, Xi_c), ctx.C)
+    M = ctx.hom_module(Xi_c)
     purity = all(M.h_dim(nn) == 0 for nn in M.degrees() if nn != 0)
     checks.append(CheckRecord("hom module has one-point cohomology", purity,
                               {"h_table": M.h_table()}))
     C = ctx.C
-    f = C.field
     sq0 = M.subquotient(0)
     h = len(sq0.reps)
     action = {}
     if h and C.dim(0):
-        table = []
-        for r in range(h):
-            x = sq0.lift(tuple(f.one if t == r else f.zero for t in range(h)))
-            table.append([sq0.reduce(M.act(0, x, 0, C.basis_vector(0, j)))
-                          for j in range(C.dim(0))])
-        action[(0, 0)] = table
+        basis = [C.basis_vector(0, j) for j in range(C.dim(0))]
+        # each representative times each basis element, as nonzero class coordinates
+        action[(0, 0)] = [[{k: c for k, c in enumerate(sq0.reduce(M.act(0, x, 0, b))) if c}
+                           for b in basis] for x in sq0.reps]
     Y = DgModule(C, "right", {0: h}, action, {})
     # Y is new on every call, so no later check could reuse its tensor and
     # the context does not keep it

@@ -1,7 +1,7 @@
 """Module-level oracles independent of the dg machinery, a dense linear
-algebra reference independent of the sparse Matrix storage, and reference
-routes for the coresolution loop, its long exact sequences and the H^0
-algebra.
+algebra reference independent of the sparse Matrix storage, the greedy dense
+subquotient, and reference routes for the coresolution loop, its long exact
+sequences and the H^0 algebra.
 
 The module oracles are computed with hom_space and dimension vectors only, so
 the numbers frozen into the verifier tests do not come from the code under
@@ -202,6 +202,52 @@ def dense_solve(f, a, ncols, b, bcols):
     for prow, pcol in enumerate(pivots):
         x[pcol] = R[prow][ncols:]
     return x
+
+
+class ReferenceSubquotient:
+    """Z/B by two greedy RowSpace passes over dense rows: an echelon basis of
+    the boundary rows, then every cycle row that enlarges the span of the
+    boundaries and of the cycle rows kept before it.  reduce solves against
+    [boundary basis; reps] and keeps the coordinates on the reps."""
+
+    def __init__(self, field, width, cycle_rows, boundary_rows):
+        self.field = field
+        self.width = width
+        bspace = RowSpace(field, width)
+        for r in boundary_rows:
+            bspace.add(r)
+        self.boundary_dim = bspace.dim
+        combined = RowSpace(field, width)
+        for r in bspace.rows:
+            combined.add(r)
+        self.reps = [tuple(field.coerce(x) for x in r) for r in cycle_rows if combined.add(r)]
+        self.dim = len(self.reps)
+        rows = [tuple(r) for r in bspace.rows] + self.reps
+        self._span = Matrix(field, len(rows), width, rows) if rows else None
+
+    def reduce(self, v):
+        if self.dim == 0:
+            return ()
+        coeffs = self._span.solve_left_rows(v)
+        if coeffs is None:
+            raise ValueError("element does not lie in the cycle subspace")
+        return tuple(coeffs[self.boundary_dim:])
+
+    def lift(self, coords):
+        f = self.field
+        out = [f.zero] * self.width
+        for c, rep in zip(coords, self.reps):
+            if c != f.zero:
+                for j, x in enumerate(rep):
+                    out[j] = f.add(out[j], f.mul(c, x))
+        return tuple(out)
+
+
+def sparse_products(table):
+    """A structure table given as dense product rows, table[i][j], in the form
+    DgAlgebra and DgModule store: each product as the {column: entry} dict of
+    its nonzero entries."""
+    return [[{k: x for k, x in enumerate(p) if x} for p in row] for row in table]
 
 
 def _dot(f, u, v):

@@ -319,6 +319,16 @@ def test_unknown_probe_exits_3_with_a_one_line_diagnostic(capsys, command):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["check", "verify", "report", "goodify"])
+@pytest.mark.parametrize("target", ["missing", "directory"])
+def test_unwritable_output_exits_3_with_a_one_line_diagnostic(tmp_path, capsys, command,
+                                                              target):
+    path = tmp_path / "no" / "such.json" if target == "missing" else tmp_path
+    code, out, err = run_cli(capsys, command, FIX_K, "A", "--output", str(path))
+    assert (code, out) == (3, "")
+    assert err.startswith(f"siltcheck: cannot write {path}: ") and err.count("\n") == 1
+
+
 def test_unselected_probes_are_not_built(capsys, monkeypatch):
     # the simple probe of the dual numbers would hit its replacement cap
     code, payload, _ = run_json(capsys, "verify", FIX_DUAL, "A", "--probes", "free")

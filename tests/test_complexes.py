@@ -81,7 +81,7 @@ def random_complex(A, rng, max_width=3):
 
 def random_chain_map(X, Y, rng):
     gh = hom_complex(X, Y)
-    rows = gh.diff(0).row_kernel_rows()
+    rows = gh.diff(0).transpose().kernel_basis().transpose().rows
     if not rows:
         return ChainMap(X, Y, {})
     fld = X.algebra.field

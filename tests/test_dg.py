@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import reference_h0_algebra
+from oracles import reference_h0_algebra, sparse_products
 from siltcheck.algebra import Quiver, path_algebra, simple_module
 from siltcheck.complexes import (
     cone,
@@ -34,7 +34,6 @@ from siltcheck.dg import (
     _Graded,
     _per_block,
     _row_blocks,
-    _sparse_blocks,
     _stacked,
     dg_end,
     dg_hom_module,
@@ -195,9 +194,7 @@ def test_opposite_is_an_involution(two_term_silting):
     assert back.dims == B.dims
     assert back.unit == B.unit
     assert {n: d.rows for n, d in back.diffs.items()} == {n: d.rows for n, d in B.diffs.items()}
-    for key, table in B.mult.items():
-        assert [[tuple(v) for v in row] for row in back.mult[key]] == \
-               [[tuple(v) for v in row] for row in table]
+    assert back.mult == B.mult
 
 
 def test_opposite_reverses_noncommutative_products(regular_split):
@@ -276,7 +273,7 @@ def test_table_product_is_the_bilinear_sum_of_table_entries(field, data):
         for j in range(c):
             for k in range(w):
                 want[k] = field.add(want[k], field.mul(field.mul(u[i], v[j]), table[i][j][k]))
-    assert table_product(field, table, u, v, w) == tuple(want)
+    assert table_product(field, sparse_products(table), u, v, w) == tuple(want)
     assert table_product(field, None, u, v, w) == (field.zero,) * w
 
 
@@ -314,7 +311,8 @@ def test_h0_product_table_matches_per_call_products(coresolution_inputs, field_s
 
 
 class _Tables(_Graded):
-    """Graded data and one structure table, multiplied element by element."""
+    """Graded data and one structure table, multiplied element by element
+    over dense rows."""
 
     def __init__(self, field, dims, diffs, table):
         super().__init__(field, dims, diffs)
@@ -329,7 +327,8 @@ class _Tables(_Graded):
         for i, a in enumerate(u):
             for j, b in enumerate(v):
                 c = f.mul(a, b)
-                out = tuple(f.add(x, f.mul(c, y)) for x, y in zip(out, table[i][j]))
+                p = table[i][j]
+                out = tuple(f.add(x, f.mul(c, p.get(k, f.zero))) for k, x in enumerate(out))
         return out
 
 
@@ -465,7 +464,7 @@ def _corrupt(rng, X):
     args = _constructor_args(X)
     algebra = isinstance(X, DgAlgebra)
     t_pos, d_pos = (2, 3) if algebra else (3, 4)
-    keys = sorted(k for k, t in args[t_pos].items() if t and t[0] and t[0][0])
+    keys = sorted(k for k, t in args[t_pos].items() if t and t[0] and X.dim(sum(k)))
     degrees = [n for n in X.degrees() if X.dim(n) and X.dim(n + 1)]
     what = rng.choice(["table"] * 3 * bool(keys) + ["diff"] * 2 * bool(degrees)
                       + ["unit"] * algebra)
@@ -475,10 +474,10 @@ def _corrupt(rng, X):
         t = [list(row) for row in args[t_pos][key]]
         i = rng.randrange(len(t))
         j = rng.randrange(len(t[i]))
-        v = list(t[i][j])
-        l = rng.randrange(len(v))
-        v[l] = f.add(v[l], c)
-        t[i][j] = tuple(v)
+        v = dict(t[i][j])
+        l = rng.randrange(X.dim(sum(key)))
+        v[l] = f.add(v.get(l, f.zero), c)
+        t[i][j] = {k: x for k, x in v.items() if x}
         args[t_pos] = {**args[t_pos], key: t}
     elif what == "diff":
         n = rng.choice(degrees)
@@ -512,6 +511,26 @@ def test_validator_agrees_with_reference_on_corruptions(built_objects, name):
         assert _verdict(build, args) == expected, (what, expected)
         rejected += expected is not None
     assert rejected
+
+
+def test_structure_tables_hold_nonzero_canonical_entries(built_objects):
+    """Every product in a structure table, of each object and of the algebra
+    a module is over, is a dict of nonzero canonical entries in range."""
+    tables = []
+    for X in built_objects.values():
+        if isinstance(X, DgAlgebra):
+            tables.append((X, X.mult))
+        else:
+            tables += [(X, X.action), (X.algebra, X.algebra.mult)]
+    products = 0
+    for Z, table in tables:
+        for (m, n), t in table.items():
+            for p in chain.from_iterable(t):
+                assert type(p) is dict
+                assert all(0 <= k < Z.dim(m + n) and type(x) is int and 0 < x < Z.field.p
+                           for k, x in p.items())
+                products += 1
+    assert products
 
 
 def test_validators_take_no_dense_detour(built_objects, monkeypatch):
@@ -579,24 +598,24 @@ def test_sparse_reshapes_match_dense_slicing(field, data):
     a, b = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
     t = data.draw(st.lists(st.lists(st.lists(cell, min_size=w, max_size=w).map(tuple),
                                     min_size=b, max_size=b), min_size=a, max_size=a))
-    table = {(0, 0): t} if data.draw(st.booleans()) else {}
-    block = _sparse_blocks(table)
-    t = table.get((0, 0))
+    if not data.draw(st.booleans()):
+        t = None
+    table = {(0, 0): sparse_products(t)} if t is not None else {}
     outer = data.draw(st.lists(st.integers(0, a - 1), max_size=3)) if a else []
     inner = data.draw(st.lists(st.integers(0, b - 1), max_size=3)) if b else []
-    assert (_stacked(field, block, (0, 0), outer, inner, w).rows
+    assert (_stacked(field, table, (0, 0), outer, inner, w).rows
             == _dense_stacked(field, t, outer, inner, w))
-    assert (_flat(field, block, (0, 0), range(a), inner, w).rows
+    assert (_flat(field, table, (0, 0), range(a), inner, w).rows
             == _dense_flat(field, t, range(a), inner, w, False))
-    assert (_flat(field, block, (0, 0), range(b), outer, w, swap=True).rows
+    assert (_flat(field, table, (0, 0), range(b), outer, w, swap=True).rows
             == _dense_flat(field, t, range(b), outer, w, True))
 
 def _products(dims_x, dims_y, dims_z, products):
     """A structure table with the given {(m, i, n, j): coordinates} and zero
     products elsewhere."""
     zero = F101.zero
-    return {(m, n): [[products.get((m, i, n, j), (zero,) * dims_z[m + n]) for j in range(dy)]
-                     for i in range(dx)]
+    return {(m, n): sparse_products([[products.get((m, i, n, j), (zero,) * dims_z[m + n])
+                                      for j in range(dy)] for i in range(dx)])
             for m, dx in dims_x.items() for n, dy in dims_y.items() if dims_z.get(m + n)}
 
 

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (dense_add, dense_apply_row, dense_block_diag, dense_kernel,
-                     dense_matmul, dense_rref, dense_scale, dense_solve, dense_sub,
-                     dense_transpose)
+from oracles import (ReferenceSubquotient, dense_add, dense_apply_row, dense_block_diag,
+                     dense_kernel, dense_matmul, dense_rref, dense_scale, dense_solve,
+                     dense_sub, dense_transpose)
 from siltcheck.fields import PrimeField, RationalField, field_from_json
 from siltcheck.linalg import Matrix, RowSpace, Subquotient, subquotient_from_maps
 
@@ -175,7 +175,7 @@ def test_rowspace_residue_exact_with_out_of_order_pivots():
 
 def test_subquotient_zero_quotient():
     # boundaries fill the cycles: H = 0
-    sq = Subquotient(F101, 2, [(1, 0), (0, 1)], [(1, 0), (1, 1)])
+    sq = Subquotient(F101, 2, Matrix.identity(F101, 2), Matrix.from_rows(F101, [(1, 0), (1, 1)]))
     assert sq.dim == 0
     assert sq.reduce([1, 1]) == ()
 
@@ -348,3 +348,29 @@ def test_sparse_elimination_matches_dense_reference(field, data):
             x = A.solve_left_rows(v)
             want = dense_solve(field, dense_transpose(a, c), r, [[y] for y in v], 1)
             assert x == (None if want is None else tuple(row[0] for row in want))
+
+
+@pytest.mark.parametrize("field", SPARSE_FIELDS, ids=repr)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_subquotient_matches_the_greedy_dense_passes(field, data):
+    """ker dout / im din from one elimination of [boundaries; cycles] picks
+    the representatives, the boundary rank and the class coordinates that the
+    two greedy RowSpace passes over dense rows pick."""
+    width, k, m = (data.draw(st.integers(0, 5)) for _ in range(3))
+    dout = _sparse(data, field, width, k)
+    if data.draw(st.booleans()):       # rank-deficient through m inner columns
+        dout = _sparse(data, field, width, m) @ _sparse(data, field, m, k)
+    cycles = dout.transpose().kernel_basis().transpose()
+    # boundaries: random combinations of cycles, redundant rows included
+    din = _sparse(data, field, data.draw(st.integers(0, 4)), cycles.nrows) @ cycles
+    assert (din @ dout).is_zero()
+    for args in ((din, dout), (None, dout), (din, None), (None, None)):
+        got = subquotient_from_maps(*args, field, width)
+        cyc = cycles if args[1] is not None else Matrix.identity(field, width)
+        want = ReferenceSubquotient(field, width, cyc.rows,
+                                    args[0].rows if args[0] is not None else [])
+        assert (got.reps, got.boundary_dim, got.dim) == (want.reps, want.boundary_dim, want.dim)
+        for v in (_sparse(data, field, 1, cyc.nrows) @ cyc).rows + cyc.rows[:2]:
+            assert got.reduce(v) == want.reduce(v)
+            assert got.lift(got.reduce(v)) == want.lift(want.reduce(v))

@@ -11,6 +11,7 @@ from collections import Counter
 
 import pytest
 
+from oracles import sparse_products
 from siltcheck.algebra import Quiver, path_algebra, simple_module
 from siltcheck.complexes import (
     direct_sum_complexes,
@@ -84,7 +85,7 @@ def as_dg_module(P):
                 x = tuple(f.one if s == t else f.zero for s in range(dims[m]))
                 table.append([P.act(m, x, n, C.basis_vector(n, j))
                               for j in range(C.dim(n))])
-            action[(m, n)] = table
+            action[(m, n)] = sparse_products(table)
     diffs = {n: P.diff_matrix(n) for n in resolution_support(P)}
     return DgModule(C, "right", dims, action, diffs)
 
