@@ -145,6 +145,7 @@ class Algebra:
         self._lmul = {}
         self._proj = {}  # idempotent position -> projective module
         self._proj_sums = {}  # tuple of idempotent positions -> their direct sum
+        self._dg = None  # this algebra as a dg-algebra in degree 0
         if validate:
             self.validate()
 

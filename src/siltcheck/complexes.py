@@ -2,7 +2,7 @@
 
 Shifts, mapping cones, cohomology with its induced action, chain maps and
 their induced maps on cohomology, the graded hom complex, projective
-replacement and acyclicity testing.
+replacement (read off the semifree resolution over A) and acyclicity testing.
 
 Sign conventions, fixed once and asserted by constructor validation:
 * shift: X[k]^n = X^{n+k}, differential scaled by (-1)^k;
@@ -23,7 +23,7 @@ from .algebra import (
     direct_sum_modules,
     projective_module,
 )
-from .linalg import Cochains, Matrix, RowSpace, subquotient_from_maps
+from .linalg import Cochains, Matrix
 
 
 class ResolutionCapError(RuntimeError):
@@ -436,80 +436,37 @@ def hom_complex(X: Complex, Y: Complex) -> GradedHom:
 def proj_replacement(X: Complex, cap: int = 16) -> tuple[Complex, ChainMap]:
     """A quasi-isomorphism P -> X with P a complex of projectives.
 
-    Builds P degreewise from the top: at each degree the classes of the
-    augmentation cone are killed by adjoining projective pre-covers, chosen
-    greedily one idempotent weight at a time.  Terminates when the cone is
-    exhausted below the support of X; raises ResolutionCapError naming the
-    degree reached if the resolution runs longer than cap extra degrees.
+    P is the semifree resolution of X over A in degree 0, whose cells e.A
+    are the indecomposable projectives, and the map is its augmentation.  It
+    is built down to X.lo - cap - 1; ResolutionCapError names that degree
+    when a generator lands there, as the resolution then runs longer than
+    cap extra degrees below the support of X.
     """
+    from .dg import DgAlgebra, DgModule
+    from .semifree import semifree_resolve
+
     A = X.algebra
-    f = A.field
     if X.is_projective_complex():
         return X, identity_chain_map(X)
     if X.is_empty():
         P = zero_complex(A)
         return P, ChainMap(P, X, {}, validate=False)
-    p_terms: dict = {}
-    p_diffs: dict = {}
-    p_types: dict = {}
-    eps: dict = {}
-    floor = X.lo - cap
-    n = X.hi
-    while True:
-        if n < floor:
-            raise ResolutionCapError(
-                f"projective replacement reached degree {n} (cap {cap} below the support)")
-        Pn1 = p_terms.get(n + 1)
-        pdim = Pn1.dim if Pn1 is not None else 0
-        Xn = X.term(n)
-        width = pdim + Xn.dim
-        Pn2 = p_terms.get(n + 2)
-        din = block_matrix(f, [[None, X.diff(n - 1)]],
-                           [X.term(n - 1).dim], [pdim, Xn.dim])
-        dout = block_matrix(
-            f,
-            [[-p_diffs.get(n + 1, Matrix.zero(f, pdim, Pn2.dim if Pn2 else 0)),
-              eps.get(n + 1, Matrix.zero(f, pdim, X.term(n + 1).dim))],
-             [None, X.diff(n)]],
-            [pdim, Xn.dim],
-            [Pn2.dim if Pn2 else 0, X.term(n + 1).dim],
-        )
-        sq = subquotient_from_maps(din, dout, f, width)
-        if not sq.reps and n < X.lo:
-            break
-        if sq.reps:
-            def act(j):
-                za = Pn1.action[j] if Pn1 is not None else Matrix.zero(f, 0, 0)
-                return Matrix.block_diag(f, [za, Xn.action[j]])
-
-            killed = RowSpace(f, len(sq.reps))
-            gens = []
-            for rep in sq.reps:
-                for pos, e in enumerate(A.idempotents):
-                    w = act(e).apply_row(rep)
-                    cls = sq.reduce(w)
-                    if any(c != f.zero for c in cls) and killed.add(cls):
-                        gens.append((pos, tuple(w)))
-                        for j in range(A.dim):
-                            killed.add(sq.reduce(act(j).apply_row(w)))
-            summands = [projective_cache(A, pos) for pos, _ in gens]
-            Pn = projective_sum(A, [pos for pos, _ in gens])
-            d_rows, e_rows = [], []
-            for (pos, w), proj in zip(gens, summands):
-                q, x = w[:pdim], w[pdim:]
-                for r in proj.ambient_rows:
-                    if Pn1 is not None:
-                        img = Pn1.action_of(r).apply_row(q)
-                        d_rows.append([f.neg(c) for c in img])
-                    else:
-                        d_rows.append([])
-                    e_rows.append(Xn.action_of(r).apply_row(x))
-            p_terms[n] = Pn
-            p_types[n] = tuple(pos for pos, _ in gens)
-            p_diffs[n] = Matrix(f, Pn.dim, pdim, d_rows)
-            eps[n] = Matrix(f, Pn.dim, Xn.dim, e_rows)
-        else:
-            p_types[n] = ()
-        n -= 1
-    P = Complex(A, p_terms, p_diffs, p_types)
-    return P, ChainMap(P, X, eps)
+    if A._dg is None:
+        right = [A.right_mult_matrix(j).entries for j in range(A.dim)]
+        mult = [[r.get(i, {}) for r in right] for i in range(A.dim)]
+        A._dg = DgAlgebra(A.field, {0: A.dim}, {(0, 0): mult}, {}, A.unit,
+                          idempotents=[A.basis_vector(e) for e in A.idempotents])
+    action = {(n, 0): [[a.entries.get(i, {}) for a in M.action] for i in range(M.dim)]
+              for n, M in X.terms.items()}
+    dims = {n: M.dim for n, M in X.terms.items()}
+    floor = X.lo - cap - 1
+    R = semifree_resolve(DgModule(A._dg, "right", dims, action, X.diffs, validate=False),
+                         floor)
+    if R.gens and R.gens[-1] == floor:
+        raise ResolutionCapError(
+            f"projective replacement reached degree {floor} (cap {cap} below the support)")
+    types: dict = {}
+    for g, e in zip(R.gens, R.cells):
+        types.setdefault(g, []).append(e)
+    P = projective_complex(A, types, {n: R.diff_matrix(n) for n in types})
+    return P, ChainMap(P, X, {n: R.aug_matrix(n) for n in types})

@@ -478,13 +478,33 @@ class QuotientSpace:
         return tuple(res[j] for j in self.free_positions)
 
 
+class WholeSpace(Subquotient):
+    """Z/B with Z the whole space and B = 0, made with no elimination: the
+    reps are the standard basis, the ones the elimination of the identity
+    picks, and reduce and lift are the identity."""
+
+    def __init__(self, field, width: int):
+        self.field = field
+        self.width = width
+        self.boundary_dim = 0
+        self.reps = list(Matrix.identity(field, width).rows)
+        self.dim = width
+
+    def reduce(self, v: Sequence) -> tuple:
+        return tuple(v)
+
+    lift = reduce
+
+
 def subquotient_from_maps(din: Matrix | None, dout: Matrix | None, field, width: int) -> Subquotient:
     """ker(dout) / im(din) in row convention (v |-> v @ d).
 
     din: previous-degree matrix mapping INTO the ambient space (or None),
     dout: matrix mapping OUT of it (or None).
     """
-    if dout is None or dout.ncols == 0:
+    if dout is None or dout.is_zero():
+        if din is None or din.is_zero():
+            return WholeSpace(field, width)
         cycles = Matrix.identity(field, width)
     else:
         cycles = dout.transpose().kernel_basis().transpose()
@@ -520,8 +540,10 @@ class Cochains:
 
     def subquotient(self, n: int) -> Subquotient:
         if n not in self._sq:
-            self._sq[n] = subquotient_from_maps(self.diff(n - 1), self.diff(n),
-                                                self.field, self.dim(n))
+            # a zero space builds neither of its differentials
+            self._sq[n] = (subquotient_from_maps(self.diff(n - 1), self.diff(n),
+                                                 self.field, self.dim(n))
+                           if self.dim(n) else WholeSpace(self.field, 0))
         return self._sq[n]
 
     def h_dim(self, n: int) -> int:

@@ -10,7 +10,9 @@ components under the idempotents, and each component not yet killed is
 killed by adjoining a fresh cell, which over a non-positive base cannot
 disturb any higher degree.  Over a base concentrated in degree 0 the cells
 are projective covers, so a module of finite projective dimension stops
-gaining generators once the cutoff passes its bottom.  A cutoff bounds how
+gaining generators once the cutoff passes its bottom.  Over A itself the
+cells e.A are the indecomposable projectives: complexes.proj_replacement
+reads this construction back as a complex.  A cutoff bounds how
 far down the construction digs; the derived functors pick their cutoff from
 the requested window with one spare degree so that cohomology at the window
 edge is already exact.  Since each degree's generators depend only on those
@@ -232,6 +234,10 @@ def _kill_cone(P: SemifreeModule, top: int, cap: int = 4096) -> SemifreeModule:
     M, C = P.target, P.algebra
     f = C.field
     for n in range(min(top, M.hi), P.cutoff - 1, -1):
+        # below M and below every cell e.C (its lowest degree g + C.lo, gens
+        # non-increasing) the cone is zero here and in every lower degree
+        if n < M.lo and (not P.gens or P.gens[-1] > n + 1 - C.lo):
+            break
         sq = P.cone_subquotient(n)
         if not sq.reps:
             continue

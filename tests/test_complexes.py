@@ -42,7 +42,7 @@ from siltcheck.complexes import (
 )
 from siltcheck import silting
 from siltcheck.dg import dg_end
-from siltcheck.fields import PrimeField
+from siltcheck.fields import PrimeField, RationalField
 from siltcheck.instances import load_instance
 from siltcheck.linalg import Matrix
 
@@ -356,6 +356,83 @@ def test_proj_replacement_random(A2):
         assert is_acyclic(cone(eps))
         assert P.hi <= Xp.hi
 
+
+def _linear(n, field, relations=()):
+    """Linear A_n, 0 -> 1 -> ... -> n-1."""
+    arrows = [(f"a{i}", str(i), str(i + 1)) for i in range(n - 1)]
+    return path_algebra(Quiver([str(i) for i in range(n)], arrows), field, relations)
+
+
+def _d4(field):
+    """D_4 with its branch vertex 0 a source."""
+    arrows = [("a", "0", "1"), ("b", "0", "2"), ("c", "0", "3")]
+    return path_algebra(Quiver(["0", "1", "2", "3"], arrows), field)
+
+
+# the projective witness, by degree, of the replacement of each vertex simple
+SIMPLE_RESOLUTIONS = {
+    "kA_3": (lambda: _linear(3, F101),
+             [{-1: (1,), 0: (0,)}, {-1: (2,), 0: (1,)}, {0: (2,)}]),
+    "A_5 over F_101": (lambda: _linear(5, F101),
+                       [{-1: (v + 1,), 0: (v,)} for v in range(4)] + [{0: (4,)}]),
+    "D_4 over Q": (lambda: _d4(RationalField()),
+                   [{-1: (1, 2, 3), 0: (0,)}, {0: (1,)}, {0: (2,)}, {0: (3,)}]),
+    "kA_3 mod the path of length 2": (
+        lambda: _linear(3, F101, [[(1, ["a0", "a1"])]]),
+        [{-2: (2,), -1: (1,), 0: (0,)}, {-1: (2,), 0: (1,)}, {0: (2,)}]),
+}
+
+
+@pytest.mark.parametrize("name", SIMPLE_RESOLUTIONS)
+def test_proj_replacement_of_every_vertex_simple(name):
+    build, want = SIMPLE_RESOLUTIONS[name]
+    A = build()
+    for v, types in enumerate(want):
+        P, eps = proj_replacement(module_complex(simple_module(A, v)))
+        assert P.proj_types == types
+        assert is_acyclic(cone(eps))
+
+
+@pytest.mark.parametrize("name", SIMPLE_RESOLUTIONS)
+def test_proj_replacement_cap_is_the_projective_dimension(name):
+    # a resolution exactly cap degrees long resolves; one degree longer
+    # raises, naming the degree X.lo - cap - 1 it reached
+    build, want = SIMPLE_RESOLUTIONS[name]
+    A = build()
+    for v, types in enumerate(want):
+        pd = -min(types)
+        for lo in (0, 2):
+            X = module_complex(simple_module(A, v), lo)
+            P, _ = proj_replacement(X, cap=pd)
+            assert P.proj_types == {n + lo: t for n, t in types.items()}
+            if pd:
+                with pytest.raises(ResolutionCapError,
+                                   match=rf"reached degree {lo - pd} \(cap {pd - 1} below"):
+                    proj_replacement(X, cap=pd - 1)
+
+
+def test_unbounded_resolution_raises_at_every_cap():
+    A = load_instance(pathlib.Path(__file__).resolve().parent.parent
+                      / "instances" / "fix_dual.json").algebra
+    X = module_complex(simple_module(A, 0))
+    for cap in (0, 1, 2, 3, 8, 16):
+        with pytest.raises(ResolutionCapError,
+                           match=rf"^projective replacement reached degree {-cap - 1} "
+                                 rf"\(cap {cap} below the support\)$"):
+            proj_replacement(X, cap=cap)
+
+
+@pytest.mark.parametrize("name", SIMPLE_RESOLUTIONS)
+def test_proj_replacement_cost_does_not_grow_with_the_cap(name):
+    # the construction stops where the cone vanishes, not at the cap
+    build, want = SIMPLE_RESOLUTIONS[name]
+    A = build()
+    for v in range(len(want)):
+        X = module_complex(simple_module(A, v))
+        P, eps = proj_replacement(X, cap=16)
+        Q, eps_q = proj_replacement(X, cap=10**6)
+        assert (Q.proj_types, Q.terms, Q.diffs) == (P.proj_types, P.terms, P.diffs)
+        assert eps_q.mats == eps.mats
 
 
 # -- acyclicity and long exact sequence ------------------------------------

@@ -10,7 +10,7 @@ from oracles import (ReferenceSubquotient, dense_add, dense_apply_row, dense_blo
                      dense_kernel, dense_matmul, dense_rref, dense_scale, dense_solve,
                      dense_sub, dense_transpose)
 from siltcheck.fields import PrimeField, RationalField, field_from_json
-from siltcheck.linalg import Matrix, RowSpace, Subquotient, subquotient_from_maps
+from siltcheck.linalg import Cochains, Matrix, RowSpace, Subquotient, subquotient_from_maps
 
 Q = RationalField()
 F101 = PrimeField(101)
@@ -178,6 +178,30 @@ def test_subquotient_zero_quotient():
     sq = Subquotient(F101, 2, Matrix.identity(F101, 2), Matrix.from_rows(F101, [(1, 0), (1, 1)]))
     assert sq.dim == 0
     assert sq.reduce([1, 1]) == ()
+
+
+def test_whole_space_subquotients_make_no_elimination(monkeypatch):
+    # all cycles and no boundaries: the standard basis with identity
+    # coordinates, and a zero degree builds neither of its differentials
+    def refuse(*args):
+        raise AssertionError("eliminated")
+
+    monkeypatch.setattr(Matrix, "left_pivots", refuse)
+    monkeypatch.setattr(Matrix, "kernel_basis", refuse)
+    for din, dout in ((None, None), (Matrix.zero(F101, 2, 3), Matrix.zero(F101, 3, 4))):
+        sq = subquotient_from_maps(din, dout, F101, 3)
+        assert (sq.reps, sq.boundary_dim) == ([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 0)
+        assert sq.reduce((4, 5, 6)) == sq.lift((4, 5, 6)) == (4, 5, 6)
+
+    class OneDegree(Cochains):
+        def dim(self, n):
+            return 2 if n == 0 else 0
+
+        def diff(self, n):
+            raise AssertionError("built a differential")
+
+    C = OneDegree(F101, (-1, 1))
+    assert (C.h_dim(-1), C.h_dim(1)) == (0, 0)
 
 
 # -- factored left solves ----------------------------------------------------
