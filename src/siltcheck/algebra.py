@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .linalg import Matrix, QuotientSpace, RowSpace
+from .linalg import Matrix, RowSpace, quotient_map
 
 
 class AdmissibilityError(ValueError):
@@ -263,8 +263,6 @@ def path_algebra(quiver: Quiver, field, relations=(), dimension_cap: int = 512) 
     enumeration_cap = max(dimension_cap * 64, 32768)
 
     paths_by_len: list[list] = [[(v, ()) for v in range(len(quiver.vertices))]]
-    survivors: list[tuple] = []          # (path, label)
-    reductions: dict = {}                # path -> tuple of (basis index, coeff)
     total_paths = len(paths_by_len[0])
 
     def extend(paths):
@@ -298,27 +296,22 @@ def path_algebra(quiver: Quiver, field, relations=(), dimension_cap: int = 512) 
                 for q in all_paths:
                     if q[0] != tgt:
                         continue
-                    row = [field.zero] * width
+                    row = {}
                     for coeff, arrws in terms:
-                        comb = (p[0], p[1] + arrws + q[1])
-                        row[index[comb]] = field.add(row[index[comb]], field.coerce(coeff))
-                    rows.append(row)
-        quot = QuotientSpace(field, width, rows)
-        basis_paths = [all_paths[j] for j in quot.free_positions]
+                        j = index[(p[0], p[1] + arrws + q[1])]
+                        row[j] = row.get(j, 0) + field.coerce(coeff)
+                    rows.append(field.reduce_entries(row))
+        free, proj = quotient_map(field, width, rows)
+        basis_paths = [all_paths[j] for j in free]
         bindex = {p: i for i, p in enumerate(basis_paths)}
-        zero = field.zero
 
         def reduce_path(p):
-            if p in reductions:
-                return reductions[p]
-            coords = quot.project(tuple(field.one if i == index[p] else zero for i in range(width)))
-            sparse = tuple((k, c) for k, c in enumerate(coords) if c != zero)
-            reductions[p] = sparse
-            return sparse
+            return tuple(sorted(proj.entries.get(index[p], {}).items()))
 
     else:
         # length-graded quotient, one block per length, until saturation
-        blocks: list[QuotientSpace] = []
+        indices: list[dict] = []         # length -> {path: position}
+        projs: list[Matrix] = []         # length -> projection onto survivors
         survivors_by_len: list[list] = []
         n = 0
         while True:
@@ -339,19 +332,21 @@ def path_algebra(quiver: Quiver, field, relations=(), dimension_cap: int = 512) 
                         for q in paths_by_len[n - m - i]:
                             if q[0] != tgt:
                                 continue
-                            row = [field.zero] * width
+                            row = {}
                             ok = True
                             for coeff, arrws in terms:
                                 comb = (p[0], p[1] + arrws + q[1])
                                 if comb not in index_n:
                                     ok = False
                                     break
-                                row[index_n[comb]] = field.add(row[index_n[comb]], field.coerce(coeff))
+                                j = index_n[comb]
+                                row[j] = row.get(j, 0) + field.coerce(coeff)
                             if ok:
-                                rows.append(row)
-            quot_n = QuotientSpace(field, width, rows)
-            blocks.append(quot_n)
-            surv_n = [paths_n[j] for j in quot_n.free_positions]
+                                rows.append(field.reduce_entries(row))
+            free_n, proj_n = quotient_map(field, width, rows)
+            indices.append(index_n)
+            projs.append(proj_n)
+            surv_n = [paths_n[j] for j in free_n]
             survivors_by_len.append(surv_n)
             if n >= 1 and not surv_n:
                 break
@@ -374,21 +369,13 @@ def path_algebra(quiver: Quiver, field, relations=(), dimension_cap: int = 512) 
             offsets.append(off)
             off += len(group)
         bindex = {p: i for i, p in enumerate(basis_paths)}
-        zero = field.zero
 
         def reduce_path(p):
-            if p in reductions:
-                return reductions[p]
             ln = len(p[1])
             if ln >= L_stop:
-                reductions[p] = ()
                 return ()
-            block = blocks[ln]
-            idx = {q: i for i, q in enumerate(paths_by_len[ln])}[p]
-            coords = block.project(tuple(field.one if i == idx else zero for i in range(len(paths_by_len[ln]))))
-            sparse = tuple((offsets[ln] + k, c) for k, c in enumerate(coords) if c != zero)
-            reductions[p] = sparse
-            return sparse
+            row = projs[ln].entries.get(indices[ln][p], {})
+            return tuple((offsets[ln] + k, c) for k, c in sorted(row.items()))
 
     if len(basis_paths) > dimension_cap:
         raise DimensionCapError(f"algebra dimension {len(basis_paths)} exceeds cap {dimension_cap}")
@@ -466,15 +453,9 @@ class Module:
                         f"action incompatible with multiplication on ({A.labels[i]}, {A.labels[j]})"
                     )
 
-    def weight_rows(self, idem_index: int) -> list[tuple]:
-        """Echelon basis rows of M * e for the given idempotent basis index."""
-        space = RowSpace(self.algebra.field, self.dim)
-        for row in self.action[idem_index].rows:
-            space.add(row)
-        return [tuple(r) for r in space.rows]
-
     def dimension_vector(self) -> tuple[int, ...]:
-        return tuple(len(self.weight_rows(e)) for e in self.algebra.idempotents)
+        """dim M.e for each vertex idempotent e: the rank of its action."""
+        return tuple(self.action[e].rank() for e in self.algebra.idempotents)
 
     def homs_from(self, P: "Module") -> "ProjectiveHoms":
         """Hom(P, self) for the indecomposable projective P = e_v A, built
@@ -560,9 +541,7 @@ class ProjectiveHoms:
 
     def __init__(self, P: Module, N: Module):
         f = N.algebra.field
-        self.space = RowSpace(f, N.dim)
-        for row in N.action[N.algebra.idempotents[P.vertex]].rows:
-            self.space.add(row)
+        self.space = RowSpace(f, N.dim, N.action[N.algebra.idempotents[P.vertex]].rows)
         self.gen = [(r, g) for r, g in enumerate(P.gen_coords) if g]
         self.acts = [N.action_of(r) for r in P.ambient_rows]
         self.blocks = [Matrix(f, P.dim, N.dim, [a.apply_row(n) for a in self.acts])
@@ -604,10 +583,7 @@ def projective_module(A: Algebra, idem_pos: int) -> Module:
     """
     e = A.idempotents[idem_pos]
     f = A.field
-    space = RowSpace(f, A.dim)
-    for row in A.left_mult_matrix(e).rows:
-        space.add(row)
-    rows = [tuple(r) for r in space.rows]
+    rows = RowSpace(f, A.dim, A.left_mult_matrix(e).rows).rows
     span = Matrix(f, len(rows), A.dim, rows) if rows else None
     action = []
     for j in range(A.dim):

@@ -217,11 +217,8 @@ def summand_projection_maps(X: Complex) -> list["ChainMap"]:
             if dim == 0:
                 continue
             off = X.summand_offsets[n][k]
-            sdim = s.term(n).dim
-            rows = [[f.zero] * dim for _ in range(dim)]
-            for i in range(sdim):
-                rows[off + i][off + i] = f.one
-            mats[n] = Matrix(f, dim, dim, rows)
+            mats[n] = Matrix.from_entries(
+                f, dim, dim, {off + i: {off + i: f.one} for i in range(s.term(n).dim)})
         maps.append(ChainMap(X, X, mats, validate=False))
     return maps
 

@@ -236,10 +236,8 @@ class _Graded(Cochains):
         basis; for the unit idempotent the basis is the standard one.
         """
         if (i, n) not in self._cells:
-            space = RowSpace(self.field, self.dim(n))
-            for b in range(self.dim(n)):
-                space.add(self._times_idempotent(i, n, self.basis_vector(n, b)))
-            self._cells[(i, n)] = space
+            self._cells[(i, n)] = RowSpace(self.field, self.dim(n), [
+                self._times_idempotent(i, n, self.basis_vector(n, b)) for b in range(self.dim(n))])
         return self._cells[(i, n)]
 
 
@@ -495,25 +493,23 @@ def h0_algebra(B: DgAlgebra) -> Algebra:
     if total != unit_cls:
         raise AssertionError("idempotent classes do not sum to the unit class")
 
-    # Peirce pieces e_j H e_k, with e_j leading its own diagonal block
+    # Peirce pieces e_j H e_k, with e_j leading its own diagonal block: the
+    # rows e_j u e_k over the representatives u, each kept when independent
+    # of the rows before it
     basis_cls = []
     blocks = []
     idem_positions = []
     for j, ej in enumerate(idem_cls):
         for k, ek in enumerate(idem_cls):
-            piece = RowSpace(f, h)
-            ordered = []
+            rows = []
             if j == k:
-                piece.add(ej)
-                ordered.append(ej)
+                rows.append(ej)
                 idem_positions.append(len(basis_cls))
             for rep_i in range(h):
                 u = tuple(f.one if t == rep_i else f.zero for t in range(h))
-                w = mult_classes(mult_classes(ej, u), ek)
-                if piece.add(w):
-                    ordered.append(w)
-            for t, w in enumerate(ordered):
-                basis_cls.append(tuple(w))
+                rows.append(mult_classes(mult_classes(ej, u), ek))
+            for t in Matrix(f, len(rows), h, rows).left_pivots():
+                basis_cls.append(tuple(rows[t]))
                 blocks.append((j, k))
     span = Matrix(f, len(basis_cls), h, basis_cls)
     if span.rank() != h or len(basis_cls) != h:

@@ -1,12 +1,15 @@
 """Exact linear algebra over a PrimeField or RationalField, stored sparse.
 
-Everything downstream funnels through this module: ranks, kernels, solves and
-subquotient bookkeeping, and the Cochains base that every graded class reads
-its cohomology from.  A Matrix keeps only its nonzero
-entries, so products, sums, stacking and elimination walk nonzeros alone; the
-dense row view stays available for callers that read rows.  Pivoting is
-deterministic (first nonzero entry in row order), so every basis produced
-here is reproducible run to run.
+Everything downstream funnels through this module: ranks, kernels, solves,
+echelon bases of spans, quotient maps and subquotient bookkeeping, and the
+Cochains base that every graded class reads its cohomology from.  A Matrix
+keeps only its nonzero entries, so products, sums, stacking and elimination
+walk nonzeros alone; the dense row view stays available for callers that
+read rows.  Matrix.rref is the one elimination: every span, kernel, solve,
+quotient and subquotient, and every greedy choice of independent rows
+(Matrix.left_pivots), reads it.  Pivoting is deterministic (first nonzero
+entry in row order), so every basis produced here is reproducible run to
+run.
 
 Convention used by callers throughout the package: module elements are ROW
 vectors and linear maps act on the right (x |-> x @ M), so composition of maps
@@ -293,7 +296,12 @@ class Matrix:
         return len(self.rref()[1])
 
     def kernel_basis(self) -> "Matrix":
-        """Columns form a basis of {x : self @ x = 0}.
+        """Columns form a basis of {x : self @ x = 0}."""
+        return self._free_kernel()[1]
+
+    def _free_kernel(self) -> tuple:
+        """The free (non-pivot) columns of the RREF, and the kernel basis
+        whose k-th column is 1 at the k-th free column and 0 at the others.
 
         Asserts rank-nullity before returning.
         """
@@ -309,7 +317,7 @@ class Matrix:
                 out[pcol] = nz
         ker = Matrix.from_entries(f, self.ncols, len(free), out)
         assert len(pivots) + ker.ncols == self.ncols, "rank-nullity violated"
-        return ker
+        return tuple(free), ker
 
     def left_pivots(self) -> tuple[int, ...]:
         """Indices of the rows that are independent of the rows before them,
@@ -353,64 +361,37 @@ class Matrix:
 
 
 class RowSpace:
-    """Growable echelonized span of row vectors; deterministic insert order."""
+    """Echelon basis of the span of some rows, from one rref: rows are the
+    nonzero rows of the RREF, fully reduced with unit pivots, and pivots
+    their pivot columns.  The RREF of a span is unique, so the basis does
+    not depend on the spanning rows given."""
 
-    def __init__(self, field, width: int):
+    def __init__(self, field, width: int, rows: Sequence[Sequence]):
         self.field = field
-        self.width = width
-        self.rows: list[list] = []      # echelon rows, pivot normalized to 1
-        self.pivots: list[int] = []
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-    def residue(self, v: Sequence) -> list:
-        f = self.field
-        zero = f.zero
-        v = list(v)
-        for row, p in zip(self.rows, self.pivots):
-            c = v[p]
-            if c != zero:
-                v = [f.sub(a, f.mul(c, b)) for a, b in zip(v, row)]
-        return v
-
-    def contains(self, v: Sequence) -> bool:
-        zero = self.field.zero
-        return all(x == zero for x in self.residue(v))
+        R, self.pivots = Matrix(field, len(rows), width, rows).rref()
+        self.dim = len(self.pivots)
+        self.rows = R.rows[:self.dim]
 
     def coords(self, v: Sequence) -> tuple:
-        """Coordinates in the echelon rows of a vector lying in the span.
-
-        The rows are fully reduced with unit pivots, so these are the
-        vector's entries at the pivots.
-        """
+        """Coordinates in the echelon rows of a vector lying in the span:
+        its entries at the pivots."""
         return tuple(v[p] for p in self.pivots)
 
-    def add(self, v: Sequence) -> bool:
-        """Insert v's residue; returns True if the span grew.
 
-        Maintains fully reduced form: every stored row is zero at every other
-        row's pivot, so residue() is exact in a single pass.
-        """
-        f = self.field
-        res = self.residue(v)
-        for j, x in enumerate(res):
-            if x != f.zero:
-                inv = f.inv(x)
-                res = [f.mul(inv, a) for a in res]
-                for k, row in enumerate(self.rows):
-                    c = row[j]
-                    if c != f.zero:
-                        self.rows[k] = [f.sub(a, f.mul(c, b)) for a, b in zip(row, res)]
-                # keep echelon rows sorted by pivot for reproducibility
-                k = 0
-                while k < len(self.pivots) and self.pivots[k] < j:
-                    k += 1
-                self.rows.insert(k, res)
-                self.pivots.insert(k, j)
-                return True
-        return False
+def quotient_map(field, width: int, relation_rows: Sequence[dict]) -> tuple:
+    """The coordinate space of the given width modulo the span of the
+    relation rows, each given as its nonzero entries {column: entry}.
+
+    Returns (free positions, projection): the free positions are the
+    non-pivot columns of the relations' RREF, so the class of the j-th
+    ambient basis vector is read at them, and the projection, a width x
+    (number of free positions) matrix, sends a vector to its class in the
+    basis of those classes.  The projection is the kernel basis of the
+    relation matrix: the RREF rewrites each pivot coordinate as minus its
+    pivot row on the free ones.
+    """
+    return Matrix.from_entries(field, len(relation_rows), width,
+                               {i: r for i, r in enumerate(relation_rows) if r})._free_kernel()
 
 
 class Subquotient:
@@ -451,31 +432,6 @@ class Subquotient:
 
     def lift(self, coords: Sequence) -> tuple:
         return self._reps.apply_row(coords)
-
-
-class QuotientSpace:
-    """Ambient coordinate space modulo the span of some rows.
-
-    The quotient basis is the set of non-pivot ambient coordinates (after
-    echelonizing the relation rows), so classes of ambient basis vectors remain
-    meaningful: project() rewrites a vector modulo the relations and reads off
-    the surviving coordinates.
-    """
-
-    def __init__(self, field, width: int, relation_rows: Iterable[Sequence]):
-        self.field = field
-        self.width = width
-        space = RowSpace(field, width)
-        for r in relation_rows:
-            space.add(r)
-        self._space = space
-        pivset = set(space.pivots)
-        self.free_positions = tuple(j for j in range(width) if j not in pivset)
-        self.dim = len(self.free_positions)
-
-    def project(self, v: Sequence) -> tuple:
-        res = self._space.residue(v)
-        return tuple(res[j] for j in self.free_positions)
 
 
 class WholeSpace(Subquotient):

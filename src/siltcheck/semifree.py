@@ -31,12 +31,14 @@ already chosen.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import neg
 
 from .algebra import Module, direct_sum_modules
 from .complexes import Complex, block_matrix, zero_complex
 from .dg import DgAlgebra, DgModule
-from .linalg import Cochains, Matrix, RowSpace, subquotient_from_maps
+from .linalg import Cochains, Matrix, subquotient_from_maps
 
 
 class SemifreeCapError(RuntimeError):
@@ -64,8 +66,9 @@ class SemifreeModule:
     the same differential as k2 -> its component in C^{gens[k] + 1 - gens[k2]},
     in the standard basis of C.  gen_augs[k] is the augmentation value in
     target^{gens[k]}.e.  Generators are only ever added through
-    add_generator, which drops the per-degree layouts and matrices.  cutoff
-    is the lowest degree the construction has reached.
+    add_generator, which drops the layouts and matrices of the degrees the
+    new cell reaches and of the differentials into them.  cutoff is the
+    lowest degree the construction has reached.
     """
 
     def __init__(self, algebra: DgAlgebra, target: DgModule, cutoff: int):
@@ -85,7 +88,10 @@ class SemifreeModule:
         self.cells.append(cell)
         self.gen_diffs.append(diff)
         self.gen_augs.append(aug)
-        self._matrices.clear()
+        # the cell lives in degrees degree + C.lo .. degree; the differential
+        # from the degree below them reads it too
+        for n in range(degree + self.algebra.lo - 1, degree + 1):
+            self._matrices.pop(n, None)
 
     def to_cutoff(self, cutoff: int) -> "SemifreeModule":
         """What semifree_resolve(self.target, cutoff) returns, built from self.
@@ -101,18 +107,23 @@ class SemifreeModule:
         return _kill_cone(Q, self.cutoff - 1)
 
     def _memo(self, kind: str, n: int, build):
-        key = (kind, n)
-        if key not in self._matrices:
-            self._matrices[key] = build(n)
-        return self._matrices[key]
+        memo = self._matrices.setdefault(n, {})
+        if kind not in memo:
+            memo[kind] = build(n)
+        return memo[kind]
 
     def blocks(self, n: int) -> list:
-        """(k, the cell basis of generator k in degree n) for every generator."""
+        """(k, the cell basis of generator k in degree n) for every generator
+        whose cell can be nonzero there."""
         return self._memo("blocks", n, self._blocks)
 
     def _blocks(self, n: int) -> list:
+        # the cell of a degree-g generator sits in degrees g + C.lo .. g, so
+        # n <= g <= n - C.lo: one slice of the non-increasing gens
         C = self.algebra
-        return [(k, C.cell(e, n - g)) for k, (g, e) in enumerate(zip(self.gens, self.cells))]
+        start = bisect_left(self.gens, C.lo - n, key=neg)
+        stop = bisect_right(self.gens, -n, key=neg)
+        return [(k, C.cell(self.cells[k], n - self.gens[k])) for k in range(start, stop)]
 
     def layout(self, n: int) -> list:
         return [(k, b) for k, cell in self.blocks(n) for b in range(cell.dim)]
@@ -229,7 +240,10 @@ def _kill_cone(P: SemifreeModule, top: int, cap: int = 4096) -> SemifreeModule:
     A cone class (q, x) is the sum of its components (q.e, x.e) over the
     idempotents e of the base C.  A degree-n cell e.C with differential q.e
     and augmentation -x.e kills that component together with its orbit
-    under C^0.
+    under C^0.  Components with larger orbits come first, and a component
+    gets a cell when its class is independent of the orbits of the
+    components before it: the left pivots of one recorded elimination of
+    their stacked classes and orbits.
     """
     M, C = P.target, P.algebra
     f = C.field
@@ -255,19 +269,27 @@ def _kill_cone(P: SemifreeModule, top: int, cap: int = 4096) -> SemifreeModule:
         # everything in its span, keeping the cover near minimal
         ranks = [Matrix(f, len(orbit), width, orbit).rank() for *_, orbit in comps]
         order = sorted(range(len(comps)), key=lambda t: (-ranks[t], t))
-        killed = RowSpace(f, width)
-        layout_up = P.layout(n + 1)
+        # The orbits of earlier components span a C^0-submodule of H^n of
+        # the cone, so a component skipped for its class lying in that span
+        # has its orbit there too: a class row is a left pivot of the stack
+        # exactly when killing the classes one at a time gives it a cell.
+        rows, heads = [], []
         for t in order:
             i, qe, xe, orbit = comps[t]
-            if killed.contains(sq.reduce(qe + xe)):
+            heads.append(len(rows))
+            rows.append(sq.reduce(qe + xe))
+            rows.extend(orbit)
+        pivots = set(Matrix(f, len(rows), width, rows).left_pivots())
+        layout_up = P.layout(n + 1)
+        for t, head in zip(order, heads):
+            if head not in pivots:
                 continue
             if len(P.gens) >= cap:
                 raise SemifreeCapError(
                     f"semifree resolution exceeded {cap} generators at degree {n}")
+            i, qe, xe, _ = comps[t]
             P.add_generator(n, {layout_up[s]: c for s, c in enumerate(qe) if c != f.zero},
                             tuple(f.neg(c) for c in xe), i)
-            for row in orbit:
-                killed.add(row)
     return P
 
 

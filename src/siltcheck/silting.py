@@ -13,7 +13,9 @@ Approximation targets are kept minimal.  Write H for the space of homotopy
 classes of chain maps into U and E for the degree-zero cohomology algebra of
 the dg-endomorphism algebra of U.  Generators of H over E are chosen greedily
 inside the idempotent pieces e_s H, skipping any candidate already covered by
-the E-closure of the previous choices modulo rad(E) H; each chosen generator
+the E-closure of the previous choices modulo rad(E) H: every candidate's
+class in H/rad(E)H is stacked with its E-orbit, and the candidates whose
+class rows are left pivots of that stack are chosen.  Each chosen generator
 contributes one copy of the summand X_s it lands in.  Minimality is what
 makes the step count finite: approximating with one copy of U per k-basis
 element of H instead adds split summands to every cone and the process never
@@ -31,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import Matrix, QuotientSpace, RowSpace
+from .linalg import Matrix, quotient_map
 from .complexes import (ChainMap, Complex, GradedHom, cone,
                         direct_sum_complexes, hom_complex, is_acyclic,
                         projective_complex, zero_complex)
@@ -145,24 +147,28 @@ def _minimal_approximation(X: Complex, U: Complex, B: DgAlgebra, E, rad,
             scaled = emats[i].scale(c)
             L = scaled if L is None else L + scaled
         if L is not None:
-            rel.extend(L.rows)
-    quo = QuotientSpace(f, m, rel)
+            rel.extend(L.entries.values())
+    _, proj = quotient_map(f, m, rel)
 
-    # greedy generators in summand-major order, each closed under the E-action
-    # so that repeated summands are never approximated twice
-    covered = RowSpace(f, quo.dim)
-    gens = []
+    # Candidates in summand-major order: row t of emats[e_s], stacked as its
+    # class in H/rad(E)H followed by its E-orbit, and chosen when its class
+    # row is a left pivot.  The orbits of earlier candidates span an
+    # E-submodule, so a candidate skipped for its class lying in that span
+    # has its orbit there too: the pivots choose what a greedy loop over the
+    # chosen orbits alone would, and no summand is approximated twice.
+    rows, cands = [], []
     for epos, s in zip(E.idempotents, E.kept_idempotents):
+        blocks = [emats[epos] @ proj] + [emats[epos] @ e @ proj for e in emats]
         for t in range(m):
-            w = emats[epos].rows[t]
-            if covered.contains(quo.project(w)):
-                continue
-            gens.append((s, w))
-            for i in range(len(emats)):
-                covered.add(quo.project(emats[i].apply_row(w)))
+            cands.append((len(rows), s, emats[epos].rows[t]))
+            rows.extend(b.entries.get(t, {}) for b in blocks)
+    pivots = set(Matrix.from_entries(f, len(rows), proj.ncols,
+                                     {i: r for i, r in enumerate(rows) if r}).left_pivots())
 
     parts, mult, gen_mats = [], {}, []
-    for s, w in gens:
+    for pos, s, w in cands:
+        if pos not in pivots:
+            continue
         comps = gh.component_maps(0, sq.lift(w))
         part = summands[s]
         mats = {}
@@ -170,8 +176,12 @@ def _minimal_approximation(X: Complex, U: Complex, B: DgAlgebra, E, rad,
             off, wdt = _slice_bounds(U, part, s, n)
             if wdt == 0:
                 continue
-            mats[n] = Matrix(f, cm.nrows, wdt,
-                             [r[off:off + wdt] for r in cm.rows])
+            block = {}
+            for i, nz in cm.entries.items():
+                r = {j - off: x for j, x in nz.items() if off <= j < off + wdt}
+                if r:
+                    block[i] = r
+            mats[n] = Matrix.from_entries(f, cm.nrows, wdt, block)
         parts.append(part)
         gen_mats.append(mats)
         mult[s] = mult.get(s, 0) + 1

@@ -1,6 +1,6 @@
 """Module-level oracles independent of the dg machinery, a dense linear
-algebra reference independent of the sparse Matrix storage, the greedy dense
-subquotient, and reference routes for the coresolution loop, its long exact
+algebra reference independent of the sparse Matrix storage, the incremental
+dense row space and the greedy dense subquotient built on it, and reference routes for the coresolution loop, its long exact
 sequences and the H^0 algebra.
 
 The module oracles are computed with hom_space and dimension vectors only, so
@@ -15,7 +15,7 @@ from siltcheck.algebra import Algebra, Module, direct_sum_modules, hom_space
 from siltcheck.complexes import (ChainMap, cone, hom_complex, is_acyclic,
                                  projective_complex, zero_complex)
 from siltcheck.dg import end_h0
-from siltcheck.linalg import Matrix, RowSpace
+from siltcheck.linalg import Matrix
 
 
 def hom_dim(M: Module, N: Module) -> int:
@@ -70,7 +70,7 @@ def endomorphism_algebra(A: Algebra, summands) -> Algebra:
             mats = [h.mat for h in hom_space(Si, Sj)]
             if i == j:
                 # a basis of the block that starts with the identity
-                space = RowSpace(f, Si.dim ** 2 or 1)
+                space = ReferenceRowSpace(f, Si.dim ** 2 or 1)
                 mats = [m for m in [Matrix.identity(f, Si.dim)] + mats
                         if space.add([x for r in m.rows for x in r] or [f.one])]
                 idem_positions.append(len(labels))
@@ -204,20 +204,72 @@ def dense_solve(f, a, ncols, b, bcols):
     return x
 
 
+class ReferenceRowSpace:
+    """Growable echelonized span of dense row vectors, one row at a time:
+    the incremental elimination that linalg.RowSpace replaces with one rref
+    of all the rows, and the greedy loops with left pivots."""
+
+    def __init__(self, field, width: int):
+        self.field = field
+        self.width = width
+        self.rows: list[list] = []      # echelon rows, pivot normalized to 1
+        self.pivots: list[int] = []
+
+    @property
+    def dim(self) -> int:
+        return len(self.rows)
+
+    def residue(self, v) -> list:
+        f = self.field
+        v = list(v)
+        for row, p in zip(self.rows, self.pivots):
+            c = v[p]
+            if c != f.zero:
+                v = [f.sub(a, f.mul(c, b)) for a, b in zip(v, row)]
+        return v
+
+    def contains(self, v) -> bool:
+        return all(x == self.field.zero for x in self.residue(v))
+
+    def coords(self, v) -> tuple:
+        return tuple(v[p] for p in self.pivots)
+
+    def add(self, v) -> bool:
+        """Insert v's residue; True if the span grew.  Every stored row stays
+        zero at every other row's pivot, so residue() is exact in one pass."""
+        f = self.field
+        res = self.residue(v)
+        for j, x in enumerate(res):
+            if x != f.zero:
+                inv = f.inv(x)
+                res = [f.mul(inv, a) for a in res]
+                for k, row in enumerate(self.rows):
+                    c = row[j]
+                    if c != f.zero:
+                        self.rows[k] = [f.sub(a, f.mul(c, b)) for a, b in zip(row, res)]
+                k = 0
+                while k < len(self.pivots) and self.pivots[k] < j:
+                    k += 1
+                self.rows.insert(k, res)
+                self.pivots.insert(k, j)
+                return True
+        return False
+
+
 class ReferenceSubquotient:
-    """Z/B by two greedy RowSpace passes over dense rows: an echelon basis of
-    the boundary rows, then every cycle row that enlarges the span of the
-    boundaries and of the cycle rows kept before it.  reduce solves against
-    [boundary basis; reps] and keeps the coordinates on the reps."""
+    """Z/B by two greedy ReferenceRowSpace passes over dense rows: an echelon
+    basis of the boundary rows, then every cycle row that enlarges the span
+    of the boundaries and of the cycle rows kept before it.  reduce solves
+    against [boundary basis; reps] and keeps the coordinates on the reps."""
 
     def __init__(self, field, width, cycle_rows, boundary_rows):
         self.field = field
         self.width = width
-        bspace = RowSpace(field, width)
+        bspace = ReferenceRowSpace(field, width)
         for r in boundary_rows:
             bspace.add(r)
         self.boundary_dim = bspace.dim
-        combined = RowSpace(field, width)
+        combined = ReferenceRowSpace(field, width)
         for r in bspace.rows:
             combined.add(r)
         self.reps = [tuple(field.coerce(x) for x in r) for r in cycle_rows if combined.add(r)]
@@ -387,7 +439,7 @@ def reference_h0_algebra(B) -> Algebra:
     basis_cls, blocks, idem_positions = [], [], []
     for j, ej in enumerate(idem_cls):
         for k, ek in enumerate(idem_cls):
-            piece = RowSpace(f, h)
+            piece = ReferenceRowSpace(f, h)
             ordered = []
             if j == k:
                 piece.add(ej)

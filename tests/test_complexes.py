@@ -41,7 +41,7 @@ from siltcheck.complexes import (
     summand_projection_maps,
 )
 from siltcheck import silting
-from siltcheck.dg import dg_end
+from siltcheck.dg import DgAlgebra, dg_end
 from siltcheck.fields import PrimeField, RationalField
 from siltcheck.instances import load_instance
 from siltcheck.linalg import Matrix
@@ -420,6 +420,26 @@ def test_unbounded_resolution_raises_at_every_cap():
                            match=rf"^projective replacement reached degree {-cap - 1} "
                                  rf"\(cap {cap} below the support\)$"):
             proj_replacement(X, cap=cap)
+
+
+def test_deep_resolution_reads_each_cell_a_bounded_number_of_times(monkeypatch):
+    # fix_dual's simple resolves without end, one generator per degree; each
+    # degree reads only the cells of the generators that reach it, so the
+    # cell reads grow linearly with the depth (at the quadratic walk over
+    # every generator they grow about 15-fold from cap 100 to cap 400)
+    A = load_instance(pathlib.Path(__file__).resolve().parent.parent
+                      / "instances" / "fix_dual.json").algebra
+    X = module_complex(simple_module(A, 0))
+    calls = []
+    cell = DgAlgebra.cell
+    monkeypatch.setattr(DgAlgebra, "cell", lambda self, i, n: calls.append(1) or cell(self, i, n))
+    reads = {}
+    for cap in (100, 400):
+        calls.clear()
+        with pytest.raises(ResolutionCapError):
+            proj_replacement(X, cap=cap)
+        reads[cap] = len(calls)
+    assert reads[400] <= 5 * reads[100]
 
 
 @pytest.mark.parametrize("name", SIMPLE_RESOLUTIONS)

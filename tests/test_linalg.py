@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (ReferenceSubquotient, dense_add, dense_apply_row, dense_block_diag,
+from oracles import (ReferenceRowSpace, ReferenceSubquotient, dense_add, dense_apply_row, dense_block_diag,
                      dense_kernel, dense_matmul, dense_rref, dense_scale, dense_solve,
                      dense_sub, dense_transpose)
 from siltcheck.fields import PrimeField, RationalField, field_from_json
-from siltcheck.linalg import Cochains, Matrix, RowSpace, Subquotient, subquotient_from_maps
+from siltcheck.linalg import (Cochains, Matrix, RowSpace, Subquotient, quotient_map,
+                              subquotient_from_maps)
 
 Q = RationalField()
 F101 = PrimeField(101)
@@ -135,29 +136,34 @@ def test_rref_idempotent_and_solve_roundtrip(M, seed):
 
 
 def test_rowspace_and_subquotient():
-    rs = RowSpace(F101, 3)
-    assert rs.add([1, 2, 3])
-    assert not rs.add([2, 4, 6])
-    assert rs.add([0, 0, 7]) and rs.dim == 2
-    assert rs.contains([1, 2, 10])
+    rs = RowSpace(F101, 3, [[1, 2, 3], [2, 4, 6], [0, 0, 7]])
+    assert rs.dim == 2 and rs.pivots == (0, 2)
+    assert rs.rows == ((1, 2, 0), (0, 0, 1))
+    assert rs.coords([1, 2, 10]) == (1, 10)
+    assert RowSpace(F101, 3, []).dim == 0
 
 
 def test_rowspace_residue_exact_with_out_of_order_pivots():
-    # a later row whose pivot sits left of an earlier row's support must still
-    # be fully eliminated from the stored basis, or residue() is wrong
-    rs = RowSpace(Q, 3)
+    # a later row whose pivot sits left of an earlier row's support must
+    # still be fully eliminated from the reference's stored basis, or its
+    # residue() is wrong; the one-shot RREF gives the same rows
+    rs = ReferenceRowSpace(Q, 3)
     rs.add([0, 1, 1])
     rs.add([1, 1, 0])
     r = rs.residue([1, 2, 1])
     assert tuple(r) == (0, 0, 0)
     assert rs.contains([1, 2, 1])
-    rs2 = RowSpace(Q, 4)
-    rs2.add([0, 0, 1, 5])
-    rs2.add([0, 1, 2, 0])
-    rs2.add([1, 3, 0, 0])
+    assert RowSpace(Q, 3, [[0, 1, 1], [1, 1, 0]]).rows == ((1, 0, -1), (0, 1, 1))
+    rows = [[0, 0, 1, 5], [0, 1, 2, 0], [1, 3, 0, 0]]
+    rs2 = ReferenceRowSpace(Q, 4)
+    for row in rows:
+        rs2.add(row)
     for v in ([1, 3, 1, 5], [1, 4, 2, 0], [1, 4, 3, 5]):
         assert tuple(rs2.residue(v)) == (0, 0, 0, 0)
     assert tuple(rs2.residue([0, 0, 0, 1])) == (0, 0, 0, 1)
+    one_shot = RowSpace(Q, 4, rows)
+    assert one_shot.rows == tuple(map(tuple, rs2.rows))
+    assert one_shot.coords([1, 4, 3, 5]) == (1, 4, 3)
 
     # ambient F^3, cycles = {x3 = 0}, boundaries = span{(1,0,0)}
     sq = subquotient_from_maps(
@@ -372,6 +378,35 @@ def test_sparse_elimination_matches_dense_reference(field, data):
             x = A.solve_left_rows(v)
             want = dense_solve(field, dense_transpose(a, c), r, [[y] for y in v], 1)
             assert x == (None if want is None else tuple(row[0] for row in want))
+
+
+@pytest.mark.parametrize("field", SPARSE_FIELDS, ids=repr)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_one_rref_spans_match_the_incremental_dense_span(field, data):
+    """RowSpace from one rref has the rows, pivots and coordinates of the
+    span built one row at a time, and quotient_map sends every vector to its
+    residue modulo that span read at the free positions."""
+    r, width, m = (data.draw(st.integers(0, 5)) for _ in range(3))
+    A = _sparse(data, field, r, width)
+    if data.draw(st.booleans()):       # rank-deficient through m inner columns
+        A = _sparse(data, field, r, m) @ _sparse(data, field, m, width)
+    want = ReferenceRowSpace(field, width)
+    for row in A.rows:
+        want.add(row)
+    got = RowSpace(field, width, A.rows)
+    assert got.rows == tuple(map(tuple, want.rows))
+    assert got.pivots == tuple(want.pivots) and got.dim == want.dim
+    free, proj = quotient_map(field, width, [A.entries.get(i, {}) for i in range(r)])
+    assert free == tuple(j for j in range(width) if j not in want.pivots)
+    assert (proj.nrows, proj.ncols) == (width, len(free))
+    for v in (_sparse(data, field, 1, r) @ A).rows + _sparse(data, field, 2, width).rows:
+        assert got.coords(v) == want.coords(v)
+        residue = want.residue(v)
+        assert proj.apply_row(v) == tuple(residue[j] for j in free)
+        if want.contains(v):
+            assert Matrix(field, 1, got.dim, [got.coords(v)]) @ Matrix(
+                field, got.dim, width, got.rows) == Matrix(field, 1, width, [v])
 
 
 @pytest.mark.parametrize("field", SPARSE_FIELDS, ids=repr)
