@@ -213,27 +213,20 @@ class Algebra:
                     raise AssertionError("idempotents not orthogonal")
         if tuple(acc) != self.unit:
             raise AssertionError("idempotents do not sum to the unit")
-        # associativity on basis triples (strided sample above desk scale)
+        # associativity: (b_i b_j) b_k = b_i (b_j b_k) for every i is the
+        # matrix identity R_j R_k = sum_t c^{jk}_t R_t of right regular
+        # matrices, checked per pair (j, k) of a strided sample above desk
+        # scale
         step = 1 if self.dim <= 24 else max(1, self.dim // 16)
         idx = range(0, self.dim, step)
-        for i in idx:
-            for j in idx:
-                for k in idx:
-                    left = self._sparse_mult(self.basis_product(i, j), k, right=True)
-                    right = self._sparse_mult(self.basis_product(j, k), i, right=False)
-                    if left != right:
-                        raise AssertionError(
-                            f"associativity fails on ({self.labels[i]}, {self.labels[j]}, {self.labels[k]})"
-                        )
-
-    def _sparse_mult(self, sparse, other: int, right: bool):
-        f = self.field
-        out = {}
-        for idx, c in sparse:
-            prod = self.basis_product(idx, other) if right else self.basis_product(other, idx)
-            for k, s in prod:
-                out[k] = f.add(out.get(k, f.zero), f.mul(c, s))
-        return {k: v for k, v in sorted(out.items()) if v != f.zero}
+        for j in idx:
+            for k in idx:
+                rhs = Matrix.zero(f, self.dim, self.dim)
+                for t, c in self.basis_product(j, k):
+                    rhs = rhs + self.right_mult_matrix(t).scale(c)
+                if self.right_mult_matrix(j) @ self.right_mult_matrix(k) != rhs:
+                    raise AssertionError(
+                        f"associativity fails on ({self.labels[j]}, {self.labels[k]})")
 
     def basis_vector(self, i: int) -> tuple:
         f = self.field
@@ -533,75 +526,76 @@ class ProjectiveHoms:
 
     A map out of P = e_v A is fixed by the image w of e_v, any element of
     N.e_v, and sends row r of P (ambient_rows[r], an element of A) to w times
-    that element.  space is the echelon basis of N.e_v, gen the nonzero
-    coordinates (row, entry) of e_v in P, acts the action matrix on N of
-    each ambient row, and blocks the basis maps, one per echelon row of
-    space, as P.dim x N.dim matrices.
+    that element.  space is the echelon basis of N.e_v, acts the action
+    matrix on N of each ambient row, and blocks the basis maps, one per
+    echelon row of space, as P.dim x N.dim matrices, each checked to be a
+    module map when built.  The coordinates of a map are the entries of w at the pivots of
+    space, whose echelon rows are fully reduced with unit pivots
+    (complexes.read_image).
     """
 
     def __init__(self, P: Module, N: Module):
         f = N.algebra.field
-        self.space = RowSpace(f, N.dim, N.action[N.algebra.idempotents[P.vertex]].rows)
-        self.gen = [(r, g) for r, g in enumerate(P.gen_coords) if g]
+        self.P = P
+        self.space = RowSpace(N.action[N.algebra.idempotents[P.vertex]])
         self.acts = [N.action_of(r) for r in P.ambient_rows]
-        self.blocks = [Matrix(f, P.dim, N.dim, [a.apply_row(n) for a in self.acts])
-                       for n in self.space.rows]
+        self.blocks = []
+        for y in self.space.rows:
+            rows = {r: img for r, a in enumerate(self.acts) if (img := a.apply_entries(y))}
+            self.blocks.append(ModuleMap(P, N, Matrix.from_entries(f, P.dim, N.dim, rows)).mat)
 
-    def coords(self, rows: dict) -> tuple | None:
-        """Coordinates in blocks of the map P -> N with the given nonzero
+    def checked_image(self, rows: dict) -> dict | None:
+        """The image w of e_v under the map P -> N with the given nonzero
         rows {row: {column: entry}}, or None when they are not a module map.
 
-        They are the entries of the image w of e_v at the pivots of space,
-        whose echelon rows are fully reduced with unit pivots.  The map is a
-        module map exactly when each of its rows is w times its ambient row,
-        so rebuilding the rows from w decides membership without elimination.
+        The map is a module map exactly when each of its rows is w times its
+        ambient row, so rebuilding the rows from w decides membership
+        without elimination.
         """
-        f = self.space.field
-        reduce = f.reduce_entries
-        acc: dict = {}
-        for r, g in self.gen:
-            for k, x in rows.get(r, {}).items():
-                acc[k] = acc.get(k, 0) + g * x
-        w = reduce(acc)
+        w = generator_image(self.P, rows)
         for r, a in enumerate(self.acts):
-            acc = {}
-            ents = a.entries
-            for k, x in w.items():
-                for j, y in ents.get(k, {}).items():
-                    acc[j] = acc.get(j, 0) + x * y
-            if reduce(acc) != rows.get(r, {}):
+            if a.apply_entries(w) != rows.get(r, {}):
                 return None
-        return tuple(w.get(p, f.zero) for p in self.space.pivots)
+        return w
+
+
+def generator_image(P: Module, rows: dict, start: int = 0) -> dict:
+    """The image of the generator e_v of P = e_v A, as its nonzero entries,
+    under the map whose row r is rows[start + r] (nonzero rows
+    {row: {column: entry}})."""
+    acc: dict = {}
+    for r, g in P.generator:
+        for k, x in rows.get(start + r, {}).items():
+            acc[k] = acc.get(k, 0) + g * x
+    return P.algebra.field.reduce_entries(acc)
 
 
 def projective_module(A: Algebra, idem_pos: int) -> Module:
     """e_i A for the idem_pos-th idempotent, with its generator recorded.
 
     Works for any algebra with a complete orthogonal idempotent basis set, not
-    just path algebras.  Attributes: ambient_rows (basis inside A), gen_coords
-    (coordinates of e_i itself), vertex (= idem_pos).
+    just path algebras.  Attributes: ambient_rows (basis inside A), generator
+    (the nonzero coordinates (row, entry) of e_i itself), vertex (= idem_pos).
     """
     e = A.idempotents[idem_pos]
     f = A.field
-    rows = RowSpace(f, A.dim, A.left_mult_matrix(e).rows).rows
-    span = Matrix(f, len(rows), A.dim, rows) if rows else None
+    rows = RowSpace(A.left_mult_matrix(e)).rows
+    span = Matrix.from_entries(f, len(rows), A.dim, dict(enumerate(rows)))
     action = []
     for j in range(A.dim):
-        Rj = A.right_mult_matrix(j)
-        img = [Rj.apply_row(r) for r in rows]
         mats = []
-        for v in img:
-            sol = span.solve_left_rows(v) if span is not None else ()
+        for v in (span @ A.right_mult_matrix(j)).rows:
+            sol = span.solve_left_rows(v)
             if sol is None:
                 raise AssertionError("projective weight space not closed under the action")
             mats.append(sol)
         action.append(Matrix(f, len(rows), len(rows), mats))
     P = Module(A, len(rows), action, validate=False)
-    P.ambient_rows = rows
-    gen = span.solve_left_rows(A.basis_vector(e)) if span is not None else ()
+    P.ambient_rows = span.rows
+    gen = span.solve_left_rows({e: f.one})
     if gen is None:
         raise AssertionError("idempotent not inside its own projective")
-    P.gen_coords = tuple(gen)
+    P.generator = tuple(sorted(gen.items()))
     P.vertex = idem_pos
     P.validate()
     return P

@@ -21,6 +21,7 @@ from .algebra import (
     Module,
     ModuleMap,
     direct_sum_modules,
+    generator_image,
     projective_module,
 )
 from .linalg import Cochains, Matrix
@@ -82,6 +83,7 @@ class Complex(Cochains):
                 if want != self.terms[n].dim:
                     raise ValueError(f"projective witness in degree {n} does not match the term")
         self._cohom = {}
+        self._linear = set()  # degrees whose differential is checked A-linear
         if validate:
             self.validate()
 
@@ -108,12 +110,19 @@ class Complex(Cochains):
                     raise ValueError(f"projective witness in degree {n} does not match "
                                      f"the action of {A.labels[g]}")
         for n in self.degrees():
-            d = self.diff(n)
-            if d.is_zero():
-                continue
-            ModuleMap(self.term(n), self.term(n + 1), d)  # module-map check
-            if not (d @ self.diff(n + 1)).is_zero():
+            d = self.linear_diff(n)
+            if not d.is_zero() and not (d @ self.diff(n + 1)).is_zero():
                 raise AssertionError(f"differential does not square to zero at degree {n}")
+
+    def linear_diff(self, n: int) -> Matrix:
+        """d^n, checked to be a module map on its first read, whether or not
+        the complex was validated when built."""
+        d = self.diff(n)
+        if n not in self._linear:
+            if not d.is_zero():
+                ModuleMap(self.term(n), self.term(n + 1), d)
+            self._linear.add(n)
+        return d
 
     def shift(self, k: int) -> "Complex":
         if k == 0:
@@ -308,16 +317,33 @@ def is_acyclic(X: Complex) -> bool:
 # -- graded hom complex ----------------------------------------------------
 
 
+def read_image(out: dict, homs, pos: int, w: dict, negate: bool = False):
+    """Write into out, from position pos on, the coordinates in the basis of
+    homs = Hom(e_v A, N) of the map whose generator image is w (nonzero
+    entries), negated when asked: the entries of w at the pivots of the
+    echelon basis of N.e_v."""
+    neg = homs.space.field.neg
+    for t, p in enumerate(homs.space.pivots):
+        x = w.get(p)
+        if x is not None:
+            out[pos + t] = neg(x) if negate else x
+
+
 class GradedHom(Cochains):
     """The hom complex out of a complex of projectives into a bounded complex.
 
     Degree-n elements are families of module maps X^i -> Y^{n+i}.  The source
     must carry its projective witness: a map out of a summand e_v A of X^i is
-    fixed by the image of e_v in Y^{n+i}.e_v (Yoneda), so the degree-n basis
-    is ordered by source degree, then witness summand, then echelon row of
-    Y^{n+i}.e_v, and coordinates are read at the pivots of that image, with
-    no system to solve.  The differential matrix in degree n implements
-    (df)_i = f_i d_Y - (-1)^n d_X f_{i+1}.
+    fixed by the image of e_v in Y^{n+i}.e_v (Yoneda).  cells[n] lists, for
+    each source degree i and witness summand (first row start) with a
+    nonzero target, (i, start, Hom(e_v A, Y^{n+i}), first coordinate): the
+    degree-n basis runs over the cells in order, then over the echelon rows
+    of Y^{n+i}.e_v, and the coordinates of a map on a cell are its generator
+    image read at the pivots of that echelon basis, with no system to solve.
+    Composites are read the same way: the generator image of "g, then h" is
+    the generator image of g times h, so no composite matrix is built.  The
+    differential in degree n implements (df)_i = f_i d_Y - (-1)^n d_X f_{i+1};
+    each differential of X and Y it reads is checked to be a module map.
     """
 
     def __init__(self, X: Complex, Y: Complex):
@@ -329,20 +355,20 @@ class GradedHom(Cochains):
         super().__init__(X.field, () if X.is_empty() or Y.is_empty()
                          else (Y.lo - X.hi, Y.hi - X.lo))
         self.basis = {}      # n -> list of (source degree, matrix of the map)
-        self.offsets = {}    # n -> {source degree: start index}
+        self.cells = {}      # n -> list of (source degree, first row, homs, first coordinate)
         for n in self.degrees():
-            entries, offs = [], {}
+            entries, cells = [], []
             for i in X.degrees():
                 S, T = X.term(i), Y.term(n + i)
                 if S.dim == 0 or T.dim == 0:
                     continue
-                offs[i] = len(entries)
                 for start, homs in self._summands(i, T):
+                    cells.append((i, start, homs, len(entries)))
                     for blk in homs.blocks:
                         rows = {start + r: nz for r, nz in blk.entries.items()}
                         entries.append((i, Matrix.from_entries(self.field, S.dim, T.dim, rows)))
             self.basis[n] = entries
-            self.offsets[n] = offs
+            self.cells[n] = cells
         self._diffs = {}
 
     def _summands(self, i: int, T) -> list:
@@ -358,29 +384,87 @@ class GradedHom(Cochains):
     def dim(self, n: int) -> int:
         return len(self.basis.get(n, ()))
 
+    def images(self, n: int, coords: dict) -> list:
+        """The generator image on each cell of cells[n] of the degree-n
+        element with the given nonzero coordinates, as nonzero entries."""
+        reduce = self.field.reduce_entries
+        out = []
+        for _, _, homs, pos in self.cells.get(n, ()):
+            acc: dict = {}
+            for b, y in enumerate(homs.space.rows):
+                c = coords.get(pos + b)
+                if c:
+                    for k, x in y.items():
+                        acc[k] = acc.get(k, 0) + c * x
+            out.append(reduce(acc))
+        return out
+
+    def generator_images(self, i: int, mat: Matrix) -> list:
+        """(first row, image) for each witness summand of X^i: the image of
+        its generator under mat, a matrix out of X^i, as nonzero entries."""
+        A = self.X.algebra
+        out, start = [], 0
+        for v in self.X.proj_types.get(i, ()):
+            P = projective_cache(A, v)
+            out.append((start, generator_image(P, mat.entries, start)))
+            start += P.dim
+        return out
+
+    def coordinates(self, n: int, images) -> dict:
+        """The nonzero coordinates of the degree-n element with the given
+        generator image on each cell of cells[n]: each image read at the
+        pivots of its cell."""
+        out: dict = {}
+        for (_, _, homs, pos), w in zip(self.cells.get(n, ()), images):
+            read_image(out, homs, pos, w)
+        return out
+
     def diff(self, n: int) -> Matrix:
         if n in self._diffs:
             return self._diffs[n]
         f = self.field
-        sign = f.one if n % 2 == 0 else f.neg(f.one)
-        rows = []
-        for i, h in self.basis.get(n, ()):
-            # at source degree i: h then d_Y; at i-1: d_X then h, sign -(-1)^n
-            dx_h = (self.X.diff(i - 1) @ h).scale(f.neg(sign))
-            coords = self.coords_of(n + 1, {i: h @ self.Y.diff(n + i), i - 1: dx_h})
-            if coords is None:
-                raise AssertionError("component map escaped its hom-space span")
-            rows.append(coords)
-        d = Matrix(f, len(rows), self.dim(n + 1), rows)
+        X, Y = self.X, self.Y
+        negate = n % 2 == 0  # the sign -(-1)^n of the d_X term
+        up = {(i, start): (homs, pos) for i, start, homs, pos in self.cells.get(n + 1, ())}
+        # each summand of X^{i-1} as its cell in degree n + 1 and the image
+        # of its generator under d_X, an element of X^i
+        dx_images: dict = {}
+        for i, start, homs, pos in self.cells.get(n + 1, ()):
+            if X.diff(i).entries:
+                img = generator_image(homs.P, X.linear_diff(i).entries, start)
+                if img:
+                    dx_images.setdefault(i + 1, []).append(((homs, pos), img))
+        rows = {}
+        for i, start, homs, pos in self.cells.get(n, ()):
+            # h then d_Y, on h's own summand
+            same = up.get((i, start))
+            dY = Y.linear_diff(n + i) if same is not None else None
+            # d_X then h: the generator images cut to the rows of h's summand
+            end = start + len(homs.acts)
+            below = [(at, z) for at, img in dx_images.get(i, ())
+                     if (z := {r - start: x for r, x in img.items() if start <= r < end})]
+            for b, (y, blk) in enumerate(zip(homs.space.rows, homs.blocks)):
+                # the terms land on distinct cells, so each coordinate is written once
+                row: dict = {}
+                if dY is not None:
+                    read_image(row, *same, dY.apply_entries(y))
+                for at, z in below:
+                    read_image(row, *at, blk.apply_entries(z), negate)
+                if row:
+                    rows[pos + b] = row
+        d = Matrix.from_entries(f, self.dim(n), self.dim(n + 1), rows)
         self._diffs[n] = d
         return d
 
-    def component_maps(self, n: int, coords: Sequence) -> dict:
-        """Expand coordinates in degree n into per-source-degree matrices."""
+    def component_maps(self, n: int, coords: Sequence | dict) -> dict:
+        """Expand coordinates in degree n, a row or its nonzero entries,
+        into per-source-degree matrices."""
+        basis = self.basis.get(n, ())
         sums: dict = {}
-        for c, (i, h) in zip(coords, self.basis.get(n, ())):
+        for t, c in coords.items() if isinstance(coords, dict) else enumerate(coords):
             if not c:
                 continue
+            i, h = basis[t]
             acc = sums.setdefault(i, {})
             for r, nz in h.entries.items():
                 row = acc.setdefault(r, {})
@@ -393,27 +477,26 @@ class GradedHom(Cochains):
             out[i] = Matrix.from_entries(f, self.X.term(i).dim, self.Y.term(n + i).dim, reduced)
         return out
 
-    def coords_of(self, n: int, comps: dict):
-        """Coordinates of a family of component maps; None if some component
-        is not a module map."""
-        f = self.field
-        vec = [f.zero] * self.dim(n)
-        offs = self.offsets.get(n, {})
+    def coords_of(self, n: int, comps: dict) -> dict | None:
+        """Nonzero coordinates of a family of component maps, source degree
+        -> matrix; None if some component is not a module map.  Every row of
+        every component is checked, so this is the cross-check of the
+        coordinates read off generator images alone."""
+        out: dict = {}
+        cells = self.cells.get(n, ())
         for i, mat in comps.items():
             if mat.is_zero():
                 continue
-            if i not in offs:
+            if not any(c[0] == i for c in cells):
                 return None
-            pos = offs[i]
-            for start, homs in self._summands(i, self.Y.term(n + i)):
+            for _, start, homs, pos in (c for c in cells if c[0] == i):
                 end = start + len(homs.acts)
-                coords = homs.coords({r - start: nz for r, nz in mat.entries.items()
-                                      if start <= r < end})
-                if coords is None:
+                w = homs.checked_image({r - start: nz for r, nz in mat.entries.items()
+                                        if start <= r < end})
+                if w is None:
                     return None
-                vec[pos:pos + len(coords)] = coords
-                pos += len(coords)
-        return tuple(vec)
+                read_image(out, homs, pos, w)
+        return out
 
     def chain_map_from_cocycle(self, coords: Sequence) -> ChainMap:
         """Degree-0 cocycle coordinates -> an honest chain map X -> Y."""
@@ -451,8 +534,9 @@ def proj_replacement(X: Complex, cap: int = 16) -> tuple[Complex, ChainMap]:
     if A._dg is None:
         right = [A.right_mult_matrix(j).entries for j in range(A.dim)]
         mult = [[r.get(i, {}) for r in right] for i in range(A.dim)]
-        A._dg = DgAlgebra(A.field, {0: A.dim}, {(0, 0): mult}, {}, A.unit,
-                          idempotents=[A.basis_vector(e) for e in A.idempotents])
+        A._dg = DgAlgebra(A.field, {0: A.dim}, {(0, 0): mult}, {},
+                          {e: A.field.one for e in A.idempotents},
+                          idempotents=[{e: A.field.one} for e in A.idempotents])
     action = {(n, 0): [[a.entries.get(i, {}) for a in M.action] for i in range(M.dim)]
               for n, M in X.terms.items()}
     dims = {n: M.dim for n, M in X.terms.items()}

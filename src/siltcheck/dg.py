@@ -1,11 +1,13 @@
 """Finite-dimensional dg-algebras and dg-modules.
 
-Elements are homogeneous: a degree plus a coordinate row in that degree's
-basis.  Multiplication and action tables are stored sparse per degree pair,
-each product as the dict {column: entry} of its nonzero entries, and every
-constructor validates the graded axioms: d^2 = 0 in every degree,
-the unit law on every basis element and the graded Leibniz rule d(xy) =
-d(x)y + (-1)^{|x|} x d(y) on every basis pair.  Associativity is checked on
+Elements are homogeneous: a degree plus the nonzero coordinates
+{index: entry} in that degree's basis, the form every product, action,
+differential and cell takes and returns.  Multiplication and action tables
+are stored sparse per degree pair, each product as the dict {column: entry}
+of its nonzero entries, and every product is read off them by the one
+table_product.  Every constructor validates the graded axioms: d^2 = 0 in
+every degree, the unit law on every basis element and the graded Leibniz
+rule d(xy) = d(x)y + (-1)^{|x|} x d(y) on every basis pair.  Associativity is checked on
 every basis triple while each factor has at most 24 basis elements, and on a
 stride sample of about 16 elements per factor above that.  Each axiom is one
 matrix identity per degree pair or triple between blocks of the structure
@@ -18,20 +20,25 @@ makes the Leibniz rule hold exactly for the hom-complex differential, which
 the constructor re-checks on every basis pair.  dg_end and its non-positive
 smart_truncate both record .maps, each basis element as its component maps
 U -> U, so hom modules and the evaluation module of U are built over either
-one by composing those maps.
+one by composing those maps; each composite is read off generator images
+(complexes.GradedHom), never built as a matrix.
 """
 
 from __future__ import annotations
 
 from .algebra import Algebra
-from .complexes import Complex, GradedHom, hom_complex, summand_projection_maps
+from .complexes import (Complex, GradedHom, hom_complex, read_image,
+                        summand_projection_maps)
 from .linalg import Cochains, Matrix, RowSpace
 
 
-def _products(field, table, u: dict, v: dict) -> dict:
-    """The sum of u_i v_j table[i][j] over the nonzero entries u and v, as
-    its nonzero entries.  Adds natively and reduces once, as Matrix.apply_row
-    does."""
+def table_product(field, table, u: dict, v: dict) -> dict:
+    """The product of u and v, both given as their nonzero entries, read off
+    a structure table: the sum of u_i v_j table[i][j], as its nonzero
+    entries, or zero when table is None.  Adds natively and reduces once,
+    as Matrix.apply_entries does."""
+    if table is None:
+        return {}
     acc: dict = {}
     for i, a in u.items():
         row = table[i]
@@ -42,20 +49,6 @@ def _products(field, table, u: dict, v: dict) -> dict:
                 for k, x in p.items():
                     acc[k] = acc.get(k, 0) + c * x
     return field.reduce_entries(acc)
-
-
-def _nonzero(v) -> dict:
-    return {i: a for i, a in enumerate(v) if a}
-
-
-def table_product(field, table, u, v, width: int) -> tuple:
-    """The product of u and v read off a structure table, a row of the given
-    width, or zero when table is None."""
-    out = [field.zero] * width
-    if table is not None:
-        for k, x in _products(field, table, _nonzero(u), _nonzero(v)).items():
-            out[k] = x
-    return tuple(out)
 
 
 def _swap_factors(field, tables: dict) -> dict:
@@ -142,18 +135,17 @@ def _row_blocks(M: Matrix, w: int) -> Matrix:
     return Matrix.from_entries(M.field, M.nrows * blocks, w, out)
 
 
-def _unit_products(Z, table, n, unit, right: bool) -> dict:
+def _unit_products(Z, table, n, B, right: bool) -> dict:
     """unit*e_i, or e_i*unit when right, for each degree-n basis element e_i
-    of Z, as row i of the nonzero entries of one product of the unit row
-    with the flattened table block."""
+    of Z and the unit of the dg-algebra B, as row i of the nonzero entries
+    of one product of the unit with the flattened table block."""
     d, f = Z.dim(n), Z.field
     if not d:
         return {}
-    u = _nonzero(unit)
-    flat = _flat(f, table, (n, 0) if right else (0, n), range(len(unit)), range(d), d,
+    flat = _flat(f, table, (n, 0) if right else (0, n), range(B.dim(0)), range(d), d,
                  swap=right)
-    return _per_block(Matrix.from_entries(f, 1, len(unit), {0: u} if u else {}) @ flat,
-                      d).entries
+    unit = Matrix.from_entries(f, 1, B.dim(0), {0: B.unit} if B.unit else {})
+    return _per_block(unit @ flat, d).entries
 
 
 def _check_leibniz(Z, table, X, Y, message: str):
@@ -222,22 +214,21 @@ class _Graded(Cochains):
     def dim(self, n: int) -> int:
         return self.dims.get(n, 0)
 
-    def apply_diff(self, n: int, u):
-        return self.diff(n).apply_row(u)
-
-    def basis_vector(self, n: int, i: int):
-        f = self.field
-        return tuple(f.one if k == i else f.zero for k in range(self.dim(n)))
+    def apply_diff(self, n: int, u: dict) -> dict:
+        return self.diff(n).apply_entries(u)
 
     def cell(self, i: int, n: int) -> RowSpace:
-        """Echelon basis of the i-th cell in degree n, built once.
+        """Echelon basis of the i-th cell in degree n, built once from the
+        products of the degree-n basis with the idempotent, read off the
+        structure table.
 
-        Its coords() turn an element of the cell into coordinates in that
-        basis; for the unit idempotent the basis is the standard one.
+        Its rows and coords() are nonzero entries; for the unit idempotent
+        the basis is the standard one.
         """
         if (i, n) not in self._cells:
-            self._cells[(i, n)] = RowSpace(self.field, self.dim(n), [
-                self._times_idempotent(i, n, self.basis_vector(n, b)) for b in range(self.dim(n))])
+            one, d = self.field.one, self.dim(n)
+            rows = {b: r for b in range(d) if (r := self._times_idempotent(i, n, {b: one}))}
+            self._cells[(i, n)] = RowSpace(Matrix.from_entries(self.field, d, d, rows))
         return self._cells[(i, n)]
 
 
@@ -246,25 +237,27 @@ class DgAlgebra(_Graded):
 
     mult[(m, n)][i][j]: the product of the i-th degree-m and j-th degree-n
     basis elements as its nonzero coordinates {column: entry}, a missing pair
-    (m, n) meaning zero products; unit: coordinates in degree 0.
+    (m, n) meaning zero products; unit: its nonzero coordinates in degree 0.
     idempotents: orthogonal degree-0 cocycle idempotents summing to the unit,
-    the unit alone when not given; their cells e.B are the building blocks
-    of semifree resolutions over the algebra.
+    each as its nonzero coordinates, the unit alone when not given; their
+    cells e.B are the building blocks of semifree resolutions over the
+    algebra.  Elements are passed as their nonzero coordinates
+    {index: entry} throughout.
     """
 
-    def __init__(self, field, dims: dict, mult: dict, diff: dict, unit,
+    def __init__(self, field, dims: dict, mult: dict, diff: dict, unit: dict,
                  labels: dict | None = None, idempotents=None):
         super().__init__(field, dims, diff)
         self.mult = mult
-        self.unit = tuple(unit)
+        self.unit = dict(unit)
         self.labels = labels or {}
-        self.idempotents = ([tuple(e) for e in idempotents] if idempotents is not None
+        self.idempotents = ([dict(e) for e in idempotents] if idempotents is not None
                             else [self.unit])
         self.validate()
 
-    def product(self, m: int, u, n: int, v):
-        """Coordinates of (deg-m element u) * (deg-n element v) in degree m+n."""
-        return table_product(self.field, self.mult.get((m, n)), u, v, self.dim(m + n))
+    def product(self, m: int, u: dict, n: int, v: dict) -> dict:
+        """(deg-m element u) * (deg-n element v), in degree m+n."""
+        return table_product(self.field, self.mult.get((m, n)), u, v)
 
     def is_nonpositive(self) -> bool:
         return self.hi <= 0
@@ -279,13 +272,13 @@ class DgAlgebra(_Graded):
             if not (self.diff(n) @ self.diff(n + 1)).is_zero():
                 raise AssertionError(f"dg differential does not square to zero at degree {n}")
         # unit: two-sided identity and a cocycle
-        if len(self.unit) != self.dim(0):
-            raise AssertionError("unit has wrong length")
-        if any(c != f.zero for c in self.apply_diff(0, self.unit)):
+        if any(not 0 <= k < self.dim(0) for k in self.unit):
+            raise AssertionError("unit has an entry outside degree 0")
+        if self.apply_diff(0, self.unit):
             raise AssertionError("unit is not a cocycle")
         mult = self.mult
         for n in self.degrees():
-            sides = {side: _unit_products(self, mult, n, self.unit, side == "right")
+            sides = {side: _unit_products(self, mult, n, self, side == "right")
                      for side in ("left", "right")}
             for i in range(self.dim(n)):
                 for side, products in sides.items():
@@ -316,9 +309,9 @@ class DgModule(_Graded):
         if validate:
             self.validate()
 
-    def act(self, m: int, x, n: int, a):
+    def act(self, m: int, x: dict, n: int, a: dict) -> dict:
         """Right: x*a for x in M^m, a in B^n.  Left: a*x for a in B^m, x in M^n."""
-        return table_product(self.field, self.action.get((m, n)), x, a, self.dim(m + n))
+        return table_product(self.field, self.action.get((m, n)), x, a)
 
     def _times_idempotent(self, i: int, n: int, x):
         e = self.algebra.idempotents[i]
@@ -335,7 +328,7 @@ class DgModule(_Graded):
                 raise AssertionError(f"module differential does not square to zero at {n}")
         action, mult = self.action, B.mult
         for n in self.degrees():
-            products = _unit_products(self, action, n, B.unit, right)
+            products = _unit_products(self, action, n, B, right)
             if any(products.get(i) != {i: one} for i in range(self.dim(n))):
                 raise AssertionError(f"unit action fails in degree {n}")
         first, second = (self, B) if right else (B, self)
@@ -354,24 +347,34 @@ def _composition_tables(gh, maps: dict) -> dict:
     """Products of hom-complex bases: [(m, n)][i][j] holds the nonzero
     coordinates in gh of x . b, "apply b, then x", for the i-th basis element
     x of gh^m and the j-th element b of maps[n], given by its component maps
-    U -> U."""
+    U -> U.
+
+    Each b is taken once as its generator images, one per witness summand of
+    each degree of U.  On such a summand of U^j, x . b has the generator
+    image y @ h_x, for y the image under b and h_x the component of x at
+    j + n, read at the pivots of the summand's cell of gh^{m+n}: one
+    vector-matrix product per source summand and no composite matrix.
+    """
+    # images[n][b][j]: (first row, image under b) per witness summand of U^j
+    images = {n: [{j: [(start, y) for start, y in gh.generator_images(j, mat) if y]
+                   for j, mat in b.items()} for b in elems]
+              for n, elems in maps.items()}
+    at = {n: {(i, start): (homs, pos) for i, start, homs, pos in cells}
+          for n, cells in gh.cells.items()}
     tables, zero = {}, {}
     for m in gh.degrees():
         for n, elems in maps.items():
             if not gh.dim(m) or not elems or not gh.dim(m + n):
                 continue
+            cells = at[m + n]
             table = []
             for (sx, hx) in gh.basis[m]:
                 row = []
-                for b in elems:
-                    mb = b.get(sx - n)
-                    if mb is None:
-                        row.append(zero)
-                        continue
-                    coords = gh.coords_of(m + n, {sx - n: mb @ hx})
-                    if coords is None:
-                        raise AssertionError("composite escaped the hom basis")
-                    row.append(_nonzero(coords) or zero)
+                for imgs in images[n]:
+                    coords: dict = {}
+                    for start, y in imgs.get(sx - n, ()):
+                        read_image(coords, *cells[(sx - n, start)], hx.apply_entries(y))
+                    row.append(coords or zero)
                 table.append(row)
             tables[(m, n)] = table
     return tables
@@ -384,8 +387,7 @@ def _summand_idempotents(U: Complex, gh) -> list | None:
         return None
     idem = []
     for pm in summand_projection_maps(U):
-        v = gh.coords_of(0, {n: pm.mat(n) for n in U.degrees()
-                             if not pm.mat(n).is_zero()})
+        v = gh.coords_of(0, pm.mats)
         if v is None:
             raise AssertionError("summand projection escaped the hom basis")
         idem.append(v)
@@ -458,62 +460,74 @@ def evaluation_left_module(base: DgAlgebra, U: Complex) -> DgModule:
 # -- cohomology-level algebra ----------------------------------------------
 
 
+def _combination(field, mats: list, c: dict) -> Matrix:
+    """The sum of c_a mats[a] over the nonzero entries of c."""
+    n = mats[0].nrows
+    out = Matrix.zero(field, n, n)
+    for a, x in c.items():
+        out = out + (mats[a] if x == field.one else mats[a].scale(x))
+    return out
+
+
 def h0_algebra(B: DgAlgebra) -> Algebra:
     """H^0 of a dg-algebra as an ordinary algebra.
 
     Its idempotents are the classes of B's idempotents (for dg_end, the
     summand projections of the complex); classes that vanish in H^0 are
     dropped.  The basis is adapted so each idempotent class is itself a basis
-    element.  The result carries .class_reps (a degree-0 cocycle per basis
-    element) and .sq.
+    element.  Everything is read off one table of products of the
+    representatives, as the h x h matrices of left and right multiplication
+    by each class.  The result carries .class_reps (a degree-0 cocycle per
+    basis element, as its nonzero entries) and .sq.
     """
     f = B.field
     sq = B.subquotient(0)
-    h = len(sq.reps)
-    unit_cls = tuple(sq.reduce(B.unit))
-    if all(c == f.zero for c in unit_cls):
+    h = sq.dim
+    unit_cls = sq.reduce(B.unit)
+    if not unit_cls:
         raise ValueError("H^0 is degenerate: the unit class vanishes")
 
-    # the product of the a-th and b-th representatives, as a class; every
-    # other product of classes is read off this table bilinearly
-    base = [[_nonzero(sq.reduce(B.product(0, ra, 0, rb))) for rb in sq.reps]
-            for ra in sq.reps]
-
-    def mult_classes(u_cls, v_cls):
-        return table_product(f, base, u_cls, v_cls, h)
+    # the class of the product of the a-th and b-th representatives is row b
+    # of L[a], left multiplication by the a-th class, and row a of R[b]
+    base = [[sq.reduce(B.product(0, ra, 0, rb)) for rb in sq.rep_entries]
+            for ra in sq.rep_entries]
+    L = [Matrix.from_row_entries(f, h, base[a]) for a in range(h)]
+    R = [Matrix.from_row_entries(f, h, [base[b][a] for b in range(h)]) for a in range(h)]
 
     idem_cls = []
     kept = []
     for pos, v in enumerate(B.idempotents):
-        cls = tuple(sq.reduce(v))
-        if any(c != f.zero for c in cls):
+        cls = sq.reduce(v)
+        if cls:
             idem_cls.append(cls)
             kept.append(pos)
-    total = Matrix(f, len(idem_cls), h, idem_cls).apply_row((f.one,) * len(idem_cls))
-    if total != unit_cls:
+    total = Matrix.from_entries(f, len(idem_cls), h, dict(enumerate(idem_cls)))
+    if total.apply_entries({t: f.one for t in range(len(idem_cls))}) != unit_cls:
         raise AssertionError("idempotent classes do not sum to the unit class")
 
     # Peirce pieces e_j H e_k, with e_j leading its own diagonal block: the
-    # rows e_j u e_k over the representatives u, each kept when independent
-    # of the rows before it
+    # rows e_j u e_k of L[e_j] @ R[e_k] over the representatives u, each kept
+    # when independent of the rows before it
     basis_cls = []
     blocks = []
     idem_positions = []
     for j, ej in enumerate(idem_cls):
+        Lj = _combination(f, L, ej)
         for k, ek in enumerate(idem_cls):
-            rows = []
-            if j == k:
-                rows.append(ej)
+            top = int(j == k)
+            rows = {top + u: p for u, p in (Lj @ _combination(f, R, ek)).entries.items()}
+            if top:
+                rows[0] = ej
                 idem_positions.append(len(basis_cls))
-            for rep_i in range(h):
-                u = tuple(f.one if t == rep_i else f.zero for t in range(h))
-                rows.append(mult_classes(mult_classes(ej, u), ek))
-            for t in Matrix(f, len(rows), h, rows).left_pivots():
-                basis_cls.append(tuple(rows[t]))
+            for t in Matrix.from_entries(f, top + h, h, rows).left_pivots():
+                basis_cls.append(rows[t])
                 blocks.append((j, k))
-    span = Matrix(f, len(basis_cls), h, basis_cls)
-    if span.rank() != h or len(basis_cls) != h:
+    span = Matrix.from_entries(f, len(basis_cls), h, dict(enumerate(basis_cls)))
+    inverse = ([span.solve_left_rows({t: f.one}) for t in range(h)]
+               if len(basis_cls) == h else [None])
+    if None in inverse:
         raise AssertionError("Peirce decomposition of H^0 is not direct")
+    inverse = Matrix.from_entries(f, h, h, dict(enumerate(inverse)))
 
     labels = []
     for t, (j, k) in enumerate(blocks):
@@ -521,19 +535,15 @@ def h0_algebra(B: DgAlgebra) -> Algebra:
             labels.append(f"p{j}")
         else:
             labels.append(f"h{j}{k}_{t}")
+    # row y of span @ L[b_x] is b_x b_y; times the inverse, its coordinates
     mult = {}
     for x in range(h):
-        for y in range(h):
-            w = mult_classes(basis_cls[x], basis_cls[y])
-            coords = span.solve_left_rows(w)
-            if coords is None:
-                raise AssertionError("H^0 product escaped the adapted basis")
-            sparse = tuple((t, c) for t, c in enumerate(coords) if c != f.zero)
-            if sparse:
-                mult[(x, y)] = sparse
-    unit_coords = span.solve_left_rows(unit_cls)
-    alg = Algebra(f, labels, mult, unit_coords, idem_positions)
-    alg.class_reps = [tuple(sq.lift(cls)) for cls in basis_cls]
+        products = span @ _combination(f, L, basis_cls[x]) @ inverse
+        for y, nz in products.entries.items():
+            mult[(x, y)] = tuple(sorted(nz.items()))
+    unit = inverse.apply_entries(unit_cls)
+    alg = Algebra(f, labels, mult, [unit.get(t, f.zero) for t in range(h)], idem_positions)
+    alg.class_reps = [sq.lift(cls) for cls in basis_cls]
     alg.sq = sq
     alg.kept_idempotents = kept
     return alg
@@ -571,8 +581,8 @@ def smart_truncate(B: DgAlgebra) -> DgAlgebra:
     embed = {n: Matrix.identity(f, B.dim(n)) for n in B.degrees() if n < 0}
     embed[0] = kmat
 
-    def cocycle(vec) -> tuple:
-        """Coordinates in ker d^0 of a degree-0 cocycle of B."""
+    def cocycle(vec: dict) -> dict:
+        """Nonzero coordinates in ker d^0 of a degree-0 cocycle of B."""
         sol = kmat.solve_left_rows(vec)
         if sol is None:
             raise AssertionError("element is not a degree-0 cocycle")
@@ -581,12 +591,7 @@ def smart_truncate(B: DgAlgebra) -> DgAlgebra:
     def restrict(nz: dict, n: int) -> dict:
         """The nonzero coordinates in the truncation of a degree-n element of
         B lying in it, from its nonzero coordinates in B."""
-        if n < 0 or not nz:
-            return nz
-        vec = [f.zero] * B.dim(0)
-        for k, x in nz.items():
-            vec[k] = x
-        return _nonzero(cocycle(vec))
+        return nz if n < 0 or not nz else cocycle(nz)
 
     # each basis element as its nonzero coordinates in B
     basis = {n: [embed[n].entries.get(i, {}) for i in range(d)] for n, d in dims.items()}
@@ -599,14 +604,14 @@ def smart_truncate(B: DgAlgebra) -> DgAlgebra:
         for m in dims:
             t = B.mult.get((m, n))
             if dims.get(m + n) and t is not None:
-                mult[(m, n)] = [[restrict(_products(f, t, a, b), m + n) or zero
+                mult[(m, n)] = [[restrict(table_product(f, t, a, b), m + n) or zero
                                  for b in basis[n]] for a in basis[m]]
     C = DgAlgebra(f, dims, mult, diffs, cocycle(B.unit),
                   idempotents=[cocycle(e) for e in B.idempotents])
     C.embed = embed
     C.maps = {n: B.maps[n] for n in dims if n < 0}
     if kmat.nrows:
-        C.maps[0] = [B.gh.component_maps(0, r) for r in kmat.rows]
+        C.maps[0] = [B.gh.component_maps(0, kmat.entries[r]) for r in range(kmat.nrows)]
     C.complex = B.complex
     return C
 

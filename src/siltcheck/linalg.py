@@ -5,11 +5,13 @@ echelon bases of spans, quotient maps and subquotient bookkeeping, and the
 Cochains base that every graded class reads its cohomology from.  A Matrix
 keeps only its nonzero entries, so products, sums, stacking and elimination
 walk nonzeros alone; the dense row view stays available for callers that
-read rows.  Matrix.rref is the one elimination: every span, kernel, solve,
-quotient and subquotient, and every greedy choice of independent rows
-(Matrix.left_pivots), reads it.  Pivoting is deterministic (first nonzero
-entry in row order), so every basis produced here is reproducible run to
-run.
+read rows.  A vector is a dense row or its nonzero entries {index: entry}:
+solve_left_rows, Subquotient.reduce and Subquotient.lift answer in the form
+they are given, and apply_entries is the sparse row action.  Matrix.rref is
+the one elimination: every span, kernel, solve, quotient and subquotient,
+and every greedy choice of independent rows (Matrix.left_pivots), reads it.
+Pivoting is deterministic (first nonzero entry in row order), so every basis
+produced here is reproducible run to run.
 
 Convention used by callers throughout the package: module elements are ROW
 vectors and linear maps act on the right (x |-> x @ M), so composition of maps
@@ -72,6 +74,14 @@ class Matrix:
         m._rows = None
         m._left = None
         return m
+
+    @staticmethod
+    def from_row_entries(field, ncols: int, rows: Sequence[dict]) -> "Matrix":
+        """The matrix whose row i has the nonzero entries rows[i]
+        ({column: entry}, empty for a zero row), under the storage invariants
+        of from_entries; the dicts are taken over."""
+        return Matrix.from_entries(field, len(rows), ncols,
+                                   {i: r for i, r in enumerate(rows) if r})
 
     @staticmethod
     def from_rows(field, rows: Sequence[Sequence], ncols: int | None = None) -> "Matrix":
@@ -233,18 +243,22 @@ class Matrix:
         """Row-vector action: v |-> v @ self."""
         if len(v) != self.nrows:
             raise ValueError("apply_row: length mismatch")
-        ents = self.entries
-        acc = {}
-        for i, a in enumerate(v):
-            if a:
-                nz = ents.get(i)
-                if nz is not None:
-                    for j, b in nz.items():
-                        acc[j] = acc.get(j, 0) + a * b
         out = [self.field.zero] * self.ncols
-        for j, x in self.field.reduce_entries(acc).items():
+        for j, x in self.apply_entries({i: a for i, a in enumerate(v) if a}).items():
             out[j] = x
         return tuple(out)
+
+    def apply_entries(self, v: dict) -> dict:
+        """v |-> v @ self for v given as its nonzero entries {row: entry},
+        the result as its nonzero entries {column: entry}."""
+        ents = self.entries
+        acc = {}
+        for i, a in v.items():
+            nz = ents.get(i)
+            if nz is not None:
+                for j, b in nz.items():
+                    acc[j] = acc.get(j, 0) + a * b
+        return self.field.reduce_entries(acc)
 
     # -- elimination -------------------------------------------------------
 
@@ -329,20 +343,27 @@ class Matrix:
             self._left = (ops, pivots)
         return self._left[1]
 
-    def solve_left_rows(self, v: Sequence) -> tuple | None:
+    def solve_left_rows(self, v: Sequence | dict) -> tuple | dict | None:
         """x with x @ self = v, or None.  Free variables are set to 0.
 
-        The row operations of rref(selfᵀ) are recorded on the first call and
-        replayed on v by every call; the pivots of selfᵀ never depend on v, so
-        the answer is the one the RREF of [selfᵀ | v] gives.
+        v is a row, or its nonzero entries {column: entry}, and x comes in
+        the same form.  The row operations of rref(selfᵀ) are recorded on the
+        first call and replayed on v by every call; the pivots of selfᵀ never
+        depend on v, so the answer is the one the RREF of [selfᵀ | v] gives.
         """
-        if len(v) != self.ncols:
-            raise ValueError("solve_left_rows: length mismatch")
-        pivots = self.left_pivots()
-        ops = self._left[0]
         f = self.field
         zero, mul, sub = f.zero, f.mul, f.sub
-        w = list(v)
+        sparse = isinstance(v, dict)
+        if sparse:
+            w = [zero] * self.ncols
+            for j, x in v.items():
+                w[j] = x
+        elif len(v) != self.ncols:
+            raise ValueError("solve_left_rows: length mismatch")
+        else:
+            w = list(v)
+        pivots = self.left_pivots()
+        ops = self._left[0]
         for prow, (sel, inv, elims) in enumerate(ops):
             w[prow], w[sel] = w[sel], w[prow]
             a = w[prow] = mul(inv, w[prow])
@@ -351,6 +372,8 @@ class Matrix:
                     w[i] = sub(w[i], mul(c, a))
         if any(x != zero for x in w[len(pivots):]):
             return None
+        if sparse:
+            return {pcol: w[prow] for prow, pcol in enumerate(pivots) if w[prow] != zero}
         x = [zero] * self.nrows
         for prow, pcol in enumerate(pivots):
             x[pcol] = w[prow]
@@ -361,21 +384,22 @@ class Matrix:
 
 
 class RowSpace:
-    """Echelon basis of the span of some rows, from one rref: rows are the
-    nonzero rows of the RREF, fully reduced with unit pivots, and pivots
-    their pivot columns.  The RREF of a span is unique, so the basis does
-    not depend on the spanning rows given."""
+    """Echelon basis of the row span of a matrix, from one rref: rows are
+    the nonzero rows of the RREF as their nonzero entries {column: entry},
+    fully reduced with unit pivots, and pivots their pivot columns.  The
+    RREF of a span is unique, so the basis does not depend on the spanning
+    rows given."""
 
-    def __init__(self, field, width: int, rows: Sequence[Sequence]):
-        self.field = field
-        R, self.pivots = Matrix(field, len(rows), width, rows).rref()
+    def __init__(self, M: Matrix):
+        self.field = M.field
+        R, self.pivots = M.rref()
         self.dim = len(self.pivots)
-        self.rows = R.rows[:self.dim]
+        self.rows = [R.entries[k] for k in range(self.dim)]
 
-    def coords(self, v: Sequence) -> tuple:
-        """Coordinates in the echelon rows of a vector lying in the span:
-        its entries at the pivots."""
-        return tuple(v[p] for p in self.pivots)
+    def coords(self, v: dict) -> dict:
+        """Coordinates in the echelon rows of a vector lying in the span,
+        both as their nonzero entries: the vector's entries at the pivots."""
+        return {t: v[p] for t, p in enumerate(self.pivots) if p in v}
 
 
 def quotient_map(field, width: int, relation_rows: Sequence[dict]) -> tuple:
@@ -400,10 +424,10 @@ class Subquotient:
     cycles and boundaries are matrices whose rows span Z and B.  One recorded
     elimination of [boundaries; cycles] (Matrix.left_pivots) picks, in row
     order, every row independent of the rows before it: the boundary rows
-    among them are a basis of B, and the cycle rows among them, kept as reps,
-    are cocycle representatives of a basis of the quotient.  reduce replays
-    that elimination on an element of Z and reads its coordinates off the
-    reps.
+    among them are a basis of B, and the cycle rows among them, kept as reps
+    (dense rows) and rep_entries (their nonzero entries), are cocycle
+    representatives of a basis of the quotient.  reduce replays that
+    elimination on an element of Z and reads its coordinates off the reps.
     """
 
     def __init__(self, field, width: int, cycles: Matrix, boundaries: Matrix):
@@ -416,21 +440,34 @@ class Subquotient:
         pivots = self._span.left_pivots()
         self._rep_rows = [r for r in pivots if r >= nb]
         self.boundary_dim = len(pivots) - len(self._rep_rows)
-        self._reps = Matrix.from_entries(field, len(self._rep_rows), width,
-                                         {k: entries[r] for k, r in enumerate(self._rep_rows)})
-        self.reps = list(self._reps.rows)
-        self.dim = len(self.reps)
+        self.rep_entries = [entries[r] for r in self._rep_rows]
+        self.dim = len(self.rep_entries)
+        self._reps = Matrix.from_entries(field, self.dim, width,
+                                         dict(enumerate(self.rep_entries)))
 
-    def reduce(self, v: Sequence) -> tuple:
-        """Coordinates of [v] in the representative basis.  v must lie in Z."""
+    @property
+    def reps(self) -> list:
+        """The representatives as dense rows."""
+        return list(self._reps.rows)
+
+    def reduce(self, v: Sequence | dict) -> tuple | dict:
+        """Coordinates of [v] in the representative basis, for v given as a
+        row or as its nonzero entries, in the same form.  v must lie in Z."""
+        sparse = isinstance(v, dict)
         if self.dim == 0:
-            return ()
+            return {} if sparse else ()
         coeffs = self._span.solve_left_rows(v)
         if coeffs is None:
             raise ValueError("element does not lie in the cycle subspace")
+        if sparse:
+            return {t: coeffs[r] for t, r in enumerate(self._rep_rows) if r in coeffs}
         return tuple(coeffs[r] for r in self._rep_rows)
 
-    def lift(self, coords: Sequence) -> tuple:
+    def lift(self, coords: Sequence | dict) -> tuple | dict:
+        """The cocycle with the given class coordinates, in their form: a
+        row, or nonzero entries."""
+        if isinstance(coords, dict):
+            return self._reps.apply_entries(coords)
         return self._reps.apply_row(coords)
 
 
@@ -443,11 +480,12 @@ class WholeSpace(Subquotient):
         self.field = field
         self.width = width
         self.boundary_dim = 0
-        self.reps = list(Matrix.identity(field, width).rows)
+        self._reps = Matrix.identity(field, width)
+        self.rep_entries = [self._reps.entries[k] for k in range(width)]
         self.dim = width
 
-    def reduce(self, v: Sequence) -> tuple:
-        return tuple(v)
+    def reduce(self, v: Sequence | dict) -> tuple | dict:
+        return dict(v) if isinstance(v, dict) else tuple(v)
 
     lift = reduce
 

@@ -126,41 +126,55 @@ class SemifreeModule:
         return [(k, C.cell(self.cells[k], n - self.gens[k])) for k in range(start, stop)]
 
     def layout(self, n: int) -> list:
-        return [(k, b) for k, cell in self.blocks(n) for b in range(cell.dim)]
+        """(k, b) for each position of the degree-n basis: the b-th cell row
+        of generator k."""
+        return self._memo("layout", n, lambda n: [
+            (k, b) for k, cell in self.blocks(n) for b in range(cell.dim)])
+
+    def offsets(self, n: int) -> dict:
+        """k -> (first position, cell) of each block of blocks(n)."""
+        return self._memo("offsets", n, lambda n: block_offsets(self.blocks(n))[0])
 
     def dim(self, n: int) -> int:
-        return sum(cell.dim for _, cell in self.blocks(n))
+        return len(self.layout(n))
 
     def components(self, n: int, entries) -> dict:
         """k -> the component at generator k, an element of C^{n - gens[k]} in
         the standard basis, of the degree-n element with the given
-        ((k, b), coefficient) entries."""
+        ((k, b), coefficient) entries; elements and components are nonzero
+        entries {index: entry}."""
         C = self.algebra
-        f = C.field
-        out = {}
+        out: dict = {}
         for (k, b), c in entries:
-            if c == f.zero:
-                continue
-            d = n - self.gens[k]
-            acc = out.get(k, (f.zero,) * C.dim(d))
-            out[k] = tuple(f.add(a, f.mul(c, r))
-                           for a, r in zip(acc, C.cell(self.cells[k], d).rows[b]))
+            acc = out.setdefault(k, {})
+            for j, x in C.cell(self.cells[k], n - self.gens[k]).rows[b].items():
+                acc[j] = acc.get(j, 0) + c * x
+        reduce = C.field.reduce_entries
+        return {k: r for k, acc in out.items() if (r := reduce(acc))}
+
+    def element(self, n: int, comps: dict) -> dict:
+        """The degree-n element with the given components, each lying in its
+        generator's cell."""
+        offsets = self.offsets(n)
+        out = {}
+        for k, v in comps.items():
+            if v and k in offsets:
+                start, cell = offsets[k]
+                for t, c in cell.coords(v).items():
+                    out[start + t] = c
         return out
 
-    def element(self, n: int, comps: dict) -> tuple:
-        """Coordinates of the degree-n element with the given components,
-        each lying in its generator's cell."""
-        f = self.algebra.field
-        out = []
-        for k, cell in self.blocks(n):
-            v = comps.get(k)
-            out.extend(cell.coords(v) if v is not None else (f.zero,) * cell.dim)
-        return tuple(out)
-
-    def act(self, n: int, vec, cdeg: int, cvec):
+    def act(self, n: int, vec: dict, cdeg: int, cvec: dict) -> dict:
         """Right action of a degree-cdeg base element on a degree-n element."""
+        layout = self.layout(n)
+        return self.times(n, self.components(n, ((layout[p], c) for p, c in vec.items())),
+                          cdeg, cvec)
+
+    def times(self, n: int, comps: dict, cdeg: int, cvec: dict) -> dict:
+        """The right action of a degree-cdeg base element on the degree-n
+        element with the given components, so that one expansion into
+        components serves many base elements."""
         C = self.algebra
-        comps = self.components(n, zip(self.layout(n), vec))
         return self.element(n + cdeg, {
             k: C.product(n - self.gens[k], v, cdeg, cvec) for k, v in comps.items()})
 
@@ -181,21 +195,21 @@ class SemifreeModule:
         for k, cell in self.blocks(n):
             g = self.gens[k]
             bdeg = n - g
-            # sign from moving d past the generator
-            sign = f.one if g % 2 == 0 else f.neg(f.one)
             for beta in cell.rows:
                 # d(gen) acted on by the base coefficient
                 comps = {k2: C.product(g + 1 - self.gens[k2], delta, bdeg, beta)
                          for k2, delta in self.gen_dcomps[k].items()}
-                comps[k] = tuple(f.mul(sign, c) for c in C.apply_diff(bdeg, beta))
+                # the generator kept, with the sign from moving d past it
+                d = C.apply_diff(bdeg, beta)
+                comps[k] = {j: f.neg(x) for j, x in d.items()} if g % 2 else d
                 rows.append(self.element(n + 1, comps))
-        return Matrix(f, len(rows), self.dim(n + 1), rows)
+        return Matrix.from_row_entries(f, self.dim(n + 1), rows)
 
     def _aug_matrix(self, n: int) -> Matrix:
         M = self.target
-        rows = [M.act(self.gens[k], self.gen_augs[k], n - self.gens[k], beta)
-                for k, cell in self.blocks(n) for beta in cell.rows]
-        return Matrix(self.algebra.field, len(rows), M.dim(n), rows)
+        return Matrix.from_row_entries(self.algebra.field, M.dim(n), [
+            M.act(self.gens[k], self.gen_augs[k], n - self.gens[k], beta)
+            for k, cell in self.blocks(n) for beta in cell.rows])
 
     def _lift_system(self, n: int) -> Matrix:
         return self.aug_matrix(n).hstack(self.diff_matrix(n))
@@ -253,21 +267,22 @@ def _kill_cone(P: SemifreeModule, top: int, cap: int = 4096) -> SemifreeModule:
         if n < M.lo and (not P.gens or P.gens[-1] > n + 1 - C.lo):
             break
         sq = P.cone_subquotient(n)
-        if not sq.reps:
+        if not sq.dim:
             continue
-        width = len(sq.reps)
+        width = sq.dim
         split = P.dim(n + 1)
+        layout_up = P.layout(n + 1)
         comps = []
-        for rep in sq.reps:
-            q = tuple(rep[:split])
-            x = tuple(rep[split:])
+        for rep in sq.rep_entries:
+            q = P.components(n + 1, ((layout_up[j], c) for j, c in rep.items() if j < split))
+            x = {j - split: c for j, c in rep.items() if j >= split}
             for i, e in enumerate(C.idempotents):
-                orbit = [sq.reduce(P.act(n + 1, q, 0, c) + M.act(n, x, 0, c))
+                orbit = [sq.reduce(_joined(P.times(n + 1, q, 0, c), M.act(n, x, 0, c), split))
                          for c in C.cell(i, 0).rows]
-                comps.append((i, P.act(n + 1, q, 0, e), M.act(n, x, 0, e), orbit))
+                comps.append((i, P.times(n + 1, q, 0, e), M.act(n, x, 0, e), orbit))
         # components with a large action orbit first: one cell then kills
         # everything in its span, keeping the cover near minimal
-        ranks = [Matrix(f, len(orbit), width, orbit).rank() for *_, orbit in comps]
+        ranks = [Matrix.from_row_entries(f, width, orbit).rank() for *_, orbit in comps]
         order = sorted(range(len(comps)), key=lambda t: (-ranks[t], t))
         # The orbits of earlier components span a C^0-submodule of H^n of
         # the cone, so a component skipped for its class lying in that span
@@ -277,10 +292,9 @@ def _kill_cone(P: SemifreeModule, top: int, cap: int = 4096) -> SemifreeModule:
         for t in order:
             i, qe, xe, orbit = comps[t]
             heads.append(len(rows))
-            rows.append(sq.reduce(qe + xe))
+            rows.append(sq.reduce(_joined(qe, xe, split)))
             rows.extend(orbit)
-        pivots = set(Matrix(f, len(rows), width, rows).left_pivots())
-        layout_up = P.layout(n + 1)
+        pivots = set(Matrix.from_row_entries(f, width, rows).left_pivots())
         for t, head in zip(order, heads):
             if head not in pivots:
                 continue
@@ -288,9 +302,18 @@ def _kill_cone(P: SemifreeModule, top: int, cap: int = 4096) -> SemifreeModule:
                 raise SemifreeCapError(
                     f"semifree resolution exceeded {cap} generators at degree {n}")
             i, qe, xe, _ = comps[t]
-            P.add_generator(n, {layout_up[s]: c for s, c in enumerate(qe) if c != f.zero},
-                            tuple(f.neg(c) for c in xe), i)
+            P.add_generator(n, {layout_up[s]: c for s, c in qe.items()},
+                            {j: f.neg(c) for j, c in xe.items()}, i)
     return P
+
+
+def _joined(q: dict, x: dict, split: int) -> dict:
+    """The nonzero entries of the row holding q from position 0 and x from
+    position split: an element (q, x) of the cone of P -> M, or a right-hand
+    side (augmentation, differential) of a lift system."""
+    out = dict(q)
+    out.update((split + j, c) for j, c in x.items())
+    return out
 
 
 def block_offsets(blocks) -> tuple[dict, int]:
@@ -302,18 +325,18 @@ def block_offsets(blocks) -> tuple[dict, int]:
     return offsets, width
 
 
-def block_row(f, offsets: dict, width: int, images) -> list:
-    """The row summing s * (cell coordinates of v) into the block of k, over
-    the images (k, s, v); an image whose k has no block adds nothing."""
-    row = [f.zero] * width
+def block_row(f, offsets: dict, images) -> dict:
+    """The nonzero entries of the row summing s * (cell coordinates of v)
+    into the block of k, over the images (k, s, v); an image whose k has no
+    block adds nothing."""
+    acc: dict = {}
     for k, s, v in images:
         if k not in offsets:
             continue
         off, cell = offsets[k]
-        for t, c in enumerate(cell.coords(v)):
-            if c != f.zero:
-                row[off + t] = f.add(row[off + t], f.mul(s, c))
-    return row
+        for t, c in cell.coords(v).items():
+            acc[off + t] = acc.get(off + t, 0) + s * c
+    return f.reduce_entries(acc)
 
 
 # -- maps out of a semifree module -------------------------------------------
@@ -336,31 +359,37 @@ class SemifreeHom(Cochains):
         self.P = P
         self.N = N
         self._diffs: dict = {}
+        self._blocks: dict = {}
+        # the value on each later generator k3 picks up phi(d gen k3), which
+        # meets generator k through the component of d gen k3 at k
+        self._meets: dict = {}
+        for k3, dcomps in enumerate(P.gen_dcomps):
+            for k, delta in dcomps.items():
+                self._meets.setdefault(k, []).append((k3, delta))
 
     def blocks(self, m: int) -> list:
-        """(k, the basis of N^{m+g}.e holding generator k's values)."""
-        return [(k, self.N.cell(e, m + g))
-                for k, (g, e) in enumerate(zip(self.P.gens, self.P.cells))]
+        """(k, the basis of N^{m+g}.e holding generator k's values) for the
+        generators whose values can be nonzero: N.lo <= m + g <= N.hi, one
+        slice of the non-increasing gens, built once per degree."""
+        if m not in self._blocks:
+            P, N = self.P, self.N
+            start = bisect_left(P.gens, m - N.hi, key=neg)
+            stop = bisect_right(P.gens, m - N.lo, key=neg)
+            self._blocks[m] = [(k, N.cell(P.cells[k], m + P.gens[k]))
+                               for k in range(start, stop)]
+        return self._blocks[m]
 
     def dim(self, m: int) -> int:
         return sum(cell.dim for _, cell in self.blocks(m))
 
-    def assemble(self, m: int, values: dict) -> tuple:
-        """Coordinates of the element with the given generator values.
-
-        Each value is a vector of N^{m+g} lying in N^{m+g}.e.
-        """
-        f = self.field
-        out = []
-        for k, cell in self.blocks(m):
-            v = values.get(k)
-            if v is None:
-                out.extend([f.zero] * cell.dim)
-            else:
-                if len(v) != self.N.dim(m + self.P.gens[k]):
-                    raise ValueError("generator value has the wrong length")
-                out.extend(cell.coords(v))
-        return tuple(out)
+    def assemble(self, m: int, values: dict) -> dict:
+        """Nonzero coordinates of the element with the given generator
+        values, each an element of N^{m+g} lying in N^{m+g}.e."""
+        offsets, _ = block_offsets(self.blocks(m))
+        if any(v and k not in offsets for k, v in values.items()):
+            raise ValueError("generator value outside the degrees of N")
+        return block_row(self.field, offsets,
+                         ((k, self.field.one, v) for k, v in values.items()))
 
     def diff(self, m: int) -> Matrix:
         if m in self._diffs:
@@ -368,12 +397,6 @@ class SemifreeHom(Cochains):
         P, N = self.P, self.N
         f = self.field
         nsign = f.one if m % 2 else f.neg(f.one)
-        # the value on each later generator k3 picks up phi(d gen k3), which
-        # meets generator k through the component of d gen k3 at k
-        meets = {}
-        for k3, dcomps in enumerate(P.gen_dcomps):
-            for k, delta in dcomps.items():
-                meets.setdefault(k, []).append((k3, delta))
         offsets, width = block_offsets(self.blocks(m + 1))
         rows = []
         for k, cell in self.blocks(m):
@@ -381,9 +404,9 @@ class SemifreeHom(Cochains):
             for v in cell.rows:
                 images = [(k, f.one, N.apply_diff(m + g, v))]
                 images += [(k3, nsign, N.act(m + g, v, P.gens[k3] + 1 - g, delta))
-                           for k3, delta in meets.get(k, ())]
-                rows.append(block_row(f, offsets, width, images))
-        d = Matrix(f, len(rows), width, rows)
+                           for k3, delta in self._meets.get(k, ())]
+                rows.append(block_row(f, offsets, images))
+        d = Matrix.from_row_entries(f, width, rows)
         self._diffs[m] = d
         return d
 
@@ -403,17 +426,17 @@ def lift_generators(P: SemifreeModule, target, solve) -> list | None:
     value.
     """
     C = P.algebra
-    f = C.field
+    reduce = C.field.reduce_entries
     vals: list = []
     for k, g in enumerate(P.gens):
-        rhs = (f.zero,) * target.dim(g + 1)
+        rhs: dict = {}
         for k2, delta in P.gen_dcomps[k].items():
-            img = target.act(P.gens[k2], vals[k2], g + 1 - P.gens[k2], delta)
-            rhs = tuple(f.add(x, y) for x, y in zip(rhs, img))
-        sol = solve(k, g, rhs)
+            for j, x in target.act(P.gens[k2], vals[k2], g + 1 - P.gens[k2], delta).items():
+                rhs[j] = rhs.get(j, 0) + x
+        sol = solve(k, g, reduce(rhs))
         if sol is None:
             return None
-        vals.append(tuple(target.act(g, sol, 0, C.idempotents[P.cells[k]])))
+        vals.append(target.act(g, sol, 0, C.idempotents[P.cells[k]]))
     return vals
 
 
@@ -425,7 +448,7 @@ def lift_to_resolution(P: SemifreeModule, Q: SemifreeModule, targets) -> list | 
     solution exists.
     """
     def solve(k, g, rhs):
-        return Q.lift_system(g).solve_left_rows(tuple(targets[k]) + rhs)
+        return Q.lift_system(g).solve_left_rows(_joined(targets[k], rhs, Q.target.dim(g)))
 
     return lift_generators(P, Q, solve)
 
@@ -477,11 +500,16 @@ def resolution_tensor(P: SemifreeModule, U: DgModule) -> Complex:
     submodules = {}
 
     def submodule(e, j):
+        # the action of each basis element of A on e.U^j: one product of the
+        # cell basis with its action matrix, read at the pivots
         if (e, j) not in submodules:
             cell = U.cell(e, j)
-            action = [Matrix(f, cell.dim, cell.dim,
-                             [cell.coords(a.apply_row(u)) for u in cell.rows])
-                      for a in U.complex.term(j).action]
+            span = Matrix.from_entries(f, cell.dim, U.dim(j), dict(enumerate(cell.rows)))
+            action = []
+            for a in U.complex.term(j).action:
+                img = (span @ a).entries
+                action.append(Matrix.from_row_entries(
+                    f, cell.dim, [cell.coords(img.get(r, {})) for r in range(cell.dim)]))
             submodules[(e, j)] = Module(A, cell.dim, action, validate=False)
         return submodules[(e, j)]
 
@@ -489,8 +517,11 @@ def resolution_tensor(P: SemifreeModule, U: DgModule) -> Complex:
     hi = max(P.gens) + U.hi
     terms, layouts = {}, {}
     for n in range(lo, hi + 1):
-        bl = [(k, n - g, U.cell(e, n - g)) for k, (g, e) in enumerate(zip(P.gens, P.cells))
-              if U.cell(e, n - g).dim]
+        # the generators with U.lo <= n - g <= U.hi: one slice of the gens
+        start = bisect_left(P.gens, U.lo - n, key=neg)
+        stop = bisect_right(P.gens, U.hi - n, key=neg)
+        bl = [(k, n - P.gens[k], cell) for k in range(start, stop)
+              if (cell := U.cell(P.cells[k], n - P.gens[k])).dim]
         if not bl:
             continue
         terms[n] = direct_sum_modules(A, [submodule(P.cells[k], j) for k, j, _ in bl])
@@ -510,8 +541,8 @@ def resolution_tensor(P: SemifreeModule, U: DgModule) -> Complex:
                 images = [(k, sign, U.apply_diff(j, u))]
                 images += [(k2, f.one, U.act(g + 1 - P.gens[k2], delta, j, u))
                            for k2, delta in P.gen_dcomps[k].items()]
-                rows.append(block_row(f, offsets, width, images))
-        diffs[n] = Matrix(f, len(rows), width, rows)
+                rows.append(block_row(f, offsets, images))
+        diffs[n] = Matrix.from_row_entries(f, width, rows)
     out = Complex(A, terms, diffs)
     out.resolution = P
     out.block_layout = layouts

@@ -95,28 +95,23 @@ def _hom_class_action(X: Complex, U: Complex, B: DgAlgebra, E):
 
     Returns (gh, sq, mats) where mats[i] sends class coordinates c to the
     coordinates of [class_reps[i] composed after c], acting on row vectors.
+    Each class representative is taken once as its generator images; after
+    it, an E-class e has the generator image y @ e_i on a summand of X^i
+    whose image is y, so no composite matrix is built.
     """
     gh = hom_complex(X, U)
     sq = gh.subquotient(0)
-    m = len(sq.reps)
+    m = sq.dim
     f = E.field
-    rep_comps = [gh.component_maps(0, rep) for rep in sq.reps]
+    degrees = [i for i, *_ in gh.cells.get(0, ())]
+    rep_images = [gh.images(0, rep) for rep in sq.rep_entries]
     mats = []
     for ecls in E.class_reps:
         ec = B.gh.component_maps(0, ecls)
-        rows = []
-        for mc in rep_comps:
-            comp = {}
-            for i, mm in mc.items():
-                em = ec.get(i)
-                if em is None:
-                    continue
-                comp[i] = mm @ em
-            coords = gh.coords_of(0, comp)
-            if coords is None:
-                raise AssertionError("postcomposition escaped the hom basis")
-            rows.append(sq.reduce(coords))
-        mats.append(Matrix(f, m, m, rows))
+        rows = [sq.reduce(gh.coordinates(0, [ec[i].apply_entries(y) if y and i in ec else {}
+                                             for i, y in zip(degrees, images)]))
+                for images in rep_images]
+        mats.append(Matrix.from_row_entries(f, m, rows))
     return gh, sq, mats
 
 
@@ -132,7 +127,7 @@ def _minimal_approximation(X: Complex, U: Complex, B: DgAlgebra, E, rad,
     f = E.field
     A = X.algebra
     gh, sq, emats = _hom_class_action(X, U, B, E)
-    m = len(sq.reps)
+    m = sq.dim
     if m == 0:
         if all(gh.h_dim(i) == 0 for i in range(gh.lo, 0)):
             return None
@@ -160,7 +155,7 @@ def _minimal_approximation(X: Complex, U: Complex, B: DgAlgebra, E, rad,
     for epos, s in zip(E.idempotents, E.kept_idempotents):
         blocks = [emats[epos] @ proj] + [emats[epos] @ e @ proj for e in emats]
         for t in range(m):
-            cands.append((len(rows), s, emats[epos].rows[t]))
+            cands.append((len(rows), s, emats[epos].entries.get(t, {})))
             rows.extend(b.entries.get(t, {}) for b in blocks)
     pivots = set(Matrix.from_entries(f, len(rows), proj.ncols,
                                      {i: r for i, r in enumerate(rows) if r}).left_pivots())

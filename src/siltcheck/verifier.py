@@ -207,11 +207,9 @@ def _evaluation_chain_map(T: Complex, gh, gen_values, X: Complex) -> ChainMap:
         rows = []
         for (k, j, cell) in blocks:
             blockmat = gh.component_maps(P.gens[k], gen_values[k]).get(j)
-            if blockmat is None or xdim == 0:
-                rows.extend([f.zero] * xdim for _ in cell.rows)
-            else:
-                rows.extend(blockmat.apply_row(u) for u in cell.rows)
-        mats[n] = Matrix(f, tdim, xdim, rows)
+            rows.extend({} if blockmat is None else blockmat.apply_entries(u)
+                        for u in cell.rows)
+        mats[n] = Matrix.from_row_entries(f, xdim, rows)
     return ChainMap(T, X, mats)
 
 
@@ -284,7 +282,7 @@ def verify_E_iso(ctx: SiltingContext) -> VerificationReport:
     gh = B.gh
     sq = B.subquotient(0)
     basis_cls = [sq.reduce(rep) for rep in E.class_reps]
-    span = Matrix(f, len(basis_cls), len(sq.reps), basis_cls)
+    span = Matrix.from_entries(f, len(basis_cls), sq.dim, dict(enumerate(basis_cls)))
     chain_maps = [gh.chain_map_from_cocycle(rep) for rep in E.class_reps]
     mult_ok = True
     for x in range(E.dim):
@@ -295,11 +293,7 @@ def verify_E_iso(ctx: SiltingContext) -> VerificationReport:
             if coords is None:
                 mult_ok = False
                 break
-            got = span.solve_left_rows(sq.reduce(coords))
-            want = [f.zero] * E.dim
-            for t, c in E.basis_product(x, y):
-                want[t] = c
-            if got is None or tuple(got) != tuple(want):
+            if span.solve_left_rows(sq.reduce(coords)) != dict(E.basis_product(x, y)):
                 mult_ok = False
     checks.append(CheckRecord("products agree with chain-map composition", mult_ok, {}))
 
@@ -366,14 +360,14 @@ def verify_fully_faithful(ctx: SiltingContext, X: Complex, Xp: Complex, degrees,
         shq = sh.subquotient(n)
         rows = []
         expressible = True
-        for rep in sq.reps:
+        for rep in sq.rep_entries:
             vals = _postcomposed_augmentations(P, MX, MXp, n,
                                                gh.component_maps(n, rep))
             if vals is None:
                 expressible = False
                 break
             rows.append(shq.reduce(sh.assemble(n, vals)))
-        rank = Matrix(f, len(rows), shq.dim, rows).rank() if rows else 0
+        rank = Matrix.from_row_entries(f, shq.dim, rows).rank() if rows else 0
         table[n] = [lhs, rhs, rank]
         if not (expressible and lhs == rhs == rank):
             ok = False
@@ -403,14 +397,14 @@ def verify_delta(ctx: SiltingContext, window,
     sq0 = sh.subquotient(0)
 
     def mult_values(avec):
-        return {k: ctx.U.term(g).action_of(avec).apply_row(Q.gen_augs[k])
+        return {k: ctx.U.term(g).action_of(avec).apply_entries(Q.gen_augs[k])
                 for k, g in enumerate(Q.gens)}
 
     rows = []
     for a in range(A.dim):
         vals = mult_values(A.basis_vector(a))
         rows.append(sq0.reduce(sh.assemble(0, vals)))
-    span_rank = Matrix(f, len(rows), sq0.dim, rows).rank() if rows else 0
+    span_rank = Matrix.from_row_entries(f, sq0.dim, rows).rank() if rows else 0
     h_table = {n: sh.h_dim(n) for n in range(win.lo, win.hi + 1)}
     iso_ok = span_rank == A.dim and h_table.get(0, 0) == A.dim
     vanish_ok = all(d == 0 for n, d in h_table.items() if n != 0)
@@ -489,13 +483,13 @@ def verify_corollary_roundtrip(ctx: SiltingContext, X: Module, i: int, window,
                               {"h_table": M.h_table()}))
     C = ctx.C
     sq0 = M.subquotient(0)
-    h = len(sq0.reps)
+    h = sq0.dim
     action = {}
     if h and C.dim(0):
-        basis = [C.basis_vector(0, j) for j in range(C.dim(0))]
-        # each representative times each basis element, as nonzero class coordinates
-        action[(0, 0)] = [[{k: c for k, c in enumerate(sq0.reduce(M.act(0, x, 0, b))) if c}
-                           for b in basis] for x in sq0.reps]
+        # row x: the class of the x-th representative times each basis element
+        one = C.field.one
+        action[(0, 0)] = [[sq0.reduce(M.act(0, x, 0, {b: one})) for b in range(C.dim(0))]
+                          for x in sq0.rep_entries]
     Y = DgModule(C, "right", {0: h}, action, {})
     # Y is new on every call, so no later check could reuse its tensor and
     # the context does not keep it
@@ -561,11 +555,11 @@ def naturality_probe(ctx: SiltingContext, X: Complex, Xp: Complex, window,
     win = _window(window)
     gh = ctx.hom(X, Xp)
     sq = gh.subquotient(0)
-    if not sq.reps:
+    if not sq.dim:
         return VerificationReport("naturality", "probe pair",
                                   [CheckRecord("no nonzero map to test", True, {})],
                                   {"vacuous": True})
-    grep = sq.reps[0]
+    grep = sq.rep_entries[0]
     g = gh.chain_map_from_cocycle(grep)
 
     MX = ctx.hom_module(X)
@@ -623,12 +617,12 @@ def _tensor_of_lift(TX: Complex, TXp: Complex, P: SemifreeModule,
         rows = []
         for (k, j, cell) in blocks:
             g = P.gens[k]
-            comps = Pp.components(g, zip(Pp.layout(g), lam[k]))
-            rows.extend(block_row(f, offsets, pdim,
-                                  [(k2, f.one, Uc.act(g - Pp.gens[k2], delta, j, u))
-                                   for k2, delta in comps.items() if k2 in offsets])
+            layout = Pp.layout(g)
+            comps = Pp.components(g, ((layout[p], c) for p, c in lam[k].items()))
+            rows.extend(block_row(f, offsets, [(k2, f.one, Uc.act(g - Pp.gens[k2], delta, j, u))
+                                               for k2, delta in comps.items() if k2 in offsets])
                         for u in cell.rows)
-        mats[n] = Matrix(f, tdim, pdim, rows)
+        mats[n] = Matrix.from_row_entries(f, pdim, rows)
     return ChainMap(TX, TXp, mats)
 
 

@@ -1,7 +1,10 @@
 """Module-level oracles independent of the dg machinery, a dense linear
 algebra reference independent of the sparse Matrix storage, the incremental
-dense row space and the greedy dense subquotient built on it, and reference routes for the coresolution loop, its long exact
-sequences and the H^0 algebra.
+dense row space and the greedy dense subquotient built on it, reference
+routes for the coresolution loop, its long exact sequences and the H^0
+algebra, and composite-matrix routes for the hom-complex differential, the
+composition tables and the postcomposition action, with a dense route for the
+action on a semifree module.
 
 The module oracles are computed with hom_space and dimension vectors only, so
 the numbers frozen into the verifier tests do not come from the code under
@@ -299,7 +302,12 @@ def sparse_products(table):
     """A structure table given as dense product rows, table[i][j], in the form
     DgAlgebra and DgModule store: each product as the {column: entry} dict of
     its nonzero entries."""
-    return [[{k: x for k, x in enumerate(p) if x} for p in row] for row in table]
+    return [[nonzero_entries(p) for p in row] for row in table]
+
+
+def nonzero_entries(row) -> dict:
+    """A dense row as its nonzero entries {index: entry}."""
+    return {k: x for k, x in enumerate(row) if x}
 
 
 def _dot(f, u, v):
@@ -399,7 +407,8 @@ def hom_les_dims_ok(f, C, U) -> bool:
             if coords is None:
                 raise AssertionError("precomposition escaped the hom basis")
             rows.append(sqX.reduce(coords))
-        r = Matrix(fld, len(sqY.reps), len(sqX.reps), rows).rank()
+        r = Matrix.from_entries(fld, len(rows), sqX.dim,
+                                {i: c for i, c in enumerate(rows) if c}).rank()
         return r, len(rows) - r
 
     data = {n: rho_rank_and_ker(n) for n in range(lo, hi + 1)}
@@ -425,14 +434,19 @@ def reference_h0_algebra(B) -> Algebra:
     f = B.field
     sq = B.subquotient(0)
     h = len(sq.reps)
-    unit_cls = tuple(sq.reduce(B.unit))
+
+    def dense(v):
+        return tuple(v.get(k, f.zero) for k in range(B.dim(0)))
+
+    unit_cls = tuple(sq.reduce(dense(B.unit)))
 
     def mult_classes(u_cls, v_cls):
-        return tuple(sq.reduce(B.product(0, sq.lift(u_cls), 0, sq.lift(v_cls))))
+        u, v = (nonzero_entries(sq.lift(c)) for c in (u_cls, v_cls))
+        return tuple(sq.reduce(dense(B.product(0, u, 0, v))))
 
     idem_cls, kept = [], []
     for pos, v in enumerate(B.idempotents):
-        cls = tuple(sq.reduce(v))
+        cls = tuple(sq.reduce(dense(v)))
         if any(c != f.zero for c in cls):
             idem_cls.append(cls)
             kept.append(pos)
@@ -467,3 +481,102 @@ def reference_h0_algebra(B) -> Algebra:
     alg.class_reps = [tuple(sq.lift(cls)) for cls in basis_cls]
     alg.kept_idempotents = kept
     return alg
+
+
+# -- composite-matrix routes ---------------------------------------------------
+# Each composite is built as a whole matrix and read back through
+# GradedHom.coords_of, which checks every row of it: the route the generator
+# images replace.
+
+
+def reference_hom_diff(gh, n):
+    """The differential of gh in degree n: h d_Y - (-1)^n d_X h for each
+    basis map h, read back through coords_of."""
+    f = gh.field
+    sign = f.one if n % 2 == 0 else f.neg(f.one)
+    rows = {}
+    for r, (i, h) in enumerate(gh.basis.get(n, ())):
+        dx_h = (gh.X.diff(i - 1) @ h).scale(f.neg(sign))
+        coords = gh.coords_of(n + 1, {i: h @ gh.Y.diff(n + i), i - 1: dx_h})
+        if coords is None:
+            raise AssertionError("component map escaped its hom-space span")
+        if coords:
+            rows[r] = coords
+    return Matrix.from_entries(f, gh.dim(n), gh.dim(n + 1), rows)
+
+
+def reference_composition_tables(gh, maps):
+    """dg._composition_tables with every composite b then x built as a
+    matrix and read back through coords_of."""
+    tables = {}
+    for m in gh.degrees():
+        for n, elems in maps.items():
+            if not gh.dim(m) or not elems or not gh.dim(m + n):
+                continue
+            table = []
+            for sx, hx in gh.basis[m]:
+                row = []
+                for b in elems:
+                    mb = b.get(sx - n)
+                    coords = {} if mb is None else gh.coords_of(m + n, {sx - n: mb @ hx})
+                    if coords is None:
+                        raise AssertionError("composite escaped the hom basis")
+                    row.append(coords)
+                table.append(row)
+            tables[(m, n)] = table
+    return tables
+
+
+def reference_hom_class_action(X, U, B, E):
+    """silting._hom_class_action with each postcomposite built as a matrix
+    and read back through coords_of: the matrices of the E-classes acting on
+    the homotopy classes of chain maps X -> U."""
+    gh = hom_complex(X, U)
+    sq = gh.subquotient(0)
+    f = E.field
+    rep_comps = [gh.component_maps(0, rep) for rep in sq.reps]
+    mats = []
+    for ecls in E.class_reps:
+        ec = B.gh.component_maps(0, ecls)
+        rows = []
+        for mc in rep_comps:
+            comp = {i: mm @ ec[i] for i, mm in mc.items() if i in ec}
+            coords = gh.coords_of(0, comp)
+            if coords is None:
+                raise AssertionError("postcomposition escaped the hom basis")
+            rows.append(tuple(sq.reduce(dense_row(f, coords, gh.dim(0)))))
+        mats.append(Matrix(f, sq.dim, sq.dim, rows))
+    return mats
+
+
+def reference_semifree_act(P, n, vec, cdeg, cvec):
+    """SemifreeModule.act over dense rows: each component expanded over its
+    cell's echelon rows, multiplied in the base one table entry at a time,
+    and read back at the pivots of the target cell; the result as nonzero
+    entries."""
+    C = P.algebra
+    f = C.field
+    comps = {}
+    for p, ((k, b), c) in enumerate(zip(P.layout(n), dense_row(f, vec, P.dim(n)))):
+        d = n - P.gens[k]
+        row = dense_row(f, C.cell(P.cells[k], d).rows[b], C.dim(d))
+        acc = comps.get(k, [f.zero] * C.dim(d))
+        comps[k] = [f.add(a, f.mul(c, x)) for a, x in zip(acc, row)]
+    out = []
+    for k, cell in P.blocks(n + cdeg):
+        d = n - P.gens[k]
+        w = [f.zero] * C.dim(d + cdeg)
+        table = C.mult.get((d, cdeg))
+        if k in comps and table is not None:
+            u, v = comps[k], dense_row(f, cvec, C.dim(cdeg))
+            for i, a in enumerate(u):
+                for j, x in enumerate(v):
+                    for t, y in table[i][j].items():
+                        w[t] = f.add(w[t], f.mul(f.mul(a, x), y))
+        out.extend(w[p] for p in cell.pivots)
+    return nonzero_entries(out)
+
+
+def dense_row(f, v: dict, width: int) -> tuple:
+    """The row of the given width with the nonzero entries v."""
+    return tuple(v.get(k, f.zero) for k in range(width))

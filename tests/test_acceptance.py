@@ -41,12 +41,12 @@ PAIR_DEGREES = list(range(-2, 3))
 # -- 1: structural invariants ------------------------------------------------
 
 
-def _tuple_add(f, u, v):
-    return tuple(f.add(a, b) for a, b in zip(u, v))
-
-
-def _tuple_scale(f, c, u):
-    return tuple(f.mul(c, a) for a in u)
+def _sparse_add(f, u, v):
+    """u + v for elements given as their nonzero entries."""
+    out = dict(u)
+    for k, x in v.items():
+        out[k] = f.add(out.get(k, f.zero), x)
+    return {k: x for k, x in out.items() if x != f.zero}
 
 
 def _invariant_suite(X):
@@ -66,16 +66,15 @@ def _invariant_suite(X):
     B = dg_end(X)
     items = [(n, i) for n in B.degrees() for i in range(B.dim(n))]
     for m, i in items[:8]:
-        a = B.basis_vector(m, i)
+        a = {i: f.one}
         sign = f.one if m % 2 == 0 else f.neg(f.one)
         for n, j in items[:8]:
-            b = B.basis_vector(n, j)
+            b = {j: f.one}
             lhs = B.apply_diff(m + n, B.product(m, a, n, b))
-            rhs = _tuple_add(f, B.product(m + 1, B.apply_diff(m, a), n, b),
-                             _tuple_scale(f, sign,
-                                          B.product(m, a, n + 1,
-                                                    B.apply_diff(n, b))))
-            assert tuple(lhs) == rhs
+            x_db = B.product(m, a, n + 1, B.apply_diff(n, b))
+            rhs = _sparse_add(f, B.product(m + 1, B.apply_diff(m, a), n, b),
+                              {k: f.mul(sign, x) for k, x in x_db.items()})
+            assert lhs == rhs
 
 
 def _cone_identity(fm: ChainMap):

@@ -120,6 +120,18 @@ def test_algebra_validation_catches_bad_unit():
         Algebra(Q, ["e"], {(0, 0): ((0, Q.coerce(2)),)}, (Q.one,), (0,))
 
 
+def test_algebra_validation_catches_non_associative_table():
+    # basis e, x, y with e the unit and x*x = y: k[x]/(x^3) is associative;
+    # adding y*x = y breaks (x*x)*x = y*x = y against x*(x*x) = x*y = 0
+    one = ((0, Q.one),)
+    mult = {(0, 0): one, (0, 1): ((1, Q.one),), (1, 0): ((1, Q.one),),
+            (0, 2): ((2, Q.one),), (2, 0): ((2, Q.one),), (1, 1): ((2, Q.one),)}
+    Algebra(Q, ["e", "x", "y"], mult, (Q.one, Q.zero, Q.zero), (0,))
+    with pytest.raises(AssertionError, match="associativity fails on"):
+        Algebra(Q, ["e", "x", "y"], {**mult, (2, 1): ((2, Q.one),)},
+                (Q.one, Q.zero, Q.zero), (0,))
+
+
 # -- modules and hom spaces ------------------------------------------------
 
 
@@ -153,8 +165,8 @@ def test_hom_composition_and_coordinates():
     coords = gh.coords_of(0, {0: comp})
     assert coords is not None
     recon = Matrix.zero(Q, P2.dim, P1.dim)
-    for c, (_, b) in zip(coords, gh.basis[0]):
-        recon = recon + b.scale(c)
+    for t, c in coords.items():
+        recon = recon + gh.basis[0][t][1].scale(c)
     assert recon == comp
 
 

@@ -201,6 +201,22 @@ def test_projective_witness_is_checked_against_the_action(A2):
     Complex(A2, dict(free.terms), {}, proj_types={0: (0, 1)})
 
 
+def test_hom_complex_checks_each_differential_it_reads(A2):
+    # a complex built without validation, as shifts and direct sums are,
+    # whose differential sends e_1 to the arrow a: not a module map, since
+    # the image of e_1 must lie in P1.e_1; the hom complex refuses it on
+    # either side
+    P1 = projective_cache(A2, 0)
+    bad = Complex(A2, {-1: P1, 0: P1}, {-1: Matrix(F101, 2, 2, [[0, 1], [0, 0]])},
+                  {-1: (0,), 0: (0,)}, validate=False)
+    good = projective_complex(A2, {0: [0]})
+    for X, Y in ((bad, good), (good, bad)):
+        gh = hom_complex(X, Y)
+        with pytest.raises(AssertionError, match="does not commute"):
+            for n in gh.degrees():
+                gh.diff(n)
+
+
 _YONEDA_QUIVERS = {
     "A2": (["1", "2"], [("a", "1", "2")], []),
     "A3": (["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3")], []),
@@ -258,7 +274,7 @@ def test_yoneda_basis_matches_hom_space(name, seed):
     for _ in range(3):
         coords = tuple(f.coerce(rng.randrange(101)) for _ in basis)
         comps = gh.component_maps(0, coords)
-        assert gh.coords_of(0, comps) == coords
+        assert gh.coords_of(0, comps) == {t: c for t, c in enumerate(coords) if c}
     # a module map with one entry moved is a module map only by accident
     for _ in range(3):
         comps = gh.component_maps(0, [f.coerce(rng.randrange(101)) for _ in basis])

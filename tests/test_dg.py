@@ -17,9 +17,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import reference_h0_algebra, sparse_products
+from oracles import (nonzero_entries, reference_composition_tables, reference_h0_algebra,
+                     reference_hom_class_action, reference_hom_diff, sparse_products)
+from siltcheck import silting
 from siltcheck.algebra import Quiver, path_algebra, simple_module
 from siltcheck.complexes import (
+    GradedHom,
     cone,
     direct_sum_complexes,
     hom_complex,
@@ -30,6 +33,7 @@ from siltcheck.complexes import (
 from siltcheck.dg import (
     DgAlgebra,
     DgModule,
+    _composition_tables,
     _flat,
     _Graded,
     _per_block,
@@ -37,6 +41,7 @@ from siltcheck.dg import (
     _stacked,
     dg_end,
     dg_hom_module,
+    end_h0,
     evaluation_left_module,
     h0_algebra,
     opposite_dg,
@@ -46,6 +51,7 @@ from siltcheck.dg import (
 )
 from siltcheck.fields import PrimeField, RationalField
 from siltcheck.linalg import Matrix
+from siltcheck.semifree import SemifreeHom, semifree_resolve
 
 F101 = PrimeField(101)
 
@@ -176,12 +182,13 @@ def test_truncation_inclusion_is_a_dg_map(simple_resolution):
                 continue
             for i in range(C.dim(m)):
                 for j in range(C.dim(n)):
-                    inside = C.product(m, C.basis_vector(m, i), n, C.basis_vector(n, j))
-                    outside = B.product(m, C.embed[m].rows[i], n, C.embed[n].rows[j])
+                    inside = C.product(m, {i: F101.one}, n, {j: F101.one})
+                    outside = B.product(m, C.embed[m].entries.get(i, {}),
+                                        n, C.embed[n].entries.get(j, {}))
                     if C.dim(m + n):
-                        assert C.embed[m + n].apply_row(inside) == tuple(outside)
+                        assert C.embed[m + n].apply_entries(inside) == outside
                     else:
-                        assert all(c == F101.zero for c in outside)
+                        assert not outside
 
 
 # -- opposite and side swap -------------------------------------------------
@@ -203,7 +210,7 @@ def test_opposite_reverses_noncommutative_products(regular_split):
     flipped = False
     for i in range(B.dim(0)):
         for j in range(B.dim(0)):
-            u, v = B.basis_vector(0, i), B.basis_vector(0, j)
+            u, v = {i: F101.one}, {j: F101.one}
             if B.product(0, u, 0, v) != Bop.product(0, u, 0, v):
                 flipped = True
     assert flipped
@@ -224,7 +231,7 @@ def test_evaluation_module_and_side_swap(simple_resolution):
 
 def _embedded(C, X, n, i):
     """The i-th degree-n basis element of X, carried into B when X is C."""
-    return C.embed[n].rows[i] if X is C else X.basis_vector(n, i)
+    return C.embed[n].entries.get(i, {}) if X is C else {i: F101.one}
 
 
 def test_restriction_and_module_truncation(A2, simple_resolution, two_term_silting, wide):
@@ -242,8 +249,7 @@ def test_restriction_and_module_truncation(A2, simple_resolution, two_term_silti
                 for i in range(first.dim(m)):
                     for n in second.degrees():
                         for j in range(second.dim(n)):
-                            assert over_C.act(m, first.basis_vector(m, i),
-                                              n, second.basis_vector(n, j)) == \
+                            assert over_C.act(m, {i: F101.one}, n, {j: F101.one}) == \
                                 over_B.act(m, _embedded(C, first, m, i),
                                            n, _embedded(C, second, n, j))
             if name == "resolution" and over_C.side == "right":
@@ -273,8 +279,9 @@ def test_table_product_is_the_bilinear_sum_of_table_entries(field, data):
         for j in range(c):
             for k in range(w):
                 want[k] = field.add(want[k], field.mul(field.mul(u[i], v[j]), table[i][j][k]))
-    assert table_product(field, sparse_products(table), u, v, w) == tuple(want)
-    assert table_product(field, None, u, v, w) == (field.zero,) * w
+    u, v = nonzero_entries(u), nonzero_entries(v)
+    assert table_product(field, sparse_products(table), u, v) == nonzero_entries(want)
+    assert table_product(field, None, u, v) == {}
 
 
 # -- cohomology-level algebra ----------------------------------------------
@@ -299,8 +306,54 @@ def test_h0_product_table_matches_per_call_products(coresolution_inputs, field_s
         assert got.labels == want.labels, name
         assert got.mult == want.mult, name
         assert got.unit == want.unit, name
-        assert got.class_reps == want.class_reps, name
+        assert got.class_reps == [nonzero_entries(r) for r in want.class_reps], name
         assert got.kept_idempotents == want.kept_idempotents, name
+
+
+# -- composites read off generator images -----------------------------------
+
+
+@pytest.mark.parametrize("field_spec", [{"prime": 2}, {"prime": 101}, "rational"],
+                         ids=["F2", "F101", "Q"])
+def test_generator_images_match_the_composite_matrices(coresolution_inputs, field_spec):
+    # the hom differentials, the composition tables of dg_end and of a hom
+    # module over its truncation, and the postcomposition action of H^0,
+    # against building each composite as a matrix and reading it back
+    # through coords_of
+    for name, U in coresolution_inputs(field_spec).items():
+        A = U.algebra
+        free = projective_complex(A, {0: list(range(len(A.idempotents)))})
+        B = dg_end(U)
+        C = smart_truncate(B)
+        M = dg_hom_module(hom_complex(U, free), C)
+        for gh in (B.gh, M.gh):
+            for n in gh.degrees():
+                assert gh.diff(n) == reference_hom_diff(gh, n), (name, n)
+        assert B.mult == reference_composition_tables(B.gh, B.maps), name
+        assert M.action == reference_composition_tables(M.gh, C.maps), name
+        E = end_h0(B)
+        for X in (free, U):
+            assert (silting._hom_class_action(X, U, B, E)[2]
+                    == reference_hom_class_action(X, U, B, E)), name
+
+
+def test_composites_make_no_coords_of_call(coresolution_inputs, monkeypatch):
+    """The hom differentials, the composition tables and the postcomposition
+    action read every composite off generator images: the row-by-row check
+    of coords_of stays for honest composite matrices only."""
+    def refuse(*args):
+        raise AssertionError("coords_of called")
+
+    built = []
+    for U in coresolution_inputs({"prime": 101}).values():
+        B = dg_end(U)
+        built.append((U, B, end_h0(B), hom_complex(U, U)))
+    monkeypatch.setattr(GradedHom, "coords_of", refuse)
+    for U, B, E, gh in built:
+        for n in gh.degrees():
+            gh.diff(n)
+        _composition_tables(gh, B.maps)
+        silting._hom_class_action(U, U, B, E)
 
 
 # -- the validators against an element-wise reference -----------------------
@@ -317,6 +370,13 @@ class _Tables(_Graded):
     def __init__(self, field, dims, diffs, table):
         super().__init__(field, dims, diffs)
         self.table = table
+
+    def basis_vector(self, n, i):
+        f = self.field
+        return tuple(f.one if k == i else f.zero for k in range(self.dim(n)))
+
+    def dense_diff(self, n, u):
+        return self.diff(n).apply_row(u)
 
     def mul(self, m, u, n, v):
         f = self.field
@@ -346,13 +406,13 @@ def _reference_leibniz(Z, X, Y, message):
     f = Z.field
     for m, i in _items(X):
         u = X.basis_vector(m, i)
-        du = X.apply_diff(m, u)
+        du = X.dense_diff(m, u)
         sign = f.one if m % 2 == 0 else f.neg(f.one)
         for n, j in _items(Y):
             v = Y.basis_vector(n, j)
-            lhs = Z.apply_diff(m + n, Z.mul(m, u, n, v))
+            lhs = Z.dense_diff(m + n, Z.mul(m, u, n, v))
             rhs = tuple(f.add(a, f.mul(sign, b)) for a, b in
-                        zip(Z.mul(m + 1, du, n, v), Z.mul(m, u, n + 1, Y.apply_diff(n, v))))
+                        zip(Z.mul(m + 1, du, n, v), Z.mul(m, u, n + 1, Y.dense_diff(n, v))))
             if lhs != rhs:
                 raise AssertionError(message.format(m, n))
 
@@ -374,13 +434,13 @@ def reference_algebra_check(field, dims, mult, diffs, unit):
     """Raise what DgAlgebra(field, dims, mult, diffs, unit) must raise."""
     f = field
     B = _Tables(f, dims, diffs, mult)
-    unit = tuple(unit)
     for n in B.degrees():
         if not (B.diff(n) @ B.diff(n + 1)).is_zero():
             raise AssertionError(f"dg differential does not square to zero at degree {n}")
-    if len(unit) != B.dim(0):
-        raise AssertionError("unit has wrong length")
-    if any(c != f.zero for c in B.apply_diff(0, unit)):
+    if any(not 0 <= k < B.dim(0) for k in unit):
+        raise AssertionError("unit has an entry outside degree 0")
+    unit = tuple(unit.get(k, f.zero) for k in range(B.dim(0)))
+    if any(c != f.zero for c in B.dense_diff(0, unit)):
         raise AssertionError("unit is not a cocycle")
     for n in B.degrees():
         for i in range(B.dim(n)):
@@ -397,6 +457,7 @@ def reference_module_check(algebra, side, dims, action, diffs):
     """Raise what DgModule(algebra, side, dims, action, diffs) must raise."""
     B = _Tables(algebra.field, algebra.dims, algebra.diffs, algebra.mult)
     M = _Tables(algebra.field, dims, diffs, action)
+    unit = tuple(algebra.unit.get(k, algebra.field.zero) for k in range(B.dim(0)))
     right = side == "right"
     for n in M.degrees():
         if not (M.diff(n) @ M.diff(n + 1)).is_zero():
@@ -404,7 +465,7 @@ def reference_module_check(algebra, side, dims, action, diffs):
     for n in M.degrees():
         for i in range(M.dim(n)):
             x = M.basis_vector(n, i)
-            if (M.mul(n, x, 0, algebra.unit) if right else M.mul(0, algebra.unit, n, x)) != x:
+            if (M.mul(n, x, 0, unit) if right else M.mul(0, unit, n, x)) != x:
                 raise AssertionError(f"unit action fails in degree {n}")
     first, second = (M, B) if right else (B, M)
     _reference_leibniz(M, first, second, "module Leibniz fails on degrees ({}, {})")
@@ -486,10 +547,10 @@ def _corrupt(rng, X):
         rows[r][s] = f.add(rows[r][s], c)
         args[d_pos] = {**args[d_pos], n: Matrix(f, len(rows), len(rows[0]), rows)}
     else:
-        unit = list(args[4])
-        l = rng.randrange(len(unit))
-        unit[l] = f.add(unit[l], c)
-        args[4] = tuple(unit)
+        unit = dict(args[4])
+        l = rng.randrange(X.dim(0))
+        unit[l] = f.add(unit.get(l, f.zero), c)
+        args[4] = {k: x for k, x in unit.items() if x}
     return args, what
 
 
@@ -543,6 +604,34 @@ def test_validators_take_no_dense_detour(built_objects, monkeypatch):
     monkeypatch.setattr(Matrix, "rows", property(dense))
     for X in built_objects.values():
         X.validate()
+
+
+def test_dg_end_and_resolutions_take_no_dense_detour(A2, simple_resolution, two_term_silting,
+                                                     wide, monkeypatch):
+    """dg_end, semifree_resolve and the differential of the hom out of a
+    resolution pass elements as sparse entries: they build no Matrix from
+    dense rows and read no dense row view."""
+    cases = []
+    for name, U in (("resolution", simple_resolution), ("silting", two_term_silting),
+                    ("wide", wide)):
+        C = smart_truncate(dg_end(U))
+        cases.append((U, dg_hom_module(hom_complex(U, _hom_target(A2, name, U)), C)))
+
+    def dense(*args):
+        raise RuntimeError("dense Matrix detour")
+
+    monkeypatch.setattr(Matrix, "__init__", dense)
+    monkeypatch.setattr(Matrix, "rows", property(dense))
+    generators = 0
+    for U, M in cases:
+        dg_end(U)
+        P = semifree_resolve(M, -4)
+        sh = SemifreeHom(P, M)
+        sh.h_table()
+        for m in sh.degrees():
+            sh.diff(m)
+        generators += len(P.gens)
+    assert generators
 
 
 # -- the sparse reshapes against the dense slicing they replace --------------
@@ -647,7 +736,7 @@ Y_SQUARED = {(0, 1, 0, 1): (0, 1)}
 
 def _algebra(dims, products, diffs=None, unit=None):
     return (F101, dims, _products(dims, dims, dims, products), diffs or {},
-            unit or (1,) + (0,) * (dims[0] - 1))
+            unit or {0: 1})
 
 
 def _module(over, side, dims, products, diffs=None):
@@ -662,7 +751,7 @@ A = _algebra(A_DIMS, A_PRODUCTS)
 BROKEN = {
     "algebra d^2": (_algebra(CHAIN_DIMS, {}, CHAIN_DIFF),
                     "dg differential does not square to zero at degree -1"),
-    "algebra unit": (_algebra(K_DIMS, K_PRODUCTS, unit=(2,)),
+    "algebra unit": (_algebra(K_DIMS, K_PRODUCTS, unit={0: 2}),
                      "left unit fails in degree 0"),
     "algebra Leibniz": (_algebra(D_DIMS, _unital(D_DIMS, Y_SQUARED), D_DIFF),
                         "graded Leibniz fails on degrees (-1, 0)"),

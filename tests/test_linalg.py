@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from oracles import (ReferenceRowSpace, ReferenceSubquotient, dense_add, dense_apply_row, dense_block_diag,
                      dense_kernel, dense_matmul, dense_rref, dense_scale, dense_solve,
-                     dense_sub, dense_transpose)
+                     dense_sub, dense_transpose, nonzero_entries)
 from siltcheck.fields import PrimeField, RationalField, field_from_json
 from siltcheck.linalg import (Cochains, Matrix, RowSpace, Subquotient, quotient_map,
                               subquotient_from_maps)
@@ -136,11 +136,12 @@ def test_rref_idempotent_and_solve_roundtrip(M, seed):
 
 
 def test_rowspace_and_subquotient():
-    rs = RowSpace(F101, 3, [[1, 2, 3], [2, 4, 6], [0, 0, 7]])
+    rs = RowSpace(Matrix.from_rows(F101, [[1, 2, 3], [2, 4, 6], [0, 0, 7]]))
     assert rs.dim == 2 and rs.pivots == (0, 2)
-    assert rs.rows == ((1, 2, 0), (0, 0, 1))
-    assert rs.coords([1, 2, 10]) == (1, 10)
-    assert RowSpace(F101, 3, []).dim == 0
+    assert rs.rows == [{0: 1, 1: 2}, {2: 1}]
+    assert rs.coords({0: 1, 1: 2, 2: 10}) == {0: 1, 1: 10}
+    assert rs.coords({2: 5}) == {1: 5}
+    assert RowSpace(Matrix.zero(F101, 0, 3)).dim == 0
 
 
 def test_rowspace_residue_exact_with_out_of_order_pivots():
@@ -153,7 +154,8 @@ def test_rowspace_residue_exact_with_out_of_order_pivots():
     r = rs.residue([1, 2, 1])
     assert tuple(r) == (0, 0, 0)
     assert rs.contains([1, 2, 1])
-    assert RowSpace(Q, 3, [[0, 1, 1], [1, 1, 0]]).rows == ((1, 0, -1), (0, 1, 1))
+    assert RowSpace(Matrix.from_rows(Q, [[0, 1, 1], [1, 1, 0]])).rows == [{0: 1, 2: -1},
+                                                                        {1: 1, 2: 1}]
     rows = [[0, 0, 1, 5], [0, 1, 2, 0], [1, 3, 0, 0]]
     rs2 = ReferenceRowSpace(Q, 4)
     for row in rows:
@@ -161,9 +163,9 @@ def test_rowspace_residue_exact_with_out_of_order_pivots():
     for v in ([1, 3, 1, 5], [1, 4, 2, 0], [1, 4, 3, 5]):
         assert tuple(rs2.residue(v)) == (0, 0, 0, 0)
     assert tuple(rs2.residue([0, 0, 0, 1])) == (0, 0, 0, 1)
-    one_shot = RowSpace(Q, 4, rows)
-    assert one_shot.rows == tuple(map(tuple, rs2.rows))
-    assert one_shot.coords([1, 4, 3, 5]) == (1, 4, 3)
+    one_shot = RowSpace(Matrix.from_rows(Q, rows))
+    assert one_shot.rows == [nonzero_entries(r) for r in rs2.rows]
+    assert one_shot.coords({0: 1, 1: 4, 2: 3, 3: 5}) == {0: 1, 1: 4, 2: 3}
 
     # ambient F^3, cycles = {x3 = 0}, boundaries = span{(1,0,0)}
     sq = subquotient_from_maps(
@@ -394,19 +396,19 @@ def test_one_rref_spans_match_the_incremental_dense_span(field, data):
     want = ReferenceRowSpace(field, width)
     for row in A.rows:
         want.add(row)
-    got = RowSpace(field, width, A.rows)
-    assert got.rows == tuple(map(tuple, want.rows))
+    got = RowSpace(A)
+    assert got.rows == [nonzero_entries(r) for r in want.rows]
     assert got.pivots == tuple(want.pivots) and got.dim == want.dim
     free, proj = quotient_map(field, width, [A.entries.get(i, {}) for i in range(r)])
     assert free == tuple(j for j in range(width) if j not in want.pivots)
     assert (proj.nrows, proj.ncols) == (width, len(free))
     for v in (_sparse(data, field, 1, r) @ A).rows + _sparse(data, field, 2, width).rows:
-        assert got.coords(v) == want.coords(v)
+        assert got.coords(nonzero_entries(v)) == nonzero_entries(want.coords(v))
         residue = want.residue(v)
         assert proj.apply_row(v) == tuple(residue[j] for j in free)
         if want.contains(v):
-            assert Matrix(field, 1, got.dim, [got.coords(v)]) @ Matrix(
-                field, got.dim, width, got.rows) == Matrix(field, 1, width, [v])
+            span = Matrix.from_entries(field, got.dim, width, dict(enumerate(got.rows)))
+            assert span.apply_entries(got.coords(nonzero_entries(v))) == nonzero_entries(v)
 
 
 @pytest.mark.parametrize("field", SPARSE_FIELDS, ids=repr)

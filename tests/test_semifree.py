@@ -11,7 +11,7 @@ from collections import Counter
 
 import pytest
 
-from oracles import sparse_products
+from oracles import reference_semifree_act
 from siltcheck.algebra import Quiver, path_algebra, simple_module
 from siltcheck.complexes import (
     direct_sum_complexes,
@@ -19,7 +19,8 @@ from siltcheck.complexes import (
     module_complex,
     projective_complex,
 )
-from siltcheck.dg import DgModule, dg_end, dg_hom_module, evaluation_left_module
+from siltcheck.dg import (DgAlgebra, DgModule, _Graded, dg_end, dg_hom_module,
+                          evaluation_left_module, smart_truncate)
 from siltcheck.fields import PrimeField
 from siltcheck.instances import load_instance
 from siltcheck.linalg import Matrix
@@ -80,12 +81,8 @@ def as_dg_module(P):
         for n in C.degrees():
             if not dims.get(m) or not C.dim(n) or not dims.get(m + n):
                 continue
-            table = []
-            for t in range(dims[m]):
-                x = tuple(f.one if s == t else f.zero for s in range(dims[m]))
-                table.append([P.act(m, x, n, C.basis_vector(n, j))
-                              for j in range(C.dim(n))])
-            action[(m, n)] = sparse_products(table)
+            action[(m, n)] = [[P.act(m, {t: f.one}, n, {j: f.one}) for j in range(C.dim(n))]
+                              for t in range(dims[m])]
     diffs = {n: P.diff_matrix(n) for n in resolution_support(P)}
     return DgModule(C, "right", dims, action, diffs)
 
@@ -342,3 +339,59 @@ def test_resolutions_are_minimal():
     wide = _resolution_sizes(U, 3)
     assert wide == narrow
     assert max(wide) == 3
+
+
+@pytest.mark.parametrize("field_spec", [{"prime": 2}, {"prime": 101}, "rational"],
+                         ids=["F2", "F101", "Q"])
+def test_sparse_action_matches_the_dense_route(coresolution_inputs, field_spec):
+    # every basis element of a resolution times every basis element of the
+    # base, against expanding the components over dense cell rows
+    checked = 0
+    for name, U in coresolution_inputs(field_spec).items():
+        A = U.algebra
+        one = A.field.one
+        C = smart_truncate(dg_end(U))
+        free = projective_complex(A, {0: list(range(len(A.idempotents)))})
+        P = semifree_resolve(dg_hom_module(hom_complex(U, free), C), -3)
+        for n in resolution_support(P):
+            for cdeg in C.degrees():
+                for x in range(P.dim(n)):
+                    for c in range(C.dim(cdeg)):
+                        assert P.act(n, {x: one}, cdeg, {c: one}) == \
+                            reference_semifree_act(P, n, {x: one}, cdeg, {c: one}), name
+                        checked += 1
+    assert checked
+
+
+def test_hom_out_of_a_deep_resolution_reads_each_cell_a_bounded_number_of_times(monkeypatch):
+    # the simple of the dual numbers over the algebra itself has one
+    # generator per degree; Hom out of its resolution reads each degree's
+    # slice of the generators once, so four times the depth costs about four
+    # times the cell reads
+    inst = load_instance(INSTANCES / "fix_dual.json")
+    A, S = inst.algebra, inst.modules["k"]
+    f = A.field
+    right = [A.right_mult_matrix(j).entries for j in range(A.dim)]
+    base = DgAlgebra(f, {0: A.dim}, {(0, 0): [[r.get(i, {}) for r in right]
+                                              for i in range(A.dim)]}, {},
+                     {e: f.one for e in A.idempotents},
+                     idempotents=[{e: f.one} for e in A.idempotents])
+    M = DgModule(base, "right", {0: S.dim},
+                 {(0, 0): [[a.entries.get(i, {}) for a in S.action] for i in range(S.dim)]}, {})
+    cell = _Graded.cell
+    calls = Counter()
+
+    def counting(self, i, n):
+        calls["cell"] += 1
+        return cell(self, i, n)
+
+    monkeypatch.setattr(_Graded, "cell", counting)
+    reads = {}
+    for cutoff in (-100, -400):
+        P = semifree_resolve(M, cutoff)
+        assert len(P.gens) == 1 - cutoff
+        calls.clear()
+        # Ext^m(k, k) = k in every degree the resolution reaches
+        assert SemifreeHom(P, M).h_table() == {m: 1 for m in range(1 - cutoff)}
+        reads[cutoff] = calls["cell"]
+    assert reads[-400] <= 5 * reads[-100]
