@@ -221,9 +221,9 @@ class Algebra:
         idx = range(0, self.dim, step)
         for j in idx:
             for k in idx:
-                rhs = Matrix.zero(f, self.dim, self.dim)
-                for t, c in self.basis_product(j, k):
-                    rhs = rhs + self.right_mult_matrix(t).scale(c)
+                rhs = Matrix.combination(f, self.dim, self.dim,
+                                         ((c, self.right_mult_matrix(t))
+                                          for t, c in self.basis_product(j, k)))
                 if self.right_mult_matrix(j) @ self.right_mult_matrix(k) != rhs:
                     raise AssertionError(
                         f"associativity fails on ({self.labels[j]}, {self.labels[k]})")
@@ -420,12 +420,8 @@ class Module:
         """The action of an algebra element; a basis element's is its own
         action matrix, not a copy."""
         f = self.algebra.field
-        out = None
-        for i, c in enumerate(vec):
-            if c != f.zero:
-                term = self.action[i] if c == f.one else self.action[i].scale(c)
-                out = term if out is None else out + term
-        return out if out is not None else Matrix.zero(f, self.dim, self.dim)
+        return Matrix.combination(f, self.dim, self.dim,
+                                  ((c, self.action[i]) for i, c in enumerate(vec) if c != f.zero))
 
     def validate(self):
         A = self.algebra
@@ -437,11 +433,9 @@ class Module:
         f = A.field
         for i in idx:
             for j in idx:
-                lhs = self.action[i] @ self.action[j]
-                rhs = Matrix.zero(f, self.dim, self.dim)
-                for k, c in A.basis_product(i, j):
-                    rhs = rhs + self.action[k].scale(c)
-                if lhs != rhs:
+                rhs = Matrix.combination(f, self.dim, self.dim,
+                                         ((c, self.action[k]) for k, c in A.basis_product(i, j)))
+                if self.action[i] @ self.action[j] != rhs:
                     raise AssertionError(
                         f"action incompatible with multiplication on ({A.labels[i]}, {A.labels[j]})"
                     )
@@ -583,13 +577,13 @@ def projective_module(A: Algebra, idem_pos: int) -> Module:
     span = Matrix.from_entries(f, len(rows), A.dim, dict(enumerate(rows)))
     action = []
     for j in range(A.dim):
-        mats = []
-        for v in (span @ A.right_mult_matrix(j)).rows:
+        mats = {}
+        for r, v in (span @ A.right_mult_matrix(j)).entries.items():
             sol = span.solve_left_rows(v)
             if sol is None:
                 raise AssertionError("projective weight space not closed under the action")
-            mats.append(sol)
-        action.append(Matrix(f, len(rows), len(rows), mats))
+            mats[r] = sol
+        action.append(Matrix.from_entries(f, len(rows), len(rows), mats))
     P = Module(A, len(rows), action, validate=False)
     P.ambient_rows = span.rows
     gen = span.solve_left_rows({e: f.one})

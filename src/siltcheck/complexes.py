@@ -140,8 +140,9 @@ class Complex(Cochains):
         """H^n as a module with its induced action; carries .sq for reduce/lift."""
         if n not in self._cohom:
             sq = self.subquotient(n)
-            action = [Matrix(self.field, sq.dim, sq.dim,
-                             [sq.reduce(a.apply_row(rep)) for rep in sq.reps])
+            action = [Matrix.from_row_entries(self.field, sq.dim,
+                                              [sq.reduce(a.apply_entries(rep))
+                                               for rep in sq.rep_entries])
                       for a in self.term(n).action]
             H = self._cohom[n] = Module(self.algebra, sq.dim, action, validate=False)
             H.sq = sq
@@ -274,8 +275,8 @@ class ChainMap:
         """Matrix of H^n(source) -> H^n(target) on cohomology class coordinates."""
         S, T = self.source.subquotient(n), self.target.subquotient(n)
         m = self.mat(n)
-        rows = [T.reduce(m.apply_row(rep)) for rep in S.reps]
-        return Matrix(self.source.field, S.dim, T.dim, rows)
+        rows = [T.reduce(m.apply_entries(rep)) for rep in S.rep_entries]
+        return Matrix.from_row_entries(self.source.field, T.dim, rows)
 
 
 def identity_chain_map(X: Complex) -> ChainMap:
@@ -320,13 +321,11 @@ def is_acyclic(X: Complex) -> bool:
 def read_image(out: dict, homs, pos: int, w: dict, negate: bool = False):
     """Write into out, from position pos on, the coordinates in the basis of
     homs = Hom(e_v A, N) of the map whose generator image is w (nonzero
-    entries), negated when asked: the entries of w at the pivots of the
-    echelon basis of N.e_v."""
+    entries), negated when asked: the coordinates of w in the echelon basis
+    of N.e_v."""
     neg = homs.space.field.neg
-    for t, p in enumerate(homs.space.pivots):
-        x = w.get(p)
-        if x is not None:
-            out[pos + t] = neg(x) if negate else x
+    for t, x in homs.space.coords(w).items():
+        out[pos + t] = neg(x) if negate else x
 
 
 class GradedHom(Cochains):
@@ -387,16 +386,11 @@ class GradedHom(Cochains):
     def images(self, n: int, coords: dict) -> list:
         """The generator image on each cell of cells[n] of the degree-n
         element with the given nonzero coordinates, as nonzero entries."""
-        reduce = self.field.reduce_entries
         out = []
         for _, _, homs, pos in self.cells.get(n, ()):
-            acc: dict = {}
-            for b, y in enumerate(homs.space.rows):
-                c = coords.get(pos + b)
-                if c:
-                    for k, x in y.items():
-                        acc[k] = acc.get(k, 0) + c * x
-            out.append(reduce(acc))
+            space = homs.space
+            out.append(space.matrix.apply_entries(
+                {b: c for b in range(space.dim) if (c := coords.get(pos + b))}))
         return out
 
     def generator_images(self, i: int, mat: Matrix) -> list:
@@ -456,26 +450,16 @@ class GradedHom(Cochains):
         self._diffs[n] = d
         return d
 
-    def component_maps(self, n: int, coords: Sequence | dict) -> dict:
-        """Expand coordinates in degree n, a row or its nonzero entries,
-        into per-source-degree matrices."""
+    def component_maps(self, n: int, coords: dict) -> dict:
+        """Expand the nonzero coordinates of a degree-n element into
+        per-source-degree matrices."""
         basis = self.basis.get(n, ())
-        sums: dict = {}
-        for t, c in coords.items() if isinstance(coords, dict) else enumerate(coords):
-            if not c:
-                continue
+        terms: dict = {}
+        for t, c in coords.items():
             i, h = basis[t]
-            acc = sums.setdefault(i, {})
-            for r, nz in h.entries.items():
-                row = acc.setdefault(r, {})
-                for j, x in nz.items():
-                    row[j] = row.get(j, 0) + c * x
-        f = self.field
-        out = {}
-        for i, acc in sums.items():
-            reduced = {r: red for r, row in acc.items() if (red := f.reduce_entries(row))}
-            out[i] = Matrix.from_entries(f, self.X.term(i).dim, self.Y.term(n + i).dim, reduced)
-        return out
+            terms.setdefault(i, []).append((c, h))
+        return {i: Matrix.combination(self.field, self.X.term(i).dim, self.Y.term(n + i).dim, ts)
+                for i, ts in terms.items()}
 
     def coords_of(self, n: int, comps: dict) -> dict | None:
         """Nonzero coordinates of a family of component maps, source degree
@@ -498,8 +482,8 @@ class GradedHom(Cochains):
                 read_image(out, homs, pos, w)
         return out
 
-    def chain_map_from_cocycle(self, coords: Sequence) -> ChainMap:
-        """Degree-0 cocycle coordinates -> an honest chain map X -> Y."""
+    def chain_map_from_cocycle(self, coords: dict) -> ChainMap:
+        """Nonzero degree-0 cocycle coordinates -> an honest chain map X -> Y."""
         comps = self.component_maps(0, coords)
         return ChainMap(self.X, self.Y, {i: m for i, m in comps.items()})
 

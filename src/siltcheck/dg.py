@@ -460,15 +460,6 @@ def evaluation_left_module(base: DgAlgebra, U: Complex) -> DgModule:
 # -- cohomology-level algebra ----------------------------------------------
 
 
-def _combination(field, mats: list, c: dict) -> Matrix:
-    """The sum of c_a mats[a] over the nonzero entries of c."""
-    n = mats[0].nrows
-    out = Matrix.zero(field, n, n)
-    for a, x in c.items():
-        out = out + (mats[a] if x == field.one else mats[a].scale(x))
-    return out
-
-
 def h0_algebra(B: DgAlgebra) -> Algebra:
     """H^0 of a dg-algebra as an ordinary algebra.
 
@@ -512,10 +503,11 @@ def h0_algebra(B: DgAlgebra) -> Algebra:
     blocks = []
     idem_positions = []
     for j, ej in enumerate(idem_cls):
-        Lj = _combination(f, L, ej)
+        Lj = Matrix.combination(f, h, h, ((x, L[a]) for a, x in ej.items()))
         for k, ek in enumerate(idem_cls):
             top = int(j == k)
-            rows = {top + u: p for u, p in (Lj @ _combination(f, R, ek)).entries.items()}
+            piece = Lj @ Matrix.combination(f, h, h, ((x, R[a]) for a, x in ek.items()))
+            rows = {top + u: p for u, p in piece.entries.items()}
             if top:
                 rows[0] = ej
                 idem_positions.append(len(basis_cls))
@@ -538,7 +530,8 @@ def h0_algebra(B: DgAlgebra) -> Algebra:
     # row y of span @ L[b_x] is b_x b_y; times the inverse, its coordinates
     mult = {}
     for x in range(h):
-        products = span @ _combination(f, L, basis_cls[x]) @ inverse
+        Lx = Matrix.combination(f, h, h, ((c, L[a]) for a, c in basis_cls[x].items()))
+        products = span @ Lx @ inverse
         for y, nz in products.entries.items():
             mult[(x, y)] = tuple(sorted(nz.items()))
     unit = inverse.apply_entries(unit_cls)

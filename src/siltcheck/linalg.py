@@ -5,11 +5,11 @@ echelon bases of spans, quotient maps and subquotient bookkeeping, and the
 Cochains base that every graded class reads its cohomology from.  A Matrix
 keeps only its nonzero entries, so products, sums, stacking and elimination
 walk nonzeros alone; the dense row view stays available for callers that
-read rows.  A vector is a dense row or its nonzero entries {index: entry}:
-solve_left_rows, Subquotient.reduce and Subquotient.lift answer in the form
-they are given, and apply_entries is the sparse row action.  Matrix.rref is
-the one elimination: every span, kernel, solve, quotient and subquotient,
-and every greedy choice of independent rows (Matrix.left_pivots), reads it.
+read rows.  A vector is given by its nonzero entries {index: entry}: that is
+what apply_entries (the row action), solve_left_rows, Subquotient.reduce and
+Subquotient.lift take and return.  Matrix.rref is the one elimination:
+every span, kernel, solve, quotient and subquotient, and every greedy choice
+of independent rows (Matrix.left_pivots), reads it.
 Pivoting is deterministic (first nonzero entry in row order), so every basis
 produced here is reproducible run to run.
 
@@ -229,6 +229,23 @@ class Matrix:
         return Matrix.from_entries(self.field, self.nrows, nc + other.ncols, out)
 
     @staticmethod
+    def combination(field, nrows: int, ncols: int, terms: Iterable) -> "Matrix":
+        """The sum of c * M over the (c, M) pairs of terms, all nrows x ncols
+        with c nonzero; one term with c = 1 is M itself, not a copy."""
+        terms = list(terms)
+        if len(terms) == 1 and terms[0][0] == field.one:
+            return terms[0][1]
+        acc: dict = {}
+        for c, m in terms:
+            for i, nz in m.entries.items():
+                row = acc.setdefault(i, {})
+                for j, x in nz.items():
+                    row[j] = row.get(j, 0) + c * x
+        reduce = field.reduce_entries
+        return Matrix.from_entries(field, nrows, ncols,
+                                   {i: r for i, row in acc.items() if (r := reduce(row))})
+
+    @staticmethod
     def block_diag(field, blocks: Iterable["Matrix"]) -> "Matrix":
         out = {}
         r0 = c0 = 0
@@ -238,15 +255,6 @@ class Matrix:
             r0 += b.nrows
             c0 += b.ncols
         return Matrix.from_entries(field, r0, c0, out)
-
-    def apply_row(self, v: Sequence):
-        """Row-vector action: v |-> v @ self."""
-        if len(v) != self.nrows:
-            raise ValueError("apply_row: length mismatch")
-        out = [self.field.zero] * self.ncols
-        for j, x in self.apply_entries({i: a for i, a in enumerate(v) if a}).items():
-            out[j] = x
-        return tuple(out)
 
     def apply_entries(self, v: dict) -> dict:
         """v |-> v @ self for v given as its nonzero entries {row: entry},
@@ -343,25 +351,19 @@ class Matrix:
             self._left = (ops, pivots)
         return self._left[1]
 
-    def solve_left_rows(self, v: Sequence | dict) -> tuple | dict | None:
-        """x with x @ self = v, or None.  Free variables are set to 0.
+    def solve_left_rows(self, v: dict) -> dict | None:
+        """x with x @ self = v, or None, both as their nonzero entries
+        {index: entry}.  Free variables are set to 0.
 
-        v is a row, or its nonzero entries {column: entry}, and x comes in
-        the same form.  The row operations of rref(selfᵀ) are recorded on the
-        first call and replayed on v by every call; the pivots of selfᵀ never
-        depend on v, so the answer is the one the RREF of [selfᵀ | v] gives.
+        The row operations of rref(selfᵀ) are recorded on the first call and
+        replayed on v by every call; the pivots of selfᵀ never depend on v,
+        so the answer is the one the RREF of [selfᵀ | v] gives.
         """
         f = self.field
         zero, mul, sub = f.zero, f.mul, f.sub
-        sparse = isinstance(v, dict)
-        if sparse:
-            w = [zero] * self.ncols
-            for j, x in v.items():
-                w[j] = x
-        elif len(v) != self.ncols:
-            raise ValueError("solve_left_rows: length mismatch")
-        else:
-            w = list(v)
+        w = [zero] * self.ncols
+        for j, x in v.items():
+            w[j] = x
         pivots = self.left_pivots()
         ops = self._left[0]
         for prow, (sel, inv, elims) in enumerate(ops):
@@ -372,12 +374,7 @@ class Matrix:
                     w[i] = sub(w[i], mul(c, a))
         if any(x != zero for x in w[len(pivots):]):
             return None
-        if sparse:
-            return {pcol: w[prow] for prow, pcol in enumerate(pivots) if w[prow] != zero}
-        x = [zero] * self.nrows
-        for prow, pcol in enumerate(pivots):
-            x[pcol] = w[prow]
-        return tuple(x)
+        return {pcol: w[prow] for prow, pcol in enumerate(pivots) if w[prow] != zero}
 
 
 # -- row-space bookkeeping -------------------------------------------------
@@ -386,7 +383,8 @@ class Matrix:
 class RowSpace:
     """Echelon basis of the row span of a matrix, from one rref: rows are
     the nonzero rows of the RREF as their nonzero entries {column: entry},
-    fully reduced with unit pivots, and pivots their pivot columns.  The
+    fully reduced with unit pivots, pivots their pivot columns and matrix
+    the same rows as a matrix, so coordinates times it is the vector.  The
     RREF of a span is unique, so the basis does not depend on the spanning
     rows given."""
 
@@ -395,6 +393,7 @@ class RowSpace:
         R, self.pivots = M.rref()
         self.dim = len(self.pivots)
         self.rows = [R.entries[k] for k in range(self.dim)]
+        self.matrix = Matrix.from_entries(M.field, self.dim, M.ncols, R.entries)
 
     def coords(self, v: dict) -> dict:
         """Coordinates in the echelon rows of a vector lying in the span,
@@ -424,10 +423,10 @@ class Subquotient:
     cycles and boundaries are matrices whose rows span Z and B.  One recorded
     elimination of [boundaries; cycles] (Matrix.left_pivots) picks, in row
     order, every row independent of the rows before it: the boundary rows
-    among them are a basis of B, and the cycle rows among them, kept as reps
-    (dense rows) and rep_entries (their nonzero entries), are cocycle
-    representatives of a basis of the quotient.  reduce replays that
-    elimination on an element of Z and reads its coordinates off the reps.
+    among them are a basis of B, and the cycle rows among them, kept as
+    rep_entries (their nonzero entries), are cocycle representatives of a
+    basis of the quotient.  reduce replays that elimination on an element of
+    Z and reads its coordinates off the reps.
     """
 
     def __init__(self, field, width: int, cycles: Matrix, boundaries: Matrix):
@@ -445,30 +444,20 @@ class Subquotient:
         self._reps = Matrix.from_entries(field, self.dim, width,
                                          dict(enumerate(self.rep_entries)))
 
-    @property
-    def reps(self) -> list:
-        """The representatives as dense rows."""
-        return list(self._reps.rows)
-
-    def reduce(self, v: Sequence | dict) -> tuple | dict:
-        """Coordinates of [v] in the representative basis, for v given as a
-        row or as its nonzero entries, in the same form.  v must lie in Z."""
-        sparse = isinstance(v, dict)
+    def reduce(self, v: dict) -> dict:
+        """Nonzero coordinates of [v] in the representative basis, for v
+        given as its nonzero entries.  v must lie in Z."""
         if self.dim == 0:
-            return {} if sparse else ()
+            return {}
         coeffs = self._span.solve_left_rows(v)
         if coeffs is None:
             raise ValueError("element does not lie in the cycle subspace")
-        if sparse:
-            return {t: coeffs[r] for t, r in enumerate(self._rep_rows) if r in coeffs}
-        return tuple(coeffs[r] for r in self._rep_rows)
+        return {t: coeffs[r] for t, r in enumerate(self._rep_rows) if r in coeffs}
 
-    def lift(self, coords: Sequence | dict) -> tuple | dict:
-        """The cocycle with the given class coordinates, in their form: a
-        row, or nonzero entries."""
-        if isinstance(coords, dict):
-            return self._reps.apply_entries(coords)
-        return self._reps.apply_row(coords)
+    def lift(self, coords: dict) -> dict:
+        """The cocycle with the given nonzero class coordinates, as its
+        nonzero entries."""
+        return self._reps.apply_entries(coords)
 
 
 class WholeSpace(Subquotient):
@@ -480,12 +469,11 @@ class WholeSpace(Subquotient):
         self.field = field
         self.width = width
         self.boundary_dim = 0
-        self._reps = Matrix.identity(field, width)
-        self.rep_entries = [self._reps.entries[k] for k in range(width)]
+        self.rep_entries = [{k: field.one} for k in range(width)]
         self.dim = width
 
-    def reduce(self, v: Sequence | dict) -> tuple | dict:
-        return dict(v) if isinstance(v, dict) else tuple(v)
+    def reduce(self, v: dict) -> dict:
+        return dict(v)
 
     lift = reduce
 

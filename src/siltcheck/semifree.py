@@ -65,7 +65,7 @@ class SemifreeModule:
     to coefficients, with k2 < k and gens[k2] > gens[k]; gen_dcomps[k] holds
     the same differential as k2 -> its component in C^{gens[k] + 1 - gens[k2]},
     in the standard basis of C.  gen_augs[k] is the augmentation value in
-    target^{gens[k]}.e.  Generators are only ever added through
+    target^{gens[k]}.e, as its nonzero entries.  Generators are only ever added through
     add_generator, which drops the layouts and matrices of the degrees the
     new cell reaches and of the differentials into them.  cutoff is the
     lowest degree the construction has reached.
@@ -79,10 +79,10 @@ class SemifreeModule:
         self.cells: list[int] = []
         self.gen_diffs: list[dict] = []
         self.gen_dcomps: list[dict] = []
-        self.gen_augs: list[tuple] = []
+        self.gen_augs: list[dict] = []
         self._matrices: dict = {}
 
-    def add_generator(self, degree: int, diff: dict, aug: tuple, cell: int):
+    def add_generator(self, degree: int, diff: dict, aug: dict, cell: int):
         self.gen_dcomps.append(self.components(degree + 1, diff.items()))
         self.gens.append(degree)
         self.cells.append(cell)

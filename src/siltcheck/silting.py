@@ -135,14 +135,8 @@ def _minimal_approximation(X: Complex, U: Complex, B: DgAlgebra, E, rad,
 
     rel = []
     for rv in rad:
-        L = None
-        for i, c in enumerate(rv):
-            if c == f.zero:
-                continue
-            scaled = emats[i].scale(c)
-            L = scaled if L is None else L + scaled
-        if L is not None:
-            rel.extend(L.entries.values())
+        L = Matrix.combination(f, m, m, ((c, emats[i]) for i, c in enumerate(rv) if c != f.zero))
+        rel.extend(L.entries.values())
     _, proj = quotient_map(f, m, rel)
 
     # Candidates in summand-major order: row t of emats[e_s], stacked as its

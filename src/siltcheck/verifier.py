@@ -684,15 +684,14 @@ def _canonical_sequence(ctx: SiltingContext, X: Module) -> tuple[Module, Module]
     Z = Complex(A, {0: U.term(0), 1: U.term(1)}, {0: U.diff(0)},
                 validate=False).cohomology(0)
     gh = ctx.hom(U, ctx.module(X, 0))
-    classes = gh.subquotient(0).reps
+    classes = gh.subquotient(0).rep_entries
     rows = []
     for rep in classes:
         phi = gh.component_maps(0, rep).get(0, Matrix.zero(f, U.term(0).dim, X.dim))
-        rows.extend(phi.apply_row(z) for z in Z.sq.reps)
+        rows.extend(phi.apply_entries(z) for z in Z.sq.rep_entries)
     Q = Complex(A, {-1: direct_sum_modules(A, [Z] * len(classes)), 0: X},
-                {-1: Matrix(f, len(rows), X.dim, rows)}).cohomology(0)
-    proj = Matrix(f, X.dim, Q.dim,
-                  [Q.sq.reduce(e) for e in Matrix.identity(f, X.dim).rows])
+                {-1: Matrix.from_row_entries(f, X.dim, rows)}).cohomology(0)
+    proj = Matrix.from_row_entries(f, Q.dim, [Q.sq.reduce({j: f.one}) for j in range(X.dim)])
     tX = Complex(A, {0: X, 1: Q}, {0: proj}).cohomology(0)
     return tX, Q
 

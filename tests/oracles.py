@@ -103,10 +103,10 @@ def endomorphism_algebra(A: Algebra, summands) -> Algebra:
                     continue
                 raise AssertionError("End(T) not closed under composition")
             idxs, span = span_of_block[key]
-            sol = span.solve_left_rows(tuple(v for r in comp.rows for v in r))
+            sol = span.solve_left_rows(nonzero_entries(v for r in comp.rows for v in r))
             if sol is None:
                 raise AssertionError("End(T) not closed under composition")
-            sparse = tuple((idxs[k], c) for k, c in enumerate(sol) if c != f.zero)
+            sparse = tuple((idxs[k], c) for k, c in sorted(sol.items()))
             if sparse:
                 mult[(x, y)] = sparse
     unit = [f.one if p in idem_positions else f.zero for p in range(len(labels))]
@@ -283,10 +283,10 @@ class ReferenceSubquotient:
     def reduce(self, v):
         if self.dim == 0:
             return ()
-        coeffs = self._span.solve_left_rows(v)
+        coeffs = self._span.solve_left_rows(nonzero_entries(v))
         if coeffs is None:
             raise ValueError("element does not lie in the cycle subspace")
-        return tuple(coeffs[self.boundary_dim:])
+        return dense_row(self.field, coeffs, self._span.nrows)[self.boundary_dim:]
 
     def lift(self, coords):
         f = self.field
@@ -397,7 +397,7 @@ def hom_les_dims_ok(f, C, U) -> bool:
         sqY = ghY.subquotient(n)
         sqX = ghX.subquotient(n)
         rows = []
-        for rep in sqY.reps:
+        for rep in sqY.rep_entries:
             pre = {}
             for i, mm in ghY.component_maps(n, rep).items():
                 cm = f.mat(i) @ mm
@@ -433,20 +433,20 @@ def reference_h0_algebra(B) -> Algebra:
     classes to cocycles, multiply them in B, reduce the product."""
     f = B.field
     sq = B.subquotient(0)
-    h = len(sq.reps)
+    h = sq.dim
 
-    def dense(v):
-        return tuple(v.get(k, f.zero) for k in range(B.dim(0)))
+    def dense(cls):
+        return dense_row(f, cls, h)
 
-    unit_cls = tuple(sq.reduce(dense(B.unit)))
+    unit_cls = dense(sq.reduce(B.unit))
 
     def mult_classes(u_cls, v_cls):
-        u, v = (nonzero_entries(sq.lift(c)) for c in (u_cls, v_cls))
-        return tuple(sq.reduce(dense(B.product(0, u, 0, v))))
+        u, v = (sq.lift(nonzero_entries(c)) for c in (u_cls, v_cls))
+        return dense(sq.reduce(B.product(0, u, 0, v)))
 
     idem_cls, kept = [], []
     for pos, v in enumerate(B.idempotents):
-        cls = tuple(sq.reduce(dense(v)))
+        cls = dense(sq.reduce(v))
         if any(c != f.zero for c in cls):
             idem_cls.append(cls)
             kept.append(pos)
@@ -473,12 +473,12 @@ def reference_h0_algebra(B) -> Algebra:
     mult = {}
     for x in range(h):
         for y in range(h):
-            coords = span.solve_left_rows(mult_classes(basis_cls[x], basis_cls[y]))
-            sparse = tuple((t, c) for t, c in enumerate(coords) if c != f.zero)
-            if sparse:
-                mult[(x, y)] = sparse
-    alg = Algebra(f, labels, mult, span.solve_left_rows(unit_cls), idem_positions)
-    alg.class_reps = [tuple(sq.lift(cls)) for cls in basis_cls]
+            coords = span.solve_left_rows(nonzero_entries(mult_classes(basis_cls[x], basis_cls[y])))
+            if coords:
+                mult[(x, y)] = tuple(sorted(coords.items()))
+    unit = dense_row(f, span.solve_left_rows(nonzero_entries(unit_cls)), span.nrows)
+    alg = Algebra(f, labels, mult, unit, idem_positions)
+    alg.class_reps = [sq.lift(nonzero_entries(cls)) for cls in basis_cls]
     alg.kept_idempotents = kept
     return alg
 
@@ -534,7 +534,7 @@ def reference_hom_class_action(X, U, B, E):
     gh = hom_complex(X, U)
     sq = gh.subquotient(0)
     f = E.field
-    rep_comps = [gh.component_maps(0, rep) for rep in sq.reps]
+    rep_comps = [gh.component_maps(0, rep) for rep in sq.rep_entries]
     mats = []
     for ecls in E.class_reps:
         ec = B.gh.component_maps(0, ecls)
@@ -544,8 +544,8 @@ def reference_hom_class_action(X, U, B, E):
             coords = gh.coords_of(0, comp)
             if coords is None:
                 raise AssertionError("postcomposition escaped the hom basis")
-            rows.append(tuple(sq.reduce(dense_row(f, coords, gh.dim(0)))))
-        mats.append(Matrix(f, sq.dim, sq.dim, rows))
+            rows.append(sq.reduce(coords))
+        mats.append(Matrix.from_row_entries(f, sq.dim, rows))
     return mats
 
 

@@ -16,7 +16,7 @@ import time
 import pytest
 
 from conftest import random_two_term
-from oracles import hom_dim, reference_coresolutions
+from oracles import hom_dim, nonzero_entries, reference_coresolutions
 from siltcheck.algebra import simple_module
 from siltcheck.cli import main
 from siltcheck.complexes import (ChainMap, ResolutionCapError, cone,
@@ -99,7 +99,7 @@ def _random_chain_map(rng, P, Q):
     for row in cocycles:
         c = f.coerce(rng.randrange(101))
         coords = [f.add(a, f.mul(c, b)) for a, b in zip(coords, row)]
-    return ChainMap(P, Q, gh.component_maps(0, coords))
+    return ChainMap(P, Q, gh.component_maps(0, nonzero_entries(coords)))
 
 
 def _random_small_complex(A, rng):

@@ -66,12 +66,12 @@ def test_rank_oracle_mod2():
 def test_solve_unique_and_inconsistent():
     # x @ A = (3, 1): x0 = 3, x0 + x1 = 1
     A = Matrix.from_rows(Q, [[1, 1], [0, 1]])
-    x = A.solve_left_rows((3, 1))
-    assert x == (Fraction(3), Fraction(-2))
-    assert Matrix(Q, 1, 2, [x]) @ A == Matrix.from_rows(Q, [[3, 1]])
+    x = A.solve_left_rows({0: Fraction(3), 1: Fraction(1)})
+    assert x == {0: Fraction(3), 1: Fraction(-2)}
+    assert A.apply_entries(x) == {0: 3, 1: 1}
     # inconsistent: the second coordinate is twice the first on every row
     A2 = Matrix.from_rows(Q, [[1, 2], [1, 2]])
-    assert A2.solve_left_rows((1, 3)) is None
+    assert A2.solve_left_rows({0: Fraction(1), 1: Fraction(3)}) is None
 
 
 def test_empty_shapes():
@@ -130,9 +130,9 @@ def test_rref_idempotent_and_solve_roundtrip(M, seed):
     R2, pivots2 = R.rref()
     assert R == R2 and pivots == pivots2
     # any row of M is solvable against M
-    row = M.rows[seed % M.nrows]
+    row = M.entries.get(seed % M.nrows, {})
     x = M.solve_left_rows(row)
-    assert x is not None and Matrix(F101, 1, M.nrows, [x]) @ M == Matrix(F101, 1, M.ncols, [row])
+    assert x is not None and M.apply_entries(x) == row
 
 
 def test_rowspace_and_subquotient():
@@ -175,17 +175,18 @@ def test_rowspace_residue_exact_with_out_of_order_pivots():
         3,
     )
     assert sq.dim == 1
-    assert sq.reduce([5, 7, 0]) == (7,)
-    assert sq.reduce(sq.lift((7,))) == (7,)
+    assert sq.reduce({0: 5, 1: 7}) == {0: 7}
+    assert sq.reduce(sq.lift({0: 7})) == {0: 7}
+    assert sq.reduce({0: 5}) == {}
     with pytest.raises(ValueError):
-        sq.reduce([0, 0, 1])  # not a cycle
+        sq.reduce({2: 1})  # not a cycle
 
 
 def test_subquotient_zero_quotient():
     # boundaries fill the cycles: H = 0
     sq = Subquotient(F101, 2, Matrix.identity(F101, 2), Matrix.from_rows(F101, [(1, 0), (1, 1)]))
     assert sq.dim == 0
-    assert sq.reduce([1, 1]) == ()
+    assert sq.reduce({0: 1, 1: 1}) == {}
 
 
 def test_whole_space_subquotients_make_no_elimination(monkeypatch):
@@ -198,8 +199,8 @@ def test_whole_space_subquotients_make_no_elimination(monkeypatch):
     monkeypatch.setattr(Matrix, "kernel_basis", refuse)
     for din, dout in ((None, None), (Matrix.zero(F101, 2, 3), Matrix.zero(F101, 3, 4))):
         sq = subquotient_from_maps(din, dout, F101, 3)
-        assert (sq.reps, sq.boundary_dim) == ([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 0)
-        assert sq.reduce((4, 5, 6)) == sq.lift((4, 5, 6)) == (4, 5, 6)
+        assert (sq.rep_entries, sq.boundary_dim) == ([{0: 1}, {1: 1}, {2: 1}], 0)
+        assert sq.reduce({0: 4, 2: 6}) == sq.lift({0: 4, 2: 6}) == {0: 4, 2: 6}
 
     class OneDegree(Cochains):
         def dim(self, n):
@@ -243,14 +244,14 @@ def _check_left_solves(field, M, ys, vs):
     rank = M.rank()
     for _ in range(2):      # the second pass replays the recorded elimination
         for v in rhs:
-            x = M.solve_left_rows(v)
+            x = M.solve_left_rows(nonzero_entries(v))
             oracle = dense_solve(field, dense_transpose(M.rows, M.ncols), M.nrows,
                                  [[a] for a in v], 1)
             in_span = Matrix(field, M.nrows + 1, M.ncols, list(M.rows) + [v]).rank() == rank
             assert (x is None) == (not in_span) == (oracle is None)
             if x is not None:
-                assert x == tuple(r[0] for r in oracle)
-                assert Matrix(field, 1, M.nrows, [x]) @ M == Matrix(field, 1, M.ncols, [v])
+                assert x == nonzero_entries(r[0] for r in oracle)
+                assert M.apply_entries(x) == nonzero_entries(v)
 
 
 @settings(max_examples=80, deadline=None)
@@ -275,10 +276,10 @@ def test_second_left_solve_eliminates_nothing(monkeypatch):
         return rref(self, *args, **kwargs)
 
     monkeypatch.setattr(Matrix, "rref", counting)
-    assert M.solve_left_rows((1, 3, 4)) == (1, 0, 1)
+    assert M.solve_left_rows({0: 1, 1: 3, 2: 4}) == {0: 1, 2: 1}
     assert len(calls) == 1
-    assert M.solve_left_rows((0, 0, 1)) is None
-    assert M.solve_left_rows((2, 5, 7)) == (2, 0, 1)
+    assert M.solve_left_rows({2: 1}) is None
+    assert M.solve_left_rows({0: 2, 1: 5, 2: 7}) == {0: 2, 2: 1}
     assert len(calls) == 1
     # the cached factor is not part of the matrix's value
     assert M == Matrix.from_rows(F101, M.rows) and hash(M) == hash(Matrix.from_rows(F101, M.rows))
@@ -355,7 +356,12 @@ def test_sparse_algebra_matches_dense_reference(field, data):
     _holds(Matrix.identity(field, k), dense_block_diag(field, [([[field.one]], 1)] * k), k, k)
     assert (A == C) == (a == cc)
     v = [field.coerce(x) for x in data.draw(st.lists(_values(field), min_size=r, max_size=r))]
-    assert A.apply_row(v) == tuple(dense_apply_row(field, v, a, k))
+    assert A.apply_entries(nonzero_entries(v)) == nonzero_entries(dense_apply_row(field, v, a, k))
+    # c A + d C, and one term with coefficient 1 is the matrix itself
+    cs = [field.coerce(x) for x in data.draw(st.lists(_values(field), min_size=2, max_size=2))]
+    _holds(Matrix.combination(field, r, k, [(x, m) for x, m in zip(cs, (A, C)) if x]),
+           dense_add(field, dense_scale(field, cs[0], a), dense_scale(field, cs[1], cc)), r, k)
+    assert Matrix.combination(field, r, k, [(field.one, A)]) is A
 
 
 @pytest.mark.parametrize("field", SPARSE_FIELDS, ids=repr)
@@ -377,9 +383,9 @@ def test_sparse_elimination_matches_dense_reference(field, data):
     rhs = [(_sparse(data, field, 1, r) @ A).rows[0], _sparse(data, field, 1, c).rows[0]]
     for _ in range(2):
         for v in rhs:
-            x = A.solve_left_rows(v)
+            x = A.solve_left_rows(nonzero_entries(v))
             want = dense_solve(field, dense_transpose(a, c), r, [[y] for y in v], 1)
-            assert x == (None if want is None else tuple(row[0] for row in want))
+            assert x == (None if want is None else nonzero_entries(row[0] for row in want))
 
 
 @pytest.mark.parametrize("field", SPARSE_FIELDS, ids=repr)
@@ -405,10 +411,9 @@ def test_one_rref_spans_match_the_incremental_dense_span(field, data):
     for v in (_sparse(data, field, 1, r) @ A).rows + _sparse(data, field, 2, width).rows:
         assert got.coords(nonzero_entries(v)) == nonzero_entries(want.coords(v))
         residue = want.residue(v)
-        assert proj.apply_row(v) == tuple(residue[j] for j in free)
+        assert proj.apply_entries(nonzero_entries(v)) == nonzero_entries(residue[j] for j in free)
         if want.contains(v):
-            span = Matrix.from_entries(field, got.dim, width, dict(enumerate(got.rows)))
-            assert span.apply_entries(got.coords(nonzero_entries(v))) == nonzero_entries(v)
+            assert got.matrix.apply_entries(got.coords(nonzero_entries(v))) == nonzero_entries(v)
 
 
 @pytest.mark.parametrize("field", SPARSE_FIELDS, ids=repr)
@@ -431,7 +436,8 @@ def test_subquotient_matches_the_greedy_dense_passes(field, data):
         cyc = cycles if args[1] is not None else Matrix.identity(field, width)
         want = ReferenceSubquotient(field, width, cyc.rows,
                                     args[0].rows if args[0] is not None else [])
-        assert (got.reps, got.boundary_dim, got.dim) == (want.reps, want.boundary_dim, want.dim)
+        assert got.rep_entries == [nonzero_entries(r) for r in want.reps]
+        assert (got.boundary_dim, got.dim) == (want.boundary_dim, want.dim)
         for v in (_sparse(data, field, 1, cyc.nrows) @ cyc).rows + cyc.rows[:2]:
-            assert got.reduce(v) == want.reduce(v)
-            assert got.lift(got.reduce(v)) == want.lift(want.reduce(v))
+            assert got.reduce(nonzero_entries(v)) == nonzero_entries(want.reduce(v))
+            assert got.lift(got.reduce(nonzero_entries(v))) == nonzero_entries(want.lift(want.reduce(v)))

@@ -68,7 +68,7 @@ def cone_support(P):
 
 
 def cone_h_dim(P, n):
-    return len(P.cone_subquotient(n).reps)
+    return P.cone_subquotient(n).dim
 
 
 def as_dg_module(P):
