@@ -215,12 +215,13 @@ class Algebra:
             raise AssertionError("idempotents do not sum to the unit")
         # associativity: (b_i b_j) b_k = b_i (b_j b_k) for every i is the
         # matrix identity R_j R_k = sum_t c^{jk}_t R_t of right regular
-        # matrices, checked per pair (j, k) of a strided sample above desk
-        # scale
-        step = 1 if self.dim <= 24 else max(1, self.dim // 16)
-        idx = range(0, self.dim, step)
-        for j in idx:
-            for k in idx:
+        # matrices, checked for every basis element j and generator k.
+        # Linearity gives (xy)g = x(yg) for every x, y and generator g, and
+        # induction on the length of a product of generators gives it for
+        # every element of A: the generators span A by products and contain
+        # the idempotents
+        for j in range(self.dim):
+            for k in self.generators:
                 rhs = Matrix.combination(f, self.dim, self.dim,
                                          ((c, self.right_mult_matrix(t))
                                           for t, c in self.basis_product(j, k)))
@@ -428,11 +429,11 @@ class Module:
         ident = Matrix.identity(A.field, self.dim)
         if self.action_of(A.unit) != ident:
             raise AssertionError("unit does not act as identity")
-        step = 1 if A.dim <= 32 else max(1, A.dim // 16)
-        idx = range(0, A.dim, step)
+        # (m b_i) b_j = m (b_i b_j) for every basis element i and generator
+        # j, which suffices for the reason given in Algebra.validate
         f = A.field
-        for i in idx:
-            for j in idx:
+        for i in range(A.dim):
+            for j in A.generators:
                 rhs = Matrix.combination(f, self.dim, self.dim,
                                          ((c, self.action[k]) for k, c in A.basis_product(i, j)))
                 if self.action[i] @ self.action[j] != rhs:
@@ -537,20 +538,6 @@ class ProjectiveHoms:
         for y in self.space.rows:
             rows = {r: img for r, a in enumerate(self.acts) if (img := a.apply_entries(y))}
             self.blocks.append(ModuleMap(P, N, Matrix.from_entries(f, P.dim, N.dim, rows)).mat)
-
-    def checked_image(self, rows: dict) -> dict | None:
-        """The image w of e_v under the map P -> N with the given nonzero
-        rows {row: {column: entry}}, or None when they are not a module map.
-
-        The map is a module map exactly when each of its rows is w times its
-        ambient row, so rebuilding the rows from w decides membership
-        without elimination.
-        """
-        w = generator_image(self.P, rows)
-        for r, a in enumerate(self.acts):
-            if a.apply_entries(w) != rows.get(r, {}):
-                return None
-        return w
 
 
 def generator_image(P: Module, rows: dict, start: int = 0) -> dict:

@@ -404,13 +404,20 @@ class GradedHom(Cochains):
             start += P.dim
         return out
 
-    def coordinates(self, n: int, images) -> dict:
-        """The nonzero coordinates of the degree-n element with the given
-        generator image on each cell of cells[n]: each image read at the
-        pivots of its cell."""
+    def postcomposed(self, n: int, images: list, comps: dict, target: "GradedHom",
+                     m: int) -> dict:
+        """The nonzero coordinates in target, in degree m, of "x, then comps":
+        x is the degree-n element with the given generator images (as
+        images(n, ...) returns them) and comps its follow-up, target degree
+        -> matrix.  The generator image of the composite on a summand of X^i
+        is x's there times comps[n + i].  target has the source X too, but
+        its cells differ, so they are matched by (source degree, first row)."""
+        at = {(i, start): (homs, pos) for i, start, homs, pos in target.cells.get(m, ())}
         out: dict = {}
-        for (_, _, homs, pos), w in zip(self.cells.get(n, ()), images):
-            read_image(out, homs, pos, w)
+        for (i, start, _, _), y in zip(self.cells.get(n, ()), images):
+            c, cell = comps.get(n + i), at.get((i, start))
+            if y and c is not None and cell is not None:
+                read_image(out, *cell, c.apply_entries(y))
         return out
 
     def diff(self, n: int) -> Matrix:
@@ -461,25 +468,16 @@ class GradedHom(Cochains):
         return {i: Matrix.combination(self.field, self.X.term(i).dim, self.Y.term(n + i).dim, ts)
                 for i, ts in terms.items()}
 
-    def coords_of(self, n: int, comps: dict) -> dict | None:
-        """Nonzero coordinates of a family of component maps, source degree
-        -> matrix; None if some component is not a module map.  Every row of
-        every component is checked, so this is the cross-check of the
-        coordinates read off generator images alone."""
+    def coords_of(self, n: int, comps: dict) -> dict:
+        """Nonzero coordinates of a family of module maps, source degree ->
+        matrix: each component's generator image on each cell of cells[n],
+        read at the pivots of the cell.  Only the generator rows are read,
+        which fix a module map."""
         out: dict = {}
-        cells = self.cells.get(n, ())
-        for i, mat in comps.items():
-            if mat.is_zero():
-                continue
-            if not any(c[0] == i for c in cells):
-                return None
-            for _, start, homs, pos in (c for c in cells if c[0] == i):
-                end = start + len(homs.acts)
-                w = homs.checked_image({r - start: nz for r, nz in mat.entries.items()
-                                        if start <= r < end})
-                if w is None:
-                    return None
-                read_image(out, homs, pos, w)
+        for i, start, homs, pos in self.cells.get(n, ()):
+            mat = comps.get(i)
+            if mat is not None:
+                read_image(out, homs, pos, generator_image(homs.P, mat.entries, start))
         return out
 
     def chain_map_from_cocycle(self, coords: dict) -> ChainMap:

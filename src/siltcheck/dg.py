@@ -7,11 +7,10 @@ are stored sparse per degree pair, each product as the dict {column: entry}
 of its nonzero entries, and every product is read off them by the one
 table_product.  Every constructor validates the graded axioms: d^2 = 0 in
 every degree, the unit law on every basis element and the graded Leibniz
-rule d(xy) = d(x)y + (-1)^{|x|} x d(y) on every basis pair.  Associativity is checked on
-every basis triple while each factor has at most 24 basis elements, and on a
-stride sample of about 16 elements per factor above that.  Each axiom is one
-matrix identity per degree pair or triple between blocks of the structure
-tables, read off the sparse products and compared as sparse entries.
+rule d(xy) = d(x)y + (-1)^{|x|} x d(y) on every basis pair, and
+associativity on every basis triple.  Each axiom is one matrix identity per
+degree pair or triple between blocks of the structure tables, read off the
+sparse products and compared as sparse entries.
 
 The central construction is dg_end of a complex of projectives U: its
 degree-n part is the degree-n piece of the hom complex of U with itself, and
@@ -60,16 +59,6 @@ def _swap_factors(field, tables: dict) -> dict:
             t = [[{k: field.neg(x) for k, x in p.items()} if p else p for p in row]
                  for row in t]
         out[(n, m)] = [list(col) for col in zip(*t)]
-    return out
-
-
-def _sampled_basis(X) -> dict:
-    """degree -> indices of the basis elements that associativity is checked
-    on: all at desk scale, a stride sample of about 16 above 24 elements."""
-    items = [(n, i) for n in X.degrees() for i in range(X.dim(n))]
-    out = {}
-    for n, i in items[::1 if len(items) <= 24 else len(items) // 16]:
-        out.setdefault(n, []).append(i)
     return out
 
 
@@ -172,7 +161,7 @@ def _check_leibniz(Z, table, X, Y, message: str):
 
 
 def _check_associativity(Z, table, factors, xy, yz, message: str):
-    """(xy)z = x(yz) on the _sampled_basis triples of factors; xy and yz are
+    """(xy)z = x(yz) on every basis triple of factors; xy and yz are
     (table, space) of the inner products, table holds the outer ones in Z.
     Per degree triple (m, n, p),
     table_xy[m, n] (stacked) @ table[m+n, p] (flattened) holds each
@@ -181,7 +170,7 @@ def _check_associativity(Z, table, factors, xy, yz, message: str):
     entries."""
     f = Z.field
     (t_xy, XY), (t_yz, YZ) = xy, yz
-    px, py, pz = (_sampled_basis(F) for F in factors)
+    px, py, pz = ({n: range(F.dim(n)) for n in F.degrees() if F.dim(n)} for F in factors)
     for m, I in px.items():
         for n, J in py.items():
             xi_yj = _stacked(f, t_xy, (m, n), I, J, XY.dim(m + n))
@@ -385,13 +374,7 @@ def _summand_idempotents(U: Complex, gh) -> list | None:
     when U carries no direct-sum data."""
     if not hasattr(U, "summands"):
         return None
-    idem = []
-    for pm in summand_projection_maps(U):
-        v = gh.coords_of(0, pm.mats)
-        if v is None:
-            raise AssertionError("summand projection escaped the hom basis")
-        idem.append(v)
-    return idem
+    return [gh.coords_of(0, pm.mats) for pm in summand_projection_maps(U)]
 
 
 def dg_end(U: Complex) -> DgAlgebra:
@@ -411,10 +394,7 @@ def dg_end(U: Complex) -> DgAlgebra:
     maps = {n: [{i: h} for i, h in gh.basis[n]] for n in gh.degrees()}
     diffs = {n: gh.diff(n) for n in gh.degrees()}
     ident = {i: Matrix.identity(f, U.term(i).dim) for i in U.degrees() if U.term(i).dim}
-    unit = gh.coords_of(0, ident)
-    if unit is None:
-        raise AssertionError("identity escaped the hom basis")
-    B = DgAlgebra(f, dims, _composition_tables(gh, maps), diffs, unit,
+    B = DgAlgebra(f, dims, _composition_tables(gh, maps), diffs, gh.coords_of(0, ident),
                   idempotents=_summand_idempotents(U, gh))
     B.gh = gh
     B.complex = U

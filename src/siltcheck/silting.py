@@ -95,23 +95,18 @@ def _hom_class_action(X: Complex, U: Complex, B: DgAlgebra, E):
 
     Returns (gh, sq, mats) where mats[i] sends class coordinates c to the
     coordinates of [class_reps[i] composed after c], acting on row vectors.
-    Each class representative is taken once as its generator images; after
-    it, an E-class e has the generator image y @ e_i on a summand of X^i
-    whose image is y, so no composite matrix is built.
+    Each class representative is taken once as its generator images, and
+    each composite read off them (GradedHom.postcomposed).
     """
     gh = hom_complex(X, U)
     sq = gh.subquotient(0)
-    m = sq.dim
     f = E.field
-    degrees = [i for i, *_ in gh.cells.get(0, ())]
     rep_images = [gh.images(0, rep) for rep in sq.rep_entries]
     mats = []
     for ecls in E.class_reps:
         ec = B.gh.component_maps(0, ecls)
-        rows = [sq.reduce(gh.coordinates(0, [ec[i].apply_entries(y) if y and i in ec else {}
-                                             for i, y in zip(degrees, images)]))
-                for images in rep_images]
-        mats.append(Matrix.from_row_entries(f, m, rows))
+        rows = [sq.reduce(gh.postcomposed(0, images, ec, gh, 0)) for images in rep_images]
+        mats.append(Matrix.from_row_entries(f, sq.dim, rows))
     return gh, sq, mats
 
 

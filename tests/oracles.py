@@ -2,7 +2,8 @@
 algebra reference independent of the sparse Matrix storage, the incremental
 dense row space and the greedy dense subquotient built on it, reference
 routes for the coresolution loop, its long exact sequences and the H^0
-algebra, and composite-matrix routes for the hom-complex differential, the
+algebra, a coordinate reader that checks every row of a map, and
+composite-matrix routes through it for the hom-complex differential, the
 composition tables and the postcomposition action, with a dense route for the
 action on a semifree module.
 
@@ -14,9 +15,10 @@ test.
 from dataclasses import dataclass
 
 from siltcheck import silting
-from siltcheck.algebra import Algebra, Module, direct_sum_modules, hom_space
+from siltcheck.algebra import (Algebra, Module, direct_sum_modules,
+                               generator_image, hom_space)
 from siltcheck.complexes import (ChainMap, cone, hom_complex, is_acyclic,
-                                 projective_complex, zero_complex)
+                                 projective_complex, read_image, zero_complex)
 from siltcheck.dg import end_h0
 from siltcheck.linalg import Matrix
 
@@ -403,7 +405,7 @@ def hom_les_dims_ok(f, C, U) -> bool:
                 cm = f.mat(i) @ mm
                 if not cm.is_zero():
                     pre[i] = cm
-            coords = ghX.coords_of(n, pre)
+            coords = reference_coords_of(ghX, n, pre)
             if coords is None:
                 raise AssertionError("precomposition escaped the hom basis")
             rows.append(sqX.reduce(coords))
@@ -485,19 +487,52 @@ def reference_h0_algebra(B) -> Algebra:
 
 # -- composite-matrix routes ---------------------------------------------------
 # Each composite is built as a whole matrix and read back through
-# GradedHom.coords_of, which checks every row of it: the route the generator
+# reference_coords_of, which checks every row of it: the route the generator
 # images replace.
+
+
+def _checked_image(homs, rows: dict) -> dict | None:
+    """The image w of the generator e_v under the map P = e_v A -> N with the
+    given nonzero rows {row: {column: entry}}, for homs = Hom(P, N), or None
+    when they are not a module map: the map is one exactly when each of its
+    rows is w times its ambient row."""
+    w = generator_image(homs.P, rows)
+    for r, a in enumerate(homs.acts):
+        if a.apply_entries(w) != rows.get(r, {}):
+            return None
+    return w
+
+
+def reference_coords_of(gh, n: int, comps: dict) -> dict | None:
+    """GradedHom.coords_of with every row of every component checked:
+    the nonzero coordinates of a family of component maps, source degree ->
+    matrix, or None if some component is not a module map."""
+    out: dict = {}
+    cells = gh.cells.get(n, ())
+    for i, mat in comps.items():
+        if mat.is_zero():
+            continue
+        if not any(c[0] == i for c in cells):
+            return None
+        for _, start, homs, pos in (c for c in cells if c[0] == i):
+            end = start + len(homs.acts)
+            w = _checked_image(homs, {r - start: nz for r, nz in mat.entries.items()
+                                      if start <= r < end})
+            if w is None:
+                return None
+            read_image(out, homs, pos, w)
+    return out
 
 
 def reference_hom_diff(gh, n):
     """The differential of gh in degree n: h d_Y - (-1)^n d_X h for each
-    basis map h, read back through coords_of."""
+    basis map h, read back through reference_coords_of."""
     f = gh.field
     sign = f.one if n % 2 == 0 else f.neg(f.one)
     rows = {}
     for r, (i, h) in enumerate(gh.basis.get(n, ())):
         dx_h = (gh.X.diff(i - 1) @ h).scale(f.neg(sign))
-        coords = gh.coords_of(n + 1, {i: h @ gh.Y.diff(n + i), i - 1: dx_h})
+        coords = reference_coords_of(gh, n + 1, {i: h @ gh.Y.diff(n + i), i - 1: dx_h})
         if coords is None:
             raise AssertionError("component map escaped its hom-space span")
         if coords:
@@ -507,7 +542,7 @@ def reference_hom_diff(gh, n):
 
 def reference_composition_tables(gh, maps):
     """dg._composition_tables with every composite b then x built as a
-    matrix and read back through coords_of."""
+    matrix and read back through reference_coords_of."""
     tables = {}
     for m in gh.degrees():
         for n, elems in maps.items():
@@ -518,7 +553,8 @@ def reference_composition_tables(gh, maps):
                 row = []
                 for b in elems:
                     mb = b.get(sx - n)
-                    coords = {} if mb is None else gh.coords_of(m + n, {sx - n: mb @ hx})
+                    coords = ({} if mb is None
+                              else reference_coords_of(gh, m + n, {sx - n: mb @ hx}))
                     if coords is None:
                         raise AssertionError("composite escaped the hom basis")
                     row.append(coords)
@@ -529,8 +565,8 @@ def reference_composition_tables(gh, maps):
 
 def reference_hom_class_action(X, U, B, E):
     """silting._hom_class_action with each postcomposite built as a matrix
-    and read back through coords_of: the matrices of the E-classes acting on
-    the homotopy classes of chain maps X -> U."""
+    and read back through reference_coords_of: the matrices of the E-classes
+    acting on the homotopy classes of chain maps X -> U."""
     gh = hom_complex(X, U)
     sq = gh.subquotient(0)
     f = E.field
@@ -541,7 +577,7 @@ def reference_hom_class_action(X, U, B, E):
         rows = []
         for mc in rep_comps:
             comp = {i: mm @ ec[i] for i, mm in mc.items() if i in ec}
-            coords = gh.coords_of(0, comp)
+            coords = reference_coords_of(gh, 0, comp)
             if coords is None:
                 raise AssertionError("postcomposition escaped the hom basis")
             rows.append(sq.reduce(coords))

@@ -259,7 +259,6 @@ def test_module_tilting_pipeline(A2, U_tilt, tilt_summands, indecs):
     rep = verify_all(U_tilt, window=WINDOW, ctx=ctx)[-1]
     assert rep.kind == "tilting-theorem"
     assert rep.passed
-    assert rep.notes["verdict"] == "tilting"
     by_name = {c.name: c for c in rep.checks}
     assert by_name["base algebra equals the double centralizer"].passed
     for probe in ("proj0", "proj1", "simple0", "simple1"):

@@ -132,6 +132,24 @@ def test_algebra_validation_catches_non_associative_table():
                 (Q.one, Q.zero, Q.zero), (0,))
 
 
+def linear_a8():
+    # linear A_8 over F_101: 36 paths, 8 idempotents then the arrows a0..a6
+    # at positions 8..14
+    return path_algebra(Quiver([str(v) for v in range(8)],
+                               [(f"a{v}", str(v), str(v + 1)) for v in range(7)]), F101)
+
+
+def test_algebra_validation_checks_every_pair_past_desk_scale():
+    # a1: 1 -> 2 and a1*a1 is zero in A_8; setting it to e_0 breaks
+    # (a1*a1)*e_2 = e_0*e_2 = 0 against a1*(a1*e_2) = a1*a1 = e_0, on the pair
+    # (a1, e_2), which a stride sample of every other element never meets
+    A = linear_a8()
+    assert A.dim == 36 and A.labels[9] == "a1" and (9, 9) not in A.mult
+    with pytest.raises(AssertionError, match="associativity fails on"):
+        Algebra(F101, A.labels, {**A.mult, (9, 9): ((0, F101.one),)}, A.unit,
+                A.idempotents, A.generators)
+
+
 # -- modules and hom spaces ------------------------------------------------
 
 
@@ -163,7 +181,6 @@ def test_hom_composition_and_coordinates():
     comp = f.mat @ g.mat    # f, then g
     gh = hom_complex(X, Y)
     coords = gh.coords_of(0, {0: comp})
-    assert coords is not None
     recon = Matrix.zero(Q, P2.dim, P1.dim)
     for t, c in coords.items():
         recon = recon + gh.basis[0][t][1].scale(c)
@@ -184,6 +201,19 @@ def test_module_validation_catches_bad_action():
     with pytest.raises(AssertionError):
         # x acting as 1 contradicts x*x = 0
         Module(A, 1, [Matrix.identity(Q, 1), Matrix.identity(Q, 1)])
+
+
+def test_module_validation_checks_every_basis_element_past_desk_scale():
+    # the regular module of A_8 with one entry added to the action of a1, a
+    # basis element a stride sample of every other element skips
+    A = linear_a8()
+    action = [A.right_mult_matrix(j) for j in range(A.dim)]
+    Module(A, A.dim, action)
+    rows = {r: dict(nz) for r, nz in action[9].entries.items()}
+    rows.setdefault(0, {})[1] = F101.add(rows.get(0, {}).get(1, F101.zero), F101.one)
+    action[9] = Matrix.from_entries(F101, A.dim, A.dim, rows)
+    with pytest.raises(AssertionError, match="action incompatible with multiplication"):
+        Module(A, A.dim, action)
 
 
 # -- endomorphism algebras ------------------------------------------------

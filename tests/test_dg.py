@@ -17,8 +17,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (dense_row, nonzero_entries, reference_composition_tables, reference_h0_algebra,
-                     reference_hom_class_action, reference_hom_diff, sparse_products)
+from oracles import (dense_row, nonzero_entries, reference_composition_tables,
+                     reference_coords_of, reference_h0_algebra, reference_hom_class_action,
+                     reference_hom_diff, sparse_products)
 from siltcheck import silting
 from siltcheck.algebra import Quiver, path_algebra, simple_module
 from siltcheck.complexes import (
@@ -29,6 +30,7 @@ from siltcheck.complexes import (
     identity_chain_map,
     module_complex,
     projective_complex,
+    summand_projection_maps,
 )
 from siltcheck.dg import (
     DgAlgebra,
@@ -337,10 +339,43 @@ def test_generator_images_match_the_composite_matrices(coresolution_inputs, fiel
                     == reference_hom_class_action(X, U, B, E)), name
 
 
+def _honest_maps(B):
+    """Degree-0 families of module maps U -> U for U = B.complex, as their
+    nonzero components: the identity, the summand projections and the
+    composites of verify_E_iso's route two, "chain map y, then chain map x"
+    over the classes of H^0."""
+    U = B.complex
+    f = U.algebra.field
+    yield {i: Matrix.identity(f, U.term(i).dim) for i in U.degrees() if U.term(i).dim}
+    if hasattr(U, "summands"):
+        for pm in summand_projection_maps(U):
+            yield pm.mats
+    chain_maps = [B.gh.chain_map_from_cocycle(rep) for rep in end_h0(B).class_reps]
+    for x in chain_maps:
+        for y in chain_maps:
+            yield y.compose(x).mats
+
+
+def test_coords_of_agrees_with_the_row_checked_reader(coresolution_inputs, built_objects):
+    # coords_of reads generator images only; on honest module maps that is
+    # what the reference reads after checking every row
+    ends = [B for name, B in built_objects.items() if name.startswith("dg_end")]
+    for field_spec in ({"prime": 2}, {"prime": 101}, "rational"):
+        ends += [dg_end(U) for U in coresolution_inputs(field_spec).values()]
+    read = 0
+    for B in ends:
+        for comps in _honest_maps(B):
+            want = reference_coords_of(B.gh, 0, comps)
+            assert want is not None
+            assert B.gh.coords_of(0, comps) == want
+            read += 1
+    assert read > len(ends)
+
+
 def test_composites_make_no_coords_of_call(coresolution_inputs, monkeypatch):
     """The hom differentials, the composition tables and the postcomposition
-    action read every composite off generator images: the row-by-row check
-    of coords_of stays for honest composite matrices only."""
+    action read every composite off the generator images of its first
+    factor, with no composite matrix for coords_of to read."""
     def refuse(*args):
         raise AssertionError("coords_of called")
 
@@ -392,12 +427,6 @@ class _Tables(_Graded):
         return out
 
 
-def _reference_sample(items):
-    """All items at desk scale; a stride sample of about 16 above 24 items."""
-    step = 1 if len(items) <= 24 else max(1, len(items) // 16)
-    return items[::step]
-
-
 def _items(X):
     return [(n, i) for n in X.degrees() for i in range(X.dim(n))]
 
@@ -418,7 +447,7 @@ def _reference_leibniz(Z, X, Y, message):
 
 
 def _reference_associativity(Z, factors, XY, YZ, message):
-    picks = [_reference_sample(_items(F)) for F in factors]
+    picks = [_items(F) for F in factors]
     for m, i in picks[0]:
         u = factors[0].basis_vector(m, i)
         for n, j in picks[1]:
@@ -484,7 +513,7 @@ def _verdict(build, args):
 
 @pytest.fixture(scope="module")
 def wide(A2, simple_resolution):
-    """A complex whose dg-end has 27 basis elements, past the sampling threshold."""
+    """A complex whose dg-end has 27 basis elements."""
     return direct_sum_complexes([simple_resolution, simple_resolution.shift(1),
                                  projective_complex(A2, {0: [0, 1]})])
 
@@ -797,3 +826,21 @@ def test_each_axiom_is_enforced(case):
         with pytest.raises(AssertionError) as err:
             check(*args)
         assert str(err.value) == message
+
+
+def test_associativity_is_checked_on_every_triple_past_desk_scale():
+    # linear A_8 as a dg-algebra in degree 0 with zero differential: 36 basis
+    # elements.  a1: 1 -> 2 sits at position 9 and a1*a1 is zero; setting it
+    # to e_0 breaks (a1*a1)*e_2 = e_0*e_2 = 0 against a1*(a1*e_2) = e_0, on
+    # triples through a1, which a stride sample of every other element never
+    # meets
+    A = path_algebra(Quiver([str(v) for v in range(8)],
+                            [(f"a{v}", str(v), str(v + 1)) for v in range(7)]), F101)
+    right = [A.right_mult_matrix(j).entries for j in range(A.dim)]
+    table = [[r.get(i, {}) for r in right] for i in range(A.dim)]
+    unit = {e: F101.one for e in A.idempotents}
+    DgAlgebra(F101, {0: A.dim}, {(0, 0): table}, {}, unit)
+    assert A.labels[9] == "a1" and not table[9][9]
+    table[9] = table[9][:9] + [{0: F101.one}] + table[9][10:]
+    with pytest.raises(AssertionError, match="associativity fails on degrees"):
+        DgAlgebra(F101, {0: A.dim}, {(0, 0): table}, {}, unit)
