@@ -1,11 +1,11 @@
 """Presilting tests, add-U coresolutions of the regular complex, goodification.
 
 A two-sided bounded complex U of projectives is presilting when it admits no
-self-extensions in positive shifts.  The coresolution routine approximates the
-regular complex A step by step from the left using summands of U, handing the
-cone of each approximation to the next step, and records the multiplicities of
-the summands each step uses; the number of steps minus one is the coresolution
-degree n.
+self-extensions in positive shifts.  For a presilting U only, as its theory
+presumes, the coresolution routine approximates the regular complex A step by
+step from the left using summands of U, handing the cone of each approximation
+to the next step, and records the multiplicities of the summands each step
+uses; the number of steps minus one is the coresolution degree n.
 Goodification replaces U by the direct sum of the approximation targets, which
 by construction carries enough copies of each summand to coresolve A.
 
@@ -198,18 +198,20 @@ class Coresolution:
 
 
 def coresolve_A(U: Complex, max_steps: int, B: DgAlgebra) -> Coresolution | None:
-    """Coresolve the regular complex by summands of U; None if the step cap
-    hits or the coresolution is stuck.
+    """Coresolve the regular complex by summands of U; None if U is not
+    presilting, the step cap hits or the coresolution is stuck.
 
-    A None return is inconclusive, not a refutation: the cap may simply be too
-    small, or the decomposition of U too coarse for minimal multiplicities.
-    A stuck coresolution (see _minimal_approximation) returns None before the
-    cap, since every step bound would be reached.  B is dg_end(U), already
-    built.
+    A positive self-extension, read off the cohomology of B.gh that the
+    presilting scan has already computed, returns None before any cone.
+    Otherwise None is inconclusive, not a refutation: the cap may simply be
+    too small, or the decomposition of U too coarse for minimal
+    multiplicities.  A stuck coresolution (see _minimal_approximation)
+    returns None before the cap, since every step bound would be reached.
+    B is dg_end(U), already built.
     """
     if not U.is_projective_complex():
         raise ValueError("coresolution needs a complex of projectives")
-    if U.is_empty():
+    if U.is_empty() or _self_extension(B.gh, 1, U.hi - U.lo) is not None:
         return None
     A = U.algebra
     summands = _summands(U)
@@ -298,6 +300,9 @@ def goodify(U: Complex, max_steps: int = 8,
 
 @dataclass
 class SiltingReport:
+    """n and multiplicities are None, and inconclusive True, when there is no
+    coresolution: the cap hit, it is stuck, or a presilting_witness refutes
+    the input, which is then not coresolved and is decided by the witness."""
     presilting: bool
     presilting_witness: tuple | None
     n: int | None
@@ -313,9 +318,7 @@ def silting_report(U: Complex, max_steps: int = 8,
                    B: DgAlgebra | None = None) -> SiltingReport:
     """One-stop summary; n and the multiplicities appear iff the coresolution
     does.  The self-extension scans and the coresolution share the one
-    dg-end B of U, built here unless given.  Once a positive self-extension
-    has decided the verdict, a field too small for the coresolution's radical
-    leaves n unset instead of failing the report."""
+    dg-end B of U, built here unless given."""
     if not U.is_projective_complex():
         raise ValueError("presilting test needs a complex of projectives")
     if U.is_empty():
@@ -325,18 +328,13 @@ def silting_report(U: Complex, max_steps: int = 8,
         pw = _self_extension(B.gh, 1, U.hi - U.lo)
         two_sided = _self_extension(B.gh, U.lo - U.hi, U.hi - U.lo)
         mf = all(U.h_dim(n) == 0 for n in U.degrees() if n != 0)
-        try:
-            cor = coresolve_A(U, max_steps, B)
-        except SmallCharacteristicError:
-            if pw is None:
-                raise
-            cor = None
+        cor = coresolve_A(U, max_steps, B)
     return SiltingReport(
         presilting=pw is None,
         presilting_witness=pw,
         n=cor.n if cor is not None else None,
         multiplicities=[dict(m) for m in cor.multiplicities] if cor is not None else None,
-        good=pw is None and cor is not None,
+        good=cor is not None,
         tilting=two_sided is None and cor is not None,
         module_form=mf,
         inconclusive=cor is None,

@@ -752,16 +752,16 @@ def verify_all(U: Complex, window=(-4, 4), pair_degrees=(-2, 2), max_steps: int 
                                     f"available: {sorted(known)}")
         mods = {k: v for k, v in mods.items() if k in probe_names}
     srep = ctx.report
-    base = [
-        CheckRecord("no positive self-extensions", srep.presilting,
-                    {"witness": list(srep.presilting_witness) if srep.presilting_witness else None}),
-        CheckRecord("coresolution terminates", srep.n is not None,
-                    {"steps": srep.n, "multiplicities": srep.multiplicities}),
-    ]
-    reports = [VerificationReport("silting", "input complex", base,
-                                  {"max_steps": ctx.max_steps,
-                                   "inconclusive": srep.inconclusive})]
-    if not srep.presilting or srep.n is None:
+    base = [CheckRecord("no positive self-extensions", srep.presilting,
+                        {"witness": list(srep.presilting_witness) if srep.presilting_witness else None})]
+    notes = {"max_steps": ctx.max_steps, "inconclusive": srep.inconclusive}
+    if srep.presilting:
+        base.append(CheckRecord("coresolution terminates", srep.n is not None,
+                                {"steps": srep.n, "multiplicities": srep.multiplicities}))
+    else:
+        notes["coresolution"] = "not attempted: a positive self-extension refutes silting"
+    reports = [VerificationReport("silting", "input complex", base, notes)]
+    if srep.n is None:
         return _scoped(reports)
     reports.append(verify_weak_nonpositive(ctx))
     reports.append(verify_E_iso(ctx))

@@ -534,6 +534,18 @@ def test_one_run_analyses_the_input_complex_once(capsys, monkeypatch,
                if fn in ("silting_report", "coresolve_A"))
 
 
+@pytest.mark.parametrize("command", ["check", "verify", "report"])
+def test_a_refuted_input_is_never_coresolved(capsys, monkeypatch, command):
+    # the witness decides the verdict, so coresolve_A returns at its
+    # presilting gate and no H^0 algebra is built
+    on, _ = _count_calls(monkeypatch)
+    code, _, _ = run_cli(capsys, command, FIX_A2, "silt2-wrong-orientation")
+    assert code == 1
+    assert on("silt2-wrong-orientation") == {
+        "silting_report": 1, "coresolve_A": 1, "dg_end": 1, "h0_algebra": 0,
+        "proj_replacement": 0}
+
+
 def test_verify_of_a_tilting_module_resolves_only_the_simple_probes(capsys,
                                                                      monkeypatch):
     # the tilting-theorem report reads the battery, so the run coresolves

@@ -104,12 +104,22 @@ def test_tilting_check_two_sided(tilt, silt2):
     assert r2.tilting and r2.module_form
 
 
-def test_wrong_orientation_fails_with_witness(wrong):
-    assert presilting_witness(wrong) == (1, 1)
-    r = silting_report(wrong, max_steps=4)
-    assert not r.presilting and r.presilting_witness == (1, 1)
-    assert r.inconclusive and r.n is None and r.multiplicities is None
-    assert not r.good and not r.tilting
+@pytest.fixture(scope="module")
+def refuted_with_a_coresolution(parts):
+    """P1 + P2 + P2[1] over kA_2: its self-extension in shift 1 refutes it,
+    though the loop would coresolve A by P1 + P2 in one step."""
+    P1c, P2c, _ = parts
+    return direct_sum_complexes([P1c, P2c, P2c.shift(1)])
+
+
+def test_wrong_orientation_fails_with_witness(wrong, refuted_with_a_coresolution):
+    # a refuted input reports no coresolution, even one the loop would finish
+    for U, witness in ((wrong, (1, 1)), (refuted_with_a_coresolution, (1, 2))):
+        assert presilting_witness(U) == witness
+        r = silting_report(U, max_steps=4)
+        assert not r.presilting and r.presilting_witness == witness
+        assert r.inconclusive and r.n is None and r.multiplicities is None
+        assert not r.good and not r.tilting
 
 
 def test_early_stop_agrees_with_the_loop_run_to_the_cap(coresolution_inputs, parts):
@@ -144,8 +154,11 @@ def test_long_exact_sequences_hold_on_every_terminating_coresolution(
     assert sum(name.startswith("fix_a2/") for name in done) == 3
 
 
-def test_stuck_coresolution_builds_no_further_cones(monkeypatch, wrong):
-    B = dg_end(wrong)
+def test_stuck_coresolution_builds_no_further_cones(monkeypatch, parts, wrong):
+    # P1 alone is presilting but not silting: its coresolution is stuck
+    # after one approximation
+    U = parts[0]
+    B = dg_end(U)
 
     def counted(owner):
         targets = []
@@ -158,14 +171,35 @@ def test_stuck_coresolution_builds_no_further_cones(monkeypatch, wrong):
         monkeypatch.setattr(owner, "cone", spy)
         return targets
 
-    # run to the cap, the loop approximates by zero from step 3 on
+    # run to the cap, the loop approximates by zero from step 2 on
     ref_targets = counted(oracles)
-    assert reference_coresolutions(wrong, 8, B)[8] is None
-    assert ref_targets == [False, False] + [True] * 6
+    assert reference_coresolutions(U, 8, B)[8] is None
+    assert ref_targets == [False] + [True] * 7
     # the stuck test stops there whatever the bound
     targets = counted(silting)
-    assert coresolve_A(wrong, 10_000, B) is None
-    assert targets == [False, False]
+    assert coresolve_A(U, 10_000, B) is None
+    assert targets == [False]
+    # a refuted input is never coresolved at all
+    targets.clear()
+    assert coresolve_A(wrong, 10_000, dg_end(wrong)) is None
+    assert targets == []
+
+
+def test_refuted_inputs_return_at_the_presilting_gate(monkeypatch, coresolution_inputs,
+                                                      refuted_with_a_coresolution):
+    # the witness decides, so no H^0 algebra, radical or cone is built
+    refuted = {name: U for name, U in coresolution_inputs({"prime": 101}).items()
+               if presilting_witness(U) is not None}
+    assert len(refuted) == 71
+    refuted["P1+P2+P2[1]"] = refuted_with_a_coresolution
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a refuted input reached the coresolution")
+
+    for name in ("end_h0", "end_radical", "cone"):
+        monkeypatch.setattr(silting, name, forbidden)
+    for name, U in refuted.items():
+        assert coresolve_A(U, 8, dg_end(U)) is None, name
 
 
 def test_step_cap_is_inconclusive_not_false(silt2):
