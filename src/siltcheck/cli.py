@@ -4,8 +4,9 @@ Every command reads an instance file, picks one named complex, and prints a
 JSON report with sorted keys so reruns are byte-identical.  Exit codes: 0 all
 checks passed, 1 a check failed with a witness, 2 the run hit a cap or step
 bound before reaching a verdict, 3 the instance file or arguments were
-malformed, the --output file cannot be written, or the input is unsupported
-(a field whose characteristic is too small for an exact radical).
+malformed, the --output file cannot be written, the input is unsupported
+(a field whose characteristic is too small for an exact radical), or an
+internal consistency check failed.
 """
 
 from __future__ import annotations
@@ -273,6 +274,10 @@ def main(argv=None) -> int:
     except (ResolutionCapError, SemifreeCapError) as e:
         sys.stderr.write(f"siltcheck: {e}\n")
         return 2
+    except AssertionError as e:
+        # a validator refused an object the run built: no witness exists
+        sys.stderr.write(f"siltcheck: internal check failed: {e}\n")
+        return 3
     except (MemoryError, RecursionError) as e:
         # the run outgrew the machine before a verdict: inconclusive
         sys.stderr.write(f"siltcheck: no verdict, the run hit a {type(e).__name__}\n")

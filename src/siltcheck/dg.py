@@ -12,11 +12,12 @@ associativity on every basis triple.  Each axiom is one matrix identity per
 degree pair or triple between blocks of the structure tables, read off the
 sparse products and compared as sparse entries.
 
-The central construction is dg_end of a complex of projectives U: its
-degree-n part is the degree-n piece of the hom complex of U with itself, and
-the product a*b is "apply b, then a", with no auxiliary sign.  That choice
-makes the Leibniz rule hold exactly for the hom-complex differential, which
-the constructor re-checks on every basis pair.  dg_end and its non-positive
+The central construction is dg_end of a complex of projectives U, built on
+the hom complex of U with itself (end_dg keeps one on that hom complex): its
+degree-n part is the degree-n piece of that hom complex, and the product
+a*b is "apply b, then a", with no auxiliary sign.  That choice makes the
+Leibniz rule hold exactly for the hom-complex differential, which the
+constructor re-checks on every basis pair.  dg_end and its non-positive
 smart_truncate both record .maps, each basis element as its component maps
 U -> U, so hom modules and the evaluation module of U are built over either
 one by composing those maps; each composite is read off generator images
@@ -256,10 +257,7 @@ class DgAlgebra(_Graded):
 
     def validate(self):
         f = self.field
-        # d^2 = 0
-        for n in self.degrees():
-            if not (self.diff(n) @ self.diff(n + 1)).is_zero():
-                raise AssertionError(f"dg differential does not square to zero at degree {n}")
+        self.check_square_zero("dg differential does not square to zero at degree {}")
         # unit: two-sided identity and a cocycle
         if any(not 0 <= k < self.dim(0) for k in self.unit):
             raise AssertionError("unit has an entry outside degree 0")
@@ -312,9 +310,7 @@ class DgModule(_Graded):
         comes from the degree of the first factor either way."""
         B, one = self.algebra, self.field.one
         right = self.side == "right"
-        for n in self.degrees():
-            if not (self.diff(n) @ self.diff(n + 1)).is_zero():
-                raise AssertionError(f"module differential does not square to zero at {n}")
+        self.check_square_zero("module differential does not square to zero at {}")
         action, mult = self.action, B.mult
         for n in self.degrees():
             products = _unit_products(self, action, n, B, right)
@@ -377,18 +373,22 @@ def _summand_idempotents(U: Complex, gh) -> list | None:
     return [gh.coords_of(0, pm.mats) for pm in summand_projection_maps(U)]
 
 
-def dg_end(U: Complex) -> DgAlgebra:
-    """The endomorphism dg-algebra of a complex of projectives.
+def dg_end(U: Complex, gh: GradedHom | None = None) -> DgAlgebra:
+    """The endomorphism dg-algebra of a complex of projectives, built on gh
+    = hom_complex(U, U), or on a new one when gh is None.
 
     Its idempotents are the summand projections of U when U carries
-    direct-sum data.  Carries .gh (the underlying hom complex of U with
-    itself), .complex and .maps, each degree-n basis element as its
-    component maps U -> U; end_h0 keeps its H^0 algebra on it, and
-    silting.end_radical the radical of that algebra.
+    direct-sum data.  Carries .gh, .complex and .maps, each degree-n basis
+    element as its component maps U -> U; end_h0 keeps its H^0 algebra on
+    it, and silting.end_radical the radical of that algebra.  end_dg keeps
+    one dg-end on its gh.
     """
     if not U.is_projective_complex():
         raise ValueError("dg_end needs a complex of projectives")
-    gh = hom_complex(U, U)
+    if gh is None:
+        gh = hom_complex(U, U)
+    elif gh.X is not U or gh.Y is not U:
+        raise ValueError("dg_end needs the hom complex of U with itself")
     f = U.algebra.field
     dims = {n: gh.dim(n) for n in gh.degrees()}
     maps = {n: [{i: h} for i, h in gh.basis[n]] for n in gh.degrees()}
@@ -401,6 +401,15 @@ def dg_end(U: Complex) -> DgAlgebra:
     B.maps = maps
     B._h0 = None
     B._radical = None
+    return B
+
+
+def end_dg(gh: GradedHom) -> DgAlgebra:
+    """dg_end(U, gh) for gh = Hom(U, U), built once per gh and kept on it,
+    as end_h0 keeps H^0 on B."""
+    B = getattr(gh, "_end", None)
+    if B is None:
+        B = gh._end = dg_end(gh.X, gh)
     return B
 
 

@@ -528,6 +528,13 @@ class Cochains:
                            if self.dim(n) else WholeSpace(self.field, 0))
         return self._sq[n]
 
+    def check_square_zero(self, message: str):
+        """Raise AssertionError(message.format(n)) at the first degree n
+        where d^n followed by d^{n+1} is not zero."""
+        for n in self.degrees():
+            if not (self.diff(n) @ self.diff(n + 1)).is_zero():
+                raise AssertionError(message.format(n))
+
     def h_dim(self, n: int) -> int:
         return self.subquotient(n).dim
 

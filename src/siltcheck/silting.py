@@ -1,10 +1,13 @@
 """Presilting tests, add-U coresolutions of the regular complex, goodification.
 
 A two-sided bounded complex U of projectives is presilting when it admits no
-self-extensions in positive shifts.  For a presilting U only, as its theory
-presumes, the coresolution routine approximates the regular complex A step by
-step from the left using summands of U, handing the cone of each approximation
-to the next step, and records the multiplicities of the summands each step
+self-extensions in positive shifts.  Both self-extension scans read the
+cohomology of one hom complex Hom(U, U), with d^2 = 0 checked on it first,
+so a refuted U is decided from it alone.  For a presilting U only, as its
+theory presumes, the dg-end of U is built on that same Hom(U, U), and the
+coresolution routine approximates the regular complex A step by step from
+the left using summands of U, handing the cone of each approximation to the
+next step, and records the multiplicities of the summands each step
 uses; the number of steps minus one is the coresolution degree n.
 Goodification replaces U by the direct sum of the approximation targets, which
 by construction carries enough copies of each summand to coresolve A.
@@ -37,7 +40,7 @@ from .linalg import Matrix, quotient_map
 from .complexes import (ChainMap, Complex, GradedHom, cone,
                         direct_sum_complexes, hom_complex, is_acyclic,
                         projective_complex, zero_complex)
-from .dg import DgAlgebra, dg_end, end_h0
+from .dg import DgAlgebra, end_dg, end_h0
 
 
 class SmallCharacteristicError(ValueError):
@@ -197,22 +200,26 @@ class Coresolution:
     n: int
 
 
-def coresolve_A(U: Complex, max_steps: int, B: DgAlgebra) -> Coresolution | None:
+def coresolve_A(U: Complex, max_steps: int, gh: GradedHom) -> Coresolution | None:
     """Coresolve the regular complex by summands of U; None if U is not
     presilting, the step cap hits or the coresolution is stuck.
 
-    A positive self-extension, read off the cohomology of B.gh that the
-    presilting scan has already computed, returns None before any cone.
-    Otherwise None is inconclusive, not a refutation: the cap may simply be
-    too small, or the decomposition of U too coarse for minimal
-    multiplicities.  A stuck coresolution (see _minimal_approximation)
-    returns None before the cap, since every step bound would be reached.
-    B is dg_end(U), already built.
+    gh is hom_complex(U, U), already built.  A positive self-extension, read
+    off its cohomology, returns None before the dg-end of U, any
+    approximation or any cone; only a presilting U gets its dg-end, kept on
+    gh by end_dg.  Otherwise None is inconclusive, not a refutation: the cap
+    may simply be too small, or the decomposition of U too coarse for
+    minimal multiplicities.  A stuck coresolution (see
+    _minimal_approximation) returns None before the cap, since every step
+    bound would be reached.
     """
     if not U.is_projective_complex():
         raise ValueError("coresolution needs a complex of projectives")
-    if U.is_empty() or _self_extension(B.gh, 1, U.hi - U.lo) is not None:
+    if gh.X is not U or gh.Y is not U:
+        raise ValueError("coresolution needs the hom complex of U with itself")
+    if U.is_empty() or _self_extension(gh, 1, U.hi - U.lo) is not None:
         return None
+    B = end_dg(gh)
     A = U.algebra
     summands = _summands(U)
     E = end_h0(B)
@@ -235,6 +242,15 @@ def coresolve_A(U: Complex, max_steps: int, B: DgAlgebra) -> Coresolution | None
 # -- presilting tests ------------------------------------------------------
 
 
+def _checked_self_hom(U: Complex, gh: GradedHom | None = None) -> GradedHom:
+    """gh = hom_complex(U, U), built here unless given, with d^2 = 0 checked
+    in every degree: no self-extension is read off a differential that does
+    not square to zero, whether or not a dg-end is built on it later."""
+    gh = hom_complex(U, U) if gh is None else gh
+    gh.check_square_zero("hom complex differential does not square to zero at degree {}")
+    return gh
+
+
 def _self_extension(gh: GradedHom, lo: int, hi: int) -> tuple | None:
     """The first (shift, dim) with lo <= shift <= hi, shift nonzero and
     H^shift of gh = Hom(U, U) nonzero, or None when there is none."""
@@ -253,7 +269,7 @@ def presilting_witness(U: Complex):
         raise ValueError("presilting test needs a complex of projectives")
     if U.is_empty():
         return None
-    return _self_extension(hom_complex(U, U), 1, U.hi - U.lo)
+    return _self_extension(_checked_self_hom(U), 1, U.hi - U.lo)
 
 
 def silting_equivalent(U: Complex, V: Complex, max_steps: int = 8,
@@ -315,20 +331,22 @@ class SiltingReport:
 
 
 def silting_report(U: Complex, max_steps: int = 8,
-                   B: DgAlgebra | None = None) -> SiltingReport:
+                   gh: GradedHom | None = None) -> SiltingReport:
     """One-stop summary; n and the multiplicities appear iff the coresolution
     does.  The self-extension scans and the coresolution share the one
-    dg-end B of U, built here unless given."""
+    hom complex gh = Hom(U, U), built here unless given, with d^2 = 0
+    checked on it first.  A refuted U is decided from gh alone: no dg-end
+    is built for it."""
     if not U.is_projective_complex():
         raise ValueError("presilting test needs a complex of projectives")
     if U.is_empty():
         mf, pw, two_sided, cor = True, None, None, None
     else:
-        B = dg_end(U) if B is None else B
-        pw = _self_extension(B.gh, 1, U.hi - U.lo)
-        two_sided = _self_extension(B.gh, U.lo - U.hi, U.hi - U.lo)
+        gh = _checked_self_hom(U, gh)
+        pw = _self_extension(gh, 1, U.hi - U.lo)
+        two_sided = _self_extension(gh, U.lo - U.hi, U.hi - U.lo)
         mf = all(U.h_dim(n) == 0 for n in U.degrees() if n != 0)
-        cor = coresolve_A(U, max_steps, B)
+        cor = coresolve_A(U, max_steps, gh)
     return SiltingReport(
         presilting=pw is None,
         presilting_witness=pw,

@@ -34,7 +34,7 @@ from .algebra import Algebra, Module, direct_sum_modules, simple_module
 from .complexes import (ChainMap, Complex, GradedHom, direct_sum_complexes,
                         hom_complex, module_complex, proj_replacement,
                         projective_cache, projective_complex)
-from .dg import (DgAlgebra, DgModule, dg_end, dg_hom_module, end_h0,
+from .dg import (DgAlgebra, DgModule, dg_hom_module, end_dg, end_h0,
                  evaluation_left_module, opposite_dg, side_swap,
                  smart_truncate)
 from .linalg import Matrix
@@ -103,14 +103,17 @@ def _window(w) -> DegreeWindow:
 class SiltingContext:
     """The one silting analysis of a complex U that every check shares.
 
-    B is the dg-endomorphism algebra of U, report the silting report of U
-    built on that same B, C the non-positive truncation of B, and Uc is U
-    turned into a left C-module through evaluation.  Each is built on first
-    use and then kept.  Module probes as one-degree complexes, hom
-    complexes, hom modules into probe complexes, resolutions, tensors and
-    the classification of module probes are cached under the objects they
-    come from, since several checks revisit them; a key keeps its object
-    alive, so a cached entry can never answer for another.
+    gh is the hom complex Hom(U, U), report the silting report of U read
+    off gh, B the dg-endomorphism algebra of U built on that same gh (the
+    one the report's coresolution used, when U is presilting), C the
+    non-positive truncation of B, and Uc is U turned into a left C-module
+    through evaluation.  Each is built on first use and then kept, so a
+    refuted U, decided by its report alone, never gets a dg-end.  Module
+    probes as one-degree complexes, hom complexes, hom modules into probe
+    complexes, resolutions, tensors and the classification of module
+    probes are cached under the objects they come from, since several
+    checks revisit them; a key keeps its object alive, so a cached entry
+    can never answer for another.
     """
 
     def __init__(self, U: Complex, max_steps: int = 8):
@@ -127,12 +130,16 @@ class SiltingContext:
         self._classifications: dict = {}
 
     @cached_property
+    def gh(self) -> GradedHom:
+        return hom_complex(self.U, self.U)
+
+    @cached_property
     def report(self) -> SiltingReport:
-        return silting_report(self.U, self.max_steps, self.B)
+        return silting_report(self.U, self.max_steps, self.gh)
 
     @cached_property
     def B(self) -> DgAlgebra:
-        return dg_end(self.U)
+        return end_dg(self.gh)
 
     @cached_property
     def C(self) -> DgAlgebra:
@@ -151,9 +158,9 @@ class SiltingContext:
 
     def hom(self, X: Complex, Y: Complex) -> GradedHom:
         """The hom complex of X into Y, built once per pair; Hom(U, U) is
-        the one under the dg-end B."""
+        gh, the one under the dg-end B."""
         if X is self.U and Y is self.U:
-            return self.B.gh
+            return self.gh
         if (X, Y) not in self._homs:
             self._homs[(X, Y)] = hom_complex(X, Y)
         return self._homs[(X, Y)]

@@ -212,7 +212,7 @@ def test_goodification_terminates_and_preserves_the_class(request, uname):
     start = time.perf_counter()
     U = request.getfixturevalue(uname)
     B = dg_end(U)
-    cor = coresolve_A(U, 8, B)
+    cor = coresolve_A(U, 8, B.gh)
     assert cor is not None and cor.n <= 1
     V = goodify(U)
     assert V is not None

@@ -455,6 +455,23 @@ def test_exhausted_machine_exits_2_without_a_traceback(capsys, monkeypatch, erro
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["check", "verify"])
+def test_a_failed_internal_check_exits_3_without_a_traceback(capsys, monkeypatch,
+                                                             command):
+    # a validator's AssertionError is no witness: it must not exit 1
+    from siltcheck.dg import DgAlgebra
+
+    def refuse(self):
+        raise AssertionError("associativity fails on degrees (0, 0, 0)")
+
+    monkeypatch.setattr(DgAlgebra, "validate", refuse)
+    code, out, err = run_cli(capsys, command, FIX_A2, "U-tilt")
+    assert (code, out) == (3, "")
+    assert err == ("siltcheck: internal check failed: "
+                   "associativity fails on degrees (0, 0, 0)\n")
+    assert "Traceback" not in err
+
+
 COUNTED = ("silting_report", "coresolve_A", "dg_end", "h0_algebra",
            "proj_replacement")
 
@@ -536,13 +553,13 @@ def test_one_run_analyses_the_input_complex_once(capsys, monkeypatch,
 
 @pytest.mark.parametrize("command", ["check", "verify", "report"])
 def test_a_refuted_input_is_never_coresolved(capsys, monkeypatch, command):
-    # the witness decides the verdict, so coresolve_A returns at its
-    # presilting gate and no H^0 algebra is built
+    # the witness, read off Hom(U, U), decides the verdict, so coresolve_A
+    # returns at its presilting gate and no dg-end or H^0 algebra is built
     on, _ = _count_calls(monkeypatch)
     code, _, _ = run_cli(capsys, command, FIX_A2, "silt2-wrong-orientation")
     assert code == 1
     assert on("silt2-wrong-orientation") == {
-        "silting_report": 1, "coresolve_A": 1, "dg_end": 1, "h0_algebra": 0,
+        "silting_report": 1, "coresolve_A": 1, "dg_end": 0, "h0_algebra": 0,
         "proj_replacement": 0}
 
 

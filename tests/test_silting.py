@@ -68,7 +68,7 @@ def test_regular_complex_report(regular):
 
 def test_tilting_fixture_coresolution(tilt):
     B = dg_end(tilt)
-    cor = coresolve_A(tilt, 8, B)
+    cor = coresolve_A(tilt, 8, B.gh)
     assert cor is not None and cor.n == 1
     assert cor.multiplicities == [{0: 2}, {1: 1}]
     ref = reference_coresolutions(tilt, 8, B)[8]
@@ -128,12 +128,12 @@ def test_early_stop_agrees_with_the_loop_run_to_the_cap(coresolution_inputs, par
     # approximations come before the last one and the loop is not stuck
     P1c, P2c, _ = parts
     inputs["A[2]"] = direct_sum_complexes([P1c.shift(2), P2c.shift(2)])
-    assert coresolve_A(inputs["A[2]"], 8, dg_end(inputs["A[2]"])).n == 2
+    assert coresolve_A(inputs["A[2]"], 8, hom_complex(inputs["A[2]"], inputs["A[2]"])).n == 2
     for name, U in inputs.items():
         B = dg_end(U)
         ref = reference_coresolutions(U, 8, B)
         for k in range(9):
-            got, want = coresolve_A(U, k, B), ref[k]
+            got, want = coresolve_A(U, k, B.gh), ref[k]
             assert (got is None) == (want is None), (name, k)
             if got is not None:
                 assert got.n == want.n, (name, k)
@@ -177,17 +177,17 @@ def test_stuck_coresolution_builds_no_further_cones(monkeypatch, parts, wrong):
     assert ref_targets == [False] + [True] * 7
     # the stuck test stops there whatever the bound
     targets = counted(silting)
-    assert coresolve_A(U, 10_000, B) is None
+    assert coresolve_A(U, 10_000, B.gh) is None
     assert targets == [False]
     # a refuted input is never coresolved at all
     targets.clear()
-    assert coresolve_A(wrong, 10_000, dg_end(wrong)) is None
+    assert coresolve_A(wrong, 10_000, hom_complex(wrong, wrong)) is None
     assert targets == []
 
 
 def test_refuted_inputs_return_at_the_presilting_gate(monkeypatch, coresolution_inputs,
                                                       refuted_with_a_coresolution):
-    # the witness decides, so no H^0 algebra, radical or cone is built
+    # the witness decides, so no dg-end, H^0 algebra, radical or cone is built
     refuted = {name: U for name, U in coresolution_inputs({"prime": 101}).items()
                if presilting_witness(U) is not None}
     assert len(refuted) == 71
@@ -196,10 +196,98 @@ def test_refuted_inputs_return_at_the_presilting_gate(monkeypatch, coresolution_
     def forbidden(*args, **kwargs):
         raise AssertionError("a refuted input reached the coresolution")
 
-    for name in ("end_h0", "end_radical", "cone"):
+    for name in ("end_dg", "end_h0", "end_radical", "cone"):
         monkeypatch.setattr(silting, name, forbidden)
     for name, U in refuted.items():
-        assert coresolve_A(U, 8, dg_end(U)) is None, name
+        assert coresolve_A(U, 8, hom_complex(U, U)) is None, name
+
+
+def _count_homs(monkeypatch) -> dict:
+    """Count hom_complex calls by (source, target) in every module that
+    builds one for the silting report; the dict maps each key to the list
+    of hom complexes built."""
+    from siltcheck import complexes, dg
+
+    built: dict = {}
+    original = complexes.hom_complex
+
+    def counted(X, Y):
+        gh = original(X, Y)
+        built.setdefault((X, Y), []).append(gh)
+        return gh
+
+    for module in (complexes, dg, silting):
+        monkeypatch.setattr(module, "hom_complex", counted)
+    return built
+
+
+def test_a_refuted_report_reads_hom_u_u_alone(monkeypatch, coresolution_inputs,
+                                              refuted_with_a_coresolution):
+    # the witness is read off one Hom(U, U): no dg-end, composition table
+    # or dg-algebra validation is reached
+    from siltcheck import dg
+
+    refuted = {name: U for name, U in coresolution_inputs({"prime": 101}).items()
+               if presilting_witness(U) is not None}
+    assert len(refuted) == 71
+    refuted["P1+P2+P2[1]"] = refuted_with_a_coresolution
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a refuted input reached the dg-end")
+
+    monkeypatch.setattr(dg, "dg_end", forbidden)
+    monkeypatch.setattr(dg, "_composition_tables", forbidden)
+    monkeypatch.setattr(dg.DgAlgebra, "validate", forbidden)
+    built = _count_homs(monkeypatch)
+    for name, U in refuted.items():
+        r = silting_report(U)
+        assert r.presilting_witness is not None and r.n is None, name
+        assert len(built.pop((U, U))) == 1, name
+        assert not built, name
+
+
+def test_report_and_coresolution_share_one_hom_u_u(monkeypatch, tilt, silt2):
+    from siltcheck import dg
+
+    ends = []
+    dg_end = dg.dg_end
+
+    def kept(U, *args, **kwargs):
+        B = dg_end(U, *args, **kwargs)
+        ends.append((U, B))
+        return B
+
+    monkeypatch.setattr(dg, "dg_end", kept)
+    built = _count_homs(monkeypatch)
+    for U in (tilt, silt2):
+        ends.clear()
+        r = silting_report(U)
+        assert r.presilting and r.n == 1
+        (gh,) = built[(U, U)]
+        ((V, B),) = ends
+        assert V is U and B.gh is gh
+
+
+def test_a_differential_that_does_not_square_to_zero_stops_the_scan(monkeypatch, parts):
+    # d^2 = 0 is checked on Hom(U, U) before any witness is read; these
+    # inputs are refuted, so no dg-end validation would catch it.  Hom(U, U)
+    # of P + P[1] is nonzero in degrees -1, 0 and 1, so the all-ones
+    # differential squares to a nonzero matrix.
+    from siltcheck.complexes import GradedHom
+
+    def ones(self, n):
+        return Matrix(self.field, self.dim(n), self.dim(n + 1),
+                      [[self.field.one] * self.dim(n + 1) for _ in range(self.dim(n))])
+
+    P1c, P2c, _ = parts
+    inputs = [direct_sum_complexes([P, P.shift(1)]) for P in (P1c, P2c)]
+    assert all(presilting_witness(U) is not None for U in inputs)
+    monkeypatch.setattr(GradedHom, "diff", ones)
+    for U in inputs:
+        for scan in (silting_report, presilting_witness):
+            with pytest.raises(AssertionError,
+                               match="hom complex differential does not square to zero"):
+                scan(U)
 
 
 def test_step_cap_is_inconclusive_not_false(silt2):
@@ -267,6 +355,5 @@ def test_radical_rejects_small_characteristic():
     A = path_algebra(Quiver(["1", "2"], [("a", "1", "2")]), F2)
     U = direct_sum_complexes([projective_complex(A, {0: [0]}),
                               projective_complex(A, {0: [1]})])
-    B = dg_end(U)
     with pytest.raises(ValueError):
-        coresolve_A(U, 8, B)
+        coresolve_A(U, 8, hom_complex(U, U))
