@@ -5,8 +5,9 @@ Conventions (used consistently by every downstream module):
 * Path composition is diagrammatic: for arrows a: i -> j and b: j -> k the
   product a*b is the path i -> k.  Trivial paths e_i are the complete
   orthogonal idempotent set, and e_i * p = p exactly when p starts at i.
-* Module elements are row vectors; the right action of an algebra element is a
-  matrix acting on the right, so action(a*b) = action(a) @ action(b).
+* Algebra and module elements are row vectors given by their nonzero entries
+  {index: entry}, as in every other layer; the right action of an algebra
+  element is a matrix acting on the right, so action(a*b) = action(a) @ action(b).
 * A right module map f is a matrix F with f(x) = x @ F, and A-linearity reads
   action_M(a) @ F = F @ action_N(a).
 
@@ -123,21 +124,23 @@ def _parse_relations(quiver: Quiver, relations):
 class Algebra:
     """Finite-dimensional algebra with a distinguished basis.
 
-    mult maps a basis index pair (i, j) to a sparse product, a tuple of
-    (index, coefficient) pairs.  idempotents are indices of basis elements
+    An element is its nonzero entries {index: entry}, stored as for
+    Matrix.from_entries: nonzero, canonical, taken over and never mutated.
+    mult maps each basis index pair (i, j) with b_i b_j nonzero to that
+    product, and unit is the unit.  idempotents are indices of basis elements
     forming a complete orthogonal idempotent set (for a path algebra, the
     trivial paths).  generators must multiplicatively generate the algebra and
     contain the idempotents; module-map linearity is checked against them.
     """
 
-    def __init__(self, field, labels: Sequence[str], mult: dict, unit: Sequence,
+    def __init__(self, field, labels: Sequence[str], mult: dict, unit: dict,
                  idempotents: Sequence[int], generators: Sequence[int] | None = None,
                  path_info=None, validate: bool = True):
         self.field = field
         self.labels = tuple(labels)
         self.dim = len(self.labels)
         self.mult = mult
-        self.unit = tuple(unit)
+        self.unit = unit
         self.idempotents = tuple(idempotents)
         self.generators = tuple(generators) if generators is not None else tuple(range(self.dim))
         self.path_info = path_info  # list of (source, target, arrows) for path algebras
@@ -149,69 +152,44 @@ class Algebra:
         if validate:
             self.validate()
 
-    # sparse product of two basis elements
-    def basis_product(self, i: int, j: int):
-        return self.mult.get((i, j), ())
-
-    def multiply(self, u: Sequence, v: Sequence) -> tuple:
-        f = self.field
-        out = [f.zero] * self.dim
-        for i, a in enumerate(u):
-            if a == f.zero:
-                continue
-            for j, b in enumerate(v):
-                if b == f.zero:
-                    continue
-                c = f.mul(a, b)
-                for k, s in self.basis_product(i, j):
-                    out[k] = f.add(out[k], f.mul(c, s))
-        return tuple(out)
+    def basis_product(self, i: int, j: int) -> dict:
+        """b_i b_j as its nonzero entries."""
+        return self.mult.get((i, j), {})
 
     def right_mult_matrix(self, j: int) -> Matrix:
         """Matrix of x |-> x * b_j in row convention."""
         if j not in self._rmul:
-            f = self.field
-            rows = []
-            for i in range(self.dim):
-                row = [f.zero] * self.dim
-                for k, s in self.basis_product(i, j):
-                    row[k] = f.add(row[k], s)
-                rows.append(row)
-            self._rmul[j] = Matrix(f, self.dim, self.dim, rows)
+            self._rmul[j] = Matrix.from_entries(
+                self.field, self.dim, self.dim,
+                {i: p for i in range(self.dim) if (p := self.mult.get((i, j)))})
         return self._rmul[j]
 
     def left_mult_matrix(self, j: int) -> Matrix:
         """Matrix of x |-> b_j * x in row convention."""
         if j not in self._lmul:
-            f = self.field
-            rows = []
-            for i in range(self.dim):
-                row = [f.zero] * self.dim
-                for k, s in self.basis_product(j, i):
-                    row[k] = f.add(row[k], s)
-                rows.append(row)
-            self._lmul[j] = Matrix(f, self.dim, self.dim, rows)
+            self._lmul[j] = Matrix.from_entries(
+                self.field, self.dim, self.dim,
+                {i: p for i in range(self.dim) if (p := self.mult.get((j, i)))})
         return self._lmul[j]
 
     def validate(self):
         f = self.field
-        # unit is a two-sided identity
-        for i in range(self.dim):
-            ei = tuple(f.one if k == i else f.zero for k in range(self.dim))
-            if self.multiply(self.unit, ei) != ei or self.multiply(ei, self.unit) != ei:
-                raise AssertionError(f"unit fails on basis element {self.labels[i]}")
+        # unit: row i of sum u_t R_t is b_i u, and of sum u_t L_t is u b_i
+        for side, mult_matrix in (("right", self.right_mult_matrix),
+                                  ("left", self.left_mult_matrix)):
+            terms = ((c, mult_matrix(t)) for t, c in self.unit.items())
+            if Matrix.combination(f, self.dim, self.dim, terms) != Matrix.identity(f, self.dim):
+                raise AssertionError(f"unit is not a {side} identity")
         # idempotents: complete orthogonal set of basis elements
-        acc = [f.zero] * self.dim
         for e in self.idempotents:
-            ee = self.basis_product(e, e)
-            if dict(ee) != {e: f.one}:
+            if self.basis_product(e, e) != {e: f.one}:
                 raise AssertionError(f"basis element {self.labels[e]} is not idempotent")
-            acc[e] = f.add(acc[e], f.one)
         for e in self.idempotents:
             for e2 in self.idempotents:
                 if e != e2 and self.basis_product(e, e2):
                     raise AssertionError("idempotents not orthogonal")
-        if tuple(acc) != self.unit:
+        # their sum, where a repeated idempotent counts once per repeat
+        if f.reduce_entries({e: self.idempotents.count(e) for e in self.idempotents}) != self.unit:
             raise AssertionError("idempotents do not sum to the unit")
         # associativity: (b_i b_j) b_k = b_i (b_j b_k) for every i is the
         # matrix identity R_j R_k = sum_t c^{jk}_t R_t of right regular
@@ -224,14 +202,10 @@ class Algebra:
             for k in self.generators:
                 rhs = Matrix.combination(f, self.dim, self.dim,
                                          ((c, self.right_mult_matrix(t))
-                                          for t, c in self.basis_product(j, k)))
+                                          for t, c in self.basis_product(j, k).items()))
                 if self.right_mult_matrix(j) @ self.right_mult_matrix(k) != rhs:
                     raise AssertionError(
                         f"associativity fails on ({self.labels[j]}, {self.labels[k]})")
-
-    def basis_vector(self, i: int) -> tuple:
-        f = self.field
-        return tuple(f.one if k == i else f.zero for k in range(self.dim))
 
     def __repr__(self):
         return f"Algebra(dim={self.dim}, basis={list(self.labels)!r})"
@@ -300,7 +274,7 @@ def path_algebra(quiver: Quiver, field, relations=(), dimension_cap: int = 512) 
         bindex = {p: i for i, p in enumerate(basis_paths)}
 
         def reduce_path(p):
-            return tuple(sorted(proj.entries.get(index[p], {}).items()))
+            return proj.entries.get(index[p], {})
 
     else:
         # length-graded quotient, one block per length, until saturation
@@ -367,9 +341,9 @@ def path_algebra(quiver: Quiver, field, relations=(), dimension_cap: int = 512) 
         def reduce_path(p):
             ln = len(p[1])
             if ln >= L_stop:
-                return ()
+                return {}
             row = projs[ln].entries.get(indices[ln][p], {})
-            return tuple((offsets[ln] + k, c) for k, c in sorted(row.items()))
+            return {offsets[ln] + k: c for k, c in row.items()}
 
     if len(basis_paths) > dimension_cap:
         raise DimensionCapError(f"algebra dimension {len(basis_paths)} exceeds cap {dimension_cap}")
@@ -388,12 +362,9 @@ def path_algebra(quiver: Quiver, field, relations=(), dimension_cap: int = 512) 
     labels = [_path_label(quiver, p) for p in basis_paths]
     trivial = [bindex[(v, ())] for v in range(len(quiver.vertices))]
     arrows = [bindex[p] for p in basis_paths if len(p[1]) == 1]
-    unit = [field.zero] * len(basis_paths)
-    for t in trivial:
-        unit[t] = field.one
     path_info = [(p[0], _path_target(quiver, p), p[1]) for p in basis_paths]
-    alg = Algebra(field, labels, mult, unit, trivial, generators=trivial + arrows,
-                  path_info=path_info)
+    alg = Algebra(field, labels, mult, {t: field.one for t in trivial}, trivial,
+                  generators=trivial + arrows, path_info=path_info)
     alg.quiver = quiver
     return alg
 
@@ -417,25 +388,23 @@ class Module:
         if validate:
             self.validate()
 
-    def action_of(self, vec: Sequence) -> Matrix:
-        """The action of an algebra element; a basis element's is its own
-        action matrix, not a copy."""
-        f = self.algebra.field
-        return Matrix.combination(f, self.dim, self.dim,
-                                  ((c, self.action[i]) for i, c in enumerate(vec) if c != f.zero))
+    def action_of(self, vec: dict) -> Matrix:
+        """The action of an algebra element given as its nonzero entries; a
+        basis element's is its own action matrix, not a copy."""
+        return Matrix.combination(self.algebra.field, self.dim, self.dim,
+                                  ((c, self.action[i]) for i, c in vec.items()))
 
     def validate(self):
         A = self.algebra
-        ident = Matrix.identity(A.field, self.dim)
-        if self.action_of(A.unit) != ident:
+        if self.action_of(A.unit) != Matrix.identity(A.field, self.dim):
             raise AssertionError("unit does not act as identity")
         # (m b_i) b_j = m (b_i b_j) for every basis element i and generator
         # j, which suffices for the reason given in Algebra.validate
         f = A.field
         for i in range(A.dim):
             for j in A.generators:
-                rhs = Matrix.combination(f, self.dim, self.dim,
-                                         ((c, self.action[k]) for k, c in A.basis_product(i, j)))
+                terms = ((c, self.action[k]) for k, c in A.basis_product(i, j).items())
+                rhs = Matrix.combination(f, self.dim, self.dim, terms)
                 if self.action[i] @ self.action[j] != rhs:
                     raise AssertionError(
                         f"action incompatible with multiplication on ({A.labels[i]}, {A.labels[j]})"
@@ -545,7 +514,7 @@ def generator_image(P: Module, rows: dict, start: int = 0) -> dict:
     under the map whose row r is rows[start + r] (nonzero rows
     {row: {column: entry}})."""
     acc: dict = {}
-    for r, g in P.generator:
+    for r, g in P.generator.items():
         for k, x in rows.get(start + r, {}).items():
             acc[k] = acc.get(k, 0) + g * x
     return P.algebra.field.reduce_entries(acc)
@@ -555,13 +524,14 @@ def projective_module(A: Algebra, idem_pos: int) -> Module:
     """e_i A for the idem_pos-th idempotent, with its generator recorded.
 
     Works for any algebra with a complete orthogonal idempotent basis set, not
-    just path algebras.  Attributes: ambient_rows (basis inside A), generator
-    (the nonzero coordinates (row, entry) of e_i itself), vertex (= idem_pos).
+    just path algebras.  Attributes: ambient_rows (basis inside A, each an
+    element of A as its nonzero entries), generator (the nonzero coordinates
+    {row: entry} of e_i itself), vertex (= idem_pos).
     """
     e = A.idempotents[idem_pos]
     f = A.field
-    rows = RowSpace(A.left_mult_matrix(e)).rows
-    span = Matrix.from_entries(f, len(rows), A.dim, dict(enumerate(rows)))
+    space = RowSpace(A.left_mult_matrix(e))
+    span, d = space.matrix, space.dim
     action = []
     for j in range(A.dim):
         mats = {}
@@ -570,13 +540,12 @@ def projective_module(A: Algebra, idem_pos: int) -> Module:
             if sol is None:
                 raise AssertionError("projective weight space not closed under the action")
             mats[r] = sol
-        action.append(Matrix.from_entries(f, len(rows), len(rows), mats))
-    P = Module(A, len(rows), action, validate=False)
-    P.ambient_rows = span.rows
-    gen = span.solve_left_rows({e: f.one})
-    if gen is None:
+        action.append(Matrix.from_entries(f, d, d, mats))
+    P = Module(A, d, action, validate=False)
+    P.ambient_rows = space.rows
+    P.generator = span.solve_left_rows({e: f.one})
+    if P.generator is None:
         raise AssertionError("idempotent not inside its own projective")
-    P.generator = tuple(sorted(gen.items()))
     P.vertex = idem_pos
     P.validate()
     return P
@@ -586,13 +555,9 @@ def simple_module(A: Algebra, idem_pos: int) -> Module:
     """Vertex simple of a path algebra: one-dimensional, only e_v acts as 1."""
     if A.path_info is None:
         raise ValueError("simple_module needs a path algebra presentation")
-    e = A.idempotents[idem_pos]
-    f = A.field
-    action = []
-    for j in range(A.dim):
-        val = f.one if j == e else f.zero
-        action.append(Matrix(f, 1, 1, [(val,)]))
-    return Module(A, 1, action)
+    e, f = A.idempotents[idem_pos], A.field
+    return Module(A, 1, [Matrix.from_entries(f, 1, 1, {0: {0: f.one}} if j == e else {})
+                         for j in range(A.dim)])
 
 
 def direct_sum_modules(A: Algebra, mods: Sequence[Module]) -> Module:

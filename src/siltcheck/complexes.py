@@ -127,6 +127,8 @@ class Complex(Cochains):
     def shift(self, k: int) -> "Complex":
         if k == 0:
             return self
+        if hasattr(self, "summands"):  # a direct sum shifts summand by summand
+            return direct_sum_complexes([s.shift(k) for s in self.summands])
         f = self.algebra.field
         terms = {n - k: m for n, m in self.terms.items()}
         sign = f.one if k % 2 == 0 else f.neg(f.one)
@@ -514,10 +516,8 @@ def proj_replacement(X: Complex, cap: int = 16) -> tuple[Complex, ChainMap]:
         P = zero_complex(A)
         return P, ChainMap(P, X, {}, validate=False)
     if A._dg is None:
-        right = [A.right_mult_matrix(j).entries for j in range(A.dim)]
-        mult = [[r.get(i, {}) for r in right] for i in range(A.dim)]
-        A._dg = DgAlgebra(A.field, {0: A.dim}, {(0, 0): mult}, {},
-                          {e: A.field.one for e in A.idempotents},
+        mult = [[A.basis_product(i, j) for j in range(A.dim)] for i in range(A.dim)]
+        A._dg = DgAlgebra(A.field, {0: A.dim}, {(0, 0): mult}, {}, A.unit,
                           idempotents=[{e: A.field.one} for e in A.idempotents])
     action = {(n, 0): [[a.entries.get(i, {}) for a in M.action] for i in range(M.dim)]
               for n, M in X.terms.items()}

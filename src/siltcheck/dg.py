@@ -520,11 +520,8 @@ def h0_algebra(B: DgAlgebra) -> Algebra:
     mult = {}
     for x in range(h):
         Lx = Matrix.combination(f, h, h, ((c, L[a]) for a, c in basis_cls[x].items()))
-        products = span @ Lx @ inverse
-        for y, nz in products.entries.items():
-            mult[(x, y)] = tuple(sorted(nz.items()))
-    unit = inverse.apply_entries(unit_cls)
-    alg = Algebra(f, labels, mult, [unit.get(t, f.zero) for t in range(h)], idem_positions)
+        mult.update(((x, y), nz) for y, nz in (span @ Lx @ inverse).entries.items())
+    alg = Algebra(f, labels, mult, inverse.apply_entries(unit_cls), idem_positions)
     alg.class_reps = [sq.lift(cls) for cls in basis_cls]
     alg.sq = sq
     alg.kept_idempotents = kept

@@ -5,11 +5,11 @@ echelon bases of spans, quotient maps and subquotient bookkeeping, and the
 Cochains base that every graded class reads its cohomology from.  A Matrix
 keeps only its nonzero entries, so products, sums, stacking and elimination
 walk nonzeros alone; the dense row view stays available for callers that
-read rows.  A vector is given by its nonzero entries {index: entry}: that is
-what apply_entries (the row action), solve_left_rows, Subquotient.reduce and
-Subquotient.lift take and return.  Matrix.rref is the one elimination:
-every span, kernel, solve, quotient and subquotient, and every greedy choice
-of independent rows (Matrix.left_pivots), reads it.
+read rows.  A vector, an algebra element included, is its nonzero entries
+{index: entry}, the form apply_entries (the row action), solve_left_rows,
+Subquotient.reduce and Subquotient.lift take and return.  Matrix.rref is
+the one elimination: every span, kernel, solve, quotient and subquotient,
+and every greedy choice of independent rows (Matrix.left_pivots), reads it.
 Pivoting is deterministic (first nonzero entry in row order), so every basis
 produced here is reproducible run to run.
 

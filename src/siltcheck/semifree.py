@@ -45,6 +45,9 @@ class SemifreeCapError(RuntimeError):
     pass
 
 
+GENERATOR_CAP = 4096  # the most generators a semifree resolution may have
+
+
 @dataclass(frozen=True)
 class DegreeWindow:
     lo: int
@@ -235,7 +238,7 @@ class SemifreeModule:
         return out
 
 
-def semifree_resolve(M: DgModule, cutoff: int, cap: int = 4096) -> SemifreeModule:
+def semifree_resolve(M: DgModule, cutoff: int) -> SemifreeModule:
     """Kill the augmentation cone's cohomology from the top of M down to the cutoff.
 
     The result has generators only in degrees >= cutoff and its augmentation
@@ -244,10 +247,10 @@ def semifree_resolve(M: DgModule, cutoff: int, cap: int = 4096) -> SemifreeModul
     C = M.algebra
     if not C.is_nonpositive():
         raise ValueError("base dg-algebra has a positive-degree component")
-    return _kill_cone(SemifreeModule(C, M, cutoff), M.hi, cap)
+    return _kill_cone(SemifreeModule(C, M, cutoff), M.hi)
 
 
-def _kill_cone(P: SemifreeModule, top: int, cap: int = 4096) -> SemifreeModule:
+def _kill_cone(P: SemifreeModule, top: int) -> SemifreeModule:
     """Add cells to P from degree top (or the top of its target) down to
     P.cutoff, each degree killing the cone's cohomology there; returns P.
 
@@ -298,9 +301,9 @@ def _kill_cone(P: SemifreeModule, top: int, cap: int = 4096) -> SemifreeModule:
         for t, head in zip(order, heads):
             if head not in pivots:
                 continue
-            if len(P.gens) >= cap:
+            if len(P.gens) >= GENERATOR_CAP:
                 raise SemifreeCapError(
-                    f"semifree resolution exceeded {cap} generators at degree {n}")
+                    f"semifree resolution exceeded {GENERATOR_CAP} generators at degree {n}")
             i, qe, xe, _ = comps[t]
             P.add_generator(n, {layout_up[s]: c for s, c in qe.items()},
                             {j: f.neg(c) for j, c in xe.items()}, i)
@@ -470,7 +473,7 @@ def tensor_cutoff(U: DgModule, window: DegreeWindow, extra_margin: int = 0) -> i
 
 
 def derived_tensor(M: DgModule, U: DgModule, window: DegreeWindow,
-                   extra_margin: int = 0, cap: int = 4096) -> Complex:
+                   extra_margin: int = 0) -> Complex:
     """P (x)_B U for a semifree resolution P of M, exact inside the window.
 
     U must be a left dg-module carrying .complex (terms over the base ring A);
@@ -480,7 +483,7 @@ def derived_tensor(M: DgModule, U: DgModule, window: DegreeWindow,
         raise ValueError("derived_tensor needs a right module and a left module")
     if not U.dims:
         return zero_complex(U.complex.algebra)
-    P = semifree_resolve(M, tensor_cutoff(U, window, extra_margin), cap=cap)
+    P = semifree_resolve(M, tensor_cutoff(U, window, extra_margin))
     return resolution_tensor(P, U)
 
 

@@ -47,8 +47,9 @@ class SmallCharacteristicError(ValueError):
     """The field's characteristic is too small for an exact radical."""
 
 
-def radical_rows(E) -> list[tuple]:
-    """Basis rows of the Jacobson radical of a finite-dimensional algebra.
+def radical_rows(E) -> list[dict]:
+    """Basis rows of the Jacobson radical of a finite-dimensional algebra,
+    each an element as its nonzero entries.
 
     Uses the trace form of the left regular representation, which computes the
     radical exactly in characteristic 0 or in characteristic p > dim E; in
@@ -70,10 +71,11 @@ def radical_rows(E) -> list[tuple]:
         if row:
             form[i] = row
     # the trace form is symmetric, so its row kernel is its kernel
-    return list(Matrix.from_entries(f, E.dim, E.dim, form).kernel_basis().transpose().rows)
+    K = Matrix.from_entries(f, E.dim, E.dim, form).kernel_basis().transpose()
+    return [K.entries[t] for t in range(K.nrows)]
 
 
-def end_radical(B: DgAlgebra) -> list[tuple]:
+def end_radical(B: DgAlgebra) -> list[dict]:
     """radical_rows(end_h0(B)) for B = dg_end(U), kept on B beside its H^0
     algebra.  A field too small for the radical raises on every call."""
     if B._radical is None:
@@ -133,7 +135,7 @@ def _minimal_approximation(X: Complex, U: Complex, B: DgAlgebra, E, rad,
 
     rel = []
     for rv in rad:
-        L = Matrix.combination(f, m, m, ((c, emats[i]) for i, c in enumerate(rv) if c != f.zero))
+        L = Matrix.combination(f, m, m, ((c, emats[i]) for i, c in rv.items()))
         rel.extend(L.entries.values())
     _, proj = quotient_map(f, m, rel)
 

@@ -280,7 +280,7 @@ def verify_E_iso(ctx: SiltingContext) -> VerificationReport:
     for x in range(E.dim):
         for y in range(E.dim):
             coords = gh.coords_of(0, chain_maps[y].compose(chain_maps[x]).mats)
-            if span.solve_left_rows(sq.reduce(coords)) != dict(E.basis_product(x, y)):
+            if span.solve_left_rows(sq.reduce(coords)) != E.basis_product(x, y):
                 mult_ok = False
     checks = [CheckRecord("products agree with chain-map composition", mult_ok, {})]
 
@@ -377,21 +377,18 @@ def verify_delta(ctx: SiltingContext, window,
     sh = SemifreeHom(Q, MU)
     sq0 = sh.subquotient(0)
 
-    def mult_values(avec):
-        return {k: ctx.U.term(g).action_of(avec).apply_entries(Q.gen_augs[k])
+    def mult_values(a):
+        return {k: ctx.U.term(g).action[a].apply_entries(Q.gen_augs[k])
                 for k, g in enumerate(Q.gens)}
 
-    rows = []
-    for a in range(A.dim):
-        vals = mult_values(A.basis_vector(a))
-        rows.append(sq0.reduce(sh.assemble(0, vals)))
+    rows = [sq0.reduce(sh.assemble(0, mult_values(a))) for a in range(A.dim)]
     span_rank = Matrix.from_row_entries(f, sq0.dim, rows).rank() if rows else 0
     h_table = {n: sh.h_dim(n) for n in range(win.lo, win.hi + 1)}
     iso_ok = span_rank == A.dim and h_table.get(0, 0) == A.dim
     vanish_ok = all(d == 0 for n, d in h_table.items() if n != 0)
 
     # products hold once a strict lift exists: both sides are aug(g_k).x.y
-    lift_ok = all(lift_to_resolution(Q, Q, mult_values(A.basis_vector(a))) is not None
+    lift_ok = all(lift_to_resolution(Q, Q, mult_values(a)) is not None
                   for a in range(A.dim))
     checks = [
         CheckRecord("right multiplication spans H^0", iso_ok,

@@ -108,11 +108,9 @@ def endomorphism_algebra(A: Algebra, summands) -> Algebra:
             sol = span.solve_left_rows(nonzero_entries(v for r in comp.rows for v in r))
             if sol is None:
                 raise AssertionError("End(T) not closed under composition")
-            sparse = tuple((idxs[k], c) for k, c in sorted(sol.items()))
-            if sparse:
-                mult[(x, y)] = sparse
-    unit = [f.one if p in idem_positions else f.zero for p in range(len(labels))]
-    return Algebra(f, labels, mult, unit, idem_positions)
+            if sol:
+                mult[(x, y)] = {idxs[k]: c for k, c in sol.items()}
+    return Algebra(f, labels, mult, {p: f.one for p in idem_positions}, idem_positions)
 
 
 # -- dense reference for linalg ---------------------------------------------
@@ -477,9 +475,9 @@ def reference_h0_algebra(B) -> Algebra:
         for y in range(h):
             coords = span.solve_left_rows(nonzero_entries(mult_classes(basis_cls[x], basis_cls[y])))
             if coords:
-                mult[(x, y)] = tuple(sorted(coords.items()))
-    unit = dense_row(f, span.solve_left_rows(nonzero_entries(unit_cls)), span.nrows)
-    alg = Algebra(f, labels, mult, unit, idem_positions)
+                mult[(x, y)] = coords
+    alg = Algebra(f, labels, mult, span.solve_left_rows(nonzero_entries(unit_cls)),
+                  idem_positions)
     alg.class_reps = [sq.lift(nonzero_entries(cls)) for cls in basis_cls]
     alg.kept_idempotents = kept
     return alg

@@ -48,25 +48,21 @@ def test_two_vertex_path_algebra():
     assert A.dim == 3
     assert list(A.labels) == ["e_1", "e_2", "a"]
     assert A.idempotents == (0, 1)
-    a = A.basis_vector(2)
-    assert A.multiply(A.basis_vector(0), a) == a
-    assert A.multiply(a, A.basis_vector(1)) == a
-    assert A.multiply(a, A.basis_vector(0)) == (0, 0, 0)
-    assert A.multiply(a, a) == (0, 0, 0)
+    assert A.basis_product(0, 2) == {2: 1}
+    assert A.basis_product(2, 1) == {2: 1}
+    assert A.basis_product(2, 0) == {}
+    assert A.basis_product(2, 2) == {}
 
 
 def test_dual_numbers_and_truncated_polynomials():
     A = dual_numbers()
     assert A.dim == 2
-    x = A.basis_vector(1)
-    assert A.multiply(x, x) == (0, 0)
+    assert A.basis_product(1, 1) == {}
 
     B = path_algebra(Quiver(["v"], [("x", "v", "v")]), Q, [[(1, ["x", "x", "x"])]])
     assert B.dim == 3
-    x = B.basis_vector(1)
-    x2 = B.multiply(x, x)
-    assert x2 == (0, 0, 1)
-    assert B.multiply(x2, x) == (0, 0, 0)
+    assert B.basis_product(1, 1) == {2: 1}
+    assert B.basis_product(2, 1) == {}
 
 
 def test_commutative_square():
@@ -76,9 +72,9 @@ def test_commutative_square():
                 [("a", "1", "2"), ("b", "2", "4"), ("c", "1", "3"), ("d", "3", "4")])
     A = path_algebra(qv, Q, [[(1, ["a", "b"]), (-1, ["c", "d"])]])
     assert A.dim == 9
-    ab = A.multiply(A.basis_vector(A.labels.index("a")), A.basis_vector(A.labels.index("b")))
-    cd = A.multiply(A.basis_vector(A.labels.index("c")), A.basis_vector(A.labels.index("d")))
-    assert ab == cd and any(x != 0 for x in ab)
+    a, b, c, d = (A.labels.index(x) for x in "abcd")
+    ab = A.basis_product(a, b)
+    assert ab == A.basis_product(c, d) and ab
     P1 = projective_module(A, 0)
     assert P1.dim == 4
     assert P1.dimension_vector() == (1, 1, 1, 1)
@@ -117,19 +113,41 @@ def test_free_loop_hits_dimension_cap():
 
 def test_algebra_validation_catches_bad_unit():
     with pytest.raises(AssertionError):
-        Algebra(Q, ["e"], {(0, 0): ((0, Q.coerce(2)),)}, (Q.one,), (0,))
+        Algebra(Q, ["e"], {(0, 0): {0: Q.coerce(2)}}, {0: Q.one}, (0,))
 
 
 def test_algebra_validation_catches_non_associative_table():
     # basis e, x, y with e the unit and x*x = y: k[x]/(x^3) is associative;
     # adding y*x = y breaks (x*x)*x = y*x = y against x*(x*x) = x*y = 0
-    one = ((0, Q.one),)
-    mult = {(0, 0): one, (0, 1): ((1, Q.one),), (1, 0): ((1, Q.one),),
-            (0, 2): ((2, Q.one),), (2, 0): ((2, Q.one),), (1, 1): ((2, Q.one),)}
-    Algebra(Q, ["e", "x", "y"], mult, (Q.one, Q.zero, Q.zero), (0,))
+    mult = {(0, 0): {0: Q.one}, (0, 1): {1: Q.one}, (1, 0): {1: Q.one},
+            (0, 2): {2: Q.one}, (2, 0): {2: Q.one}, (1, 1): {2: Q.one}}
+    Algebra(Q, ["e", "x", "y"], mult, {0: Q.one}, (0,))
     with pytest.raises(AssertionError, match="associativity fails on"):
-        Algebra(Q, ["e", "x", "y"], {**mult, (2, 1): ((2, Q.one),)},
-                (Q.one, Q.zero, Q.zero), (0,))
+        Algebra(Q, ["e", "x", "y"], {**mult, (2, 1): {2: Q.one}}, {0: Q.one}, (0,))
+
+
+# k x k on the basis (1, 0), (1, 1): both idempotent, not orthogonal
+_SPLIT_UNIT_LAST = {(0, 0): {0: Q.one}, (0, 1): {0: Q.one}, (1, 0): {0: Q.one},
+                    (1, 1): {1: Q.one}}
+# k x k on the basis (1, 0), (0, 1)
+_SPLIT = {(0, 0): {0: Q.one}, (1, 1): {1: Q.one}}
+# the left-zero band, x*y = x: associative, and a is a right identity only
+_LEFT_ZERO = {(0, 0): {0: Q.one}, (0, 1): {0: Q.one}, (1, 0): {1: Q.one},
+              (1, 1): {1: Q.one}}
+
+
+@pytest.mark.parametrize("labels, mult, unit, idempotents, message", [
+    (["e", "x"], {(0, 0): {0: Q.one}, (0, 1): {1: Q.one}, (1, 0): {1: Q.one}},
+     {0: Q.one}, (1,), "basis element x is not idempotent"),
+    (["p", "u"], _SPLIT_UNIT_LAST, {1: Q.one}, (0, 1), "idempotents not orthogonal"),
+    (["p", "q"], _SPLIT, {0: Q.one, 1: Q.one}, (0,), "idempotents do not sum to the unit"),
+    (["e"], {(0, 0): {0: Q.one}}, {0: Q.one}, (0, 0), "idempotents do not sum to the unit"),
+    (["a", "b"], _LEFT_ZERO, {0: Q.one}, (0,), "unit is not a left identity"),
+], ids=["non-idempotent", "not-orthogonal", "short-sum", "repeated", "right-unit-only"])
+def test_algebra_validation_refuses_bad_idempotents_and_units(labels, mult, unit,
+                                                              idempotents, message):
+    with pytest.raises(AssertionError, match=message):
+        Algebra(Q, labels, mult, unit, idempotents)
 
 
 def linear_a8():
@@ -146,7 +164,7 @@ def test_algebra_validation_checks_every_pair_past_desk_scale():
     A = linear_a8()
     assert A.dim == 36 and A.labels[9] == "a1" and (9, 9) not in A.mult
     with pytest.raises(AssertionError, match="associativity fails on"):
-        Algebra(F101, A.labels, {**A.mult, (9, 9): ((0, F101.one),)}, A.unit,
+        Algebra(F101, A.labels, {**A.mult, (9, 9): {0: F101.one}}, A.unit,
                 A.idempotents, A.generators)
 
 
@@ -227,14 +245,12 @@ def test_endomorphism_algebra_of_projective_generator():
     # connecting map f: P2 -> P1
     assert E.dim == 3
     assert len(E.idempotents) == 2
-    p0 = E.basis_vector(E.idempotents[0])
-    p1 = E.basis_vector(E.idempotents[1])
-    (fi,) = [i for i in range(E.dim) if i not in E.idempotents]
-    f = E.basis_vector(fi)
-    assert E.multiply(p0, f) == f          # function order: p0 after f
-    assert E.multiply(f, p1) == f
-    assert E.multiply(p1, f) == (0, 0, 0)
-    assert E.multiply(f, f) == (0, 0, 0)
+    p0, p1 = E.idempotents
+    (f,) = [i for i in range(E.dim) if i not in E.idempotents]
+    assert E.basis_product(p0, f) == {f: 1}     # function order: p0 after f
+    assert E.basis_product(f, p1) == {f: 1}
+    assert E.basis_product(p1, f) == {}
+    assert E.basis_product(f, f) == {}
 
 
 def test_endomorphism_algebra_skips_zero_composites_into_empty_blocks():

@@ -99,12 +99,10 @@ def test_h0_of_regular_end_behaves_like_base(A2, regular_split):
     E = h0_algebra(B)
     assert E.dim == 3
     assert len(E.idempotents) == 2
-    (z_idx,) = [t for t in range(E.dim) if t not in E.idempotents]
-    z = E.basis_vector(z_idx)
-    zero = (F101.zero,) * E.dim
-    assert E.multiply(z, z) == zero
-    left_units = [e for e in E.idempotents if E.multiply(E.basis_vector(e), z) == z]
-    right_units = [e for e in E.idempotents if E.multiply(z, E.basis_vector(e)) == z]
+    (z,) = [t for t in range(E.dim) if t not in E.idempotents]
+    assert E.basis_product(z, z) == {}
+    left_units = [e for e in E.idempotents if E.basis_product(e, z) == {z: F101.one}]
+    right_units = [e for e in E.idempotents if E.basis_product(z, e) == {z: F101.one}]
     assert len(left_units) == 1 and len(right_units) == 1
     assert left_units[0] != right_units[0]
 
@@ -836,11 +834,9 @@ def test_associativity_is_checked_on_every_triple_past_desk_scale():
     # meets
     A = path_algebra(Quiver([str(v) for v in range(8)],
                             [(f"a{v}", str(v), str(v + 1)) for v in range(7)]), F101)
-    right = [A.right_mult_matrix(j).entries for j in range(A.dim)]
-    table = [[r.get(i, {}) for r in right] for i in range(A.dim)]
-    unit = {e: F101.one for e in A.idempotents}
-    DgAlgebra(F101, {0: A.dim}, {(0, 0): table}, {}, unit)
+    table = [[A.basis_product(i, j) for j in range(A.dim)] for i in range(A.dim)]
+    DgAlgebra(F101, {0: A.dim}, {(0, 0): table}, {}, A.unit)
     assert A.labels[9] == "a1" and not table[9][9]
     table[9] = table[9][:9] + [{0: F101.one}] + table[9][10:]
     with pytest.raises(AssertionError, match="associativity fails on degrees"):
-        DgAlgebra(F101, {0: A.dim}, {(0, 0): table}, {}, unit)
+        DgAlgebra(F101, {0: A.dim}, {(0, 0): table}, {}, A.unit)

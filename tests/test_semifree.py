@@ -12,6 +12,7 @@ from collections import Counter
 import pytest
 
 from oracles import reference_semifree_act
+from siltcheck import semifree
 from siltcheck.algebra import Quiver, path_algebra, simple_module
 from siltcheck.complexes import (
     direct_sum_complexes,
@@ -260,9 +261,10 @@ def test_positive_base_is_rejected(A2):
         semifree_resolve(M, -2)
 
 
-def test_generator_cap_is_an_error(dual_hom_to_simple):
+def test_generator_cap_is_an_error(dual_hom_to_simple, monkeypatch):
+    monkeypatch.setattr(semifree, "GENERATOR_CAP", 2)
     with pytest.raises(SemifreeCapError) as exc:
-        semifree_resolve(dual_hom_to_simple, -6, cap=2)
+        semifree_resolve(dual_hom_to_simple, -6)
     assert "generators at degree" in str(exc.value)
 
 
@@ -371,10 +373,8 @@ def test_hom_out_of_a_deep_resolution_reads_each_cell_a_bounded_number_of_times(
     inst = load_instance(INSTANCES / "fix_dual.json")
     A, S = inst.algebra, inst.modules["k"]
     f = A.field
-    right = [A.right_mult_matrix(j).entries for j in range(A.dim)]
-    base = DgAlgebra(f, {0: A.dim}, {(0, 0): [[r.get(i, {}) for r in right]
-                                              for i in range(A.dim)]}, {},
-                     {e: f.one for e in A.idempotents},
+    table = [[A.basis_product(i, j) for j in range(A.dim)] for i in range(A.dim)]
+    base = DgAlgebra(f, {0: A.dim}, {(0, 0): table}, {}, A.unit,
                      idempotents=[{e: f.one} for e in A.idempotents])
     M = DgModule(base, "right", {0: S.dim},
                  {(0, 0): [[a.entries.get(i, {}) for a in S.action] for i in range(S.dim)]}, {})

@@ -3,6 +3,7 @@
 import pytest
 
 import oracles
+from conftest import FIX_A2
 from oracles import coresolution_les_ok, reference_coresolutions
 from siltcheck import silting
 from siltcheck.fields import PrimeField
@@ -11,6 +12,7 @@ from siltcheck.algebra import Quiver, path_algebra
 from siltcheck.complexes import (direct_sum_complexes, hom_complex,
                                  is_acyclic, projective_complex)
 from siltcheck.dg import dg_end
+from siltcheck.instances import load_instance
 from siltcheck.silting import (coresolve_A, goodify, presilting_witness,
                                radical_rows, silting_equivalent, silting_report)
 
@@ -288,6 +290,22 @@ def test_a_differential_that_does_not_square_to_zero_stops_the_scan(monkeypatch,
             with pytest.raises(AssertionError,
                                match="hom complex differential does not square to zero"):
                 scan(U)
+
+
+def test_a_shifted_direct_sum_keeps_its_summands():
+    # U[1] is the direct sum of the shifted summands, so its coresolution
+    # approximates by them and is decided; U[-1] is still presilting and its
+    # report stays undecided: inconclusive, never refuted
+    complexes = load_instance(FIX_A2).complexes
+    want = {"U-tilt": [{}, {0: 2}, {1: 1}], "U-silt2": [{}, {0: 1}, {1: 1}]}
+    for name, mults in want.items():
+        U = complexes[name]
+        r = silting_report(U.shift(1))
+        assert (r.n, r.multiplicities, r.inconclusive) == (2, mults, False), name
+        assert len(U.shift(1).summands) == len(U.summands), name
+        r = silting_report(U.shift(-1))
+        assert r.presilting and r.presilting_witness is None, name
+        assert r.inconclusive and r.n is None, name
 
 
 def test_step_cap_is_inconclusive_not_false(silt2):
