@@ -14,6 +14,7 @@ auxiliary signs.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Sequence
 
 from .algebra import (
@@ -186,13 +187,21 @@ def projective_complex(A: Algebra, types: dict, diffs: dict | None = None) -> Co
 
 
 def direct_sum_complexes(xs: Sequence[Complex]) -> Complex:
-    """Degreewise direct sum; remembers per-degree summand offsets."""
+    """Degreewise direct sum; remembers per-degree summand offsets.
+
+    When every summand carries a projective witness, each term is the
+    projective_sum of the concatenated witness, the same block diagonal,
+    so its hom modules are built once per algebra."""
     if not xs:
         raise ValueError("empty direct sum")
     A = xs[0].algebra
     f = A.field
     lo = min(x.lo for x in xs if not x.is_empty()) if any(not x.is_empty() for x in xs) else 0
     hi = max(x.hi for x in xs if not x.is_empty()) if any(not x.is_empty() for x in xs) else -1
+    types = None
+    if all(x.is_projective_complex() for x in xs):
+        types = {n: tuple(v for x in xs for v in x.proj_types.get(n, ()))
+                 for n in range(lo, hi + 1)}
     terms, diffs = {}, {}
     offsets = {}
     for n in range(lo, hi + 1):
@@ -203,13 +212,9 @@ def direct_sum_complexes(xs: Sequence[Complex]) -> Complex:
             off += m.dim
         offsets[n] = offs
         if off:
-            terms[n] = direct_sum_modules(A, mods)
+            terms[n] = (direct_sum_modules(A, mods) if types is None
+                        else projective_sum(A, types[n]))
         diffs[n] = Matrix.block_diag(f, [x.diff(n) for x in xs])
-    types = None
-    if all(x.is_projective_complex() for x in xs):
-        types = {}
-        for n in range(lo, hi + 1):
-            types[n] = tuple(v for x in xs for v in (x.proj_types.get(n, ()) if x.proj_types else ()))
     out = Complex(A, terms, diffs, types, validate=False)
     out.summands = list(xs)
     out.summand_offsets = offsets
@@ -291,23 +296,24 @@ def cone(f: ChainMap) -> Complex:
     X, Y = f.source, f.target
     A = X.algebra
     fld = A.field
-    terms, diffs = {}, {}
     lo = min(X.lo - 1, Y.lo)
     hi = max(X.hi - 1, Y.hi)
+    types = None
+    if X.is_projective_complex() and Y.is_projective_complex():
+        types = {n: X.proj_types.get(n + 1, ()) + Y.proj_types.get(n, ())
+                 for n in range(lo, hi + 1)}
+    terms, diffs = {}, {}
     for n in range(lo, hi + 1):
         xs, ys = X.term(n + 1), Y.term(n)
         if xs.dim + ys.dim:
-            terms[n] = direct_sum_modules(A, [xs, ys])
+            terms[n] = (direct_sum_modules(A, [xs, ys]) if types is None
+                        else projective_sum(A, types[n]))
         diffs[n] = block_matrix(
             fld,
             [[-X.diff(n + 1), f.mat(n + 1)], [None, Y.diff(n)]],
             [xs.dim, ys.dim],
             [X.term(n + 2).dim, Y.term(n + 1).dim],
         )
-    types = None
-    if X.is_projective_complex() and Y.is_projective_complex():
-        types = {n: X.proj_types.get(n + 1, ()) + Y.proj_types.get(n, ())
-                 for n in range(lo, hi + 1)}
     return Complex(A, terms, diffs, types)
 
 
@@ -355,22 +361,37 @@ class GradedHom(Cochains):
         self.Y = Y
         super().__init__(X.field, () if X.is_empty() or Y.is_empty()
                          else (Y.lo - X.hi, Y.hi - X.lo))
-        self.basis = {}      # n -> list of (source degree, matrix of the map)
         self.cells = {}      # n -> list of (source degree, first row, homs, first coordinate)
+        self._dims = {}
         for n in self.degrees():
-            entries, cells = [], []
+            cells, pos = [], 0
             for i in X.degrees():
                 S, T = X.term(i), Y.term(n + i)
                 if S.dim == 0 or T.dim == 0:
                     continue
                 for start, homs in self._summands(i, T):
-                    cells.append((i, start, homs, len(entries)))
-                    for blk in homs.blocks:
-                        rows = {start + r: nz for r, nz in blk.entries.items()}
-                        entries.append((i, Matrix.from_entries(self.field, S.dim, T.dim, rows)))
-            self.basis[n] = entries
+                    cells.append((i, start, homs, pos))
+                    pos += homs.space.dim
             self.cells[n] = cells
+            self._dims[n] = pos
         self._diffs = {}
+
+    @cached_property
+    def basis(self) -> dict:
+        """n -> list of (source degree, matrix of the map), one per basis
+        element: each block of each cell placed at its summand's rows.  Built
+        on first read, since the coordinates, differentials and composites
+        read the cells alone."""
+        out = {}
+        for n, cells in self.cells.items():
+            entries = []
+            for i, start, homs, _ in cells:
+                S, T = self.X.term(i), self.Y.term(n + i)
+                for blk in homs.blocks:
+                    rows = {start + r: nz for r, nz in blk.entries.items()}
+                    entries.append((i, Matrix.from_entries(self.field, S.dim, T.dim, rows)))
+            out[n] = entries
+        return out
 
     def _summands(self, i: int, T) -> list:
         """(first row, Hom(e_v A, T)) for each witness summand of X^i."""
@@ -383,7 +404,7 @@ class GradedHom(Cochains):
         return out
 
     def dim(self, n: int) -> int:
-        return len(self.basis.get(n, ()))
+        return self._dims.get(n, 0)
 
     def images(self, n: int, coords: dict) -> list:
         """The generator image on each cell of cells[n] of the degree-n

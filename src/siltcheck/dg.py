@@ -17,7 +17,10 @@ the hom complex of U with itself (end_dg keeps one on that hom complex): its
 degree-n part is the degree-n piece of that hom complex, and the product
 a*b is "apply b, then a", with no auxiliary sign.  That choice makes the
 Leibniz rule hold exactly for the hom-complex differential, which the
-constructor re-checks on every basis pair.  dg_end and its non-positive
+constructor re-checks on every basis pair.  Its H^0 algebra needs no dg-end:
+end_h0 reads it off the hom complex itself, multiplying class
+representatives by composing them, and keeps it there for the dg-end built
+later, if any, to share.  dg_end and its non-positive
 smart_truncate both record .maps, each basis element as its component maps
 U -> U, so hom modules and the evaluation module of U are built over either
 one by composing those maps; each composite is read off generator images
@@ -365,23 +368,31 @@ def _composition_tables(gh, maps: dict) -> dict:
     return tables
 
 
-def _summand_idempotents(U: Complex, gh) -> list | None:
-    """Coordinates in gh = Hom(U, U) of the summand projections of U, or None
-    when U carries no direct-sum data."""
-    if not hasattr(U, "summands"):
-        return None
-    return [gh.coords_of(0, pm.mats) for pm in summand_projection_maps(U)]
+def end_units(gh: GradedHom) -> tuple[dict, list]:
+    """(unit, idempotents) of End(U) as coordinates in degree 0 of gh =
+    Hom(U, U): the identity of U, and the summand projections of U when U
+    carries direct-sum data, the unit alone otherwise.  Read once and kept
+    on gh, for its H^0 algebra and its dg-end alike."""
+    units = getattr(gh, "_units", None)
+    if units is None:
+        U, f = gh.X, gh.field
+        ident = {i: Matrix.identity(f, U.term(i).dim) for i in U.degrees() if U.term(i).dim}
+        unit = gh.coords_of(0, ident)
+        idempotents = ([gh.coords_of(0, pm.mats) for pm in summand_projection_maps(U)]
+                       if hasattr(U, "summands") else [unit])
+        units = gh._units = (unit, idempotents)
+    return units
 
 
 def dg_end(U: Complex, gh: GradedHom | None = None) -> DgAlgebra:
     """The endomorphism dg-algebra of a complex of projectives, built on gh
     = hom_complex(U, U), or on a new one when gh is None.
 
-    Its idempotents are the summand projections of U when U carries
-    direct-sum data.  Carries .gh, .complex and .maps, each degree-n basis
-    element as its component maps U -> U; end_h0 keeps its H^0 algebra on
-    it, and silting.end_radical the radical of that algebra.  end_dg keeps
-    one dg-end on its gh.
+    Its unit and idempotents are end_units(gh): the summand projections of
+    U when U carries direct-sum data.  Carries .gh, .complex and .maps, each
+    degree-n basis element as its component maps U -> U.  Its H^0 algebra
+    is end_h0(gh), read off gh without it; end_dg keeps one dg-end on its
+    gh.
     """
     if not U.is_projective_complex():
         raise ValueError("dg_end needs a complex of projectives")
@@ -389,24 +400,21 @@ def dg_end(U: Complex, gh: GradedHom | None = None) -> DgAlgebra:
         gh = hom_complex(U, U)
     elif gh.X is not U or gh.Y is not U:
         raise ValueError("dg_end needs the hom complex of U with itself")
-    f = U.algebra.field
     dims = {n: gh.dim(n) for n in gh.degrees()}
     maps = {n: [{i: h} for i, h in gh.basis[n]] for n in gh.degrees()}
     diffs = {n: gh.diff(n) for n in gh.degrees()}
-    ident = {i: Matrix.identity(f, U.term(i).dim) for i in U.degrees() if U.term(i).dim}
-    B = DgAlgebra(f, dims, _composition_tables(gh, maps), diffs, gh.coords_of(0, ident),
-                  idempotents=_summand_idempotents(U, gh))
+    unit, idempotents = end_units(gh)
+    B = DgAlgebra(U.algebra.field, dims, _composition_tables(gh, maps), diffs, unit,
+                  idempotents=idempotents)
     B.gh = gh
     B.complex = U
     B.maps = maps
-    B._h0 = None
-    B._radical = None
     return B
 
 
 def end_dg(gh: GradedHom) -> DgAlgebra:
     """dg_end(U, gh) for gh = Hom(U, U), built once per gh and kept on it,
-    as end_h0 keeps H^0 on B."""
+    as end_h0 keeps H^0 on gh."""
     B = getattr(gh, "_end", None)
     if B is None:
         B = gh._end = dg_end(gh.X, gh)
@@ -449,34 +457,43 @@ def evaluation_left_module(base: DgAlgebra, U: Complex) -> DgModule:
 # -- cohomology-level algebra ----------------------------------------------
 
 
-def h0_algebra(B: DgAlgebra) -> Algebra:
-    """H^0 of a dg-algebra as an ordinary algebra.
+def h0_algebra(X, unit: dict | None = None, idempotents: list | None = None,
+               products=None) -> Algebra:
+    """H^0 of X as an ordinary algebra, for X a dg-algebra or the hom
+    complex Hom(U, U) (end_h0).
 
-    Its idempotents are the classes of B's idempotents (for dg_end, the
-    summand projections of the complex); classes that vanish in H^0 are
+    unit and idempotents are degree-0 cocycles, and products(reps) the table
+    [[a * b for b in reps] for a in reps] of degree-0 products of the given
+    cocycles, all as nonzero entries; for a dg-algebra they default to its
+    own.  Its idempotents are the classes of the given ones (for a dg-end,
+    the summand projections of the complex); classes that vanish in H^0 are
     dropped.  The basis is adapted so each idempotent class is itself a basis
     element.  Everything is read off one table of products of the
     representatives, as the h x h matrices of left and right multiplication
     by each class.  The result carries .class_reps (a degree-0 cocycle per
     basis element, as its nonzero entries) and .sq.
     """
-    f = B.field
-    sq = B.subquotient(0)
+    if products is None:
+        unit, idempotents = X.unit, X.idempotents
+
+        def products(reps):
+            return [[X.product(0, a, 0, b) for b in reps] for a in reps]
+    f = X.field
+    sq = X.subquotient(0)
     h = sq.dim
-    unit_cls = sq.reduce(B.unit)
+    unit_cls = sq.reduce(unit)
     if not unit_cls:
         raise ValueError("H^0 is degenerate: the unit class vanishes")
 
     # the class of the product of the a-th and b-th representatives is row b
     # of L[a], left multiplication by the a-th class, and row a of R[b]
-    base = [[sq.reduce(B.product(0, ra, 0, rb)) for rb in sq.rep_entries]
-            for ra in sq.rep_entries]
+    base = [[sq.reduce(p) for p in row] for row in products(sq.rep_entries)]
     L = [Matrix.from_row_entries(f, h, base[a]) for a in range(h)]
     R = [Matrix.from_row_entries(f, h, [base[b][a] for b in range(h)]) for a in range(h)]
 
     idem_cls = []
     kept = []
-    for pos, v in enumerate(B.idempotents):
+    for pos, v in enumerate(idempotents):
         cls = sq.reduce(v)
         if cls:
             idem_cls.append(cls)
@@ -528,16 +545,31 @@ def h0_algebra(B: DgAlgebra) -> Algebra:
     return alg
 
 
-def end_h0(B: DgAlgebra) -> Algebra:
-    """H^0 of B = dg_end(U) as an ordinary algebra, built once per B.
+def _composites(gh: GradedHom, reps: list) -> list:
+    """[[a . b for b in reps] for a in reps], "apply b, then a", for degree-0
+    elements of gh = Hom(U, U) given as their nonzero coordinates: each
+    composite read off the generator images of b and the component maps of
+    a, each taken once per element."""
+    images = [gh.images(0, b) for b in reps]
+    comps = [gh.component_maps(0, a) for a in reps]
+    return [[gh.postcomposed(0, y, c, gh, 0) for y in images] for c in comps]
 
-    The idempotents are the classes of B's idempotents: of the summand
+
+def end_h0(gh: GradedHom) -> Algebra:
+    """H^0 End(U) as an ordinary algebra, read off gh = Hom(U, U) and kept
+    on it: homotopy classes of chain maps U -> U, multiplied by composing
+    representatives, so no dg-end is built.  It equals h0_algebra of
+    dg_end(U, gh), whose degree-0 products are the same composites.
+
+    The idempotents are the classes of end_units(gh): of the summand
     projections of U when U carries direct-sum data, the unit class alone
     otherwise.
     """
-    if B._h0 is None:
-        B._h0 = h0_algebra(B)
-    return B._h0
+    E = getattr(gh, "_h0", None)
+    if E is None:
+        unit, idempotents = end_units(gh)
+        E = gh._h0 = h0_algebra(gh, unit, idempotents, lambda reps: _composites(gh, reps))
+    return E
 
 
 # -- truncation, opposite, side swap ---------------------------------------

@@ -4,25 +4,27 @@ A two-sided bounded complex U of projectives is presilting when it admits no
 self-extensions in positive shifts.  Both self-extension scans read the
 cohomology of one hom complex Hom(U, U), with d^2 = 0 checked on it first,
 so a refuted U is decided from it alone.  For a presilting U only, as its
-theory presumes, the dg-end of U is built on that same Hom(U, U), and the
-coresolution routine approximates the regular complex A step by step from
-the left using summands of U, handing the cone of each approximation to the
-next step, and records the multiplicities of the summands each step
-uses; the number of steps minus one is the coresolution degree n.
+theory presumes, the coresolution routine approximates the regular complex A
+step by step from the left using summands of U, handing the cone of each
+approximation to the next step, and records the multiplicities of the
+summands each step uses; the number of steps minus one is the coresolution
+degree n.  Minimal approximations live in the homotopy category, so they
+read H^0 End(U) straight off that same Hom(U, U) (dg.end_h0); the dg-end
+of U is the verifier's, never built here.
 Goodification replaces U by the direct sum of the approximation targets, which
 by construction carries enough copies of each summand to coresolve A.
 
 Approximation targets are kept minimal.  Write H for the space of homotopy
-classes of chain maps into U and E for the degree-zero cohomology algebra of
-the dg-endomorphism algebra of U.  Generators of H over E are chosen greedily
-inside the idempotent pieces e_s H, skipping any candidate already covered by
-the E-closure of the previous choices modulo rad(E) H: every candidate's
-class in H/rad(E)H is stacked with its E-orbit, and the candidates whose
-class rows are left pivots of that stack are chosen.  Each chosen generator
-contributes one copy of the summand X_s it lands in.  Minimality is what
-makes the step count finite: approximating with one copy of U per k-basis
-element of H instead adds split summands to every cone and the process never
-terminates.  The granularity is the direct-sum decomposition carried by U, so
+classes of chain maps into U and E = H^0 Hom(U, U) for the algebra of
+homotopy classes of chain maps U -> U.  Generators of H over E are chosen
+greedily inside the idempotent pieces e_s H, skipping any candidate already
+covered by the E-closure of the previous choices modulo rad(E) H: every
+candidate's class in H/rad(E)H is stacked with its E-orbit, and the
+candidates whose class rows are left pivots of that stack are chosen.  Each
+chosen generator contributes one copy of the summand X_s it lands in.
+Minimality is what makes the step count finite: approximating with one copy
+of U per k-basis element of H instead adds split summands to every cone and
+the process never terminates.  The granularity is the direct-sum decomposition carried by U, so
 inputs should be built with direct_sum_complexes from their indecomposable
 pieces; a coarser decomposition can overshoot the multiplicities, and the
 routine then reports an inconclusive result through its step cap rather than
@@ -40,7 +42,7 @@ from .linalg import Matrix, quotient_map
 from .complexes import (ChainMap, Complex, GradedHom, cone,
                         direct_sum_complexes, hom_complex, is_acyclic,
                         projective_complex, zero_complex)
-from .dg import DgAlgebra, end_dg, end_h0
+from .dg import end_h0
 
 
 class SmallCharacteristicError(ValueError):
@@ -75,12 +77,13 @@ def radical_rows(E) -> list[dict]:
     return [K.entries[t] for t in range(K.nrows)]
 
 
-def end_radical(B: DgAlgebra) -> list[dict]:
-    """radical_rows(end_h0(B)) for B = dg_end(U), kept on B beside its H^0
-    algebra.  A field too small for the radical raises on every call."""
-    if B._radical is None:
-        B._radical = radical_rows(end_h0(B))
-    return B._radical
+def end_radical(gh: GradedHom) -> list[dict]:
+    """radical_rows(end_h0(gh)) for gh = Hom(U, U), kept on gh beside its
+    H^0 algebra.  A field too small for the radical raises on every call."""
+    rad = getattr(gh, "_radical", None)
+    if rad is None:
+        rad = gh._radical = radical_rows(end_h0(gh))
+    return rad
 
 
 def _summands(U: Complex) -> list:
@@ -95,8 +98,9 @@ def _slice_bounds(U: Complex, part: Complex, s: int, n: int):
     return offsets[n][s], part.term(n).dim
 
 
-def _hom_class_action(X: Complex, U: Complex, B: DgAlgebra, E):
-    """Homotopy classes of chain maps X -> U with the postcomposition action of E.
+def _hom_class_action(X: Complex, U: Complex, end: GradedHom, E):
+    """Homotopy classes of chain maps X -> U with the postcomposition action
+    of E = end_h0(end), end = Hom(U, U).
 
     Returns (gh, sq, mats) where mats[i] sends class coordinates c to the
     coordinates of [class_reps[i] composed after c], acting on row vectors.
@@ -109,13 +113,13 @@ def _hom_class_action(X: Complex, U: Complex, B: DgAlgebra, E):
     rep_images = [gh.images(0, rep) for rep in sq.rep_entries]
     mats = []
     for ecls in E.class_reps:
-        ec = B.gh.component_maps(0, ecls)
+        ec = end.component_maps(0, ecls)
         rows = [sq.reduce(gh.postcomposed(0, images, ec, gh, 0)) for images in rep_images]
         mats.append(Matrix.from_row_entries(f, sq.dim, rows))
     return gh, sq, mats
 
 
-def _minimal_approximation(X: Complex, U: Complex, B: DgAlgebra, E, rad,
+def _minimal_approximation(X: Complex, U: Complex, end: GradedHom, E, rad,
                            summands):
     """Minimal left approximation X -> (sum of copies of summands of U).
 
@@ -126,7 +130,7 @@ def _minimal_approximation(X: Complex, U: Complex, B: DgAlgebra, E, rad,
     """
     f = E.field
     A = X.algebra
-    gh, sq, emats = _hom_class_action(X, U, B, E)
+    gh, sq, emats = _hom_class_action(X, U, end, E)
     m = sq.dim
     if m == 0:
         if all(gh.h_dim(i) == 0 for i in range(gh.lo, 0)):
@@ -207,9 +211,10 @@ def coresolve_A(U: Complex, max_steps: int, gh: GradedHom) -> Coresolution | Non
     presilting, the step cap hits or the coresolution is stuck.
 
     gh is hom_complex(U, U), already built.  A positive self-extension, read
-    off its cohomology, returns None before the dg-end of U, any
-    approximation or any cone; only a presilting U gets its dg-end, kept on
-    gh by end_dg.  Otherwise None is inconclusive, not a refutation: the cap
+    off its cohomology, returns None before any approximation or cone.  A
+    presilting U is approximated through H^0 End(U) and its radical, read
+    off gh and kept on it (end_h0, end_radical); no dg-end is built.
+    Otherwise None is inconclusive, not a refutation: the cap
     may simply be too small, or the decomposition of U too coarse for
     minimal multiplicities.  A stuck coresolution (see
     _minimal_approximation) returns None before the cap, since every step
@@ -221,18 +226,17 @@ def coresolve_A(U: Complex, max_steps: int, gh: GradedHom) -> Coresolution | Non
         raise ValueError("coresolution needs the hom complex of U with itself")
     if U.is_empty() or _self_extension(gh, 1, U.hi - U.lo) is not None:
         return None
-    B = end_dg(gh)
     A = U.algebra
     summands = _summands(U)
-    E = end_h0(B)
-    rad = end_radical(B)
+    E = end_h0(gh)
+    rad = end_radical(gh)
 
     X = projective_complex(A, {0: list(range(len(A.idempotents)))})
     mults = []
     while not is_acyclic(X):
         if len(mults) >= max_steps:
             return None
-        approx = _minimal_approximation(X, U, B, E, rad, summands)
+        approx = _minimal_approximation(X, U, gh, E, rad, summands)
         if approx is None:
             return None
         fmap, mult = approx
@@ -337,8 +341,8 @@ def silting_report(U: Complex, max_steps: int = 8,
     """One-stop summary; n and the multiplicities appear iff the coresolution
     does.  The self-extension scans and the coresolution share the one
     hom complex gh = Hom(U, U), built here unless given, with d^2 = 0
-    checked on it first.  A refuted U is decided from gh alone: no dg-end
-    is built for it."""
+    checked on it first.  A refuted U is decided from gh alone, and a
+    presilting U is coresolved through H^0 of gh: no dg-end is built."""
     if not U.is_projective_complex():
         raise ValueError("presilting test needs a complex of projectives")
     if U.is_empty():

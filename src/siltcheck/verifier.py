@@ -104,11 +104,12 @@ class SiltingContext:
     """The one silting analysis of a complex U that every check shares.
 
     gh is the hom complex Hom(U, U), report the silting report of U read
-    off gh, B the dg-endomorphism algebra of U built on that same gh (the
-    one the report's coresolution used, when U is presilting), C the
+    off gh, B the dg-endomorphism algebra of U built on that same gh, C the
     non-positive truncation of B, and Uc is U turned into a left C-module
     through evaluation.  Each is built on first use and then kept, so a
-    refuted U, decided by its report alone, never gets a dg-end.  Module
+    refuted U, decided by its report alone, never gets a dg-end.  H^0 End(U)
+    and its radical are kept on gh (dg.end_h0, silting.end_radical), where
+    the report's coresolution left them.  Module
     probes as one-degree complexes, hom complexes, hom modules into probe
     complexes, resolutions, tensors and the classification of module
     probes are cached under the objects they come from, since several
@@ -261,26 +262,31 @@ def verify_weak_nonpositive(ctx: SiltingContext) -> VerificationReport:
 
 
 def verify_E_iso(ctx: SiltingContext) -> VerificationReport:
-    """H^0 of the dg-end agrees with chain maps modulo homotopy.
+    """H^0 End(U), as the coresolution read it off Hom(U, U), agrees with
+    the dg-end and with chain maps modulo homotopy.
 
-    Route one multiplies inside the dg-algebra; route two composes honest
-    chain maps and reduces the composite, sharing the cocycle-class basis.
-    When U resolves a module, the result is also compared structurally with
-    the ordinary endomorphism algebra of that module.
+    Each product of two class representatives is taken on two independent
+    routes and compared with E's table, sharing the cocycle-class basis:
+    route one multiplies inside the dg-algebra B, route two composes honest
+    chain maps and reduces the composite.  When U resolves a module, the
+    result is also compared structurally with the ordinary endomorphism
+    algebra of that module.
     """
-    U, B = ctx.U, ctx.B
+    U, B, gh = ctx.U, ctx.B, ctx.gh
     f = B.field
-    E = end_h0(B)
-    gh = B.gh
-    sq = B.subquotient(0)
-    basis_cls = [sq.reduce(rep) for rep in E.class_reps]
+    E = end_h0(gh)
+    sq = E.sq
+    reps = E.class_reps
+    basis_cls = [sq.reduce(rep) for rep in reps]
     span = Matrix.from_entries(f, len(basis_cls), sq.dim, dict(enumerate(basis_cls)))
-    chain_maps = [gh.chain_map_from_cocycle(rep) for rep in E.class_reps]
+    chain_maps = [gh.chain_map_from_cocycle(rep) for rep in reps]
     mult_ok = True
     for x in range(E.dim):
         for y in range(E.dim):
-            coords = gh.coords_of(0, chain_maps[y].compose(chain_maps[x]).mats)
-            if span.solve_left_rows(sq.reduce(coords)) != E.basis_product(x, y):
+            routes = (B.product(0, reps[x], 0, reps[y]),
+                      gh.coords_of(0, chain_maps[y].compose(chain_maps[x]).mats))
+            if any(span.solve_left_rows(sq.reduce(p)) != E.basis_product(x, y)
+                   for p in routes):
                 mult_ok = False
     checks = [CheckRecord("products agree with chain-map composition", mult_ok, {})]
 
@@ -289,7 +295,7 @@ def verify_E_iso(ctx: SiltingContext) -> VerificationReport:
         # U resolves H^0 U, so End_A(H^0 U) is H^0 Hom(U, H^0 U)
         end_dim = ctx.hom(U, ctx.module(U.cohomology(0), 0)).h_dim(0)
         try:
-            rad_e = len(end_radical(B))
+            rad_e = len(end_radical(gh))
         except ValueError:
             rad_e = None
         checks.append(CheckRecord(
@@ -612,8 +618,9 @@ def probe_modules(A: Algebra) -> dict:
     return out
 
 
-def probe_complexes(A: Algebra, cap: int = 16, names=None) -> dict:
-    """Projective-complex witnesses for the standard probes, plus the free module.
+def probe_complexes(A: Algebra, mods: dict, cap: int = 16, names=None) -> dict:
+    """Projective-complex witnesses for the module probes mods, as
+    probe_modules(A) built them, plus the free module.
 
     With names given, only the probes named there are built.  A module probe
     whose replacement is a complex already built (the simple at a sink of a
@@ -621,7 +628,7 @@ def probe_complexes(A: Algebra, cap: int = 16, names=None) -> dict:
     per-complex cache builds each pair once.
     """
     out = {}
-    for name, M in sorted(probe_modules(A).items()):
+    for name, M in sorted(mods.items()):
         if names is not None and name not in names:
             continue
         if name.startswith("proj"):
@@ -772,7 +779,7 @@ def verify_all(U: Complex, window=(-4, 4), pair_degrees=(-2, 2), max_steps: int 
     delta = verify_delta(ctx, win, extra_margin)
     reports.append(delta)
 
-    cplx = probe_complexes(ctx.A, cap, probe_names)
+    cplx = probe_complexes(ctx.A, mods, cap, probe_names)
     if probe_names is None or "silting" in probe_names:
         cplx["silting"] = ctx.U
     for name in sorted(cplx):

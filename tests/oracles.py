@@ -340,14 +340,14 @@ def reference_coresolutions(U, max_steps: int, B) -> list:
     """
     A = U.algebra
     summands = silting._summands(U)
-    E = end_h0(B)
-    rad = silting.end_radical(B)
+    E = end_h0(B.gh)
+    rad = silting.end_radical(B.gh)
     X = projective_complex(A, {0: list(range(len(A.idempotents)))})
     steps, mults = [], []
     while not is_acyclic(X):
         if len(steps) >= max_steps:
             return [None] * (max_steps + 1)
-        approx = silting._minimal_approximation(X, U, B, E, rad, summands)
+        approx = silting._minimal_approximation(X, U, B.gh, E, rad, summands)
         if approx is None:
             approx = ChainMap(X, zero_complex(A), {}, validate=False), {}
         fmap, mult = approx
@@ -561,7 +561,7 @@ def reference_composition_tables(gh, maps):
     return tables
 
 
-def reference_hom_class_action(X, U, B, E):
+def reference_hom_class_action(X, U, end, E):
     """silting._hom_class_action with each postcomposite built as a matrix
     and read back through reference_coords_of: the matrices of the E-classes
     acting on the homotopy classes of chain maps X -> U."""
@@ -571,7 +571,7 @@ def reference_hom_class_action(X, U, B, E):
     rep_comps = [gh.component_maps(0, rep) for rep in sq.rep_entries]
     mats = []
     for ecls in E.class_reps:
-        ec = B.gh.component_maps(0, ecls)
+        ec = end.component_maps(0, ecls)
         rows = []
         for mc in rep_comps:
             comp = {i: mm @ ec[i] for i, mm in mc.items() if i in ec}

@@ -28,7 +28,7 @@ from siltcheck.silting import (coresolve_A, goodify, presilting_witness,
                                radical_rows, silting_equivalent,
                                silting_report)
 from siltcheck.verifier import (SiltingContext, classify_Xi, probe_complexes,
-                                verify_all, verify_corollary_roundtrip,
+                                probe_modules, verify_all, verify_corollary_roundtrip,
                                 verify_counit, verify_delta,
                                 verify_fully_faithful)
 
@@ -177,7 +177,7 @@ def test_two_term_silting_dg_end_cohomology_profile(U_silt2, indecs, field):
 
 
 def _standard_probes(ctx):
-    probes = probe_complexes(ctx.A)
+    probes = probe_complexes(ctx.A, probe_modules(ctx.A))
     probes["silting"] = ctx.U
     return probes
 

@@ -458,17 +458,26 @@ def test_exhausted_machine_exits_2_without_a_traceback(capsys, monkeypatch, erro
 @pytest.mark.parametrize("command", ["check", "verify"])
 def test_a_failed_internal_check_exits_3_without_a_traceback(capsys, monkeypatch,
                                                              command):
-    # a validator's AssertionError is no witness: it must not exit 1
-    from siltcheck.dg import DgAlgebra
+    # a validator's AssertionError is no witness: it must not exit 1.  check
+    # builds no dg-end, so its failure goes into the validation of H^0
+    # End(U), an ordinary algebra; verify's into the dg-end's
+    from siltcheck import dg
+
+    if command == "check":
+        message = "associativity fails on (p0, p0)"
+        target = type("Refused", (dg.Algebra,), {})
+        monkeypatch.setattr(dg, "Algebra", target)
+    else:
+        message = "associativity fails on degrees (0, 0, 0)"
+        target = dg.DgAlgebra
 
     def refuse(self):
-        raise AssertionError("associativity fails on degrees (0, 0, 0)")
+        raise AssertionError(message)
 
-    monkeypatch.setattr(DgAlgebra, "validate", refuse)
+    monkeypatch.setattr(target, "validate", refuse)
     code, out, err = run_cli(capsys, command, FIX_A2, "U-tilt")
     assert (code, out) == (3, "")
-    assert err == ("siltcheck: internal check failed: "
-                   "associativity fails on degrees (0, 0, 0)\n")
+    assert err == f"siltcheck: internal check failed: {message}\n"
     assert "Traceback" not in err
 
 
@@ -494,8 +503,8 @@ def _count_calls(monkeypatch):
 
     Returns on(name), the per-function call counts on the loaded complex of
     that name, and calls, the counts keyed by (function, complex) for every
-    complex the run touched; h0_algebra counts against the complex of the
-    dg-end it reads.
+    complex the run touched; h0_algebra counts against the complex U of the
+    hom complex Hom(U, U) it reads.
     """
     import siltcheck.cli
     from siltcheck import complexes, dg, silting
@@ -514,7 +523,7 @@ def _count_calls(monkeypatch):
                dg.h0_algebra, complexes.proj_replacement):
         def counted(U, *args, _fn=fn, **kwargs):
             key = (_fn.__name__,
-                   U.complex if _fn.__name__ == "h0_algebra" else U)
+                   U.X if _fn.__name__ == "h0_algebra" else U)
             calls[key] = calls.get(key, 0) + 1
             return _fn(U, *args, **kwargs)
         _rebind(monkeypatch, fn, counted)
@@ -533,18 +542,21 @@ def _totals(calls) -> dict:
     return out
 
 
-@pytest.mark.parametrize("command,name", [("verify", "U-tilt"),
+@pytest.mark.parametrize("command,name", [("check", "U-tilt"),
+                                          ("verify", "U-tilt"),
                                           ("report", "U-silt2"),
                                           ("goodify", "U-tilt")])
 def test_one_run_analyses_the_input_complex_once(capsys, monkeypatch,
                                                  command, name):
+    # the coresolution reads H^0 End(U) off Hom(U, U); only the battery of
+    # verify and report builds the dg-end, and it shares that H^0 algebra
     on, calls = _count_calls(monkeypatch)
     code, _, _ = run_cli(capsys, command, FIX_A2, name)
     assert code == 0
     counts = on(name)
     assert counts["silting_report"] == 1
     assert counts["coresolve_A"] == 1
-    assert counts["dg_end"] == 1
+    assert counts["dg_end"] == (command in ("verify", "report"))
     assert counts["h0_algebra"] == 1
     # nor is any other complex, such as goodify's output, analysed twice
     assert all(n == 1 for (fn, _), n in calls.items()
@@ -574,6 +586,25 @@ def test_verify_of_a_tilting_module_resolves_only_the_simple_probes(capsys,
     assert totals["coresolve_A"] == 1
     assert totals["proj_replacement"] == 2
     assert totals["dg_end"] == 1
+    assert totals["h0_algebra"] == 1
+
+
+def test_verify_builds_each_probe_module_once(capsys, monkeypatch):
+    # the probe complexes are read off the module probes verify_all built,
+    # so each vertex simple is built and validated once per run
+    from siltcheck import verifier
+
+    built = Counter()
+    simple_module = verifier.simple_module
+
+    def counted(A, v):
+        built[v] += 1
+        return simple_module(A, v)
+
+    monkeypatch.setattr(verifier, "simple_module", counted)
+    code, _, _ = run_cli(capsys, "verify", FIX_A2, "U-tilt")
+    assert code == 0
+    assert built == {0: 1, 1: 1}
 
 
 def test_verify_resolves_each_module_degree_once(capsys, monkeypatch):

@@ -310,6 +310,37 @@ def test_h0_product_table_matches_per_call_products(coresolution_inputs, field_s
         assert got.kept_idempotents == want.kept_idempotents, name
 
 
+def test_h0_off_hom_u_u_equals_h0_of_the_dg_end(coresolution_inputs, regular_split,
+                                                two_term_silting, simple_resolution, wide):
+    # one H^0 End(U), two constructions: composites of representatives read
+    # off Hom(U, U), and products inside the dg-end built on that same gh
+    inputs = {"regular_split": regular_split, "two_term_silting": two_term_silting,
+              "simple_resolution": simple_resolution, "wide": wide}
+    for field_spec in ({"prime": 101}, "rational"):
+        inputs.update((f"{field_spec}/{name}", U)
+                      for name, U in coresolution_inputs(field_spec).items())
+    assert sum(name.startswith("{'prime': 101}/a3/") for name in inputs) == 84
+    silting_sums = 0
+    for name, U in inputs.items():
+        gh = hom_complex(U, U)
+        try:
+            want = h0_algebra(dg_end(U, gh))
+        except ValueError:
+            with pytest.raises(ValueError):
+                end_h0(gh)
+            continue
+        got = end_h0(gh)
+        assert got is end_h0(gh), name
+        assert got.labels == want.labels, name
+        assert got.mult == want.mult, name
+        assert got.unit == want.unit, name
+        assert got.idempotents == want.idempotents, name
+        assert got.kept_idempotents == want.kept_idempotents, name
+        assert got.class_reps == want.class_reps, name
+        silting_sums += "/a3/" in name and silting.silting_report(U, gh=gh).n is not None
+    assert silting_sums == 2 * 14
+
+
 # -- composites read off generator images -----------------------------------
 
 
@@ -331,10 +362,10 @@ def test_generator_images_match_the_composite_matrices(coresolution_inputs, fiel
                 assert gh.diff(n) == reference_hom_diff(gh, n), (name, n)
         assert B.mult == reference_composition_tables(B.gh, B.maps), name
         assert M.action == reference_composition_tables(M.gh, C.maps), name
-        E = end_h0(B)
+        E = end_h0(B.gh)
         for X in (free, U):
-            assert (silting._hom_class_action(X, U, B, E)[2]
-                    == reference_hom_class_action(X, U, B, E)), name
+            assert (silting._hom_class_action(X, U, B.gh, E)[2]
+                    == reference_hom_class_action(X, U, B.gh, E)), name
 
 
 def _honest_maps(B):
@@ -348,7 +379,7 @@ def _honest_maps(B):
     if hasattr(U, "summands"):
         for pm in summand_projection_maps(U):
             yield pm.mats
-    chain_maps = [B.gh.chain_map_from_cocycle(rep) for rep in end_h0(B).class_reps]
+    chain_maps = [B.gh.chain_map_from_cocycle(rep) for rep in end_h0(B.gh).class_reps]
     for x in chain_maps:
         for y in chain_maps:
             yield y.compose(x).mats
@@ -380,13 +411,13 @@ def test_composites_make_no_coords_of_call(coresolution_inputs, monkeypatch):
     built = []
     for U in coresolution_inputs({"prime": 101}).values():
         B = dg_end(U)
-        built.append((U, B, end_h0(B), hom_complex(U, U)))
+        built.append((U, B, end_h0(B.gh), hom_complex(U, U)))
     monkeypatch.setattr(GradedHom, "coords_of", refuse)
     for U, B, E, gh in built:
         for n in gh.degrees():
             gh.diff(n)
         _composition_tables(gh, B.maps)
-        silting._hom_class_action(U, U, B, E)
+        silting._hom_class_action(U, U, B.gh, E)
 
 
 # -- the validators against an element-wise reference -----------------------

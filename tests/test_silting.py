@@ -1,16 +1,20 @@
 """Presilting, coresolution, goodification and equivalence checks."""
 
+import itertools
+
 import pytest
 
 import oracles
-from conftest import FIX_A2
+from conftest import A3_INDECOMPOSABLES, FIX_A2
 from oracles import coresolution_les_ok, reference_coresolutions
-from siltcheck import silting
+from siltcheck import dg, silting
 from siltcheck.fields import PrimeField
 from siltcheck.linalg import Matrix
-from siltcheck.algebra import Quiver, path_algebra
+from siltcheck import algebra, complexes
+from siltcheck.algebra import Quiver, hom_space, path_algebra
 from siltcheck.complexes import (direct_sum_complexes, hom_complex,
-                                 is_acyclic, projective_complex)
+                                 is_acyclic, projective_cache,
+                                 projective_complex, projective_sum)
 from siltcheck.dg import dg_end
 from siltcheck.instances import load_instance
 from siltcheck.silting import (coresolve_A, goodify, presilting_witness,
@@ -198,8 +202,9 @@ def test_refuted_inputs_return_at_the_presilting_gate(monkeypatch, coresolution_
     def forbidden(*args, **kwargs):
         raise AssertionError("a refuted input reached the coresolution")
 
-    for name in ("end_dg", "end_h0", "end_radical", "cone"):
+    for name in ("end_h0", "end_radical", "cone"):
         monkeypatch.setattr(silting, name, forbidden)
+    monkeypatch.setattr(dg, "dg_end", forbidden)
     for name, U in refuted.items():
         assert coresolve_A(U, 8, hom_complex(U, U)) is None, name
 
@@ -227,8 +232,6 @@ def test_a_refuted_report_reads_hom_u_u_alone(monkeypatch, coresolution_inputs,
                                               refuted_with_a_coresolution):
     # the witness is read off one Hom(U, U): no dg-end, composition table
     # or dg-algebra validation is reached
-    from siltcheck import dg
-
     refuted = {name: U for name, U in coresolution_inputs({"prime": 101}).items()
                if presilting_witness(U) is not None}
     assert len(refuted) == 71
@@ -249,25 +252,71 @@ def test_a_refuted_report_reads_hom_u_u_alone(monkeypatch, coresolution_inputs,
 
 
 def test_report_and_coresolution_share_one_hom_u_u(monkeypatch, tilt, silt2):
-    from siltcheck import dg
+    # the coresolution reads H^0 End(U) off the report's own Hom(U, U) and
+    # keeps it there: no dg-end is built, and one H^0 algebra per input
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the silting report built a dg-end")
 
-    ends = []
-    dg_end = dg.dg_end
+    algebras = []
+    h0_algebra = dg.h0_algebra
 
-    def kept(U, *args, **kwargs):
-        B = dg_end(U, *args, **kwargs)
-        ends.append((U, B))
-        return B
+    def kept(X, *args, **kwargs):
+        E = h0_algebra(X, *args, **kwargs)
+        algebras.append((X, E))
+        return E
 
-    monkeypatch.setattr(dg, "dg_end", kept)
+    monkeypatch.setattr(dg, "dg_end", forbidden)
+    monkeypatch.setattr(dg, "h0_algebra", kept)
     built = _count_homs(monkeypatch)
     for U in (tilt, silt2):
-        ends.clear()
+        algebras.clear()
         r = silting_report(U)
         assert r.presilting and r.n == 1
         (gh,) = built[(U, U)]
-        ((V, B),) = ends
-        assert V is U and B.gh is gh
+        ((X, E),) = algebras
+        assert X is gh and dg.end_h0(gh) is E
+        assert len(algebras) == 1
+
+
+def test_module_homs_are_built_once_per_algebra(monkeypatch):
+    # every witnessed term of a sum or a cone is the algebra's projective
+    # sum, so over the 84 reports on one algebra Hom(e_v A, -) is built once
+    # per vertex and projective sum, and cached on it
+    A = path_algebra(Quiver(["0", "1", "2"], [("a", "0", "1"), ("b", "1", "2")]), F101)
+    built, results = {}, []
+
+    class Counted(algebra.ProjectiveHoms):
+        def __init__(self, P, N):
+            built[(P.vertex, N)] = built.get((P.vertex, N), 0) + 1
+            super().__init__(P, N)
+
+    monkeypatch.setattr(algebra, "ProjectiveHoms", Counted)
+    for name in ("cone", "direct_sum_complexes"):
+        def kept(*args, _fn=getattr(complexes, name)):
+            results.append((_fn.__name__, _fn(*args)))
+            return results[-1][1]
+        for module in (complexes, silting):
+            monkeypatch.setattr(module, name, kept)
+
+    parts = {}
+    for name, types in A3_INDECOMPOSABLES.items():
+        d = {}
+        if len(types) == 2:
+            (basis,) = hom_space(projective_cache(A, types[-1][0]),
+                                 projective_cache(A, types[0][0]))
+            d = {-1: basis.mat}
+        parts[name] = projective_complex(A, types, d)
+    triples = list(itertools.combinations(A3_INDECOMPOSABLES, 3))
+    assert len(triples) == 84
+    for triple in triples:
+        silting_report(complexes.direct_sum_complexes([parts[x] for x in triple]))
+    assert built and set(built.values()) == {1}
+    sums = {id(M) for M in A._proj_sums.values()}
+    assert all(id(N) in sums for _, N in built)
+    assert {name for name, _ in results} == {"cone", "direct_sum_complexes"}
+    for _, C in results:
+        for n, types in C.proj_types.items():
+            assert C.terms[n] is projective_sum(A, types)
 
 
 def test_a_differential_that_does_not_square_to_zero_stops_the_scan(monkeypatch, parts):

@@ -74,6 +74,27 @@ def test_h0_products_agree_with_chain_map_composition(ctx_tilt, A2, tilt_summand
     assert rep.notes["idempotents"] == 2
 
 
+def _swap_end_factors(ctx: SiltingContext) -> SiltingContext:
+    """ctx with the degree-(0, 0) products of its dg-end in the wrong order."""
+    ctx.B.mult[(0, 0)] = [list(col) for col in zip(*ctx.B.mult[(0, 0)])]
+    return ctx
+
+
+def test_h0_products_are_checked_on_two_independent_routes(U_tilt, monkeypatch):
+    # E is read off Hom(U, U); route one compares it with the dg-end's own
+    # products, route two with composed chain maps, so breaking either fails
+    def products_agree(ctx):
+        (check,) = [c for c in verify_E_iso(ctx).checks
+                    if c.name == "products agree with chain-map composition"]
+        return check.passed
+
+    assert products_agree(SiltingContext(U_tilt))
+    assert not products_agree(_swap_end_factors(SiltingContext(U_tilt)))
+    compose = ChainMap.compose
+    monkeypatch.setattr(ChainMap, "compose", lambda self, other: compose(other, self))
+    assert not products_agree(SiltingContext(U_tilt))
+
+
 def test_h0_of_the_shifted_pair_splits_into_two_idempotent_blocks(ctx_silt2):
     rep = verify_E_iso(ctx_silt2)
     assert rep.passed
@@ -85,7 +106,7 @@ def test_h0_of_the_shifted_pair_splits_into_two_idempotent_blocks(ctx_silt2):
 def test_counit_is_a_quasi_iso_on_every_probe(which, request, A2):
     U = request.getfixturevalue(f"U_{which}")
     ctx = request.getfixturevalue(f"ctx_{which}")
-    probes = probe_complexes(A2)
+    probes = probe_complexes(A2, probe_modules(A2))
     probes["silting"] = U
     for name in sorted(probes):
         X = probes[name]
@@ -116,7 +137,7 @@ def test_the_simple_at_the_sink_is_the_projective_probe(field):
     # over kA_3 (0 -> 1 -> 2) the simple at the sink is e_2 A: its replacement
     # is the very complex of proj2, so per-complex caches see one object
     A3 = path_algebra(Quiver(["0", "1", "2"], [("a", "0", "1"), ("b", "1", "2")]), field)
-    probes = probe_complexes(A3)
+    probes = probe_complexes(A3, probe_modules(A3))
     assert probes["simple2"] is probes["proj2"]
     assert probes["simple0"] is not probes["proj0"]
     assert probes["simple1"] is not probes["proj1"]
@@ -127,7 +148,7 @@ def test_the_simple_at_the_sink_is_the_projective_probe(field):
 def test_morphism_spaces_agree_over_both_algebras(which, request, A2):
     U = request.getfixturevalue(f"U_{which}")
     ctx = request.getfixturevalue(f"ctx_{which}")
-    probes = probe_complexes(A2)
+    probes = probe_complexes(A2, probe_modules(A2))
     probes["silting"] = U
     names = sorted(probes)
     for n1 in names:
@@ -138,7 +159,7 @@ def test_morphism_spaces_agree_over_both_algebras(which, request, A2):
 
 
 def test_morphism_space_tables_carry_the_expected_dimensions(ctx_tilt, A2, indecs):
-    probes = probe_complexes(A2)
+    probes = probe_complexes(A2, probe_modules(A2))
     rep = verify_fully_faithful(ctx_tilt, probes["free"], probes["free"],
                                 range(-2, 3))
     table = rep.checks[0].details["h_dims"]
@@ -282,7 +303,7 @@ def test_additivity_and_naturality_probes(which, request, A2):
     U = request.getfixturevalue(f"U_{which}")
     ctx = request.getfixturevalue(f"ctx_{which}")
     assert functoriality_probe(ctx, WIN).passed
-    probes = probe_complexes(A2)
+    probes = probe_complexes(A2, probe_modules(A2))
     rep = naturality_probe(ctx, probes["free"], U, WIN)
     assert rep.passed
     assert not rep.notes.get("vacuous")
@@ -315,7 +336,7 @@ def test_full_battery_passes_on_both_fixtures(U_tilt, U_silt2):
 
 
 def test_counit_tables_ignore_extra_margin(ctx_tilt, A2):
-    X = probe_complexes(A2)["free"]
+    X = probe_complexes(A2, probe_modules(A2))["free"]
     base = verify_counit(ctx_tilt, X, WIN).checks[0].details
     for m in (1, 2, 3):
         rep = verify_counit(ctx_tilt, X, WIN, extra_margin=m)
@@ -487,6 +508,8 @@ def _failing_cases(U_tilt, U_silt2, U_bad, indecs, monkeypatch):
                   lambda M, degree=0: module_complex(direct_sum_modules(M.algebra, [M, M]),
                                                      degree))
         yield [verify_E_iso(SiltingContext(U_tilt))]
+    # the dg-end's products with their factors swapped
+    yield [verify_E_iso(_swap_end_factors(SiltingContext(U_tilt)))]
     with monkeypatch.context() as m:
         m.setattr(verifier, "lift_to_resolution", lambda *args: None)
         m.setattr(verifier, "lift_generators", lambda *args: None)
