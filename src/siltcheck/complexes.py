@@ -318,9 +318,9 @@ def cone(f: ChainMap) -> Complex:
 
 
 def is_acyclic(X: Complex) -> bool:
-    """Exactness read off ranks: dim X^n = rk d^{n-1} + rk d^n in every degree."""
-    ranks = {n: d.rank() for n, d in X.diffs.items()}
-    return all(X.term(n).dim == ranks.get(n - 1, 0) + ranks.get(n, 0) for n in X.degrees())
+    """Exactness, read off ranks by Cochains.h_dim: dim X^n = rk d^{n-1} +
+    rk d^n in every degree, up to the first degree where it fails."""
+    return not any(X.h_dim(n) for n in X.degrees())
 
 
 # -- graded hom complex ----------------------------------------------------

@@ -26,9 +26,6 @@ class PrimeField:
     def sub(self, a, b):
         return (a - b) % self.p
 
-    def mul(self, a, b):
-        return (a * b) % self.p
-
     def neg(self, a):
         return (-a) % self.p
 
@@ -84,9 +81,6 @@ class RationalField:
 
     def sub(self, a, b):
         return a - b
-
-    def mul(self, a, b):
-        return a * b
 
     def neg(self, a):
         return -a

@@ -7,11 +7,15 @@ keeps only its nonzero entries, so products, sums, stacking and elimination
 walk nonzeros alone; the dense row view stays available for callers that
 read rows.  A vector, an algebra element included, is its nonzero entries
 {index: entry}, the form apply_entries (the row action), solve_left_rows,
-Subquotient.reduce and Subquotient.lift take and return.  Matrix.rref is
-the one elimination: every span, kernel, solve, quotient and subquotient,
-and every greedy choice of independent rows (Matrix.left_pivots), reads it.
-Pivoting is deterministic (first nonzero entry in row order), so every basis
-produced here is reproducible run to run.
+Subquotient.reduce and Subquotient.lift take and return.  Each Matrix has
+one elimination, the forward echelon of its rows, built once in row order
+and kept: the greedy choice of independent rows (Matrix.left_pivots), every
+solve and every rank read it, and Matrix.rref, behind every span, kernel,
+quotient and subquotient, is that echelon plus back-substitution.  The
+echelon depends only on the order of the rows and the RREF only on their
+span, so every basis produced here is reproducible run to run.  Cochains
+reads dim H^n off the ranks of its differentials and builds a subquotient
+only where classes are read.
 
 Convention used by callers throughout the package: module elements are ROW
 vectors and linear maps act on the right (x |-> x @ M), so composition of maps
@@ -37,8 +41,9 @@ class Matrix:
     otherwise built on first use.  The kernels add and multiply natively and
     reduce each finished row once with field.reduce_entries.
 
-    _left caches the elimination behind solve_left_rows: filled by the first
-    solve, replayed by every later one, and not part of equality or hashing.
+    _left holds the forward echelon of the rows (_echelon): built by the
+    first rank, pivot choice, solve or rref, read by every later one, and
+    not part of equality or hashing.
     """
 
     __slots__ = ("field", "nrows", "ncols", "entries", "_rows", "_left")
@@ -152,10 +157,7 @@ class Matrix:
             if base is None:
                 out[i] = nz if c == 1 else reduce({j: c * x for j, x in nz.items()})
                 continue
-            acc = dict(base)
-            for j, x in nz.items():
-                acc[j] = acc.get(j, 0) + c * x
-            acc = reduce(acc)
+            acc = _minus(self.field, base, -c, nz)
             if acc:
                 out[i] = acc
             else:
@@ -270,52 +272,55 @@ class Matrix:
 
     # -- elimination -------------------------------------------------------
 
-    def rref(self, ops: list | None = None) -> tuple["Matrix", tuple[int, ...]]:
-        """Reduced row echelon form and the pivot column indices.
+    def _echelon(self) -> tuple:
+        """The forward echelon of the rows, built on the first read and kept.
 
-        If ops is a list, one entry (selected row, inverse of the pivot,
-        [(row, multiplier) eliminated]) is appended per pivot, so the same
-        row operations can be replayed on another column.  Elimination never
-        adds a column to the union of the rows' supports, so only the columns
-        in it are searched for pivots.
+        The rows are taken in order.  Each is reduced at its lowest column
+        against the echelon rows before it (_reduce); a row that stays
+        nonzero is a pivot row, and its remainder, scaled to 1 at its lowest
+        column, joins the echelon with its coefficients over the original
+        rows, which lie on the pivot rows alone.  Returns ({lowest column:
+        (echelon row, coefficients)}, the pivot rows in order), both rows as
+        nonzero entries.
         """
+        if self._left is None:
+            f = self.field
+            reduce = f.reduce_entries
+            echelon, pivots = {}, []
+            for i in sorted(self.entries):
+                w, used = _reduce(f, echelon, self.entries[i])
+                if w:
+                    j = min(w)
+                    inv = f.inv(w[j])
+                    coeffs = reduce({k: -inv * c for k, c in used.items()})
+                    coeffs[i] = inv
+                    echelon[j] = (reduce({k: inv * c for k, c in w.items()}), coeffs)
+                    pivots.append(i)
+            self._left = (echelon, tuple(pivots))
+        return self._left
+
+    def rref(self) -> tuple["Matrix", tuple[int, ...]]:
+        """Reduced row echelon form and the pivot column indices: the forward
+        echelon rows in the order of their pivot columns, each cleared at the
+        pivot columns after its own by back-substitution.  The RREF of a
+        span is unique, so it does not depend on the order of the rows."""
         f = self.field
-        reduce = f.reduce_entries
-        n = self.nrows
-        rows = [self.entries.get(i, {}) for i in range(n)]
-        pivots = []
-        prow = 0
-        for col in sorted({j for nz in self.entries.values() for j in nz}):
-            if prow == n:
-                break
-            sel = None
-            for i in range(prow, n):
-                if col in rows[i]:
-                    sel = i
-                    break
-            if sel is None:
-                continue
-            rows[prow], rows[sel] = rows[sel], rows[prow]
-            inv = f.inv(rows[prow][col])
-            piv = rows[prow] = reduce({j: inv * x for j, x in rows[prow].items()})
-            elims = []
-            for i in range(n):
-                c = rows[i].get(col)
-                if c is not None and i != prow:
-                    acc = dict(rows[i])
-                    for j, x in piv.items():
-                        acc[j] = acc.get(j, 0) - c * x
-                    rows[i] = reduce(acc)
-                    elims.append((i, c))
-            if ops is not None:
-                ops.append((sel, inv, elims))
-            pivots.append(col)
-            prow += 1
-        out = {i: nz for i, nz in enumerate(rows) if nz}
-        return Matrix.from_entries(f, n, self.ncols, out), tuple(pivots)
+        echelon, _ = self._echelon()
+        pivots = tuple(sorted(echelon))
+        out = {}
+        for t, col in enumerate(pivots):
+            row = echelon[col][0]
+            # clearing a later pivot column adds entries only to the right of
+            # it, so one pass in column order clears them all
+            for later in pivots[t + 1:]:
+                a = row.get(later)
+                if a is not None:
+                    row = _minus(f, row, a, echelon[later][0])
+            out[t] = row
+        return Matrix.from_entries(f, self.nrows, self.ncols, out), pivots
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        return len(self._echelon()[1])
 
     def kernel_basis(self) -> "Matrix":
         """Columns form a basis of {x : self @ x = 0}."""
@@ -343,38 +348,44 @@ class Matrix:
 
     def left_pivots(self) -> tuple[int, ...]:
         """Indices of the rows that are independent of the rows before them,
-        in order: the pivots of rref(selfᵀ).  Its row operations are recorded
-        on the first call, for solve_left_rows to replay."""
-        if self._left is None:
-            ops: list = []
-            _, pivots = self.transpose().rref(ops)
-            self._left = (ops, pivots)
-        return self._left[1]
+        in order: the pivot rows of the forward echelon."""
+        return self._echelon()[1]
 
     def solve_left_rows(self, v: dict) -> dict | None:
         """x with x @ self = v, or None, both as their nonzero entries
-        {index: entry}.  Free variables are set to 0.
+        {index: entry}: v reduced against the forward echelon, None when
+        something is left.  x lies on the pivot rows alone, which are
+        independent, so it is the answer with every other row at 0."""
+        w, used = _reduce(self.field, self._echelon()[0], v)
+        return None if w else used
 
-        The row operations of rref(selfᵀ) are recorded on the first call and
-        replayed on v by every call; the pivots of selfᵀ never depend on v,
-        so the answer is the one the RREF of [selfᵀ | v] gives.
-        """
-        f = self.field
-        zero, mul, sub = f.zero, f.mul, f.sub
-        w = [zero] * self.ncols
-        for j, x in v.items():
-            w[j] = x
-        pivots = self.left_pivots()
-        ops = self._left[0]
-        for prow, (sel, inv, elims) in enumerate(ops):
-            w[prow], w[sel] = w[sel], w[prow]
-            a = w[prow] = mul(inv, w[prow])
-            if a != zero:
-                for i, c in elims:
-                    w[i] = sub(w[i], mul(c, a))
-        if any(x != zero for x in w[len(pivots):]):
-            return None
-        return {pcol: w[prow] for prow, pcol in enumerate(pivots) if w[prow] != zero}
+
+def _minus(field, w: dict, a, row: dict) -> dict:
+    """w - a * row, for rows given as their nonzero entries."""
+    acc = dict(w)
+    for k, c in row.items():
+        acc[k] = acc.get(k, 0) - a * c
+    return field.reduce_entries(acc)
+
+
+def _reduce(field, echelon: dict, w: dict) -> tuple[dict, dict]:
+    """The one elimination loop: reduce w at its lowest column against the
+    echelon ({lowest column: (row with 1 there, coefficients)}) for as long
+    as an echelon row has that column.  Returns (the remainder, the sum of
+    a * coefficients over the rows taken a times), rows as nonzero entries;
+    w is the remainder plus the rows taken."""
+    used: dict = {}
+    while w:
+        j = min(w)
+        hit = echelon.get(j)
+        if hit is None:
+            break
+        row, coeffs = hit
+        a = w[j]
+        w = _minus(field, w, a, row)
+        for k, c in coeffs.items():
+            used[k] = used.get(k, 0) + a * c
+    return w, field.reduce_entries(used)
 
 
 # -- row-space bookkeeping -------------------------------------------------
@@ -420,13 +431,13 @@ def quotient_map(field, width: int, relation_rows: Sequence[dict]) -> tuple:
 class Subquotient:
     """Z/B for row subspaces B <= Z of an ambient coordinate space.
 
-    cycles and boundaries are matrices whose rows span Z and B.  One recorded
-    elimination of [boundaries; cycles] (Matrix.left_pivots) picks, in row
+    cycles and boundaries are matrices whose rows span Z and B.  The forward
+    echelon of [boundaries; cycles] (Matrix.left_pivots) picks, in row
     order, every row independent of the rows before it: the boundary rows
     among them are a basis of B, and the cycle rows among them, kept as
     rep_entries (their nonzero entries), are cocycle representatives of a
-    basis of the quotient.  reduce replays that elimination on an element of
-    Z and reads its coordinates off the reps.
+    basis of the quotient.  reduce solves an element of Z against the same
+    echelon and reads its coordinates off the reps.
     """
 
     def __init__(self, field, width: int, cycles: Matrix, boundaries: Matrix):
@@ -502,7 +513,9 @@ class Cochains:
     subclass gives dim(n) and either diffs, degree -> the nonzero matrix of
     d: C^n -> C^{n+1} in row convention, or its own diff when it builds the
     differentials lazily.  Each degree's subquotient ker d^n / im d^{n-1} is
-    built on first use and kept.
+    built on first use and kept.  dim H^n needs no subquotient: it is
+    dim C^n - rk d^n - rk d^{n-1}, and each differential keeps its rank in
+    its own echelon, so it is eliminated once whichever degree reads it.
     """
 
     def __init__(self, field, support):
@@ -536,7 +549,13 @@ class Cochains:
                 raise AssertionError(message.format(n))
 
     def h_dim(self, n: int) -> int:
-        return self.subquotient(n).dim
+        """dim H^n: the subquotient's when it is built, else read off ranks;
+        a zero space builds neither of its differentials."""
+        sq = self._sq.get(n)
+        if sq is not None:
+            return sq.dim
+        dim = self.dim(n)
+        return dim and dim - self.diff(n).rank() - self.diff(n - 1).rank()
 
     def h_table(self) -> dict:
         """degree -> dim H^n, over the degrees where it is nonzero."""

@@ -227,10 +227,6 @@ class SemifreeModule:
                              [None, M.diff(n)]],
                             [self.dim(n + 1), M.dim(n)], [self.dim(n + 2), M.dim(n + 1)])
 
-    def cone_subquotient(self, n: int):
-        return subquotient_from_maps(self.cone_diff(n - 1), self.cone_diff(n),
-                                     self.algebra.field, self.cone_dim(n))
-
     def gen_counts(self) -> dict:
         out = {}
         for g in self.gens:
@@ -259,8 +255,9 @@ def _kill_cone(P: SemifreeModule, top: int) -> SemifreeModule:
     and augmentation -x.e kills that component together with its orbit
     under C^0.  Components with larger orbits come first, and a component
     gets a cell when its class is independent of the orbits of the
-    components before it: the left pivots of one recorded elimination of
-    their stacked classes and orbits.
+    components before it: the left pivots of one forward echelon of their
+    stacked classes and orbits.  A degree where the cone has no cohomology,
+    dim - rk d^n - rk d^{n-1} = 0, builds no subquotient.
     """
     M, C = P.target, P.algebra
     f = C.field
@@ -269,9 +266,10 @@ def _kill_cone(P: SemifreeModule, top: int) -> SemifreeModule:
         # non-increasing) the cone is zero here and in every lower degree
         if n < M.lo and (not P.gens or P.gens[-1] > n + 1 - C.lo):
             break
-        sq = P.cone_subquotient(n)
-        if not sq.dim:
+        din, dout, dim = P.cone_diff(n - 1), P.cone_diff(n), P.cone_dim(n)
+        if dim == din.rank() + dout.rank():
             continue
+        sq = subquotient_from_maps(din, dout, f, dim)
         width = sq.dim
         split = P.dim(n + 1)
         layout_up = P.layout(n + 1)

@@ -134,7 +134,7 @@ def dense_sub(f, a, b):
 
 def dense_scale(f, c, a):
     c = f.coerce(c)
-    return [[f.mul(c, x) for x in r] for r in a]
+    return [[f.coerce(c * x) for x in r] for r in a]
 
 
 def dense_transpose(a, ncols):
@@ -156,9 +156,9 @@ def dense_apply_row(f, v, a, ncols):
 
 
 def dense_rref(f, a, ncols):
-    """(reduced rows, pivot columns, op record) in Matrix.rref's format."""
+    """(reduced rows, pivot columns) in Matrix.rref's format, by Gauss-Jordan."""
     rows = [list(r) for r in a]
-    pivots, ops = [], []
+    pivots = []
     for col in range(ncols):
         if len(pivots) == len(rows):
             break
@@ -168,22 +168,19 @@ def dense_rref(f, a, ncols):
             continue
         rows[prow], rows[sel] = rows[sel], rows[prow]
         inv = f.inv(rows[prow][col])
-        rows[prow] = [f.mul(inv, x) for x in rows[prow]]
-        elims = []
+        rows[prow] = [f.coerce(inv * x) for x in rows[prow]]
         for i, r in enumerate(rows):
             c = r[col]
             if i != prow and c != f.zero:
-                rows[i] = [f.sub(x, f.mul(c, y)) for x, y in zip(r, rows[prow])]
-                elims.append((i, c))
-        ops.append((sel, inv, elims))
+                rows[i] = [f.coerce(x - c * y) for x, y in zip(r, rows[prow])]
         pivots.append(col)
-    return rows, tuple(pivots), ops
+    return rows, tuple(pivots)
 
 
 def dense_kernel(f, a, ncols):
     """Rows of the kernel basis matrix: column k is the k-th free column's
     solution of a @ x = 0, with that free variable 1 and the others 0."""
-    R, pivots, _ = dense_rref(f, a, ncols)
+    R, pivots = dense_rref(f, a, ncols)
     free = [j for j in range(ncols) if j not in pivots]
     cols = []
     for j in free:
@@ -198,7 +195,7 @@ def dense_kernel(f, a, ncols):
 def dense_solve(f, a, ncols, b, bcols):
     """x with a @ x = b from the RREF of [a | b], free variables 0; None if
     inconsistent."""
-    R, pivots, _ = dense_rref(f, [list(r) + list(s) for r, s in zip(a, b)], ncols + bcols)
+    R, pivots = dense_rref(f, [list(r) + list(s) for r, s in zip(a, b)], ncols + bcols)
     if any(p >= ncols for p in pivots):
         return None
     x = [[f.zero] * bcols for _ in range(ncols)]
@@ -228,7 +225,7 @@ class ReferenceRowSpace:
         for row, p in zip(self.rows, self.pivots):
             c = v[p]
             if c != f.zero:
-                v = [f.sub(a, f.mul(c, b)) for a, b in zip(v, row)]
+                v = [f.coerce(a - c * b) for a, b in zip(v, row)]
         return v
 
     def contains(self, v) -> bool:
@@ -245,11 +242,11 @@ class ReferenceRowSpace:
         for j, x in enumerate(res):
             if x != f.zero:
                 inv = f.inv(x)
-                res = [f.mul(inv, a) for a in res]
+                res = [f.coerce(inv * a) for a in res]
                 for k, row in enumerate(self.rows):
                     c = row[j]
                     if c != f.zero:
-                        self.rows[k] = [f.sub(a, f.mul(c, b)) for a, b in zip(row, res)]
+                        self.rows[k] = [f.coerce(a - c * b) for a, b in zip(row, res)]
                 k = 0
                 while k < len(self.pivots) and self.pivots[k] < j:
                     k += 1
@@ -294,7 +291,7 @@ class ReferenceSubquotient:
         for c, rep in zip(coords, self.reps):
             if c != f.zero:
                 for j, x in enumerate(rep):
-                    out[j] = f.add(out[j], f.mul(c, x))
+                    out[j] = f.coerce(out[j] + c * x)
         return tuple(out)
 
 
@@ -313,7 +310,7 @@ def nonzero_entries(row) -> dict:
 def _dot(f, u, v):
     acc = f.zero
     for x, y in zip(u, v):
-        acc = f.add(acc, f.mul(x, y))
+        acc = f.coerce(acc + x * y)
     return acc
 
 
@@ -595,7 +592,7 @@ def reference_semifree_act(P, n, vec, cdeg, cvec):
         d = n - P.gens[k]
         row = dense_row(f, C.cell(P.cells[k], d).rows[b], C.dim(d))
         acc = comps.get(k, [f.zero] * C.dim(d))
-        comps[k] = [f.add(a, f.mul(c, x)) for a, x in zip(acc, row)]
+        comps[k] = [f.coerce(a + c * x) for a, x in zip(acc, row)]
     out = []
     for k, cell in P.blocks(n + cdeg):
         d = n - P.gens[k]
@@ -606,7 +603,7 @@ def reference_semifree_act(P, n, vec, cdeg, cvec):
             for i, a in enumerate(u):
                 for j, x in enumerate(v):
                     for t, y in table[i][j].items():
-                        w[t] = f.add(w[t], f.mul(f.mul(a, x), y))
+                        w[t] = f.coerce(w[t] + a * x * y)
         out.extend(w[p] for p in cell.pivots)
     return nonzero_entries(out)
 

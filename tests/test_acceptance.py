@@ -73,7 +73,7 @@ def _invariant_suite(X):
             lhs = B.apply_diff(m + n, B.product(m, a, n, b))
             x_db = B.product(m, a, n + 1, B.apply_diff(n, b))
             rhs = _sparse_add(f, B.product(m + 1, B.apply_diff(m, a), n, b),
-                              {k: f.mul(sign, x) for k, x in x_db.items()})
+                              {k: f.coerce(sign * x) for k, x in x_db.items()})
             assert lhs == rhs
 
 
@@ -98,7 +98,7 @@ def _random_chain_map(rng, P, Q):
     coords = [f.zero] * gh.dim(0)
     for row in cocycles:
         c = f.coerce(rng.randrange(101))
-        coords = [f.add(a, f.mul(c, b)) for a, b in zip(coords, row)]
+        coords = [f.coerce(a + c * b) for a, b in zip(coords, row)]
     return ChainMap(P, Q, gh.component_maps(0, nonzero_entries(coords)))
 
 

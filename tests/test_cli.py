@@ -609,20 +609,53 @@ def test_verify_builds_each_probe_module_once(capsys, monkeypatch):
 
 def test_verify_resolves_each_module_degree_once(capsys, monkeypatch):
     # every cutoff of a module is served from one resolution, so no cone
-    # pass repeats
+    # pass repeats; each degree's pass reads the cone's dimension once
     from siltcheck.semifree import SemifreeModule
 
     passes = Counter()
-    cone_subquotient = SemifreeModule.cone_subquotient
+    cone_dim = SemifreeModule.cone_dim
 
     def counting(self, n):
         passes[(self.target, n)] += 1
-        return cone_subquotient(self, n)
+        return cone_dim(self, n)
 
-    monkeypatch.setattr(SemifreeModule, "cone_subquotient", counting)
+    monkeypatch.setattr(SemifreeModule, "cone_dim", counting)
     code, _, _ = run_cli(capsys, "verify", FIX_A2, "U-tilt")
     assert code == 0
     assert passes and set(passes.values()) == {1}
+
+
+def test_verify_serves_the_sum_of_both_summands_from_the_counit_of_u(capsys, monkeypatch):
+    # U-tilt has two summands, so the functoriality probe's one sum is U
+    # itself: "silting" and "counit on sum01" read one counit, built on one
+    # hom module
+    from siltcheck import dg, verifier
+
+    counits, hom_modules = [], []
+    verify_counit, dg_hom_module = verifier.verify_counit, dg.dg_hom_module
+
+    def counted_counit(ctx, X, *args, **kwargs):
+        counits.append((ctx.U, X))
+        return verify_counit(ctx, X, *args, **kwargs)
+
+    def counted_hom_module(gh, base):
+        hom_modules.append((gh.X, gh.Y))
+        return dg_hom_module(gh, base)
+
+    _rebind(monkeypatch, verify_counit, counted_counit)
+    _rebind(monkeypatch, dg_hom_module, counted_hom_module)
+    code, out, _ = run_cli(capsys, "verify", FIX_A2, "U-tilt")
+    assert code == 0
+
+    def on_u(calls):
+        return [X for U, X in calls if verifier._same_complex(X, U)]
+
+    assert len(on_u(counits)) == len(on_u(hom_modules)) == 1
+    reports = json.loads(out)["reports"]
+    (silting,) = [r for r in reports if r["kind"] == "counit" and r["subject"] == "silting"]
+    (sums,) = [r for r in reports if r["kind"] == "functoriality"]
+    assert [c["name"] for c in sums["checks"]] == ["counit on sum01"]
+    assert sums["checks"][0]["details"] == silting["checks"][0]["details"]
 
 
 def _target_key(Y):

@@ -278,7 +278,7 @@ def test_table_product_is_the_bilinear_sum_of_table_entries(field, data):
     for i in range(r):
         for j in range(c):
             for k in range(w):
-                want[k] = field.add(want[k], field.mul(field.mul(u[i], v[j]), table[i][j][k]))
+                want[k] = field.coerce(want[k] + u[i] * v[j] * table[i][j][k])
     u, v = nonzero_entries(u), nonzero_entries(v)
     assert table_product(field, sparse_products(table), u, v) == nonzero_entries(want)
     assert table_product(field, None, u, v) == {}
@@ -450,9 +450,9 @@ class _Tables(_Graded):
             return out
         for i, a in enumerate(u):
             for j, b in enumerate(v):
-                c = f.mul(a, b)
+                c = f.coerce(a * b)
                 p = table[i][j]
-                out = tuple(f.add(x, f.mul(c, p.get(k, f.zero))) for k, x in enumerate(out))
+                out = tuple(f.coerce(x + c * p.get(k, f.zero)) for k, x in enumerate(out))
         return out
 
 
@@ -469,7 +469,7 @@ def _reference_leibniz(Z, X, Y, message):
         for n, j in _items(Y):
             v = Y.basis_vector(n, j)
             lhs = Z.dense_diff(m + n, Z.mul(m, u, n, v))
-            rhs = tuple(f.add(a, f.mul(sign, b)) for a, b in
+            rhs = tuple(f.coerce(a + sign * b) for a, b in
                         zip(Z.mul(m + 1, du, n, v), Z.mul(m, u, n + 1, Y.dense_diff(n, v))))
             if lhs != rhs:
                 raise AssertionError(message.format(m, n))

@@ -23,7 +23,6 @@ F2 = PrimeField(2)
 
 def test_prime_field_ops():
     assert F101.add(100, 5) == 4
-    assert F101.mul(51, 2) == 1
     assert F101.inv(2) == 51
     assert F101.coerce("1/2") == 51
     assert F101.coerce(-1) == 100
@@ -267,20 +266,24 @@ def test_factored_left_solve_matches_column_rref_rational(system):
 
 
 def test_second_left_solve_eliminates_nothing(monkeypatch):
+    # the forward echelon is built once, by the first solve, and every later
+    # solve, rank, pivot choice and rref reads it
     M = Matrix.from_rows(F101, [[1, 2, 3], [2, 4, 6], [0, 1, 1]])
-    calls = []
-    rref = Matrix.rref
+    builds = []
+    echelon = Matrix._echelon
 
-    def counting(self, *args, **kwargs):
-        calls.append(self)
-        return rref(self, *args, **kwargs)
+    def counting(self):
+        if self._left is None:
+            builds.append(self)
+        return echelon(self)
 
-    monkeypatch.setattr(Matrix, "rref", counting)
+    monkeypatch.setattr(Matrix, "_echelon", counting)
     assert M.solve_left_rows({0: 1, 1: 3, 2: 4}) == {0: 1, 2: 1}
-    assert len(calls) == 1
+    assert builds == [M]
     assert M.solve_left_rows({2: 1}) is None
     assert M.solve_left_rows({0: 2, 1: 5, 2: 7}) == {0: 2, 2: 1}
-    assert len(calls) == 1
+    assert (M.rank(), M.left_pivots(), M.rref()[1]) == (2, (0, 2), (0, 1))
+    assert builds == [M]
     # the cached factor is not part of the matrix's value
     assert M == Matrix.from_rows(F101, M.rows) and hash(M) == hash(Matrix.from_rows(F101, M.rows))
 
@@ -373,13 +376,12 @@ def test_sparse_elimination_matches_dense_reference(field, data):
     if data.draw(st.booleans()):       # rank-deficient through m inner columns
         A = _sparse(data, field, r, m) @ _sparse(data, field, m, c)
     a = A.rows
-    ops = []
-    R, pivots = A.rref(ops)
-    want, want_pivots, want_ops = dense_rref(field, a, c)
+    R, pivots = A.rref()
+    want, want_pivots = dense_rref(field, a, c)
     _holds(R, want, r, c)
-    assert pivots == want_pivots and ops == want_ops and A.rank() == len(pivots)
+    assert pivots == want_pivots and A.rank() == len(pivots)
     _holds(A.kernel_basis(), dense_kernel(field, a, c), c, c - len(pivots))
-    # the left solve replays the op record of rref(Aᵀ) on each right-hand side
+    # the left solve gives the answer the RREF of [Aᵀ | v] gives, free variables 0
     rhs = [(_sparse(data, field, 1, r) @ A).rows[0], _sparse(data, field, 1, c).rows[0]]
     for _ in range(2):
         for v in rhs:
@@ -441,3 +443,30 @@ def test_subquotient_matches_the_greedy_dense_passes(field, data):
         for v in (_sparse(data, field, 1, cyc.nrows) @ cyc).rows + cyc.rows[:2]:
             assert got.reduce(nonzero_entries(v)) == nonzero_entries(want.reduce(v))
             assert got.lift(got.reduce(nonzero_entries(v))) == nonzero_entries(want.lift(want.reduce(v)))
+
+
+@pytest.mark.parametrize("field", SPARSE_FIELDS, ids=repr)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_forward_echelon_pivots_solves_and_rank(field, data):
+    """The one echelon of a matrix's rows: its pivot rows are the rows that
+    enlarge the span fed in order, its rank is the RREF's, and a solve
+    against it lies on the pivot rows and fails exactly off the span."""
+    r, c, m = (data.draw(st.integers(0, 5)) for _ in range(3))
+    A = _sparse(data, field, r, c)
+    if data.draw(st.booleans()):       # rank-deficient through m inner columns
+        A = _sparse(data, field, r, m) @ _sparse(data, field, m, c)
+    span = ReferenceRowSpace(field, c)
+    grew = [i for i, row in enumerate(A.rows) if span.add(row)]
+    assert A.left_pivots() == tuple(grew)
+    R, pivots = A.rref()
+    assert A.rank() == len(pivots) == span.dim
+    _holds(R, dense_rref(field, A.rows, c)[0], r, c)
+    rhs = [*(_sparse(data, field, 1, r) @ A).rows, *_sparse(data, field, 2, c).rows,
+           *(row for row in A.rows if data.draw(st.booleans()))]
+    for v in rhs:
+        x = A.solve_left_rows(nonzero_entries(v))
+        assert (x is None) == (not span.contains(v))
+        if x is not None:
+            assert set(x) <= set(grew)
+            assert A.apply_entries(x) == nonzero_entries(v)

@@ -24,7 +24,7 @@ from siltcheck.dg import (DgAlgebra, DgModule, _Graded, dg_end, dg_hom_module,
                           evaluation_left_module, smart_truncate)
 from siltcheck.fields import PrimeField
 from siltcheck.instances import load_instance
-from siltcheck.linalg import Matrix
+from siltcheck.linalg import Matrix, subquotient_from_maps
 from siltcheck.semifree import (
     DegreeWindow,
     SemifreeCapError,
@@ -69,7 +69,8 @@ def cone_support(P):
 
 
 def cone_h_dim(P, n):
-    return P.cone_subquotient(n).dim
+    return subquotient_from_maps(P.cone_diff(n - 1), P.cone_diff(n), P.algebra.field,
+                                 P.cone_dim(n)).dim
 
 
 def as_dg_module(P):

@@ -409,12 +409,40 @@ def test_verify_all_on_linear_a6_solves_no_commutation_system(monkeypatch):
     assert all(r.passed for r in reports)
 
 
-def test_verify_all_checks_each_pair_of_probe_complexes_once(monkeypatch):
-    # over kA_3 simple2 is proj2, so 15 of the 64 name pairs repeat a pair of
-    # complexes; each repeat is reported under its own names, not recomputed
+# Over kA_3 simple2 is proj2, and the free module given as P0+P1+P2 is the
+# free probe: each name maps to the name whose complex it shares.
+TWINS = {"simple2": "proj2", "silting": "free"}
+
+
+def _free_a3():
     A3 = path_algebra(Quiver(["0", "1", "2"], [("a", "0", "1"), ("b", "1", "2")]),
                       PrimeField(101))
-    free = direct_sum_complexes([projective_complex(A3, {0: [v]}) for v in range(3)])
+    return direct_sum_complexes([projective_complex(A3, {0: [v]}) for v in range(3)])
+
+
+def _twin(subject):
+    for name, twin in TWINS.items():
+        subject = subject.replace(name, twin)
+    return subject
+
+
+def _assert_twins_agree(reports):
+    """Each report equals its twin's byte for byte apart from the subject,
+    and owns its notes."""
+    def plain(rep):
+        return json.dumps({**rep.as_dict(), "subject": None}, sort_keys=True)
+
+    by_subject = {r.subject: r for r in reports}
+    for name, rep in by_subject.items():
+        twin = by_subject[_twin(name)]
+        assert plain(rep) == plain(twin)
+        assert rep is twin or rep.notes is not twin.notes
+
+
+def test_verify_all_checks_each_pair_of_probe_complexes_once(monkeypatch):
+    # with U the free module, the 8 probe names share 6 complexes, so 28 of
+    # the 64 name pairs repeat a pair of complexes; each repeat is reported
+    # under its own names, not recomputed
     checked = []
     inner = verifier.verify_fully_faithful
 
@@ -423,13 +451,30 @@ def test_verify_all_checks_each_pair_of_probe_complexes_once(monkeypatch):
         return inner(ctx, X, Xp, *args, **kwargs)
 
     monkeypatch.setattr(verifier, "verify_fully_faithful", counted)
-    reports = verify_all(free, window=(-1, 1), pair_degrees=(-1, 1))
-    pairs = {r.subject: r for r in reports if r.kind == "fully-faithful"}
-    assert len(pairs) == 64 and len(checked) == len(set(checked)) == 49
-    for name, rep in pairs.items():
-        twin = pairs[name.replace("simple2", "proj2")]
-        assert rep.as_dict() == {**twin.as_dict(), "subject": name}
-        assert rep is twin or rep.notes is not twin.notes
+    reports = verify_all(_free_a3(), window=(-1, 1), pair_degrees=(-1, 1))
+    pairs = [r for r in reports if r.kind == "fully-faithful"]
+    assert len({r.subject for r in pairs}) == 64
+    assert len(checked) == len(set(checked)) == 36
+    _assert_twins_agree(pairs)
+    assert all(r.passed for r in reports)
+
+
+def test_verify_all_runs_one_counit_per_probe_complex(monkeypatch):
+    # the 8 probe names share 6 complexes, and the functoriality probe adds
+    # its three sums of two summands of U, none of them U itself
+    checked = []
+    inner = verifier.verify_counit
+
+    def counted(ctx, X, *args, **kwargs):
+        checked.append(X)
+        return inner(ctx, X, *args, **kwargs)
+
+    monkeypatch.setattr(verifier, "verify_counit", counted)
+    reports = verify_all(_free_a3(), window=(-1, 1), pair_degrees=(-1, 1))
+    counits = [r for r in reports if r.kind == "counit"]
+    assert len({r.subject for r in counits}) == 8
+    assert len(checked) == len(set(checked)) == 6 + 3
+    _assert_twins_agree(counits)
     assert all(r.passed for r in reports)
 
 
