@@ -25,8 +25,9 @@ values on the generators, the value on a cell e.C lying in N.e.
 SemifreeHom is the hom complex out of a semifree module into a dg-module in
 those coordinates, and derived Hom over the base is its cohomology.
 lift_generators builds a degree-0 map one generator at a time in filtration
-order, each value solving the chain-map condition against the values
-already chosen.
+order, each value solving the chain-map condition against those already
+chosen.  Along a resolution a map lifts only up to homotopy, so
+lift_up_to_homotopy lifts into the augmentation cone the resolution has.
 """
 
 from __future__ import annotations
@@ -187,10 +188,6 @@ class SemifreeModule:
     def aug_matrix(self, n: int) -> Matrix:
         return self._memo("aug", n, self._aug_matrix)
 
-    def lift_system(self, n: int) -> Matrix:
-        """[aug | diff] in degree n: x solves it for (augmentation, boundary)."""
-        return self._memo("lift", n, self._lift_system)
-
     def _diff_matrix(self, n: int) -> Matrix:
         C = self.algebra
         f = C.field
@@ -214,18 +211,16 @@ class SemifreeModule:
             M.act(self.gens[k], self.gen_augs[k], n - self.gens[k], beta)
             for k, cell in self.blocks(n) for beta in cell.rows])
 
-    def _lift_system(self, n: int) -> Matrix:
-        return self.aug_matrix(n).hstack(self.diff_matrix(n))
-
     def cone_dim(self, n: int) -> int:
         return self.dim(n + 1) + self.target.dim(n)
 
     def cone_diff(self, n: int) -> Matrix:
+        # kept with degree n + 1: it reads only the matrices of n + 1 and n + 2
         M = self.target
-        return block_matrix(self.algebra.field,
-                            [[-self.diff_matrix(n + 1), self.aug_matrix(n + 1)],
-                             [None, M.diff(n)]],
-                            [self.dim(n + 1), M.dim(n)], [self.dim(n + 2), M.dim(n + 1)])
+        return self._memo("cone", n + 1, lambda m: block_matrix(
+            self.algebra.field,
+            [[-self.diff_matrix(m), self.aug_matrix(m)], [None, M.diff(n)]],
+            [self.dim(m), M.dim(n)], [self.dim(m + 1), M.dim(m)]))
 
     def gen_counts(self) -> dict:
         out = {}
@@ -310,8 +305,7 @@ def _kill_cone(P: SemifreeModule, top: int) -> SemifreeModule:
 
 def _joined(q: dict, x: dict, split: int) -> dict:
     """The nonzero entries of the row holding q from position 0 and x from
-    position split: an element (q, x) of the cone of P -> M, or a right-hand
-    side (augmentation, differential) of a lift system."""
+    position split: the element (q, x) of the augmentation cone of P -> M."""
     out = dict(q)
     out.update((split + j, c) for j, c in x.items())
     return out
@@ -412,19 +406,19 @@ class SemifreeHom(Cochains):
         return d
 
 
-def lift_generators(P: SemifreeModule, target, solve) -> list | None:
+def lift_generators(P: SemifreeModule, act, solve) -> list | None:
     """Values of a degree-0 map out of P, chosen generator by generator.
 
     Generators are taken in filtration order.  For the k-th one (degree g),
     the values already chosen determine the image of its differential,
-    rhs = the sum of act(target value of k2, component of d gen k at k2)
-    over gen_dcomps[k], a vector in target degree g + 1; solve(k, g, rhs)
-    returns a value in target degree g, or None when there is none.  The
-    generator is a cell e.C, so its value is that solution times e, which
-    still solves the system because rhs and the augmentation target already
-    lie in target.e.  target is any module with dim and act (a dg-module or
-    another semifree module).  Returns None as soon as one generator has no
-    value.
+    rhs = the sum of act(degree of k2, value of k2, degree of c, c) over the
+    components c of d gen k at k2 (gen_dcomps[k]), a target vector of degree
+    g + 1; act is the right action of the target, such as DgModule.act.
+    solve(k, g, rhs) returns a value in target degree g, or None when there
+    is none.  The generator is a cell e.C, so its value is that solution
+    times e, which still solves the system because rhs and the augmentation
+    target already lie in target.e.  Returns None as soon as one generator
+    has no value.
     """
     C = P.algebra
     reduce = C.field.reduce_entries
@@ -432,26 +426,39 @@ def lift_generators(P: SemifreeModule, target, solve) -> list | None:
     for k, g in enumerate(P.gens):
         rhs: dict = {}
         for k2, delta in P.gen_dcomps[k].items():
-            for j, x in target.act(P.gens[k2], vals[k2], g + 1 - P.gens[k2], delta).items():
+            for j, x in act(P.gens[k2], vals[k2], g + 1 - P.gens[k2], delta).items():
                 rhs[j] = rhs.get(j, 0) + x
         sol = solve(k, g, reduce(rhs))
         if sol is None:
             return None
-        vals.append(target.act(g, sol, 0, C.idempotents[P.cells[k]]))
+        vals.append(act(g, sol, 0, C.idempotents[P.cells[k]]))
     return vals
 
 
-def lift_to_resolution(P: SemifreeModule, Q: SemifreeModule, targets) -> list | None:
-    """A strict map P -> Q whose k-th generator augments to targets[k].
+def lift_up_to_homotopy(P: SemifreeModule, Q: SemifreeModule, targets) -> list | None:
+    """A chain map lam: P -> Q whose augmentation is homotopic to the map with
+    generator values targets, as its values; None when a class of Q's cone
+    obstructs, which cannot happen at or above Q.cutoff.  lam_k and the
+    homotopy's value h_k on generator k of degree g are one cone element
+    (lam_k, -h_k) of degree g - 1, solving Q.cone_diff(g - 1) against
+    (0, targets[k]) minus the values on d gen k: d lam_k = lam(d gen k) and
+    aug lam_k - targets[k] = d h_k + h(d gen k)."""
+    def act(n, vec, cdeg, cvec):
+        split = Q.dim(n)
+        q = {j: c for j, c in vec.items() if j < split}
+        x = {j - split: c for j, c in vec.items() if j >= split}
+        return _joined(Q.act(n, q, cdeg, cvec), Q.target.act(n - 1, x, cdeg, cvec),
+                       Q.dim(n + cdeg))
 
-    Each generator value solves augmentation = targets[k] and differential =
-    the lifted differential of the generator at once; None when no strict
-    solution exists.
-    """
     def solve(k, g, rhs):
-        return Q.lift_system(g).solve_left_rows(_joined(targets[k], rhs, Q.target.dim(g)))
+        want = _joined({}, targets[k], Q.dim(g + 1))
+        for j, c in rhs.items():
+            want[j] = want.get(j, 0) - c
+        return Q.cone_diff(g - 1).solve_left_rows(Q.algebra.field.reduce_entries(want))
 
-    return lift_generators(P, Q, solve)
+    vals = lift_generators(P, act, solve)
+    return None if vals is None else [
+        {j: c for j, c in v.items() if j < Q.dim(g)} for v, g in zip(vals, P.gens)]
 
 
 # -- derived functors -------------------------------------------------------

@@ -34,7 +34,7 @@ from siltcheck.semifree import (
     hom_cutoff,
     semifree_resolve,
 )
-from siltcheck.verifier import SiltingContext, verify_all, verify_delta
+from siltcheck.verifier import SiltingContext, verify_all
 
 F101 = PrimeField(101)
 INSTANCES = pathlib.Path(__file__).resolve().parent.parent / "instances"
@@ -279,7 +279,7 @@ def test_per_degree_matrices_follow_added_generators(dual_hom_to_simple,
 
     def adding(self, degree, diff, aug, cell):
         for n in degrees:
-            self.diff_matrix(n), self.aug_matrix(n), self.lift_system(n)
+            self.diff_matrix(n), self.aug_matrix(n), self.cone_diff(n)
         add(self, degree, diff, aug, cell)
         fresh = SemifreeModule(self.algebra, self.target, self.cutoff)
         for k in range(len(self.gens)):
@@ -288,36 +288,12 @@ def test_per_degree_matrices_follow_added_generators(dual_hom_to_simple,
         for n in degrees:
             assert self.diff_matrix(n) == fresh.diff_matrix(n)
             assert self.aug_matrix(n) == fresh.aug_matrix(n)
-            assert self.lift_system(n) == fresh.lift_system(n)
+            assert self.cone_diff(n) == fresh.cone_diff(n)
         checked.append(degree)
 
     monkeypatch.setattr(SemifreeModule, "add_generator", adding)
     P = semifree_resolve(dual_hom_to_simple, -6)
     assert checked == P.gens and len(checked) > 2
-
-
-def test_delta_builds_each_lift_system_once(monkeypatch):
-    inst = load_instance(INSTANCES / "fix_a2.json")
-    build = SemifreeModule._lift_system
-    built, used = Counter(), Counter()
-
-    def building(self, n):
-        built[(self, n)] += 1
-        return build(self, n)
-
-    lift_system = SemifreeModule.lift_system
-
-    def using(self, n):
-        used[(self, n)] += 1
-        return lift_system(self, n)
-
-    monkeypatch.setattr(SemifreeModule, "_lift_system", building)
-    monkeypatch.setattr(SemifreeModule, "lift_system", using)
-    report = verify_delta(SiltingContext(inst.complexes["U-tilt"]), (-2, 2))
-    assert report.passed
-    assert built and set(built.values()) == {1}
-    # every basis element of A lifts through the same per-degree systems
-    assert sum(used.values()) > len(used) == len(built)
 
 
 def _resolution_sizes(U, w):
