@@ -11,11 +11,12 @@ Conventions (used consistently by every downstream module):
 * A right module map f is a matrix F with f(x) = x @ F, and A-linearity reads
   action_M(a) @ F = F @ action_N(a).
 
-Construction of the algebra from a presentation enumerates paths and quotients
-by the relation ideal.  For acyclic quivers this is exact for arbitrary
-relations; for quivers with directed cycles only length-homogeneous relations
-are accepted (the ideal is then length-graded and saturation is sound);
-the mixed case is rejected rather than silently truncated.
+Construction of the algebra from a presentation enumerates paths by length
+and takes one quotient by the relation ideal.  On an acyclic quiver the
+enumeration ends with the paths, and any relations are exact; on a quiver
+with directed cycles only length-homogeneous relations are accepted (the
+ideal is then length-graded, and the enumeration ends at the first length
+the ideal fills); the mixed case is rejected rather than silently truncated.
 """
 
 from __future__ import annotations
@@ -51,24 +52,27 @@ class Quiver:
             names.add(name)
             self.arrows.append((str(name), self.vindex[src], self.vindex[tgt]))
         self.aindex = {a[0]: i for i, a in enumerate(self.arrows)}
+        self.out = {v: [] for v in range(len(self.vertices))}  # vertex -> arrows leaving it
+        for i, (_, s, _) in enumerate(self.arrows):
+            self.out[s].append(i)
 
     def has_cycle(self) -> bool:
-        out = {i: [] for i in range(len(self.vertices))}
-        for _, s, t in self.arrows:
-            out[s].append(t)
-        state = {}  # 0 visiting, 1 done
-
-        def visit(v):
-            state[v] = 0
-            for w in out[v]:
-                if state.get(w) == 0:
-                    return True
-                if w not in state and visit(w):
-                    return True
-            state[v] = 1
-            return False
-
-        return any(visit(v) for v in range(len(self.vertices)) if v not in state)
+        """Whether some arrows form a directed cycle: peeling off, one at a
+        time, the vertices that no remaining arrow enters leaves a vertex
+        behind exactly when they do."""
+        indegree = [0] * len(self.vertices)
+        for _, _, t in self.arrows:
+            indegree[t] += 1
+        ready = [v for v, d in enumerate(indegree) if not d]
+        peeled = 0
+        while ready:
+            peeled += 1
+            for i in self.out[ready.pop()]:
+                w = self.arrows[i][2]
+                indegree[w] -= 1
+                if not indegree[w]:
+                    ready.append(w)
+        return peeled < len(self.vertices)
 
 
 # paths are pairs (source_vertex_index, tuple_of_arrow_indices)
@@ -214,139 +218,81 @@ class Algebra:
 def path_algebra(quiver: Quiver, field, relations=(), dimension_cap: int = 512) -> Algebra:
     """Quotient of the path algebra of `quiver` by the given relations.
 
+    Paths are enumerated by length, each length with the relation rows
+    p*r*q whose longest path has that length, until no path is left or, on a
+    quiver with directed cycles, every path of one length lies in the ideal.
+    One quotient map over every enumerated path then gives the basis, and a
+    path past the enumeration is 0.
+
     Basis: the surviving paths, ordered by (length, generation order).
     Raises DimensionCapError if enumeration or the quotient dimension exceeds
     the cap, AdmissibilityError for malformed or unsupported relations.
     """
     rels = _parse_relations(quiver, relations)
     cyclic = quiver.has_cycle()
-    if cyclic:
-        for terms in rels:
-            lengths = {len(arrws) for _, arrws in terms}
-            if len(lengths) > 1:
-                raise AdmissibilityError(
-                    "length-inhomogeneous relations on a quiver with directed cycles "
-                    "are not supported (length-truncated saturation would be unsound)"
-                )
+    if cyclic and any(len({len(arrws) for _, arrws in terms}) > 1 for terms in rels):
+        raise AdmissibilityError(
+            "length-inhomogeneous relations on a quiver with directed cycles "
+            "are not supported (length-truncated saturation would be unsound)"
+        )
     enumeration_cap = max(dimension_cap * 64, 32768)
+    layers = [[(v, ()) for v in range(len(quiver.vertices))]]
+    index = {p: i for i, p in enumerate(layers[0])}
 
-    paths_by_len: list[list] = [[(v, ()) for v in range(len(quiver.vertices))]]
-    total_paths = len(paths_by_len[0])
-
-    def extend(paths):
+    def multiples(terms, n):
+        """The rows p*r*q of the relation r = terms whose longest path has
+        length n, over the positions of index; every shorter path is there."""
+        m = max(len(arrws) for _, arrws in terms)
+        src = quiver.arrows[terms[0][1][0]][1]
+        tgt = quiver.arrows[terms[0][1][-1]][2]
         out = []
-        for path in paths:
-            t = _path_target(quiver, path)
-            for ai, (_, s, _) in enumerate(quiver.arrows):
-                if s == t:
-                    out.append((path[0], path[1] + (ai,)))
-        return out
-
-    if not cyclic:
-        # enumerate everything, then one global quotient
-        while paths_by_len[-1]:
-            nxt = extend(paths_by_len[-1])
-            total_paths += len(nxt)
-            if total_paths > enumeration_cap:
-                raise DimensionCapError(f"path enumeration exceeded {enumeration_cap}")
-            paths_by_len.append(nxt)
-        paths_by_len.pop()
-        all_paths = [p for group in paths_by_len for p in group]
-        index = {p: i for i, p in enumerate(all_paths)}
-        width = len(all_paths)
-        rows = []
-        for terms in rels:
-            src = quiver.arrows[terms[0][1][0]][1]
-            tgt = quiver.arrows[terms[0][1][-1]][2]
-            for p in all_paths:
+        for i in range(n - m + 1):
+            for p in layers[i]:
                 if _path_target(quiver, p) != src:
                     continue
-                for q in all_paths:
+                for q in layers[n - m - i]:
                     if q[0] != tgt:
                         continue
                     row = {}
                     for coeff, arrws in terms:
                         j = index[(p[0], p[1] + arrws + q[1])]
                         row[j] = row.get(j, 0) + field.coerce(coeff)
-                    rows.append(field.reduce_entries(row))
-        free, proj = quotient_map(field, width, rows)
-        basis_paths = [all_paths[j] for j in free]
-        bindex = {p: i for i, p in enumerate(basis_paths)}
+                    out.append(field.reduce_entries(row))
+        return out
 
-        def reduce_path(p):
-            return proj.entries.get(index[p], {})
-
-    else:
-        # length-graded quotient, one block per length, until saturation
-        indices: list[dict] = []         # length -> {path: position}
-        projs: list[Matrix] = []         # length -> projection onto survivors
-        survivors_by_len: list[list] = []
-        n = 0
-        while True:
-            paths_n = paths_by_len[n]
-            width = len(paths_n)
-            index_n = {p: i for i, p in enumerate(paths_n)}
-            rows = []
-            for terms in rels:
-                m = len(terms[0][1])
-                if m > n:
-                    continue
-                src = quiver.arrows[terms[0][1][0]][1]
-                tgt = quiver.arrows[terms[0][1][-1]][2]
-                for i in range(n - m + 1):
-                    for p in paths_by_len[i]:
-                        if _path_target(quiver, p) != src:
-                            continue
-                        for q in paths_by_len[n - m - i]:
-                            if q[0] != tgt:
-                                continue
-                            row = {}
-                            ok = True
-                            for coeff, arrws in terms:
-                                comb = (p[0], p[1] + arrws + q[1])
-                                if comb not in index_n:
-                                    ok = False
-                                    break
-                                j = index_n[comb]
-                                row[j] = row.get(j, 0) + field.coerce(coeff)
-                            if ok:
-                                rows.append(field.reduce_entries(row))
-            free_n, proj_n = quotient_map(field, width, rows)
-            indices.append(index_n)
-            projs.append(proj_n)
-            surv_n = [paths_n[j] for j in free_n]
-            survivors_by_len.append(surv_n)
-            if n >= 1 and not surv_n:
+    rows = []
+    kept = len(index)  # surviving paths so far, counted on a cyclic quiver
+    while True:
+        layer = [(p[0], p[1] + (ai,)) for p in layers[-1]
+                 for ai in quiver.out[_path_target(quiver, p)]]
+        if not layer:
+            break
+        if len(index) + len(layer) > enumeration_cap:
+            raise DimensionCapError(f"path enumeration exceeded {enumeration_cap}" + (
+                "; presentation is likely not admissible" if cyclic else ""))
+        index.update((p, len(index)) for p in layer)
+        new = [row for terms in rels for row in multiples(terms, len(layers))]
+        if cyclic:
+            # the relations are homogeneous, so this length's rows lie in its paths
+            survivors = len(layer) - Matrix.from_row_entries(field, len(index), new).rank()
+            if not survivors:
                 break
-            nxt = extend(paths_n)
-            total_paths += len(nxt)
-            if total_paths > enumeration_cap:
-                raise DimensionCapError(
-                    f"path enumeration exceeded {enumeration_cap}; presentation "
-                    "is likely not admissible"
-                )
-            if sum(len(s) for s in survivors_by_len) > dimension_cap:
+            kept += survivors
+            if kept > dimension_cap:
                 raise DimensionCapError(f"algebra dimension exceeded cap {dimension_cap}")
-            paths_by_len.append(nxt)
-            n += 1
-        L_stop = n
-        basis_paths = [p for group in survivors_by_len for p in group]
-        offsets = []
-        off = 0
-        for group in survivors_by_len:
-            offsets.append(off)
-            off += len(group)
-        bindex = {p: i for i, p in enumerate(basis_paths)}
-
-        def reduce_path(p):
-            ln = len(p[1])
-            if ln >= L_stop:
-                return {}
-            row = projs[ln].entries.get(indices[ln][p], {})
-            return {offsets[ln] + k: c for k, c in row.items()}
-
+        layers.append(layer)
+        rows += new
+    paths = [p for layer in layers for p in layer]
+    free, proj = quotient_map(field, len(paths), rows)
+    basis_paths = [paths[j] for j in free]
     if len(basis_paths) > dimension_cap:
         raise DimensionCapError(f"algebra dimension {len(basis_paths)} exceeds cap {dimension_cap}")
+    bindex = {p: i for i, p in enumerate(basis_paths)}
+
+    def reduce_path(p):
+        # a path past the enumeration, or of the length where it stopped, has
+        # no projection row: it lies in the ideal
+        return proj.entries.get(index.get(p), {})
 
     # sparse multiplication table on the surviving-path basis
     mult = {}
@@ -475,13 +421,13 @@ def hom_space(M: Module, N: Module) -> list[ModuleMap]:
                     if c != f.zero:
                         row[i * n + l] = f.sub(row[i * n + l], c)
                 rows.append(row)
-    C = Matrix(f, len(rows), m * n, rows)
-    ker = C.kernel_basis()
     maps = []
-    for ci in range(ker.ncols):
-        flat = [ker.rows[r][ci] for r in range(m * n)]
-        mat = Matrix(f, m, n, [flat[i * n:(i + 1) * n] for i in range(m)])
-        maps.append(ModuleMap(M, N, mat, validate=False))
+    # the solutions F, flattened, are the left kernel of the transposed system
+    for flat in Matrix(f, len(rows), m * n, rows).transpose().left_kernel().entries.values():
+        entries: dict = {}
+        for k, x in flat.items():
+            entries.setdefault(k // n, {})[k % n] = x
+        maps.append(ModuleMap(M, N, Matrix.from_entries(f, m, n, entries), validate=False))
     return maps
 
 

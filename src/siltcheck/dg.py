@@ -585,7 +585,7 @@ def smart_truncate(B: DgAlgebra) -> DgAlgebra:
     isomorphisms for n <= 0.
     """
     f = B.field
-    kmat = B.diff(0).transpose().kernel_basis().transpose()
+    kmat = B.diff(0).left_kernel()
     dims = {n: B.dim(n) for n in B.degrees() if n < 0}
     if kmat.nrows:
         dims[0] = kmat.nrows

@@ -10,17 +10,17 @@ read rows.  A vector, an algebra element included, is its nonzero entries
 Subquotient.reduce and Subquotient.lift take and return.  Each Matrix has
 one elimination, the forward echelon of its rows, built once in row order
 and kept: the greedy choice of independent rows (Matrix.left_pivots), every
-solve and every rank read it, and Matrix.rref, behind every span, kernel,
-quotient and subquotient, is that echelon plus back-substitution.  The
-echelon depends only on the order of the rows and the RREF only on their
-span, so every basis produced here is reproducible run to run.  Cochains
-reads dim H^n off the ranks of its differentials and builds a subquotient
-only where classes are read.
+solve, every rank and every kernel and quotient map (Matrix.left_kernel)
+read it, and Matrix.rref, behind every span, is that echelon plus
+back-substitution.  The echelon depends only on the order of the rows and
+the RREF only on their span, so every basis produced here is reproducible
+run to run.  Cochains reads dim H^n off the ranks of its differentials and
+builds a subquotient only where classes are read.
 
 Convention used by callers throughout the package: module elements are ROW
 vectors and linear maps act on the right (x |-> x @ M), so composition of maps
-is the left-to-right matrix product.  This module itself is convention-neutral:
-kernel_basis gives the column kernel, and a row kernel is the column kernel of
+is the left-to-right matrix product.  Matrix.left_kernel is the kernel in that
+convention, {x : x @ M = 0}; the kernel of x |-> M @ x is the left kernel of
 the transpose.
 """
 
@@ -322,29 +322,24 @@ class Matrix:
     def rank(self) -> int:
         return len(self._echelon()[1])
 
-    def kernel_basis(self) -> "Matrix":
-        """Columns form a basis of {x : self @ x = 0}."""
-        return self._free_kernel()[1]
-
-    def _free_kernel(self) -> tuple:
-        """The free (non-pivot) columns of the RREF, and the kernel basis
-        whose k-th column is 1 at the k-th free column and 0 at the others.
-
-        Asserts rank-nullity before returning.
-        """
+    def left_kernel(self) -> "Matrix":
+        """Rows form a basis of {x : x @ self = 0}: one per row i that is not
+        a pivot row of the echelon, e_i minus its coefficients over the pivot
+        rows.  Row i is reduced against the echelon again for them; it meets
+        the rows it met when the echelon was built, all before it, so the
+        echelon keeps nothing more.  This is the one basis that is 1 at one
+        non-pivot row and 0 at the others."""
         f = self.field
-        R, pivots = self.rref()
+        echelon, pivots = self._echelon()
         pivset = set(pivots)
-        free = {j: k for k, j in enumerate(j for j in range(self.ncols) if j not in pivset)}
-        out = {j: {k: f.one} for j, k in free.items()}
-        for prow, pcol in enumerate(pivots):
-            # an RREF pivot row is zero at every other pivot column
-            nz = {free[j]: f.neg(x) for j, x in R.entries[prow].items() if j != pcol}
-            if nz:
-                out[pcol] = nz
-        ker = Matrix.from_entries(f, self.ncols, len(free), out)
-        assert len(pivots) + ker.ncols == self.ncols, "rank-nullity violated"
-        return tuple(free), ker
+        rows = []
+        for i in range(self.nrows):
+            if i not in pivset:
+                _, used = _reduce(f, echelon, self.entries.get(i, {}))
+                row = {k: f.neg(c) for k, c in used.items()}
+                row[i] = f.one
+                rows.append(row)
+        return Matrix.from_row_entries(f, self.nrows, rows)
 
     def left_pivots(self) -> tuple[int, ...]:
         """Indices of the rows that are independent of the rows before them,
@@ -417,15 +412,18 @@ def quotient_map(field, width: int, relation_rows: Sequence[dict]) -> tuple:
     relation rows, each given as its nonzero entries {column: entry}.
 
     Returns (free positions, projection): the free positions are the
-    non-pivot columns of the relations' RREF, so the class of the j-th
-    ambient basis vector is read at them, and the projection, a width x
-    (number of free positions) matrix, sends a vector to its class in the
-    basis of those classes.  The projection is the kernel basis of the
-    relation matrix: the RREF rewrites each pivot coordinate as minus its
-    pivot row on the free ones.
+    non-pivot columns of the relations, so the class of the j-th ambient
+    basis vector is read at them, and the projection, a width x (number of
+    free positions) matrix, sends a vector to its class in the basis of those
+    classes.  Its columns are the left kernel of the transposed relations,
+    whose non-pivot rows are the free positions: each rewrites a pivot
+    coordinate as minus its combination of the free ones.
     """
-    return Matrix.from_entries(field, len(relation_rows), width,
-                               {i: r for i, r in enumerate(relation_rows) if r})._free_kernel()
+    rel_t = Matrix.from_entries(field, len(relation_rows), width,
+                                {i: r for i, r in enumerate(relation_rows) if r}).transpose()
+    pivots = set(rel_t.left_pivots())
+    return (tuple(j for j in range(width) if j not in pivots),
+            rel_t.left_kernel().transpose())
 
 
 class Subquotient:
@@ -500,7 +498,7 @@ def subquotient_from_maps(din: Matrix | None, dout: Matrix | None, field, width:
             return WholeSpace(field, width)
         cycles = Matrix.identity(field, width)
     else:
-        cycles = dout.transpose().kernel_basis().transpose()
+        cycles = dout.left_kernel()
     bounds = din if din is not None else Matrix.zero(field, 0, width)
     return Subquotient(field, width, cycles, bounds)
 

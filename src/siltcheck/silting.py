@@ -72,8 +72,8 @@ def radical_rows(E) -> list[dict]:
                                 for j, lj in enumerate(lm)})
         if row:
             form[i] = row
-    # the trace form is symmetric, so its row kernel is its kernel
-    K = Matrix.from_entries(f, E.dim, E.dim, form).kernel_basis().transpose()
+    # the radical is the kernel of the trace form, which is symmetric
+    K = Matrix.from_entries(f, E.dim, E.dim, form).left_kernel()
     return [K.entries[t] for t in range(K.nrows)]
 
 

@@ -111,6 +111,45 @@ def test_free_loop_hits_dimension_cap():
         path_algebra(loop, Q, dimension_cap=16)
 
 
+TWO_CYCLE = (["1", "2"], [("a", "1", "2"), ("b", "2", "1")])
+LOOPS = (["v"], [("x", "v", "v"), ("y", "v", "v")])
+TWO_ROUTES = (["1", "2", "3", "4", "5"],
+              [("a", "1", "2"), ("b", "2", "3"), ("c", "3", "4"), ("d", "1", "5"), ("e", "5", "4")])
+
+
+@pytest.mark.parametrize("quiver, relations, labels, products", [
+    # 2-cycle with ab = ba = 0: the trivial paths and the arrows
+    (TWO_CYCLE, [[(1, ["a", "b"])], [(1, ["b", "a"])]],
+     ["e_1", "e_2", "a", "b"], {("a", "b"): {}, ("b", "a"): {}}),
+    # 2-cycle with aba = bab = 0: the two paths of length 2 survive
+    (TWO_CYCLE, [[(1, ["a", "b", "a"])], [(1, ["b", "a", "b"])]],
+     ["e_1", "e_2", "a", "b", "a*b", "b*a"], {("a", "b"): {"a*b": 1}, ("a*b", "a"): {}}),
+    # k<x, y>/(xy - yx, x^2, y^2): the relation row xy - yx pivots at xy,
+    # the first of the two in generation order, so yx is kept
+    (LOOPS, [[(1, ["x", "y"]), (-1, ["y", "x"])], [(1, ["x", "x"])], [(1, ["y", "y"])]],
+     ["e_v", "x", "y", "y*x"], {("x", "y"): {"y*x": 1}, ("y", "x"): {"y*x": 1}, ("x", "x"): {}}),
+    # acyclic and inhomogeneous, a*b*c = d*e: the shorter d*e pivots, a*b*c
+    # is kept, and the arrows come in generation order (out of 1 first)
+    (TWO_ROUTES, [[(1, ["a", "b", "c"]), (-1, ["d", "e"])]],
+     ["e_1", "e_2", "e_3", "e_4", "e_5", "a", "d", "b", "c", "e", "a*b", "b*c", "a*b*c"],
+     {("d", "e"): {"a*b*c": 1}, ("a*b", "c"): {"a*b*c": 1}, ("a", "b*c"): {"a*b*c": 1}}),
+    # a loop with an arrow out, x^2 = 0: x*a survives, x*x*a does not
+    ((["1", "2"], [("x", "1", "1"), ("a", "1", "2")]), [[(1, ["x", "x"])]],
+     ["e_1", "e_2", "x", "a", "x*a"], {("x", "a"): {"x*a": 1}, ("x", "x*a"): {}}),
+], ids=["2-cycle-ab-ba", "2-cycle-aba-bab", "commuting-loops", "inhomogeneous-acyclic",
+        "loop-with-arrow-out"])
+def test_path_algebra_hand_known_bases(quiver, relations, labels, products):
+    for field in (Q, F101):
+        A = path_algebra(Quiver(*quiver), field, relations)
+        A.validate()
+        assert (A.dim, list(A.labels)) == (len(labels), labels)
+        assert A.generators == A.idempotents + tuple(
+            i for i, lab in enumerate(labels) if lab[:2] != "e_" and "*" not in lab)
+        at = A.labels.index
+        for (x, y), want in products.items():
+            assert A.basis_product(at(x), at(y)) == {at(k): c for k, c in want.items()}
+
+
 def test_algebra_validation_catches_bad_unit():
     with pytest.raises(AssertionError):
         Algebra(Q, ["e"], {(0, 0): {0: Q.coerce(2)}}, {0: Q.one}, (0,))

@@ -418,6 +418,22 @@ def test_small_characteristic_keeps_the_exit_code_contract(tmp_path, capsys, pri
 # -- caps and the one analysis per run ----------------------------------------
 
 
+@pytest.mark.parametrize("n", [300, 1200])
+def test_a_long_linear_quiver_is_refused_by_the_enumeration_cap(tmp_path, capsys, n):
+    # linear A_n has n(n+1)/2 paths, past the cap of 32,768 for both; a
+    # quiver deeper than the interpreter's recursion limit is read all the same
+    data = json.loads(pathlib.Path(FIX_K).read_text())
+    data["quiver"] = {"vertices": [str(v) for v in range(n)],
+                      "arrows": [[f"a{v}", str(v), str(v + 1)] for v in range(n - 1)]}
+    data["complexes"] = {"A": [{"types": {"0": ["0"]}}]}
+    data["modules"] = {"k": {"simple": "0"}}
+    path = tmp_path / f"linear{n}.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "check", str(path), "A")
+    assert (code, out) == (3, "")
+    assert err == "siltcheck: $.quiver: path enumeration exceeded 32768\n"
+
+
 @pytest.mark.parametrize("command", ["verify", "report"])
 def test_resolution_cap_exits_2_with_a_one_line_diagnostic(capsys, command):
     # the simple probe of the dual numbers has no finite projective resolution

@@ -43,23 +43,29 @@ def test_rational_field_ops():
 
 # -- frozen elimination oracles -------------------------------------------
 # Oracle: row reduction by hand.  [[1,2],[2,4]]: R2 <- R2 - 2 R1 gives a zero
-# row, so rank 1 and kernel spanned by (-2, 1).
+# row, so rank 1 and left kernel spanned by (-2, 1).
 
 
 def test_rank_oracle_rationals():
     M = Matrix.from_rows(Q, [[1, 2], [2, 4]])
     assert M.rank() == 1
-    K = M.kernel_basis()
-    assert K.ncols == 1
-    assert [r[0] for r in K.rows] == [Fraction(-2), Fraction(1)]
+    K = M.left_kernel()
+    assert K.rows == ((Fraction(-2), Fraction(1)),)
 
 
 def test_rank_oracle_mod2():
-    # Oracle: over F_2, [[1,1],[1,1]] has R2 = R1: rank 1; kernel = span (1,1).
+    # Oracle: over F_2, [[1,1],[1,1]] has R2 = R1: rank 1; left kernel = span (1,1).
     M = Matrix.from_rows(F2, [[1, 1], [1, 1]])
     assert M.rank() == 1
-    K = M.kernel_basis()
-    assert K.ncols == 1 and [r[0] for r in K.rows] == [1, 1]
+    assert M.left_kernel().rows == ((1, 1),)
+
+
+def test_left_kernel_oracle_with_zero_rows():
+    # Oracle: rows 0 and 2 are zero, row 3 is twice row 1, and row 1 is the
+    # only pivot row; each kernel row is 1 at one non-pivot row
+    M = Matrix.from_rows(Q, [[0, 0], [1, 2], [0, 0], [2, 4]])
+    assert M.left_pivots() == (1,)
+    assert M.left_kernel().rows == ((1, 0, 0, 0), (0, 0, 1, 0), (0, -2, 0, 1))
 
 
 def test_solve_unique_and_inconsistent():
@@ -76,9 +82,9 @@ def test_solve_unique_and_inconsistent():
 def test_empty_shapes():
     Z = Matrix.zero(Q, 0, 3)
     assert Z.rank() == 0
-    assert Z.kernel_basis().ncols == 3
+    assert Z.left_kernel().nrows == 0 and Z.transpose().left_kernel().nrows == 3
     N = Matrix.zero(Q, 3, 0)
-    assert N.kernel_basis().ncols == 0
+    assert (N.left_kernel(), N.transpose().left_kernel().nrows) == (Matrix.identity(Q, 3), 0)
     assert (Z @ N).nrows == 0 and (Z @ N).ncols == 0
     assert (N @ Z).nrows == 3 and (N @ Z).is_zero()
     assert Matrix.identity(Q, 0).rank() == 0
@@ -110,16 +116,16 @@ def _matrix_strategy(field, coerce_domain):
 @settings(max_examples=60, deadline=None)
 @given(_matrix_strategy(F101, st.integers(-50, 50)))
 def test_rank_nullity_prime(M):
-    assert M.rank() + M.kernel_basis().ncols == M.ncols
+    assert M.rank() + M.left_kernel().nrows == M.nrows
     assert M.rank() == M.transpose().rank()
 
 
 @settings(max_examples=40, deadline=None)
 @given(_matrix_strategy(Q, st.fractions(min_value=-9, max_value=9, max_denominator=9)))
 def test_rank_nullity_rational(M):
-    K = M.kernel_basis()
-    assert M.rank() + K.ncols == M.ncols
-    assert (M @ K).is_zero()
+    K = M.left_kernel()
+    assert M.rank() + K.nrows == M.nrows
+    assert (K @ M).is_zero()
 
 
 @settings(max_examples=40, deadline=None)
@@ -194,8 +200,7 @@ def test_whole_space_subquotients_make_no_elimination(monkeypatch):
     def refuse(*args):
         raise AssertionError("eliminated")
 
-    monkeypatch.setattr(Matrix, "left_pivots", refuse)
-    monkeypatch.setattr(Matrix, "kernel_basis", refuse)
+    monkeypatch.setattr(Matrix, "_echelon", refuse)
     for din, dout in ((None, None), (Matrix.zero(F101, 2, 3), Matrix.zero(F101, 3, 4))):
         sq = subquotient_from_maps(din, dout, F101, 3)
         assert (sq.rep_entries, sq.boundary_dim) == ([{0: 1}, {1: 1}, {2: 1}], 0)
@@ -380,7 +385,7 @@ def test_sparse_elimination_matches_dense_reference(field, data):
     want, want_pivots = dense_rref(field, a, c)
     _holds(R, want, r, c)
     assert pivots == want_pivots and A.rank() == len(pivots)
-    _holds(A.kernel_basis(), dense_kernel(field, a, c), c, c - len(pivots))
+    _holds(A.transpose().left_kernel().transpose(), dense_kernel(field, a, c), c, c - len(pivots))
     # the left solve gives the answer the RREF of [Aᵀ | v] gives, free variables 0
     rhs = [(_sparse(data, field, 1, r) @ A).rows[0], _sparse(data, field, 1, c).rows[0]]
     for _ in range(2):
@@ -388,6 +393,57 @@ def test_sparse_elimination_matches_dense_reference(field, data):
             x = A.solve_left_rows(nonzero_entries(v))
             want = dense_solve(field, dense_transpose(a, c), r, [[y] for y in v], 1)
             assert x == (None if want is None else nonzero_entries(row[0] for row in want))
+
+
+def _dense_left_kernel(field, a, nrows, ncols):
+    """Rows of the basis of {x : x @ a = 0} that is 1 at one free position
+    and 0 at the others, from the dense RREF of the transpose."""
+    k = dense_kernel(field, dense_transpose(a, ncols), nrows)
+    return dense_transpose(k, len(k[0]) if k else 0)
+
+
+@pytest.mark.parametrize("field", SPARSE_FIELDS, ids=repr)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_left_kernel_matches_dense_reference(field, data):
+    """The left kernel read off the forward echelon is the basis the dense
+    RREF of the transpose gives, zero rows and rank-deficient products
+    included, whether the echelon was built before or by the kernel."""
+    r, c, m = (data.draw(st.integers(0, 5)) for _ in range(3))
+    A = _sparse(data, field, r, c)
+    if data.draw(st.booleans()):       # rank-deficient through m inner columns
+        A = _sparse(data, field, r, m) @ _sparse(data, field, m, c)
+    if data.draw(st.booleans()):
+        A.rank()
+    K = A.left_kernel()
+    want = _dense_left_kernel(field, A.rows, r, c)
+    _holds(K, want, len(want), r)
+    assert K.nrows + A.rank() == r and (K @ A).is_zero()
+
+
+def test_subquotient_eliminates_dout_once(monkeypatch):
+    # the rank and the cycles of dout read its one echelon, and no RREF is made
+    def refuse(*args):
+        raise AssertionError("made an RREF")
+
+    builds = []
+    echelon = Matrix._echelon
+
+    def counting(self):
+        if self._left is None:
+            builds.append(self)
+        return echelon(self)
+
+    monkeypatch.setattr(Matrix, "rref", refuse)
+    monkeypatch.setattr(Matrix, "_echelon", counting)
+    # row 1 is twice row 0 and row 3 is zero; the boundary is e_1 - 2 e_0
+    dout = Matrix.from_rows(F101, [[1, 2], [2, 4], [0, 1], [0, 0]])
+    din = Matrix.from_rows(F101, [[-2, 1, 0, 0]])
+    assert dout.rank() == 2
+    sq = subquotient_from_maps(din, dout, F101, 4)
+    assert (sq.rep_entries, sq.boundary_dim, sq.dim) == ([{3: 1}], 1, 1)
+    assert sq.reduce({0: 99, 1: 1, 3: 5}) == {0: 5}
+    assert sum(m is dout for m in builds) == 1
 
 
 @pytest.mark.parametrize("field", SPARSE_FIELDS, ids=repr)
@@ -429,7 +485,7 @@ def test_subquotient_matches_the_greedy_dense_passes(field, data):
     dout = _sparse(data, field, width, k)
     if data.draw(st.booleans()):       # rank-deficient through m inner columns
         dout = _sparse(data, field, width, m) @ _sparse(data, field, m, k)
-    cycles = dout.transpose().kernel_basis().transpose()
+    cycles = Matrix.from_rows(field, _dense_left_kernel(field, dout.rows, width, k), width)
     # boundaries: random combinations of cycles, redundant rows included
     din = _sparse(data, field, data.draw(st.integers(0, 4)), cycles.nrows) @ cycles
     assert (din @ dout).is_zero()
