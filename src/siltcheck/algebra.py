@@ -21,6 +21,7 @@ the ideal fills); the mixed case is rejected rather than silently truncated.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Sequence
 
 from .linalg import Matrix, RowSpace, quotient_map
@@ -135,11 +136,12 @@ class Algebra:
     forming a complete orthogonal idempotent set (for a path algebra, the
     trivial paths).  generators must multiplicatively generate the algebra and
     contain the idempotents; module-map linearity is checked against them.
+    A path algebra has its quiver and path_info; other algebras have None.
     """
 
     def __init__(self, field, labels: Sequence[str], mult: dict, unit: dict,
                  idempotents: Sequence[int], generators: Sequence[int] | None = None,
-                 path_info=None, validate: bool = True):
+                 path_info=None, quiver: Quiver | None = None, validate: bool = True):
         self.field = field
         self.labels = tuple(labels)
         self.dim = len(self.labels)
@@ -148,13 +150,21 @@ class Algebra:
         self.idempotents = tuple(idempotents)
         self.generators = tuple(generators) if generators is not None else tuple(range(self.dim))
         self.path_info = path_info  # list of (source, target, arrows) for path algebras
+        self.quiver = quiver
         self._rmul = {}
         self._lmul = {}
         self._proj = {}  # idempotent position -> projective module
         self._proj_sums = {}  # tuple of idempotent positions -> their direct sum
-        self._dg = None  # this algebra as a dg-algebra in degree 0
         if validate:
             self.validate()
+
+    @cached_property
+    def dg(self):
+        """This algebra as a dg-algebra in degree 0, built on first read."""
+        from .dg import DgAlgebra
+        mult = [[self.basis_product(i, j) for j in range(self.dim)] for i in range(self.dim)]
+        return DgAlgebra(self.field, {0: self.dim}, {(0, 0): mult}, {}, self.unit,
+                         idempotents=[{e: self.field.one} for e in self.idempotents])
 
     def basis_product(self, i: int, j: int) -> dict:
         """b_i b_j as its nonzero entries."""
@@ -309,22 +319,25 @@ def path_algebra(quiver: Quiver, field, relations=(), dimension_cap: int = 512) 
     trivial = [bindex[(v, ())] for v in range(len(quiver.vertices))]
     arrows = [bindex[p] for p in basis_paths if len(p[1]) == 1]
     path_info = [(p[0], _path_target(quiver, p), p[1]) for p in basis_paths]
-    alg = Algebra(field, labels, mult, {t: field.one for t in trivial}, trivial,
-                  generators=trivial + arrows, path_info=path_info)
-    alg.quiver = quiver
-    return alg
+    return Algebra(field, labels, mult, {t: field.one for t in trivial}, trivial,
+                   generators=trivial + arrows, path_info=path_info, quiver=quiver)
 
 
 # -- right modules ---------------------------------------------------------
 
 
 class Module:
-    """A right module: row vectors with one action matrix per algebra basis element."""
+    """A right module: row vectors with one action matrix per algebra basis
+    element.  summand_offsets, (first row, dim) per summand, is set by
+    direct_sum_modules and sq by Complex.cohomology; both are None otherwise."""
 
-    def __init__(self, algebra: Algebra, dim: int, action: Sequence[Matrix], validate: bool = True):
+    def __init__(self, algebra: Algebra, dim: int, action: Sequence[Matrix], validate: bool = True,
+                 summand_offsets: list | None = None, sq=None):
         self.algebra = algebra
         self.dim = dim
         self.action = tuple(action)
+        self.summand_offsets = summand_offsets
+        self.sq = sq
         if len(self.action) != algebra.dim:
             raise ValueError("need one action matrix per algebra basis element")
         for m in self.action:
@@ -466,35 +479,35 @@ def generator_image(P: Module, rows: dict, start: int = 0) -> dict:
     return P.algebra.field.reduce_entries(acc)
 
 
-def projective_module(A: Algebra, idem_pos: int) -> Module:
+class ProjectiveModule(Module):
     """e_i A for the idem_pos-th idempotent, with its generator recorded.
 
     Works for any algebra with a complete orthogonal idempotent basis set, not
-    just path algebras.  Attributes: ambient_rows (basis inside A, each an
-    element of A as its nonzero entries), generator (the nonzero coordinates
-    {row: entry} of e_i itself), vertex (= idem_pos).
+    just path algebras.  ambient_rows is its basis inside A, each an element
+    of A as its nonzero entries, generator the nonzero coordinates
+    {row: entry} of e_i itself, and vertex = idem_pos.
     """
-    e = A.idempotents[idem_pos]
-    f = A.field
-    space = RowSpace(A.left_mult_matrix(e))
-    span, d = space.matrix, space.dim
-    action = []
-    for j in range(A.dim):
-        mats = {}
-        for r, v in (span @ A.right_mult_matrix(j)).entries.items():
-            sol = span.solve_left_rows(v)
-            if sol is None:
-                raise AssertionError("projective weight space not closed under the action")
-            mats[r] = sol
-        action.append(Matrix.from_entries(f, d, d, mats))
-    P = Module(A, d, action, validate=False)
-    P.ambient_rows = space.rows
-    P.generator = span.solve_left_rows({e: f.one})
-    if P.generator is None:
-        raise AssertionError("idempotent not inside its own projective")
-    P.vertex = idem_pos
-    P.validate()
-    return P
+
+    def __init__(self, A: Algebra, idem_pos: int):
+        e = A.idempotents[idem_pos]
+        f = A.field
+        space = RowSpace(A.left_mult_matrix(e))
+        span, d = space.matrix, space.dim
+        action = []
+        for j in range(A.dim):
+            mats = {}
+            for r, v in (span @ A.right_mult_matrix(j)).entries.items():
+                sol = span.solve_left_rows(v)
+                if sol is None:
+                    raise AssertionError("projective weight space not closed under the action")
+                mats[r] = sol
+            action.append(Matrix.from_entries(f, d, d, mats))
+        super().__init__(A, d, action)
+        self.ambient_rows = space.rows
+        self.generator = span.solve_left_rows({e: f.one})
+        if self.generator is None:
+            raise AssertionError("idempotent not inside its own projective")
+        self.vertex = idem_pos
 
 
 def simple_module(A: Algebra, idem_pos: int) -> Module:
@@ -511,12 +524,9 @@ def direct_sum_modules(A: Algebra, mods: Sequence[Module]) -> Module:
     action = []
     for j in range(A.dim):
         action.append(Matrix.block_diag(f, [m.action[j] for m in mods]))
-    total = sum(m.dim for m in mods)
-    M = Module(A, total, action, validate=False)
     offs = []
     off = 0
     for m in mods:
         offs.append((off, m.dim))
         off += m.dim
-    M.summand_offsets = offs
-    return M
+    return Module(A, off, action, validate=False, summand_offsets=offs)

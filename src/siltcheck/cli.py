@@ -2,11 +2,11 @@
 
 Every command reads an instance file, picks one named complex, and prints a
 JSON report with sorted keys so reruns are byte-identical.  Exit codes: 0 all
-checks passed, 1 a check failed with a witness, 2 the run hit a cap or step
-bound before reaching a verdict, 3 the instance file or arguments were
-malformed, the --output file cannot be written, the input is unsupported
-(a field whose characteristic is too small for an exact radical), or an
-internal consistency check failed.
+checks passed, 1 a check failed with a witness, 2 the run (or the reading of
+the instance) hit a cap or step bound before reaching a verdict, 3 the
+instance file or arguments were malformed, the --output file cannot be
+written, the input is unsupported (a field whose characteristic is too small
+for an exact radical), or an internal consistency check failed.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 
+from .algebra import DimensionCapError
 from .complexes import ResolutionCapError
 from .instances import (Instance, InstanceError, instance_text,
                         load_instance, serialize_instance)
@@ -271,7 +272,7 @@ def main(argv=None) -> int:
             SmallCharacteristicError) as e:
         sys.stderr.write(f"siltcheck: {e}\n")
         return 3
-    except (ResolutionCapError, SemifreeCapError) as e:
+    except (DimensionCapError, ResolutionCapError, SemifreeCapError) as e:
         sys.stderr.write(f"siltcheck: {e}\n")
         return 2
     except AssertionError as e:

@@ -21,9 +21,9 @@ from .algebra import (
     Algebra,
     Module,
     ModuleMap,
+    ProjectiveModule,
     direct_sum_modules,
     generator_image,
-    projective_module,
 )
 from .linalg import Cochains, Matrix
 
@@ -60,11 +60,16 @@ class Complex(Cochains):
     off that basis, so it requires the witness on its source.  validate
     checks the witness exactly, each term's action on the algebra generators
     against the block diagonal of the listed projectives' actions.
+    summands and summand_offsets (degree -> first row of each summand) are
+    None unless direct_sum_complexes built the complex.
     """
 
     def __init__(self, algebra: Algebra, terms: dict, diffs: dict,
-                 proj_types: dict | None = None, validate: bool = True):
+                 proj_types: dict | None = None, validate: bool = True,
+                 summands: list | None = None, summand_offsets: dict | None = None):
         self.algebra = algebra
+        self.summands = summands
+        self.summand_offsets = summand_offsets
         self.terms = {n: m for n, m in terms.items() if m.dim > 0}
         super().__init__(algebra.field, self.terms)
         self.diffs = {}
@@ -128,7 +133,7 @@ class Complex(Cochains):
     def shift(self, k: int) -> "Complex":
         if k == 0:
             return self
-        if hasattr(self, "summands"):  # a direct sum shifts summand by summand
+        if self.summands is not None:  # a direct sum shifts summand by summand
             return direct_sum_complexes([s.shift(k) for s in self.summands])
         f = self.algebra.field
         terms = {n - k: m for n, m in self.terms.items()}
@@ -140,15 +145,14 @@ class Complex(Cochains):
         return Complex(self.algebra, terms, diffs, types, validate=False)
 
     def cohomology(self, n: int) -> Module:
-        """H^n as a module with its induced action; carries .sq for reduce/lift."""
+        """H^n as a module with its induced action, and its sq for reduce/lift."""
         if n not in self._cohom:
             sq = self.subquotient(n)
             action = [Matrix.from_row_entries(self.field, sq.dim,
                                               [sq.reduce(a.apply_entries(rep))
                                                for rep in sq.rep_entries])
                       for a in self.term(n).action]
-            H = self._cohom[n] = Module(self.algebra, sq.dim, action, validate=False)
-            H.sq = sq
+            self._cohom[n] = Module(self.algebra, sq.dim, action, validate=False, sq=sq)
         return self._cohom[n]
 
     def __repr__(self):
@@ -159,7 +163,7 @@ class Complex(Cochains):
 def projective_cache(A: Algebra, v: int) -> Module:
     """The indecomposable projective at idempotent v, built once per algebra."""
     if v not in A._proj:
-        A._proj[v] = projective_module(A, v)
+        A._proj[v] = ProjectiveModule(A, v)
     return A._proj[v]
 
 
@@ -187,7 +191,7 @@ def projective_complex(A: Algebra, types: dict, diffs: dict | None = None) -> Co
 
 
 def direct_sum_complexes(xs: Sequence[Complex]) -> Complex:
-    """Degreewise direct sum; remembers per-degree summand offsets.
+    """Degreewise direct sum, with its summands and per-degree summand offsets.
 
     When every summand carries a projective witness, each term is the
     projective_sum of the concatenated witness, the same block diagonal,
@@ -215,15 +219,13 @@ def direct_sum_complexes(xs: Sequence[Complex]) -> Complex:
             terms[n] = (direct_sum_modules(A, mods) if types is None
                         else projective_sum(A, types[n]))
         diffs[n] = Matrix.block_diag(f, [x.diff(n) for x in xs])
-    out = Complex(A, terms, diffs, types, validate=False)
-    out.summands = list(xs)
-    out.summand_offsets = offsets
-    return out
+    return Complex(A, terms, diffs, types, validate=False, summands=list(xs),
+                   summand_offsets=offsets)
 
 
 def summand_projection_maps(X: Complex) -> list["ChainMap"]:
     """Idempotent chain maps projecting a direct_sum_complexes result onto each summand slice."""
-    if not hasattr(X, "summands"):
+    if X.summands is None:
         raise ValueError("complex does not carry direct-sum data")
     f = X.algebra.field
     maps = []
@@ -351,6 +353,7 @@ class GradedHom(Cochains):
     the generator image of g times h, so no composite matrix is built.  The
     differential in degree n implements (df)_i = f_i d_Y - (-1)^n d_X f_{i+1};
     each differential of X and Y it reads is checked to be a module map.
+    Hom(U, U) keeps its units, dg-end, H^0 algebra and radical (kept).
     """
 
     def __init__(self, X: Complex, Y: Complex):
@@ -375,6 +378,14 @@ class GradedHom(Cochains):
             self.cells[n] = cells
             self._dims[n] = pos
         self._diffs = {}
+        self._kept = {}
+
+    def kept(self, name: str, build):
+        """build(), run on the first call for name and kept; a build that
+        raises keeps nothing, so it raises again on the next call."""
+        if name not in self._kept:
+            self._kept[name] = build()
+        return self._kept[name]
 
     @cached_property
     def basis(self) -> dict:
@@ -527,7 +538,7 @@ def proj_replacement(X: Complex, cap: int = 16) -> tuple[Complex, ChainMap]:
     when a generator lands there, as the resolution then runs longer than
     cap extra degrees below the support of X.
     """
-    from .dg import DgAlgebra, DgModule
+    from .dg import DgModule
     from .semifree import semifree_resolve
 
     A = X.algebra
@@ -536,15 +547,11 @@ def proj_replacement(X: Complex, cap: int = 16) -> tuple[Complex, ChainMap]:
     if X.is_empty():
         P = zero_complex(A)
         return P, ChainMap(P, X, {}, validate=False)
-    if A._dg is None:
-        mult = [[A.basis_product(i, j) for j in range(A.dim)] for i in range(A.dim)]
-        A._dg = DgAlgebra(A.field, {0: A.dim}, {(0, 0): mult}, {}, A.unit,
-                          idempotents=[{e: A.field.one} for e in A.idempotents])
     action = {(n, 0): [[a.entries.get(i, {}) for a in M.action] for i in range(M.dim)]
               for n, M in X.terms.items()}
     dims = {n: M.dim for n, M in X.terms.items()}
     floor = X.lo - cap - 1
-    R = semifree_resolve(DgModule(A._dg, "right", dims, action, X.diffs, validate=False),
+    R = semifree_resolve(DgModule(A.dg, "right", dims, action, X.diffs, validate=False),
                          floor)
     if R.gens and R.gens[-1] == floor:
         raise ResolutionCapError(

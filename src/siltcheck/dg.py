@@ -20,10 +20,10 @@ Leibniz rule hold exactly for the hom-complex differential, which the
 constructor re-checks on every basis pair.  Its H^0 algebra needs no dg-end:
 end_h0 reads it off the hom complex itself, multiplying class
 representatives by composing them, and keeps it there for the dg-end built
-later, if any, to share.  dg_end and its non-positive
-smart_truncate both record .maps, each basis element as its component maps
-U -> U, so hom modules and the evaluation module of U are built over either
-one by composing those maps; each composite is read off generator images
+later, if any, to share.  dg_end and its non-positive smart_truncate both
+declare maps, each basis element as its component maps U -> U, so hom
+modules and the evaluation module of U are built over either one by
+composing those maps; each composite is read off generator images
 (complexes.GradedHom), never built as a matrix.
 """
 
@@ -235,12 +235,16 @@ class DgAlgebra(_Graded):
     each as its nonzero coordinates, the unit alone when not given; their
     cells e.B are the building blocks of semifree resolutions over the
     algebra.  Elements are passed as their nonzero coordinates
-    {index: entry} throughout.
+    {index: entry} throughout.  The dg-end of U (dg_end) and its truncation
+    (smart_truncate) have U as complex and maps; the dg-end has gh =
+    Hom(U, U), the truncation embed into the dg-end (None elsewhere).
     """
 
     def __init__(self, field, dims: dict, mult: dict, diff: dict, unit: dict,
-                 labels: dict | None = None, idempotents=None):
+                 labels: dict | None = None, idempotents=None, gh=None, complex=None,
+                 maps: dict | None = None, embed: dict | None = None):
         super().__init__(field, dims, diff)
+        self.gh, self.complex, self.maps, self.embed = gh, complex, maps, embed
         self.mult = mult
         self.unit = dict(unit)
         self.labels = labels or {}
@@ -285,14 +289,17 @@ class DgModule(_Graded):
     For side "right", action[(m, n)][i][j] holds the nonzero coordinates
     {column: entry} of (i-th degree-m module basis) * (j-th degree-n algebra
     basis); for side "left" the roles are swapped: action[(m, n)][i][j] is
-    (i-th degree-m algebra basis) * (j-th degree-n module basis).
+    (i-th degree-m algebra basis) * (j-th degree-n module basis).  A hom
+    module (dg_hom_module) has its hom complex as gh, the evaluation module of
+    U (evaluation_left_module) has U as complex; each is None otherwise.
     """
 
     def __init__(self, algebra: DgAlgebra, side: str, dims: dict, action: dict,
-                 diff: dict, validate: bool = True):
+                 diff: dict, validate: bool = True, gh=None, complex=None):
         if side not in ("right", "left"):
             raise ValueError("side must be 'right' or 'left'")
         super().__init__(algebra.field, dims, diff)
+        self.gh, self.complex = gh, complex
         self.algebra = algebra
         self.side = side
         self.action = action
@@ -371,17 +378,15 @@ def _composition_tables(gh, maps: dict) -> dict:
 def end_units(gh: GradedHom) -> tuple[dict, list]:
     """(unit, idempotents) of End(U) as coordinates in degree 0 of gh =
     Hom(U, U): the identity of U, and the summand projections of U when U
-    carries direct-sum data, the unit alone otherwise.  Read once and kept
-    on gh, for its H^0 algebra and its dg-end alike."""
-    units = getattr(gh, "_units", None)
-    if units is None:
-        U, f = gh.X, gh.field
-        ident = {i: Matrix.identity(f, U.term(i).dim) for i in U.degrees() if U.term(i).dim}
-        unit = gh.coords_of(0, ident)
-        idempotents = ([gh.coords_of(0, pm.mats) for pm in summand_projection_maps(U)]
-                       if hasattr(U, "summands") else [unit])
-        units = gh._units = (unit, idempotents)
-    return units
+    is a direct sum, the unit alone otherwise.  Read once and kept on gh,
+    for its H^0 algebra and its dg-end alike."""
+    def build():
+        U = gh.X
+        unit = gh.coords_of(0, {i: Matrix.identity(gh.field, U.term(i).dim)
+                                for i in U.degrees() if U.term(i).dim})
+        return unit, ([gh.coords_of(0, pm.mats) for pm in summand_projection_maps(U)]
+                      if U.summands is not None else [unit])
+    return gh.kept("units", build)
 
 
 def dg_end(U: Complex, gh: GradedHom | None = None) -> DgAlgebra:
@@ -389,10 +394,9 @@ def dg_end(U: Complex, gh: GradedHom | None = None) -> DgAlgebra:
     = hom_complex(U, U), or on a new one when gh is None.
 
     Its unit and idempotents are end_units(gh): the summand projections of
-    U when U carries direct-sum data.  Carries .gh, .complex and .maps, each
-    degree-n basis element as its component maps U -> U.  Its H^0 algebra
-    is end_h0(gh), read off gh without it; end_dg keeps one dg-end on its
-    gh.
+    U when U is a direct sum.  It has gh, U as complex and maps.  Its H^0
+    algebra is end_h0(gh), read off gh without it; end_dg keeps one dg-end
+    on its gh.
     """
     if not U.is_projective_complex():
         raise ValueError("dg_end needs a complex of projectives")
@@ -404,34 +408,25 @@ def dg_end(U: Complex, gh: GradedHom | None = None) -> DgAlgebra:
     maps = {n: [{i: h} for i, h in gh.basis[n]] for n in gh.degrees()}
     diffs = {n: gh.diff(n) for n in gh.degrees()}
     unit, idempotents = end_units(gh)
-    B = DgAlgebra(U.algebra.field, dims, _composition_tables(gh, maps), diffs, unit,
-                  idempotents=idempotents)
-    B.gh = gh
-    B.complex = U
-    B.maps = maps
-    return B
+    return DgAlgebra(U.algebra.field, dims, _composition_tables(gh, maps), diffs, unit,
+                     idempotents=idempotents, gh=gh, complex=U, maps=maps)
 
 
 def end_dg(gh: GradedHom) -> DgAlgebra:
     """dg_end(U, gh) for gh = Hom(U, U), built once per gh and kept on it,
     as end_h0 keeps H^0 on gh."""
-    B = getattr(gh, "_end", None)
-    if B is None:
-        B = gh._end = dg_end(gh.X, gh)
-    return B
+    return gh.kept("dg-end", lambda: dg_end(gh.X, gh))
 
 
 def dg_hom_module(gh: GradedHom, base: DgAlgebra) -> DgModule:
     """The hom complex gh = Hom(U, X) as a right dg-module over base:
     dg_end(U) or its smart_truncate.
 
-    The action is composition, f*b = "apply b, then f".  Carries .gh.
+    The action is composition, f*b = "apply b, then f".
     """
     dims = {n: gh.dim(n) for n in gh.degrees()}
     diffs = {n: gh.diff(n) for n in gh.degrees()}
-    M = DgModule(base, "right", dims, _composition_tables(gh, base.maps), diffs)
-    M.gh = gh
-    return M
+    return DgModule(base, "right", dims, _composition_tables(gh, base.maps), diffs, gh=gh)
 
 
 def evaluation_left_module(base: DgAlgebra, U: Complex) -> DgModule:
@@ -449,16 +444,25 @@ def evaluation_left_module(base: DgAlgebra, U: Complex) -> DgModule:
             action[(m, n)] = [[b[n].entries.get(j, zero) if n in b else zero
                                for j in range(dims[n])] for b in elems]
     diffs = {n: U.diff(n) for n in U.degrees()}
-    M = DgModule(base, "left", dims, action, diffs)
-    M.complex = U
-    return M
+    return DgModule(base, "left", dims, action, diffs, complex=U)
 
 
 # -- cohomology-level algebra ----------------------------------------------
 
 
+class H0Algebra(Algebra):
+    """H^0 as an ordinary algebra (h0_algebra): class_reps holds a degree-0
+    cocycle per basis element, as its nonzero entries, sq the subquotient of
+    the classes, and kept_idempotents the positions of the given idempotents
+    whose classes survive."""
+
+    def __init__(self, field, labels, mult, unit, idempotents, class_reps, sq, kept):
+        super().__init__(field, labels, mult, unit, idempotents)
+        self.class_reps, self.sq, self.kept_idempotents = class_reps, sq, kept
+
+
 def h0_algebra(X, unit: dict | None = None, idempotents: list | None = None,
-               products=None) -> Algebra:
+               products=None) -> H0Algebra:
     """H^0 of X as an ordinary algebra, for X a dg-algebra or the hom
     complex Hom(U, U) (end_h0).
 
@@ -470,8 +474,7 @@ def h0_algebra(X, unit: dict | None = None, idempotents: list | None = None,
     dropped.  The basis is adapted so each idempotent class is itself a basis
     element.  Everything is read off one table of products of the
     representatives, as the h x h matrices of left and right multiplication
-    by each class.  The result carries .class_reps (a degree-0 cocycle per
-    basis element, as its nonzero entries) and .sq.
+    by each class.
     """
     if products is None:
         unit, idempotents = X.unit, X.idempotents
@@ -538,11 +541,8 @@ def h0_algebra(X, unit: dict | None = None, idempotents: list | None = None,
     for x in range(h):
         Lx = Matrix.combination(f, h, h, ((c, L[a]) for a, c in basis_cls[x].items()))
         mult.update(((x, y), nz) for y, nz in (span @ Lx @ inverse).entries.items())
-    alg = Algebra(f, labels, mult, inverse.apply_entries(unit_cls), idem_positions)
-    alg.class_reps = [sq.lift(cls) for cls in basis_cls]
-    alg.sq = sq
-    alg.kept_idempotents = kept
-    return alg
+    return H0Algebra(f, labels, mult, inverse.apply_entries(unit_cls), idem_positions,
+                     [sq.lift(cls) for cls in basis_cls], sq, kept)
 
 
 def _composites(gh: GradedHom, reps: list) -> list:
@@ -555,21 +555,17 @@ def _composites(gh: GradedHom, reps: list) -> list:
     return [[gh.postcomposed(0, y, c, gh, 0) for y in images] for c in comps]
 
 
-def end_h0(gh: GradedHom) -> Algebra:
+def end_h0(gh: GradedHom) -> H0Algebra:
     """H^0 End(U) as an ordinary algebra, read off gh = Hom(U, U) and kept
     on it: homotopy classes of chain maps U -> U, multiplied by composing
     representatives, so no dg-end is built.  It equals h0_algebra of
     dg_end(U, gh), whose degree-0 products are the same composites.
 
     The idempotents are the classes of end_units(gh): of the summand
-    projections of U when U carries direct-sum data, the unit class alone
-    otherwise.
+    projections of U when U is a direct sum, the unit class alone otherwise.
     """
-    E = getattr(gh, "_h0", None)
-    if E is None:
-        unit, idempotents = end_units(gh)
-        E = gh._h0 = h0_algebra(gh, unit, idempotents, lambda reps: _composites(gh, reps))
-    return E
+    return gh.kept("h0", lambda: h0_algebra(gh, *end_units(gh),
+                                            lambda reps: _composites(gh, reps)))
 
 
 # -- truncation, opposite, side swap ---------------------------------------
@@ -579,10 +575,10 @@ def smart_truncate(B: DgAlgebra) -> DgAlgebra:
     """Non-positive truncation of B = dg_end(U): degree 0 becomes ker d^0,
     positive degrees die.
 
-    The result carries .embed (per-degree inclusion matrices into B), .maps
-    (each basis element as its component maps U -> U, as on B) and
-    .complex = U; the inclusion is a map of dg-algebras and induces H^n
-    isomorphisms for n <= 0.
+    The result has embed, its per-degree inclusion matrices into B, maps,
+    each basis element as its component maps U -> U, and U as complex; the
+    inclusion is a map of dg-algebras and induces H^n isomorphisms for
+    n <= 0.
     """
     f = B.field
     kmat = B.diff(0).left_kernel()
@@ -617,14 +613,12 @@ def smart_truncate(B: DgAlgebra) -> DgAlgebra:
             if dims.get(m + n) and t is not None:
                 mult[(m, n)] = [[restrict(table_product(f, t, a, b), m + n) or zero
                                  for b in basis[n]] for a in basis[m]]
-    C = DgAlgebra(f, dims, mult, diffs, cocycle(B.unit),
-                  idempotents=[cocycle(e) for e in B.idempotents])
-    C.embed = embed
-    C.maps = {n: B.maps[n] for n in dims if n < 0}
+    maps = {n: B.maps[n] for n in dims if n < 0}
     if kmat.nrows:
-        C.maps[0] = [B.gh.component_maps(0, kmat.entries[r]) for r in range(kmat.nrows)]
-    C.complex = B.complex
-    return C
+        maps[0] = [B.gh.component_maps(0, kmat.entries[r]) for r in range(kmat.nrows)]
+    return DgAlgebra(f, dims, mult, diffs, cocycle(B.unit),
+                     idempotents=[cocycle(e) for e in B.idempotents],
+                     complex=B.complex, maps=maps, embed=embed)
 
 
 def opposite_dg(B: DgAlgebra) -> DgAlgebra:

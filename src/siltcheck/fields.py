@@ -11,12 +11,12 @@ from fractions import Fraction
 
 
 class PrimeField:
-    """F_p for a prime p.  Elements are ints in [0, p)."""
+    """F_p for a prime p, its characteristic.  Elements are ints in [0, p)."""
 
     def __init__(self, p: int):
         if p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
             raise ValueError(f"modulus {p} is not prime")
-        self.p = p
+        self.p = self.characteristic = p
         self.zero = 0
         self.one = 1 % p
 
@@ -70,9 +70,10 @@ class PrimeField:
 
 
 class RationalField:
-    """The rationals via fractions.Fraction (always in lowest terms)."""
+    """The rationals via fractions.Fraction (always in lowest terms); characteristic 0."""
 
     def __init__(self):
+        self.characteristic = 0
         self.zero = Fraction(0)
         self.one = Fraction(1)
 

@@ -267,7 +267,10 @@ def parse_instance(data, path: str = "$") -> Instance:
         A = path_algebra(quiver, field,
                          relations=[[(c, ns) for c, ns in rel]
                                     for rel in relations])
-    except (AdmissibilityError, DimensionCapError, ValueError) as e:
+    except DimensionCapError as e:
+        # a cap met while reading is no malformed input: it keeps its class
+        raise DimensionCapError(f"{path}.quiver: {e}") from None
+    except (AdmissibilityError, ValueError) as e:
         raise InstanceError(f"{path}.quiver", str(e)) from None
 
     complexes = {}
@@ -305,9 +308,8 @@ def encode_complex(X: Complex, quiver: Quiver) -> list:
     """Summand blocks for a projective complex, flattening direct sums."""
     if not X.is_projective_complex():
         raise ValueError("only complexes of projectives can be serialized")
-    summands = getattr(X, "summands", None)
-    if summands is not None:
-        return [b for s in summands for b in encode_complex(s, quiver)]
+    if X.summands is not None:
+        return [b for s in X.summands for b in encode_complex(s, quiver)]
     types = {str(n): [quiver.vertices[v] for v in X.proj_types[n]]
              for n in sorted(X.proj_types) if X.term(n).dim > 0}
     block = {"types": types}

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from operator import neg
 
 from .algebra import Module, direct_sum_modules
-from .complexes import Complex, block_matrix, zero_complex
+from .complexes import Complex, block_matrix
 from .dg import DgAlgebra, DgModule
 from .linalg import Cochains, Matrix, subquotient_from_maps
 
@@ -477,34 +477,39 @@ def tensor_cutoff(U: DgModule, window: DegreeWindow, extra_margin: int = 0) -> i
     return (window.lo - 1) - U.hi - extra_margin
 
 
+class TensorComplex(Complex):
+    """P (x)_B U over A (resolution_tensor), with P as its resolution and
+    per degree its block_layout, the list of (generator, j, echelon basis of
+    e.U^j in the coordinates of U^j) in block order: empty, and the complex
+    zero, when P has no generators."""
+
+    def __init__(self, A, terms: dict, diffs: dict, resolution: SemifreeModule,
+                 block_layout: dict):
+        super().__init__(A, terms, diffs)
+        self.resolution, self.block_layout = resolution, block_layout
+
+
 def derived_tensor(M: DgModule, U: DgModule, window: DegreeWindow,
-                   extra_margin: int = 0) -> Complex:
+                   extra_margin: int = 0) -> TensorComplex:
     """P (x)_B U for a semifree resolution P of M, exact inside the window.
 
-    U must be a left dg-module carrying .complex (terms over the base ring A);
+    U must be a left dg-module with a complex (terms over the base ring A);
     the cutoff is tensor_cutoff.  See resolution_tensor for the result.
     """
     if M.side != "right" or U.side != "left":
         raise ValueError("derived_tensor needs a right module and a left module")
-    if not U.dims:
-        return zero_complex(U.complex.algebra)
     P = semifree_resolve(M, tensor_cutoff(U, window, extra_margin))
     return resolution_tensor(P, U)
 
 
-def resolution_tensor(P: SemifreeModule, U: DgModule) -> Complex:
-    """P (x)_B U for a semifree module P and a left dg-module U with .complex.
+def resolution_tensor(P: SemifreeModule, U: DgModule) -> TensorComplex:
+    """P (x)_B U for a semifree module P and a left dg-module U with a complex.
 
     The cell e.B of a generator of degree g contributes e.U^j to degree g + j,
-    an A-submodule of the term U^j.  The result carries .resolution = P and
-    per-degree .block_layout, the list of (generator, j, echelon basis of
-    e.U^j in the coordinates of U^j) in block order; with no generators or
-    no U it is the zero complex.
+    an A-submodule of the term U^j.
     """
     A = U.complex.algebra
     f = A.field
-    if not U.dims or not P.gens:
-        return zero_complex(A)
     submodules = {}
 
     def submodule(e, j):
@@ -521,10 +526,8 @@ def resolution_tensor(P: SemifreeModule, U: DgModule) -> Complex:
             submodules[(e, j)] = Module(A, cell.dim, action, validate=False)
         return submodules[(e, j)]
 
-    lo = min(P.gens) + U.lo
-    hi = max(P.gens) + U.hi
     terms, layouts = {}, {}
-    for n in range(lo, hi + 1):
+    for n in range(P.gens[-1] + U.lo, P.gens[0] + U.hi + 1) if P.gens else ():
         # the generators with U.lo <= n - g <= U.hi: one slice of the gens
         start = bisect_left(P.gens, U.lo - n, key=neg)
         stop = bisect_right(P.gens, U.hi - n, key=neg)
@@ -551,7 +554,4 @@ def resolution_tensor(P: SemifreeModule, U: DgModule) -> Complex:
                            for k2, delta in P.gen_dcomps[k].items()]
                 rows.append(block_row(f, offsets, images))
         diffs[n] = Matrix.from_row_entries(f, width, rows)
-    out = Complex(A, terms, diffs)
-    out.resolution = P
-    out.block_layout = layouts
-    return out
+    return TensorComplex(A, terms, diffs, P, layouts)

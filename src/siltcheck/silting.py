@@ -58,8 +58,8 @@ def radical_rows(E) -> list[dict]:
     smaller characteristic it raises SmallCharacteristicError.
     """
     f = E.field
-    p = getattr(f, "p", None)
-    if p is not None and p <= E.dim:
+    p = f.characteristic
+    if p and p <= E.dim:
         raise SmallCharacteristicError(
             f"radical computation needs characteristic 0 or larger than the "
             f"algebra dimension {E.dim}, not {p}")
@@ -80,22 +80,7 @@ def radical_rows(E) -> list[dict]:
 def end_radical(gh: GradedHom) -> list[dict]:
     """radical_rows(end_h0(gh)) for gh = Hom(U, U), kept on gh beside its
     H^0 algebra.  A field too small for the radical raises on every call."""
-    rad = getattr(gh, "_radical", None)
-    if rad is None:
-        rad = gh._radical = radical_rows(end_h0(gh))
-    return rad
-
-
-def _summands(U: Complex) -> list:
-    summands = getattr(U, "summands", None)
-    return [U] if summands is None else list(summands)
-
-
-def _slice_bounds(U: Complex, part: Complex, s: int, n: int):
-    offsets = getattr(U, "summand_offsets", None)
-    if offsets is None:
-        return 0, U.term(n).dim
-    return offsets[n][s], part.term(n).dim
+    return gh.kept("radical", lambda: radical_rows(end_h0(gh)))
 
 
 def _hom_class_action(X: Complex, U: Complex, end: GradedHom, E):
@@ -166,7 +151,8 @@ def _minimal_approximation(X: Complex, U: Complex, end: GradedHom, E, rad,
         part = summands[s]
         mats = {}
         for n, cm in comps.items():
-            off, wdt = _slice_bounds(U, part, s, n)
+            # U itself is its one summand when it is not a direct sum
+            off, wdt = U.summand_offsets[n][s] if U.summands else 0, part.term(n).dim
             if wdt == 0:
                 continue
             block = {}
@@ -227,7 +213,7 @@ def coresolve_A(U: Complex, max_steps: int, gh: GradedHom) -> Coresolution | Non
     if U.is_empty() or _self_extension(gh, 1, U.hi - U.lo) is not None:
         return None
     A = U.algebra
-    summands = _summands(U)
+    summands = U.summands or [U]
     E = end_h0(gh)
     rad = end_radical(gh)
 
@@ -312,7 +298,7 @@ def goodify(U: Complex, max_steps: int = 8,
     report = report or silting_report(U, max_steps)
     if report.n is None:
         return None
-    summands = _summands(U)
+    summands = U.summands or [U]
     return direct_sum_complexes([summands[s] for mult in report.multiplicities
                                  for s, k in mult.items() for _ in range(k)])
 

@@ -111,14 +111,14 @@ class SiltingContext:
     off gh, B the dg-endomorphism algebra of U built on that same gh, C the
     non-positive truncation of B, and Uc is U turned into a left C-module
     through evaluation.  Each is built on first use and then kept, so a
-    refuted U, decided by its report alone, never gets a dg-end.  H^0 End(U)
-    and its radical are kept on gh (dg.end_h0, silting.end_radical), where
-    the report's coresolution left them.  Module
-    probes as one-degree complexes, hom complexes, hom modules into probe
-    complexes, resolutions, tensors, counit reports and the classification
-    of module probes are cached under the objects they come from, since
-    several checks revisit them; a key keeps its object alive, so a cached
-    entry can never answer for another.
+    refuted U, decided by its report alone, never gets a dg-end.  The dg-end
+    itself, H^0 End(U) and its radical are kept on gh (GradedHom.kept, through
+    dg.end_dg, dg.end_h0 and silting.end_radical), where the report's
+    coresolution left the last two.  Module probes as one-degree complexes,
+    hom complexes, hom modules into probe complexes, resolutions, tensors,
+    counit reports and the classification of module probes are cached under
+    the objects they come from, since several checks revisit them; a key
+    keeps its object alive, so a cached entry can never answer for another.
     """
 
     def __init__(self, U: Complex, max_steps: int = 8):
@@ -330,10 +330,7 @@ def verify_counit(ctx: SiltingContext, X: Complex, window, extra_margin: int = 0
     win = _window(window)
     MX = ctx.hom_module(X)
     T = ctx.tensor(MX, win, extra_margin)
-    if hasattr(T, "resolution"):
-        eps = _evaluation_chain_map(T, MX.gh, T.resolution.gen_augs, X)
-    else:
-        eps = ChainMap(T, X, {}, validate=False)
+    eps = _evaluation_chain_map(T, MX.gh, T.resolution.gen_augs, X)
     table, ok = _cohomology_table(T, X, eps, win)
     checks = [CheckRecord("evaluation map induces cohomology isomorphisms", ok,
                           {"h_dims": table})]
@@ -488,7 +485,8 @@ def verify_corollary_roundtrip(ctx: SiltingContext, X: Module, i: int, window,
     # the context does not keep it
     T = derived_tensor(Y, ctx.Uc, win, extra_margin=extra_margin)
 
-    if hasattr(T, "resolution"):
+    iota = []
+    if T.resolution.gens:
         # degree-0 generators go to cocycle lifts of their classes, lower ones
         # solve strictly in M: with one-point cohomology the obstruction lies in
         # H^{g+1} M = 0 for g != -1, and at g = -1 the class identification kills it
@@ -498,14 +496,11 @@ def verify_corollary_roundtrip(ctx: SiltingContext, X: Module, i: int, window,
             return M.diff(g).solve_left_rows(rhs)
 
         iota = lift_generators(T.resolution, M.act, solve)
-        lift_ok = iota is not None
         checks.append(CheckRecord("class identification lifts to the hom module",
-                                  lift_ok, {}))
-        if not lift_ok:
+                                  iota is not None, {}))
+        if iota is None:
             return VerificationReport("concentration-roundtrip", subject, checks, notes)
-        eps = _evaluation_chain_map(T, M.gh, iota, Xi_c)
-    else:
-        eps = ChainMap(T, Xi_c, {}, validate=False)
+    eps = _evaluation_chain_map(T, M.gh, iota, Xi_c)
     table2, ok = _cohomology_table(T, Xi_c, eps, win)
     checks.append(CheckRecord("tensor of the concentrated module returns the probe",
                               ok, {"h_dims": table2, "shift": -i}))
@@ -523,7 +518,7 @@ def functoriality_probe(ctx: SiltingContext, window,
     from U itself.  A sum that is U itself (U has two summands) reads U's
     own counit.
     """
-    parts = list(getattr(ctx.U, "summands", [])) or [ctx.U]
+    parts = ctx.U.summands or [ctx.U]
     sums = []
     if len(parts) == 1:
         sums.append(("double", direct_sum_complexes([parts[0], parts[0]])))
@@ -561,10 +556,10 @@ def naturality_probe(ctx: SiltingContext, X: Complex, Xp: Complex, window,
     MXp = ctx.hom_module(Xp)
     TX = ctx.tensor(MX, win, extra_margin)
     TXp = ctx.tensor(MXp, win, extra_margin)
-    if not (hasattr(TX, "resolution") and hasattr(TXp, "resolution")):
+    P, Pp = TX.resolution, TXp.resolution
+    if not (P.gens and Pp.gens):
         return VerificationReport("naturality", "probe pair", [],
                                   {"vacuous": "degenerate tensor, nothing to compare"})
-    P, Pp = TX.resolution, TXp.resolution
     epsX = _evaluation_chain_map(TX, MX.gh, P.gen_augs, X)
     epsXp = _evaluation_chain_map(TXp, MXp.gh, Pp.gen_augs, Xp)
 

@@ -336,7 +336,7 @@ def reference_coresolutions(U, max_steps: int, B) -> list:
     and None otherwise.
     """
     A = U.algebra
-    summands = silting._summands(U)
+    summands = U.summands or [U]
     E = end_h0(B.gh)
     rad = silting.end_radical(B.gh)
     X = projective_complex(A, {0: list(range(len(A.idempotents)))})

@@ -14,11 +14,11 @@ from siltcheck.algebra import (
     DimensionCapError,
     Module,
     ModuleMap,
+    ProjectiveModule,
     Quiver,
     direct_sum_modules,
     hom_space,
     path_algebra,
-    projective_module,
     simple_module,
 )
 from siltcheck.complexes import (direct_sum_complexes, hom_complex,
@@ -75,7 +75,7 @@ def test_commutative_square():
     a, b, c, d = (A.labels.index(x) for x in "abcd")
     ab = A.basis_product(a, b)
     assert ab == A.basis_product(c, d) and ab
-    P1 = projective_module(A, 0)
+    P1 = ProjectiveModule(A, 0)
     assert P1.dim == 4
     assert P1.dimension_vector() == (1, 1, 1, 1)
 
@@ -83,7 +83,7 @@ def test_commutative_square():
 def test_kronecker_two_arrows():
     A = path_algebra(Quiver(["1", "2"], [("a", "1", "2"), ("b", "1", "2")]), F101)
     assert A.dim == 4
-    P1, P2 = projective_module(A, 0), projective_module(A, 1)
+    P1, P2 = ProjectiveModule(A, 0), ProjectiveModule(A, 1)
     assert len(hom_space(P1, P2)) == 0
     assert len(hom_space(P2, P1)) == 2
 
@@ -212,7 +212,7 @@ def test_algebra_validation_checks_every_pair_past_desk_scale():
 
 def test_projectives_and_simples_two_vertex():
     A = two_vertex_algebra()
-    P1, P2 = projective_module(A, 0), projective_module(A, 1)
+    P1, P2 = ProjectiveModule(A, 0), ProjectiveModule(A, 1)
     assert (P1.dim, P2.dim) == (2, 1)
     assert P1.dimension_vector() == (1, 1)
     assert P2.dimension_vector() == (0, 1)
@@ -246,7 +246,7 @@ def test_hom_composition_and_coordinates():
 
 def test_module_map_validation():
     A = two_vertex_algebra()
-    P1, P2 = projective_module(A, 0), projective_module(A, 1)
+    P1, P2 = ProjectiveModule(A, 0), ProjectiveModule(A, 1)
     with pytest.raises(AssertionError):
         ModuleMap(P1, P2, Matrix.from_rows(Q, [[0], [1]]))
 
@@ -278,7 +278,7 @@ def test_module_validation_checks_every_basis_element_past_desk_scale():
 
 def test_endomorphism_algebra_of_projective_generator():
     A = two_vertex_algebra()
-    P1, P2 = projective_module(A, 0), projective_module(A, 1)
+    P1, P2 = ProjectiveModule(A, 0), ProjectiveModule(A, 1)
     E = endomorphism_algebra(A, [P1, P2])
     # End(P1 + P2) is again the two-vertex algebra: two idempotents, one
     # connecting map f: P2 -> P1
@@ -312,7 +312,7 @@ def test_endomorphism_algebra_skips_zero_composites_into_empty_blocks():
 
 def test_direct_sum_offsets():
     A = two_vertex_algebra()
-    P1, P2 = projective_module(A, 0), projective_module(A, 1)
+    P1, P2 = ProjectiveModule(A, 0), ProjectiveModule(A, 1)
     M = direct_sum_modules(A, [P1, P2, P1])
     assert M.dim == 5
     assert M.summand_offsets == [(0, 2), (2, 1), (3, 2)]

@@ -20,10 +20,10 @@ from oracles import nonzero_entries, reference_coords_of
 from siltcheck.algebra import (
     Module,
     ModuleMap,
+    ProjectiveModule,
     Quiver,
     hom_space,
     path_algebra,
-    projective_module,
     simple_module,
 )
 from siltcheck.complexes import (
@@ -56,7 +56,7 @@ def A2():
 
 
 def projectives(A):
-    return projective_module(A, 0), projective_module(A, 1)
+    return ProjectiveModule(A, 0), ProjectiveModule(A, 1)
 
 
 def random_complex(A, rng, max_width=3):

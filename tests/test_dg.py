@@ -376,7 +376,7 @@ def _honest_maps(B):
     U = B.complex
     f = U.algebra.field
     yield {i: Matrix.identity(f, U.term(i).dim) for i in U.degrees() if U.term(i).dim}
-    if hasattr(U, "summands"):
+    if U.summands is not None:
         for pm in summand_projection_maps(U):
             yield pm.mats
     chain_maps = [B.gh.chain_map_from_cocycle(rep) for rep in end_h0(B.gh).class_reps]

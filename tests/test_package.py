@@ -120,3 +120,75 @@ def _uncalled_definitions() -> list:
 
 def test_every_src_definition_has_a_caller():
     assert _uncalled_definitions() == sorted(UNCALLED_BY_DESIGN)
+
+
+PROBES = {"hasattr", "getattr", "setattr", "delattr"}
+
+
+def _builds_own_instance(value, cls) -> bool:
+    """Whether value is cls(...), object.__new__(cls) or cls.__new__(cls),
+    with cls the enclosing class or the name cls."""
+    if not isinstance(value, ast.Call) or cls is None:
+        return False
+    func, own = value.func, (cls, "cls")
+    if isinstance(func, ast.Name):
+        return func.id in own
+    return (isinstance(func, ast.Attribute) and func.attr == "__new__" and bool(value.args)
+            and isinstance(value.args[0], ast.Name) and value.args[0].id in own)
+
+
+def _undeclared_structure(tree: ast.Module, module: str) -> list:
+    """(line, source) of every attribute probe (hasattr, getattr, setattr,
+    delattr), apart from getattr on cli's argparse namespace args, and of
+    every assignment to an attribute of an object other than self.  Inside
+    a method of a class C, an object the method itself made with C(...),
+    cls(...) or object.__new__(C) counts as self: an alternate constructor."""
+    found = []
+
+    def visit(node, cls, made):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name, set())
+                continue
+            if isinstance(child, ast.FunctionDef):
+                visit(child, cls, {t.id for n in ast.walk(child) if isinstance(n, ast.Assign)
+                                   and _builds_own_instance(n.value, cls)
+                                   for t in n.targets if isinstance(t, ast.Name)})
+                continue
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                    and child.func.id in PROBES
+                    and not (module == "cli" and child.func.id == "getattr"
+                             and isinstance(child.args[0], ast.Name)
+                             and child.args[0].id == "args")):
+                found.append((child.lineno, ast.unparse(child)))
+            targets = (child.targets if isinstance(child, ast.Assign) else
+                       [child.target] if isinstance(child, (ast.AugAssign, ast.AnnAssign))
+                       else [])
+            for target in targets:
+                for t in target.elts if isinstance(target, ast.Tuple) else [target]:
+                    if isinstance(t, ast.Attribute) and not (
+                            isinstance(t.value, ast.Name) and t.value.id in {"self"} | made):
+                        found.append((child.lineno, ast.unparse(t)))
+            visit(child, cls, made)
+
+    visit(tree, None, set())
+    return found
+
+
+def test_the_structure_checker_finds_probes_and_outside_writes():
+    bad = ast.parse("def f(X, args):\n    X.summands = []\n    return hasattr(X, 'a')\n"
+                    "class C:\n    def g(self, Y):\n        Y.n, self.m = 1, 2\n")
+    assert [line for line, _ in _undeclared_structure(bad, "cli")] == [2, 3, 6]
+    good = ast.parse("class M:\n    @staticmethod\n    def new():\n"
+                     "        m = object.__new__(M)\n        m.rows = ()\n        return m\n"
+                     "def main(args):\n    return getattr(args, 'cap')\n")
+    assert _undeclared_structure(good, "cli") == []
+
+
+def test_every_object_declares_its_structure():
+    # each object's fields are set by its own class, so its type is read off
+    # declared fields: no probe for an attribute, no attribute written from
+    # outside
+    found = {path.stem: _undeclared_structure(ast.parse(path.read_text()), path.stem)
+             for path in sorted((ROOT / "src" / "siltcheck").glob("*.py"))}
+    assert {module: lines for module, lines in found.items() if lines} == {}

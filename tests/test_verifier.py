@@ -14,11 +14,12 @@ import pytest
 
 from oracles import endomorphism_algebra, ext1_dim, hom_dim, reference_coords_of
 from siltcheck import verifier
-from siltcheck.algebra import (Quiver, direct_sum_modules, path_algebra,
-                               simple_module)
-from siltcheck.complexes import (ChainMap, GradedHom, ResolutionCapError,
+from siltcheck.algebra import (Quiver, direct_sum_modules, hom_space,
+                               path_algebra, simple_module)
+from siltcheck.complexes import (ChainMap, GradedHom, ResolutionCapError, cone,
                                  direct_sum_complexes, hom_complex,
-                                 module_complex, proj_replacement,
+                                 identity_chain_map, module_complex,
+                                 proj_replacement, projective_cache,
                                  projective_complex, zero_complex)
 from siltcheck.dg import DgModule
 from siltcheck.fields import PrimeField
@@ -131,6 +132,43 @@ def test_counit_table_for_the_shifted_pair_against_itself(U_silt2, ctx_silt2):
 
 def test_counit_accepts_the_zero_probe(ctx_tilt, A2):
     rep = verify_counit(ctx_tilt, zero_complex(A2), WIN, subject="zero")
+    assert rep.passed
+
+
+def test_probes_with_a_degenerate_tensor(field):
+    # U = P0 + (P2 -> P0) + (P2 -> P1) is tilting over kA_3.  X = cone(id_P0)
+    # is contractible, so Hom(U, X) is acyclic, its resolution has no
+    # generators and the tensor is zero; P0 placed in degree -5 has Hom(U, -)
+    # below the cutoff of the window, so its resolution is empty too.  The
+    # tables and notes are those of the release that built a bare zero complex
+    A3 = path_algebra(Quiver(["0", "1", "2"], [("a", "0", "1"), ("b", "1", "2")]), field)
+
+    def two_term(src, tgt):
+        (basis,) = hom_space(projective_cache(A3, src), projective_cache(A3, tgt))
+        return projective_complex(A3, {-1: [src], 0: [tgt]}, {-1: basis.mat})
+
+    P0 = projective_complex(A3, {0: [0]})
+    ctx = SiltingContext(direct_sum_complexes([P0, two_term(2, 0), two_term(2, 1)]))
+    win, zeros = (-1, 1), {n: [0, 0, 0] for n in (-1, 0, 1)}
+    X, far = cone(identity_chain_map(P0)), P0.shift(5)
+    for Y in (X, far):
+        T = ctx.tensor(ctx.hom_module(Y), DegreeWindow(*win), 0)
+        assert (T.resolution.gens, T.block_layout, T.is_empty()) == ([], {}, True)
+        rep = verify_counit(ctx, Y, win)
+        assert rep.passed and rep.checks[0].details == {"h_dims": zeros}
+    for pair in ((X, P0), (P0, X)):
+        rep = verify_fully_faithful(ctx, *pair, [-1, 0, 1])
+        assert rep.passed and rep.checks[0].details == {"h_dims": zeros}
+        rep = naturality_probe(ctx, *pair, win)
+        assert (rep.checks, rep.notes) == ([], {"vacuous": "no nonzero map to test"})
+    rep = naturality_probe(ctx, far, far, win)
+    assert (rep.checks, rep.notes) == ([], {"vacuous": "degenerate tensor, nothing to compare"})
+    # a module concentrated in degree 0 read in a window above the cutoff:
+    # no generator, so no lift is recorded
+    rep = verify_corollary_roundtrip(ctx, projective_cache(A3, 0), 0, (3, 5))
+    assert [c.name for c in rep.checks] == [
+        "probe concentrates in the expected degree", "hom module has one-point cohomology",
+        "tensor of the concentrated module returns the probe"]
     assert rep.passed
 
 
@@ -675,3 +713,16 @@ def test_every_check_can_fail(U_tilt, U_silt2, U_bad, indecs, monkeypatch):
     assert failed == CHECKS - PENDING, sorted(CHECKS - PENDING - failed)
     weak = verify_weak_nonpositive(SiltingContext(U_tilt))
     assert PENDING == {(weak.kind, c.name) for c in weak.checks}
+
+
+def test_the_shapes_the_benchmark_digests(ctx_tilt):
+    # the benchmark hashes sorted(vars(silting_report(U)).items()) and
+    # VerificationReport.as_dict(): a field added to either changes every
+    # digest, so both shapes stay as they are
+    assert list(vars(ctx_tilt.report)) == [
+        "presilting", "presilting_witness", "n", "multiplicities", "good", "tilting",
+        "module_form", "inconclusive", "equivalence_criterion"]
+    for rep in verify_all(ctx_tilt.U, window=(-1, 1), pair_degrees=(-1, 1), ctx=ctx_tilt):
+        d = rep.as_dict()
+        assert list(d) == ["checks", "kind", "notes", "passed", "subject"], rep.kind
+        assert all(list(c) == ["details", "name", "passed"] for c in d["checks"]), rep.kind
