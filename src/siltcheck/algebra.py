@@ -166,6 +166,20 @@ class Algebra:
         return DgAlgebra(self.field, {0: self.dim}, {(0, 0): mult}, {}, self.unit,
                          idempotents=[{e: self.field.one} for e in self.idempotents])
 
+    def projective(self, v: int) -> ProjectiveModule:
+        """The indecomposable projective at idempotent v, built once."""
+        if v not in self._proj:
+            self._proj[v] = ProjectiveModule(self, v)
+        return self._proj[v]
+
+    def projective_sum(self, types: Sequence[int]) -> Module:
+        """The direct sum of the listed indecomposable projectives, in the
+        listed order: the term a projective witness names, built once."""
+        types = tuple(types)
+        if types not in self._proj_sums:
+            self._proj_sums[types] = direct_sum_modules(self, [self.projective(v) for v in types])
+        return self._proj_sums[types]
+
     def basis_product(self, i: int, j: int) -> dict:
         """b_i b_j as its nonzero entries."""
         return self.mult.get((i, j), {})
@@ -328,15 +342,13 @@ def path_algebra(quiver: Quiver, field, relations=(), dimension_cap: int = 512) 
 
 class Module:
     """A right module: row vectors with one action matrix per algebra basis
-    element.  summand_offsets, (first row, dim) per summand, is set by
-    direct_sum_modules and sq by Complex.cohomology; both are None otherwise."""
+    element.  sq is set by Complex.cohomology and is None otherwise."""
 
     def __init__(self, algebra: Algebra, dim: int, action: Sequence[Matrix], validate: bool = True,
-                 summand_offsets: list | None = None, sq=None):
+                 sq=None):
         self.algebra = algebra
         self.dim = dim
         self.action = tuple(action)
-        self.summand_offsets = summand_offsets
         self.sq = sq
         if len(self.action) != algebra.dim:
             raise ValueError("need one action matrix per algebra basis element")
@@ -520,13 +532,5 @@ def simple_module(A: Algebra, idem_pos: int) -> Module:
 
 
 def direct_sum_modules(A: Algebra, mods: Sequence[Module]) -> Module:
-    f = A.field
-    action = []
-    for j in range(A.dim):
-        action.append(Matrix.block_diag(f, [m.action[j] for m in mods]))
-    offs = []
-    off = 0
-    for m in mods:
-        offs.append((off, m.dim))
-        off += m.dim
-    return Module(A, off, action, validate=False, summand_offsets=offs)
+    action = [Matrix.block_diag(A.field, [m.action[j] for m in mods]) for j in range(A.dim)]
+    return Module(A, sum(m.dim for m in mods), action, validate=False)

@@ -21,7 +21,6 @@ from .algebra import (
     Algebra,
     Module,
     ModuleMap,
-    ProjectiveModule,
     direct_sum_modules,
     generator_image,
 )
@@ -160,20 +159,9 @@ class Complex(Cochains):
         return f"Complex({dims})"
 
 
-def projective_cache(A: Algebra, v: int) -> Module:
-    """The indecomposable projective at idempotent v, built once per algebra."""
-    if v not in A._proj:
-        A._proj[v] = ProjectiveModule(A, v)
-    return A._proj[v]
-
-
-def projective_sum(A: Algebra, types: Sequence[int]) -> Module:
-    """The direct sum of the listed indecomposable projectives, in the listed
-    order: the term a projective witness names, built once per algebra."""
-    types = tuple(types)
-    if types not in A._proj_sums:
-        A._proj_sums[types] = direct_sum_modules(A, [projective_cache(A, v) for v in types])
-    return A._proj_sums[types]
+# the projectives each algebra keeps, under the names the package exports
+projective_cache = Algebra.projective
+projective_sum = Algebra.projective_sum
 
 
 def zero_complex(A: Algebra) -> Complex:

@@ -23,11 +23,10 @@ deeper one.
 Maps out of a semifree module are easy to write down: a map is its list of
 values on the generators, the value on a cell e.C lying in N.e.
 SemifreeHom is the hom complex out of a semifree module into a dg-module in
-those coordinates, and derived Hom over the base is its cohomology.
-lift_generators builds a degree-0 map one generator at a time in filtration
-order, each value solving the chain-map condition against those already
-chosen.  Along a resolution a map lifts only up to homotopy, so
-lift_up_to_homotopy lifts into the augmentation cone the resolution has.
+those coordinates, and derived Hom over the base is its cohomology.  Along a
+resolution a map lifts only up to homotopy, so lift_up_to_homotopy builds a
+degree-0 map one generator at a time in filtration order, each value solving
+the chain-map condition in the augmentation cone the resolution has.
 """
 
 from __future__ import annotations
@@ -406,59 +405,41 @@ class SemifreeHom(Cochains):
         return d
 
 
-def lift_generators(P: SemifreeModule, act, solve) -> list | None:
-    """Values of a degree-0 map out of P, chosen generator by generator.
-
-    Generators are taken in filtration order.  For the k-th one (degree g),
-    the values already chosen determine the image of its differential,
-    rhs = the sum of act(degree of k2, value of k2, degree of c, c) over the
-    components c of d gen k at k2 (gen_dcomps[k]), a target vector of degree
-    g + 1; act is the right action of the target, such as DgModule.act.
-    solve(k, g, rhs) returns a value in target degree g, or None when there
-    is none.  The generator is a cell e.C, so its value is that solution
-    times e, which still solves the system because rhs and the augmentation
-    target already lie in target.e.  Returns None as soon as one generator
-    has no value.
-    """
-    C = P.algebra
-    reduce = C.field.reduce_entries
-    vals: list = []
-    for k, g in enumerate(P.gens):
-        rhs: dict = {}
-        for k2, delta in P.gen_dcomps[k].items():
-            for j, x in act(P.gens[k2], vals[k2], g + 1 - P.gens[k2], delta).items():
-                rhs[j] = rhs.get(j, 0) + x
-        sol = solve(k, g, reduce(rhs))
-        if sol is None:
-            return None
-        vals.append(act(g, sol, 0, C.idempotents[P.cells[k]]))
-    return vals
-
-
 def lift_up_to_homotopy(P: SemifreeModule, Q: SemifreeModule, targets) -> list | None:
     """A chain map lam: P -> Q whose augmentation is homotopic to the map with
     generator values targets, as its values; None when a class of Q's cone
-    obstructs, which cannot happen at or above Q.cutoff.  lam_k and the
-    homotopy's value h_k on generator k of degree g are one cone element
-    (lam_k, -h_k) of degree g - 1, solving Q.cone_diff(g - 1) against
-    (0, targets[k]) minus the values on d gen k: d lam_k = lam(d gen k) and
-    aug lam_k - targets[k] = d h_k + h(d gen k)."""
+    obstructs, which cannot happen at or above Q.cutoff.
+
+    Generators are taken in filtration order, so the values on d gen k are
+    known when generator k (degree g) is reached.  lam_k and the homotopy's
+    value h_k on it are one cone element (lam_k, -h_k) of degree g - 1,
+    solving Q.cone_diff(g - 1) against (0, targets[k]) minus the values on
+    d gen k: d lam_k = lam(d gen k) and aug lam_k - targets[k] =
+    d h_k + h(d gen k).  The generator is a cell e.C, so its value is that
+    solution times e, which still solves because the right-hand side
+    already lies in the cone times e.
+    """
+    C, f = P.algebra, P.algebra.field
+
     def act(n, vec, cdeg, cvec):
+        # the right action on a cone element (q, x) of Q^n + target^{n-1}
         split = Q.dim(n)
         q = {j: c for j, c in vec.items() if j < split}
         x = {j - split: c for j, c in vec.items() if j >= split}
         return _joined(Q.act(n, q, cdeg, cvec), Q.target.act(n - 1, x, cdeg, cvec),
                        Q.dim(n + cdeg))
 
-    def solve(k, g, rhs):
+    vals: list = []
+    for k, g in enumerate(P.gens):
         want = _joined({}, targets[k], Q.dim(g + 1))
-        for j, c in rhs.items():
-            want[j] = want.get(j, 0) - c
-        return Q.cone_diff(g - 1).solve_left_rows(Q.algebra.field.reduce_entries(want))
-
-    vals = lift_generators(P, act, solve)
-    return None if vals is None else [
-        {j: c for j, c in v.items() if j < Q.dim(g)} for v, g in zip(vals, P.gens)]
+        for k2, delta in P.gen_dcomps[k].items():
+            for j, x in act(P.gens[k2], vals[k2], g + 1 - P.gens[k2], delta).items():
+                want[j] = want.get(j, 0) - x
+        sol = Q.cone_diff(g - 1).solve_left_rows(f.reduce_entries(want))
+        if sol is None:
+            return None
+        vals.append(act(g, sol, 0, C.idempotents[P.cells[k]]))
+    return [{j: c for j, c in v.items() if j < Q.dim(g)} for v, g in zip(vals, P.gens)]
 
 
 # -- derived functors -------------------------------------------------------

@@ -15,8 +15,7 @@ test.
 from dataclasses import dataclass
 
 from siltcheck import silting
-from siltcheck.algebra import (Algebra, Module, direct_sum_modules,
-                               generator_image, hom_space)
+from siltcheck.algebra import Algebra, Module, generator_image, hom_space
 from siltcheck.complexes import (ChainMap, cone, hom_complex, is_acyclic,
                                  projective_complex, read_image, zero_complex)
 from siltcheck.dg import end_h0
@@ -56,9 +55,10 @@ def endomorphism_algebra(A: Algebra, summands) -> Algebra:
     its summand; those identities are the idempotents.
     """
     f = A.field
-    T = direct_sum_modules(A, summands)
-    offs = T.summand_offsets
-    n = T.dim
+    offs, n = [], 0
+    for S in summands:
+        offs.append((n, S.dim))
+        n += S.dim
 
     def embed(small: Matrix, i: int, j: int) -> Matrix:
         big = [[f.zero] * n for _ in range(n)]

@@ -315,5 +315,4 @@ def test_direct_sum_offsets():
     P1, P2 = ProjectiveModule(A, 0), ProjectiveModule(A, 1)
     M = direct_sum_modules(A, [P1, P2, P1])
     assert M.dim == 5
-    assert M.summand_offsets == [(0, 2), (2, 1), (3, 2)]
     assert M.dimension_vector() == (2, 3)

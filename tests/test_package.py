@@ -140,7 +140,8 @@ def _builds_own_instance(value, cls) -> bool:
 def _undeclared_structure(tree: ast.Module, module: str) -> list:
     """(line, source) of every attribute probe (hasattr, getattr, setattr,
     delattr), apart from getattr on cli's argparse namespace args, and of
-    every assignment to an attribute of an object other than self.  Inside
+    every assignment to an attribute of an object other than self or to an
+    entry of such an attribute, as X._cache[key] = value.  Inside
     a method of a class C, an object the method itself made with C(...),
     cls(...) or object.__new__(C) counts as self: an alternate constructor."""
     found = []
@@ -166,6 +167,8 @@ def _undeclared_structure(tree: ast.Module, module: str) -> list:
                        else [])
             for target in targets:
                 for t in target.elts if isinstance(target, ast.Tuple) else [target]:
+                    if isinstance(t, ast.Subscript):
+                        t = t.value
                     if isinstance(t, ast.Attribute) and not (
                             isinstance(t.value, ast.Name) and t.value.id in {"self"} | made):
                         found.append((child.lineno, ast.unparse(t)))
@@ -177,10 +180,12 @@ def _undeclared_structure(tree: ast.Module, module: str) -> list:
 
 def test_the_structure_checker_finds_probes_and_outside_writes():
     bad = ast.parse("def f(X, args):\n    X.summands = []\n    return hasattr(X, 'a')\n"
-                    "class C:\n    def g(self, Y):\n        Y.n, self.m = 1, 2\n")
-    assert [line for line, _ in _undeclared_structure(bad, "cli")] == [2, 3, 6]
+                    "class C:\n    def g(self, Y):\n        Y.n, self.m = 1, 2\n"
+                    "        Y._cache[0] = self._cache[1] = 3\n")
+    assert [line for line, _ in _undeclared_structure(bad, "cli")] == [2, 3, 6, 7]
     good = ast.parse("class M:\n    @staticmethod\n    def new():\n"
-                     "        m = object.__new__(M)\n        m.rows = ()\n        return m\n"
+                     "        m = object.__new__(M)\n        m.rows = ()\n        m._memo[0] = 1\n"
+                     "        return m\n"
                      "def main(args):\n    return getattr(args, 'cap')\n")
     assert _undeclared_structure(good, "cli") == []
 
