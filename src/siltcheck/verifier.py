@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .algebra import Algebra, Module, direct_sum_modules, simple_module
+from .algebra import Algebra, Module, ProjectiveModule, direct_sum_modules, simple_module
 from .complexes import (ChainMap, Complex, GradedHom, direct_sum_complexes,
                         hom_complex, module_complex, proj_replacement,
                         projective_cache, projective_complex)
@@ -113,11 +113,11 @@ class SiltingContext:
     refuted U, decided by its report alone, never gets a dg-end.  The dg-end
     itself, H^0 End(U) and its radical are kept on gh (GradedHom.kept, through
     dg.end_dg, dg.end_h0 and silting.end_radical), where the report's
-    coresolution left the last two.  Module probes as one-degree complexes,
-    hom complexes, hom modules into probe complexes, resolutions, tensors,
-    counit reports and the classification of module probes are cached under
-    the objects they come from, since several checks revisit them; a key
-    keeps its object alive, so a cached entry can never answer for another.
+    coresolution left the last two.  A module is read as itself, one complex
+    in degree 0 (module), and hom complexes, hom modules, resolutions,
+    tensors, counit reports and classifications are cached under the objects
+    they come from, since several checks revisit them; a key keeps its
+    object alive, so a cached entry can never answer for another.
     """
 
     def __init__(self, U: Complex, max_steps: int = 8):
@@ -154,12 +154,11 @@ class SiltingContext:
     def Uc(self) -> DgModule:
         return evaluation_left_module(self.C, self.U)
 
-    def module(self, X: Module, degree: int) -> Complex:
-        """X as a complex concentrated in one degree, built once per module
-        and degree, so Hom(U, X[-degree]) is built once too."""
-        if (X, degree) not in self._modules:
-            self._modules[(X, degree)] = module_complex(X, degree)
-        return self._modules[(X, degree)]
+    def module(self, X: Module) -> Complex:
+        """X in degree 0, built once per module, so Hom(U, X) is built once too."""
+        if X not in self._modules:
+            self._modules[X] = module_complex(X)
+        return self._modules[X]
 
     def hom(self, X: Complex, Y: Complex) -> GradedHom:
         """The hom complex of X into Y, built once per pair; Hom(U, U) is
@@ -314,7 +313,7 @@ def verify_E_iso(ctx: SiltingContext) -> VerificationReport:
     notes: dict = {"idempotents": len(E.idempotents)}
     if all(U.h_dim(n) == 0 for n in U.degrees() if n != 0):
         # U resolves H^0 U, so End_A(H^0 U) is H^0 Hom(U, H^0 U)
-        end_dim = ctx.hom(U, ctx.module(U.cohomology(0), 0)).h_dim(0)
+        end_dim = ctx.hom(U, ctx.module(U.cohomology(0))).h_dim(0)
         try:
             rad_e = len(end_radical(gh))
         except ValueError:
@@ -437,7 +436,7 @@ def classify_Xi(ctx: SiltingContext, X: Module) -> XiClassification:
     n = ctx.report.n
     if n is None:
         raise ValueError("coresolution did not terminate; cannot fix the degree range")
-    gh = ctx.hom(ctx.U, ctx.module(X, 0))
+    gh = ctx.hom(ctx.U, ctx.module(X))
     dims = {j: gh.h_dim(j) for j in range(0, n + 1)}
     if X.dim == 0:
         return XiClassification(0, dims, True, n)
@@ -454,8 +453,9 @@ def verify_corollary_roundtrip(ctx: SiltingContext, X: Module, i: int, window,
     cohomology in degree 0 alone.  The truncation is non-positive, so both
     the truncation of M below degree 0 and H^0 M are then quasi-isomorphic
     to M, and tensoring H^0 M back and shifting by -i reproduces X exactly
-    when the counit of X[i] is a quasi-isomorphism: the context's counit
-    report of X[i] is read as that check.
+    when the counit of X[i] is a quasi-isomorphism.  Hom(U, X[i]) is
+    Hom(U, X) shifted by i, so both read X itself: the classification's
+    Hom(U, X) and the counit of X at the window shifted by i, keys moved back.
     """
     win = _window(window)
     cls = ctx.classification(X)
@@ -470,15 +470,14 @@ def verify_corollary_roundtrip(ctx: SiltingContext, X: Module, i: int, window,
     if cls.index != i:
         return VerificationReport("concentration-roundtrip", subject, checks, notes)
 
-    Xi_c = ctx.module(X, -i)
-    M = ctx.hom_module(Xi_c)
-    purity = all(M.h_dim(nn) == 0 for nn in M.degrees() if nn != 0)
-    checks.append(CheckRecord("hom module has one-point cohomology", purity,
-                              {"h_table": M.h_table()}))
-    counit = ctx.counit(Xi_c, win, extra_margin)
+    Xc = ctx.module(X)
+    h_table = {n - i: d for n, d in ctx.hom(ctx.U, Xc).h_table().items()}
+    checks.append(CheckRecord("hom module has one-point cohomology", set(h_table) <= {0},
+                              {"h_table": h_table}))
+    counit = ctx.counit(Xc, DegreeWindow(win.lo + i, win.hi + i), extra_margin)
+    h_dims = {n - i: row for n, row in counit.checks[0].details["h_dims"].items()}
     checks.append(CheckRecord("tensor of the concentrated module returns the probe",
-                              counit.passed,
-                              {"h_dims": counit.checks[0].details["h_dims"], "shift": -i}))
+                              counit.passed, {"h_dims": h_dims, "shift": -i}))
     return VerificationReport("concentration-roundtrip", subject, checks, notes)
 
 
@@ -588,33 +587,33 @@ def _tensor_of_lift(TX: Complex, TXp: Complex, P: SemifreeModule,
 
 
 def probe_modules(A: Algebra) -> dict:
-    """Indecomposable projectives and, for path algebras, the vertex simples."""
+    """Indecomposable projectives and, for path algebras, the vertex simples
+    (the simple at a sink is its projective, the very module object)."""
     out = {}
     for v in range(len(A.idempotents)):
-        out[f"proj{v}"] = projective_cache(A, v)
+        P = out[f"proj{v}"] = projective_cache(A, v)
         if A.path_info is not None:
-            out[f"simple{v}"] = simple_module(A, v)
+            out[f"simple{v}"] = P if P.dim == 1 else simple_module(A, v)
     return out
 
 
-def probe_complexes(A: Algebra, mods: dict, cap: int = 16, names=None) -> dict:
-    """Projective-complex witnesses for the module probes mods, as
-    probe_modules(A) built them, plus the free module.
-
-    With names given, only the probes named there are built.  A module probe
-    whose replacement is a complex already built (the simple at a sink of a
-    path algebra is projective) is handed that complex object, so every
-    per-complex cache builds each pair once.
+def probe_complexes(ctx: SiltingContext, mods: dict, cap: int = 16, names=None) -> dict:
+    """Sources of homs out of the module probes mods, as probe_modules(ctx.A)
+    built them, plus the free module: a projective module's own one-term
+    complex, else the projective replacement of ctx.module(M).  Probe names
+    sharing a module share its one source; with names given, only those
+    probes are built.
     """
-    out = {}
+    A = ctx.A
+    out, sources = {}, {}
     for name, M in sorted(mods.items()):
         if names is not None and name not in names:
             continue
-        if name.startswith("proj"):
-            out[name] = projective_complex(A, {0: [int(name[4:])]})
-        else:
-            P = proj_replacement(module_complex(M), cap)[0]
-            out[name] = next((Q for Q in out.values() if _same_complex(P, Q)), P)
+        if M not in sources:
+            sources[M] = (projective_complex(A, {0: [M.vertex]})
+                          if isinstance(M, ProjectiveModule)
+                          else proj_replacement(ctx.module(M), cap)[0])
+        out[name] = sources[M]
     if names is None or "free" in names:
         out["free"] = projective_complex(A, {0: list(range(len(A.idempotents)))})
     return out
@@ -642,7 +641,7 @@ def _canonical_sequence(ctx: SiltingContext, X: Module) -> tuple[Module, Module]
     f = A.field
     Z = Complex(A, {0: U.term(0), 1: U.term(1)}, {0: U.diff(0)},
                 validate=False).cohomology(0)
-    gh = ctx.hom(U, ctx.module(X, 0))
+    gh = ctx.hom(U, ctx.module(X))
     classes = gh.subquotient(0).rep_entries
     rows = []
     for rep in classes:
@@ -758,22 +757,23 @@ def verify_all(U: Complex, window=(-4, 4), pair_degrees=(-2, 2), max_steps: int 
     delta = verify_delta(ctx, win, extra_margin)
     reports.append(delta)
 
-    cplx = probe_complexes(ctx.A, mods, cap, probe_names)
+    cplx = probe_complexes(ctx, mods, cap, probe_names)
     if probe_names is None or "silting" in probe_names:
         cplx["silting"] = ctx.U
     # probe names may share one complex: simple2 is proj2 over kA_n, and a
-    # probe equal to U (the free module, given as P0+P1+P2) is U itself.
-    # Each complex and each pair of complexes is checked once and reported
-    # under every name.
+    # probe equal to U (the free module, given as P0+P1+P2) is U itself.  A
+    # module probe is read as itself; cplx holds it only as a hom's source.
+    # Each complex and pair is checked once and reported under every name.
     cplx = {name: ctx.U if _same_complex(X, ctx.U) else X for name, X in cplx.items()}
+    target = {name: ctx.module(mods[name]) if name in mods else X for name, X in cplx.items()}
     names = sorted(cplx)
     for name in names:
-        reports.append(ctx.counit(cplx[name], win, extra_margin).filed_as(name))
+        reports.append(ctx.counit(target[name], win, extra_margin).filed_as(name))
     degs = list(range(pr.lo, pr.hi + 1))
     pairs = {}
     for n1 in names:
         for n2 in names:
-            key = (cplx[n1], cplx[n2])
+            key = (cplx[n1], target[n2])
             if key not in pairs:
                 pairs[key] = verify_fully_faithful(ctx, *key, degs, extra_margin)
             reports.append(pairs[key].filed_as(f"{n1}->{n2}"))

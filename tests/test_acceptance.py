@@ -177,7 +177,7 @@ def test_two_term_silting_dg_end_cohomology_profile(U_silt2, indecs, field):
 
 
 def _standard_probes(ctx):
-    probes = probe_complexes(ctx.A, probe_modules(ctx.A))
+    probes = probe_complexes(ctx, probe_modules(ctx.A))
     probes["silting"] = ctx.U
     return probes
 

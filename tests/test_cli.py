@@ -594,20 +594,22 @@ def test_a_refuted_input_is_never_coresolved(capsys, monkeypatch, command):
 def test_verify_of_a_tilting_module_resolves_only_the_simple_probes(capsys,
                                                                      monkeypatch):
     # the tilting-theorem report reads the battery, so the run coresolves
-    # the input alone and resolves nothing but the two simple probes
+    # the input alone; the one non-projective probe, the simple at the
+    # source (the simple at the sink is P1), is the only one resolved
     _, calls = _count_calls(monkeypatch)
     code, _, _ = run_cli(capsys, "verify", FIX_A2, "U-tilt")
     assert code == 0
     totals = _totals(calls)
     assert totals["coresolve_A"] == 1
-    assert totals["proj_replacement"] == 2
+    assert totals["proj_replacement"] == 1
     assert totals["dg_end"] == 1
     assert totals["h0_algebra"] == 1
 
 
 def test_verify_builds_each_probe_module_once(capsys, monkeypatch):
     # the probe complexes are read off the module probes verify_all built,
-    # so each vertex simple is built and validated once per run
+    # so each vertex simple is built and validated once per run, and the
+    # simple at the sink is not built at all: it is the projective P1
     from siltcheck import verifier
 
     built = Counter()
@@ -620,7 +622,7 @@ def test_verify_builds_each_probe_module_once(capsys, monkeypatch):
     monkeypatch.setattr(verifier, "simple_module", counted)
     code, _, _ = run_cli(capsys, "verify", FIX_A2, "U-tilt")
     assert code == 0
-    assert built == {0: 1, 1: 1}
+    assert built == {0: 1}
 
 
 def test_verify_resolves_each_module_degree_once(capsys, monkeypatch):
@@ -685,7 +687,7 @@ def _target_key(Y):
 
 def test_verify_builds_each_hom_complex_once(capsys, monkeypatch):
     # the context owns one hom complex per (source, target) pair, Hom(U, U)
-    # is the dg-end's own, and a module probe is wrapped once per degree
+    # is the dg-end's own, and a module is wrapped once, in degree 0
     from siltcheck import complexes
 
     _, calls = _count_calls(monkeypatch)
