@@ -136,12 +136,12 @@ class Algebra:
     forming a complete orthogonal idempotent set (for a path algebra, the
     trivial paths).  generators must multiplicatively generate the algebra and
     contain the idempotents; module-map linearity is checked against them.
-    A path algebra has its quiver and path_info; other algebras have None.
+    A path algebra has its quiver; other algebras have None.
     """
 
     def __init__(self, field, labels: Sequence[str], mult: dict, unit: dict,
                  idempotents: Sequence[int], generators: Sequence[int] | None = None,
-                 path_info=None, quiver: Quiver | None = None, validate: bool = True):
+                 quiver: Quiver | None = None, validate: bool = True):
         self.field = field
         self.labels = tuple(labels)
         self.dim = len(self.labels)
@@ -149,7 +149,6 @@ class Algebra:
         self.unit = unit
         self.idempotents = tuple(idempotents)
         self.generators = tuple(generators) if generators is not None else tuple(range(self.dim))
-        self.path_info = path_info  # list of (source, target, arrows) for path algebras
         self.quiver = quiver
         self._rmul = {}
         self._lmul = {}
@@ -332,9 +331,8 @@ def path_algebra(quiver: Quiver, field, relations=(), dimension_cap: int = 512) 
     labels = [_path_label(quiver, p) for p in basis_paths]
     trivial = [bindex[(v, ())] for v in range(len(quiver.vertices))]
     arrows = [bindex[p] for p in basis_paths if len(p[1]) == 1]
-    path_info = [(p[0], _path_target(quiver, p), p[1]) for p in basis_paths]
     return Algebra(field, labels, mult, {t: field.one for t in trivial}, trivial,
-                   generators=trivial + arrows, path_info=path_info, quiver=quiver)
+                   generators=trivial + arrows, quiver=quiver)
 
 
 # -- right modules ---------------------------------------------------------
@@ -524,7 +522,7 @@ class ProjectiveModule(Module):
 
 def simple_module(A: Algebra, idem_pos: int) -> Module:
     """Vertex simple of a path algebra: one-dimensional, only e_v acts as 1."""
-    if A.path_info is None:
+    if A.quiver is None:
         raise ValueError("simple_module needs a path algebra presentation")
     e, f = A.idempotents[idem_pos], A.field
     return Module(A, 1, [Matrix.from_entries(f, 1, 1, {0: {0: f.one}} if j == e else {})

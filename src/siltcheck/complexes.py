@@ -168,8 +168,9 @@ def zero_complex(A: Algebra) -> Complex:
     return Complex(A, {}, {}, proj_types={}, validate=False)
 
 
-def module_complex(M: Module, degree: int = 0) -> Complex:
-    return Complex(M.algebra, {degree: M}, {}, validate=False)
+def module_complex(M: Module) -> Complex:
+    """M as a complex in degree 0; M in degree d is module_complex(M).shift(-d)."""
+    return Complex(M.algebra, {0: M}, {}, validate=False)
 
 
 def projective_complex(A: Algebra, types: dict, diffs: dict | None = None) -> Complex:

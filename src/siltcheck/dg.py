@@ -256,6 +256,10 @@ class DgAlgebra(_Graded):
         """(deg-m element u) * (deg-n element v), in degree m+n."""
         return table_product(self.field, self.mult.get((m, n)), u, v)
 
+    # the algebra as a left module over itself: act(m, a, n, x) = a*x, as
+    # for a left DgModule
+    act = product
+
     def is_nonpositive(self) -> bool:
         return self.hi <= 0
 

@@ -20,6 +20,14 @@ above it, one resolution answers for every cutoff: to_cutoff reads a
 shallower one off its generators and continues the same construction for a
 deeper one.
 
+A resolution P is P (x)_C C, with C acting on itself, so its terms and its
+differential are built by the code that builds P (x)_C U for a left module U:
+tensor_blocks lays out the cells e.N^j of each degree of P (x)_C N, and
+tensor_map writes f (x) N for a map f of semifree modules given by its
+components on the generators.  The differential of P (x)_C N is d_P (x) N
+plus the differential of N; the lift of a map of resolutions, tensored with
+U, is the same rows without it.
+
 Maps out of a semifree module are easy to write down: a map is its list of
 values on the generators, the value on a cell e.C lying in N.e.
 SemifreeHom is the hom complex out of a semifree module into a dg-module in
@@ -116,23 +124,15 @@ class SemifreeModule:
         return memo[kind]
 
     def blocks(self, n: int) -> list:
-        """(k, the cell basis of generator k in degree n) for every generator
-        whose cell can be nonzero there."""
-        return self._memo("blocks", n, self._blocks)
-
-    def _blocks(self, n: int) -> list:
-        # the cell of a degree-g generator sits in degrees g + C.lo .. g, so
-        # n <= g <= n - C.lo: one slice of the non-increasing gens
-        C = self.algebra
-        start = bisect_left(self.gens, C.lo - n, key=neg)
-        stop = bisect_right(self.gens, -n, key=neg)
-        return [(k, C.cell(self.cells[k], n - self.gens[k])) for k in range(start, stop)]
+        """tensor_blocks(self, C, n): the module is P (x)_C C, so generator k
+        contributes the cell basis of e.C^{n - gens[k]}."""
+        return self._memo("blocks", n, lambda n: tensor_blocks(self, self.algebra, n))
 
     def layout(self, n: int) -> list:
         """(k, b) for each position of the degree-n basis: the b-th cell row
         of generator k."""
         return self._memo("layout", n, lambda n: [
-            (k, b) for k, cell in self.blocks(n) for b in range(cell.dim)])
+            (k, b) for k, _, cell in self.blocks(n) for b in range(cell.dim)])
 
     def offsets(self, n: int) -> dict:
         """k -> (first position, cell) of each block of blocks(n)."""
@@ -158,14 +158,8 @@ class SemifreeModule:
     def element(self, n: int, comps: dict) -> dict:
         """The degree-n element with the given components, each lying in its
         generator's cell."""
-        offsets = self.offsets(n)
-        out = {}
-        for k, v in comps.items():
-            if v and k in offsets:
-                start, cell = offsets[k]
-                for t, c in cell.coords(v).items():
-                    out[start + t] = c
-        return out
+        f = self.algebra.field
+        return block_row(f, self.offsets(n), ((k, f.one, v) for k, v in comps.items()))
 
     def act(self, n: int, vec: dict, cdeg: int, cvec: dict) -> dict:
         """Right action of a degree-cdeg base element on a degree-n element."""
@@ -182,33 +176,19 @@ class SemifreeModule:
             k: C.product(n - self.gens[k], v, cdeg, cvec) for k, v in comps.items()})
 
     def diff_matrix(self, n: int) -> Matrix:
-        return self._memo("diff", n, self._diff_matrix)
+        """The differential of P (x)_C C, as tensor_map builds it."""
+        return self._memo("diff", n, lambda n: tensor_map(
+            self.algebra, self, self.blocks(n), self, self.blocks(n + 1), self.gen_dcomps,
+            1, diff=True))
 
     def aug_matrix(self, n: int) -> Matrix:
         return self._memo("aug", n, self._aug_matrix)
 
-    def _diff_matrix(self, n: int) -> Matrix:
-        C = self.algebra
-        f = C.field
-        rows = []
-        for k, cell in self.blocks(n):
-            g = self.gens[k]
-            bdeg = n - g
-            for beta in cell.rows:
-                # d(gen) acted on by the base coefficient
-                comps = {k2: C.product(g + 1 - self.gens[k2], delta, bdeg, beta)
-                         for k2, delta in self.gen_dcomps[k].items()}
-                # the generator kept, with the sign from moving d past it
-                d = C.apply_diff(bdeg, beta)
-                comps[k] = {j: f.neg(x) for j, x in d.items()} if g % 2 else d
-                rows.append(self.element(n + 1, comps))
-        return Matrix.from_row_entries(f, self.dim(n + 1), rows)
-
     def _aug_matrix(self, n: int) -> Matrix:
         M = self.target
         return Matrix.from_row_entries(self.algebra.field, M.dim(n), [
-            M.act(self.gens[k], self.gen_augs[k], n - self.gens[k], beta)
-            for k, cell in self.blocks(n) for beta in cell.rows])
+            M.act(self.gens[k], self.gen_augs[k], j, beta)
+            for k, j, cell in self.blocks(n) for beta in cell.rows])
 
     def cone_dim(self, n: int) -> int:
         return self.dim(n + 1) + self.target.dim(n)
@@ -310,10 +290,46 @@ def _joined(q: dict, x: dict, split: int) -> dict:
     return out
 
 
+def gen_slice(gens: list, lo: int, hi: int) -> range:
+    """The k with lo <= gens[k] <= hi: one slice of the non-increasing gens."""
+    return range(bisect_left(gens, -hi, key=neg), bisect_right(gens, -lo, key=neg))
+
+
+def tensor_blocks(P: SemifreeModule, N, n: int) -> list:
+    """The blocks of degree n of P (x)_C N, for N a left module over the base
+    C or C itself: (k, j, echelon basis of e.N^j) for each generator k, a
+    cell e.C of degree g, with e.N^j nonzero at j = n - g."""
+    return [(k, n - P.gens[k], cell) for k in gen_slice(P.gens, n - N.hi, n - N.lo)
+            if (cell := N.cell(P.cells[k], n - P.gens[k])).dim]
+
+
+def tensor_map(N, P: SemifreeModule, blocks: list, Q: SemifreeModule, target: list,
+               comps, shift: int = 0, diff: bool = False) -> Matrix:
+    """The rows of f (x) N from the blocks of P (x)_C N in one degree to the
+    target blocks of Q (x)_C N, shift degrees up, for the map f: P -> Q of
+    degree shift sending generator k of P to the sum over k2 of generator k2
+    of Q times comps[k][k2], an element of C in the standard basis.  With
+    diff, each row also holds P (x) d_N, (-1)^g gen k (x) d u: for f = d_P,
+    given by P.gen_dcomps, that is the differential of P (x)_C N.  N is a
+    left module over the base C, or C itself."""
+    f = N.field
+    offsets, width = block_offsets(target)
+    rows = []
+    for k, j, cell in blocks:
+        g = P.gens[k]
+        sign = f.neg(f.one) if g % 2 else f.one
+        for u in cell.rows:
+            images = [(k, sign, N.apply_diff(j, u))] if diff else []
+            images += [(k2, f.one, N.act(g + shift - Q.gens[k2], c, j, u))
+                       for k2, c in comps[k].items() if k2 in offsets]
+            rows.append(block_row(f, offsets, images))
+    return Matrix.from_row_entries(f, width, rows)
+
+
 def block_offsets(blocks) -> tuple[dict, int]:
-    """k -> (start, cell) for blocks (k, cell) laid out in order, and the width."""
+    """k -> (start, cell) for blocks (k, j, cell) laid out in order, and the width."""
     offsets, width = {}, 0
-    for k, cell in blocks:
+    for k, _, cell in blocks:
         offsets[k] = (width, cell)
         width += cell.dim
     return offsets, width
@@ -362,19 +378,17 @@ class SemifreeHom(Cochains):
                 self._meets.setdefault(k, []).append((k3, delta))
 
     def blocks(self, m: int) -> list:
-        """(k, the basis of N^{m+g}.e holding generator k's values) for the
-        generators whose values can be nonzero: N.lo <= m + g <= N.hi, one
-        slice of the non-increasing gens, built once per degree."""
+        """(k, j, the basis of N^j.e holding generator k's values) for the
+        generators whose values can be nonzero: N.lo <= j = m + g <= N.hi,
+        built once per degree."""
         if m not in self._blocks:
             P, N = self.P, self.N
-            start = bisect_left(P.gens, m - N.hi, key=neg)
-            stop = bisect_right(P.gens, m - N.lo, key=neg)
-            self._blocks[m] = [(k, N.cell(P.cells[k], m + P.gens[k]))
-                               for k in range(start, stop)]
+            self._blocks[m] = [(k, m + P.gens[k], N.cell(P.cells[k], m + P.gens[k]))
+                               for k in gen_slice(P.gens, N.lo - m, N.hi - m)]
         return self._blocks[m]
 
     def dim(self, m: int) -> int:
-        return sum(cell.dim for _, cell in self.blocks(m))
+        return sum(cell.dim for _, _, cell in self.blocks(m))
 
     def assemble(self, m: int, values: dict) -> dict:
         """Nonzero coordinates of the element with the given generator
@@ -393,11 +407,11 @@ class SemifreeHom(Cochains):
         nsign = f.one if m % 2 else f.neg(f.one)
         offsets, width = block_offsets(self.blocks(m + 1))
         rows = []
-        for k, cell in self.blocks(m):
+        for k, j, cell in self.blocks(m):
             g = P.gens[k]
             for v in cell.rows:
-                images = [(k, f.one, N.apply_diff(m + g, v))]
-                images += [(k3, nsign, N.act(m + g, v, P.gens[k3] + 1 - g, delta))
+                images = [(k, f.one, N.apply_diff(j, v))]
+                images += [(k3, nsign, N.act(j, v, P.gens[k3] + 1 - g, delta))
                            for k3, delta in self._meets.get(k, ())]
                 rows.append(block_row(f, offsets, images))
         d = Matrix.from_row_entries(f, width, rows)
@@ -460,9 +474,8 @@ def tensor_cutoff(U: DgModule, window: DegreeWindow, extra_margin: int = 0) -> i
 
 class TensorComplex(Complex):
     """P (x)_B U over A (resolution_tensor), with P as its resolution and
-    per degree its block_layout, the list of (generator, j, echelon basis of
-    e.U^j in the coordinates of U^j) in block order: empty, and the complex
-    zero, when P has no generators."""
+    per degree its block_layout, tensor_blocks(P, U, n) in block order:
+    empty, and the complex zero, when P has no generators."""
 
     def __init__(self, A, terms: dict, diffs: dict, resolution: SemifreeModule,
                  block_layout: dict):
@@ -487,7 +500,8 @@ def resolution_tensor(P: SemifreeModule, U: DgModule) -> TensorComplex:
     """P (x)_B U for a semifree module P and a left dg-module U with a complex.
 
     The cell e.B of a generator of degree g contributes e.U^j to degree g + j,
-    an A-submodule of the term U^j.
+    an A-submodule of the term U^j; the differential is tensor_map with
+    d_P and the differential of U.
     """
     A = U.complex.algebra
     f = A.field
@@ -509,30 +523,9 @@ def resolution_tensor(P: SemifreeModule, U: DgModule) -> TensorComplex:
 
     terms, layouts = {}, {}
     for n in range(P.gens[-1] + U.lo, P.gens[0] + U.hi + 1) if P.gens else ():
-        # the generators with U.lo <= n - g <= U.hi: one slice of the gens
-        start = bisect_left(P.gens, U.lo - n, key=neg)
-        stop = bisect_right(P.gens, U.hi - n, key=neg)
-        bl = [(k, n - P.gens[k], cell) for k in range(start, stop)
-              if (cell := U.cell(P.cells[k], n - P.gens[k])).dim]
-        if not bl:
-            continue
-        terms[n] = direct_sum_modules(A, [submodule(P.cells[k], j) for k, j, _ in bl])
-        layouts[n] = bl
-    diffs = {}
-    for n in sorted(terms):
-        if n + 1 not in terms:
-            continue
-        offsets, width = block_offsets((k, cell) for k, _, cell in layouts[n + 1])
-        rows = []
-        for k, j, cell in layouts[n]:
-            g = P.gens[k]
-            sign = f.one if g % 2 == 0 else f.neg(f.one)
-            for u in cell.rows:
-                # generator kept, U differential applied; then the generator
-                # differential, its base components pushed into U
-                images = [(k, sign, U.apply_diff(j, u))]
-                images += [(k2, f.one, U.act(g + 1 - P.gens[k2], delta, j, u))
-                           for k2, delta in P.gen_dcomps[k].items()]
-                rows.append(block_row(f, offsets, images))
-        diffs[n] = Matrix.from_row_entries(f, width, rows)
+        if bl := tensor_blocks(P, U, n):
+            terms[n] = direct_sum_modules(A, [submodule(P.cells[k], j) for k, j, _ in bl])
+            layouts[n] = bl
+    diffs = {n: tensor_map(U, P, layouts[n], P, layouts[n + 1], P.gen_dcomps, 1, diff=True)
+             for n in layouts if n + 1 in layouts}
     return TensorComplex(A, terms, diffs, P, layouts)

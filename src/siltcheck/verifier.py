@@ -38,9 +38,9 @@ from .dg import (DgAlgebra, DgModule, dg_hom_module, end_dg, end_h0,
                  evaluation_left_module, opposite_dg, side_swap,
                  smart_truncate)
 from .linalg import Matrix
-from .semifree import (DegreeWindow, SemifreeHom, SemifreeModule,
-                       block_offsets, block_row, hom_cutoff, lift_up_to_homotopy,
-                       resolution_tensor, semifree_resolve, tensor_cutoff)
+from .semifree import (DegreeWindow, SemifreeHom, SemifreeModule, hom_cutoff,
+                       lift_up_to_homotopy, resolution_tensor, semifree_resolve,
+                       tensor_cutoff, tensor_map)
 from .silting import SiltingReport, end_radical, silting_report
 
 
@@ -325,8 +325,8 @@ def verify_E_iso(ctx: SiltingContext) -> VerificationReport:
                               checks, notes)
 
 
-def verify_counit(ctx: SiltingContext, X: Complex, window, extra_margin: int = 0,
-                  subject: str = "probe") -> VerificationReport:
+def verify_counit(ctx: SiltingContext, X: Complex, window,
+                  extra_margin: int = 0) -> VerificationReport:
     """Resolve Hom(U, X) over the truncation, tensor back, evaluate onto X.
 
     Passes when the evaluation map induces cohomology isomorphisms at every
@@ -339,13 +339,12 @@ def verify_counit(ctx: SiltingContext, X: Complex, window, extra_margin: int = 0
     table, ok = _cohomology_table(T, X, eps, win)
     checks = [CheckRecord("evaluation map induces cohomology isomorphisms", ok,
                           {"h_dims": table})]
-    return VerificationReport("counit", subject, checks,
+    return VerificationReport("counit", "probe", checks,
                               {"window": [win.lo, win.hi], "extra_margin": extra_margin})
 
 
 def verify_fully_faithful(ctx: SiltingContext, X: Complex, Xp: Complex, degrees,
-                          extra_margin: int = 0,
-                          subject: str = "pair") -> VerificationReport:
+                          extra_margin: int = 0) -> VerificationReport:
     """Morphism spaces before and after the hom functor, degree by degree.
 
     Compares dimensions over the base algebra with dimensions over the
@@ -379,7 +378,7 @@ def verify_fully_faithful(ctx: SiltingContext, X: Complex, Xp: Complex, degrees,
             ok = False
     checks = [CheckRecord("morphism spaces match through the functor", ok,
                           {"h_dims": table})]
-    return VerificationReport("fully-faithful", subject, checks,
+    return VerificationReport("fully-faithful", "pair", checks,
                               {"degrees": ns, "extra_margin": extra_margin})
 
 
@@ -557,30 +556,15 @@ def naturality_probe(ctx: SiltingContext, X: Complex, Xp: Complex, window,
 
 def _tensor_of_lift(TX: Complex, TXp: Complex, P: SemifreeModule,
                     Pp: SemifreeModule, lam: list, Uc: DgModule) -> ChainMap:
-    """The lifted map tensored with the identity of U, block by block.
-
-    On the block of the k-th generator of P, u goes to the sum over the
-    generators k2 of Pp of (component of lam[k] at k2) * u, in the block of k2.
-    """
-    f = Uc.algebra.field
-    mats = {}
-    for n, blocks in TX.block_layout.items():
-        tdim = TX.term(n).dim
-        pdim = TXp.term(n).dim
-        if tdim == 0:
-            continue
-        offsets, _ = block_offsets((k2, cell2)
-                                   for k2, _, cell2 in TXp.block_layout.get(n, []))
-        rows = []
-        for (k, j, cell) in blocks:
-            g = P.gens[k]
-            layout = Pp.layout(g)
-            comps = Pp.components(g, ((layout[p], c) for p, c in lam[k].items()))
-            rows.extend(block_row(f, offsets, [(k2, f.one, Uc.act(g - Pp.gens[k2], delta, j, u))
-                                               for k2, delta in comps.items() if k2 in offsets])
-                        for u in cell.rows)
-        mats[n] = Matrix.from_row_entries(f, pdim, rows)
-    return ChainMap(TX, TXp, mats)
+    """The lifted map tensored with the identity of U: tensor_map with the
+    components in Pp of each generator value lam[k]."""
+    comps = []
+    for g, value in zip(P.gens, lam):
+        layout = Pp.layout(g)
+        comps.append(Pp.components(g, ((layout[p], c) for p, c in value.items())))
+    return ChainMap(TX, TXp, {n: tensor_map(Uc, P, blocks, Pp, TXp.block_layout.get(n, []),
+                                            comps)
+                              for n, blocks in TX.block_layout.items()})
 
 
 # -- probe sets --------------------------------------------------------------
@@ -592,7 +576,7 @@ def probe_modules(A: Algebra) -> dict:
     out = {}
     for v in range(len(A.idempotents)):
         P = out[f"proj{v}"] = projective_cache(A, v)
-        if A.path_info is not None:
+        if A.quiver is not None:
             out[f"simple{v}"] = P if P.dim == 1 else simple_module(A, v)
     return out
 

@@ -594,7 +594,7 @@ def reference_semifree_act(P, n, vec, cdeg, cvec):
         acc = comps.get(k, [f.zero] * C.dim(d))
         comps[k] = [f.coerce(a + c * x) for a, x in zip(acc, row)]
     out = []
-    for k, cell in P.blocks(n + cdeg):
+    for k, _, cell in P.blocks(n + cdeg):
         d = n - P.gens[k]
         w = [f.zero] * C.dim(d + cdeg)
         table = C.mult.get((d, cdeg))
@@ -606,6 +606,49 @@ def reference_semifree_act(P, n, vec, cdeg, cvec):
                         w[t] = f.coerce(w[t] + a * x * y)
         out.extend(w[p] for p in cell.pivots)
     return nonzero_entries(out)
+
+
+def reference_semifree_diff(P, n):
+    """SemifreeModule.diff_matrix(n) as the differential of the semifree
+    module itself, not of P (x)_C C: the row of each cell basis element beta
+    of generator k (degree g) is d(gen k) beta + (-1)^g gen k d(beta),
+    d(gen k) expanded from its positions in gen_diffs over the cell rows,
+    and each component written at the pivots of its generator's cell, every
+    generator's cell laid out in order."""
+    C = P.algebra
+    f = C.field
+
+    def offsets(m):
+        out, width = {}, 0
+        for k, g in enumerate(P.gens):
+            cell = C.cell(P.cells[k], m - g)
+            out[k] = (width, cell)
+            width += cell.dim
+        return out, width
+
+    out_offsets, width = offsets(n + 1)
+    rows = []
+    for k, (_, cell) in offsets(n)[0].items():
+        g = P.gens[k]
+        dgen = {}
+        for (k2, b2), c in P.gen_diffs[k].items():
+            row = C.cell(P.cells[k2], g + 1 - P.gens[k2]).rows[b2]
+            acc = dgen.setdefault(k2, {})
+            for j, x in row.items():
+                acc[j] = f.coerce(acc.get(j, f.zero) + c * x)
+        dgen = {k2: {j: x for j, x in acc.items() if x} for k2, acc in dgen.items()}
+        for beta in cell.rows:
+            comps = {k2: C.product(g + 1 - P.gens[k2], delta, n - g, beta)
+                     for k2, delta in dgen.items()}
+            d = C.apply_diff(n - g, beta)
+            comps[k] = {j: f.neg(x) for j, x in d.items()} if g % 2 else d
+            out = {}
+            for k2, v in comps.items():
+                start, cell2 = out_offsets[k2]
+                for t, c in cell2.coords(v).items():
+                    out[start + t] = c
+            rows.append(out)
+    return Matrix.from_row_entries(f, width, rows)
 
 
 def dense_row(f, v: dict, width: int) -> tuple:

@@ -420,7 +420,7 @@ def test_proj_replacement_cap_is_the_projective_dimension(name):
     for v, types in enumerate(want):
         pd = -min(types)
         for lo in (0, 2):
-            X = module_complex(simple_module(A, v), lo)
+            X = module_complex(simple_module(A, v)).shift(-lo)
             P, _ = proj_replacement(X, cap=pd)
             assert P.proj_types == {n + lo: t for n, t in types.items()}
             if pd:

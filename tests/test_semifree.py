@@ -11,7 +11,7 @@ from collections import Counter
 
 import pytest
 
-from oracles import reference_semifree_act
+from oracles import reference_semifree_act, reference_semifree_diff
 from siltcheck import semifree
 from siltcheck.algebra import Quiver, path_algebra, simple_module
 from siltcheck.complexes import (
@@ -339,6 +339,36 @@ def test_sparse_action_matches_the_dense_route(coresolution_inputs, field_spec):
                         assert P.act(n, {x: one}, cdeg, {c: one}) == \
                             reference_semifree_act(P, n, {x: one}, cdeg, {c: one}), name
                         checked += 1
+    assert checked
+
+
+# the kA_3 complexes have truncated dg-ends with a nonzero differential, which
+# the differential of each cell reads
+@pytest.mark.parametrize("name", ["fix_a2/U-tilt", "fix_a2/U-silt2",
+                                  "a3/P0+P2+P1toP0", "a3/P1+P2toP1+P0[1]"])
+def test_resolution_differentials_match_the_reference(name, coresolution_inputs,
+                                                      monkeypatch):
+    # a resolution's differential is built as P (x)_C C, by the code that
+    # tensors with U; every resolution the battery builds, those over A.dg
+    # behind proj_replacement included, against the module's own
+    # differential in every degree
+    built = []
+    init = SemifreeModule.__init__
+
+    def spy(self, *args):
+        init(self, *args)
+        built.append(self)
+
+    monkeypatch.setattr(SemifreeModule, "__init__", spy)
+    U = coresolution_inputs({"prime": 101})[name]
+    assert all(r.passed for r in verify_all(U, window=(-1, 1), pair_degrees=(-1, 1)))
+    assert any(P.algebra is U.algebra.dg for P in built)
+    assert any(P.algebra is not U.algebra.dg for P in built)
+    checked = 0
+    for P in built:
+        for n in range(P.gens[-1] + P.algebra.lo - 1, P.gens[0] + 1) if P.gens else ():
+            assert P.diff_matrix(n) == reference_semifree_diff(P, n), (name, n)
+            checked += 1
     assert checked
 
 
