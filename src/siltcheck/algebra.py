@@ -464,7 +464,7 @@ class ProjectiveHoms:
     echelon row of space, as P.dim x N.dim matrices, each checked to be a
     module map when built.  The coordinates of a map are the entries of w at the pivots of
     space, whose echelon rows are fully reduced with unit pivots
-    (complexes.read_image).
+    (RowSpace.coords, which the hom complex reads them with).
     """
 
     def __init__(self, P: Module, N: Module):

@@ -4,6 +4,11 @@ Shifts, mapping cones, cohomology with its induced action, chain maps and
 their induced maps on cohomology, the graded hom complex, projective
 replacement (read off the semifree resolution over A) and acyclicity testing.
 
+Maps out of cells have one implementation, CellHom, with one layout and one
+differential.  A complex of projectives is semifree over A, each witness
+summand e_v A a generator with cell e_v: the graded hom complex is CellHom
+out of it, as semifree.SemifreeHom is CellHom out of a semifree resolution.
+
 Sign conventions, fixed once and asserted by constructor validation:
 * shift: X[k]^n = X^{n+k}, differential scaled by (-1)^k;
 * cone of f: X -> Y: C^n = X^{n+1} (+) Y^n with d(x, y) = (-x d_X, x f + y d_Y);
@@ -14,7 +19,9 @@ auxiliary signs.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from functools import cached_property
+from operator import neg
 from typing import Sequence
 
 from .algebra import (
@@ -24,7 +31,7 @@ from .algebra import (
     direct_sum_modules,
     generator_image,
 )
-from .linalg import Cochains, Matrix
+from .linalg import Cochains, Matrix, RowSpace
 
 
 class ResolutionCapError(RuntimeError):
@@ -128,6 +135,26 @@ class Complex(Cochains):
                 ModuleMap(self.term(n), self.term(n + 1), d)
             self._linear.add(n)
         return d
+
+    # the complex as the target of maps out of cells over A (GradedHom)
+
+    def cell(self, v: int, n: int) -> RowSpace:
+        """X^n.e_v, the echelon basis Hom(e_v A, X^n) is read in."""
+        return self.term(n).homs_from(projective_cache(self.algebra, v)).space
+
+    def apply_diff(self, n: int, x: dict) -> dict:
+        return self.linear_diff(n).apply_entries(x)
+
+    def act(self, n: int, x: dict, cdeg: int, a: dict) -> dict:
+        """x.a for x in X^n and a in A, which sits in degree cdeg = 0, read
+        off the action matrices of the basis elements in a, reduced once."""
+        action, acc = self.term(n).action, {}
+        for i, c in a.items():
+            ents = action[i].entries
+            for r, y in x.items():
+                for j, z in ents.get(r, {}).items():
+                    acc[j] = acc.get(j, 0) + c * y * z
+        return self.field.reduce_entries(acc)
 
     def shift(self, k: int) -> "Complex":
         if k == 0:
@@ -314,34 +341,152 @@ def is_acyclic(X: Complex) -> bool:
     return not any(X.h_dim(n) for n in X.degrees())
 
 
+# -- maps out of cells -----------------------------------------------------
+
+
+def gen_slice(gens: list, lo: int, hi: int) -> range:
+    """The k with lo <= gens[k] <= hi: one slice of the non-increasing gens."""
+    return range(bisect_left(gens, -hi, key=neg), bisect_right(gens, -lo, key=neg))
+
+
+def block_offsets(blocks) -> tuple[dict, int]:
+    """k -> (start, cell) for blocks (k, j, cell) laid out in order, and the width."""
+    offsets, width = {}, 0
+    for k, _, cell in blocks:
+        offsets[k] = (width, cell)
+        width += cell.dim
+    return offsets, width
+
+
+def block_row(f, offsets: dict, images) -> dict:
+    """The nonzero entries of the row summing s * (cell coordinates of v)
+    into the block of k, over the images (k, s, v); an image whose k has no
+    block adds nothing.  Cell coordinates are entries of v, so a row whose
+    positions are each written once with s = 1 is already reduced."""
+    acc, reduced = {}, True
+    for k, s, v in images:
+        if k in offsets:
+            off, cell = offsets[k]
+            reduced = reduced and s == f.one
+            for t, c in cell.coords(v).items():
+                reduced = reduced and off + t not in acc
+                acc[off + t] = acc.get(off + t, 0) + s * c
+    return acc if reduced else f.reduce_entries(acc)
+
+
+_NO_LAYOUT = ((), {}, 0)  # no generator value in this degree
+
+
+class CellHom(Cochains):
+    """Maps out of a semifree object into N, written as generator values.
+
+    Generator k has degree gens[k], non-increasing along the list, and is a
+    cell e, the cells[k]-th idempotent of the base.  A degree-m map is fixed
+    by its value on each generator, an element of N^{m + gens[k]}.e written
+    in the echelon basis N.cell(cells[k], m + gens[k]), so the degrees run
+    from N.lo - max(gens) to N.hi - min(gens).  N gives cell, apply_diff
+    (its differential) and act (the right action of the base).  A subclass
+    gives gen_dcomps, read on the first diff: gen_dcomps[k] maps k2 to the
+    component of d gen k at generator k2, an element of the base in degree
+    gens[k] + 1 - gens[k2].  The differential is
+    phi -> d_N phi - (-1)^m phi d, the value on a generator k3 picking up
+    phi(gen k) times the component of d gen k3 at k.
+    """
+
+    def __init__(self, gens: list, cells: list, N):
+        super().__init__(N.field, (N.lo - gens[0], N.hi - gens[-1])
+                         if gens and N.lo <= N.hi else ())
+        self.gens, self.cells, self.N = gens, cells, N
+        # the generators lowest degree first, those of one degree in order;
+        # a degree's blocks are the slice of them with values in N
+        order = sorted(range(len(gens)), key=lambda k: (gens[k], k))
+        degs = [gens[k] for k in order]
+        self._layouts = {}
+        for m in self.degrees():
+            blocks = [(k, m + gens[k], cell)
+                      for k in order[bisect_left(degs, N.lo - m):bisect_right(degs, N.hi - m)]
+                      if (cell := N.cell(cells[k], m + gens[k])).dim]
+            self._layouts[m] = (blocks, *block_offsets(blocks))
+        self._diffs: dict = {}
+
+    def blocks(self, m: int) -> list:
+        """(k, j, N.cell(cells[k], j)) for each generator k of degree
+        j - m whose cell in N^j is nonzero: the degree-m layout, lowest
+        generator degree first and the generators of one degree in order."""
+        return self._layouts.get(m, _NO_LAYOUT)[0]
+
+    def offsets(self, m: int) -> dict:
+        """k -> (first position, cell) of each block of blocks(m)."""
+        return self._layouts.get(m, _NO_LAYOUT)[1]
+
+    def dim(self, m: int) -> int:
+        return self._layouts.get(m, _NO_LAYOUT)[2]
+
+    def values(self, m: int, coords: dict) -> dict:
+        """k -> the value on generator k of the degree-m element with the
+        given nonzero coordinates, for each nonzero value."""
+        return {k: v for k, (off, cell) in self.offsets(m).items()
+                if (v := cell.matrix.apply_entries(
+                    {t: c for t in range(cell.dim) if (c := coords.get(off + t))}))}
+
+    def assemble(self, m: int, values: dict) -> dict:
+        """Nonzero coordinates of the degree-m element with the given
+        generator values, each an element of N^{m + gens[k]} lying in its
+        cell."""
+        offsets = self.offsets(m)
+        if any(v and k not in offsets for k, v in values.items()):
+            raise ValueError("generator value outside the degrees of N")
+        return block_row(self.field, offsets,
+                         ((k, self.field.one, v) for k, v in values.items()))
+
+    @cached_property
+    def _meets(self) -> dict:
+        """k -> (k3, the component of d gen k3 at k) for each generator k3
+        whose differential meets k."""
+        out: dict = {}
+        for k3, dcomps in enumerate(self.gen_dcomps):
+            for k, delta in dcomps.items():
+                out.setdefault(k, []).append((k3, delta))
+        return out
+
+    def diff(self, m: int) -> Matrix:
+        if m not in self._diffs:
+            gens, N, f = self.gens, self.N, self.field
+            one, up = f.one, self.offsets(m + 1)
+            rows = []
+            for k, j, cell in self.blocks(m):
+                # a value lands in a cell of N, so one missing from degree
+                # m + 1 is zero; the sign -(-1)^m of phi d goes on the base
+                later = [(k3, gens[k3] + 1 - gens[k],
+                          delta if m % 2 else {i: f.neg(c) for i, c in delta.items()})
+                         for k3, delta in self._meets.get(k, ()) if k3 in up]
+                for v in cell.rows:
+                    images = [(k, one, N.apply_diff(j, v))] if k in up else []
+                    images += [(k3, one, N.act(j, v, cdeg, delta)) for k3, cdeg, delta in later]
+                    rows.append(block_row(f, up, images))
+            self._diffs[m] = Matrix.from_row_entries(f, self.dim(m + 1), rows)
+        return self._diffs[m]
+
+
 # -- graded hom complex ----------------------------------------------------
 
 
-def read_image(out: dict, homs, pos: int, w: dict, negate: bool = False):
-    """Write into out, from position pos on, the coordinates in the basis of
-    homs = Hom(e_v A, N) of the map whose generator image is w (nonzero
-    entries), negated when asked: the coordinates of w in the echelon basis
-    of N.e_v."""
-    neg = homs.space.field.neg
-    for t, x in homs.space.coords(w).items():
-        out[pos + t] = neg(x) if negate else x
-
-
-class GradedHom(Cochains):
+class GradedHom(CellHom):
     """The hom complex out of a complex of projectives into a bounded complex.
 
     Degree-n elements are families of module maps X^i -> Y^{n+i}.  The source
-    must carry its projective witness: a map out of a summand e_v A of X^i is
-    fixed by the image of e_v in Y^{n+i}.e_v (Yoneda).  cells[n] lists, for
-    each source degree i and witness summand (first row start) with a
-    nonzero target, (i, start, Hom(e_v A, Y^{n+i}), first coordinate): the
-    degree-n basis runs over the cells in order, then over the echelon rows
-    of Y^{n+i}.e_v, and the coordinates of a map on a cell are its generator
-    image read at the pivots of that echelon basis, with no system to solve.
-    Composites are read the same way: the generator image of "g, then h" is
-    the generator image of g times h, so no composite matrix is built.  The
-    differential in degree n implements (df)_i = f_i d_Y - (-1)^n d_X f_{i+1};
-    each differential of X and Y it reads is checked to be a module map.
+    must carry its projective witness, and is read as a semifree A-module:
+    each witness summand e_v A of X^i is a generator of degree i with cell
+    e_v, from the top degree of X down and in witness order within a degree,
+    starts[k] its first row in X^i.  A map out of it is fixed by the image of
+    e_v in Y^{n+i}.e_v (Yoneda), whose coordinates are its entries at the
+    pivots of that echelon basis, with no system to solve.  d_X of a
+    generator is its generator image, cut to each summand of the next degree
+    and read there as an element of A, so the layout and the differential
+    (df)_i = f_i d_Y - (-1)^n d_X f_{i+1} are CellHom's.  Composites are
+    read off generator images too: the generator image of "g, then h" is the
+    generator image of g times h, so no composite matrix is built.  Each
+    differential of X and Y it reads is checked to be a module map.
     Hom(U, U) keeps its units, dg-end, H^0 algebra and radical (kept).
     """
 
@@ -349,24 +494,16 @@ class GradedHom(Cochains):
         if not X.is_projective_complex():
             raise ValueError("hom complex needs a source with projective witness; "
                              "run proj_replacement")
-        self.X = X
-        self.Y = Y
-        super().__init__(X.field, () if X.is_empty() or Y.is_empty()
-                         else (Y.lo - X.hi, Y.hi - X.lo))
-        self.cells = {}      # n -> list of (source degree, first row, homs, first coordinate)
-        self._dims = {}
-        for n in self.degrees():
-            cells, pos = [], 0
-            for i in X.degrees():
-                S, T = X.term(i), Y.term(n + i)
-                if S.dim == 0 or T.dim == 0:
-                    continue
-                for start, homs in self._summands(i, T):
-                    cells.append((i, start, homs, pos))
-                    pos += homs.space.dim
-            self.cells[n] = cells
-            self._dims[n] = pos
-        self._diffs = {}
+        self.X, self.Y = X, Y
+        gens, cells, self.starts = [], [], []
+        for i in reversed(X.degrees()):
+            start = 0
+            for v in X.proj_types.get(i, ()):
+                gens.append(i)
+                cells.append(v)
+                self.starts.append(start)
+                start += projective_cache(X.algebra, v).dim
+        super().__init__(gens, cells, Y)
         self._kept = {}
 
     def kept(self, name: str, build):
@@ -376,109 +513,68 @@ class GradedHom(Cochains):
             self._kept[name] = build()
         return self._kept[name]
 
+    def _projective(self, k: int) -> Module:
+        return projective_cache(self.X.algebra, self.cells[k])
+
+    @cached_property
+    def gen_dcomps(self) -> list:
+        """k -> {k2: the component of d_X gen k at generator k2, in A}."""
+        X, gens, starts = self.X, self.gens, self.starts
+        out = []
+        for i in reversed(X.degrees()):
+            d = X.linear_diff(i).entries
+            below = [(k2, starts[k2], self._projective(k2).ambient_rows)
+                     for k2 in gen_slice(gens, i + 1, i + 1)] if d else ()
+            for k in gen_slice(gens, i, i):
+                img = generator_image(self._projective(k), d, starts[k]) if d else None
+                comps = {}
+                for k2, start, rows in below if img else ():
+                    # the cut to summand k2, as a combination of its rows in A
+                    acc = {}
+                    for r, x in img.items():
+                        if start <= r < start + len(rows):
+                            for j, y in rows[r - start].items():
+                                acc[j] = acc.get(j, 0) + x * y
+                    if acc and (a := self.field.reduce_entries(acc)):
+                        comps[k2] = a
+                out.append(comps)
+        return out
+
     @cached_property
     def basis(self) -> dict:
         """n -> list of (source degree, matrix of the map), one per basis
-        element: each block of each cell placed at its summand's rows.  Built
-        on first read, since the coordinates, differentials and composites
-        read the cells alone."""
+        element: each basis map of each block placed at its summand's rows.
+        Built on first read, since the coordinates, differentials and
+        composites read generator values alone."""
         out = {}
-        for n, cells in self.cells.items():
+        for n in self.degrees():
             entries = []
-            for i, start, homs, _ in cells:
-                S, T = self.X.term(i), self.Y.term(n + i)
-                for blk in homs.blocks:
+            for k, j, _ in self.blocks(n):
+                i, start = self.gens[k], self.starts[k]
+                S, T = self.X.term(i), self.Y.term(j)
+                for blk in T.homs_from(self._projective(k)).blocks:
                     rows = {start + r: nz for r, nz in blk.entries.items()}
                     entries.append((i, Matrix.from_entries(self.field, S.dim, T.dim, rows)))
             out[n] = entries
         return out
 
-    def _summands(self, i: int, T) -> list:
-        """(first row, Hom(e_v A, T)) for each witness summand of X^i."""
-        A = self.X.algebra
-        out, start = [], 0
-        for v in self.X.proj_types[i]:
-            P = projective_cache(A, v)
-            out.append((start, T.homs_from(P)))
-            start += P.dim
-        return out
+    def generator_images(self, i: int, mat: Matrix) -> dict:
+        """k -> the image of generator k, a witness summand of X^i, under
+        mat, a matrix out of X^i, for each nonzero image."""
+        return {k: y for k in gen_slice(self.gens, i, i)
+                if (y := generator_image(self._projective(k), mat.entries, self.starts[k]))}
 
-    def dim(self, n: int) -> int:
-        return self._dims.get(n, 0)
-
-    def images(self, n: int, coords: dict) -> list:
-        """The generator image on each cell of cells[n] of the degree-n
-        element with the given nonzero coordinates, as nonzero entries."""
-        out = []
-        for _, _, homs, pos in self.cells.get(n, ()):
-            space = homs.space
-            out.append(space.matrix.apply_entries(
-                {b: c for b in range(space.dim) if (c := coords.get(pos + b))}))
-        return out
-
-    def generator_images(self, i: int, mat: Matrix) -> list:
-        """(first row, image) for each witness summand of X^i: the image of
-        its generator under mat, a matrix out of X^i, as nonzero entries."""
-        A = self.X.algebra
-        out, start = [], 0
-        for v in self.X.proj_types.get(i, ()):
-            P = projective_cache(A, v)
-            out.append((start, generator_image(P, mat.entries, start)))
-            start += P.dim
-        return out
-
-    def postcomposed(self, n: int, images: list, comps: dict, target: "GradedHom",
+    def postcomposed(self, n: int, values: dict, comps: dict, target: "GradedHom",
                      m: int) -> dict:
         """The nonzero coordinates in target, in degree m, of "x, then comps":
-        x is the degree-n element with the given generator images (as
-        images(n, ...) returns them) and comps its follow-up, target degree
-        -> matrix.  The generator image of the composite on a summand of X^i
-        is x's there times comps[n + i].  target has the source X too, but
-        its cells differ, so they are matched by (source degree, first row)."""
-        at = {(i, start): (homs, pos) for i, start, homs, pos in target.cells.get(m, ())}
-        out: dict = {}
-        for (i, start, _, _), y in zip(self.cells.get(n, ()), images):
-            c, cell = comps.get(n + i), at.get((i, start))
-            if y and c is not None and cell is not None:
-                read_image(out, *cell, c.apply_entries(y))
-        return out
-
-    def diff(self, n: int) -> Matrix:
-        if n in self._diffs:
-            return self._diffs[n]
-        f = self.field
-        X, Y = self.X, self.Y
-        negate = n % 2 == 0  # the sign -(-1)^n of the d_X term
-        up = {(i, start): (homs, pos) for i, start, homs, pos in self.cells.get(n + 1, ())}
-        # each summand of X^{i-1} as its cell in degree n + 1 and the image
-        # of its generator under d_X, an element of X^i
-        dx_images: dict = {}
-        for i, start, homs, pos in self.cells.get(n + 1, ()):
-            if X.diff(i).entries:
-                img = generator_image(homs.P, X.linear_diff(i).entries, start)
-                if img:
-                    dx_images.setdefault(i + 1, []).append(((homs, pos), img))
-        rows = {}
-        for i, start, homs, pos in self.cells.get(n, ()):
-            # h then d_Y, on h's own summand
-            same = up.get((i, start))
-            dY = Y.linear_diff(n + i) if same is not None else None
-            # d_X then h: the generator images cut to the rows of h's summand
-            end = start + len(homs.acts)
-            below = [(at, z) for at, img in dx_images.get(i, ())
-                     if (z := {r - start: x for r, x in img.items() if start <= r < end})]
-            for b, (y, blk) in enumerate(zip(homs.space.rows, homs.blocks)):
-                # the terms land on distinct cells, so each coordinate is written once
-                row: dict = {}
-                if dY is not None:
-                    read_image(row, *same, dY.apply_entries(y))
-                for at, z in below:
-                    read_image(row, *at, blk.apply_entries(z), negate)
-                if row:
-                    rows[pos + b] = row
-        d = Matrix.from_entries(f, self.dim(n), self.dim(n + 1), rows)
-        self._diffs[n] = d
-        return d
+        x is a degree-n element with the given generator values (as values
+        returns them) and comps its follow-up, target degree -> matrix.  The
+        value of the composite on generator k is x's there times
+        comps[n + gens[k]]; target has the source X too, so the same
+        generators."""
+        return target.assemble(m, {k: z for k, y in values.items()
+                                   if (c := comps.get(n + self.gens[k])) is not None
+                                   and (z := c.apply_entries(y))})
 
     def component_maps(self, n: int, coords: dict) -> dict:
         """Expand the nonzero coordinates of a degree-n element into
@@ -493,20 +589,17 @@ class GradedHom(Cochains):
 
     def coords_of(self, n: int, comps: dict) -> dict:
         """Nonzero coordinates of a family of module maps, source degree ->
-        matrix: each component's generator image on each cell of cells[n],
-        read at the pivots of the cell.  Only the generator rows are read,
+        matrix: each component's generator image on each block of degree n,
+        read at the pivots of its cell.  Only the generator rows are read,
         which fix a module map."""
-        out: dict = {}
-        for i, start, homs, pos in self.cells.get(n, ()):
-            mat = comps.get(i)
-            if mat is not None:
-                read_image(out, homs, pos, generator_image(homs.P, mat.entries, start))
-        return out
+        gens = self.gens
+        return self.assemble(n, {
+            k: generator_image(self._projective(k), mat.entries, self.starts[k])
+            for k, _, _ in self.blocks(n) if (mat := comps.get(gens[k])) is not None})
 
     def chain_map_from_cocycle(self, coords: dict) -> ChainMap:
         """Nonzero degree-0 cocycle coordinates -> an honest chain map X -> Y."""
-        comps = self.component_maps(0, coords)
-        return ChainMap(self.X, self.Y, {i: m for i, m in comps.items()})
+        return ChainMap(self.X, self.Y, self.component_maps(0, coords))
 
 
 def hom_complex(X: Complex, Y: Complex) -> GradedHom:

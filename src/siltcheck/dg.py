@@ -30,8 +30,7 @@ composing those maps; each composite is read off generator images
 from __future__ import annotations
 
 from .algebra import Algebra
-from .complexes import (Complex, GradedHom, hom_complex, read_image,
-                        summand_projection_maps)
+from .complexes import Complex, GradedHom, hom_complex, summand_projection_maps
 from .linalg import Cochains, Matrix, RowSpace
 
 
@@ -349,33 +348,21 @@ def _composition_tables(gh, maps: dict) -> dict:
     U -> U.
 
     Each b is taken once as its generator images, one per witness summand of
-    each degree of U.  On such a summand of U^j, x . b has the generator
-    image y @ h_x, for y the image under b and h_x the component of x at
-    j + n, read at the pivots of the summand's cell of gh^{m+n}: one
+    each degree of U.  x has the one component h_x, at some degree s, so x . b
+    is gh.postcomposed on the generator images of b at s - n: one
     vector-matrix product per source summand and no composite matrix.
     """
-    # images[n][b][j]: (first row, image under b) per witness summand of U^j
-    images = {n: [{j: [(start, y) for start, y in gh.generator_images(j, mat) if y]
-                   for j, mat in b.items()} for b in elems]
+    # images[n][b][j]: generator k -> its image under b, for the summands of U^j
+    images = {n: [{j: gh.generator_images(j, mat) for j, mat in b.items()} for b in elems]
               for n, elems in maps.items()}
-    at = {n: {(i, start): (homs, pos) for i, start, homs, pos in cells}
-          for n, cells in gh.cells.items()}
     tables, zero = {}, {}
     for m in gh.degrees():
         for n, elems in maps.items():
             if not gh.dim(m) or not elems or not gh.dim(m + n):
                 continue
-            cells = at[m + n]
-            table = []
-            for (sx, hx) in gh.basis[m]:
-                row = []
-                for imgs in images[n]:
-                    coords: dict = {}
-                    for start, y in imgs.get(sx - n, ()):
-                        read_image(coords, *cells[(sx - n, start)], hx.apply_entries(y))
-                    row.append(coords or zero)
-                table.append(row)
-            tables[(m, n)] = table
+            tables[(m, n)] = [[(gh.postcomposed(n, imgs[sx - n], {sx: hx}, gh, m + n) or zero)
+                               if sx - n in imgs else zero for imgs in images[n]]
+                              for sx, hx in gh.basis[m]]
     return tables
 
 
@@ -554,9 +541,9 @@ def _composites(gh: GradedHom, reps: list) -> list:
     elements of gh = Hom(U, U) given as their nonzero coordinates: each
     composite read off the generator images of b and the component maps of
     a, each taken once per element."""
-    images = [gh.images(0, b) for b in reps]
+    values = [gh.values(0, b) for b in reps]
     comps = [gh.component_maps(0, a) for a in reps]
-    return [[gh.postcomposed(0, y, c, gh, 0) for y in images] for c in comps]
+    return [[gh.postcomposed(0, y, c, gh, 0) for y in values] for c in comps]
 
 
 def end_h0(gh: GradedHom) -> H0Algebra:

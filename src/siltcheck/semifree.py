@@ -31,7 +31,9 @@ U, is the same rows without it.
 Maps out of a semifree module are easy to write down: a map is its list of
 values on the generators, the value on a cell e.C lying in N.e.
 SemifreeHom is the hom complex out of a semifree module into a dg-module in
-those coordinates, and derived Hom over the base is its cohomology.  Along a
+those coordinates, complexes.CellHom on its generators, the one class the
+hom complex out of a complex of projectives is too; derived Hom over the
+base is its cohomology.  Along a
 resolution a map lifts only up to homotopy, so lift_up_to_homotopy builds a
 degree-0 map one generator at a time in filtration order, each value solving
 the chain-map condition in the augmentation cone the resolution has.
@@ -39,14 +41,12 @@ the chain-map condition in the augmentation cone the resolution has.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from operator import neg
 
 from .algebra import Module, direct_sum_modules
-from .complexes import Complex, block_matrix
+from .complexes import CellHom, Complex, block_matrix, block_offsets, block_row, gen_slice
 from .dg import DgAlgebra, DgModule
-from .linalg import Cochains, Matrix, subquotient_from_maps
+from .linalg import Matrix, subquotient_from_maps
 
 
 class SemifreeCapError(RuntimeError):
@@ -290,11 +290,6 @@ def _joined(q: dict, x: dict, split: int) -> dict:
     return out
 
 
-def gen_slice(gens: list, lo: int, hi: int) -> range:
-    """The k with lo <= gens[k] <= hi: one slice of the non-increasing gens."""
-    return range(bisect_left(gens, -hi, key=neg), bisect_right(gens, -lo, key=neg))
-
-
 def tensor_blocks(P: SemifreeModule, N, n: int) -> list:
     """The blocks of degree n of P (x)_C N, for N a left module over the base
     C or C itself: (k, j, echelon basis of e.N^j) for each generator k, a
@@ -326,97 +321,20 @@ def tensor_map(N, P: SemifreeModule, blocks: list, Q: SemifreeModule, target: li
     return Matrix.from_row_entries(f, width, rows)
 
 
-def block_offsets(blocks) -> tuple[dict, int]:
-    """k -> (start, cell) for blocks (k, j, cell) laid out in order, and the width."""
-    offsets, width = {}, 0
-    for k, _, cell in blocks:
-        offsets[k] = (width, cell)
-        width += cell.dim
-    return offsets, width
-
-
-def block_row(f, offsets: dict, images) -> dict:
-    """The nonzero entries of the row summing s * (cell coordinates of v)
-    into the block of k, over the images (k, s, v); an image whose k has no
-    block adds nothing."""
-    acc: dict = {}
-    for k, s, v in images:
-        if k not in offsets:
-            continue
-        off, cell = offsets[k]
-        for t, c in cell.coords(v).items():
-            acc[off + t] = acc.get(off + t, 0) + s * c
-    return f.reduce_entries(acc)
-
-
 # -- maps out of a semifree module -------------------------------------------
 
 
-class SemifreeHom(Cochains):
-    """Base-linear maps from a semifree module into a dg-module.
-
-    A degree-m element assigns to the k-th generator (degree g, a cell e.C)
-    a value in N^{m+g}.e, in the echelon basis of N.cell; freeness extends
-    this to the whole module, so every degree lies between N.lo - max(gens)
-    and N.hi - min(gens).  The differential is
-    phi -> d_N . phi - (-1)^m phi . d_P, the same convention as the hom
-    complex of two complexes of modules.
+class SemifreeHom(CellHom):
+    """Base-linear maps from a semifree module into a dg-module: CellHom on
+    the generators and cells of P, with d gen k read off P.gen_dcomps.  The
+    differential phi -> d_N . phi - (-1)^m phi . d_P is the convention of
+    the hom complex of two complexes of modules.
     """
 
     def __init__(self, P: SemifreeModule, N: DgModule):
-        super().__init__(N.field, (N.lo - max(P.gens), N.hi - min(P.gens))
-                         if P.gens and N.dims else ())
+        super().__init__(P.gens, P.cells, N)
         self.P = P
-        self.N = N
-        self._diffs: dict = {}
-        self._blocks: dict = {}
-        # the value on each later generator k3 picks up phi(d gen k3), which
-        # meets generator k through the component of d gen k3 at k
-        self._meets: dict = {}
-        for k3, dcomps in enumerate(P.gen_dcomps):
-            for k, delta in dcomps.items():
-                self._meets.setdefault(k, []).append((k3, delta))
-
-    def blocks(self, m: int) -> list:
-        """(k, j, the basis of N^j.e holding generator k's values) for the
-        generators whose values can be nonzero: N.lo <= j = m + g <= N.hi,
-        built once per degree."""
-        if m not in self._blocks:
-            P, N = self.P, self.N
-            self._blocks[m] = [(k, m + P.gens[k], N.cell(P.cells[k], m + P.gens[k]))
-                               for k in gen_slice(P.gens, N.lo - m, N.hi - m)]
-        return self._blocks[m]
-
-    def dim(self, m: int) -> int:
-        return sum(cell.dim for _, _, cell in self.blocks(m))
-
-    def assemble(self, m: int, values: dict) -> dict:
-        """Nonzero coordinates of the element with the given generator
-        values, each an element of N^{m+g} lying in N^{m+g}.e."""
-        offsets, _ = block_offsets(self.blocks(m))
-        if any(v and k not in offsets for k, v in values.items()):
-            raise ValueError("generator value outside the degrees of N")
-        return block_row(self.field, offsets,
-                         ((k, self.field.one, v) for k, v in values.items()))
-
-    def diff(self, m: int) -> Matrix:
-        if m in self._diffs:
-            return self._diffs[m]
-        P, N = self.P, self.N
-        f = self.field
-        nsign = f.one if m % 2 else f.neg(f.one)
-        offsets, width = block_offsets(self.blocks(m + 1))
-        rows = []
-        for k, j, cell in self.blocks(m):
-            g = P.gens[k]
-            for v in cell.rows:
-                images = [(k, f.one, N.apply_diff(j, v))]
-                images += [(k3, nsign, N.act(j, v, P.gens[k3] + 1 - g, delta))
-                           for k3, delta in self._meets.get(k, ())]
-                rows.append(block_row(f, offsets, images))
-        d = Matrix.from_row_entries(f, width, rows)
-        self._diffs[m] = d
-        return d
+        self.gen_dcomps = P.gen_dcomps
 
 
 def lift_up_to_homotopy(P: SemifreeModule, Q: SemifreeModule, targets) -> list | None:

@@ -89,17 +89,17 @@ def _hom_class_action(X: Complex, U: Complex, end: GradedHom, E):
 
     Returns (gh, sq, mats) where mats[i] sends class coordinates c to the
     coordinates of [class_reps[i] composed after c], acting on row vectors.
-    Each class representative is taken once as its generator images, and
+    Each class representative is taken once as its generator values, and
     each composite read off them (GradedHom.postcomposed).
     """
     gh = hom_complex(X, U)
     sq = gh.subquotient(0)
     f = E.field
-    rep_images = [gh.images(0, rep) for rep in sq.rep_entries]
+    rep_values = [gh.values(0, rep) for rep in sq.rep_entries]
     mats = []
     for ecls in E.class_reps:
         ec = end.component_maps(0, ecls)
-        rows = [sq.reduce(gh.postcomposed(0, images, ec, gh, 0)) for images in rep_images]
+        rows = [sq.reduce(gh.postcomposed(0, values, ec, gh, 0)) for values in rep_values]
         mats.append(Matrix.from_row_entries(f, sq.dim, rows))
     return gh, sq, mats
 
@@ -204,13 +204,17 @@ def coresolve_A(U: Complex, max_steps: int, gh: GradedHom) -> Coresolution | Non
     may simply be too small, or the decomposition of U too coarse for
     minimal multiplicities.  A stuck coresolution (see
     _minimal_approximation) returns None before the cap, since every step
-    bound would be reached.
+    bound would be reached; so does a contractible U, H^0 Hom(U, U) = 0,
+    before H^0 End(U) is read, as it has no unit class.
     """
     if not U.is_projective_complex():
         raise ValueError("coresolution needs a complex of projectives")
     if gh.X is not U or gh.Y is not U:
         raise ValueError("coresolution needs the hom complex of U with itself")
     if U.is_empty() or _self_extension(gh, 1, U.hi - U.lo) is not None:
+        return None
+    if gh.h_dim(0) == 0:
+        # U is contractible, so Hom(A, U) is acyclic: the first step is stuck
         return None
     A = U.algebra
     summands = U.summands or [U]

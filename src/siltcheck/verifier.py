@@ -248,20 +248,19 @@ def _postcomposed_augmentations(P: SemifreeModule, MX: DgModule, MXp: DgModule,
     the generator images of the augmentation.
     """
     gh = MX.gh
-    return {k: gh.postcomposed(g, gh.images(g, P.gen_augs[k]), comps, MXp.gh, g + n)
+    return {k: gh.postcomposed(g, gh.values(g, P.gen_augs[k]), comps, MXp.gh, g + n)
             for k, g in enumerate(P.gens)}
 
 
-def _cohomology_table(T: Complex, X: Complex, eps: ChainMap,
-                      win: DegreeWindow) -> tuple[dict, bool]:
-    """[dim H^n T, dim H^n X, rank H^n eps] per window degree, and whether
-    eps is a cohomology isomorphism at every one of them.  The induced map
-    is built only where both sides have classes; elsewhere its rank is 0."""
+def _rank_table(degrees, lhs_dim, rhs_dim, induced) -> tuple[dict, bool]:
+    """[lhs_dim(n), rhs_dim(n), rank of induced(n)] per degree n, and whether
+    induced(n) is an isomorphism at every one of them.  The induced map is
+    built only where both sides are nonzero; elsewhere its rank is 0."""
     table = {}
-    for n in range(win.lo, win.hi + 1):
-        ht, hx = T.h_dim(n), X.h_dim(n)
-        table[n] = [ht, hx, eps.induced(n).rank() if ht and hx else 0]
-    return table, all(ht == hx == rk for ht, hx, rk in table.values())
+    for n in degrees:
+        lhs, rhs = lhs_dim(n), rhs_dim(n)
+        table[n] = [lhs, rhs, induced(n).rank() if lhs and rhs else 0]
+    return table, all(lhs == rhs == rk for lhs, rhs, rk in table.values())
 
 
 # -- individual checks -------------------------------------------------------
@@ -336,7 +335,7 @@ def verify_counit(ctx: SiltingContext, X: Complex, window,
     MX = ctx.hom_module(X)
     T = ctx.tensor(MX, win, extra_margin)
     eps = _evaluation_chain_map(T, MX.gh, X)
-    table, ok = _cohomology_table(T, X, eps, win)
+    table, ok = _rank_table(range(win.lo, win.hi + 1), T.h_dim, X.h_dim, eps.induced)
     checks = [CheckRecord("evaluation map induces cohomology isomorphisms", ok,
                           {"h_dims": table})]
     return VerificationReport("counit", "probe", checks,
@@ -360,22 +359,16 @@ def verify_fully_faithful(ctx: SiltingContext, X: Complex, Xp: Complex, degrees,
     gh = ctx.hom(X, Xp)
     P = ctx.resolve(MX, hom_cutoff(MXp, win, extra_margin))
     sh = SemifreeHom(P, MXp)
-    table = {}
-    ok = True
-    for n in ns:
-        lhs = gh.h_dim(n)
-        rhs = sh.h_dim(n)
-        rank = 0
-        if lhs and rhs:
-            # the functor's map, built only where both sides have classes
-            shq = sh.subquotient(n)
-            rows = [shq.reduce(sh.assemble(n, _postcomposed_augmentations(
-                        P, MX, MXp, n, gh.component_maps(n, rep))))
-                    for rep in gh.subquotient(n).rep_entries]
-            rank = Matrix.from_row_entries(f, shq.dim, rows).rank()
-        table[n] = [lhs, rhs, rank]
-        if not lhs == rhs == rank:
-            ok = False
+
+    def functor(n):
+        # the functor's map on degree-n classes
+        shq = sh.subquotient(n)
+        return Matrix.from_row_entries(f, shq.dim, [
+            shq.reduce(sh.assemble(n, _postcomposed_augmentations(
+                P, MX, MXp, n, gh.component_maps(n, rep))))
+            for rep in gh.subquotient(n).rep_entries])
+
+    table, ok = _rank_table(ns, gh.h_dim, sh.h_dim, functor)
     checks = [CheckRecord("morphism spaces match through the functor", ok,
                           {"h_dims": table})]
     return VerificationReport("fully-faithful", "pair", checks,

@@ -5,7 +5,8 @@ routes for the coresolution loop, its long exact sequences and the H^0
 algebra, a coordinate reader that checks every row of a map, and
 composite-matrix routes through it for the hom-complex differential, the
 composition tables and the postcomposition action, with a dense route for the
-action on a semifree module.
+action on a semifree module and routes from the definitions for the
+differentials of a semifree module and of the hom complex out of one.
 
 The module oracles are computed with hom_space and dimension vectors only, so
 the numbers frozen into the verifier tests do not come from the code under
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 from siltcheck import silting
 from siltcheck.algebra import Algebra, Module, generator_image, hom_space
 from siltcheck.complexes import (ChainMap, cone, hom_complex, is_acyclic,
-                                 projective_complex, read_image, zero_complex)
+                                 projective_cache, projective_complex, zero_complex)
 from siltcheck.dg import end_h0
 from siltcheck.linalg import Matrix
 
@@ -503,19 +504,24 @@ def reference_coords_of(gh, n: int, comps: dict) -> dict | None:
     the nonzero coordinates of a family of component maps, source degree ->
     matrix, or None if some component is not a module map."""
     out: dict = {}
-    cells = gh.cells.get(n, ())
+    offsets = gh.offsets(n)
     for i, mat in comps.items():
         if mat.is_zero():
             continue
-        if not any(c[0] == i for c in cells):
+        T = gh.Y.term(n + i)
+        summands = [k for k, g in enumerate(gh.gens) if g == i]
+        if not summands or T.dim == 0:
             return None
-        for _, start, homs, pos in (c for c in cells if c[0] == i):
-            end = start + len(homs.acts)
+        for k in summands:
+            homs = T.homs_from(projective_cache(gh.X.algebra, gh.cells[k]))
+            start, end = gh.starts[k], gh.starts[k] + len(homs.acts)
             w = _checked_image(homs, {r - start: nz for r, nz in mat.entries.items()
                                       if start <= r < end})
             if w is None:
                 return None
-            read_image(out, homs, pos, w)
+            if k in offsets:
+                pos, cell = offsets[k]
+                out.update((pos + t, x) for t, x in cell.coords(w).items())
     return out
 
 
@@ -648,6 +654,65 @@ def reference_semifree_diff(P, n):
                 for t, c in cell2.coords(v).items():
                     out[start + t] = c
             rows.append(out)
+    return Matrix.from_row_entries(f, width, rows)
+
+
+def reference_semifree_hom_diff(sh, m):
+    """SemifreeHom.diff(m) from the definition of the hom complex out of the
+    semifree module P = sh.P into N = sh.N: a degree-m map phi has the
+    differential d_N phi(gen k) - (-1)^m phi(d gen k), with d gen k expanded
+    from its positions in gen_diffs over the cell rows of the base (not
+    from gen_dcomps) and phi(gen k2 . c) = phi(gen k2) . c acted with N.act.
+    A map is written as its generator values at the pivots of each
+    generator's cell of N, lowest generator degree first and the generators
+    of one degree in order."""
+    P, N = sh.P, sh.N
+    C, f = P.algebra, N.field
+    gens = P.gens
+
+    def layout(d):
+        out, width = {}, 0
+        for k in sorted(range(len(gens)), key=lambda k: (gens[k], k)):
+            if N.lo <= d + gens[k] <= N.hi:
+                cell = N.cell(P.cells[k], d + gens[k])
+                if cell.dim:
+                    out[k] = (width, cell)
+                    width += cell.dim
+        return out, width
+
+    dgen = []
+    for k, g in enumerate(gens):
+        comps = {}
+        for (k2, b2), c in P.gen_diffs[k].items():
+            acc = comps.setdefault(k2, {})
+            for j, x in C.cell(P.cells[k2], g + 1 - gens[k2]).rows[b2].items():
+                acc[j] = f.coerce(acc.get(j, f.zero) + c * x)
+        dgen.append({k2: nz for k2, acc in comps.items()
+                     if (nz := {j: x for j, x in acc.items() if x != f.zero})})
+    sign = f.one if m % 2 == 0 else f.neg(f.one)  # (-1)^m
+    source, _ = layout(m)
+    target, width = layout(m + 1)
+    rows = []
+    for k, (_, cell) in source.items():
+        j = m + gens[k]
+        for v in cell.rows:
+            values = {k: N.apply_diff(j, v)}
+            for k3, comps in enumerate(dgen):
+                if k in comps:
+                    w = N.act(j, v, gens[k3] + 1 - gens[k], comps[k])
+                    acc = values.setdefault(k3, {})
+                    for t, x in w.items():
+                        acc[t] = f.coerce(acc.get(t, f.zero) - sign * x)
+            row = {}
+            for k3, value in values.items():
+                value = {t: x for t, x in value.items() if x != f.zero}
+                if not value:
+                    continue
+                if k3 not in target:
+                    raise AssertionError("a generator value escaped the cells of N")
+                start, cell3 = target[k3]
+                row.update((start + t, x) for t, x in cell3.coords(value).items())
+            rows.append(row)
     return Matrix.from_row_entries(f, width, rows)
 
 

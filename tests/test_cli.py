@@ -9,7 +9,8 @@ import pytest
 
 from siltcheck.algebra import Quiver, hom_space, path_algebra
 from siltcheck.cli import _SOFT_CHECKS, main
-from siltcheck.complexes import (direct_sum_complexes, projective_cache,
+from siltcheck.complexes import (cone, direct_sum_complexes, identity_chain_map,
+                                 projective_cache,
                                  projective_complex)
 from siltcheck.fields import PrimeField
 from siltcheck.instances import (Instance, InstanceError, dump_instance,
@@ -413,6 +414,54 @@ def test_small_characteristic_keeps_the_exit_code_contract(tmp_path, capsys, pri
                            "verify": lambda: payload["reports"][0]["checks"][0]
                            ["details"]["witness"]}[command]()
                 assert (code, witness) == (1, [1, 1]), command
+
+
+
+def _linear_instance(n: int, complexes: dict):
+    """An instance over linear A_n, 0 -> 1 -> ... -> n-1 over F_101, with the
+    complexes each built from the algebra by complexes[name](A)."""
+    F = PrimeField(101)
+    quiver = Quiver([str(v) for v in range(n)],
+                    [(f"a{v}", str(v), str(v + 1)) for v in range(n - 1)])
+    A = path_algebra(quiver, F)
+    return Instance(f"a{n}-contractible", F, quiver, [], A,
+                    {name: build(A) for name, build in complexes.items()}, {}, {},
+                    {"window": [-1, 1], "pair_degrees": [-1, 1]})
+
+
+def _stalk(A, v):
+    return projective_complex(A, {0: [v]})
+
+
+def _contractible(A, v):
+    return cone(identity_chain_map(_stalk(A, v)))
+
+
+def test_a_contractible_complex_is_proven_stuck(tmp_path, capsys):
+    # U = 0 in the homotopy category has no unit class in H^0 End(U); the
+    # coresolution of A by U is stuck from its first step, so every command
+    # reports it inconclusive, without a traceback
+    stuck = {2: {"cone-id-P0": lambda A: _contractible(A, 0)},
+             3: {"sum-of-cones": lambda A: direct_sum_complexes(
+                 [_contractible(A, v) for v in range(3)])}}
+    for n, complexes in stuck.items():
+        path = tmp_path / f"a{n}.json"
+        dump_instance(_linear_instance(n, complexes), path)
+        for name in complexes:
+            for command in ("check", "verify", "report", "goodify"):
+                code, out, err = run_cli(capsys, command, str(path), name)
+                assert (code, err) == (2, ""), (name, command)
+                assert json.loads(out)["verdict"] == "inconclusive", (name, command)
+
+
+def test_a_contractible_summand_leaves_a_silting_complex_silting(tmp_path, capsys):
+    path = tmp_path / "a2.json"
+    dump_instance(_linear_instance(2, {"P0+P1+cone-id-P1": lambda A: direct_sum_complexes(
+        [_stalk(A, 0), _stalk(A, 1), _contractible(A, 1)])}), path)
+    for command in ("check", "verify", "report", "goodify"):
+        code, out, err = run_cli(capsys, command, str(path), "P0+P1+cone-id-P1")
+        assert (code, err) == (0, ""), command
+        assert json.loads(out)["verdict"] == "pass", command
 
 
 # -- caps and the one analysis per run ----------------------------------------

@@ -29,6 +29,7 @@ from siltcheck.complexes import (
     hom_complex,
     identity_chain_map,
     module_complex,
+    proj_replacement,
     projective_complex,
     summand_projection_maps,
 )
@@ -54,6 +55,7 @@ from siltcheck.dg import (
 from siltcheck.fields import PrimeField, RationalField
 from siltcheck.linalg import Matrix
 from siltcheck.semifree import SemifreeHom, semifree_resolve
+from siltcheck.verifier import SiltingContext
 
 F101 = PrimeField(101)
 
@@ -350,14 +352,20 @@ def test_generator_images_match_the_composite_matrices(coresolution_inputs, fiel
     # the hom differentials, the composition tables of dg_end and of a hom
     # module over its truncation, and the postcomposition action of H^0,
     # against building each composite as a matrix and reading it back
-    # through coords_of
+    # through coords_of.  The differentials also of the hom complexes into
+    # each simple, a target that is no projective, and out of its projective
+    # replacement, a source whose differential is read as elements of A
     for name, U in coresolution_inputs(field_spec).items():
         A = U.algebra
         free = projective_complex(A, {0: list(range(len(A.idempotents)))})
         B = dg_end(U)
         C = smart_truncate(B)
         M = dg_hom_module(hom_complex(U, free), C)
-        for gh in (B.gh, M.gh):
+        ctx = SiltingContext(U)
+        simples = [ctx.module(simple_module(A, v)) for v in range(len(A.idempotents))]
+        homs = ([B.gh, M.gh] + [ctx.hom(U, S) for S in simples]
+                + [hom_complex(proj_replacement(S)[0], U) for S in simples])
+        for gh in homs:
             for n in gh.degrees():
                 assert gh.diff(n) == reference_hom_diff(gh, n), (name, n)
         assert B.mult == reference_composition_tables(B.gh, B.maps), name

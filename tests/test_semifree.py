@@ -11,7 +11,7 @@ from collections import Counter
 
 import pytest
 
-from oracles import reference_semifree_act, reference_semifree_diff
+from oracles import reference_semifree_act, reference_semifree_diff, reference_semifree_hom_diff
 from siltcheck import semifree
 from siltcheck.algebra import Quiver, path_algebra, simple_module
 from siltcheck.complexes import (
@@ -369,6 +369,35 @@ def test_resolution_differentials_match_the_reference(name, coresolution_inputs,
         for n in range(P.gens[-1] + P.algebra.lo - 1, P.gens[0] + 1) if P.gens else ():
             assert P.diff_matrix(n) == reference_semifree_diff(P, n), (name, n)
             checked += 1
+    assert checked
+
+
+
+@pytest.mark.parametrize("name", ["fix_a2/U-tilt", "fix_a2/U-silt2",
+                                  "a3/P0+P2+P1toP0", "a3/P1+P2toP1+P0[1]"])
+def test_hom_differentials_out_of_resolutions_match_the_reference(name, coresolution_inputs,
+                                                                  monkeypatch):
+    # every hom complex out of a resolution the battery builds, those of the
+    # fully-faithful checks into hom modules and those of the derived double
+    # centralizer into U over the opposite truncation, against the
+    # differential from its definition in every degree
+    built = []
+    init = SemifreeHom.__init__
+
+    def spy(self, *args):
+        init(self, *args)
+        built.append(self)
+
+    monkeypatch.setattr(SemifreeHom, "__init__", spy)
+    U = coresolution_inputs({"prime": 101})[name]
+    assert all(r.passed for r in verify_all(U, window=(-1, 1), pair_degrees=(-1, 1)))
+    assert any(sh.N.side == "right" and sh.N.gh is not None for sh in built)
+    assert any(sh.N.gh is None for sh in built)
+    checked = 0
+    for sh in built:
+        for m in range(sh.lo - 1, sh.hi + 1):
+            assert sh.diff(m) == reference_semifree_hom_diff(sh, m), (name, m)
+            checked += sh.dim(m) > 0 and sh.dim(m + 1) > 0
     assert checked
 
 
