@@ -519,6 +519,12 @@ class ProjectiveModule(Module):
             raise AssertionError("idempotent not inside its own projective")
         self.vertex = idem_pos
 
+    @cached_property
+    def stalk(self):
+        """This projective as a complex in degree 0, witnessed by its vertex."""
+        from .complexes import Complex
+        return Complex(self.algebra, {0: self}, {}, {0: (self.vertex,)}, validate=False)
+
 
 def simple_module(A: Algebra, idem_pos: int) -> Module:
     """Vertex simple of a path algebra: one-dimensional, only e_v acts as 1."""

@@ -258,10 +258,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _build_parser()  # built once: every main call parses with it
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as e:
         # argparse exits 2 on bad arguments; fold into the input-error code
         return 0 if e.code == 0 else 3

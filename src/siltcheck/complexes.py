@@ -28,6 +28,7 @@ from .algebra import (
     Algebra,
     Module,
     ModuleMap,
+    ProjectiveModule,
     direct_sum_modules,
     generator_image,
 )
@@ -196,13 +197,18 @@ def zero_complex(A: Algebra) -> Complex:
 
 
 def module_complex(M: Module) -> Complex:
-    """M as a complex in degree 0; M in degree d is module_complex(M).shift(-d)."""
+    """M in degree 0, the projective kept at v as its stalk; in degree d, .shift(-d)."""
+    if isinstance(M, ProjectiveModule) and M is projective_cache(M.algebra, M.vertex):
+        return M.stalk
     return Complex(M.algebra, {0: M}, {}, validate=False)
 
 
 def projective_complex(A: Algebra, types: dict, diffs: dict | None = None) -> Complex:
-    """Complex whose degree-n term is the direct sum of the listed projectives."""
+    """Complex whose degree-n term is the direct sum of the listed projectives;
+    one projective alone in degree 0 is the algebra's stalk of it."""
     terms = {n: projective_sum(A, vs) for n, vs in types.items() if vs}
+    if not diffs and list(terms) == [0] and len(types[0]) == 1:
+        return projective_cache(A, types[0][0]).stalk
     return Complex(A, terms, diffs or {}, proj_types={n: tuple(vs) for n, vs in types.items()})
 
 

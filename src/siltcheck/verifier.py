@@ -29,11 +29,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import combinations, product
 
-from .algebra import Algebra, Module, ProjectiveModule, direct_sum_modules, simple_module
+from .algebra import Algebra, Module, direct_sum_modules, simple_module
 from .complexes import (ChainMap, Complex, GradedHom, direct_sum_complexes,
                         hom_complex, module_complex, proj_replacement,
-                        projective_cache, projective_complex)
+                        projective_cache)
 from .dg import (DgAlgebra, DgModule, dg_hom_module, end_dg, end_h0,
                  evaluation_left_module, opposite_dg, side_swap,
                  smart_truncate)
@@ -131,7 +132,7 @@ class SiltingContext:
         self._hom_modules: dict = {}
         self._tensors: dict = {}
         self._resolutions: dict = {}
-        self._counits: dict = {}
+        self._reports: dict = {}  # counit and fully-faithful, keyed by arguments
         self._classifications: dict = {}
 
     @cached_property
@@ -184,12 +185,26 @@ class SiltingContext:
         return self._tensors[P]
 
     def counit(self, X: Complex, window, extra_margin: int) -> VerificationReport:
-        """verify_counit(self, X, window, extra_margin), run once per
-        complex, window and margin; file it under a subject with filed_as."""
+        """verify_counit(self, X, window, extra_margin), summed over declared
+        summands, run once per complex, window and margin; file it with filed_as."""
         key = (X, _window(window), extra_margin)
-        if key not in self._counits:
-            self._counits[key] = verify_counit(self, X, key[1], extra_margin)
-        return self._counits[key]
+        if key not in self._reports:
+            self._reports[key] = (
+                _summed([self.counit(s, key[1], extra_margin) for s in X.summands])
+                if X.summands else verify_counit(self, X, key[1], extra_margin))
+        return self._reports[key]
+
+    def fully_faithful(self, X: Complex, Xp: Complex, degrees,
+                       extra_margin: int) -> VerificationReport:
+        """verify_fully_faithful(self, X, Xp, degrees, extra_margin), summed over
+        pairs of declared summands, run once per pair, degrees and margin."""
+        key = (X, Xp, tuple(degrees), extra_margin)
+        if key not in self._reports:
+            pairs = list(product(X.summands or [X], Xp.summands or [Xp]))
+            self._reports[key] = (
+                verify_fully_faithful(self, X, Xp, degrees, extra_margin) if pairs == [(X, Xp)]
+                else _summed([self.fully_faithful(*pq, degrees, extra_margin) for pq in pairs]))
+        return self._reports[key]
 
     def classification(self, X: Module) -> XiClassification:
         """classify_Xi(self, X), run once per module."""
@@ -261,6 +276,17 @@ def _rank_table(degrees, lhs_dim, rhs_dim, induced) -> tuple[dict, bool]:
         lhs, rhs = lhs_dim(n), rhs_dim(n)
         table[n] = [lhs, rhs, induced(n).rank() if lhs and rhs else 0]
     return table, all(lhs == rhs == rk for lhs, rhs, rk in table.values())
+
+
+def _summed(reports: list) -> VerificationReport:
+    """A direct sum's counit or fully-faithful report from its summands': the
+    induced map is block diagonal, so the rows [lhs, rhs, rank] add up."""
+    first, check = reports[0], reports[0].checks[0]
+    table = {n: [sum(col) for col in zip(*(r.checks[0].details["h_dims"][n] for r in reports))]
+             for n in check.details["h_dims"]}
+    ok = all(lhs == rhs == rk for lhs, rhs, rk in table.values())
+    return VerificationReport(first.kind, first.subject,
+                              [CheckRecord(check.name, ok, {"h_dims": table})], dict(first.notes))
 
 
 # -- individual checks -------------------------------------------------------
@@ -481,53 +507,50 @@ def functoriality_probe(ctx: SiltingContext, window,
     """Finite sums of summands of U pass the counit check.
 
     Exercises additivity of the hom-then-tensor pipeline on objects built
-    from U itself.  A sum that is U itself (U has two summands) reads U's
-    own counit.
+    from U itself, each sum read off the counits of U's summands.
     """
     parts = ctx.U.summands or [ctx.U]
-    sums = []
-    if len(parts) == 1:
-        sums.append(("double", direct_sum_complexes([parts[0], parts[0]])))
-    else:
-        for a in range(len(parts)):
-            for b in range(a + 1, len(parts)):
-                sums.append((f"sum{a}{b}", direct_sum_complexes([parts[a], parts[b]])))
-    checks = []
-    for name, X in sums:
-        rep = ctx.counit(ctx.U if _same_complex(X, ctx.U) else X, window, extra_margin)
-        checks.append(CheckRecord(f"counit on {name}", rep.passed,
-                                  rep.checks[0].details))
-    return VerificationReport("functoriality", "sums from the silting complex", checks)
+    sums = ({"double": parts * 2} if len(parts) == 1 else
+            {f"sum{a}{b}": [parts[a], parts[b]] for a, b in combinations(range(len(parts)), 2)})
+    reps = {name: _summed([ctx.counit(X, window, extra_margin) for X in pair])
+            for name, pair in sums.items()}
+    return VerificationReport("functoriality", "sums from the silting complex", [
+        CheckRecord(f"counit on {name}", r.passed, r.checks[0].details)
+        for name, r in reps.items()])
 
 
 def naturality_probe(ctx: SiltingContext, X: Complex, Xp: Complex, window,
                      extra_margin: int = 0) -> VerificationReport:
-    """The counit square of a chosen map g: X -> X' commutes on cohomology.
+    """The counit square of a chosen map g commutes on cohomology.
 
-    g is the first basis class of degree-0 maps X -> X'; postcomposition with
-    g lifts up to homotopy to a map of resolutions, which exists because both
-    reach one cutoff, where the cone of X' is acyclic.  It is pushed through
-    the tensor, and the two ways around the square are compared on cohomology.
+    g: Y -> Y' is the first degree-0 basis class on the first summand pair
+    of X and X' (each its own if it declares none) that has one; composing
+    with it lifts up to homotopy to a map of resolutions, which exists since
+    both reach one cutoff, where the cone of Y' is acyclic.  It is pushed
+    through the tensor; the two ways around the square are compared.
     """
     win = _window(window)
-    gh = ctx.hom(X, Xp)
-    sq = gh.subquotient(0)
-    if not sq.dim:
+    for Y, Yp in product(X.summands or [X], Xp.summands or [Xp]):
+        gh = ctx.hom(Y, Yp)
+        sq = gh.subquotient(0)
+        if sq.dim:
+            break
+    else:
         return VerificationReport("naturality", "probe pair", [],
                                   {"vacuous": "no nonzero map to test"})
     grep = sq.rep_entries[0]
     g = gh.chain_map_from_cocycle(grep)
 
-    MX = ctx.hom_module(X)
-    MXp = ctx.hom_module(Xp)
+    MX = ctx.hom_module(Y)
+    MXp = ctx.hom_module(Yp)
     TX = ctx.tensor(MX, win, extra_margin)
     TXp = ctx.tensor(MXp, win, extra_margin)
     P, Pp = TX.resolution, TXp.resolution
     if not (P.gens and Pp.gens):
         return VerificationReport("naturality", "probe pair", [],
                                   {"vacuous": "degenerate tensor, nothing to compare"})
-    epsX = _evaluation_chain_map(TX, MX.gh, X)
-    epsXp = _evaluation_chain_map(TXp, MXp.gh, Xp)
+    epsX = _evaluation_chain_map(TX, MX.gh, Y)
+    epsXp = _evaluation_chain_map(TXp, MXp.gh, Yp)
 
     targets = _postcomposed_augmentations(P, MX, MXp, 0,
                                           gh.component_maps(0, grep))
@@ -576,10 +599,10 @@ def probe_modules(A: Algebra) -> dict:
 
 def probe_complexes(ctx: SiltingContext, mods: dict, cap: int = 16, names=None) -> dict:
     """Sources of homs out of the module probes mods, as probe_modules(ctx.A)
-    built them, plus the free module: a projective module's own one-term
-    complex, else the projective replacement of ctx.module(M).  Probe names
-    sharing a module share its one source; with names given, only those
-    probes are built.
+    built them, plus the free module, the sum of the stalks: ctx.module(M)
+    itself when it is projective, a projective's stalk, else its projective
+    replacement.  Probe names sharing a module share its one source; with
+    names given, only those probes are built.
     """
     A = ctx.A
     out, sources = {}, {}
@@ -587,19 +610,13 @@ def probe_complexes(ctx: SiltingContext, mods: dict, cap: int = 16, names=None) 
         if names is not None and name not in names:
             continue
         if M not in sources:
-            sources[M] = (projective_complex(A, {0: [M.vertex]})
-                          if isinstance(M, ProjectiveModule)
-                          else proj_replacement(ctx.module(M), cap)[0])
+            X = ctx.module(M)
+            sources[M] = X if X.is_projective_complex() else proj_replacement(X, cap)[0]
         out[name] = sources[M]
     if names is None or "free" in names:
-        out["free"] = projective_complex(A, {0: list(range(len(A.idempotents)))})
+        out["free"] = direct_sum_complexes([projective_cache(A, v).stalk
+                                            for v in range(len(A.idempotents))])
     return out
-
-
-def _same_complex(P: Complex, Q: Complex) -> bool:
-    """Same projective witness, the same term objects and equal differentials."""
-    return (P.proj_types == Q.proj_types and P.terms.keys() == Q.terms.keys()
-            and all(P.terms[n] is Q.terms[n] for n in P.terms) and P.diffs == Q.diffs)
 
 
 # -- ordinary tilting theorem ------------------------------------------------
@@ -697,8 +714,9 @@ def verify_all(U: Complex, window=(-4, 4), pair_degrees=(-2, 2), max_steps: int 
     """Run every check on one silting complex with the standard probe set.
 
     Probes are the vertex simples, the indecomposable projectives, the free
-    module and U itself; pass probe_names to restrict to a subset, where an
-    unknown name raises UnknownProbeError before any analysis.  The
+    module and U itself (summed from their summands); pass probe_names to
+    restrict to a subset, where an unknown name raises UnknownProbeError
+    before any analysis.  The
     orthogonal-complement clause of the general statement is vacuous here,
     since each instance is finite and carried by its probes; every report
     notes its window and margins so reruns with larger margins are directly
@@ -737,23 +755,16 @@ def verify_all(U: Complex, window=(-4, 4), pair_degrees=(-2, 2), max_steps: int 
     cplx = probe_complexes(ctx, mods, cap, probe_names)
     if probe_names is None or "silting" in probe_names:
         cplx["silting"] = ctx.U
-    # probe names may share one complex: simple2 is proj2 over kA_n, and a
-    # probe equal to U (the free module, given as P0+P1+P2) is U itself.  A
+    # probe names may share one complex: simple2 is proj2 over kA_n.  A
     # module probe is read as itself; cplx holds it only as a hom's source.
-    # Each complex and pair is checked once and reported under every name.
-    cplx = {name: ctx.U if _same_complex(X, ctx.U) else X for name, X in cplx.items()}
+    # The context checks each summand and pair once, each reported under every name.
     target = {name: ctx.module(mods[name]) if name in mods else X for name, X in cplx.items()}
     names = sorted(cplx)
     for name in names:
         reports.append(ctx.counit(target[name], win, extra_margin).filed_as(name))
     degs = list(range(pr.lo, pr.hi + 1))
-    pairs = {}
-    for n1 in names:
-        for n2 in names:
-            key = (cplx[n1], target[n2])
-            if key not in pairs:
-                pairs[key] = verify_fully_faithful(ctx, *key, degs, extra_margin)
-            reports.append(pairs[key].filed_as(f"{n1}->{n2}"))
+    reports += [ctx.fully_faithful(cplx[n1], target[n2], degs, extra_margin)
+                .filed_as(f"{n1}->{n2}") for n1 in names for n2 in names]
     cls_checks = []
     classified = {}
     for name in sorted(mods):

@@ -694,35 +694,60 @@ def test_verify_resolves_each_module_degree_once(capsys, monkeypatch):
 
 def test_verify_serves_the_sum_of_both_summands_from_the_counit_of_u(capsys, monkeypatch):
     # U-tilt has two summands, so the functoriality probe's one sum is U
-    # itself: "silting" and "counit on sum01" read one counit, built on one
-    # hom module
-    from siltcheck import dg, verifier
+    # itself: "silting" is the sum of the counits of U's two summands, each
+    # built once, and "counit on sum01" reads those same counits, making
+    # no verify_counit call of its own
+    from siltcheck import verifier
 
-    counits, hom_modules = [], []
-    verify_counit, dg_hom_module = verifier.verify_counit, dg.dg_hom_module
+    counits, during = [], []
+    verify_counit, functoriality_probe = verifier.verify_counit, verifier.functoriality_probe
 
     def counted_counit(ctx, X, *args, **kwargs):
-        counits.append((ctx.U, X))
+        counits.append((ctx, X))
         return verify_counit(ctx, X, *args, **kwargs)
 
-    def counted_hom_module(gh, base):
-        hom_modules.append((gh.X, gh.Y))
-        return dg_hom_module(gh, base)
+    def counted_probe(*args, **kwargs):
+        before = len(counits)
+        rep = functoriality_probe(*args, **kwargs)
+        during.append(len(counits) - before)
+        return rep
 
     _rebind(monkeypatch, verify_counit, counted_counit)
-    _rebind(monkeypatch, dg_hom_module, counted_hom_module)
+    _rebind(monkeypatch, functoriality_probe, counted_probe)
     code, out, _ = run_cli(capsys, "verify", FIX_A2, "U-tilt")
     assert code == 0
-
-    def on_u(calls):
-        return [X for U, X in calls if verifier._same_complex(X, U)]
-
-    assert len(on_u(counits)) == len(on_u(hom_modules)) == 1
+    assert during == [0]
+    (ctx,) = {ctx for ctx, _ in counits}
+    assert [sum(X is s for _, X in counits) for s in ctx.U.summands] == [1, 1]
+    assert all(X.summands is None for _, X in counits)
     reports = json.loads(out)["reports"]
     (silting,) = [r for r in reports if r["kind"] == "counit" and r["subject"] == "silting"]
     (sums,) = [r for r in reports if r["kind"] == "functoriality"]
     assert [c["name"] for c in sums["checks"]] == ["counit on sum01"]
     assert sums["checks"][0]["details"] == silting["checks"][0]["details"]
+
+
+def test_verify_exits_1_when_one_summand_of_u_breaks(capsys, monkeypatch):
+    # the evaluation map zero on the second declared summand of U-tilt
+    # alone: the sum that U's counit reads fails, and so does verify
+    from siltcheck import verifier
+    from siltcheck.complexes import ChainMap
+
+    evaluation = verifier._evaluation_chain_map
+
+    def broken(T, gh, X):
+        # gh is Hom(U, X), so gh.X is U
+        if X is gh.X.summands[1]:
+            return ChainMap(T, X, {}, validate=False)
+        return evaluation(T, gh, X)
+
+    monkeypatch.setattr(verifier, "_evaluation_chain_map", broken)
+    code, out, _ = run_cli(capsys, "verify", FIX_A2, "U-tilt")
+    assert code == 1
+    reports = json.loads(out)["reports"]
+    (silting,) = [r for r in reports if r["kind"] == "counit" and r["subject"] == "silting"]
+    (sums,) = [r for r in reports if r["kind"] == "functoriality"]
+    assert not silting["passed"] and not sums["checks"][0]["passed"]
 
 
 def _target_key(Y):

@@ -651,8 +651,8 @@ def test_verify_all_on_linear_a6_solves_no_commutation_system(monkeypatch):
     assert all(r.passed for r in reports)
 
 
-# Over kA_3 simple2 is proj2, and the free module given as P0+P1+P2 is the
-# free probe: each name maps to the name whose complex it shares.
+# Over kA_3 simple2 is proj2, and the free module given as P0+P1+P2 sums the
+# stalks the free probe sums: each name maps to the name whose report it shares.
 TWINS = {"simple2": "proj2", "silting": "free"}
 
 
@@ -682,9 +682,12 @@ def _assert_twins_agree(reports):
 
 
 def test_verify_all_checks_each_pair_of_probe_complexes_once(monkeypatch):
-    # with U the free module, the 8 probe names share 6 complexes, so 28 of
-    # the 64 name pairs repeat a pair of complexes; each repeat is reported
-    # under its own names, not recomputed
+    # with U the free module, the 8 probe names read 5 distinct sources
+    # (the stalks P0, P1, P2, which the free probe and U sum, and the
+    # replacements of simple0 and simple1) and 5 distinct targets (the
+    # module probes, a stalk summand read as its module), so each of the 25
+    # pairs of them is checked once, never a declared sum, and the 64 name
+    # pairs are reported from those
     checked = []
     inner = verifier.verify_fully_faithful
 
@@ -696,17 +699,19 @@ def test_verify_all_checks_each_pair_of_probe_complexes_once(monkeypatch):
     reports = verify_all(_free_a3(), window=(-1, 1), pair_degrees=(-1, 1))
     pairs = [r for r in reports if r.kind == "fully-faithful"]
     assert len({r.subject for r in pairs}) == 64
-    assert len(checked) == len(set(checked)) == 36
+    assert len(checked) == len(set(checked)) == 5 * 5
+    assert all(X.summands is None and Xp.summands is None for X, Xp in checked)
     _assert_twins_agree(pairs)
     assert all(r.passed for r in reports)
 
 
 def test_verify_all_runs_one_counit_per_probe_complex(monkeypatch):
-    # the 8 probe names share 6 complexes (each module probe read as
-    # itself, simple2 being proj2, and free being U), and the functoriality
-    # probe adds its three sums of two summands of U, none of them U itself;
-    # each module probe, concentrated in degree 0, returns through the
-    # counit its own name already reported
+    # the 8 probe names read 5 distinct module probes (simple2 being
+    # proj2); the free probe and U are P0+P1+P2, whose counits are sums of
+    # those of proj0, proj1 and proj2, and the functoriality probe's three
+    # sums of two summands of U read the same counits; each module probe,
+    # concentrated in degree 0, returns through the counit its own name
+    # already reported
     checked = []
     inner = verifier.verify_counit
 
@@ -718,9 +723,75 @@ def test_verify_all_runs_one_counit_per_probe_complex(monkeypatch):
     reports = verify_all(_free_a3(), window=(-1, 1), pair_degrees=(-1, 1))
     counits = [r for r in reports if r.kind == "counit"]
     assert len({r.subject for r in counits}) == 8
-    assert len(checked) == len(set(checked)) == 6 + 3
+    assert len(checked) == len(set(checked)) == 5
+    assert all(X.summands is None for X in checked)
     _assert_twins_agree(counits)
     assert all(r.passed for r in reports)
+
+
+@pytest.mark.parametrize("name", ["fix_a2/U-tilt", "fix_a2/U-silt2", "a3/P0+P1+P2",
+                                  "a3/P1toP0+P1[1]+P2[1]", "a3/P1+P2+P0[1]"])
+def test_sum_reports_equal_the_direct_checks_on_the_whole_sum(name, coresolution_inputs):
+    # both functors are additive, so the counit and fully-faithful reports
+    # the context sums from summands are those of verify_counit and
+    # verify_fully_faithful run on the whole sum, in a context of its own
+    U = coresolution_inputs({"prime": 101})[name]
+    win, degs = DegreeWindow(-1, 1), [-1, 0, 1]
+    ctx, whole = SiltingContext(U), SiltingContext(U)
+    mods = probe_modules(ctx.A)
+    sources = {**probe_complexes(ctx, mods), "silting": U}
+    targets = {**{n: ctx.module(M) for n, M in mods.items()},
+               "free": sources["free"], "silting": U}
+    for n in ("free", "silting"):
+        assert (ctx.counit(targets[n], win, 0).as_dict()
+                == verify_counit(whole, targets[n], win).as_dict()), n
+    for n1 in sorted(sources):
+        for n2 in sorted(targets):
+            if {n1, n2} & {"free", "silting"}:
+                X, Xp = sources[n1], targets[n2]
+                assert (ctx.fully_faithful(X, Xp, degs, 0).as_dict()
+                        == verify_fully_faithful(whole, X, Xp, degs).as_dict()), (n1, n2)
+
+
+def test_a_fused_u_is_analysed_whole(A2, monkeypatch):
+    # the free module given as one term declares no summands: its counit is
+    # one verify_counit on U itself, which the doubled sum reads too
+    U = projective_complex(A2, {0: [0, 1]})
+    assert U.summands is None
+    checked = []
+    inner = verifier.verify_counit
+
+    def counted(ctx, X, *args, **kwargs):
+        checked.append(X)
+        return inner(ctx, X, *args, **kwargs)
+
+    monkeypatch.setattr(verifier, "verify_counit", counted)
+    ctx = SiltingContext(U)
+    counit = ctx.counit(U, SMALL["window"], 0)
+    sums = functoriality_probe(ctx, SMALL["window"])
+    assert counit.passed and sums.passed
+    assert len(checked) == 1 and checked[0] is U
+    assert [c.name for c in sums.checks] == ["counit on double"]
+    assert sums.checks[0].details == {
+        "h_dims": {n: [2 * x for x in row]
+                   for n, row in counit.checks[0].details["h_dims"].items()}}
+
+
+def test_a_broken_summand_fails_every_sum_that_contains_it(coresolution_inputs,
+                                                           monkeypatch):
+    # the evaluation map zero on the middle summand of U alone: U's counit
+    # and the two sums holding that summand fail, the third sum passes
+    U = coresolution_inputs({"prime": 101})["a3/P1toP0+P1[1]+P2[1]"]
+    broken = U.summands[1]
+    evaluation = verifier._evaluation_chain_map
+    monkeypatch.setattr(verifier, "_evaluation_chain_map", lambda T, gh, X: (
+        ChainMap(T, X, {}, validate=False) if X is broken else evaluation(T, gh, X)))
+    reports = verify_all(U, **SMALL)
+    (silting,) = [r for r in reports if r.kind == "counit" and r.subject == "silting"]
+    (sums,) = [r for r in reports if r.kind == "functoriality"]
+    assert not silting.passed
+    assert {c.name: c.passed for c in sums.checks} == {
+        "counit on sum01": False, "counit on sum02": True, "counit on sum12": False}
 
 
 def test_the_battery_reads_coordinates_of_module_maps_only(U_tilt, U_silt2, monkeypatch):
