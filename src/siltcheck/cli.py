@@ -1,7 +1,10 @@
 """Command line front end: check, goodify, verify and report.
 
 Every command reads an instance file, picks one named complex, and prints a
-JSON report with sorted keys so reruns are byte-identical.  Exit codes: 0 all
+JSON report with sorted keys so reruns are byte-identical.  The bytes come
+from instances.json_text and equal json.dumps(..., indent=2, sort_keys=True)
+plus a newline; verification reports go in as their raw fields
+(VerificationReport.as_raw_dict), not as as_dict() copies.  Exit codes: 0 all
 checks passed, 1 a check failed with a witness, 2 the run (or the reading of
 the instance) hit a cap or step bound before reaching a verdict, 3 the
 instance file or arguments were malformed, the --output file cannot be
@@ -12,13 +15,12 @@ for an exact radical), or an internal consistency check failed.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .algebra import DimensionCapError
 from .complexes import ResolutionCapError
-from .instances import (Instance, InstanceError, instance_text,
-                        load_instance, serialize_instance)
+from .instances import (Instance, InstanceError, json_text, load_instance,
+                        serialize_instance)
 from .semifree import SemifreeCapError
 from .silting import (SiltingReport, SmallCharacteristicError, goodify,
                       silting_equivalent, silting_report)
@@ -95,7 +97,7 @@ def _write(path: str, text: str):
 
 
 def _emit(payload: dict, output):
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = json_text(payload)
     if output:
         _write(output, text)
     sys.stdout.write(text)
@@ -169,7 +171,7 @@ def cmd_goodify(inst: Instance, args) -> int:
     }
     payload["goodified"] = serialize_instance(out_inst)
     if args.output:
-        _write(args.output, instance_text(out_inst))
+        _write(args.output, json_text(payload["goodified"]))
         payload["output"] = args.output
     _emit(payload, None)
     return 0
@@ -203,7 +205,7 @@ def cmd_verify(inst: Instance, args) -> int:
     payload = {"schema": SCHEMA, "command": "verify",
                "instance": inst.name, "object": args.object,
                "effective": _echo(eff), "verdict": verdict,
-               "reports": [r.as_dict() for r in reports]}
+               "reports": [r.as_raw_dict() for r in reports]}
     _emit(payload, args.output)
     return code
 
@@ -218,7 +220,7 @@ def cmd_report(inst: Instance, args) -> int:
     if check_code == 0:
         reports = _verification_reports(ctx, eff)
         verdict, verify_code = _verdict_code(reports)
-        payload["verification"] = [r.as_dict() for r in reports]
+        payload["verification"] = [r.as_raw_dict() for r in reports]
         payload["verdict"] = verdict
         code = verify_code
     else:

@@ -12,6 +12,7 @@ carry the JSON path of the offending value.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _escape  # the C escaper
 
 from .algebra import (AdmissibilityError, Algebra, DimensionCapError, Module,
                       Quiver, direct_sum_modules, path_algebra, simple_module)
@@ -346,7 +347,51 @@ def serialize_instance(inst: Instance) -> dict:
 
 
 def instance_text(inst: Instance) -> str:
-    return json.dumps(serialize_instance(inst), indent=2, sort_keys=True) + "\n"
+    return json_text(serialize_instance(inst))
+
+
+def json_text(x) -> str:
+    """x as indented JSON text with sorted keys, written in one walk.
+
+    Equal to json.dumps(verifier._plain(x), indent=2, sort_keys=True) + "\n":
+    keys are str()-ed and sorted, tuples are lists, bool, int, str and None
+    stay as they are, and every other scalar (a field element, a Fraction)
+    is the JSON string of its str().  json.dumps drops to its pure-Python
+    encoder whenever indent is set and needs the _plain copy first; this
+    walk reads x as it is, escapes strings in C and joins a list of plain
+    ints in one step.
+    """
+    return _json_value(x, "\n") + "\n"
+
+
+def _json_value(x, nl: str) -> str:
+    """x as JSON text; nl is the newline and indent of x's own line."""
+    if isinstance(x, dict):
+        if not x:
+            return "{}"
+        inner = nl + "  "
+        named = {str(k): v for k, v in x.items()}
+        return ("{" + inner + ("," + inner).join(
+            [_escape(k) + ": " + _json_value(named[k], inner) for k in sorted(named)])
+            + nl + "}")
+    if isinstance(x, (list, tuple)):
+        if not x:
+            return "[]"
+        inner = nl + "  "
+        if all(type(v) is int for v in x):
+            items = map(str, x)
+        else:
+            items = [_json_value(v, inner) for v in x]
+        return "[" + inner + ("," + inner).join(items) + nl + "]"
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if isinstance(x, str):
+        return _escape(x)
+    if x is None:
+        return "null"
+    return _escape(str(x))
 
 
 def dump_instance(inst: Instance, filename):

@@ -22,7 +22,9 @@ reported number, and callers can re-run with a larger margin to confirm.
 Caps that run out produce an inconclusive verdict, never a silent pass.
 
 Reports are plain data: lists of named check records with integer tables.
-Serialising them with sorted keys gives byte-identical output across runs.
+The command line writes them with instances.json_text, whose bytes equal
+json.dumps(report.as_dict(), indent=2, sort_keys=True) plus a newline, so
+reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -72,19 +74,27 @@ class VerificationReport:
         """The same report under another subject, with its own notes."""
         return VerificationReport(self.kind, subject, list(self.checks), dict(self.notes))
 
-    def as_dict(self) -> dict:
-        return _plain({
+    def as_raw_dict(self) -> dict:
+        """The report's fields as nested dicts and lists, keys and scalars as
+        the checks left them; instances.json_text writes it as it stands."""
+        return {
             "kind": self.kind,
             "subject": self.subject,
             "passed": self.passed,
             "checks": [{"name": c.name, "passed": c.passed, "details": c.details}
                        for c in self.checks],
             "notes": self.notes,
-        })
+        }
+
+    def as_dict(self) -> dict:
+        return _plain(self.as_raw_dict())
 
 
 def _plain(x):
-    """JSON-ready copy: string keys, lists for tuples, str() for field scalars."""
+    """JSON-ready copy: string keys, lists for tuples, str() for field scalars.
+
+    instances.json_text(x) is json.dumps(_plain(x), indent=2, sort_keys=True)
+    plus a newline, written without the copy."""
     if isinstance(x, dict):
         return {str(k): _plain(v) for k, v in sorted(x.items(), key=lambda kv: str(kv[0]))}
     if isinstance(x, (list, tuple)):

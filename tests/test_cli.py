@@ -4,8 +4,11 @@ import copy
 import json
 import pathlib
 from collections import Counter
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from siltcheck.algebra import Quiver, hom_space, path_algebra
 from siltcheck.cli import _SOFT_CHECKS, main
@@ -14,7 +17,9 @@ from siltcheck.complexes import (cone, direct_sum_complexes, identity_chain_map,
                                  projective_complex)
 from siltcheck.fields import PrimeField
 from siltcheck.instances import (Instance, InstanceError, dump_instance,
-                                 instance_text, load_instance, parse_instance)
+                                 instance_text, json_text, load_instance,
+                                 parse_instance)
+from siltcheck.verifier import _plain
 
 INSTANCE_DIR = pathlib.Path(__file__).resolve().parent.parent / "instances"
 FIXTURE_FILES = sorted(INSTANCE_DIR.glob("*.json"))
@@ -308,8 +313,98 @@ def test_verify_output_is_byte_identical_across_runs(tmp_path, capsys):
     assert code1 == code2 == 0
     assert out1 == out2
     assert f1.read_bytes() == f2.read_bytes()
-    # canonical form: sorted keys, two-space indent, trailing newline
-    assert out1 == json.dumps(json.loads(out1), indent=2, sort_keys=True) + "\n"
+
+
+def _canonical(text: str) -> bool:
+    """Sorted keys, two-space indent, trailing newline."""
+    return text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+def _isolated_points(tmp_path, n: int) -> str:
+    """An instance with n vertices, no arrows, and the free module of them."""
+    vs = [str(i) for i in range(n)]
+    data = {"schema": 1, "name": f"points-{n}", "field": {"prime": 101},
+            "quiver": {"vertices": vs, "arrows": []},
+            "complexes": {"free": [{"types": {"0": [v]}} for v in vs]}}
+    path = tmp_path / "points.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("instance,name,command",
+                         [(FIX_K, "A", "verify")]
+                         + [(FIX_A2, "U-tilt", c)
+                            for c in ("check", "goodify", "verify", "report")])
+def test_every_command_prints_canonical_json(tmp_path, capsys, instance, name, command):
+    out_file = tmp_path / "out.json"
+    code, out, _ = run_cli(capsys, command, instance, name, "--output", str(out_file))
+    written = out_file.read_text(encoding="utf-8")
+    assert code == 0
+    assert _canonical(out) and _canonical(written)
+    # goodify writes the goodified instance to --output, the others the report
+    if command == "goodify":
+        assert json.loads(out)["goodified"] == json.loads(written)
+    else:
+        assert written == out
+
+
+@pytest.mark.parametrize("command", ["check", "report"])
+def test_int_keyed_multiplicities_sort_as_strings(tmp_path, capsys, command):
+    # eleven summands: summand 10 sorts between 1 and 2, as json.loads reads it
+    code, out, _ = run_cli(capsys, command, _isolated_points(tmp_path, 11), "free")
+    assert code == 0
+    assert _canonical(out)
+    payload = json.loads(out)
+    check = payload["check"] if command == "report" else payload
+    assert list(check["multiplicities"][0]) == ["0", "1", "10"] + [str(i) for i in range(2, 10)]
+
+
+@pytest.mark.parametrize("command", ["verify", "report"])
+def test_reports_are_written_without_an_as_dict_copy_or_json_dumps(capsys, monkeypatch,
+                                                                   command):
+    from siltcheck.verifier import VerificationReport
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("the command line writes reports with json_text")
+
+    monkeypatch.setattr(VerificationReport, "as_dict", refuse)
+    monkeypatch.setattr(json, "dumps", refuse)
+    code, out, err = run_cli(capsys, command, FIX_A2, "U-tilt")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["verdict"] == "pass"
+
+
+# -- report text --------------------------------------------------------------
+
+
+# Keys that collide after str() (1 and "1", True and "True") are left out:
+# such a dict has no single JSON form, and which value survives is an accident
+# of insertion order, in json.dumps(_plain(x)) and in json_text alike.
+# Prime-field entries are plain ints; a PrimeField itself stands for a scalar
+# that is neither a number nor a string and is written as its str().
+_KEYS = st.one_of(st.integers(-12, 12), st.integers(), st.booleans(), st.text(max_size=3))
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.text(max_size=6),
+    st.text(st.characters(max_codepoint=0x1F), max_size=4),
+    st.text(st.characters(min_codepoint=0x80), max_size=4),
+    st.fractions(), st.builds(PrimeField, st.sampled_from([2, 3, 101, 1009])))
+_TREES = st.recursive(
+    _SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.lists(st.one_of(st.integers(), st.booleans()), max_size=5),
+        st.lists(st.tuples(_KEYS, children), max_size=4,
+                 unique_by=lambda kv: str(kv[0])).map(dict)),
+    max_leaves=24)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TREES)
+@example({9: [], 10: {}, -2: None, 0: (), -1: [0, 1, True, False, -7]})
+@example([Fraction(-3, 4), PrimeField(5), "\x00\n\u00e9\U0001f600", {"": [[]]}])
+def test_json_text_equals_indented_json_dumps_of_the_plain_copy(x):
+    assert json_text(x) == json.dumps(_plain(x), indent=2, sort_keys=True) + "\n"
 
 
 @pytest.mark.parametrize("command", ["verify", "report"])

@@ -5,7 +5,9 @@ and the sha256 of stdout of ``siltcheck <command> instances/<instance>.json
 <complex>`` with default flags, for every complex in every instance file
 under the commands check, goodify, verify and report.  Any change to a
 report byte or a verdict shows up here as a digest or exit-code mismatch.
-A run stopped by a cap exits 2 with empty stdout.
+A run stopped by a cap exits 2 with empty stdout.  This replay writes to a
+StringIO; CI replays the same cases through ``python -m siltcheck.cli``
+subprocesses and hashes the bytes they write.
 """
 
 import contextlib
