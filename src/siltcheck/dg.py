@@ -240,13 +240,12 @@ class DgAlgebra(_Graded):
     """
 
     def __init__(self, field, dims: dict, mult: dict, diff: dict, unit: dict,
-                 labels: dict | None = None, idempotents=None, gh=None, complex=None,
+                 idempotents=None, gh=None, complex=None,
                  maps: dict | None = None, embed: dict | None = None):
         super().__init__(field, dims, diff)
         self.gh, self.complex, self.maps, self.embed = gh, complex, maps, embed
         self.mult = mult
         self.unit = dict(unit)
-        self.labels = labels or {}
         self.idempotents = ([dict(e) for e in idempotents] if idempotents is not None
                             else [self.unit])
         self.validate()
@@ -442,10 +441,11 @@ def evaluation_left_module(base: DgAlgebra, U: Complex) -> DgModule:
 
 
 class H0Algebra(Algebra):
-    """H^0 as an ordinary algebra (h0_algebra): class_reps holds a degree-0
-    cocycle per basis element, as its nonzero entries, sq the subquotient of
-    the classes, and kept_idempotents the positions of the given idempotents
-    whose classes survive."""
+    """H^0 as an ordinary algebra (h0_algebra): its first basis elements,
+    p0, p1, ..., are the idempotent classes that survive, the rest h<t>.
+    class_reps holds a degree-0 cocycle per basis element, as its nonzero
+    entries, sq the subquotient of the classes, and kept_idempotents the
+    positions of the given idempotents whose classes survive."""
 
     def __init__(self, field, labels, mult, unit, idempotents, class_reps, sq, kept):
         super().__init__(field, labels, mult, unit, idempotents)
@@ -462,10 +462,11 @@ def h0_algebra(X, unit: dict | None = None, idempotents: list | None = None,
     cocycles, all as nonzero entries; for a dg-algebra they default to its
     own.  Its idempotents are the classes of the given ones (for a dg-end,
     the summand projections of the complex); classes that vanish in H^0 are
-    dropped.  The basis is adapted so each idempotent class is itself a basis
-    element.  Everything is read off one table of products of the
-    representatives, as the h x h matrices of left and right multiplication
-    by each class.
+    dropped.  The basis is those idempotent classes, then the class-basis
+    vectors independent of them, so the unit is the sum of the first basis
+    elements; Algebra.validate checks that they are orthogonal idempotents.
+    Every structure constant is read off one table of products of the
+    representatives (table_product).
     """
     if products is None:
         unit, idempotents = X.unit, X.idempotents
@@ -479,11 +480,8 @@ def h0_algebra(X, unit: dict | None = None, idempotents: list | None = None,
     if not unit_cls:
         raise ValueError("H^0 is degenerate: the unit class vanishes")
 
-    # the class of the product of the a-th and b-th representatives is row b
-    # of L[a], left multiplication by the a-th class, and row a of R[b]
+    # the class of the product of the a-th and b-th representatives
     base = [[sq.reduce(p) for p in row] for row in products(sq.rep_entries)]
-    L = [Matrix.from_row_entries(f, h, base[a]) for a in range(h)]
-    R = [Matrix.from_row_entries(f, h, [base[b][a] for b in range(h)]) for a in range(h)]
 
     idem_cls = []
     kept = []
@@ -492,47 +490,25 @@ def h0_algebra(X, unit: dict | None = None, idempotents: list | None = None,
         if cls:
             idem_cls.append(cls)
             kept.append(pos)
-    total = Matrix.from_entries(f, len(idem_cls), h, dict(enumerate(idem_cls)))
-    if total.apply_entries({t: f.one for t in range(len(idem_cls))}) != unit_cls:
+    k = len(idem_cls)
+    ones = {t: f.one for t in range(k)}
+    if Matrix.from_entries(f, k, h, dict(enumerate(idem_cls))).apply_entries(ones) != unit_cls:
         raise AssertionError("idempotent classes do not sum to the unit class")
 
-    # Peirce pieces e_j H e_k, with e_j leading its own diagonal block: the
-    # rows e_j u e_k of L[e_j] @ R[e_k] over the representatives u, each kept
-    # when independent of the rows before it
-    basis_cls = []
-    blocks = []
-    idem_positions = []
-    for j, ej in enumerate(idem_cls):
-        Lj = Matrix.combination(f, h, h, ((x, L[a]) for a, x in ej.items()))
-        for k, ek in enumerate(idem_cls):
-            top = int(j == k)
-            piece = Lj @ Matrix.combination(f, h, h, ((x, R[a]) for a, x in ek.items()))
-            rows = {top + u: p for u, p in piece.entries.items()}
-            if top:
-                rows[0] = ej
-                idem_positions.append(len(basis_cls))
-            for t in Matrix.from_entries(f, top + h, h, rows).left_pivots():
-                basis_cls.append(rows[t])
-                blocks.append((j, k))
-    span = Matrix.from_entries(f, len(basis_cls), h, dict(enumerate(basis_cls)))
-    inverse = ([span.solve_left_rows({t: f.one}) for t in range(h)]
-               if len(basis_cls) == h else [None])
-    if None in inverse:
-        raise AssertionError("Peirce decomposition of H^0 is not direct")
-    inverse = Matrix.from_entries(f, h, h, dict(enumerate(inverse)))
-
-    labels = []
-    for t, (j, k) in enumerate(blocks):
-        if t in idem_positions:
-            labels.append(f"p{j}")
-        else:
-            labels.append(f"h{j}{k}_{t}")
-    # row y of span @ L[b_x] is b_x b_y; times the inverse, its coordinates
+    # the idempotent classes, then the class-basis vectors independent of them
+    stack = Matrix.from_row_entries(f, h, idem_cls + [{t: f.one} for t in range(h)])
+    pivots = stack.left_pivots()
+    if pivots[:k] != tuple(range(k)):
+        raise AssertionError("idempotent classes of H^0 are not independent")
+    basis_cls = [stack.entries[t] for t in pivots]
+    span = Matrix.from_entries(f, h, h, dict(enumerate(basis_cls)))
     mult = {}
-    for x in range(h):
-        Lx = Matrix.combination(f, h, h, ((c, L[a]) for a, c in basis_cls[x].items()))
-        mult.update(((x, y), nz) for y, nz in (span @ Lx @ inverse).entries.items())
-    return H0Algebra(f, labels, mult, inverse.apply_entries(unit_cls), idem_positions,
+    for x, u in enumerate(basis_cls):
+        for y, v in enumerate(basis_cls):
+            if p := span.solve_left_rows(table_product(f, base, u, v)):
+                mult[(x, y)] = p
+    labels = [f"p{j}" for j in range(k)] + [f"h{t}" for t in range(k, h)]
+    return H0Algebra(f, labels, mult, ones, range(k),
                      [sq.lift(cls) for cls in basis_cls], sq, kept)
 
 

@@ -219,17 +219,6 @@ class Matrix:
                     col[i] = x
         return Matrix.from_entries(self.field, self.ncols, self.nrows, out)
 
-    def hstack(self, other: "Matrix") -> "Matrix":
-        if self.nrows != other.nrows:
-            raise ValueError("hstack: row count mismatch")
-        nc = self.ncols
-        out = dict(self.entries)
-        for i, nz in other.entries.items():
-            right = {j + nc: x for j, x in nz.items()}
-            left = out.get(i)
-            out[i] = {**left, **right} if left is not None else right
-        return Matrix.from_entries(self.field, self.nrows, nc + other.ncols, out)
-
     @staticmethod
     def combination(field, nrows: int, ncols: int, terms: Iterable) -> "Matrix":
         """The sum of c * M over the (c, M) pairs of terms, all nrows x ncols
@@ -353,6 +342,25 @@ class Matrix:
         independent, so it is the answer with every other row at 0."""
         w, used = _reduce(self.field, self._echelon()[0], v)
         return None if w else used
+
+
+def first_independent(field, width: int, stacks: Iterable[Sequence[dict]]) -> list[int]:
+    """Positions of the stacks whose first row is independent of every row
+    of every earlier stack, read off one forward echelon of all the rows in
+    order; each stack is a nonempty sequence of rows of the given width, as
+    their nonzero entries.
+
+    The one minimal-cover rule: when each stack is a candidate followed by
+    its orbit and the earlier orbits span a submodule, a candidate skipped
+    for lying in that span has its orbit there too, so these are the
+    candidates that taking them one at a time, skipping any already
+    covered, would choose."""
+    rows, heads = [], []
+    for stack in stacks:
+        heads.append(len(rows))
+        rows.extend(stack)
+    pivots = set(Matrix.from_row_entries(field, width, rows).left_pivots())
+    return [t for t, head in enumerate(heads) if head in pivots]
 
 
 def _minus(field, w: dict, a, row: dict) -> dict:

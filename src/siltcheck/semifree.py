@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from .algebra import Module, direct_sum_modules
 from .complexes import CellHom, Complex, block_matrix, block_offsets, block_row, gen_slice
 from .dg import DgAlgebra, DgModule
-from .linalg import Matrix, subquotient_from_maps
+from .linalg import Matrix, first_independent, subquotient_from_maps
 
 
 class SemifreeCapError(RuntimeError):
@@ -228,10 +228,10 @@ def _kill_cone(P: SemifreeModule, top: int) -> SemifreeModule:
     idempotents e of the base C.  A degree-n cell e.C with differential q.e
     and augmentation -x.e kills that component together with its orbit
     under C^0.  Components with larger orbits come first, and a component
-    gets a cell when its class is independent of the orbits of the
-    components before it: the left pivots of one forward echelon of their
-    stacked classes and orbits.  A degree where the cone has no cohomology,
-    dim - rk d^n - rk d^{n-1} = 0, builds no subquotient.
+    gets a cell when its class is independent of the classes and orbits of
+    the components before it (linalg.first_independent, the rule the
+    coresolution's approximations choose by).  A degree where the cone has
+    no cohomology, dim - rk d^n - rk d^{n-1} = 0, builds no subquotient.
     """
     M, C = P.target, P.algebra
     f = C.field
@@ -259,24 +259,13 @@ def _kill_cone(P: SemifreeModule, top: int) -> SemifreeModule:
         # everything in its span, keeping the cover near minimal
         ranks = [Matrix.from_row_entries(f, width, orbit).rank() for *_, orbit in comps]
         order = sorted(range(len(comps)), key=lambda t: (-ranks[t], t))
-        # The orbits of earlier components span a C^0-submodule of H^n of
-        # the cone, so a component skipped for its class lying in that span
-        # has its orbit there too: a class row is a left pivot of the stack
-        # exactly when killing the classes one at a time gives it a cell.
-        rows, heads = [], []
-        for t in order:
-            i, qe, xe, orbit = comps[t]
-            heads.append(len(rows))
-            rows.append(sq.reduce(_joined(qe, xe, split)))
-            rows.extend(orbit)
-        pivots = set(Matrix.from_row_entries(f, width, rows).left_pivots())
-        for t, head in zip(order, heads):
-            if head not in pivots:
-                continue
+        stacks = ([sq.reduce(_joined(qe, xe, split)), *orbit]
+                  for _, qe, xe, orbit in (comps[t] for t in order))
+        for pos in first_independent(f, width, stacks):
             if len(P.gens) >= GENERATOR_CAP:
                 raise SemifreeCapError(
                     f"semifree resolution exceeded {GENERATOR_CAP} generators at degree {n}")
-            i, qe, xe, _ = comps[t]
+            i, qe, xe, _ = comps[order[pos]]
             P.add_generator(n, {layout_up[s]: c for s, c in qe.items()},
                             {j: f.neg(c) for j, c in xe.items()}, i)
     return P

@@ -18,13 +18,16 @@ Approximation targets are kept minimal.  Write H for the space of homotopy
 classes of chain maps into U and E = H^0 Hom(U, U) for the algebra of
 homotopy classes of chain maps U -> U.  Generators of H over E are chosen
 greedily inside the idempotent pieces e_s H, skipping any candidate already
-covered by the E-closure of the previous choices modulo rad(E) H: every
-candidate's class in H/rad(E)H is stacked with its E-orbit, and the
-candidates whose class rows are left pivots of that stack are chosen.  Each
-chosen generator contributes one copy of the summand X_s it lands in.
-Minimality is what makes the step count finite: approximating with one copy
-of U per k-basis element of H instead adds split summands to every cone and
-the process never terminates.  The granularity is the direct-sum decomposition carried by U, so
+covered by the E-closure of the previous choices modulo rad(E) H: each
+candidate's class in H/rad(E)H is stacked with its E-orbit, and
+linalg.first_independent, the rule the semifree resolutions choose their
+cells by, picks the candidates.  Each chosen generator contributes one copy
+of the summand U_s it lands in, and each degree of the approximation is one
+block row of the chosen generators' component maps into their summands.
+The choices read only spans, never E's basis.  Minimality is what makes the
+step count finite: approximating with one copy of U per k-basis element of
+H instead adds split summands to every cone and the process never
+terminates.  The granularity is the direct-sum decomposition carried by U, so
 inputs should be built with direct_sum_complexes from their indecomposable
 pieces; a coarser decomposition can overshoot the multiplicities, and the
 routine then reports an inconclusive result through its step cap rather than
@@ -38,8 +41,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import Matrix, quotient_map
-from .complexes import (ChainMap, Complex, GradedHom, cone,
+from .linalg import Matrix, first_independent, quotient_map
+from .complexes import (ChainMap, Complex, GradedHom, block_matrix, cone,
                         direct_sum_complexes, hom_complex, is_acyclic,
                         projective_complex, zero_complex)
 from .dg import end_h0
@@ -128,58 +131,37 @@ def _minimal_approximation(X: Complex, U: Complex, end: GradedHom, E, rad,
         rel.extend(L.entries.values())
     _, proj = quotient_map(f, m, rel)
 
-    # Candidates in summand-major order: row t of emats[e_s], stacked as its
-    # class in H/rad(E)H followed by its E-orbit, and chosen when its class
-    # row is a left pivot.  The orbits of earlier candidates span an
-    # E-submodule, so a candidate skipped for its class lying in that span
-    # has its orbit there too: the pivots choose what a greedy loop over the
-    # chosen orbits alone would, and no summand is approximated twice.
-    rows, cands = [], []
+    # Candidates in summand order: row t of emats[e_s], stacked as its class
+    # in H/rad(E)H followed by its E-orbit.  The orbits of earlier
+    # candidates span an E-submodule, so no summand is approximated twice.
+    cands, stacks = [], []
     for epos, s in zip(E.idempotents, E.kept_idempotents):
         blocks = [emats[epos] @ proj] + [emats[epos] @ e @ proj for e in emats]
         for t in range(m):
-            cands.append((len(rows), s, emats[epos].entries.get(t, {})))
-            rows.extend(b.entries.get(t, {}) for b in blocks)
-    pivots = set(Matrix.from_entries(f, len(rows), proj.ncols,
-                                     {i: r for i, r in enumerate(rows) if r}).left_pivots())
+            cands.append((s, emats[epos].entries.get(t, {})))
+            stacks.append([b.entries.get(t, {}) for b in blocks])
+    chosen = [cands[pos] for pos in first_independent(f, proj.ncols, stacks)]
 
-    parts, mult, gen_mats = [], {}, []
-    for pos, s, w in cands:
-        if pos not in pivots:
-            continue
-        comps = gh.component_maps(0, sq.lift(w))
-        part = summands[s]
-        mats = {}
-        for n, cm in comps.items():
-            # U itself is its one summand when it is not a direct sum
-            off, wdt = U.summand_offsets[n][s] if U.summands else 0, part.term(n).dim
-            if wdt == 0:
-                continue
-            block = {}
-            for i, nz in cm.entries.items():
-                r = {j - off: x for j, x in nz.items() if off <= j < off + wdt}
-                if r:
-                    block[i] = r
-            mats[n] = Matrix.from_entries(f, cm.nrows, wdt, block)
-        parts.append(part)
-        gen_mats.append(mats)
-        mult[s] = mult.get(s, 0) + 1
-
-    target = direct_sum_complexes(parts)
+    parts = [summands[s] for s, _ in chosen]
+    gens = [gh.component_maps(0, sq.lift(w)) for _, w in chosen]
     fmats = {}
     for n in X.degrees():
-        xdim = X.term(n).dim
-        if xdim == 0 or target.term(n).dim == 0:
+        widths = [part.term(n).dim for part in parts]
+        if not X.term(n).dim or not any(widths):
             continue
-        blocks = []
-        for part, mats in zip(parts, gen_mats):
-            pd = part.term(n).dim
-            blocks.append(mats.get(n, Matrix.zero(f, xdim, pd)))
-        acc = blocks[0]
-        for b in blocks[1:]:
-            acc = acc.hstack(b)
-        fmats[n] = acc
-    return ChainMap(X, target, fmats), mult
+        row = []
+        for (s, _), comps, wdt in zip(chosen, gens, widths):
+            cm = comps.get(n)
+            # U itself is its one summand when it is not a direct sum
+            off = U.summand_offsets[n][s] if U.summands else 0
+            row.append(None if cm is None else Matrix.from_entries(f, cm.nrows, wdt, {
+                i: r for i, nz in cm.entries.items()
+                if (r := {j - off: x for j, x in nz.items() if off <= j < off + wdt})}))
+        fmats[n] = block_matrix(f, [row], [X.term(n).dim], widths)
+    mult = {}
+    for s, _ in chosen:
+        mult[s] = mult.get(s, 0) + 1
+    return ChainMap(X, direct_sum_complexes(parts), fmats), mult
 
 
 @dataclass

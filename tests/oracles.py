@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from siltcheck import silting
 from siltcheck.algebra import Algebra, Module, generator_image, hom_space
 from siltcheck.complexes import (ChainMap, cone, hom_complex, is_acyclic,
-                                 projective_cache, projective_complex, zero_complex)
+                                 projective_cache, projective_complex,
+                                 summand_projection_maps, zero_complex)
 from siltcheck.dg import end_h0
 from siltcheck.linalg import Matrix
 
@@ -418,6 +419,42 @@ def hom_les_dims_ok(f, C, U) -> bool:
     return True
 
 
+def approximation_checks(f, U) -> tuple[bool, bool]:
+    """For a coresolution step f: X -> T, T a direct sum of summand copies
+    of U or zero: whether H^0 Hom(T, U) -> H^0 Hom(X, U), phi |-> phi . f,
+    is onto, and whether it stops being onto when any one copy is dropped
+    from T.
+
+    The image of copy i is spanned by the classes of phi . pi_i . f, for
+    pi_i the projection of T onto that copy and phi over the class
+    representatives of H^0 Hom(T, U): honest chain maps composed, read
+    back through reference_coords_of and spanned one row at a time.
+    """
+    X, T = f.source, f.target
+    ghX, ghT = hom_complex(X, U), hom_complex(T, U)
+    sqX = ghX.subquotient(0)
+    phis = [ghT.chain_map_from_cocycle(rep) for rep in ghT.subquotient(0).rep_entries]
+    images = []
+    for pi in summand_projection_maps(T) if T.summands else []:
+        rows = []
+        for phi in phis:
+            coords = reference_coords_of(ghX, 0, f.compose(pi).compose(phi).mats)
+            if coords is None:
+                raise AssertionError("composite escaped the hom basis")
+            rows.append(dense_row(U.algebra.field, sqX.reduce(coords), sqX.dim))
+        images.append(rows)
+
+    def onto(copies) -> bool:
+        span = ReferenceRowSpace(U.algebra.field, sqX.dim)
+        for rows in copies:
+            for row in rows:
+                span.add(row)
+        return span.dim == sqX.dim
+
+    return onto(images), not any(onto(images[:i] + images[i + 1:])
+                                 for i in range(len(images)))
+
+
 def coresolution_les_ok(cor: ReferenceCoresolution, U) -> bool:
     """Every step passes both dimension checks and the endpoint is hom-acyclic."""
     if not all(cone_les_dims_ok(f, C) and hom_les_dims_ok(f, C, U) for f, C in cor.steps):
@@ -428,7 +465,9 @@ def coresolution_les_ok(cor: ReferenceCoresolution, U) -> bool:
 
 def reference_h0_algebra(B) -> Algebra:
     """dg.h0_algebra with every product of classes taken per call: lift both
-    classes to cocycles, multiply them in B, reduce the product."""
+    classes to cocycles, multiply them in B, reduce the product.  The basis
+    is the nonzero idempotent classes, then each class-basis vector outside
+    the span of the vectors before it, found by incremental elimination."""
     f = B.field
     sq = B.subquotient(0)
     h = sq.dim
@@ -448,34 +487,25 @@ def reference_h0_algebra(B) -> Algebra:
         if any(c != f.zero for c in cls):
             idem_cls.append(cls)
             kept.append(pos)
-    basis_cls, blocks, idem_positions = [], [], []
-    for j, ej in enumerate(idem_cls):
-        for k, ek in enumerate(idem_cls):
-            piece = ReferenceRowSpace(f, h)
-            ordered = []
-            if j == k:
-                piece.add(ej)
-                ordered.append(ej)
-                idem_positions.append(len(basis_cls))
-            for rep_i in range(h):
-                u = tuple(f.one if t == rep_i else f.zero for t in range(h))
-                w = mult_classes(mult_classes(ej, u), ek)
-                if piece.add(w):
-                    ordered.append(w)
-            for w in ordered:
-                basis_cls.append(tuple(w))
-                blocks.append((j, k))
+    # the idempotent classes, then each class-basis vector outside the span so far
+    span_so_far = ReferenceRowSpace(f, h)
+    basis_cls = []
+    for w in idem_cls + [tuple(f.one if t == u else f.zero for t in range(h))
+                         for u in range(h)]:
+        if span_so_far.add(w):
+            basis_cls.append(tuple(w))
+        elif len(basis_cls) < len(idem_cls):
+            raise AssertionError("idempotent classes are dependent")
+    k = len(idem_cls)
     span = Matrix(f, len(basis_cls), h, basis_cls)
-    labels = [f"p{j}" if t in idem_positions else f"h{j}{k}_{t}"
-              for t, (j, k) in enumerate(blocks)]
+    labels = [f"p{j}" for j in range(k)] + [f"h{t}" for t in range(k, h)]
     mult = {}
     for x in range(h):
         for y in range(h):
             coords = span.solve_left_rows(nonzero_entries(mult_classes(basis_cls[x], basis_cls[y])))
             if coords:
                 mult[(x, y)] = coords
-    alg = Algebra(f, labels, mult, span.solve_left_rows(nonzero_entries(unit_cls)),
-                  idem_positions)
+    alg = Algebra(f, labels, mult, span.solve_left_rows(nonzero_entries(unit_cls)), range(k))
     alg.class_reps = [sq.lift(nonzero_entries(cls)) for cls in basis_cls]
     alg.kept_idempotents = kept
     return alg

@@ -297,6 +297,26 @@ def test_h0_algebra_rejects_vanishing_unit(A2):
         h0_algebra(B)
 
 
+def test_h0_algebra_rejects_dependent_or_incomplete_idempotent_classes(regular_split):
+    B = dg_end(regular_split)
+    e1, e2 = B.idempotents
+    f = B.field
+    e2_minus_e1 = dict(e2)
+    for k, x in e1.items():
+        e2_minus_e1[k] = e2_minus_e1.get(k, 0) - x
+    e2_minus_e1 = f.reduce_entries(e2_minus_e1)
+
+    def products(reps):
+        return [[B.product(0, a, 0, b) for b in reps] for a in reps]
+
+    # e1 + e1 + (e2 - e1) is the unit, but the classes span only two dimensions
+    with pytest.raises(AssertionError, match="not independent"):
+        h0_algebra(B, B.unit, [e1, e1, e2_minus_e1], products)
+    with pytest.raises(AssertionError, match="do not sum to the unit"):
+        h0_algebra(B, B.unit, [e1], products)
+    assert h0_algebra(B, B.unit, [e1, e2], products).idempotents == (0, 1)
+
+
 @pytest.mark.parametrize("field_spec", [{"prime": 101}, "rational"],
                          ids=["F101", "Q"])
 def test_h0_product_table_matches_per_call_products(coresolution_inputs, field_spec):

