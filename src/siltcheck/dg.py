@@ -95,6 +95,20 @@ def _flat(field, table, key, outer, inner, width, swap=False) -> Matrix:
     return Matrix.from_entries(field, len(outer), len(inner) * width, out)
 
 
+class _Blocks:
+    """One structure table's _stacked and _flat blocks, table(build, *args)
+    for build(field, table, *args) with every argument given, each built on
+    its first request and kept for the validation that made this."""
+
+    def __init__(self, field, table: dict):
+        self.field, self.table, self._built = field, table, {}
+
+    def __call__(self, build, *args) -> Matrix:
+        if (build, args) not in self._built:
+            self._built[(build, args)] = build(self.field, self.table, *args)
+        return self._built[(build, args)]
+
+
 def _per_block(M: Matrix, w: int, run: int = 1) -> Matrix:
     """Each row of M holds consecutive width-w blocks, one per basis element;
     the result has one row per block index i and per run of consecutive rows
@@ -127,63 +141,61 @@ def _row_blocks(M: Matrix, w: int) -> Matrix:
     return Matrix.from_entries(M.field, M.nrows * blocks, w, out)
 
 
-def _unit_products(Z, table, n, B, right: bool) -> dict:
+def _unit_products(Z, table: _Blocks, n, B, right: bool) -> dict:
     """unit*e_i, or e_i*unit when right, for each degree-n basis element e_i
     of Z and the unit of the dg-algebra B, as row i of the nonzero entries
     of one product of the unit with the flattened table block."""
     d, f = Z.dim(n), Z.field
     if not d:
         return {}
-    flat = _flat(f, table, (n, 0) if right else (0, n), range(B.dim(0)), range(d), d,
-                 swap=right)
+    flat = table(_flat, (n, 0) if right else (0, n), range(B.dim(0)), range(d), d, right)
     unit = Matrix.from_entries(f, 1, B.dim(0), {0: B.unit} if B.unit else {})
     return _per_block(unit @ flat, d).entries
 
 
-def _check_leibniz(Z, table, X, Y, message: str):
+def _check_leibniz(Z, table: _Blocks, X, Y, message: str):
     """d(xy) = d(x)y + (-1)^{|x|} x d(y) on every basis pair x of X, y of Y;
     table holds the products xy in Z.  Per degree pair
     (m, n), table[m, n] (stacked) @ d_Z[m+n] holds each d(x_i y_j),
     d_Y[n] @ table[m, n+1] (flattened over x) each x_i d(y_j), and
     d_X[m] @ table[m+1, n] (flattened over y) each d(x_i)y_j; the last two
     are regrouped by index remaps and the sides compared as entries."""
-    f = Z.field
     for m in X.degrees():
         I = range(X.dim(m))
         for n in Y.degrees():
             J, w = range(Y.dim(n)), Z.dim(m + n + 1)
             if not (I and J and w):
                 continue
-            d_xy = _stacked(f, table, (m, n), I, J, Z.dim(m + n)) @ Z.diff(m + n)
-            x_dy = _per_block(Y.diff(n) @ _flat(f, table, (m, n + 1), range(Y.dim(n + 1)), I,
-                                                w, swap=True), w)
-            dx_y = X.diff(m) @ _flat(f, table, (m + 1, n), range(X.dim(m + 1)), J, w)
+            d_xy = table(_stacked, (m, n), I, J, Z.dim(m + n)) @ Z.diff(m + n)
+            x_dy = _per_block(Y.diff(n) @ table(_flat, (m, n + 1), range(Y.dim(n + 1)), I, w,
+                                                True), w)
+            dx_y = X.diff(m) @ table(_flat, (m + 1, n), range(X.dim(m + 1)), J, w, False)
             if (d_xy - x_dy if m % 2 == 0 else d_xy + x_dy).entries != \
                     _row_blocks(dx_y, w).entries:
                 raise AssertionError(message.format(m, n))
 
 
-def _check_associativity(Z, table, factors, xy, yz, message: str):
+def _check_associativity(Z, table: _Blocks, factors, xy, yz, message: str):
     """(xy)z = x(yz) on every basis triple of factors; xy and yz are
-    (table, space) of the inner products, table holds the outer ones in Z.
+    (table, space) of the inner products, table holds the outer ones in Z,
+    each table as its _Blocks.
     Per degree triple (m, n, p),
     table_xy[m, n] (stacked) @ table[m+n, p] (flattened) holds each
     (x_i y_j)z_k, and table_yz[n, p] (stacked) @ table[m, n+p] (flattened
     over x) each x_i(y_j z_k), regrouped by _per_block and compared as
     entries."""
-    f = Z.field
     (t_xy, XY), (t_yz, YZ) = xy, yz
     px, py, pz = ({n: range(F.dim(n)) for n in F.degrees() if F.dim(n)} for F in factors)
     for m, I in px.items():
         for n, J in py.items():
-            xi_yj = _stacked(f, t_xy, (m, n), I, J, XY.dim(m + n))
+            xi_yj = t_xy(_stacked, (m, n), I, J, XY.dim(m + n))
             for p, K in pz.items():
                 w = Z.dim(m + n + p)
                 if not w:
                     continue
-                xy_z = xi_yj @ _flat(f, table, (m + n, p), range(XY.dim(m + n)), K, w)
-                x_yz = (_stacked(f, t_yz, (n, p), J, K, YZ.dim(n + p))
-                        @ _flat(f, table, (m, n + p), range(YZ.dim(n + p)), I, w, swap=True))
+                xy_z = xi_yj @ table(_flat, (m + n, p), range(XY.dim(m + n)), K, w, False)
+                x_yz = (t_yz(_stacked, (n, p), J, K, YZ.dim(n + p))
+                        @ table(_flat, (m, n + p), range(YZ.dim(n + p)), I, w, True))
                 if xy_z.entries != _per_block(x_yz, w, len(K)).entries:
                     raise AssertionError(message.format(m, n, p))
 
@@ -272,7 +284,7 @@ class DgAlgebra(_Graded):
             raise AssertionError("unit has an entry outside degree 0")
         if self.apply_diff(0, self.unit):
             raise AssertionError("unit is not a cocycle")
-        mult = self.mult
+        mult = _Blocks(f, self.mult)
         for n in self.degrees():
             sides = {side: _unit_products(self, mult, n, self, side == "right")
                      for side in ("left", "right")}
@@ -323,7 +335,7 @@ class DgModule(_Graded):
         B, one = self.algebra, self.field.one
         right = self.side == "right"
         self.check_square_zero("module differential does not square to zero at {}")
-        action, mult = self.action, B.mult
+        action, mult = _Blocks(self.field, self.action), _Blocks(self.field, B.mult)
         for n in self.degrees():
             products = _unit_products(self, action, n, B, right)
             if any(products.get(i) != {i: one} for i in range(self.dim(n))):

@@ -363,6 +363,23 @@ def first_independent(field, width: int, stacks: Iterable[Sequence[dict]]) -> li
     return [t for t, head in enumerate(heads) if head in pivots]
 
 
+def block_ranks(M: Matrix, row_blocks: Sequence[int], col_blocks: Sequence[int],
+                count: int) -> list[int]:
+    """The rank of each of the count diagonal blocks of M, for M block
+    diagonal under the block labels of its rows and columns: the pivot rows
+    of the forward echelon labelled t.  A row is reduced only at columns of
+    its own block, against echelon rows of that block, so no elimination
+    combines two blocks.  Raises ValueError on an entry outside its block."""
+    for i, nz in M.entries.items():
+        t = row_blocks[i]
+        if any(col_blocks[j] != t for j in nz):
+            raise ValueError(f"row {i} has an entry outside its block {t}")
+    ranks = [0] * count
+    for i in M.left_pivots():
+        ranks[row_blocks[i]] += 1
+    return ranks
+
+
 def _minus(field, w: dict, a, row: dict) -> dict:
     """w - a * row, for rows given as their nonzero entries."""
     acc = dict(w)
@@ -566,3 +583,21 @@ class Cochains:
     def h_table(self) -> dict:
         """degree -> dim H^n, over the degrees where it is nonzero."""
         return {n: d for n in self.degrees() if (d := self.h_dim(n))}
+
+    def block_h_dims(self, n: int, blocks: dict, count: int) -> list[int]:
+        """dim H^n of each of count blocks, for a differential block diagonal
+        under blocks, degree -> the block of each position: the positions of
+        block t less its ranks in d^n and d^{n-1} (block_ranks)."""
+        dims = [0] * count
+        for t in blocks.get(n, ()):
+            dims[t] += 1
+        if any(dims):
+            for m in (n, n - 1):
+                ranks = block_ranks(self.diff(m), blocks.get(m, ()), blocks.get(m + 1, ()), count)
+                dims = [d - r for d, r in zip(dims, ranks)]
+        return dims
+
+    def class_blocks(self, n: int, blocks: dict) -> list[int]:
+        """The block of each class representative of H^n, under blocks as in
+        block_h_dims; a representative lies in one block."""
+        return [blocks[n][next(iter(rep))] for rep in self.subquotient(n).rep_entries]

@@ -117,6 +117,19 @@ class SemifreeModule:
                 Q.add_generator(g, self.gen_diffs[k], self.gen_augs[k], self.cells[k])
         return _kill_cone(Q, self.cutoff - 1)
 
+    def block(self, blocks: list, t) -> "SemifreeModule":
+        """The generators k with blocks[k] == t, in order, as a semifree
+        module of their own with the same base, target and cutoff: a direct
+        summand when the differential of each meets its own block alone."""
+        Q = SemifreeModule(self.algebra, self.target, self.cutoff)
+        kept = {}
+        for k, g in enumerate(self.gens):
+            if blocks[k] == t:
+                kept[k] = len(Q.gens)
+                Q.add_generator(g, {(kept[k2], b): c for (k2, b), c in self.gen_diffs[k].items()},
+                                self.gen_augs[k], self.cells[k])
+        return Q
+
     def _memo(self, kind: str, n: int, build):
         memo = self._matrices.setdefault(n, {})
         if kind not in memo:

@@ -13,7 +13,11 @@ theorem for that module.
 
 Every check takes the SiltingContext of U as its first argument and reads
 U, its dg-end and every hom complex out of it, so no object is built twice;
-verify_all is the one place that builds a context from U.
+verify_all is the one place that builds a context from U.  Both functors are
+additive and every map the counit and fully-faithful checks read is block
+diagonal for the declared summands of their target, so the context checks
+its probes as one direct sum: one counit per window, one fully-faithful
+check per source summand, each summand's rows read off its block.
 
 Every check works inside a stated degree window.  Semifree resolutions are
 truncated one degree deeper than the window requires, so cohomology at the
@@ -29,7 +33,7 @@ reruns are byte-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import combinations, product
 
@@ -40,7 +44,7 @@ from .complexes import (ChainMap, Complex, GradedHom, direct_sum_complexes,
 from .dg import (DgAlgebra, DgModule, dg_hom_module, end_dg, end_h0,
                  evaluation_left_module, opposite_dg, side_swap,
                  smart_truncate)
-from .linalg import Matrix
+from .linalg import Matrix, block_ranks
 from .semifree import (DegreeWindow, SemifreeHom, SemifreeModule, hom_cutoff,
                        lift_up_to_homotopy, resolution_tensor, semifree_resolve,
                        tensor_cutoff, tensor_map)
@@ -61,10 +65,14 @@ class CheckRecord:
 
 @dataclass
 class VerificationReport:
+    """A check's records.  parts holds the reports of the declared summands a
+    direct sum's report was read off, one per block, and is not written out."""
+
     kind: str
     subject: str
     checks: list
     notes: dict = field(default_factory=dict)
+    parts: list = field(default_factory=list, repr=False, compare=False)
 
     @property
     def passed(self) -> bool:
@@ -126,9 +134,15 @@ class SiltingContext:
     dg.end_dg, dg.end_h0 and silting.end_radical), where the report's
     coresolution left the last two.  A module is read as itself, one complex
     in degree 0 (module), and hom complexes, hom modules, resolutions,
-    tensors, counit reports and classifications are cached under the objects
-    they come from, since several checks revisit them; a key keeps its
-    object alive, so a cached entry can never answer for another.
+    tensors, classifications and canonical sequences are cached under the
+    objects they come from, since several checks revisit them; a key keeps
+    its object alive, so a cached entry can never answer for another.
+    Counit and fully-faithful reports are kept per summand and per pair of
+    summands: counits and pairs check every summand not yet checked at once,
+    on the direct sum of them (_sum, one per list of summands, so the two
+    share its hom module and the resolution of it), and file each block's
+    report; counit and fully_faithful read them, summed over the declared
+    summands of their arguments.
     """
 
     def __init__(self, U: Complex, max_steps: int = 8):
@@ -143,7 +157,9 @@ class SiltingContext:
         self._tensors: dict = {}
         self._resolutions: dict = {}
         self._reports: dict = {}  # counit and fully-faithful, keyed by arguments
+        self._sums: dict = {}
         self._classifications: dict = {}
+        self._sequences: dict = {}
 
     @cached_property
     def gh(self) -> GradedHom:
@@ -195,32 +211,76 @@ class SiltingContext:
         return self._tensors[P]
 
     def counit(self, X: Complex, window, extra_margin: int) -> VerificationReport:
-        """verify_counit(self, X, window, extra_margin), summed over declared
-        summands, run once per complex, window and margin; file it with filed_as."""
-        key = (X, _window(window), extra_margin)
+        """The counit report of X at the window and margin, summed over its
+        declared summands, each checked by counits; file it with filed_as."""
+        win = _window(window)
+        key = (X, win, extra_margin)
         if key not in self._reports:
-            self._reports[key] = (
-                _summed([self.counit(s, key[1], extra_margin) for s in X.summands])
-                if X.summands else verify_counit(self, X, key[1], extra_margin))
+            self.counits([X], win, extra_margin)
+            if X.summands:
+                self._reports[key] = _summed([self.counit(s, win, extra_margin)
+                                              for s in X.summands])
         return self._reports[key]
+
+    def counits(self, Xs: list, window, extra_margin: int):
+        """Check the counit of every summand of Xs not yet checked at this
+        window and margin in one verify_counit, on their direct sum, and keep
+        each summand's report, read off its block."""
+        win = _window(window)
+        todo = [s for s in _leaves(Xs) if (s, win, extra_margin) not in self._reports]
+        if todo:
+            rep = verify_counit(self, self._sum(todo), win, extra_margin)
+            for s, part in zip(todo, rep.parts or [rep]):
+                self._reports[(s, win, extra_margin)] = part
 
     def fully_faithful(self, X: Complex, Xp: Complex, degrees,
                        extra_margin: int) -> VerificationReport:
-        """verify_fully_faithful(self, X, Xp, degrees, extra_margin), summed over
-        pairs of declared summands, run once per pair, degrees and margin."""
+        """The fully-faithful report of the pair at the degrees and margin,
+        summed over pairs of declared summands, each checked by pairs."""
         key = (X, Xp, tuple(degrees), extra_margin)
         if key not in self._reports:
-            pairs = list(product(X.summands or [X], Xp.summands or [Xp]))
-            self._reports[key] = (
-                verify_fully_faithful(self, X, Xp, degrees, extra_margin) if pairs == [(X, Xp)]
-                else _summed([self.fully_faithful(*pq, degrees, extra_margin) for pq in pairs]))
+            self.pairs([X], [Xp], degrees, extra_margin)
+            if X.summands or Xp.summands:
+                self._reports[key] = _summed([
+                    self.fully_faithful(*pq, degrees, extra_margin)
+                    for pq in product(X.summands or [X], Xp.summands or [Xp])])
         return self._reports[key]
+
+    def pairs(self, Xs: list, Ys: list, degrees, extra_margin: int):
+        """Check every pair of a summand of Xs and a summand of Ys not yet
+        checked at these degrees and margin, one verify_fully_faithful per
+        source summand, into the direct sum of its targets, and keep each
+        pair's report, read off its block."""
+        degs = tuple(degrees)
+        targets = _leaves(Ys)
+        for S in _leaves(Xs):
+            todo = [t for t in targets if (S, t, degs, extra_margin) not in self._reports]
+            if todo:
+                rep = verify_fully_faithful(self, S, self._sum(todo), degs, extra_margin)
+                for t, part in zip(todo, rep.parts or [rep]):
+                    self._reports[(S, t, degs, extra_margin)] = part
+
+    def _sum(self, parts: list) -> Complex:
+        """The direct sum of parts, a single complex as itself; built once per
+        list, so the counits and every source's pairs share its hom module."""
+        if len(parts) == 1:
+            return parts[0]
+        key = tuple(parts)
+        if key not in self._sums:
+            self._sums[key] = direct_sum_complexes(parts)
+        return self._sums[key]
 
     def classification(self, X: Module) -> XiClassification:
         """classify_Xi(self, X), run once per module."""
         if X not in self._classifications:
             self._classifications[X] = classify_Xi(self, X)
         return self._classifications[X]
+
+    def canonical_sequence(self, X: Module) -> tuple[Module, Module]:
+        """_canonical_sequence(self, X), built once per module."""
+        if X not in self._sequences:
+            self._sequences[X] = _canonical_sequence(self, X)
+        return self._sequences[X]
 
     def resolve(self, M: DgModule, cutoff: int) -> SemifreeModule:
         """semifree_resolve(M, cutoff), built at most once per module and degree.
@@ -277,15 +337,66 @@ def _postcomposed_augmentations(P: SemifreeModule, MX: DgModule, MXp: DgModule,
             for k, g in enumerate(P.gens)}
 
 
-def _rank_table(degrees, lhs_dim, rhs_dim, induced) -> tuple[dict, bool]:
-    """[lhs_dim(n), rhs_dim(n), rank of induced(n)] per degree n, and whether
-    induced(n) is an isomorphism at every one of them.  The induced map is
-    built only where both sides are nonzero; elsewhere its rank is 0."""
-    table = {}
+def _leaves(Xs: list) -> list:
+    """The distinct declared summands of the complexes Xs, down to those that
+    declare none, in order; a complex declaring none is its own."""
+    out = []
+    for X in Xs:
+        for s in _leaves(X.summands) if X.summands else [X]:
+            if not any(s is t for t in out):
+                out.append(s)
+    return out
+
+
+# Each map a counit or fully-faithful check reads is block diagonal for the
+# declared summands of its target X: the blocks below label every position of
+# a space, degree by degree, with the summand it lies in.
+
+
+def _summand_blocks(X: Complex) -> dict:
+    """The blocks of X: its summands in order, one block when it declares none."""
+    parts = X.summands or [X]
+    return {n: [t for t, s in enumerate(parts) for _ in range(s.dim(n))] for n in X.degrees()}
+
+
+def _cell_blocks(h, target: dict) -> dict:
+    """The blocks of maps out of cells (complexes.CellHom) into a target
+    with the given blocks: a cell row lies in one block, its pivot column's."""
+    return {m: [target[j][p] for _, j, cell in h.blocks(m) for p in cell.pivots]
+            for m in h.degrees()}
+
+
+def _generator_blocks(P: SemifreeModule, module: dict) -> list:
+    """The block of each generator of a resolution P of a module with the
+    given blocks: its augmentation's, or when that is zero the block of the
+    generators its differential meets."""
+    out = []
+    for g, aug, diff in zip(P.gens, P.gen_augs, P.gen_diffs):
+        out.append(module[g][next(iter(aug))] if aug else out[next(iter(diff))[0]])
+    return out
+
+
+def _blockwise(X: Complex, kind: str, subject: str, name: str, notes: dict, degrees,
+               lhs, lhs_blocks: dict, rhs, rhs_blocks: dict, induced) -> VerificationReport:
+    """The report of X from the rows [dim H^n lhs, dim H^n rhs, rank of
+    induced(n)] of each block t and degree n, read off block t; induced(n),
+    the induced map from the classes of lhs to those of rhs, is built only
+    where some block has both sides.  Each block's report checks that its
+    map is an isomorphism at every degree; for a direct sum X the report is
+    their sum, holding them as its parts."""
+    count = len(X.summands or [X])
+    tables = [{} for _ in range(count)]
     for n in degrees:
-        lhs, rhs = lhs_dim(n), rhs_dim(n)
-        table[n] = [lhs, rhs, induced(n).rank() if lhs and rhs else 0]
-    return table, all(lhs == rhs == rk for lhs, rhs, rk in table.values())
+        ls, rs = lhs.block_h_dims(n, lhs_blocks, count), rhs.block_h_dims(n, rhs_blocks, count)
+        ranks = (block_ranks(induced(n), lhs.class_blocks(n, lhs_blocks),
+                             rhs.class_blocks(n, rhs_blocks), count)
+                 if any(a and b for a, b in zip(ls, rs)) else [0] * count)
+        for t, table in enumerate(tables):
+            table[n] = [ls[t], rs[t], ranks[t]]
+    parts = [VerificationReport(kind, subject, [CheckRecord(
+        name, all(a == b == rk for a, b, rk in table.values()), {"h_dims": table})],
+        dict(notes)) for table in tables]
+    return parts[0] if X.summands is None else replace(_summed(parts), parts=parts)
 
 
 def _summed(reports: list) -> VerificationReport:
@@ -365,17 +476,21 @@ def verify_counit(ctx: SiltingContext, X: Complex, window,
     """Resolve Hom(U, X) over the truncation, tensor back, evaluate onto X.
 
     Passes when the evaluation map induces cohomology isomorphisms at every
-    degree of the window.
+    degree of the window.  Every map here is block diagonal for the declared
+    summands of X, so a direct sum is checked once: each summand's report is
+    read off its block, and the report of X is their sum.
     """
     win = _window(window)
     MX = ctx.hom_module(X)
     T = ctx.tensor(MX, win, extra_margin)
     eps = _evaluation_chain_map(T, MX.gh, X)
-    table, ok = _rank_table(range(win.lo, win.hi + 1), T.h_dim, X.h_dim, eps.induced)
-    checks = [CheckRecord("evaluation map induces cohomology isomorphisms", ok,
-                          {"h_dims": table})]
-    return VerificationReport("counit", "probe", checks,
-                              {"window": [win.lo, win.hi], "extra_margin": extra_margin})
+    xb = _summand_blocks(X)
+    gens = _generator_blocks(T.resolution, _cell_blocks(MX.gh, xb))
+    tb = {n: [gens[k] for k, _, cell in layout for _ in range(cell.dim)]
+          for n, layout in T.block_layout.items()}
+    return _blockwise(X, "counit", "probe", "evaluation map induces cohomology isomorphisms",
+                      {"window": [win.lo, win.hi], "extra_margin": extra_margin},
+                      range(win.lo, win.hi + 1), T, tb, X, xb, eps.induced)
 
 
 def verify_fully_faithful(ctx: SiltingContext, X: Complex, Xp: Complex, degrees,
@@ -385,30 +500,45 @@ def verify_fully_faithful(ctx: SiltingContext, X: Complex, Xp: Complex, degrees,
     Compares dimensions over the base algebra with dimensions over the
     truncated dg-end, and checks that the functor's induced linear map on
     each morphism space has full rank, so the two spaces are identified
-    rather than merely equinumerous.
+    rather than merely equinumerous.  Every map here is block diagonal for
+    the declared summands of Xp, so the pairs of X with each of them are
+    checked at once, each pair's report read off its block, and the report
+    of the pair (X, Xp) is their sum.
     """
     ns = sorted(degrees)
     win = DegreeWindow(ns[0], ns[-1])
     f = ctx.A.field
-    MX = ctx.hom_module(X)
     MXp = ctx.hom_module(Xp)
     gh = ctx.hom(X, Xp)
+    xb = _summand_blocks(Xp)
+    mb = _cell_blocks(MXp.gh, xb)
+    # a source that is a summand of Xp is resolved as its block of the
+    # resolution of Hom(U, Xp), and its maps read from that summand's rows
+    s = next((t for t, part in enumerate(Xp.summands or [Xp]) if part is X), None)
+    MX = MXp if s is not None else ctx.hom_module(X)
     P = ctx.resolve(MX, hom_cutoff(MXp, win, extra_margin))
+    offset = {}
+    if s is not None and Xp.summands:
+        P = P.block(_generator_blocks(P, mb), s)
+        offset = {i: offsets[s] for i, offsets in Xp.summand_offsets.items()}
     sh = SemifreeHom(P, MXp)
+    hb, sb = _cell_blocks(gh, xb), _cell_blocks(sh, mb)
+
+    def maps(n, rep):
+        # the components of a degree-n map X -> Xp, out of X's rows of Xp
+        return {i: Matrix.from_entries(f, Xp.dim(i), m.ncols, {
+            offset[i] + r: nz for r, nz in m.entries.items()}) if offset else m
+            for i, m in gh.component_maps(n, rep).items()}
 
     def functor(n):
         # the functor's map on degree-n classes
         shq = sh.subquotient(n)
         return Matrix.from_row_entries(f, shq.dim, [
-            shq.reduce(sh.assemble(n, _postcomposed_augmentations(
-                P, MX, MXp, n, gh.component_maps(n, rep))))
+            shq.reduce(sh.assemble(n, _postcomposed_augmentations(P, MX, MXp, n, maps(n, rep))))
             for rep in gh.subquotient(n).rep_entries])
 
-    table, ok = _rank_table(ns, gh.h_dim, sh.h_dim, functor)
-    checks = [CheckRecord("morphism spaces match through the functor", ok,
-                          {"h_dims": table})]
-    return VerificationReport("fully-faithful", "pair", checks,
-                              {"degrees": ns, "extra_margin": extra_margin})
+    return _blockwise(Xp, "fully-faithful", "pair", "morphism spaces match through the functor",
+                      {"degrees": ns, "extra_margin": extra_margin}, ns, gh, hb, sh, sb, functor)
 
 
 def verify_delta(ctx: SiltingContext, window,
@@ -522,6 +652,7 @@ def functoriality_probe(ctx: SiltingContext, window,
     parts = ctx.U.summands or [ctx.U]
     sums = ({"double": parts * 2} if len(parts) == 1 else
             {f"sum{a}{b}": [parts[a], parts[b]] for a, b in combinations(range(len(parts)), 2)})
+    ctx.counits(parts, window, extra_margin)
     reps = {name: _summed([ctx.counit(X, window, extra_margin) for X in pair])
             for name, pair in sums.items()}
     return VerificationReport("functoriality", "sums from the silting complex", [
@@ -695,7 +826,7 @@ def verify_tilting_theorem(ctx: SiltingContext, probes: dict,
         else:
             ok = True
             for label, part, i in zip(("torsion", "torsion_free"),
-                                      _canonical_sequence(ctx, X), (0, 1)):
+                                      ctx.canonical_sequence(X), (0, 1)):
                 back = part.dim > 0 and verify_corollary_roundtrip(
                     ctx, part, i, win, extra_margin,
                     subject=f"{name} {label}").passed
@@ -767,19 +898,32 @@ def verify_all(U: Complex, window=(-4, 4), pair_degrees=(-2, 2), max_steps: int 
         cplx["silting"] = ctx.U
     # probe names may share one complex: simple2 is proj2 over kA_n.  A
     # module probe is read as itself; cplx holds it only as a hom's source.
-    # The context checks each summand and pair once, each reported under every name.
+    # The context checks the distinct target summands as one direct sum, in
+    # one counit per window and one fully-faithful check per distinct
+    # source summand, and reports each summand and pair under every name.
     target = {name: ctx.module(mods[name]) if name in mods else X for name, X in cplx.items()}
     names = sorted(cplx)
+    targets = [target[n] for n in names]
+    degs = list(range(pr.lo, pr.hi + 1))
+    classified = {name: ctx.classification(mods[name]) for name in sorted(mods)}
+    tilting = srep.tilting and srep.module_form
+    # the tilting theorem returns the canonical parts of each probe in
+    # neither class, in degrees 0 and 1, and the roundtrips each probe
+    # concentrated in degree i: each at the window shifted by its degree
+    parts = [ctx.module(part) for name in sorted(mods) if tilting and classified[name].index is None
+             for part in ctx.canonical_sequence(mods[name]) if part.dim]
+    shifts = {0, 1} if parts else {0}
+    shifts |= {c.index for name, c in classified.items() if mods[name].dim} - {None}
+    for i in sorted(shifts):
+        ctx.counits(targets + parts, DegreeWindow(win.lo + i, win.hi + i), extra_margin)
+    ctx.pairs([cplx[n] for n in names], targets, degs, extra_margin)
     for name in names:
         reports.append(ctx.counit(target[name], win, extra_margin).filed_as(name))
-    degs = list(range(pr.lo, pr.hi + 1))
     reports += [ctx.fully_faithful(cplx[n1], target[n2], degs, extra_margin)
                 .filed_as(f"{n1}->{n2}") for n1 in names for n2 in names]
     cls_checks = []
-    classified = {}
     for name in sorted(mods):
-        c = ctx.classification(mods[name])
-        classified[name] = c
+        c = classified[name]
         seen = mods[name].dim == 0 or any(c.dims.values())
         cls_checks.append(CheckRecord(f"probe {name} detected within the degree bound",
                                       seen,
@@ -797,7 +941,7 @@ def verify_all(U: Complex, window=(-4, 4), pair_degrees=(-2, 2), max_steps: int 
     reports.append(functoriality_probe(ctx, win, extra_margin))
     if "free" in cplx:
         reports.append(naturality_probe(ctx, cplx["free"], ctx.U, win, extra_margin))
-    if srep.tilting and srep.module_form:
+    if tilting:
         probes = {name: (mods[name], classified[name], roundtrips.get(name))
                   for name in mods}
         reports.append(verify_tilting_theorem(ctx, probes, delta, win, extra_margin))

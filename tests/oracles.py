@@ -749,3 +749,24 @@ def reference_semifree_hom_diff(sh, m):
 def dense_row(f, v: dict, width: int) -> tuple:
     """The row of the given width with the nonzero entries v."""
     return tuple(v.get(k, f.zero) for k in range(width))
+
+
+def zero_on_summand(evaluation, broken):
+    """An evaluation-map builder that agrees with evaluation(T, gh, X) except
+    on the summand broken of X (or X itself, when it is broken), where the map
+    is zero: the counit of that summand alone fails, wherever it is checked."""
+    def broken_evaluation(T, gh, X):
+        eps = evaluation(T, gh, X)
+        parts = X.summands or [X]
+        if not any(s is broken for s in parts):
+            return eps
+        t = next(t for t, s in enumerate(parts) if s is broken)
+        mats = {}
+        for n, m in eps.mats.items():
+            lo = X.summand_offsets[n][t] if X.summands else 0
+            hi = lo + broken.dim(n)
+            rows = {r: kept for r, nz in m.entries.items()
+                    if (kept := {c: x for c, x in nz.items() if not lo <= c < hi})}
+            mats[n] = Matrix.from_entries(m.field, m.nrows, m.ncols, rows)
+        return ChainMap(T, X, mats, validate=False)
+    return broken_evaluation

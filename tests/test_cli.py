@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import zero_on_summand
 from siltcheck.algebra import Quiver, hom_space, path_algebra
 from siltcheck.cli import _SOFT_CHECKS, main
 from siltcheck.complexes import (cone, direct_sum_complexes, identity_chain_map,
@@ -789,17 +790,18 @@ def test_verify_resolves_each_module_degree_once(capsys, monkeypatch):
 
 def test_verify_serves_the_sum_of_both_summands_from_the_counit_of_u(capsys, monkeypatch):
     # U-tilt has two summands, so the functoriality probe's one sum is U
-    # itself: "silting" is the sum of the counits of U's two summands, each
-    # built once, and "counit on sum01" reads those same counits, making
-    # no verify_counit call of its own
+    # itself: "silting" is the sum of the counits of U's two summands, both
+    # blocks of the one counit check at the window, and "counit on sum01"
+    # reads those same counits, making no verify_counit call of its own;
+    # each further check is the batch of another window
     from siltcheck import verifier
 
     counits, during = [], []
     verify_counit, functoriality_probe = verifier.verify_counit, verifier.functoriality_probe
 
-    def counted_counit(ctx, X, *args, **kwargs):
-        counits.append((ctx, X))
-        return verify_counit(ctx, X, *args, **kwargs)
+    def counted_counit(ctx, X, window, *args, **kwargs):
+        counits.append((ctx, X, window))
+        return verify_counit(ctx, X, window, *args, **kwargs)
 
     def counted_probe(*args, **kwargs):
         before = len(counits)
@@ -812,9 +814,12 @@ def test_verify_serves_the_sum_of_both_summands_from_the_counit_of_u(capsys, mon
     code, out, _ = run_cli(capsys, "verify", FIX_A2, "U-tilt")
     assert code == 0
     assert during == [0]
-    (ctx,) = {ctx for ctx, _ in counits}
-    assert [sum(X is s for _, X in counits) for s in ctx.U.summands] == [1, 1]
-    assert all(X.summands is None for _, X in counits)
+    (ctx,) = {ctx for ctx, _, _ in counits}
+    windows = [w for _, _, w in counits]
+    assert len(windows) == len(set(windows))
+    first = counits[0][1].summands
+    assert [sum(s is t for t in first) for s in ctx.U.summands] == [1, 1]
+    assert all(t.summands is None for t in first)
     reports = json.loads(out)["reports"]
     (silting,) = [r for r in reports if r["kind"] == "counit" and r["subject"] == "silting"]
     (sums,) = [r for r in reports if r["kind"] == "functoriality"]
@@ -823,18 +828,15 @@ def test_verify_serves_the_sum_of_both_summands_from_the_counit_of_u(capsys, mon
 
 
 def test_verify_exits_1_when_one_summand_of_u_breaks(capsys, monkeypatch):
-    # the evaluation map zero on the second declared summand of U-tilt
-    # alone: the sum that U's counit reads fails, and so does verify
+    # the evaluation map zero on the block of the second declared summand
+    # of U-tilt alone: the sum that U's counit reads fails, and so does verify
     from siltcheck import verifier
-    from siltcheck.complexes import ChainMap
 
     evaluation = verifier._evaluation_chain_map
 
     def broken(T, gh, X):
         # gh is Hom(U, X), so gh.X is U
-        if X is gh.X.summands[1]:
-            return ChainMap(T, X, {}, validate=False)
-        return evaluation(T, gh, X)
+        return zero_on_summand(evaluation, gh.X.summands[1])(T, gh, X)
 
     monkeypatch.setattr(verifier, "_evaluation_chain_map", broken)
     code, out, _ = run_cli(capsys, "verify", FIX_A2, "U-tilt")

@@ -10,8 +10,8 @@ from oracles import (ReferenceRowSpace, ReferenceSubquotient, dense_add, dense_a
                      dense_kernel, dense_matmul, dense_rref, dense_scale, dense_solve,
                      dense_sub, dense_transpose, nonzero_entries)
 from siltcheck.fields import PrimeField, RationalField, field_from_json
-from siltcheck.linalg import (Cochains, Matrix, RowSpace, Subquotient, first_independent,
-                              quotient_map, subquotient_from_maps)
+from siltcheck.linalg import (Cochains, Matrix, RowSpace, Subquotient, block_ranks,
+                              first_independent, quotient_map, subquotient_from_maps)
 
 Q = RationalField()
 F101 = PrimeField(101)
@@ -568,3 +568,46 @@ def test_first_independent_skips_covered_and_zero_first_rows():
     assert first_independent(F101, 3, stacks) == [0, 3]
     assert first_independent(F101, 3, [[e2], [e2], [e1, e2]]) == [0, 2]
     assert first_independent(F101, 0, [[{}], [{}, {}]]) == []
+
+
+@pytest.mark.parametrize("field", [F101, Q], ids=repr)
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_block_ranks_count_each_blocks_own_rank(field, data):
+    """A block-diagonal matrix whose rows and columns interleave across the
+    blocks: the pivot rows labelled t count the rank of block t on its own,
+    by dense Gauss-Jordan, and one entry outside its block is refused."""
+    count = data.draw(st.integers(1, 3))
+    blocks = [_sparse(data, field, data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3)))
+              for _ in range(count)]
+    row_blocks = data.draw(st.permutations([t for t, b in enumerate(blocks)
+                                            for _ in range(b.nrows)]))
+    col_blocks = data.draw(st.permutations([t for t, b in enumerate(blocks)
+                                            for _ in range(b.ncols)]))
+    # row i of block t is the i-th row labelled t, and so for columns
+    row_at = [[r for r, u in enumerate(row_blocks) if u == t] for t in range(count)]
+    col_at = [[c for c, u in enumerate(col_blocks) if u == t] for t in range(count)]
+    entries = {row_at[t][i]: {col_at[t][j]: x for j, x in nz.items()}
+               for t, b in enumerate(blocks) for i, nz in b.entries.items()}
+    M = Matrix.from_entries(field, len(row_blocks), len(col_blocks), entries)
+    want = [len(dense_rref(field, b.rows, b.ncols)[1]) for b in blocks]
+    assert block_ranks(M, row_blocks, col_blocks, count) == want
+    assert sum(want) == M.rank()
+    outside = [(r, c) for r, u in enumerate(row_blocks) for c, v in enumerate(col_blocks)
+               if u != v]
+    if outside:
+        r, c = data.draw(st.sampled_from(outside))
+        bad = dict(entries)
+        bad[r] = {**entries.get(r, {}), c: field.one}
+        with pytest.raises(ValueError):
+            block_ranks(Matrix.from_entries(field, M.nrows, M.ncols, bad),
+                        row_blocks, col_blocks, count)
+
+
+def test_block_ranks_reads_interleaved_blocks():
+    # rows 0 and 2 form block 0 (rank 1: row 2 is twice row 0), rows 1 and
+    # 3 block 1 (rank 2); columns 1 and 2 are block 0, columns 0 and 3 block 1
+    M = Matrix.from_rows(F101, [[0, 1, 2, 0], [1, 0, 0, 0], [0, 2, 4, 0], [0, 0, 0, 5]])
+    assert block_ranks(M, [0, 1, 0, 1], [1, 0, 0, 1], 3) == [1, 2, 0]
+    with pytest.raises(ValueError):
+        block_ranks(M, [0, 1, 0, 1], [0, 0, 1, 1], 2)

@@ -9,14 +9,16 @@ import dataclasses
 import json
 import re
 import sys
+from collections import Counter
 
 import pytest
 
-from oracles import endomorphism_algebra, ext1_dim, hom_dim, reference_coords_of
+from oracles import (endomorphism_algebra, ext1_dim, hom_dim, reference_coords_of,
+                     zero_on_summand)
 from siltcheck import verifier
 from siltcheck.algebra import (Quiver, direct_sum_modules, hom_space,
                                path_algebra, simple_module)
-from siltcheck.complexes import (ChainMap, GradedHom, ResolutionCapError, cone,
+from siltcheck.complexes import (ChainMap, Complex, GradedHom, ResolutionCapError, cone,
                                  direct_sum_complexes, hom_complex,
                                  identity_chain_map, module_complex,
                                  proj_replacement, projective_cache,
@@ -300,8 +302,8 @@ def test_the_corollary_rests_on_purity_and_the_counit_together(U_silt2, indecs,
 def test_each_concentrated_probe_returns_through_its_one_cached_counit(U_tilt, A2,
                                                                        monkeypatch):
     # the "returns" record reads the counit report of X at the window
-    # shifted by i, which the context builds once per complex, window and
-    # margin, with its degrees moved back by i
+    # shifted by i, which the context checks once per window and margin for
+    # all the probes concentrated in degree i, with its degrees moved back
     built = []
     inner = verifier.verify_counit
 
@@ -311,23 +313,28 @@ def test_each_concentrated_probe_returns_through_its_one_cached_counit(U_tilt, A
 
     monkeypatch.setattr(verifier, "verify_counit", counted)
     ctx = SiltingContext(U_tilt)
-    hit = 0
+    by_degree = {}
     for name, X in sorted(probe_modules(A2).items()):
         i = ctx.classification(X).index
-        if i is None:
-            continue
-        hit += 1
-        for _ in range(2):
-            rep = verify_corollary_roundtrip(ctx, X, i, WIN, subject=name)
+        if i is not None:
+            by_degree.setdefault(i, []).append((name, X))
+    for i, probes in sorted(by_degree.items()):
         shifted = DegreeWindow(WIN[0] + i, WIN[1] + i)
-        counit = ctx.counit(ctx.module(X), shifted, 0)
-        assert [r for key, r in built if key[0] is ctx.module(X)] == [counit]
-        assert rep.checks[-1].details == {
-            "h_dims": {n - i: row for n, row in counit.checks[0].details["h_dims"].items()},
-            "shift": -i}
-        assert rep.checks[-1].passed is counit.passed is True
-    keys = [key for key, _ in built]
-    assert hit >= 3 and len(keys) == len(set(keys))
+        ctx.counits([ctx.module(X) for _, X in probes], shifted, 0)
+        for name, X in probes:
+            for _ in range(2):
+                rep = verify_corollary_roundtrip(ctx, X, i, WIN, subject=name)
+            counit = ctx.counit(ctx.module(X), shifted, 0)
+            (((T, _, _), batch),) = [(key, r) for key, r in built if key[1] == shifted]
+            parts = dict(zip(map(id, T.summands or [T]), batch.parts or [batch]))
+            assert counit is parts[id(ctx.module(X))]
+            assert rep.checks[-1].details == {
+                "h_dims": {n - i: row for n, row in counit.checks[0].details["h_dims"].items()},
+                "shift": -i}
+            assert rep.checks[-1].passed is counit.passed is True
+    windows = [key[1] for key, _ in built]
+    assert sum(map(len, by_degree.values())) >= 3
+    assert len(windows) == len(set(windows)) == len(by_degree)
 
 
 def _silting_contexts(coresolution_inputs) -> dict:
@@ -338,6 +345,41 @@ def _silting_contexts(coresolution_inputs) -> dict:
     ctxs = {name: SiltingContext(inputs[name]) for name in names}
     return {name: ctx for name, ctx in ctxs.items()
             if ctx.report.presilting and ctx.report.n is not None}
+
+
+def test_batched_rows_equal_one_block_checks_in_a_fresh_context(coresolution_inputs):
+    # verify_all checks the counits of all target summands as one direct sum
+    # and the pairs of each source summand at once; every row it reads off a
+    # block is the report of verify_counit or verify_fully_faithful on that
+    # summand or pair alone, in a context of its own
+    ctxs = _silting_contexts(coresolution_inputs)
+    assert len([name for name in ctxs if name.startswith("a3/")]) == 14
+    for name, ctx in ctxs.items():
+        assert all(r.passed for r in verify_all(ctx.U, ctx=ctx, **SMALL))
+        fresh, kinds = SiltingContext(ctx.U), Counter()
+        for key, rep in ctx._reports.items():
+            if any(X.summands for X in key if isinstance(X, Complex)):
+                continue
+            if len(key) == 3:
+                one = verify_counit(fresh, *key)
+            else:
+                one = verify_fully_faithful(fresh, *key)
+            assert rep.as_dict() == one.as_dict(), (name, rep.kind)
+            kinds[rep.kind] += 1
+        assert kinds["counit"] >= 4 and kinds["fully-faithful"] >= 16, name
+
+
+def test_a_direct_sum_reads_each_summands_cohomology_off_its_block(coresolution_inputs):
+    # U's three summands and a module in degree 0: each block's dim H^n and
+    # class count are its summand's own
+    U = coresolution_inputs({"prime": 101})["a3/P1toP0+P1[1]+P2[1]"]
+    mods = probe_modules(U.algebra)
+    T = direct_sum_complexes([*U.summands, module_complex(mods["simple0"])])
+    blocks, count = verifier._summand_blocks(T), 4
+    for n in range(-2, 2):
+        assert T.block_h_dims(n, blocks, count) == [s.h_dim(n) for s in T.summands]
+        assert sorted(T.class_blocks(n, blocks)) == [
+            t for t, s in enumerate(T.summands) for _ in range(s.h_dim(n))]
 
 
 def test_the_roundtrip_of_x_shifted_is_x_at_the_shifted_window(coresolution_inputs):
@@ -685,9 +727,9 @@ def test_verify_all_checks_each_pair_of_probe_complexes_once(monkeypatch):
     # with U the free module, the 8 probe names read 5 distinct sources
     # (the stalks P0, P1, P2, which the free probe and U sum, and the
     # replacements of simple0 and simple1) and 5 distinct targets (the
-    # module probes, a stalk summand read as its module), so each of the 25
-    # pairs of them is checked once, never a declared sum, and the 64 name
-    # pairs are reported from those
+    # module probes, a stalk summand read as its module), so each source is
+    # checked once, into the one direct sum of the targets, and the 64 name
+    # pairs are reported from the 25 blocks of those 5 checks
     checked = []
     inner = verifier.verify_fully_faithful
 
@@ -699,19 +741,23 @@ def test_verify_all_checks_each_pair_of_probe_complexes_once(monkeypatch):
     reports = verify_all(_free_a3(), window=(-1, 1), pair_degrees=(-1, 1))
     pairs = [r for r in reports if r.kind == "fully-faithful"]
     assert len({r.subject for r in pairs}) == 64
-    assert len(checked) == len(set(checked)) == 5 * 5
-    assert all(X.summands is None and Xp.summands is None for X, Xp in checked)
+    sources = [X for X, _ in checked]
+    (target,) = {id(Xp): Xp for _, Xp in checked}.values()
+    assert len(sources) == len({id(X) for X in sources}) == 5
+    assert all(X.summands is None for X in sources)
+    assert len(target.summands) == 5 and all(t.summands is None for t in target.summands)
     _assert_twins_agree(pairs)
     assert all(r.passed for r in reports)
 
 
-def test_verify_all_runs_one_counit_per_probe_complex(monkeypatch):
+def test_verify_all_runs_one_counit_per_window(monkeypatch):
     # the 8 probe names read 5 distinct module probes (simple2 being
     # proj2); the free probe and U are P0+P1+P2, whose counits are sums of
     # those of proj0, proj1 and proj2, and the functoriality probe's three
-    # sums of two summands of U read the same counits; each module probe,
-    # concentrated in degree 0, returns through the counit its own name
-    # already reported
+    # sums of two summands of U read the same counits; every module probe is
+    # concentrated in degree 0 and returns through the counit its own name
+    # already reported, so one counit check, on the direct sum of the 5
+    # module probes, serves all of them
     checked = []
     inner = verifier.verify_counit
 
@@ -723,8 +769,8 @@ def test_verify_all_runs_one_counit_per_probe_complex(monkeypatch):
     reports = verify_all(_free_a3(), window=(-1, 1), pair_degrees=(-1, 1))
     counits = [r for r in reports if r.kind == "counit"]
     assert len({r.subject for r in counits}) == 8
-    assert len(checked) == len(set(checked)) == 5
-    assert all(X.summands is None for X in checked)
+    (T,) = checked
+    assert len(T.summands) == 5 and all(s.summands is None for s in T.summands)
     _assert_twins_agree(counits)
     assert all(r.passed for r in reports)
 
@@ -782,10 +828,8 @@ def test_a_broken_summand_fails_every_sum_that_contains_it(coresolution_inputs,
     # the evaluation map zero on the middle summand of U alone: U's counit
     # and the two sums holding that summand fail, the third sum passes
     U = coresolution_inputs({"prime": 101})["a3/P1toP0+P1[1]+P2[1]"]
-    broken = U.summands[1]
-    evaluation = verifier._evaluation_chain_map
-    monkeypatch.setattr(verifier, "_evaluation_chain_map", lambda T, gh, X: (
-        ChainMap(T, X, {}, validate=False) if X is broken else evaluation(T, gh, X)))
+    monkeypatch.setattr(verifier, "_evaluation_chain_map",
+                        zero_on_summand(verifier._evaluation_chain_map, U.summands[1]))
     reports = verify_all(U, **SMALL)
     (silting,) = [r for r in reports if r.kind == "counit" and r.subject == "silting"]
     (sums,) = [r for r in reports if r.kind == "functoriality"]
