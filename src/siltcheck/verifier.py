@@ -16,8 +16,8 @@ U, its dg-end and every hom complex out of it, so no object is built twice;
 verify_all is the one place that builds a context from U.  Both functors are
 additive and every map the counit and fully-faithful checks read is block
 diagonal for the declared summands of their target, so the context checks
-its probes as one direct sum: one counit per window, one fully-faithful
-check per source summand, each summand's rows read off its block.
+its probes as one direct sum T: one counit batch per context and one
+fully-faithful check per source summand, each block's rows kept.
 
 Every check works inside a stated degree window.  Semifree resolutions are
 truncated one degree deeper than the window requires, so cohomology at the
@@ -33,7 +33,7 @@ reruns are byte-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations, product
 
@@ -65,14 +65,12 @@ class CheckRecord:
 
 @dataclass
 class VerificationReport:
-    """A check's records.  parts holds the reports of the declared summands a
-    direct sum's report was read off, one per block, and is not written out."""
+    """A check's records."""
 
     kind: str
     subject: str
     checks: list
     notes: dict = field(default_factory=dict)
-    parts: list = field(default_factory=list, repr=False, compare=False)
 
     @property
     def passed(self) -> bool:
@@ -134,15 +132,14 @@ class SiltingContext:
     dg.end_dg, dg.end_h0 and silting.end_radical), where the report's
     coresolution left the last two.  A module is read as itself, one complex
     in degree 0 (module), and hom complexes, hom modules, resolutions,
-    tensors, classifications and canonical sequences are cached under the
-    objects they come from, since several checks revisit them; a key keeps
-    its object alive, so a cached entry can never answer for another.
-    Counit and fully-faithful reports are kept per summand and per pair of
-    summands: counits and pairs check every summand not yet checked at once,
-    on the direct sum of them (_sum, one per list of summands, so the two
-    share its hom module and the resolution of it), and file each block's
-    report; counit and fully_faithful read them, summed over the declared
-    summands of their arguments.
+    tensors and their evaluation maps, classifications and canonical
+    sequences are cached under the objects they come from, since several
+    checks revisit them; a key keeps its object alive, so a cached entry can
+    never answer for another.
+    Counit and fully-faithful rows [lhs, rhs, rank] are kept per degree,
+    keyed (summand, margin) or (source, target, margin); counits and pairs
+    check the summands missing one as one direct sum (_sum, one per list, so
+    both share its hom module and resolution), and summed adds rows up.
     """
 
     def __init__(self, U: Complex, max_steps: int = 8):
@@ -155,8 +152,9 @@ class SiltingContext:
         self._homs: dict = {}
         self._hom_modules: dict = {}
         self._tensors: dict = {}
+        self._evaluations: dict = {}
         self._resolutions: dict = {}
-        self._reports: dict = {}  # counit and fully-faithful, keyed by arguments
+        self._rows: dict = {}  # counit and fully-faithful rows, per degree
         self._sums: dict = {}
         self._classifications: dict = {}
         self._sequences: dict = {}
@@ -210,55 +208,86 @@ class SiltingContext:
             self._tensors[P] = resolution_tensor(P, self.Uc)
         return self._tensors[P]
 
+    def evaluation(self, X: Complex, win: DegreeWindow, extra_margin: int) -> ChainMap:
+        """The evaluation map onto X from its tensor at the window, one per tensor."""
+        MX = self.hom_module(X)
+        T = self.tensor(MX, win, extra_margin)
+        if T not in self._evaluations:
+            self._evaluations[T] = _evaluation_chain_map(T, MX.gh, X)
+        return self._evaluations[T]
+
+    def batch(self, Ys: list, win: DegreeWindow, extra_margin: int) -> ChainMap:
+        """The evaluation map of a counit batch at the window's cutoff whose
+        sum holds all of Ys, checking them as one more batch when none does."""
+        cutoff = tensor_cutoff(self.Uc, win, extra_margin)
+        for T, eps in self._evaluations.items():
+            blocks = eps.target.summands or [eps.target]
+            if T.resolution.cutoff == cutoff and set(Ys) <= set(blocks):
+                return eps
+        S = self._sum(_leaves(Ys))
+        verify_counit(self, S, win, extra_margin)
+        return self.evaluation(S, win, extra_margin)
+
     def counit(self, X: Complex, window, extra_margin: int) -> VerificationReport:
-        """The counit report of X at the window and margin, summed over its
-        declared summands, each checked by counits; file it with filed_as."""
+        """The counit report of X at the window and margin, from the rows of
+        its declared summands, each checked by counits."""
         win = _window(window)
-        key = (X, win, extra_margin)
-        if key not in self._reports:
-            self.counits([X], win, extra_margin)
-            if X.summands:
-                self._reports[key] = _summed([self.counit(s, win, extra_margin)
-                                              for s in X.summands])
-        return self._reports[key]
+        self.counits([X], win, extra_margin)
+        check = self.summed("evaluation map induces cohomology isomorphisms",
+                            [(s, extra_margin) for s in _parts(X)], range(win.lo, win.hi + 1))
+        return VerificationReport("counit", "probe", [check],
+                                  {"window": [win.lo, win.hi], "extra_margin": extra_margin})
 
     def counits(self, Xs: list, window, extra_margin: int):
-        """Check the counit of every summand of Xs not yet checked at this
-        window and margin in one verify_counit, on their direct sum, and keep
-        each summand's report, read off its block."""
+        """Check the counit of every summand of Xs missing a row in the
+        window at this margin in one verify_counit, on their direct sum."""
         win = _window(window)
-        todo = [s for s in _leaves(Xs) if (s, win, extra_margin) not in self._reports]
+        need = set(range(win.lo, win.hi + 1))
+        todo = [s for s in _leaves(Xs) if not self._rows.get((s, extra_margin), {}).keys() >= need]
         if todo:
-            rep = verify_counit(self, self._sum(todo), win, extra_margin)
-            for s, part in zip(todo, rep.parts or [rep]):
-                self._reports[(s, win, extra_margin)] = part
+            verify_counit(self, self._sum(todo), win, extra_margin)
 
     def fully_faithful(self, X: Complex, Xp: Complex, degrees,
                        extra_margin: int) -> VerificationReport:
         """The fully-faithful report of the pair at the degrees and margin,
-        summed over pairs of declared summands, each checked by pairs."""
-        key = (X, Xp, tuple(degrees), extra_margin)
-        if key not in self._reports:
-            self.pairs([X], [Xp], degrees, extra_margin)
-            if X.summands or Xp.summands:
-                self._reports[key] = _summed([
-                    self.fully_faithful(*pq, degrees, extra_margin)
-                    for pq in product(X.summands or [X], Xp.summands or [Xp])])
-        return self._reports[key]
+        from the rows of pairs of declared summands, each checked by pairs."""
+        self.pairs([X], [Xp], degrees, extra_margin)
+        return _pair_report(self, [(s, t, extra_margin) for s in _parts(X) for t in _parts(Xp)],
+                            degrees, extra_margin)
 
     def pairs(self, Xs: list, Ys: list, degrees, extra_margin: int):
-        """Check every pair of a summand of Xs and a summand of Ys not yet
-        checked at these degrees and margin, one verify_fully_faithful per
-        source summand, into the direct sum of its targets, and keep each
-        pair's report, read off its block."""
-        degs = tuple(degrees)
-        targets = _leaves(Ys)
+        """Check every pair of a summand of Xs and a summand of Ys missing a
+        row at these degrees and margin, one verify_fully_faithful per source
+        summand, into the direct sum of its targets."""
+        targets, need = _leaves(Ys), set(degrees)
         for S in _leaves(Xs):
-            todo = [t for t in targets if (S, t, degs, extra_margin) not in self._reports]
+            todo = [t for t in targets
+                    if not self._rows.get((S, t, extra_margin), {}).keys() >= need]
             if todo:
-                rep = verify_fully_faithful(self, S, self._sum(todo), degs, extra_margin)
-                for t, part in zip(todo, rep.parts or [rep]):
-                    self._reports[(S, t, degs, extra_margin)] = part
+                verify_fully_faithful(self, S, self._sum(todo), degrees, extra_margin)
+
+    def file_rows(self, keys: list, degrees, lhs, lhs_blocks: dict, rhs, rhs_blocks: dict,
+                  induced):
+        """Keep under each block's key its rows [dim H^n lhs, dim H^n rhs, rank
+        of induced(n)], read off the block; induced(n), the map on classes, is
+        built only where some block has both sides."""
+        count = len(keys)
+        for n in degrees:
+            ls, rs = lhs.block_h_dims(n, lhs_blocks, count), rhs.block_h_dims(n, rhs_blocks, count)
+            ranks = (block_ranks(induced(n), lhs.class_blocks(n, lhs_blocks),
+                                 rhs.class_blocks(n, rhs_blocks), count)
+                     if any(a and b for a, b in zip(ls, rs)) else [0] * count)
+            for key, row in zip(keys, zip(ls, rs, ranks)):
+                self._rows.setdefault(key, {})[n] = list(row)
+
+    def summed(self, name: str, keys: list, degrees) -> CheckRecord:
+        """The check that the kept rows of keys, added degree by degree (a
+        repeated key counts again), are isomorphisms: maps of direct sums are
+        block diagonal, so their rows add up."""
+        rows = [self._rows[k] for k in keys]
+        table = {n: [sum(col) for col in zip(*(r[n] for r in rows))] for n in degrees}
+        return CheckRecord(name, all(a == b == rk for a, b, rk in table.values()),
+                           {"h_dims": table})
 
     def _sum(self, parts: list) -> Complex:
         """The direct sum of parts, a single complex as itself; built once per
@@ -337,15 +366,26 @@ def _postcomposed_augmentations(P: SemifreeModule, MX: DgModule, MXp: DgModule,
             for k, g in enumerate(P.gens)}
 
 
+def _parts(X: Complex) -> list:
+    """The declared summands of X down to those that declare none, in order
+    and with repeats; a complex declaring none is its own."""
+    return [t for s in X.summands for t in _parts(s)] if X.summands else [X]
+
+
 def _leaves(Xs: list) -> list:
-    """The distinct declared summands of the complexes Xs, down to those that
-    declare none, in order; a complex declaring none is its own."""
-    out = []
-    for X in Xs:
-        for s in _leaves(X.summands) if X.summands else [X]:
-            if not any(s is t for t in out):
-                out.append(s)
-    return out
+    """The distinct parts of the complexes Xs, in order."""
+    return list(dict.fromkeys(s for X in Xs for s in _parts(X)))
+
+
+def _placed(f, comps: dict, X: Complex, s: int, t: int | None = None) -> dict:
+    """The components of a map out of block s of X moved onto X's rows; with
+    t, of a degree-0 map into block t, onto X's columns too: an endomorphism."""
+    if not X.summands:
+        return comps
+    off = X.summand_offsets
+    return {i: Matrix.from_entries(f, X.dim(i), m.ncols if t is None else X.dim(i), {
+        off[i][s] + r: nz if t is None else {off[i][t] + c: x for c, x in nz.items()}
+        for r, nz in m.entries.items()}) for i, m in comps.items()}
 
 
 # Each map a counit or fully-faithful check reads is block diagonal for the
@@ -376,38 +416,12 @@ def _generator_blocks(P: SemifreeModule, module: dict) -> list:
     return out
 
 
-def _blockwise(X: Complex, kind: str, subject: str, name: str, notes: dict, degrees,
-               lhs, lhs_blocks: dict, rhs, rhs_blocks: dict, induced) -> VerificationReport:
-    """The report of X from the rows [dim H^n lhs, dim H^n rhs, rank of
-    induced(n)] of each block t and degree n, read off block t; induced(n),
-    the induced map from the classes of lhs to those of rhs, is built only
-    where some block has both sides.  Each block's report checks that its
-    map is an isomorphism at every degree; for a direct sum X the report is
-    their sum, holding them as its parts."""
-    count = len(X.summands or [X])
-    tables = [{} for _ in range(count)]
-    for n in degrees:
-        ls, rs = lhs.block_h_dims(n, lhs_blocks, count), rhs.block_h_dims(n, rhs_blocks, count)
-        ranks = (block_ranks(induced(n), lhs.class_blocks(n, lhs_blocks),
-                             rhs.class_blocks(n, rhs_blocks), count)
-                 if any(a and b for a, b in zip(ls, rs)) else [0] * count)
-        for t, table in enumerate(tables):
-            table[n] = [ls[t], rs[t], ranks[t]]
-    parts = [VerificationReport(kind, subject, [CheckRecord(
-        name, all(a == b == rk for a, b, rk in table.values()), {"h_dims": table})],
-        dict(notes)) for table in tables]
-    return parts[0] if X.summands is None else replace(_summed(parts), parts=parts)
-
-
-def _summed(reports: list) -> VerificationReport:
-    """A direct sum's counit or fully-faithful report from its summands': the
-    induced map is block diagonal, so the rows [lhs, rhs, rank] add up."""
-    first, check = reports[0], reports[0].checks[0]
-    table = {n: [sum(col) for col in zip(*(r.checks[0].details["h_dims"][n] for r in reports))]
-             for n in check.details["h_dims"]}
-    ok = all(lhs == rhs == rk for lhs, rhs, rk in table.values())
-    return VerificationReport(first.kind, first.subject,
-                              [CheckRecord(check.name, ok, {"h_dims": table})], dict(first.notes))
+def _pair_report(ctx: SiltingContext, keys: list, degrees,
+                 extra_margin: int) -> VerificationReport:
+    ns = sorted(degrees)
+    check = ctx.summed("morphism spaces match through the functor", keys, ns)
+    return VerificationReport("fully-faithful", "pair", [check],
+                              {"degrees": ns, "extra_margin": extra_margin})
 
 
 # -- individual checks -------------------------------------------------------
@@ -477,20 +491,20 @@ def verify_counit(ctx: SiltingContext, X: Complex, window,
 
     Passes when the evaluation map induces cohomology isomorphisms at every
     degree of the window.  Every map here is block diagonal for the declared
-    summands of X, so a direct sum is checked once: each summand's report is
-    read off its block, and the report of X is their sum.
+    summands of X, so a direct sum is checked once: ctx keeps each summand's
+    rows, read off its block, and the report of X adds them up.
     """
     win = _window(window)
     MX = ctx.hom_module(X)
-    T = ctx.tensor(MX, win, extra_margin)
-    eps = _evaluation_chain_map(T, MX.gh, X)
+    eps = ctx.evaluation(X, win, extra_margin)
+    T = eps.source
     xb = _summand_blocks(X)
     gens = _generator_blocks(T.resolution, _cell_blocks(MX.gh, xb))
     tb = {n: [gens[k] for k, _, cell in layout for _ in range(cell.dim)]
           for n, layout in T.block_layout.items()}
-    return _blockwise(X, "counit", "probe", "evaluation map induces cohomology isomorphisms",
-                      {"window": [win.lo, win.hi], "extra_margin": extra_margin},
-                      range(win.lo, win.hi + 1), T, tb, X, xb, eps.induced)
+    ctx.file_rows([(s, extra_margin) for s in X.summands or [X]], range(win.lo, win.hi + 1),
+                  T, tb, X, xb, eps.induced)
+    return ctx.counit(X, win, extra_margin)
 
 
 def verify_fully_faithful(ctx: SiltingContext, X: Complex, Xp: Complex, degrees,
@@ -502,8 +516,8 @@ def verify_fully_faithful(ctx: SiltingContext, X: Complex, Xp: Complex, degrees,
     each morphism space has full rank, so the two spaces are identified
     rather than merely equinumerous.  Every map here is block diagonal for
     the declared summands of Xp, so the pairs of X with each of them are
-    checked at once, each pair's report read off its block, and the report
-    of the pair (X, Xp) is their sum.
+    checked at once: ctx keeps each pair's rows, read off its block, and the
+    report of the pair (X, Xp) adds them up.
     """
     ns = sorted(degrees)
     win = DegreeWindow(ns[0], ns[-1])
@@ -517,18 +531,15 @@ def verify_fully_faithful(ctx: SiltingContext, X: Complex, Xp: Complex, degrees,
     s = next((t for t, part in enumerate(Xp.summands or [Xp]) if part is X), None)
     MX = MXp if s is not None else ctx.hom_module(X)
     P = ctx.resolve(MX, hom_cutoff(MXp, win, extra_margin))
-    offset = {}
     if s is not None and Xp.summands:
         P = P.block(_generator_blocks(P, mb), s)
-        offset = {i: offsets[s] for i, offsets in Xp.summand_offsets.items()}
     sh = SemifreeHom(P, MXp)
     hb, sb = _cell_blocks(gh, xb), _cell_blocks(sh, mb)
 
     def maps(n, rep):
         # the components of a degree-n map X -> Xp, out of X's rows of Xp
-        return {i: Matrix.from_entries(f, Xp.dim(i), m.ncols, {
-            offset[i] + r: nz for r, nz in m.entries.items()}) if offset else m
-            for i, m in gh.component_maps(n, rep).items()}
+        comps = gh.component_maps(n, rep)
+        return comps if s is None else _placed(f, comps, Xp, s)
 
     def functor(n):
         # the functor's map on degree-n classes
@@ -537,8 +548,9 @@ def verify_fully_faithful(ctx: SiltingContext, X: Complex, Xp: Complex, degrees,
             shq.reduce(sh.assemble(n, _postcomposed_augmentations(P, MX, MXp, n, maps(n, rep))))
             for rep in gh.subquotient(n).rep_entries])
 
-    return _blockwise(Xp, "fully-faithful", "pair", "morphism spaces match through the functor",
-                      {"degrees": ns, "extra_margin": extra_margin}, ns, gh, hb, sh, sb, functor)
+    keys = [(X, t, extra_margin) for t in Xp.summands or [Xp]]
+    ctx.file_rows(keys, ns, gh, hb, sh, sb, functor)
+    return _pair_report(ctx, keys, ns, extra_margin)
 
 
 def verify_delta(ctx: SiltingContext, window,
@@ -649,15 +661,15 @@ def functoriality_probe(ctx: SiltingContext, window,
     Exercises additivity of the hom-then-tensor pipeline on objects built
     from U itself, each sum read off the counits of U's summands.
     """
+    win = _window(window)
     parts = ctx.U.summands or [ctx.U]
     sums = ({"double": parts * 2} if len(parts) == 1 else
             {f"sum{a}{b}": [parts[a], parts[b]] for a, b in combinations(range(len(parts)), 2)})
-    ctx.counits(parts, window, extra_margin)
-    reps = {name: _summed([ctx.counit(X, window, extra_margin) for X in pair])
-            for name, pair in sums.items()}
+    ctx.counits(parts, win, extra_margin)
     return VerificationReport("functoriality", "sums from the silting complex", [
-        CheckRecord(f"counit on {name}", r.passed, r.checks[0].details)
-        for name, r in reps.items()])
+        ctx.summed(f"counit on {name}", [(s, extra_margin) for X in pair for s in _parts(X)],
+                   range(win.lo, win.hi + 1))
+        for name, pair in sums.items()])
 
 
 def naturality_probe(ctx: SiltingContext, X: Complex, Xp: Complex, window,
@@ -665,13 +677,14 @@ def naturality_probe(ctx: SiltingContext, X: Complex, Xp: Complex, window,
     """The counit square of a chosen map g commutes on cohomology.
 
     g: Y -> Y' is the first degree-0 basis class on the first summand pair
-    of X and X' (each its own if it declares none) that has one; composing
-    with it lifts up to homotopy to a map of resolutions, which exists since
-    both reach one cutoff, where the cone of Y' is acyclic.  It is pushed
-    through the tensor; the two ways around the square are compared.
+    of X and X' (each its own if it declares none) that has one, placed on
+    its block of the sum of a counit batch holding both; composing with it
+    lifts up to homotopy to an endomorphism of the batch's resolution, which
+    exists since its cone is acyclic at the cutoff.  It is pushed through
+    the tensor; the two ways around the square are compared.
     """
     win = _window(window)
-    for Y, Yp in product(X.summands or [X], Xp.summands or [Xp]):
+    for Y, Yp in product(_leaves([X]), _leaves([Xp])):
         gh = ctx.hom(Y, Yp)
         sq = gh.subquotient(0)
         if sq.dim:
@@ -679,49 +692,35 @@ def naturality_probe(ctx: SiltingContext, X: Complex, Xp: Complex, window,
     else:
         return VerificationReport("naturality", "probe pair", [],
                                   {"vacuous": "no nonzero map to test"})
-    grep = sq.rep_entries[0]
-    g = gh.chain_map_from_cocycle(grep)
-
-    MX = ctx.hom_module(Y)
-    MXp = ctx.hom_module(Yp)
-    TX = ctx.tensor(MX, win, extra_margin)
-    TXp = ctx.tensor(MXp, win, extra_margin)
-    P, Pp = TX.resolution, TXp.resolution
-    if not (P.gens and Pp.gens):
+    eps = ctx.batch([Y, Yp], win, extra_margin)
+    T, TT = eps.target, eps.source
+    MT, P = ctx.hom_module(T), TT.resolution
+    s, sp = (next(t for t, Z in enumerate(T.summands or [T]) if Z is W) for W in (Y, Yp))
+    gens = _generator_blocks(P, _cell_blocks(MT.gh, _summand_blocks(T)))
+    if s not in gens or sp not in gens:
         return VerificationReport("naturality", "probe pair", [],
                                   {"vacuous": "degenerate tensor, nothing to compare"})
-    epsX = _evaluation_chain_map(TX, MX.gh, Y)
-    epsXp = _evaluation_chain_map(TXp, MXp.gh, Yp)
-
-    targets = _postcomposed_augmentations(P, MX, MXp, 0,
-                                          gh.component_maps(0, grep))
-    lam = lift_up_to_homotopy(P, Pp, targets)
+    g = ChainMap(T, T, _placed(ctx.A.field, gh.component_maps(0, sq.rep_entries[0]), T, s, sp))
+    lam = lift_up_to_homotopy(P, P, _postcomposed_augmentations(P, MT, MT, 0, g.mats))
     if lam is None:
         raise AssertionError("a map of resolutions is obstructed where the cone is acyclic")
-    tlam = _tensor_of_lift(TX, TXp, P, Pp, lam, ctx.Uc)
-
-    ok = True
-    for n in range(win.lo, win.hi + 1):
-        lhs = epsX.induced(n) @ g.induced(n)
-        rhs = tlam.induced(n) @ epsXp.induced(n)
-        if lhs != rhs:
-            ok = False
+    tlam = _tensor_of_lift(TT, lam, ctx.Uc)
+    ok = all(eps.induced(n) @ g.induced(n) == tlam.induced(n) @ eps.induced(n)
+             for n in range(win.lo, win.hi + 1))
     checks = [CheckRecord("counit square commutes on cohomology", ok,
                           {"window": [win.lo, win.hi]})]
     return VerificationReport("naturality", "probe pair", checks)
 
 
-def _tensor_of_lift(TX: Complex, TXp: Complex, P: SemifreeModule,
-                    Pp: SemifreeModule, lam: list, Uc: DgModule) -> ChainMap:
-    """The lifted map tensored with the identity of U: tensor_map with the
-    components in Pp of each generator value lam[k]."""
-    comps = []
+def _tensor_of_lift(T: Complex, lam: list, Uc: DgModule) -> ChainMap:
+    """The lifted endomorphism of T's resolution P tensored with the identity
+    of U: tensor_map with the components in P of each generator value lam[k]."""
+    P, comps = T.resolution, []
     for g, value in zip(P.gens, lam):
-        layout = Pp.layout(g)
-        comps.append(Pp.components(g, ((layout[p], c) for p, c in value.items())))
-    return ChainMap(TX, TXp, {n: tensor_map(Uc, P, blocks, Pp, TXp.block_layout.get(n, []),
-                                            comps)
-                              for n, blocks in TX.block_layout.items()})
+        layout = P.layout(g)
+        comps.append(P.components(g, ((layout[p], c) for p, c in value.items())))
+    return ChainMap(T, T, {n: tensor_map(Uc, P, blocks, P, T.block_layout.get(n, []), comps)
+                           for n, blocks in T.block_layout.items()})
 
 
 # -- probe sets --------------------------------------------------------------
@@ -899,8 +898,8 @@ def verify_all(U: Complex, window=(-4, 4), pair_degrees=(-2, 2), max_steps: int 
     # probe names may share one complex: simple2 is proj2 over kA_n.  A
     # module probe is read as itself; cplx holds it only as a hom's source.
     # The context checks the distinct target summands as one direct sum, in
-    # one counit per window and one fully-faithful check per distinct
-    # source summand, and reports each summand and pair under every name.
+    # one counit batch and one fully-faithful check per distinct source
+    # summand, and reports each summand and pair under every name.
     target = {name: ctx.module(mods[name]) if name in mods else X for name, X in cplx.items()}
     names = sorted(cplx)
     targets = [target[n] for n in names]
@@ -909,13 +908,13 @@ def verify_all(U: Complex, window=(-4, 4), pair_degrees=(-2, 2), max_steps: int 
     tilting = srep.tilting and srep.module_form
     # the tilting theorem returns the canonical parts of each probe in
     # neither class, in degrees 0 and 1, and the roundtrips each probe
-    # concentrated in degree i: each at the window shifted by its degree
+    # concentrated in degree i, each at the window shifted up by i: the
+    # tensor is exact from the window's bottom up, so one batch serves all
     parts = [ctx.module(part) for name in sorted(mods) if tilting and classified[name].index is None
              for part in ctx.canonical_sequence(mods[name]) if part.dim]
     shifts = {0, 1} if parts else {0}
     shifts |= {c.index for name, c in classified.items() if mods[name].dim} - {None}
-    for i in sorted(shifts):
-        ctx.counits(targets + parts, DegreeWindow(win.lo + i, win.hi + i), extra_margin)
+    ctx.counits(targets + parts, DegreeWindow(win.lo, win.hi + max(shifts)), extra_margin)
     ctx.pairs([cplx[n] for n in names], targets, degs, extra_margin)
     for name in names:
         reports.append(ctx.counit(target[name], win, extra_margin).filed_as(name))

@@ -6,7 +6,8 @@ algebra, a coordinate reader that checks every row of a map, and
 composite-matrix routes through it for the hom-complex differential, the
 composition tables and the postcomposition action, with a dense route for the
 action on a semifree module and routes from the definitions for the
-differentials of a semifree module and of the hom complex out of one.
+differentials of a semifree module and of the hom complex out of one, and
+the naturality square read on each summand's own resolution and tensor.
 
 The module oracles are computed with hom_space and dimension vectors only, so
 the numbers frozen into the verifier tests do not come from the code under
@@ -14,14 +15,16 @@ test.
 """
 
 from dataclasses import dataclass
+from itertools import product
 
-from siltcheck import silting
+from siltcheck import silting, verifier
 from siltcheck.algebra import Algebra, Module, generator_image, hom_space
 from siltcheck.complexes import (ChainMap, cone, hom_complex, is_acyclic,
                                  projective_cache, projective_complex,
                                  summand_projection_maps, zero_complex)
 from siltcheck.dg import end_h0
 from siltcheck.linalg import Matrix
+from siltcheck.semifree import tensor_map
 
 
 def hom_dim(M: Module, N: Module) -> int:
@@ -770,3 +773,41 @@ def zero_on_summand(evaluation, broken):
             mats[n] = Matrix.from_entries(m.field, m.nrows, m.ncols, rows)
         return ChainMap(T, X, mats, validate=False)
     return broken_evaluation
+
+
+def reference_naturality_probe(ctx, X, Xp, window, extra_margin: int = 0) -> dict:
+    """The verdict of the naturality square of the first degree-0 map
+    g: Y -> Y' between summands of X and X', each read on its own: the
+    resolutions P of Hom(U, Y) and P' of Hom(U, Y'), their tensors and
+    evaluation maps, and the lift P -> P' of composing with g.  Returns
+    {"passed": ...} or {"vacuous": ...}, as the notes of naturality_probe
+    name it.  The verifier's helpers are read off the module at call time,
+    so a test that replaces one breaks this route too."""
+    lo, hi = window
+    win = verifier.DegreeWindow(lo, hi)
+    for Y, Yp in product(X.summands or [X], Xp.summands or [Xp]):
+        gh = ctx.hom(Y, Yp)
+        if gh.subquotient(0).dim:
+            break
+    else:
+        return {"vacuous": "no nonzero map to test"}
+    grep = gh.subquotient(0).rep_entries[0]
+    g = gh.chain_map_from_cocycle(grep)
+    MX, MXp = ctx.hom_module(Y), ctx.hom_module(Yp)
+    TX, TXp = ctx.tensor(MX, win, extra_margin), ctx.tensor(MXp, win, extra_margin)
+    P, Pp = TX.resolution, TXp.resolution
+    if not (P.gens and Pp.gens):
+        return {"vacuous": "degenerate tensor, nothing to compare"}
+    epsX = verifier._evaluation_chain_map(TX, MX.gh, Y)
+    epsXp = verifier._evaluation_chain_map(TXp, MXp.gh, Yp)
+    targets = verifier._postcomposed_augmentations(P, MX, MXp, 0, gh.component_maps(0, grep))
+    lam = verifier.lift_up_to_homotopy(P, Pp, targets)
+    assert lam is not None
+    comps = []
+    for deg, value in zip(P.gens, lam):
+        layout = Pp.layout(deg)
+        comps.append(Pp.components(deg, ((layout[p], c) for p, c in value.items())))
+    tlam = ChainMap(TX, TXp, {n: tensor_map(ctx.Uc, P, blocks, Pp, TXp.block_layout.get(n, []),
+                                            comps) for n, blocks in TX.block_layout.items()})
+    return {"passed": all(epsX.induced(n) @ g.induced(n) == tlam.induced(n) @ epsXp.induced(n)
+                          for n in range(lo, hi + 1))}

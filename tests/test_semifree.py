@@ -320,8 +320,8 @@ def test_resolutions_are_minimal():
     # the derived double centralizer's 3 cells, the sum of the five module
     # probes with one cell per projective and two per simple at vertex 0 or
     # 1, and the sources read apart from it: the replacements of those two
-    # simples, two cells each, and P0 for the naturality probe, one
-    assert sorted(wide) == [1, 2, 2, 3, 7]
+    # simples, two cells each; the naturality probe reads the probes' sum
+    assert sorted(wide) == [2, 2, 3, 7]
 
 
 @pytest.mark.parametrize("field_spec", [{"prime": 2}, {"prime": 101}, "rational"],

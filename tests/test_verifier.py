@@ -10,15 +10,16 @@ import json
 import re
 import sys
 from collections import Counter
+from itertools import product
 
 import pytest
 
 from oracles import (endomorphism_algebra, ext1_dim, hom_dim, reference_coords_of,
-                     zero_on_summand)
+                     reference_naturality_probe, zero_on_summand)
 from siltcheck import verifier
 from siltcheck.algebra import (Quiver, direct_sum_modules, hom_space,
                                path_algebra, simple_module)
-from siltcheck.complexes import (ChainMap, Complex, GradedHom, ResolutionCapError, cone,
+from siltcheck.complexes import (ChainMap, GradedHom, ResolutionCapError, cone,
                                  direct_sum_complexes, hom_complex,
                                  identity_chain_map, module_complex,
                                  proj_replacement, projective_cache,
@@ -301,40 +302,49 @@ def test_the_corollary_rests_on_purity_and_the_counit_together(U_silt2, indecs,
 
 def test_each_concentrated_probe_returns_through_its_one_cached_counit(U_tilt, A2,
                                                                        monkeypatch):
-    # the "returns" record reads the counit report of X at the window
-    # shifted by i, which the context checks once per window and margin for
-    # all the probes concentrated in degree i, with its degrees moved back
+    # the "returns" record reads the counit rows of X at the window shifted
+    # by i, with its degrees moved back; the tensor is exact from the
+    # window's bottom up, so the context checks every such window in one
+    # verify_counit, at [lo, hi + max i], and a roundtrip checks nothing more
     built = []
     inner = verifier.verify_counit
 
     def counted(ctx, X, window, extra_margin=0):
-        built.append(((X, window, extra_margin), inner(ctx, X, window, extra_margin)))
-        return built[-1][1]
+        built.append((X, window, extra_margin))
+        return inner(ctx, X, window, extra_margin)
 
     monkeypatch.setattr(verifier, "verify_counit", counted)
+    kept = _kept_probe_modules(monkeypatch)
     ctx = SiltingContext(U_tilt)
-    by_degree = {}
-    for name, X in sorted(probe_modules(A2).items()):
-        i = ctx.classification(X).index
-        if i is not None:
-            by_degree.setdefault(i, []).append((name, X))
-    for i, probes in sorted(by_degree.items()):
-        shifted = DegreeWindow(WIN[0] + i, WIN[1] + i)
-        ctx.counits([ctx.module(X) for _, X in probes], shifted, 0)
-        for name, X in probes:
-            for _ in range(2):
-                rep = verify_corollary_roundtrip(ctx, X, i, WIN, subject=name)
-            counit = ctx.counit(ctx.module(X), shifted, 0)
-            (((T, _, _), batch),) = [(key, r) for key, r in built if key[1] == shifted]
-            parts = dict(zip(map(id, T.summands or [T]), batch.parts or [batch]))
-            assert counit is parts[id(ctx.module(X))]
-            assert rep.checks[-1].details == {
-                "h_dims": {n - i: row for n, row in counit.checks[0].details["h_dims"].items()},
-                "shift": -i}
-            assert rep.checks[-1].passed is counit.passed is True
-    windows = [key[1] for key, _ in built]
-    assert sum(map(len, by_degree.values())) >= 3
-    assert len(windows) == len(set(windows)) == len(by_degree)
+    reports = verify_all(U_tilt, window=WIN, ctx=ctx)
+    (mods,) = kept
+    degree = {name: ctx.classification(X).index for name, X in sorted(mods.items())
+              if ctx.classification(X).index is not None}
+    ((T, window, margin),) = built
+    assert (window, margin) == (DegreeWindow(WIN[0], WIN[1] + max(degree.values())), 0)
+    roundtrips = {r.subject: r for r in reports if r.kind == "concentration-roundtrip"}
+    for name, i in degree.items():
+        X = mods[name]
+        assert any(s is ctx.module(X) for s in T.summands)
+        for _ in range(2):
+            rep = verify_corollary_roundtrip(ctx, X, i, WIN, subject=name)
+        assert rep.checks == roundtrips[name].checks
+        counit = ctx.counit(ctx.module(X), DegreeWindow(WIN[0] + i, WIN[1] + i), 0)
+        assert rep.checks[-1].details == {
+            "h_dims": {n - i: row for n, row in counit.checks[0].details["h_dims"].items()},
+            "shift": -i}
+        assert rep.checks[-1].passed is counit.passed is True
+    assert len(built) == 1
+    assert len(degree) >= 3 and len(set(degree.values())) == 2
+
+
+def _kept_probe_modules(monkeypatch) -> list:
+    """The module probes of every verify_all from here on, the very objects
+    it reads, one dict per call."""
+    kept, probe_modules_of = [], verifier.probe_modules
+    monkeypatch.setattr(verifier, "probe_modules",
+                        lambda A: kept.append(probe_modules_of(A)) or kept[-1])
+    return kept
 
 
 def _silting_contexts(coresolution_inputs) -> dict:
@@ -349,24 +359,71 @@ def _silting_contexts(coresolution_inputs) -> dict:
 
 def test_batched_rows_equal_one_block_checks_in_a_fresh_context(coresolution_inputs):
     # verify_all checks the counits of all target summands as one direct sum
-    # and the pairs of each source summand at once; every row it reads off a
-    # block is the report of verify_counit or verify_fully_faithful on that
-    # summand or pair alone, in a context of its own
+    # and the pairs of each source summand at once; the rows it keeps for
+    # each block, and the report the context builds from them, are those of
+    # verify_counit or verify_fully_faithful on that summand or pair alone,
+    # at the same degrees, in a context of its own
     ctxs = _silting_contexts(coresolution_inputs)
     assert len([name for name in ctxs if name.startswith("a3/")]) == 14
     for name, ctx in ctxs.items():
         assert all(r.passed for r in verify_all(ctx.U, ctx=ctx, **SMALL))
         fresh, kinds = SiltingContext(ctx.U), Counter()
-        for key, rep in ctx._reports.items():
-            if any(X.summands for X in key if isinstance(X, Complex)):
+        for key, rows in list(ctx._rows.items()):
+            *pair, margin = key
+            if any(X.summands for X in pair):
                 continue
-            if len(key) == 3:
-                one = verify_counit(fresh, *key)
+            degrees = sorted(rows)
+            assert degrees == list(range(degrees[0], degrees[-1] + 1))
+            if len(pair) == 1:
+                win = DegreeWindow(degrees[0], degrees[-1])
+                rep, one = ctx.counit(*pair, win, margin), verify_counit(fresh, *pair, win, margin)
             else:
-                one = verify_fully_faithful(fresh, *key)
-            assert rep.as_dict() == one.as_dict(), (name, rep.kind)
-            kinds[rep.kind] += 1
+                rep = ctx.fully_faithful(*pair, degrees, margin)
+                one = verify_fully_faithful(fresh, *pair, degrees, margin)
+            assert one.checks[0].details == {"h_dims": rows}, (name, one.kind)
+            assert rep.as_dict() == one.as_dict(), (name, one.kind)
+            kinds[one.kind] += 1
         assert kinds["counit"] >= 4 and kinds["fully-faithful"] >= 16, name
+
+
+def test_every_roundtrip_row_of_the_one_batch_is_the_counit_at_its_shifted_window(
+        coresolution_inputs, monkeypatch):
+    # verify_all checks every counit in one batch at [lo, hi + max i], at
+    # the cutoff of the probes' own window.  The rows it reads for a probe
+    # concentrated in degree i, or for a canonical part returning in degree
+    # i, at the window shifted by i, are those of verify_counit on that
+    # module at the shifted window, at its own cutoff, in a fresh context
+    built = []
+    inner = verifier.verify_counit
+
+    def counted(ctx, X, window, extra_margin=0):
+        built.append(ctx)
+        return inner(ctx, X, window, extra_margin)
+
+    monkeypatch.setattr(verifier, "verify_counit", counted)
+    kept = _kept_probe_modules(monkeypatch)
+    win, read = DegreeWindow(*SMALL["window"]), Counter()
+    for name, ctx in _silting_contexts(coresolution_inputs).items():
+        assert all(r.passed for r in verify_all(ctx.U, ctx=ctx, **SMALL))
+        assert built.count(ctx) == 1, name
+        tilting = ctx.report.tilting and ctx.report.module_form
+        returns = []
+        for X in kept[-1].values():
+            i = ctx.classification(X).index
+            if i is not None and X.dim:
+                returns.append((X, i, "concentrated"))
+            elif i is None and tilting:
+                returns += [(part, j, "part") for part, j in zip(ctx.canonical_sequence(X), (0, 1))
+                            if part.dim]
+        fresh = SiltingContext(ctx.U)
+        for X, i, kind in returns:
+            shifted = DegreeWindow(win.lo + i, win.hi + i)
+            rows = ctx._rows[(ctx.module(X), 0)]
+            direct = verify_counit(fresh, fresh.module(X), shifted)
+            assert direct.checks[0].details == {"h_dims": {
+                n: rows[n] for n in range(shifted.lo, shifted.hi + 1)}}, (name, kind, i)
+            read[kind, i] += 1
+    assert read[("concentrated", 1)] and read[("part", 1)], read
 
 
 def test_a_direct_sum_reads_each_summands_cohomology_off_its_block(coresolution_inputs):
@@ -428,19 +485,14 @@ def test_module_probes_read_as_themselves_match_their_replacements(coresolution_
                           for Y in (ctx.module(mods[n2]), sources[n2])]
                 assert tables[0] == tables[1], (n1, n2)
 
-    wrapped, probes = [], []
-    wrap, probe_modules_of = verifier.module_complex, verifier.probe_modules
+    wrapped, wrap = [], verifier.module_complex
 
     def counted_wrap(M):
         wrapped.append(M)
         return wrap(M)
 
-    def kept_probes(A):
-        probes.append(probe_modules_of(A))
-        return probes[-1]
-
     monkeypatch.setattr(verifier, "module_complex", counted_wrap)
-    monkeypatch.setattr(verifier, "probe_modules", kept_probes)
+    probes = _kept_probe_modules(monkeypatch)
     for ctx in ctxs.values():
         wrapped.clear()
         probes.clear()
@@ -572,6 +624,29 @@ def test_naturality_lifts_chain_maps_homotopic_to_their_targets(name, coresoluti
         assert aug != target
 
 
+def test_the_batterys_naturality_square_builds_nothing_of_its_own(coresolution_inputs,
+                                                                  monkeypatch):
+    # in verify_all the naturality square reads the probes' counit batch: it
+    # builds no hom module, resolution, tensor or evaluation map of its own
+    probe, seen = verifier.naturality_probe, []
+
+    def kept(ctx):
+        return (len(ctx._hom_modules), sum(map(len, ctx._resolutions.values())),
+                len(ctx._tensors), len(ctx._evaluations))
+
+    def watched(ctx, *args, **kwargs):
+        before = kept(ctx)
+        rep = probe(ctx, *args, **kwargs)
+        seen.append((before == kept(ctx), rep.passed, rep.notes.get("vacuous")))
+        return rep
+
+    monkeypatch.setattr(verifier, "naturality_probe", watched)
+    for name, ctx in _silting_contexts(coresolution_inputs).items():
+        assert all(r.passed for r in verify_all(ctx.U, ctx=ctx, **SMALL)), name
+    assert len(seen) == 16 and all(same and passed for same, passed, _ in seen)
+    assert Counter(why for *_, why in seen) == {None: 15, "no nonzero map to test": 1}
+
+
 @pytest.mark.parametrize("name", ["U-tilt", "U-silt2", "regular"])
 def test_naturality_fails_for_the_lift_of_twice_the_map(name, coresolution_inputs,
                                                         monkeypatch):
@@ -579,6 +654,7 @@ def test_naturality_fails_for_the_lift_of_twice_the_map(name, coresolution_input
     ctx = SiltingContext(U)
     free = probe_complexes(ctx, probe_modules(ctx.A))["free"]
     assert naturality_probe(ctx, free, U, SMALL["window"]).passed
+    assert reference_naturality_probe(ctx, free, U, SMALL["window"]) == {"passed": True}
     f = ctx.A.field
     postcomposed = verifier._postcomposed_augmentations
     monkeypatch.setattr(verifier, "_postcomposed_augmentations", lambda *args: {
@@ -586,6 +662,25 @@ def test_naturality_fails_for_the_lift_of_twice_the_map(name, coresolution_input
     rep = naturality_probe(ctx, free, U, SMALL["window"])
     assert [c.name for c in rep.checks] == ["counit square commutes on cohomology"]
     assert not rep.passed
+    assert reference_naturality_probe(ctx, free, U, SMALL["window"]) == {"passed": False}
+
+
+def test_the_batched_naturality_square_agrees_with_the_square_on_each_summand(
+        coresolution_inputs):
+    # naturality_probe reads the square on the probes' counit batch T, with
+    # g placed on its block of T; the reference reads it on the resolutions
+    # and tensors of Y and Y' apart.  Both give the same verdict, or the same
+    # reason for having none, on every pair of probes
+    verdicts = Counter()
+    for name, ctx in _silting_contexts(coresolution_inputs).items():
+        verify_all(ctx.U, ctx=ctx, **SMALL)
+        sources = {**probe_complexes(ctx, probe_modules(ctx.A)), "silting": ctx.U}
+        for X, Xp in product(sources.values(), repeat=2):
+            rep = naturality_probe(ctx, X, Xp, SMALL["window"])
+            got = rep.notes if "vacuous" in rep.notes else {"passed": rep.passed}
+            assert got == reference_naturality_probe(ctx, X, Xp, SMALL["window"]), name
+            verdicts[str(got)] += 1
+    assert verdicts[str({"passed": True})] >= 100 and len(verdicts) >= 2, verdicts
 
 
 def test_every_two_term_silting_complex_of_a3_passes(coresolution_inputs):
@@ -921,7 +1016,7 @@ def _failing_cases(U_tilt, U_silt2, U_bad, indecs, monkeypatch):
     with monkeypatch.context() as m:
         # the lift of the naturality map tensored to zero
         m.setattr(verifier, "_tensor_of_lift",
-                  lambda TX, TXp, *args: ChainMap(TX, TXp, {}, validate=False))
+                  lambda T, *args: ChainMap(T, T, {}, validate=False))
         reports = verify_all(U_tilt, **SMALL)
         assert [r.passed for r in reports if r.kind == "naturality"] == [False]
         yield reports
