@@ -245,23 +245,11 @@ def direct_sum_complexes(xs: Sequence[Complex]) -> Complex:
                    summand_offsets=offsets)
 
 
-def summand_projection_maps(X: Complex) -> list["ChainMap"]:
-    """Idempotent chain maps projecting a direct_sum_complexes result onto each summand slice."""
-    if X.summands is None:
-        raise ValueError("complex does not carry direct-sum data")
-    f = X.algebra.field
-    maps = []
-    for k, s in enumerate(X.summands):
-        mats = {}
-        for n in X.degrees():
-            dim = X.term(n).dim
-            if dim == 0:
-                continue
-            off = X.summand_offsets[n][k]
-            mats[n] = Matrix.from_entries(
-                f, dim, dim, {off + i: {off + i: f.one} for i in range(s.term(n).dim)})
-        maps.append(ChainMap(X, X, mats, validate=False))
-    return maps
+def summand_blocks(X: Complex) -> dict:
+    """degree -> the summand of X each position lies in, summands in order
+    (summand_offsets); one block when X declares none."""
+    parts = X.summands or [X]
+    return {n: [t for t, s in enumerate(parts) for _ in range(s.dim(n))] for n in X.degrees()}
 
 
 class ChainMap:
@@ -432,8 +420,8 @@ class CellHom(Cochains):
         """k -> the value on generator k of the degree-m element with the
         given nonzero coordinates, for each nonzero value."""
         return {k: v for k, (off, cell) in self.offsets(m).items()
-                if (v := cell.matrix.apply_entries(
-                    {t: c for t in range(cell.dim) if (c := coords.get(off + t))}))}
+                if (part := {t: c for t in range(cell.dim) if (c := coords.get(off + t))})
+                and (v := cell.matrix.apply_entries(part))}
 
     def assemble(self, m: int, values: dict) -> dict:
         """Nonzero coordinates of the degree-m element with the given
@@ -490,8 +478,9 @@ class GradedHom(CellHom):
     generator is its generator image, cut to each summand of the next degree
     and read there as an element of A, so the layout and the differential
     (df)_i = f_i d_Y - (-1)^n d_X f_{i+1} are CellHom's.  Composites are
-    read off generator images too: the generator image of "g, then h" is the
-    generator image of g times h, so no composite matrix is built.  Each
+    read off the generator values of g (values) and the component maps of
+    h (component_maps): the generator value of "g, then h" is g's times h,
+    so no composite matrix is built (postcomposed).  Each
     differential of X and Y it reads is checked to be a module map.
     Hom(U, U) keeps its units, dg-end, H^0 algebra and radical (kept).
     """
@@ -564,12 +553,6 @@ class GradedHom(CellHom):
             out[n] = entries
         return out
 
-    def generator_images(self, i: int, mat: Matrix) -> dict:
-        """k -> the image of generator k, a witness summand of X^i, under
-        mat, a matrix out of X^i, for each nonzero image."""
-        return {k: y for k in gen_slice(self.gens, i, i)
-                if (y := generator_image(self._projective(k), mat.entries, self.starts[k]))}
-
     def postcomposed(self, n: int, values: dict, comps: dict, target: "GradedHom",
                      m: int) -> dict:
         """The nonzero coordinates in target, in degree m, of "x, then comps":
@@ -577,10 +560,10 @@ class GradedHom(CellHom):
         returns them) and comps its follow-up, target degree -> matrix.  The
         value of the composite on generator k is x's there times
         comps[n + gens[k]]; target has the source X too, so the same
-        generators."""
-        return target.assemble(m, {k: z for k, y in values.items()
-                                   if (c := comps.get(n + self.gens[k])) is not None
-                                   and (z := c.apply_entries(y))})
+        generators; with no nonzero value the composite is zero."""
+        images = {k: z for k, y in values.items()
+                  if (c := comps.get(n + self.gens[k])) is not None and (z := c.apply_entries(y))}
+        return target.assemble(m, images) if images else {}
 
     def component_maps(self, n: int, coords: dict) -> dict:
         """Expand the nonzero coordinates of a degree-n element into
@@ -632,9 +615,6 @@ def proj_replacement(X: Complex, cap: int = 16) -> tuple[Complex, ChainMap]:
     A = X.algebra
     if X.is_projective_complex():
         return X, identity_chain_map(X)
-    if X.is_empty():
-        P = zero_complex(A)
-        return P, ChainMap(P, X, {}, validate=False)
     action = {(n, 0): [[a.entries.get(i, {}) for a in M.action] for i in range(M.dim)]
               for n, M in X.terms.items()}
     dims = {n: M.dim for n, M in X.terms.items()}

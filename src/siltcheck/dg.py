@@ -21,16 +21,17 @@ constructor re-checks on every basis pair.  Its H^0 algebra needs no dg-end:
 end_h0 reads it off the hom complex itself, multiplying class
 representatives by composing them, and keeps it there for the dg-end built
 later, if any, to share.  dg_end and its non-positive smart_truncate both
-declare maps, each basis element as its component maps U -> U, so hom
-modules and the evaluation module of U are built over either one by
-composing those maps; each composite is read off generator images
-(complexes.GradedHom), never built as a matrix.
+declare gh, so an element of either is its coordinates in Hom(U, U) (through
+embed for the truncation).  Every product of such elements, in the dg-end,
+in a hom module over either and in H^0, is made by the one _products, read
+off generator values and component maps (complexes.GradedHom), never built
+as a matrix.
 """
 
 from __future__ import annotations
 
 from .algebra import Algebra
-from .complexes import Complex, GradedHom, hom_complex, summand_projection_maps
+from .complexes import Complex, GradedHom, hom_complex, summand_blocks
 from .linalg import Cochains, Matrix, RowSpace
 
 
@@ -247,15 +248,15 @@ class DgAlgebra(_Graded):
     cells e.B are the building blocks of semifree resolutions over the
     algebra.  Elements are passed as their nonzero coordinates
     {index: entry} throughout.  The dg-end of U (dg_end) and its truncation
-    (smart_truncate) have U as complex and maps; the dg-end has gh =
-    Hom(U, U), the truncation embed into the dg-end (None elsewhere).
+    (smart_truncate) have gh = Hom(U, U), and the truncation embed, its
+    basis in the dg-end's, so every element of either is its coordinates
+    in gh (both None elsewhere).
     """
 
     def __init__(self, field, dims: dict, mult: dict, diff: dict, unit: dict,
-                 idempotents=None, gh=None, complex=None,
-                 maps: dict | None = None, embed: dict | None = None):
+                 idempotents=None, gh=None, embed: dict | None = None):
         super().__init__(field, dims, diff)
-        self.gh, self.complex, self.maps, self.embed = gh, complex, maps, embed
+        self.gh, self.embed = gh, embed
         self.mult = mult
         self.unit = dict(unit)
         self.idempotents = ([dict(e) for e in idempotents] if idempotents is not None
@@ -352,42 +353,52 @@ class DgModule(_Graded):
 # -- dg-end and hom modules ------------------------------------------------
 
 
-def _composition_tables(gh, maps: dict) -> dict:
-    """Products of hom-complex bases: [(m, n)][i][j] holds the nonzero
-    coordinates in gh of x . b, "apply b, then x", for the i-th basis element
-    x of gh^m and the j-th element b of maps[n], given by its component maps
-    U -> U.
+def _products(gh: GradedHom, left: list, m: int, right: list, n: int) -> list:
+    """[[x . b for b in right] for x in left], "apply b, then x", for
+    degree-m elements x of gh = Hom(U, X), given by their component maps,
+    and degree-n elements b of End(U), given by their generator values
+    (GradedHom.values): the one builder of products of End(U) and of its
+    action, each product one postcomposed call, as its nonzero coordinates
+    in gh^{m+n}.  No composite matrix is built."""
+    zero = {}
+    return [[gh.postcomposed(n, y, x, gh, m + n) or zero for y in right] for x in left]
 
-    Each b is taken once as its generator images, one per witness summand of
-    each degree of U.  x has the one component h_x, at some degree s, so x . b
-    is gh.postcomposed on the generator images of b at s - n: one
-    vector-matrix product per source summand and no composite matrix.
-    """
-    # images[n][b][j]: generator k -> its image under b, for the summands of U^j
-    images = {n: [{j: gh.generator_images(j, mat) for j, mat in b.items()} for b in elems]
-              for n, elems in maps.items()}
-    tables, zero = {}, {}
-    for m in gh.degrees():
-        for n, elems in maps.items():
-            if not gh.dim(m) or not elems or not gh.dim(m + n):
-                continue
-            tables[(m, n)] = [[(gh.postcomposed(n, imgs[sx - n], {sx: hx}, gh, m + n) or zero)
-                               if sx - n in imgs else zero for imgs in images[n]]
-                              for sx, hx in gh.basis[m]]
-    return tables
+
+def _composition_tables(gh: GradedHom, end: GradedHom, elems: dict) -> dict:
+    """[(m, n)][i][j]: the i-th basis element of gh^m, gh = Hom(U, X),
+    times elems[n][j], a degree-n element of End(U) as its nonzero
+    coordinates in end = Hom(U, U), read once as its generator values."""
+    left = {m: [{s: h} for s, h in gh.basis[m]] for m in gh.degrees() if gh.dim(m)}
+    right = {n: [end.values(n, b) for b in bs] for n, bs in elems.items() if bs}
+    return {(m, n): _products(gh, xs, m, ys, n)
+            for m, xs in left.items() for n, ys in right.items() if gh.dim(m + n)}
+
+
+def _basis(field, dims: dict, embed: dict | None) -> dict:
+    """n -> each degree-n basis element of the dg-end of U (embed None) or
+    of its truncation, as its nonzero coordinates in Hom(U, U)."""
+    return {n: [embed[n].entries.get(j, {}) if embed else {j: field.one} for j in range(d)]
+            for n, d in dims.items()}
 
 
 def end_units(gh: GradedHom) -> tuple[dict, list]:
     """(unit, idempotents) of End(U) as coordinates in degree 0 of gh =
     Hom(U, U): the identity of U, and the summand projections of U when U
-    is a direct sum, the unit alone otherwise.  Read once and kept on gh,
-    for its H^0 algebra and its dg-end alike."""
+    is a direct sum, the unit alone otherwise.  The projection onto a
+    summand is the unit's coordinates on the generators lying in it.  Read
+    once and kept on gh, for its H^0 algebra and its dg-end alike."""
     def build():
         U = gh.X
         unit = gh.coords_of(0, {i: Matrix.identity(gh.field, U.term(i).dim)
                                 for i in U.degrees() if U.term(i).dim})
-        return unit, ([gh.coords_of(0, pm.mats) for pm in summand_projection_maps(U)]
-                      if U.summands is not None else [unit])
+        if U.summands is None:
+            return unit, [unit]
+        # the summand of each degree-0 position: its generator's
+        blocks = summand_blocks(U)
+        owner = [blocks[j][gh.starts[k]] for k, j, cell in gh.blocks(0)
+                 for _ in range(cell.dim)]
+        return unit, [{p: c for p, c in unit.items() if owner[p] == s}
+                      for s in range(len(U.summands))]
     return gh.kept("units", build)
 
 
@@ -396,7 +407,7 @@ def dg_end(U: Complex, gh: GradedHom | None = None) -> DgAlgebra:
     = hom_complex(U, U), or on a new one when gh is None.
 
     Its unit and idempotents are end_units(gh): the summand projections of
-    U when U is a direct sum.  It has gh, U as complex and maps.  Its H^0
+    U when U is a direct sum.  It has gh, and its basis is gh's.  Its H^0
     algebra is end_h0(gh), read off gh without it; end_dg keeps one dg-end
     on its gh.
     """
@@ -406,12 +417,11 @@ def dg_end(U: Complex, gh: GradedHom | None = None) -> DgAlgebra:
         gh = hom_complex(U, U)
     elif gh.X is not U or gh.Y is not U:
         raise ValueError("dg_end needs the hom complex of U with itself")
-    dims = {n: gh.dim(n) for n in gh.degrees()}
-    maps = {n: [{i: h} for i, h in gh.basis[n]] for n in gh.degrees()}
+    f, dims = gh.field, {n: gh.dim(n) for n in gh.degrees()}
     diffs = {n: gh.diff(n) for n in gh.degrees()}
     unit, idempotents = end_units(gh)
-    return DgAlgebra(U.algebra.field, dims, _composition_tables(gh, maps), diffs, unit,
-                     idempotents=idempotents, gh=gh, complex=U, maps=maps)
+    return DgAlgebra(f, dims, _composition_tables(gh, gh, _basis(f, dims, None)), diffs, unit,
+                     idempotents=idempotents, gh=gh)
 
 
 def end_dg(gh: GradedHom) -> DgAlgebra:
@@ -424,27 +434,31 @@ def dg_hom_module(gh: GradedHom, base: DgAlgebra) -> DgModule:
     """The hom complex gh = Hom(U, X) as a right dg-module over base:
     dg_end(U) or its smart_truncate.
 
-    The action is composition, f*b = "apply b, then f".
+    The action is composition, f*b = "apply b, then f", b read as its
+    coordinates in base.gh = Hom(U, U).
     """
     dims = {n: gh.dim(n) for n in gh.degrees()}
     diffs = {n: gh.diff(n) for n in gh.degrees()}
-    return DgModule(base, "right", dims, _composition_tables(gh, base.maps), diffs, gh=gh)
+    action = _composition_tables(gh, base.gh, _basis(base.field, base.dims, base.embed))
+    return DgModule(base, "right", dims, action, diffs, gh=gh)
 
 
 def evaluation_left_module(base: DgAlgebra, U: Complex) -> DgModule:
     """U as a left dg-module over base, dg_end(U) or its smart_truncate, b
-    acting by evaluation b(u)."""
-    if base.complex is not U:
+    acting by evaluation b(u): each basis element of base read once as its
+    component maps U -> U, from its coordinates in base.gh = Hom(U, U)."""
+    if base.gh is None or base.gh.X is not U:
         raise ValueError("base must be the dg-end of U or its truncation")
     dims = {n: U.term(n).dim for n in U.degrees()}
     action, zero = {}, {}
-    for m, elems in base.maps.items():
+    for m, elems in _basis(base.field, base.dims, base.embed).items():
+        comps = [base.gh.component_maps(m, b) for b in elems]
         for n in U.degrees():
-            if not elems or not dims.get(n) or not dims.get(m + n):
+            if not dims.get(n) or not dims.get(m + n):
                 continue
             # b(u_j) = u_j @ b[n], row j of the component of b at degree n
             action[(m, n)] = [[b[n].entries.get(j, zero) if n in b else zero
-                               for j in range(dims[n])] for b in elems]
+                               for j in range(dims[n])] for b in comps]
     diffs = {n: U.diff(n) for n in U.degrees()}
     return DgModule(base, "left", dims, action, diffs, complex=U)
 
@@ -524,16 +538,6 @@ def h0_algebra(X, unit: dict | None = None, idempotents: list | None = None,
                      [sq.lift(cls) for cls in basis_cls], sq, kept)
 
 
-def _composites(gh: GradedHom, reps: list) -> list:
-    """[[a . b for b in reps] for a in reps], "apply b, then a", for degree-0
-    elements of gh = Hom(U, U) given as their nonzero coordinates: each
-    composite read off the generator images of b and the component maps of
-    a, each taken once per element."""
-    values = [gh.values(0, b) for b in reps]
-    comps = [gh.component_maps(0, a) for a in reps]
-    return [[gh.postcomposed(0, y, c, gh, 0) for y in values] for c in comps]
-
-
 def end_h0(gh: GradedHom) -> H0Algebra:
     """H^0 End(U) as an ordinary algebra, read off gh = Hom(U, U) and kept
     on it: homotopy classes of chain maps U -> U, multiplied by composing
@@ -543,8 +547,10 @@ def end_h0(gh: GradedHom) -> H0Algebra:
     The idempotents are the classes of end_units(gh): of the summand
     projections of U when U is a direct sum, the unit class alone otherwise.
     """
-    return gh.kept("h0", lambda: h0_algebra(gh, *end_units(gh),
-                                            lambda reps: _composites(gh, reps)))
+    def products(reps):
+        return _products(gh, [gh.component_maps(0, a) for a in reps], 0,
+                         [gh.values(0, b) for b in reps], 0)
+    return gh.kept("h0", lambda: h0_algebra(gh, *end_units(gh), products))
 
 
 # -- truncation, opposite, side swap ---------------------------------------
@@ -554,11 +560,13 @@ def smart_truncate(B: DgAlgebra) -> DgAlgebra:
     """Non-positive truncation of B = dg_end(U): degree 0 becomes ker d^0,
     positive degrees die.
 
-    The result has embed, its per-degree inclusion matrices into B, maps,
-    each basis element as its component maps U -> U, and U as complex; the
+    The result has B's gh and embed, its per-degree inclusion matrices into
+    B: each basis element as its coordinates in gh = Hom(U, U).  The
     inclusion is a map of dg-algebras and induces H^n isomorphisms for
     n <= 0.
     """
+    if B.embed is not None:
+        raise ValueError("smart_truncate needs a dg-end, not a truncation")
     f = B.field
     kmat = B.diff(0).left_kernel()
     dims = {n: B.dim(n) for n in B.degrees() if n < 0}
@@ -579,8 +587,7 @@ def smart_truncate(B: DgAlgebra) -> DgAlgebra:
         B lying in it, from its nonzero coordinates in B."""
         return nz if n < 0 or not nz else cocycle(nz)
 
-    # each basis element as its nonzero coordinates in B
-    basis = {n: [embed[n].entries.get(i, {}) for i in range(d)] for n, d in dims.items()}
+    basis = _basis(f, dims, embed)
     diffs, mult, zero = {}, {}, {}
     for n in dims:
         if dims.get(n + 1):
@@ -592,12 +599,8 @@ def smart_truncate(B: DgAlgebra) -> DgAlgebra:
             if dims.get(m + n) and t is not None:
                 mult[(m, n)] = [[restrict(table_product(f, t, a, b), m + n) or zero
                                  for b in basis[n]] for a in basis[m]]
-    maps = {n: B.maps[n] for n in dims if n < 0}
-    if kmat.nrows:
-        maps[0] = [B.gh.component_maps(0, kmat.entries[r]) for r in range(kmat.nrows)]
     return DgAlgebra(f, dims, mult, diffs, cocycle(B.unit),
-                     idempotents=[cocycle(e) for e in B.idempotents],
-                     complex=B.complex, maps=maps, embed=embed)
+                     idempotents=[cocycle(e) for e in B.idempotents], gh=B.gh, embed=embed)
 
 
 def opposite_dg(B: DgAlgebra) -> DgAlgebra:

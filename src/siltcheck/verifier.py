@@ -40,7 +40,7 @@ from itertools import combinations, product
 from .algebra import Algebra, Module, direct_sum_modules, simple_module
 from .complexes import (ChainMap, Complex, GradedHom, direct_sum_complexes,
                         hom_complex, module_complex, proj_replacement,
-                        projective_cache)
+                        projective_cache, summand_blocks)
 from .dg import (DgAlgebra, DgModule, dg_hom_module, end_dg, end_h0,
                  evaluation_left_module, opposite_dg, side_swap,
                  smart_truncate)
@@ -340,10 +340,7 @@ def _evaluation_chain_map(T: Complex, gh, X: Complex) -> ChainMap:
     P = T.resolution
     mats = {}
     for n, blocks in T.block_layout.items():
-        tdim = T.term(n).dim
         xdim = X.term(n).dim
-        if tdim == 0:
-            continue
         rows = []
         for (k, j, cell) in blocks:
             blockmat = gh.component_maps(P.gens[k], P.gen_augs[k]).get(j)
@@ -389,14 +386,9 @@ def _placed(f, comps: dict, X: Complex, s: int, t: int | None = None) -> dict:
 
 
 # Each map a counit or fully-faithful check reads is block diagonal for the
-# declared summands of its target X: the blocks below label every position of
-# a space, degree by degree, with the summand it lies in.
-
-
-def _summand_blocks(X: Complex) -> dict:
-    """The blocks of X: its summands in order, one block when it declares none."""
-    parts = X.summands or [X]
-    return {n: [t for t, s in enumerate(parts) for _ in range(s.dim(n))] for n in X.degrees()}
+# declared summands of its target X: complexes.summand_blocks and the blocks
+# below label every position of a space, degree by degree, with the summand
+# it lies in.
 
 
 def _cell_blocks(h, target: dict) -> dict:
@@ -428,9 +420,10 @@ def _pair_report(ctx: SiltingContext, keys: list, degrees,
 
 
 def verify_weak_nonpositive(ctx: SiltingContext) -> VerificationReport:
-    """No self-extensions in positive shifts, as cohomology of the dg-end."""
+    """No self-extensions in positive shifts, as cohomology of the dg-end,
+    read off gh = Hom(U, U), whose differential the dg-end's is."""
     w = ctx.report.presilting_witness
-    table = ctx.B.h_table()
+    table = ctx.gh.h_table()
     pos_ok = all(n <= 0 for n in table)
     checks = [
         CheckRecord("no positive self-extensions", w is None,
@@ -498,7 +491,7 @@ def verify_counit(ctx: SiltingContext, X: Complex, window,
     MX = ctx.hom_module(X)
     eps = ctx.evaluation(X, win, extra_margin)
     T = eps.source
-    xb = _summand_blocks(X)
+    xb = summand_blocks(X)
     gens = _generator_blocks(T.resolution, _cell_blocks(MX.gh, xb))
     tb = {n: [gens[k] for k, _, cell in layout for _ in range(cell.dim)]
           for n, layout in T.block_layout.items()}
@@ -524,7 +517,7 @@ def verify_fully_faithful(ctx: SiltingContext, X: Complex, Xp: Complex, degrees,
     f = ctx.A.field
     MXp = ctx.hom_module(Xp)
     gh = ctx.hom(X, Xp)
-    xb = _summand_blocks(Xp)
+    xb = summand_blocks(Xp)
     mb = _cell_blocks(MXp.gh, xb)
     # a source that is a summand of Xp is resolved as its block of the
     # resolution of Hom(U, Xp), and its maps read from that summand's rows
@@ -696,7 +689,7 @@ def naturality_probe(ctx: SiltingContext, X: Complex, Xp: Complex, window,
     T, TT = eps.target, eps.source
     MT, P = ctx.hom_module(T), TT.resolution
     s, sp = (next(t for t, Z in enumerate(T.summands or [T]) if Z is W) for W in (Y, Yp))
-    gens = _generator_blocks(P, _cell_blocks(MT.gh, _summand_blocks(T)))
+    gens = _generator_blocks(P, _cell_blocks(MT.gh, summand_blocks(T)))
     if s not in gens or sp not in gens:
         return VerificationReport("naturality", "probe pair", [],
                                   {"vacuous": "degenerate tensor, nothing to compare"})

@@ -2,7 +2,8 @@
 algebra reference independent of the sparse Matrix storage, the incremental
 dense row space and the greedy dense subquotient built on it, reference
 routes for the coresolution loop, its long exact sequences and the H^0
-algebra, a coordinate reader that checks every row of a map, and
+algebra, the summand projections of a direct sum as chain maps, a
+coordinate reader that checks every row of a map, and
 composite-matrix routes through it for the hom-complex differential, the
 composition tables and the postcomposition action, with a dense route for the
 action on a semifree module and routes from the definitions for the
@@ -19,12 +20,32 @@ from itertools import product
 
 from siltcheck import silting, verifier
 from siltcheck.algebra import Algebra, Module, generator_image, hom_space
-from siltcheck.complexes import (ChainMap, cone, hom_complex, is_acyclic,
-                                 projective_cache, projective_complex,
-                                 summand_projection_maps, zero_complex)
+from siltcheck.complexes import (ChainMap, Complex, cone, hom_complex, is_acyclic,
+                                 projective_cache, projective_complex, zero_complex)
 from siltcheck.dg import end_h0
 from siltcheck.linalg import Matrix
 from siltcheck.semifree import tensor_map
+
+
+def summand_projection_maps(X: Complex) -> list:
+    """Idempotent chain maps projecting a direct_sum_complexes result onto
+    each summand slice, built as matrices: the reference for the summand
+    idempotents that dg.end_units reads off the unit's coordinates."""
+    if X.summands is None:
+        raise ValueError("complex does not carry direct-sum data")
+    f = X.algebra.field
+    maps = []
+    for k, s in enumerate(X.summands):
+        mats = {}
+        for n in X.degrees():
+            dim = X.term(n).dim
+            if dim == 0:
+                continue
+            off = X.summand_offsets[n][k]
+            mats[n] = Matrix.from_entries(
+                f, dim, dim, {off + i: {off + i: f.one} for i in range(s.term(n).dim)})
+        maps.append(ChainMap(X, X, mats, validate=False))
+    return maps
 
 
 def hom_dim(M: Module, N: Module) -> int:
@@ -575,8 +596,10 @@ def reference_hom_diff(gh, n):
 
 
 def reference_composition_tables(gh, maps):
-    """dg._composition_tables with every composite b then x built as a
-    matrix and read back through reference_coords_of."""
+    """dg._composition_tables of gh = Hom(U, X) with the elements of End(U)
+    given as their component maps U -> U, maps[n] those of degree n, with
+    every composite b then x built as a matrix and read back through
+    reference_coords_of."""
     tables = {}
     for m in gh.degrees():
         for n, elems in maps.items():

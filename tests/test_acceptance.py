@@ -16,13 +16,12 @@ import time
 import pytest
 
 from conftest import random_two_term
-from oracles import hom_dim, nonzero_entries, reference_coresolutions
+from oracles import hom_dim, nonzero_entries, reference_coresolutions, summand_projection_maps
 from siltcheck.algebra import simple_module
 from siltcheck.cli import main
 from siltcheck.complexes import (ChainMap, ResolutionCapError, cone,
                                  hom_complex, is_acyclic, module_complex,
-                                 proj_replacement, projective_complex,
-                                 summand_projection_maps)
+                                 proj_replacement, projective_complex)
 from siltcheck.dg import dg_end, h0_algebra
 from siltcheck.silting import (coresolve_A, goodify, presilting_witness,
                                radical_rows, silting_equivalent,

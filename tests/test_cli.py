@@ -188,6 +188,12 @@ def test_bad_flags_are_input_errors(capsys):
     assert run_cli(capsys, "verify", FIX_K, "A", "--probes=bogus")[0] == 3
     assert run_cli(capsys, "check", FIX_K, "A", "--cap=-1")[0] == 3
     assert run_cli(capsys, "nonsense")[0] == 3
+    # a window with lo > hi and a probe list with no name: one line, no traceback
+    for flag, message in (("--window=3:-3", "has lo > hi"), ("--probes=,", "empty probe list")):
+        code, out, err = run_cli(capsys, "verify", FIX_K, "A", flag)
+        assert (code, out) == (3, ""), flag
+        assert message in err and len(err.strip().splitlines()) == 1, (flag, err)
+        assert "Traceback" not in err
 
 
 # -- goodify ----------------------------------------------------------------

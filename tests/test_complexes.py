@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_two_term, regular_module
-from oracles import nonzero_entries, reference_coords_of
+from oracles import nonzero_entries, reference_coords_of, summand_projection_maps
 from siltcheck.algebra import (
     Module,
     ModuleMap,
@@ -39,7 +39,6 @@ from siltcheck.complexes import (
     proj_replacement,
     projective_cache,
     projective_complex,
-    summand_projection_maps,
 )
 from siltcheck import silting
 from siltcheck.dg import DgAlgebra
@@ -354,6 +353,17 @@ def test_proj_replacement_of_simple(A2):
     assert P.hi == 0 and P.lo == -1
     assert is_acyclic(cone(eps))
     assert P.h_dim(0) == 1 and P.h_dim(-1) == 0
+
+
+def test_proj_replacement_of_the_empty_complex(A2):
+    # no generator: the empty complex of projectives, mapped by the empty map
+    X = Complex(A2, {}, {})
+    assert not X.is_projective_complex()
+    P, eps = proj_replacement(X)
+    assert P.is_projective_complex() and P.is_empty()
+    assert eps.source is P and eps.target is X and eps.mats == {}
+    eps.validate()
+    assert hom_complex(P, P).degrees() == range(0)
 
 
 def test_proj_replacement_cap():

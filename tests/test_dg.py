@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from oracles import (dense_row, nonzero_entries, reference_composition_tables,
                      reference_coords_of, reference_h0_algebra, reference_hom_class_action,
-                     reference_hom_diff, sparse_products)
+                     reference_hom_diff, sparse_products, summand_projection_maps)
 from siltcheck import silting
 from siltcheck.algebra import Quiver, path_algebra, simple_module
 from siltcheck.complexes import (
@@ -31,11 +31,12 @@ from siltcheck.complexes import (
     module_complex,
     proj_replacement,
     projective_complex,
-    summand_projection_maps,
+    zero_complex,
 )
 from siltcheck.dg import (
     DgAlgebra,
     DgModule,
+    _basis,
     _composition_tables,
     _flat,
     _Graded,
@@ -45,6 +46,7 @@ from siltcheck.dg import (
     dg_end,
     dg_hom_module,
     end_h0,
+    end_units,
     evaluation_left_module,
     h0_algebra,
     opposite_dg,
@@ -388,20 +390,29 @@ def test_generator_images_match_the_composite_matrices(coresolution_inputs, fiel
         for gh in homs:
             for n in gh.degrees():
                 assert gh.diff(n) == reference_hom_diff(gh, n), (name, n)
-        assert B.mult == reference_composition_tables(B.gh, B.maps), name
-        assert M.action == reference_composition_tables(M.gh, C.maps), name
+        assert B.mult == reference_composition_tables(B.gh, _component_maps(B)), name
+        assert M.action == reference_composition_tables(M.gh, _component_maps(C)), name
         E = end_h0(B.gh)
         for X in (free, U):
             assert (silting._hom_class_action(X, U, B.gh, E)[2]
                     == reference_hom_class_action(X, U, B.gh, E)), name
 
 
+def _component_maps(B):
+    """n -> each degree-n basis element of B, the dg-end of U or its
+    truncation, as its component maps U -> U: its coordinates in B.gh, read
+    through embed for the truncation."""
+    one = B.field.one
+    return {n: [B.gh.component_maps(n, B.embed[n].entries.get(j, {}) if B.embed else {j: one})
+                for j in range(d)] for n, d in B.dims.items()}
+
+
 def _honest_maps(B):
-    """Degree-0 families of module maps U -> U for U = B.complex, as their
+    """Degree-0 families of module maps U -> U for U = B.gh.X, as their
     nonzero components: the identity, the summand projections and the
     composites of verify_E_iso's route two, "chain map y, then chain map x"
     over the classes of H^0."""
-    U = B.complex
+    U = B.gh.X
     f = U.algebra.field
     yield {i: Matrix.identity(f, U.term(i).dim) for i in U.degrees() if U.term(i).dim}
     if U.summands is not None:
@@ -430,8 +441,9 @@ def test_coords_of_agrees_with_the_row_checked_reader(coresolution_inputs, built
 
 
 def test_composites_make_no_coords_of_call(coresolution_inputs, monkeypatch):
-    """The hom differentials, the composition tables and the postcomposition
-    action read every composite off the generator images of its first
+    """The hom differentials, the composition tables, the action on a hom
+    module over the truncation, the products of H^0 and the postcomposition
+    action read every composite off the generator values of its first
     factor, with no composite matrix for coords_of to read."""
     def refuse(*args):
         raise AssertionError("coords_of called")
@@ -439,13 +451,41 @@ def test_composites_make_no_coords_of_call(coresolution_inputs, monkeypatch):
     built = []
     for U in coresolution_inputs({"prime": 101}).values():
         B = dg_end(U)
-        built.append((U, B, end_h0(B.gh), hom_complex(U, U)))
+        gh = hom_complex(U, U)
+        end_units(gh)  # the identity is read off its matrices
+        built.append((U, B, end_h0(B.gh), gh))
     monkeypatch.setattr(GradedHom, "coords_of", refuse)
     for U, B, E, gh in built:
         for n in gh.degrees():
             gh.diff(n)
-        _composition_tables(gh, B.maps)
+        _composition_tables(gh, B.gh, _basis(B.field, B.dims, None))
+        dg_hom_module(gh, smart_truncate(B))
+        end_h0(gh)
         silting._hom_class_action(U, U, B.gh, E)
+
+
+def test_summand_idempotents_are_the_coordinates_of_the_summand_projections(
+        coresolution_inputs, A2, simple_resolution, wide):
+    # end_units reads the projection onto a summand as the unit's
+    # coordinates on the generators lying in it; the reference builds it as
+    # a chain map and reads it back.  Every two-term sum of kA_3 (the 14
+    # silting ones among them), U-tilt, U-silt2, and sums with a summand
+    # that is zero in some degree or in every degree
+    inputs = coresolution_inputs({"prime": 101})
+    sums = {name: U for name, U in inputs.items()
+            if name.startswith("a3/") or name in ("fix_a2/U-tilt", "fix_a2/U-silt2")}
+    P0 = projective_complex(A2, {0: [0]})
+    sums["wide"] = wide
+    sums["with a shifted stalk"] = direct_sum_complexes([simple_resolution, P0.shift(-1)])
+    sums["with a zero summand"] = direct_sum_complexes([P0, zero_complex(A2), simple_resolution])
+    silting_sums = 0
+    for name, U in sums.items():
+        gh = hom_complex(U, U)
+        idempotents = end_units(gh)[1]
+        assert idempotents == [reference_coords_of(gh, 0, pm.mats)
+                               for pm in summand_projection_maps(U)], name
+        silting_sums += name.startswith("a3/") and silting.silting_report(U, gh=gh).n is not None
+    assert silting_sums == 14
 
 
 # -- the validators against an element-wise reference -----------------------

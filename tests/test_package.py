@@ -122,6 +122,20 @@ def test_every_src_definition_has_a_caller():
     assert _uncalled_definitions() == sorted(UNCALLED_BY_DESIGN)
 
 
+def test_dg_composes_in_one_table_builder():
+    # every product of End(U), of its truncation, of H^0 and of their
+    # action on hom modules is one postcomposed call in dg._products; any
+    # other mention of postcomposed in dg.py would be a second route
+    tree = ast.parse((ROOT / "src" / "siltcheck" / "dg.py").read_text())
+    mentions = {}
+    for top in tree.body:
+        name = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else top.lineno
+        for node in ast.walk(top):
+            if isinstance(node, ast.Attribute) and node.attr == "postcomposed":
+                mentions[name] = mentions.get(name, 0) + 1
+    assert mentions == {"_products": 1}
+
+
 PROBES = {"hasattr", "getattr", "setattr", "delattr"}
 
 

@@ -6,7 +6,8 @@ import pytest
 
 import oracles
 from conftest import A3_INDECOMPOSABLES, FIX_A2
-from oracles import approximation_checks, coresolution_les_ok, reference_coresolutions
+from oracles import (approximation_checks, coresolution_les_ok, reference_coresolutions,
+                     summand_projection_maps)
 from siltcheck import dg, silting
 from siltcheck.fields import PrimeField
 from siltcheck.linalg import Matrix
@@ -14,8 +15,7 @@ from siltcheck import algebra, complexes
 from siltcheck.algebra import Quiver, hom_space, path_algebra
 from siltcheck.complexes import (ChainMap, block_matrix, direct_sum_complexes,
                                  hom_complex, is_acyclic, projective_cache,
-                                 projective_complex, projective_sum,
-                                 summand_projection_maps)
+                                 projective_complex, projective_sum)
 from siltcheck.dg import dg_end
 from siltcheck.instances import load_instance
 from siltcheck.silting import (coresolve_A, goodify, presilting_witness,

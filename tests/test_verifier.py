@@ -23,7 +23,7 @@ from siltcheck.complexes import (ChainMap, GradedHom, ResolutionCapError, cone,
                                  direct_sum_complexes, hom_complex,
                                  identity_chain_map, module_complex,
                                  proj_replacement, projective_cache,
-                                 projective_complex, zero_complex)
+                                 projective_complex, summand_blocks, zero_complex)
 from siltcheck.dg import DgModule, dg_hom_module
 from siltcheck.fields import PrimeField
 from siltcheck.semifree import DegreeWindow, semifree_resolve
@@ -432,7 +432,7 @@ def test_a_direct_sum_reads_each_summands_cohomology_off_its_block(coresolution_
     U = coresolution_inputs({"prime": 101})["a3/P1toP0+P1[1]+P2[1]"]
     mods = probe_modules(U.algebra)
     T = direct_sum_complexes([*U.summands, module_complex(mods["simple0"])])
-    blocks, count = verifier._summand_blocks(T), 4
+    blocks, count = summand_blocks(T), 4
     for n in range(-2, 2):
         assert T.block_h_dims(n, blocks, count) == [s.h_dim(n) for s in T.summands]
         assert sorted(T.class_blocks(n, blocks)) == [
