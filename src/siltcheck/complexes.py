@@ -4,10 +4,12 @@ Shifts, mapping cones, cohomology with its induced action, chain maps and
 their induced maps on cohomology, the graded hom complex, projective
 replacement (read off the semifree resolution over A) and acyclicity testing.
 
-Maps out of cells have one implementation, CellHom, with one layout and one
-differential.  A complex of projectives is semifree over A, each witness
-summand e_v A a generator with cell e_v: the graded hom complex is CellHom
-out of it, as semifree.SemifreeHom is CellHom out of a semifree resolution.
+A degree made of cells is laid out by Layout, which converts its coordinates
+into cell elements and back.  Maps out of cells have one implementation,
+CellHom, with one Layout per degree and one differential.  A complex of
+projectives is semifree over A, each witness summand e_v A a generator with
+cell e_v: the graded hom complex is CellHom out of it, as
+semifree.SemifreeHom is CellHom out of a semifree resolution.
 
 Sign conventions, fixed once and asserted by constructor validation:
 * shift: X[k]^n = X^{n+k}, differential scaled by (-1)^k;
@@ -343,32 +345,50 @@ def gen_slice(gens: list, lo: int, hi: int) -> range:
     return range(bisect_left(gens, -hi, key=neg), bisect_right(gens, -lo, key=neg))
 
 
-def block_offsets(blocks) -> tuple[dict, int]:
-    """k -> (start, cell) for blocks (k, j, cell) laid out in order, and the width."""
-    offsets, width = {}, 0
-    for k, _, cell in blocks:
-        offsets[k] = (width, cell)
-        width += cell.dim
-    return offsets, width
+class Layout:
+    """One degree of an object made of cells, laid out as blocks of cell rows.
 
+    blocks are (k, j, cell), in the caller's order: generator k contributes
+    the echelon basis cell (a RowSpace) of its cell in degree j, whose rows
+    are the positions from offsets[k][0] on.  positions[p] is (k, t) for
+    position p, row t of the cell of k, and dim counts the positions.  An
+    element is its nonzero coordinates: values reads it as one element of
+    each cell, and row writes cell elements back as coordinates.
+    """
 
-def block_row(f, offsets: dict, images) -> dict:
-    """The nonzero entries of the row summing s * (cell coordinates of v)
-    into the block of k, over the images (k, s, v); an image whose k has no
-    block adds nothing.  Cell coordinates are entries of v, so a row whose
-    positions are each written once with s = 1 is already reduced."""
-    acc, reduced = {}, True
-    for k, s, v in images:
-        if k in offsets:
-            off, cell = offsets[k]
-            reduced = reduced and s == f.one
-            for t, c in cell.coords(v).items():
-                reduced = reduced and off + t not in acc
-                acc[off + t] = acc.get(off + t, 0) + s * c
-    return acc if reduced else f.reduce_entries(acc)
+    def __init__(self, blocks):
+        self.blocks = blocks
+        self.offsets: dict = {}  # k -> (first position, cell)
+        self.positions: list = []
+        for k, _, cell in blocks:
+            self.offsets[k] = (len(self.positions), cell)
+            self.positions += [(k, t) for t in range(cell.dim)]
+        self.dim = len(self.positions)
 
+    def values(self, coords: dict) -> dict:
+        """k -> the element of k's cell at the given nonzero coordinates,
+        for each k with a nonzero one; only the nonzero coordinates are read."""
+        parts: dict = {}
+        for p, c in coords.items():
+            k, t = self.positions[p]
+            parts.setdefault(k, {})[t] = c
+        return {k: v for k, part in parts.items()
+                if (v := self.offsets[k][1].matrix.apply_entries(part))}
 
-_NO_LAYOUT = ((), {}, 0)  # no generator value in this degree
+    def row(self, f, images) -> dict:
+        """The nonzero entries of the row summing s * (cell coordinates of v)
+        into the block of k, over the images (k, s, v); an image whose k has
+        no block adds nothing.  Cell coordinates are entries of v, so a row
+        whose positions are each written once with s = 1 is already reduced."""
+        acc, reduced = {}, True
+        for k, s, v in images:
+            if k in self.offsets:
+                off, cell = self.offsets[k]
+                reduced = reduced and s == f.one
+                for t, c in cell.coords(v).items():
+                    reduced = reduced and off + t not in acc
+                    acc[off + t] = acc.get(off + t, 0) + s * c
+        return acc if reduced else f.reduce_entries(acc)
 
 
 class CellHom(Cochains):
@@ -378,8 +398,9 @@ class CellHom(Cochains):
     cell e, the cells[k]-th idempotent of the base.  A degree-m map is fixed
     by its value on each generator, an element of N^{m + gens[k]}.e written
     in the echelon basis N.cell(cells[k], m + gens[k]), so the degrees run
-    from N.lo - max(gens) to N.hi - min(gens).  N gives cell, apply_diff
-    (its differential) and act (the right action of the base).  A subclass
+    from N.lo - max(gens) to N.hi - min(gens); values and assemble convert
+    coordinates through layout(m).  N gives cell, apply_diff (its
+    differential) and act (the right action of the base).  A subclass
     gives gen_dcomps, read on the first diff: gen_dcomps[k] maps k2 to the
     component of d gen k at generator k2, an element of the base in degree
     gens[k] + 1 - gens[k2].  The differential is
@@ -391,47 +412,34 @@ class CellHom(Cochains):
         super().__init__(N.field, (N.lo - gens[0], N.hi - gens[-1])
                          if gens and N.lo <= N.hi else ())
         self.gens, self.cells, self.N = gens, cells, N
-        # the generators lowest degree first, those of one degree in order;
-        # a degree's blocks are the slice of them with values in N
-        order = sorted(range(len(gens)), key=lambda k: (gens[k], k))
-        degs = [gens[k] for k in order]
-        self._layouts = {}
-        for m in self.degrees():
-            blocks = [(k, m + gens[k], cell)
-                      for k in order[bisect_left(degs, N.lo - m):bisect_right(degs, N.hi - m)]
-                      if (cell := N.cell(cells[k], m + gens[k])).dim]
-            self._layouts[m] = (blocks, *block_offsets(blocks))
+        self._layouts = {m: Layout([
+            (k, m + gens[k], cell)
+            for k in sorted(gen_slice(gens, N.lo - m, N.hi - m), key=gens.__getitem__)
+            if (cell := N.cell(cells[k], m + gens[k])).dim]) for m in self.degrees()}
         self._diffs: dict = {}
 
-    def blocks(self, m: int) -> list:
-        """(k, j, N.cell(cells[k], j)) for each generator k of degree
-        j - m whose cell in N^j is nonzero: the degree-m layout, lowest
+    def layout(self, m: int) -> Layout:
+        """The degree-m layout: a block (k, j, N.cell(cells[k], j)) for each
+        generator k of degree j - m whose cell in N^j is nonzero, lowest
         generator degree first and the generators of one degree in order."""
-        return self._layouts.get(m, _NO_LAYOUT)[0]
-
-    def offsets(self, m: int) -> dict:
-        """k -> (first position, cell) of each block of blocks(m)."""
-        return self._layouts.get(m, _NO_LAYOUT)[1]
+        return self._layouts.get(m) or Layout(())
 
     def dim(self, m: int) -> int:
-        return self._layouts.get(m, _NO_LAYOUT)[2]
+        return self.layout(m).dim
 
     def values(self, m: int, coords: dict) -> dict:
         """k -> the value on generator k of the degree-m element with the
         given nonzero coordinates, for each nonzero value."""
-        return {k: v for k, (off, cell) in self.offsets(m).items()
-                if (part := {t: c for t in range(cell.dim) if (c := coords.get(off + t))})
-                and (v := cell.matrix.apply_entries(part))}
+        return self.layout(m).values(coords)
 
     def assemble(self, m: int, values: dict) -> dict:
         """Nonzero coordinates of the degree-m element with the given
         generator values, each an element of N^{m + gens[k]} lying in its
         cell."""
-        offsets = self.offsets(m)
-        if any(v and k not in offsets for k, v in values.items()):
+        layout = self.layout(m)
+        if any(v and k not in layout.offsets for k, v in values.items()):
             raise ValueError("generator value outside the degrees of N")
-        return block_row(self.field, offsets,
-                         ((k, self.field.one, v) for k, v in values.items()))
+        return layout.row(self.field, ((k, self.field.one, v) for k, v in values.items()))
 
     @cached_property
     def _meets(self) -> dict:
@@ -446,19 +454,19 @@ class CellHom(Cochains):
     def diff(self, m: int) -> Matrix:
         if m not in self._diffs:
             gens, N, f = self.gens, self.N, self.field
-            one, up = f.one, self.offsets(m + 1)
+            one, up = f.one, self.layout(m + 1)
             rows = []
-            for k, j, cell in self.blocks(m):
+            for k, j, cell in self.layout(m).blocks:
                 # a value lands in a cell of N, so one missing from degree
                 # m + 1 is zero; the sign -(-1)^m of phi d goes on the base
                 later = [(k3, gens[k3] + 1 - gens[k],
                           delta if m % 2 else {i: f.neg(c) for i, c in delta.items()})
-                         for k3, delta in self._meets.get(k, ()) if k3 in up]
+                         for k3, delta in self._meets.get(k, ()) if k3 in up.offsets]
                 for v in cell.rows:
-                    images = [(k, one, N.apply_diff(j, v))] if k in up else []
+                    images = [(k, one, N.apply_diff(j, v))] if k in up.offsets else []
                     images += [(k3, one, N.act(j, v, cdeg, delta)) for k3, cdeg, delta in later]
-                    rows.append(block_row(f, up, images))
-            self._diffs[m] = Matrix.from_row_entries(f, self.dim(m + 1), rows)
+                    rows.append(up.row(f, images))
+            self._diffs[m] = Matrix.from_row_entries(f, up.dim, rows)
         return self._diffs[m]
 
 
@@ -544,7 +552,7 @@ class GradedHom(CellHom):
         out = {}
         for n in self.degrees():
             entries = []
-            for k, j, _ in self.blocks(n):
+            for k, j, _ in self.layout(n).blocks:
                 i, start = self.gens[k], self.starts[k]
                 S, T = self.X.term(i), self.Y.term(j)
                 for blk in T.homs_from(self._projective(k)).blocks:
@@ -584,7 +592,7 @@ class GradedHom(CellHom):
         gens = self.gens
         return self.assemble(n, {
             k: generator_image(self._projective(k), mat.entries, self.starts[k])
-            for k, _, _ in self.blocks(n) if (mat := comps.get(gens[k])) is not None})
+            for k, _, _ in self.layout(n).blocks if (mat := comps.get(gens[k])) is not None})
 
     def chain_map_from_cocycle(self, coords: dict) -> ChainMap:
         """Nonzero degree-0 cocycle coordinates -> an honest chain map X -> Y."""

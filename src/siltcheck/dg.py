@@ -395,8 +395,7 @@ def end_units(gh: GradedHom) -> tuple[dict, list]:
             return unit, [unit]
         # the summand of each degree-0 position: its generator's
         blocks = summand_blocks(U)
-        owner = [blocks[j][gh.starts[k]] for k, j, cell in gh.blocks(0)
-                 for _ in range(cell.dim)]
+        owner = [blocks[gh.gens[k]][gh.starts[k]] for k, _ in gh.layout(0).positions]
         return unit, [{p: c for p, c in unit.items() if owner[p] == s}
                       for s in range(len(U.summands))]
     return gh.kept("units", build)

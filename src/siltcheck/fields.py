@@ -8,13 +8,14 @@ it never wraps the scalars themselves.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt
 
 
 class PrimeField:
     """F_p for a prime p, its characteristic.  Elements are ints in [0, p)."""
 
     def __init__(self, p: int):
-        if p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
+        if p < 2 or any(p % q == 0 for q in range(2, isqrt(p) + 1)):
             raise ValueError(f"modulus {p} is not prime")
         self.p = self.characteristic = p
         self.zero = 0
@@ -122,9 +123,10 @@ class RationalField:
 
 
 def field_from_json(spec):
-    """Build a field from its instance-file form: {"prime": p} or "rational"."""
+    """Build a field from its instance-file form: {"prime": p}, p a JSON
+    integer (not a bool), or "rational"."""
     if spec == "rational":
         return RationalField()
-    if isinstance(spec, dict) and set(spec) == {"prime"}:
-        return PrimeField(int(spec["prime"]))
+    if isinstance(spec, dict) and set(spec) == {"prime"} and type(spec["prime"]) is int:
+        return PrimeField(spec["prime"])
     raise ValueError(f"unrecognized field spec {spec!r}")

@@ -195,7 +195,7 @@ def _parse_module(A: Algebra, quiver: Quiver, data, path: str):
         return _free_module(A), {"free": True}
     if set(data) == {"dim", "action"}:
         dim = data["dim"]
-        _expect(isinstance(dim, int) and dim >= 0, f"{path}.dim",
+        _expect(type(dim) is int and dim >= 0, f"{path}.dim",
                 "dim must be a nonnegative integer")
         action_raw = data["action"]
         _expect(isinstance(action_raw, list) and len(action_raw) == A.dim,
@@ -223,18 +223,18 @@ def _parse_options(data, path: str) -> dict:
         if key in data:
             w = data[key]
             _expect(isinstance(w, list) and len(w) == 2
-                    and all(isinstance(x, int) for x in w) and w[0] <= w[1],
+                    and all(type(x) is int for x in w) and w[0] <= w[1],
                     f"{path}.{key}", "expected [lo, hi] with lo <= hi")
             out[key] = [w[0], w[1]]
     for key in ("max_steps", "cap"):
         if key in data:
             v = data[key]
-            _expect(isinstance(v, int) and v > 0, f"{path}.{key}",
+            _expect(type(v) is int and v > 0, f"{path}.{key}",
                     "expected a positive integer")
             out[key] = v
     if "extra_margin" in data:
         v = data["extra_margin"]
-        _expect(isinstance(v, int) and v >= 0, f"{path}.extra_margin",
+        _expect(type(v) is int and v >= 0, f"{path}.extra_margin",
                 "expected a nonnegative integer")
         out["extra_margin"] = v
     if "probes" in data:

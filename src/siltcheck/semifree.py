@@ -22,11 +22,11 @@ deeper one.
 
 A resolution P is P (x)_C C, with C acting on itself, so its terms and its
 differential are built by the code that builds P (x)_C U for a left module U:
-tensor_blocks lays out the cells e.N^j of each degree of P (x)_C N, and
-tensor_map writes f (x) N for a map f of semifree modules given by its
-components on the generators.  The differential of P (x)_C N is d_P (x) N
-plus the differential of N; the lift of a map of resolutions, tensored with
-U, is the same rows without it.
+tensor_blocks lists the cells e.N^j of each degree of P (x)_C N, laid out
+by complexes.Layout, and tensor_map writes f (x) N for a map f of semifree
+modules given by its components on the generators.  The differential of
+P (x)_C N is d_P (x) N plus the differential of N; the lift of a map of
+resolutions, tensored with U, is the same rows without it.
 
 Maps out of a semifree module are easy to write down: a map is its list of
 values on the generators, the value on a cell e.C lying in N.e.
@@ -44,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import Module, direct_sum_modules
-from .complexes import CellHom, Complex, block_matrix, block_offsets, block_row, gen_slice
+from .complexes import CellHom, Complex, Layout, block_matrix, gen_slice
 from .dg import DgAlgebra, DgModule
 from .linalg import Matrix, first_independent, subquotient_from_maps
 
@@ -71,12 +71,13 @@ class SemifreeModule:
 
     Generator k is a cell e.C: gens[k] is its degree (non-increasing along
     the list) and cells[k] the index of e among C.idempotents, so in degree
-    n it contributes the echelon basis of C.cell(cells[k], n - gens[k]).
-    gen_diffs[k] maps positions (k2, b2) of that basis in degree gens[k] + 1
-    to coefficients, with k2 < k and gens[k2] > gens[k]; gen_dcomps[k] holds
-    the same differential as k2 -> its component in C^{gens[k] + 1 - gens[k2]},
-    in the standard basis of C.  gen_augs[k] is the augmentation value in
-    target^{gens[k]}.e, as its nonzero entries.  Generators are only ever added through
+    n it contributes the echelon basis of C.cell(cells[k], n - gens[k]),
+    its block of layout(n).  gen_diffs[k] maps positions (k2, b2) of that
+    basis in degree gens[k] + 1 to coefficients, with k2 < k and
+    gens[k2] > gens[k]; gen_dcomps[k] holds the same differential as
+    k2 -> its component in C^{gens[k] + 1 - gens[k2]}, in the standard
+    basis of C.  gen_augs[k] is the augmentation value in target^{gens[k]}.e,
+    as its nonzero entries.  Generators are only ever added through
     add_generator, which drops the layouts and matrices of the degrees the
     new cell reaches and of the differentials into them.  cutoff is the
     lowest degree the construction has reached.
@@ -94,7 +95,8 @@ class SemifreeModule:
         self._matrices: dict = {}
 
     def add_generator(self, degree: int, diff: dict, aug: dict, cell: int):
-        self.gen_dcomps.append(self.components(degree + 1, diff.items()))
+        up = self.layout(degree + 1)
+        self.gen_dcomps.append(up.values({up.offsets[k][0] + b: c for (k, b), c in diff.items()}))
         self.gens.append(degree)
         self.cells.append(cell)
         self.gen_diffs.append(diff)
@@ -136,62 +138,30 @@ class SemifreeModule:
             memo[kind] = build(n)
         return memo[kind]
 
-    def blocks(self, n: int) -> list:
-        """tensor_blocks(self, C, n): the module is P (x)_C C, so generator k
-        contributes the cell basis of e.C^{n - gens[k]}."""
-        return self._memo("blocks", n, lambda n: tensor_blocks(self, self.algebra, n))
-
-    def layout(self, n: int) -> list:
-        """(k, b) for each position of the degree-n basis: the b-th cell row
-        of generator k."""
-        return self._memo("layout", n, lambda n: [
-            (k, b) for k, _, cell in self.blocks(n) for b in range(cell.dim)])
-
-    def offsets(self, n: int) -> dict:
-        """k -> (first position, cell) of each block of blocks(n)."""
-        return self._memo("offsets", n, lambda n: block_offsets(self.blocks(n))[0])
+    def layout(self, n: int) -> Layout:
+        """Layout(tensor_blocks(self, C, n)): the module is P (x)_C C, so
+        generator k contributes the cell basis of e.C^{n - gens[k]}."""
+        return self._memo("layout", n, lambda n: Layout(tensor_blocks(self, self.algebra, n)))
 
     def dim(self, n: int) -> int:
-        return len(self.layout(n))
-
-    def components(self, n: int, entries) -> dict:
-        """k -> the component at generator k, an element of C^{n - gens[k]} in
-        the standard basis, of the degree-n element with the given
-        ((k, b), coefficient) entries; elements and components are nonzero
-        entries {index: entry}."""
-        C = self.algebra
-        out: dict = {}
-        for (k, b), c in entries:
-            acc = out.setdefault(k, {})
-            for j, x in C.cell(self.cells[k], n - self.gens[k]).rows[b].items():
-                acc[j] = acc.get(j, 0) + c * x
-        reduce = C.field.reduce_entries
-        return {k: r for k, acc in out.items() if (r := reduce(acc))}
-
-    def element(self, n: int, comps: dict) -> dict:
-        """The degree-n element with the given components, each lying in its
-        generator's cell."""
-        f = self.algebra.field
-        return block_row(f, self.offsets(n), ((k, f.one, v) for k, v in comps.items()))
+        return self.layout(n).dim
 
     def act(self, n: int, vec: dict, cdeg: int, cvec: dict) -> dict:
         """Right action of a degree-cdeg base element on a degree-n element."""
-        layout = self.layout(n)
-        return self.times(n, self.components(n, ((layout[p], c) for p, c in vec.items())),
-                          cdeg, cvec)
+        return self.times(n, self.layout(n).values(vec), cdeg, cvec)
 
     def times(self, n: int, comps: dict, cdeg: int, cvec: dict) -> dict:
         """The right action of a degree-cdeg base element on the degree-n
         element with the given components, so that one expansion into
         components serves many base elements."""
         C = self.algebra
-        return self.element(n + cdeg, {
-            k: C.product(n - self.gens[k], v, cdeg, cvec) for k, v in comps.items()})
+        return self.layout(n + cdeg).row(C.field, (
+            (k, C.field.one, C.product(n - self.gens[k], v, cdeg, cvec)) for k, v in comps.items()))
 
     def diff_matrix(self, n: int) -> Matrix:
         """The differential of P (x)_C C, as tensor_map builds it."""
         return self._memo("diff", n, lambda n: tensor_map(
-            self.algebra, self, self.blocks(n), self, self.blocks(n + 1), self.gen_dcomps,
+            self.algebra, self, self.layout(n).blocks, self, self.layout(n + 1), self.gen_dcomps,
             1, diff=True))
 
     def aug_matrix(self, n: int) -> Matrix:
@@ -201,7 +171,7 @@ class SemifreeModule:
         M = self.target
         return Matrix.from_row_entries(self.algebra.field, M.dim(n), [
             M.act(self.gens[k], self.gen_augs[k], j, beta)
-            for k, j, cell in self.blocks(n) for beta in cell.rows])
+            for k, j, cell in self.layout(n).blocks for beta in cell.rows])
 
     def cone_dim(self, n: int) -> int:
         return self.dim(n + 1) + self.target.dim(n)
@@ -262,7 +232,7 @@ def _kill_cone(P: SemifreeModule, top: int) -> SemifreeModule:
         layout_up = P.layout(n + 1)
         comps = []
         for rep in sq.rep_entries:
-            q = P.components(n + 1, ((layout_up[j], c) for j, c in rep.items() if j < split))
+            q = layout_up.values({j: c for j, c in rep.items() if j < split})
             x = {j - split: c for j, c in rep.items() if j >= split}
             for i, e in enumerate(C.idempotents):
                 orbit = [sq.reduce(_joined(P.times(n + 1, q, 0, c), M.act(n, x, 0, c), split))
@@ -279,7 +249,7 @@ def _kill_cone(P: SemifreeModule, top: int) -> SemifreeModule:
                 raise SemifreeCapError(
                     f"semifree resolution exceeded {GENERATOR_CAP} generators at degree {n}")
             i, qe, xe, _ = comps[order[pos]]
-            P.add_generator(n, {layout_up[s]: c for s, c in qe.items()},
+            P.add_generator(n, {layout_up.positions[s]: c for s, c in qe.items()},
                             {j: f.neg(c) for j, c in xe.items()}, i)
     return P
 
@@ -300,7 +270,7 @@ def tensor_blocks(P: SemifreeModule, N, n: int) -> list:
             if (cell := N.cell(P.cells[k], n - P.gens[k])).dim]
 
 
-def tensor_map(N, P: SemifreeModule, blocks: list, Q: SemifreeModule, target: list,
+def tensor_map(N, P: SemifreeModule, blocks: list, Q: SemifreeModule, target: Layout,
                comps, shift: int = 0, diff: bool = False) -> Matrix:
     """The rows of f (x) N from the blocks of P (x)_C N in one degree to the
     target blocks of Q (x)_C N, shift degrees up, for the map f: P -> Q of
@@ -310,7 +280,6 @@ def tensor_map(N, P: SemifreeModule, blocks: list, Q: SemifreeModule, target: li
     given by P.gen_dcomps, that is the differential of P (x)_C N.  N is a
     left module over the base C, or C itself."""
     f = N.field
-    offsets, width = block_offsets(target)
     rows = []
     for k, j, cell in blocks:
         g = P.gens[k]
@@ -318,9 +287,9 @@ def tensor_map(N, P: SemifreeModule, blocks: list, Q: SemifreeModule, target: li
         for u in cell.rows:
             images = [(k, sign, N.apply_diff(j, u))] if diff else []
             images += [(k2, f.one, N.act(g + shift - Q.gens[k2], c, j, u))
-                       for k2, c in comps[k].items() if k2 in offsets]
-            rows.append(block_row(f, offsets, images))
-    return Matrix.from_row_entries(f, width, rows)
+                       for k2, c in comps[k].items() if k2 in target.offsets]
+            rows.append(target.row(f, images))
+    return Matrix.from_row_entries(f, target.dim, rows)
 
 
 # -- maps out of a semifree module -------------------------------------------
@@ -394,7 +363,7 @@ def tensor_cutoff(U: DgModule, window: DegreeWindow, extra_margin: int = 0) -> i
 
 class TensorComplex(Complex):
     """P (x)_B U over A (resolution_tensor), with P as its resolution and
-    per degree its block_layout, tensor_blocks(P, U, n) in block order:
+    per degree its block_layout, the Layout of tensor_blocks(P, U, n):
     empty, and the complex zero, when P has no generators."""
 
     def __init__(self, A, terms: dict, diffs: dict, resolution: SemifreeModule,
@@ -445,7 +414,7 @@ def resolution_tensor(P: SemifreeModule, U: DgModule) -> TensorComplex:
     for n in range(P.gens[-1] + U.lo, P.gens[0] + U.hi + 1) if P.gens else ():
         if bl := tensor_blocks(P, U, n):
             terms[n] = direct_sum_modules(A, [submodule(P.cells[k], j) for k, j, _ in bl])
-            layouts[n] = bl
-    diffs = {n: tensor_map(U, P, layouts[n], P, layouts[n + 1], P.gen_dcomps, 1, diff=True)
+            layouts[n] = Layout(bl)
+    diffs = {n: tensor_map(U, P, layouts[n].blocks, P, layouts[n + 1], P.gen_dcomps, 1, diff=True)
              for n in layouts if n + 1 in layouts}
     return TensorComplex(A, terms, diffs, P, layouts)

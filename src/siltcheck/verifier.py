@@ -339,10 +339,10 @@ def _evaluation_chain_map(T: Complex, gh, X: Complex) -> ChainMap:
     f = X.algebra.field
     P = T.resolution
     mats = {}
-    for n, blocks in T.block_layout.items():
+    for n, layout in T.block_layout.items():
         xdim = X.term(n).dim
         rows = []
-        for (k, j, cell) in blocks:
+        for k, j, cell in layout.blocks:
             blockmat = gh.component_maps(P.gens[k], P.gen_augs[k]).get(j)
             rows.extend({} if blockmat is None else blockmat.apply_entries(u)
                         for u in cell.rows)
@@ -394,7 +394,7 @@ def _placed(f, comps: dict, X: Complex, s: int, t: int | None = None) -> dict:
 def _cell_blocks(h, target: dict) -> dict:
     """The blocks of maps out of cells (complexes.CellHom) into a target
     with the given blocks: a cell row lies in one block, its pivot column's."""
-    return {m: [target[j][p] for _, j, cell in h.blocks(m) for p in cell.pivots]
+    return {m: [target[j][p] for _, j, cell in h.layout(m).blocks for p in cell.pivots]
             for m in h.degrees()}
 
 
@@ -493,8 +493,7 @@ def verify_counit(ctx: SiltingContext, X: Complex, window,
     T = eps.source
     xb = summand_blocks(X)
     gens = _generator_blocks(T.resolution, _cell_blocks(MX.gh, xb))
-    tb = {n: [gens[k] for k, _, cell in layout for _ in range(cell.dim)]
-          for n, layout in T.block_layout.items()}
+    tb = {n: [gens[k] for k, _ in layout.positions] for n, layout in T.block_layout.items()}
     ctx.file_rows([(s, extra_margin) for s in X.summands or [X]], range(win.lo, win.hi + 1),
                   T, tb, X, xb, eps.induced)
     return ctx.counit(X, win, extra_margin)
@@ -708,12 +707,10 @@ def naturality_probe(ctx: SiltingContext, X: Complex, Xp: Complex, window,
 def _tensor_of_lift(T: Complex, lam: list, Uc: DgModule) -> ChainMap:
     """The lifted endomorphism of T's resolution P tensored with the identity
     of U: tensor_map with the components in P of each generator value lam[k]."""
-    P, comps = T.resolution, []
-    for g, value in zip(P.gens, lam):
-        layout = P.layout(g)
-        comps.append(P.components(g, ((layout[p], c) for p, c in value.items())))
-    return ChainMap(T, T, {n: tensor_map(Uc, P, blocks, P, T.block_layout.get(n, []), comps)
-                           for n, blocks in T.block_layout.items()})
+    P = T.resolution
+    comps = [P.layout(g).values(value) for g, value in zip(P.gens, lam)]
+    return ChainMap(T, T, {n: tensor_map(Uc, P, layout.blocks, P, layout, comps)
+                           for n, layout in T.block_layout.items()})
 
 
 # -- probe sets --------------------------------------------------------------

@@ -7,8 +7,9 @@ coordinate reader that checks every row of a map, and
 composite-matrix routes through it for the hom-complex differential, the
 composition tables and the postcomposition action, with a dense route for the
 action on a semifree module and routes from the definitions for the
-differentials of a semifree module and of the hom complex out of one, and
-the naturality square read on each summand's own resolution and tensor.
+differentials of a semifree module and of the hom complex out of one, two
+readers of cell coordinates (by cell rows and block by block), and the
+naturality square read on each summand's own resolution and tensor.
 
 The module oracles are computed with hom_space and dimension vectors only, so
 the numbers frozen into the verifier tests do not come from the code under
@@ -20,7 +21,7 @@ from itertools import product
 
 from siltcheck import silting, verifier
 from siltcheck.algebra import Algebra, Module, generator_image, hom_space
-from siltcheck.complexes import (ChainMap, Complex, cone, hom_complex, is_acyclic,
+from siltcheck.complexes import (ChainMap, Complex, Layout, cone, hom_complex, is_acyclic,
                                  projective_cache, projective_complex, zero_complex)
 from siltcheck.dg import end_h0
 from siltcheck.linalg import Matrix
@@ -558,7 +559,7 @@ def reference_coords_of(gh, n: int, comps: dict) -> dict | None:
     the nonzero coordinates of a family of component maps, source degree ->
     matrix, or None if some component is not a module map."""
     out: dict = {}
-    offsets = gh.offsets(n)
+    offsets = gh.layout(n).offsets
     for i, mat in comps.items():
         if mat.is_zero():
             continue
@@ -642,6 +643,33 @@ def reference_hom_class_action(X, U, end, E):
     return mats
 
 
+def reference_components(f, blocks, coords: dict) -> dict:
+    """Layout(blocks).values(coords) by cell rows: each block's rows given
+    the positions (k, b) in order, and each nonzero coordinate at (k, b)
+    adding its multiple of row b of k's cell to the element of k."""
+    positions = [(k, b) for k, _, cell in blocks for b in range(cell.dim)]
+    rows = {k: cell.rows for k, _, cell in blocks}
+    out: dict = {}
+    for p, c in coords.items():
+        k, b = positions[p]
+        acc = out.setdefault(k, {})
+        for j, x in rows[k][b].items():
+            acc[j] = acc.get(j, 0) + c * x
+    return {k: r for k, acc in out.items() if (r := f.reduce_entries(acc))}
+
+
+def reference_values(blocks, coords: dict) -> dict:
+    """Layout(blocks).values(coords) block by block: each block's slice of
+    the coordinates, from a running offset, times its cell's basis."""
+    out, off = {}, 0
+    for k, _, cell in blocks:
+        part = {t: c for t in range(cell.dim) if (c := coords.get(off + t))}
+        if part and (v := cell.matrix.apply_entries(part)):
+            out[k] = v
+        off += cell.dim
+    return out
+
+
 def reference_semifree_act(P, n, vec, cdeg, cvec):
     """SemifreeModule.act over dense rows: each component expanded over its
     cell's echelon rows, multiplied in the base one table entry at a time,
@@ -650,13 +678,13 @@ def reference_semifree_act(P, n, vec, cdeg, cvec):
     C = P.algebra
     f = C.field
     comps = {}
-    for p, ((k, b), c) in enumerate(zip(P.layout(n), dense_row(f, vec, P.dim(n)))):
+    for p, ((k, b), c) in enumerate(zip(P.layout(n).positions, dense_row(f, vec, P.dim(n)))):
         d = n - P.gens[k]
         row = dense_row(f, C.cell(P.cells[k], d).rows[b], C.dim(d))
         acc = comps.get(k, [f.zero] * C.dim(d))
         comps[k] = [f.coerce(a + c * x) for a, x in zip(acc, row)]
     out = []
-    for k, _, cell in P.blocks(n + cdeg):
+    for k, _, cell in P.layout(n + cdeg).blocks:
         d = n - P.gens[k]
         w = [f.zero] * C.dim(d + cdeg)
         table = C.mult.get((d, cdeg))
@@ -826,11 +854,10 @@ def reference_naturality_probe(ctx, X, Xp, window, extra_margin: int = 0) -> dic
     targets = verifier._postcomposed_augmentations(P, MX, MXp, 0, gh.component_maps(0, grep))
     lam = verifier.lift_up_to_homotopy(P, Pp, targets)
     assert lam is not None
-    comps = []
-    for deg, value in zip(P.gens, lam):
-        layout = Pp.layout(deg)
-        comps.append(Pp.components(deg, ((layout[p], c) for p, c in value.items())))
-    tlam = ChainMap(TX, TXp, {n: tensor_map(ctx.Uc, P, blocks, Pp, TXp.block_layout.get(n, []),
-                                            comps) for n, blocks in TX.block_layout.items()})
+    comps = [reference_components(Pp.algebra.field, Pp.layout(deg).blocks, value)
+             for deg, value in zip(P.gens, lam)]
+    tlam = ChainMap(TX, TXp, {n: tensor_map(ctx.Uc, P, layout.blocks, Pp,
+                                            TXp.block_layout.get(n, Layout(())), comps)
+                              for n, layout in TX.block_layout.items()})
     return {"passed": all(epsX.induced(n) @ g.induced(n) == tlam.induced(n) @ epsXp.induced(n)
                           for n in range(lo, hi + 1))}

@@ -91,6 +91,18 @@ def test_relations_are_applied():
     (lambda d: d["modules"].update({"M": {"nonsense": 1}}), "$.modules.M"),
     (lambda d: d["options"].update(window=[3, -3]), "$.options.window"),
     (lambda d: d["options"].update(cap=0), "$.options.cap"),
+    # a prime that is not a JSON integer, and booleans where integers go
+    *(pytest.param(lambda d, p=p: d.update(field={"prime": p}), "$.field", id=f"prime-{name}")
+      for p, name in (([7], "list"), (None, "null"), (float("inf"), "inf"), (7.5, "float"),
+                      ("7", "string"), (True, "true"), (10**400, "huge"))),
+    pytest.param(lambda d: d["options"].update(max_steps=True), "$.options.max_steps",
+                 id="max_steps-true"),
+    pytest.param(lambda d: d["options"].update(window=[False, True]), "$.options.window",
+                 id="window-bools"),
+    pytest.param(lambda d: d["options"].update(extra_margin=False), "$.options.extra_margin",
+                 id="extra_margin-false"),
+    pytest.param(lambda d: d["modules"].update(M={"dim": True, "action": [[[0]]] * 3}),
+                 "$.modules.M.dim", id="dim-true"),
 ])
 def test_parse_errors_name_the_json_path(mutate, fragment):
     data = copy.deepcopy(a2_data())
@@ -181,6 +193,18 @@ def test_check_unknown_object_is_an_input_error(capsys):
     code, _, err = run_cli(capsys, "check", FIX_A2, "nonexistent")
     assert code == 3
     assert "U-tilt" in err
+
+
+@pytest.mark.parametrize("prime", ["[7]", "null", "1e400", "7.5", '"7"'])
+def test_a_malformed_field_is_an_input_error(tmp_path, capsys, prime):
+    text = pathlib.Path(FIX_A2).read_text(encoding="utf-8")
+    assert text.count('"prime": 101') == 1
+    path = tmp_path / "bad.json"
+    path.write_text(text.replace('"prime": 101', f'"prime": {prime}'), encoding="utf-8")
+    code, out, err = run_cli(capsys, "check", str(path), "U-tilt")
+    assert (code, out) == (3, "")
+    assert "$.field" in err and len(err.strip().splitlines()) == 1, err
+    assert "Traceback" not in err
 
 
 def test_bad_flags_are_input_errors(capsys):

@@ -136,6 +136,26 @@ def test_dg_composes_in_one_table_builder():
     assert mentions == {"_products": 1}
 
 
+def _reads_cell_coordinates(node) -> bool:
+    """Whether node is a call x.coords(...) or x.matrix.apply_entries(...)."""
+    func = node.func if isinstance(node, ast.Call) else None
+    return isinstance(func, ast.Attribute) and (
+        func.attr == "coords" or func.attr == "apply_entries"
+        and isinstance(func.value, ast.Attribute) and func.value.attr == "matrix")
+
+
+def test_only_the_layout_reads_cell_coordinates():
+    # complexes.Layout converts between coordinates and cell elements for
+    # every object made of cells; resolution_tensor reads the action on a
+    # cell of U as a submodule, which no layout holds
+    readers = set()
+    for path in sorted((ROOT / "src" / "siltcheck").glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            if any(_reads_cell_coordinates(node) for node in ast.walk(top)):
+                readers.add((path.stem, getattr(top, "name", top.lineno)))
+    assert readers == {("complexes", "Layout"), ("semifree", "resolution_tensor")}
+
+
 PROBES = {"hasattr", "getattr", "setattr", "delattr"}
 
 

@@ -7,6 +7,7 @@ did not itself produce.
 
 import dataclasses
 import json
+import random
 import re
 import sys
 from collections import Counter
@@ -14,8 +15,9 @@ from itertools import product
 
 import pytest
 
-from oracles import (endomorphism_algebra, ext1_dim, hom_dim, reference_coords_of,
-                     reference_naturality_probe, zero_on_summand)
+from oracles import (endomorphism_algebra, ext1_dim, hom_dim, reference_components,
+                     reference_coords_of, reference_naturality_probe, reference_values,
+                     zero_on_summand)
 from siltcheck import verifier
 from siltcheck.algebra import (Quiver, direct_sum_modules, hom_space,
                                path_algebra, simple_module)
@@ -386,6 +388,32 @@ def test_batched_rows_equal_one_block_checks_in_a_fresh_context(coresolution_inp
         assert kinds["counit"] >= 4 and kinds["fully-faithful"] >= 16, name
 
 
+def test_layouts_read_and_write_every_degree_of_the_counit_batches(coresolution_inputs):
+    # every degree of Hom(U, U), of each counit batch's resolution and of its
+    # tensor: values reads random coordinates as both reference readers do,
+    # and row writes the values back as the same coordinates
+    rng, seen = random.Random(7), Counter()
+    for name, ctx in _silting_contexts(coresolution_inputs).items():
+        assert all(r.passed for r in verify_all(ctx.U, ctx=ctx, **SMALL))
+        layouts = [ctx.gh.layout(m) for m in ctx.gh.degrees()]
+        for T in ctx._evaluations:
+            P = T.resolution
+            layouts += [P.layout(n) for n in range(P.gens[-1] + P.algebra.lo, P.gens[0] + 1)]
+            layouts += T.block_layout.values()
+        f = ctx.A.field
+        for layout in layouts:
+            seen["blocks"] += len(layout.blocks)
+            for _ in range(3):
+                x = {p: c for p in range(layout.dim)
+                     if (c := rng.randrange(3) and rng.randrange(f.p))}
+                values = layout.values(x)
+                assert values == reference_values(layout.blocks, x), name
+                assert values == reference_components(f, layout.blocks, x), name
+                assert layout.row(f, ((k, f.one, v) for k, v in values.items())) == x, name
+                seen["values"] += len(values)
+    assert seen["values"] > 1000 and seen["blocks"] > 400, seen
+
+
 def test_every_roundtrip_row_of_the_one_batch_is_the_counit_at_its_shifted_window(
         coresolution_inputs, monkeypatch):
     # verify_all checks every counit in one batch at [lo, hi + max i], at
@@ -599,7 +627,7 @@ def _values_matrix(P, Q, lam, n):
     """The matrix P^n -> Q^n of the map with generator values lam."""
     return Matrix.from_row_entries(P.algebra.field, Q.dim(n), [
         Q.act(P.gens[k], lam[k], j, beta)
-        for k, j, cell in P.blocks(n) for beta in cell.rows])
+        for k, j, cell in P.layout(n).blocks for beta in cell.rows])
 
 
 # a3/P1toP0+P2toP0+P2[1] has no strict lift of its naturality map, so its
