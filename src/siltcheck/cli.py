@@ -19,14 +19,12 @@ import sys
 
 from .algebra import DimensionCapError
 from .complexes import ResolutionCapError
-from .instances import (Instance, InstanceError, json_text, load_instance,
+from .instances import (SCHEMA, Instance, InstanceError, json_text, load_instance,
                         serialize_instance)
 from .semifree import SemifreeCapError
 from .silting import (SiltingReport, SmallCharacteristicError, goodify,
                       silting_equivalent, silting_report)
 from .verifier import SiltingContext, UnknownProbeError, verify_all
-
-SCHEMA = 1
 
 DEFAULTS = {"window": (-4, 4), "pair_degrees": (-2, 2), "max_steps": 8,
             "cap": 16, "extra_margin": 0}

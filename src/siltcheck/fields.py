@@ -8,14 +8,29 @@ it never wraps the scalars themselves.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+
+PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_BOUND = 3317044064679887385961981  # psi_13 (Sorenson and Webster, Math. Comp. 2017)
+
+
+def is_prime(p: int) -> bool:
+    """Whether p < PRIME_BOUND is prime, exactly: below psi_13 a strong
+    probable prime to every base in PRIME_BASES is prime (Miller-Rabin)."""
+    if p < 2 or any(p % q == 0 for q in PRIME_BASES):
+        return p in PRIME_BASES
+    s = ((p - 1) & (1 - p)).bit_length() - 1
+    d = (p - 1) >> s
+    return all(pow(a, d, p) == 1 or any(pow(a, d << r, p) == p - 1 for r in range(s))
+               for a in PRIME_BASES)
 
 
 class PrimeField:
-    """F_p for a prime p, its characteristic.  Elements are ints in [0, p)."""
+    """F_p for a prime p < PRIME_BOUND, its characteristic; elements are ints in [0, p)."""
 
     def __init__(self, p: int):
-        if p < 2 or any(p % q == 0 for q in range(2, isqrt(p) + 1)):
+        if p >= PRIME_BOUND:
+            raise ValueError(f"modulus at or above {PRIME_BOUND}: primality is not decided")
+        if not is_prime(p):
             raise ValueError(f"modulus {p} is not prime")
         self.p = self.characteristic = p
         self.zero = 0

@@ -8,7 +8,8 @@ of strictly higher degree.  Resolutions are built top-down: at each degree
 every surviving cocycle class of the augmentation cone is split into its
 components under the idempotents, and each component not yet killed is
 killed by adjoining a fresh cell, which over a non-positive base cannot
-disturb any higher degree.  Over a base concentrated in degree 0 the cells
+disturb any higher degree; a component that is a boundary is killed already,
+with its orbit.  Over a base concentrated in degree 0 the cells
 are projective covers, so a module of finite projective dimension stops
 gaining generators once the cutoff passes its bottom.  Over A itself the
 cells e.A are the indecomposable projectives: complexes.proj_replacement
@@ -36,11 +37,12 @@ hom complex out of a complex of projectives is too; derived Hom over the
 base is its cohomology.  Along a
 resolution a map lifts only up to homotopy, so lift_up_to_homotopy builds a
 degree-0 map one generator at a time in filtration order, each value solving
-the chain-map condition in the augmentation cone the resolution has.
+the chain-map condition in the augmentation cone (SemifreeModule.cone_times).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .algebra import Module, direct_sum_modules
@@ -80,7 +82,8 @@ class SemifreeModule:
     as its nonzero entries.  Generators are only ever added through
     add_generator, which drops the layouts and matrices of the degrees the
     new cell reaches and of the differentials into them.  cutoff is the
-    lowest degree the construction has reached.
+    lowest degree the construction has reached.  The augmentation cone is
+    P^{n+1} + target^n in degree n, acted on by cone_parts and cone_times.
     """
 
     def __init__(self, algebra: DgAlgebra, target: DgModule, cutoff: int):
@@ -106,31 +109,27 @@ class SemifreeModule:
         for n in range(degree + self.algebra.lo - 1, degree + 1):
             self._matrices.pop(n, None)
 
-    def to_cutoff(self, cutoff: int) -> "SemifreeModule":
-        """What semifree_resolve(self.target, cutoff) returns, built from self.
-
-        A new module holding the generators of degree >= cutoff; below
-        self.cutoff the construction carries on down to the new cutoff.
-        self is left as it is, so modules built on it stay valid.
-        """
+    def _kept(self, keep, cutoff: int) -> "SemifreeModule":
+        """The generators k with keep(k), renumbered in order, as a new
+        module with the given cutoff; self and modules built on it stay valid."""
         Q = SemifreeModule(self.algebra, self.target, cutoff)
-        for k, g in enumerate(self.gens):
-            if g >= cutoff:
-                Q.add_generator(g, self.gen_diffs[k], self.gen_augs[k], self.cells[k])
-        return _kill_cone(Q, self.cutoff - 1)
-
-    def block(self, blocks: list, t) -> "SemifreeModule":
-        """The generators k with blocks[k] == t, in order, as a semifree
-        module of their own with the same base, target and cutoff: a direct
-        summand when the differential of each meets its own block alone."""
-        Q = SemifreeModule(self.algebra, self.target, self.cutoff)
         kept = {}
         for k, g in enumerate(self.gens):
-            if blocks[k] == t:
+            if keep(k):
                 kept[k] = len(Q.gens)
                 Q.add_generator(g, {(kept[k2], b): c for (k2, b), c in self.gen_diffs[k].items()},
                                 self.gen_augs[k], self.cells[k])
         return Q
+
+    def to_cutoff(self, cutoff: int) -> "SemifreeModule":
+        """What semifree_resolve(self.target, cutoff) returns: the prefix of
+        degree >= cutoff, continued below self.cutoff down to cutoff."""
+        return _kill_cone(self._kept(lambda k: self.gens[k] >= cutoff, cutoff), self.cutoff - 1)
+
+    def block(self, blocks: list, t) -> "SemifreeModule":
+        """The generators k with blocks[k] == t: a direct summand when the
+        differential of each meets its own block alone."""
+        return self._kept(lambda k: blocks[k] == t, self.cutoff)
 
     def _memo(self, kind: str, n: int, build):
         memo = self._matrices.setdefault(n, {})
@@ -145,10 +144,6 @@ class SemifreeModule:
 
     def dim(self, n: int) -> int:
         return self.layout(n).dim
-
-    def act(self, n: int, vec: dict, cdeg: int, cvec: dict) -> dict:
-        """Right action of a degree-cdeg base element on a degree-n element."""
-        return self.times(n, self.layout(n).values(vec), cdeg, cvec)
 
     def times(self, n: int, comps: dict, cdeg: int, cvec: dict) -> dict:
         """The right action of a degree-cdeg base element on the degree-n
@@ -165,16 +160,29 @@ class SemifreeModule:
             1, diff=True))
 
     def aug_matrix(self, n: int) -> Matrix:
-        return self._memo("aug", n, self._aug_matrix)
-
-    def _aug_matrix(self, n: int) -> Matrix:
-        M = self.target
-        return Matrix.from_row_entries(self.algebra.field, M.dim(n), [
+        M, f = self.target, self.algebra.field
+        return self._memo("aug", n, lambda n: Matrix.from_row_entries(f, M.dim(n), [
             M.act(self.gens[k], self.gen_augs[k], j, beta)
-            for k, j, cell in self.layout(n).blocks for beta in cell.rows])
+            for k, j, cell in self.layout(n).blocks for beta in cell.rows]))
 
     def cone_dim(self, n: int) -> int:
         return self.dim(n + 1) + self.target.dim(n)
+
+    def cone_parts(self, n: int, vec: dict) -> tuple:
+        """The degree-n cone element with the given entries as its generator
+        components and its part in the target."""
+        split = self.dim(n + 1)
+        return (self.layout(n + 1).values({j: c for j, c in vec.items() if j < split}),
+                {j - split: c for j, c in vec.items() if j >= split})
+
+    def cone_times(self, n: int, parts: tuple, cdeg: int, cvec: dict) -> dict:
+        """The entries of the degree-n cone element with the given parts
+        times a degree-cdeg base element."""
+        comps, x = parts
+        out = self.times(n + 1, comps, cdeg, cvec)
+        split = self.dim(n + 1 + cdeg)
+        out.update((split + j, c) for j, c in self.target.act(n, x, cdeg, cvec).items())
+        return out
 
     def cone_diff(self, n: int) -> Matrix:
         # kept with degree n + 1: it reads only the matrices of n + 1 and n + 2
@@ -185,10 +193,7 @@ class SemifreeModule:
             [self.dim(m), M.dim(n)], [self.dim(m + 1), M.dim(m)]))
 
     def gen_counts(self) -> dict:
-        out = {}
-        for g in self.gens:
-            out[g] = out.get(g, 0) + 1
-        return out
+        return dict(Counter(self.gens))
 
 
 def semifree_resolve(M: DgModule, cutoff: int) -> SemifreeModule:
@@ -207,12 +212,13 @@ def _kill_cone(P: SemifreeModule, top: int) -> SemifreeModule:
     """Add cells to P from degree top (or the top of its target) down to
     P.cutoff, each degree killing the cone's cohomology there; returns P.
 
-    A cone class (q, x) is the sum of its components (q.e, x.e) over the
-    idempotents e of the base C.  A degree-n cell e.C with differential q.e
-    and augmentation -x.e kills that component together with its orbit
-    under C^0.  Components with larger orbits come first, and a component
-    gets a cell when its class is independent of the classes and orbits of
-    the components before it (linalg.first_independent, the rule the
+    A cone class is the sum of its components, its products with the
+    idempotents e of the base C.  A degree-n cell e.C whose differential and
+    augmentation are read off a component kills it with its orbit under
+    C^0.  A component that is a boundary gets no orbit: C^0 is all cocycles,
+    so its orbit is boundaries too.  Components with larger orbits come
+    first, and one gets a cell when its class is independent of the classes
+    and orbits before it (linalg.first_independent, the rule the
     coresolution's approximations choose by).  A degree where the cone has
     no cohomology, dim - rk d^n - rk d^{n-1} = 0, builds no subquotient.
     """
@@ -227,39 +233,27 @@ def _kill_cone(P: SemifreeModule, top: int) -> SemifreeModule:
         if dim == din.rank() + dout.rank():
             continue
         sq = subquotient_from_maps(din, dout, f, dim)
-        width = sq.dim
-        split = P.dim(n + 1)
-        layout_up = P.layout(n + 1)
         comps = []
         for rep in sq.rep_entries:
-            q = layout_up.values({j: c for j, c in rep.items() if j < split})
-            x = {j - split: c for j, c in rep.items() if j >= split}
+            parts = P.cone_parts(n, rep)
             for i, e in enumerate(C.idempotents):
-                orbit = [sq.reduce(_joined(P.times(n + 1, q, 0, c), M.act(n, x, 0, c), split))
-                         for c in C.cell(i, 0).rows]
-                comps.append((i, P.times(n + 1, q, 0, e), M.act(n, x, 0, e), orbit))
+                comp = P.cone_times(n, parts, 0, e)
+                if head := sq.reduce(comp):
+                    orbit = [sq.reduce(P.cone_times(n, parts, 0, c)) for c in C.cell(i, 0).rows]
+                    comps.append((i, comp, [head, *orbit]))
         # components with a large action orbit first: one cell then kills
         # everything in its span, keeping the cover near minimal
-        ranks = [Matrix.from_row_entries(f, width, orbit).rank() for *_, orbit in comps]
+        ranks = [Matrix.from_row_entries(f, sq.dim, stack[1:]).rank() for *_, stack in comps]
         order = sorted(range(len(comps)), key=lambda t: (-ranks[t], t))
-        stacks = ([sq.reduce(_joined(qe, xe, split)), *orbit]
-                  for _, qe, xe, orbit in (comps[t] for t in order))
-        for pos in first_independent(f, width, stacks):
+        split, layout_up = P.dim(n + 1), P.layout(n + 1)
+        for pos in first_independent(f, sq.dim, (comps[t][2] for t in order)):
             if len(P.gens) >= GENERATOR_CAP:
                 raise SemifreeCapError(
                     f"semifree resolution exceeded {GENERATOR_CAP} generators at degree {n}")
-            i, qe, xe, _ = comps[order[pos]]
-            P.add_generator(n, {layout_up.positions[s]: c for s, c in qe.items()},
-                            {j: f.neg(c) for j, c in xe.items()}, i)
+            i, comp, _ = comps[order[pos]]
+            P.add_generator(n, {layout_up.positions[s]: c for s, c in comp.items() if s < split},
+                            {s - split: f.neg(c) for s, c in comp.items() if s >= split}, i)
     return P
-
-
-def _joined(q: dict, x: dict, split: int) -> dict:
-    """The nonzero entries of the row holding q from position 0 and x from
-    position split: the element (q, x) of the augmentation cone of P -> M."""
-    out = dict(q)
-    out.update((split + j, c) for j, c in x.items())
-    return out
 
 
 def tensor_blocks(P: SemifreeModule, N, n: int) -> list:
@@ -323,25 +317,17 @@ def lift_up_to_homotopy(P: SemifreeModule, Q: SemifreeModule, targets) -> list |
     already lies in the cone times e.
     """
     C, f = P.algebra, P.algebra.field
-
-    def act(n, vec, cdeg, cvec):
-        # the right action on a cone element (q, x) of Q^n + target^{n-1}
-        split = Q.dim(n)
-        q = {j: c for j, c in vec.items() if j < split}
-        x = {j - split: c for j, c in vec.items() if j >= split}
-        return _joined(Q.act(n, q, cdeg, cvec), Q.target.act(n - 1, x, cdeg, cvec),
-                       Q.dim(n + cdeg))
-
     vals: list = []
     for k, g in enumerate(P.gens):
-        want = _joined({}, targets[k], Q.dim(g + 1))
+        want = {Q.dim(g + 1) + j: c for j, c in targets[k].items()}
         for k2, delta in P.gen_dcomps[k].items():
-            for j, x in act(P.gens[k2], vals[k2], g + 1 - P.gens[k2], delta).items():
+            n2 = P.gens[k2] - 1
+            for j, x in Q.cone_times(n2, Q.cone_parts(n2, vals[k2]), g - n2, delta).items():
                 want[j] = want.get(j, 0) - x
         sol = Q.cone_diff(g - 1).solve_left_rows(f.reduce_entries(want))
         if sol is None:
             return None
-        vals.append(act(g, sol, 0, C.idempotents[P.cells[k]]))
+        vals.append(Q.cone_times(g - 1, Q.cone_parts(g - 1, sol), 0, C.idempotents[P.cells[k]]))
     return [{j: c for j, c in v.items() if j < Q.dim(g)} for v, g in zip(vals, P.gens)]
 
 

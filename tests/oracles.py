@@ -8,8 +8,9 @@ composite-matrix routes through it for the hom-complex differential, the
 composition tables and the postcomposition action, with a dense route for the
 action on a semifree module and routes from the definitions for the
 differentials of a semifree module and of the hom complex out of one, two
-readers of cell coordinates (by cell rows and block by block), and the
-naturality square read on each summand's own resolution and tensor.
+readers of cell coordinates (by cell rows and block by block), the
+naturality square read on each summand's own resolution and tensor, and the
+resolution construction that builds the orbit of every component.
 
 The module oracles are computed with hom_space and dimension vectors only, so
 the numbers frozen into the verifier tests do not come from the code under
@@ -24,8 +25,8 @@ from siltcheck.algebra import Algebra, Module, generator_image, hom_space
 from siltcheck.complexes import (ChainMap, Complex, Layout, cone, hom_complex, is_acyclic,
                                  projective_cache, projective_complex, zero_complex)
 from siltcheck.dg import end_h0
-from siltcheck.linalg import Matrix
-from siltcheck.semifree import tensor_map
+from siltcheck.linalg import Matrix, first_independent, subquotient_from_maps
+from siltcheck.semifree import GENERATOR_CAP, SemifreeCapError, tensor_map
 
 
 def summand_projection_maps(X: Complex) -> list:
@@ -671,10 +672,10 @@ def reference_values(blocks, coords: dict) -> dict:
 
 
 def reference_semifree_act(P, n, vec, cdeg, cvec):
-    """SemifreeModule.act over dense rows: each component expanded over its
-    cell's echelon rows, multiplied in the base one table entry at a time,
-    and read back at the pivots of the target cell; the result as nonzero
-    entries."""
+    """SemifreeModule.times of layout(n).values(vec) over dense rows: each
+    component expanded over its cell's echelon rows, multiplied in the base
+    one table entry at a time, and read back at the pivots of the target
+    cell; the result as nonzero entries."""
     C = P.algebra
     f = C.field
     comps = {}
@@ -861,3 +862,56 @@ def reference_naturality_probe(ctx, X, Xp, window, extra_margin: int = 0) -> dic
                               for n, layout in TX.block_layout.items()})
     return {"passed": all(epsX.induced(n) @ g.induced(n) == tlam.induced(n) @ epsXp.induced(n)
                           for n in range(lo, hi + 1))}
+
+
+def _joined(q: dict, x: dict, split: int) -> dict:
+    """The nonzero entries of the row holding q from position 0 and x from
+    position split: the element (q, x) of the augmentation cone of P -> M."""
+    out = dict(q)
+    out.update((split + j, c) for j, c in x.items())
+    return out
+
+
+def reference_kill_cone(P, top: int):
+    """semifree._kill_cone with the orbit of every component of every class,
+    boundaries included, under every basis row of its piece's cell e.C^0.
+
+    A cone class (q, x) is the sum of its components (q.e, x.e) over the
+    idempotents e of the base C.  A degree-n cell e.C with differential q.e
+    and augmentation -x.e kills that component together with its orbit
+    under C^0.  Components with larger orbits come first, and a component
+    gets a cell when its class is independent of the classes and orbits of
+    the components before it.
+    """
+    M, C = P.target, P.algebra
+    f = C.field
+    for n in range(min(top, M.hi), P.cutoff - 1, -1):
+        if n < M.lo and (not P.gens or P.gens[-1] > n + 1 - C.lo):
+            break
+        din, dout, dim = P.cone_diff(n - 1), P.cone_diff(n), P.cone_dim(n)
+        if dim == din.rank() + dout.rank():
+            continue
+        sq = subquotient_from_maps(din, dout, f, dim)
+        width = sq.dim
+        split = P.dim(n + 1)
+        layout_up = P.layout(n + 1)
+        comps = []
+        for rep in sq.rep_entries:
+            q = layout_up.values({j: c for j, c in rep.items() if j < split})
+            x = {j - split: c for j, c in rep.items() if j >= split}
+            for i, e in enumerate(C.idempotents):
+                orbit = [sq.reduce(_joined(P.times(n + 1, q, 0, c), M.act(n, x, 0, c), split))
+                         for c in C.cell(i, 0).rows]
+                comps.append((i, P.times(n + 1, q, 0, e), M.act(n, x, 0, e), orbit))
+        ranks = [Matrix.from_row_entries(f, width, orbit).rank() for *_, orbit in comps]
+        order = sorted(range(len(comps)), key=lambda t: (-ranks[t], t))
+        stacks = ([sq.reduce(_joined(qe, xe, split)), *orbit]
+                  for _, qe, xe, orbit in (comps[t] for t in order))
+        for pos in first_independent(f, width, stacks):
+            if len(P.gens) >= GENERATOR_CAP:
+                raise SemifreeCapError(
+                    f"semifree resolution exceeded {GENERATOR_CAP} generators at degree {n}")
+            i, qe, xe, _ = comps[order[pos]]
+            P.add_generator(n, {layout_up.positions[s]: c for s, c in qe.items()},
+                            {j: f.neg(c) for j, c in xe.items()}, i)
+    return P

@@ -3,6 +3,7 @@
 import copy
 import json
 import pathlib
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -16,7 +17,7 @@ from siltcheck.cli import _SOFT_CHECKS, main
 from siltcheck.complexes import (cone, direct_sum_complexes, identity_chain_map,
                                  projective_cache,
                                  projective_complex)
-from siltcheck.fields import PrimeField
+from siltcheck.fields import PRIME_BOUND, PrimeField, field_from_json
 from siltcheck.instances import (Instance, InstanceError, dump_instance,
                                  instance_text, json_text, load_instance,
                                  parse_instance)
@@ -195,7 +196,13 @@ def test_check_unknown_object_is_an_input_error(capsys):
     assert "U-tilt" in err
 
 
-@pytest.mark.parametrize("prime", ["[7]", "null", "1e400", "7.5", '"7"'])
+@pytest.mark.parametrize("prime", [
+    "[7]", "null", "1e400", "7.5", '"7"',
+    # Carmichael numbers, strong pseudoprimes to the first bases, a small
+    # composite, and moduli at or above psi_13, where primality is not decided
+    *(pytest.param(str(p), id=name) for p, name in (
+        (561, "561"), (2047, "2047"), (41041, "41041"), (3215031751, "3215031751"),
+        (PRIME_BOUND, "psi13"), (6, "6"), (10**400, "10**400")))])
 def test_a_malformed_field_is_an_input_error(tmp_path, capsys, prime):
     text = pathlib.Path(FIX_A2).read_text(encoding="utf-8")
     assert text.count('"prime": 101') == 1
@@ -205,6 +212,15 @@ def test_a_malformed_field_is_an_input_error(tmp_path, capsys, prime):
     assert (code, out) == (3, "")
     assert "$.field" in err and len(err.strip().splitlines()) == 1, err
     assert "Traceback" not in err
+
+
+def test_large_primes_are_accepted_at_once():
+    # a 19- or 20-digit prime is decided in a handful of modular powers, not
+    # by trial division up to its square root
+    start = time.perf_counter()
+    for p in (2**61 - 1, 2**64 - 59, 10**18 + 9):
+        assert field_from_json({"prime": p}).characteristic == p
+    assert time.perf_counter() - start < 0.5
 
 
 def test_bad_flags_are_input_errors(capsys):

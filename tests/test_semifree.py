@@ -11,13 +11,15 @@ from collections import Counter
 
 import pytest
 
-from oracles import reference_semifree_act, reference_semifree_diff, reference_semifree_hom_diff
+from oracles import (reference_kill_cone, reference_semifree_act, reference_semifree_diff,
+                     reference_semifree_hom_diff)
 from siltcheck import semifree
-from siltcheck.algebra import Quiver, path_algebra, simple_module
+from siltcheck.algebra import Quiver, hom_space, path_algebra, simple_module
 from siltcheck.complexes import (
     direct_sum_complexes,
     hom_complex,
     module_complex,
+    projective_cache,
     projective_complex,
 )
 from siltcheck.dg import (DgAlgebra, DgModule, _Graded, dg_end, dg_hom_module,
@@ -34,6 +36,7 @@ from siltcheck.semifree import (
     hom_cutoff,
     semifree_resolve,
 )
+from siltcheck.silting import presilting_witness
 from siltcheck.verifier import SiltingContext, verify_all
 
 F101 = PrimeField(101)
@@ -83,8 +86,8 @@ def as_dg_module(P):
         for n in C.degrees():
             if not dims.get(m) or not C.dim(n) or not dims.get(m + n):
                 continue
-            action[(m, n)] = [[P.act(m, {t: f.one}, n, {j: f.one}) for j in range(C.dim(n))]
-                              for t in range(dims[m])]
+            action[(m, n)] = [[P.times(m, P.layout(m).values({t: f.one}), n, {j: f.one})
+                               for j in range(C.dim(n))] for t in range(dims[m])]
     diffs = {n: P.diff_matrix(n) for n in resolution_support(P)}
     return DgModule(C, "right", dims, action, diffs)
 
@@ -340,7 +343,7 @@ def test_sparse_action_matches_the_dense_route(coresolution_inputs, field_spec):
             for cdeg in C.degrees():
                 for x in range(P.dim(n)):
                     for c in range(C.dim(cdeg)):
-                        assert P.act(n, {x: one}, cdeg, {c: one}) == \
+                        assert P.times(n, P.layout(n).values({x: one}), cdeg, {c: one}) == \
                             reference_semifree_act(P, n, {x: one}, cdeg, {c: one}), name
                         checked += 1
     assert checked
@@ -435,3 +438,94 @@ def test_hom_out_of_a_deep_resolution_reads_each_cell_a_bounded_number_of_times(
         assert SemifreeHom(P, M).h_table() == {m: 1 for m in range(1 - cutoff)}
         reads[cutoff] = calls["cell"]
     assert reads[-400] <= 5 * reads[-100]
+
+
+def _linear(n):
+    return path_algebra(Quiver([str(v) for v in range(n)],
+                               [(f"a{v}", str(v), str(v + 1)) for v in range(n - 1)]), F101)
+
+
+def _free_linear(n):
+    A = _linear(n)
+    return direct_sum_complexes([projective_complex(A, {0: [v]}) for v in range(n)])
+
+
+def _injective_cogenerator_linear(n):
+    # DA over linear A_n as a tilting complex: P0 and P_{v+1} -> P0 for each v
+    A = _linear(n)
+    parts = [projective_complex(A, {0: [0]})]
+    for v in range(1, n):
+        (path,) = hom_space(projective_cache(A, v), projective_cache(A, 0))
+        parts.append(projective_complex(A, {-1: [v], 0: [0]}, {-1: path.mat}))
+    return direct_sum_complexes(parts)
+
+
+def _kill_cone_cases(coresolution_inputs):
+    inputs = coresolution_inputs({"prime": 101})
+    a3 = [U for name, U in inputs.items()
+          if name.startswith("a3/") and presilting_witness(U) is None]
+    assert len(a3) == 14
+    return {"a3": a3,
+            "fix_a2": [inputs[f"fix_a2/{k}"] for k in ("U-tilt", "U-silt2", "regular")],
+            "free-A6": [_free_linear(6)], "DA-A6": [_injective_cogenerator_linear(6)]}
+
+
+@pytest.mark.parametrize("case", ["a3", "fix_a2", "free-A6", "DA-A6"])
+def test_every_resolution_equals_the_reference_built_from_scratch(case, coresolution_inputs,
+                                                                   monkeypatch):
+    # every resolution _kill_cone finishes during verify_all at +-1, from
+    # semifree_resolve and from to_cutoff alike, has the generators the
+    # reference builds in one pass from its module and cutoff, where every
+    # component of every class gets its orbit
+    finished, deepened = [], []
+    kill, to_cutoff = semifree._kill_cone, SemifreeModule.to_cutoff
+    monkeypatch.setattr(semifree, "_kill_cone",
+                        lambda P, top: finished.append(kill(P, top)) or finished[-1])
+    monkeypatch.setattr(SemifreeModule, "to_cutoff", lambda self, cutoff: deepened.append(
+        to_cutoff(self, cutoff)) or deepened[-1])
+    for U in _kill_cone_cases(coresolution_inputs)[case]:
+        assert all(r.passed for r in verify_all(U, window=(-1, 1), pair_degrees=(-1, 1)))
+    # the two-term batteries also deepen resolutions they already hold
+    assert len(finished) > len(deepened) and (deepened or case in ("free-A6", "DA-A6"))
+    for P in finished:
+        ref = reference_kill_cone(SemifreeModule(P.algebra, P.target, P.cutoff), P.target.hi)
+        assert (P.gens, P.cells, P.gen_diffs, P.gen_augs) == \
+            (ref.gens, ref.cells, ref.gen_diffs, ref.gen_augs), case
+
+
+def test_a_class_acts_only_on_the_pieces_it_meets(monkeypatch):
+    # resolving the sum of the simples over End(A) for linear A_6: each class
+    # is multiplied by every idempotent, and by the cell rows of C^0 only in
+    # the pieces where its component is not a boundary
+    U = _free_linear(6)
+    A, ctx = U.algebra, SiltingContext(U)
+    M = ctx.hom_module(direct_sum_complexes([ctx.module(simple_module(A, v)) for v in range(6)]))
+    C, f = ctx.C, F101
+    times, calls = SemifreeModule.times, Counter()
+
+    def counting(self, *args):
+        calls["times"] += 1
+        return times(self, *args)
+
+    monkeypatch.setattr(SemifreeModule, "times", counting)
+    P = semifree_resolve(M, -3)
+    monkeypatch.undo()
+    expected = every = 0
+    for n in range(M.hi, P.cutoff - 1, -1):
+        # the resolution as it stood when degree n was reached
+        Q = P.to_cutoff(n + 1)
+        din, dout, dim = Q.cone_diff(n - 1), Q.cone_diff(n), Q.cone_dim(n)
+        if dim == din.rank() + dout.rank():
+            continue
+        sq = subquotient_from_maps(din, dout, f, dim)
+        split = Q.dim(n + 1)
+        for rep in sq.rep_entries:
+            q = {j: c for j, c in rep.items() if j < split}
+            x = {j - split: c for j, c in rep.items() if j >= split}
+            for i, e in enumerate(C.idempotents):
+                comp = reference_semifree_act(Q, n + 1, q, 0, e)
+                comp.update((split + j, c) for j, c in M.act(n, x, 0, e).items())
+                rows = len(C.cell(i, 0).rows)
+                expected += 1 + (rows if sq.reduce(comp) else 0)
+                every += 1 + rows
+    assert calls["times"] == expected < every

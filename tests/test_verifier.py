@@ -626,7 +626,7 @@ def _naturality_lifts(U, monkeypatch):
 def _values_matrix(P, Q, lam, n):
     """The matrix P^n -> Q^n of the map with generator values lam."""
     return Matrix.from_row_entries(P.algebra.field, Q.dim(n), [
-        Q.act(P.gens[k], lam[k], j, beta)
+        Q.times(P.gens[k], Q.layout(P.gens[k]).values(lam[k]), j, beta)
         for k, j, cell in P.layout(n).blocks for beta in cell.rows])
 
 
