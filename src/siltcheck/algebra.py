@@ -340,7 +340,9 @@ def path_algebra(quiver: Quiver, field, relations=(), dimension_cap: int = 512) 
 
 class Module:
     """A right module: row vectors with one action matrix per algebra basis
-    element.  sq is set by Complex.cohomology and is None otherwise."""
+    element.  sq is set by Complex.cohomology and is None otherwise.  A map
+    out of e_v A into it is, by Yoneda, its value on e_v: an element of
+    cell(v), sending row r of e_v A to that value times yoneda(v)[r]."""
 
     def __init__(self, algebra: Algebra, dim: int, action: Sequence[Matrix], validate: bool = True,
                  sq=None):
@@ -353,7 +355,7 @@ class Module:
         for m in self.action:
             if m.nrows != dim or m.ncols != dim:
                 raise ValueError("action matrix has wrong shape")
-        self._homs_from = {}  # vertex -> ProjectiveHoms out of its projective
+        self._cells = {}  # vertex -> (cell(v), yoneda(v))
         if validate:
             self.validate()
 
@@ -383,12 +385,26 @@ class Module:
         """dim M.e for each vertex idempotent e: the rank of its action."""
         return tuple(self.action[e].rank() for e in self.algebra.idempotents)
 
-    def homs_from(self, P: "Module") -> "ProjectiveHoms":
-        """Hom(P, self) for the indecomposable projective P = e_v A, built
-        once per vertex and kept on this module."""
-        if P.vertex not in self._homs_from:
-            self._homs_from[P.vertex] = ProjectiveHoms(P, self)
-        return self._homs_from[P.vertex]
+    def cell(self, v: int) -> RowSpace:
+        """M.e_v as its echelon basis, built on the first read of v and kept
+        with yoneda(v), and the map out of e_v A with each echelon row as its
+        value checked to be a module map.  A value's coordinates are its
+        entries at the pivots."""
+        if v not in self._cells:
+            P = self.algebra.projective(v)
+            cell = RowSpace(self.action[self.algebra.idempotents[v]])
+            acts = [self.action_of(r) for r in P.ambient_rows]
+            for y in cell.rows:
+                rows = {r: img for r, a in enumerate(acts) if (img := a.apply_entries(y))}
+                ModuleMap(P, self, Matrix.from_entries(self.algebra.field, P.dim, self.dim, rows))
+            self._cells[v] = cell, acts
+        return self._cells[v][0]
+
+    def yoneda(self, v: int) -> list:
+        """The action on M of each ambient row of e_v A, in row order: the
+        map out of e_v A with value y on e_v sends row r to y times the r-th."""
+        self.cell(v)
+        return self._cells[v][1]
 
     def __repr__(self):
         return f"Module(dim={self.dim} over {self.algebra!r})"
@@ -452,30 +468,6 @@ def hom_space(M: Module, N: Module) -> list[ModuleMap]:
             entries.setdefault(k // n, {})[k % n] = x
         maps.append(ModuleMap(M, N, Matrix.from_entries(f, m, n, entries), validate=False))
     return maps
-
-
-class ProjectiveHoms:
-    """Hom(e_v A, N) read off N.e_v by Yoneda, with no system to solve.
-
-    A map out of P = e_v A is fixed by the image w of e_v, any element of
-    N.e_v, and sends row r of P (ambient_rows[r], an element of A) to w times
-    that element.  space is the echelon basis of N.e_v, acts the action
-    matrix on N of each ambient row, and blocks the basis maps, one per
-    echelon row of space, as P.dim x N.dim matrices, each checked to be a
-    module map when built.  The coordinates of a map are the entries of w at the pivots of
-    space, whose echelon rows are fully reduced with unit pivots
-    (RowSpace.coords, which the hom complex reads them with).
-    """
-
-    def __init__(self, P: Module, N: Module):
-        f = N.algebra.field
-        self.P = P
-        self.space = RowSpace(N.action[N.algebra.idempotents[P.vertex]])
-        self.acts = [N.action_of(r) for r in P.ambient_rows]
-        self.blocks = []
-        for y in self.space.rows:
-            rows = {r: img for r, a in enumerate(self.acts) if (img := a.apply_entries(y))}
-            self.blocks.append(ModuleMap(P, N, Matrix.from_entries(f, P.dim, N.dim, rows)).mat)
 
 
 def generator_image(P: Module, rows: dict, start: int = 0) -> dict:

@@ -142,8 +142,8 @@ class Complex(Cochains):
     # the complex as the target of maps out of cells over A (GradedHom)
 
     def cell(self, v: int, n: int) -> RowSpace:
-        """X^n.e_v, the echelon basis Hom(e_v A, X^n) is read in."""
-        return self.term(n).homs_from(projective_cache(self.algebra, v)).space
+        """X^n.e_v, the echelon basis Hom(e_v A, X^n) is read in (Module.cell)."""
+        return self.term(n).cell(v)
 
     def apply_diff(self, n: int, x: dict) -> dict:
         return self.linear_diff(n).apply_entries(x)
@@ -487,8 +487,9 @@ class GradedHom(CellHom):
     and read there as an element of A, so the layout and the differential
     (df)_i = f_i d_Y - (-1)^n d_X f_{i+1} are CellHom's.  Composites are
     read off the generator values of g (values) and the component maps of
-    h (component_maps): the generator value of "g, then h" is g's times h,
-    so no composite matrix is built (postcomposed).  Each
+    h: the generator value of "g, then h" is g's times h, so no composite
+    matrix is built (postcomposed).  An element becomes matrices only in
+    component_maps, and coords_of reads them back.  Each
     differential of X and Y it reads is checked to be a module map.
     Hom(U, U) keeps its units, dg-end, H^0 algebra and radical (kept).
     """
@@ -543,24 +544,6 @@ class GradedHom(CellHom):
                 out.append(comps)
         return out
 
-    @cached_property
-    def basis(self) -> dict:
-        """n -> list of (source degree, matrix of the map), one per basis
-        element: each basis map of each block placed at its summand's rows.
-        Built on first read, since the coordinates, differentials and
-        composites read generator values alone."""
-        out = {}
-        for n in self.degrees():
-            entries = []
-            for k, j, _ in self.layout(n).blocks:
-                i, start = self.gens[k], self.starts[k]
-                S, T = self.X.term(i), self.Y.term(j)
-                for blk in T.homs_from(self._projective(k)).blocks:
-                    rows = {start + r: nz for r, nz in blk.entries.items()}
-                    entries.append((i, Matrix.from_entries(self.field, S.dim, T.dim, rows)))
-            out[n] = entries
-        return out
-
     def postcomposed(self, n: int, values: dict, comps: dict, target: "GradedHom",
                      m: int) -> dict:
         """The nonzero coordinates in target, in degree m, of "x, then comps":
@@ -574,15 +557,19 @@ class GradedHom(CellHom):
         return target.assemble(m, images) if images else {}
 
     def component_maps(self, n: int, coords: dict) -> dict:
-        """Expand the nonzero coordinates of a degree-n element into
-        per-source-degree matrices."""
-        basis = self.basis.get(n, ())
-        terms: dict = {}
-        for t, c in coords.items():
-            i, h = basis[t]
-            terms.setdefault(i, []).append((c, h))
-        return {i: Matrix.combination(self.field, self.X.term(i).dim, self.Y.term(n + i).dim, ts)
-                for i, ts in terms.items()}
+        """The degree-n element with the given nonzero coordinates as its
+        nonzero component maps, source degree -> matrix: the one place a map
+        out of a projective becomes a matrix.  By Yoneda the map out of
+        summand k is its generator value times the action of each row of
+        e_v A (Module.yoneda), placed at the summand's rows."""
+        rows: dict = {}
+        for k, y in self.values(n, coords).items():
+            i, start = self.gens[k], self.starts[k]
+            acts = self.Y.term(n + i).yoneda(self.cells[k])
+            rows.setdefault(i, {}).update(
+                (start + r, img) for r, a in enumerate(acts) if (img := a.apply_entries(y)))
+        return {i: Matrix.from_entries(self.field, self.X.term(i).dim, self.Y.term(n + i).dim, e)
+                for i, e in rows.items()}
 
     def coords_of(self, n: int, comps: dict) -> dict:
         """Nonzero coordinates of a family of module maps, source degree ->

@@ -368,7 +368,8 @@ def _composition_tables(gh: GradedHom, end: GradedHom, elems: dict) -> dict:
     """[(m, n)][i][j]: the i-th basis element of gh^m, gh = Hom(U, X),
     times elems[n][j], a degree-n element of End(U) as its nonzero
     coordinates in end = Hom(U, U), read once as its generator values."""
-    left = {m: [{s: h} for s, h in gh.basis[m]] for m in gh.degrees() if gh.dim(m)}
+    left = {m: [gh.component_maps(m, {t: gh.field.one}) for t in range(gh.dim(m))]
+            for m in gh.degrees() if gh.dim(m)}
     right = {n: [end.values(n, b) for b in bs] for n, bs in elems.items() if bs}
     return {(m, n): _products(gh, xs, m, ys, n)
             for m, xs in left.items() for n, ys in right.items() if gh.dim(m + n)}

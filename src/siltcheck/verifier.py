@@ -338,12 +338,13 @@ def _evaluation_chain_map(T: Complex, gh, X: Complex) -> ChainMap:
     """
     f = X.algebra.field
     P = T.resolution
+    augs = [gh.component_maps(g, aug) for g, aug in zip(P.gens, P.gen_augs)]
     mats = {}
     for n, layout in T.block_layout.items():
         xdim = X.term(n).dim
         rows = []
         for k, j, cell in layout.blocks:
-            blockmat = gh.component_maps(P.gens[k], P.gen_augs[k]).get(j)
+            blockmat = augs[k].get(j)
             rows.extend({} if blockmat is None else blockmat.apply_entries(u)
                         for u in cell.rows)
         mats[n] = Matrix.from_row_entries(f, xdim, rows)

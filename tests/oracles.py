@@ -543,16 +543,49 @@ def reference_h0_algebra(B) -> Algebra:
 # images replace.
 
 
-def _checked_image(homs, rows: dict) -> dict | None:
+def _yoneda_action(N, v: int) -> list:
+    """The action matrix on N of each ambient row of P = e_v A, built here
+    from N's action: a map out of P is its image w of e_v, and sends row r
+    to w times the r-th."""
+    return [N.action_of(r) for r in projective_cache(N.algebra, v).ambient_rows]
+
+
+def _checked_image(N, v: int, rows: dict) -> dict | None:
     """The image w of the generator e_v under the map P = e_v A -> N with the
-    given nonzero rows {row: {column: entry}}, for homs = Hom(P, N), or None
-    when they are not a module map: the map is one exactly when each of its
-    rows is w times its ambient row."""
-    w = generator_image(homs.P, rows)
-    for r, a in enumerate(homs.acts):
+    given nonzero rows {row: {column: entry}}, or None when they are not a
+    module map: the map is one exactly when each of its rows is w times its
+    ambient row."""
+    w = generator_image(projective_cache(N.algebra, v), rows)
+    for r, a in enumerate(_yoneda_action(N, v)):
         if a.apply_entries(w) != rows.get(r, {}):
             return None
     return w
+
+
+def basis_maps(gh, n: int) -> list:
+    """(source degree, matrix) of each degree-n basis element of gh, in
+    coordinate order: for each block, the map out of its summand with each
+    echelon row of its cell as generator value, by Yoneda, placed at the
+    summand's rows."""
+    out = []
+    for k, j, cell in gh.layout(n).blocks:
+        i, start, T = gh.gens[k], gh.starts[k], gh.Y.term(j)
+        acts = _yoneda_action(T, gh.cells[k])
+        for y in cell.rows:
+            rows = {start + r: img for r, a in enumerate(acts) if (img := a.apply_entries(y))}
+            out.append((i, Matrix.from_entries(gh.field, gh.X.term(i).dim, T.dim, rows)))
+    return out
+
+
+def reference_component_maps(gh, n: int, coords: dict) -> dict:
+    """GradedHom.component_maps by basis maps: each coordinate's multiple of
+    its basis map (basis_maps), summed per source degree."""
+    basis, terms = basis_maps(gh, n), {}
+    for t, c in coords.items():
+        i, h = basis[t]
+        terms.setdefault(i, []).append((c, h))
+    return {i: Matrix.combination(gh.field, gh.X.term(i).dim, gh.Y.term(n + i).dim, ts)
+            for i, ts in terms.items()}
 
 
 def reference_coords_of(gh, n: int, comps: dict) -> dict | None:
@@ -569,10 +602,10 @@ def reference_coords_of(gh, n: int, comps: dict) -> dict | None:
         if not summands or T.dim == 0:
             return None
         for k in summands:
-            homs = T.homs_from(projective_cache(gh.X.algebra, gh.cells[k]))
-            start, end = gh.starts[k], gh.starts[k] + len(homs.acts)
-            w = _checked_image(homs, {r - start: nz for r, nz in mat.entries.items()
-                                      if start <= r < end})
+            start = gh.starts[k]
+            end = start + projective_cache(gh.X.algebra, gh.cells[k]).dim
+            w = _checked_image(T, gh.cells[k], {r - start: nz for r, nz in mat.entries.items()
+                                                if start <= r < end})
             if w is None:
                 return None
             if k in offsets:
@@ -587,7 +620,7 @@ def reference_hom_diff(gh, n):
     f = gh.field
     sign = f.one if n % 2 == 0 else f.neg(f.one)
     rows = {}
-    for r, (i, h) in enumerate(gh.basis.get(n, ())):
+    for r, (i, h) in enumerate(basis_maps(gh, n)):
         dx_h = (gh.X.diff(i - 1) @ h).scale(f.neg(sign))
         coords = reference_coords_of(gh, n + 1, {i: h @ gh.Y.diff(n + i), i - 1: dx_h})
         if coords is None:
@@ -608,7 +641,7 @@ def reference_composition_tables(gh, maps):
             if not gh.dim(m) or not elems or not gh.dim(m + n):
                 continue
             table = []
-            for sx, hx in gh.basis[m]:
+            for sx, hx in basis_maps(gh, m):
                 row = []
                 for b in elems:
                     mb = b.get(sx - n)

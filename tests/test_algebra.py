@@ -7,7 +7,7 @@ counting surviving paths, and Hom(e_i A, M) = M e_i for projectives.
 import pytest
 
 from conftest import regular_module
-from oracles import endomorphism_algebra
+from oracles import basis_maps, endomorphism_algebra
 from siltcheck.algebra import (
     AdmissibilityError,
     Algebra,
@@ -240,7 +240,7 @@ def test_hom_composition_and_coordinates():
     coords = gh.coords_of(0, {0: comp})
     recon = Matrix.zero(Q, P2.dim, P1.dim)
     for t, c in coords.items():
-        recon = recon + gh.basis[0][t][1].scale(c)
+        recon = recon + basis_maps(gh, 0)[t][1].scale(c)
     assert recon == comp
 
 

@@ -138,7 +138,7 @@ def test_missing_file_and_invalid_json(tmp_path):
         load_instance(tmp_path / "nope.json")
     assert "cannot read" in str(exc.value)
     broken = tmp_path / "broken.json"
-    broken.write_text(open(FIX_A2).read()[:200])
+    broken.write_text(pathlib.Path(FIX_A2).read_text(encoding="utf-8")[:200])
     with pytest.raises(InstanceError) as exc:
         load_instance(broken)
     assert "invalid JSON" in str(exc.value)
@@ -183,7 +183,7 @@ def test_check_fused_free_complex_is_inconclusive(capsys):
 
 def test_check_truncated_file_is_an_input_error(tmp_path, capsys):
     broken = tmp_path / "broken.json"
-    broken.write_text(open(FIX_A2).read()[:200])
+    broken.write_text(pathlib.Path(FIX_A2).read_text(encoding="utf-8")[:200])
     code, out, err = run_cli(capsys, "check", str(broken), "A")
     assert code == 3
     assert out == ""

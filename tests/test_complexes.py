@@ -16,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_two_term, regular_module
-from oracles import nonzero_entries, reference_coords_of, summand_projection_maps
+from oracles import (nonzero_entries, reference_component_maps, reference_coords_of,
+                     summand_projection_maps)
 from siltcheck.algebra import (
     Module,
     ModuleMap,
@@ -40,7 +41,7 @@ from siltcheck.complexes import (
     projective_cache,
     projective_complex,
 )
-from siltcheck import silting
+from siltcheck import silting, verifier
 from siltcheck.dg import DgAlgebra
 from siltcheck.fields import PrimeField, RationalField
 from siltcheck.instances import load_instance
@@ -260,7 +261,7 @@ def test_yoneda_basis_matches_hom_space(name, seed):
     N = random_two_term(A, rng).cohomology(rng.choice([-1, 0]))
     S = X.term(0)
     gh = hom_complex(X, module_complex(N))
-    basis = [h for _, h in gh.basis.get(0, ())]
+    basis = [gh.component_maps(0, {t: f.one})[0] for t in range(gh.dim(0))]
     oracle = [h.mat for h in hom_space(S, N)]
     assert len(basis) == len(oracle)
     if not basis:
@@ -291,6 +292,63 @@ def test_yoneda_basis_matches_hom_space(name, seed):
             assert got is None
 
 
+def test_component_maps_equal_the_basis_maps_combined(coresolution_inputs, monkeypatch):
+    # component_maps expands each generator value by Yoneda; the reference
+    # sums each coordinate's multiple of its whole basis map, and coords_of
+    # reads the maps back.  Random coordinates in every degree of Hom(U, U)
+    # and of every hom module's Hom(U, X) that verify_all builds at +-1, on
+    # the 14 silting sums over kA_3, U-tilt and U-silt2
+    inputs = coresolution_inputs({"prime": 101})
+    sums = [U for name, U in inputs.items()
+            if name.startswith("a3/") and silting.presilting_witness(U) is None]
+    assert len(sums) == 14
+    sums += [inputs["fix_a2/U-tilt"], inputs["fix_a2/U-silt2"]]
+    homs, build = [], verifier.dg_hom_module
+    monkeypatch.setattr(verifier, "dg_hom_module",
+                        lambda gh, base: homs.append(gh) or build(gh, base))
+    for U in sums:
+        homs.append(hom_complex(U, U))
+        assert all(r.passed for r in verifier.verify_all(U, window=(-1, 1), pair_degrees=(-1, 1)))
+    assert len(homs) > 2 * len(sums)
+    rng, checked = random.Random(44), 0
+    for gh in homs:
+        f = gh.field
+        for n in gh.degrees():
+            for _ in range(2 if gh.dim(n) else 0):
+                coords = nonzero_entries(f.coerce(rng.randrange(101)) for _ in range(gh.dim(n)))
+                comps = gh.component_maps(n, coords)
+                assert comps == reference_component_maps(gh, n, coords)
+                assert gh.coords_of(n, comps) == coords
+                checked += 1
+    assert checked > len(homs)
+
+
+def test_a_cell_read_checks_its_maps_are_module_maps(A2):
+    # the arrow of kA_2 acts on M.e_1 as the identity, so (m a) e_2 = 0 while
+    # m (a e_2) = m a: not a module, and the map out of e_1 A with value m is
+    # no module map.  Built unchecked, the module raises on the first read of
+    # that cell, and again on the next, since a failed build keeps nothing
+    e1, e2 = A2.idempotents
+    f = A2.field
+
+    def module(arrow, validate):
+        rows = {e1: [[1, 0], [0, 0]], e2: [[0, 0], [0, 1]]}
+        return Module(A2, 2, [Matrix(f, 2, 2, rows.get(j, arrow)) for j in range(A2.dim)],
+                      validate=validate)
+
+    good = module([[0, 1], [0, 0]], True)
+    assert [good.cell(v).rows for v in (0, 1)] == [[{0: f.one}], [{1: f.one}]]
+    bad = module([[1, 0], [0, 0]], False)
+    with pytest.raises(AssertionError):
+        bad.validate()
+    for _ in range(2):
+        with pytest.raises(AssertionError):
+            bad.cell(0)
+        with pytest.raises(AssertionError):
+            bad.yoneda(0)
+    assert bad.cell(1).rows == [{1: f.one}]
+
+
 def test_hom_complex_componentwise_dims(A2):
     P1, P2 = projectives(A2)
     (incl,) = hom_space(P2, P1)
@@ -300,7 +358,7 @@ def test_hom_complex_componentwise_dims(A2):
     assert gh.dim(0) == len(hom_space(P2, P2)) + len(hom_space(P1, P1))
     assert gh.dim(-1) == len(hom_space(P1, P2))
     assert gh.dim(1) == len(hom_space(P2, P1))
-    for n in gh.basis:
+    for n in gh.degrees():
         assert (gh.diff(n) @ gh.diff(n + 1)).is_zero()
 
 

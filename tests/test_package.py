@@ -136,6 +136,22 @@ def test_dg_composes_in_one_table_builder():
     assert mentions == {"_products": 1}
 
 
+def test_maps_out_of_a_projective_have_one_form():
+    # a map out of e_v A is its generator value: no class or cache keeps the
+    # basis maps as matrices, and GradedHom.component_maps is the one place
+    # that expands a value through the Yoneda action into a matrix
+    defs, callers = {}, set()
+    for path in sorted((ROOT / "src" / "siltcheck").glob("*.py")):
+        d, refs = _definitions_and_references(ast.parse(path.read_text()), path.stem)
+        defs.update(d)
+        callers.update((owners or (path.stem,))[-1] for name, attr, owners in refs
+                       if attr and name == "yoneda")
+    assert not [q for q in defs if q.rsplit(".", 1)[-1] == "ProjectiveHoms"]
+    assert "algebra.Module.homs_from" not in defs and "algebra.Module.yoneda" in defs
+    assert "complexes.GradedHom.basis" not in defs
+    assert callers == {"complexes.GradedHom.component_maps"}
+
+
 def _reads_cell_coordinates(node) -> bool:
     """Whether node is a call x.coords(...) or x.matrix.apply_entries(...)."""
     func = node.func if isinstance(node, ast.Call) else None

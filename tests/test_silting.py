@@ -342,17 +342,18 @@ def test_report_and_coresolution_share_one_hom_u_u(monkeypatch, tilt, silt2):
 
 def test_module_homs_are_built_once_per_algebra(monkeypatch):
     # every witnessed term of a sum or a cone is the algebra's projective
-    # sum, so over the 84 reports on one algebra Hom(e_v A, -) is built once
-    # per vertex and projective sum, and cached on it
+    # sum, so over the 84 reports on one algebra the cell and Yoneda action
+    # of each vertex are built once per projective sum, and kept on it
     A = path_algebra(Quiver(["0", "1", "2"], [("a", "0", "1"), ("b", "1", "2")]), F101)
     built, results = {}, []
+    cell = algebra.Module.cell
 
-    class Counted(algebra.ProjectiveHoms):
-        def __init__(self, P, N):
-            built[(P.vertex, N)] = built.get((P.vertex, N), 0) + 1
-            super().__init__(P, N)
+    def counted(N, v):
+        if v not in N._cells:
+            built[(v, N)] = built.get((v, N), 0) + 1
+        return cell(N, v)
 
-    monkeypatch.setattr(algebra, "ProjectiveHoms", Counted)
+    monkeypatch.setattr(algebra.Module, "cell", counted)
     for name in ("cone", "direct_sum_complexes"):
         def kept(*args, _fn=getattr(complexes, name)):
             results.append((_fn.__name__, _fn(*args)))
