@@ -486,8 +486,8 @@ class ProjectiveModule(Module):
 
     Works for any algebra with a complete orthogonal idempotent basis set, not
     just path algebras.  ambient_rows is its basis inside A, each an element
-    of A as its nonzero entries, generator the nonzero coordinates
-    {row: entry} of e_i itself, and vertex = idem_pos.
+    of A as its nonzero entries, and ambient those rows as a matrix; generator
+    the nonzero coordinates {row: entry} of e_i itself, and vertex = idem_pos.
     """
 
     def __init__(self, A: Algebra, idem_pos: int):
@@ -506,6 +506,7 @@ class ProjectiveModule(Module):
             action.append(Matrix.from_entries(f, d, d, mats))
         super().__init__(A, d, action)
         self.ambient_rows = space.rows
+        self.ambient = span
         self.generator = span.solve_left_rows({e: f.one})
         if self.generator is None:
             raise AssertionError("idempotent not inside its own projective")

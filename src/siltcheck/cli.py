@@ -182,13 +182,9 @@ def _verification_reports(ctx: SiltingContext, eff: dict) -> list:
                       cap=eff["cap"], ctx=ctx, probe_names=eff["probes"])
 
 
-# these checks fail when a bound is hit, not when a counterexample is found
-_SOFT_CHECKS = {"coresolution terminates"}
-
-
 def _verdict_code(reports: list) -> tuple[str, int]:
     failed = [c for r in reports for c in r.checks if not c.passed]
-    if any(c.name not in _SOFT_CHECKS for c in failed):
+    if any(not c.at_bound for c in failed):
         return "fail", 1
     if failed:
         return "inconclusive", 2

@@ -116,6 +116,11 @@ class Complex(Cochains):
     def is_projective_complex(self) -> bool:
         return self.proj_types is not None
 
+    def block_start(self, n: int, s: int | None) -> int:
+        """The first row of summand s in X^n: 0 when s is None or X declares
+        no summands, X then being its own one block."""
+        return self.summand_offsets[n][s] if s is not None and self.summands else 0
+
     def validate(self):
         A = self.algebra
         for n, types in (self.proj_types or {}).items():
@@ -480,17 +485,16 @@ class GradedHom(CellHom):
     must carry its projective witness, and is read as a semifree A-module:
     each witness summand e_v A of X^i is a generator of degree i with cell
     e_v, from the top degree of X down and in witness order within a degree,
-    starts[k] its first row in X^i.  A map out of it is fixed by the image of
-    e_v in Y^{n+i}.e_v (Yoneda), whose coordinates are its entries at the
-    pivots of that echelon basis, with no system to solve.  d_X of a
-    generator is its generator image, cut to each summand of the next degree
-    and read there as an element of A, so the layout and the differential
-    (df)_i = f_i d_Y - (-1)^n d_X f_{i+1} are CellHom's.  Composites are
-    read off the generator values of g (values) and the component maps of
-    h: the generator value of "g, then h" is g's times h, so no composite
-    matrix is built (postcomposed).  An element becomes matrices only in
-    component_maps, and coords_of reads them back.  Each
-    differential of X and Y it reads is checked to be a module map.
+    starts[k] its first row in X^i and projectives[k] that e_v A.  A map out
+    of it is fixed by the image of e_v in Y^{n+i}.e_v (Yoneda), whose
+    coordinates are its entries at the pivots of that echelon basis, with no
+    system to solve.  An element of X^j is cut into one element of A per
+    summand (cut), and a map applies to it by acting on its values with them
+    (apply): d_X of each generator is so cut (gen_dcomps), making the layout
+    and the differential (df)_i = f_i d_Y - (-1)^n d_X f_{i+1} CellHom's, and
+    each composite is read so off generator values (after).  An element
+    becomes matrices only in component_maps, and coords_of reads them back.
+    Each differential of X and Y it reads is checked to be a module map.
     Hom(U, U) keeps its units, dg-end, H^0 algebra and radical (kept).
     """
 
@@ -499,15 +503,16 @@ class GradedHom(CellHom):
             raise ValueError("hom complex needs a source with projective witness; "
                              "run proj_replacement")
         self.X, self.Y = X, Y
-        gens, cells, self.starts = [], [], []
+        gens, self.starts, self.projectives = [], [], []
         for i in reversed(X.degrees()):
             start = 0
             for v in X.proj_types.get(i, ()):
+                P = projective_cache(X.algebra, v)
                 gens.append(i)
-                cells.append(v)
                 self.starts.append(start)
-                start += projective_cache(X.algebra, v).dim
-        super().__init__(gens, cells, Y)
+                self.projectives.append(P)
+                start += P.dim
+        super().__init__(gens, [P.vertex for P in self.projectives], Y)
         self._kept = {}
 
     def kept(self, name: str, build):
@@ -517,44 +522,52 @@ class GradedHom(CellHom):
             self._kept[name] = build()
         return self._kept[name]
 
-    def _projective(self, k: int) -> Module:
-        return projective_cache(self.X.algebra, self.cells[k])
-
     @cached_property
     def gen_dcomps(self) -> list:
-        """k -> {k2: the component of d_X gen k at generator k2, in A}."""
-        X, gens, starts = self.X, self.gens, self.starts
-        out = []
-        for i in reversed(X.degrees()):
-            d = X.linear_diff(i).entries
-            below = [(k2, starts[k2], self._projective(k2).ambient_rows)
-                     for k2 in gen_slice(gens, i + 1, i + 1)] if d else ()
-            for k in gen_slice(gens, i, i):
-                img = generator_image(self._projective(k), d, starts[k]) if d else None
-                comps = {}
-                for k2, start, rows in below if img else ():
-                    # the cut to summand k2, as a combination of its rows in A
-                    acc = {}
-                    for r, x in img.items():
-                        if start <= r < start + len(rows):
-                            for j, y in rows[r - start].items():
-                                acc[j] = acc.get(j, 0) + x * y
-                    if acc and (a := self.field.reduce_entries(acc)):
-                        comps[k2] = a
-                out.append(comps)
-        return out
+        """k -> {k2: the component of d_X gen k at generator k2, in A}: the
+        generator image of d_X on summand k, cut."""
+        return [self.cut(i + 1, generator_image(self.projectives[k], self.X.linear_diff(i).entries,
+                                                self.starts[k]))
+                for k, i in enumerate(self.gens)]
 
-    def postcomposed(self, n: int, values: dict, comps: dict, target: "GradedHom",
-                     m: int) -> dict:
-        """The nonzero coordinates in target, in degree m, of "x, then comps":
-        x is a degree-n element with the given generator values (as values
-        returns them) and comps its follow-up, target degree -> matrix.  The
-        value of the composite on generator k is x's there times
-        comps[n + gens[k]]; target has the source X too, so the same
-        generators; with no nonzero value the composite is zero."""
-        images = {k: z for k, y in values.items()
-                  if (c := comps.get(n + self.gens[k])) is not None and (z := c.apply_entries(y))}
-        return target.assemble(m, images) if images else {}
+    def cut(self, j: int, w: dict, block: tuple | None = None) -> dict:
+        """w in X^j cut along X's degree-j generators: k -> a_k in A, w's
+        entries on summand k times the rows of e_v A in A (ambient), so that w
+        is the sum of e_v a_k over the summands; a zero a_k is left out.  With
+        block = (Z, s), w lies in Z^j, whose summand s is X^j."""
+        shift = block[0].block_start(j, block[1]) if block else 0
+        ks, parts = gen_slice(self.gens, j, j), {}
+        for r, x in w.items():
+            # row r lies in the last summand of degree j starting at or before it
+            k = bisect_right(self.starts, r - shift, ks.start, ks.stop) - 1
+            if k >= ks.start and (i := r - shift - self.starts[k]) < self.projectives[k].dim:
+                parts.setdefault(k, {})[i] = x
+        return {k: a for k, part in parts.items()
+                if (a := self.projectives[k].ambient.apply_entries(part))}
+
+    def apply(self, m: int, values: dict, cut: dict, block: tuple | None = None) -> dict:
+        """x(w) in Y^{m + j} for x of degree m with the given generator values
+        and w in X^j given by its cut: the sum of x's value on k times a_k
+        (Yoneda).  With block = (Z, t), it is placed on summand t of Z."""
+        acc = {}
+        for k, a in cut.items():
+            if y := values.get(k):
+                start = block[0].block_start(m + self.gens[k], block[1]) if block else 0
+                for c, z in self.Y.act(m + self.gens[k], y, 0, a).items():
+                    acc[start + c] = acc.get(start + c, 0) + z
+        return self.field.reduce_entries(acc) if acc else acc
+
+    def cuts(self, source: "GradedHom", n: int, coords: dict, block: tuple | None = None) -> dict:
+        """k -> the cut (with block as there) of the value on generator k of
+        the degree-n element of source, a hom complex into X, with the given
+        coordinates: each value cut once for every map applied after it."""
+        return {k: c for k, v in source.values(n, coords).items()
+                if (c := self.cut(n + source.gens[k], v, block))}
+
+    def after(self, m: int, values: dict, cuts: dict, block: tuple | None = None) -> dict:
+        """The generator values of "b, then x": x, of degree m with the given
+        generator values, applied (block as there) to each value of b (cuts)."""
+        return {k: z for k, c in cuts.items() if (z := self.apply(m, values, c, block))}
 
     def component_maps(self, n: int, coords: dict) -> dict:
         """The degree-n element with the given nonzero coordinates as its
@@ -578,7 +591,7 @@ class GradedHom(CellHom):
         which fix a module map."""
         gens = self.gens
         return self.assemble(n, {
-            k: generator_image(self._projective(k), mat.entries, self.starts[k])
+            k: generator_image(self.projectives[k], mat.entries, self.starts[k])
             for k, _, _ in self.layout(n).blocks if (mat := comps.get(gens[k])) is not None})
 
     def chain_map_from_cocycle(self, coords: dict) -> ChainMap:

@@ -23,8 +23,8 @@ representatives by composing them, and keeps it there for the dg-end built
 later, if any, to share.  dg_end and its non-positive smart_truncate both
 declare gh, so an element of either is its coordinates in Hom(U, U) (through
 embed for the truncation).  Every product of such elements, in the dg-end,
-in a hom module over either and in H^0, is made by the one _products, read
-off generator values and component maps (complexes.GradedHom), never built
+in a hom module over either and in H^0, is made by the one
+_composition_tables from generator values alone (GradedHom.after), never
 as a matrix.
 """
 
@@ -353,26 +353,20 @@ class DgModule(_Graded):
 # -- dg-end and hom modules ------------------------------------------------
 
 
-def _products(gh: GradedHom, left: list, m: int, right: list, n: int) -> list:
-    """[[x . b for b in right] for x in left], "apply b, then x", for
-    degree-m elements x of gh = Hom(U, X), given by their component maps,
-    and degree-n elements b of End(U), given by their generator values
-    (GradedHom.values): the one builder of products of End(U) and of its
-    action, each product one postcomposed call, as its nonzero coordinates
-    in gh^{m+n}.  No composite matrix is built."""
-    zero = {}
-    return [[gh.postcomposed(n, y, x, gh, m + n) or zero for y in right] for x in left]
-
-
-def _composition_tables(gh: GradedHom, end: GradedHom, elems: dict) -> dict:
-    """[(m, n)][i][j]: the i-th basis element of gh^m, gh = Hom(U, X),
-    times elems[n][j], a degree-n element of End(U) as its nonzero
-    coordinates in end = Hom(U, U), read once as its generator values."""
-    left = {m: [gh.component_maps(m, {t: gh.field.one}) for t in range(gh.dim(m))]
-            for m in gh.degrees() if gh.dim(m)}
-    right = {n: [end.values(n, b) for b in bs] for n, bs in elems.items() if bs}
-    return {(m, n): _products(gh, xs, m, ys, n)
-            for m, xs in left.items() for n, ys in right.items() if gh.dim(m + n)}
+def _composition_tables(gh: GradedHom, end: GradedHom, elems: dict,
+                        left: dict | None = None) -> dict:
+    """[(m, n)][i][j]: x . b, "apply b, then x", as its nonzero coordinates
+    in gh^{m+n}, for x = left[m][i] (by default the i-th basis element of
+    gh^m, gh = Hom(U, X)) and b = elems[n][j] in End(U), each given by its
+    nonzero coordinates (b's in end = Hom(U, U)): the one builder of products
+    of End(U), of its action and of H^0.  Each b's values are cut once
+    (GradedHom.cuts) and each x applied to them (GradedHom.after)."""
+    one, zero = gh.field.one, {}
+    left = left or {m: [{t: one} for t in range(gh.dim(m))] for m in gh.degrees()}
+    xs = {m: [gh.values(m, x) for x in ls] for m, ls in left.items() if ls}
+    bs = {n: [gh.cuts(end, n, b) for b in ls] for n, ls in elems.items() if ls}
+    return {(m, n): [[gh.assemble(m + n, v) if (v := gh.after(m, x, c)) else zero for c in cs]
+                     for x in vs] for m, vs in xs.items() for n, cs in bs.items() if gh.dim(m + n)}
 
 
 def _basis(field, dims: dict, embed: dict | None) -> dict:
@@ -548,8 +542,7 @@ def end_h0(gh: GradedHom) -> H0Algebra:
     projections of U when U is a direct sum, the unit class alone otherwise.
     """
     def products(reps):
-        return _products(gh, [gh.component_maps(0, a) for a in reps], 0,
-                         [gh.values(0, b) for b in reps], 0)
+        return _composition_tables(gh, gh, {0: reps}, {0: reps})[(0, 0)]
     return gh.kept("h0", lambda: h0_algebra(gh, *end_units(gh), products))
 
 

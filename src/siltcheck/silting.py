@@ -92,18 +92,16 @@ def _hom_class_action(X: Complex, U: Complex, end: GradedHom, E):
 
     Returns (gh, sq, mats) where mats[i] sends class coordinates c to the
     coordinates of [class_reps[i] composed after c], acting on row vectors.
-    Each class representative is taken once as its generator values, and
-    each composite read off them (GradedHom.postcomposed).
+    Each class representative's values are cut once, and E's class values,
+    read once per end and kept there, applied to them (GradedHom.after).
     """
     gh = hom_complex(X, U)
     sq = gh.subquotient(0)
-    f = E.field
-    rep_values = [gh.values(0, rep) for rep in sq.rep_entries]
+    cuts = [end.cuts(gh, 0, rep) for rep in sq.rep_entries]
     mats = []
-    for ecls in E.class_reps:
-        ec = end.component_maps(0, ecls)
-        rows = [sq.reduce(gh.postcomposed(0, values, ec, gh, 0)) for values in rep_values]
-        mats.append(Matrix.from_row_entries(f, sq.dim, rows))
+    for values in end.kept("h0 values", lambda: [end.values(0, e) for e in E.class_reps]):
+        rows = [sq.reduce(gh.assemble(0, end.after(0, values, c))) for c in cuts]
+        mats.append(Matrix.from_row_entries(E.field, sq.dim, rows))
     return gh, sq, mats
 
 
@@ -152,8 +150,7 @@ def _minimal_approximation(X: Complex, U: Complex, end: GradedHom, E, rad,
         row = []
         for (s, _), comps, wdt in zip(chosen, gens, widths):
             cm = comps.get(n)
-            # U itself is its one summand when it is not a direct sum
-            off = U.summand_offsets[n][s] if U.summands else 0
+            off = U.block_start(n, s)
             row.append(None if cm is None else Matrix.from_entries(f, cm.nrows, wdt, {
                 i: r for i, nz in cm.entries.items()
                 if (r := {j - off: x for j, x in nz.items() if off <= j < off + wdt})}))

@@ -61,6 +61,7 @@ class CheckRecord:
     name: str
     passed: bool
     details: dict = field(default_factory=dict)
+    at_bound: bool = False  # failed at a bound, with no witness; reports leave it out
 
 
 @dataclass
@@ -351,17 +352,20 @@ def _evaluation_chain_map(T: Complex, gh, X: Complex) -> ChainMap:
     return ChainMap(T, X, mats)
 
 
-def _postcomposed_augmentations(P: SemifreeModule, MX: DgModule, MXp: DgModule,
-                                n: int, comps: dict) -> dict:
-    """Generator values of P's augmentation into Hom(U, X) followed by a map X -> X'.
+def _after_augmentations(P: SemifreeModule, hom: GradedHom, h: GradedHom, target: GradedHom,
+                         s: int | None = None, t: int | None = None):
+    """(n, rep) -> {k: the coordinates in target = Hom(U, Z') of "the
+    augmentation of generator k of P, then x"}, x the degree-n element of h
+    with the coordinates rep.  The augmentation values, in hom = Hom(U, Z),
+    are cut along h.X once: h.X is Z, or with s its block s, and h.Y is Z',
+    or with t its block t."""
+    cuts = [h.cuts(hom, g, aug, (hom.Y, s)) for g, aug in zip(P.gens, P.gen_augs)]
 
-    comps are the components of a degree-n element of Hom(X, X'); the k-th
-    value is the coordinate vector in Hom(U, X') of the composite, read off
-    the generator images of the augmentation.
-    """
-    gh = MX.gh
-    return {k: gh.postcomposed(g, gh.values(g, P.gen_augs[k]), comps, MXp.gh, g + n)
-            for k, g in enumerate(P.gens)}
+    def after(n: int, rep: dict) -> dict:
+        values = h.values(n, rep)
+        return {k: target.assemble(g + n, h.after(n, values, c, (target.Y, t)))
+                for k, (g, c) in enumerate(zip(P.gens, cuts))}
+    return after
 
 
 def _parts(X: Complex) -> list:
@@ -375,14 +379,11 @@ def _leaves(Xs: list) -> list:
     return list(dict.fromkeys(s for X in Xs for s in _parts(X)))
 
 
-def _placed(f, comps: dict, X: Complex, s: int, t: int | None = None) -> dict:
-    """The components of a map out of block s of X moved onto X's rows; with
-    t, of a degree-0 map into block t, onto X's columns too: an endomorphism."""
-    if not X.summands:
-        return comps
-    off = X.summand_offsets
-    return {i: Matrix.from_entries(f, X.dim(i), m.ncols if t is None else X.dim(i), {
-        off[i][s] + r: nz if t is None else {off[i][t] + c: x for c, x in nz.items()}
+def _placed(f, comps: dict, X: Complex, s: int, t: int) -> dict:
+    """The components of a degree-0 map out of block s of X into block t
+    moved onto X's rows and columns: an endomorphism of X."""
+    return {i: Matrix.from_entries(f, X.dim(i), X.dim(i), {
+        X.block_start(i, s) + r: {X.block_start(i, t) + c: x for c, x in nz.items()}
         for r, nz in m.entries.items()}) for i, m in comps.items()}
 
 
@@ -520,7 +521,7 @@ def verify_fully_faithful(ctx: SiltingContext, X: Complex, Xp: Complex, degrees,
     xb = summand_blocks(Xp)
     mb = _cell_blocks(MXp.gh, xb)
     # a source that is a summand of Xp is resolved as its block of the
-    # resolution of Hom(U, Xp), and its maps read from that summand's rows
+    # resolution of Hom(U, Xp), its augmentation values restricted to it
     s = next((t for t, part in enumerate(Xp.summands or [Xp]) if part is X), None)
     MX = MXp if s is not None else ctx.hom_module(X)
     P = ctx.resolve(MX, hom_cutoff(MXp, win, extra_margin))
@@ -528,17 +529,13 @@ def verify_fully_faithful(ctx: SiltingContext, X: Complex, Xp: Complex, degrees,
         P = P.block(_generator_blocks(P, mb), s)
     sh = SemifreeHom(P, MXp)
     hb, sb = _cell_blocks(gh, xb), _cell_blocks(sh, mb)
-
-    def maps(n, rep):
-        # the components of a degree-n map X -> Xp, out of X's rows of Xp
-        comps = gh.component_maps(n, rep)
-        return comps if s is None else _placed(f, comps, Xp, s)
+    after = _after_augmentations(P, MX.gh, gh, MXp.gh, s)
 
     def functor(n):
         # the functor's map on degree-n classes
         shq = sh.subquotient(n)
         return Matrix.from_row_entries(f, shq.dim, [
-            shq.reduce(sh.assemble(n, _postcomposed_augmentations(P, MX, MXp, n, maps(n, rep))))
+            shq.reduce(sh.assemble(n, after(n, rep)))
             for rep in gh.subquotient(n).rep_entries])
 
     keys = [(X, t, extra_margin) for t in Xp.summands or [Xp]]
@@ -694,7 +691,8 @@ def naturality_probe(ctx: SiltingContext, X: Complex, Xp: Complex, window,
         return VerificationReport("naturality", "probe pair", [],
                                   {"vacuous": "degenerate tensor, nothing to compare"})
     g = ChainMap(T, T, _placed(ctx.A.field, gh.component_maps(0, sq.rep_entries[0]), T, s, sp))
-    lam = lift_up_to_homotopy(P, P, _postcomposed_augmentations(P, MT, MT, 0, g.mats))
+    lam = lift_up_to_homotopy(P, P, _after_augmentations(P, MT.gh, gh, MT.gh, s, sp)(
+        0, sq.rep_entries[0]))
     if lam is None:
         raise AssertionError("a map of resolutions is obstructed where the cone is acyclic")
     tlam = _tensor_of_lift(TT, lam, ctx.Uc)
@@ -872,7 +870,8 @@ def verify_all(U: Complex, window=(-4, 4), pair_degrees=(-2, 2), max_steps: int 
     notes = {"max_steps": ctx.max_steps, "inconclusive": srep.inconclusive}
     if srep.presilting:
         base.append(CheckRecord("coresolution terminates", srep.n is not None,
-                                {"steps": srep.n, "multiplicities": srep.multiplicities}))
+                                {"steps": srep.n, "multiplicities": srep.multiplicities},
+                                at_bound=srep.n is None))
     else:
         notes["coresolution"] = "not attempted: a positive self-extension refutes silting"
     reports = [VerificationReport("silting", "input complex", base, notes)]

@@ -885,7 +885,14 @@ def reference_naturality_probe(ctx, X, Xp, window, extra_margin: int = 0) -> dic
         return {"vacuous": "degenerate tensor, nothing to compare"}
     epsX = verifier._evaluation_chain_map(TX, MX.gh, Y)
     epsXp = verifier._evaluation_chain_map(TXp, MXp.gh, Yp)
-    targets = verifier._postcomposed_augmentations(P, MX, MXp, 0, gh.component_maps(0, grep))
+    # each augmentation value's component maps U -> Y, then g, read back in
+    # Hom(U, Y'): the lift targets built from matrices, not from generator values
+    targets = []
+    for deg, aug in zip(P.gens, P.gen_augs):
+        comps = {i: m @ g.mat(deg + i) for i, m in MX.gh.component_maps(deg, aug).items()}
+        coords = reference_coords_of(MXp.gh, deg, comps)
+        assert coords is not None, "a composite escaped the hom basis"
+        targets.append(coords)
     lam = verifier.lift_up_to_homotopy(P, Pp, targets)
     assert lam is not None
     comps = [reference_components(Pp.algebra.field, Pp.layout(deg).blocks, value)

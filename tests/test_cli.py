@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from oracles import zero_on_summand
 from siltcheck.algebra import Quiver, hom_space, path_algebra
-from siltcheck.cli import _SOFT_CHECKS, main
+from siltcheck.cli import main
 from siltcheck.complexes import (cone, direct_sum_complexes, identity_chain_map,
                                  projective_cache,
                                  projective_complex)
@@ -21,7 +21,7 @@ from siltcheck.fields import PRIME_BOUND, PrimeField, field_from_json
 from siltcheck.instances import (Instance, InstanceError, dump_instance,
                                  instance_text, json_text, load_instance,
                                  parse_instance)
-from siltcheck.verifier import _plain
+from siltcheck.verifier import CheckRecord, VerificationReport, _plain
 
 INSTANCE_DIR = pathlib.Path(__file__).resolve().parent.parent / "instances"
 FIXTURE_FILES = sorted(INSTANCE_DIR.glob("*.json"))
@@ -342,6 +342,23 @@ def test_verify_failure_and_report_aggregation(capsys):
     assert payload["verification"] is None
 
 
+@pytest.mark.parametrize("at_bound, code, verdict", [(True, 2, "inconclusive"),
+                                                      (False, 1, "fail")])
+def test_a_failed_record_exits_2_only_when_it_says_a_bound_stopped_it(capsys, monkeypatch,
+                                                                      at_bound, code, verdict):
+    # the verdict reads the record's own at_bound field, not its name: the
+    # same failed check exits 2 as a bound and 1 otherwise
+    import siltcheck.cli
+
+    record = CheckRecord("coresolution terminates", False, {}, at_bound=at_bound)
+    monkeypatch.setattr(siltcheck.cli, "verify_all", lambda *args, **kwargs: [
+        VerificationReport("silting", "input complex", [record])])
+    got, payload, _ = run_json(capsys, "verify", FIX_A2, "U-tilt")
+    assert (got, payload["verdict"]) == (code, verdict)
+    assert payload["reports"][0]["checks"] == [
+        {"name": "coresolution terminates", "passed": False, "details": {}}]
+
+
 def test_report_aggregates_check_and_verification(capsys):
     code, payload, _ = run_json(capsys, "report", FIX_K, "A")
     assert code == 0
@@ -518,6 +535,11 @@ def test_exit_codes_stay_in_contract(tmp_path, capsys):
     assert seen == {0, 1, 2, 3}
 
 
+# the checks whose failure is a bound reached; a record says so in its
+# at_bound field, which the JSON report leaves out
+BOUND_CHECKS = {"coresolution terminates"}
+
+
 def _carries_a_witness(command: str, payload: dict) -> bool:
     """Whether a report holds a failed check that no bound explains."""
     if command == "report":
@@ -528,7 +550,7 @@ def _carries_a_witness(command: str, payload: dict) -> bool:
         return payload["witness"] is not None
     else:
         reports = payload["reports"]
-    return any(not c["passed"] and c["name"] not in _SOFT_CHECKS
+    return any(not c["passed"] and c["name"] not in BOUND_CHECKS
                for r in reports for c in r["checks"])
 
 

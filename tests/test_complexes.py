@@ -30,6 +30,7 @@ from siltcheck.algebra import (
 from siltcheck.complexes import (
     ChainMap,
     Complex,
+    GradedHom,
     ResolutionCapError,
     cone,
     direct_sum_complexes,
@@ -321,6 +322,55 @@ def test_component_maps_equal_the_basis_maps_combined(coresolution_inputs, monke
                 assert gh.coords_of(n, comps) == coords
                 checked += 1
     assert checked > len(homs)
+
+
+def test_a_map_applied_to_the_cut_of_an_element_equals_its_component_map(coresolution_inputs,
+                                                                          monkeypatch):
+    # GradedHom.apply reads x(w) off x's generator values and the cut of w
+    # into elements of A; component_maps expands x into matrices by Yoneda.
+    # Random x in every degree and random w in every degree of the source,
+    # on every hom complex verify_all builds at +-1 on the 14 silting sums
+    # over kA_3, U-tilt and U-silt2, and on Hom(S, U) for S the second
+    # summand of U-tilt, where w is also read as its block of U and x(w)
+    # placed on a block of a sum
+    inputs = coresolution_inputs({"prime": 101})
+    sums = [U for name, U in inputs.items()
+            if name.startswith("a3/") and silting.presilting_witness(U) is None]
+    assert len(sums) == 14
+    sums += [inputs["fix_a2/U-tilt"], inputs["fix_a2/U-silt2"]]
+    homs, init = [], GradedHom.__init__
+    monkeypatch.setattr(GradedHom, "__init__",
+                        lambda self, X, Y: homs.append(self) or init(self, X, Y))
+    for U in sums:
+        assert all(r.passed for r in verifier.verify_all(U, window=(-1, 1), pair_degrees=(-1, 1)))
+    U = inputs["fix_a2/U-tilt"]
+    block = hom_complex(U.summands[1], U)
+    rng, checked = random.Random(45), 0
+
+    def random_vector(f, dim):
+        return nonzero_entries(f.coerce(rng.randrange(101)) if rng.random() < 0.7 else f.zero
+                               for _ in range(dim))
+
+    for gh in homs:
+        f, X, Y = gh.field, gh.X, gh.Y
+        for m in gh.degrees():
+            if not gh.dim(m):
+                continue
+            x = random_vector(f, gh.dim(m))
+            values, comps = gh.values(m, x), gh.component_maps(m, x)
+            for j in X.degrees():
+                w = random_vector(f, X.dim(j))
+                want = comps[j].apply_entries(w) if j in comps else {}
+                assert gh.apply(m, values, gh.cut(j, w)) == want
+                checked += 1
+                if gh is block:
+                    # w read as block 1 of U^j beside a random block 0, and
+                    # x(w) placed on block 1 of the sum of Y with itself
+                    two, off = direct_sum_complexes([Y, Y]), U.block_start(j, 1)
+                    big = {**random_vector(f, off), **{off + r: c for r, c in w.items()}}
+                    placed = {two.block_start(m + j, 1) + c: z for c, z in want.items()}
+                    assert gh.apply(m, values, gh.cut(j, big, (U, 1)), (two, 1)) == placed
+    assert block in homs and checked > 2 * len(homs)
 
 
 def test_a_cell_read_checks_its_maps_are_module_maps(A2):

@@ -124,32 +124,51 @@ def test_every_src_definition_has_a_caller():
 
 def test_dg_composes_in_one_table_builder():
     # every product of End(U), of its truncation, of H^0 and of their
-    # action on hom modules is one postcomposed call in dg._products; any
-    # other mention of postcomposed in dg.py would be a second route
+    # action on hom modules is one after call in dg._composition_tables;
+    # any other mention of after in dg.py would be a second route
     tree = ast.parse((ROOT / "src" / "siltcheck" / "dg.py").read_text())
     mentions = {}
     for top in tree.body:
         name = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else top.lineno
         for node in ast.walk(top):
-            if isinstance(node, ast.Attribute) and node.attr == "postcomposed":
+            if isinstance(node, ast.Attribute) and node.attr == "after":
                 mentions[name] = mentions.get(name, 0) + 1
-    assert mentions == {"_products": 1}
+    assert mentions == {"_composition_tables": 1}
+
+
+# the maps out of a projective that have to be matrices: an honest chain
+# map, an approximation into summands of U, the evaluation onto X, the
+# evaluation action of End(U) on U, the naturality map g and the map from
+# the cycles of U in the canonical sequence
+COMPONENT_MAP_CALLERS = {
+    "complexes.GradedHom.chain_map_from_cocycle", "silting._minimal_approximation",
+    "verifier._evaluation_chain_map", "dg.evaluation_left_module",
+    "verifier.naturality_probe", "verifier._canonical_sequence"}
 
 
 def test_maps_out_of_a_projective_have_one_form():
     # a map out of e_v A is its generator value: no class or cache keeps the
     # basis maps as matrices, and GradedHom.component_maps is the one place
-    # that expands a value through the Yoneda action into a matrix
-    defs, callers = {}, set()
+    # that expands a value through the Yoneda action into a matrix.  A map
+    # applies to an element by cutting it along the generators (GradedHom.cut,
+    # which d_X is read through too) and acting on the values (apply): every
+    # product composes so, and component_maps is called only where a chain
+    # map has to be a matrix
+    defs, callers = {}, {}
     for path in sorted((ROOT / "src" / "siltcheck").glob("*.py")):
         d, refs = _definitions_and_references(ast.parse(path.read_text()), path.stem)
         defs.update(d)
-        callers.update((owners or (path.stem,))[-1] for name, attr, owners in refs
-                       if attr and name == "yoneda")
+        for name, attr, owners in refs:
+            if attr and name in ("yoneda", "component_maps", "cut"):
+                callers.setdefault(name, set()).add((owners or (path.stem,))[-1])
     assert not [q for q in defs if q.rsplit(".", 1)[-1] == "ProjectiveHoms"]
     assert "algebra.Module.homs_from" not in defs and "algebra.Module.yoneda" in defs
     assert "complexes.GradedHom.basis" not in defs
-    assert callers == {"complexes.GradedHom.component_maps"}
+    assert not [q for q in defs if q.rsplit(".", 1)[-1] in ("postcomposed",
+                                                            "_postcomposed_augmentations")]
+    assert callers["yoneda"] == {"complexes.GradedHom.component_maps"}
+    assert callers["component_maps"] == COMPONENT_MAP_CALLERS
+    assert "complexes.GradedHom.gen_dcomps" in callers["cut"]
 
 
 def _reads_cell_coordinates(node) -> bool:

@@ -684,9 +684,9 @@ def test_naturality_fails_for_the_lift_of_twice_the_map(name, coresolution_input
     assert naturality_probe(ctx, free, U, SMALL["window"]).passed
     assert reference_naturality_probe(ctx, free, U, SMALL["window"]) == {"passed": True}
     f = ctx.A.field
-    postcomposed = verifier._postcomposed_augmentations
-    monkeypatch.setattr(verifier, "_postcomposed_augmentations", lambda *args: {
-        k: {j: f.add(c, c) for j, c in v.items()} for k, v in postcomposed(*args).items()})
+    lift = verifier.lift_up_to_homotopy
+    monkeypatch.setattr(verifier, "lift_up_to_homotopy", lambda P, Q, targets: lift(P, Q, {
+        k: {j: f.add(c, c) for j, c in targets[k].items()} for k in range(len(P.gens))}))
     rep = naturality_probe(ctx, free, U, SMALL["window"])
     assert [c.name for c in rep.checks] == ["counit square commutes on cohomology"]
     assert not rep.passed
@@ -1038,8 +1038,8 @@ def _failing_cases(U_tilt, U_silt2, U_bad, indecs, monkeypatch):
         # evaluation and postcomposition both zero
         m.setattr(verifier, "_evaluation_chain_map",
                   lambda T, gh, X: ChainMap(T, X, {}, validate=False))
-        m.setattr(verifier, "_postcomposed_augmentations",
-                  lambda P, *args: {k: {} for k in range(len(P.gens))})
+        m.setattr(verifier, "_after_augmentations",
+                  lambda P, *args: lambda n, rep: {k: {} for k in range(len(P.gens))})
         yield verify_all(U_tilt, **SMALL)
     with monkeypatch.context() as m:
         # the lift of the naturality map tensored to zero
