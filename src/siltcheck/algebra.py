@@ -10,6 +10,11 @@ Conventions (used consistently by every downstream module):
   element is a matrix acting on the right, so action(a*b) = action(a) @ action(b).
 * A right module map f is a matrix F with f(x) = x @ F, and A-linearity reads
   action_M(a) @ F = F @ action_N(a).
+* A module is a representation of the quiver with relations (Gabriel): a
+  matrix per vertex and per arrow, a path acting as the product of its
+  arrows'.  It is an A-module exactly when the vertex matrices are complete
+  orthogonal idempotents, each arrow maps between its own vertices and each
+  relation acts as zero.
 
 Construction of the algebra from a presentation enumerates paths by length
 and takes one quotient by the relation ideal.  On an acyclic quiver the
@@ -136,12 +141,14 @@ class Algebra:
     forming a complete orthogonal idempotent set (for a path algebra, the
     trivial paths).  generators must multiplicatively generate the algebra and
     contain the idempotents; module-map linearity is checked against them.
-    A path algebra has its quiver; other algebras have None.
+    A path algebra has its quiver, the path (source, arrows) of each basis
+    element, path_index the inverse, and its relations as lists of
+    (coefficient, arrows) terms; other algebras have None for all four.
     """
 
     def __init__(self, field, labels: Sequence[str], mult: dict, unit: dict,
                  idempotents: Sequence[int], generators: Sequence[int] | None = None,
-                 quiver: Quiver | None = None, validate: bool = True):
+                 quiver: Quiver | None = None, paths=None, relations=None, validate: bool = True):
         self.field = field
         self.labels = tuple(labels)
         self.dim = len(self.labels)
@@ -149,7 +156,8 @@ class Algebra:
         self.unit = unit
         self.idempotents = tuple(idempotents)
         self.generators = tuple(generators) if generators is not None else tuple(range(self.dim))
-        self.quiver = quiver
+        self.quiver, self.paths, self.relations = quiver, paths, relations
+        self.path_index = {p: i for i, p in enumerate(paths)} if paths is not None else None
         self._rmul = {}
         self._lmul = {}
         self._proj = {}  # idempotent position -> projective module
@@ -310,7 +318,6 @@ def path_algebra(quiver: Quiver, field, relations=(), dimension_cap: int = 512) 
     basis_paths = [paths[j] for j in free]
     if len(basis_paths) > dimension_cap:
         raise DimensionCapError(f"algebra dimension {len(basis_paths)} exceeds cap {dimension_cap}")
-    bindex = {p: i for i, p in enumerate(basis_paths)}
 
     def reduce_path(p):
         # a path past the enumeration, or of the length where it stopped, has
@@ -329,75 +336,92 @@ def path_algebra(quiver: Quiver, field, relations=(), dimension_cap: int = 512) 
                 mult[(i, j)] = prod
 
     labels = [_path_label(quiver, p) for p in basis_paths]
-    trivial = [bindex[(v, ())] for v in range(len(quiver.vertices))]
-    arrows = [bindex[p] for p in basis_paths if len(p[1]) == 1]
+    trivial = list(range(len(quiver.vertices)))  # the first layer survives whole
+    arrows = [i for i, p in enumerate(basis_paths) if len(p[1]) == 1]
     return Algebra(field, labels, mult, {t: field.one for t in trivial}, trivial,
-                   generators=trivial + arrows, quiver=quiver)
+                   generators=trivial + arrows, quiver=quiver, paths=basis_paths,
+                   relations=[[(field.coerce(c), arrws) for c, arrws in terms] for terms in rels])
 
 
 # -- right modules ---------------------------------------------------------
 
 
 class Module:
-    """A right module: row vectors with one action matrix per algebra basis
-    element.  sq is set by Complex.cohomology and is None otherwise.  A map
+    """A right module over a path algebra as a representation of its quiver:
+    the matrices of A.generators, the vertices and then the arrows.  Another
+    basis element is a path, whose matrix (action) is built on its first read
+    and kept.  sq is set by Complex.cohomology and is None otherwise.  A map
     out of e_v A into it is, by Yoneda, its value on e_v: an element of
     cell(v), sending row r of e_v A to that value times yoneda(v)[r]."""
 
-    def __init__(self, algebra: Algebra, dim: int, action: Sequence[Matrix], validate: bool = True,
-                 sq=None):
-        self.algebra = algebra
-        self.dim = dim
-        self.action = tuple(action)
-        self.sq = sq
-        if len(self.action) != algebra.dim:
-            raise ValueError("need one action matrix per algebra basis element")
-        for m in self.action:
-            if m.nrows != dim or m.ncols != dim:
-                raise ValueError("action matrix has wrong shape")
+    def __init__(self, algebra: Algebra, dim: int, generators: Sequence[Matrix], sq=None):
+        if algebra.paths is None:
+            raise ValueError("a module needs a path algebra presentation")
+        if (len(generators) != len(algebra.generators)
+                or any(m.nrows != dim or m.ncols != dim for m in generators)):
+            raise ValueError(f"need one {dim}x{dim} matrix per algebra generator")
+        self.algebra, self.dim, self.sq = algebra, dim, sq
+        self._action = dict(zip(algebra.generators, generators))
         self._cells = {}  # vertex -> (cell(v), yoneda(v))
-        if validate:
-            self.validate()
+        self.validate()
+
+    def action(self, i: int) -> Matrix:
+        """The matrix of the i-th basis element of A."""
+        return self._action.get(i) or self._along(*self.algebra.paths[i])
+
+    def _along(self, src: int, arrows: tuple) -> Matrix:
+        """The product of the arrows' matrices along a path from src: its
+        longest prefix already kept, times each further arrow, keeping each
+        prefix that is a basis element."""
+        A, kept = self.algebra, self._action
+        k = len(arrows)
+        while (m := kept.get(A.path_index.get((src, arrows[:k])))) is None:
+            k -= 1
+        for k, a in enumerate(arrows[k:], k + 1):
+            m = m @ kept[A.path_index[(A.quiver.arrows[a][1], (a,))]]
+            if (i := A.path_index.get((src, arrows[:k]))) is not None:
+                kept[i] = m
+        return m
 
     def action_of(self, vec: dict) -> Matrix:
         """The action of an algebra element given as its nonzero entries; a
         basis element's is its own action matrix, not a copy."""
         return Matrix.combination(self.algebra.field, self.dim, self.dim,
-                                  ((c, self.action[i]) for i, c in vec.items()))
+                                  ((c, self.action(i)) for i, c in vec.items()))
 
     def validate(self):
-        A = self.algebra
-        if self.action_of(A.unit) != Matrix.identity(A.field, self.dim):
-            raise AssertionError("unit does not act as identity")
-        # (m b_i) b_j = m (b_i b_j) for every basis element i and generator
-        # j, which suffices for the reason given in Algebra.validate
-        f = A.field
-        for i in range(A.dim):
-            for j in A.generators:
-                terms = ((c, self.action[k]) for k, c in A.basis_product(i, j).items())
-                rhs = Matrix.combination(f, self.dim, self.dim, terms)
-                if self.action[i] @ self.action[j] != rhs:
-                    raise AssertionError(
-                        f"action incompatible with multiplication on ({A.labels[i]}, {A.labels[j]})"
-                    )
+        """The representation is an A-module: the vertex matrices are
+        complete orthogonal idempotents, each arrow is e_s a e_t for its
+        source s and target t, and each relation acts as zero."""
+        A, f, d = self.algebra, self.algebra.field, self.dim
+        if self.action_of(A.unit) != Matrix.identity(f, d):
+            raise AssertionError("the vertex idempotents do not sum to the identity")
+        es = [self._action[e] for e in A.idempotents]
+        if any(v != w and not (e @ e2).is_zero() for v, e in enumerate(es)
+               for w, e2 in enumerate(es)):
+            raise AssertionError("the vertex idempotents are not orthogonal")
+        for g in A.generators[len(es):]:
+            name, s, t = A.quiver.arrows[A.paths[g][1][0]]
+            if es[s] @ self._action[g] @ es[t] != self._action[g]:
+                raise AssertionError(f"arrow {name} does not map e_{A.quiver.vertices[s]} "
+                                     f"into e_{A.quiver.vertices[t]}")
+        for k, terms in enumerate(A.relations):
+            src = A.quiver.arrows[terms[0][1][0]][1]
+            if not Matrix.combination(f, d, d, ((c, self._along(src, arrws))
+                                                for c, arrws in terms if c)).is_zero():
+                raise AssertionError(f"relation {k} does not act as zero")
 
     def dimension_vector(self) -> tuple[int, ...]:
         """dim M.e for each vertex idempotent e: the rank of its action."""
-        return tuple(self.action[e].rank() for e in self.algebra.idempotents)
+        return tuple(self.action(e).rank() for e in self.algebra.idempotents)
 
     def cell(self, v: int) -> RowSpace:
         """M.e_v as its echelon basis, built on the first read of v and kept
-        with yoneda(v), and the map out of e_v A with each echelon row as its
-        value checked to be a module map.  A value's coordinates are its
-        entries at the pivots."""
+        with yoneda(v).  A value's coordinates are its entries at the pivots."""
         if v not in self._cells:
             P = self.algebra.projective(v)
-            cell = RowSpace(self.action[self.algebra.idempotents[v]])
-            acts = [self.action_of(r) for r in P.ambient_rows]
-            for y in cell.rows:
-                rows = {r: img for r, a in enumerate(acts) if (img := a.apply_entries(y))}
-                ModuleMap(P, self, Matrix.from_entries(self.algebra.field, P.dim, self.dim, rows))
-            self._cells[v] = cell, acts
+            self._cells[v] = (RowSpace(self.action(self.algebra.idempotents[v])),
+                              [self.action_of(r) for r in P.ambient_rows])
         return self._cells[v][0]
 
     def yoneda(self, v: int) -> list:
@@ -421,7 +445,7 @@ class ModuleMap:
         self.mat = mat
         if validate:
             for g in source.algebra.generators:
-                if source.action[g] @ mat != mat @ target.action[g]:
+                if source.action(g) @ mat != mat @ target.action(g):
                     raise AssertionError(
                         f"matrix does not commute with the action of {source.algebra.labels[g]}"
                     )
@@ -440,29 +464,20 @@ def hom_space(M: Module, N: Module) -> list[ModuleMap]:
     A = M.algebra
     if N.algebra is not A and N.algebra.dim != A.dim:
         raise ValueError("modules over different algebras")
-    f = A.field
-    m, n = M.dim, N.dim
-    if m == 0 or n == 0:
-        return []
+    f, m, n = A.field, M.dim, N.dim
     rows = []
     for g in A.generators:
-        RM, RN = M.action[g], N.action[g]
+        RM, RN = M.action(g).entries, N.action(g).transpose().entries
         # constraint entry (i,j): sum_k RM[i][k] F[k][j] - sum_l F[i][l] RN[l][j] = 0
         for i in range(m):
             for j in range(n):
-                row = [f.zero] * (m * n)
-                for k in range(m):
-                    c = RM.rows[i][k]
-                    if c != f.zero:
-                        row[k * n + j] = f.add(row[k * n + j], c)
-                for l in range(n):
-                    c = RN.rows[l][j]
-                    if c != f.zero:
-                        row[i * n + l] = f.sub(row[i * n + l], c)
-                rows.append(row)
+                row = {k * n + j: c for k, c in RM.get(i, {}).items()}
+                for l, c in RN.get(j, {}).items():
+                    row[i * n + l] = row.get(i * n + l, 0) - c
+                rows.append(f.reduce_entries(row))
     maps = []
     # the solutions F, flattened, are the left kernel of the transposed system
-    for flat in Matrix(f, len(rows), m * n, rows).transpose().left_kernel().entries.values():
+    for flat in Matrix.from_row_entries(f, m * n, rows).transpose().left_kernel().entries.values():
         entries: dict = {}
         for k, x in flat.items():
             entries.setdefault(k // n, {})[k % n] = x
@@ -484,32 +499,21 @@ def generator_image(P: Module, rows: dict, start: int = 0) -> dict:
 class ProjectiveModule(Module):
     """e_i A for the idem_pos-th idempotent, with its generator recorded.
 
-    Works for any algebra with a complete orthogonal idempotent basis set, not
-    just path algebras.  ambient_rows is its basis inside A, each an element
-    of A as its nonzero entries, and ambient those rows as a matrix; generator
-    the nonzero coordinates {row: entry} of e_i itself, and vertex = idem_pos.
+    ambient_rows is its basis inside A, each an element of A as its nonzero
+    entries, and ambient those rows as a matrix; generator the nonzero
+    coordinates {row: entry} of e_i itself, and vertex = idem_pos.
     """
 
     def __init__(self, A: Algebra, idem_pos: int):
         e = A.idempotents[idem_pos]
-        f = A.field
         space = RowSpace(A.left_mult_matrix(e))
         span, d = space.matrix, space.dim
-        action = []
-        for j in range(A.dim):
-            mats = {}
-            for r, v in (span @ A.right_mult_matrix(j)).entries.items():
-                sol = span.solve_left_rows(v)
-                if sol is None:
-                    raise AssertionError("projective weight space not closed under the action")
-                mats[r] = sol
-            action.append(Matrix.from_entries(f, d, d, mats))
-        super().__init__(A, d, action)
-        self.ambient_rows = space.rows
-        self.ambient = span
-        self.generator = span.solve_left_rows({e: f.one})
-        if self.generator is None:
-            raise AssertionError("idempotent not inside its own projective")
+        # e A g lies in e A, so each row of it solves against the span
+        super().__init__(A, d, [Matrix.from_entries(A.field, d, d, {
+            r: span.solve_left_rows(v) for r, v in (span @ A.right_mult_matrix(g)).entries.items()
+        }) for g in A.generators])
+        self.ambient_rows, self.ambient = space.rows, span
+        self.generator = span.solve_left_rows({e: A.field.one})
         self.vertex = idem_pos
 
     @cached_property
@@ -521,13 +525,11 @@ class ProjectiveModule(Module):
 
 def simple_module(A: Algebra, idem_pos: int) -> Module:
     """Vertex simple of a path algebra: one-dimensional, only e_v acts as 1."""
-    if A.quiver is None:
-        raise ValueError("simple_module needs a path algebra presentation")
     e, f = A.idempotents[idem_pos], A.field
     return Module(A, 1, [Matrix.from_entries(f, 1, 1, {0: {0: f.one}} if j == e else {})
-                         for j in range(A.dim)])
+                         for j in A.generators])
 
 
 def direct_sum_modules(A: Algebra, mods: Sequence[Module]) -> Module:
-    action = [Matrix.block_diag(A.field, [m.action[j] for m in mods]) for j in range(A.dim)]
-    return Module(A, sum(m.dim for m in mods), action, validate=False)
+    return Module(A, sum(m.dim for m in mods),
+                  [Matrix.block_diag(A.field, [m.action(g) for m in mods]) for g in A.generators])

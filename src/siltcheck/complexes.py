@@ -126,7 +126,7 @@ class Complex(Cochains):
         for n, types in (self.proj_types or {}).items():
             want = projective_sum(A, types)
             for g in A.generators:
-                if self.terms[n].action[g] != want.action[g]:
+                if self.terms[n].action(g) != want.action(g):
                     raise ValueError(f"projective witness in degree {n} does not match "
                                      f"the action of {A.labels[g]}")
         for n in self.degrees():
@@ -158,7 +158,7 @@ class Complex(Cochains):
         off the action matrices of the basis elements in a, reduced once."""
         action, acc = self.term(n).action, {}
         for i, c in a.items():
-            ents = action[i].entries
+            ents = action(i).entries
             for r, y in x.items():
                 for j, z in ents.get(r, {}).items():
                     acc[j] = acc.get(j, 0) + c * y * z
@@ -182,11 +182,9 @@ class Complex(Cochains):
         """H^n as a module with its induced action, and its sq for reduce/lift."""
         if n not in self._cohom:
             sq = self.subquotient(n)
-            action = [Matrix.from_row_entries(self.field, sq.dim,
-                                              [sq.reduce(a.apply_entries(rep))
-                                               for rep in sq.rep_entries])
-                      for a in self.term(n).action]
-            self._cohom[n] = Module(self.algebra, sq.dim, action, validate=False, sq=sq)
+            self._cohom[n] = Module(self.algebra, sq.dim, [Matrix.from_row_entries(
+                self.field, sq.dim, [sq.reduce(a.apply_entries(rep)) for rep in sq.rep_entries])
+                for a in map(self.term(n).action, self.algebra.generators)], sq=sq)
         return self._cohom[n]
 
     def __repr__(self):
@@ -617,18 +615,13 @@ def proj_replacement(X: Complex, cap: int = 16) -> tuple[Complex, ChainMap]:
     when a generator lands there, as the resolution then runs longer than
     cap extra degrees below the support of X.
     """
-    from .dg import DgModule
     from .semifree import semifree_resolve
 
     A = X.algebra
     if X.is_projective_complex():
         return X, identity_chain_map(X)
-    action = {(n, 0): [[a.entries.get(i, {}) for a in M.action] for i in range(M.dim)]
-              for n, M in X.terms.items()}
-    dims = {n: M.dim for n, M in X.terms.items()}
     floor = X.lo - cap - 1
-    R = semifree_resolve(DgModule(A.dg, "right", dims, action, X.diffs, validate=False),
-                         floor)
+    R = semifree_resolve(X, floor)
     if R.gens and R.gens[-1] == floor:
         raise ResolutionCapError(
             f"projective replacement reached degree {floor} (cap {cap} below the support)")

@@ -30,6 +30,8 @@ as a matrix.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .algebra import Algebra
 from .complexes import Complex, GradedHom, hom_complex, summand_blocks
 from .linalg import Cochains, Matrix, RowSpace
@@ -267,6 +269,11 @@ class DgAlgebra(_Graded):
         """(deg-m element u) * (deg-n element v), in degree m+n."""
         return table_product(self.field, self.mult.get((m, n)), u, v)
 
+    @cached_property
+    def basis_cuts(self) -> dict:
+        """_cuts of the basis, read once for every hom module over it."""
+        return _cuts(self.gh, _basis(self.field, self.dims, self.embed))
+
     # the algebra as a left module over itself: act(m, a, n, x) = a*x, as
     # for a left DgModule
     act = product
@@ -353,18 +360,21 @@ class DgModule(_Graded):
 # -- dg-end and hom modules ------------------------------------------------
 
 
-def _composition_tables(gh: GradedHom, end: GradedHom, elems: dict,
-                        left: dict | None = None) -> dict:
+def _cuts(end: GradedHom, elems: dict) -> dict:
+    """n -> the values of each element elems[n][j] of end = Hom(U, U) cut
+    along U's generators (GradedHom.cuts), alike in every hom out of U."""
+    return {n: [end.cuts(end, n, b) for b in ls] for n, ls in elems.items() if ls}
+
+
+def _composition_tables(gh: GradedHom, bs: dict, left: dict | None = None) -> dict:
     """[(m, n)][i][j]: x . b, "apply b, then x", as its nonzero coordinates
     in gh^{m+n}, for x = left[m][i] (by default the i-th basis element of
-    gh^m, gh = Hom(U, X)) and b = elems[n][j] in End(U), each given by its
-    nonzero coordinates (b's in end = Hom(U, U)): the one builder of products
-    of End(U), of its action and of H^0.  Each b's values are cut once
-    (GradedHom.cuts) and each x applied to them (GradedHom.after)."""
+    gh^m, gh = Hom(U, X)) and b the element of End(U) whose cut values
+    (_cuts) are bs[n][j]: the one builder of products of End(U), of its
+    action and of H^0.  Each x is applied to the cuts (GradedHom.after)."""
     one, zero = gh.field.one, {}
     left = left or {m: [{t: one} for t in range(gh.dim(m))] for m in gh.degrees()}
     xs = {m: [gh.values(m, x) for x in ls] for m, ls in left.items() if ls}
-    bs = {n: [gh.cuts(end, n, b) for b in ls] for n, ls in elems.items() if ls}
     return {(m, n): [[gh.assemble(m + n, v) if (v := gh.after(m, x, c)) else zero for c in cs]
                      for x in vs] for m, vs in xs.items() for n, cs in bs.items() if gh.dim(m + n)}
 
@@ -414,8 +424,8 @@ def dg_end(U: Complex, gh: GradedHom | None = None) -> DgAlgebra:
     f, dims = gh.field, {n: gh.dim(n) for n in gh.degrees()}
     diffs = {n: gh.diff(n) for n in gh.degrees()}
     unit, idempotents = end_units(gh)
-    return DgAlgebra(f, dims, _composition_tables(gh, gh, _basis(f, dims, None)), diffs, unit,
-                     idempotents=idempotents, gh=gh)
+    mult = _composition_tables(gh, _cuts(gh, _basis(f, dims, None)))
+    return DgAlgebra(f, dims, mult, diffs, unit, idempotents=idempotents, gh=gh)
 
 
 def end_dg(gh: GradedHom) -> DgAlgebra:
@@ -433,7 +443,7 @@ def dg_hom_module(gh: GradedHom, base: DgAlgebra) -> DgModule:
     """
     dims = {n: gh.dim(n) for n in gh.degrees()}
     diffs = {n: gh.diff(n) for n in gh.degrees()}
-    action = _composition_tables(gh, base.gh, _basis(base.field, base.dims, base.embed))
+    action = _composition_tables(gh, base.basis_cuts)
     return DgModule(base, "right", dims, action, diffs, gh=gh)
 
 
@@ -542,7 +552,7 @@ def end_h0(gh: GradedHom) -> H0Algebra:
     projections of U when U is a direct sum, the unit class alone otherwise.
     """
     def products(reps):
-        return _composition_tables(gh, gh, {0: reps}, {0: reps})[(0, 0)]
+        return _composition_tables(gh, _cuts(gh, {0: reps}), {0: reps})[(0, 0)]
     return gh.kept("h0", lambda: h0_algebra(gh, *end_units(gh), products))
 
 

@@ -39,9 +39,6 @@ class PrimeField:
     def add(self, a, b):
         return (a + b) % self.p
 
-    def sub(self, a, b):
-        return (a - b) % self.p
-
     def neg(self, a):
         return (-a) % self.p
 
@@ -95,9 +92,6 @@ class RationalField:
 
     def add(self, a, b):
         return a + b
-
-    def sub(self, a, b):
-        return a - b
 
     def neg(self, a):
         return -a

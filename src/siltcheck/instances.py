@@ -15,7 +15,7 @@ import json
 from json.encoder import encode_basestring_ascii as _escape  # the C escaper
 
 from .algebra import (AdmissibilityError, Algebra, DimensionCapError, Module,
-                      Quiver, direct_sum_modules, path_algebra, simple_module)
+                      Quiver, path_algebra, simple_module)
 from .complexes import (Complex, direct_sum_complexes, projective_cache,
                         projective_complex)
 from .fields import field_from_json
@@ -175,11 +175,6 @@ def _parse_complex(A: Algebra, quiver: Quiver, data, path: str) -> Complex:
     return direct_sum_complexes(blocks)
 
 
-def _free_module(A: Algebra) -> Module:
-    k = len(A.idempotents)
-    return direct_sum_modules(A, [projective_cache(A, v) for v in range(k)])
-
-
 def _parse_module(A: Algebra, quiver: Quiver, data, path: str):
     """Returns (module, canonical spec)."""
     _expect(isinstance(data, dict) and len(data) >= 1, path,
@@ -192,7 +187,7 @@ def _parse_module(A: Algebra, quiver: Quiver, data, path: str):
         return build(A, quiver.vindex[v]), {kind: v}
     if set(data) == {"free"}:
         _expect(data["free"] is True, f"{path}.free", "expected true")
-        return _free_module(A), {"free": True}
+        return A.projective_sum(range(len(A.idempotents))), {"free": True}
     if set(data) == {"dim", "action"}:
         dim = data["dim"]
         _expect(type(dim) is int and dim >= 0, f"{path}.dim",
@@ -204,9 +199,12 @@ def _parse_module(A: Algebra, quiver: Quiver, data, path: str):
         action = [_parse_matrix(A.field, rows, dim, dim, f"{path}.action[{i}]")
                   for i, rows in enumerate(action_raw)]
         try:
-            mod = Module(A, dim, action)
+            mod = Module(A, dim, [action[g] for g in A.generators])
         except (ValueError, AssertionError) as e:
             raise InstanceError(path, str(e)) from None
+        for i, m in enumerate(action):
+            _expect(m == mod.action(i), path,
+                    f"the action of {A.labels[i]} is not the product along its path")
         spec = {"dim": dim, "action": [_matrix_to_json(m) for m in action]}
         return mod, spec
     raise InstanceError(path, "module must be one of {\"simple\": v}, "

@@ -471,10 +471,10 @@ class Subquotient:
         entries.update((nb + i, nz) for i, nz in cycles.entries.items())
         self._span = Matrix.from_entries(field, nb + cycles.nrows, width, entries)
         pivots = self._span.left_pivots()
-        self._rep_rows = [r for r in pivots if r >= nb]
-        self.boundary_dim = len(pivots) - len(self._rep_rows)
-        self.rep_entries = [entries[r] for r in self._rep_rows]
+        self._rep_pos = {r: t for t, r in enumerate(r for r in pivots if r >= nb)}
+        self.rep_entries = [entries[r] for r in self._rep_pos]
         self.dim = len(self.rep_entries)
+        self.boundary_dim = len(pivots) - self.dim
         self._reps = Matrix.from_entries(field, self.dim, width,
                                          dict(enumerate(self.rep_entries)))
 
@@ -486,7 +486,7 @@ class Subquotient:
         coeffs = self._span.solve_left_rows(v)
         if coeffs is None:
             raise ValueError("element does not lie in the cycle subspace")
-        return {t: coeffs[r] for t, r in enumerate(self._rep_rows) if r in coeffs}
+        return {self._rep_pos[r]: c for r, c in sorted(coeffs.items()) if r in self._rep_pos}
 
     def lift(self, coords: dict) -> dict:
         """The cocycle with the given nonzero class coordinates, as its

@@ -13,7 +13,8 @@ with its orbit.  Over a base concentrated in degree 0 the cells
 are projective covers, so a module of finite projective dimension stops
 gaining generators once the cutoff passes its bottom.  Over A itself the
 cells e.A are the indecomposable projectives: complexes.proj_replacement
-reads this construction back as a complex.  A cutoff bounds how
+resolves a complex over A itself and reads the result back as a complex of
+projectives.  A cutoff bounds how
 far down the construction digs; the derived functors pick their cutoff from
 the requested window with one spare degree so that cohomology at the window
 edge is already exact.  Since each degree's generators depend only on those
@@ -86,7 +87,7 @@ class SemifreeModule:
     P^{n+1} + target^n in degree n, acted on by cone_parts and cone_times.
     """
 
-    def __init__(self, algebra: DgAlgebra, target: DgModule, cutoff: int):
+    def __init__(self, algebra: DgAlgebra, target: DgModule | Complex, cutoff: int):
         self.algebra = algebra
         self.target = target
         self.cutoff = cutoff
@@ -196,13 +197,14 @@ class SemifreeModule:
         return dict(Counter(self.gens))
 
 
-def semifree_resolve(M: DgModule, cutoff: int) -> SemifreeModule:
+def semifree_resolve(M: DgModule | Complex, cutoff: int) -> SemifreeModule:
     """Kill the augmentation cone's cohomology from the top of M down to the cutoff.
 
     The result has generators only in degrees >= cutoff and its augmentation
-    cone is acyclic in every degree >= cutoff (hence >= cutoff + 1).
+    cone is acyclic in every degree >= cutoff (hence >= cutoff + 1).  A
+    complex over A is a right module over A.dg, acted on by Complex.act.
     """
-    C = M.algebra
+    C = M.algebra.dg if isinstance(M, Complex) else M.algebra
     if not C.is_nonpositive():
         raise ValueError("base dg-algebra has a positive-degree component")
     return _kill_cone(SemifreeModule(C, M, cutoff), M.hi)
@@ -383,17 +385,14 @@ def resolution_tensor(P: SemifreeModule, U: DgModule) -> TensorComplex:
     submodules = {}
 
     def submodule(e, j):
-        # the action of each basis element of A on e.U^j: one product of the
+        # the action of each generator of A on e.U^j: one product of the
         # cell basis with its action matrix, read at the pivots
         if (e, j) not in submodules:
             cell = U.cell(e, j)
             span = Matrix.from_entries(f, cell.dim, U.dim(j), dict(enumerate(cell.rows)))
-            action = []
-            for a in U.complex.term(j).action:
-                img = (span @ a).entries
-                action.append(Matrix.from_row_entries(
-                    f, cell.dim, [cell.coords(img.get(r, {})) for r in range(cell.dim)]))
-            submodules[(e, j)] = Module(A, cell.dim, action, validate=False)
+            submodules[(e, j)] = Module(A, cell.dim, [Matrix.from_entries(f, cell.dim, cell.dim, {
+                r: cell.coords(v) for r, v in (span @ a).entries.items()})
+                for a in map(U.complex.term(j).action, A.generators)])
         return submodules[(e, j)]
 
     terms, layouts = {}, {}

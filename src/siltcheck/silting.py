@@ -131,12 +131,13 @@ def _minimal_approximation(X: Complex, U: Complex, end: GradedHom, E, rad,
 
     # Candidates in summand order: row t of emats[e_s], stacked as its class
     # in H/rad(E)H followed by its E-orbit.  The orbits of earlier
-    # candidates span an E-submodule, so no summand is approximated twice.
+    # candidates span an E-submodule, so no summand is approximated twice,
+    # and a zero row, whose stack is zero, is never a candidate.
     cands, stacks = [], []
     for epos, s in zip(E.idempotents, E.kept_idempotents):
         blocks = [emats[epos] @ proj] + [emats[epos] @ e @ proj for e in emats]
-        for t in range(m):
-            cands.append((s, emats[epos].entries.get(t, {})))
+        for t, row in sorted(emats[epos].entries.items()):
+            cands.append((s, row))
             stacks.append([b.entries.get(t, {}) for b in blocks])
     chosen = [cands[pos] for pos in first_independent(f, proj.ncols, stacks)]
 

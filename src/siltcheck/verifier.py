@@ -562,7 +562,7 @@ def verify_delta(ctx: SiltingContext, window,
     sh = SemifreeHom(Q, MU)
     sq0 = sh.subquotient(0)
 
-    rows = [sq0.reduce(sh.assemble(0, {k: ctx.U.term(g).action[a].apply_entries(Q.gen_augs[k])
+    rows = [sq0.reduce(sh.assemble(0, {k: ctx.U.term(g).action(a).apply_entries(Q.gen_augs[k])
                                        for k, g in enumerate(Q.gens)}))
             for a in range(A.dim)]
     span_rank = Matrix.from_row_entries(f, sq0.dim, rows).rank() if rows else 0

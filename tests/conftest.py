@@ -126,7 +126,7 @@ def U_K(K):
 
 def regular_module(A):
     """A as a right module over itself."""
-    return Module(A, A.dim, [A.right_mult_matrix(j) for j in range(A.dim)], validate=False)
+    return Module(A, A.dim, [A.right_mult_matrix(g) for g in A.generators])
 
 
 def random_projective_types(A, rng, degrees=(-1, 0), max_copies=2):

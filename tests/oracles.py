@@ -9,8 +9,10 @@ composition tables and the postcomposition action, with a dense route for the
 action on a semifree module and routes from the definitions for the
 differentials of a semifree module and of the hom complex out of one, two
 readers of cell coordinates (by cell rows and block by block), the
-naturality square read on each summand's own resolution and tensor, and the
-resolution construction that builds the orbit of every component.
+naturality square read on each summand's own resolution and tensor, the
+resolution construction that builds the orbit of every component, and the
+dense action of every basis element of A on each kind of module the program
+builds, read off its construction rather than off the arrows of a path.
 
 The module oracles are computed with hom_space and dimension vectors only, so
 the numbers frozen into the verifier tests do not come from the code under
@@ -25,7 +27,7 @@ from siltcheck.algebra import Algebra, Module, generator_image, hom_space
 from siltcheck.complexes import (ChainMap, Complex, Layout, cone, hom_complex, is_acyclic,
                                  projective_cache, projective_complex, zero_complex)
 from siltcheck.dg import end_h0
-from siltcheck.linalg import Matrix, first_independent, subquotient_from_maps
+from siltcheck.linalg import Matrix, RowSpace, first_independent, subquotient_from_maps
 from siltcheck.semifree import GENERATOR_CAP, SemifreeCapError, tensor_map
 
 
@@ -157,7 +159,7 @@ def dense_add(f, a, b):
 
 
 def dense_sub(f, a, b):
-    return [[f.sub(x, y) for x, y in zip(r, s)] for r, s in zip(a, b)]
+    return [[f.add(x, f.neg(y)) for x, y in zip(r, s)] for r, s in zip(a, b)]
 
 
 def dense_scale(f, c, a):
@@ -955,3 +957,54 @@ def reference_kill_cone(P, top: int):
             P.add_generator(n, {layout_up.positions[s]: c for s, c in qe.items()},
                             {j: f.neg(c) for j, c in xe.items()}, i)
     return P
+
+
+# -- modules as one action matrix per basis element ---------------------------
+# A Module keeps the matrices of the generators and builds any other basis
+# element's as the product along its path.  These build the matrix of every
+# basis element of A from the module's construction, as the dense action
+# modules held before: the reference for Module.action on each kind of module.
+
+
+def dense_projective_action(A, v: int) -> list:
+    """e_v A: each basis element b_j acts by right multiplication, solved
+    back into the echelon basis of e_v A."""
+    span = RowSpace(A.left_mult_matrix(A.idempotents[v])).matrix
+    d = span.nrows
+    return [Matrix.from_entries(A.field, d, d, {
+        r: span.solve_left_rows(w) for r, w in (span @ A.right_mult_matrix(j)).entries.items()})
+        for j in range(A.dim)]
+
+
+def dense_simple_action(A, v: int) -> list:
+    """The vertex simple: e_v acts as 1 and every other basis element as 0."""
+    f, e = A.field, A.idempotents[v]
+    return [Matrix.from_entries(f, 1, 1, {0: {0: f.one}} if j == e else {}) for j in range(A.dim)]
+
+
+def dense_sum_action(A, actions: list) -> list:
+    """The direct sum of modules given by their dense actions."""
+    return [Matrix.block_diag(A.field, [a[j] for a in actions]) for j in range(A.dim)]
+
+
+def dense_projective_sum_action(A, types) -> list:
+    return dense_sum_action(A, [dense_projective_action(A, v) for v in types])
+
+
+def dense_subquotient_action(sq, action: list) -> list:
+    """The action induced on the classes of sq (cohomology): each
+    representative acted on and reduced."""
+    return [Matrix.from_row_entries(sq.field, sq.dim, [sq.reduce(a.apply_entries(rep))
+                                                       for rep in sq.rep_entries])
+            for a in action]
+
+
+def dense_cell_action(cell, action: list) -> list:
+    """The action on the span of a RowSpace closed under it, in its echelon
+    basis: each basis row acted on and read at the pivots."""
+    out = []
+    for a in action:
+        img = (cell.matrix @ a).entries
+        out.append(Matrix.from_row_entries(cell.field, cell.dim,
+                                           [cell.coords(img.get(r, {})) for r in range(cell.dim)]))
+    return out

@@ -4,10 +4,14 @@ Dimension oracles used below were computed by hand from the presentations:
 counting surviving paths, and Hom(e_i A, M) = M e_i for projectives.
 """
 
+import pathlib
+
 import pytest
 
 from conftest import regular_module
-from oracles import basis_maps, endomorphism_algebra
+from oracles import (basis_maps, dense_cell_action, dense_projective_action,
+                     dense_projective_sum_action, dense_simple_action, dense_subquotient_action,
+                     dense_sum_action, endomorphism_algebra)
 from siltcheck.algebra import (
     AdmissibilityError,
     Algebra,
@@ -21,10 +25,13 @@ from siltcheck.algebra import (
     path_algebra,
     simple_module,
 )
-from siltcheck.complexes import (direct_sum_complexes, hom_complex,
+from siltcheck.complexes import (direct_sum_complexes, hom_complex, module_complex,
                                  projective_cache, projective_complex)
 from siltcheck.fields import PrimeField, RationalField
+from siltcheck.instances import load_instance
 from siltcheck.linalg import Matrix
+from siltcheck.semifree import DegreeWindow
+from siltcheck.verifier import SiltingContext
 
 Q = RationalField()
 F101 = PrimeField(101)
@@ -262,14 +269,16 @@ def test_module_validation_catches_bad_action():
 
 def test_module_validation_checks_every_basis_element_past_desk_scale():
     # the regular module of A_8 with one entry added to the action of a1, a
-    # basis element a stride sample of every other element skips
+    # generator a stride sample of every other one skips: e_0 a1 = e_1 sends
+    # e_0 out of e_1, the source of a1
     A = linear_a8()
-    action = [A.right_mult_matrix(j) for j in range(A.dim)]
+    action = [A.right_mult_matrix(g) for g in A.generators]
     Module(A, A.dim, action)
-    rows = {r: dict(nz) for r, nz in action[9].entries.items()}
+    pos = A.generators.index(9)
+    rows = {r: dict(nz) for r, nz in action[pos].entries.items()}
     rows.setdefault(0, {})[1] = F101.add(rows.get(0, {}).get(1, F101.zero), F101.one)
-    action[9] = Matrix.from_entries(F101, A.dim, A.dim, rows)
-    with pytest.raises(AssertionError, match="action incompatible with multiplication"):
+    action[pos] = Matrix.from_entries(F101, A.dim, A.dim, rows)
+    with pytest.raises(AssertionError, match="arrow a1 does not map e_1 into e_2"):
         Module(A, A.dim, action)
 
 
@@ -289,6 +298,10 @@ def test_endomorphism_algebra_of_projective_generator():
     assert E.basis_product(p0, f) == {f: 1}     # function order: p0 after f
     assert E.basis_product(f, p1) == {f: 1}
     assert E.basis_product(p1, f) == {}
+    # E has no quiver presentation, so no module over it is built
+    for build in (simple_module, ProjectiveModule):
+        with pytest.raises(ValueError, match="path algebra presentation"):
+            build(E, 0)
     assert E.basis_product(f, f) == {}
 
 
@@ -316,3 +329,76 @@ def test_direct_sum_offsets():
     M = direct_sum_modules(A, [P1, P2, P1])
     assert M.dim == 5
     assert M.dimension_vector() == (2, 3)
+
+
+# -- modules as quiver representations -----------------------------------------
+
+
+INSTANCES = pathlib.Path(__file__).resolve().parent.parent / "instances"
+
+
+def _linear(n, relations=()):
+    return path_algebra(Quiver([str(v) for v in range(n)],
+                               [(f"a{v}", str(v), str(v + 1)) for v in range(n - 1)]),
+                        F101, relations)
+
+
+def _cones(A, pairs):
+    """P_w -> P_v in degrees -1, 0, for each (w, v) of pairs and each map in
+    a basis of Hom(P_w, P_v)."""
+    return [projective_complex(A, {-1: [w], 0: [v]}, {-1: f.mat})
+            for w, v in pairs for f in hom_space(A.projective(w), A.projective(v))]
+
+
+REPRESENTATION_CASES = {
+    **{path.stem: lambda path=path: load_instance(path)
+       for path in sorted(INSTANCES.glob("fix_*.json")) + [INSTANCES / "a3.json"]},
+    "A6": lambda: _linear(6), "A6-rel": lambda: _linear(6, [[(1, ["a1", "a2"])]]),
+    "A12": lambda: _linear(12), "A12-rel": lambda: _linear(12, [[(1, ["a4", "a5"])]]),
+}
+
+
+def _agrees(M, dense):
+    # read from the longest path down, so each matrix is built from scratch
+    assert len(dense) == M.algebra.dim
+    for i in reversed(range(M.algebra.dim)):
+        assert M.action(i) == dense[i], M.algebra.labels[i]
+
+
+@pytest.mark.parametrize("case", sorted(REPRESENTATION_CASES))
+def test_every_module_acts_as_its_dense_reference(case):
+    # the matrix of each basis element, built on read from the generators',
+    # is the one the module's construction gives: on every projective,
+    # simple and direct sum, on the cohomology of complexes of projectives
+    # and on the cell submodules of a tensor with the evaluation module
+    built = REPRESENTATION_CASES[case]()
+    A = built if isinstance(built, Algebra) else built.algebra
+    n = len(A.idempotents)
+    proj = [dense_projective_action(A, v) for v in range(n)]
+    simple = [dense_simple_action(A, v) for v in range(n)]
+    for v in range(n):
+        _agrees(ProjectiveModule(A, v), proj[v])
+        _agrees(simple_module(A, v), simple[v])
+    _agrees(A.projective_sum(range(n)), dense_sum_action(A, proj))
+    _agrees(direct_sum_modules(A, [simple_module(A, n - 1), ProjectiveModule(A, 0),
+                                   simple_module(A, 0)]),
+            dense_sum_action(A, [simple[n - 1], proj[0], simple[0]]))
+    # with P0, the maps into P0 make DA over a linear quiver
+    into_0 = _cones(A, [(w, 0) for w in range(1, n)])
+    complexes = into_0 + _cones(A, [(t, s) for _, s, t in A.quiver.arrows])
+    complexes += list(built.complexes.values()) if built is not A else []
+    for X in complexes:
+        for d in X.degrees():
+            H = X.cohomology(d)
+            _agrees(H, dense_subquotient_action(H.sq, dense_projective_sum_action(
+                A, X.proj_types.get(d, ()))))
+    U = complexes[-1] if built is not A else direct_sum_complexes(
+        [projective_complex(A, {0: [0]})] + into_0)
+    ctx = SiltingContext(U)
+    for X in (U, module_complex(simple_module(A, 0))):
+        T = ctx.tensor(ctx.hom_module(X), DegreeWindow(-1, 1), 0)
+        P = T.resolution
+        for d, layout in T.block_layout.items():
+            _agrees(T.term(d), dense_sum_action(A, [dense_cell_action(
+                ctx.Uc.cell(P.cells[k], j), dense_projective_sum_action(A, U.proj_types[j]))
+                for k, j, _ in layout.blocks]))

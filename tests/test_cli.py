@@ -20,7 +20,7 @@ from siltcheck.complexes import (cone, direct_sum_complexes, identity_chain_map,
 from siltcheck.fields import PRIME_BOUND, PrimeField, field_from_json
 from siltcheck.instances import (Instance, InstanceError, dump_instance,
                                  instance_text, json_text, load_instance,
-                                 parse_instance)
+                                 parse_instance, serialize_instance)
 from siltcheck.verifier import CheckRecord, VerificationReport, _plain
 
 INSTANCE_DIR = pathlib.Path(__file__).resolve().parent.parent / "instances"
@@ -111,6 +111,60 @@ def test_parse_errors_name_the_json_path(mutate, fragment):
     with pytest.raises(InstanceError) as exc:
         parse_instance(data)
     assert exc.value.path.startswith(fragment)
+
+
+def _instance_data(name):
+    with open(INSTANCE_DIR / f"{name}.json", "r", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+# e_0 A over kA_3 (0 -a-> 1 -b-> 2), written out on its basis e_0, a, a*b:
+# one matrix per basis element of the algebra, e_0, e_1, e_2, a, b, a*b
+P0_OVER_A3 = {"dim": 3, "action": [
+    [[1, 0, 0], [0, 0, 0], [0, 0, 0]], [[0, 0, 0], [0, 1, 0], [0, 0, 0]],
+    [[0, 0, 0], [0, 0, 0], [0, 0, 1]], [[0, 1, 0], [0, 0, 0], [0, 0, 0]],
+    [[0, 0, 0], [0, 0, 1], [0, 0, 0]], [[0, 0, 1], [0, 0, 0], [0, 0, 0]]]}
+
+
+def test_a_written_out_module_parses_and_round_trips():
+    # e_1 A over kA_2, on its basis e_1, a, with a matrix for e_1, e_2 and a
+    data = a2_data()
+    M = {"dim": 2, "action": [[[1, 0], [0, 0]], [[0, 0], [0, 1]], [[0, 1], [0, 0]]]}
+    data["modules"]["M"] = M
+    inst = parse_instance(data)
+    assert inst.algebra.labels == ("e_1", "e_2", "a")
+    assert inst.modules["M"].dimension_vector() == (1, 1)
+    assert serialize_instance(inst)["modules"]["M"] == M
+    assert serialize_instance(parse_instance(serialize_instance(inst))) == serialize_instance(inst)
+    data = _instance_data("a3")
+    data["modules"] = {"M": P0_OVER_A3}
+    inst = parse_instance(data)
+    assert inst.algebra.labels == ("e_0", "e_1", "e_2", "a", "b", "a*b")
+    assert inst.modules["M"].action(5) == inst.algebra.projective(0).action(5)
+    assert serialize_instance(inst)["modules"]["M"] == P0_OVER_A3
+
+
+def test_a_module_matrix_off_the_product_along_its_path_names_the_module():
+    # a*b is no generator of kA_3: its given matrix must be a's times b's
+    data = _instance_data("a3")
+    data["modules"] = {"M": copy.deepcopy(P0_OVER_A3)}
+    data["modules"]["M"]["action"][5] = [[0, 0, 0]] * 3
+    with pytest.raises(InstanceError, match="a\\*b is not the product along its path") as exc:
+        parse_instance(data)
+    assert exc.value.path == "$.modules.M"
+
+
+@pytest.mark.parametrize("x, ok", [(0, True), (1, False)])
+def test_a_module_breaking_a_relation_names_the_module(x, ok):
+    # over the dual numbers x*x = 0, so x may act on a line as 0 and not as 1
+    data = _instance_data("fix_dual")
+    data["modules"]["M"] = {"dim": 1, "action": [[[1]], [[x]]]}
+    if ok:
+        assert parse_instance(data).modules["M"].dim == 1
+        return
+    with pytest.raises(InstanceError, match="relation 0 does not act as zero") as exc:
+        parse_instance(data)
+    assert exc.value.path == "$.modules.M"
 
 
 def test_bad_relation_arrow_names_the_path():

@@ -373,30 +373,21 @@ def test_a_map_applied_to_the_cut_of_an_element_equals_its_component_map(coresol
     assert block in homs and checked > 2 * len(homs)
 
 
-def test_a_cell_read_checks_its_maps_are_module_maps(A2):
-    # the arrow of kA_2 acts on M.e_1 as the identity, so (m a) e_2 = 0 while
-    # m (a e_2) = m a: not a module, and the map out of e_1 A with value m is
-    # no module map.  Built unchecked, the module raises on the first read of
-    # that cell, and again on the next, since a failed build keeps nothing
-    e1, e2 = A2.idempotents
+def test_a_module_that_is_no_representation_is_refused_before_any_cell_read(A2):
+    # the arrow of kA_2 acting on M.e_1 as the identity gives (m a) e_2 = 0
+    # while m (a e_2) = m a: not a module, so no map out of e_1 A with value m
+    # is a module map.  The arrow does not map e_1 into e_2, and the module is
+    # refused when it is built, before a cell of it can be read
     f = A2.field
 
-    def module(arrow, validate):
-        rows = {e1: [[1, 0], [0, 0]], e2: [[0, 0], [0, 1]]}
-        return Module(A2, 2, [Matrix(f, 2, 2, rows.get(j, arrow)) for j in range(A2.dim)],
-                      validate=validate)
+    def module(arrow):
+        return Module(A2, 2, [Matrix(f, 2, 2, m) for m in ([[1, 0], [0, 0]], [[0, 0], [0, 1]],
+                                                           arrow)])
 
-    good = module([[0, 1], [0, 0]], True)
+    good = module([[0, 1], [0, 0]])
     assert [good.cell(v).rows for v in (0, 1)] == [[{0: f.one}], [{1: f.one}]]
-    bad = module([[1, 0], [0, 0]], False)
-    with pytest.raises(AssertionError):
-        bad.validate()
-    for _ in range(2):
-        with pytest.raises(AssertionError):
-            bad.cell(0)
-        with pytest.raises(AssertionError):
-            bad.yoneda(0)
-    assert bad.cell(1).rows == [{1: f.one}]
+    with pytest.raises(AssertionError, match="does not map e_1 into e_2"):
+        module([[1, 0], [0, 0]])
 
 
 def test_hom_complex_componentwise_dims(A2):

@@ -36,7 +36,6 @@ from siltcheck.complexes import (
 from siltcheck.dg import (
     DgAlgebra,
     DgModule,
-    _basis,
     _composition_tables,
     _flat,
     _Graded,
@@ -458,7 +457,7 @@ def test_composites_make_no_coords_of_call(coresolution_inputs, monkeypatch):
     for U, B, E, gh in built:
         for n in gh.degrees():
             gh.diff(n)
-        _composition_tables(gh, B.gh, _basis(B.field, B.dims, None))
+        _composition_tables(gh, B.basis_cuts)
         dg_hom_module(gh, smart_truncate(B))
         end_h0(gh)
         silting._hom_class_action(U, U, B.gh, E)

@@ -420,7 +420,8 @@ def test_hom_out_of_a_deep_resolution_reads_each_cell_a_bounded_number_of_times(
     base = DgAlgebra(f, {0: A.dim}, {(0, 0): table}, {}, A.unit,
                      idempotents=[{e: f.one} for e in A.idempotents])
     M = DgModule(base, "right", {0: S.dim},
-                 {(0, 0): [[a.entries.get(i, {}) for a in S.action] for i in range(S.dim)]}, {})
+                 {(0, 0): [[S.action(j).entries.get(i, {}) for j in range(A.dim)]
+                           for i in range(S.dim)]}, {})
     cell = _Graded.cell
     calls = Counter()
 
