@@ -397,8 +397,14 @@ class Module:
         if self.action_of(A.unit) != Matrix.identity(f, d):
             raise AssertionError("the vertex idempotents do not sum to the identity")
         es = [self._action[e] for e in A.idempotents]
-        if any(v != w and not (e @ e2).is_zero() for v, e in enumerate(es)
-               for w, e2 in enumerate(es)):
+        # e_v times every vertex matrix side by side is zero off block v
+        side: dict = {}
+        for w, e in enumerate(es):
+            for i, nz in e.entries.items():
+                side.setdefault(i, {}).update((w * d + j, x) for j, x in nz.items())
+        side = Matrix.from_entries(f, d, d * len(es), side)
+        if any(j // d != v for v, e in enumerate(es)
+               for nz in (e @ side).entries.values() for j in nz):
             raise AssertionError("the vertex idempotents are not orthogonal")
         for g in A.generators[len(es):]:
             name, s, t = A.quiver.arrows[A.paths[g][1][0]]

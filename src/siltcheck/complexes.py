@@ -289,12 +289,6 @@ class ChainMap:
             if self.source.diff(n) @ self.mat(n + 1) != m @ self.target.diff(n):
                 raise AssertionError(f"chain map square fails at degree {n}")
 
-    def compose(self, other: "ChainMap") -> "ChainMap":
-        """Diagrammatic: self then other."""
-        mats = {n: self.mat(n) @ other.mat(n)
-                for n in self.source.degrees()}
-        return ChainMap(self.source, other.target, mats, validate=False)
-
     def induced(self, n: int) -> Matrix:
         """Matrix of H^n(source) -> H^n(target) on cohomology class coordinates."""
         S, T = self.source.subquotient(n), self.target.subquotient(n)
@@ -493,7 +487,7 @@ class GradedHom(CellHom):
     each composite is read so off generator values (after).  An element
     becomes matrices only in component_maps, and coords_of reads them back.
     Each differential of X and Y it reads is checked to be a module map.
-    Hom(U, U) keeps its units, dg-end, H^0 algebra and radical (kept).
+    Hom(U, U) keeps its units, H^0 algebra and radical (kept).
     """
 
     def __init__(self, X: Complex, Y: Complex):
@@ -582,15 +576,19 @@ class GradedHom(CellHom):
         return {i: Matrix.from_entries(self.field, self.X.term(i).dim, self.Y.term(n + i).dim, e)
                 for i, e in rows.items()}
 
+    def generator_rows(self, n: int, comps: dict) -> dict:
+        """k -> the nonzero image of the generator of summand k under a
+        family of module maps, source degree -> matrix, for each block of
+        degree n: the rows of the family that fix it as a module map."""
+        gens = self.gens
+        return {k: row for k, _, _ in self.layout(n).blocks
+                if (mat := comps.get(gens[k])) is not None
+                and (row := generator_image(self.projectives[k], mat.entries, self.starts[k]))}
+
     def coords_of(self, n: int, comps: dict) -> dict:
         """Nonzero coordinates of a family of module maps, source degree ->
-        matrix: each component's generator image on each block of degree n,
-        read at the pivots of its cell.  Only the generator rows are read,
-        which fix a module map."""
-        gens = self.gens
-        return self.assemble(n, {
-            k: generator_image(self.projectives[k], mat.entries, self.starts[k])
-            for k, _, _ in self.layout(n).blocks if (mat := comps.get(gens[k])) is not None})
+        matrix: its generator rows, read at the pivots of their cells."""
+        return self.assemble(n, self.generator_rows(n, comps))
 
     def chain_map_from_cocycle(self, coords: dict) -> ChainMap:
         """Nonzero degree-0 cocycle coordinates -> an honest chain map X -> Y."""

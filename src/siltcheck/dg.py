@@ -12,25 +12,24 @@ associativity on every basis triple.  Each axiom is one matrix identity per
 degree pair or triple between blocks of the structure tables, read off the
 sparse products and compared as sparse entries.
 
-The central construction is dg_end of a complex of projectives U, built on
-the hom complex of U with itself (end_dg keeps one on that hom complex): its
-degree-n part is the degree-n piece of that hom complex, and the product
-a*b is "apply b, then a", with no auxiliary sign.  That choice makes the
-Leibniz rule hold exactly for the hom-complex differential, which the
-constructor re-checks on every basis pair.  Its H^0 algebra needs no dg-end:
-end_h0 reads it off the hom complex itself, multiplying class
-representatives by composing them, and keeps it there for the dg-end built
-later, if any, to share.  dg_end and its non-positive smart_truncate both
-declare gh, so an element of either is its coordinates in Hom(U, U) (through
-embed for the truncation).  Every product of such elements, in the dg-end,
-in a hom module over either and in H^0, is made by the one
-_composition_tables from generator values alone (GradedHom.after), never
-as a matrix.
+The central construction is the endomorphism dg-algebra of a complex of
+projectives U, built on the hom complex Hom(U, U) by the one _end_algebra:
+its degree-n basis is a basis of a piece of that hom complex closed under
+composition and d, and the product a*b is "apply b, then a", with no
+auxiliary sign.  That choice makes the Leibniz rule hold exactly for the
+hom-complex differential, which the constructor re-checks on every basis
+pair.  dg_end takes the whole hom complex, and smart_truncate, the
+non-positive truncation C, takes ker d^0 in degree 0 and the hom complex
+below, so C is read straight off Hom(U, U) and no dg-end is built for it.
+Its H^0 algebra needs no dg-end either: end_h0 reads it off the hom
+complex itself, multiplying class representatives by composing them.  Both
+algebras declare gh and embed, so an element of either is its coordinates
+in Hom(U, U).  Every product of such elements, in either algebra, in a hom
+module over either and in H^0, is made by the one _composition_tables
+from generator values alone (GradedHom.after), never as a matrix.
 """
 
 from __future__ import annotations
-
-from functools import cached_property
 
 from .algebra import Algebra
 from .complexes import Complex, GradedHom, hom_complex, summand_blocks
@@ -250,15 +249,16 @@ class DgAlgebra(_Graded):
     cells e.B are the building blocks of semifree resolutions over the
     algebra.  Elements are passed as their nonzero coordinates
     {index: entry} throughout.  The dg-end of U (dg_end) and its truncation
-    (smart_truncate) have gh = Hom(U, U), and the truncation embed, its
-    basis in the dg-end's, so every element of either is its coordinates
-    in gh (both None elsewhere).
+    (smart_truncate) have gh = Hom(U, U), embed, their degree-n basis as the
+    rows of embed[n], coordinates in gh, and basis_cuts, that basis cut once
+    for every hom module over it (_cuts); all three are None elsewhere.
     """
 
     def __init__(self, field, dims: dict, mult: dict, diff: dict, unit: dict,
-                 idempotents=None, gh=None, embed: dict | None = None):
+                 idempotents=None, gh=None, embed: dict | None = None,
+                 basis_cuts: dict | None = None):
         super().__init__(field, dims, diff)
-        self.gh, self.embed = gh, embed
+        self.gh, self.embed, self.basis_cuts = gh, embed, basis_cuts
         self.mult = mult
         self.unit = dict(unit)
         self.idempotents = ([dict(e) for e in idempotents] if idempotents is not None
@@ -268,11 +268,6 @@ class DgAlgebra(_Graded):
     def product(self, m: int, u: dict, n: int, v: dict) -> dict:
         """(deg-m element u) * (deg-n element v), in degree m+n."""
         return table_product(self.field, self.mult.get((m, n)), u, v)
-
-    @cached_property
-    def basis_cuts(self) -> dict:
-        """_cuts of the basis, read once for every hom module over it."""
-        return _cuts(self.gh, _basis(self.field, self.dims, self.embed))
 
     # the algebra as a left module over itself: act(m, a, n, x) = a*x, as
     # for a left DgModule
@@ -379,11 +374,10 @@ def _composition_tables(gh: GradedHom, bs: dict, left: dict | None = None) -> di
                      for x in vs] for m, vs in xs.items() for n, cs in bs.items() if gh.dim(m + n)}
 
 
-def _basis(field, dims: dict, embed: dict | None) -> dict:
-    """n -> each degree-n basis element of the dg-end of U (embed None) or
-    of its truncation, as its nonzero coordinates in Hom(U, U)."""
-    return {n: [embed[n].entries.get(j, {}) if embed else {j: field.one} for j in range(d)]
-            for n, d in dims.items()}
+def _basis(embed: dict) -> dict:
+    """n -> each row of embed[n], a degree-n basis element of the dg-end of
+    U or of its truncation, as its nonzero coordinates in Hom(U, U)."""
+    return {n: [M.entries.get(j, {}) for j in range(M.nrows)] for n, M in embed.items() if M.nrows}
 
 
 def end_units(gh: GradedHom) -> tuple[dict, list]:
@@ -391,7 +385,7 @@ def end_units(gh: GradedHom) -> tuple[dict, list]:
     Hom(U, U): the identity of U, and the summand projections of U when U
     is a direct sum, the unit alone otherwise.  The projection onto a
     summand is the unit's coordinates on the generators lying in it.  Read
-    once and kept on gh, for its H^0 algebra and its dg-end alike."""
+    once and kept on gh, for its H^0 algebra and every dg-algebra built on it."""
     def build():
         U = gh.X
         unit = gh.coords_of(0, {i: Matrix.identity(gh.field, U.term(i).dim)
@@ -406,14 +400,42 @@ def end_units(gh: GradedHom) -> tuple[dict, list]:
     return gh.kept("units", build)
 
 
+def _end_algebra(gh: GradedHom, embed: dict) -> DgAlgebra:
+    """The dg-algebra whose degree-n basis is the rows of embed[n], elements
+    of gh^n for gh = Hom(U, U) closed under composition and d.  Its products
+    and differential are the composites (_composition_tables) and the
+    differentials of that basis in gh, read back in the basis; its unit and
+    idempotents are end_units(gh), read back likewise.  The basis is cut
+    once, and those cuts are its basis_cuts."""
+    basis = _basis(embed)
+    cuts = _cuts(gh, basis)
+
+    def read(n: int, v: dict) -> dict:
+        """The nonzero coordinates in the degree-n basis of v in gh^n."""
+        x = embed[n].solve_left_rows(v) if v else v
+        if x is None:
+            raise AssertionError(f"a degree-{n} element lies outside the algebra")
+        return x
+
+    mult = {(m, n): [[read(m + n, p) for p in row] for row in t]
+            for (m, n), t in _composition_tables(gh, cuts, basis).items()}
+    diffs = {n: Matrix.from_entries(gh.field, M.nrows, embed[n + 1].nrows, {
+                 i: r for i, v in (M @ gh.diff(n)).entries.items() if (r := read(n + 1, v))})
+             for n, M in embed.items() if n + 1 in embed}
+    unit, idempotents = end_units(gh)
+    return DgAlgebra(gh.field, {n: M.nrows for n, M in embed.items()}, mult, diffs,
+                     read(0, unit), idempotents=[read(0, e) for e in idempotents],
+                     gh=gh, embed=embed, basis_cuts=cuts)
+
+
 def dg_end(U: Complex, gh: GradedHom | None = None) -> DgAlgebra:
     """The endomorphism dg-algebra of a complex of projectives, built on gh
-    = hom_complex(U, U), or on a new one when gh is None.
+    = hom_complex(U, U), or on a new one when gh is None: _end_algebra with
+    gh's own basis in every degree.
 
     Its unit and idempotents are end_units(gh): the summand projections of
-    U when U is a direct sum.  It has gh, and its basis is gh's.  Its H^0
-    algebra is end_h0(gh), read off gh without it; end_dg keeps one dg-end
-    on its gh.
+    U when U is a direct sum.  Its H^0 algebra is end_h0(gh), read off gh
+    without it, and its truncation smart_truncate(gh), built without it.
     """
     if not U.is_projective_complex():
         raise ValueError("dg_end needs a complex of projectives")
@@ -421,22 +443,12 @@ def dg_end(U: Complex, gh: GradedHom | None = None) -> DgAlgebra:
         gh = hom_complex(U, U)
     elif gh.X is not U or gh.Y is not U:
         raise ValueError("dg_end needs the hom complex of U with itself")
-    f, dims = gh.field, {n: gh.dim(n) for n in gh.degrees()}
-    diffs = {n: gh.diff(n) for n in gh.degrees()}
-    unit, idempotents = end_units(gh)
-    mult = _composition_tables(gh, _cuts(gh, _basis(f, dims, None)))
-    return DgAlgebra(f, dims, mult, diffs, unit, idempotents=idempotents, gh=gh)
-
-
-def end_dg(gh: GradedHom) -> DgAlgebra:
-    """dg_end(U, gh) for gh = Hom(U, U), built once per gh and kept on it,
-    as end_h0 keeps H^0 on gh."""
-    return gh.kept("dg-end", lambda: dg_end(gh.X, gh))
+    return _end_algebra(gh, {n: Matrix.identity(gh.field, gh.dim(n)) for n in gh.degrees()})
 
 
 def dg_hom_module(gh: GradedHom, base: DgAlgebra) -> DgModule:
     """The hom complex gh = Hom(U, X) as a right dg-module over base:
-    dg_end(U) or its smart_truncate.
+    dg_end(U) or its smart_truncate, acting through their basis_cuts.
 
     The action is composition, f*b = "apply b, then f", b read as its
     coordinates in base.gh = Hom(U, U).
@@ -455,7 +467,7 @@ def evaluation_left_module(base: DgAlgebra, U: Complex) -> DgModule:
         raise ValueError("base must be the dg-end of U or its truncation")
     dims = {n: U.term(n).dim for n in U.degrees()}
     action, zero = {}, {}
-    for m, elems in _basis(base.field, base.dims, base.embed).items():
+    for m, elems in _basis(base.embed).items():
         comps = [base.gh.component_maps(m, b) for b in elems]
         for n in U.degrees():
             if not dims.get(n) or not dims.get(m + n):
@@ -559,51 +571,20 @@ def end_h0(gh: GradedHom) -> H0Algebra:
 # -- truncation, opposite, side swap ---------------------------------------
 
 
-def smart_truncate(B: DgAlgebra) -> DgAlgebra:
-    """Non-positive truncation of B = dg_end(U): degree 0 becomes ker d^0,
-    positive degrees die.
+def smart_truncate(gh: GradedHom) -> DgAlgebra:
+    """The non-positive truncation C of the dg-end of U, built on gh =
+    Hom(U, U) with no dg-end: _end_algebra with ker d^0 in degree 0, gh's
+    own basis below it, and no positive degrees.
 
-    The result has B's gh and embed, its per-degree inclusion matrices into
-    B: each basis element as its coordinates in gh = Hom(U, U).  The
-    inclusion is a map of dg-algebras and induces H^n isomorphisms for
-    n <= 0.
+    embed holds its per-degree inclusions into gh, so each basis element is
+    its coordinates in Hom(U, U).  The inclusion is a map of dg-algebras and
+    induces H^n isomorphisms for n <= 0.
     """
-    if B.embed is not None:
-        raise ValueError("smart_truncate needs a dg-end, not a truncation")
-    f = B.field
-    kmat = B.diff(0).left_kernel()
-    dims = {n: B.dim(n) for n in B.degrees() if n < 0}
-    if kmat.nrows:
-        dims[0] = kmat.nrows
-    embed = {n: Matrix.identity(f, B.dim(n)) for n in B.degrees() if n < 0}
-    embed[0] = kmat
-
-    def cocycle(vec: dict) -> dict:
-        """Nonzero coordinates in ker d^0 of a degree-0 cocycle of B."""
-        sol = kmat.solve_left_rows(vec)
-        if sol is None:
-            raise AssertionError("element is not a degree-0 cocycle")
-        return sol
-
-    def restrict(nz: dict, n: int) -> dict:
-        """The nonzero coordinates in the truncation of a degree-n element of
-        B lying in it, from its nonzero coordinates in B."""
-        return nz if n < 0 or not nz else cocycle(nz)
-
-    basis = _basis(f, dims, embed)
-    diffs, mult, zero = {}, {}, {}
-    for n in dims:
-        if dims.get(n + 1):
-            P = embed[n] @ B.diff(n)
-            diffs[n] = Matrix.from_entries(f, dims[n], dims[n + 1], {
-                i: r for i, nz in P.entries.items() if (r := restrict(nz, n + 1))})
-        for m in dims:
-            t = B.mult.get((m, n))
-            if dims.get(m + n) and t is not None:
-                mult[(m, n)] = [[restrict(table_product(f, t, a, b), m + n) or zero
-                                 for b in basis[n]] for a in basis[m]]
-    return DgAlgebra(f, dims, mult, diffs, cocycle(B.unit),
-                     idempotents=[cocycle(e) for e in B.idempotents], gh=B.gh, embed=embed)
+    if gh.X is not gh.Y:
+        raise ValueError("smart_truncate needs the hom complex of U with itself")
+    embed = {n: Matrix.identity(gh.field, gh.dim(n)) for n in gh.degrees() if n < 0 and gh.dim(n)}
+    embed[0] = gh.diff(0).left_kernel()
+    return _end_algebra(gh, embed)
 
 
 def opposite_dg(B: DgAlgebra) -> DgAlgebra:

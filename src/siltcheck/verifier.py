@@ -12,7 +12,8 @@ roundtrip unchanged.  When U is a tilting complex with cohomology in degree
 theorem for that module.
 
 Every check takes the SiltingContext of U as its first argument and reads
-U, its dg-end and every hom complex out of it, so no object is built twice;
+U, the truncation C of its dg-end and every hom complex out of it, so no
+object is built twice;
 verify_all is the one place that builds a context from U.  Both functors are
 additive and every map the counit and fully-faithful checks read is block
 diagonal for the declared summands of their target, so the context checks
@@ -41,9 +42,8 @@ from .algebra import Algebra, Module, direct_sum_modules, simple_module
 from .complexes import (ChainMap, Complex, GradedHom, direct_sum_complexes,
                         hom_complex, module_complex, proj_replacement,
                         projective_cache, summand_blocks)
-from .dg import (DgAlgebra, DgModule, dg_hom_module, end_dg, end_h0,
-                 evaluation_left_module, opposite_dg, side_swap,
-                 smart_truncate)
+from .dg import (DgAlgebra, DgModule, dg_hom_module, end_h0, evaluation_left_module,
+                 opposite_dg, side_swap, smart_truncate)
 from .linalg import Matrix, block_ranks
 from .semifree import (DegreeWindow, SemifreeHom, SemifreeModule, hom_cutoff,
                        lift_up_to_homotopy, resolution_tensor, semifree_resolve,
@@ -125,13 +125,13 @@ class SiltingContext:
     """The one silting analysis of a complex U that every check shares.
 
     gh is the hom complex Hom(U, U), report the silting report of U read
-    off gh, B the dg-endomorphism algebra of U built on that same gh, C the
-    non-positive truncation of B, and Uc is U turned into a left C-module
-    through evaluation.  Each is built on first use and then kept, so a
-    refuted U, decided by its report alone, never gets a dg-end.  The dg-end
-    itself, H^0 End(U) and its radical are kept on gh (GradedHom.kept, through
-    dg.end_dg, dg.end_h0 and silting.end_radical), where the report's
-    coresolution left the last two.  A module is read as itself, one complex
+    off gh, C the non-positive truncation of the dg-endomorphism algebra B
+    of U, read straight off gh (smart_truncate; B itself is never built),
+    and Uc is U turned into a left C-module through evaluation.  Each is
+    built on first use and then kept, so a refuted U, decided by its report
+    alone, never gets a truncation.  H^0 End(U) and its radical are kept on
+    gh (GradedHom.kept, through dg.end_h0 and silting.end_radical), where
+    the report's coresolution left them.  A module is read as itself, one complex
     in degree 0 (module), and hom complexes, hom modules, resolutions,
     tensors and their evaluation maps, classifications and canonical
     sequences are cached under the objects they come from, since several
@@ -169,12 +169,8 @@ class SiltingContext:
         return silting_report(self.U, self.max_steps, self.gh)
 
     @cached_property
-    def B(self) -> DgAlgebra:
-        return end_dg(self.gh)
-
-    @cached_property
     def C(self) -> DgAlgebra:
-        return smart_truncate(self.B)
+        return smart_truncate(self.gh)
 
     @cached_property
     def Uc(self) -> DgModule:
@@ -188,7 +184,7 @@ class SiltingContext:
 
     def hom(self, X: Complex, Y: Complex) -> GradedHom:
         """The hom complex of X into Y, built once per pair; Hom(U, U) is
-        gh, the one under the dg-end B."""
+        gh, the one under the truncation C."""
         if X is self.U and Y is self.U:
             return self.gh
         if (X, Y) not in self._homs:
@@ -438,28 +434,33 @@ def verify_weak_nonpositive(ctx: SiltingContext) -> VerificationReport:
 
 def verify_E_iso(ctx: SiltingContext) -> VerificationReport:
     """H^0 End(U), as the coresolution read it off Hom(U, U), agrees with
-    the dg-end and with chain maps modulo homotopy.
+    the truncation C and with chain maps modulo homotopy.
 
     Each product of two class representatives is taken on two independent
     routes and compared with E's table, sharing the cocycle-class basis:
-    route one multiplies inside the dg-algebra B, route two composes honest
-    chain maps and reduces the composite.  When U resolves a module, the
+    route one multiplies the representatives inside the dg-algebra C, read
+    in C^0 through embed[0], and route two composes honest chain maps,
+    each right factor's generator rows times the left factor's matrices
+    (_composite), and reduces the composite.  When U resolves a module, the
     result is also compared structurally with the ordinary endomorphism
     algebra of that module.
     """
-    U, B, gh = ctx.U, ctx.B, ctx.gh
-    f = B.field
+    U, C, gh = ctx.U, ctx.C, ctx.gh
+    f = C.field
     E = end_h0(gh)
     sq = E.sq
     reps = E.class_reps
     basis_cls = [sq.reduce(rep) for rep in reps]
     span = Matrix.from_entries(f, len(basis_cls), sq.dim, dict(enumerate(basis_cls)))
+    inc = C.embed[0]
+    in_c = [inc.solve_left_rows(rep) for rep in reps]
     chain_maps = [gh.chain_map_from_cocycle(rep) for rep in reps]
+    rows = [gh.generator_rows(0, phi.mats) for phi in chain_maps]
     mult_ok = True
     for x in range(E.dim):
         for y in range(E.dim):
-            routes = (B.product(0, reps[x], 0, reps[y]),
-                      gh.coords_of(0, chain_maps[y].compose(chain_maps[x]).mats))
+            routes = (inc.apply_entries(C.product(0, in_c[x], 0, in_c[y])),
+                      _composite(gh, rows[y], chain_maps[x]))
             if any(span.solve_left_rows(sq.reduce(p)) != E.basis_product(x, y)
                    for p in routes):
                 mult_ok = False
@@ -478,6 +479,16 @@ def verify_E_iso(ctx: SiltingContext) -> VerificationReport:
             E.dim == end_dim, {"h0_end_dim": end_dim, "radical_dim": rad_e}))
     return VerificationReport("cohomology-endomorphisms", "silting complex",
                               checks, notes)
+
+
+def _composite(gh: GradedHom, rows: dict, then: ChainMap) -> dict:
+    """The coordinates in gh = Hom(U, U) of "phi, then then" for the chain
+    map phi with the given generator rows (GradedHom.generator_rows), read
+    as coords_of reads the composite: each row times then's matrix, with no
+    composite built."""
+    return gh.assemble(0, {k: v for k, row in rows.items()
+                           if (m := then.mats.get(gh.gens[k])) is not None
+                           and (v := m.apply_entries(row))})
 
 
 def verify_counit(ctx: SiltingContext, X: Complex, window,

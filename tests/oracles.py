@@ -26,7 +26,7 @@ from siltcheck import silting, verifier
 from siltcheck.algebra import Algebra, Module, generator_image, hom_space
 from siltcheck.complexes import (ChainMap, Complex, Layout, cone, hom_complex, is_acyclic,
                                  projective_cache, projective_complex, zero_complex)
-from siltcheck.dg import end_h0
+from siltcheck.dg import DgAlgebra, end_h0, table_product
 from siltcheck.linalg import Matrix, RowSpace, first_independent, subquotient_from_maps
 from siltcheck.semifree import GENERATOR_CAP, SemifreeCapError, tensor_map
 
@@ -50,6 +50,12 @@ def summand_projection_maps(X: Complex) -> list:
                 f, dim, dim, {off + i: {off + i: f.one} for i in range(s.term(n).dim)})
         maps.append(ChainMap(X, X, mats, validate=False))
     return maps
+
+
+def compose(f: ChainMap, g: ChainMap) -> ChainMap:
+    """The chain map "f, then g", degree by degree as matrices, unchecked."""
+    return ChainMap(f.source, g.target, {n: f.mat(n) @ g.mat(n) for n in f.source.degrees()},
+                    validate=False)
 
 
 def hom_dim(M: Module, N: Module) -> int:
@@ -466,7 +472,7 @@ def approximation_checks(f, U) -> tuple[bool, bool]:
     for pi in summand_projection_maps(T) if T.summands else []:
         rows = []
         for phi in phis:
-            coords = reference_coords_of(ghX, 0, f.compose(pi).compose(phi).mats)
+            coords = reference_coords_of(ghX, 0, compose(compose(f, pi), phi).mats)
             if coords is None:
                 raise AssertionError("composite escaped the hom basis")
             rows.append(dense_row(U.algebra.field, sqX.reduce(coords), sqX.dim))
@@ -1008,3 +1014,43 @@ def dense_cell_action(cell, action: list) -> list:
         out.append(Matrix.from_row_entries(cell.field, cell.dim,
                                            [cell.coords(img.get(r, {})) for r in range(cell.dim)]))
     return out
+
+
+def reference_smart_truncate(B: DgAlgebra) -> DgAlgebra:
+    """The non-positive truncation of B = dg_end(U), restricted from B: degree
+    0 becomes ker d^0, positive degrees die, and each product and
+    differential is B's, read in ker d^0 when it lands in degree 0.  The
+    reference for dg.smart_truncate, which builds it off Hom(U, U) with no
+    dg-end."""
+    f = B.field
+    kmat = B.diff(0).left_kernel()
+    dims = {n: B.dim(n) for n in B.degrees() if n < 0}
+    if kmat.nrows:
+        dims[0] = kmat.nrows
+    embed = {n: Matrix.identity(f, B.dim(n)) for n in B.degrees() if n < 0}
+    embed[0] = kmat
+
+    def restrict(nz: dict, n: int) -> dict:
+        """The coordinates in the truncation of a degree-n element of B lying
+        in it, from its coordinates in B."""
+        if n < 0 or not nz:
+            return nz
+        sol = kmat.solve_left_rows(nz)
+        if sol is None:
+            raise AssertionError("element is not a degree-0 cocycle")
+        return sol
+
+    basis = {n: [embed[n].entries.get(j, {}) for j in range(d)] for n, d in dims.items()}
+    diffs, mult = {}, {}
+    for n in dims:
+        if dims.get(n + 1):
+            P = embed[n] @ B.diff(n)
+            diffs[n] = Matrix.from_entries(f, dims[n], dims[n + 1], {
+                i: r for i, nz in P.entries.items() if (r := restrict(nz, n + 1))})
+        for m in dims:
+            t = B.mult.get((m, n))
+            if dims.get(m + n) and t is not None:
+                mult[(m, n)] = [[restrict(table_product(f, t, a, b), m + n) for b in basis[n]]
+                                for a in basis[m]]
+    return DgAlgebra(f, dims, mult, diffs, restrict(B.unit, 0),
+                     idempotents=[restrict(e, 0) for e in B.idempotents], gh=B.gh, embed=embed)

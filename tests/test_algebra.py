@@ -267,6 +267,18 @@ def test_module_validation_catches_bad_action():
         Module(A, 1, [Matrix.identity(Q, 1), Matrix.identity(Q, 1)])
 
 
+def test_module_validation_refuses_vertex_matrices_that_are_not_orthogonal():
+    # over kA_3 the vertex matrices [[1, 1], [0, 0]], [[0, 0], [0, 1]] and
+    # [[0, -1], [0, 0]] sum to 1 and the arrows act as zero, but e_0 e_1 is
+    # not zero
+    A = path_algebra(Quiver(["0", "1", "2"], [("a", "0", "1"), ("b", "1", "2")]), F101)
+    vertices = [Matrix.from_rows(F101, rows) for rows in
+                ([[1, 1], [0, 0]], [[0, 0], [0, 1]], [[0, F101.neg(1)], [0, 0]])]
+    arrows = [Matrix.zero(F101, 2, 2)] * 2
+    with pytest.raises(AssertionError, match="the vertex idempotents are not orthogonal"):
+        Module(A, 2, vertices + arrows)
+
+
 def test_module_validation_checks_every_basis_element_past_desk_scale():
     # the regular module of A_8 with one entry added to the action of a1, a
     # generator a stride sample of every other one skips: e_0 a1 = e_1 sends

@@ -764,7 +764,7 @@ def test_a_failed_internal_check_exits_3_without_a_traceback(capsys, monkeypatch
     assert "Traceback" not in err
 
 
-COUNTED = ("silting_report", "coresolve_A", "dg_end", "h0_algebra",
+COUNTED = ("silting_report", "coresolve_A", "dg_end", "smart_truncate", "h0_algebra",
            "proj_replacement")
 
 
@@ -786,8 +786,8 @@ def _count_calls(monkeypatch):
 
     Returns on(name), the per-function call counts on the loaded complex of
     that name, and calls, the counts keyed by (function, complex) for every
-    complex the run touched; h0_algebra counts against the complex U of the
-    hom complex Hom(U, U) it reads.
+    complex the run touched; h0_algebra and smart_truncate count against the
+    complex U of the hom complex Hom(U, U) they read.
     """
     import siltcheck.cli
     from siltcheck import complexes, dg, silting
@@ -803,10 +803,10 @@ def _count_calls(monkeypatch):
 
     monkeypatch.setattr(siltcheck.cli, "load_instance", loading)
     for fn in (silting.silting_report, silting.coresolve_A, dg.dg_end,
-               dg.h0_algebra, complexes.proj_replacement):
+               dg.smart_truncate, dg.h0_algebra, complexes.proj_replacement):
         def counted(U, *args, _fn=fn, **kwargs):
             key = (_fn.__name__,
-                   U.X if _fn.__name__ == "h0_algebra" else U)
+                   U.X if _fn.__name__ in ("h0_algebra", "smart_truncate") else U)
             calls[key] = calls.get(key, 0) + 1
             return _fn(U, *args, **kwargs)
         _rebind(monkeypatch, fn, counted)
@@ -832,14 +832,16 @@ def _totals(calls) -> dict:
 def test_one_run_analyses_the_input_complex_once(capsys, monkeypatch,
                                                  command, name):
     # the coresolution reads H^0 End(U) off Hom(U, U); only the battery of
-    # verify and report builds the dg-end, and it shares that H^0 algebra
+    # verify and report builds the truncation, straight off that same
+    # Hom(U, U), and it shares that H^0 algebra; nothing builds a dg-end
     on, calls = _count_calls(monkeypatch)
     code, _, _ = run_cli(capsys, command, FIX_A2, name)
     assert code == 0
     counts = on(name)
     assert counts["silting_report"] == 1
     assert counts["coresolve_A"] == 1
-    assert counts["dg_end"] == (command in ("verify", "report"))
+    assert counts["dg_end"] == 0
+    assert counts["smart_truncate"] == (command in ("verify", "report"))
     assert counts["h0_algebra"] == 1
     # nor is any other complex, such as goodify's output, analysed twice
     assert all(n == 1 for (fn, _), n in calls.items()
@@ -849,13 +851,14 @@ def test_one_run_analyses_the_input_complex_once(capsys, monkeypatch,
 @pytest.mark.parametrize("command", ["check", "verify", "report"])
 def test_a_refuted_input_is_never_coresolved(capsys, monkeypatch, command):
     # the witness, read off Hom(U, U), decides the verdict, so coresolve_A
-    # returns at its presilting gate and no dg-end or H^0 algebra is built
+    # returns at its presilting gate and no dg-end, truncation or H^0
+    # algebra is built
     on, _ = _count_calls(monkeypatch)
     code, _, _ = run_cli(capsys, command, FIX_A2, "silt2-wrong-orientation")
     assert code == 1
     assert on("silt2-wrong-orientation") == {
-        "silting_report": 1, "coresolve_A": 1, "dg_end": 0, "h0_algebra": 0,
-        "proj_replacement": 0}
+        "silting_report": 1, "coresolve_A": 1, "dg_end": 0, "smart_truncate": 0,
+        "h0_algebra": 0, "proj_replacement": 0}
 
 
 def test_verify_of_a_tilting_module_resolves_only_the_simple_probes(capsys,
@@ -869,7 +872,8 @@ def test_verify_of_a_tilting_module_resolves_only_the_simple_probes(capsys,
     totals = _totals(calls)
     assert totals["coresolve_A"] == 1
     assert totals["proj_replacement"] == 1
-    assert totals["dg_end"] == 1
+    assert totals["dg_end"] == 0
+    assert totals["smart_truncate"] == 1
     assert totals["h0_algebra"] == 1
 
 
@@ -979,7 +983,7 @@ def _target_key(Y):
 
 def test_verify_builds_each_hom_complex_once(capsys, monkeypatch):
     # the context owns one hom complex per (source, target) pair, Hom(U, U)
-    # is the dg-end's own, and a module is wrapped once, in degree 0
+    # is the truncation's own, and a module is wrapped once, in degree 0
     from siltcheck import complexes
 
     _, calls = _count_calls(monkeypatch)
@@ -993,7 +997,7 @@ def test_verify_builds_each_hom_complex_once(capsys, monkeypatch):
     _rebind(monkeypatch, hom_complex, counted_hom)
     code, _, _ = run_cli(capsys, "verify", FIX_A2, "U-tilt")
     assert code == 0
-    (U,) = [X for fn, X in calls if fn == "dg_end"]
+    (U,) = [X for fn, X in calls if fn == "smart_truncate"]
     assert homs[(U, U)] == 1
     assert any(isinstance(Y, tuple) for _, Y in homs)
     assert set(homs.values()) == {1}

@@ -9,6 +9,7 @@ element-wise reference on corrupted structure tables and on one hand-built
 failing case per axiom.
 """
 
+import pathlib
 import random
 from fractions import Fraction
 from itertools import chain
@@ -17,9 +18,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (dense_row, nonzero_entries, reference_composition_tables,
+from oracles import (compose, dense_row, nonzero_entries, reference_composition_tables,
                      reference_coords_of, reference_h0_algebra, reference_hom_class_action,
-                     reference_hom_diff, sparse_products, summand_projection_maps)
+                     reference_hom_diff, reference_smart_truncate, sparse_products,
+                     summand_projection_maps)
 from siltcheck import silting
 from siltcheck.algebra import Quiver, path_algebra, simple_module
 from siltcheck.complexes import (
@@ -54,6 +56,7 @@ from siltcheck.dg import (
     table_product,
 )
 from siltcheck.fields import PrimeField, RationalField
+from siltcheck.instances import load_instance
 from siltcheck.linalg import Matrix
 from siltcheck.semifree import SemifreeHom, semifree_resolve
 from siltcheck.verifier import SiltingContext
@@ -152,7 +155,7 @@ def test_dg_end_requires_projective_witness(A2):
 
 def test_smart_truncate_kills_positive_part(simple_resolution):
     B = dg_end(simple_resolution)
-    C = smart_truncate(B)
+    C = smart_truncate(B.gh)
     assert C.dims == {0: 1}
     assert C.h_table() == {0: 1}
     assert C.is_nonpositive()
@@ -163,14 +166,14 @@ def test_smart_truncate_kills_positive_part(simple_resolution):
 
 def test_smart_truncate_of_nonpositive_keeps_everything(two_term_silting):
     B = dg_end(two_term_silting)
-    C = smart_truncate(B)
+    C = smart_truncate(B.gh)
     assert C.dims == B.dims
     assert C.h_table() == B.h_table()
 
 
 def test_truncation_inclusion_is_a_dg_map(simple_resolution):
     B = dg_end(simple_resolution)
-    C = smart_truncate(B)
+    C = smart_truncate(B.gh)
     for n in C.degrees():
         emb = C.embed.get(n)
         nxt = C.embed.get(n + 1)
@@ -192,6 +195,36 @@ def test_truncation_inclusion_is_a_dg_map(simple_resolution):
                         assert C.embed[m + n].apply_entries(inside) == outside
                     else:
                         assert not outside
+
+
+INSTANCES = pathlib.Path(__file__).resolve().parent.parent / "instances"
+
+
+def test_truncation_equals_the_one_restricted_from_the_dg_end(coresolution_inputs):
+    # smart_truncate builds C off Hom(U, U) with no dg-end; the reference
+    # restricts the dg-end's own tables through ker d^0.  Every complex of
+    # the instance files that check decides silting, and the 14 silting sums
+    # over kA_3
+    cases = {f"{path.stem}/{name}": U for path in sorted(INSTANCES.glob("*.json"))
+             for name, U in load_instance(str(path)).complexes.items()}
+    cases.update((name, U) for name, U in coresolution_inputs({"prime": 101}).items()
+                 if name.startswith("a3/"))
+    compared = []
+    for name, U in cases.items():
+        gh = hom_complex(U, U)
+        report = silting.silting_report(U, gh=gh)
+        if report.presilting_witness is not None or report.n is None:
+            continue
+        got, want = smart_truncate(gh), reference_smart_truncate(dg_end(U, gh))
+        assert got.dims == want.dims, name
+        assert got.embed == want.embed, name
+        assert got.diffs == want.diffs, name
+        assert got.mult == want.mult, name
+        assert got.unit == want.unit, name
+        assert got.idempotents == want.idempotents, name
+        compared.append(name)
+    assert sum(name.startswith("a3/") for name in compared) == 14
+    assert {"a6/DA", "fix_a2/U-tilt", "fix_a2/U-silt2", "a3/P1+P2toP1+P0[1]"} <= set(compared)
 
 
 # -- opposite and side swap -------------------------------------------------
@@ -242,7 +275,7 @@ def test_restriction_and_module_truncation(A2, simple_resolution, two_term_silti
     for name, U in (("resolution", simple_resolution), ("silting", two_term_silting),
                     ("wide", wide)):
         B = dg_end(U)
-        C = smart_truncate(B)
+        C = smart_truncate(B.gh)
         gh = hom_complex(U, _hom_target(A2, name, U))
         for over_C, over_B in ((dg_hom_module(gh, C), dg_hom_module(gh, B)),
                                (evaluation_left_module(C, U), evaluation_left_module(B, U))):
@@ -380,7 +413,7 @@ def test_generator_images_match_the_composite_matrices(coresolution_inputs, fiel
         A = U.algebra
         free = projective_complex(A, {0: list(range(len(A.idempotents)))})
         B = dg_end(U)
-        C = smart_truncate(B)
+        C = smart_truncate(B.gh)
         M = dg_hom_module(hom_complex(U, free), C)
         ctx = SiltingContext(U)
         simples = [ctx.module(simple_module(A, v)) for v in range(len(A.idempotents))]
@@ -400,10 +433,9 @@ def test_generator_images_match_the_composite_matrices(coresolution_inputs, fiel
 def _component_maps(B):
     """n -> each degree-n basis element of B, the dg-end of U or its
     truncation, as its component maps U -> U: its coordinates in B.gh, read
-    through embed for the truncation."""
-    one = B.field.one
-    return {n: [B.gh.component_maps(n, B.embed[n].entries.get(j, {}) if B.embed else {j: one})
-                for j in range(d)] for n, d in B.dims.items()}
+    through embed."""
+    return {n: [B.gh.component_maps(n, B.embed[n].entries.get(j, {})) for j in range(d)]
+            for n, d in B.dims.items()}
 
 
 def _honest_maps(B):
@@ -420,7 +452,7 @@ def _honest_maps(B):
     chain_maps = [B.gh.chain_map_from_cocycle(rep) for rep in end_h0(B.gh).class_reps]
     for x in chain_maps:
         for y in chain_maps:
-            yield y.compose(x).mats
+            yield compose(y, x).mats
 
 
 def test_coords_of_agrees_with_the_row_checked_reader(coresolution_inputs, built_objects):
@@ -458,7 +490,7 @@ def test_composites_make_no_coords_of_call(coresolution_inputs, monkeypatch):
         for n in gh.degrees():
             gh.diff(n)
         _composition_tables(gh, B.basis_cuts)
-        dg_hom_module(gh, smart_truncate(B))
+        dg_hom_module(gh, smart_truncate(B.gh))
         end_h0(gh)
         silting._hom_class_action(U, U, B.gh, E)
 
@@ -625,7 +657,7 @@ def built_objects(A2, simple_resolution, two_term_silting, wide):
     for name, U in (("resolution", simple_resolution), ("silting", two_term_silting),
                     ("wide", wide)):
         B = dg_end(U)
-        C = smart_truncate(B)
+        C = smart_truncate(B.gh)
         left = evaluation_left_module(B, U)
         gh = hom_complex(U, _hom_target(A2, name, U))
         out.update({f"dg_end {name}": B,
@@ -733,13 +765,13 @@ def test_validators_take_no_dense_detour(built_objects, monkeypatch):
 
 def test_dg_end_and_resolutions_take_no_dense_detour(A2, simple_resolution, two_term_silting,
                                                      wide, monkeypatch):
-    """dg_end, semifree_resolve and the differential of the hom out of a
-    resolution pass elements as sparse entries: they build no Matrix from
+    """dg_end, smart_truncate, semifree_resolve and the differential of the
+    hom out of a resolution pass elements as sparse entries: they build no Matrix from
     dense rows and read no dense row view."""
     cases = []
     for name, U in (("resolution", simple_resolution), ("silting", two_term_silting),
                     ("wide", wide)):
-        C = smart_truncate(dg_end(U))
+        C = smart_truncate(hom_complex(U, U))
         cases.append((U, dg_hom_module(hom_complex(U, _hom_target(A2, name, U)), C)))
 
     def dense(*args):
@@ -750,6 +782,7 @@ def test_dg_end_and_resolutions_take_no_dense_detour(A2, simple_resolution, two_
     generators = 0
     for U, M in cases:
         dg_end(U)
+        smart_truncate(hom_complex(U, U))
         P = semifree_resolve(M, -4)
         sh = SemifreeHom(P, M)
         sh.h_table()

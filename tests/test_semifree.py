@@ -336,7 +336,7 @@ def test_sparse_action_matches_the_dense_route(coresolution_inputs, field_spec):
     for name, U in coresolution_inputs(field_spec).items():
         A = U.algebra
         one = A.field.one
-        C = smart_truncate(dg_end(U))
+        C = smart_truncate(hom_complex(U, U))
         free = projective_complex(A, {0: list(range(len(A.idempotents)))})
         P = semifree_resolve(dg_hom_module(hom_complex(U, free), C), -3)
         for n in resolution_support(P):

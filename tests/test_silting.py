@@ -6,8 +6,8 @@ import pytest
 
 import oracles
 from conftest import A3_INDECOMPOSABLES, FIX_A2
-from oracles import (approximation_checks, coresolution_les_ok, reference_coresolutions,
-                     summand_projection_maps)
+from oracles import (approximation_checks, compose, coresolution_les_ok,
+                     reference_coresolutions, summand_projection_maps)
 from siltcheck import dg, silting
 from siltcheck.fields import PrimeField
 from siltcheck.linalg import Matrix
@@ -219,7 +219,7 @@ def test_approximation_checks_catch_a_doubled_and_a_cut_target(tilt):
                         for n, m in f.mats.items()})
     assert approximation_checks(doubled, tilt) == (True, False)
     # the second copy's component cut to zero: no longer onto
-    assert not approximation_checks(f.compose(summand_projection_maps(T)[0]), tilt)[0]
+    assert not approximation_checks(compose(f, summand_projection_maps(T)[0]), tilt)[0]
 
 
 def test_stuck_coresolution_builds_no_further_cones(monkeypatch, parts, wrong):

@@ -26,7 +26,7 @@ from siltcheck.complexes import (ChainMap, GradedHom, ResolutionCapError, cone,
                                  identity_chain_map, module_complex,
                                  proj_replacement, projective_cache,
                                  projective_complex, summand_blocks, zero_complex)
-from siltcheck.dg import DgModule, dg_hom_module
+from siltcheck.dg import DgModule, dg_end, dg_hom_module
 from siltcheck.fields import PrimeField
 from siltcheck.semifree import DegreeWindow, semifree_resolve
 from siltcheck.linalg import Matrix
@@ -74,7 +74,7 @@ def test_h0_products_agree_with_chain_map_composition(ctx_tilt, A2, tilt_summand
     rep = verify_E_iso(ctx_tilt)
     assert rep.passed
     names = {c.name: c for c in rep.checks}
-    assert ctx_tilt.B.h_dim(0) == 3
+    assert ctx_tilt.C.h_dim(0) == 3
     ED = endomorphism_algebra(A2, tilt_summands)
     assert names["H^0 algebra matches endomorphisms of the zeroth cohomology"].details == {
         "h0_end_dim": ED.dim, "radical_dim": len(radical_rows(ED))}
@@ -82,14 +82,25 @@ def test_h0_products_agree_with_chain_map_composition(ctx_tilt, A2, tilt_summand
 
 
 def _swap_end_factors(ctx: SiltingContext) -> SiltingContext:
-    """ctx with the degree-(0, 0) products of its dg-end in the wrong order."""
-    ctx.B.mult[(0, 0)] = [list(col) for col in zip(*ctx.B.mult[(0, 0)])]
+    """ctx with the degree-(0, 0) products of its truncation C in the wrong
+    order."""
+    ctx.C.mult[(0, 0)] = [list(col) for col in zip(*ctx.C.mult[(0, 0)])]
     return ctx
 
 
+def _swapped_composite(monkeypatch):
+    """Route two's chain maps composed in the wrong order: the generator
+    rows of the left factor times the matrices of the right one, rebuilt
+    from its rows."""
+    composite = verifier._composite
+    monkeypatch.setattr(verifier, "_composite", lambda gh, rows, then: composite(
+        gh, gh.generator_rows(0, then.mats), gh.chain_map_from_cocycle(gh.assemble(0, rows))))
+
+
 def test_h0_products_are_checked_on_two_independent_routes(U_tilt, monkeypatch):
-    # E is read off Hom(U, U); route one compares it with the dg-end's own
-    # products, route two with composed chain maps, so breaking either fails
+    # E is read off Hom(U, U); route one compares it with the products of
+    # the truncation C, route two with composed chain maps, so breaking
+    # either fails
     def products_agree(ctx):
         (check,) = [c for c in verify_E_iso(ctx).checks
                     if c.name == "products agree with chain-map composition"]
@@ -97,15 +108,14 @@ def test_h0_products_are_checked_on_two_independent_routes(U_tilt, monkeypatch):
 
     assert products_agree(SiltingContext(U_tilt))
     assert not products_agree(_swap_end_factors(SiltingContext(U_tilt)))
-    compose = ChainMap.compose
-    monkeypatch.setattr(ChainMap, "compose", lambda self, other: compose(other, self))
+    _swapped_composite(monkeypatch)
     assert not products_agree(SiltingContext(U_tilt))
 
 
 def test_h0_of_the_shifted_pair_splits_into_two_idempotent_blocks(ctx_silt2):
     rep = verify_E_iso(ctx_silt2)
     assert rep.passed
-    assert ctx_silt2.B.h_dim(0) == 2
+    assert ctx_silt2.C.h_dim(0) == 2
     assert rep.notes["idempotents"] == 2
 
 
@@ -540,7 +550,7 @@ def test_tilting_theorem_certifies_module_and_probes(U_tilt, ctx_tilt, A2, tilt_
     assert checks["base algebra equals the double centralizer"].details == {
         "span_rank": A2.dim, "algebra_dim": A2.dim, "h0_dim": A2.dim}
     end_dim = sum(hom_dim(S, T) for S in tilt_summands for T in tilt_summands)
-    assert ctx_tilt.B.h_table() == {0: end_dim}
+    assert dg_end(U_tilt, ctx_tilt.gh).h_table() == {0: end_dim}
 
     S2 = simple_module(A2, 1)
     targets = {"proj0": indecs["P1"], "proj1": indecs["P2"],
@@ -758,8 +768,9 @@ def test_windowed_hom_agrees_with_independent_oracles(U_silt2, ctx_silt2):
     win = DegreeWindow(-2, 2)
     P = semifree_resolve(M, M.lo - (win.hi + 1))
     sh = SemifreeHom(P, M)
+    B = dg_end(U_silt2, ctx_silt2.gh)
     for n in range(win.lo, win.hi + 1):
-        assert sh.h_dim(n) == hom_complex(U_silt2, U_silt2).h_dim(n) == ctx_silt2.B.h_dim(n)
+        assert sh.h_dim(n) == hom_complex(U_silt2, U_silt2).h_dim(n) == B.h_dim(n)
 
 
 def test_context_rejects_non_projective_input(indecs):
@@ -1027,12 +1038,11 @@ def _failing_cases(U_tilt, U_silt2, U_bad, indecs, monkeypatch):
     yield verify_all(U_tilt, max_steps=0, **SMALL)
     with monkeypatch.context() as m:
         # composition in the wrong order, and End(H^0 U) read off H^0 U twice
-        compose = ChainMap.compose
-        m.setattr(ChainMap, "compose", lambda self, other: compose(other, self))
+        _swapped_composite(m)
         m.setattr(verifier, "module_complex",
                   lambda M: module_complex(direct_sum_modules(M.algebra, [M, M])))
         yield [verify_E_iso(SiltingContext(U_tilt))]
-    # the dg-end's products with their factors swapped
+    # the truncation's degree-0 products with their factors swapped
     yield [verify_E_iso(_swap_end_factors(SiltingContext(U_tilt)))]
     with monkeypatch.context() as m:
         # evaluation and postcomposition both zero
