@@ -15,8 +15,7 @@ from .algebra import (Algebra, Module, Quiver, hom_space, path_algebra,
                       simple_module)
 from .complexes import (ChainMap, Complex, ResolutionCapError, cone,
                         direct_sum_complexes, hom_complex, is_acyclic,
-                        module_complex, proj_replacement, projective_cache,
-                        projective_complex)
+                        proj_replacement, projective_cache, projective_complex)
 from .dg import DgAlgebra, DgModule, dg_end, h0_algebra, smart_truncate
 from .fields import PrimeField, RationalField, field_from_json
 from .instances import (Instance, InstanceError, dump_instance, load_instance,
@@ -39,7 +38,7 @@ __all__ = [
     "classify_Xi", "cone", "coresolve_A", "derived_tensor", "dg_end",
     "direct_sum_complexes", "dump_instance", "field_from_json", "goodify",
     "h0_algebra", "hom_complex", "hom_space", "is_acyclic",
-    "load_instance", "module_complex", "parse_instance", "path_algebra",
+    "load_instance", "parse_instance", "path_algebra",
     "presilting_witness", "proj_replacement", "projective_cache",
     "projective_complex", "semifree_resolve", "serialize_instance",
     "silting_equivalent", "silting_report", "simple_module", "smart_truncate",

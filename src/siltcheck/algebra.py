@@ -181,10 +181,12 @@ class Algebra:
 
     def projective_sum(self, types: Sequence[int]) -> Module:
         """The direct sum of the listed indecomposable projectives, in the
-        listed order: the term a projective witness names, built once."""
+        listed order: the term a projective witness names, built once; one
+        projective alone is projective(v) itself."""
         types = tuple(types)
         if types not in self._proj_sums:
-            self._proj_sums[types] = direct_sum_modules(self, [self.projective(v) for v in types])
+            self._proj_sums[types] = (self.projective(types[0]) if len(types) == 1 else
+                                      direct_sum_modules(self, [self.projective(v) for v in types]))
         return self._proj_sums[types]
 
     def basis_product(self, i: int, j: int) -> dict:
@@ -352,7 +354,8 @@ class Module:
     basis element is a path, whose matrix (action) is built on its first read
     and kept.  sq is set by Complex.cohomology and is None otherwise.  A map
     out of e_v A into it is, by Yoneda, its value on e_v: an element of
-    cell(v), sending row r of e_v A to that value times yoneda(v)[r]."""
+    cell(v), sending row r of e_v A to that value times yoneda(v)[r].  stalk
+    is the module as a complex in degree 0, built once."""
 
     def __init__(self, algebra: Algebra, dim: int, generators: Sequence[Matrix], sq=None):
         if algebra.paths is None:
@@ -435,6 +438,16 @@ class Module:
         map out of e_v A with value y on e_v sends row r to y times the r-th."""
         self.cell(v)
         return self._cells[v][1]
+
+    @cached_property
+    def stalk(self):
+        """This module in degree 0 (in degree d, stalk.shift(-d)), witnessed
+        by its vertex exactly when it is the algebra's projective(v)."""
+        from .complexes import Complex
+        A = self.algebra
+        if isinstance(self, ProjectiveModule) and self is A.projective(self.vertex):
+            return Complex(A, None, {}, {0: (self.vertex,)}, validate=False)
+        return Complex(A, {0: self}, {}, validate=False)
 
     def __repr__(self):
         return f"Module(dim={self.dim} over {self.algebra!r})"
@@ -521,12 +534,6 @@ class ProjectiveModule(Module):
         self.ambient_rows, self.ambient = space.rows, span
         self.generator = span.solve_left_rows({e: A.field.one})
         self.vertex = idem_pos
-
-    @cached_property
-    def stalk(self):
-        """This projective as a complex in degree 0, witnessed by its vertex."""
-        from .complexes import Complex
-        return Complex(self.algebra, {0: self}, {}, {0: (self.vertex,)}, validate=False)
 
 
 def simple_module(A: Algebra, idem_pos: int) -> Module:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from functools import cached_property
+from itertools import accumulate
 from operator import neg
 from typing import Sequence
 
@@ -30,7 +31,6 @@ from .algebra import (
     Algebra,
     Module,
     ModuleMap,
-    ProjectiveModule,
     direct_sum_modules,
     generator_image,
 )
@@ -63,22 +63,25 @@ def block_matrix(field, blocks, row_dims: Sequence[int], col_dims: Sequence[int]
 class Complex(Cochains):
     """Bounded complex of right modules; degree-indexed terms and differentials.
 
-    proj_types, when given, witnesses each nonzero term as the direct sum of
-    the listed indecomposable projectives (by idempotent position), in the
-    basis of projective_cache: the hom complex reads maps out of each term
-    off that basis, so it requires the witness on its source.  validate
-    checks the witness exactly, each term's action on the algebra generators
-    against the block diagonal of the listed projectives' actions.
-    summands and summand_offsets (degree -> first row of each summand) are
-    None unless direct_sum_complexes built the complex.
+    A complex of projectives is built from its projective witness alone:
+    proj_types lists each degree's indecomposable projectives (by idempotent
+    position), and its term is their projective_sum, in the basis of
+    projective_cache.  The hom complex reads maps out of each term off that
+    basis, so it requires the witness on its source.  Any other complex is
+    given its terms; one complex takes terms or proj_types, never both.
+    summands is None unless direct_sum_complexes built the complex, whose
+    summand_offsets are read off them.
     """
 
-    def __init__(self, algebra: Algebra, terms: dict, diffs: dict,
+    def __init__(self, algebra: Algebra, terms: dict | None, diffs: dict,
                  proj_types: dict | None = None, validate: bool = True,
-                 summands: list | None = None, summand_offsets: dict | None = None):
-        self.algebra = algebra
-        self.summands = summands
-        self.summand_offsets = summand_offsets
+                 summands: list | None = None):
+        if (terms is None) == (proj_types is None):
+            raise ValueError("a complex takes either its terms or a projective witness")
+        self.algebra, self.summands, self.proj_types = algebra, summands, None
+        if proj_types is not None:
+            self.proj_types = {n: tuple(v) for n, v in proj_types.items() if v}
+            terms = {n: algebra.projective_sum(v) for n, v in self.proj_types.items()}
         self.terms = {n: m for n, m in terms.items() if m.dim > 0}
         super().__init__(algebra.field, self.terms)
         self.diffs = {}
@@ -87,16 +90,6 @@ class Complex(Cochains):
                 raise ValueError(f"differential at degree {n} has wrong shape")
             if not d.is_zero():
                 self.diffs[n] = d
-        self.proj_types = None
-        if proj_types is not None:
-            self.proj_types = {n: tuple(v) for n, v in proj_types.items() if self.term(n).dim > 0}
-            for n in self.terms:
-                types = self.proj_types.get(n)
-                if types is None:
-                    raise ValueError(f"missing projective witness in degree {n}")
-                want = sum(projective_cache(algebra, v).dim for v in types)
-                if want != self.terms[n].dim:
-                    raise ValueError(f"projective witness in degree {n} does not match the term")
         self._cohom = {}
         self._linear = set()  # degrees whose differential is checked A-linear
         if validate:
@@ -108,7 +101,7 @@ class Complex(Cochains):
     def term(self, n: int) -> Module:
         m = self.terms.get(n)
         # the zero module is the empty sum, built once per algebra
-        return m if m is not None else projective_sum(self.algebra, ())
+        return m if m is not None else self.algebra.projective_sum(())
 
     def dim(self, n: int) -> int:
         return self.term(n).dim
@@ -116,19 +109,18 @@ class Complex(Cochains):
     def is_projective_complex(self) -> bool:
         return self.proj_types is not None
 
+    @cached_property
+    def summand_offsets(self) -> dict:
+        """degree -> the first row of each summand in X^n."""
+        return {n: list(accumulate((x.dim(n) for x in self.summands[:-1]), initial=0))
+                for n in self.degrees()}
+
     def block_start(self, n: int, s: int | None) -> int:
         """The first row of summand s in X^n: 0 when s is None or X declares
         no summands, X then being its own one block."""
         return self.summand_offsets[n][s] if s is not None and self.summands else 0
 
     def validate(self):
-        A = self.algebra
-        for n, types in (self.proj_types or {}).items():
-            want = projective_sum(A, types)
-            for g in A.generators:
-                if self.terms[n].action(g) != want.action(g):
-                    raise ValueError(f"projective witness in degree {n} does not match "
-                                     f"the action of {A.labels[g]}")
         for n in self.degrees():
             d = self.linear_diff(n)
             if not d.is_zero() and not (d @ self.diff(n + 1)).is_zero():
@@ -169,14 +161,13 @@ class Complex(Cochains):
             return self
         if self.summands is not None:  # a direct sum shifts summand by summand
             return direct_sum_complexes([s.shift(k) for s in self.summands])
-        f = self.algebra.field
-        terms = {n - k: m for n, m in self.terms.items()}
+        A, f = self.algebra, self.algebra.field
         sign = f.one if k % 2 == 0 else f.neg(f.one)
         diffs = {n - k: d.scale(sign) for n, d in self.diffs.items()}
-        types = None
         if self.proj_types is not None:
-            types = {n - k: v for n, v in self.proj_types.items()}
-        return Complex(self.algebra, terms, diffs, types, validate=False)
+            return Complex(A, None, diffs, {n - k: v for n, v in self.proj_types.items()},
+                           validate=False)
+        return Complex(A, {n - k: m for n, m in self.terms.items()}, diffs, validate=False)
 
     def cohomology(self, n: int) -> Module:
         """H^n as a module with its induced action, and its sq for reduce/lift."""
@@ -198,56 +189,35 @@ projective_sum = Algebra.projective_sum
 
 
 def zero_complex(A: Algebra) -> Complex:
-    return Complex(A, {}, {}, proj_types={}, validate=False)
-
-
-def module_complex(M: Module) -> Complex:
-    """M in degree 0, the projective kept at v as its stalk; in degree d, .shift(-d)."""
-    if isinstance(M, ProjectiveModule) and M is projective_cache(M.algebra, M.vertex):
-        return M.stalk
-    return Complex(M.algebra, {0: M}, {}, validate=False)
+    return Complex(A, None, {}, {}, validate=False)
 
 
 def projective_complex(A: Algebra, types: dict, diffs: dict | None = None) -> Complex:
     """Complex whose degree-n term is the direct sum of the listed projectives;
-    one projective alone in degree 0 is the algebra's stalk of it."""
-    terms = {n: projective_sum(A, vs) for n, vs in types.items() if vs}
-    if not diffs and list(terms) == [0] and len(types[0]) == 1:
+    one projective alone in degree 0 is its stalk."""
+    if not diffs and [(n, len(vs)) for n, vs in types.items() if vs] == [(0, 1)]:
         return projective_cache(A, types[0][0]).stalk
-    return Complex(A, terms, diffs or {}, proj_types={n: tuple(vs) for n, vs in types.items()})
+    return Complex(A, None, diffs or {}, types)
 
 
 def direct_sum_complexes(xs: Sequence[Complex]) -> Complex:
-    """Degreewise direct sum, with its summands and per-degree summand offsets.
+    """Degreewise direct sum, with its summands.
 
-    When every summand carries a projective witness, each term is the
-    projective_sum of the concatenated witness, the same block diagonal,
-    so its hom modules are built once per algebra."""
+    When every summand carries a projective witness, the sum carries their
+    concatenated witness, its terms the same block diagonal, so its hom
+    modules are built once per algebra."""
     if not xs:
         raise ValueError("empty direct sum")
     A = xs[0].algebra
-    f = A.field
     lo = min(x.lo for x in xs if not x.is_empty()) if any(not x.is_empty() for x in xs) else 0
     hi = max(x.hi for x in xs if not x.is_empty()) if any(not x.is_empty() for x in xs) else -1
-    types = None
+    diffs = {n: Matrix.block_diag(A.field, [x.diff(n) for x in xs]) for n in range(lo, hi + 1)}
     if all(x.is_projective_complex() for x in xs):
-        types = {n: tuple(v for x in xs for v in x.proj_types.get(n, ()))
-                 for n in range(lo, hi + 1)}
-    terms, diffs = {}, {}
-    offsets = {}
-    for n in range(lo, hi + 1):
-        mods = [x.term(n) for x in xs]
-        offs, off = [], 0
-        for m in mods:
-            offs.append(off)
-            off += m.dim
-        offsets[n] = offs
-        if off:
-            terms[n] = (direct_sum_modules(A, mods) if types is None
-                        else projective_sum(A, types[n]))
-        diffs[n] = Matrix.block_diag(f, [x.diff(n) for x in xs])
-    return Complex(A, terms, diffs, types, validate=False, summands=list(xs),
-                   summand_offsets=offsets)
+        return Complex(A, None, diffs, {n: tuple(v for x in xs for v in x.proj_types.get(n, ()))
+                                        for n in range(lo, hi + 1)},
+                       validate=False, summands=list(xs))
+    return Complex(A, {n: direct_sum_modules(A, [x.term(n) for x in xs])
+                       for n in range(lo, hi + 1)}, diffs, validate=False, summands=list(xs))
 
 
 def summand_blocks(X: Complex) -> dict:
@@ -309,23 +279,14 @@ def cone(f: ChainMap) -> Complex:
     fld = A.field
     lo = min(X.lo - 1, Y.lo)
     hi = max(X.hi - 1, Y.hi)
-    types = None
+    diffs = {n: block_matrix(fld, [[-X.diff(n + 1), f.mat(n + 1)], [None, Y.diff(n)]],
+                             [X.dim(n + 1), Y.dim(n)], [X.dim(n + 2), Y.dim(n + 1)])
+             for n in range(lo, hi + 1)}
     if X.is_projective_complex() and Y.is_projective_complex():
-        types = {n: X.proj_types.get(n + 1, ()) + Y.proj_types.get(n, ())
-                 for n in range(lo, hi + 1)}
-    terms, diffs = {}, {}
-    for n in range(lo, hi + 1):
-        xs, ys = X.term(n + 1), Y.term(n)
-        if xs.dim + ys.dim:
-            terms[n] = (direct_sum_modules(A, [xs, ys]) if types is None
-                        else projective_sum(A, types[n]))
-        diffs[n] = block_matrix(
-            fld,
-            [[-X.diff(n + 1), f.mat(n + 1)], [None, Y.diff(n)]],
-            [xs.dim, ys.dim],
-            [X.term(n + 2).dim, Y.term(n + 1).dim],
-        )
-    return Complex(A, terms, diffs, types)
+        return Complex(A, None, diffs, {n: X.proj_types.get(n + 1, ()) + Y.proj_types.get(n, ())
+                                        for n in range(lo, hi + 1)})
+    return Complex(A, {n: direct_sum_modules(A, [X.term(n + 1), Y.term(n)])
+                       for n in range(lo, hi + 1)}, diffs)
 
 
 def is_acyclic(X: Complex) -> bool:

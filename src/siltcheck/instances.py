@@ -157,8 +157,7 @@ def _parse_complex(A: Algebra, quiver: Quiver, data, path: str) -> Complex:
                         f"unknown vertex {v!r}")
                 idx.append(quiver.vindex[v])
             types[n] = idx
-        dims = {n: sum(projective_cache(A, v).dim for v in vs)
-                for n, vs in types.items()}
+        dims = {n: A.projective_sum(vs).dim for n, vs in types.items()}
         diffs = {}
         for key, rows in block.get("diffs", {}).items():
             dp = f"{bp}.diffs.{key}"

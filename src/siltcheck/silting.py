@@ -312,7 +312,8 @@ def silting_report(U: Complex, max_steps: int = 8,
     does.  The self-extension scans and the coresolution share the one
     hom complex gh = Hom(U, U), built here unless given, with d^2 = 0
     checked on it first.  A refuted U is decided from gh alone, and a
-    presilting U is coresolved through H^0 of gh: no dg-end is built."""
+    presilting U is coresolved through H^0 of gh: no dg-end is built.  The
+    two-sided scan that tilting reads runs only on a coresolved U."""
     if not U.is_projective_complex():
         raise ValueError("presilting test needs a complex of projectives")
     if U.is_empty():
@@ -320,9 +321,9 @@ def silting_report(U: Complex, max_steps: int = 8,
     else:
         gh = _checked_self_hom(U, gh)
         pw = _self_extension(gh, 1, U.hi - U.lo)
-        two_sided = _self_extension(gh, U.lo - U.hi, U.hi - U.lo)
         mf = all(U.h_dim(n) == 0 for n in U.degrees() if n != 0)
         cor = coresolve_A(U, max_steps, gh)
+        two_sided = _self_extension(gh, U.lo - U.hi, U.hi - U.lo) if cor is not None else None
     return SiltingReport(
         presilting=pw is None,
         presilting_witness=pw,

@@ -40,8 +40,7 @@ from itertools import combinations, product
 
 from .algebra import Algebra, Module, direct_sum_modules, simple_module
 from .complexes import (ChainMap, Complex, GradedHom, direct_sum_complexes,
-                        hom_complex, module_complex, proj_replacement,
-                        projective_cache, summand_blocks)
+                        hom_complex, proj_replacement, projective_cache, summand_blocks)
 from .dg import (DgAlgebra, DgModule, dg_hom_module, end_h0, evaluation_left_module,
                  opposite_dg, side_swap, smart_truncate)
 from .linalg import Matrix, block_ranks
@@ -131,12 +130,12 @@ class SiltingContext:
     built on first use and then kept, so a refuted U, decided by its report
     alone, never gets a truncation.  H^0 End(U) and its radical are kept on
     gh (GradedHom.kept, through dg.end_h0 and silting.end_radical), where
-    the report's coresolution left them.  A module is read as itself, one complex
-    in degree 0 (module), and hom complexes, hom modules, resolutions,
-    tensors and their evaluation maps, classifications and canonical
-    sequences are cached under the objects they come from, since several
-    checks revisit them; a key keeps its object alive, so a cached entry can
-    never answer for another.
+    the report's coresolution left them.  A module is read as itself, its
+    one complex in degree 0 (Module.stalk), and hom complexes, hom modules,
+    resolutions, tensors and their evaluation maps, classifications and
+    canonical sequences are cached under the objects they come from, since
+    several checks revisit them; a key keeps its object alive, so a cached
+    entry can never answer for another.
     Counit and fully-faithful rows [lhs, rhs, rank] are kept per degree,
     keyed (summand, margin) or (source, target, margin); counits and pairs
     check the summands missing one as one direct sum (_sum, one per list, so
@@ -149,7 +148,6 @@ class SiltingContext:
         self.U = U
         self.A = U.algebra
         self.max_steps = max_steps
-        self._modules: dict = {}
         self._homs: dict = {}
         self._hom_modules: dict = {}
         self._tensors: dict = {}
@@ -175,12 +173,6 @@ class SiltingContext:
     @cached_property
     def Uc(self) -> DgModule:
         return evaluation_left_module(self.C, self.U)
-
-    def module(self, X: Module) -> Complex:
-        """X in degree 0, built once per module, so Hom(U, X) is built once too."""
-        if X not in self._modules:
-            self._modules[X] = module_complex(X)
-        return self._modules[X]
 
     def hom(self, X: Complex, Y: Complex) -> GradedHom:
         """The hom complex of X into Y, built once per pair; Hom(U, U) is
@@ -469,7 +461,7 @@ def verify_E_iso(ctx: SiltingContext) -> VerificationReport:
     notes: dict = {"idempotents": len(E.idempotents)}
     if all(U.h_dim(n) == 0 for n in U.degrees() if n != 0):
         # U resolves H^0 U, so End_A(H^0 U) is H^0 Hom(U, H^0 U)
-        end_dim = ctx.hom(U, ctx.module(U.cohomology(0))).h_dim(0)
+        end_dim = ctx.hom(U, U.cohomology(0).stalk).h_dim(0)
         try:
             rad_e = len(end_radical(gh))
         except ValueError:
@@ -607,7 +599,7 @@ def classify_Xi(ctx: SiltingContext, X: Module) -> XiClassification:
     n = ctx.report.n
     if n is None:
         raise ValueError("coresolution did not terminate; cannot fix the degree range")
-    gh = ctx.hom(ctx.U, ctx.module(X))
+    gh = ctx.hom(ctx.U, X.stalk)
     dims = {j: gh.h_dim(j) for j in range(0, n + 1)}
     if X.dim == 0:
         return XiClassification(0, dims, True, n)
@@ -641,7 +633,7 @@ def verify_corollary_roundtrip(ctx: SiltingContext, X: Module, i: int, window,
     if cls.index != i:
         return VerificationReport("concentration-roundtrip", subject, checks, notes)
 
-    Xc = ctx.module(X)
+    Xc = X.stalk
     h_table = {n - i: d for n, d in ctx.hom(ctx.U, Xc).h_table().items()}
     checks.append(CheckRecord("hom module has one-point cohomology", set(h_table) <= {0},
                               {"h_table": h_table}))
@@ -739,10 +731,10 @@ def probe_modules(A: Algebra) -> dict:
 
 def probe_complexes(ctx: SiltingContext, mods: dict, cap: int = 16, names=None) -> dict:
     """Sources of homs out of the module probes mods, as probe_modules(ctx.A)
-    built them, plus the free module, the sum of the stalks: ctx.module(M)
-    itself when it is projective, a projective's stalk, else its projective
-    replacement.  Probe names sharing a module share its one source; with
-    names given, only those probes are built.
+    built them, plus the free module, the sum of the stalks: the stalk of
+    M when it is projective, else its projective replacement.  Probe names
+    sharing a module share its one source; with names given, only those
+    probes are built.
     """
     A = ctx.A
     out, sources = {}, {}
@@ -750,7 +742,7 @@ def probe_complexes(ctx: SiltingContext, mods: dict, cap: int = 16, names=None) 
         if names is not None and name not in names:
             continue
         if M not in sources:
-            X = ctx.module(M)
+            X = M.stalk
             sources[M] = X if X.is_projective_complex() else proj_replacement(X, cap)[0]
         out[name] = sources[M]
     if names is None or "free" in names:
@@ -775,7 +767,7 @@ def _canonical_sequence(ctx: SiltingContext, X: Module) -> tuple[Module, Module]
     f = A.field
     Z = Complex(A, {0: U.term(0), 1: U.term(1)}, {0: U.diff(0)},
                 validate=False).cohomology(0)
-    gh = ctx.hom(U, ctx.module(X))
+    gh = ctx.hom(U, X.stalk)
     classes = gh.subquotient(0).rep_entries
     rows = []
     for rep in classes:
@@ -901,7 +893,7 @@ def verify_all(U: Complex, window=(-4, 4), pair_degrees=(-2, 2), max_steps: int 
     # The context checks the distinct target summands as one direct sum, in
     # one counit batch and one fully-faithful check per distinct source
     # summand, and reports each summand and pair under every name.
-    target = {name: ctx.module(mods[name]) if name in mods else X for name, X in cplx.items()}
+    target = {name: mods[name].stalk if name in mods else X for name, X in cplx.items()}
     names = sorted(cplx)
     targets = [target[n] for n in names]
     degs = list(range(pr.lo, pr.hi + 1))
@@ -911,7 +903,7 @@ def verify_all(U: Complex, window=(-4, 4), pair_degrees=(-2, 2), max_steps: int 
     # neither class, in degrees 0 and 1, and the roundtrips each probe
     # concentrated in degree i, each at the window shifted up by i: the
     # tensor is exact from the window's bottom up, so one batch serves all
-    parts = [ctx.module(part) for name in sorted(mods) if tilting and classified[name].index is None
+    parts = [part.stalk for name in sorted(mods) if tilting and classified[name].index is None
              for part in ctx.canonical_sequence(mods[name]) if part.dim]
     shifts = {0, 1} if parts else {0}
     shifts |= {c.index for name, c in classified.items() if mods[name].dim} - {None}

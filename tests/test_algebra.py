@@ -25,8 +25,8 @@ from siltcheck.algebra import (
     path_algebra,
     simple_module,
 )
-from siltcheck.complexes import (direct_sum_complexes, hom_complex, module_complex,
-                                 projective_cache, projective_complex)
+from siltcheck.complexes import (direct_sum_complexes, hom_complex, projective_cache,
+                                 projective_complex)
 from siltcheck.fields import PrimeField, RationalField
 from siltcheck.instances import load_instance
 from siltcheck.linalg import Matrix
@@ -407,7 +407,7 @@ def test_every_module_acts_as_its_dense_reference(case):
     U = complexes[-1] if built is not A else direct_sum_complexes(
         [projective_complex(A, {0: [0]})] + into_0)
     ctx = SiltingContext(U)
-    for X in (U, module_complex(simple_module(A, 0))):
+    for X in (U, simple_module(A, 0).stalk):
         T = ctx.tensor(ctx.hom_module(X), DegreeWindow(-1, 1), 0)
         P = T.resolution
         for d, layout in T.block_layout.items():

@@ -185,6 +185,14 @@ def test_nonsquaring_differential_is_rejected():
     with pytest.raises(InstanceError) as exc:
         parse_instance(data)
     assert exc.value.path.startswith("$.complexes.bad[0]")
+    # a block past the first, whose differential sends e_1 to e_2 although
+    # Hom(P1, P2) is zero: not a module map, named at its own block
+    data = copy.deepcopy(a2_data())
+    data["complexes"]["bad"] = [{"types": {"0": ["1"]}},
+                                {"types": {"-1": ["1"], "0": ["2"]}, "diffs": {"-1": [[1], [0]]}}]
+    with pytest.raises(InstanceError, match="does not commute") as exc:
+        parse_instance(data)
+    assert exc.value.path == "$.complexes.bad[1]"
 
 
 def test_missing_file_and_invalid_json(tmp_path):

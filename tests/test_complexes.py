@@ -37,7 +37,6 @@ from siltcheck.complexes import (
     hom_complex,
     identity_chain_map,
     is_acyclic,
-    module_complex,
     proj_replacement,
     projective_cache,
     projective_complex,
@@ -99,7 +98,7 @@ def random_chain_map(X, Y, rng):
 
 def test_module_complex_cohomology(A2):
     P1, _ = projectives(A2)
-    X = module_complex(P1)
+    X = P1.stalk
     assert X.h_dim(0) == P1.dim
     assert X.h_dim(1) == 0 and X.h_dim(-1) == 0
     H = X.cohomology(0)
@@ -120,13 +119,13 @@ def test_cohomology_dimensions_and_induced_maps_build_no_module(A2):
 
 def test_cone_of_identity_contractible(A2):
     P1, _ = projectives(A2)
-    X = module_complex(P1)
+    X = P1.stalk
     assert is_acyclic(cone(identity_chain_map(X)))
 
 
 def test_cone_of_zero_map(A2):
     P1, P2 = projectives(A2)
-    X, Y = module_complex(P1), module_complex(P2)
+    X, Y = P1.stalk, P2.stalk
     C = cone(ChainMap(X, Y, {}))
     assert C.term(-1).dim == P1.dim and C.term(0).dim == P2.dim
     assert C.h_dim(-1) == P1.dim and C.h_dim(0) == P2.dim
@@ -135,7 +134,7 @@ def test_cone_of_zero_map(A2):
 def test_cone_of_inclusion_is_simple(A2):
     P1, P2 = projectives(A2)
     (incl,) = hom_space(P2, P1)
-    f = ChainMap(module_complex(P2), module_complex(P1), {0: incl.mat})
+    f = ChainMap(P2.stalk, P1.stalk, {0: incl.mat})
     C = cone(f)
     assert C.h_dim(-1) == 0
     assert C.h_dim(0) == 1
@@ -191,16 +190,36 @@ def test_hom_complex_single_projective(A2):
 def test_hom_complex_needs_a_projective_witness(A2):
     P1, _ = projectives(A2)
     with pytest.raises(ValueError, match="projective witness"):
-        hom_complex(module_complex(P1), projective_complex(A2, {0: [0]}))
+        hom_complex(P1.stalk, projective_complex(A2, {0: [0]}))
 
 
-def test_projective_witness_is_checked_against_the_action(A2):
-    # the free module with its two summands listed in the wrong order has the
-    # right dimension but not the listed actions
-    free = projective_complex(A2, {0: [0, 1]})
-    with pytest.raises(ValueError, match="does not match the action"):
-        Complex(A2, dict(free.terms), {}, proj_types={0: (1, 0)})
-    Complex(A2, dict(free.terms), {}, proj_types={0: (0, 1)})
+def test_every_builder_reads_its_terms_off_its_witness(A2):
+    # a complex of projectives is built from its witness alone, so no term
+    # can disagree with it: every builder's terms are the algebra's
+    # projective_sum of its witness, one projective alone being projective(v)
+    rng = random.Random(5)
+    X, Y = random_complex(A2, rng), random_complex(A2, rng)
+    P1, P2 = projective_cache(A2, 0), projective_cache(A2, 1)
+    built = [projective_complex(A2, {-1: [1], 0: [0, 1]}), X, Y,
+             cone(random_chain_map(X, Y, rng)), X.shift(3), X.shift(-2), P1.stalk, P2.stalk,
+             direct_sum_complexes([P2.stalk, X.shift(1)]),
+             *(proj_replacement(simple_module(A2, v).stalk)[0] for v in (0, 1))]
+    for Z in built:
+        assert Z.is_projective_complex() and set(Z.terms) == set(Z.proj_types)
+        for n, types in Z.proj_types.items():
+            assert Z.terms[n] is A2.projective_sum(types)
+    for v, P in enumerate((P1, P2)):
+        assert P.stalk.proj_types == {0: (v,)} and P.stalk.terms[0] is P
+        assert A2.projective_sum((v,)) is P and projective_complex(A2, {0: [v]}) is P.stalk
+    # a witness beside terms is refused
+    with pytest.raises(ValueError, match="terms or a projective witness"):
+        Complex(A2, dict(X.terms), dict(X.diffs), X.proj_types)
+    # a projective built outside the algebra's cache is no projective(v):
+    # its stalk carries no witness, so no hom complex reads out of it
+    outside = ProjectiveModule(A2, 0)
+    assert outside.stalk.terms == {0: outside} and not outside.stalk.is_projective_complex()
+    with pytest.raises(ValueError, match="projective witness"):
+        hom_complex(outside.stalk, P1.stalk)
 
 
 def test_hom_complex_checks_each_differential_it_reads(A2):
@@ -209,7 +228,7 @@ def test_hom_complex_checks_each_differential_it_reads(A2):
     # the image of e_1 must lie in P1.e_1; the hom complex refuses it on
     # either side
     P1 = projective_cache(A2, 0)
-    bad = Complex(A2, {-1: P1, 0: P1}, {-1: Matrix(F101, 2, 2, [[0, 1], [0, 0]])},
+    bad = Complex(A2, None, {-1: Matrix(F101, 2, 2, [[0, 1], [0, 0]])},
                   {-1: (0,), 0: (0,)}, validate=False)
     good = projective_complex(A2, {0: [0]})
     for X, Y in ((bad, good), (good, bad)):
@@ -261,7 +280,7 @@ def test_yoneda_basis_matches_hom_space(name, seed):
     X = projective_complex(A, {0: [rng.randrange(nverts) for _ in range(rng.randint(1, 3))]})
     N = random_two_term(A, rng).cohomology(rng.choice([-1, 0]))
     S = X.term(0)
-    gh = hom_complex(X, module_complex(N))
+    gh = hom_complex(X, N.stalk)
     basis = [gh.component_maps(0, {t: f.one})[0] for t in range(gh.dim(0))]
     oracle = [h.mat for h in hom_space(S, N)]
     assert len(basis) == len(oracle)
@@ -393,8 +412,7 @@ def test_a_module_that_is_no_representation_is_refused_before_any_cell_read(A2):
 def test_hom_complex_componentwise_dims(A2):
     P1, P2 = projectives(A2)
     (incl,) = hom_space(P2, P1)
-    X = Complex(A2, {-1: P2, 0: P1}, {-1: incl.mat},
-                proj_types={-1: (1,), 0: (0,)})
+    X = Complex(A2, None, {-1: incl.mat}, proj_types={-1: (1,), 0: (0,)})
     gh = hom_complex(X, X)
     assert gh.dim(0) == len(hom_space(P2, P2)) + len(hom_space(P1, P1))
     assert gh.dim(-1) == len(hom_space(P1, P2))
@@ -405,7 +423,7 @@ def test_hom_complex_componentwise_dims(A2):
 
 def test_derived_hom_basics(A2):
     Areg = projective_complex(A2, {0: [0, 1]})
-    M = module_complex(regular_module(A2))
+    M = regular_module(A2).stalk
     gh = hom_complex(Areg, M)
     assert gh.h_dim(0) == A2.dim
     assert gh.h_dim(1) == 0
@@ -415,8 +433,8 @@ def test_derived_hom_basics(A2):
 
 
 def test_ext_groups_vs_module_oracle(A2):
-    S1 = module_complex(simple_module(A2, 0))
-    S2 = module_complex(simple_module(A2, 1))
+    S1 = simple_module(A2, 0).stalk
+    S2 = simple_module(A2, 1).stalk
     P1, P2 = projectives(A2)
     R1, e1 = proj_replacement(S1)
     assert is_acyclic(cone(e1))
@@ -446,7 +464,7 @@ def test_proj_replacement_fixed_point(A2):
 
 
 def test_proj_replacement_of_simple(A2):
-    S1 = module_complex(simple_module(A2, 0))
+    S1 = simple_module(A2, 0).stalk
     P, eps = proj_replacement(S1)
     assert P.is_projective_complex()
     assert P.hi == 0 and P.lo == -1
@@ -469,7 +487,7 @@ def test_proj_replacement_cap():
     A = path_algebra(Quiver(["v"], [("x", "v", "v")]), F101, [[(1, ["x", "x"])]])
     k = Module(A, 1, [Matrix.identity(F101, 1), Matrix.zero(F101, 1, 1)])
     with pytest.raises(ResolutionCapError):
-        proj_replacement(module_complex(k), cap=5)
+        proj_replacement(k.stalk, cap=5)
 
 
 def test_proj_replacement_random(A2):
@@ -515,7 +533,7 @@ def test_proj_replacement_of_every_vertex_simple(name):
     build, want = SIMPLE_RESOLUTIONS[name]
     A = build()
     for v, types in enumerate(want):
-        P, eps = proj_replacement(module_complex(simple_module(A, v)))
+        P, eps = proj_replacement(simple_module(A, v).stalk)
         assert P.proj_types == types
         assert is_acyclic(cone(eps))
 
@@ -529,7 +547,7 @@ def test_proj_replacement_cap_is_the_projective_dimension(name):
     for v, types in enumerate(want):
         pd = -min(types)
         for lo in (0, 2):
-            X = module_complex(simple_module(A, v)).shift(-lo)
+            X = simple_module(A, v).stalk.shift(-lo)
             P, _ = proj_replacement(X, cap=pd)
             assert P.proj_types == {n + lo: t for n, t in types.items()}
             if pd:
@@ -541,7 +559,7 @@ def test_proj_replacement_cap_is_the_projective_dimension(name):
 def test_unbounded_resolution_raises_at_every_cap():
     A = load_instance(pathlib.Path(__file__).resolve().parent.parent
                       / "instances" / "fix_dual.json").algebra
-    X = module_complex(simple_module(A, 0))
+    X = simple_module(A, 0).stalk
     for cap in (0, 1, 2, 3, 8, 16):
         with pytest.raises(ResolutionCapError,
                            match=rf"^projective replacement reached degree {-cap - 1} "
@@ -556,7 +574,7 @@ def test_deep_resolution_reads_each_cell_a_bounded_number_of_times(monkeypatch):
     # every generator they grow about 15-fold from cap 100 to cap 400)
     A = load_instance(pathlib.Path(__file__).resolve().parent.parent
                       / "instances" / "fix_dual.json").algebra
-    X = module_complex(simple_module(A, 0))
+    X = simple_module(A, 0).stalk
     calls = []
     cell = DgAlgebra.cell
     monkeypatch.setattr(DgAlgebra, "cell", lambda self, i, n: calls.append(1) or cell(self, i, n))
@@ -575,7 +593,7 @@ def test_proj_replacement_cost_does_not_grow_with_the_cap(name):
     build, want = SIMPLE_RESOLUTIONS[name]
     A = build()
     for v in range(len(want)):
-        X = module_complex(simple_module(A, v))
+        X = simple_module(A, v).stalk
         P, eps = proj_replacement(X, cap=16)
         Q, eps_q = proj_replacement(X, cap=10**6)
         assert (Q.proj_types, Q.terms, Q.diffs) == (P.proj_types, P.terms, P.diffs)
@@ -591,7 +609,9 @@ def _acyclic_by_cohomology(X):
 
 def _fresh(X):
     """X again, with nothing of its cohomology built yet."""
-    return Complex(X.algebra, X.terms, X.diffs, X.proj_types, validate=False)
+    if X.is_projective_complex():
+        return Complex(X.algebra, None, X.diffs, X.proj_types, validate=False)
+    return Complex(X.algebra, X.terms, X.diffs, validate=False)
 
 
 def test_acyclic_by_ranks_matches_cohomology_on_random_complexes(A2):
@@ -662,7 +682,7 @@ def test_derived_hom_invariance(A2):
     X = random_complex(A2, rng)
     Y = random_complex(A2, rng)
     P1, _ = projectives(A2)
-    contractible = cone(identity_chain_map(module_complex(P1)))
+    contractible = cone(identity_chain_map(P1.stalk))
     Y2 = direct_sum_complexes([Y, contractible.shift(rng.randint(-2, 2))])
     gh, gh2 = hom_complex(X, Y), hom_complex(X, Y2)
     for n in range(-4, 5):

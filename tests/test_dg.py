@@ -30,7 +30,6 @@ from siltcheck.complexes import (
     direct_sum_complexes,
     hom_complex,
     identity_chain_map,
-    module_complex,
     proj_replacement,
     projective_complex,
     zero_complex,
@@ -145,7 +144,7 @@ def test_two_route_cohomology_agreement(A2, regular_split, two_term_silting,
 
 
 def test_dg_end_requires_projective_witness(A2):
-    X = module_complex(simple_module(A2, 0))
+    X = simple_module(A2, 0).stalk
     with pytest.raises(ValueError):
         dg_end(X)
 
@@ -416,7 +415,7 @@ def test_generator_images_match_the_composite_matrices(coresolution_inputs, fiel
         C = smart_truncate(B.gh)
         M = dg_hom_module(hom_complex(U, free), C)
         ctx = SiltingContext(U)
-        simples = [ctx.module(simple_module(A, v)) for v in range(len(A.idempotents))]
+        simples = [simple_module(A, v).stalk for v in range(len(A.idempotents))]
         homs = ([B.gh, M.gh] + [ctx.hom(U, S) for S in simples]
                 + [hom_complex(proj_replacement(S)[0], U) for S in simples])
         for gh in homs:

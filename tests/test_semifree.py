@@ -18,7 +18,6 @@ from siltcheck.algebra import Quiver, hom_space, path_algebra, simple_module
 from siltcheck.complexes import (
     direct_sum_complexes,
     hom_complex,
-    module_complex,
     projective_cache,
     projective_complex,
 )
@@ -108,7 +107,7 @@ def silt(A2):
 @pytest.fixture(scope="module")
 def hom_to_simple(A2, silt):
     U, B = silt
-    X = module_complex(simple_module(A2, 0))
+    X = simple_module(A2, 0).stalk
     return dg_hom_module(hom_complex(U, X), B)
 
 
@@ -117,7 +116,7 @@ def dual_hom_to_simple():
     # the simple module of the dual numbers: its minimal resolution is infinite
     inst = load_instance(INSTANCES / "fix_dual.json")
     U = inst.complexes["A"]
-    return dg_hom_module(hom_complex(U, module_complex(inst.modules["k"])), dg_end(U))
+    return dg_hom_module(hom_complex(U, inst.modules["k"].stalk), dg_end(U))
 
 
 def test_window_invariant():
@@ -500,7 +499,7 @@ def test_a_class_acts_only_on_the_pieces_it_meets(monkeypatch):
     # the pieces where its component is not a boundary
     U = _free_linear(6)
     A, ctx = U.algebra, SiltingContext(U)
-    M = ctx.hom_module(direct_sum_complexes([ctx.module(simple_module(A, v)) for v in range(6)]))
+    M = ctx.hom_module(direct_sum_complexes([simple_module(A, v).stalk for v in range(6)]))
     C, f = ctx.C, F101
     times, calls = SemifreeModule.times, Counter()
 

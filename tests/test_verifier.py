@@ -19,12 +19,11 @@ from oracles import (endomorphism_algebra, ext1_dim, hom_dim, reference_componen
                      reference_coords_of, reference_naturality_probe, reference_values,
                      zero_on_summand)
 from siltcheck import verifier
-from siltcheck.algebra import (Quiver, direct_sum_modules, hom_space,
+from siltcheck.algebra import (Module, Quiver, direct_sum_modules, hom_space,
                                path_algebra, simple_module)
-from siltcheck.complexes import (ChainMap, GradedHom, ResolutionCapError, cone,
+from siltcheck.complexes import (ChainMap, Complex, GradedHom, ResolutionCapError, cone,
                                  direct_sum_complexes, hom_complex,
-                                 identity_chain_map, module_complex,
-                                 proj_replacement, projective_cache,
+                                 identity_chain_map, proj_replacement, projective_cache,
                                  projective_complex, summand_blocks, zero_complex)
 from siltcheck.dg import DgModule, dg_end, dg_hom_module
 from siltcheck.fields import PrimeField
@@ -337,11 +336,11 @@ def test_each_concentrated_probe_returns_through_its_one_cached_counit(U_tilt, A
     roundtrips = {r.subject: r for r in reports if r.kind == "concentration-roundtrip"}
     for name, i in degree.items():
         X = mods[name]
-        assert any(s is ctx.module(X) for s in T.summands)
+        assert any(s is X.stalk for s in T.summands)
         for _ in range(2):
             rep = verify_corollary_roundtrip(ctx, X, i, WIN, subject=name)
         assert rep.checks == roundtrips[name].checks
-        counit = ctx.counit(ctx.module(X), DegreeWindow(WIN[0] + i, WIN[1] + i), 0)
+        counit = ctx.counit(X.stalk, DegreeWindow(WIN[0] + i, WIN[1] + i), 0)
         assert rep.checks[-1].details == {
             "h_dims": {n - i: row for n, row in counit.checks[0].details["h_dims"].items()},
             "shift": -i}
@@ -456,8 +455,8 @@ def test_every_roundtrip_row_of_the_one_batch_is_the_counit_at_its_shifted_windo
         fresh = SiltingContext(ctx.U)
         for X, i, kind in returns:
             shifted = DegreeWindow(win.lo + i, win.hi + i)
-            rows = ctx._rows[(ctx.module(X), 0)]
-            direct = verify_counit(fresh, fresh.module(X), shifted)
+            rows = ctx._rows[(X.stalk, 0)]
+            direct = verify_counit(fresh, X.stalk, shifted)
             assert direct.checks[0].details == {"h_dims": {
                 n: rows[n] for n in range(shifted.lo, shifted.hi + 1)}}, (name, kind, i)
             read[kind, i] += 1
@@ -469,7 +468,7 @@ def test_a_direct_sum_reads_each_summands_cohomology_off_its_block(coresolution_
     # class count are its summand's own
     U = coresolution_inputs({"prime": 101})["a3/P1toP0+P1[1]+P2[1]"]
     mods = probe_modules(U.algebra)
-    T = direct_sum_complexes([*U.summands, module_complex(mods["simple0"])])
+    T = direct_sum_complexes([*U.summands, mods["simple0"].stalk])
     blocks, count = summand_blocks(T), 4
     for n in range(-2, 2):
         assert T.block_h_dims(n, blocks, count) == [s.h_dim(n) for s in T.summands]
@@ -491,7 +490,7 @@ def test_the_roundtrip_of_x_shifted_is_x_at_the_shifted_window(coresolution_inpu
                 continue
             hits.append((uname, name))
             rep = verify_corollary_roundtrip(ctx, X, i, win, subject=name)
-            Xi = module_complex(X).shift(i)
+            Xi = X.stalk.shift(i)
             direct = verify_counit(ctx, Xi, win)
             assert rep.checks[2].details == {"h_dims": direct.checks[0].details["h_dims"],
                                              "shift": -i}
@@ -515,30 +514,30 @@ def test_module_probes_read_as_themselves_match_their_replacements(coresolution_
         mods = probe_modules(ctx.A)
         sources = {**probe_complexes(ctx, mods), "silting": ctx.U}
         for name, X in mods.items():
-            assert (verify_counit(ctx, ctx.module(X), win).checks[0].details
+            assert (verify_counit(ctx, X.stalk, win).checks[0].details
                     == verify_counit(ctx, sources[name], win).checks[0].details), name
         for n1 in sorted(sources):
             for n2 in sorted(mods):
                 tables = [verify_fully_faithful(ctx, sources[n1], Y, degs).checks[0].details
-                          for Y in (ctx.module(mods[n2]), sources[n2])]
+                          for Y in (mods[n2].stalk, sources[n2])]
                 assert tables[0] == tables[1], (n1, n2)
 
-    wrapped, wrap = [], verifier.module_complex
-
-    def counted_wrap(M):
-        wrapped.append(M)
-        return wrap(M)
-
-    monkeypatch.setattr(verifier, "module_complex", counted_wrap)
+    # every hom complex into a module probe, or into a sum with one among
+    # its summands, reads that module's one stalk
+    targets, hom_of = [], verifier.hom_complex
+    monkeypatch.setattr(verifier, "hom_complex",
+                        lambda X, Y: targets.extend([Y, *(Y.summands or ())]) or hom_of(X, Y))
     probes = _kept_probe_modules(monkeypatch)
     for ctx in ctxs.values():
-        wrapped.clear()
+        targets.clear()
         probes.clear()
         assert all(r.passed for r in verify_all(ctx.U, **SMALL))
         (mods,) = probes
         distinct = {id(M): M for M in mods.values()}.values()
         assert len(distinct) == len(mods) - 1
-        assert all(sum(M is W for W in wrapped) == 1 for M in distinct)
+        for M in distinct:
+            wrapped = [Y for Y in targets if Y.terms == {0: M} and not Y.diffs]
+            assert wrapped and all(Y is M.stalk for Y in wrapped)
 
 
 def test_tilting_theorem_certifies_module_and_probes(U_tilt, ctx_tilt, A2, tilt_summands,
@@ -585,7 +584,7 @@ def test_tilting_theorem_flags_a_genuine_failure(A2, indecs, P2c, s1res,
 def test_unresolvable_module_is_inconclusive_never_silent(dual_numbers):
     S = simple_module(dual_numbers, 0)
     with pytest.raises(ResolutionCapError, match="cap 8"):
-        proj_replacement(module_complex(S), 8)
+        proj_replacement(S.stalk, 8)
     # the battery meets the same cap on its simple probe and stops there
     with pytest.raises(ResolutionCapError):
         verify_all(projective_complex(dual_numbers, {0: [0]}), window=WIN, cap=8)
@@ -775,7 +774,7 @@ def test_windowed_hom_agrees_with_independent_oracles(U_silt2, ctx_silt2):
 
 def test_context_rejects_non_projective_input(indecs):
     with pytest.raises(ValueError):
-        SiltingContext(module_complex(indecs["S1"]))
+        SiltingContext(indecs["S1"].stalk)
 
 
 def _counting_inits(monkeypatch, cls) -> list:
@@ -920,7 +919,7 @@ def test_sum_reports_equal_the_direct_checks_on_the_whole_sum(name, coresolution
     ctx, whole = SiltingContext(U), SiltingContext(U)
     mods = probe_modules(ctx.A)
     sources = {**probe_complexes(ctx, mods), "silting": U}
-    targets = {**{n: ctx.module(M) for n, M in mods.items()},
+    targets = {**{n: M.stalk for n, M in mods.items()},
                "free": sources["free"], "silting": U}
     for n in ("free", "silting"):
         assert (ctx.counit(targets[n], win, 0).as_dict()
@@ -1039,8 +1038,8 @@ def _failing_cases(U_tilt, U_silt2, U_bad, indecs, monkeypatch):
     with monkeypatch.context() as m:
         # composition in the wrong order, and End(H^0 U) read off H^0 U twice
         _swapped_composite(m)
-        m.setattr(verifier, "module_complex",
-                  lambda M: module_complex(direct_sum_modules(M.algebra, [M, M])))
+        m.setattr(Module, "stalk", property(lambda M: Complex(
+            M.algebra, {0: direct_sum_modules(M.algebra, [M, M])}, {}, validate=False)))
         yield [verify_E_iso(SiltingContext(U_tilt))]
     # the truncation's degree-0 products with their factors swapped
     yield [verify_E_iso(_swap_end_factors(SiltingContext(U_tilt)))]
