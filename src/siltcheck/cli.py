@@ -176,10 +176,8 @@ def cmd_goodify(inst: Instance, args) -> int:
 
 
 def _verification_reports(ctx: SiltingContext, eff: dict) -> list:
-    return verify_all(ctx.U, window=eff["window"],
-                      pair_degrees=eff["pair_degrees"],
-                      extra_margin=eff["extra_margin"],
-                      cap=eff["cap"], ctx=ctx, probe_names=eff["probes"])
+    return verify_all(ctx.U, window=eff["window"], pair_degrees=eff["pair_degrees"],
+                      ctx=ctx, probe_names=eff["probes"])
 
 
 def _verdict_code(reports: list) -> tuple[str, int]:
@@ -193,7 +191,8 @@ def _verdict_code(reports: list) -> tuple[str, int]:
 
 def cmd_verify(inst: Instance, args) -> int:
     eff = _effective(inst, args)
-    ctx = SiltingContext(_pick_complex(inst, args.object), eff["max_steps"])
+    ctx = SiltingContext(_pick_complex(inst, args.object), eff["max_steps"],
+                         eff["extra_margin"], eff["cap"])
     reports = _verification_reports(ctx, eff)
     verdict, code = _verdict_code(reports)
     payload = {"schema": SCHEMA, "command": "verify",
@@ -206,7 +205,8 @@ def cmd_verify(inst: Instance, args) -> int:
 
 def cmd_report(inst: Instance, args) -> int:
     eff = _effective(inst, args)
-    ctx = SiltingContext(_pick_complex(inst, args.object), eff["max_steps"])
+    ctx = SiltingContext(_pick_complex(inst, args.object), eff["max_steps"],
+                         eff["extra_margin"], eff["cap"])
     check_payload, check_code = _check_payload(args.object, ctx.report)
     payload = {"schema": SCHEMA, "command": "report",
                "instance": inst.name, "object": args.object,

@@ -23,7 +23,7 @@ fully-faithful check per source summand, each block's rows kept.
 Every check works inside a stated degree window.  Semifree resolutions are
 truncated one degree deeper than the window requires, so cohomology at the
 window edge is already exact; enlarging the margin must not change any
-reported number, and callers can re-run with a larger margin to confirm.
+reported number, and a context built with a larger margin confirms it.
 Caps that run out produce an inconclusive verdict, never a silent pass.
 
 Reports are plain data: lists of named check records with integer tables.
@@ -131,32 +131,34 @@ class SiltingContext:
     alone, never gets a truncation.  H^0 End(U) and its radical are kept on
     gh (GradedHom.kept, through dg.end_h0 and silting.end_radical), where
     the report's coresolution left them.  A module is read as itself, its
-    one complex in degree 0 (Module.stalk), and hom complexes, hom modules,
-    resolutions, tensors and their evaluation maps, classifications and
-    canonical sequences are cached under the objects they come from, since
-    several checks revisit them; a key keeps its object alive, so a cached
-    entry can never answer for another.
-    Counit and fully-faithful rows [lhs, rhs, rank] are kept per degree,
-    keyed (summand, margin) or (source, target, margin); counits and pairs
-    check the summands missing one as one direct sum (_sum, one per list, so
-    both share its hom module and resolution), and summed adds rows up.
+    one complex in degree 0 (Module.stalk).  The depth settings are fixed
+    here: max_steps bounds the coresolution, extra_margin deepens every
+    cutoff and cap bounds each probe's projective replacement.  All else the
+    context keeps, from hom complexes to rows, goes through one memo, _kept,
+    by kind and by the objects it comes from; a key keeps its object alive,
+    so an entry can never answer for another.  Counit and fully-faithful
+    rows [lhs, rhs, rank] are kept per degree, keyed by summand or by
+    (source, target); counits and pairs check the summands missing one as
+    one direct sum (_sum, one per list, so both share its hom module and
+    resolution), and summed adds rows up.
     """
 
-    def __init__(self, U: Complex, max_steps: int = 8):
+    def __init__(self, U: Complex, max_steps: int = 8, extra_margin: int = 0, cap: int = 16):
         if not U.is_projective_complex():
             raise ValueError("context needs a complex of projectives")
         self.U = U
         self.A = U.algebra
         self.max_steps = max_steps
-        self._homs: dict = {}
-        self._hom_modules: dict = {}
-        self._tensors: dict = {}
-        self._evaluations: dict = {}
-        self._resolutions: dict = {}
-        self._rows: dict = {}  # counit and fully-faithful rows, per degree
-        self._sums: dict = {}
-        self._classifications: dict = {}
-        self._sequences: dict = {}
+        self.extra_margin = extra_margin
+        self.cap = cap
+        self._memo: dict = {}  # kind -> {key: kept object}
+
+    def _kept(self, kind: str, key, build):
+        """The object of this kind kept under key, built by build() on first ask."""
+        kept = self._memo.setdefault(kind, {})
+        if key not in kept:
+            kept[key] = build()
+        return kept[key]
 
     @cached_property
     def gh(self) -> GradedHom:
@@ -179,81 +181,70 @@ class SiltingContext:
         gh, the one under the truncation C."""
         if X is self.U and Y is self.U:
             return self.gh
-        if (X, Y) not in self._homs:
-            self._homs[(X, Y)] = hom_complex(X, Y)
-        return self._homs[(X, Y)]
+        return self._kept("hom", (X, Y), lambda: hom_complex(X, Y))
 
     def hom_module(self, X: Complex) -> DgModule:
         """Hom(U, X) as a right module over the truncation C."""
-        if X not in self._hom_modules:
-            self._hom_modules[X] = dg_hom_module(self.hom(self.U, X), self.C)
-        return self._hom_modules[X]
+        return self._kept("hom module", X, lambda: dg_hom_module(self.hom(self.U, X), self.C))
 
-    def tensor(self, M: DgModule, win: DegreeWindow, extra_margin: int) -> Complex:
+    def tensor(self, M: DgModule, win: DegreeWindow) -> Complex:
         """P (x)_C Uc for the resolution P of M that resolve keeps, exact
         inside the window."""
-        P = self.resolve(M, tensor_cutoff(self.Uc, win, extra_margin))
-        if P not in self._tensors:
-            self._tensors[P] = resolution_tensor(P, self.Uc)
-        return self._tensors[P]
+        P = self.resolve(M, tensor_cutoff(self.Uc, win, self.extra_margin))
+        return self._kept("tensor", P, lambda: resolution_tensor(P, self.Uc))
 
-    def evaluation(self, X: Complex, win: DegreeWindow, extra_margin: int) -> ChainMap:
+    def evaluation(self, X: Complex, win: DegreeWindow) -> ChainMap:
         """The evaluation map onto X from its tensor at the window, one per tensor."""
         MX = self.hom_module(X)
-        T = self.tensor(MX, win, extra_margin)
-        if T not in self._evaluations:
-            self._evaluations[T] = _evaluation_chain_map(T, MX.gh, X)
-        return self._evaluations[T]
+        T = self.tensor(MX, win)
+        return self._kept("evaluation", T, lambda: _evaluation_chain_map(T, MX.gh, X))
 
-    def batch(self, Ys: list, win: DegreeWindow, extra_margin: int) -> ChainMap:
+    def batch(self, Ys: list, win: DegreeWindow) -> ChainMap:
         """The evaluation map of a counit batch at the window's cutoff whose
         sum holds all of Ys, checking them as one more batch when none does."""
-        cutoff = tensor_cutoff(self.Uc, win, extra_margin)
-        for T, eps in self._evaluations.items():
+        cutoff = tensor_cutoff(self.Uc, win, self.extra_margin)
+        for T, eps in self._memo.get("evaluation", {}).items():
             blocks = eps.target.summands or [eps.target]
             if T.resolution.cutoff == cutoff and set(Ys) <= set(blocks):
                 return eps
         S = self._sum(_leaves(Ys))
-        verify_counit(self, S, win, extra_margin)
-        return self.evaluation(S, win, extra_margin)
+        verify_counit(self, S, win)
+        return self.evaluation(S, win)
 
-    def counit(self, X: Complex, window, extra_margin: int) -> VerificationReport:
-        """The counit report of X at the window and margin, from the rows of
-        its declared summands, each checked by counits."""
+    def counit(self, X: Complex, window) -> VerificationReport:
+        """The counit report of X at the window, from the rows of its
+        declared summands, each checked by counits."""
         win = _window(window)
-        self.counits([X], win, extra_margin)
+        self.counits([X], win)
         check = self.summed("evaluation map induces cohomology isomorphisms",
-                            [(s, extra_margin) for s in _parts(X)], range(win.lo, win.hi + 1))
+                            _parts(X), range(win.lo, win.hi + 1))
         return VerificationReport("counit", "probe", [check],
-                                  {"window": [win.lo, win.hi], "extra_margin": extra_margin})
+                                  {"window": [win.lo, win.hi], "extra_margin": self.extra_margin})
 
-    def counits(self, Xs: list, window, extra_margin: int):
+    def counits(self, Xs: list, window):
         """Check the counit of every summand of Xs missing a row in the
-        window at this margin in one verify_counit, on their direct sum."""
+        window in one verify_counit, on their direct sum."""
         win = _window(window)
         need = set(range(win.lo, win.hi + 1))
-        todo = [s for s in _leaves(Xs) if not self._rows.get((s, extra_margin), {}).keys() >= need]
+        todo = [s for s in _leaves(Xs) if not self._kept("rows", s, dict).keys() >= need]
         if todo:
-            verify_counit(self, self._sum(todo), win, extra_margin)
+            verify_counit(self, self._sum(todo), win)
 
-    def fully_faithful(self, X: Complex, Xp: Complex, degrees,
-                       extra_margin: int) -> VerificationReport:
-        """The fully-faithful report of the pair at the degrees and margin,
-        from the rows of pairs of declared summands, each checked by pairs."""
-        self.pairs([X], [Xp], degrees, extra_margin)
-        return _pair_report(self, [(s, t, extra_margin) for s in _parts(X) for t in _parts(Xp)],
-                            degrees, extra_margin)
+    def fully_faithful(self, X: Complex, Xp: Complex, degrees) -> VerificationReport:
+        """The fully-faithful report of the pair at the degrees, from the
+        rows of pairs of declared summands, each checked by pairs."""
+        self.pairs([X], [Xp], degrees)
+        return _pair_report(self, [(s, t) for s in _parts(X) for t in _parts(Xp)], degrees)
 
-    def pairs(self, Xs: list, Ys: list, degrees, extra_margin: int):
+    def pairs(self, Xs: list, Ys: list, degrees):
         """Check every pair of a summand of Xs and a summand of Ys missing a
-        row at these degrees and margin, one verify_fully_faithful per source
-        summand, into the direct sum of its targets."""
+        row at these degrees, one verify_fully_faithful per source summand,
+        into the direct sum of its targets."""
         targets, need = _leaves(Ys), set(degrees)
         for S in _leaves(Xs):
-            todo = [t for t in targets
-                    if not self._rows.get((S, t, extra_margin), {}).keys() >= need]
+            todo = [t for t in targets if not self._kept("rows", (S, t), dict).keys() >= need]
             if todo:
-                verify_fully_faithful(self, S, self._sum(todo), degrees, extra_margin)
+                verify_fully_faithful(self, S, self._sum(todo), degrees)
 
     def file_rows(self, keys: list, degrees, lhs, lhs_blocks: dict, rhs, rhs_blocks: dict,
                   induced):
@@ -267,13 +258,13 @@ class SiltingContext:
                                  rhs.class_blocks(n, rhs_blocks), count)
                      if any(a and b for a, b in zip(ls, rs)) else [0] * count)
             for key, row in zip(keys, zip(ls, rs, ranks)):
-                self._rows.setdefault(key, {})[n] = list(row)
+                self._kept("rows", key, dict)[n] = list(row)
 
     def summed(self, name: str, keys: list, degrees) -> CheckRecord:
         """The check that the kept rows of keys, added degree by degree (a
         repeated key counts again), are isomorphisms: maps of direct sums are
         block diagonal, so their rows add up."""
-        rows = [self._rows[k] for k in keys]
+        rows = [self._kept("rows", k, dict) for k in keys]
         table = {n: [sum(col) for col in zip(*(r[n] for r in rows))] for n in degrees}
         return CheckRecord(name, all(a == b == rk for a, b, rk in table.values()),
                            {"h_dims": table})
@@ -283,22 +274,15 @@ class SiltingContext:
         list, so the counits and every source's pairs share its hom module."""
         if len(parts) == 1:
             return parts[0]
-        key = tuple(parts)
-        if key not in self._sums:
-            self._sums[key] = direct_sum_complexes(parts)
-        return self._sums[key]
+        return self._kept("sum", tuple(parts), lambda: direct_sum_complexes(parts))
 
     def classification(self, X: Module) -> XiClassification:
         """classify_Xi(self, X), run once per module."""
-        if X not in self._classifications:
-            self._classifications[X] = classify_Xi(self, X)
-        return self._classifications[X]
+        return self._kept("classification", X, lambda: classify_Xi(self, X))
 
     def canonical_sequence(self, X: Module) -> tuple[Module, Module]:
         """_canonical_sequence(self, X), built once per module."""
-        if X not in self._sequences:
-            self._sequences[X] = _canonical_sequence(self, X)
-        return self._sequences[X]
+        return self._kept("canonical sequence", X, lambda: _canonical_sequence(self, X))
 
     def resolve(self, M: DgModule, cutoff: int) -> SemifreeModule:
         """semifree_resolve(M, cutoff), built at most once per module and degree.
@@ -306,7 +290,7 @@ class SiltingContext:
         Every module handed out is kept and never changed afterwards; a new
         cutoff is served from the deepest resolution of M built so far.
         """
-        built = self._resolutions.setdefault(M, {})
+        built = self._kept("resolutions", M, dict)
         if cutoff not in built:
             built[cutoff] = (built[min(built)].to_cutoff(cutoff) if built
                              else semifree_resolve(M, cutoff))
@@ -398,12 +382,11 @@ def _generator_blocks(P: SemifreeModule, module: dict) -> list:
     return out
 
 
-def _pair_report(ctx: SiltingContext, keys: list, degrees,
-                 extra_margin: int) -> VerificationReport:
+def _pair_report(ctx: SiltingContext, keys: list, degrees) -> VerificationReport:
     ns = sorted(degrees)
     check = ctx.summed("morphism spaces match through the functor", keys, ns)
     return VerificationReport("fully-faithful", "pair", [check],
-                              {"degrees": ns, "extra_margin": extra_margin})
+                              {"degrees": ns, "extra_margin": ctx.extra_margin})
 
 
 # -- individual checks -------------------------------------------------------
@@ -483,8 +466,7 @@ def _composite(gh: GradedHom, rows: dict, then: ChainMap) -> dict:
                            and (v := m.apply_entries(row))})
 
 
-def verify_counit(ctx: SiltingContext, X: Complex, window,
-                  extra_margin: int = 0) -> VerificationReport:
+def verify_counit(ctx: SiltingContext, X: Complex, window) -> VerificationReport:
     """Resolve Hom(U, X) over the truncation, tensor back, evaluate onto X.
 
     Passes when the evaluation map induces cohomology isomorphisms at every
@@ -494,18 +476,17 @@ def verify_counit(ctx: SiltingContext, X: Complex, window,
     """
     win = _window(window)
     MX = ctx.hom_module(X)
-    eps = ctx.evaluation(X, win, extra_margin)
+    eps = ctx.evaluation(X, win)
     T = eps.source
     xb = summand_blocks(X)
     gens = _generator_blocks(T.resolution, _cell_blocks(MX.gh, xb))
     tb = {n: [gens[k] for k, _ in layout.positions] for n, layout in T.block_layout.items()}
-    ctx.file_rows([(s, extra_margin) for s in X.summands or [X]], range(win.lo, win.hi + 1),
-                  T, tb, X, xb, eps.induced)
-    return ctx.counit(X, win, extra_margin)
+    ctx.file_rows(X.summands or [X], range(win.lo, win.hi + 1), T, tb, X, xb, eps.induced)
+    return ctx.counit(X, win)
 
 
-def verify_fully_faithful(ctx: SiltingContext, X: Complex, Xp: Complex, degrees,
-                          extra_margin: int = 0) -> VerificationReport:
+def verify_fully_faithful(ctx: SiltingContext, X: Complex, Xp: Complex,
+                          degrees) -> VerificationReport:
     """Morphism spaces before and after the hom functor, degree by degree.
 
     Compares dimensions over the base algebra with dimensions over the
@@ -527,7 +508,7 @@ def verify_fully_faithful(ctx: SiltingContext, X: Complex, Xp: Complex, degrees,
     # resolution of Hom(U, Xp), its augmentation values restricted to it
     s = next((t for t, part in enumerate(Xp.summands or [Xp]) if part is X), None)
     MX = MXp if s is not None else ctx.hom_module(X)
-    P = ctx.resolve(MX, hom_cutoff(MXp, win, extra_margin))
+    P = ctx.resolve(MX, hom_cutoff(MXp, win, ctx.extra_margin))
     if s is not None and Xp.summands:
         P = P.block(_generator_blocks(P, mb), s)
     sh = SemifreeHom(P, MXp)
@@ -541,13 +522,12 @@ def verify_fully_faithful(ctx: SiltingContext, X: Complex, Xp: Complex, degrees,
             shq.reduce(sh.assemble(n, after(n, rep)))
             for rep in gh.subquotient(n).rep_entries])
 
-    keys = [(X, t, extra_margin) for t in Xp.summands or [Xp]]
+    keys = [(X, t) for t in Xp.summands or [Xp]]
     ctx.file_rows(keys, ns, gh, hb, sh, sb, functor)
-    return _pair_report(ctx, keys, ns, extra_margin)
+    return _pair_report(ctx, keys, ns)
 
 
-def verify_delta(ctx: SiltingContext, window,
-                 extra_margin: int = 0) -> VerificationReport:
+def verify_delta(ctx: SiltingContext, window) -> VerificationReport:
     """Right multiplication identifies A with derived endomorphisms of U.
 
     U is made into a right module over the opposite of the truncated dg-end,
@@ -561,7 +541,7 @@ def verify_delta(ctx: SiltingContext, window,
     f = A.field
     Cop = opposite_dg(ctx.C)
     MU = side_swap(ctx.Uc, Cop)
-    Q = ctx.resolve(MU, hom_cutoff(MU, win, extra_margin))
+    Q = ctx.resolve(MU, hom_cutoff(MU, win, ctx.extra_margin))
     sh = SemifreeHom(Q, MU)
     sq0 = sh.subquotient(0)
 
@@ -580,7 +560,7 @@ def verify_delta(ctx: SiltingContext, window,
                     {"h_table": {n: d for n, d in h_table.items() if d}}),
     ]
     return VerificationReport("derived-double-centralizer", "silting complex", checks,
-                              {"window": [win.lo, win.hi], "extra_margin": extra_margin})
+                              {"window": [win.lo, win.hi], "extra_margin": ctx.extra_margin})
 
 
 @dataclass
@@ -608,7 +588,6 @@ def classify_Xi(ctx: SiltingContext, X: Module) -> XiClassification:
 
 
 def verify_corollary_roundtrip(ctx: SiltingContext, X: Module, i: int, window,
-                               extra_margin: int = 0,
                                subject: str = "module") -> VerificationReport:
     """Modules concentrated by the hom functor come back unchanged.
 
@@ -625,7 +604,7 @@ def verify_corollary_roundtrip(ctx: SiltingContext, X: Module, i: int, window,
     checks = [CheckRecord("probe concentrates in the expected degree",
                           cls.index == i, {"classified": cls.index, "expected": i,
                                            "hom_dims": cls.dims})]
-    notes = {"window": [win.lo, win.hi], "extra_margin": extra_margin,
+    notes = {"window": [win.lo, win.hi], "extra_margin": ctx.extra_margin,
              "degenerate": cls.degenerate}
     if i == 0:
         notes["degree_note"] = ("degree 0 sits outside the shifted range of the "
@@ -637,7 +616,7 @@ def verify_corollary_roundtrip(ctx: SiltingContext, X: Module, i: int, window,
     h_table = {n - i: d for n, d in ctx.hom(ctx.U, Xc).h_table().items()}
     checks.append(CheckRecord("hom module has one-point cohomology", set(h_table) <= {0},
                               {"h_table": h_table}))
-    counit = ctx.counit(Xc, DegreeWindow(win.lo + i, win.hi + i), extra_margin)
+    counit = ctx.counit(Xc, DegreeWindow(win.lo + i, win.hi + i))
     h_dims = {n - i: row for n, row in counit.checks[0].details["h_dims"].items()}
     checks.append(CheckRecord("tensor of the concentrated module returns the probe",
                               counit.passed, {"h_dims": h_dims, "shift": -i}))
@@ -647,8 +626,7 @@ def verify_corollary_roundtrip(ctx: SiltingContext, X: Module, i: int, window,
 # -- naturality and functoriality probes -------------------------------------
 
 
-def functoriality_probe(ctx: SiltingContext, window,
-                        extra_margin: int = 0) -> VerificationReport:
+def functoriality_probe(ctx: SiltingContext, window) -> VerificationReport:
     """Finite sums of summands of U pass the counit check.
 
     Exercises additivity of the hom-then-tensor pipeline on objects built
@@ -658,15 +636,14 @@ def functoriality_probe(ctx: SiltingContext, window,
     parts = ctx.U.summands or [ctx.U]
     sums = ({"double": parts * 2} if len(parts) == 1 else
             {f"sum{a}{b}": [parts[a], parts[b]] for a, b in combinations(range(len(parts)), 2)})
-    ctx.counits(parts, win, extra_margin)
+    ctx.counits(parts, win)
     return VerificationReport("functoriality", "sums from the silting complex", [
-        ctx.summed(f"counit on {name}", [(s, extra_margin) for X in pair for s in _parts(X)],
+        ctx.summed(f"counit on {name}", [s for X in pair for s in _parts(X)],
                    range(win.lo, win.hi + 1))
         for name, pair in sums.items()])
 
 
-def naturality_probe(ctx: SiltingContext, X: Complex, Xp: Complex, window,
-                     extra_margin: int = 0) -> VerificationReport:
+def naturality_probe(ctx: SiltingContext, X: Complex, Xp: Complex, window) -> VerificationReport:
     """The counit square of a chosen map g commutes on cohomology.
 
     g: Y -> Y' is the first degree-0 basis class on the first summand pair
@@ -685,7 +662,7 @@ def naturality_probe(ctx: SiltingContext, X: Complex, Xp: Complex, window,
     else:
         return VerificationReport("naturality", "probe pair", [],
                                   {"vacuous": "no nonzero map to test"})
-    eps = ctx.batch([Y, Yp], win, extra_margin)
+    eps = ctx.batch([Y, Yp], win)
     T, TT = eps.target, eps.source
     MT, P = ctx.hom_module(T), TT.resolution
     s, sp = (next(t for t, Z in enumerate(T.summands or [T]) if Z is W) for W in (Y, Yp))
@@ -729,12 +706,12 @@ def probe_modules(A: Algebra) -> dict:
     return out
 
 
-def probe_complexes(ctx: SiltingContext, mods: dict, cap: int = 16, names=None) -> dict:
+def probe_complexes(ctx: SiltingContext, mods: dict, names=None) -> dict:
     """Sources of homs out of the module probes mods, as probe_modules(ctx.A)
     built them, plus the free module, the sum of the stalks: the stalk of
-    M when it is projective, else its projective replacement.  Probe names
-    sharing a module share its one source; with names given, only those
-    probes are built.
+    M when it is projective, else its projective replacement within the
+    context's cap.  Probe names sharing a module share its one source; with
+    names given, only those probes are built.
     """
     A = ctx.A
     out, sources = {}, {}
@@ -743,7 +720,7 @@ def probe_complexes(ctx: SiltingContext, mods: dict, cap: int = 16, names=None) 
             continue
         if M not in sources:
             X = M.stalk
-            sources[M] = X if X.is_projective_complex() else proj_replacement(X, cap)[0]
+            sources[M] = X if X.is_projective_complex() else proj_replacement(X, ctx.cap)[0]
         out[name] = sources[M]
     if names is None or "free" in names:
         out["free"] = direct_sum_complexes([projective_cache(A, v).stalk
@@ -781,8 +758,7 @@ def _canonical_sequence(ctx: SiltingContext, X: Module) -> tuple[Module, Module]
 
 
 def verify_tilting_theorem(ctx: SiltingContext, probes: dict,
-                           delta: VerificationReport, window,
-                           extra_margin: int = 0) -> VerificationReport:
+                           delta: VerificationReport, window) -> VerificationReport:
     """The classical tilting theorem, read off the derived battery.
 
     U must be a tilting complex whose cohomology T sits in degree 0, as the
@@ -805,7 +781,7 @@ def verify_tilting_theorem(ctx: SiltingContext, probes: dict,
     if not (srep.tilting and srep.module_form):
         raise ValueError("the tilting theorem needs a tilting complex with cohomology "
                          "in degree 0 alone")
-    notes = {"window": [win.lo, win.hi], "extra_margin": extra_margin}
+    notes = {"window": [win.lo, win.hi], "extra_margin": ctx.extra_margin}
     checks = [CheckRecord("base algebra equals the double centralizer",
                           delta.passed, dict(delta.checks[0].details))]
     for name in sorted(probes):
@@ -819,8 +795,7 @@ def verify_tilting_theorem(ctx: SiltingContext, probes: dict,
             for label, part, i in zip(("torsion", "torsion_free"),
                                       ctx.canonical_sequence(X), (0, 1)):
                 back = part.dim > 0 and verify_corollary_roundtrip(
-                    ctx, part, i, win, extra_margin,
-                    subject=f"{name} {label}").passed
+                    ctx, part, i, win, subject=f"{name} {label}").passed
                 details[label] = {"dimension_vector": list(part.dimension_vector()),
                                   "class": ctx.classification(part).index,
                                   "returns": back}
@@ -840,8 +815,8 @@ _SCOPE_NOTE = ("checked on the finite probe set; every probe is compact, so "
                "orthogonal-complement side conditions hold vacuously here")
 
 
-def verify_all(U: Complex, window=(-4, 4), pair_degrees=(-2, 2), max_steps: int = 8,
-               extra_margin: int = 0, cap: int = 16,
+def verify_all(U: Complex, window=(-4, 4), pair_degrees=(-2, 2), max_steps: int | None = None,
+               extra_margin: int | None = None, cap: int | None = None,
                ctx: SiltingContext | None = None, probe_names=None) -> list:
     """Run every check on one silting complex with the standard probe set.
 
@@ -852,13 +827,20 @@ def verify_all(U: Complex, window=(-4, 4), pair_degrees=(-2, 2), max_steps: int 
     orthogonal-complement clause of the general statement is vacuous here,
     since each instance is finite and carried by its probes; every report
     notes its window and margins so reruns with larger margins are directly
-    comparable.  A given ctx must be the context of U; its report, built
-    with its own max_steps, is the first report's source.  A tilting U with
-    cohomology in degree 0 alone ends with the tilting-theorem report.
+    comparable.  max_steps, extra_margin and cap build the context of U,
+    each left out taking SiltingContext's default; a given ctx must be the
+    context of U and has fixed them, so passing one beside it raises
+    ValueError.  A tilting U with cohomology in degree 0 alone ends with
+    the tilting-theorem report.
     """
+    given = {k: v for k, v in (("max_steps", max_steps), ("extra_margin", extra_margin),
+                               ("cap", cap)) if v is not None}
+    if ctx is not None and (ctx.U is not U or given):
+        raise ValueError("a given context must be the context of U, and it fixes "
+                         "max_steps, extra_margin and cap")
+    ctx = ctx or SiltingContext(U, **given)
     win = _window(window)
     pr = _window(pair_degrees)
-    ctx = ctx or SiltingContext(U, max_steps)
     mods = probe_modules(ctx.A)
     if probe_names is not None:
         known = set(mods) | {"free", "silting"}
@@ -882,10 +864,10 @@ def verify_all(U: Complex, window=(-4, 4), pair_degrees=(-2, 2), max_steps: int 
         return _scoped(reports)
     reports.append(verify_weak_nonpositive(ctx))
     reports.append(verify_E_iso(ctx))
-    delta = verify_delta(ctx, win, extra_margin)
+    delta = verify_delta(ctx, win)
     reports.append(delta)
 
-    cplx = probe_complexes(ctx, mods, cap, probe_names)
+    cplx = probe_complexes(ctx, mods, probe_names)
     if probe_names is None or "silting" in probe_names:
         cplx["silting"] = ctx.U
     # probe names may share one complex: simple2 is proj2 over kA_n.  A
@@ -907,11 +889,11 @@ def verify_all(U: Complex, window=(-4, 4), pair_degrees=(-2, 2), max_steps: int 
              for part in ctx.canonical_sequence(mods[name]) if part.dim]
     shifts = {0, 1} if parts else {0}
     shifts |= {c.index for name, c in classified.items() if mods[name].dim} - {None}
-    ctx.counits(targets + parts, DegreeWindow(win.lo, win.hi + max(shifts)), extra_margin)
-    ctx.pairs([cplx[n] for n in names], targets, degs, extra_margin)
+    ctx.counits(targets + parts, DegreeWindow(win.lo, win.hi + max(shifts)))
+    ctx.pairs([cplx[n] for n in names], targets, degs)
     for name in names:
-        reports.append(ctx.counit(target[name], win, extra_margin).filed_as(name))
-    reports += [ctx.fully_faithful(cplx[n1], target[n2], degs, extra_margin)
+        reports.append(ctx.counit(target[name], win).filed_as(name))
+    reports += [ctx.fully_faithful(cplx[n1], target[n2], degs)
                 .filed_as(f"{n1}->{n2}") for n1 in names for n2 in names]
     cls_checks = []
     for name in sorted(mods):
@@ -928,15 +910,15 @@ def verify_all(U: Complex, window=(-4, 4), pair_degrees=(-2, 2), max_steps: int 
         c = classified[name]
         if c.index is not None and mods[name].dim:
             roundtrips[name] = verify_corollary_roundtrip(ctx, mods[name], c.index, win,
-                                                          extra_margin, subject=name)
+                                                          subject=name)
             reports.append(roundtrips[name])
-    reports.append(functoriality_probe(ctx, win, extra_margin))
+    reports.append(functoriality_probe(ctx, win))
     if "free" in cplx:
-        reports.append(naturality_probe(ctx, cplx["free"], ctx.U, win, extra_margin))
+        reports.append(naturality_probe(ctx, cplx["free"], ctx.U, win))
     if tilting:
         probes = {name: (mods[name], classified[name], roundtrips.get(name))
                   for name in mods}
-        reports.append(verify_tilting_theorem(ctx, probes, delta, win, extra_margin))
+        reports.append(verify_tilting_theorem(ctx, probes, delta, win))
     return _scoped(reports)
 
 

@@ -868,7 +868,7 @@ def zero_on_summand(evaluation, broken):
     return broken_evaluation
 
 
-def reference_naturality_probe(ctx, X, Xp, window, extra_margin: int = 0) -> dict:
+def reference_naturality_probe(ctx, X, Xp, window) -> dict:
     """The verdict of the naturality square of the first degree-0 map
     g: Y -> Y' between summands of X and X', each read on its own: the
     resolutions P of Hom(U, Y) and P' of Hom(U, Y'), their tensors and
@@ -887,7 +887,7 @@ def reference_naturality_probe(ctx, X, Xp, window, extra_margin: int = 0) -> dic
     grep = gh.subquotient(0).rep_entries[0]
     g = gh.chain_map_from_cocycle(grep)
     MX, MXp = ctx.hom_module(Y), ctx.hom_module(Yp)
-    TX, TXp = ctx.tensor(MX, win, extra_margin), ctx.tensor(MXp, win, extra_margin)
+    TX, TXp = ctx.tensor(MX, win), ctx.tensor(MXp, win)
     P, Pp = TX.resolution, TXp.resolution
     if not (P.gens and Pp.gens):
         return {"vacuous": "degenerate tensor, nothing to compare"}

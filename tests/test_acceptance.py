@@ -277,43 +277,47 @@ def test_windowed_results_are_stable_under_margin_enlargement(request, uname):
     U = request.getfixturevalue(uname)
     ctx = SiltingContext(U)
     probes = _standard_probes(ctx)
-    base_delta = _stable_details(verify_delta(ctx, WINDOW, 0))
-    base_counit = {n: _stable_details(verify_counit(ctx, probes[n], WINDOW, 0))
+    base_delta = _stable_details(verify_delta(ctx, WINDOW))
+    base_counit = {n: _stable_details(verify_counit(ctx, probes[n], WINDOW))
                    for n in sorted(probes)}
     base_ff = {(n1, n2): _stable_details(
-                   verify_fully_faithful(ctx, probes[n1], probes[n2],
-                                         PAIR_DEGREES, 0))
+                   verify_fully_faithful(ctx, probes[n1], probes[n2], PAIR_DEGREES))
                for n1 in sorted(probes) for n2 in sorted(probes)}
     for margin in (1, 2, 3):
-        assert _stable_details(verify_delta(ctx, WINDOW, margin)) == base_delta
+        # the margin is fixed per context: one context per margin, on the
+        # same probe complexes
+        wide = SiltingContext(U, extra_margin=margin)
+        assert _stable_details(verify_delta(wide, WINDOW)) == base_delta
         for n in sorted(probes):
-            got = _stable_details(verify_counit(ctx, probes[n], WINDOW, margin))
+            got = _stable_details(verify_counit(wide, probes[n], WINDOW))
             assert got == base_counit[n]
         for key, base in base_ff.items():
             n1, n2 = key
             got = _stable_details(verify_fully_faithful(
-                ctx, probes[n1], probes[n2], PAIR_DEGREES, margin))
+                wide, probes[n1], probes[n2], PAIR_DEGREES))
             assert got == base
     assert time.perf_counter() - start < 60.0
 
 
 def test_tilting_pipeline_is_stable_under_cap_enlargement(indecs, U_tilt):
     start = time.perf_counter()
-    ctx = SiltingContext(U_tilt)
-    base = _stable_details(verify_all(U_tilt, WINDOW, ctx=ctx, cap=16)[-1])
+    ctx = SiltingContext(U_tilt, cap=16)
+    base = _stable_details(verify_all(U_tilt, WINDOW, ctx=ctx)[-1])
     for extra in (1, 2, 3):
+        # cap and margin are fixed per context: verify_all builds one for each
         for enlarged in ({"cap": 16 + extra}, {"extra_margin": extra}):
-            rep = verify_all(U_tilt, WINDOW, ctx=ctx, **enlarged)[-1]
+            rep = verify_all(U_tilt, WINDOW, **enlarged)[-1]
             assert rep.kind == "tilting-theorem"
             assert _stable_details(rep) == base
     # roundtrips keep their tables when the tensor margin grows
+    wide = {margin: SiltingContext(U_tilt, extra_margin=margin) for margin in (1, 2, 3)}
     for name in sorted(indecs):
         c = classify_Xi(ctx, indecs[name])
         base_rt = _stable_details(verify_corollary_roundtrip(
-            ctx, indecs[name], c.index, WINDOW, 0))
+            ctx, indecs[name], c.index, WINDOW))
         for margin in (1, 2, 3):
             got = _stable_details(verify_corollary_roundtrip(
-                ctx, indecs[name], c.index, WINDOW, margin))
+                wide[margin], indecs[name], c.index, WINDOW))
             assert got == base_rt
     assert time.perf_counter() - start < 60.0
 

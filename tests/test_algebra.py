@@ -408,7 +408,7 @@ def test_every_module_acts_as_its_dense_reference(case):
         [projective_complex(A, {0: [0]})] + into_0)
     ctx = SiltingContext(U)
     for X in (U, simple_module(A, 0).stalk):
-        T = ctx.tensor(ctx.hom_module(X), DegreeWindow(-1, 1), 0)
+        T = ctx.tensor(ctx.hom_module(X), DegreeWindow(-1, 1))
         P = T.resolution
         for d, layout in T.block_layout.items():
             _agrees(T.term(d), dense_sum_action(A, [dense_cell_action(

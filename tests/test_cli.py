@@ -1,6 +1,7 @@
 """End-to-end command line tests: parsing, exit codes, report contents."""
 
 import copy
+import inspect
 import json
 import pathlib
 import time
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from oracles import zero_on_summand
 from siltcheck.algebra import Quiver, hom_space, path_algebra
-from siltcheck.cli import main
+from siltcheck.cli import DEFAULTS, main
 from siltcheck.complexes import (cone, direct_sum_complexes, identity_chain_map,
                                  projective_cache,
                                  projective_complex)
@@ -21,7 +22,8 @@ from siltcheck.fields import PRIME_BOUND, PrimeField, field_from_json
 from siltcheck.instances import (Instance, InstanceError, dump_instance,
                                  instance_text, json_text, load_instance,
                                  parse_instance, serialize_instance)
-from siltcheck.verifier import CheckRecord, VerificationReport, _plain
+from siltcheck.verifier import (CheckRecord, SiltingContext, VerificationReport, _plain,
+                                verify_all)
 
 INSTANCE_DIR = pathlib.Path(__file__).resolve().parent.parent / "instances"
 FIXTURE_FILES = sorted(INSTANCE_DIR.glob("*.json"))
@@ -1026,3 +1028,12 @@ def test_verify_computes_the_radical_once(capsys, monkeypatch):
     code, _, _ = run_cli(capsys, "verify", FIX_A2, "U-tilt")
     assert code == 0
     assert len(calls) == 1
+
+
+def test_the_cli_and_the_library_share_one_set_of_defaults():
+    # the depth settings are SiltingContext's, the degrees verify_all's: a
+    # run with no flag and no per-file option runs as the library does
+    context = inspect.signature(SiltingContext).parameters
+    battery = inspect.signature(verify_all).parameters
+    assert DEFAULTS == {**{k: context[k].default for k in ("max_steps", "extra_margin", "cap")},
+                        **{k: battery[k].default for k in ("window", "pair_degrees")}}

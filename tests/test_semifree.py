@@ -302,7 +302,7 @@ def _resolution_sizes(U, w):
     """Generators of each module's deepest resolution in verify_all at +-w."""
     ctx = SiltingContext(U)
     assert all(r.passed for r in verify_all(U, (-w, w), (-1, 1), ctx=ctx))
-    return [len(built[min(built)].gens) for built in ctx._resolutions.values()]
+    return [len(built[min(built)].gens) for built in ctx._memo["resolutions"].values()]
 
 
 def test_resolutions_are_minimal():

@@ -166,7 +166,7 @@ def test_probes_with_a_degenerate_tensor(field):
     win, zeros = (-1, 1), {n: [0, 0, 0] for n in (-1, 0, 1)}
     X, far = cone(identity_chain_map(P0)), P0.shift(5)
     for Y in (X, far):
-        T = ctx.tensor(ctx.hom_module(Y), DegreeWindow(*win), 0)
+        T = ctx.tensor(ctx.hom_module(Y), DegreeWindow(*win))
         assert (T.resolution.gens, T.block_layout, T.is_empty()) == ([], {}, True)
         rep = verify_counit(ctx, Y, win)
         assert rep.passed and rep.checks[0].details == {"h_dims": zeros}
@@ -320,9 +320,9 @@ def test_each_concentrated_probe_returns_through_its_one_cached_counit(U_tilt, A
     built = []
     inner = verifier.verify_counit
 
-    def counted(ctx, X, window, extra_margin=0):
-        built.append((X, window, extra_margin))
-        return inner(ctx, X, window, extra_margin)
+    def counted(ctx, X, window):
+        built.append((X, window, ctx.extra_margin))
+        return inner(ctx, X, window)
 
     monkeypatch.setattr(verifier, "verify_counit", counted)
     kept = _kept_probe_modules(monkeypatch)
@@ -340,7 +340,7 @@ def test_each_concentrated_probe_returns_through_its_one_cached_counit(U_tilt, A
         for _ in range(2):
             rep = verify_corollary_roundtrip(ctx, X, i, WIN, subject=name)
         assert rep.checks == roundtrips[name].checks
-        counit = ctx.counit(X.stalk, DegreeWindow(WIN[0] + i, WIN[1] + i), 0)
+        counit = ctx.counit(X.stalk, DegreeWindow(WIN[0] + i, WIN[1] + i))
         assert rep.checks[-1].details == {
             "h_dims": {n - i: row for n, row in counit.checks[0].details["h_dims"].items()},
             "shift": -i}
@@ -379,18 +379,18 @@ def test_batched_rows_equal_one_block_checks_in_a_fresh_context(coresolution_inp
     for name, ctx in ctxs.items():
         assert all(r.passed for r in verify_all(ctx.U, ctx=ctx, **SMALL))
         fresh, kinds = SiltingContext(ctx.U), Counter()
-        for key, rows in list(ctx._rows.items()):
-            *pair, margin = key
+        for key, rows in list(ctx._memo["rows"].items()):
+            pair = key if isinstance(key, tuple) else (key,)
             if any(X.summands for X in pair):
                 continue
             degrees = sorted(rows)
             assert degrees == list(range(degrees[0], degrees[-1] + 1))
             if len(pair) == 1:
                 win = DegreeWindow(degrees[0], degrees[-1])
-                rep, one = ctx.counit(*pair, win, margin), verify_counit(fresh, *pair, win, margin)
+                rep, one = ctx.counit(*pair, win), verify_counit(fresh, *pair, win)
             else:
-                rep = ctx.fully_faithful(*pair, degrees, margin)
-                one = verify_fully_faithful(fresh, *pair, degrees, margin)
+                rep = ctx.fully_faithful(*pair, degrees)
+                one = verify_fully_faithful(fresh, *pair, degrees)
             assert one.checks[0].details == {"h_dims": rows}, (name, one.kind)
             assert rep.as_dict() == one.as_dict(), (name, one.kind)
             kinds[one.kind] += 1
@@ -405,7 +405,7 @@ def test_layouts_read_and_write_every_degree_of_the_counit_batches(coresolution_
     for name, ctx in _silting_contexts(coresolution_inputs).items():
         assert all(r.passed for r in verify_all(ctx.U, ctx=ctx, **SMALL))
         layouts = [ctx.gh.layout(m) for m in ctx.gh.degrees()]
-        for T in ctx._evaluations:
+        for T in ctx._memo["evaluation"]:
             P = T.resolution
             layouts += [P.layout(n) for n in range(P.gens[-1] + P.algebra.lo, P.gens[0] + 1)]
             layouts += T.block_layout.values()
@@ -433,9 +433,9 @@ def test_every_roundtrip_row_of_the_one_batch_is_the_counit_at_its_shifted_windo
     built = []
     inner = verifier.verify_counit
 
-    def counted(ctx, X, window, extra_margin=0):
+    def counted(ctx, X, window):
         built.append(ctx)
-        return inner(ctx, X, window, extra_margin)
+        return inner(ctx, X, window)
 
     monkeypatch.setattr(verifier, "verify_counit", counted)
     kept = _kept_probe_modules(monkeypatch)
@@ -455,7 +455,7 @@ def test_every_roundtrip_row_of_the_one_batch_is_the_counit_at_its_shifted_windo
         fresh = SiltingContext(ctx.U)
         for X, i, kind in returns:
             shifted = DegreeWindow(win.lo + i, win.hi + i)
-            rows = ctx._rows[(X.stalk, 0)]
+            rows = ctx._memo["rows"][X.stalk]
             direct = verify_counit(fresh, X.stalk, shifted)
             assert direct.checks[0].details == {"h_dims": {
                 n: rows[n] for n in range(shifted.lo, shifted.hi + 1)}}, (name, kind, i)
@@ -590,6 +590,24 @@ def test_unresolvable_module_is_inconclusive_never_silent(dual_numbers):
         verify_all(projective_complex(dual_numbers, {0: [0]}), window=WIN, cap=8)
 
 
+def test_verify_all_takes_its_settings_from_the_context_alone(U_tilt, U_silt2, ctx_tilt):
+    # a context fixes max_steps, extra_margin and cap when it is built, so
+    # verify_all refuses a setting passed beside one, even an equal one,
+    # rather than drop it or mix it in, and refuses the context of another
+    # complex rather than verify that complex
+    for setting in ({"max_steps": 3}, {"max_steps": 8}, {"extra_margin": 1}, {"cap": 16}):
+        with pytest.raises(ValueError, match="fixes max_steps, extra_margin and cap"):
+            verify_all(U_tilt, window=WIN, ctx=ctx_tilt, **setting)
+    with pytest.raises(ValueError, match="must be the context of U"):
+        verify_all(U_silt2, window=WIN, ctx=ctx_tilt)
+    # without a context the settings build one, and the reports echo them
+    reports = verify_all(U_tilt, window=(-1, 1), pair_degrees=(-1, 1), max_steps=5,
+                         extra_margin=2)
+    assert reports[0].notes["max_steps"] == 5
+    assert {r.notes.get("extra_margin") for r in reports} == {None, 2}
+    assert all(r.passed for r in reports)
+
+
 def test_wrong_orientation_fails_with_a_concrete_witness(U_bad, indecs):
     reps = verify_all(U_bad, window=WIN)
     assert len(reps) == 1
@@ -668,8 +686,9 @@ def test_the_batterys_naturality_square_builds_nothing_of_its_own(coresolution_i
     probe, seen = verifier.naturality_probe, []
 
     def kept(ctx):
-        return (len(ctx._hom_modules), sum(map(len, ctx._resolutions.values())),
-                len(ctx._tensors), len(ctx._evaluations))
+        memo = ctx._memo
+        return (len(memo["hom module"]), sum(map(len, memo["resolutions"].values())),
+                len(memo["tensor"]), len(memo["evaluation"]))
 
     def watched(ctx, *args, **kwargs):
         before = kept(ctx)
@@ -752,11 +771,13 @@ def test_full_battery_passes_on_both_fixtures(U_tilt, U_silt2):
 
 
 def test_counit_tables_ignore_extra_margin(ctx_tilt, A2):
+    # the margin is fixed per context: one context per margin, on one probe
     X = probe_complexes(ctx_tilt, probe_modules(A2))["free"]
     base = verify_counit(ctx_tilt, X, WIN).checks[0].details
     for m in (1, 2, 3):
-        rep = verify_counit(ctx_tilt, X, WIN, extra_margin=m)
+        rep = verify_counit(SiltingContext(ctx_tilt.U, extra_margin=m), X, WIN)
         assert rep.checks[0].details == base
+        assert rep.notes["extra_margin"] == m
 
 
 def test_windowed_hom_agrees_with_independent_oracles(U_silt2, ctx_silt2):
@@ -922,13 +943,13 @@ def test_sum_reports_equal_the_direct_checks_on_the_whole_sum(name, coresolution
     targets = {**{n: M.stalk for n, M in mods.items()},
                "free": sources["free"], "silting": U}
     for n in ("free", "silting"):
-        assert (ctx.counit(targets[n], win, 0).as_dict()
+        assert (ctx.counit(targets[n], win).as_dict()
                 == verify_counit(whole, targets[n], win).as_dict()), n
     for n1 in sorted(sources):
         for n2 in sorted(targets):
             if {n1, n2} & {"free", "silting"}:
                 X, Xp = sources[n1], targets[n2]
-                assert (ctx.fully_faithful(X, Xp, degs, 0).as_dict()
+                assert (ctx.fully_faithful(X, Xp, degs).as_dict()
                         == verify_fully_faithful(whole, X, Xp, degs).as_dict()), (n1, n2)
 
 
@@ -946,7 +967,7 @@ def test_a_fused_u_is_analysed_whole(A2, monkeypatch):
 
     monkeypatch.setattr(verifier, "verify_counit", counted)
     ctx = SiltingContext(U)
-    counit = ctx.counit(U, SMALL["window"], 0)
+    counit = ctx.counit(U, SMALL["window"])
     sums = functoriality_probe(ctx, SMALL["window"])
     assert counit.passed and sums.passed
     assert len(checked) == 1 and checked[0] is U
