@@ -481,7 +481,7 @@ def hom_space(M: Module, N: Module) -> list[ModuleMap]:
     commutes with everything.
     """
     A = M.algebra
-    if N.algebra is not A and N.algebra.dim != A.dim:
+    if N.algebra is not A:
         raise ValueError("modules over different algebras")
     f, m, n = A.field, M.dim, N.dim
     rows = []

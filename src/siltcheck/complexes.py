@@ -557,7 +557,7 @@ class GradedHom(CellHom):
 
 
 def hom_complex(X: Complex, Y: Complex) -> GradedHom:
-    if X.algebra is not Y.algebra and X.algebra.dim != Y.algebra.dim:
+    if X.algebra is not Y.algebra:
         raise ValueError("complexes over different algebras")
     return GradedHom(X, Y)
 

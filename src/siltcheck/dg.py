@@ -21,19 +21,22 @@ hom-complex differential, which the constructor re-checks on every basis
 pair.  dg_end takes the whole hom complex, and smart_truncate, the
 non-positive truncation C, takes ker d^0 in degree 0 and the hom complex
 below, so C is read straight off Hom(U, U) and no dg-end is built for it.
-Its H^0 algebra needs no dg-end either: end_h0 reads it off the hom
-complex itself, multiplying class representatives by composing them.  Both
-algebras declare gh and embed, so an element of either is its coordinates
-in Hom(U, U).  Every product of such elements, in either algebra, in a hom
-module over either and in H^0, is made by the one _composition_tables
-from generator values alone (GradedHom.after), never as a matrix.
+Its H^0 algebra E needs no dg-end either: end_h0 reads it off the hom
+complex itself, multiplying class representatives by composing them.  E
+and C^0 share one splitting Z^0 = span(reps) + B^0 (end_classes): E's
+basis is the classes of the reps, C^0's the reps, then a basis of B^0.
+Both algebras declare gh and embed, so an element of either is its
+coordinates in Hom(U, U).  Every product of such elements, in either
+algebra, in a hom module over either and in H^0, is made by the one
+_composition_tables from generator values alone (GradedHom.after), never as
+a matrix.
 """
 
 from __future__ import annotations
 
 from .algebra import Algebra
 from .complexes import Complex, GradedHom, hom_complex, summand_blocks
-from .linalg import Cochains, Matrix, RowSpace
+from .linalg import Cochains, Matrix, RowSpace, Subquotient
 
 
 def table_product(field, table, u: dict, v: dict) -> dict:
@@ -483,32 +486,42 @@ def evaluation_left_module(base: DgAlgebra, U: Complex) -> DgModule:
 
 
 class H0Algebra(Algebra):
-    """H^0 as an ordinary algebra (h0_algebra): its first basis elements,
-    p0, p1, ..., are the idempotent classes that survive, the rest h<t>.
-    class_reps holds a degree-0 cocycle per basis element, as its nonzero
-    entries, sq the subquotient of the classes, and kept_idempotents the
-    positions of the given idempotents whose classes survive."""
+    """H^0 as an ordinary algebra (h0_algebra): its basis is the classes of
+    sq.rep_entries (h0_classes), p0, p1, ... for the given idempotents whose
+    classes survive, at the positions kept_idempotents, then h<t>."""
 
-    def __init__(self, field, labels, mult, unit, idempotents, class_reps, sq, kept):
+    def __init__(self, field, labels, mult, unit, idempotents, sq, kept):
         super().__init__(field, labels, mult, unit, idempotents)
-        self.class_reps, self.sq, self.kept_idempotents = class_reps, sq, kept
+        self.sq, self.kept_idempotents = sq, kept
+
+
+def h0_classes(X, idempotents: list) -> Subquotient:
+    """The splitting Z^0 = span(rep_entries) + B^0 of a dg-algebra or of
+    Hom(U, U), as a subquotient over X.diff(-1): its reps are the given
+    degree-0 cocycle idempotents whose classes survive, then those of
+    X.subquotient(0) independent of them."""
+    f, w = X.field, X.dim(0)
+    cycles = Matrix.from_row_entries(f, w, [*idempotents, *X.subquotient(0).rep_entries])
+    return Subquotient(f, w, cycles, X.diff(-1))
+
+
+def end_classes(gh: GradedHom) -> Subquotient:
+    """h0_classes of gh = Hom(U, U) and end_units(gh)'s idempotents, kept on gh."""
+    return gh.kept("h0 classes", lambda: h0_classes(gh, end_units(gh)[1]))
 
 
 def h0_algebra(X, unit: dict | None = None, idempotents: list | None = None,
-               products=None) -> H0Algebra:
+               products=None, sq: Subquotient | None = None) -> H0Algebra:
     """H^0 of X as an ordinary algebra, for X a dg-algebra or the hom
     complex Hom(U, U) (end_h0).
 
     unit and idempotents are degree-0 cocycles, and products(reps) the table
     [[a * b for b in reps] for a in reps] of degree-0 products of the given
     cocycles, all as nonzero entries; for a dg-algebra they default to its
-    own.  Its idempotents are the classes of the given ones (for a dg-end,
-    the summand projections of the complex); classes that vanish in H^0 are
-    dropped.  The basis is those idempotent classes, then the class-basis
-    vectors independent of them, so the unit is the sum of the first basis
-    elements; Algebra.validate checks that they are orthogonal idempotents.
-    Every structure constant is read off one table of products of the
-    representatives (table_product).
+    own.  The basis is the classes of the reps of sq = h0_classes(X,
+    idempotents), built when not given: the surviving idempotents first
+    (for a dg-end, the summand projections), whose sum is the unit, and
+    mult[(x, y)] reduces the product of reps x and y.
     """
     if products is None:
         unit, idempotents = X.unit, X.idempotents
@@ -516,42 +529,22 @@ def h0_algebra(X, unit: dict | None = None, idempotents: list | None = None,
         def products(reps):
             return [[X.product(0, a, 0, b) for b in reps] for a in reps]
     f = X.field
-    sq = X.subquotient(0)
-    h = sq.dim
+    sq = sq or h0_classes(X, idempotents)
     unit_cls = sq.reduce(unit)
     if not unit_cls:
         raise ValueError("H^0 is degenerate: the unit class vanishes")
-
-    # the class of the product of the a-th and b-th representatives
-    base = [[sq.reduce(p) for p in row] for row in products(sq.rep_entries)]
-
-    idem_cls = []
-    kept = []
-    for pos, v in enumerate(idempotents):
-        cls = sq.reduce(v)
-        if cls:
-            idem_cls.append(cls)
-            kept.append(pos)
-    k = len(idem_cls)
-    ones = {t: f.one for t in range(k)}
-    if Matrix.from_entries(f, k, h, dict(enumerate(idem_cls))).apply_entries(ones) != unit_cls:
-        raise AssertionError("idempotent classes do not sum to the unit class")
-
-    # the idempotent classes, then the class-basis vectors independent of them
-    stack = Matrix.from_row_entries(f, h, idem_cls + [{t: f.one} for t in range(h)])
-    pivots = stack.left_pivots()
-    if pivots[:k] != tuple(range(k)):
+    kept = [pos for pos, v in enumerate(idempotents) if sq.reduce(v)]
+    k = len(kept)
+    # each surviving idempotent is its own rep, in order
+    if sq.rep_entries[:k] != [idempotents[pos] for pos in kept]:
         raise AssertionError("idempotent classes of H^0 are not independent")
-    basis_cls = [stack.entries[t] for t in pivots]
-    span = Matrix.from_entries(f, h, h, dict(enumerate(basis_cls)))
-    mult = {}
-    for x, u in enumerate(basis_cls):
-        for y, v in enumerate(basis_cls):
-            if p := span.solve_left_rows(table_product(f, base, u, v)):
-                mult[(x, y)] = p
-    labels = [f"p{j}" for j in range(k)] + [f"h{t}" for t in range(k, h)]
-    return H0Algebra(f, labels, mult, ones, range(k),
-                     [sq.lift(cls) for cls in basis_cls], sq, kept)
+    ones = {t: f.one for t in range(k)}
+    if unit_cls != ones:
+        raise AssertionError("idempotent classes do not sum to the unit class")
+    mult = {(x, y): c for x, row in enumerate(products(sq.rep_entries))
+            for y, p in enumerate(row) if (c := sq.reduce(p))}
+    labels = [f"p{j}" for j in range(k)] + [f"h{t}" for t in range(k, sq.dim)]
+    return H0Algebra(f, labels, mult, ones, range(k), sq, kept)
 
 
 def end_h0(gh: GradedHom) -> H0Algebra:
@@ -565,7 +558,7 @@ def end_h0(gh: GradedHom) -> H0Algebra:
     """
     def products(reps):
         return _composition_tables(gh, _cuts(gh, {0: reps}), {0: reps})[(0, 0)]
-    return gh.kept("h0", lambda: h0_algebra(gh, *end_units(gh), products))
+    return gh.kept("h0", lambda: h0_algebra(gh, *end_units(gh), products, end_classes(gh)))
 
 
 # -- truncation, opposite, side swap ---------------------------------------
@@ -576,14 +569,18 @@ def smart_truncate(gh: GradedHom) -> DgAlgebra:
     Hom(U, U) with no dg-end: _end_algebra with ker d^0 in degree 0, gh's
     own basis below it, and no positive degrees.
 
-    embed holds its per-degree inclusions into gh, so each basis element is
-    its coordinates in Hom(U, U).  The inclusion is a map of dg-algebras and
-    induces H^n isomorphisms for n <= 0.
+    C^0's basis is E's reps (end_classes), then the independent rows of
+    d^{-1}, boundaries alone for a contractible U.  embed holds its
+    per-degree inclusions into gh, so each basis element is its coordinates
+    in Hom(U, U).  The inclusion is a map of dg-algebras and induces H^n
+    isomorphisms for n <= 0.
     """
     if gh.X is not gh.Y:
         raise ValueError("smart_truncate needs the hom complex of U with itself")
     embed = {n: Matrix.identity(gh.field, gh.dim(n)) for n in gh.degrees() if n < 0 and gh.dim(n)}
-    embed[0] = gh.diff(0).left_kernel()
+    d = gh.diff(-1)
+    embed[0] = Matrix.from_row_entries(gh.field, gh.dim(0), end_classes(gh).rep_entries
+                                       + [d.entries[r] for r in d.left_pivots()])
     return _end_algebra(gh, embed)
 
 

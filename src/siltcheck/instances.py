@@ -57,6 +57,15 @@ def _expect(cond: bool, path: str, message: str):
         raise InstanceError(path, message)
 
 
+def _object(data, path: str, keys=None) -> dict:
+    """data, checked to be a JSON object with no key outside keys (any key
+    when keys is None)."""
+    _expect(isinstance(data, dict), path, "expected an object")
+    extra = set(data) - keys if keys is not None else ()
+    _expect(not extra, path, f"unknown keys {sorted(extra)}")
+    return data
+
+
 def _coerce_entry(field, value, path: str):
     try:
         return field.coerce(value)
@@ -91,7 +100,7 @@ def _parse_degree(key, path: str) -> int:
 
 
 def _parse_quiver(data, path: str) -> Quiver:
-    _expect(isinstance(data, dict), path, "quiver must be an object")
+    _object(data, path, {"vertices", "arrows", "relations"})
     verts = data.get("vertices")
     _expect(isinstance(verts, list) and verts, f"{path}.vertices",
             "need a nonempty list of vertex names")
@@ -102,8 +111,6 @@ def _parse_quiver(data, path: str) -> Quiver:
         _expect(isinstance(arr, list) and len(arr) == 3,
                 f"{path}.arrows[{i}]", "arrow must be [name, source, target]")
         parsed.append(tuple(str(x) for x in arr))
-    extra = set(data) - {"vertices", "arrows", "relations"}
-    _expect(not extra, path, f"unknown quiver keys {sorted(extra)}")
     try:
         return Quiver([str(v) for v in verts], parsed)
     except ValueError as e:
@@ -139,9 +146,7 @@ def _parse_complex(A: Algebra, quiver: Quiver, data, path: str) -> Complex:
     blocks = []
     for k, block in enumerate(data):
         bp = f"{path}[{k}]"
-        _expect(isinstance(block, dict), bp, "summand block must be an object")
-        extra = set(block) - {"types", "diffs"}
-        _expect(not extra, bp, f"unknown block keys {sorted(extra)}")
+        _object(block, bp, {"types", "diffs"})
         types_raw = block.get("types")
         _expect(isinstance(types_raw, dict) and types_raw, f"{bp}.types",
                 "need a nonempty object of degree -> projective types")
@@ -159,7 +164,7 @@ def _parse_complex(A: Algebra, quiver: Quiver, data, path: str) -> Complex:
             types[n] = idx
         dims = {n: A.projective_sum(vs).dim for n, vs in types.items()}
         diffs = {}
-        for key, rows in block.get("diffs", {}).items():
+        for key, rows in _object(block.get("diffs", {}), f"{bp}.diffs").items():
             dp = f"{bp}.diffs.{key}"
             n = _parse_degree(key, dp)
             _expect(n in dims and n + 1 in dims, dp,
@@ -212,9 +217,7 @@ def _parse_module(A: Algebra, quiver: Quiver, data, path: str):
 
 
 def _parse_options(data, path: str) -> dict:
-    _expect(isinstance(data, dict), path, "options must be an object")
-    extra = set(data) - _OPTION_KEYS
-    _expect(not extra, path, f"unknown option keys {sorted(extra)}")
+    _object(data, path, _OPTION_KEYS)
     out = {}
     for key in ("window", "pair_degrees"):
         if key in data:
@@ -244,10 +247,7 @@ def _parse_options(data, path: str) -> dict:
 
 
 def parse_instance(data, path: str = "$") -> Instance:
-    _expect(isinstance(data, dict), path, "instance must be a JSON object")
-    extra = set(data) - {"schema", "name", "field", "quiver", "modules",
-                         "complexes", "options"}
-    _expect(not extra, path, f"unknown keys {sorted(extra)}")
+    _object(data, path, {"schema", "name", "field", "quiver", "modules", "complexes", "options"})
     _expect(data.get("schema") == SCHEMA, f"{path}.schema",
             f"unsupported schema {data.get('schema')!r}; this reader handles {SCHEMA}")
     name = data.get("name")
@@ -272,11 +272,11 @@ def parse_instance(data, path: str = "$") -> Instance:
         raise InstanceError(f"{path}.quiver", str(e)) from None
 
     complexes = {}
-    for cname, cdata in data.get("complexes", {}).items():
+    for cname, cdata in _object(data.get("complexes", {}), f"{path}.complexes").items():
         complexes[cname] = _parse_complex(A, quiver, cdata,
                                           f"{path}.complexes.{cname}")
     modules, module_specs = {}, {}
-    for mname, mdata in data.get("modules", {}).items():
+    for mname, mdata in _object(data.get("modules", {}), f"{path}.modules").items():
         mp = f"{path}.modules.{mname}"
         _expect(mname not in complexes, mp,
                 "name already used by a complex")

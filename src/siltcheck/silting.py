@@ -91,7 +91,7 @@ def _hom_class_action(X: Complex, U: Complex, end: GradedHom, E):
     of E = end_h0(end), end = Hom(U, U).
 
     Returns (gh, sq, mats) where mats[i] sends class coordinates c to the
-    coordinates of [class_reps[i] composed after c], acting on row vectors.
+    coordinates of [rep i of E.sq composed after c], acting on row vectors.
     Each class representative's values are cut once, and E's class values,
     read once per end and kept there, applied to them (GradedHom.after).
     """
@@ -99,7 +99,7 @@ def _hom_class_action(X: Complex, U: Complex, end: GradedHom, E):
     sq = gh.subquotient(0)
     cuts = [end.cuts(gh, 0, rep) for rep in sq.rep_entries]
     mats = []
-    for values in end.kept("h0 values", lambda: [end.values(0, e) for e in E.class_reps]):
+    for values in end.kept("h0 values", lambda: [end.values(0, e) for e in E.sq.rep_entries]):
         rows = [sq.reduce(gh.assemble(0, end.after(0, values, c))) for c in cuts]
         mats.append(Matrix.from_row_entries(E.field, sq.dim, rows))
     return gh, sq, mats

@@ -411,33 +411,26 @@ def verify_E_iso(ctx: SiltingContext) -> VerificationReport:
     """H^0 End(U), as the coresolution read it off Hom(U, U), agrees with
     the truncation C and with chain maps modulo homotopy.
 
-    Each product of two class representatives is taken on two independent
-    routes and compared with E's table, sharing the cocycle-class basis:
-    route one multiplies the representatives inside the dg-algebra C, read
-    in C^0 through embed[0], and route two composes honest chain maps,
-    each right factor's generator rows times the left factor's matrices
-    (_composite), and reduces the composite.  When U resolves a module, the
-    result is also compared structurally with the ordinary endomorphism
-    algebra of that module.
+    E's basis is E.sq's reps, which are C^0's first E.dim basis elements
+    (smart_truncate).  Each product of two of them is taken on two
+    independent routes and compared with E's table: route one multiplies
+    them in C and keeps the first E.dim coordinates, and route two composes
+    honest chain maps, each right factor's generator rows times the left
+    factor's matrices (_composite), and reduces the composite by E.sq.
+    When U resolves a module, the result is also compared structurally
+    with the ordinary endomorphism algebra of that module.
     """
     U, C, gh = ctx.U, ctx.C, ctx.gh
-    f = C.field
+    one = C.field.one
     E = end_h0(gh)
-    sq = E.sq
-    reps = E.class_reps
-    basis_cls = [sq.reduce(rep) for rep in reps]
-    span = Matrix.from_entries(f, len(basis_cls), sq.dim, dict(enumerate(basis_cls)))
-    inc = C.embed[0]
-    in_c = [inc.solve_left_rows(rep) for rep in reps]
-    chain_maps = [gh.chain_map_from_cocycle(rep) for rep in reps]
+    chain_maps = [gh.chain_map_from_cocycle(rep) for rep in E.sq.rep_entries]
     rows = [gh.generator_rows(0, phi.mats) for phi in chain_maps]
     mult_ok = True
     for x in range(E.dim):
         for y in range(E.dim):
-            routes = (inc.apply_entries(C.product(0, in_c[x], 0, in_c[y])),
-                      _composite(gh, rows[y], chain_maps[x]))
-            if any(span.solve_left_rows(sq.reduce(p)) != E.basis_product(x, y)
-                   for p in routes):
+            in_c = {k: c for k, c in C.product(0, {x: one}, 0, {y: one}).items() if k < E.dim}
+            composite = E.sq.reduce(_composite(gh, rows[y], chain_maps[x]))
+            if not in_c == composite == E.basis_product(x, y):
                 mult_ok = False
     checks = [CheckRecord("products agree with chain-map composition", mult_ok, {})]
 

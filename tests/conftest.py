@@ -124,6 +124,27 @@ def U_K(K):
     return projective_complex(K, {0: [0]})
 
 
+def linear_quiver_algebra(n, field=F101):
+    """kA_n, the path algebra of 0 -> 1 -> ... -> n-1."""
+    return path_algebra(Quiver([str(v) for v in range(n)],
+                               [(f"a{v}", str(v), str(v + 1)) for v in range(n - 1)]), field)
+
+
+def koszul_sum(A, sign=1):
+    """The A side of the Koszul pairs over A = kA_n: the sum over the vertices
+    v of S_v[sign * v], each simple S_v given by its projective resolution
+    P_{v+1} -> P_v, the one map e_{v+1} -> a_v, and P_{n-1} alone at the sink.
+    With sign 1 it is tilting in degrees -(n - 1)..0; with sign -1 it is not
+    presilting."""
+    n = len(A.idempotents)
+    parts = []
+    for v in range(n - 1):
+        (m,) = hom_space(projective_cache(A, v + 1), projective_cache(A, v))
+        parts.append(projective_complex(A, {-1: [v + 1], 0: [v]}, {-1: m.mat}))
+    parts.append(projective_complex(A, {0: [n - 1]}))
+    return direct_sum_complexes([S.shift(sign * v) for v, S in enumerate(parts)])
+
+
 def regular_module(A):
     """A as a right module over itself."""
     return Module(A, A.dim, [A.right_mult_matrix(g) for g in A.generators])

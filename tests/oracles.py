@@ -501,7 +501,9 @@ def reference_h0_algebra(B) -> Algebra:
     """dg.h0_algebra with every product of classes taken per call: lift both
     classes to cocycles, multiply them in B, reduce the product.  The basis
     is the nonzero idempotent classes, then each class-basis vector outside
-    the span of the vectors before it, found by incremental elimination."""
+    the span of the vectors before it, found by incremental elimination.
+    reps holds a representative of each: the idempotent itself, or the
+    subquotient's representative of the class-basis vector."""
     f = B.field
     sq = B.subquotient(0)
     h = sq.dim
@@ -515,19 +517,21 @@ def reference_h0_algebra(B) -> Algebra:
         u, v = (sq.lift(nonzero_entries(c)) for c in (u_cls, v_cls))
         return dense(sq.reduce(B.product(0, u, 0, v)))
 
-    idem_cls, kept = [], []
+    idem_cls, idem_reps, kept = [], [], []
     for pos, v in enumerate(B.idempotents):
         cls = dense(sq.reduce(v))
         if any(c != f.zero for c in cls):
             idem_cls.append(cls)
+            idem_reps.append(v)
             kept.append(pos)
     # the idempotent classes, then each class-basis vector outside the span so far
     span_so_far = ReferenceRowSpace(f, h)
-    basis_cls = []
-    for w in idem_cls + [tuple(f.one if t == u else f.zero for t in range(h))
-                         for u in range(h)]:
+    basis_cls, reps = [], []
+    for w, rep in zip(idem_cls + [tuple(f.one if t == u else f.zero for t in range(h))
+                                  for u in range(h)], idem_reps + sq.rep_entries):
         if span_so_far.add(w):
             basis_cls.append(tuple(w))
+            reps.append(rep)
         elif len(basis_cls) < len(idem_cls):
             raise AssertionError("idempotent classes are dependent")
     k = len(idem_cls)
@@ -540,7 +544,7 @@ def reference_h0_algebra(B) -> Algebra:
             if coords:
                 mult[(x, y)] = coords
     alg = Algebra(f, labels, mult, span.solve_left_rows(nonzero_entries(unit_cls)), range(k))
-    alg.class_reps = [sq.lift(nonzero_entries(cls)) for cls in basis_cls]
+    alg.reps = reps
     alg.kept_idempotents = kept
     return alg
 
@@ -672,7 +676,7 @@ def reference_hom_class_action(X, U, end, E):
     f = E.field
     rep_comps = [gh.component_maps(0, rep) for rep in sq.rep_entries]
     mats = []
-    for ecls in E.class_reps:
+    for ecls in E.sq.rep_entries:
         ec = end.component_maps(0, ecls)
         rows = []
         for mc in rep_comps:
@@ -1021,9 +1025,19 @@ def reference_smart_truncate(B: DgAlgebra) -> DgAlgebra:
     0 becomes ker d^0, positive degrees die, and each product and
     differential is B's, read in ker d^0 when it lands in degree 0.  The
     reference for dg.smart_truncate, which builds it off Hom(U, U) with no
-    dg-end."""
-    f = B.field
-    kmat = B.diff(0).left_kernel()
+    dg-end.  ker d^0 has the basis found by incremental elimination: each
+    idempotent of B and each representative of B.subquotient(0) outside the
+    span of the boundaries and of the ones kept before it, then each row of
+    d^{-1} outside the span of the rows before it."""
+    f, w = B.field, B.dim(0)
+    bounds = ReferenceRowSpace(f, w)
+    boundary_rows = [nonzero_entries(r) for r in B.diff(-1).rows if bounds.add(r)]
+    cocycles = ReferenceRowSpace(f, w)
+    for r in bounds.rows:
+        cocycles.add(r)
+    reps = [v for v in B.idempotents + B.subquotient(0).rep_entries
+            if cocycles.add(dense_row(f, v, w))]
+    kmat = Matrix.from_row_entries(f, w, reps + boundary_rows)
     dims = {n: B.dim(n) for n in B.degrees() if n < 0}
     if kmat.nrows:
         dims[0] = kmat.nrows

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import zero_on_summand
-from siltcheck.algebra import Quiver, hom_space, path_algebra
+from siltcheck.algebra import DimensionCapError, Quiver, hom_space, path_algebra
 from siltcheck.cli import DEFAULTS, main
 from siltcheck.complexes import (cone, direct_sum_complexes, identity_chain_map,
                                  projective_cache,
@@ -118,6 +118,55 @@ def test_parse_errors_name_the_json_path(mutate, fragment):
 def _instance_data(name):
     with open(INSTANCE_DIR / f"{name}.json", "r", encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def _value_slots(x):
+    """(container, key) for the values nested in x, parents first: every
+    value of an object, and the first and last element of a list, whose
+    elements all have one schema."""
+    if isinstance(x, dict):
+        keys = list(x)
+    elif isinstance(x, list):
+        keys = sorted({0, len(x) - 1}) if x else []
+    else:
+        keys = []
+    for k in keys:
+        yield x, k
+        yield from _value_slots(x[k])
+
+
+WRONG_KINDS = ([], {}, "x", 1, None, True, [[]], {"a": 1})
+
+
+def test_every_value_of_the_wrong_kind_is_an_input_error():
+    # each value of each fixture file, the whole file too, replaced in turn
+    # by JSON values of every kind: the reader returns or raises only its
+    # own errors, never a crash that would leave the CLI with exit 1
+    tried = 0
+    for path in FIXTURE_FILES:
+        data = _instance_data(path.stem)
+        slots = [({"root": data}, "root"), *_value_slots(data)]
+        for parent, key in slots:
+            kept = parent[key]
+            for wrong in WRONG_KINDS:
+                parent[key] = copy.deepcopy(wrong)
+                try:
+                    parse_instance(slots[0][0]["root"])
+                except (InstanceError, DimensionCapError):
+                    pass
+                tried += 1
+            parent[key] = kept
+    assert tried >= 2000
+
+
+def test_complexes_that_are_no_object_exit_3_naming_the_path(tmp_path, capsys):
+    data = a2_data()
+    data["complexes"] = []
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    code, out, err = run_cli(capsys, "check", str(path), "U-tilt")
+    assert (code, out) == (3, "")
+    assert "$.complexes" in err and len(err.strip().splitlines()) == 1, err
 
 
 # e_0 A over kA_3 (0 -a-> 1 -b-> 2), written out on its basis e_0, a, a*b:

@@ -193,6 +193,20 @@ def test_hom_complex_needs_a_projective_witness(A2):
         hom_complex(P1.stalk, projective_complex(A2, {0: [0]}))
 
 
+def test_homs_across_two_algebras_of_equal_dimension_are_refused():
+    # kA_3 and k[t]/(t^6) both have dimension 6; neither a hom complex nor a
+    # hom space between objects over them exists
+    A3 = path_algebra(Quiver(["0", "1", "2"], [("a", "0", "1"), ("b", "1", "2")]), F101)
+    T = path_algebra(Quiver(["v"], [("t", "v", "v")]), F101, [[(1, ["t"] * 6)]])
+    assert A3.dim == T.dim == 6
+    X, Y = projective_complex(A3, {0: [0]}), projective_complex(T, {0: [0]})
+    for x, y in ((X, Y), (Y, X)):
+        with pytest.raises(ValueError, match="different algebras"):
+            hom_complex(x, y)
+        with pytest.raises(ValueError, match="different algebras"):
+            hom_space(x.term(0), y.term(0))
+
+
 def test_every_builder_reads_its_terms_off_its_witness(A2):
     # a complex of projectives is built from its witness alone, so no term
     # can disagree with it: every builder's terms are the algebra's

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import koszul_sum, linear_quiver_algebra
 from oracles import (compose, dense_row, nonzero_entries, reference_composition_tables,
                      reference_coords_of, reference_h0_algebra, reference_hom_class_action,
                      reference_hom_diff, reference_smart_truncate, sparse_products,
@@ -345,9 +346,50 @@ def test_h0_algebra_rejects_dependent_or_incomplete_idempotent_classes(regular_s
     # e1 + e1 + (e2 - e1) is the unit, but the classes span only two dimensions
     with pytest.raises(AssertionError, match="not independent"):
         h0_algebra(B, B.unit, [e1, e1, e2_minus_e1], products)
+    # independence is checked before the sum
+    with pytest.raises(AssertionError, match="not independent"):
+        h0_algebra(B, B.unit, [e1, e1], products)
     with pytest.raises(AssertionError, match="do not sum to the unit"):
         h0_algebra(B, B.unit, [e1], products)
     assert h0_algebra(B, B.unit, [e1, e2], products).idempotents == (0, 1)
+
+
+def test_h0_and_the_truncation_share_one_basis(coresolution_inputs):
+    # E's basis is the classes of E.sq's reps, the surviving summand
+    # projections first, and C^0's first E.dim basis elements are those
+    # reps, so C's unit and idempotents are unit vectors: on every complex
+    # of the instance files, the 84 sums over kA_3 over two fields (the
+    # benchmark's complexes among them) and the Koszul sums over kA_n
+    cases = {f"{path.stem}/{name}": U for path in sorted(INSTANCES.glob("*.json"))
+             for name, U in load_instance(str(path)).complexes.items()}
+    for field_spec in ({"prime": 101}, "rational"):
+        cases.update((f"{field_spec}/{name}", U)
+                     for name, U in coresolution_inputs(field_spec).items())
+    cases.update((f"koszul/{n}", koszul_sum(linear_quiver_algebra(n))) for n in range(2, 7))
+    assert len(cases) == 196
+    for name, U in cases.items():
+        gh = hom_complex(U, U)
+        E, C = end_h0(gh), smart_truncate(gh)
+        one, reps = gh.field.one, E.sq.rep_entries
+        k = len(E.idempotents)
+        assert [E.sq.reduce(r) for r in reps] == [{t: one} for t in range(E.dim)], name
+        assert reps[:k] == [end_units(gh)[1][p] for p in E.kept_idempotents], name
+        assert [C.embed[0].entries.get(t) for t in range(E.dim)] == reps, name
+        assert C.unit == E.unit == {t: one for t in range(k)}, name
+        assert C.idempotents == [{t: one} for t in range(k)], name
+
+
+def test_a_contractible_u_is_truncated_onto_its_boundaries(A2):
+    # cone(id) has no cohomology: C^0 is spanned by the boundaries alone,
+    # and its H^0 algebra has no unit class
+    U = cone(identity_chain_map(projective_complex(A2, {0: [0]})))
+    gh = hom_complex(U, U)
+    C = smart_truncate(gh)
+    d = gh.diff(-1)
+    assert C.dim(0) == d.rank() > 0 and C.h_table() == {}
+    assert C.embed[0].rows == tuple(d.rows[r] for r in d.left_pivots())
+    with pytest.raises(ValueError, match="unit class vanishes"):
+        end_h0(gh)
 
 
 @pytest.mark.parametrize("field_spec", [{"prime": 101}, "rational"],
@@ -361,7 +403,7 @@ def test_h0_product_table_matches_per_call_products(coresolution_inputs, field_s
         assert got.labels == want.labels, name
         assert got.mult == want.mult, name
         assert got.unit == want.unit, name
-        assert got.class_reps == want.class_reps, name
+        assert got.sq.rep_entries == want.reps, name
         assert got.kept_idempotents == want.kept_idempotents, name
 
 
@@ -391,7 +433,7 @@ def test_h0_off_hom_u_u_equals_h0_of_the_dg_end(coresolution_inputs, regular_spl
         assert got.unit == want.unit, name
         assert got.idempotents == want.idempotents, name
         assert got.kept_idempotents == want.kept_idempotents, name
-        assert got.class_reps == want.class_reps, name
+        assert got.sq.rep_entries == want.sq.rep_entries, name
         silting_sums += "/a3/" in name and silting.silting_report(U, gh=gh).n is not None
     assert silting_sums == 2 * 14
 
@@ -448,7 +490,7 @@ def _honest_maps(B):
     if U.summands is not None:
         for pm in summand_projection_maps(U):
             yield pm.mats
-    chain_maps = [B.gh.chain_map_from_cocycle(rep) for rep in end_h0(B.gh).class_reps]
+    chain_maps = [B.gh.chain_map_from_cocycle(rep) for rep in end_h0(B.gh).sq.rep_entries]
     for x in chain_maps:
         for y in chain_maps:
             yield compose(y, x).mats
