@@ -5,12 +5,15 @@ Elements are homogeneous: a degree plus the nonzero coordinates
 differential and cell takes and returns.  Multiplication and action tables
 are stored sparse per degree pair, each product as the dict {column: entry}
 of its nonzero entries, and every product is read off them by the one
-table_product.  Every constructor validates the graded axioms: d^2 = 0 in
-every degree, the unit law on every basis element and the graded Leibniz
-rule d(xy) = d(x)y + (-1)^{|x|} x d(y) on every basis pair, and
-associativity on every basis triple.  Each axiom is one matrix identity per
-degree pair or triple between blocks of the structure tables, read off the
-sparse products and compared as sparse entries.
+table_product.  Every constructor validates the graded axioms: d^2 = 0,
+then, reading each block of a table X (x) Y -> Z as the matrix mu_{m,n} of
+X^m (x) Y^n -> Z^{m+n}, three identities compared as sparse entries:
+  unit:          (u (x) id) mu_{0,n} = id and (id (x) u) mu_{n,0} = id;
+  Leibniz:       mu_{m,n} d_Z = (d_X (x) id) mu_{m+1,n}
+                                + (-1)^m (id (x) d_Y) mu_{m,n+1};
+  associativity: (mu_xy (x) id) mu_out = (id (x) mu_yz) mu_in.
+A dg-algebra is checked as a right module over itself, plus its left unit
+and its idempotents.
 
 The central construction is the endomorphism dg-algebra of a complex of
 projectives U, built on the hom complex Hom(U, U) by the one _end_algebra:
@@ -33,6 +36,8 @@ a matrix.
 """
 
 from __future__ import annotations
+
+import itertools
 
 from .algebra import Algebra
 from .complexes import Complex, GradedHom, hom_complex, summand_blocks
@@ -70,139 +75,99 @@ def _swap_factors(field, tables: dict) -> dict:
     return out
 
 
-# -- the axioms as matrix identities; a table's missing pairs are zero -----
+# -- the axioms as identities between structure maps; a missing block is zero
 #
-# Every stacked or flattened block, every product and every comparison is
-# sparse: both sides of each identity are matrix products, whose entries are
+# Both sides of each identity are sparse matrix products, whose entries are
 # canonical, so comparing their entries decides what comparing rows would.
 
 
-def _stacked(field, table, key, outer, inner, width) -> Matrix:
-    """One row per product table[key][o][q], o in outer and q in inner."""
-    t = table.get(key)
-    rows = (t[o][q] for o in outer for q in inner) if t else ()
-    return Matrix.from_entries(field, len(outer) * len(inner), width,
-                               {r: p for r, p in enumerate(rows) if p})
+class _Structure:
+    """A structure table X (x) Y -> Z read block by block as the matrices
+    mu(m, n) of X^m (x) Y^n -> Z^{m+n}, row i * dim Y^n + j holding the
+    product of the i-th and j-th basis elements.  Each mu, and each laying
+    of its rows side by side for times, is built on first request and kept
+    for the validation that made this."""
+
+    def __init__(self, table: dict, X, Y, Z):
+        self.table, self.X, self.Y, self.Z = table, X, Y, Z
+        self._built = {}
+
+    def mu(self, m: int, n: int) -> Matrix:
+        if (m, n) not in self._built:
+            t, d = self.table.get((m, n)), self.Y.dim(n)
+            rows = {i * d + j: p for i, row in enumerate(t or ()) for j, p in enumerate(row) if p}
+            self._built[(m, n)] = Matrix.from_entries(self.Z.field, self.X.dim(m) * d,
+                                                      self.Z.dim(m + n), rows)
+        return self._built[(m, n)]
+
+    def times(self, M: Matrix, m: int, n: int, first: bool) -> Matrix:
+        """(M (x) id) mu(m, n) when first, else (id (x) M) mu(m, n), id on
+        the d basis elements of the other factor, with no Kronecker product:
+        mu's rows are laid side by side, d blocks to a row, one row per basis
+        element of the factor M acts on, so one product with M makes every
+        block at once, and each row of it is cut back into its blocks."""
+        d, w = (self.Y.dim(n) if first else self.X.dim(m)), self.Z.dim(m + n)
+        laid = self._built.get((m, n, first))
+        if laid is None:
+            rows: dict = {}
+            for r, p in self.mu(m, n).entries.items():
+                i, j = divmod(r, self.Y.dim(n))
+                i, j = (i, j) if first else (j, i)
+                rows.setdefault(i, {}).update({j * w + k: x for k, x in p.items()})
+            laid = self._built[(m, n, first)] = Matrix.from_entries(
+                self.Z.field, self.X.dim(m) if first else self.Y.dim(n), d * w, rows)
+        out: dict = {}
+        for r, nz in (M @ laid).entries.items():
+            for c, x in nz.items():
+                j, k = divmod(c, w)
+                i = r * d + j if first else j * M.nrows + r
+                row = out.get(i)
+                if row is None:
+                    row = out[i] = {}
+                row[k] = x
+        return Matrix.from_entries(self.Z.field, M.nrows * d, w, out)
 
 
-def _flat(field, table, key, outer, inner, width, swap=False) -> Matrix:
-    """Row o concatenates table[key][o][q] (table[key][q][o] with swap) over q in inner."""
-    t, out = table.get(key), {}
-    for r, o in enumerate(outer if t else ()):
-        row = {}
-        for s, p in enumerate([t[q][o] for q in inner] if swap else [t[o][q] for q in inner]):
-            if p:
-                base = s * width
-                for k, x in p.items():
-                    row[base + k] = x
-        if row:
-            out[r] = row
-    return Matrix.from_entries(field, len(outer), len(inner) * width, out)
+def _check_unit(table: _Structure, B, sides, message: str):
+    """u x = x (side "left") and x u = x ("right") for u the unit of the
+    dg-algebra B and x each basis element of table.Z, as the identities
+    (u (x) id) mu(0, n) = id and (id (x) u) mu(n, 0) = id; raises
+    message.format(side=side, n=n) at the first basis element that fails,
+    each side in the given order."""
+    Z, one = table.Z, B.field.one
+    u = Matrix.from_entries(B.field, 1, B.dim(0), {0: B.unit} if B.unit else {})
+    for n in Z.degrees():
+        got = [(table.times(u, 0, n, True) if side == "left" else
+                table.times(u, n, 0, False)).entries for side in sides]
+        for i in range(Z.dim(n)):
+            for side, products in zip(sides, got):
+                if products.get(i) != {i: one}:
+                    raise AssertionError(message.format(side=side, n=n))
 
 
-class _Blocks:
-    """One structure table's _stacked and _flat blocks, table(build, *args)
-    for build(field, table, *args) with every argument given, each built on
-    its first request and kept for the validation that made this."""
-
-    def __init__(self, field, table: dict):
-        self.field, self.table, self._built = field, table, {}
-
-    def __call__(self, build, *args) -> Matrix:
-        if (build, args) not in self._built:
-            self._built[(build, args)] = build(self.field, self.table, *args)
-        return self._built[(build, args)]
-
-
-def _per_block(M: Matrix, w: int, run: int = 1) -> Matrix:
-    """Each row of M holds consecutive width-w blocks, one per basis element;
-    the result has one row per block index i and per run of consecutive rows
-    of M, holding those rows' i-th blocks side by side."""
-    groups = -(-M.nrows // run)
-    out: dict = {}
-    for r, nz in M.entries.items():
-        g, s = divmod(r, run)
-        for j, x in nz.items():
-            i, k = divmod(j, w)
-            row = out.get(i * groups + g)
-            if row is None:
-                row = out[i * groups + g] = {}
-            row[s * w + k] = x
-    return Matrix.from_entries(M.field, M.ncols // w * groups, run * w, out)
-
-
-def _row_blocks(M: Matrix, w: int) -> Matrix:
-    """Each row of M cut into its consecutive width-w blocks, one row per
-    block, rows in order and a row's blocks in order."""
-    blocks = M.ncols // w
-    out: dict = {}
-    for r, nz in M.entries.items():
-        for j, x in nz.items():
-            b, k = divmod(j, w)
-            row = out.get(r * blocks + b)
-            if row is None:
-                row = out[r * blocks + b] = {}
-            row[k] = x
-    return Matrix.from_entries(M.field, M.nrows * blocks, w, out)
-
-
-def _unit_products(Z, table: _Blocks, n, B, right: bool) -> dict:
-    """unit*e_i, or e_i*unit when right, for each degree-n basis element e_i
-    of Z and the unit of the dg-algebra B, as row i of the nonzero entries
-    of one product of the unit with the flattened table block."""
-    d, f = Z.dim(n), Z.field
-    if not d:
-        return {}
-    flat = table(_flat, (n, 0) if right else (0, n), range(B.dim(0)), range(d), d, right)
-    unit = Matrix.from_entries(f, 1, B.dim(0), {0: B.unit} if B.unit else {})
-    return _per_block(unit @ flat, d).entries
-
-
-def _check_leibniz(Z, table: _Blocks, X, Y, message: str):
-    """d(xy) = d(x)y + (-1)^{|x|} x d(y) on every basis pair x of X, y of Y;
-    table holds the products xy in Z.  Per degree pair
-    (m, n), table[m, n] (stacked) @ d_Z[m+n] holds each d(x_i y_j),
-    d_Y[n] @ table[m, n+1] (flattened over x) each x_i d(y_j), and
-    d_X[m] @ table[m+1, n] (flattened over y) each d(x_i)y_j; the last two
-    are regrouped by index remaps and the sides compared as entries."""
-    for m in X.degrees():
-        I = range(X.dim(m))
-        for n in Y.degrees():
-            J, w = range(Y.dim(n)), Z.dim(m + n + 1)
-            if not (I and J and w):
-                continue
-            d_xy = table(_stacked, (m, n), I, J, Z.dim(m + n)) @ Z.diff(m + n)
-            x_dy = _per_block(Y.diff(n) @ table(_flat, (m, n + 1), range(Y.dim(n + 1)), I, w,
-                                                True), w)
-            dx_y = X.diff(m) @ table(_flat, (m + 1, n), range(X.dim(m + 1)), J, w, False)
-            if (d_xy - x_dy if m % 2 == 0 else d_xy + x_dy).entries != \
-                    _row_blocks(dx_y, w).entries:
+def _check_leibniz(table: _Structure, message: str):
+    """d(xy) = d(x)y + (-1)^{|x|} x d(y) on every basis pair x of X, y of Y
+    for table X (x) Y -> Z, per degree pair (m, n) as the identity
+    mu(m, n) d_Z = (d_X (x) id) mu(m+1, n) + (-1)^m (id (x) d_Y) mu(m, n+1)."""
+    X, Y, Z = table.X, table.Y, table.Z
+    for m, n in itertools.product(X.degrees(), Y.degrees()):
+        if Z.dim(m + n + 1):
+            dx_y = table.times(X.diff(m), m + 1, n, True)
+            x_dy = table.times(Y.diff(n), m, n + 1, False)
+            if (table.mu(m, n) @ Z.diff(m + n)).entries != \
+                    (dx_y - x_dy if m % 2 else dx_y + x_dy).entries:
                 raise AssertionError(message.format(m, n))
 
 
-def _check_associativity(Z, table: _Blocks, factors, xy, yz, message: str):
-    """(xy)z = x(yz) on every basis triple of factors; xy and yz are
-    (table, space) of the inner products, table holds the outer ones in Z,
-    each table as its _Blocks.
-    Per degree triple (m, n, p),
-    table_xy[m, n] (stacked) @ table[m+n, p] (flattened) holds each
-    (x_i y_j)z_k, and table_yz[n, p] (stacked) @ table[m, n+p] (flattened
-    over x) each x_i(y_j z_k), regrouped by _per_block and compared as
-    entries."""
-    (t_xy, XY), (t_yz, YZ) = xy, yz
-    px, py, pz = ({n: range(F.dim(n)) for n in F.degrees() if F.dim(n)} for F in factors)
-    for m, I in px.items():
-        for n, J in py.items():
-            xi_yj = t_xy(_stacked, (m, n), I, J, XY.dim(m + n))
-            for p, K in pz.items():
-                w = Z.dim(m + n + p)
-                if not w:
-                    continue
-                xy_z = xi_yj @ table(_flat, (m + n, p), range(XY.dim(m + n)), K, w, False)
-                x_yz = (t_yz(_stacked, (n, p), J, K, YZ.dim(n + p))
-                        @ table(_flat, (m, n + p), range(YZ.dim(n + p)), I, w, True))
-                if xy_z.entries != _per_block(x_yz, w, len(K)).entries:
-                    raise AssertionError(message.format(m, n, p))
+def _check_associativity(table: _Structure, xy: _Structure, yz: _Structure, message: str):
+    """(xy)z = x(yz) on every basis triple x of X, y of Y, z of W, for xy:
+    X (x) Y -> XY, yz: Y (x) W -> YZ and table the products XY (x) W -> Z
+    and X (x) YZ -> Z, per degree triple (m, n, p) as the identity
+    (mu_xy(m, n) (x) id) mu(m+n, p) = (id (x) mu_yz(n, p)) mu(m, n+p)."""
+    for m, n, p in itertools.product(xy.X.degrees(), xy.Y.degrees(), yz.Y.degrees()):
+        if table.Z.dim(m + n + p) and table.times(xy.mu(m, n), m + n, p, True).entries != \
+                table.times(yz.mu(n, p), m, n + p, False).entries:
+            raise AssertionError(message.format(m, n, p))
 
 
 class _Graded(Cochains):
@@ -248,9 +213,9 @@ class DgAlgebra(_Graded):
     basis elements as its nonzero coordinates {column: entry}, a missing pair
     (m, n) meaning zero products; unit: its nonzero coordinates in degree 0.
     idempotents: orthogonal degree-0 cocycle idempotents summing to the unit,
-    each as its nonzero coordinates, the unit alone when not given; their
-    cells e.B are the building blocks of semifree resolutions over the
-    algebra.  Elements are passed as their nonzero coordinates
+    checked by validate, each as its nonzero coordinates, the unit alone
+    when not given; their cells e.B are the building blocks of semifree
+    resolutions over the algebra.  Elements are passed as their nonzero coordinates
     {index: entry} throughout.  The dg-end of U (dg_end) and its truncation
     (smart_truncate) have gh = Hom(U, U), embed, their degree-n basis as the
     rows of embed[n], coordinates in gh, and basis_cuts, that basis cut once
@@ -283,24 +248,26 @@ class DgAlgebra(_Graded):
         return self.product(0, self.idempotents[i], n, x)
 
     def validate(self):
-        f = self.field
         self.check_square_zero("dg differential does not square to zero at degree {}")
-        # unit: two-sided identity and a cocycle
         if any(not 0 <= k < self.dim(0) for k in self.unit):
             raise AssertionError("unit has an entry outside degree 0")
         if self.apply_diff(0, self.unit):
             raise AssertionError("unit is not a cocycle")
-        mult = _Blocks(f, self.mult)
-        for n in self.degrees():
-            sides = {side: _unit_products(self, mult, n, self, side == "right")
-                     for side in ("left", "right")}
-            for i in range(self.dim(n)):
-                for side, products in sides.items():
-                    if products.get(i) != {i: f.one}:
-                        raise AssertionError(f"{side} unit fails in degree {n}")
-        _check_leibniz(self, mult, self, self, "graded Leibniz fails on degrees ({}, {})")
-        _check_associativity(self, mult, (self, self, self), (mult, self), (mult, self),
-                             "associativity fails on degrees ({}, {}, {})")
+        mult = _Structure(self.mult, self, self, self)
+        _check_unit(mult, self, ("left", "right"), "{side} unit fails in degree {n}")
+        _check_leibniz(mult, "graded Leibniz fails on degrees ({}, {})")
+        _check_associativity(mult, mult, mult, "associativity fails on degrees ({}, {}, {})")
+        es = self.idempotents
+        if any(not 0 <= k < self.dim(0) for e in es for k in e):
+            raise AssertionError("an idempotent has an entry outside degree 0")
+        if any(self.apply_diff(0, e) for e in es):
+            raise AssertionError("an idempotent is not a cocycle")
+        if any(self.product(0, e, 0, g) != (e if i == j else {})
+               for i, e in enumerate(es) for j, g in enumerate(es)):
+            raise AssertionError("idempotents are not orthogonal idempotents")
+        ones = dict.fromkeys(range(len(es)), self.field.one)
+        if Matrix.from_row_entries(self.field, self.dim(0), es).apply_entries(ones) != self.unit:
+            raise AssertionError("idempotents do not sum to the unit")
 
 
 class DgModule(_Graded):
@@ -338,20 +305,14 @@ class DgModule(_Graded):
         """The module axioms, with products in their order as elements: x*a
         for a right module, a*x for a left one.  The Koszul sign of Leibniz
         comes from the degree of the first factor either way."""
-        B, one = self.algebra, self.field.one
-        right = self.side == "right"
+        B, right = self.algebra, self.side == "right"
         self.check_square_zero("module differential does not square to zero at {}")
-        action, mult = _Blocks(self.field, self.action), _Blocks(self.field, B.mult)
-        for n in self.degrees():
-            products = _unit_products(self, action, n, B, right)
-            if any(products.get(i) != {i: one} for i in range(self.dim(n))):
-                raise AssertionError(f"unit action fails in degree {n}")
-        first, second = (self, B) if right else (B, self)
-        _check_leibniz(self, action, first, second, "module Leibniz fails on degrees ({}, {})")
+        action = _Structure(self.action, *((self, B) if right else (B, self)), self)
+        mult = _Structure(B.mult, B, B, B)
+        _check_unit(action, B, (self.side,), "unit action fails in degree {n}")
+        _check_leibniz(action, "module Leibniz fails on degrees ({}, {})")
         # (uv)w = u(vw) on triples x, a, b (right) or a, b, x (left)
-        factors, xy, yz = (((self, B, B), (action, self), (mult, B)) if right else
-                           ((B, B, self), (mult, B), (action, self)))
-        _check_associativity(self, action, factors, xy, yz,
+        _check_associativity(action, *((action, mult) if right else (mult, action)),
                              "action associativity fails on ({}, {}, {})")
 
 

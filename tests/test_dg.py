@@ -39,11 +39,8 @@ from siltcheck.dg import (
     DgAlgebra,
     DgModule,
     _composition_tables,
-    _flat,
     _Graded,
-    _per_block,
-    _row_blocks,
-    _stacked,
+    _Structure,
     dg_end,
     dg_hom_module,
     end_h0,
@@ -693,8 +690,11 @@ def _hom_target(A2, name, U):
 
 @pytest.fixture(scope="module")
 def built_objects(A2, simple_resolution, two_term_silting, wide):
-    """Outputs of every constructor family, keyed by a readable name."""
-    out = {}
+    """Outputs of every constructor family, keyed by a readable name: the
+    three dg-algebras that verify validates per context (C, C^op and A.dg)
+    among them, and over the Koszul A side of kA_3 the truncation and the
+    modules over it that verify builds."""
+    out = {"A2.dg": A2.dg}
     for name, U in (("resolution", simple_resolution), ("silting", two_term_silting),
                     ("wide", wide)):
         B = dg_end(U)
@@ -706,7 +706,14 @@ def built_objects(A2, simple_resolution, two_term_silting, wide):
                     f"evaluation_left_module {name}": left,
                     f"side_swap {name}": side_swap(left, opposite_dg(B)),
                     f"hom over C {name}": dg_hom_module(gh, C),
-                    f"evaluation over C {name}": evaluation_left_module(C, U)})
+                    f"evaluation over C {name}": evaluation_left_module(C, U),
+                    f"smart_truncate {name}": C,
+                    f"opposite_dg {name}": opposite_dg(C)})
+    U = koszul_sum(linear_quiver_algebra(3))
+    C = smart_truncate(hom_complex(U, U))
+    out.update({"smart_truncate koszul": C, "opposite_dg koszul": opposite_dg(C),
+                "hom over C koszul": dg_hom_module(C.gh, C),
+                "evaluation over C koszul": evaluation_left_module(C, U)})
     return out
 
 
@@ -755,7 +762,11 @@ def _corrupt(rng, X):
 @pytest.mark.parametrize("name", [f"{kind} {name}" for name in ("resolution", "silting", "wide")
                                   for kind in ("dg_end", "dg_hom_module",
                                                "evaluation_left_module", "side_swap",
-                                               "hom over C", "evaluation over C")])
+                                               "hom over C", "evaluation over C",
+                                               "smart_truncate", "opposite_dg")]
+                         + [f"{kind} koszul" for kind in ("smart_truncate", "opposite_dg",
+                                                          "hom over C", "evaluation over C")]
+                         + ["A2.dg"])
 def test_validator_agrees_with_reference_on_corruptions(built_objects, name):
     X = built_objects[name]
     algebra = isinstance(X, DgAlgebra)
@@ -833,28 +844,7 @@ def test_dg_end_and_resolutions_take_no_dense_detour(A2, simple_resolution, two_
     assert generators
 
 
-# -- the sparse reshapes against the dense slicing they replace --------------
-
-
-def _dense_stacked(field, t, outer, inner, width):
-    zero = (field.zero,) * width
-    return tuple(tuple(t[o][q]) if t else zero for o in outer for q in inner)
-
-
-def _dense_flat(field, t, outer, inner, width, swap):
-    zero = (field.zero,) * width
-    pick = (lambda o, q: t[q][o]) if swap else (lambda o, q: t[o][q])
-    return tuple(tuple(chain.from_iterable(pick(o, q) if t else zero for q in inner))
-                 for o in outer)
-
-
-def _dense_per_block(rows, ncols, w, run):
-    return tuple(tuple(chain.from_iterable(r[i * w:(i + 1) * w] for r in rows[g:g + run]))
-                 for i in range(ncols // w) for g in range(0, len(rows), run))
-
-
-def _dense_row_blocks(rows, ncols, w):
-    return tuple(tuple(r[j * w:(j + 1) * w]) for r in rows for j in range(ncols // w))
+# -- the product helper against the dense Kronecker product it replaces -----
 
 
 def _entry(field, density):
@@ -867,36 +857,40 @@ def _entry(field, density):
 @pytest.mark.parametrize("field", [F101, PrimeField(2), RationalField()], ids=repr)
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
-def test_sparse_reshapes_match_dense_slicing(field, data):
-    """_per_block and _row_blocks regroup the entries of a matrix made of
-    width-w blocks exactly as slicing its dense rows does, and _stacked and
-    _flat read a table block, or a missing one, as the dense rows would."""
+def test_structure_times_is_the_kronecker_product_times_mu(field, data):
+    """_Structure.times(M, 0, 0, first) is (M (x) id_d) mu when first and
+    (id_d (x) M) mu otherwise, with the Kronecker product written out
+    densely, for d = 0..3, a missing table block and zero rows, and the
+    laying of mu kept for a second M."""
     density = data.draw(st.sampled_from([0, 1, 2, 5, 10]))
-    cell = _entry(field, density)
-    w, blocks = data.draw(st.integers(1, 3)), data.draw(st.integers(0, 3))
-    run, groups = data.draw(st.integers(1, 3)), data.draw(st.integers(0, 3))
-    nrows, ncols = run * groups, w * blocks
-    rows = data.draw(st.lists(st.lists(cell, min_size=ncols, max_size=ncols),
-                              min_size=nrows, max_size=nrows))
-    M = Matrix.from_rows(field, rows, ncols)
-    for got, want in ((_per_block(M, w, run), _dense_per_block(M.rows, ncols, w, run)),
-                      (_row_blocks(M, w), _dense_row_blocks(M.rows, ncols, w))):
-        assert got.nrows == len(want) and got.rows == want
-        assert all(nz and all(nz.values()) for nz in got.entries.values())
-    a, b = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
-    t = data.draw(st.lists(st.lists(st.lists(cell, min_size=w, max_size=w).map(tuple),
-                                    min_size=b, max_size=b), min_size=a, max_size=a))
-    if not data.draw(st.booleans()):
-        t = None
-    table = {(0, 0): sparse_products(t)} if t is not None else {}
-    outer = data.draw(st.lists(st.integers(0, a - 1), max_size=3)) if a else []
-    inner = data.draw(st.lists(st.integers(0, b - 1), max_size=3)) if b else []
-    assert (_stacked(field, table, (0, 0), outer, inner, w).rows
-            == _dense_stacked(field, t, outer, inner, w))
-    assert (_flat(field, table, (0, 0), range(a), inner, w).rows
-            == _dense_flat(field, t, range(a), inner, w, False))
-    assert (_flat(field, table, (0, 0), range(b), outer, w, swap=True).rows
-            == _dense_flat(field, t, range(b), outer, w, True))
+    cell, zero = _entry(field, density), field.zero
+    for first in (True, False):
+        d, b, w = (data.draw(st.integers(0, 3)) for _ in range(3))
+        dx, dy = (b, d) if first else (d, b)
+        t = data.draw(st.lists(st.lists(st.lists(cell, min_size=w, max_size=w).map(tuple),
+                                        min_size=dy, max_size=dy), min_size=dx, max_size=dx))
+        if data.draw(st.booleans()):
+            t = None
+        table = {(0, 0): sparse_products(t)} if t is not None else {}
+        mu = Matrix.from_rows(field, [t[i][j] if t else (zero,) * w
+                                      for i in range(dx) for j in range(dy)], w)
+        structure = _Structure(table, *(_Graded(field, {0: k}, {}) for k in (dx, dy, w)))
+        assert structure.mu(0, 0) == mu
+        for _ in range(2):
+            a = data.draw(st.integers(0, 3))
+            M = data.draw(st.lists(st.lists(cell, min_size=b, max_size=b),
+                                   min_size=a, max_size=a))
+            if first:
+                kron = [[M[i][k] if j == l else zero for k in range(b) for l in range(d)]
+                        for i in range(a) for j in range(d)]
+            else:
+                kron = [[M[i][k] if j == l else zero for l in range(d) for k in range(b)]
+                        for j in range(d) for i in range(a)]
+            got = structure.times(Matrix.from_rows(field, M, b), 0, 0, first)
+            assert (got.nrows, got.ncols) == (a * d, w)
+            assert got.rows == (Matrix.from_rows(field, kron, b * d) @ mu).rows
+            assert all(nz and all(nz.values()) for nz in got.entries.values())
+
 
 def _products(dims_x, dims_y, dims_z, products):
     """A structure table with the given {(m, i, n, j): coordinates} and zero
@@ -1012,3 +1006,33 @@ def test_associativity_is_checked_on_every_triple_past_desk_scale():
     table[9] = table[9][:9] + [{0: F101.one}] + table[9][10:]
     with pytest.raises(AssertionError, match="associativity fails on degrees"):
         DgAlgebra(F101, {0: A.dim}, {(0, 0): table}, {}, A.unit)
+
+
+# M_2(k) graded by |e21| = -1, |e11| = |e22| = 0, |e12| = 1, with d = [e12, -]:
+# a dg-algebra whose diagonal idempotents are orthogonal and sum to the unit
+# but are not cocycles, d(e11) = -e12.
+M2_DIMS = {-1: 1, 0: 2, 1: 1}
+M2_MULT = {(0, 0): [[{0: 1}, {}], [{}, {1: 1}]], (0, 1): [[{0: 1}], [{}]],
+           (1, 0): [[{}, {0: 1}]], (0, -1): [[{}], [{0: 1}]], (-1, 0): [[{0: 1}, {}]],
+           (1, -1): [[{0: 1}]], (-1, 1): [[{1: 1}]]}
+M2_DIFF = {-1: Matrix(F101, 1, 2, [[1, 1]]), 0: Matrix(F101, 2, 1, [[100], [1]])}
+DIAG_MULT = {(0, 0): [[{0: 1}, {}], [{}, {1: 1}]]}
+
+
+@pytest.mark.parametrize("args, message", [
+    ((F101, {0: 2}, DIAG_MULT, {}, {0: 1, 1: 1}, [{0: 1}, {0: 1}]),
+     "idempotents are not orthogonal idempotents"),
+    ((F101, M2_DIMS, M2_MULT, M2_DIFF, {0: 1, 1: 1}, [{0: 1}, {1: 1}]),
+     "an idempotent is not a cocycle"),
+    ((F101, {0: 2}, DIAG_MULT, {}, {0: 1, 1: 1}, [{0: 1}]),
+     "idempotents do not sum to the unit"),
+    ((F101, {0: 2}, DIAG_MULT, {}, {0: 1, 1: 1}, [{0: 1}, {2: 1}]),
+     "an idempotent has an entry outside degree 0"),
+], ids=["equal", "not cocycles", "incomplete", "outside degree 0"])
+def test_declared_idempotents_are_checked(args, message):
+    """Each algebra is valid with its unit alone as idempotent, and refuses
+    the declared set that breaks one of its conditions."""
+    DgAlgebra(*args[:5])
+    with pytest.raises(AssertionError) as err:
+        DgAlgebra(*args[:5], idempotents=args[5])
+    assert str(err.value) == message
