@@ -22,6 +22,10 @@ enumeration ends with the paths, and any relations are exact; on a quiver
 with directed cycles only length-homogeneous relations are accepted (the
 ideal is then length-graded, and the enumeration ends at the first length
 the ideal fills); the mixed case is rejected rather than silently truncated.
+
+An algebra is checked as the degree-0 dg-algebra it is (Algebra.dg), so
+DgAlgebra.validate is the one check of its unit, associativity and
+idempotents.
 """
 
 from __future__ import annotations
@@ -140,7 +144,10 @@ class Algebra:
     product, and unit is the unit.  idempotents are indices of basis elements
     forming a complete orthogonal idempotent set (for a path algebra, the
     trivial paths).  generators must multiplicatively generate the algebra and
-    contain the idempotents; module-map linearity is checked against them.
+    contain the idempotents; only modules read them: a Module acts by their
+    matrices, and ModuleMap and hom_space check linearity against them.
+    The constructor validates the algebra as the dg-algebra it is in degree
+    0, kept as dg for the semifree resolutions over it.
     A path algebra has its quiver, the path (source, arrows) of each basis
     element, path_index the inverse, and its relations as lists of
     (coefficient, arrows) terms; other algebras have None for all four.
@@ -148,7 +155,7 @@ class Algebra:
 
     def __init__(self, field, labels: Sequence[str], mult: dict, unit: dict,
                  idempotents: Sequence[int], generators: Sequence[int] | None = None,
-                 quiver: Quiver | None = None, paths=None, relations=None, validate: bool = True):
+                 quiver: Quiver | None = None, paths=None, relations=None):
         self.field = field
         self.labels = tuple(labels)
         self.dim = len(self.labels)
@@ -162,16 +169,7 @@ class Algebra:
         self._lmul = {}
         self._proj = {}  # idempotent position -> projective module
         self._proj_sums = {}  # tuple of idempotent positions -> their direct sum
-        if validate:
-            self.validate()
-
-    @cached_property
-    def dg(self):
-        """This algebra as a dg-algebra in degree 0, built on first read."""
-        from .dg import DgAlgebra
-        mult = [[self.basis_product(i, j) for j in range(self.dim)] for i in range(self.dim)]
-        return DgAlgebra(self.field, {0: self.dim}, {(0, 0): mult}, {}, self.unit,
-                         idempotents=[{e: self.field.one} for e in self.idempotents])
+        self.validate()
 
     def projective(self, v: int) -> ProjectiveModule:
         """The indecomposable projective at idempotent v, built once."""
@@ -210,39 +208,14 @@ class Algebra:
         return self._lmul[j]
 
     def validate(self):
-        f = self.field
-        # unit: row i of sum u_t R_t is b_i u, and of sum u_t L_t is u b_i
-        for side, mult_matrix in (("right", self.right_mult_matrix),
-                                  ("left", self.left_mult_matrix)):
-            terms = ((c, mult_matrix(t)) for t, c in self.unit.items())
-            if Matrix.combination(f, self.dim, self.dim, terms) != Matrix.identity(f, self.dim):
-                raise AssertionError(f"unit is not a {side} identity")
-        # idempotents: complete orthogonal set of basis elements
-        for e in self.idempotents:
-            if self.basis_product(e, e) != {e: f.one}:
-                raise AssertionError(f"basis element {self.labels[e]} is not idempotent")
-        for e in self.idempotents:
-            for e2 in self.idempotents:
-                if e != e2 and self.basis_product(e, e2):
-                    raise AssertionError("idempotents not orthogonal")
-        # their sum, where a repeated idempotent counts once per repeat
-        if f.reduce_entries({e: self.idempotents.count(e) for e in self.idempotents}) != self.unit:
-            raise AssertionError("idempotents do not sum to the unit")
-        # associativity: (b_i b_j) b_k = b_i (b_j b_k) for every i is the
-        # matrix identity R_j R_k = sum_t c^{jk}_t R_t of right regular
-        # matrices, checked for every basis element j and generator k.
-        # Linearity gives (xy)g = x(yg) for every x, y and generator g, and
-        # induction on the length of a product of generators gives it for
-        # every element of A: the generators span A by products and contain
-        # the idempotents
-        for j in range(self.dim):
-            for k in self.generators:
-                rhs = Matrix.combination(f, self.dim, self.dim,
-                                         ((c, self.right_mult_matrix(t))
-                                          for t, c in self.basis_product(j, k).items()))
-                if self.right_mult_matrix(j) @ self.right_mult_matrix(k) != rhs:
-                    raise AssertionError(
-                        f"associativity fails on ({self.labels[j]}, {self.labels[k]})")
+        """Build and keep self.dg, this algebra in degree 0, whose constructor
+        checks the unit on both sides, associativity on every triple and the
+        idempotents."""
+        from .dg import DgAlgebra
+        zero = {}
+        table = [[self.mult.get((i, j), zero) for j in range(self.dim)] for i in range(self.dim)]
+        self.dg = DgAlgebra(self.field, {0: self.dim}, {(0, 0): table}, {}, self.unit,
+                            idempotents=[{e: self.field.one} for e in self.idempotents])
 
     def __repr__(self):
         return f"Algebra(dim={self.dim}, basis={list(self.labels)!r})"

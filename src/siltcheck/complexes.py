@@ -122,9 +122,8 @@ class Complex(Cochains):
 
     def validate(self):
         for n in self.degrees():
-            d = self.linear_diff(n)
-            if not d.is_zero() and not (d @ self.diff(n + 1)).is_zero():
-                raise AssertionError(f"differential does not square to zero at degree {n}")
+            self.linear_diff(n)
+        self.check_square_zero("differential does not square to zero at degree {}")
 
     def linear_diff(self, n: int) -> Matrix:
         """d^n, checked to be a module map on its first read, whether or not

@@ -12,7 +12,8 @@ readers of cell coordinates (by cell rows and block by block), the
 naturality square read on each summand's own resolution and tensor, the
 resolution construction that builds the orbit of every component, and the
 dense action of every basis element of A on each kind of module the program
-builds, read off its construction rather than off the arrows of a path.
+builds, read off its construction rather than off the arrows of a path,
+and the algebra axioms checked element by element over dense rows.
 
 The module oracles are computed with hom_space and dimension vectors only, so
 the numbers frozen into the verifier tests do not come from the code under
@@ -147,6 +148,43 @@ def endomorphism_algebra(A: Algebra, summands) -> Algebra:
             if sol:
                 mult[(x, y)] = {idxs[k]: c for k, c in sol.items()}
     return Algebra(f, labels, mult, {p: f.one for p in idem_positions}, idem_positions)
+
+
+def algebra_axioms_hold(f, dim: int, mult: dict, unit: dict, idempotents) -> bool:
+    """Whether the table mult, (i, j) -> b_i b_j as its nonzero entries, with
+    the given unit and idempotent basis positions, makes an algebra: checked
+    element by element over dense rows, a two-sided unit, associativity on
+    every triple of basis elements, and the idempotents, position by
+    position, orthogonal, each idempotent and, counted with repeats, summing
+    to the unit."""
+    def basis(i):
+        return tuple(f.one if k == i else f.zero for k in range(dim))
+
+    def times(u, v):
+        out = [f.zero] * dim
+        for i, a in enumerate(u):
+            for j, b in enumerate(v):
+                for k, c in mult.get((i, j), {}).items():
+                    out[k] = f.coerce(out[k] + a * b * c)
+        return tuple(out)
+
+    if any(not 0 <= k < dim for k in unit) or any(not 0 <= e < dim for e in idempotents):
+        return False
+    one = tuple(unit.get(k, f.zero) for k in range(dim))
+    bs = [basis(i) for i in range(dim)]
+    if any(times(one, b) != b or times(b, one) != b for b in bs):
+        return False
+    if any(times(times(x, y), z) != times(x, times(y, z)) for x in bs for y in bs for z in bs):
+        return False
+    zero = (f.zero,) * dim
+    es = [bs[e] for e in idempotents]
+    if any(times(x, y) != (x if i == j else zero)
+           for i, x in enumerate(es) for j, y in enumerate(es)):
+        return False
+    total = zero
+    for x in es:
+        total = tuple(f.add(a, b) for a, b in zip(total, x))
+    return total == one
 
 
 # -- dense reference for linalg ---------------------------------------------

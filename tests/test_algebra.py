@@ -5,13 +5,17 @@ counting surviving paths, and Hom(e_i A, M) = M e_i for projectives.
 """
 
 import pathlib
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import regular_module
-from oracles import (basis_maps, dense_cell_action, dense_projective_action,
-                     dense_projective_sum_action, dense_simple_action, dense_subquotient_action,
-                     dense_sum_action, endomorphism_algebra)
+from oracles import (algebra_axioms_hold, basis_maps, dense_cell_action,
+                     dense_projective_action, dense_projective_sum_action, dense_simple_action,
+                     dense_subquotient_action, dense_sum_action, endomorphism_algebra)
+from siltcheck import dg, semifree
 from siltcheck.algebra import (
     AdmissibilityError,
     Algebra,
@@ -25,8 +29,8 @@ from siltcheck.algebra import (
     path_algebra,
     simple_module,
 )
-from siltcheck.complexes import (direct_sum_complexes, hom_complex, projective_cache,
-                                 projective_complex)
+from siltcheck.complexes import (direct_sum_complexes, hom_complex, proj_replacement,
+                                 projective_cache, projective_complex)
 from siltcheck.fields import PrimeField, RationalField
 from siltcheck.instances import load_instance
 from siltcheck.linalg import Matrix
@@ -184,11 +188,13 @@ _LEFT_ZERO = {(0, 0): {0: Q.one}, (0, 1): {0: Q.one}, (1, 0): {1: Q.one},
 
 @pytest.mark.parametrize("labels, mult, unit, idempotents, message", [
     (["e", "x"], {(0, 0): {0: Q.one}, (0, 1): {1: Q.one}, (1, 0): {1: Q.one}},
-     {0: Q.one}, (1,), "basis element x is not idempotent"),
-    (["p", "u"], _SPLIT_UNIT_LAST, {1: Q.one}, (0, 1), "idempotents not orthogonal"),
+     {0: Q.one}, (1,), "idempotents are not orthogonal idempotents"),
+    (["p", "u"], _SPLIT_UNIT_LAST, {1: Q.one}, (0, 1),
+     "idempotents are not orthogonal idempotents"),
     (["p", "q"], _SPLIT, {0: Q.one, 1: Q.one}, (0,), "idempotents do not sum to the unit"),
-    (["e"], {(0, 0): {0: Q.one}}, {0: Q.one}, (0, 0), "idempotents do not sum to the unit"),
-    (["a", "b"], _LEFT_ZERO, {0: Q.one}, (0,), "unit is not a left identity"),
+    (["e"], {(0, 0): {0: Q.one}}, {0: Q.one}, (0, 0),
+     "idempotents are not orthogonal idempotents"),
+    (["a", "b"], _LEFT_ZERO, {0: Q.one}, (0,), "left unit fails in degree 0"),
 ], ids=["non-idempotent", "not-orthogonal", "short-sum", "repeated", "right-unit-only"])
 def test_algebra_validation_refuses_bad_idempotents_and_units(labels, mult, unit,
                                                               idempotents, message):
@@ -212,6 +218,110 @@ def test_algebra_validation_checks_every_pair_past_desk_scale():
     with pytest.raises(AssertionError, match="associativity fails on"):
         Algebra(F101, A.labels, {**A.mult, (9, 9): {0: F101.one}}, A.unit,
                 A.idempotents, A.generators)
+
+
+F2, F3 = PrimeField(2), PrimeField(3)
+# each field's nonzero entries the tables below draw from
+_NONZERO = {F2: [1], F3: [1, 2], Q: [Q.coerce(x) for x in (1, -1, 2, Fraction(1, 2), -3)]}
+
+
+def _small_algebras(f):
+    """(dim, mult, unit, idempotents) of k x k, k[x]/(x^3) on 1, x, x^2, and
+    kA_2 on e_1, e_2, a."""
+    one = f.one
+    return [(2, {(0, 0): {0: one}, (1, 1): {1: one}}, {0: one, 1: one}, (0, 1)),
+            (3, {(0, 0): {0: one}, (0, 1): {1: one}, (1, 0): {1: one}, (0, 2): {2: one},
+                 (2, 0): {2: one}, (1, 1): {2: one}}, {0: one}, (0,)),
+            (3, {(0, 0): {0: one}, (1, 1): {1: one}, (0, 2): {2: one}, (2, 1): {2: one}},
+             {0: one, 1: one}, (0, 1))]
+
+
+@st.composite
+def _algebra_tables(draw):
+    """A field and (dim, mult, unit, idempotents): one of _small_algebras, a
+    random table with b_0 its unit, or a random table, then up to two
+    corruptions of a product, the unit or the idempotents."""
+    f = draw(st.sampled_from([F2, F3, Q]))
+    kind = draw(st.integers(0, 4))
+    if kind < 3:
+        dim, mult, unit, idempotents = _small_algebras(f)[kind]
+    else:
+        dim = draw(st.integers(1, 3))
+    element = st.dictionaries(st.integers(0, dim - 1), st.sampled_from(_NONZERO[f]),
+                              max_size=dim)
+    idempotent_lists = st.lists(st.integers(0, dim - 1), max_size=4)
+    if kind >= 3:
+        mult = {(i, j): p for i in range(dim) for j in range(dim) if (p := draw(element))}
+        if kind == 3:
+            unit, idempotents = {0: f.one}, (0,)
+            mult.update({k: {i: f.one} for i in range(dim) for k in ((0, i), (i, 0))})
+        else:
+            unit, idempotents = draw(element), draw(idempotent_lists)
+    mult = dict(mult)
+    for _ in range(draw(st.integers(0, 2))):
+        what = draw(st.sampled_from(["product", "unit", "idempotents"]))
+        if what == "product":
+            key = (draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1)))
+            mult.pop(key, None)
+            if p := draw(element):
+                mult[key] = p
+        elif what == "unit":
+            unit = draw(element)
+        else:
+            idempotents = draw(idempotent_lists)
+    return f, dim, mult, unit, tuple(idempotents)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_algebra_tables())
+# over F_2 the unit three times is idempotent and sums to the unit, but its
+# copies are not orthogonal
+@example((F2, 1, {(0, 0): {0: F2.one}}, {0: F2.one}, (0, 0, 0)))
+def test_algebra_validation_is_exactly_the_axioms(case):
+    f, dim, mult, unit, idempotents = case
+    try:
+        Algebra(f, [f"b{i}" for i in range(dim)], mult, unit, idempotents)
+        accepted = True
+    except AssertionError:
+        accepted = False
+    assert accepted == algebra_axioms_hold(f, dim, mult, unit, idempotents)
+
+
+def test_an_algebra_is_validated_once_as_the_dg_algebra_resolutions_read(monkeypatch):
+    validated, resolved = [], []
+    validate, resolve = dg.DgAlgebra.validate, semifree.semifree_resolve
+
+    def counted(self):
+        validated.append(self)
+        validate(self)
+
+    def recorded(M, cutoff):
+        P = resolve(M, cutoff)
+        resolved.append(P.algebra)
+        return P
+
+    monkeypatch.setattr(dg.DgAlgebra, "validate", counted)
+    monkeypatch.setattr(semifree, "semifree_resolve", recorded)
+    A = two_vertex_algebra(F101)
+    (B,) = validated
+    assert B is A.dg
+    proj_replacement(simple_module(A, 0).stalk)
+    assert validated == [B] and resolved == [B]
+
+
+def test_algebras_are_refused_by_the_dg_validator(monkeypatch):
+    A = two_vertex_algebra(F101)
+    U = projective_complex(A, {0: [0, 1]})
+    gh = hom_complex(U, U)
+
+    def refuse(self):
+        raise AssertionError("refused as a dg-algebra")
+
+    monkeypatch.setattr(dg.DgAlgebra, "validate", refuse)
+    with pytest.raises(AssertionError, match="refused as a dg-algebra"):
+        two_vertex_algebra(F101)
+    with pytest.raises(AssertionError, match="refused as a dg-algebra"):
+        dg.end_h0(gh)
 
 
 # -- modules and hom spaces ------------------------------------------------

@@ -803,7 +803,8 @@ def test_a_failed_internal_check_exits_3_without_a_traceback(capsys, monkeypatch
                                                              command):
     # a validator's AssertionError is no witness: it must not exit 1.  check
     # builds no dg-end, so its failure goes into the validation of H^0
-    # End(U), an ordinary algebra; verify's into the dg-end's
+    # End(U), an ordinary algebra; verify's into the first dg-algebra
+    # validated, A's own as the instance loads
     from siltcheck import dg
 
     if command == "check":
