@@ -40,8 +40,11 @@ class AdmissibilityError(ValueError):
     """Malformed presentation: bad relation paths or unsupported relation shape."""
 
 
+DIMENSION_CAP = 512  # the largest algebra dimension path_algebra builds
+
+
 class DimensionCapError(RuntimeError):
-    """Path enumeration or algebra dimension exceeded the configured cap."""
+    """Path enumeration or algebra dimension exceeded DIMENSION_CAP."""
 
 
 class Quiver:
@@ -166,7 +169,6 @@ class Algebra:
         self.quiver, self.paths, self.relations = quiver, paths, relations
         self.path_index = {p: i for i, p in enumerate(paths)} if paths is not None else None
         self._rmul = {}
-        self._lmul = {}
         self._proj = {}  # idempotent position -> projective module
         self._proj_sums = {}  # tuple of idempotent positions -> their direct sum
         self.validate()
@@ -201,11 +203,8 @@ class Algebra:
 
     def left_mult_matrix(self, j: int) -> Matrix:
         """Matrix of x |-> b_j * x in row convention."""
-        if j not in self._lmul:
-            self._lmul[j] = Matrix.from_entries(
-                self.field, self.dim, self.dim,
-                {i: p for i in range(self.dim) if (p := self.mult.get((j, i)))})
-        return self._lmul[j]
+        return Matrix.from_entries(self.field, self.dim, self.dim,
+                                   {i: p for i in range(self.dim) if (p := self.mult.get((j, i)))})
 
     def validate(self):
         """Build and keep self.dg, this algebra in degree 0, whose constructor
@@ -221,7 +220,7 @@ class Algebra:
         return f"Algebra(dim={self.dim}, basis={list(self.labels)!r})"
 
 
-def path_algebra(quiver: Quiver, field, relations=(), dimension_cap: int = 512) -> Algebra:
+def path_algebra(quiver: Quiver, field, relations=()) -> Algebra:
     """Quotient of the path algebra of `quiver` by the given relations.
 
     Paths are enumerated by length, each length with the relation rows
@@ -232,7 +231,7 @@ def path_algebra(quiver: Quiver, field, relations=(), dimension_cap: int = 512) 
 
     Basis: the surviving paths, ordered by (length, generation order).
     Raises DimensionCapError if enumeration or the quotient dimension exceeds
-    the cap, AdmissibilityError for malformed or unsupported relations.
+    DIMENSION_CAP, AdmissibilityError for malformed or unsupported relations.
     """
     rels = _parse_relations(quiver, relations)
     cyclic = quiver.has_cycle()
@@ -241,7 +240,7 @@ def path_algebra(quiver: Quiver, field, relations=(), dimension_cap: int = 512) 
             "length-inhomogeneous relations on a quiver with directed cycles "
             "are not supported (length-truncated saturation would be unsound)"
         )
-    enumeration_cap = max(dimension_cap * 64, 32768)
+    enumeration_cap = max(DIMENSION_CAP * 64, 32768)
     layers = [[(v, ()) for v in range(len(quiver.vertices))]]
     index = {p: i for i, p in enumerate(layers[0])}
 
@@ -284,15 +283,15 @@ def path_algebra(quiver: Quiver, field, relations=(), dimension_cap: int = 512) 
             if not survivors:
                 break
             kept += survivors
-            if kept > dimension_cap:
-                raise DimensionCapError(f"algebra dimension exceeded cap {dimension_cap}")
+            if kept > DIMENSION_CAP:
+                raise DimensionCapError(f"algebra dimension exceeded cap {DIMENSION_CAP}")
         layers.append(layer)
         rows += new
     paths = [p for layer in layers for p in layer]
     free, proj = quotient_map(field, len(paths), rows)
     basis_paths = [paths[j] for j in free]
-    if len(basis_paths) > dimension_cap:
-        raise DimensionCapError(f"algebra dimension {len(basis_paths)} exceeds cap {dimension_cap}")
+    if len(basis_paths) > DIMENSION_CAP:
+        raise DimensionCapError(f"algebra dimension {len(basis_paths)} exceeds cap {DIMENSION_CAP}")
 
     def reduce_path(p):
         # a path past the enumeration, or of the length where it stopped, has

@@ -79,11 +79,15 @@ def _echo(eff: dict) -> dict:
             "probes": eff["probes"] if eff["probes"] is not None else "all"}
 
 
-def _pick_complex(inst: Instance, name: str):
-    if name not in inst.complexes:
-        raise UsageError(f"no complex named {name!r} in instance "
+def _context(inst: Instance, args) -> tuple[dict, SiltingContext]:
+    """The effective settings and the run's one context: the named complex
+    with the depth settings every command reads off it."""
+    eff = _effective(inst, args)
+    if args.object not in inst.complexes:
+        raise UsageError(f"no complex named {args.object!r} in instance "
                          f"{inst.name!r}; complexes: {sorted(inst.complexes)}")
-    return inst.complexes[name]
+    return eff, SiltingContext(inst.complexes[args.object], eff["max_steps"],
+                               eff["extra_margin"], eff["cap"])
 
 
 def _write(path: str, text: str):
@@ -126,9 +130,8 @@ def _check_payload(name: str, srep: SiltingReport) -> tuple[dict, int]:
 
 
 def cmd_check(inst: Instance, args) -> int:
-    eff = _effective(inst, args)
-    srep = silting_report(_pick_complex(inst, args.object), eff["max_steps"])
-    payload, code = _check_payload(args.object, srep)
+    eff, ctx = _context(inst, args)
+    payload, code = _check_payload(args.object, ctx.report)
     payload.update({"schema": SCHEMA, "command": "check",
                     "instance": inst.name, "effective": _echo(eff)})
     _emit(payload, args.output)
@@ -136,9 +139,8 @@ def cmd_check(inst: Instance, args) -> int:
 
 
 def cmd_goodify(inst: Instance, args) -> int:
-    eff = _effective(inst, args)
-    U = _pick_complex(inst, args.object)
-    srep = silting_report(U, eff["max_steps"])
+    eff, ctx = _context(inst, args)
+    U, srep = ctx.U, ctx.report
     payload = {"schema": SCHEMA, "command": "goodify",
                "instance": inst.name, "object": args.object,
                "effective": _echo(eff)}
@@ -148,7 +150,7 @@ def cmd_goodify(inst: Instance, args) -> int:
         payload["witness"] = list(srep.presilting_witness)
         _emit(payload, None)
         return 2
-    V = goodify(U, eff["max_steps"], srep)
+    V = goodify(U, srep)
     if V is None:
         payload["verdict"] = "inconclusive"
         payload["failed_step"] = "coresolution"
@@ -161,11 +163,10 @@ def cmd_goodify(inst: Instance, args) -> int:
     payload["verdict"] = "pass"
     payload["good_object"] = out_name
     payload["already_good"] = srep.good
-    vrep = silting_report(V, eff["max_steps"])
+    vrep = silting_report(V, ctx.max_steps)
     payload["checks"] = {
         "output_presilting": vrep.presilting,
-        "silting_equivalent_to_input": silting_equivalent(U, V, eff["max_steps"],
-                                                          (srep, vrep)),
+        "silting_equivalent_to_input": silting_equivalent(U, V, (srep, vrep)),
     }
     payload["goodified"] = serialize_instance(out_inst)
     if args.output:
@@ -190,9 +191,7 @@ def _verdict_code(reports: list) -> tuple[str, int]:
 
 
 def cmd_verify(inst: Instance, args) -> int:
-    eff = _effective(inst, args)
-    ctx = SiltingContext(_pick_complex(inst, args.object), eff["max_steps"],
-                         eff["extra_margin"], eff["cap"])
+    eff, ctx = _context(inst, args)
     reports = _verification_reports(ctx, eff)
     verdict, code = _verdict_code(reports)
     payload = {"schema": SCHEMA, "command": "verify",
@@ -204,9 +203,7 @@ def cmd_verify(inst: Instance, args) -> int:
 
 
 def cmd_report(inst: Instance, args) -> int:
-    eff = _effective(inst, args)
-    ctx = SiltingContext(_pick_complex(inst, args.object), eff["max_steps"],
-                         eff["extra_margin"], eff["cap"])
+    eff, ctx = _context(inst, args)
     check_payload, check_code = _check_payload(args.object, ctx.report)
     payload = {"schema": SCHEMA, "command": "report",
                "instance": inst.name, "object": args.object,
@@ -258,8 +255,16 @@ _PARSER = _build_parser()  # built once: every main call parses with it
 
 
 def main(argv=None) -> int:
+    # join each "--window X" into "--window=X", so that argparse reads a
+    # window with a negative LO, "-3:3", as the flag's value and not a flag
+    joined = []
+    for arg in sys.argv[1:] if argv is None else argv:
+        if joined and joined[-1] == "--window":
+            joined[-1] = f"--window={arg}"
+        else:
+            joined.append(arg)
     try:
-        args = _PARSER.parse_args(argv)
+        args = _PARSER.parse_args(joined)
     except SystemExit as e:
         # argparse exits 2 on bad arguments; fold into the input-error code
         return 0 if e.code == 0 else 3

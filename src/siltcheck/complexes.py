@@ -90,7 +90,6 @@ class Complex(Cochains):
                 raise ValueError(f"differential at degree {n} has wrong shape")
             if not d.is_zero():
                 self.diffs[n] = d
-        self._cohom = {}
         self._linear = set()  # degrees whose differential is checked A-linear
         if validate:
             self.validate()
@@ -169,13 +168,12 @@ class Complex(Cochains):
         return Complex(A, {n - k: m for n, m in self.terms.items()}, diffs, validate=False)
 
     def cohomology(self, n: int) -> Module:
-        """H^n as a module with its induced action, and its sq for reduce/lift."""
-        if n not in self._cohom:
-            sq = self.subquotient(n)
-            self._cohom[n] = Module(self.algebra, sq.dim, [Matrix.from_row_entries(
-                self.field, sq.dim, [sq.reduce(a.apply_entries(rep)) for rep in sq.rep_entries])
-                for a in map(self.term(n).action, self.algebra.generators)], sq=sq)
-        return self._cohom[n]
+        """H^n as a module with its induced action, and its sq for reduce/lift,
+        built on each call (h_dim and induced read the subquotient alone)."""
+        sq = self.subquotient(n)
+        return Module(self.algebra, sq.dim, [Matrix.from_row_entries(
+            self.field, sq.dim, [sq.reduce(a.apply_entries(rep)) for rep in sq.rep_entries])
+            for a in map(self.term(n).action, self.algebra.generators)], sq=sq)
 
     def __repr__(self):
         dims = {n: self.term(n).dim for n in self.degrees()}

@@ -282,7 +282,7 @@ class DgModule(_Graded):
     """
 
     def __init__(self, algebra: DgAlgebra, side: str, dims: dict, action: dict,
-                 diff: dict, validate: bool = True, gh=None, complex=None):
+                 diff: dict, gh=None, complex=None):
         if side not in ("right", "left"):
             raise ValueError("side must be 'right' or 'left'")
         super().__init__(algebra.field, dims, diff)
@@ -290,8 +290,7 @@ class DgModule(_Graded):
         self.algebra = algebra
         self.side = side
         self.action = action
-        if validate:
-            self.validate()
+        self.validate()
 
     def act(self, m: int, x: dict, n: int, a: dict) -> dict:
         """Right: x*a for x in M^m, a in B^n.  Left: a*x for a in B^m, x in M^n."""

@@ -246,42 +246,42 @@ def _parse_options(data, path: str) -> dict:
     return out
 
 
-def parse_instance(data, path: str = "$") -> Instance:
-    _object(data, path, {"schema", "name", "field", "quiver", "modules", "complexes", "options"})
-    _expect(data.get("schema") == SCHEMA, f"{path}.schema",
+def parse_instance(data) -> Instance:
+    _object(data, "$", {"schema", "name", "field", "quiver", "modules", "complexes", "options"})
+    _expect(data.get("schema") == SCHEMA, "$.schema",
             f"unsupported schema {data.get('schema')!r}; this reader handles {SCHEMA}")
     name = data.get("name")
-    _expect(isinstance(name, str) and name, f"{path}.name",
+    _expect(isinstance(name, str) and name, "$.name",
             "need a nonempty instance name")
     try:
         field = field_from_json(data.get("field"))
     except ValueError as e:
-        raise InstanceError(f"{path}.field", str(e)) from None
-    quiver = _parse_quiver(data.get("quiver"), f"{path}.quiver")
+        raise InstanceError("$.field", str(e)) from None
+    quiver = _parse_quiver(data.get("quiver"), "$.quiver")
     relations = _parse_relations(field, quiver,
                                  data["quiver"].get("relations", []),
-                                 f"{path}.quiver.relations")
+                                 "$.quiver.relations")
     try:
         A = path_algebra(quiver, field,
                          relations=[[(c, ns) for c, ns in rel]
                                     for rel in relations])
     except DimensionCapError as e:
         # a cap met while reading is no malformed input: it keeps its class
-        raise DimensionCapError(f"{path}.quiver: {e}") from None
+        raise DimensionCapError(f"$.quiver: {e}") from None
     except (AdmissibilityError, ValueError) as e:
-        raise InstanceError(f"{path}.quiver", str(e)) from None
+        raise InstanceError("$.quiver", str(e)) from None
 
     complexes = {}
-    for cname, cdata in _object(data.get("complexes", {}), f"{path}.complexes").items():
+    for cname, cdata in _object(data.get("complexes", {}), "$.complexes").items():
         complexes[cname] = _parse_complex(A, quiver, cdata,
-                                          f"{path}.complexes.{cname}")
+                                          f"$.complexes.{cname}")
     modules, module_specs = {}, {}
-    for mname, mdata in _object(data.get("modules", {}), f"{path}.modules").items():
-        mp = f"{path}.modules.{mname}"
+    for mname, mdata in _object(data.get("modules", {}), "$.modules").items():
+        mp = f"$.modules.{mname}"
         _expect(mname not in complexes, mp,
                 "name already used by a complex")
         modules[mname], module_specs[mname] = _parse_module(A, quiver, mdata, mp)
-    options = _parse_options(data.get("options", {}), f"{path}.options")
+    options = _parse_options(data.get("options", {}), "$.options")
     return Instance(name, field, quiver, relations, A,
                     complexes, modules, module_specs, options)
 

@@ -248,17 +248,16 @@ def presilting_witness(U: Complex):
     return _self_extension(_checked_self_hom(U), 1, U.hi - U.lo)
 
 
-def silting_equivalent(U: Complex, V: Complex, max_steps: int = 8,
-                       reports: tuple | None = None) -> bool:
+def silting_equivalent(U: Complex, V: Complex, reports: tuple | None = None) -> bool:
     """Mutual vanishing of positive-shift homs between two presilting complexes.
 
     Both inputs must be presilting with terminating coresolutions; anything
     else raises.  reports, when given, are the silting reports of U and V,
-    already built.  The verdict rests on the mutual-vanishing order
-    comparison, which is the criterion this package commits to for
-    equivalence classes.
+    already built; else each is silting_report at its default.  The verdict
+    rests on the mutual-vanishing order comparison, which is the criterion
+    this package commits to for equivalence classes.
     """
-    for rep in reports or (silting_report(U, max_steps), silting_report(V, max_steps)):
+    for rep in reports or (silting_report(U), silting_report(V)):
         w = rep.presilting_witness
         if w is not None:
             raise ValueError(
@@ -270,16 +269,16 @@ def silting_equivalent(U: Complex, V: Complex, max_steps: int = 8,
     return not any(uv.h_dim(i) or vu.h_dim(i) for i in range(1, hi + 1))
 
 
-def goodify(U: Complex, max_steps: int = 8,
-            report: SiltingReport | None = None) -> Complex | None:
+def goodify(U: Complex, report: SiltingReport | None = None) -> Complex | None:
     """Direct sum of the coresolution targets, flattened to summands of U.
 
     Each target is read off its step's multiplicities in the silting report,
     which list the summands in the order the target holds them.  report,
-    when given, is U's silting report, already built.  None when the
-    coresolution is undecided at the step cap.
+    when given, is U's silting report, already built; else it is
+    silting_report at its default.  None when the coresolution is undecided
+    at the step cap.
     """
-    report = report or silting_report(U, max_steps)
+    report = report or silting_report(U)
     if report.n is None:
         return None
     summands = U.summands or [U]

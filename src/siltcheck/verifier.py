@@ -563,7 +563,6 @@ class XiClassification:
     index: int | None
     dims: dict
     degenerate: bool
-    degree_bound: int
 
 
 def classify_Xi(ctx: SiltingContext, X: Module) -> XiClassification:
@@ -575,9 +574,9 @@ def classify_Xi(ctx: SiltingContext, X: Module) -> XiClassification:
     gh = ctx.hom(ctx.U, X.stalk)
     dims = {j: gh.h_dim(j) for j in range(0, n + 1)}
     if X.dim == 0:
-        return XiClassification(0, dims, True, n)
+        return XiClassification(0, dims, True)
     support = [j for j, d in dims.items() if d]
-    return XiClassification(support[0] if len(support) == 1 else None, dims, False, n)
+    return XiClassification(support[0] if len(support) == 1 else None, dims, False)
 
 
 def verify_corollary_roundtrip(ctx: SiltingContext, X: Module, i: int, window,
@@ -703,14 +702,13 @@ def probe_complexes(ctx: SiltingContext, mods: dict, names=None) -> dict:
     """Sources of homs out of the module probes mods, as probe_modules(ctx.A)
     built them, plus the free module, the sum of the stalks: the stalk of
     M when it is projective, else its projective replacement within the
-    context's cap.  Probe names sharing a module share its one source; with
-    names given, only those probes are built.
+    context's cap.  Probe names sharing a module share its one source.
+    names decides only the free probe, built when names is None or holds
+    "free"; the caller filters mods itself.
     """
     A = ctx.A
     out, sources = {}, {}
     for name, M in sorted(mods.items()):
-        if names is not None and name not in names:
-            continue
         if M not in sources:
             X = M.stalk
             sources[M] = X if X.is_projective_complex() else proj_replacement(X, ctx.cap)[0]
@@ -808,8 +806,7 @@ _SCOPE_NOTE = ("checked on the finite probe set; every probe is compact, so "
                "orthogonal-complement side conditions hold vacuously here")
 
 
-def verify_all(U: Complex, window=(-4, 4), pair_degrees=(-2, 2), max_steps: int | None = None,
-               extra_margin: int | None = None, cap: int | None = None,
+def verify_all(U: Complex, window=(-4, 4), pair_degrees=(-2, 2),
                ctx: SiltingContext | None = None, probe_names=None) -> list:
     """Run every check on one silting complex with the standard probe set.
 
@@ -820,18 +817,14 @@ def verify_all(U: Complex, window=(-4, 4), pair_degrees=(-2, 2), max_steps: int 
     orthogonal-complement clause of the general statement is vacuous here,
     since each instance is finite and carried by its probes; every report
     notes its window and margins so reruns with larger margins are directly
-    comparable.  max_steps, extra_margin and cap build the context of U,
-    each left out taking SiltingContext's default; a given ctx must be the
-    context of U and has fixed them, so passing one beside it raises
-    ValueError.  A tilting U with cohomology in degree 0 alone ends with
-    the tilting-theorem report.
+    comparable.  The depth settings max_steps, extra_margin and cap are the
+    context's: a given ctx must be the context of U, else ValueError, and
+    without one U gets SiltingContext(U) at its defaults.  A tilting U with
+    cohomology in degree 0 alone ends with the tilting-theorem report.
     """
-    given = {k: v for k, v in (("max_steps", max_steps), ("extra_margin", extra_margin),
-                               ("cap", cap)) if v is not None}
-    if ctx is not None and (ctx.U is not U or given):
-        raise ValueError("a given context must be the context of U, and it fixes "
-                         "max_steps, extra_margin and cap")
-    ctx = ctx or SiltingContext(U, **given)
+    if ctx is not None and ctx.U is not U:
+        raise ValueError("a given context must be the context of U")
+    ctx = ctx or SiltingContext(U)
     win = _window(window)
     pr = _window(pair_degrees)
     mods = probe_modules(ctx.A)

@@ -14,7 +14,7 @@ import pytest
 from oracles import ext1_dim, hom_dim
 from siltcheck.algebra import (Module, Quiver, hom_space, path_algebra,
                                simple_module)
-from siltcheck.complexes import (direct_sum_complexes, projective_cache,
+from siltcheck.complexes import (direct_sum_complexes, proj_replacement, projective_cache,
                                  projective_complex)
 from siltcheck.fields import PrimeField
 from siltcheck.instances import parse_instance
@@ -124,10 +124,13 @@ def U_K(K):
     return projective_complex(K, {0: [0]})
 
 
-def linear_quiver_algebra(n, field=F101):
-    """kA_n, the path algebra of 0 -> 1 -> ... -> n-1."""
+def linear_quiver_algebra(n, field=F101, radical_square_zero=False):
+    """kA_n, the path algebra of 0 -> 1 -> ... -> n-1, or with
+    radical_square_zero its quotient kA_n/rad^2 by the relations a_v a_{v+1}."""
+    relations = [[(1, [f"a{v}", f"a{v + 1}"])] for v in range(n - 2)] if radical_square_zero else []
     return path_algebra(Quiver([str(v) for v in range(n)],
-                               [(f"a{v}", str(v), str(v + 1)) for v in range(n - 1)]), field)
+                               [(f"a{v}", str(v), str(v + 1)) for v in range(n - 1)]),
+                        field, relations)
 
 
 def koszul_sum(A, sign=1):
@@ -143,6 +146,15 @@ def koszul_sum(A, sign=1):
         parts.append(projective_complex(A, {-1: [v + 1], 0: [v]}, {-1: m.mat}))
     parts.append(projective_complex(A, {0: [n - 1]}))
     return direct_sum_complexes([S.shift(sign * v) for v, S in enumerate(parts)])
+
+
+def koszul_dual_sum(B, sign=1):
+    """The B side of the Koszul pairs over B = kA_n/rad^2: the sum over the
+    vertices v of S_v[sign * v], each simple S_v given by its projective
+    resolution, of length n - 1 - v.  With sign 1 it is tilting in degrees
+    -(n - 1)..0; with sign -1 it is not presilting."""
+    return direct_sum_complexes([proj_replacement(simple_module(B, v).stalk)[0].shift(sign * v)
+                                 for v in range(len(B.idempotents))])
 
 
 def regular_module(A):

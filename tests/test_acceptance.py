@@ -304,9 +304,9 @@ def test_tilting_pipeline_is_stable_under_cap_enlargement(indecs, U_tilt):
     ctx = SiltingContext(U_tilt, cap=16)
     base = _stable_details(verify_all(U_tilt, WINDOW, ctx=ctx)[-1])
     for extra in (1, 2, 3):
-        # cap and margin are fixed per context: verify_all builds one for each
+        # cap and margin are fixed per context: one context for each
         for enlarged in ({"cap": 16 + extra}, {"extra_margin": extra}):
-            rep = verify_all(U_tilt, WINDOW, **enlarged)[-1]
+            rep = verify_all(U_tilt, WINDOW, ctx=SiltingContext(U_tilt, **enlarged))[-1]
             assert rep.kind == "tilting-theorem"
             assert _stable_details(rep) == base
     # roundtrips keep their tables when the tensor margin grows

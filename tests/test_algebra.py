@@ -5,6 +5,7 @@ counting surviving paths, and Hom(e_i A, M) = M e_i for projectives.
 """
 
 import pathlib
+import time
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from oracles import (algebra_axioms_hold, basis_maps, dense_cell_action,
 from siltcheck import dg, semifree
 from siltcheck.algebra import (
     AdmissibilityError,
+    DIMENSION_CAP,
     Algebra,
     DimensionCapError,
     Module,
@@ -118,8 +120,10 @@ def test_bad_relations_rejected():
 
 def test_free_loop_hits_dimension_cap():
     loop = Quiver(["v"], [("x", "v", "v")])
-    with pytest.raises(DimensionCapError):
-        path_algebra(loop, Q, dimension_cap=16)
+    start = time.perf_counter()
+    with pytest.raises(DimensionCapError, match=f"cap {DIMENSION_CAP}"):
+        path_algebra(loop, Q)
+    assert time.perf_counter() - start < 1.0
 
 
 TWO_CYCLE = (["1", "2"], [("a", "1", "2"), ("b", "2", "1")])

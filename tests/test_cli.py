@@ -16,12 +16,13 @@ from oracles import zero_on_summand
 from siltcheck.algebra import DimensionCapError, Quiver, hom_space, path_algebra
 from siltcheck.cli import DEFAULTS, main
 from siltcheck.complexes import (cone, direct_sum_complexes, identity_chain_map,
-                                 projective_cache,
+                                 proj_replacement, projective_cache,
                                  projective_complex)
 from siltcheck.fields import PRIME_BOUND, PrimeField, field_from_json
 from siltcheck.instances import (Instance, InstanceError, dump_instance,
                                  instance_text, json_text, load_instance,
                                  parse_instance, serialize_instance)
+from siltcheck.silting import silting_report
 from siltcheck.verifier import (CheckRecord, SiltingContext, VerificationReport, _plain,
                                 verify_all)
 
@@ -347,6 +348,23 @@ def test_bad_flags_are_input_errors(capsys):
         assert (code, out) == (3, ""), flag
         assert message in err and len(err.strip().splitlines()) == 1, (flag, err)
         assert "Traceback" not in err
+
+
+def test_a_window_with_a_negative_lo_may_follow_the_flag(capsys):
+    # argparse would read "-1:1" as a flag of its own: "--window -1:1" runs
+    # as "--window=-1:1" does
+    spaced = run_cli(capsys, "verify", FIX_A2, "U-tilt", "--window", "-1:1")
+    assert spaced == run_cli(capsys, "verify", FIX_A2, "U-tilt", "--window=-1:1")
+    assert spaced[0] == 0
+    # a trailing --window still has no value, and "-3" is still no window
+    code, out, err = run_cli(capsys, "verify", FIX_A2, "U-tilt", "--window")
+    assert (code, out) == (3, "") and "Traceback" not in err
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        "siltcheck verify: error: argument --window: expected one argument"]
+    code, out, err = run_cli(capsys, "verify", FIX_A2, "U-tilt", "--window", "-3")
+    assert (code, out) == (3, "")
+    assert "not of the form lo:hi" in err and len(err.strip().splitlines()) == 1, err
+    assert "Traceback" not in err
 
 
 # -- goodify ----------------------------------------------------------------
@@ -908,6 +926,22 @@ def test_one_run_analyses_the_input_complex_once(capsys, monkeypatch,
                if fn in ("silting_report", "coresolve_A"))
 
 
+@pytest.mark.parametrize("command", ["check", "goodify", "verify", "report"])
+def test_every_command_reads_one_context(capsys, monkeypatch, command):
+    # the run's one SiltingContext holds the depth settings and the silting
+    # report of the input: check, verify and report make that one report,
+    # and goodify one more, of its output
+    contexts = []
+    init = SiltingContext.__init__
+    monkeypatch.setattr(SiltingContext, "__init__",
+                        lambda self, *args: contexts.append(args) or init(self, *args))
+    _, calls = _count_calls(monkeypatch)
+    code, _, _ = run_cli(capsys, command, FIX_A2, "U-tilt", "--max-steps", "5")
+    assert code == 0
+    assert [args[1:] for args in contexts] == [(5, 0, 16)]
+    assert _totals(calls)["silting_report"] == 1 + (command == "goodify")
+
+
 @pytest.mark.parametrize("command", ["check", "verify", "report"])
 def test_a_refuted_input_is_never_coresolved(capsys, monkeypatch, command):
     # the witness, read off Hom(U, U), decides the verdict, so coresolve_A
@@ -1082,8 +1116,12 @@ def test_verify_computes_the_radical_once(capsys, monkeypatch):
 
 def test_the_cli_and_the_library_share_one_set_of_defaults():
     # the depth settings are SiltingContext's, the degrees verify_all's: a
-    # run with no flag and no per-file option runs as the library does
+    # run with no flag and no per-file option runs as the library does, and
+    # the silting report and the projective replacement default to the
+    # context's step bound and cap
     context = inspect.signature(SiltingContext).parameters
     battery = inspect.signature(verify_all).parameters
     assert DEFAULTS == {**{k: context[k].default for k in ("max_steps", "extra_margin", "cap")},
                         **{k: battery[k].default for k in ("window", "pair_degrees")}}
+    assert inspect.signature(silting_report).parameters["max_steps"].default == DEFAULTS["max_steps"]
+    assert inspect.signature(proj_replacement).parameters["cap"].default == DEFAULTS["cap"]

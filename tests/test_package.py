@@ -1,6 +1,7 @@
 """The package namespace lists only names that exist, no source file imports
-a name it never uses, and every definition in src/ has a caller in the program
-or the benchmark (checked on the syntax tree, so the suite needs no linter)."""
+a name it never uses, and every definition in src/, and every defaulted
+parameter of one, has a caller in the program or the benchmark (checked on
+the syntax tree, so the suite needs no linter)."""
 
 import ast
 import pathlib
@@ -120,6 +121,76 @@ def _uncalled_definitions() -> list:
 
 def test_every_src_definition_has_a_caller():
     assert _uncalled_definitions() == sorted(UNCALLED_BY_DESIGN)
+
+
+# Defaulted parameters that no call in src/ or perfbench/ passes, each kept
+# for its reason; any other such parameter is a setting no caller varies
+DEFAULTED_BY_DESIGN = {
+    "semifree.derived_tensor.extra_margin": "the benchmark traces derived_tensor; "
+                                            "it goes with the function",
+    "dg.dg_end.gh": "the benchmark traces dg_end; it goes with the function",
+    "linalg.Matrix.from_rows.ncols": "a test constructor: a matrix with no rows",
+}
+
+
+def _defaulted_parameters(tree: ast.Module, module: str) -> dict:
+    """Each defaulted parameter of the top-level functions and of the
+    methods of top-level classes, as "module.function.parameter" (a class
+    names its __init__'s as "module.Class.parameter"), mapped to the name a
+    call uses and the parameter's position after self, or None when it is
+    keyword-only."""
+    out = {}
+
+    def add(fn, qual, is_method):
+        a = fn.args
+        static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                     for d in fn.decorator_list)
+        positional = [p.arg for p in a.posonlyargs + a.args][is_method and not static:]
+        for pos in range(len(positional) - len(a.defaults), len(positional)):
+            out[f"{qual}.{positional[pos]}"] = (qual.rsplit(".", 1)[1], pos)
+        for p, default in zip(a.kwonlyargs, a.kw_defaults):
+            if default is not None:
+                out[f"{qual}.{p.arg}"] = (qual.rsplit(".", 1)[1], None)
+
+    for top in tree.body:
+        if isinstance(top, ast.FunctionDef):
+            add(top, f"{module}.{top.name}", False)
+        elif isinstance(top, ast.ClassDef):
+            for fn in top.body:
+                if isinstance(fn, ast.FunctionDef) and fn.name == "__init__":
+                    add(fn, f"{module}.{top.name}", True)
+                elif isinstance(fn, ast.FunctionDef) and not fn.name.startswith("__"):
+                    add(fn, f"{module}.{top.name}.{fn.name}", True)
+    return out
+
+
+def _call_shapes(tree: ast.Module) -> set:
+    """(name called, positional count or "*", keywords) of every call by a
+    name or an attribute; a * or ** argument may pass anything."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+            name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+            starred = (any(isinstance(a, ast.Starred) for a in node.args)
+                       or any(k.arg is None for k in node.keywords))
+            out.add((name, "*" if starred else len(node.args),
+                     frozenset(k.arg for k in node.keywords)))
+    return out
+
+
+def test_every_defaulted_parameter_has_a_caller():
+    params, calls = {}, set()
+    for path in sorted((ROOT / "src" / "siltcheck").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        params.update(_defaulted_parameters(tree, path.stem))
+        calls |= _call_shapes(tree)
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        calls |= _call_shapes(ast.parse(path.read_text()))
+    unpassed = [qual for qual, (callee, pos) in params.items()
+                if not any(name == callee and (npos == "*" or qual.rsplit(".", 1)[1] in kws
+                                               or pos is not None and npos > pos)
+                           for name, npos, kws in calls)]
+    assert sorted(unpassed) == sorted(DEFAULTED_BY_DESIGN)
 
 
 def test_dg_composes_in_one_table_builder():

@@ -45,7 +45,7 @@ INSTANCES = pathlib.Path(__file__).resolve().parent.parent / "instances"
 def regular_dg_module(B):
     """B as a right dg-module over itself."""
     action = {key: [list(row) for row in table] for key, table in B.mult.items()}
-    return DgModule(B, "right", dict(B.dims), action, dict(B.diffs), validate=False)
+    return DgModule(B, "right", dict(B.dims), action, dict(B.diffs))
 
 
 def derived_hom(M, N, n, window, extra_margin=0):

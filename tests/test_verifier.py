@@ -586,23 +586,26 @@ def test_unresolvable_module_is_inconclusive_never_silent(dual_numbers):
     with pytest.raises(ResolutionCapError, match="cap 8"):
         proj_replacement(S.stalk, 8)
     # the battery meets the same cap on its simple probe and stops there
+    U = projective_complex(dual_numbers, {0: [0]})
     with pytest.raises(ResolutionCapError):
-        verify_all(projective_complex(dual_numbers, {0: [0]}), window=WIN, cap=8)
+        verify_all(U, window=WIN, ctx=SiltingContext(U, cap=8))
 
 
 def test_verify_all_takes_its_settings_from_the_context_alone(U_tilt, U_silt2, ctx_tilt):
-    # a context fixes max_steps, extra_margin and cap when it is built, so
-    # verify_all refuses a setting passed beside one, even an equal one,
-    # rather than drop it or mix it in, and refuses the context of another
-    # complex rather than verify that complex
+    # a context fixes max_steps, extra_margin and cap when it is built, and
+    # it is the one route for them: verify_all takes no setting of its own,
+    # and refuses the context of another complex rather than verify that
+    # complex
     for setting in ({"max_steps": 3}, {"max_steps": 8}, {"extra_margin": 1}, {"cap": 16}):
-        with pytest.raises(ValueError, match="fixes max_steps, extra_margin and cap"):
+        with pytest.raises(TypeError):
             verify_all(U_tilt, window=WIN, ctx=ctx_tilt, **setting)
+        with pytest.raises(TypeError):
+            verify_all(U_tilt, window=WIN, **setting)
     with pytest.raises(ValueError, match="must be the context of U"):
         verify_all(U_silt2, window=WIN, ctx=ctx_tilt)
-    # without a context the settings build one, and the reports echo them
-    reports = verify_all(U_tilt, window=(-1, 1), pair_degrees=(-1, 1), max_steps=5,
-                         extra_margin=2)
+    # the reports echo the context's settings
+    reports = verify_all(U_tilt, window=(-1, 1), pair_degrees=(-1, 1),
+                         ctx=SiltingContext(U_tilt, max_steps=5, extra_margin=2))
     assert reports[0].notes["max_steps"] == 5
     assert {r.notes.get("extra_margin") for r in reports} == {None, 2}
     assert all(r.passed for r in reports)
@@ -1055,7 +1058,7 @@ def _failing_cases(U_tilt, U_silt2, U_bad, indecs, monkeypatch):
     """Yield report lists, each from an input or a broken construction on
     which some checks fail."""
     yield verify_all(U_bad, **SMALL)
-    yield verify_all(U_tilt, max_steps=0, **SMALL)
+    yield verify_all(U_tilt, ctx=SiltingContext(U_tilt, max_steps=0), **SMALL)
     with monkeypatch.context() as m:
         # composition in the wrong order, and End(H^0 U) read off H^0 U twice
         _swapped_composite(m)
