@@ -255,12 +255,13 @@ _PARSER = _build_parser()  # built once: every main call parses with it
 
 
 def main(argv=None) -> int:
-    # join each "--window X" into "--window=X", so that argparse reads a
-    # window with a negative LO, "-3:3", as the flag's value and not a flag
+    # join each "--window X", or an abbreviation "--w X", into "--window=X",
+    # so that argparse reads a window with a negative LO, "-3:3", as the
+    # flag's value and not a flag
     joined = []
     for arg in sys.argv[1:] if argv is None else argv:
-        if joined and joined[-1] == "--window":
-            joined[-1] = f"--window={arg}"
+        if joined and len(joined[-1]) > 2 and "--window".startswith(joined[-1]):
+            joined[-1] = f"{joined[-1]}={arg}"
         else:
             joined.append(arg)
     try:

@@ -4,6 +4,16 @@ Shifts, mapping cones, cohomology with its induced action, chain maps and
 their induced maps on cohomology, the graded hom complex, projective
 replacement (read off the semifree resolution over A) and acyclicity testing.
 
+A complex of projectives is its witness and its generator values.  By
+Yoneda a map out of e_v A is its value on e_v, so a map X^n -> Y^m between
+sums of indecomposable projectives, a differential or a chain map, is a
+matrix over A, {(p, q): a}: a in e_w A e_v is the component on summand q =
+e_w A of Y^m of the image of e_v, for summand p = e_v A of X^n.  It is
+A-linear by construction, and shifts, direct sums, cones and approximations
+are built from values; a k-matrix enters only through the constructors of
+Complex and ChainMap, and is checked once there to be the expansion of its
+values.
+
 A degree made of cells is laid out by Layout, which converts its coordinates
 into cell elements and back.  Maps out of cells have one implementation,
 CellHom, with one Layout per degree and one differential.  A complex of
@@ -60,15 +70,92 @@ def block_matrix(field, blocks, row_dims: Sequence[int], col_dims: Sequence[int]
     return Matrix.from_entries(field, r0, sum(col_dims), entries)
 
 
+# -- matrices over A ---------------------------------------------------------
+
+
+def yoneda_rows(M: Module, v: int, y: dict) -> dict:
+    """r -> the nonzero image of row r of e_v A under the map e_v A -> M
+    with value y in M.e_v on e_v: y times that row's action (Module.yoneda).
+    The one expansion of a generator value into matrix rows."""
+    return {r: img for r, a in enumerate(M.yoneda(v)) if (img := a.apply_entries(y))}
+
+
+def expand(X: "Complex", n: int, Y: "Complex", m: int, vals: dict) -> Matrix:
+    """The k-matrix X^n -> Y^m with the given generator values: the rows of
+    summand p hold, at the columns of summand q = e_w A, the Yoneda
+    expansion of its value, written in e_w A's basis."""
+    A, src, tgt, entries = X.algebra, X.proj_types.get(n, ()), Y.proj_types.get(m, ()), {}
+    for (p, q), a in vals.items():
+        P, start, at = A.projective(tgt[q]), X.starts(n)[p], Y.starts(m)[q]
+        for r, img in yoneda_rows(P, src[p], P.ambient.solve_left_rows(a)).items():
+            entries.setdefault(start + r, {}).update((at + c, x) for c, x in img.items())
+    return Matrix.from_entries(A.field, X.dim(n), Y.dim(m), entries)
+
+
+def _cut(X: "Complex", n: int, Y: "Complex", m: int, given, what: str) -> tuple:
+    """(generator values, k-matrix) of a map X^n -> Y^m given as either.
+    Values are checked to lie in their cells, each value of e_v A on e_w A
+    in e_w A e_v, and expanded.  A k-matrix, given from outside, is cut:
+    each summand's generator image is cut along Y^m's summands, and the
+    matrix must be the expansion of its cut.  Either check is what
+    A-linearity amounts to; a failed one raises naming what."""
+    A, src, tgt = X.algebra, X.proj_types.get(n, ()), Y.proj_types.get(m, ())
+    if not isinstance(given, Matrix):
+        one, prod, es = A.field.one, A.dg.product, A.idempotents
+        if any(prod(0, {es[tgt[q]]: one}, 0, prod(0, a, 0, {es[src[p]]: one})) != a
+               for (p, q), a in given.items()):
+            raise AssertionError(f"{what} does not commute with the action of A")
+        return given, expand(X, n, Y, m, given)
+    if given.nrows != X.dim(n) or given.ncols != Y.dim(m):
+        raise ValueError(f"{what} has wrong shape")
+    vals = {(p, q): a for p, (v, start) in enumerate(zip(src, X.starts(n)))
+            for q, a in Y.cut(m, generator_image(A.projective(v), given.entries, start)).items()}
+    if expand(X, n, Y, m, vals) != given:
+        raise AssertionError(f"{what} does not commute with the action of A")
+    return vals, given
+
+
+def _components(X: "Complex", Y: "Complex", given: dict, up: int, what: str) -> tuple:
+    """(values, k-matrices) of the nonzero maps X^n -> Y^{n+up} given per
+    degree n: between complexes of projectives as values or k-matrices, each
+    through _cut; else as k-matrices, only checked for shape, and values is
+    None.  what names degree n by what.format(n)."""
+    proj = X.is_projective_complex() and Y.is_projective_complex()
+    vals, mats = ({} if proj else None), {}
+    for n, m in given.items():
+        if proj:
+            v, m = _cut(X, n, Y, n + up, m, what.format(n))
+            if v:
+                vals[n] = v
+        elif m.nrows != X.dim(n) or m.ncols != Y.dim(n + up):
+            raise ValueError(f"{what.format(n)} has wrong shape")
+        if not m.is_zero():
+            mats[n] = m
+    return vals, mats
+
+
+def _moved(vals: dict, dp: int, dq: int, f=None) -> dict:
+    """Generator values with each source summand moved on by dp and each
+    target summand by dq, negated when the field f is given."""
+    return {(p + dp, q + dq): {i: f.neg(c) for i, c in a.items()} if f else a
+            for (p, q), a in vals.items()}
+
+
 class Complex(Cochains):
     """Bounded complex of right modules; degree-indexed terms and differentials.
 
-    A complex of projectives is built from its projective witness alone:
+    A complex of projectives is built from its projective witness:
     proj_types lists each degree's indecomposable projectives (by idempotent
-    position), and its term is their projective_sum, in the basis of
-    projective_cache.  The hom complex reads maps out of each term off that
-    basis, so it requires the witness on its source.  Any other complex is
-    given its terms; one complex takes terms or proj_types, never both.
+    position), and dvalues[n] the generator values of a nonzero d^n, given
+    so or as a k-matrix (_cut); diffs[n] is its k-matrix either way, and
+    dvalues is None on any other complex.  Its
+    terms, the projective_sum of the witness in the basis of
+    projective_cache, are built on first read, by a hom complex into it,
+    its cohomology or its action, never by a cone.  The hom complex reads
+    maps out of X off the witness, so it requires one on its source.  Any
+    other complex is given its terms; one complex takes terms or
+    proj_types, never both.  validate checks d^2 = 0, and that each
+    differential of a complex of general modules is a module map.
     summands is None unless direct_sum_complexes built the complex, whose
     summand_offsets are read off them.
     """
@@ -79,31 +166,53 @@ class Complex(Cochains):
         if (terms is None) == (proj_types is None):
             raise ValueError("a complex takes either its terms or a projective witness")
         self.algebra, self.summands, self.proj_types = algebra, summands, None
-        if proj_types is not None:
+        if proj_types is None:
+            # shadows terms, which a complex of projectives reads off its witness
+            self.terms = {n: m for n, m in terms.items() if m.dim > 0}
+            super().__init__(algebra.field, self.terms)
+        else:
             self.proj_types = {n: tuple(v) for n, v in proj_types.items() if v}
-            terms = {n: algebra.projective_sum(v) for n, v in self.proj_types.items()}
-        self.terms = {n: m for n, m in terms.items() if m.dim > 0}
-        super().__init__(algebra.field, self.terms)
-        self.diffs = {}
-        for n, d in diffs.items():
-            if d.nrows != self.term(n).dim or d.ncols != self.term(n + 1).dim:
-                raise ValueError(f"differential at degree {n} has wrong shape")
-            if not d.is_zero():
-                self.diffs[n] = d
-        self._linear = set()  # degrees whose differential is checked A-linear
+            super().__init__(algebra.field, self.proj_types)
+            self._starts = {n: tuple(accumulate((algebra.projective(v).dim for v in vs),
+                                                initial=0)) for n, vs in self.proj_types.items()}
+        self.dvalues, self.diffs = _components(self, self, diffs, 1, "differential at degree {}")
         if validate:
             self.validate()
 
     def is_empty(self) -> bool:
-        return not self.terms
+        return self.lo > self.hi
 
     def term(self, n: int) -> Module:
+        if self.proj_types is not None:
+            return self.algebra.projective_sum(self.proj_types.get(n, ()))
         m = self.terms.get(n)
         # the zero module is the empty sum, built once per algebra
         return m if m is not None else self.algebra.projective_sum(())
 
+    @cached_property
+    def terms(self) -> dict:
+        return {n: self.term(n) for n in self.proj_types}
+
     def dim(self, n: int) -> int:
-        return self.term(n).dim
+        return self.starts(n)[-1] if self.proj_types is not None else self.term(n).dim
+
+    def starts(self, n: int) -> tuple:
+        """The first row of each witness summand of X^n, and dim X^n last."""
+        return self._starts.get(n, (0,))
+
+    def cut(self, n: int, w: dict, shift: int = 0) -> dict:
+        """w, an element of X^n read from row shift on, cut along X^n's
+        witness: p -> a_p in A, w's entries on summand p times the rows of
+        e_v A in A (ambient), so that w is the sum of e_v a_p over the
+        summands; a zero a_p is left out, and so are rows outside X^n."""
+        starts, types, parts = self.starts(n), self.proj_types.get(n, ()), {}
+        for r, x in w.items():
+            # row r lies in the last summand starting at or before it
+            p = bisect_right(starts, r - shift) - 1
+            if 0 <= p < len(types):
+                parts.setdefault(p, {})[r - shift - starts[p]] = x
+        return {p: a for p, part in parts.items()
+                if (a := self.algebra.projective(types[p]).ambient.apply_entries(part))}
 
     def is_projective_complex(self) -> bool:
         return self.proj_types is not None
@@ -120,19 +229,10 @@ class Complex(Cochains):
         return self.summand_offsets[n][s] if s is not None and self.summands else 0
 
     def validate(self):
-        for n in self.degrees():
-            self.linear_diff(n)
-        self.check_square_zero("differential does not square to zero at degree {}")
-
-    def linear_diff(self, n: int) -> Matrix:
-        """d^n, checked to be a module map on its first read, whether or not
-        the complex was validated when built."""
-        d = self.diff(n)
-        if n not in self._linear:
-            if not d.is_zero():
+        if self.proj_types is None:
+            for n, d in self.diffs.items():
                 ModuleMap(self.term(n), self.term(n + 1), d)
-            self._linear.add(n)
-        return d
+        self.check_square_zero("differential does not square to zero at degree {}")
 
     # the complex as the target of maps out of cells over A (GradedHom)
 
@@ -141,7 +241,7 @@ class Complex(Cochains):
         return self.term(n).cell(v)
 
     def apply_diff(self, n: int, x: dict) -> dict:
-        return self.linear_diff(n).apply_entries(x)
+        return self.diff(n).apply_entries(x)
 
     def act(self, n: int, x: dict, cdeg: int, a: dict) -> dict:
         """x.a for x in X^n and a in A, which sits in degree cdeg = 0, read
@@ -160,12 +260,13 @@ class Complex(Cochains):
         if self.summands is not None:  # a direct sum shifts summand by summand
             return direct_sum_complexes([s.shift(k) for s in self.summands])
         A, f = self.algebra, self.algebra.field
-        sign = f.one if k % 2 == 0 else f.neg(f.one)
-        diffs = {n - k: d.scale(sign) for n, d in self.diffs.items()}
         if self.proj_types is not None:
-            return Complex(A, None, diffs, {n - k: v for n, v in self.proj_types.items()},
-                           validate=False)
-        return Complex(A, {n - k: m for n, m in self.terms.items()}, diffs, validate=False)
+            return Complex(A, None, {n - k: _moved(v, 0, 0, f if k % 2 else None)
+                                     for n, v in self.dvalues.items()},
+                           {n - k: v for n, v in self.proj_types.items()}, validate=False)
+        sign = f.one if k % 2 == 0 else f.neg(f.one)
+        return Complex(A, {n - k: m for n, m in self.terms.items()},
+                       {n - k: d.scale(sign) for n, d in self.diffs.items()}, validate=False)
 
     def cohomology(self, n: int) -> Module:
         """H^n as a module with its induced action, and its sq for reduce/lift,
@@ -176,7 +277,7 @@ class Complex(Cochains):
             for a in map(self.term(n).action, self.algebra.generators)], sq=sq)
 
     def __repr__(self):
-        dims = {n: self.term(n).dim for n in self.degrees()}
+        dims = {n: self.dim(n) for n in self.degrees()}
         return f"Complex({dims})"
 
 
@@ -201,18 +302,23 @@ def direct_sum_complexes(xs: Sequence[Complex]) -> Complex:
     """Degreewise direct sum, with its summands.
 
     When every summand carries a projective witness, the sum carries their
-    concatenated witness, its terms the same block diagonal, so its hom
-    modules are built once per algebra."""
+    concatenated witness and generator values, so its hom modules are built
+    once per algebra."""
     if not xs:
         raise ValueError("empty direct sum")
     A = xs[0].algebra
+    if all(x.is_projective_complex() for x in xs):
+        types, vals = {}, {}
+        for x in xs:
+            for n, v in x.dvalues.items():
+                vals.setdefault(n, {}).update(
+                    _moved(v, len(types.get(n, ())), len(types.get(n + 1, ()))))
+            for n, vs in x.proj_types.items():
+                types[n] = types.get(n, ()) + vs
+        return Complex(A, None, vals, types, validate=False, summands=list(xs))
     lo = min(x.lo for x in xs if not x.is_empty()) if any(not x.is_empty() for x in xs) else 0
     hi = max(x.hi for x in xs if not x.is_empty()) if any(not x.is_empty() for x in xs) else -1
     diffs = {n: Matrix.block_diag(A.field, [x.diff(n) for x in xs]) for n in range(lo, hi + 1)}
-    if all(x.is_projective_complex() for x in xs):
-        return Complex(A, None, diffs, {n: tuple(v for x in xs for v in x.proj_types.get(n, ()))
-                                        for n in range(lo, hi + 1)},
-                       validate=False, summands=list(xs))
     return Complex(A, {n: direct_sum_modules(A, [x.term(n) for x in xs])
                        for n in range(lo, hi + 1)}, diffs, validate=False, summands=list(xs))
 
@@ -225,17 +331,19 @@ def summand_blocks(X: Complex) -> dict:
 
 
 class ChainMap:
-    """Degreewise module maps commuting with the differentials."""
+    """Degreewise module maps commuting with the differentials.
+
+    Between complexes of projectives values[n] holds the generator values
+    of the degree-n component, given so or as a k-matrix (_cut), and
+    mats[n] its k-matrix either way; any other chain map is given its
+    matrices, and values is None (_components).  validate checks the
+    squares, and that each component of the latter is a module map."""
 
     def __init__(self, source: Complex, target: Complex, mats: dict, validate: bool = True):
         self.source = source
         self.target = target
-        self.mats = {}
-        for n, m in mats.items():
-            if m.nrows != source.term(n).dim or m.ncols != target.term(n).dim:
-                raise ValueError(f"chain map component at degree {n} has wrong shape")
-            if not m.is_zero():
-                self.mats[n] = m
+        self.values, self.mats = _components(source, target, mats, 0,
+                                             "chain map component at degree {}")
         if validate:
             self.validate()
 
@@ -243,17 +351,15 @@ class ChainMap:
         m = self.mats.get(n)
         if m is not None:
             return m
-        return Matrix.zero(self.source.algebra.field,
-                           self.source.term(n).dim, self.target.term(n).dim)
+        return Matrix.zero(self.source.field, self.source.dim(n), self.target.dim(n))
 
     def validate(self):
-        lo = min(self.source.lo, self.target.lo)
-        hi = max(self.source.hi, self.target.hi)
-        for n in range(lo, hi + 1):
+        X, Y = self.source, self.target
+        for n in range(min(X.lo, Y.lo), max(X.hi, Y.hi) + 1):
             m = self.mat(n)
-            if not m.is_zero():
-                ModuleMap(self.source.term(n), self.target.term(n), m)
-            if self.source.diff(n) @ self.mat(n + 1) != m @ self.target.diff(n):
+            if self.values is None and not m.is_zero():
+                ModuleMap(X.term(n), Y.term(n), m)
+            if X.diff(n) @ self.mat(n + 1) != m @ Y.diff(n):
                 raise AssertionError(f"chain map square fails at degree {n}")
 
     def induced(self, n: int) -> Matrix:
@@ -265,8 +371,11 @@ class ChainMap:
 
 
 def identity_chain_map(X: Complex) -> ChainMap:
-    f = X.algebra.field
-    return ChainMap(X, X, {n: Matrix.identity(f, X.term(n).dim) for n in X.degrees()},
+    if X.is_projective_complex():
+        one, es = X.field.one, X.algebra.idempotents
+        return ChainMap(X, X, {n: {(p, p): {es[v]: one} for p, v in enumerate(vs)}
+                               for n, vs in X.proj_types.items()}, validate=False)
+    return ChainMap(X, X, {n: Matrix.identity(X.field, X.dim(n)) for n in X.degrees()},
                     validate=False)
 
 
@@ -276,12 +385,19 @@ def cone(f: ChainMap) -> Complex:
     fld = A.field
     lo = min(X.lo - 1, Y.lo)
     hi = max(X.hi - 1, Y.hi)
+    if f.values is not None:
+        # [[-d_X, f], [0, d_Y]] as a matrix over A
+        vals = {}
+        for n in range(lo, hi + 1):
+            below, at = len(X.proj_types.get(n + 1, ())), len(X.proj_types.get(n + 2, ()))
+            vals[n] = {**_moved(X.dvalues.get(n + 1, {}), 0, 0, fld),
+                       **_moved(f.values.get(n + 1, {}), 0, at),
+                       **_moved(Y.dvalues.get(n, {}), below, at)}
+        return Complex(A, None, vals, {n: X.proj_types.get(n + 1, ()) + Y.proj_types.get(n, ())
+                                       for n in range(lo, hi + 1)})
     diffs = {n: block_matrix(fld, [[-X.diff(n + 1), f.mat(n + 1)], [None, Y.diff(n)]],
                              [X.dim(n + 1), Y.dim(n)], [X.dim(n + 2), Y.dim(n + 1)])
              for n in range(lo, hi + 1)}
-    if X.is_projective_complex() and Y.is_projective_complex():
-        return Complex(A, None, diffs, {n: X.proj_types.get(n + 1, ()) + Y.proj_types.get(n, ())
-                                        for n in range(lo, hi + 1)})
     return Complex(A, {n: direct_sum_modules(A, [X.term(n + 1), Y.term(n)])
                        for n in range(lo, hi + 1)}, diffs)
 
@@ -435,16 +551,17 @@ class GradedHom(CellHom):
     must carry its projective witness, and is read as a semifree A-module:
     each witness summand e_v A of X^i is a generator of degree i with cell
     e_v, from the top degree of X down and in witness order within a degree,
-    starts[k] its first row in X^i and projectives[k] that e_v A.  A map out
-    of it is fixed by the image of e_v in Y^{n+i}.e_v (Yoneda), whose
-    coordinates are its entries at the pivots of that echelon basis, with no
-    system to solve.  An element of X^j is cut into one element of A per
-    summand (cut), and a map applies to it by acting on its values with them
-    (apply): d_X of each generator is so cut (gen_dcomps), making the layout
-    and the differential (df)_i = f_i d_Y - (-1)^n d_X f_{i+1} CellHom's, and
-    each composite is read so off generator values (after).  An element
-    becomes matrices only in component_maps, and coords_of reads them back.
-    Each differential of X and Y it reads is checked to be a module map.
+    and starts[k] its first row in X^i.  A map out of it is fixed by the
+    image of e_v in Y^{n+i}.e_v (Yoneda), whose coordinates are its entries
+    at the pivots of that echelon basis, with no system to solve.  An
+    element of X^j is cut into one element of A per summand (cut, through
+    Complex.cut), and a map applies to it by acting on its values with them
+    (apply): d_X of each generator is X's generator values (gen_dcomps),
+    making the layout and the differential (df)_i = f_i d_Y - (-1)^n d_X
+    f_{i+1} CellHom's, and each composite is read so off generator values
+    (after).  An element becomes matrices only in component_maps, and
+    coords_of reads them back; into a complex of projectives it is read as
+    generator values cut along the target's summands (value_rows).
     Hom(U, U) keeps its units, H^0 algebra and radical (kept).
     """
 
@@ -453,16 +570,14 @@ class GradedHom(CellHom):
             raise ValueError("hom complex needs a source with projective witness; "
                              "run proj_replacement")
         self.X, self.Y = X, Y
-        gens, self.starts, self.projectives = [], [], []
+        gens, cells, self.starts = [], [], []
+        self._first = {}  # degree i -> the first generator of degree i
         for i in reversed(X.degrees()):
-            start = 0
-            for v in X.proj_types.get(i, ()):
-                P = projective_cache(X.algebra, v)
-                gens.append(i)
-                self.starts.append(start)
-                self.projectives.append(P)
-                start += P.dim
-        super().__init__(gens, [P.vertex for P in self.projectives], Y)
+            self._first[i] = len(gens)
+            gens += [i] * len(X.proj_types.get(i, ()))
+            cells += X.proj_types.get(i, ())
+            self.starts += X.starts(i)[:-1]
+        super().__init__(gens, cells, Y)
         self._kept = {}
 
     def kept(self, name: str, build):
@@ -474,26 +589,21 @@ class GradedHom(CellHom):
 
     @cached_property
     def gen_dcomps(self) -> list:
-        """k -> {k2: the component of d_X gen k at generator k2, in A}: the
-        generator image of d_X on summand k, cut."""
-        return [self.cut(i + 1, generator_image(self.projectives[k], self.X.linear_diff(i).entries,
-                                                self.starts[k]))
-                for k, i in enumerate(self.gens)]
+        """k -> {k2: the component of d_X gen k at generator k2, in A}: X's
+        generator values of d_X on summand k, renumbered."""
+        out, first = [{} for _ in self.gens], self._first
+        for i, vals in self.X.dvalues.items():
+            for (p, q), a in vals.items():
+                out[first[i] + p][first[i + 1] + q] = a
+        return out
 
     def cut(self, j: int, w: dict, block: tuple | None = None) -> dict:
-        """w in X^j cut along X's degree-j generators: k -> a_k in A, w's
-        entries on summand k times the rows of e_v A in A (ambient), so that w
-        is the sum of e_v a_k over the summands; a zero a_k is left out.  With
-        block = (Z, s), w lies in Z^j, whose summand s is X^j."""
+        """w in X^j cut along X's degree-j generators (Complex.cut): k ->
+        a_k in A.  With block = (Z, s), w lies in Z^j, whose summand s is
+        X^j."""
         shift = block[0].block_start(j, block[1]) if block else 0
-        ks, parts = gen_slice(self.gens, j, j), {}
-        for r, x in w.items():
-            # row r lies in the last summand of degree j starting at or before it
-            k = bisect_right(self.starts, r - shift, ks.start, ks.stop) - 1
-            if k >= ks.start and (i := r - shift - self.starts[k]) < self.projectives[k].dim:
-                parts.setdefault(k, {})[i] = x
-        return {k: a for k, part in parts.items()
-                if (a := self.projectives[k].ambient.apply_entries(part))}
+        first = self._first.get(j, 0)
+        return {first + p: a for p, a in self.X.cut(j, w, shift).items()}
 
     def apply(self, m: int, values: dict, cut: dict, block: tuple | None = None) -> dict:
         """x(w) in Y^{m + j} for x of degree m with the given generator values
@@ -521,35 +631,49 @@ class GradedHom(CellHom):
 
     def component_maps(self, n: int, coords: dict) -> dict:
         """The degree-n element with the given nonzero coordinates as its
-        nonzero component maps, source degree -> matrix: the one place a map
-        out of a projective becomes a matrix.  By Yoneda the map out of
-        summand k is its generator value times the action of each row of
-        e_v A (Module.yoneda), placed at the summand's rows."""
+        nonzero component maps, source degree -> matrix.  By Yoneda the map
+        out of summand k is its generator value times the action of each row
+        of e_v A (yoneda_rows, which expand shares), placed at the summand's
+        rows."""
         rows: dict = {}
         for k, y in self.values(n, coords).items():
             i, start = self.gens[k], self.starts[k]
-            acts = self.Y.term(n + i).yoneda(self.cells[k])
-            rows.setdefault(i, {}).update(
-                (start + r, img) for r, a in enumerate(acts) if (img := a.apply_entries(y)))
-        return {i: Matrix.from_entries(self.field, self.X.term(i).dim, self.Y.term(n + i).dim, e)
+            images = yoneda_rows(self.Y.term(n + i), self.cells[k], y)
+            rows.setdefault(i, {}).update((start + r, img) for r, img in images.items())
+        return {i: Matrix.from_entries(self.field, self.X.dim(i), self.Y.dim(n + i), e)
                 for i, e in rows.items()}
 
     def generator_rows(self, n: int, comps: dict) -> dict:
         """k -> the nonzero image of the generator of summand k under a
         family of module maps, source degree -> matrix, for each block of
         degree n: the rows of the family that fix it as a module map."""
-        gens = self.gens
         return {k: row for k, _, _ in self.layout(n).blocks
-                if (mat := comps.get(gens[k])) is not None
-                and (row := generator_image(self.projectives[k], mat.entries, self.starts[k]))}
+                if (mat := comps.get(self.gens[k])) is not None
+                and (row := generator_image(projective_cache(self.X.algebra, self.cells[k]),
+                                            mat.entries, self.starts[k]))}
 
     def coords_of(self, n: int, comps: dict) -> dict:
         """Nonzero coordinates of a family of module maps, source degree ->
         matrix: its generator rows, read at the pivots of their cells."""
         return self.assemble(n, self.generator_rows(n, comps))
 
+    def value_rows(self, coords: dict, s: int | None = None) -> dict:
+        """The degree-0 element with the given coordinates as generator
+        values (see expand) into Y, a complex of projectives, or with s
+        given into its summand s alone: degree i -> {(p, q): a}, the value
+        on summand p of X^i cut along the witness of Y^i (or of summand s)."""
+        first, Y, out = self._first, self.Y, {}
+        Z = Y if s is None else (Y.summands or [Y])[s]
+        for k, v in self.values(0, coords).items():
+            i = self.gens[k]
+            out.setdefault(i, {}).update(
+                ((k - first[i], q), a) for q, a in Z.cut(i, v, Y.block_start(i, s)).items())
+        return out
+
     def chain_map_from_cocycle(self, coords: dict) -> ChainMap:
         """Nonzero degree-0 cocycle coordinates -> an honest chain map X -> Y."""
+        if self.Y.is_projective_complex():
+            return ChainMap(self.X, self.Y, self.value_rows(coords))
         return ChainMap(self.X, self.Y, self.component_maps(0, coords))
 
 
@@ -581,8 +705,12 @@ def proj_replacement(X: Complex, cap: int = 16) -> tuple[Complex, ChainMap]:
     if R.gens and R.gens[-1] == floor:
         raise ResolutionCapError(
             f"projective replacement reached degree {floor} (cap {cap} below the support)")
-    types: dict = {}
-    for g, e in zip(R.gens, R.cells):
+    types, first = {}, {}
+    for k, (g, e) in enumerate(zip(R.gens, R.cells)):
+        first.setdefault(g, k)
         types.setdefault(g, []).append(e)
-    P = projective_complex(A, types, {n: R.diff_matrix(n) for n in types})
+    # d gen k is the sum of gen k2 times a, for the generators k2 one degree up
+    P = projective_complex(A, types, {g: {
+        (p, k2 - first[g + 1]): a for p in range(len(vs))
+        for k2, a in R.gen_dcomps[first[g] + p].items()} for g, vs in types.items()})
     return P, ChainMap(P, X, {n: R.aug_matrix(n) for n in types})

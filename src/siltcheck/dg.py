@@ -351,8 +351,8 @@ def end_units(gh: GradedHom) -> tuple[dict, list]:
     once and kept on gh, for its H^0 algebra and every dg-algebra built on it."""
     def build():
         U = gh.X
-        unit = gh.coords_of(0, {i: Matrix.identity(gh.field, U.term(i).dim)
-                                for i in U.degrees() if U.term(i).dim})
+        unit = gh.coords_of(0, {i: Matrix.identity(gh.field, U.dim(i))
+                                for i in U.degrees() if U.dim(i)})
         if U.summands is None:
             return unit, [unit]
         # the summand of each degree-0 position: its generator's
@@ -428,7 +428,7 @@ def evaluation_left_module(base: DgAlgebra, U: Complex) -> DgModule:
     component maps U -> U, from its coordinates in base.gh = Hom(U, U)."""
     if base.gh is None or base.gh.X is not U:
         raise ValueError("base must be the dg-end of U or its truncation")
-    dims = {n: U.term(n).dim for n in U.degrees()}
+    dims = {n: U.dim(n) for n in U.degrees()}
     action, zero = {}, {}
     for m, elems in _basis(base.embed).items():
         comps = [base.gh.component_maps(m, b) for b in elems]

@@ -309,7 +309,7 @@ def encode_complex(X: Complex, quiver: Quiver) -> list:
     if X.summands is not None:
         return [b for s in X.summands for b in encode_complex(s, quiver)]
     types = {str(n): [quiver.vertices[v] for v in X.proj_types[n]]
-             for n in sorted(X.proj_types) if X.term(n).dim > 0}
+             for n in sorted(X.proj_types) if X.dim(n) > 0}
     block = {"types": types}
     diffs = {str(n): _matrix_to_json(X.diffs[n]) for n in sorted(X.diffs)}
     if diffs:

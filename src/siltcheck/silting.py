@@ -42,9 +42,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .linalg import Matrix, first_independent, quotient_map
-from .complexes import (ChainMap, Complex, GradedHom, block_matrix, cone,
-                        direct_sum_complexes, hom_complex, is_acyclic,
-                        projective_complex, zero_complex)
+from .complexes import (ChainMap, Complex, GradedHom, cone, direct_sum_complexes,
+                        hom_complex, is_acyclic, projective_complex, zero_complex)
 from .dg import end_h0
 
 
@@ -141,25 +140,19 @@ def _minimal_approximation(X: Complex, U: Complex, end: GradedHom, E, rad,
             stacks.append([b.entries.get(t, {}) for b in blocks])
     chosen = [cands[pos] for pos in first_independent(f, proj.ncols, stacks)]
 
-    parts = [summands[s] for s, _ in chosen]
-    gens = [gh.component_maps(0, sq.lift(w)) for _, w in chosen]
-    fmats = {}
-    for n in X.degrees():
-        widths = [part.term(n).dim for part in parts]
-        if not X.term(n).dim or not any(widths):
-            continue
-        row = []
-        for (s, _), comps, wdt in zip(chosen, gens, widths):
-            cm = comps.get(n)
-            off = U.block_start(n, s)
-            row.append(None if cm is None else Matrix.from_entries(f, cm.nrows, wdt, {
-                i: r for i, nz in cm.entries.items()
-                if (r := {j - off: x for j, x in nz.items() if off <= j < off + wdt})}))
-        fmats[n] = block_matrix(f, [row], [X.term(n).dim], widths)
+    # each chosen class's generator values into its summand, side by side
+    parts, fvals, at = [], {}, {}
+    for s, w in chosen:
+        parts.append(summands[s])
+        for n, vals in gh.value_rows(sq.lift(w), s).items():
+            fvals.setdefault(n, {}).update(((p, at.get(n, 0) + q), a)
+                                           for (p, q), a in vals.items())
+        for n, vs in summands[s].proj_types.items():
+            at[n] = at.get(n, 0) + len(vs)
     mult = {}
     for s, _ in chosen:
         mult[s] = mult.get(s, 0) + 1
-    return ChainMap(X, direct_sum_complexes(parts), fmats), mult
+    return ChainMap(X, direct_sum_complexes(parts), fvals), mult
 
 
 @dataclass

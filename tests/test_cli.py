@@ -367,6 +367,20 @@ def test_a_window_with_a_negative_lo_may_follow_the_flag(capsys):
     assert "Traceback" not in err
 
 
+def test_an_abbreviated_window_flag_takes_a_negative_lo_too(capsys):
+    # argparse accepts any unambiguous prefix of --window, so "--win -1:1"
+    # and "--w -1:1" are joined as "--window -1:1" is: every spelling, with a
+    # space or with "=", gives the same exit code and the same bytes
+    runs = {(flag, sep): run_cli(capsys, "verify", FIX_A2, "U-tilt",
+                                 *([flag + "=-1:1"] if sep == "=" else [flag, "-1:1"]))
+            for flag in ("--w", "--win", "--window") for sep in (" ", "=")}
+    assert {(code, out) for code, out, _ in runs.values()} == {runs["--window", "="][:2]}
+    assert runs["--window", "="][0] == 0
+    # a bare "--" ends the flags and is never joined with what follows
+    code, out, err = run_cli(capsys, "verify", FIX_A2, "U-tilt", "--", "-1:1")
+    assert (code, out) == (3, "") and "Traceback" not in err
+
+
 # -- goodify ----------------------------------------------------------------
 
 

@@ -241,19 +241,13 @@ def test_every_builder_reads_its_terms_off_its_witness(A2):
 
 
 def test_hom_complex_checks_each_differential_it_reads(A2):
-    # a complex built without validation, as shifts and direct sums are,
-    # whose differential sends e_1 to the arrow a: not a module map, since
-    # the image of e_1 must lie in P1.e_1; the hom complex refuses it on
-    # either side
-    P1 = projective_cache(A2, 0)
-    bad = Complex(A2, None, {-1: Matrix(F101, 2, 2, [[0, 1], [0, 0]])},
-                  {-1: (0,), 0: (0,)}, validate=False)
-    good = projective_complex(A2, {0: [0]})
-    for X, Y in ((bad, good), (good, bad)):
-        gh = hom_complex(X, Y)
-        with pytest.raises(AssertionError, match="does not commute"):
-            for n in gh.degrees():
-                gh.diff(n)
+    # a differential that sends e_1 to the arrow a is not a module map, since
+    # the image of e_1 must lie in P1.e_1: the constructor cuts the k-matrix
+    # into generator values and refuses it, naming its degree, even unvalidated,
+    # so no hom complex ever reads it
+    with pytest.raises(AssertionError, match="degree -1 does not commute"):
+        Complex(A2, None, {-1: Matrix(F101, 2, 2, [[0, 1], [0, 0]])},
+                {-1: (0,), 0: (0,)}, validate=False)
 
 
 _YONEDA_QUIVERS = {
@@ -328,6 +322,72 @@ def test_yoneda_basis_matches_hom_space(name, seed):
             assert gh.component_maps(0, got).get(0, Matrix.zero(f, S.dim, N.dim)) == bumped
         else:
             assert got is None
+
+
+def _stripped(X):
+    """X as a complex of general modules: its terms and its expanded
+    differential, with no witness."""
+    return Complex(X.algebra, dict(X.terms), dict(X.diffs))
+
+
+def _same_complex(X, Y):
+    degrees = range(min(X.lo, Y.lo) - 1, max(X.hi, Y.hi) + 2)
+    return all(X.dim(n) == Y.dim(n) and X.diff(n) == Y.diff(n) for n in degrees)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["A3", "square"]), st.integers(0, 2 ** 32 - 1))
+def test_generator_values_expand_to_the_given_matrices_and_build_alike(name, seed):
+    # random complexes of projectives with A-linear differentials (hom_space),
+    # kept as generator values: their expansion is the k-matrix each was
+    # given, entry for entry; cutting the expansion gives the values back;
+    # and shifts, direct sums and cones built from values equal the same
+    # constructions on the expanded matrices, complexes of general modules
+    A = _yoneda_algebra(name)
+    rng = random.Random(seed)
+    X = random_two_term(A, rng)
+    Y = random_two_term(A, rng).shift(rng.choice([-1, 0, 1]))
+    for Z in (X, Y):
+        from_values = Complex(A, None, Z.dvalues, Z.proj_types)
+        for n in Z.degrees():
+            assert from_values.diff(n).entries == Z.diff(n).entries
+        assert Complex(A, None, dict(Z.diffs), Z.proj_types).dvalues == Z.dvalues
+    f = random_chain_map(X, Y, rng)
+    assert ChainMap(X, Y, f.mats).values == f.values
+    Xg, Yg = _stripped(X), _stripped(Y)
+    assert _same_complex(cone(f), cone(ChainMap(Xg, Yg, f.mats)))
+    assert _same_complex(direct_sum_complexes([X, Y]), direct_sum_complexes([Xg, Yg]))
+    for k in (-1, 1, 2):
+        assert _same_complex(X.shift(k), Xg.shift(k))
+
+
+@pytest.mark.parametrize("name", ["A3", "square"])
+def test_a_matrix_that_is_not_linear_over_a_is_refused_at_its_degree(name):
+    # the constructors cut a k-matrix into generator values and refuse it,
+    # naming its degree, unless it is their expansion: a differential, or a
+    # chain map component, with one entry moved off a module map
+    A = _yoneda_algebra(name)
+    f = A.field
+    rng = random.Random(5)
+    refused = 0
+    for _ in range(200):
+        X = random_two_term(A, rng)
+        if -1 not in X.dvalues:
+            continue
+        d = X.diff(-1)
+        r, c = rng.randrange(d.nrows), rng.randrange(d.ncols)
+        bumped = Matrix(f, d.nrows, d.ncols, [[f.add(x, f.one) if (i, j) == (r, c) else x
+                                               for j, x in enumerate(row)]
+                                              for i, row in enumerate(d.rows)])
+        if _is_module_map(X.term(-1), X.term(0), bumped):
+            continue
+        with pytest.raises(AssertionError, match="differential at degree -1 does not commute"):
+            Complex(A, None, {-1: bumped}, X.proj_types, validate=False)
+        S, T = (projective_complex(A, {0: X.proj_types[n]}) for n in (-1, 0))
+        with pytest.raises(AssertionError, match="component at degree 0 does not commute"):
+            ChainMap(S, T, {0: bumped}, validate=False)
+        refused += 1
+    assert refused >= 20
 
 
 def test_component_maps_equal_the_basis_maps_combined(coresolution_inputs, monkeypatch):

@@ -363,7 +363,7 @@ def test_h0_and_the_truncation_share_one_basis(coresolution_inputs):
         cases.update((f"{field_spec}/{name}", U)
                      for name, U in coresolution_inputs(field_spec).items())
     cases.update((f"koszul/{n}", koszul_sum(linear_quiver_algebra(n))) for n in range(2, 7))
-    assert len(cases) == 196
+    assert len(cases) == 202
     for name, U in cases.items():
         gh = hom_complex(U, U)
         E, C = end_h0(gh), smart_truncate(gh)

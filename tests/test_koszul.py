@@ -15,11 +15,13 @@ past the two-term complexes of the fixtures.
 import pytest
 
 from conftest import koszul_dual_sum, koszul_sum, linear_quiver_algebra
-from siltcheck import silting
+from siltcheck import algebra, complexes, semifree, silting, verifier
+from siltcheck.algebra import simple_module
 from siltcheck.complexes import hom_complex
 from siltcheck.dg import end_h0
 from siltcheck.linalg import Matrix
-from siltcheck.verifier import verify_all
+from siltcheck.semifree import semifree_resolve
+from siltcheck.verifier import SiltingContext, verify_all
 
 
 def peirce_dims(X, n: int) -> list:
@@ -95,3 +97,44 @@ def test_the_koszul_dual_sum_passes_every_check_at_window_1(n):
     reports = verify_all(koszul_dual_sum(linear_quiver_algebra(n, radical_square_zero=True)),
                          window=(-1, 1), pair_degrees=(-1, 1))
     assert reports and all(r.passed for r in reports), [r.kind for r in reports if not r.passed]
+
+
+@pytest.mark.parametrize("side", ("A", "B"))
+@pytest.mark.parametrize("n", range(2, 7))
+def test_each_simple_is_one_cell_over_the_truncation(n, side):
+    # S_v[v] is the summand U_v of U, so Hom(U, S_v) = Hom(U, U_v[-v]) is the
+    # cell e_v C of the truncation C moved to degree v (X[k]^m = X^{m+k}):
+    # its resolution over C has exactly one generator, of degree v and cell
+    # e_v, the projection onto U_v
+    U = (koszul_sum(linear_quiver_algebra(n)) if side == "A" else
+         koszul_dual_sum(linear_quiver_algebra(n, radical_square_zero=True)))
+    ctx = SiltingContext(U)
+    for v in range(n):
+        M = ctx.hom_module(simple_module(U.algebra, v).stalk)
+        assert (M.lo, M.hi) == (v, v)
+        P = semifree_resolve(M, M.lo - 2)
+        assert (P.gens, P.cells) == ([v], [v])
+
+
+def test_a_coresolution_checks_no_module_map_and_builds_no_direct_sum(monkeypatch):
+    # a cone and an approximation between complexes of projectives are built
+    # from generator values, A-linear by construction: once U and Hom(U, U)
+    # are built, the whole coresolution of the Koszul A side at n = 8
+    # validates no ModuleMap and builds no direct-sum module
+    U = koszul_sum(linear_quiver_algebra(8))
+    gh = hom_complex(U, U)
+    checked, sums = [], []
+    init = algebra.ModuleMap.__init__
+
+    def counted_init(self, source, target, mat, validate=True):
+        checked.append(validate)
+        init(self, source, target, mat, validate)
+
+    monkeypatch.setattr(algebra.ModuleMap, "__init__", counted_init)
+    direct_sum = algebra.direct_sum_modules
+    for module in (algebra, complexes, semifree, verifier):
+        monkeypatch.setattr(module, "direct_sum_modules",
+                            lambda A, mods: sums.append(len(mods)) or direct_sum(A, mods))
+    report = silting.silting_report(U, max_steps=10, gh=gh)
+    assert report.n == 7 and report.tilting
+    assert True not in checked and sums == []

@@ -208,38 +208,44 @@ def test_dg_composes_in_one_table_builder():
 
 
 # the maps out of a projective that have to be matrices: an honest chain
-# map, an approximation into summands of U, the evaluation onto X, the
+# map into a complex of general modules, the evaluation onto X, the
 # evaluation action of End(U) on U, the naturality map g and the map from
 # the cycles of U in the canonical sequence
 COMPONENT_MAP_CALLERS = {
-    "complexes.GradedHom.chain_map_from_cocycle", "silting._minimal_approximation",
-    "verifier._evaluation_chain_map", "dg.evaluation_left_module",
-    "verifier.naturality_probe", "verifier._canonical_sequence"}
+    "complexes.GradedHom.chain_map_from_cocycle", "verifier._evaluation_chain_map",
+    "dg.evaluation_left_module", "verifier.naturality_probe", "verifier._canonical_sequence"}
 
 
 def test_maps_out_of_a_projective_have_one_form():
     # a map out of e_v A is its generator value: no class or cache keeps the
-    # basis maps as matrices, and GradedHom.component_maps is the one place
-    # that expands a value through the Yoneda action into a matrix.  A map
-    # applies to an element by cutting it along the generators (GradedHom.cut,
-    # which d_X is read through too) and acting on the values (apply): every
-    # product composes so, and component_maps is called only where a chain
-    # map has to be a matrix
+    # basis maps as matrices, and complexes.yoneda_rows is the one place that
+    # expands a value through the Yoneda action into matrix rows, for the
+    # component maps of a hom complex element and for the differentials and
+    # chain maps of complexes of projectives alike.  A map applies to an
+    # element by cutting it along the generators (GradedHom.cut) and acting
+    # on the values (apply): every product composes so, and component_maps
+    # is called only where a map has to be a matrix.  A complex of
+    # projectives keeps its differential as generator values, so the hom
+    # complex reads d_X with no cut, and an approximation is handed to its
+    # cone as values
     defs, callers = {}, {}
     for path in sorted((ROOT / "src" / "siltcheck").glob("*.py")):
         d, refs = _definitions_and_references(ast.parse(path.read_text()), path.stem)
         defs.update(d)
         for name, attr, owners in refs:
-            if attr and name in ("yoneda", "component_maps", "cut"):
+            if name in ("yoneda", "component_maps", "cut", "yoneda_rows") and (
+                    attr or name == "yoneda_rows"):
                 callers.setdefault(name, set()).add((owners or (path.stem,))[-1])
     assert not [q for q in defs if q.rsplit(".", 1)[-1] == "ProjectiveHoms"]
     assert "algebra.Module.homs_from" not in defs and "algebra.Module.yoneda" in defs
     assert "complexes.GradedHom.basis" not in defs
     assert not [q for q in defs if q.rsplit(".", 1)[-1] in ("postcomposed",
                                                             "_postcomposed_augmentations")]
-    assert callers["yoneda"] == {"complexes.GradedHom.component_maps"}
+    assert callers["yoneda"] == {"complexes.yoneda_rows"}
+    assert callers["yoneda_rows"] == {"complexes.expand", "complexes.GradedHom.component_maps"}
     assert callers["component_maps"] == COMPONENT_MAP_CALLERS
-    assert "complexes.GradedHom.gen_dcomps" in callers["cut"]
+    assert "complexes.GradedHom.gen_dcomps" not in callers["cut"]
+    assert "complexes.Complex.linear_diff" not in defs
 
 
 def _reads_cell_coordinates(node) -> bool:
